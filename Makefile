@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race ci fuzz bench bench-ingest bench-fleet bench-portal bench-trace bench-controlplane bench-analysis bench-upload bench-diagnosis bench-telemetry churn foldsim uploadsim telemsim diagnose clean
+.PHONY: all build test race ci fuzz bench bench-ingest bench-fleet bench-portal bench-trace bench-controlplane bench-analysis bench-upload bench-diagnosis bench-telemetry churn uploadsim telemsim diagnose clean
 
 all: build test
 
@@ -59,13 +59,12 @@ bench-controlplane:
 	$(GO) test -run '^$$' -bench 'BenchmarkServeDelta|BenchmarkServeFull|BenchmarkServeGzip|BenchmarkServeNotModified' \
 		-benchmem ./internal/controller
 
-# Analysis hot path: the per-record fold cost plus the full
-# million-server incremental-vs-rescan sweep. BENCH_PR7.json records the
-# tracked numbers.
+# Analysis hot path: the per-record fold cost and the partial merge. The
+# pipeline benchmark (bench/) reports them end to end as
+# scope.fold_ns_per_entry and dsa.cycle10_ms_p50.
 bench-analysis:
 	$(GO) test -run '^$$' -bench 'BenchmarkFoldExtent|BenchmarkPartialMerge' \
 		-benchmem ./internal/scope
-	$(MAKE) foldsim
 
 # Upload hot path: sketch/binary encode + scan microbenchmarks plus the
 # fleet differential sweep (sketch uploads vs raw CSV). BENCH_PR8.json
@@ -99,11 +98,6 @@ diagnose:
 # rolling topology update with replica failover. Writes BENCH_PR6.json.
 churn:
 	$(GO) run ./cmd/pingmesh-churnsim -agents 1000000 -podsets 50 -out BENCH_PR6.json
-
-# Million-server fold harness: sharded incremental cycles vs the legacy
-# full re-scan over one 10-minute window. Writes BENCH_PR7.json.
-foldsim:
-	$(GO) run ./cmd/pingmesh-foldsim -servers 1000000 -shards 1,2,4 -out BENCH_PR7.json
 
 # Fleet upload differential: the same probes shipped as raw CSV and as
 # sketch/binary batches, compared on bytes, percentiles, and SLA parity.

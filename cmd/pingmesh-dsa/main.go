@@ -4,16 +4,9 @@
 // alerts, and — given the topology — runs black-hole detection (§3.5, §4,
 // §5.1).
 //
-// With -shards N (requires -topology) the records instead flow through the
-// sharded incremental DSA pipeline: they are uploaded into an in-process
-// cosmos store, background fold passes spread the sealed extents across N
-// analysis shards, and each 10-minute window is served by merging folded
-// partials — the multi-shard quickstart for the full pipeline.
-//
 // Usage:
 //
 //	pingmesh-dsa -topology topology.json record1.csv record2.csv ...
-//	pingmesh-dsa -topology topology.json -shards 4 record1.csv ...
 package main
 
 import (
@@ -26,25 +19,19 @@ import (
 
 	"pingmesh/internal/analysis"
 	"pingmesh/internal/blackhole"
-	"pingmesh/internal/cosmos"
 	"pingmesh/internal/debugsrv"
 	"pingmesh/internal/diagnosis"
-	"pingmesh/internal/dsa"
 	"pingmesh/internal/probe"
-	"pingmesh/internal/simclock"
 	"pingmesh/internal/topology"
 )
 
 func main() {
 	var (
-		topoPath   = flag.String("topology", "", "topology spec JSON for scope/black-hole analysis (optional)")
-		maxDrop    = flag.Float64("alert-drop", 1e-3, "drop rate alert threshold")
-		maxP99     = flag.Duration("alert-p99", 5*time.Millisecond, "P99 latency alert threshold")
-		shards     = flag.Int("shards", 0, "run the sharded incremental DSA pipeline with this many analysis shards (0 = flat analysis)")
-		foldBudget = flag.Int("fold-budget", 32, "extents folded per shard per background pass in -shards mode")
-		extentSize = flag.Int("extent-size", 256<<10, "in-process store extent size in -shards mode")
-		debugAddr  = flag.String("debug-addr", "", "serve pprof on this address while the analysis runs (empty = off)")
-		diagnose   = flag.Bool("diagnose", false, "rank root-cause suspect switches from failed probes (requires -topology)")
+		topoPath  = flag.String("topology", "", "topology spec JSON for scope/black-hole analysis (optional)")
+		maxDrop   = flag.Float64("alert-drop", 1e-3, "drop rate alert threshold")
+		maxP99    = flag.Duration("alert-p99", 5*time.Millisecond, "P99 latency alert threshold")
+		debugAddr = flag.String("debug-addr", "", "serve pprof on this address while the analysis runs (empty = off)")
+		diagnose  = flag.Bool("diagnose", false, "rank root-cause suspect switches from failed probes (requires -topology)")
 	)
 	flag.Parse()
 	if *debugAddr != "" {
@@ -95,16 +82,6 @@ func main() {
 	}
 
 	th := analysis.Thresholds{MaxDropRate: *maxDrop, MaxP99: *maxP99, MinProbes: 100}
-	if *shards > 0 {
-		if *topoPath == "" {
-			log.Fatal("-shards requires -topology")
-		}
-		top := loadTopology(*topoPath)
-		if err := runSharded(recs, top, *shards, *foldBudget, *extentSize, th); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 
 	// The headline SLA metric is the intra-DC SYN RTT; inter-DC WAN
 	// latency is tracked separately so a 25ms WAN round trip does not
@@ -212,91 +189,4 @@ func loadTopology(path string) *topology.Topology {
 		log.Fatalf("build topology: %v", err)
 	}
 	return top
-}
-
-// runSharded replays the loaded records through the sharded incremental
-// DSA pipeline: upload into an in-process store, drain background fold
-// passes, then serve every grid-aligned 10-minute window covering the
-// records from the folded partials.
-func runSharded(recs []probe.Record, top *topology.Topology, shards, foldBudget, extentSize int, th analysis.Thresholds) error {
-	if len(recs) == 0 {
-		return fmt.Errorf("no records to analyze")
-	}
-	minStart, maxStart := recs[0].Start, recs[0].Start
-	for i := range recs {
-		if recs[i].Start.Before(minStart) {
-			minStart = recs[i].Start
-		}
-		if recs[i].Start.After(maxStart) {
-			maxStart = recs[i].Start
-		}
-	}
-	// The fold window grid anchors at the pipeline clock's start time;
-	// truncating to the grid makes every replayed window grid-aligned.
-	anchor := minStart.UTC().Truncate(10 * time.Minute)
-	store, err := cosmos.NewStore(1, cosmos.Config{ExtentSize: extentSize, Replicas: 1})
-	if err != nil {
-		return err
-	}
-	const batch = 256
-	for off := 0; off < len(recs); off += batch {
-		end := off + batch
-		if end > len(recs) {
-			end = len(recs)
-		}
-		if err := store.Append("pingmesh/import", probe.EncodeBatch(recs[off:end])); err != nil {
-			return err
-		}
-	}
-	clock := simclock.NewSim(anchor)
-	pipe, err := dsa.New(dsa.Config{
-		Store: store, Top: top, Clock: clock,
-		Thresholds: th, Shards: shards, FoldBudget: foldBudget,
-	})
-	if err != nil {
-		return err
-	}
-	passes := 0
-	for {
-		pipe.FoldNow()
-		passes++
-		if pipe.MaxFoldBacklog() == 0 {
-			break
-		}
-	}
-	fmt.Printf("folded %d extents across %d shards in %d passes\n",
-		store.NumExtents("pingmesh/import"), shards, passes)
-	for w := anchor; w.Before(maxStart); w = w.Add(10 * time.Minute) {
-		to := w.Add(10 * time.Minute)
-		clock.AdvanceTo(to)
-		if err := pipe.RunTenMinute(w, to); err != nil {
-			return err
-		}
-	}
-	rows, err := pipe.DB().Query(dsa.TableSLA)
-	if err != nil {
-		return err
-	}
-	lines := make([]string, 0, len(rows))
-	for _, r := range rows {
-		lines = append(lines, fmt.Sprintf("sla %v [%v, %v): n=%v p50=%v p99=%v drop_rate=%v failure_rate=%v",
-			r["scope"], r["window_start"], r["window_end"], r["probes"],
-			r["p50"], r["p99"], r["drop_rate"], r["failure_rate"]))
-	}
-	sort.Strings(lines)
-	for _, l := range lines {
-		fmt.Println(l)
-	}
-	alerts, err := pipe.DB().Query(dsa.TableAlerts)
-	if err != nil {
-		return err
-	}
-	for _, r := range alerts {
-		fmt.Printf("ALERT %v at %v: %v\n", r["scope"], r["at"], r["reason"])
-	}
-	for _, lag := range pipe.ShardLags() {
-		fmt.Printf("shard %d: folded=%d stolen=%d backlog=%d\n",
-			lag.Shard, lag.Folded, lag.Stolen, lag.Backlog)
-	}
-	return nil
 }

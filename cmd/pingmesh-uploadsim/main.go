@@ -3,7 +3,7 @@
 // window of probes is shipped both ways, and the JSON report (BENCH_PR8.json
 // in CI) records the upload-byte reduction (plain and gzip), per-class
 // P50/P99 deltas in histogram buckets, and SLA row parity through the
-// sharded DSA fold path.
+// DSA fold path.
 //
 // Usage:
 //
@@ -27,7 +27,6 @@ func main() {
 	flushes := flag.Int("flushes", 10, "upload flushes per window (the 1-minute cadence)")
 	rawThreshold := flag.Duration("raw-threshold", time.Second, "RTT at or above which a record ships raw")
 	extentSize := flag.Int("extent-size", 1<<20, "cosmos extent size in bytes")
-	shards := flag.Int("shards", 2, "DSA shard count for the fold-path parity check")
 	seed := flag.Int64("seed", 1, "record synthesizer seed")
 	out := flag.String("out", "", "write the JSON report to this file (default stdout)")
 	quiet := flag.Bool("q", false, "suppress progress output")
@@ -46,7 +45,6 @@ func main() {
 		FlushesPerWindow: *flushes,
 		RawThreshold:     *rawThreshold,
 		ExtentSize:       *extentSize,
-		Shards:           *shards,
 		Seed:             *seed,
 	}, logf)
 	if err != nil {

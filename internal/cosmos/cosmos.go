@@ -49,16 +49,14 @@ type Store struct {
 	sealSeq uint64
 }
 
-// SealEvent records the sealing of one extent: the stream it belongs to,
-// its index within the stream, and its store-global extent ID (the key
-// shard ownership hashes over). Seq is the journal position; pass Seq+1 of
-// the last event seen as the next VisitSealed cursor (VisitSealed returns
-// exactly that).
+// SealEvent records the sealing of one extent: the stream it belongs to
+// and its index within the stream. Seq is the journal position; pass Seq+1
+// of the last event seen as the next VisitSealed cursor (VisitSealed
+// returns exactly that).
 type SealEvent struct {
 	Seq    uint64
 	Stream string
 	Index  int
-	ID     uint64
 }
 
 type node struct {
@@ -73,6 +71,9 @@ type extent struct {
 	size     int
 	sealed   bool
 	replicas []int // node ids
+	// writers counts appends that have reserved room in the extent but not
+	// yet finished writing the replicas.
+	writers int
 }
 
 type stream struct {
@@ -126,10 +127,10 @@ func (s *Store) Append(name string, data []byte) error {
 	}
 	replicas := ext.replicas
 	ext.size += len(data)
-	sealedIdx := -1
+	ext.writers++
+	idx := len(st.extents) - 1
 	if ext.size >= s.cfg.ExtentSize {
 		ext.sealed = true
-		sealedIdx = len(st.extents) - 1
 	}
 	id := ext.id
 	s.mu.Unlock()
@@ -142,19 +143,22 @@ func (s *Store) Append(name string, data []byte) error {
 			wrote++
 		}
 	}
+
+	// Journal the seal once the last append that reserved room in the
+	// extent has finished writing, whichever append that is: a concurrent
+	// append can reserve its bytes before the sealing one and land them
+	// after it, and a VisitSealed cursor must never hand out an extent
+	// whose contents can still grow. A stream deleted in the meantime gets
+	// no event — nothing would ever compact it away.
+	s.mu.Lock()
+	ext.writers--
+	if ext.sealed && ext.writers == 0 && s.strms[name] == st {
+		s.sealLog = append(s.sealLog, SealEvent{Seq: s.sealSeq, Stream: name, Index: idx})
+		s.sealSeq++
+	}
+	s.mu.Unlock()
 	if wrote == 0 {
 		return fmt.Errorf("cosmos: all %d replicas of extent %d unavailable", len(replicas), id)
-	}
-	if sealedIdx >= 0 {
-		// Journal the seal only after the final bytes are durable on at
-		// least one replica: a VisitSealed cursor must never hand out an
-		// extent whose sealed contents are not yet readable.
-		s.mu.Lock()
-		s.sealLog = append(s.sealLog, SealEvent{
-			Seq: s.sealSeq, Stream: name, Index: sealedIdx, ID: id,
-		})
-		s.sealSeq++
-		s.mu.Unlock()
 	}
 	return nil
 }
@@ -308,11 +312,12 @@ func (s *Store) SealedFrom(name string) int {
 	return n
 }
 
-// VisitSealed calls fn for every extent sealed since cursor, in seal order,
-// and returns the cursor to pass on the next call. A cursor of 0 visits
-// every seal since the store was created. Events for streams deleted in the
-// meantime are compacted away and never visited; seqs are monotone and
-// never reused, so a cursor taken before a DeleteStream stays valid.
+// VisitSealed calls fn for every extent sealed since cursor, in the order
+// their contents became final, and returns the cursor to pass on the next
+// call. A cursor of 0 visits every seal since the store was created. Events
+// for streams deleted in the meantime are compacted away and never visited;
+// seqs are monotone and never reused, so a cursor taken before a
+// DeleteStream stays valid.
 //
 // fn runs without the store lock held (the events are snapshotted first),
 // so it may call back into the store — typically ReadExtent, whose

@@ -263,3 +263,64 @@ func TestVisitSealedConcurrent(t *testing.T) {
 		t.Fatal("cursor moved with no new seals")
 	}
 }
+
+// TestSealJournalWaitsForConcurrentAppends races several appenders on one
+// stream against a cursor walk. An append can reserve room in an extent
+// before the append that seals it and write its bytes after; the seal must
+// not reach the journal until those bytes have landed, so what a visitor
+// reads is what the extent holds for good.
+func TestSealJournalWaitsForConcurrentAppends(t *testing.T) {
+	s, err := NewStore(3, Config{ExtentSize: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const appenders, perAppender = 4, 400
+	var wg sync.WaitGroup
+	for w := 0; w < appenders; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			payload := bytes.Repeat([]byte{byte('a' + w)}, 24)
+			for i := 0; i < perAppender; i++ {
+				if err := s.Append("st", payload); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+
+	atVisit := map[int]int{} // extent index -> length when journaled
+	visit := func(ev SealEvent) {
+		data, err := s.ReadExtent(ev.Stream, ev.Index)
+		if err != nil {
+			t.Errorf("read sealed extent %d: %v", ev.Index, err)
+			return
+		}
+		atVisit[ev.Index] = len(data)
+	}
+	var cursor uint64
+	for alive := true; alive; {
+		select {
+		case <-done:
+			alive = false
+		default:
+		}
+		cursor = s.VisitSealed(cursor, visit)
+	}
+	s.VisitSealed(cursor, visit)
+	if got, want := len(atVisit), s.SealedFrom("st"); got != want {
+		t.Fatalf("journal named %d extents, %d are sealed", got, want)
+	}
+	for idx, n := range atVisit {
+		data, err := s.ReadExtent("st", idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(data) != n {
+			t.Fatalf("extent %d grew from %d to %d bytes after its seal was journaled", idx, n, len(data))
+		}
+	}
+}

@@ -57,19 +57,6 @@ type Config struct {
 	// analysis cycles, marks dsa-cycle freshness, and exposes the
 	// dsa.last_cycle_age gauge on the job registry.
 	Tracer *trace.Tracer
-	// Shards enables the sharded incremental analysis tier for the
-	// 10-minute jobs: sealed extents are folded into mergeable per-scope
-	// partials as they land, spread across this many analysis shards by
-	// rendezvous hashing, and a cycle merges deltas instead of re-scanning
-	// the window. 0 (default) keeps the legacy full re-scan.
-	Shards int
-	// FoldInterval is the cadence of the background fold job when Shards
-	// > 0. Default 1 minute.
-	FoldInterval time.Duration
-	// FoldBudget bounds extents folded per shard per scheduled fold pass
-	// (idle shards steal stragglers' leftovers). 0 means unbounded.
-	// Cycles always drain fully regardless.
-	FoldBudget int
 	// Diagnosis, when set, is the root-cause vote collector whose ranking
 	// the read side publishes alongside the SLA/heatmap outputs. The
 	// pipeline does not feed it — ingestion happens where records are
@@ -110,7 +97,9 @@ type Pipeline struct {
 	db     *reportdb.DB
 	keyer  *analysis.Keyer
 
-	inc *incremental // nil when Config.Shards == 0
+	jobs    []cycleJob   // the 10-minute job table, built once in New
+	inc     *incremental // the fold tier serving grid-aligned 10-minute cycles
+	offGrid *metrics.Counter
 
 	mu       sync.Mutex
 	alerts   []analysis.Alert
@@ -138,9 +127,6 @@ func New(cfg Config) (*Pipeline, error) {
 	if cfg.Retention <= 0 {
 		cfg.Retention = 60 * 24 * time.Hour
 	}
-	if cfg.FoldInterval <= 0 {
-		cfg.FoldInterval = time.Minute
-	}
 	p := &Pipeline{
 		cfg:      cfg,
 		engine:   &scope.Engine{Tracer: cfg.Tracer},
@@ -154,13 +140,9 @@ func New(cfg Config) (*Pipeline, error) {
 			return cfg.Tracer.Freshness().AgeMillis(trace.StageDSACycle)
 		})
 	}
-	if cfg.Shards > 0 {
-		inc, err := newIncremental(p, cfg.Clock.Now())
-		if err != nil {
-			return nil, err
-		}
-		p.inc = inc
-	}
+	p.jobs = p.tenMinuteJobs()
+	p.inc = newIncremental(p, cfg.Clock.Now())
+	p.offGrid = p.jm.Metrics().Counter("dsa.cycle.offgrid_rescans")
 	for _, t := range []struct {
 		name string
 		cols []string
@@ -236,19 +218,21 @@ func (p *Pipeline) Alerts() []analysis.Alert {
 	return append([]analysis.Alert(nil), p.alerts...)
 }
 
-// Start schedules the three recurring jobs (plus the background fold job
-// when incremental analysis is on). Call Stop to cancel.
+// foldInterval is the cadence of the background fold job: sealed extents
+// are folded within a minute of landing, so a cycle finds little to drain.
+const foldInterval = time.Minute
+
+// Start schedules the background fold job and the three recurring analysis
+// jobs. Call Stop to cancel.
 func (p *Pipeline) Start() {
 	now := p.cfg.Clock.Now()
-	if p.inc != nil {
-		// The fold-window grid must coincide with the scheduler's window
-		// grid or cycles could never be served from partials.
-		p.inc.rearm(now)
-		p.jm.ScheduleAt("fold", p.cfg.FoldInterval, now, func(from, to time.Time) error {
-			p.FoldNow()
-			return nil
-		})
-	}
+	// The fold-window grid must coincide with the scheduler's window grid
+	// or cycles could never be served from partials.
+	p.inc.rearm(now)
+	p.jm.ScheduleAt("fold", foldInterval, now, func(from, to time.Time) error {
+		p.FoldNow()
+		return nil
+	})
 	p.jm.ScheduleAt("10min", scope.Every10Min, now, p.RunTenMinute)
 	p.jm.ScheduleAt("1hour", scope.Every1Hour, now, p.RunHourly)
 	p.jm.ScheduleAt("1day", scope.Every1Day, now, p.RunDaily)
@@ -314,77 +298,117 @@ func (p *Pipeline) finishCycle(cy *cycleTrace, kind string, from, to time.Time) 
 	}
 }
 
-// RunTenMinute computes near-real-time SLA per DC and per service over the
-// window and fires threshold alerts. With incremental analysis enabled and
-// a grid-aligned window, the cycle is served by merging folded shard
-// partials plus a tail scan of unfolded extents; any other window falls
-// back to the full re-scan below, which stays the reference semantics.
-func (p *Pipeline) RunTenMinute(from, to time.Time) error {
-	if p.inc != nil {
-		handled, err := p.runTenMinuteIncremental(from, to)
-		if handled || err != nil {
-			return err
-		}
-	}
-	return p.runTenMinuteScan(from, to)
+// cycleJob is one 10-minute job family: the window-free spec both
+// executors read (the fold tier registers it with the folder, the scan runs
+// it as a scope.Job) and how its result becomes SLA rows.
+type cycleJob struct {
+	spec scope.FoldSpec
+	// scope prefixes each group key to form the SLA row's scope name.
+	scope string
+	// whole marks a job that groups every record under "": it publishes
+	// exactly one row, named scope, even over an empty window.
+	whole bool
+	// alerts says whether the rows are checked against the SLA thresholds.
+	alerts bool
 }
 
-func (p *Pipeline) runTenMinuteScan(from, to time.Time) error {
-	cy := p.beginCycle()
-	res, err := p.engine.Run(scope.Job{
-		Name:   "sla-dc",
-		Source: p.source(),
-		From:   from, To: to,
-		// The paper's headline SLA metric is the intra-DC TCP SYN RTT
-		// without payload.
-		Where:    func(r *probe.Record) bool { return r.Class != probe.InterDC && r.PayloadLen == 0 },
-		KeyBytes: p.keyer.AppendSrcDC,
-	})
-	if err != nil {
-		return err
+// tenMinuteJobs is the one definition of the 10-minute jobs.
+func (p *Pipeline) tenMinuteJobs() []cycleJob {
+	jobs := []cycleJob{
+		{scope: "dc/", alerts: true, spec: scope.FoldSpec{
+			Name: "sla-dc",
+			// The paper's headline SLA metric is the intra-DC TCP SYN RTT
+			// without payload.
+			Where:    func(r *probe.Record) bool { return r.Class != probe.InterDC && r.PayloadLen == 0 },
+			KeyBytes: p.keyer.AppendSrcDC,
+		}},
+		// The inter-DC pipeline (§6.2: a separate processing pipeline was
+		// added when Pingmesh was extended across data centers).
+		{scope: "interdc/", spec: scope.FoldSpec{
+			Name:     "sla-interdc",
+			Where:    func(r *probe.Record) bool { return r.Class == probe.InterDC },
+			KeyBytes: p.keyer.AppendDCPair,
+		}},
 	}
-	cy.observe(res)
-	for scopeName, st := range res.Groups {
-		p.insertSLA("dc/"+scopeName, from, to, st)
-	}
-	p.fireAlerts(prefixGroups("dc/", res.Groups), to)
-
-	// The inter-DC pipeline (§6.2: a separate processing pipeline was
-	// added when Pingmesh was extended across data centers).
-	interDC, err := p.engine.Run(scope.Job{
-		Name:   "sla-interdc",
-		Source: p.source(),
-		From:   from, To: to,
-		Where:    func(r *probe.Record) bool { return r.Class == probe.InterDC },
-		KeyBytes: p.keyer.AppendDCPair,
-	})
-	if err != nil {
-		return err
-	}
-	cy.observe(interDC)
-	for scopeName, st := range interDC.Groups {
-		p.insertSLA("interdc/"+scopeName, from, to, st)
-	}
-
 	for _, svc := range p.cfg.Services {
-		svcRes, err := p.engine.Run(scope.Job{
-			Name:   "sla-service-" + svc.Name,
-			Source: p.source(),
-			From:   from, To: to,
+		svc := svc
+		jobs = append(jobs, cycleJob{scope: "service/" + svc.Name, whole: true, alerts: true, spec: scope.FoldSpec{
+			Name: "sla-service-" + svc.Name,
 			Where: func(r *probe.Record) bool {
 				return r.Class != probe.InterDC && r.PayloadLen == 0 && svc.Contains(r)
 			},
-		})
-		if err != nil {
-			return err
-		}
-		cy.observe(svcRes)
-		st := svcRes.Get("")
-		p.insertSLA("service/"+svc.Name, from, to, st)
-		p.fireAlerts(map[string]*analysis.LatencyStats{"service/" + svc.Name: st}, to)
+			KeyBytes: func(dst []byte, r *probe.Record) ([]byte, bool) { return dst, true },
+		}})
 	}
-	p.finishCycle(&cy, Cycle10Min, from, to)
+	return jobs
+}
+
+// windowJob binds a spec to [from, to) as a scan job over the pipeline's
+// streams.
+func (p *Pipeline) windowJob(spec scope.FoldSpec, from, to time.Time) scope.Job {
+	return scope.Job{
+		Name:   spec.Name,
+		Source: p.source(),
+		From:   from, To: to,
+		Where:    spec.Where,
+		KeyBytes: spec.KeyBytes,
+	}
+}
+
+// RunTenMinute computes near-real-time SLA per DC, per DC pair and per
+// service over the window and fires threshold alerts. A grid-aligned window
+// is served by merging folded partials plus a tail scan of the unfolded
+// extents; any other window (a manual run over an arbitrary span, or one
+// whose partials were already dropped) is scanned in full and counted in
+// dsa.cycle.offgrid_rescans. Both executors read the same job table, and
+// the scan is the reference the fold tier is tested against.
+func (p *Pipeline) RunTenMinute(from, to time.Time) error {
+	cy := p.beginCycle()
+	results, served, err := p.inc.serve(&cy, from, to)
+	if !served {
+		p.offGrid.Inc()
+		results, err = p.scanJobs(from, to)
+	}
+	if err != nil {
+		return err
+	}
+	p.publishTenMinute(&cy, results, from, to)
 	return nil
+}
+
+// scanJobs runs every 10-minute job as a full scan of [from, to).
+func (p *Pipeline) scanJobs(from, to time.Time) ([]*scope.Result, error) {
+	results := make([]*scope.Result, len(p.jobs))
+	for i := range p.jobs {
+		res, err := p.engine.Run(p.windowJob(p.jobs[i].spec, from, to))
+		if err != nil {
+			return nil, err
+		}
+		results[i] = res
+	}
+	return results, nil
+}
+
+// publishTenMinute turns one result per job into SLA rows and alerts and
+// closes the cycle.
+func (p *Pipeline) publishTenMinute(cy *cycleTrace, results []*scope.Result, from, to time.Time) {
+	for i, res := range results {
+		job := &p.jobs[i]
+		cy.observe(res)
+		groups := res.Groups
+		if job.whole {
+			groups = map[string]*analysis.LatencyStats{"": res.Get("")}
+		}
+		rows := make(map[string]*analysis.LatencyStats, len(groups))
+		for k, st := range groups {
+			rows[job.scope+k] = st
+			p.insertSLA(job.scope+k, from, to, st)
+		}
+		if job.alerts {
+			p.fireAlerts(rows, to)
+		}
+	}
+	p.finishCycle(cy, Cycle10Min, from, to)
 }
 
 // RunHourly computes pod-level SLA and the pod-pair heatmap with pattern
@@ -514,9 +538,7 @@ func (p *Pipeline) ageOut(now time.Time) {
 		// endpoint falls behind the cutoff.
 		if day.Add(24 * time.Hour).Before(cutoff) {
 			p.cfg.Store.DeleteStream(name)
-			if p.inc != nil {
-				p.inc.forgetStream(name)
-			}
+			p.inc.forgetStream(name)
 		}
 	}
 }
@@ -551,12 +573,4 @@ func (p *Pipeline) fireAlerts(groups map[string]*analysis.LatencyStats, at time.
 			"p99":       a.P99,
 		})
 	}
-}
-
-func prefixGroups(prefix string, groups map[string]*analysis.LatencyStats) map[string]*analysis.LatencyStats {
-	out := make(map[string]*analysis.LatencyStats, len(groups))
-	for k, v := range groups {
-		out[prefix+k] = v
-	}
-	return out
 }

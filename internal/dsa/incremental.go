@@ -1,114 +1,64 @@
 package dsa
 
 import (
-	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"pingmesh/internal/analysis"
 	"pingmesh/internal/cosmos"
 	"pingmesh/internal/metrics"
-	"pingmesh/internal/probe"
 	"pingmesh/internal/scope"
-	"pingmesh/internal/shard"
 )
 
-// incremental is the sharded delta-folding tier of the 10-minute path: it
-// discovers newly sealed cosmos extents through the store's seal journal,
-// assigns each to a shard by rendezvous hashing, folds it into per-(spec,
-// window) partial aggregates exactly once, and lets a cycle serve its
-// window by merging partials plus a tail scan of only the unfolded
-// extents — instead of re-decoding every extent of the day.
+// incremental is the delta-folding tier of the 10-minute path: it walks
+// the store's seal journal with a cursor, folds each newly sealed extent
+// into per-(job, window) partial aggregates exactly once, and lets a cycle
+// serve its window by merging partials plus a tail scan of only the
+// unfolded extents — instead of re-decoding every extent of the day.
 //
 // Correctness invariant: at cycle snapshot time (under passMu, after a
-// full drain of the ledger) every extent is either in the folded set F —
-// its window-W records already summed into partials — or in the tail scan,
-// which decodes it with the [from, to) filter. Histogram merges are exact
-// integer bucket additions, so merging partials in any shard order yields
-// byte-identical report rows to one full re-scan.
+// fold pass) every extent is either in the folded set — its window-W
+// records already summed into partials — or in the tail scan, which decodes
+// it with the [from, to) filter. Histogram merges are exact integer bucket
+// additions, so the merged result yields report rows byte-identical to one
+// full scan.
 type incremental struct {
-	p      *Pipeline
-	shards int
-	specs  []foldJobSpec
+	p *Pipeline
 
 	// passMu serializes fold passes and cycles: a cycle must not race a
 	// fold pass, or an extent folded between the partial merge and the
 	// tail snapshot would be counted twice (or not at all).
-	passMu  sync.Mutex
-	ledger  *shard.Ledger
-	folders []*scope.Folder
-	cursor  uint64
-	folded  map[string]map[int]bool // stream -> folded extent indexes
-	minWin  int64                   // lowest retained window; older cycles fall back to full scan
+	passMu sync.Mutex
+	folder *scope.Folder
+	folded map[string]map[int]bool // stream -> folded extent indexes
+	minWin int64                   // lowest retained window; older cycles are re-scanned
 
-	foldedCtr []*metrics.Counter
+	// cursor is the seal-journal position of the first event not yet
+	// folded. Written under passMu; atomic so the backlog gauge can read it
+	// without waiting out a fold pass.
+	cursor atomic.Uint64
+
+	foldedCtr *metrics.Counter
 }
 
-// foldJobSpec couples a registered FoldSpec with how the cycle publishes
-// it (the legacy job it replaces).
-type foldJobSpec struct {
-	spec    scope.FoldSpec
-	kind    string // "dc", "interdc", "service"
-	service string // service name when kind == "service"
-}
-
-func newIncremental(p *Pipeline, anchor time.Time) (*incremental, error) {
-	inc := &incremental{
-		p:      p,
-		shards: p.cfg.Shards,
-		folded: make(map[string]map[int]bool),
-		minWin: math.MinInt64,
-	}
-	ledger, err := shard.NewLedger(inc.shards)
-	if err != nil {
-		return nil, err
-	}
-	inc.ledger = ledger
-
-	// The three 10-minute spec families, mirroring RunTenMinute's jobs.
-	inc.specs = append(inc.specs,
-		foldJobSpec{kind: "dc", spec: scope.FoldSpec{
-			Name:     "sla-dc",
-			Where:    func(r *probe.Record) bool { return r.Class != probe.InterDC && r.PayloadLen == 0 },
-			KeyBytes: p.keyer.AppendSrcDC,
-		}},
-		foldJobSpec{kind: "interdc", spec: scope.FoldSpec{
-			Name:     "sla-interdc",
-			Where:    func(r *probe.Record) bool { return r.Class == probe.InterDC },
-			KeyBytes: p.keyer.AppendDCPair,
-		}},
-	)
-	for _, svc := range p.cfg.Services {
-		svc := svc
-		inc.specs = append(inc.specs, foldJobSpec{kind: "service", service: svc.Name, spec: scope.FoldSpec{
-			Name: "sla-service-" + svc.Name,
-			Where: func(r *probe.Record) bool {
-				return r.Class != probe.InterDC && r.PayloadLen == 0 && svc.Contains(r)
-			},
-			// Legacy service jobs group everything under "".
-			KeyBytes: func(dst []byte, r *probe.Record) ([]byte, bool) { return dst, true },
-		}})
-	}
-
-	specs := make([]scope.FoldSpec, len(inc.specs))
-	for i, s := range inc.specs {
-		specs[i] = s.spec
+func newIncremental(p *Pipeline, anchor time.Time) *incremental {
+	specs := make([]scope.FoldSpec, len(p.jobs))
+	for i := range p.jobs {
+		specs[i] = p.jobs[i].spec
 	}
 	reg := p.jm.Metrics()
-	for s := 0; s < inc.shards; s++ {
-		s := s
-		inc.folders = append(inc.folders, scope.NewFolder(anchor, scope.Every10Min, specs, p.cfg.Tracer))
-		inc.foldedCtr = append(inc.foldedCtr, reg.Counter(fmt.Sprintf("dsa.shard.%d.extents_folded", s)))
-		reg.GaugeFunc(fmt.Sprintf("dsa.shard.%d.fold_lag", s), func() int64 {
-			return int64(inc.ledger.PendingFor(s))
-		})
-		reg.GaugeFunc(fmt.Sprintf("dsa.shard.%d.extents_stolen", s), func() int64 {
-			return int64(inc.ledger.Stolen(s))
-		})
+	inc := &incremental{
+		p:         p,
+		folder:    scope.NewFolder(anchor, scope.Every10Min, specs, p.cfg.Tracer),
+		folded:    make(map[string]map[int]bool),
+		minWin:    math.MinInt64,
+		foldedCtr: reg.Counter("dsa.fold.extents_folded"),
 	}
-	return inc, nil
+	reg.GaugeFunc("dsa.fold.backlog", func() int64 { return int64(inc.backlog()) })
+	return inc
 }
 
 // rearm re-anchors the window grid, allowed only while nothing has been
@@ -118,77 +68,83 @@ func newIncremental(p *Pipeline, anchor time.Time) (*incremental, error) {
 func (inc *incremental) rearm(anchor time.Time) {
 	inc.passMu.Lock()
 	defer inc.passMu.Unlock()
-	if inc.cursor != 0 {
-		return
-	}
-	for _, f := range inc.folders {
-		if f.Extents() > 0 {
-			return
-		}
-	}
-	for _, f := range inc.folders {
-		f.Anchor = anchor
+	if inc.folder.Extents() == 0 {
+		inc.folder.Anchor = anchor
 	}
 }
 
-// foldPassLocked discovers newly sealed extents and folds pending ones.
-// budget bounds extents folded per shard this pass (<= 0: unbounded, as a
-// cycle requires). Each shard drains its own queue first; shards with
-// leftover budget then steal from stragglers' queues.
-func (inc *incremental) foldPassLocked(budget int) {
+// foldPassLocked folds every extent sealed since the last pass, decoding on
+// every core as the scan engine does: the extents are dealt to one lane per
+// core, lane 0 being the folder itself and the others forks it absorbs when
+// the pass ends, so a pass over a single extent — the scheduled job's usual
+// find — forks nothing. A cycle that catches up on a whole window must not
+// do it on one core: besides the wall time, a phase that runs alone keeps
+// its pace when the box slows down under load on every core, and that is
+// the machine speed bench/ samples and normalizes timings by — a serial
+// pass makes its rates spread wider from run to run than the driver can
+// resolve.
+//
+// An unreadable extent (every replica down, or its stream aged out after
+// the journal snapshot) is left unfolded and holds the cursor at its event:
+// the next pass retries it — a deleted stream's events are compacted out of
+// the journal by then — and skips what this one folded past it; meanwhile
+// the tail scan surfaces the read error, or the deletion, exactly as a full
+// scan would.
+func (inc *incremental) foldPassLocked() {
 	store := inc.p.cfg.Store
 	prefix := inc.p.cfg.StreamPrefix
-	inc.cursor = store.VisitSealed(inc.cursor, func(ev cosmos.SealEvent) {
-		if strings.HasPrefix(ev.Stream, prefix) {
-			inc.ledger.Add(shard.Extent{Stream: ev.Stream, Index: ev.Index, ID: ev.ID})
+	now := inc.p.cfg.Clock.Now()
+	var evs []cosmos.SealEvent
+	next := store.VisitSealed(inc.cursor.Load(), func(ev cosmos.SealEvent) {
+		if strings.HasPrefix(ev.Stream, prefix) && !inc.folded[ev.Stream][ev.Index] {
+			evs = append(evs, ev)
 		}
 	})
-	now := inc.p.cfg.Clock.Now()
-	left := make([]int, inc.shards)
-	for s := range left {
-		left[s] = budget
-		if budget <= 0 {
-			left[s] = math.MaxInt
-		}
-	}
-	for s := 0; s < inc.shards; s++ {
-		for left[s] > 0 && inc.ledger.PendingFor(s) > 0 {
-			ext, _, ok := inc.ledger.Next(s)
-			if !ok {
-				break
-			}
-			inc.foldOne(s, ext, now)
-			left[s]--
-		}
-	}
-	for s := 0; s < inc.shards && inc.ledger.Pending() > 0; s++ {
-		for left[s] > 0 {
-			ext, _, ok := inc.ledger.Next(s)
-			if !ok {
-				break
-			}
-			inc.foldOne(s, ext, now)
-			left[s]--
-		}
-	}
-}
-
-func (inc *incremental) foldOne(s int, ext shard.Extent, now time.Time) {
-	data, err := inc.p.cfg.Store.ReadExtent(ext.Stream, ext.Index)
-	if err != nil {
-		// Unreadable (replicas down, or stream aged out since sealing):
-		// leave it unfolded; the tail scan surfaces the error — or the
-		// deletion — exactly as a full re-scan would.
+	if len(evs) == 0 {
+		inc.cursor.Store(next)
 		return
 	}
-	inc.folders[s].FoldExtent(data, now)
-	m := inc.folded[ext.Stream]
-	if m == nil {
-		m = make(map[int]bool)
-		inc.folded[ext.Stream] = m
+	lanes := []*scope.Folder{inc.folder}
+	for len(lanes) < min(runtime.NumCPU(), len(evs)) {
+		lanes = append(lanes, inc.folder.Fork())
 	}
-	m[ext.Index] = true
-	inc.foldedCtr[s].Inc()
+	unread := make([]bool, len(evs))
+	var dealt atomic.Int64
+	var wg sync.WaitGroup
+	for _, lane := range lanes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(dealt.Add(1)) - 1; i < len(evs); i = int(dealt.Add(1)) - 1 {
+				data, err := store.ReadExtent(evs[i].Stream, evs[i].Index)
+				if err != nil {
+					unread[i] = true
+					continue
+				}
+				lane.FoldExtent(data, now)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, fork := range lanes[1:] {
+		inc.folder.Absorb(fork)
+	}
+	// Backwards, so that next ends on the first unreadable event.
+	for i := len(evs) - 1; i >= 0; i-- {
+		ev := evs[i]
+		if unread[i] {
+			next = ev.Seq
+			continue
+		}
+		m := inc.folded[ev.Stream]
+		if m == nil {
+			m = make(map[int]bool)
+			inc.folded[ev.Stream] = m
+		}
+		m[ev.Index] = true
+		inc.foldedCtr.Inc()
+	}
+	inc.cursor.Store(next)
 }
 
 // forgetStream drops fold bookkeeping for a deleted stream.
@@ -216,34 +172,15 @@ func (inc *incremental) tailExtents() []scope.Extent {
 	return out
 }
 
-// scannedAcrossFolders sums records decoded by every shard's folder, so a
-// cycle's Scanned tally matches what one full re-scan would have counted.
-func (inc *incremental) scannedAcrossFolders() (scanned, parseErrors uint64) {
-	for _, f := range inc.folders {
-		scanned += f.Scanned()
-		parseErrors += f.ParseErrors()
-	}
-	return
-}
-
-// assemble produces the spec's Result for window win: merged shard
-// partials (deep-copied — live partials keep folding after the cycle)
-// plus the tail scan over the unfolded extents.
-func (inc *incremental) assemble(si int, win int64, from, to time.Time, tail []scope.Extent) (*scope.Result, error) {
-	sp := inc.specs[si]
+// assemble produces one job's Result for window win: the folded partial
+// (deep-copied — the live partial keeps folding after the cycle) plus the
+// tail scan over the unfolded extents.
+func (inc *incremental) assemble(spec scope.FoldSpec, win int64, from, to time.Time, tail []scope.Extent) (*scope.Result, error) {
 	merged := scope.NewPartial()
-	for _, f := range inc.folders {
-		if part := f.Partial(sp.spec.Name, win); part != nil {
-			merged.Merge(part)
-		}
+	if part := inc.folder.Partial(spec.Name, win); part != nil {
+		merged.Merge(part)
 	}
-	tailRes, err := inc.p.engine.RunExtents(scope.Job{
-		Name:   sp.spec.Name,
-		Source: inc.p.source(),
-		From:   from, To: to,
-		Where:    sp.spec.Where,
-		KeyBytes: sp.spec.KeyBytes,
-	}, tail)
+	tailRes, err := inc.p.engine.RunExtents(inc.p.windowJob(spec, from, to), tail)
 	if err != nil {
 		return nil, err
 	}
@@ -251,6 +188,10 @@ func (inc *incremental) assemble(si int, win int64, from, to time.Time, tail []s
 		Groups:  merged.Groups,
 		Records: merged.Records + tailRes.Records,
 		Traces:  tailRes.Traces,
+		// Scanned/ParseErrors are window-free, so the folder's running
+		// totals plus the tail's match what one full scan would count.
+		Scanned:     inc.folder.Scanned() + tailRes.Scanned,
+		ParseErrors: inc.folder.ParseErrors() + tailRes.ParseErrors,
 	}
 	for k, st := range tailRes.Groups {
 		if cur, ok := res.Groups[k]; ok {
@@ -259,120 +200,81 @@ func (inc *incremental) assemble(si int, win int64, from, to time.Time, tail []s
 			res.Groups[k] = st
 		}
 	}
-	scanned, parseErrs := inc.scannedAcrossFolders()
-	res.Scanned = scanned + tailRes.Scanned
-	res.ParseErrors = parseErrs + tailRes.ParseErrors
 	return res, nil
 }
 
-// runTenMinute serves a 10-minute cycle from folded partials. It handles
-// the cycle only when [from, to) is exactly one grid window that has not
-// been dropped; otherwise it reports handled=false and the caller falls
-// back to the legacy full re-scan (manual runs over arbitrary windows keep
-// working unchanged).
-func (p *Pipeline) runTenMinuteIncremental(from, to time.Time) (bool, error) {
-	inc := p.inc
+// serve assembles one result per 10-minute job for [from, to) from folded
+// partials. served is false when [from, to) is not exactly one grid window
+// that is still retained; the caller then scans the window in full.
+func (inc *incremental) serve(cy *cycleTrace, from, to time.Time) (results []*scope.Result, served bool, err error) {
 	inc.passMu.Lock()
 	defer inc.passMu.Unlock()
-	win, ok := inc.folders[0].Aligned(from, to)
+	win, ok := inc.folder.Aligned(from, to)
 	if !ok || win < inc.minWin {
-		return false, nil
+		return nil, false, nil
 	}
-	cy := p.beginCycle()
-	inc.foldPassLocked(0) // drain: the folded set must be complete at snapshot
+	inc.foldPassLocked() // the folded set must be complete at snapshot
 	tail := inc.tailExtents()
-	for _, f := range inc.folders {
-		if tids := f.TakeTraces(); len(tids) > 0 {
-			cy.observe(&scope.Result{Traces: tids})
+	if tids := inc.folder.TakeTraces(); len(tids) > 0 {
+		cy.observe(&scope.Result{Traces: tids})
+	}
+	results = make([]*scope.Result, len(inc.p.jobs))
+	for i := range inc.p.jobs {
+		if results[i], err = inc.assemble(inc.p.jobs[i].spec, win, from, to, tail); err != nil {
+			return nil, true, err
 		}
 	}
-
-	for si, sp := range inc.specs {
-		res, err := inc.assemble(si, win, from, to, tail)
-		if err != nil {
-			return true, err
-		}
-		cy.observe(res)
-		switch sp.kind {
-		case "dc":
-			for scopeName, st := range res.Groups {
-				p.insertSLA("dc/"+scopeName, from, to, st)
-			}
-			p.fireAlerts(prefixGroups("dc/", res.Groups), to)
-		case "interdc":
-			for scopeName, st := range res.Groups {
-				p.insertSLA("interdc/"+scopeName, from, to, st)
-			}
-		case "service":
-			st := res.Get("")
-			p.insertSLA("service/"+sp.service, from, to, st)
-			p.fireAlerts(map[string]*analysis.LatencyStats{"service/" + sp.service: st}, to)
-		}
-	}
-
 	// Published windows are never re-read; drop everything below this one.
-	for _, f := range inc.folders {
-		f.DropWindowsBefore(win)
-	}
+	inc.folder.DropWindowsBefore(win)
 	inc.minWin = win
-	p.finishCycle(&cy, Cycle10Min, from, to)
-	return true, nil
+	return results, true, nil
 }
 
-// FoldNow runs one budgeted fold pass immediately: the scheduled fold
-// job's body, exported for tests and manual control.
+// FoldNow runs one fold pass immediately: the scheduled fold job's body,
+// exported for tests and manual control.
 func (p *Pipeline) FoldNow() {
-	if p.inc == nil {
-		return
-	}
 	p.inc.passMu.Lock()
-	p.inc.foldPassLocked(p.cfg.FoldBudget)
+	p.inc.foldPassLocked()
 	p.inc.passMu.Unlock()
 }
 
-// ShardLag is one analysis shard's fold state, for /health and watchdogs.
+// ShardLag is the fold tier's state, for /health and the fold-lag
+// watchdog.
 type ShardLag struct {
-	Shard    int       `json:"shard"`
-	Backlog  int       `json:"backlog"` // unfolded extents queued under this shard
-	Stolen   uint64    `json:"stolen"`
-	Folded   uint64    `json:"folded"`
-	LastFold time.Time `json:"last_fold,omitzero"`
+	Backlog  int    // sealed extents in the journal not yet folded
+	Stolen   uint64 // always 0: one folder, nothing to steal from
+	Folded   uint64
+	LastFold time.Time
 }
 
-// ShardLags reports per-shard fold lag; nil when incremental analysis is
-// disabled.
+// ShardLags reports the single folder's state as a one-element slice. The
+// name, the slice and the Stolen field are owed to bench/dataplane.go, which
+// compiles against them and cannot change in the same PR; a benchmark PR
+// renames them.
 func (p *Pipeline) ShardLags() []ShardLag {
 	inc := p.inc
-	if inc == nil {
-		return nil
-	}
 	inc.passMu.Lock()
 	defer inc.passMu.Unlock()
-	out := make([]ShardLag, inc.shards)
-	for s := 0; s < inc.shards; s++ {
-		out[s] = ShardLag{
-			Shard:    s,
-			Backlog:  inc.ledger.PendingFor(s),
-			Stolen:   inc.ledger.Stolen(s),
-			Folded:   inc.folders[s].Extents(),
-			LastFold: inc.folders[s].LastFold(),
-		}
-	}
-	return out
+	return []ShardLag{{
+		Backlog:  inc.backlog(),
+		Folded:   inc.folder.Extents(),
+		LastFold: inc.folder.LastFold(),
+	}}
 }
 
-// MaxFoldBacklog returns the largest per-shard unfolded backlog (0 when
-// incremental analysis is disabled): the watchdog's staleness signal.
-func (p *Pipeline) MaxFoldBacklog() int {
-	inc := p.inc
-	if inc == nil {
-		return 0
-	}
-	max := 0
-	for s := 0; s < inc.shards; s++ {
-		if b := inc.ledger.PendingFor(s); b > max {
-			max = b
+// MaxFoldBacklog returns the fold backlog: the watchdog's staleness signal
+// and the dsa.fold.backlog gauge.
+func (p *Pipeline) MaxFoldBacklog() int { return p.inc.backlog() }
+
+// backlog counts the sealed extents under the pipeline's stream prefix that
+// sit in the journal at or past the fold cursor — while an unreadable extent
+// holds the cursor, also those folded past it. It does not take passMu.
+func (inc *incremental) backlog() int {
+	n := 0
+	inc.p.cfg.Store.VisitSealed(inc.cursor.Load(), func(ev cosmos.SealEvent) {
+		if strings.HasPrefix(ev.Stream, inc.p.cfg.StreamPrefix) {
+			n++
 		}
-	}
-	return max
+	})
+	return n
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -50,22 +51,30 @@ func buildDiffFixture(t *testing.T) *diffFixture {
 	fx.services = []*analysis.Service{
 		analysis.ServiceFromServers("search", top, top.DCs[0].Podsets[1].Servers()),
 	}
+	// The runner calls the sink from concurrent workers, one server per
+	// worker at a time: collect per source server and concatenate in server
+	// order, so the corpus is built without a shared slice and is the same
+	// on every run.
+	perSrc := make([][][]byte, top.NumServers())
 	runner := &fleet.Runner{Net: n, Lists: lists, Seed: 21}
 	err = runner.Run(t0, t0.Add(time.Hour), func(src topology.ServerID, recs []probe.Record) {
 		// Chunked uploads: many small batches make upload-order shuffling
-		// (and extent sharding) meaningful.
+		// meaningful.
 		const chunk = 32
 		for len(recs) > 0 {
 			n := chunk
 			if n > len(recs) {
 				n = len(recs)
 			}
-			fx.batches = append(fx.batches, probe.EncodeBatch(recs[:n]))
+			perSrc[src] = append(perSrc[src], probe.EncodeBatch(recs[:n]))
 			recs = recs[n:]
 		}
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, batches := range perSrc {
+		fx.batches = append(fx.batches, batches...)
 	}
 	if len(fx.batches) < 50 {
 		t.Fatalf("fixture too small: %d batches", len(fx.batches))
@@ -73,36 +82,70 @@ func buildDiffFixture(t *testing.T) *diffFixture {
 	return fx
 }
 
-// newDiffStore uploads the fixture's batches in the given order into a
-// fresh store with small extents (many extents -> real sharding work).
-func (fx *diffFixture) newDiffStore(t *testing.T, order []int) *cosmos.Store {
+const diffStream = "pingmesh/2026-07-01"
+
+// newDiffStore returns an empty store with small extents, so the fixture
+// seals many of them.
+func newDiffStore(t *testing.T) *cosmos.Store {
 	t.Helper()
 	store, err := cosmos.NewStore(3, cosmos.Config{ExtentSize: 16 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, i := range order {
-		if err := store.Append("pingmesh/2026-07-01", fx.batches[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
 	return store
 }
 
-func (fx *diffFixture) newPipe(t *testing.T, store *cosmos.Store, shards int) *Pipeline {
+// upload appends the fixture's batches named by order.
+func (fx *diffFixture) upload(t *testing.T, store *cosmos.Store, order []int) {
+	t.Helper()
+	for _, i := range order {
+		if err := store.Append(diffStream, fx.batches[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func (fx *diffFixture) inOrder() []int {
+	order := make([]int, len(fx.batches))
+	for i := range order {
+		order[i] = i
+	}
+	return order
+}
+
+func (fx *diffFixture) newPipe(t *testing.T, store *cosmos.Store) *Pipeline {
 	t.Helper()
 	pipe, err := New(Config{
 		Store:    store,
 		Top:      fx.top,
 		Clock:    simclock.NewSim(t0),
 		Services: fx.services,
-		Shards:   shards,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return pipe
 }
+
+// oracleCycle publishes [from, to) through the scan executor — one
+// scope.Engine.Run per entry of the job table — whether or not the window
+// is on the grid: the reference the fold tier is compared against.
+func oracleCycle(t *testing.T, p *Pipeline, from, to time.Time) {
+	t.Helper()
+	cy := p.beginCycle()
+	results, err := p.scanJobs(from, to)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.publishTenMinute(&cy, results, from, to)
+}
+
+func window(w int) (from, to time.Time) {
+	from = t0.Add(time.Duration(w) * 10 * time.Minute)
+	return from, from.Add(10 * time.Minute)
+}
+
+func offGridRescans(p *Pipeline) int64 { return p.JobMetrics()["dsa.cycle.offgrid_rescans"] }
 
 // renderReports renders the pipeline's SLA and alert rows canonically
 // (sorted; map iteration randomizes insertion order in both pipelines).
@@ -131,108 +174,221 @@ func renderReports(t *testing.T, p *Pipeline) string {
 }
 
 // TestIncrementalMatchesFullScanDifferential pins the tentpole invariant:
-// for every shard count and randomized upload order, 10-minute cycles
-// served from folded partials produce report rows byte-identical to the
-// legacy full re-scan.
+// for randomized upload orders, with uploads, fold passes and cycles
+// interleaved so that every cycle sees folded extents, sealed-but-unfolded
+// extents, an open tail and late records for already published windows,
+// 10-minute cycles served from folded partials produce report rows
+// byte-identical to the scan executor over the same store state.
 func TestIncrementalMatchesFullScanDifferential(t *testing.T) {
 	fx := buildDiffFixture(t)
-	windows := 6 // one hour of 10-minute cycles
+	const windows = 6 // one hour of 10-minute cycles
 
 	for trial := 0; trial < 3; trial++ {
 		rng := rand.New(rand.NewSource(int64(40 + trial)))
 		order := rng.Perm(len(fx.batches))
+		store := newDiffStore(t)
+		pipe := fx.newPipe(t, store)
+		ref := fx.newPipe(t, store)
 
-		// Reference: legacy full re-scan over each window.
-		refStore := fx.newDiffStore(t, order)
-		ref := fx.newPipe(t, refStore, 0)
 		for w := 0; w < windows; w++ {
-			from := t0.Add(time.Duration(w) * 10 * time.Minute)
-			if err := ref.RunTenMinute(from, from.Add(10*time.Minute)); err != nil {
+			share := order[w*len(order)/windows : (w+1)*len(order)/windows]
+			cut := rng.Intn(len(share) + 1)
+			fx.upload(t, store, share[:cut])
+			pipe.FoldNow()
+			fx.upload(t, store, share[cut:])
+			from, to := window(w)
+			if err := pipe.RunTenMinute(from, to); err != nil {
 				t.Fatal(err)
 			}
+			oracleCycle(t, ref, from, to)
 		}
+
 		want := renderReports(t, ref)
 		if !strings.Contains(want, "sla|dc/DC1") || !strings.Contains(want, "sla|interdc/") ||
 			!strings.Contains(want, "sla|service/search") || !strings.Contains(want, "alert|") {
 			t.Fatalf("reference reports not exercising all row families:\n%s", want)
 		}
-
-		for _, shards := range []int{1, 2, 4} {
-			store := fx.newDiffStore(t, order)
-			pipe := fx.newPipe(t, store, shards)
-			// Budgeted background passes between cycles exercise the
-			// steal phase and partial drains; the cycle itself completes
-			// whatever is left.
-			pipe.cfg.FoldBudget = 3
-			for w := 0; w < windows; w++ {
-				pipe.FoldNow()
-				from := t0.Add(time.Duration(w) * 10 * time.Minute)
-				if err := pipe.RunTenMinute(from, from.Add(10*time.Minute)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if got := renderReports(t, pipe); got != want {
-				t.Fatalf("trial %d, %d shards: incremental reports differ from full re-scan\nwant:\n%s\ngot:\n%s",
-					trial, shards, want, got)
-			}
-			var folded int64
-			for _, lag := range pipe.ShardLags() {
-				folded += int64(lag.Folded)
-				if lag.Backlog != 0 {
-					t.Fatalf("trial %d, %d shards: shard %d left backlog %d after cycles",
-						trial, shards, lag.Shard, lag.Backlog)
-				}
-			}
-			if folded == 0 {
-				t.Fatalf("trial %d, %d shards: nothing was folded — cycles fell back to full scans", trial, shards)
-			}
+		if got := renderReports(t, pipe); got != want {
+			t.Fatalf("trial %d: incremental reports differ from the scan\nwant:\n%s\ngot:\n%s", trial, want, got)
+		}
+		lag := pipe.ShardLags()[0]
+		if lag.Folded == 0 || lag.Backlog != 0 {
+			t.Fatalf("trial %d: folded %d extents, backlog %d after cycles", trial, lag.Folded, lag.Backlog)
+		}
+		if n := offGridRescans(pipe); n != 0 {
+			t.Fatalf("trial %d: %d aligned cycles were re-scanned", trial, n)
 		}
 	}
 }
 
-// TestIncrementalFallsBackOffGrid pins the fallback contract: a window
-// that is not one grid-aligned fold window is served by the legacy full
-// re-scan and still matches a Shards=0 pipeline exactly.
+// TestIncrementalFallsBackOffGrid pins the fallback contract: a window that
+// is not one grid-aligned fold window, or one whose partials were already
+// dropped, is served by the scan, counted in dsa.cycle.offgrid_rescans, and
+// matches the oracle exactly.
 func TestIncrementalFallsBackOffGrid(t *testing.T) {
 	fx := buildDiffFixture(t)
-	order := make([]int, len(fx.batches))
-	for i := range order {
-		order[i] = i
-	}
-	refStore := fx.newDiffStore(t, order)
-	ref := fx.newPipe(t, refStore, 0)
-	store := fx.newDiffStore(t, order)
-	pipe := fx.newPipe(t, store, 2)
+	store := newDiffStore(t)
+	fx.upload(t, store, fx.inOrder())
+	pipe := fx.newPipe(t, store)
+	ref := fx.newPipe(t, store)
+
 	// The full hour is 6 windows wide: off-grid for the 10-minute folder.
-	if err := ref.RunTenMinute(t0, t0.Add(time.Hour)); err != nil {
-		t.Fatal(err)
-	}
 	if err := pipe.RunTenMinute(t0, t0.Add(time.Hour)); err != nil {
 		t.Fatal(err)
 	}
+	oracleCycle(t, ref, t0, t0.Add(time.Hour))
+	if n, folded := offGridRescans(pipe), pipe.ShardLags()[0].Folded; n != 1 || folded != 0 {
+		t.Fatalf("off-grid hour: %d rescans counted, %d extents folded; want 1 and 0", n, folded)
+	}
+
+	// Publishing window 3 drops the partials of windows 0-2.
+	for _, w := range []int{3, 1} {
+		from, to := window(w)
+		if err := pipe.RunTenMinute(from, to); err != nil {
+			t.Fatal(err)
+		}
+		oracleCycle(t, ref, from, to)
+	}
+	if n := offGridRescans(pipe); n != 2 {
+		t.Fatalf("%d rescans counted after a dropped window, want 2", n)
+	}
 	if got, want := renderReports(t, pipe), renderReports(t, ref); got != want {
-		t.Fatalf("off-grid window diverged\nwant:\n%s\ngot:\n%s", want, got)
+		t.Fatalf("off-grid windows diverged\nwant:\n%s\ngot:\n%s", want, got)
 	}
 }
 
-// TestIncrementalScheduledPipeline drives a sharded pipeline through the
-// job manager on the sim clock: cycles must be served from partials (no
-// residual backlog), publish SLA rows, and surface per-shard fold
-// counters.
+// TestZeroValueConfigFolds pins that the fold tier needs no opt-in: a
+// pipeline built from nothing but a store and a topology serves a
+// grid-aligned cycle from folded extents, without the scan.
+func TestZeroValueConfigFolds(t *testing.T) {
+	fx := buildDiffFixture(t)
+	store := newDiffStore(t)
+	fx.upload(t, store, fx.inOrder())
+	pipe, err := New(Config{Store: store, Top: fx.top})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := New(Config{Store: store, Top: fx.top})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The grid anchors at the wall clock; pick the grid window holding the
+	// fixture's 20th minute.
+	anchor := pipe.inc.folder.Anchor
+	from := anchor.Add(t0.Add(20*time.Minute).Sub(anchor).Truncate(10*time.Minute) - 10*time.Minute)
+	to := from.Add(10 * time.Minute)
+	if err := pipe.RunTenMinute(from, to); err != nil {
+		t.Fatal(err)
+	}
+	oracleCycle(t, ref, from, to)
+	if n, folded := offGridRescans(pipe), pipe.ShardLags()[0].Folded; n != 0 || folded == 0 {
+		t.Fatalf("aligned cycle: %d rescans, %d extents folded; want 0 and > 0", n, folded)
+	}
+	got, want := renderReports(t, pipe), renderReports(t, ref)
+	if got != want || !strings.Contains(want, "sla|dc/DC1") {
+		t.Fatalf("zero-value pipeline diverged from the scan\nwant:\n%s\ngot:\n%s", want, got)
+	}
+}
+
+// TestFoldExactlyOnceUnderConcurrency runs uploads, fold passes and cycles
+// on separate goroutines at once. Every sealed extent must be folded
+// exactly once — the folder's count equals the seal journal's — and the
+// rows published afterwards must equal the oracle's, which a doubly or
+// never folded extent would break (shuffled uploads spread every window
+// over every extent).
+func TestFoldExactlyOnceUnderConcurrency(t *testing.T) {
+	fx := buildDiffFixture(t)
+	store := newDiffStore(t)
+	pipe := fx.newPipe(t, store)
+	order := rand.New(rand.NewSource(7)).Perm(len(fx.batches))
+
+	const appenders = 4
+	var uploads sync.WaitGroup
+	for a := 0; a < appenders; a++ {
+		uploads.Add(1)
+		go func(a int) {
+			defer uploads.Done()
+			for i := a; i < len(order); i += appenders {
+				if err := store.Append(diffStream, fx.batches[order[i]]); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(a)
+	}
+	done := make(chan struct{})
+	var loops sync.WaitGroup
+	loop := func(body func() error) {
+		loops.Add(1)
+		go func() {
+			defer loops.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if err := body(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	loop(func() error { pipe.FoldNow(); return nil })
+	loop(func() error { return pipe.RunTenMinute(window(0)) })
+	uploads.Wait()
+	close(done)
+	loops.Wait()
+
+	pipe.FoldNow()
+	var sealed uint64
+	store.VisitSealed(0, func(cosmos.SealEvent) { sealed++ })
+	lag := pipe.ShardLags()[0]
+	if sealed == 0 || lag.Folded != sealed || lag.Backlog != 0 {
+		t.Fatalf("folded %d extents with backlog %d, journal holds %d", lag.Folded, lag.Backlog, sealed)
+	}
+	if n := pipe.JobMetrics()["dsa.fold.extents_folded"]; uint64(n) != sealed {
+		t.Fatalf("dsa.fold.extents_folded = %d, journal holds %d", n, sealed)
+	}
+
+	// The concurrent cycles published window 0 over partial uploads; start
+	// the comparison from empty tables.
+	for _, table := range []string{TableSLA, TableAlerts} {
+		if err := pipe.DB().Truncate(table); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ref := fx.newPipe(t, store)
+	for w := 0; w < 6; w++ {
+		from, to := window(w)
+		if err := pipe.RunTenMinute(from, to); err != nil {
+			t.Fatal(err)
+		}
+		oracleCycle(t, ref, from, to)
+	}
+	if n := offGridRescans(pipe); n != 0 {
+		t.Fatalf("%d aligned cycles were re-scanned", n)
+	}
+	if got, want := renderReports(t, pipe), renderReports(t, ref); got != want {
+		t.Fatalf("rows after concurrent folding differ from the scan\nwant:\n%s\ngot:\n%s", want, got)
+	}
+}
+
+// TestIncrementalScheduledPipeline drives the pipeline through the job
+// manager on the sim clock: cycles must be served from partials (no
+// residual backlog), publish SLA rows, and surface the fold counter.
 func TestIncrementalScheduledPipeline(t *testing.T) {
 	fx := buildDiffFixture(t)
-	order := make([]int, len(fx.batches))
-	for i := range order {
-		order[i] = i
-	}
-	store := fx.newDiffStore(t, order)
+	store := newDiffStore(t)
+	fx.upload(t, store, fx.inOrder())
 	clock := simclock.NewSim(t0)
 	pipe, err := New(Config{
 		Store:    store,
 		Top:      fx.top,
 		Clock:    clock,
 		Services: fx.services,
-		Shards:   2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -258,14 +414,102 @@ func TestIncrementalScheduledPipeline(t *testing.T) {
 		t.Fatal("scheduled incremental cycles published no SLA rows")
 	}
 	counters := pipe.JobMetrics()
-	var folded int64
-	for s := 0; s < 2; s++ {
-		folded += counters[fmt.Sprintf("dsa.shard.%d.extents_folded", s)]
-	}
-	if folded == 0 {
+	if counters["dsa.fold.extents_folded"] == 0 {
 		t.Fatalf("no extents folded by the scheduled pipeline: %v", counters)
+	}
+	if counters["dsa.cycle.offgrid_rescans"] != 0 {
+		t.Fatalf("scheduled cycles were re-scanned: %v", counters)
 	}
 	if pipe.MaxFoldBacklog() != 0 {
 		t.Fatalf("fold backlog %d after cycles", pipe.MaxFoldBacklog())
+	}
+}
+
+// TestFoldRetriesUnreadableExtent pins the fold pass's failure contract:
+// with every replica down nothing is folded or skipped, the backlog stays
+// visible, and the cycle fails with the read error a scan would hit; once
+// the store is back the same extents fold and the rows match the oracle.
+func TestFoldRetriesUnreadableExtent(t *testing.T) {
+	fx := buildDiffFixture(t)
+	store := newDiffStore(t)
+	fx.upload(t, store, fx.inOrder())
+	pipe := fx.newPipe(t, store)
+	sealed := pipe.MaxFoldBacklog()
+	if sealed == 0 {
+		t.Fatal("fixture sealed no extents")
+	}
+
+	setDown := func(down bool) {
+		for node := 0; node < 3; node++ {
+			if err := store.SetNodeDown(node, down); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	setDown(true)
+	pipe.FoldNow()
+	if lag := pipe.ShardLags()[0]; lag.Folded != 0 || lag.Backlog != sealed {
+		t.Fatalf("store down: folded %d, backlog %d; want 0 and %d", lag.Folded, lag.Backlog, sealed)
+	}
+	from, to := window(2)
+	if err := pipe.RunTenMinute(from, to); err == nil {
+		t.Fatal("cycle over an unreadable store succeeded")
+	}
+
+	setDown(false)
+	if err := pipe.RunTenMinute(from, to); err != nil {
+		t.Fatal(err)
+	}
+	if lag := pipe.ShardLags()[0]; lag.Folded != uint64(sealed) || lag.Backlog != 0 {
+		t.Fatalf("store back: folded %d, backlog %d; want %d and 0", lag.Folded, lag.Backlog, sealed)
+	}
+	ref := fx.newPipe(t, store)
+	oracleCycle(t, ref, from, to)
+	if got, want := renderReports(t, pipe), renderReports(t, ref); got != want {
+		t.Fatalf("rows after the retry differ from the scan\nwant:\n%s\ngot:\n%s", want, got)
+	}
+}
+
+// TestFoldSkipsWhatItFoldedPastAnUnreadableExtent covers a pass that can
+// read only some of what the journal names: one replica per extent and one
+// node down. The readable extents fold, the backlog does not clear, and
+// once the node is back the next pass folds the rest and nothing twice.
+func TestFoldSkipsWhatItFoldedPastAnUnreadableExtent(t *testing.T) {
+	fx := buildDiffFixture(t)
+	store, err := cosmos.NewStore(3, cosmos.Config{ExtentSize: 16 << 10, Replicas: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fx.upload(t, store, fx.inOrder())
+	pipe := fx.newPipe(t, store)
+	sealed := pipe.MaxFoldBacklog()
+
+	if err := store.SetNodeDown(1, true); err != nil {
+		t.Fatal(err)
+	}
+	pipe.FoldNow()
+	lag := pipe.ShardLags()[0]
+	if lag.Folded == 0 || lag.Folded >= uint64(sealed) || lag.Backlog == 0 {
+		t.Fatalf("one node of three down: folded %d of %d, backlog %d", lag.Folded, sealed, lag.Backlog)
+	}
+	pipe.FoldNow() // still down: folds nothing new, and nothing again
+	if again := pipe.ShardLags()[0]; again.Folded != lag.Folded {
+		t.Fatalf("second pass with the node still down folded %d, first %d", again.Folded, lag.Folded)
+	}
+
+	if err := store.SetNodeDown(1, false); err != nil {
+		t.Fatal(err)
+	}
+	from, to := window(2)
+	if err := pipe.RunTenMinute(from, to); err != nil {
+		t.Fatal(err)
+	}
+	if lag := pipe.ShardLags()[0]; lag.Folded != uint64(sealed) || lag.Backlog != 0 {
+		t.Fatalf("node back: folded %d, backlog %d; want %d and 0", lag.Folded, lag.Backlog, sealed)
+	}
+	ref := fx.newPipe(t, store)
+	oracleCycle(t, ref, from, to)
+	if got, want := renderReports(t, pipe), renderReports(t, ref); got != want {
+		t.Fatalf("rows differ from the scan\nwant:\n%s\ngot:\n%s", want, got)
 	}
 }

@@ -94,6 +94,9 @@ func Figure3(opts Options) (*Figure3Result, error) {
 		}
 	}
 
+	// HeapAlloc counts unswept garbage too: collect what earlier work in
+	// this process left behind, or it is billed to the agent.
+	runtime.GC()
 	var peakHeap atomic.Uint64
 	sampleHeap := func() {
 		var ms runtime.MemStats

@@ -505,32 +505,25 @@ func (p *Portal) ServeHealth(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	h := p.cfg.Tracer.Freshness().Check(p.cfg.Budget)
-	// Sharded incremental analysis adds one synthetic stage per shard: a
-	// shard with a backlog whose last fold is older than the DSA budget is
-	// lagging — the cycle would degrade next, so /health says so first.
-	for _, lag := range p.cfg.Pipeline.ShardLags() {
-		sh := trace.StageHealth{
-			Stage:    fmt.Sprintf("dsa-shard-%d-fold", lag.Shard),
-			Marked:   !lag.LastFold.IsZero(),
-			AgeMs:    -1,
-			BudgetMs: p.cfg.Budget.DSACycle.Milliseconds(),
-		}
-		if sh.Marked {
-			sh.AgeMs = p.cfg.Clock.Now().Sub(lag.LastFold).Milliseconds()
-		}
-		switch {
-		case lag.Backlog == 0:
-			// Fully drained: lag age is informational only.
-		case !sh.Marked:
-			if h.Status == "ok" {
-				h.Status = "waiting"
-			}
-		case sh.AgeMs > sh.BudgetMs:
+	// The fold tier adds one synthetic stage: a backlog whose last fold is
+	// older than the DSA budget is lagging — the cycle would degrade next,
+	// so /health says so first. A folder that has never folded is not
+	// lagging: a deployment that only analyses off-grid windows never folds.
+	lag := p.cfg.Pipeline.ShardLags()[0]
+	sh := trace.StageHealth{
+		Stage:    "dsa-fold",
+		Marked:   !lag.LastFold.IsZero(),
+		AgeMs:    -1,
+		BudgetMs: p.cfg.Budget.DSACycle.Milliseconds(),
+	}
+	if sh.Marked {
+		sh.AgeMs = p.cfg.Clock.Now().Sub(lag.LastFold).Milliseconds()
+		if lag.Backlog > 0 && sh.AgeMs > sh.BudgetMs {
 			sh.Stale = true
 			h.Status = "degraded"
 		}
-		h.Stages = append(h.Stages, sh)
 	}
+	h.Stages = append(h.Stages, sh)
 	code := http.StatusOK
 	if h.Status == "degraded" {
 		code = http.StatusServiceUnavailable

@@ -240,9 +240,9 @@ func TestPortalMetrics(t *testing.T) {
 	}
 }
 
-// TestPortalShardHealthAndMetrics wires a sharded incremental pipeline
-// behind the portal: /health must carry one synthetic stage per analysis
-// shard and /metrics the per-shard fold gauges.
+// TestPortalShardHealthAndMetrics wires a pipeline behind the portal:
+// /health must carry the fold tier's one synthetic stage and /metrics the
+// fold counter and backlog gauge.
 func TestPortalShardHealthAndMetrics(t *testing.T) {
 	top, err := topology.Build(topology.Spec{DCs: []topology.DCSpec{
 		{Name: "DC1", Podsets: 2, PodsPerPodset: 2, ServersPerPod: 3, LeavesPerPodset: 2, Spines: 2},
@@ -274,7 +274,7 @@ func TestPortalShardHealthAndMetrics(t *testing.T) {
 	clock := simclock.NewSim(t0)
 	tracer := trace.New(clock)
 	pipe, err := dsa.New(dsa.Config{
-		Store: store, Top: top, Clock: clock, Tracer: tracer, Shards: 2,
+		Store: store, Top: top, Clock: clock, Tracer: tracer,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -308,26 +308,25 @@ func TestPortalShardHealthAndMetrics(t *testing.T) {
 	}
 	found := 0
 	for _, st := range health.Stages {
-		if st.Stage == "dsa-shard-0-fold" || st.Stage == "dsa-shard-1-fold" {
+		if st.Stage == "dsa-fold" {
 			found++
 			if !st.Marked {
-				t.Fatalf("shard stage %s unmarked after folding: %s", st.Stage, w.Body.String())
+				t.Fatalf("fold stage unmarked after folding: %s", w.Body.String())
 			}
 			if st.Stale {
-				t.Fatalf("shard stage %s stale with empty backlog: %s", st.Stage, w.Body.String())
+				t.Fatalf("fold stage stale with empty backlog: %s", w.Body.String())
 			}
 		}
 	}
-	if found != 2 {
-		t.Fatalf("health carries %d shard stages, want 2:\n%s", found, w.Body.String())
+	if found != 1 {
+		t.Fatalf("health carries %d dsa-fold stages, want 1:\n%s", found, w.Body.String())
 	}
 
 	body := get(t, h, "/metrics", nil).Body.String()
 	for _, want := range []string{
-		"pingmesh_dsa_shard_0_fold_lag",
-		"pingmesh_dsa_shard_1_fold_lag",
-		"pingmesh_dsa_shard_0_extents_stolen",
-		"pingmesh_dsa_shard_0_extents_folded",
+		"pingmesh_dsa_fold_backlog 0",
+		"pingmesh_dsa_fold_extents_folded",
+		"pingmesh_dsa_cycle_offgrid_rescans 0",
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("scrape missing %q:\n%s", want, body)

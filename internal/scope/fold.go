@@ -1,6 +1,7 @@
 package scope
 
 import (
+	"slices"
 	"time"
 
 	"pingmesh/internal/analysis"
@@ -26,8 +27,8 @@ type FoldSpec struct {
 // Partial is a mergeable per-(spec, window) partial aggregate: the group
 // aggregates plus the tallies a Result carries, restricted to records whose
 // Start falls in one window. Merge is associative and commutative (group
-// histograms are exact integer bucket sums), so partials folded by
-// different shards in any order combine to the same bytes.
+// histograms are exact integer bucket sums), so partials folded from
+// disjoint extents in any order combine to the same bytes.
 type Partial struct {
 	// Groups holds one aggregate per group key.
 	Groups map[string]*analysis.LatencyStats
@@ -114,10 +115,10 @@ type specState struct {
 }
 
 // Folder folds sealed extents into per-(spec, window) partials. Windows
-// are [Anchor+k*Window, Anchor+(k+1)*Window) for integer k. A Folder is a
-// single shard's state; it is not safe for concurrent use — the owning
-// shard serializes FoldExtent calls, and cycles merge via Snapshot-style
-// Partial.Merge (which deep-copies) under the pipeline's pass lock.
+// are [Anchor+k*Window, Anchor+(k+1)*Window) for integer k. A Folder is
+// not safe for concurrent use — the DSA pipeline serializes fold passes and
+// cycle reads (which copy via Partial.Merge) under its pass lock, and a
+// pass that decodes on several cores gives every core but one a Fork.
 type Folder struct {
 	// Anchor fixes the window grid origin.
 	Anchor time.Time
@@ -154,6 +155,43 @@ func NewFolder(anchor time.Time, window time.Duration, specs []FoldSpec, tracer 
 		})
 	}
 	return f
+}
+
+// Fork returns an empty folder on the same grid, specs and tracer: a lane
+// that folds its share of a pass's extents beside f and is then Absorbed.
+func (f *Folder) Fork() *Folder {
+	specs := make([]FoldSpec, len(f.specs))
+	for i, ss := range f.specs {
+		specs[i] = ss.spec
+	}
+	return NewFolder(f.Anchor, f.Window, specs, f.Tracer)
+}
+
+// Absorb adds everything o — a Fork of f — has folded to f: partials
+// (exact merges, so the order extents were dealt to lanes in does not show),
+// tallies and matched traces. o must not be used afterwards.
+func (f *Folder) Absorb(o *Folder) {
+	for i, ss := range o.specs {
+		dst := f.specs[i].windows
+		for idx, part := range ss.windows {
+			if cur := dst[idx]; cur != nil {
+				cur.Merge(part)
+			} else {
+				dst[idx] = part
+			}
+		}
+	}
+	f.scanned += o.scanned
+	f.parseErrors += o.parseErrors
+	f.extents += o.extents
+	if o.lastFold.After(f.lastFold) {
+		f.lastFold = o.lastFold
+	}
+	for _, tid := range o.traces {
+		if !slices.Contains(f.traces, tid) {
+			f.traces = append(f.traces, tid)
+		}
+	}
 }
 
 // windowIndex returns the floor-division window index of t on the grid.
@@ -247,12 +285,9 @@ func (f *Folder) matchTrace(r *probe.Record) {
 	if tid := f.Tracer.MatchProbe(r.Src, r.SrcPort, r.Start.UnixNano()); tid != 0 {
 		now := f.Tracer.Now()
 		f.Tracer.Ring("scope").Span(tid, trace.StageIngest, "fold", now, now, true)
-		for _, have := range f.traces {
-			if have == tid {
-				return
-			}
+		if !slices.Contains(f.traces, tid) {
+			f.traces = append(f.traces, tid)
 		}
-		f.traces = append(f.traces, tid)
 	}
 }
 
@@ -294,7 +329,7 @@ func (f *Folder) ParseErrors() uint64 { return f.parseErrors }
 func (f *Folder) Extents() uint64 { return f.extents }
 
 // LastFold returns when the folder last folded an extent (zero if never):
-// the per-shard fold-lag freshness mark.
+// the fold-lag freshness mark.
 func (f *Folder) LastFold() time.Time { return f.lastFold }
 
 // TakeTraces returns and clears the sampled trace IDs matched during

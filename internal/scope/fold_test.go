@@ -136,6 +136,55 @@ func TestShardSplitMergeEqualsSingleFold(t *testing.T) {
 	}
 }
 
+// TestForkAbsorbEqualsSingleFold pins what a multi-lane fold pass relies
+// on: extents dealt at random between a folder and its forks, the forks
+// absorbed, leave the folder exactly as folding everything itself would —
+// partials, tallies and extent count.
+func TestForkAbsorbEqualsSingleFold(t *testing.T) {
+	specs := foldSpecs()
+	exts := foldExtents(120)
+	exts = append(exts, []byte("not,a,record\n"))
+	single := NewFolder(t0, Every10Min, specs, nil)
+	for _, data := range exts {
+		single.FoldExtent(data, t0)
+	}
+	if single.ParseErrors() == 0 {
+		t.Fatal("fixture has no undecodable row")
+	}
+	for trial := 0; trial < 5; trial++ {
+		rng := rand.New(rand.NewSource(int64(200 + trial)))
+		f := NewFolder(t0, Every10Min, specs, nil)
+		// Two passes, so the second absorbs into windows the first filled.
+		for pass, share := range [][][]byte{exts[:50], exts[50:]} {
+			lanes := []*Folder{f}
+			for k := 0; k < 1+trial%3; k++ {
+				lanes = append(lanes, f.Fork())
+			}
+			for _, data := range share {
+				lanes[rng.Intn(len(lanes))].FoldExtent(data, t0.Add(time.Duration(pass)*time.Minute))
+			}
+			for _, fork := range lanes[1:] {
+				f.Absorb(fork)
+			}
+		}
+		if f.Scanned() != single.Scanned() || f.ParseErrors() != single.ParseErrors() || f.Extents() != single.Extents() {
+			t.Fatalf("trial %d: tallies %d/%d/%d, want %d/%d/%d", trial, f.Scanned(), f.ParseErrors(), f.Extents(),
+				single.Scanned(), single.ParseErrors(), single.Extents())
+		}
+		if !f.LastFold().Equal(t0.Add(time.Minute)) {
+			t.Fatalf("trial %d: last fold %v", trial, f.LastFold())
+		}
+		for _, sp := range specs {
+			for win := int64(0); win < 12; win++ {
+				want, got := mergeAll(single.Partial(sp.Name, win)), mergeAll(f.Partial(sp.Name, win))
+				if !reflect.DeepEqual(want, got) {
+					t.Fatalf("trial %d, %s win %d: forked fold != single fold", trial, sp.Name, win)
+				}
+			}
+		}
+	}
+}
+
 func TestFolderWindowing(t *testing.T) {
 	f := NewFolder(t0, Every10Min, foldSpecs(), nil)
 	if idx := f.windowIndex(t0); idx != 0 {

@@ -64,9 +64,12 @@ func TestRoundRobinSpreadsLoad(t *testing.T) {
 	}
 	defer lb.Close()
 
+	// Probe with a payload: the echo comes back only through a forwarded
+	// connection, so every probe is counted before the counts are read (a
+	// bare connect returns once the balancer's kernel has accepted it).
 	p := &netlib.TCPProber{Timeout: 5 * time.Second}
 	for i := 0; i < 30; i++ {
-		if _, err := p.Probe(context.Background(), lb.Addr().String(), 0); err != nil {
+		if _, err := p.Probe(context.Background(), lb.Addr().String(), 64); err != nil {
 			t.Fatalf("probe %d: %v", i, err)
 		}
 	}

@@ -14,13 +14,13 @@
 //     per window in the PMB1 binary format.
 //
 // Both byte streams land in separate cosmos stores. The harness then
-// scans both stores back into per-class aggregates and runs the sharded
-// DSA pipeline over each, checking three things the PR's acceptance pins:
+// scans both stores back into per-class aggregates and runs the DSA
+// pipeline over each, checking three things the PR's acceptance pins:
 //
 //   - upload-byte reduction (plain vs plain; gzip is reported alongside),
 //   - P50/P99 within one histogram bucket of the exact pipeline (they are
 //     in fact bucket-identical: agents and analysis share one layout),
-//   - SLA row parity through the sharded fold path.
+//   - SLA row parity through the DSA fold path.
 package uploadsim
 
 import (
@@ -57,9 +57,6 @@ type Config struct {
 	RawThreshold time.Duration
 	// ExtentSize is the cosmos extent size. Default 1 MiB.
 	ExtentSize int
-	// Shards is the DSA shard count for the fold-path parity check.
-	// Default 2.
-	Shards int
 	// Seed for the record synthesizer. Default 1.
 	Seed int64
 }
@@ -82,9 +79,6 @@ func (c *Config) fill() {
 	}
 	if c.ExtentSize <= 0 {
 		c.ExtentSize = 1 << 20
-	}
-	if c.Shards <= 0 {
-		c.Shards = 2
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -132,7 +126,6 @@ type Report struct {
 	SLARowsExact    int        `json:"sla_rows_exact"`
 	SLARowsSketch   int        `json:"sla_rows_sketch"`
 	SLAParity       bool       `json:"sla_row_parity"`
-	Shards          int        `json:"dsa_shards"`
 	GenerateMS      float64    `json:"generate_ms"`
 	ScanExactMS     float64    `json:"scan_exact_ms"`
 	ScanSketchMS    float64    `json:"scan_sketch_ms"`
@@ -145,7 +138,7 @@ const (
 	simWindow = 10 * time.Minute
 )
 
-// buildTopology mirrors the foldsim sizing: whole 1000-server podsets
+// buildTopology sizes the fleet in whole 1000-server podsets
 // spread over at least two DCs (the inter-DC SLA needs both sides).
 func buildTopology(servers int) (*topology.Topology, error) {
 	const perPodset = 1000
@@ -239,7 +232,6 @@ func Run(cfg Config, logf func(format string, args ...any)) (*Report, error) {
 		Servers: top.NumServers(), DCs: len(top.DCs),
 		Peers: cfg.Peers, ProbesPerPeer: cfg.ProbesPerPeer,
 		BucketRelError: metrics.LatencyBucketGrowth - 1,
-		Shards:         cfg.Shards,
 	}
 
 	genStart := time.Now()
@@ -307,53 +299,39 @@ func Run(cfg Config, logf func(format string, args ...any)) (*Report, error) {
 			rep.DropRateExact, rep.DropRateSketch)
 	}
 
-	// SLA parity through the DSA tier: the raw store through the legacy
-	// re-scan, the sketch store through the sharded fold path (seal journal
-	// -> FoldExtent -> merged partials -> publish).
+	// SLA parity through the DSA tier (seal journal -> FoldExtent -> merged
+	// partial + tail scan -> publish): one pipeline per store.
 	windowEnd := simStart.Add(simWindow)
 	services := []*analysis.Service{
 		analysis.ServiceFromServers("search", top, top.DCs[0].Podsets[0].Servers()),
 	}
-	refPipe, err := dsa.New(dsa.Config{
-		Store: rawStore, Top: top, Clock: simclock.NewSim(windowEnd), Services: services,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := refPipe.RunTenMinute(simStart, windowEnd); err != nil {
-		return nil, err
-	}
-	rep.SLARowsExact = refPipe.DB().Count(dsa.TableSLA)
-	if rep.SLARowsExact == 0 {
-		return nil, fmt.Errorf("uploadsim: re-scan reference published no SLA rows")
-	}
-
-	skPipe, err := dsa.New(dsa.Config{
-		Store: skStore, Top: top, Clock: simclock.NewSim(windowEnd), Services: services,
-		Shards: cfg.Shards,
-	})
-	if err != nil {
-		return nil, err
-	}
-	for {
-		skPipe.FoldNow()
-		if skPipe.MaxFoldBacklog() == 0 {
-			break
+	slaRows := func(store *cosmos.Store) (rows int, folded uint64, err error) {
+		pipe, err := dsa.New(dsa.Config{
+			Store: store, Top: top, Clock: simclock.NewSim(windowEnd), Services: services,
+		})
+		if err != nil {
+			return 0, 0, err
 		}
+		if err := pipe.RunTenMinute(simStart, windowEnd); err != nil {
+			return 0, 0, err
+		}
+		return pipe.DB().Count(dsa.TableSLA), pipe.ShardLags()[0].Folded, nil
 	}
-	if err := skPipe.RunTenMinute(simStart, windowEnd); err != nil {
+	if rep.SLARowsExact, _, err = slaRows(rawStore); err != nil {
 		return nil, err
 	}
-	rep.SLARowsSketch = skPipe.DB().Count(dsa.TableSLA)
+	if rep.SLARowsExact == 0 {
+		return nil, fmt.Errorf("uploadsim: raw pipeline published no SLA rows")
+	}
 	var folded uint64
-	for _, lag := range skPipe.ShardLags() {
-		folded += lag.Folded
+	if rep.SLARowsSketch, folded, err = slaRows(skStore); err != nil {
+		return nil, err
 	}
 	if folded == 0 {
-		return nil, fmt.Errorf("uploadsim: sharded pipeline folded nothing — parity check fell back to a scan")
+		return nil, fmt.Errorf("uploadsim: sketch pipeline folded nothing — parity check ran on a tail scan alone")
 	}
 	rep.SLAParity = rep.SLARowsSketch == rep.SLARowsExact
-	logf("SLA rows: %d raw re-scan, %d sketch sharded fold (parity %v, %d extents folded)",
+	logf("SLA rows: %d raw, %d sketch (parity %v, %d sketch extents folded)",
 		rep.SLARowsExact, rep.SLARowsSketch, rep.SLAParity, folded)
 	return rep, nil
 }

@@ -5,14 +5,13 @@ import "testing"
 // TestRunSmallDifferential runs the harness at reduced scale (the CI smoke
 // configuration) and asserts the PR's acceptance bars: >= 20x upload-byte
 // reduction, P50/P99 within one bucket of the exact pipeline, and SLA row
-// parity through the sharded fold path.
+// parity through the DSA fold path.
 func TestRunSmallDifferential(t *testing.T) {
 	rep, err := Run(Config{
 		Servers:       2000,
 		Peers:         4,
 		ProbesPerPeer: 30,
 		ExtentSize:    256 << 10,
-		Shards:        2,
 	}, t.Logf)
 	if err != nil {
 		t.Fatal(err)

@@ -131,12 +131,6 @@ type SimOptions struct {
 	// HeatmapMinProbes overrides the pipeline's per-cell probe floor for
 	// heatmaps (small testbeds need a lower floor than production).
 	HeatmapMinProbes uint64
-	// Shards enables the sharded incremental analysis tier for the
-	// pipeline's 10-minute jobs (0 keeps the legacy full re-scan).
-	Shards int
-	// FoldBudget bounds extents folded per shard per background fold pass;
-	// idle shards steal the leftovers. 0 means unbounded.
-	FoldBudget int
 }
 
 // SimTestbed is a whole simulated Pingmesh deployment: fabric, controller,
@@ -212,8 +206,6 @@ func NewSimTestbed(spec TopologySpec, opts SimOptions) (*SimTestbed, error) {
 		OnDetection:      opts.OnDetection,
 		HeatmapMinProbes: opts.HeatmapMinProbes,
 		Tracer:           tracer,
-		Shards:           opts.Shards,
-		FoldBudget:       opts.FoldBudget,
 		Diagnosis:        diag,
 	})
 	if err != nil {
@@ -513,22 +505,20 @@ func (tb *SimTestbed) StandardWatchdogs(interval time.Duration) (*autopilot.Watc
 	// The "who watches Pingmesh" check: the pipeline's own freshness marks
 	// against the §3.5 budget.
 	ws.Register(autopilot.NewStalenessWatchdog(tb.Tracer.Freshness(), trace.DefaultBudget()))
-	// Per-shard fold lag, against the same DSA cycle budget: a shard
-	// sitting on a backlog without folding is what makes the next cycle
-	// blow the 20-minute budget, so it pages before the cycle does.
+	// Fold lag, against the same DSA cycle budget: a folder sitting on a
+	// backlog without folding is what makes the next cycle blow the
+	// 20-minute budget, so it pages before the cycle does.
 	budget := trace.DefaultBudget()
 	ws.Register(autopilot.Watchdog{
-		Name:   "shard-fold-lag",
+		Name:   "fold-lag",
 		Device: "pingmesh-dsa",
 		Check: func() error {
-			for _, lag := range tb.Pipeline.ShardLags() {
-				if lag.Backlog == 0 || lag.LastFold.IsZero() {
-					continue
-				}
-				if age := tb.Clock.Now().Sub(lag.LastFold); age > budget.DSACycle {
-					return fmt.Errorf("shard %d: %d extents unfolded for %v (budget %v)",
-						lag.Shard, lag.Backlog, age, budget.DSACycle)
-				}
+			lag := tb.Pipeline.ShardLags()[0]
+			if lag.Backlog == 0 || lag.LastFold.IsZero() {
+				return nil
+			}
+			if age := tb.Clock.Now().Sub(lag.LastFold); age > budget.DSACycle {
+				return fmt.Errorf("%d extents unfolded for %v (budget %v)", lag.Backlog, age, budget.DSACycle)
 			}
 			return nil
 		},
