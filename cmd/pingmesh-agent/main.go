@@ -53,10 +53,6 @@ func main() {
 		debugAddr   = flag.String("debug-addr", "", "serve pprof, /debug/trace, /health, and /metrics on this address (empty = off)")
 		traceSample = flag.Uint64("trace-sample", 0, "trace 1 in N probes end to end (0 = off)")
 
-		sketchUpload = flag.Bool("sketch-upload", false, "aggregate healthy probes into per-peer latency sketches and upload the binary format (requires an uploader)")
-		gzipUpload   = flag.Bool("gzip-upload", false, "gzip upload batches on the wire (storage inflates before append)")
-		rawThreshold = flag.Duration("raw-threshold", time.Second, "in sketch mode, RTT at or above which a record ships raw")
-
 		telemetryURL   = flag.String("telemetry-url", "", "ship PMT1 perfcounter reports to this collector endpoint, e.g. <controller>/telemetry/report (empty = off)")
 		telemetryScope = flag.String("telemetry-scope", "", "dot-separated DC.podset.pod scope for fleet rollups (default: derived from -name)")
 		telemetryEvery = flag.Duration("telemetry-interval", 5*time.Minute, "perfcounter report interval")
@@ -88,15 +84,12 @@ func main() {
 	tracer := trace.Default()
 	tracer.SetSampleEvery(*traceSample)
 	a, err := agent.New(agent.Config{
-		ServerName:   *name,
-		SourceAddr:   addr,
-		Controller:   &controller.Client{BaseURL: *ctrlURL},
-		Prober:       agent.NewRealProber(25 * time.Second),
-		LocalLog:     localLog,
-		Tracer:       tracer,
-		SketchUpload: *sketchUpload,
-		GzipUploads:  *gzipUpload,
-		RawThreshold: *rawThreshold,
+		ServerName: *name,
+		SourceAddr: addr,
+		Controller: &controller.Client{BaseURL: *ctrlURL},
+		Prober:     agent.NewRealProber(25 * time.Second),
+		LocalLog:   localLog,
+		Tracer:     tracer,
 	})
 	if err != nil {
 		log.Fatalf("agent: %v", err)

@@ -336,6 +336,112 @@ func TestUploadRetryThenDiscard(t *testing.T) {
 	}
 }
 
+// timedUploader always fails and records when, on the agent's clock, each
+// attempt arrived.
+type timedUploader struct {
+	clock simclock.Clock
+	mu    sync.Mutex
+	at    []time.Time
+}
+
+func (u *timedUploader) Upload(ctx context.Context, batch []byte) error {
+	u.mu.Lock()
+	u.at = append(u.at, u.clock.Now())
+	u.mu.Unlock()
+	return errors.New("cosmos unavailable")
+}
+
+// TestUploadBackoff pins the upload retry loop's two fleet-facing
+// properties: a cancelled ctx ends a flush mid-backoff without waiting
+// the delay out, and every delay is equal-jittered into [d/2, d] of the
+// nominal 1s<<attempt, so agents retrying against a recovering store
+// spread out instead of marching in lockstep.
+func TestUploadBackoff(t *testing.T) {
+	start := func(t *testing.T, retries int) (*Agent, *simclock.Sim, *timedUploader) {
+		clock := simclock.NewSim(epoch)
+		fu := &timedUploader{clock: clock}
+		cfg := testConfig(&fakeFetcher{}, &fakeProber{}, clock)
+		cfg.Uploader = fu
+		cfg.UploadRetries = retries
+		a, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.record(probe.Record{Start: epoch, Src: agentAddr, Dst: peerAddr, RTT: time.Millisecond})
+		return a, clock, fu
+	}
+
+	t.Run("cancel", func(t *testing.T) {
+		a, clock, _ := start(t, 3)
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan struct{})
+		go func() {
+			a.flush(ctx, false)
+			close(done)
+		}()
+		waitUntil(t, func() bool { return clock.PendingTimers() > 0 }, "first backoff armed")
+		cancel()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatal("flush still blocked in backoff after ctx was cancelled")
+		}
+		if now := clock.Now(); !now.Equal(epoch) {
+			t.Fatalf("clock advanced to %v; flush waited the backoff out", now)
+		}
+		if got := a.Metrics().Snapshot().Counters["agent.uploads_discarded"]; got != 1 {
+			t.Fatalf("uploads_discarded = %d, want 1", got)
+		}
+	})
+
+	t.Run("jitter", func(t *testing.T) {
+		const quantum = 10 * time.Millisecond
+		jittered := 0
+		for trial := 0; trial < 8; trial++ {
+			a, clock, fu := start(t, 4)
+			done := make(chan struct{})
+			go func() {
+				a.flush(context.Background(), false)
+				close(done)
+			}()
+			for running := true; running; {
+				select {
+				case <-done:
+					running = false
+				default:
+					if clock.PendingTimers() > 0 {
+						clock.Advance(quantum)
+					} else {
+						time.Sleep(50 * time.Microsecond) // let flush reach its next timer
+					}
+				}
+			}
+			if len(fu.at) != 4 {
+				t.Fatalf("%d upload attempts, want 4", len(fu.at))
+			}
+			// Delay k runs from attempt k to attempt k+1 (the last one to
+			// flush's return), rounded up to the advance quantum.
+			for k, from := range fu.at {
+				end := clock.Now()
+				if k+1 < len(fu.at) {
+					end = fu.at[k+1]
+				}
+				nominal := time.Second << k
+				gap := end.Sub(from)
+				if gap < nominal/2 || gap > nominal+quantum {
+					t.Fatalf("trial %d delay %d = %v outside [%v, %v]", trial, k, gap, nominal/2, nominal)
+				}
+				if gap < nominal-quantum {
+					jittered++
+				}
+			}
+		}
+		if jittered == 0 {
+			t.Fatal("32 delays all at their nominal value: backoff is not jittered")
+		}
+	})
+}
+
 func TestMemoryBoundDropsOldest(t *testing.T) {
 	clock := simclock.NewSim(epoch)
 	a, _ := New(Config{

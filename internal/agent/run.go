@@ -11,8 +11,13 @@ import (
 	"pingmesh/internal/controller"
 	"pingmesh/internal/pinglist"
 	"pingmesh/internal/probe"
+	"pingmesh/internal/simclock"
 	"pingmesh/internal/trace"
 )
+
+// uploadBackoffMax caps the nominal 1s<<attempt delay between upload
+// retries.
+const uploadBackoffMax = time.Minute
 
 // Run starts the agent's three loops — pinglist fetching, probe
 // scheduling, and result uploading — and blocks until ctx is cancelled.
@@ -364,7 +369,11 @@ func (a *Agent) flush(ctx context.Context, final bool) {
 		if ctx.Err() != nil {
 			break
 		}
-		a.clock.Sleep(time.Second << attempt)
+		// Jittered so a fleet retrying against a recovering store does not
+		// do so in lockstep; ctx-aware so shutdown is not held mid-backoff.
+		if simclock.Sleep(ctx, a.clock, simclock.Backoff(time.Second, uploadBackoffMax, attempt)) != nil {
+			break
+		}
 	}
 	a.reg.Counter("agent.uploads_discarded").Inc()
 	a.reg.Counter("agent.discarded_records").Add(int64(len(batch)) + skRecords)

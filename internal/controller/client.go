@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"net/url"
 	"strings"
@@ -42,9 +41,6 @@ type Client struct {
 	// full body. Useful for tests and for memory-constrained callers that
 	// fetch many servers' lists through one client.
 	DisableCache bool
-	// DisableDelta turns off patch requests: stale pinglists are always
-	// re-downloaded in full even when the controller can serve deltas.
-	DisableDelta bool
 
 	// MaxRetries bounds how many times a failed fetch is retried on
 	// transient errors (transport failures and 5xx responses). 0 means the
@@ -175,7 +171,7 @@ func (c *Client) FetchDetail(ctx context.Context, server string) (FetchResult, e
 		c.mu.Lock()
 		c.stats.Retries++
 		c.mu.Unlock()
-		if serr := sleepClock(ctx, c.clock(), c.backoff(attempt)); serr != nil {
+		if serr := simclock.Sleep(ctx, c.clock(), simclock.Backoff(c.BackoffBase, c.BackoffMax, attempt)); serr != nil {
 			break // context canceled mid-backoff; report the fetch error
 		}
 		res, err = c.fetchDetail(ctx, server, !c.DisableCache)
@@ -203,41 +199,6 @@ func (c *Client) clock() simclock.Clock {
 
 var realClock = simclock.NewReal()
 
-// backoff returns the jittered delay before retry number attempt (0-based):
-// nominal base<<attempt capped at max, equal-jittered to uniform [d/2, d]
-// so a fleet of agents retrying against a recovering replica doesn't
-// synchronize into a thundering herd.
-func (c *Client) backoff(attempt int) time.Duration {
-	base, max := c.BackoffBase, c.BackoffMax
-	if base <= 0 {
-		base = 100 * time.Millisecond
-	}
-	if max <= 0 {
-		max = 2 * time.Second
-	}
-	d := base
-	for i := 0; i < attempt && d < max; i++ {
-		d *= 2
-	}
-	if d > max {
-		d = max
-	}
-	half := d / 2
-	return half + time.Duration(rand.Int63n(int64(half)+1))
-}
-
-// sleepClock blocks for d on the given clock, or until ctx is done.
-func sleepClock(ctx context.Context, clk simclock.Clock, d time.Duration) error {
-	t := clk.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
 // transientError marks failures worth retrying: transport errors and 5xx
 // responses — the shapes a dying or draining replica produces. 4xx, parse
 // and validation failures are permanent and surface immediately.
@@ -263,11 +224,9 @@ func (c *Client) fetchDetail(ctx context.Context, server string, revalidate bool
 	if revalidate {
 		if etag, ok := c.cachedETag(server); ok {
 			req.Header.Set("If-None-Match", etag)
-			if !c.DisableDelta {
-				// With a validator on file, advertise that a patch from
-				// that exact generation is acceptable.
-				req.Header.Set("A-IM", DeltaIM)
-			}
+			// With a validator on file, advertise that a patch from
+			// that exact generation is acceptable.
+			req.Header.Set("A-IM", DeltaIM)
 		}
 	}
 	resp, err := c.httpClient().Do(req)

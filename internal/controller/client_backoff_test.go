@@ -12,11 +12,11 @@ import (
 	"pingmesh/internal/simclock"
 )
 
-// TestBackoffSchedule pins the retry delay computation: nominal delays
-// double from BackoffBase up to BackoffMax, and every actual delay is
-// equal-jittered into [nominal/2, nominal].
+// TestBackoffSchedule pins the retry delay computation the client shares
+// with the telemetry shipper and the agent's uploader (simclock.Backoff):
+// nominal delays double from BackoffBase up to BackoffMax, and every
+// actual delay is equal-jittered into [nominal/2, nominal].
 func TestBackoffSchedule(t *testing.T) {
-	c := &Client{BackoffBase: 100 * time.Millisecond, BackoffMax: 300 * time.Millisecond}
 	nominal := []time.Duration{
 		100 * time.Millisecond, // attempt 0
 		200 * time.Millisecond, // attempt 1
@@ -25,7 +25,7 @@ func TestBackoffSchedule(t *testing.T) {
 	}
 	for attempt, want := range nominal {
 		for trial := 0; trial < 200; trial++ {
-			d := c.backoff(attempt)
+			d := simclock.Backoff(100*time.Millisecond, 300*time.Millisecond, attempt)
 			if d < want/2 || d > want {
 				t.Fatalf("attempt %d: delay %v outside [%v, %v]", attempt, d, want/2, want)
 			}
@@ -33,11 +33,10 @@ func TestBackoffSchedule(t *testing.T) {
 	}
 
 	// Defaults: base 100ms, cap 2s.
-	def := &Client{}
-	if d := def.backoff(0); d < 50*time.Millisecond || d > 100*time.Millisecond {
+	if d := simclock.Backoff(0, 0, 0); d < 50*time.Millisecond || d > 100*time.Millisecond {
 		t.Fatalf("default first delay %v", d)
 	}
-	if d := def.backoff(20); d < time.Second || d > 2*time.Second {
+	if d := simclock.Backoff(0, 0, 20); d < time.Second || d > 2*time.Second {
 		t.Fatalf("default capped delay %v", d)
 	}
 }

@@ -122,43 +122,3 @@ func TestClientDeltaFallback(t *testing.T) {
 		t.Fatalf("DeltaFallbacks = %d, want 1", st.DeltaFallbacks)
 	}
 }
-
-// TestClientDisableDelta checks the opt-out: no A-IM on the wire, stale
-// revalidations get plain full bodies.
-func TestClientDisableDelta(t *testing.T) {
-	rig := newDeltaRig(t, Options{})
-	sawAIM := false
-	spy := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Header.Get("A-IM") != "" {
-			sawAIM = true
-		}
-		rig.h.ServeHTTP(w, r)
-	})
-	srv := httptest.NewServer(spy)
-	defer srv.Close()
-
-	ctx := context.Background()
-	cl := &Client{BaseURL: srv.URL, DisableDelta: true}
-	if _, err := cl.FetchDetail(ctx, rig.name); err != nil {
-		t.Fatal(err)
-	}
-	if err := rig.c.UpdateTopology(buildTop(t, 10)); err != nil {
-		t.Fatal(err)
-	}
-	res, err := cl.FetchDetail(ctx, rig.name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Delta {
-		t.Fatal("delta served despite DisableDelta")
-	}
-	if res.NotModified {
-		t.Fatal("stale etag answered 304")
-	}
-	if sawAIM {
-		t.Fatal("client sent A-IM with DisableDelta set")
-	}
-	if cl.Stats().DeltaApplied != 0 {
-		t.Fatal("delta counted despite DisableDelta")
-	}
-}

@@ -39,7 +39,6 @@ type Controller struct {
 	cfg       core.GeneratorConfig
 	clock     simclock.Clock
 	reg       *metrics.Registry
-	ringDepth int                  // previous generations retained for delta serving
 	telemetry *telemetry.Collector // nil unless Options.Telemetry mounted one
 
 	state atomic.Pointer[state] // current generation
@@ -64,17 +63,13 @@ type state struct {
 	versionH []string                   // precomputed X-Pingmesh-Version value
 	files    map[string]*httpcache.Body // server name -> body
 
-	ring    []ringGen // newest first; empty when delta serving is off
+	ring    []ringGen // newest first, at most DefaultDeltaRing
 	deltaMu sync.Mutex
 	deltas  atomic.Pointer[map[deltaKey]*deltaBody]
 }
 
 // Options tunes controller behavior beyond the generator config.
 type Options struct {
-	// DeltaRing is how many previous generations to retain (in compressed
-	// form) for serving delta updates. 0 means DefaultDeltaRing; negative
-	// disables delta serving entirely.
-	DeltaRing int
 	// Telemetry, if non-nil, mounts the fleet telemetry collector under
 	// /telemetry/ on the controller's data-plane handler, so agents ship
 	// their perfcounter reports to the same VIP they fetch pinglists from
@@ -93,14 +88,7 @@ func NewWithOptions(top *topology.Topology, cfg core.GeneratorConfig, clock simc
 	if clock == nil {
 		clock = simclock.NewReal()
 	}
-	depth := opts.DeltaRing
-	if depth == 0 {
-		depth = DefaultDeltaRing
-	}
-	if depth < 0 {
-		depth = 0
-	}
-	c := &Controller{cfg: cfg, clock: clock, reg: metrics.NewRegistry(), ringDepth: depth, telemetry: opts.Telemetry}
+	c := &Controller{cfg: cfg, clock: clock, reg: metrics.NewRegistry(), telemetry: opts.Telemetry}
 	c.cServes = c.reg.Counter("controller.pinglist_serves")
 	c.cBytes = c.reg.Counter("controller.bytes_served")
 	c.cNotModified = c.reg.Counter("controller.not_modified")
@@ -197,7 +185,7 @@ func (c *Controller) UpdateTopology(top *topology.Topology) error {
 	// ETags can be served patches. Only the ETag and the compressed body
 	// are kept — the parsed peers and the httpcache headers are dropped —
 	// so the ring costs roughly gzip-sized memory per retained generation.
-	if prev := c.state.Load(); prev != nil && c.ringDepth > 0 && len(prev.files) > 0 {
+	if prev := c.state.Load(); prev != nil && len(prev.files) > 0 {
 		g := ringGen{version: prev.version, entries: make(map[string]ringEntry, len(prev.files))}
 		for name, b := range prev.files {
 			e := ringEntry{etag: b.ETag()}
@@ -210,7 +198,7 @@ func (c *Controller) UpdateTopology(top *topology.Topology) error {
 		}
 		next.ring = append(next.ring, g)
 		for _, og := range prev.ring {
-			if len(next.ring) >= c.ringDepth {
+			if len(next.ring) >= DefaultDeltaRing {
 				break
 			}
 			next.ring = append(next.ring, og)

@@ -43,7 +43,7 @@ const DeltaIM = "pingmesh-delta"
 const DeltaContentType = "application/vnd.pingmesh.delta+xml"
 
 // DefaultDeltaRing is how many previous generations a controller retains
-// for delta serving when Options.DeltaRing is zero.
+// for delta serving.
 const DefaultDeltaRing = 3
 
 // Precomputed immutable header values (canonical MIME keys, shared slices
@@ -152,9 +152,6 @@ func wantsDelta(r *http.Request) bool {
 // evicted, or the patch would not be smaller. The fast path is one atomic
 // load and one map lookup with zero allocations.
 func (c *Controller) deltaFor(st *state, server, inm string) *deltaBody {
-	if len(st.ring) == 0 {
-		return nil
-	}
 	if m := st.deltas.Load(); m != nil {
 		if db, ok := (*m)[deltaKey{server, inm}]; ok {
 			if db == noDelta {
@@ -306,8 +303,8 @@ type FetchOutcome struct {
 // ServeFetch answers one pinglist fetch without HTTP: the same decision
 // procedure as Handler — If-None-Match → 304, known base in the ring →
 // delta, otherwise full body — sharing the same delta cache and counters.
-// The churn harness drives millions of simulated agents through it; it is
-// safe for concurrent use.
+// The pipeline benchmark's fleet_churn workload drives its simulated
+// agents through it; it is safe for concurrent use.
 func (c *Controller) ServeFetch(server, ifNoneMatch string, wantDelta bool) FetchOutcome {
 	st := c.state.Load()
 	b, ok := st.files[server]

@@ -189,34 +189,39 @@ func TestDeltaUnknownBaseFallsBackToFull(t *testing.T) {
 	}
 }
 
+// TestDeltaRingEviction rolls generations until gen-1 falls off the ring:
+// while it is the oldest retained generation its holders still get a
+// patch; one generation later they get the full body, counted as a
+// fallback.
 func TestDeltaRingEviction(t *testing.T) {
-	rig := newDeltaRig(t, Options{DeltaRing: 1})
-	// One more generation: gen-1 falls off the depth-1 ring.
-	if err := rig.c.UpdateTopology(buildTop(t, 10)); err != nil {
+	rig := newDeltaRig(t, Options{}) // gen-1 is one generation back
+	fromGen1 := map[string]string{"If-None-Match": rig.oldETag, "A-IM": DeltaIM}
+	podsets := 10
+	for back := 2; back <= DefaultDeltaRing; back++ {
+		if err := rig.c.UpdateTopology(buildTop(t, podsets)); err != nil {
+			t.Fatal(err)
+		}
+		podsets++
+	}
+	if w := serveOnce(rig.h, "/pinglist/"+rig.name, fromGen1); w.Code != http.StatusIMUsed {
+		t.Fatalf("base %d generations back: status %d, want 226", DefaultDeltaRing, w.Code)
+	}
+	fallbacks := rig.c.Metrics().Counter("controller.delta_fallback_full")
+	before := fallbacks.Value()
+	if err := rig.c.UpdateTopology(buildTop(t, podsets)); err != nil {
 		t.Fatal(err)
 	}
-	w := serveOnce(rig.h, "/pinglist/"+rig.name, map[string]string{
-		"If-None-Match": rig.oldETag,
-		"A-IM":          DeltaIM,
-	})
+	w := serveOnce(rig.h, "/pinglist/"+rig.name, fromGen1)
 	if w.Code != http.StatusOK {
 		t.Fatalf("evicted base: status %d, want 200 full", w.Code)
 	}
-}
-
-func TestDeltaDisabled(t *testing.T) {
-	rig := newDeltaRig(t, Options{DeltaRing: -1})
-	w := serveOnce(rig.h, "/pinglist/"+rig.name, map[string]string{
-		"If-None-Match": rig.oldETag,
-		"A-IM":          DeltaIM,
-	})
-	if w.Code != http.StatusOK {
-		t.Fatalf("delta disabled: status %d, want 200 full", w.Code)
+	if fallbacks.Value() != before+1 {
+		t.Fatalf("delta_fallback_full = %d, want %d", fallbacks.Value(), before+1)
 	}
 }
 
 // TestServeFetchMatchesHandler pins the in-process fetch API (what the
-// churn harness drives at million-agent scale) to the HTTP handler's
+// pipeline benchmark's simulated agents call) to the HTTP handler's
 // decision procedure and byte accounting.
 func TestServeFetchMatchesHandler(t *testing.T) {
 	rig := newDeltaRig(t, Options{})

@@ -184,6 +184,12 @@ func (s *Store) newExtentLocked() (*extent, error) {
 	}
 	s.rr++
 	s.next++
+	// Registered empty on its replicas before the stream lists it: a
+	// reader racing the extent's first append must see an empty extent,
+	// not one that is "unavailable on all replicas".
+	for _, nid := range replicas {
+		s.nodes[nid].append(s.next, nil)
+	}
 	return &extent{id: s.next, replicas: replicas}, nil
 }
 

@@ -152,7 +152,7 @@ func TestSealed(t *testing.T) {
 // the race detector: readers hold zero-copy slices while writers keep
 // appending to the same stream.
 func TestConcurrentAppendAndZeroCopyRead(t *testing.T) {
-	s, err := NewStore(3, Config{ExtentSize: 4 << 10})
+	s, err := NewStore(3, Config{ExtentSize: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,13 +183,14 @@ func TestConcurrentAppendAndZeroCopyRead(t *testing.T) {
 		readers.Add(1)
 		go func() {
 			defer readers.Done()
-			for i := 0; i < 500; i++ {
+			for i := 0; i < 20000; i++ {
 				n := s.NumExtents("s")
 				data, err := s.ReadExtent("s", n-1)
 				if err != nil {
 					// The last extent can be freshly opened with no replica
-					// write landed yet; that read legitimately fails.
-					continue
+					// write landed yet; it must read as empty, not fail.
+					t.Error(err)
+					return
 				}
 				_ = len(data)
 			}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"pingmesh/internal/agent"
 	"pingmesh/internal/analysis"
 	"pingmesh/internal/core"
 	"pingmesh/internal/cosmos"
@@ -23,9 +24,22 @@ import (
 // degraded so alerts fire), kept as encoded batches so trials can replay
 // them in randomized upload orders.
 type diffFixture struct {
-	top      *topology.Topology
-	services []*analysis.Service
-	batches  [][]byte
+	top        *topology.Topology
+	services   []*analysis.Service
+	batches    [][]byte // CSV, 32 records a batch
+	extentSize int      // small enough that batches seals many extents
+
+	// sketched is the same records the way a sketch-mode agent uploads
+	// them: one PMB1 batch per server per 10-minute window, healthy probes
+	// folded into per-peer sketches, anomalies raw.
+	sketched [][]byte
+}
+
+// asSketched returns the fixture with the PMB1 encoding as its batches.
+func (fx *diffFixture) asSketched() *diffFixture {
+	sk := *fx
+	sk.batches, sk.extentSize = fx.sketched, 1<<10
+	return &sk
 }
 
 func buildDiffFixture(t *testing.T) *diffFixture {
@@ -41,13 +55,14 @@ func buildDiffFixture(t *testing.T) *diffFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Degrade a podset so drop/SLA alerting paths produce rows to compare.
-	n.SetPodsetDegraded(0, 1, netsim.Degradation{ExtraLatencyMean: 8 * time.Millisecond})
+	// Degrade a podset so drop/SLA alerting paths produce rows to compare
+	// and the sketched encoding carries raw anomalies next to its sketches.
+	n.SetPodsetDegraded(0, 1, netsim.Degradation{DropProb: 0.03, ExtraLatencyMean: 8 * time.Millisecond})
 	lists, err := core.Generate(top, core.DefaultGeneratorConfig(), "v1", t0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fx := &diffFixture{top: top}
+	fx := &diffFixture{top: top, extentSize: 16 << 10}
 	fx.services = []*analysis.Service{
 		analysis.ServiceFromServers("search", top, top.DCs[0].Podsets[1].Servers()),
 	}
@@ -56,8 +71,24 @@ func buildDiffFixture(t *testing.T) *diffFixture {
 	// order, so the corpus is built without a shared slice and is the same
 	// on every run.
 	perSrc := make([][][]byte, top.NumServers())
+	accs := make([]*agent.SketchAccumulator, top.NumServers())
+	raw := make([][diffWindows][]probe.Record, top.NumServers())
 	runner := &fleet.Runner{Net: n, Lists: lists, Seed: 21}
 	err = runner.Run(t0, t0.Add(time.Hour), func(src topology.ServerID, recs []probe.Record) {
+		if accs[src] == nil {
+			accs[src] = agent.NewSketchAccumulator(top.Server(src).Addr, 10*time.Minute)
+		}
+		for i := range recs {
+			// The agent's raw/anomaly policy (Agent.record) at its default
+			// RawThreshold of one second.
+			r := &recs[i]
+			if r.Success() && r.RTT < time.Second && analysis.DropSignature(r.RTT) == 0 {
+				accs[src].Observe(r)
+			} else {
+				w := r.Start.Sub(t0) / (10 * time.Minute)
+				raw[src][w] = append(raw[src][w], *r)
+			}
+		}
 		// Chunked uploads: many small batches make upload-order shuffling
 		// meaningful.
 		const chunk = 32
@@ -73,22 +104,40 @@ func buildDiffFixture(t *testing.T) *diffFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, batches := range perSrc {
+	failed, slow := 0, 0
+	for src, batches := range perSrc {
 		fx.batches = append(fx.batches, batches...)
+		for w := int64(0); w < diffWindows; w++ {
+			for i := range raw[src][w] {
+				if raw[src][w][i].Success() {
+					slow++
+				} else {
+					failed++
+				}
+			}
+			sks := accs[src].CutBefore(accs[src].WindowIndex(t0)+w+1, nil)
+			fx.sketched = append(fx.sketched, probe.AppendBinaryBatch(nil, raw[src][w], sks))
+		}
 	}
-	if len(fx.batches) < 50 {
-		t.Fatalf("fixture too small: %d batches", len(fx.batches))
+	if len(fx.batches) < 50 || len(fx.sketched) < 50 {
+		t.Fatalf("fixture too small: %d CSV and %d PMB1 batches", len(fx.batches), len(fx.sketched))
+	}
+	if failed == 0 || slow == 0 {
+		t.Fatalf("fixture ships %d failed and %d slow probes raw; the sketched encoding needs both", failed, slow)
 	}
 	return fx
 }
 
 const diffStream = "pingmesh/2026-07-01"
 
-// newDiffStore returns an empty store with small extents, so the fixture
+// diffWindows is the fixture's hour in 10-minute cycles.
+const diffWindows = 6
+
+// newStore returns an empty store with small extents, so the fixture
 // seals many of them.
-func newDiffStore(t *testing.T) *cosmos.Store {
+func (fx *diffFixture) newStore(t *testing.T) *cosmos.Store {
 	t.Helper()
-	store, err := cosmos.NewStore(3, cosmos.Config{ExtentSize: 16 << 10})
+	store, err := cosmos.NewStore(3, cosmos.Config{ExtentSize: fx.extentSize})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,19 +228,62 @@ func renderReports(t *testing.T, p *Pipeline) string {
 // extents, an open tail and late records for already published windows,
 // 10-minute cycles served from folded partials produce report rows
 // byte-identical to the scan executor over the same store state.
+//
+// It holds for both upload encodings of the fixture's records, and with
+// everything uploaded the two encodings publish the same rows: a fleet
+// switching to sketch uploads changes its bytes, not its reports.
 func TestIncrementalMatchesFullScanDifferential(t *testing.T) {
-	fx := buildDiffFixture(t)
-	const windows = 6 // one hour of 10-minute cycles
+	csv := buildDiffFixture(t)
+	pmb1 := csv.asSketched()
+	t.Run("csv", func(t *testing.T) { testIncrementalMatchesScan(t, csv) })
+	t.Run("pmb1", func(t *testing.T) { testIncrementalMatchesScan(t, pmb1) })
 
+	// Probe count, failure rate and drop rate are exact on both sides;
+	// P50/P99 are read off the same bucket layout, so they are identical
+	// too, not merely within a bucket.
+	want, wantBytes := csv.foldedReports(t)
+	got, gotBytes := pmb1.foldedReports(t)
+	if got != want {
+		t.Fatalf("sketch uploads changed the published rows\ncsv:\n%s\npmb1:\n%s", want, got)
+	}
+	if gotBytes > wantBytes/20 {
+		t.Fatalf("sketch uploads are %d bytes, CSV %d: less than the 20x reduction sketching is for", gotBytes, wantBytes)
+	}
+}
+
+// foldedReports uploads every batch, folds, publishes the hour's six
+// cycles from the partials and returns the rendered rows and the bytes
+// uploaded.
+func (fx *diffFixture) foldedReports(t *testing.T) (reports string, uploaded int) {
+	t.Helper()
+	store := fx.newStore(t)
+	fx.upload(t, store, fx.inOrder())
+	pipe := fx.newPipe(t, store)
+	for w := 0; w < diffWindows; w++ {
+		from, to := window(w)
+		if err := pipe.RunTenMinute(from, to); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if lag, n := pipe.ShardLags()[0], offGridRescans(pipe); lag.Folded == 0 || n != 0 {
+		t.Fatalf("rows not served from folds: %d extents folded, %d re-scans", lag.Folded, n)
+	}
+	for _, b := range fx.batches {
+		uploaded += len(b)
+	}
+	return renderReports(t, pipe), uploaded
+}
+
+func testIncrementalMatchesScan(t *testing.T, fx *diffFixture) {
 	for trial := 0; trial < 3; trial++ {
 		rng := rand.New(rand.NewSource(int64(40 + trial)))
 		order := rng.Perm(len(fx.batches))
-		store := newDiffStore(t)
+		store := fx.newStore(t)
 		pipe := fx.newPipe(t, store)
 		ref := fx.newPipe(t, store)
 
-		for w := 0; w < windows; w++ {
-			share := order[w*len(order)/windows : (w+1)*len(order)/windows]
+		for w := 0; w < diffWindows; w++ {
+			share := order[w*len(order)/diffWindows : (w+1)*len(order)/diffWindows]
 			cut := rng.Intn(len(share) + 1)
 			fx.upload(t, store, share[:cut])
 			pipe.FoldNow()
@@ -227,7 +319,7 @@ func TestIncrementalMatchesFullScanDifferential(t *testing.T) {
 // matches the oracle exactly.
 func TestIncrementalFallsBackOffGrid(t *testing.T) {
 	fx := buildDiffFixture(t)
-	store := newDiffStore(t)
+	store := fx.newStore(t)
 	fx.upload(t, store, fx.inOrder())
 	pipe := fx.newPipe(t, store)
 	ref := fx.newPipe(t, store)
@@ -262,7 +354,7 @@ func TestIncrementalFallsBackOffGrid(t *testing.T) {
 // grid-aligned cycle from folded extents, without the scan.
 func TestZeroValueConfigFolds(t *testing.T) {
 	fx := buildDiffFixture(t)
-	store := newDiffStore(t)
+	store := fx.newStore(t)
 	fx.upload(t, store, fx.inOrder())
 	pipe, err := New(Config{Store: store, Top: fx.top})
 	if err != nil {
@@ -299,7 +391,7 @@ func TestZeroValueConfigFolds(t *testing.T) {
 // over every extent).
 func TestFoldExactlyOnceUnderConcurrency(t *testing.T) {
 	fx := buildDiffFixture(t)
-	store := newDiffStore(t)
+	store := fx.newStore(t)
 	pipe := fx.newPipe(t, store)
 	order := rand.New(rand.NewSource(7)).Perm(len(fx.batches))
 
@@ -381,7 +473,7 @@ func TestFoldExactlyOnceUnderConcurrency(t *testing.T) {
 // residual backlog), publish SLA rows, and surface the fold counter.
 func TestIncrementalScheduledPipeline(t *testing.T) {
 	fx := buildDiffFixture(t)
-	store := newDiffStore(t)
+	store := fx.newStore(t)
 	fx.upload(t, store, fx.inOrder())
 	clock := simclock.NewSim(t0)
 	pipe, err := New(Config{
@@ -431,7 +523,7 @@ func TestIncrementalScheduledPipeline(t *testing.T) {
 // the store is back the same extents fold and the rows match the oracle.
 func TestFoldRetriesUnreadableExtent(t *testing.T) {
 	fx := buildDiffFixture(t)
-	store := newDiffStore(t)
+	store := fx.newStore(t)
 	fx.upload(t, store, fx.inOrder())
 	pipe := fx.newPipe(t, store)
 	sealed := pipe.MaxFoldBacklog()

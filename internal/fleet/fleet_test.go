@@ -318,9 +318,8 @@ func TestFleetRunZeroAllocPerRecord(t *testing.T) {
 	}
 }
 
-// BenchmarkFleetRun is the headline fleet throughput benchmark (see
-// BENCH_PR3.json and `make bench-fleet`): one simulated hour of a
-// two-podset DC, aggregated by the StatsCollector, reported as probes/sec
+// BenchmarkFleetRun is the headline fleet throughput benchmark: one
+// simulated hour of a two-podset DC, aggregated by the StatsCollector, reported as probes/sec
 // of wall time.
 func BenchmarkFleetRun(b *testing.B) {
 	top, err := topology.Build(topology.Spec{DCs: []topology.DCSpec{

@@ -65,7 +65,7 @@ func BenchmarkProbeWithPayload(b *testing.B) {
 }
 
 // BenchmarkProbeReference measures the retained uncached path, the
-// baseline the plan cache is compared against (see BENCH_PR3.json).
+// baseline the plan cache is compared against.
 func BenchmarkProbeReference(b *testing.B) {
 	n := benchNetwork(b)
 	top := n.Topology()

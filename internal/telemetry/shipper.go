@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"time"
 
@@ -119,25 +118,6 @@ func (s *Shipper) maxRetries() int {
 	}
 }
 
-func (s *Shipper) backoff(attempt int) time.Duration {
-	base, max := s.BackoffBase, s.BackoffMax
-	if base <= 0 {
-		base = 100 * time.Millisecond
-	}
-	if max <= 0 {
-		max = 2 * time.Second
-	}
-	d := base
-	for i := 0; i < attempt && d < max; i++ {
-		d *= 2
-	}
-	if d > max {
-		d = max
-	}
-	half := d / 2
-	return half + time.Duration(rand.Int63n(int64(half)+1))
-}
-
 // Run reports every Interval until ctx is done, then ships one final
 // report so the collector sees activity up to shutdown.
 func (s *Shipper) Run(ctx context.Context) {
@@ -188,7 +168,7 @@ func (s *Shipper) ReportOnce(ctx context.Context) error {
 			break
 		}
 		s.stats.Retries++
-		if serr := sleepClock(ctx, s.clock(), s.backoff(attempt)); serr != nil {
+		if serr := simclock.Sleep(ctx, s.clock(), simclock.Backoff(s.BackoffBase, s.BackoffMax, attempt)); serr != nil {
 			break
 		}
 		err = s.post(ctx, body, seq)
@@ -240,18 +220,6 @@ func (s *Shipper) post(ctx context.Context, body []byte, seq uint64) error {
 			return &transientError{err}
 		}
 		return err
-	}
-}
-
-// sleepClock blocks for d on the given clock, or until ctx is done.
-func sleepClock(ctx context.Context, clk simclock.Clock, d time.Duration) error {
-	t := clk.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
 	}
 }
 

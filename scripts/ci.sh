@@ -12,7 +12,18 @@
 #   2b. benchmark module              (bench/ is a nested module the root
 #                                      ./... does not reach; it compiles
 #                                      against the root packages, so an API
-#                                      removal breaks it silently otherwise)
+#                                      removal breaks it silently otherwise;
+#                                      then all four workloads at smoke
+#                                      scale, the seconds-long wiring check
+#                                      of the one harness: sketch-vs-raw
+#                                      rows, delta serving through a
+#                                      topology update, telemetry rollups
+#                                      against exact shadow tallies)
+#   2c. flake pass                    (the packages with concurrency-
+#                                      sensitive tests, five times over
+#                                      under -race at GOMAXPROCS 1 and 4;
+#                                      the controller's ten passes alone
+#                                      outlast go test's 10-minute default)
 #   3. alloc-guard smoke              (the streaming scope/probe ingest path
 #                                      must stay allocation-free per record;
 #                                      the netsim plan-cached probe path and
@@ -31,22 +42,11 @@
 #                                      PMT1 telemetry encode and collector
 #                                      ingest must be allocation-free per
 #                                      report in steady state)
-#   3b. churn-harness smoke           (the control-plane churn CLI end to
-#                                      end at reduced scale: delta serving,
-#                                      replica kill, convergence)
-#   3d. upload-harness smoke          (the sketch-upload differential at
-#                                      reduced scale: byte reduction,
-#                                      percentile parity, SLA row parity
-#                                      through the fold tier)
-#   3e. diagnosis smoke               (the root-cause localization CLI at
+#   3b. diagnosis smoke               (the root-cause localization CLI at
 #                                      reduced scale: two simultaneous
 #                                      injected faults must land in the
 #                                      vote ranking's top two and each
 #                                      evidence chain must pin its hop)
-#   3f. telemetry-harness smoke       (the telemetry-plane CLI at reduced
-#                                      scale with -check: fleet rollups
-#                                      must match exact shadow tallies
-#                                      bit for bit)
 #   4. short fuzz pass over the pinglist wire format, the delta codec
 #      (patch(old, diff) == new, byte-identical), the streaming record
 #      decoder, the binary sketch codec, the sketch-vs-exact aggregation
@@ -67,8 +67,13 @@ go test -cpu 1,2,4 $PKGS
 echo "== tier 2: go test -race"
 go test -race -cpu 1,2,4 $PKGS
 
-echo "== tier 2b: benchmark module vet + test"
+echo "== tier 2b: benchmark module vet + test + smoke run"
 (cd bench && go vet ./... && go test ./...)
+sh bench/run.sh --workload all --scale smoke --seconds 0
+
+echo "== tier 2c: flake pass (-race -count 5 -cpu 1,4)"
+go test -race -count 5 -cpu 1,4 -timeout 30m ./internal/dsa ./internal/cosmos \
+    ./internal/controller ./internal/telemetry ./internal/agent
 
 echo "== tier 3: alloc-guard smoke"
 go test ./internal/scope ./internal/probe ./internal/analysis \
@@ -79,21 +84,8 @@ go test ./internal/scope ./internal/probe ./internal/analysis \
     ./internal/telemetry \
     -run 'ZeroAlloc' -count=1 -v | grep -E '^(=== RUN|--- (PASS|FAIL)|ok|FAIL)'
 
-echo "== tier 3b: churn-harness smoke (reduced scale)"
-go run ./cmd/pingmesh-churnsim -agents 20000 -podsets 8 -pods 6 -mode compare \
-    -out "${TMPDIR:-/tmp}/pingmesh_churn_smoke.json"
-
-echo "== tier 3d: upload-harness smoke (reduced scale)"
-go run ./cmd/pingmesh-uploadsim -servers 2000 -peers 4 -probes-per-peer 30 \
-    -extent-size 262144 -q \
-    -out "${TMPDIR:-/tmp}/pingmesh_upload_smoke.json"
-
-echo "== tier 3e: diagnosis smoke (reduced scale)"
+echo "== tier 3b: diagnosis smoke (reduced scale)"
 go run ./cmd/pingmesh-diagnose -minutes 6 -check > /dev/null
-
-echo "== tier 3f: telemetry-harness smoke (reduced scale)"
-go run ./cmd/pingmesh-telemsim -agents 5000 -rounds 2 -dcs 2 -podsets 4 -pods 5 \
-    -check -out "${TMPDIR:-/tmp}/pingmesh_telem_smoke.json"
 
 if [ "${FUZZ:-0}" = "1" ]; then
     echo "== tier 4: fuzz wire formats (30s each)"
