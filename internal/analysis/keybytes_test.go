@@ -72,6 +72,47 @@ func TestAppendKeyersMatchStringKeyers(t *testing.T) {
 	}
 }
 
+// TestFoldKeyersAgreeWithTextKeyers pins the two keyers only the fold job
+// table uses to the ones they stand in for: the binary server-pair key
+// renders to AppendServerPair's text for every address family, and
+// AppendSrcPodPair is AppendPodPair plus a half-key — one SplitPodPair rejects
+// — for exactly the records AppendSrcPod keys and AppendPodPair drops.
+func TestFoldKeyersAgreeWithTextKeyers(t *testing.T) {
+	top := topology.SmallTestbed()
+	k := &Keyer{Top: top}
+	inside := func(i int) netip.Addr { return top.Server(topology.ServerID(i)).Addr }
+	addrs := []netip.Addr{inside(0), inside(5),
+		netip.MustParseAddr("192.0.2.1"), netip.MustParseAddr("2001:db8::1"),
+		netip.MustParseAddr("::ffff:10.0.0.1"), netip.MustParseAddr("fe80::1%eth0")}
+	for _, src := range addrs {
+		for _, dst := range addrs {
+			r := &probe.Record{Src: src, Dst: dst}
+			want, _ := k.ServerPair(r)
+			bin, ok := k.AppendServerPairBinary(nil, r)
+			if got := ServerPairKey(string(bin)); !ok || got != want {
+				t.Errorf("server pair %v->%v renders %q (ok=%v), want %q", src, dst, got, ok, want)
+			}
+
+			got, ok := k.AppendSrcPodPair(nil, r)
+			pod, okPod := k.SrcPod(r)
+			pair, okPair := k.PodPair(r)
+			switch {
+			case ok != okPod:
+				t.Errorf("AppendSrcPodPair(%v->%v) ok=%v, SrcPod ok=%v", src, dst, ok, okPod)
+			case okPair && string(got) != pair:
+				t.Errorf("AppendSrcPodPair(%v->%v) = %q, PodPair %q", src, dst, got, pair)
+			case ok && !okPair:
+				if string(got) != pod+"|" {
+					t.Errorf("AppendSrcPodPair(%v->%v) = %q, want the half-key %q", src, dst, got, pod+"|")
+				}
+				if _, _, err := SplitPodPair(string(got)); err == nil {
+					t.Errorf("SplitPodPair accepted the half-key %q", got)
+				}
+			}
+		}
+	}
+}
+
 // TestAppendKeyersZeroAlloc: with a warm destination buffer, the byte
 // keyers must not allocate — that is their whole reason to exist.
 func TestAppendKeyersZeroAlloc(t *testing.T) {
@@ -89,6 +130,8 @@ func TestAppendKeyersZeroAlloc(t *testing.T) {
 		{"AppendPodPair", k.AppendPodPair},
 		{"AppendDCPair", k.AppendDCPair},
 		{"AppendServerPair", k.AppendServerPair},
+		{"AppendSrcPodPair", k.AppendSrcPodPair},
+		{"AppendServerPairBinary", k.AppendServerPairBinary},
 	}
 	for _, kr := range keyers {
 		kr := kr

@@ -32,20 +32,22 @@ func (p PodRef) AppendTo(dst []byte) []byte {
 	return dst
 }
 
-// ParsePodRef decodes the String form.
+// ParsePodRef decodes the String form. It allocates nothing: heatmaps parse
+// every pod-pair key of every hourly cycle.
 func ParsePodRef(s string) (PodRef, error) {
-	parts := strings.Split(s, ".")
-	if len(parts) != 3 || !strings.HasPrefix(parts[0], "d") ||
-		!strings.HasPrefix(parts[1], "s") || !strings.HasPrefix(parts[2], "p") {
+	d, rest, ok1 := strings.Cut(s, ".")
+	ps, pod, ok2 := strings.Cut(rest, ".")
+	if !ok1 || !ok2 || strings.Contains(pod, ".") || !strings.HasPrefix(d, "d") ||
+		!strings.HasPrefix(ps, "s") || !strings.HasPrefix(pod, "p") {
 		return PodRef{}, fmt.Errorf("analysis: bad pod ref %q", s)
 	}
-	dc, err1 := strconv.Atoi(parts[0][1:])
-	ps, err2 := strconv.Atoi(parts[1][1:])
-	pod, err3 := strconv.Atoi(parts[2][1:])
+	dc, err1 := strconv.Atoi(d[1:])
+	psi, err2 := strconv.Atoi(ps[1:])
+	podi, err3 := strconv.Atoi(pod[1:])
 	if err1 != nil || err2 != nil || err3 != nil {
 		return PodRef{}, fmt.Errorf("analysis: bad pod ref %q", s)
 	}
-	return PodRef{DC: dc, Podset: ps, Pod: pod}, nil
+	return PodRef{DC: dc, Podset: psi, Pod: podi}, nil
 }
 
 // Keyer maps probe records to SLA scope keys by resolving their addresses
@@ -117,14 +119,14 @@ func (k *Keyer) PodPair(r *probe.Record) (string, bool) {
 
 // SplitPodPair decodes a PodPair key.
 func SplitPodPair(key string) (src, dst PodRef, err error) {
-	parts := strings.Split(key, "|")
-	if len(parts) != 2 {
+	a, b, ok := strings.Cut(key, "|")
+	if !ok || strings.Contains(b, "|") {
 		return PodRef{}, PodRef{}, fmt.Errorf("analysis: bad pod pair %q", key)
 	}
-	if src, err = ParsePodRef(parts[0]); err != nil {
+	if src, err = ParsePodRef(a); err != nil {
 		return
 	}
-	dst, err = ParsePodRef(parts[1])
+	dst, err = ParsePodRef(b)
 	return
 }
 
@@ -197,6 +199,25 @@ func (k *Keyer) AppendPodPair(dst []byte, r *probe.Record) ([]byte, bool) {
 	return b, true
 }
 
+// AppendSrcPodPair keys like AppendPodPair, except that a record whose
+// destination is no fabric server (a VIP target) is kept, under the half-key
+// "<src pod>|". The groups sharing a source pod then cover exactly the
+// records AppendSrcPod keys to it, so a per-pod aggregate is the merge of its
+// "<src pod>|*" groups and needs no job of its own; SplitPodPair rejects the
+// half-key, so heatmaps never see it.
+func (k *Keyer) AppendSrcPodPair(dst []byte, r *probe.Record) ([]byte, bool) {
+	src, ok := k.server(r.Src)
+	if !ok {
+		return dst, false
+	}
+	b := PodRef{DC: src.DC, Podset: src.Podset, Pod: src.Pod}.AppendTo(dst)
+	b = append(b, '|')
+	if dst2, ok := k.server(r.Dst); ok {
+		b = PodRef{DC: dst2.DC, Podset: dst2.Podset, Pod: dst2.Pod}.AppendTo(b)
+	}
+	return b, true
+}
+
 // AppendDCPair is the KeyBytes form of DCPair.
 func (k *Keyer) AppendDCPair(dst []byte, r *probe.Record) ([]byte, bool) {
 	src, ok := k.server(r.Src)
@@ -220,6 +241,41 @@ func (k *Keyer) AppendServerPair(dst []byte, r *probe.Record) ([]byte, bool) {
 	b = append(b, '|')
 	b = r.Dst.AppendTo(b)
 	return b, true
+}
+
+// AppendServerPairBinary groups exactly as AppendServerPair does without
+// formatting two addresses to text per record: the key is the source's byte
+// length (4 or 16) followed by both addresses' bytes. ServerPairKey renders
+// it to AppendServerPair's form, once per group instead of once per record.
+// A zoned address has no fixed-width form; its pair is keyed by a zero byte
+// followed by the text.
+func (k *Keyer) AppendServerPairBinary(dst []byte, r *probe.Record) ([]byte, bool) {
+	if r.Src.Zone() != "" || r.Dst.Zone() != "" {
+		return k.AppendServerPair(append(dst, 0), r)
+	}
+	src, n := r.Src.As16(), 16
+	if r.Src.Is4() {
+		n = 4
+	}
+	b := append(dst, byte(n))
+	b = append(b, src[16-n:]...)
+	d := r.Dst.As16()
+	if r.Dst.Is4() {
+		return append(b, d[12:]...), true
+	}
+	return append(b, d[:]...), true
+}
+
+// ServerPairKey renders an AppendServerPairBinary key as the "src|dst" text
+// AppendServerPair would have produced for the same record.
+func ServerPairKey(bin string) string {
+	n := int(bin[0])
+	if n == 0 {
+		return bin[1:]
+	}
+	src, _ := netip.AddrFromSlice([]byte(bin[1 : 1+n]))
+	dst, _ := netip.AddrFromSlice([]byte(bin[1+n:]))
+	return src.String() + "|" + dst.String()
 }
 
 // Service is a named set of servers; its SLA is computed from the probes

@@ -36,41 +36,92 @@ func DropSignature(rtt time.Duration) int {
 // LatencyStats aggregates probe records: the standard Pingmesh aggregator
 // used by every SCOPE job. It is not safe for concurrent use; SCOPE
 // workers each own one and Merge.
+//
+// Resident fold state is thousands of these, so the aggregate is compact:
+// the tallies are inline and the histograms sit behind a pointer that stays
+// nil until the first successful probe. The connect-RTT histogram starts as
+// sparse runs and is promoted to a dense metrics.Histogram only past a fixed
+// fill threshold (see sparseHist); the payload histogram — which every job
+// filtering PayloadLen == 0 never touches — is allocated on the first
+// payload observation. Every accessor reads the same in either form.
+//
+// The tallies-only form (NewTallies) keeps no histogram at all: for jobs
+// whose consumer reads counts and rates, never a percentile.
 type LatencyStats struct {
-	rtt     *metrics.Histogram // successful connect RTTs (incl. retransmit-inflated)
-	payload *metrics.Histogram // successful payload echo RTTs
 	total   uint64
 	success uint64
-	failed  uint64
 	rtt3s   uint64 // probes with the one-drop signature
 	rtt9s   uint64 // probes with the correlated-drop signature
+
+	h           *latencyHists // nil until a successful probe; always nil in the tallies-only form
+	talliesOnly bool
+}
+
+// latencyHists is the histogram half of a LatencyStats.
+type latencyHists struct {
+	rtt     sparseHist         // successful connect RTTs (incl. retransmit-inflated), until promoted
+	dense   *metrics.Histogram // the same once promoted; rtt is then empty
+	payload *metrics.Histogram // successful payload echo RTTs
 }
 
 // NewLatencyStats returns an empty aggregator.
-func NewLatencyStats() *LatencyStats {
-	return &LatencyStats{
-		rtt:     metrics.NewLatencyHistogram(),
-		payload: metrics.NewLatencyHistogram(),
+func NewLatencyStats() *LatencyStats { return &LatencyStats{} }
+
+// NewTallies returns an empty tallies-only aggregator: Total, Success,
+// Failed, FailureRate and DropRate read exactly as a full aggregate's would,
+// and the percentile, summary and CDF accessors read as empty. Merging one
+// with a full aggregate, in either direction, leaves a tallies-only one — the
+// histogram would no longer cover every probe counted.
+func NewTallies() *LatencyStats { return &LatencyStats{talliesOnly: true} }
+
+func (s *LatencyStats) hists() *latencyHists {
+	if s.h == nil {
+		s.h = &latencyHists{}
 	}
+	return s.h
+}
+
+// promote switches the RTT histogram to the dense form.
+func (h *latencyHists) promote() {
+	if h.dense == nil {
+		h.dense = metrics.NewLatencyHistogram()
+		h.rtt.addTo(h.dense)
+		h.rtt = sparseHist{}
+	}
+}
+
+func (h *latencyHists) payloadHist() *metrics.Histogram {
+	if h.payload == nil {
+		h.payload = metrics.NewLatencyHistogram()
+	}
+	return h.payload
 }
 
 // Add folds one record in.
 func (s *LatencyStats) Add(r *probe.Record) {
 	s.total++
 	if !r.Success() {
-		s.failed++
 		return
 	}
 	s.success++
-	s.rtt.Observe(r.RTT)
-	if r.PayloadRTT > 0 {
-		s.payload.Observe(r.PayloadRTT)
-	}
 	switch DropSignature(r.RTT) {
 	case 1:
 		s.rtt3s++
 	case 2:
 		s.rtt9s++
+	}
+	if s.talliesOnly {
+		return
+	}
+	h := s.hists()
+	if h.dense == nil && !h.rtt.observe(r.RTT) {
+		h.promote()
+	}
+	if h.dense != nil {
+		h.dense.Observe(r.RTT)
+	}
+	if r.PayloadRTT > 0 {
+		h.payloadHist().Observe(r.PayloadRTT)
 	}
 }
 
@@ -89,8 +140,30 @@ func (s *LatencyStats) AddSketch(sk *probe.Sketch) {
 	n := sk.Records()
 	s.total += n
 	s.success += n
-	sk.RTT.AddTo(s.rtt)
-	sk.Payload.AddTo(s.payload)
+	if s.talliesOnly || n == 0 {
+		return
+	}
+	// Tallies first, then buckets: an add that outgrows the sparse form finds
+	// it non-empty (one sketch alone stays far below a run's count limit), so
+	// promotion carries the tallies over and the remaining buckets go dense.
+	h := s.hists()
+	if h.dense == nil {
+		h.rtt.tally(h.rtt.count == 0, sk.RTT.Sum, sk.RTT.MinNS, sk.RTT.MaxNS)
+	} else {
+		h.dense.AddTallies(sk.RTT.Sum, sk.RTT.MinNS, sk.RTT.MaxNS)
+	}
+	it := sk.RTT.Buckets()
+	for b, ok := it.Next(); ok; b, ok = it.Next() {
+		if h.dense == nil && !h.rtt.add(b.Index, b.Count) {
+			h.promote()
+		}
+		if h.dense != nil {
+			h.dense.AddBucket(b.Index, b.Count)
+		}
+	}
+	if sk.Payload.Count > 0 {
+		sk.Payload.AddTo(h.payloadHist())
+	}
 }
 
 // Clone returns a deep copy sharing no state with s: merging into the
@@ -98,20 +171,45 @@ func (s *LatencyStats) AddSketch(sk *probe.Sketch) {
 // while a cycle combines snapshots of them.
 func (s *LatencyStats) Clone() *LatencyStats {
 	c := *s
-	c.rtt = s.rtt.Clone()
-	c.payload = s.payload.Clone()
+	if s.h != nil {
+		c.h = &latencyHists{rtt: s.h.rtt.clone()}
+		if s.h.dense != nil {
+			c.h.dense = s.h.dense.Clone()
+		}
+		if s.h.payload != nil {
+			c.h.payload = s.h.payload.Clone()
+		}
+	}
 	return &c
 }
 
 // Merge folds another aggregator in.
 func (s *LatencyStats) Merge(o *LatencyStats) {
-	s.rtt.Merge(o.rtt)
-	s.payload.Merge(o.payload)
 	s.total += o.total
 	s.success += o.success
-	s.failed += o.failed
 	s.rtt3s += o.rtt3s
 	s.rtt9s += o.rtt9s
+	if s.talliesOnly || o.talliesOnly {
+		s.talliesOnly, s.h = true, nil
+		return
+	}
+	if o.h == nil {
+		return
+	}
+	h := s.hists()
+	switch {
+	case o.h.dense != nil:
+		h.promote()
+		h.dense.Merge(o.h.dense)
+	case h.dense != nil:
+		o.h.rtt.addTo(h.dense)
+	case !h.rtt.merge(&o.h.rtt):
+		h.promote()
+		o.h.rtt.addTo(h.dense)
+	}
+	if o.h.payload != nil {
+		h.payloadHist().Merge(o.h.payload)
+	}
 }
 
 // Total returns the number of records aggregated.
@@ -121,7 +219,7 @@ func (s *LatencyStats) Total() uint64 { return s.total }
 func (s *LatencyStats) Success() uint64 { return s.success }
 
 // Failed returns the number of failed probes.
-func (s *LatencyStats) Failed() uint64 { return s.failed }
+func (s *LatencyStats) Failed() uint64 { return s.total - s.success }
 
 // FailureRate returns failed/total (reachability, distinct from the packet
 // drop rate — failures include down hosts, which the drop heuristic
@@ -130,7 +228,7 @@ func (s *LatencyStats) FailureRate() float64 {
 	if s.total == 0 {
 		return 0
 	}
-	return float64(s.failed) / float64(s.total)
+	return float64(s.Failed()) / float64(s.total)
 }
 
 // DropRate estimates the packet drop rate with the paper's heuristic:
@@ -148,17 +246,56 @@ func (s *LatencyStats) DropRate() float64 {
 	return float64(s.rtt3s+s.rtt9s) / float64(s.success)
 }
 
+// noHists is what the read side sees of an aggregate that holds no
+// histograms: empty ones.
+var noHists latencyHists
+
+func (s *LatencyStats) read() *latencyHists {
+	if s.h == nil {
+		return &noHists
+	}
+	return s.h
+}
+
 // Percentile returns the q-quantile of successful connect RTTs.
-func (s *LatencyStats) Percentile(q float64) time.Duration { return s.rtt.Percentile(q) }
+func (s *LatencyStats) Percentile(q float64) time.Duration {
+	h := s.read()
+	if h.dense != nil {
+		return h.dense.Percentile(q)
+	}
+	return h.rtt.percentile(q)
+}
 
 // Summary returns the percentile summary of successful connect RTTs.
-func (s *LatencyStats) Summary() metrics.Summary { return s.rtt.Summarize() }
+func (s *LatencyStats) Summary() metrics.Summary {
+	h := s.read()
+	if h.dense != nil {
+		return h.dense.Summarize()
+	}
+	return h.rtt.summarize()
+}
 
 // PayloadSummary returns the percentile summary of payload echo RTTs.
-func (s *LatencyStats) PayloadSummary() metrics.Summary { return s.payload.Summarize() }
+func (s *LatencyStats) PayloadSummary() metrics.Summary {
+	if h := s.read(); h.payload != nil {
+		return h.payload.Summarize()
+	}
+	return metrics.Summary{}
+}
 
 // CDF returns the empirical CDF of successful connect RTTs.
-func (s *LatencyStats) CDF() []metrics.CDFPoint { return s.rtt.CDF() }
+func (s *LatencyStats) CDF() []metrics.CDFPoint {
+	h := s.read()
+	if h.dense != nil {
+		return h.dense.CDF()
+	}
+	return h.rtt.cdf()
+}
 
 // PayloadCDF returns the empirical CDF of payload RTTs.
-func (s *LatencyStats) PayloadCDF() []metrics.CDFPoint { return s.payload.CDF() }
+func (s *LatencyStats) PayloadCDF() []metrics.CDFPoint {
+	if h := s.read(); h.payload != nil {
+		return h.payload.CDF()
+	}
+	return nil
+}

@@ -13,6 +13,8 @@ package dsa
 
 import (
 	"fmt"
+	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -97,8 +99,8 @@ type Pipeline struct {
 	db     *reportdb.DB
 	keyer  *analysis.Keyer
 
-	jobs    []cycleJob   // the 10-minute job table, built once in New
-	inc     *incremental // the fold tier serving grid-aligned 10-minute cycles
+	jobs    []cycleJob   // the job table, built once in New
+	inc     *incremental // the fold tier serving grid-aligned cycles
 	offGrid *metrics.Counter
 
 	mu       sync.Mutex
@@ -140,7 +142,7 @@ func New(cfg Config) (*Pipeline, error) {
 			return cfg.Tracer.Freshness().AgeMillis(trace.StageDSACycle)
 		})
 	}
-	p.jobs = p.tenMinuteJobs()
+	p.jobs = p.jobTable()
 	p.inc = newIncremental(p, cfg.Clock.Now())
 	p.offGrid = p.jm.Metrics().Counter("dsa.cycle.offgrid_rescans")
 	for _, t := range []struct {
@@ -298,33 +300,41 @@ func (p *Pipeline) finishCycle(cy *cycleTrace, kind string, from, to time.Time) 
 	}
 }
 
-// cycleJob is one 10-minute job family: the window-free spec both
+// cycleJob is one entry of the job table: the window-free spec both
 // executors read (the fold tier registers it with the folder, the scan runs
-// it as a scope.Job) and how its result becomes SLA rows.
+// it as a scope.Job), the cadence that publishes it, and what its result
+// becomes.
 type cycleJob struct {
-	spec scope.FoldSpec
-	// scope prefixes each group key to form the SLA row's scope name.
-	scope string
-	// whole marks a job that groups every record under "": it publishes
-	// exactly one row, named scope, even over an empty window.
-	whole bool
-	// alerts says whether the rows are checked against the SLA thresholds.
-	alerts bool
+	kind    string // Cycle10Min, Cycle1Hour or Cycle1Day
+	spec    scope.FoldSpec
+	publish func(res *scope.Result, from, to time.Time) error
 }
 
-// tenMinuteJobs is the one definition of the 10-minute jobs.
-func (p *Pipeline) tenMinuteJobs() []cycleJob {
+// jobTable is the one definition of the recurring jobs, at all three
+// cadences. Every spec is folded per extent in the same pass. The SLA specs
+// keep 10-minute partials; the hourly and the daily specs both keep hour
+// partials — a day is then a merge of 24, and a manual RunDaily over a few
+// hours is still served from folds.
+//
+// Specs cost fold time per record, so the table holds as few as the reports
+// allow: per-pod SLA rows are derived from the pod-pair result rather than
+// folded again by source pod, and the per-class drop rates are one spec keyed
+// (class, source DC) rather than one per class. The two daily specs are
+// tallies-only: a drop rate is a ratio of counts, and black-hole detection
+// reads Total, Success and FailureRate of a server pair and nothing else — a
+// histogram per server pair per retained hour is what made hour partials
+// unaffordable.
+func (p *Pipeline) jobTable() []cycleJob {
+	// The paper's headline SLA metric is the intra-DC TCP SYN RTT without
+	// payload.
+	intraDC := func(r *probe.Record) bool { return r.Class != probe.InterDC && r.PayloadLen == 0 }
 	jobs := []cycleJob{
-		{scope: "dc/", alerts: true, spec: scope.FoldSpec{
-			Name: "sla-dc",
-			// The paper's headline SLA metric is the intra-DC TCP SYN RTT
-			// without payload.
-			Where:    func(r *probe.Record) bool { return r.Class != probe.InterDC && r.PayloadLen == 0 },
-			KeyBytes: p.keyer.AppendSrcDC,
+		{kind: Cycle10Min, publish: p.slaPublisher("dc/", false, true), spec: scope.FoldSpec{
+			Name: "sla-dc", Where: intraDC, KeyBytes: p.keyer.AppendSrcDC,
 		}},
 		// The inter-DC pipeline (§6.2: a separate processing pipeline was
 		// added when Pingmesh was extended across data centers).
-		{scope: "interdc/", spec: scope.FoldSpec{
+		{kind: Cycle10Min, publish: p.slaPublisher("interdc/", false, false), spec: scope.FoldSpec{
 			Name:     "sla-interdc",
 			Where:    func(r *probe.Record) bool { return r.Class == probe.InterDC },
 			KeyBytes: p.keyer.AppendDCPair,
@@ -332,13 +342,43 @@ func (p *Pipeline) tenMinuteJobs() []cycleJob {
 	}
 	for _, svc := range p.cfg.Services {
 		svc := svc
-		jobs = append(jobs, cycleJob{scope: "service/" + svc.Name, whole: true, alerts: true, spec: scope.FoldSpec{
-			Name: "sla-service-" + svc.Name,
-			Where: func(r *probe.Record) bool {
-				return r.Class != probe.InterDC && r.PayloadLen == 0 && svc.Contains(r)
-			},
+		// A service groups every record under "": exactly one row, named
+		// after it, even over an empty window.
+		jobs = append(jobs, cycleJob{kind: Cycle10Min, publish: p.slaPublisher("service/"+svc.Name, true, true), spec: scope.FoldSpec{
+			Name:     "sla-service-" + svc.Name,
+			Where:    func(r *probe.Record) bool { return intraDC(r) && svc.Contains(r) },
 			KeyBytes: func(dst []byte, r *probe.Record) ([]byte, bool) { return dst, true },
 		}})
+	}
+	return append(jobs,
+		cycleJob{kind: Cycle1Hour, publish: p.publishPodPairs, spec: scope.FoldSpec{
+			Name: "pod-pairs", Where: intraDC, KeyBytes: p.keyer.AppendSrcPodPair,
+			Window: scope.Every1Hour,
+		}},
+		cycleJob{kind: Cycle1Day, publish: p.publishDropRates, spec: scope.FoldSpec{
+			Name: "drop-rates",
+			Where: func(r *probe.Record) bool {
+				return r.PayloadLen == 0 && r.Class >= probe.IntraPod && r.Class <= probe.InterDC
+			},
+			KeyBytes: func(dst []byte, r *probe.Record) ([]byte, bool) {
+				return p.keyer.AppendSrcDC(append(dst, byte(r.Class)), r)
+			},
+			Window: scope.Every1Hour, TalliesOnly: true,
+		}},
+		cycleJob{kind: Cycle1Day, publish: p.publishBlackholes, spec: scope.FoldSpec{
+			Name: "server-pairs", KeyBytes: p.keyer.AppendServerPairBinary,
+			Window: scope.Every1Hour, TalliesOnly: true,
+		}},
+	)
+}
+
+// jobsOf returns the table's jobs of one cadence, in table order.
+func (p *Pipeline) jobsOf(kind string) []*cycleJob {
+	var jobs []*cycleJob
+	for i := range p.jobs {
+		if p.jobs[i].kind == kind {
+			jobs = append(jobs, &p.jobs[i])
+		}
 	}
 	return jobs
 }
@@ -350,37 +390,50 @@ func (p *Pipeline) windowJob(spec scope.FoldSpec, from, to time.Time) scope.Job 
 		Name:   spec.Name,
 		Source: p.source(),
 		From:   from, To: to,
-		Where:    spec.Where,
-		KeyBytes: spec.KeyBytes,
+		Where:       spec.Where,
+		KeyBytes:    spec.KeyBytes,
+		TalliesOnly: spec.TalliesOnly,
 	}
 }
 
 // RunTenMinute computes near-real-time SLA per DC, per DC pair and per
-// service over the window and fires threshold alerts. A grid-aligned window
-// is served by merging folded partials plus a tail scan of the unfolded
-// extents; any other window (a manual run over an arbitrary span, or one
-// whose partials were already dropped) is scanned in full and counted in
-// dsa.cycle.offgrid_rescans. Both executors read the same job table, and
-// the scan is the reference the fold tier is tested against.
-func (p *Pipeline) RunTenMinute(from, to time.Time) error {
+// service over the window and fires threshold alerts.
+func (p *Pipeline) RunTenMinute(from, to time.Time) error { return p.runCycle(Cycle10Min, from, to) }
+
+// RunHourly computes the pod-pair heatmap with pattern classification for
+// every DC, and pod-level SLA.
+func (p *Pipeline) RunHourly(from, to time.Time) error { return p.runCycle(Cycle1Hour, from, to) }
+
+// RunDaily computes per-DC per-class drop rates (the Table 1 rows), runs
+// black-hole detection over server-pair stats, and ages out expired streams.
+func (p *Pipeline) RunDaily(from, to time.Time) error { return p.runCycle(Cycle1Day, from, to) }
+
+// runCycle is the one path of every cadence. A span that is a whole number
+// of the cadence's retained partial windows — 10-minute windows for the SLA
+// jobs, hours for the hourly and daily jobs — is served by merging folded
+// partials plus one fold of the unfolded extents; any other span (a manual
+// run off the grid, or one whose partials were already dropped) is scanned in
+// full and counted in dsa.cycle.offgrid_rescans. Both executors read the same
+// job table, and the scan is the reference the fold tier is tested against.
+func (p *Pipeline) runCycle(kind string, from, to time.Time) error {
 	cy := p.beginCycle()
-	results, served, err := p.inc.serve(&cy, from, to)
+	jobs := p.jobsOf(kind)
+	results, served, err := p.inc.serve(&cy, kind, jobs, from, to)
 	if !served {
 		p.offGrid.Inc()
-		results, err = p.scanJobs(from, to)
+		results, err = p.scanJobs(jobs, from, to)
 	}
 	if err != nil {
 		return err
 	}
-	p.publishTenMinute(&cy, results, from, to)
-	return nil
+	return p.publish(&cy, kind, jobs, results, from, to)
 }
 
-// scanJobs runs every 10-minute job as a full scan of [from, to).
-func (p *Pipeline) scanJobs(from, to time.Time) ([]*scope.Result, error) {
-	results := make([]*scope.Result, len(p.jobs))
-	for i := range p.jobs {
-		res, err := p.engine.Run(p.windowJob(p.jobs[i].spec, from, to))
+// scanJobs runs every job as a full scan of [from, to).
+func (p *Pipeline) scanJobs(jobs []*cycleJob, from, to time.Time) ([]*scope.Result, error) {
+	results := make([]*scope.Result, len(jobs))
+	for i, job := range jobs {
+		res, err := p.engine.Run(p.windowJob(job.spec, from, to))
 		if err != nil {
 			return nil, err
 		}
@@ -389,43 +442,47 @@ func (p *Pipeline) scanJobs(from, to time.Time) ([]*scope.Result, error) {
 	return results, nil
 }
 
-// publishTenMinute turns one result per job into SLA rows and alerts and
-// closes the cycle.
-func (p *Pipeline) publishTenMinute(cy *cycleTrace, results []*scope.Result, from, to time.Time) {
-	for i, res := range results {
-		job := &p.jobs[i]
-		cy.observe(res)
+// publish turns one result per job into report rows and closes the cycle.
+func (p *Pipeline) publish(cy *cycleTrace, kind string, jobs []*cycleJob, results []*scope.Result, from, to time.Time) error {
+	for i, job := range jobs {
+		cy.observe(results[i])
+		if err := job.publish(results[i], from, to); err != nil {
+			return err
+		}
+	}
+	if kind == Cycle1Day {
+		p.ageOut(to)
+	}
+	p.finishCycle(cy, kind, from, to)
+	return nil
+}
+
+// slaPublisher returns the publishing rule of a 10-minute job: one SLA row
+// per group, named prefix + group key — or, for a whole job (which groups
+// everything under ""), exactly one row named prefix — checked against the
+// SLA thresholds if alerts is set.
+func (p *Pipeline) slaPublisher(prefix string, whole, alerts bool) func(*scope.Result, time.Time, time.Time) error {
+	return func(res *scope.Result, from, to time.Time) error {
 		groups := res.Groups
-		if job.whole {
+		if whole {
 			groups = map[string]*analysis.LatencyStats{"": res.Get("")}
 		}
 		rows := make(map[string]*analysis.LatencyStats, len(groups))
 		for k, st := range groups {
-			rows[job.scope+k] = st
-			p.insertSLA(job.scope+k, from, to, st)
+			rows[prefix+k] = st
+			p.insertSLA(prefix+k, from, to, st)
 		}
-		if job.alerts {
+		if alerts {
 			p.fireAlerts(rows, to)
 		}
+		return nil
 	}
-	p.finishCycle(cy, Cycle10Min, from, to)
 }
 
-// RunHourly computes pod-level SLA and the pod-pair heatmap with pattern
-// classification for every DC.
-func (p *Pipeline) RunHourly(from, to time.Time) error {
-	cy := p.beginCycle()
-	res, err := p.engine.Run(scope.Job{
-		Name:   "pod-pairs",
-		Source: p.source(),
-		From:   from, To: to,
-		Where:    func(r *probe.Record) bool { return r.Class != probe.InterDC && r.PayloadLen == 0 },
-		KeyBytes: p.keyer.AppendPodPair,
-	})
-	if err != nil {
-		return err
-	}
-	cy.observe(res)
+// publishPodPairs turns the pod-pair result into every DC's heatmap and
+// pattern row, and into per-pod SLA rows: a source pod's aggregate is the
+// exact merge of its "<src pod>|*" groups (Keyer.AppendSrcPodPair).
+func (p *Pipeline) publishPodPairs(res *scope.Result, from, to time.Time) error {
 	for di := range p.cfg.Top.DCs {
 		h := viz.BuildHeatmap(p.cfg.Top, di, res.Groups, p.cfg.HeatmapMinProbes)
 		cls := h.Classify()
@@ -443,66 +500,52 @@ func (p *Pipeline) RunHourly(from, to time.Time) error {
 		}
 		p.mu.Unlock()
 	}
-
-	podRes, err := p.engine.Run(scope.Job{
-		Name:   "sla-pod",
-		Source: p.source(),
-		From:   from, To: to,
-		Where:    func(r *probe.Record) bool { return r.Class != probe.InterDC && r.PayloadLen == 0 },
-		KeyBytes: p.keyer.AppendSrcPod,
-	})
-	if err != nil {
-		return err
+	pods := make(map[string]*analysis.LatencyStats)
+	for pair, st := range res.Groups {
+		src, _, _ := strings.Cut(pair, "|")
+		if cur := pods[src]; cur != nil {
+			cur.Merge(st)
+		} else {
+			pods[src] = st.Clone()
+		}
 	}
-	cy.observe(podRes)
-	for scopeName, st := range podRes.Groups {
-		p.insertSLA("pod/"+scopeName, from, to, st)
+	for pod, st := range pods {
+		p.insertSLA("pod/"+pod, from, to, st)
 	}
-	p.finishCycle(&cy, Cycle1Hour, from, to)
 	return nil
 }
 
-// RunDaily computes per-DC per-class drop rates (the Table 1 rows) and
-// runs black-hole detection over server-pair stats.
-func (p *Pipeline) RunDaily(from, to time.Time) error {
-	cy := p.beginCycle()
-	for _, class := range []probe.Class{probe.IntraPod, probe.IntraDC, probe.InterDC} {
-		class := class
-		res, err := p.engine.Run(scope.Job{
-			Name:   "drop-" + class.String(),
-			Source: p.source(),
-			From:   from, To: to,
-			Where:    func(r *probe.Record) bool { return r.Class == class && r.PayloadLen == 0 },
-			KeyBytes: p.keyer.AppendSrcDC,
-		})
-		if err != nil {
+// publishDropRates splits the (class, source DC) groups into the Table 1
+// rows, class by class.
+func (p *Pipeline) publishDropRates(res *scope.Result, from, to time.Time) error {
+	keys := make([]string, 0, len(res.Groups))
+	for k := range res.Groups {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		st := res.Groups[k]
+		if err := p.db.Insert(TableDropRates, reportdb.Row{
+			"dc":           k[1:],
+			"class":        probe.Class(k[0]).String(),
+			"window_start": from,
+			"probes":       int64(st.Total()),
+			"drop_rate":    st.DropRate(),
+		}); err != nil {
 			return err
 		}
-		cy.observe(res)
-		for dc, st := range res.Groups {
-			if err := p.db.Insert(TableDropRates, reportdb.Row{
-				"dc":           dc,
-				"class":        class.String(),
-				"window_start": from,
-				"probes":       int64(st.Total()),
-				"drop_rate":    st.DropRate(),
-			}); err != nil {
-				return err
-			}
-		}
 	}
+	return nil
+}
 
-	pairRes, err := p.engine.Run(scope.Job{
-		Name:   "server-pairs",
-		Source: p.source(),
-		From:   from, To: to,
-		KeyBytes: p.keyer.AppendServerPair,
-	})
-	if err != nil {
-		return err
+// publishBlackholes runs black-hole detection over the server-pair tallies,
+// rendering each binary group key to the text form blackhole.Detect parses.
+func (p *Pipeline) publishBlackholes(res *scope.Result, from, to time.Time) error {
+	pairs := make(map[string]*analysis.LatencyStats, len(res.Groups))
+	for k, st := range res.Groups {
+		pairs[analysis.ServerPairKey(k)] = st
 	}
-	cy.observe(pairRes)
-	det := blackhole.Detect(p.cfg.Top, pairRes.Groups, p.cfg.BlackholeConfig)
+	det := blackhole.Detect(p.cfg.Top, pairs, p.cfg.BlackholeConfig)
 	for _, cand := range det.Candidates {
 		if err := p.db.Insert(TableBlackholes, reportdb.Row{
 			"tor":          p.cfg.Top.Switch(cand.ToR).Name,
@@ -515,9 +558,6 @@ func (p *Pipeline) RunDaily(from, to time.Time) error {
 	if p.cfg.OnDetection != nil {
 		p.cfg.OnDetection(det)
 	}
-
-	p.ageOut(to)
-	p.finishCycle(&cy, Cycle1Day, from, to)
 	return nil
 }
 

@@ -192,52 +192,27 @@ func TestDailyJobDropRatesAndBlackholes(t *testing.T) {
 	}
 }
 
+// TestScheduledPipelineRunsOnSimClock advances the sim clock through a full
+// hour: six scheduled 10-minute cycles and the hourly one, all served from
+// folded partials.
 func TestScheduledPipelineRunsOnSimClock(t *testing.T) {
 	clock := simclock.NewSim(t0)
 	r := buildRig(t, nil, func(cfg *Config) { cfg.Clock = clock })
-	r.pipe.Start()
-	defer r.pipe.Stop()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if clock.PendingTimers() >= 3 {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// Advance one hour in 10-minute steps: six 10-min runs + one hourly.
-	// Wait for each run to land before advancing again so the buffered
-	// ticker never drops a tick while a job is still executing.
-	for i := 0; i < 6; i++ {
-		clock.Advance(10 * time.Minute)
-		stepDeadline := time.Now().Add(5 * time.Second)
-		for time.Now().Before(stepDeadline) {
-			if r.pipe.JobMetrics()["scope.job.10min.runs"] >= int64(i+1) {
-				break
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-	deadline = time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		m := r.pipe.JobMetrics()
-		if m["scope.job.10min.runs"] >= 6 && m["scope.job.1hour.runs"] >= 1 {
-			break
-		}
-		time.Sleep(time.Millisecond)
+	published := driveScheduled(t, r.pipe, clock, 6)
+	if published[Cycle10Min] != 6 || published[Cycle1Hour] != 1 || published[Cycle1Day] != 0 {
+		t.Fatalf("cycles published over an hour: %v", published)
 	}
 	m := r.pipe.JobMetrics()
-	if m["scope.job.10min.runs"] < 6 {
-		t.Fatalf("10min runs = %d", m["scope.job.10min.runs"])
+	if m["dsa.cycle.offgrid_rescans"] != 0 || r.pipe.MaxFoldBacklog() != 0 || m["dsa.fold.extents_folded"] == 0 {
+		t.Fatalf("scheduled cycles not served from folds: backlog %d, %v", r.pipe.MaxFoldBacklog(), m)
 	}
-	if m["scope.job.1hour.runs"] < 1 {
-		t.Fatalf("1hour runs = %d", m["scope.job.1hour.runs"])
+	// SLA rows accumulated across windows: one dc/ row per 10-minute window
+	// and one pod/ row per pod for the hour.
+	if got, want := r.pipe.DB().Count(TableSLA), 6+6; got != want {
+		t.Fatalf("%d SLA rows from scheduled runs, want %d", got, want)
 	}
-	if m["scope.job.10min.errors"] > 0 || m["scope.job.1hour.errors"] > 0 {
-		t.Fatalf("job errors: %v", m)
-	}
-	// SLA rows accumulated across windows.
-	if r.pipe.DB().Count(TableSLA) == 0 {
-		t.Fatal("no SLA rows from scheduled runs")
+	if len(r.pipe.Heatmaps()) != 1 {
+		t.Fatalf("scheduled hourly cycle left %d heatmaps", len(r.pipe.Heatmaps()))
 	}
 }
 

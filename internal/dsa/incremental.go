@@ -1,7 +1,7 @@
 package dsa
 
 import (
-	"math"
+	"fmt"
 	"runtime"
 	"strings"
 	"sync"
@@ -13,18 +13,28 @@ import (
 	"pingmesh/internal/scope"
 )
 
-// incremental is the delta-folding tier of the 10-minute path: it walks
-// the store's seal journal with a cursor, folds each newly sealed extent
-// into per-(job, window) partial aggregates exactly once, and lets a cycle
-// serve its window by merging partials plus a tail scan of only the
-// unfolded extents — instead of re-decoding every extent of the day.
+// incremental is the delta-folding tier of every cadence: it walks the
+// store's seal journal with a cursor, folds each newly sealed extent into
+// per-(job, window) partial aggregates exactly once — all jobs of all three
+// cadences in the one decode — and lets a cycle serve its span by merging
+// partials plus a tail scan of only the unfolded extents, instead of
+// re-decoding every extent of the day.
 //
 // Correctness invariant: at cycle snapshot time (under passMu, after a
-// fold pass) every extent is either in the folded set — its window-W
-// records already summed into partials — or in the tail scan, which decodes
-// it with the [from, to) filter. Histogram merges are exact integer bucket
-// additions, so the merged result yields report rows byte-identical to one
-// full scan.
+// fold pass) every extent is either in the folded set — its records already
+// summed into the partials of their windows — or in the tail scan, which
+// decodes it with the [from, to) filter. Histogram merges are exact integer
+// bucket additions, so the merged result yields report rows byte-identical
+// to one full scan.
+//
+// Retention, per cadence: a 10-minute cycle drops the SLA partials below
+// the window it published (that one stays, so re-running the current window
+// is still served from folds); an hourly cycle drops the hour partials it
+// published; a daily cycle drops nothing. Hour partials — the hourly job's
+// and the daily jobs' — are besides bounded by the clock, to the hoursKept
+// most recent, so they stay bounded on a pipeline whose hourly or daily cycle
+// never runs, or only ever falls back. What is folded below a job's floor
+// afterwards is counted in dsa.fold.late_records.
 type incremental struct {
 	p *Pipeline
 
@@ -34,7 +44,6 @@ type incremental struct {
 	passMu sync.Mutex
 	folder *scope.Folder
 	folded map[string]map[int]bool // stream -> folded extent indexes
-	minWin int64                   // lowest retained window; older cycles are re-scanned
 
 	// cursor is the seal-journal position of the first event not yet
 	// folded. Written under passMu; atomic so the backlog gauge can read it
@@ -42,7 +51,12 @@ type incremental struct {
 	cursor atomic.Uint64
 
 	foldedCtr *metrics.Counter
+	lateCtr   *metrics.Counter
 }
+
+// hoursKept is how many hour partials a job retains: the 24 of a full day
+// plus the hour being filled.
+const hoursKept = 25
 
 func newIncremental(p *Pipeline, anchor time.Time) *incremental {
 	specs := make([]scope.FoldSpec, len(p.jobs))
@@ -54,8 +68,8 @@ func newIncremental(p *Pipeline, anchor time.Time) *incremental {
 		p:         p,
 		folder:    scope.NewFolder(anchor, scope.Every10Min, specs, p.cfg.Tracer),
 		folded:    make(map[string]map[int]bool),
-		minWin:    math.MinInt64,
 		foldedCtr: reg.Counter("dsa.fold.extents_folded"),
+		lateCtr:   reg.Counter("dsa.fold.late_records"),
 	}
 	reg.GaugeFunc("dsa.fold.backlog", func() int64 { return int64(inc.backlog()) })
 	return inc
@@ -73,52 +87,33 @@ func (inc *incremental) rearm(anchor time.Time) {
 	}
 }
 
-// foldPassLocked folds every extent sealed since the last pass, decoding on
-// every core as the scan engine does: the extents are dealt to one lane per
-// core, lane 0 being the folder itself and the others forks it absorbs when
-// the pass ends, so a pass over a single extent — the scheduled job's usual
-// find — forks nothing. A cycle that catches up on a whole window must not
-// do it on one core: besides the wall time, a phase that runs alone keeps
-// its pace when the box slows down under load on every core, and that is
-// the machine speed bench/ samples and normalizes timings by — a serial
-// pass makes its rates spread wider from run to run than the driver can
-// resolve.
-//
-// An unreadable extent (every replica down, or its stream aged out after
-// the journal snapshot) is left unfolded and holds the cursor at its event:
-// the next pass retries it — a deleted stream's events are compacted out of
-// the journal by then — and skips what this one folded past it; meanwhile
-// the tail scan surfaces the read error, or the deletion, exactly as a full
-// scan would.
-func (inc *incremental) foldPassLocked() {
+// foldInto folds the named extents into dst, decoding on every core as the
+// scan engine does: the extents are dealt to one lane per core, lane 0 being
+// dst itself and the others forks it absorbs at the end, so a single extent —
+// the scheduled fold job's usual find — forks nothing. A cycle that catches
+// up on a whole window must not do it on one core: besides the wall time, a
+// phase that runs alone keeps its pace when the box slows down under load on
+// every core, and that is the machine speed bench/ samples and normalizes
+// timings by — a serial pass makes its rates spread wider from run to run than
+// the driver can resolve. It returns, per extent, the error that kept it from
+// being read; such an extent is not folded.
+func (inc *incremental) foldInto(dst *scope.Folder, exts []scope.Extent, now time.Time) []error {
 	store := inc.p.cfg.Store
-	prefix := inc.p.cfg.StreamPrefix
-	now := inc.p.cfg.Clock.Now()
-	var evs []cosmos.SealEvent
-	next := store.VisitSealed(inc.cursor.Load(), func(ev cosmos.SealEvent) {
-		if strings.HasPrefix(ev.Stream, prefix) && !inc.folded[ev.Stream][ev.Index] {
-			evs = append(evs, ev)
-		}
-	})
-	if len(evs) == 0 {
-		inc.cursor.Store(next)
-		return
+	lanes := []*scope.Folder{dst}
+	for len(lanes) < min(runtime.NumCPU(), len(exts)) {
+		lanes = append(lanes, dst.Fork())
 	}
-	lanes := []*scope.Folder{inc.folder}
-	for len(lanes) < min(runtime.NumCPU(), len(evs)) {
-		lanes = append(lanes, inc.folder.Fork())
-	}
-	unread := make([]bool, len(evs))
+	errs := make([]error, len(exts))
 	var dealt atomic.Int64
 	var wg sync.WaitGroup
 	for _, lane := range lanes {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := int(dealt.Add(1)) - 1; i < len(evs); i = int(dealt.Add(1)) - 1 {
-				data, err := store.ReadExtent(evs[i].Stream, evs[i].Index)
+			for i := int(dealt.Add(1)) - 1; i < len(exts); i = int(dealt.Add(1)) - 1 {
+				data, err := store.ReadExtent(exts[i].Stream, exts[i].Index)
 				if err != nil {
-					unread[i] = true
+					errs[i] = err
 					continue
 				}
 				lane.FoldExtent(data, now)
@@ -127,12 +122,41 @@ func (inc *incremental) foldPassLocked() {
 	}
 	wg.Wait()
 	for _, fork := range lanes[1:] {
-		inc.folder.Absorb(fork)
+		dst.Absorb(fork)
 	}
+	return errs
+}
+
+// foldPassLocked folds every extent sealed since the last pass into the
+// resident partials.
+//
+// An unreadable extent (every replica down, or its stream aged out after
+// the journal snapshot) is left unfolded and holds the cursor at its event:
+// the next pass retries it — a deleted stream's events are compacted out of
+// the journal by then — and skips what this one folded past it; meanwhile
+// the cycle's tail pass surfaces the read error, or the deletion, exactly as
+// a full scan would.
+func (inc *incremental) foldPassLocked(now time.Time) {
+	prefix := inc.p.cfg.StreamPrefix
+	var evs []cosmos.SealEvent
+	var exts []scope.Extent
+	next := inc.p.cfg.Store.VisitSealed(inc.cursor.Load(), func(ev cosmos.SealEvent) {
+		if strings.HasPrefix(ev.Stream, prefix) && !inc.folded[ev.Stream][ev.Index] {
+			evs = append(evs, ev)
+			exts = append(exts, scope.Extent{Stream: ev.Stream, Index: ev.Index})
+		}
+	})
+	if len(evs) == 0 {
+		inc.cursor.Store(next)
+		return
+	}
+	late := inc.folder.Late()
+	errs := inc.foldInto(inc.folder, exts, now)
+	inc.lateCtr.Add(int64(inc.folder.Late() - late))
 	// Backwards, so that next ends on the first unreadable event.
 	for i := len(evs) - 1; i >= 0; i-- {
 		ev := evs[i]
-		if unread[i] {
+		if errs[i] != nil {
 			next = ev.Seq
 			continue
 		}
@@ -172,61 +196,98 @@ func (inc *incremental) tailExtents() []scope.Extent {
 	return out
 }
 
-// assemble produces one job's Result for window win: the folded partial
-// (deep-copied — the live partial keeps folding after the cycle) plus the
-// tail scan over the unfolded extents.
-func (inc *incremental) assemble(spec scope.FoldSpec, win int64, from, to time.Time, tail []scope.Extent) (*scope.Result, error) {
+// assemble produces one job's Result from its windows [lo, hi): the folded
+// partials (deep-copied — the live ones keep folding after the cycle) plus
+// what the cycle's tail pass folded of the unfolded extents.
+func (inc *incremental) assemble(spec string, lo, hi int64, tail *scope.Folder) *scope.Result {
 	merged := scope.NewPartial()
-	if part := inc.folder.Partial(spec.Name, win); part != nil {
-		merged.Merge(part)
-	}
-	tailRes, err := inc.p.engine.RunExtents(inc.p.windowJob(spec, from, to), tail)
-	if err != nil {
-		return nil, err
+	for win := lo; win < hi; win++ {
+		if part := inc.folder.Partial(spec, win); part != nil {
+			merged.Merge(part)
+		}
 	}
 	res := &scope.Result{
 		Groups:  merged.Groups,
-		Records: merged.Records + tailRes.Records,
-		Traces:  tailRes.Traces,
+		Records: merged.Records,
 		// Scanned/ParseErrors are window-free, so the folder's running
 		// totals plus the tail's match what one full scan would count.
-		Scanned:     inc.folder.Scanned() + tailRes.Scanned,
-		ParseErrors: inc.folder.ParseErrors() + tailRes.ParseErrors,
+		Scanned:     inc.folder.Scanned() + tail.Scanned(),
+		ParseErrors: inc.folder.ParseErrors() + tail.ParseErrors(),
 	}
-	for k, st := range tailRes.Groups {
-		if cur, ok := res.Groups[k]; ok {
-			cur.Merge(st)
-		} else {
-			res.Groups[k] = st
+	for win := lo; win < hi; win++ {
+		part := tail.Partial(spec, win)
+		if part == nil {
+			continue
+		}
+		res.Records += part.Records
+		for k, st := range part.Groups { // the tail folder is the cycle's own: no copy
+			if cur, ok := res.Groups[k]; ok {
+				cur.Merge(st)
+			} else {
+				res.Groups[k] = st
+			}
 		}
 	}
-	return res, nil
+	return res
 }
 
-// serve assembles one result per 10-minute job for [from, to) from folded
-// partials. served is false when [from, to) is not exactly one grid window
-// that is still retained; the caller then scans the window in full.
-func (inc *incremental) serve(cy *cycleTrace, from, to time.Time) (results []*scope.Result, served bool, err error) {
-	inc.passMu.Lock()
-	defer inc.passMu.Unlock()
-	win, ok := inc.folder.Aligned(from, to)
-	if !ok || win < inc.minWin {
-		return nil, false, nil
-	}
-	inc.foldPassLocked() // the folded set must be complete at snapshot
-	tail := inc.tailExtents()
-	if tids := inc.folder.TakeTraces(); len(tids) > 0 {
-		cy.observe(&scope.Result{Traces: tids})
-	}
-	results = make([]*scope.Result, len(inc.p.jobs))
+// boundHoursLocked drops the hour partials that have aged out of the
+// hoursKept ending at now. It runs before every fold pass, so the bound holds
+// — and what arrives for an aged-out hour is counted late — whatever cycles
+// run.
+func (inc *incremental) boundHoursLocked(now time.Time) {
 	for i := range inc.p.jobs {
-		if results[i], err = inc.assemble(inc.p.jobs[i].spec, win, from, to, tail); err != nil {
-			return nil, true, err
+		if job := &inc.p.jobs[i]; job.kind != Cycle10Min {
+			name := job.spec.Name
+			inc.folder.DropWindowsBefore(name, inc.folder.WindowOf(name, now)-(hoursKept-1))
 		}
 	}
-	// Published windows are never re-read; drop everything below this one.
-	inc.folder.DropWindowsBefore(win)
-	inc.minWin = win
+}
+
+// serve assembles one result per job for [from, to) from folded partials.
+// served is false when some job cannot serve the span — it is not a whole
+// number of the job's windows on the grid, or reaches below what the job
+// still retains; the caller then scans the span in full.
+//
+// The extents not yet folded — the open tails — are decoded once per cycle,
+// for all of the cycle's jobs, by a folder of the cycle's own that is thrown
+// away afterwards: they still grow, so nothing of them may stay.
+func (inc *incremental) serve(cy *cycleTrace, kind string, jobs []*cycleJob, from, to time.Time) (results []*scope.Result, served bool, err error) {
+	inc.passMu.Lock()
+	defer inc.passMu.Unlock()
+	now := inc.p.cfg.Clock.Now()
+	inc.boundHoursLocked(now)
+	type span struct{ lo, hi int64 }
+	spans := make([]span, len(jobs))
+	specs := make([]scope.FoldSpec, len(jobs))
+	for i, job := range jobs {
+		lo, hi, ok := inc.folder.Span(job.spec.Name, from, to)
+		if !ok {
+			return nil, false, nil
+		}
+		spans[i], specs[i] = span{lo, hi}, job.spec
+	}
+	inc.foldPassLocked(now) // the folded set must be complete at snapshot
+	exts := inc.tailExtents()
+	tail := scope.NewFolder(inc.folder.Anchor, inc.folder.Window, specs, inc.p.cfg.Tracer)
+	for i, err := range inc.foldInto(tail, exts, now) {
+		if err != nil {
+			return nil, true, fmt.Errorf("dsa: %s cycle: extent %d of %s: %w", kind, exts[i].Index, exts[i].Stream, err)
+		}
+	}
+	cy.observe(&scope.Result{Traces: append(inc.folder.TakeTraces(), tail.TakeTraces()...)})
+	results = make([]*scope.Result, len(jobs))
+	for i, job := range jobs {
+		results[i] = inc.assemble(job.spec.Name, spans[i].lo, spans[i].hi, tail)
+		// What was published is not read from partials again; see the
+		// retention rule on incremental.
+		switch kind {
+		case Cycle10Min:
+			inc.folder.DropWindowsBefore(job.spec.Name, spans[i].hi-1)
+		case Cycle1Hour:
+			inc.folder.DropWindowsBefore(job.spec.Name, spans[i].hi)
+		}
+	}
 	return results, true, nil
 }
 
@@ -234,8 +295,10 @@ func (inc *incremental) serve(cy *cycleTrace, from, to time.Time) (results []*sc
 // exported for tests and manual control.
 func (p *Pipeline) FoldNow() {
 	p.inc.passMu.Lock()
-	p.inc.foldPassLocked()
-	p.inc.passMu.Unlock()
+	defer p.inc.passMu.Unlock()
+	now := p.cfg.Clock.Now()
+	p.inc.boundHoursLocked(now)
+	p.inc.foldPassLocked(now)
 }
 
 // ShardLag is the fold tier's state, for /health and the fold-lag

@@ -3,6 +3,8 @@ package dsa
 import (
 	"fmt"
 	"math/rand"
+	"net/netip"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -11,18 +13,21 @@ import (
 
 	"pingmesh/internal/agent"
 	"pingmesh/internal/analysis"
+	"pingmesh/internal/blackhole"
 	"pingmesh/internal/core"
 	"pingmesh/internal/cosmos"
 	"pingmesh/internal/fleet"
 	"pingmesh/internal/netsim"
 	"pingmesh/internal/probe"
+	"pingmesh/internal/scope"
 	"pingmesh/internal/simclock"
 	"pingmesh/internal/topology"
 )
 
-// diffFixture is one hour of probes from a two-DC fleet (with one podset
-// degraded so alerts fire), kept as encoded batches so trials can replay
-// them in randomized upload orders.
+// diffFixture is two hours of probes from a two-DC fleet (with one podset
+// degraded so alerts fire, and a ToR that starts black-holing in the second
+// hour so the daily detection has a candidate and the two hours differ), kept
+// as encoded batches so trials can replay them in randomized upload orders.
 type diffFixture struct {
 	top        *topology.Topology
 	services   []*analysis.Service
@@ -74,7 +79,7 @@ func buildDiffFixture(t *testing.T) *diffFixture {
 	accs := make([]*agent.SketchAccumulator, top.NumServers())
 	raw := make([][diffWindows][]probe.Record, top.NumServers())
 	runner := &fleet.Runner{Net: n, Lists: lists, Seed: 21}
-	err = runner.Run(t0, t0.Add(time.Hour), func(src topology.ServerID, recs []probe.Record) {
+	sink := func(src topology.ServerID, recs []probe.Record) {
 		if accs[src] == nil {
 			accs[src] = agent.NewSketchAccumulator(top.Server(src).Addr, 10*time.Minute)
 		}
@@ -100,9 +105,15 @@ func buildDiffFixture(t *testing.T) *diffFixture {
 			perSrc[src] = append(perSrc[src], probe.EncodeBatch(recs[:n]))
 			recs = recs[n:]
 		}
-	})
-	if err != nil {
-		t.Fatal(err)
+	}
+	for h := 0; h < diffHours; h++ {
+		if h == 1 {
+			n.AddBlackhole(top.ToRs(1)[1], netsim.Blackhole{MatchFraction: 0.1})
+		}
+		from, to := hour(h)
+		if err := runner.Run(from, to, sink); err != nil {
+			t.Fatal(err)
+		}
 	}
 	failed, slow := 0, 0
 	for src, batches := range perSrc {
@@ -130,8 +141,12 @@ func buildDiffFixture(t *testing.T) *diffFixture {
 
 const diffStream = "pingmesh/2026-07-01"
 
-// diffWindows is the fixture's hour in 10-minute cycles.
-const diffWindows = 6
+// The fixture's span, in hours and in 10-minute cycles: two hours, so that a
+// daily cycle merges more than one hour partial.
+const (
+	diffHours   = 2
+	diffWindows = 6 * diffHours
+)
 
 // newStore returns an empty store with small extents, so the fixture
 // seals many of them.
@@ -164,11 +179,17 @@ func (fx *diffFixture) inOrder() []int {
 
 func (fx *diffFixture) newPipe(t *testing.T, store *cosmos.Store) *Pipeline {
 	t.Helper()
+	return fx.newPipeOn(t, store, simclock.NewSim(t0))
+}
+
+func (fx *diffFixture) newPipeOn(t *testing.T, store *cosmos.Store, clock simclock.Clock) *Pipeline {
+	t.Helper()
 	pipe, err := New(Config{
-		Store:    store,
-		Top:      fx.top,
-		Clock:    simclock.NewSim(t0),
-		Services: fx.services,
+		Store:           store,
+		Top:             fx.top,
+		Clock:           clock,
+		Services:        fx.services,
+		BlackholeConfig: blackhole.Config{PairFailureRate: 0.3, VictimPairFraction: 0.05},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -176,17 +197,21 @@ func (fx *diffFixture) newPipe(t *testing.T, store *cosmos.Store) *Pipeline {
 	return pipe
 }
 
-// oracleCycle publishes [from, to) through the scan executor — one
-// scope.Engine.Run per entry of the job table — whether or not the window
-// is on the grid: the reference the fold tier is compared against.
-func oracleCycle(t *testing.T, p *Pipeline, from, to time.Time) {
+// oracleCycle publishes one cycle of the cadence over [from, to) through
+// the scan executor — one scope.Engine.Run per entry of the job table —
+// whether or not the span is on the grid: the reference the fold tier is
+// compared against.
+func oracleCycle(t *testing.T, p *Pipeline, kind string, from, to time.Time) {
 	t.Helper()
 	cy := p.beginCycle()
-	results, err := p.scanJobs(from, to)
+	jobs := p.jobsOf(kind)
+	results, err := p.scanJobs(jobs, from, to)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.publishTenMinute(&cy, results, from, to)
+	if err := p.publish(&cy, kind, jobs, results, from, to); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func window(w int) (from, to time.Time) {
@@ -194,29 +219,63 @@ func window(w int) (from, to time.Time) {
 	return from, from.Add(10 * time.Minute)
 }
 
+func hour(h int) (from, to time.Time) {
+	from = t0.Add(time.Duration(h) * time.Hour)
+	return from, from.Add(time.Hour)
+}
+
 func offGridRescans(p *Pipeline) int64 { return p.JobMetrics()["dsa.cycle.offgrid_rescans"] }
 
-// renderReports renders the pipeline's SLA and alert rows canonically
-// (sorted; map iteration randomizes insertion order in both pipelines).
+// renderReports renders everything the pipeline has published canonically
+// (sorted; map iteration randomizes insertion order in both pipelines): every
+// row of every report table and every cell of every DC's latest heatmap.
 func renderReports(t *testing.T, p *Pipeline) string {
 	t.Helper()
 	var lines []string
-	slaRows, err := p.DB().Query(TableSLA)
-	if err != nil {
-		t.Fatal(err)
+	for _, tab := range []struct {
+		name string
+		cols []string
+	}{
+		{TableSLA, []string{"scope", "window_start", "window_end", "probes", "p50", "p99", "drop_rate", "failure_rate"}},
+		{TableAlerts, []string{"scope", "at", "reason", "drop_rate", "p99"}},
+		{TablePatterns, []string{"dc", "window_start", "pattern", "podset"}},
+		{TableDropRates, []string{"dc", "class", "window_start", "probes", "drop_rate"}},
+		{TableBlackholes, []string{"tor", "score", "window_start"}},
+	} {
+		rows, err := p.DB().Query(tab.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rows {
+			line := tab.name
+			for _, c := range tab.cols {
+				line += fmt.Sprintf("|%v", r[c])
+			}
+			lines = append(lines, line)
+		}
 	}
-	for _, r := range slaRows {
-		lines = append(lines, fmt.Sprintf("sla|%v|%v|%v|%v|%v|%v|%v|%v",
-			r["scope"], r["window_start"], r["window_end"], r["probes"],
-			r["p50"], r["p99"], r["drop_rate"], r["failure_rate"]))
+	for dc, hm := range p.Heatmaps() {
+		for i, row := range hm.Heatmap.Cells {
+			for j, cell := range row {
+				lines = append(lines, fmt.Sprintf("heatmap|%s|%v|%v|%d|%d|%v|%v|%d",
+					dc, hm.From, hm.To, i, j, cell.HasData, cell.P99, cell.Probes))
+			}
+		}
 	}
-	alertRows, err := p.DB().Query(TableAlerts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range alertRows {
-		lines = append(lines, fmt.Sprintf("alert|%v|%v|%v|%v|%v",
-			r["scope"], r["at"], r["reason"], r["drop_rate"], r["p99"]))
+	sort.Strings(lines)
+	return strings.Join(lines, "\n")
+}
+
+// renderResults renders one result per job group by group: the aggregate
+// level, where a single missing or doubled record shows even if no report
+// row moves.
+func renderResults(jobs []*cycleJob, results []*scope.Result) string {
+	var lines []string
+	for i, res := range results {
+		for k, st := range res.Groups {
+			lines = append(lines, fmt.Sprintf("%s|%x|%d|%d|%d|%v|%v|%v", jobs[i].spec.Name, k,
+				st.Total(), st.Success(), st.Failed(), st.DropRate(), st.Percentile(0.5), st.Percentile(0.99)))
+		}
 	}
 	sort.Strings(lines)
 	return strings.Join(lines, "\n")
@@ -226,8 +285,9 @@ func renderReports(t *testing.T, p *Pipeline) string {
 // for randomized upload orders, with uploads, fold passes and cycles
 // interleaved so that every cycle sees folded extents, sealed-but-unfolded
 // extents, an open tail and late records for already published windows,
-// 10-minute cycles served from folded partials produce report rows
-// byte-identical to the scan executor over the same store state.
+// cycles of all three cadences served from folded partials produce report
+// rows — SLA, alerts, patterns, heatmap cells, drop rates, black-hole
+// candidates — byte-identical to the scan executor over the same store state.
 //
 // It holds for both upload encodings of the fixture's records, and with
 // everything uploaded the two encodings publish the same rows: a fleet
@@ -251,9 +311,9 @@ func TestIncrementalMatchesFullScanDifferential(t *testing.T) {
 	}
 }
 
-// foldedReports uploads every batch, folds, publishes the hour's six
-// cycles from the partials and returns the rendered rows and the bytes
-// uploaded.
+// foldedReports uploads every batch, folds, publishes the fixture's cycles
+// at every cadence from the partials and returns the rendered rows and the
+// bytes uploaded.
 func (fx *diffFixture) foldedReports(t *testing.T) (reports string, uploaded int) {
 	t.Helper()
 	store := fx.newStore(t)
@@ -264,6 +324,15 @@ func (fx *diffFixture) foldedReports(t *testing.T) (reports string, uploaded int
 		if err := pipe.RunTenMinute(from, to); err != nil {
 			t.Fatal(err)
 		}
+	}
+	for h := 0; h < diffHours; h++ {
+		from, to := hour(h)
+		if err := pipe.RunHourly(from, to); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := pipe.RunDaily(t0, t0.Add(diffHours*time.Hour)); err != nil {
+		t.Fatal(err)
 	}
 	if lag, n := pipe.ShardLags()[0], offGridRescans(pipe); lag.Folded == 0 || n != 0 {
 		t.Fatalf("rows not served from folds: %d extents folded, %d re-scans", lag.Folded, n)
@@ -282,6 +351,9 @@ func testIncrementalMatchesScan(t *testing.T, fx *diffFixture) {
 		pipe := fx.newPipe(t, store)
 		ref := fx.newPipe(t, store)
 
+		// Each window's share of the shuffled batches holds records of every
+		// window, so every cycle after the first also sees records for
+		// windows and hours it has already published.
 		for w := 0; w < diffWindows; w++ {
 			share := order[w*len(order)/diffWindows : (w+1)*len(order)/diffWindows]
 			cut := rng.Intn(len(share) + 1)
@@ -292,16 +364,45 @@ func testIncrementalMatchesScan(t *testing.T, fx *diffFixture) {
 			if err := pipe.RunTenMinute(from, to); err != nil {
 				t.Fatal(err)
 			}
-			oracleCycle(t, ref, from, to)
+			oracleCycle(t, ref, Cycle10Min, from, to)
+			if (w+1)%6 == 0 {
+				from, to := hour(w / 6)
+				if err := pipe.RunHourly(from, to); err != nil {
+					t.Fatal(err)
+				}
+				oracleCycle(t, ref, Cycle1Hour, from, to)
+			}
 		}
+		// The day's partials are never dropped by a cycle, so the daily jobs
+		// can also be compared group by group before they publish.
+		day := t0.Add(diffHours * time.Hour)
+		daily := pipe.jobsOf(Cycle1Day)
+		cy := pipe.beginCycle()
+		got, served, err := pipe.inc.serve(&cy, Cycle1Day, daily, t0, day)
+		if err != nil || !served {
+			t.Fatalf("trial %d: daily jobs not served from partials (served %v, err %v)", trial, served, err)
+		}
+		want, err := ref.scanJobs(ref.jobsOf(Cycle1Day), t0, day)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := renderResults(daily, got), renderResults(daily, want); got != want {
+			t.Fatalf("trial %d: daily aggregates differ from the scan\nwant:\n%s\ngot:\n%s", trial, want, got)
+		}
+		if err := pipe.RunDaily(t0, day); err != nil {
+			t.Fatal(err)
+		}
+		oracleCycle(t, ref, Cycle1Day, t0, day)
 
-		want := renderReports(t, ref)
-		if !strings.Contains(want, "sla|dc/DC1") || !strings.Contains(want, "sla|interdc/") ||
-			!strings.Contains(want, "sla|service/search") || !strings.Contains(want, "alert|") {
-			t.Fatalf("reference reports not exercising all row families:\n%s", want)
+		wantRows := renderReports(t, ref)
+		for _, family := range []string{"sla|dc/DC1", "sla|interdc/", "sla|service/search", "sla|pod/", "alerts|",
+			"patterns|DC2", "heatmap|DC1", "drop_rates|DC1|intra-pod", "drop_rates|DC2|inter-dc", "blackholes|"} {
+			if !strings.Contains(wantRows, family) {
+				t.Fatalf("reference reports have no %q row:\n%s", family, wantRows)
+			}
 		}
-		if got := renderReports(t, pipe); got != want {
-			t.Fatalf("trial %d: incremental reports differ from the scan\nwant:\n%s\ngot:\n%s", trial, want, got)
+		if gotRows := renderReports(t, pipe); gotRows != wantRows {
+			t.Fatalf("trial %d: incremental reports differ from the scan\nwant:\n%s\ngot:\n%s", trial, wantRows, gotRows)
 		}
 		lag := pipe.ShardLags()[0]
 		if lag.Folded == 0 || lag.Backlog != 0 {
@@ -310,42 +411,297 @@ func testIncrementalMatchesScan(t *testing.T, fx *diffFixture) {
 		if n := offGridRescans(pipe); n != 0 {
 			t.Fatalf("trial %d: %d aligned cycles were re-scanned", trial, n)
 		}
+		if n := pipe.JobMetrics()["dsa.fold.late_records"]; n == 0 {
+			t.Fatalf("trial %d: shuffled uploads folded no late record", trial)
+		}
 	}
 }
 
-// TestIncrementalFallsBackOffGrid pins the fallback contract: a window that
-// is not one grid-aligned fold window, or one whose partials were already
-// dropped, is served by the scan, counted in dsa.cycle.offgrid_rescans, and
-// matches the oracle exactly.
+// TestIncrementalFallsBackOffGrid pins the fallback contract at every
+// cadence: a span that is not a whole number of the cadence's windows on the
+// grid, or that reaches partials already dropped — a published 10-minute
+// window, a published hour, an hour older than the daily jobs retain — is
+// served by the scan, counted in dsa.cycle.offgrid_rescans, and matches the
+// oracle exactly.
 func TestIncrementalFallsBackOffGrid(t *testing.T) {
 	fx := buildDiffFixture(t)
 	store := fx.newStore(t)
 	fx.upload(t, store, fx.inOrder())
-	pipe := fx.newPipe(t, store)
+	clock := simclock.NewSim(t0)
+	pipe := fx.newPipeOn(t, store, clock)
 	ref := fx.newPipe(t, store)
 
-	// The full hour is 6 windows wide: off-grid for the 10-minute folder.
-	if err := pipe.RunTenMinute(t0, t0.Add(time.Hour)); err != nil {
+	var rescans int64
+	run := func(what, kind string, from, to time.Time, fallsBack bool) {
+		t.Helper()
+		if err := pipe.runCycle(kind, from, to); err != nil {
+			t.Fatal(err)
+		}
+		oracleCycle(t, ref, kind, from, to)
+		if fallsBack {
+			rescans++
+		}
+		if n := offGridRescans(pipe); n != rescans {
+			t.Fatalf("%s: %d rescans counted, want %d", what, n, rescans)
+		}
+	}
+	w1From, w1To := window(1)
+	w3From, w3To := window(3)
+	h0From, h0To := hour(0)
+	h1From, h1To := hour(1)
+	day := t0.Add(diffHours * time.Hour)
+
+	run("10-minute span off the grid", Cycle10Min, t0.Add(5*time.Minute), t0.Add(15*time.Minute), true)
+	run("a window and a half", Cycle10Min, t0, t0.Add(15*time.Minute), true)
+	if folded := pipe.ShardLags()[0].Folded; folded != 0 {
+		t.Fatalf("cycles that fell back folded %d extents", folded)
+	}
+	// Publishing window 3 drops the partials of windows 0-2.
+	run("window 3", Cycle10Min, w3From, w3To, false)
+	run("window 1 after window 3", Cycle10Min, w1From, w1To, true)
+
+	run("an hour off the hour grid", Cycle1Hour, t0.Add(10*time.Minute), t0.Add(70*time.Minute), true)
+	run("half an hour", Cycle1Hour, t0, t0.Add(30*time.Minute), true)
+	run("hour 0", Cycle1Hour, h0From, h0To, false)
+	run("hour 0 again, its partials dropped once published", Cycle1Hour, h0From, h0To, true)
+	run("hours 0-1 after hour 0", Cycle1Hour, t0, day, true)
+
+	run("a day off the hour grid", Cycle1Day, t0.Add(10*time.Minute), day, true)
+	run("the two-hour day", Cycle1Day, t0, day, false)
+	run("the same day again: daily partials outlive a cycle", Cycle1Day, t0, day, false)
+	// 25 hours on, hour 0 has aged out of what the daily jobs retain.
+	clock.AdvanceTo(t0.Add(hoursKept * time.Hour))
+	run("a day reaching below the retained hours", Cycle1Day, t0, day, true)
+	run("hour 1 alone, still retained", Cycle1Day, h1From, h1To, false)
+
+	if got, want := renderReports(t, pipe), renderReports(t, ref); got != want {
+		t.Fatalf("off-grid cycles diverged\nwant:\n%s\ngot:\n%s", want, got)
+	}
+}
+
+// lateMatters reports whether some job that drops its partials on publish
+// aggregates r: the SLA and pod-pair jobs take probes without payload, and
+// the inter-DC SLA job takes every inter-DC probe.
+func lateMatters(r *probe.Record) bool { return r.PayloadLen == 0 || r.Class == probe.InterDC }
+
+// TestLateRecordsAreCounted: a batch uploaded for a window whose 10-minute
+// rows and whose hour are already published is counted in
+// dsa.fold.late_records when it is folded, changes no published row, still
+// reaches the daily jobs (which retain its hour), and is in the rows of a
+// re-run of its window — by the scan, since the partials are gone.
+func TestLateRecordsAreCounted(t *testing.T) {
+	fx := buildDiffFixture(t)
+	store, err := cosmos.NewStore(3, cosmos.Config{ExtentSize: 1}) // every batch seals its own extent
+	if err != nil {
 		t.Fatal(err)
 	}
-	oracleCycle(t, ref, t0, t0.Add(time.Hour))
-	if n, folded := offGridRescans(pipe), pipe.ShardLags()[0].Folded; n != 1 || folded != 0 {
-		t.Fatalf("off-grid hour: %d rescans counted, %d extents folded; want 1 and 0", n, folded)
+	// The late batch: the first whose records all lie in window 0 and matter
+	// to a job that has published by then.
+	late, lateRecords := -1, int64(0)
+	_, w0To := window(0)
+	for i, b := range fx.batches {
+		recs, errs := probe.DecodeBatch(b)
+		ok := len(errs) == 0 && len(recs) > 0
+		n := int64(0)
+		for j := range recs {
+			ok = ok && recs[j].Start.Before(w0To)
+			if lateMatters(&recs[j]) {
+				n++
+			}
+		}
+		if ok && n > 0 {
+			late, lateRecords = i, n
+			break
+		}
 	}
-
-	// Publishing window 3 drops the partials of windows 0-2.
-	for _, w := range []int{3, 1} {
+	if late < 0 {
+		t.Fatal("fixture has no batch confined to window 0")
+	}
+	var rest []int
+	for i := range fx.batches {
+		if i != late {
+			rest = append(rest, i)
+		}
+	}
+	fx.upload(t, store, rest)
+	pipe := fx.newPipe(t, store)
+	for _, w := range []int{0, 1} {
 		from, to := window(w)
 		if err := pipe.RunTenMinute(from, to); err != nil {
 			t.Fatal(err)
 		}
-		oracleCycle(t, ref, from, to)
 	}
-	if n := offGridRescans(pipe); n != 2 {
-		t.Fatalf("%d rescans counted after a dropped window, want 2", n)
+	h0From, h0To := hour(0)
+	if err := pipe.RunHourly(h0From, h0To); err != nil {
+		t.Fatal(err)
 	}
-	if got, want := renderReports(t, pipe), renderReports(t, ref); got != want {
-		t.Fatalf("off-grid windows diverged\nwant:\n%s\ngot:\n%s", want, got)
+	if n := pipe.JobMetrics()["dsa.fold.late_records"]; n != 0 {
+		t.Fatalf("dsa.fold.late_records = %d before anything arrived late", n)
+	}
+	published := renderReports(t, pipe)
+
+	fx.upload(t, store, []int{late})
+	pipe.FoldNow()
+	if n := pipe.JobMetrics()["dsa.fold.late_records"]; n != lateRecords {
+		t.Fatalf("dsa.fold.late_records = %d after a late batch of %d records that matter", n, lateRecords)
+	}
+	if got := renderReports(t, pipe); got != published {
+		t.Fatalf("a late batch changed published rows\nbefore:\n%s\nafter:\n%s", published, got)
+	}
+
+	// Not lost: the daily jobs fold it, and a re-run of window 0 scans it.
+	ref := fx.newPipe(t, store)
+	for _, table := range []string{TableSLA, TableAlerts, TablePatterns} {
+		if err := pipe.DB().Truncate(table); err != nil {
+			t.Fatal(err)
+		}
+	}
+	day := t0.Add(diffHours * time.Hour)
+	if err := pipe.RunDaily(t0, day); err != nil {
+		t.Fatal(err)
+	}
+	oracleCycle(t, ref, Cycle1Day, t0, day)
+	if n := offGridRescans(pipe); n != 0 {
+		t.Fatalf("the daily cycle was re-scanned (%d)", n)
+	}
+	w0From, _ := window(0)
+	if err := pipe.RunTenMinute(w0From, w0To); err != nil {
+		t.Fatal(err)
+	}
+	oracleCycle(t, ref, Cycle10Min, w0From, w0To)
+	if n := offGridRescans(pipe); n != 1 {
+		t.Fatalf("%d rescans after re-running a dropped window, want 1", n)
+	}
+	// The heatmaps of the hourly cycle are on pipe only.
+	got, want := renderReports(t, pipe), renderReports(t, ref)
+	var gotRows []string
+	for _, line := range strings.Split(got, "\n") {
+		if !strings.HasPrefix(line, "heatmap|") {
+			gotRows = append(gotRows, line)
+		}
+	}
+	if got = strings.Join(gotRows, "\n"); got != want {
+		t.Fatalf("rows with the late batch differ from the scan\nwant:\n%s\ngot:\n%s", want, got)
+	}
+}
+
+// TestDailyPartialsBoundedWithoutDailyCycle folds thirty hours of uploads,
+// the clock moving with them, and never runs an hourly or a daily cycle: each
+// of their jobs must still hold no more than hoursKept hour partials, and
+// what then arrives for an aged-out hour is late.
+func TestDailyPartialsBoundedWithoutDailyCycle(t *testing.T) {
+	fx := buildDiffFixture(t)
+	store, err := cosmos.NewStore(3, cosmos.Config{ExtentSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock := simclock.NewSim(t0)
+	pipe := fx.newPipeOn(t, store, clock)
+	src, dst := fx.top.Server(0).Addr, fx.top.Server(1).Addr
+	upload := func(at time.Time) {
+		t.Helper()
+		rec := probe.Record{Start: at, Src: src, Dst: dst, DstPort: 80, Class: probe.IntraPod, RTT: 300 * time.Microsecond}
+		if err := store.Append(cosmos.DailyStream("pingmesh")(at), probe.EncodeBatch([]probe.Record{rec})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const hours = 30
+	for h := 0; h < hours; h++ {
+		at := t0.Add(time.Duration(h)*time.Hour + 30*time.Minute)
+		clock.AdvanceTo(at)
+		upload(at)
+		pipe.FoldNow()
+		for _, job := range append(pipe.jobsOf(Cycle1Hour), pipe.jobsOf(Cycle1Day)...) {
+			resident := 0
+			for w := int64(-1); w <= hours; w++ {
+				if pipe.inc.folder.Partial(job.spec.Name, w) != nil {
+					resident++
+				}
+			}
+			if want := min(h+1, hoursKept); resident != want {
+				t.Fatalf("hour %d: %s holds %d hour partials, want %d", h, job.spec.Name, resident, want)
+			}
+		}
+	}
+	if n := pipe.JobMetrics()["dsa.fold.late_records"]; n != 0 {
+		t.Fatalf("dsa.fold.late_records = %d with uploads on time", n)
+	}
+	upload(t0.Add(30 * time.Minute))
+	pipe.FoldNow()
+	if n := pipe.JobMetrics()["dsa.fold.late_records"]; n != 1 {
+		t.Fatalf("dsa.fold.late_records = %d after one record for an aged-out hour", n)
+	}
+}
+
+// TestServerPairFoldStateIsSmall measures what the tallies-only server-pair
+// job keeps resident per pair per retained hour — the aggregate, its binary
+// key and the map slot — over 20,000 synthetic pairs.
+func TestServerPairFoldStateIsSmall(t *testing.T) {
+	fx := buildDiffFixture(t)
+	pipe := fx.newPipe(t, fx.newStore(t))
+	var spec scope.FoldSpec
+	for _, job := range pipe.jobsOf(Cycle1Day) {
+		if job.spec.Name == "server-pairs" {
+			spec = job.spec
+		}
+	}
+	const pairs = 20000
+	recs := make([]probe.Record, 0, 2*pairs)
+	for i := 0; i < pairs; i++ {
+		r := probe.Record{
+			Start: t0.Add(time.Duration(i) * time.Millisecond),
+			Src:   netip.AddrFrom4([4]byte{10, 1, byte(i >> 8), byte(i)}),
+			Dst:   netip.AddrFrom4([4]byte{10, 2, byte(i >> 8), byte(i)}),
+			RTT:   time.Duration(200+i%500) * time.Microsecond,
+		}
+		failed := r
+		failed.Err = "connect: timeout"
+		recs = append(recs, r, failed)
+	}
+	data := probe.EncodeBatch(recs)
+	folder := scope.NewFolder(t0, scope.Every10Min, []scope.FoldSpec{spec}, nil)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	folder.FoldExtent(data, t0)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	part := folder.Partial(spec.Name, 0)
+	if len(part.Groups) != pairs {
+		t.Fatalf("%d groups, want %d", len(part.Groups), pairs)
+	}
+	for k, st := range part.Groups {
+		if st.Total() != 2 || st.Failed() != 1 || st.Summary().Count != 0 {
+			t.Fatalf("pair %s: total %d, failed %d, histogram count %d", analysis.ServerPairKey(k), st.Total(), st.Failed(), st.Summary().Count)
+		}
+		break
+	}
+	if per := (after.HeapAlloc - before.HeapAlloc) / pairs; per > 200 {
+		t.Fatalf("server-pair fold state is %d B per pair per hour, want <= 200", per)
+	}
+	runtime.KeepAlive(data)
+}
+
+// TestFoldProductionTableZeroAlloc extends scope's TestFoldExtentZeroAlloc
+// to the job table the pipeline runs: once an extent's groups exist and their
+// sparse runs have reached their size, folding it again — every spec of every
+// cadence, both encodings — allocates nothing (CI tier 3).
+func TestFoldProductionTableZeroAlloc(t *testing.T) {
+	fx := buildDiffFixture(t)
+	pipe := fx.newPipe(t, fx.newStore(t))
+	for name, batches := range map[string][][]byte{"csv": fx.batches, "pmb1": fx.sketched} {
+		var data []byte
+		for _, b := range batches[:40] {
+			data = append(data, b...)
+		}
+		folder := pipe.inc.folder.Fork()
+		folder.FoldExtent(data, t0)
+		if folder.Scanned() == 0 || folder.ParseErrors() != 0 {
+			t.Fatalf("%s: scanned %d records with %d parse errors", name, folder.Scanned(), folder.ParseErrors())
+		}
+		if allocs := testing.AllocsPerRun(10, func() { folder.FoldExtent(data, t0) }); allocs != 0 {
+			t.Fatalf("%s: folding a warm extent through the production job table allocates %.1f times", name, allocs)
+		}
 	}
 }
 
@@ -373,7 +729,7 @@ func TestZeroValueConfigFolds(t *testing.T) {
 	if err := pipe.RunTenMinute(from, to); err != nil {
 		t.Fatal(err)
 	}
-	oracleCycle(t, ref, from, to)
+	oracleCycle(t, ref, Cycle10Min, from, to)
 	if n, folded := offGridRescans(pipe), pipe.ShardLags()[0].Folded; n != 0 || folded == 0 {
 		t.Fatalf("aligned cycle: %d rescans, %d extents folded; want 0 and > 0", n, folded)
 	}
@@ -458,7 +814,7 @@ func TestFoldExactlyOnceUnderConcurrency(t *testing.T) {
 		if err := pipe.RunTenMinute(from, to); err != nil {
 			t.Fatal(err)
 		}
-		oracleCycle(t, ref, from, to)
+		oracleCycle(t, ref, Cycle10Min, from, to)
 	}
 	if n := offGridRescans(pipe); n != 0 {
 		t.Fatalf("%d aligned cycles were re-scanned", n)
@@ -468,42 +824,74 @@ func TestFoldExactlyOnceUnderConcurrency(t *testing.T) {
 	}
 }
 
+// driveScheduled starts the pipeline's recurring jobs and moves the sim clock
+// through the given number of 10-minute steps. After each step it waits — on
+// the publication hook, not on time — for exactly the cycles that step's
+// instant schedules, then for their jobs to accept the next tick, so no tick
+// is dropped and no verdict depends on how fast the jobs run. It returns how
+// many cycles of each kind were published.
+func driveScheduled(t *testing.T, pipe *Pipeline, clock *simclock.Sim, steps int) map[string]int {
+	t.Helper()
+	// One slot per cycle a step can schedule.
+	events := make(chan string, 3)
+	pipe.SetOnCycle(func(kind string, from, to time.Time) { events <- kind })
+	pipe.Start()
+	defer pipe.Stop()
+	published := map[string]int{}
+	for step := 1; step <= steps; step++ {
+		clock.Advance(10 * time.Minute)
+		want := map[string]int{Cycle10Min: 1}
+		if step%6 == 0 {
+			want[Cycle1Hour] = 1
+		}
+		if step%144 == 0 {
+			want[Cycle1Day] = 1
+		}
+		for n := len(want); n > 0; n-- {
+			select {
+			case kind := <-events:
+				if want[kind] == 0 {
+					t.Fatalf("step %d: unexpected %s cycle", step, kind)
+				}
+				want[kind]--
+				published[kind]++
+			case <-time.After(time.Minute):
+				t.Fatalf("step %d: still waiting for %v; job metrics %v", step, want, pipe.JobMetrics())
+			}
+		}
+		pipe.jm.Wait()
+	}
+	m := pipe.JobMetrics()
+	for _, job := range []string{"fold", "10min", "1hour", "1day"} {
+		if m["scope.job."+job+".errors"] != 0 {
+			t.Fatalf("scheduled %s job failed: %v", job, m)
+		}
+	}
+	for job, kind := range map[string]string{"10min": Cycle10Min, "1hour": Cycle1Hour, "1day": Cycle1Day} {
+		if m["scope.job."+job+".overlap_skipped"] != 0 || m["scope.job."+job+".runs"] != int64(published[kind]) {
+			t.Fatalf("scheduled %s job: %d runs, %d skipped, %d cycles published", job,
+				m["scope.job."+job+".runs"], m["scope.job."+job+".overlap_skipped"], published[kind])
+		}
+	}
+	return published
+}
+
 // TestIncrementalScheduledPipeline drives the pipeline through the job
-// manager on the sim clock: cycles must be served from partials (no
-// residual backlog), publish SLA rows, and surface the fold counter.
+// manager on the sim clock for a full day. Every scheduled cycle — 144
+// ten-minute, 24 hourly, one daily — must be served from partials: the
+// scheduler's [anchor + k*every) grid and the folder's coincide at every
+// cadence, nothing is re-scanned and no backlog is left; and what the
+// scheduled cycles publish equals the scan of the same spans.
 func TestIncrementalScheduledPipeline(t *testing.T) {
-	fx := buildDiffFixture(t)
+	// The sketched encoding: the oracle re-scans the store 600 times.
+	fx := buildDiffFixture(t).asSketched()
 	store := fx.newStore(t)
 	fx.upload(t, store, fx.inOrder())
 	clock := simclock.NewSim(t0)
-	pipe, err := New(Config{
-		Store:    store,
-		Top:      fx.top,
-		Clock:    clock,
-		Services: fx.services,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pipe.Start()
-	defer pipe.Stop()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		clock.Advance(time.Minute)
-		if pipe.JobMetrics()["scope.job.10min.runs"] >= 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("10min job never ran twice: %v", pipe.JobMetrics())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	rows, err := pipe.DB().Query(TableSLA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) == 0 {
-		t.Fatal("scheduled incremental cycles published no SLA rows")
+	pipe := fx.newPipeOn(t, store, clock)
+	published := driveScheduled(t, pipe, clock, 144)
+	if published[Cycle10Min] != 144 || published[Cycle1Hour] != 24 || published[Cycle1Day] != 1 {
+		t.Fatalf("cycles published over a day: %v", published)
 	}
 	counters := pipe.JobMetrics()
 	if counters["dsa.fold.extents_folded"] == 0 {
@@ -514,6 +902,21 @@ func TestIncrementalScheduledPipeline(t *testing.T) {
 	}
 	if pipe.MaxFoldBacklog() != 0 {
 		t.Fatalf("fold backlog %d after cycles", pipe.MaxFoldBacklog())
+	}
+
+	ref := fx.newPipe(t, store)
+	for w := 0; w < 144; w++ {
+		from, to := window(w)
+		oracleCycle(t, ref, Cycle10Min, from, to)
+		if (w+1)%6 == 0 {
+			from, to := hour(w / 6)
+			oracleCycle(t, ref, Cycle1Hour, from, to)
+		}
+	}
+	oracleCycle(t, ref, Cycle1Day, t0, t0.Add(24*time.Hour))
+	got, want := renderReports(t, pipe), renderReports(t, ref)
+	if got != want || !strings.Contains(want, "blackholes|") || !strings.Contains(want, "sla|pod/") {
+		t.Fatalf("scheduled cycles diverged from the scan\nwant:\n%s\ngot:\n%s", want, got)
 	}
 }
 
@@ -556,7 +959,7 @@ func TestFoldRetriesUnreadableExtent(t *testing.T) {
 		t.Fatalf("store back: folded %d, backlog %d; want %d and 0", lag.Folded, lag.Backlog, sealed)
 	}
 	ref := fx.newPipe(t, store)
-	oracleCycle(t, ref, from, to)
+	oracleCycle(t, ref, Cycle10Min, from, to)
 	if got, want := renderReports(t, pipe), renderReports(t, ref); got != want {
 		t.Fatalf("rows after the retry differ from the scan\nwant:\n%s\ngot:\n%s", want, got)
 	}
@@ -600,7 +1003,7 @@ func TestFoldSkipsWhatItFoldedPastAnUnreadableExtent(t *testing.T) {
 		t.Fatalf("node back: folded %d, backlog %d; want %d and 0", lag.Folded, lag.Backlog, sealed)
 	}
 	ref := fx.newPipe(t, store)
-	oracleCycle(t, ref, from, to)
+	oracleCycle(t, ref, Cycle10Min, from, to)
 	if got, want := renderReports(t, pipe), renderReports(t, ref); got != want {
 		t.Fatalf("rows differ from the scan\nwant:\n%s\ngot:\n%s", want, got)
 	}

@@ -1,6 +1,8 @@
 package scope
 
 import (
+	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -10,9 +12,9 @@ import (
 )
 
 // FoldSpec is the window-free core of a recurring Job: the filter and
-// grouping of a 10-minute analysis, registered once so every sealed extent
-// can be folded into per-(spec, window) partials as it lands. The cycle
-// then merges partials instead of re-decoding the extent.
+// grouping of an analysis, registered once so every sealed extent can be
+// folded into per-(spec, window) partials as it lands. The cycle then merges
+// partials instead of re-decoding the extent.
 type FoldSpec struct {
 	// Name identifies the spec; it must match the recurring Job.Name the
 	// cycle will assemble results for.
@@ -22,6 +24,12 @@ type FoldSpec struct {
 	// KeyBytes groups records, exactly as Job.KeyBytes (allocation-free
 	// append-style keyer). Required: incremental specs are the hot path.
 	KeyBytes func(dst []byte, r *probe.Record) ([]byte, bool)
+	// Window is the length of the spec's partials: a whole multiple of the
+	// folder's window, on the folder's anchor. Zero means the folder's window.
+	Window time.Duration
+	// TalliesOnly makes the group aggregates analysis.NewTallies: counts and
+	// rates, no histogram. For specs whose consumer never reads a percentile.
+	TalliesOnly bool
 }
 
 // Partial is a mergeable per-(spec, window) partial aggregate: the group
@@ -37,11 +45,22 @@ type Partial struct {
 	// MinStart/MaxStart mark the earliest and latest record Start folded
 	// into this window (zero when Records is 0): the freshness marks.
 	MinStart, MaxStart time.Time
+
+	talliesOnly bool // new groups are tallies-only (FoldSpec.TalliesOnly)
 }
 
 // NewPartial returns an empty partial.
 func NewPartial() *Partial {
 	return &Partial{Groups: make(map[string]*analysis.LatencyStats)}
+}
+
+// newStats returns an empty group aggregate in the form a spec or job asks
+// for.
+func newStats(talliesOnly bool) *analysis.LatencyStats {
+	if talliesOnly {
+		return analysis.NewTallies()
+	}
+	return analysis.NewLatencyStats()
 }
 
 // Merge folds o into p. o is not mutated and shares no state with p
@@ -66,15 +85,20 @@ func (p *Partial) Merge(o *Partial) {
 	}
 }
 
-// observe folds one record's key into the partial. kb is the interned-on-
-// first-sight group key (same idiom as extentSink.process).
-func (p *Partial) observe(kb []byte, r *probe.Record) {
+// group returns the aggregate for kb, the interned-on-first-sight group key
+// (same idiom as extentSink.process).
+func (p *Partial) group(kb []byte) *analysis.LatencyStats {
 	st := p.Groups[string(kb)]
 	if st == nil {
-		st = analysis.NewLatencyStats()
+		st = newStats(p.talliesOnly)
 		p.Groups[string(kb)] = st
 	}
-	st.Add(r)
+	return st
+}
+
+// observe folds one record's key into the partial.
+func (p *Partial) observe(kb []byte, r *probe.Record) {
+	p.group(kb).Add(r)
 	p.Records++
 	if p.MinStart.IsZero() || r.Start.Before(p.MinStart) {
 		p.MinStart = r.Start
@@ -89,12 +113,7 @@ func (p *Partial) observe(kb []byte, r *probe.Record) {
 // per-record replay), and the freshness marks advance by the sketch's
 // exact time range.
 func (p *Partial) observeSketch(kb []byte, sk *probe.Sketch) {
-	st := p.Groups[string(kb)]
-	if st == nil {
-		st = analysis.NewLatencyStats()
-		p.Groups[string(kb)] = st
-	}
-	st.AddSketch(sk)
+	p.group(kb).AddSketch(sk)
 	p.Records += sk.Records()
 	if p.MinStart.IsZero() || sk.MinStart.Before(p.MinStart) {
 		p.MinStart = sk.MinStart
@@ -109,20 +128,29 @@ func (p *Partial) observeSketch(kb []byte, sk *probe.Sketch) {
 // time order, so the cache turns the per-record map lookup into a compare).
 type specState struct {
 	spec    FoldSpec
+	every   int64 // spec window length in folder windows
 	windows map[int64]*Partial
 	curIdx  int64
 	cur     *Partial
+	// floor is the lowest window still retained (DropWindowsBefore): what
+	// folds below it is late — its result is already published — and is
+	// counted instead of aggregated.
+	floor int64
 }
 
-// Folder folds sealed extents into per-(spec, window) partials. Windows
-// are [Anchor+k*Window, Anchor+(k+1)*Window) for integer k. A Folder is
+// noWindow is a window index no record has.
+const noWindow = math.MinInt64
+
+// Folder folds sealed extents into per-(spec, window) partials. A spec's
+// windows are [Anchor+k*W, Anchor+(k+1)*W) for integer k, W being the spec's
+// window length: every cadence shares the one anchor. A Folder is
 // not safe for concurrent use — the DSA pipeline serializes fold passes and
 // cycle reads (which copy via Partial.Merge) under its pass lock, and a
 // pass that decodes on several cores gives every core but one a Fork.
 type Folder struct {
 	// Anchor fixes the window grid origin.
 	Anchor time.Time
-	// Window is the fold window length (the 10-minute DSA cadence).
+	// Window is the base fold window length (the 10-minute DSA cadence).
 	Window time.Duration
 	// Tracer, if non-nil, re-attaches sampled traces exactly as the scan
 	// path does; matched IDs accumulate until TakeTraces.
@@ -136,6 +164,7 @@ type Folder struct {
 	scanned     uint64
 	parseErrors uint64
 	extents     uint64
+	late        uint64
 	lastFold    time.Time
 
 	sc     probe.Scanner
@@ -144,27 +173,42 @@ type Folder struct {
 	traces []trace.TraceID
 }
 
-// NewFolder returns a folder for the given specs.
+// NewFolder returns a folder for the given specs. It panics on a spec whose
+// Window is not a whole multiple of window: the job table is code, not input.
 func NewFolder(anchor time.Time, window time.Duration, specs []FoldSpec, tracer *trace.Tracer) *Folder {
 	f := &Folder{Anchor: anchor, Window: window, Tracer: tracer}
 	for _, sp := range specs {
+		every := int64(1)
+		if sp.Window != 0 {
+			if sp.Window < window || sp.Window%window != 0 {
+				panic(fmt.Sprintf("scope: spec %q window %v is not a multiple of the fold window %v", sp.Name, sp.Window, window))
+			}
+			every = int64(sp.Window / window)
+		}
 		f.specs = append(f.specs, &specState{
 			spec:    sp,
+			every:   every,
 			windows: make(map[int64]*Partial),
-			curIdx:  -1 << 62,
+			curIdx:  noWindow,
+			floor:   noWindow,
 		})
 	}
 	return f
 }
 
-// Fork returns an empty folder on the same grid, specs and tracer: a lane
-// that folds its share of a pass's extents beside f and is then Absorbed.
+// Fork returns an empty folder on the same grid, specs, retention floors and
+// tracer: a lane that folds its share of a pass's extents beside f and is
+// then Absorbed.
 func (f *Folder) Fork() *Folder {
 	specs := make([]FoldSpec, len(f.specs))
 	for i, ss := range f.specs {
 		specs[i] = ss.spec
 	}
-	return NewFolder(f.Anchor, f.Window, specs, f.Tracer)
+	fork := NewFolder(f.Anchor, f.Window, specs, f.Tracer)
+	for i, ss := range f.specs {
+		fork.specs[i].floor = ss.floor
+	}
+	return fork
 }
 
 // Absorb adds everything o — a Fork of f — has folded to f: partials
@@ -184,6 +228,7 @@ func (f *Folder) Absorb(o *Folder) {
 	f.scanned += o.scanned
 	f.parseErrors += o.parseErrors
 	f.extents += o.extents
+	f.late += o.late
 	if o.lastFold.After(f.lastFold) {
 		f.lastFold = o.lastFold
 	}
@@ -194,27 +239,47 @@ func (f *Folder) Absorb(o *Folder) {
 	}
 }
 
-// windowIndex returns the floor-division window index of t on the grid.
-func (f *Folder) windowIndex(t time.Time) int64 {
-	d := t.Sub(f.Anchor)
-	idx := int64(d / f.Window)
-	if d < 0 && d%f.Window != 0 {
-		idx--
+// floorDiv is a/b rounded towards minus infinity, for b > 0.
+func floorDiv(a, b int64) int64 {
+	q := a / b
+	if a%b < 0 {
+		q--
 	}
-	return idx
+	return q
 }
 
-// Aligned reports whether [from, to) is exactly one grid window, i.e.
-// whether folded partials can serve it.
-func (f *Folder) Aligned(from, to time.Time) (int64, bool) {
-	if to.Sub(from) != f.Window {
-		return 0, false
+// windowIndex returns the floor-division base window index of t on the grid.
+func (f *Folder) windowIndex(t time.Time) int64 {
+	return floorDiv(int64(t.Sub(f.Anchor)), int64(f.Window))
+}
+
+// state returns the fold state of the named spec, which must be one of the
+// folder's.
+func (f *Folder) state(spec string) *specState {
+	for _, ss := range f.specs {
+		if ss.spec.Name == spec {
+			return ss
+		}
 	}
-	d := from.Sub(f.Anchor)
-	if d%f.Window != 0 {
-		return 0, false
+	panic(fmt.Sprintf("scope: folder has no spec %q", spec))
+}
+
+// WindowOf returns the index of the spec's window holding t.
+func (f *Folder) WindowOf(spec string, t time.Time) int64 {
+	return floorDiv(f.windowIndex(t), f.state(spec).every)
+}
+
+// Span reports whether folded partials can serve [from, to) for the spec —
+// it is a whole number of the spec's windows, on the grid, none of them
+// dropped — and if so which windows: [lo, hi).
+func (f *Folder) Span(spec string, from, to time.Time) (lo, hi int64, ok bool) {
+	ss := f.state(spec)
+	w := time.Duration(ss.every) * f.Window
+	if !to.After(from) || from.Sub(f.Anchor)%w != 0 || to.Sub(from)%w != 0 {
+		return 0, 0, false
 	}
-	return f.windowIndex(from), true
+	lo = floorDiv(f.windowIndex(from), ss.every)
+	return lo, lo + int64(to.Sub(from)/w), lo >= ss.floor
 }
 
 // FoldExtent folds one sealed extent's bytes into the per-(spec, window)
@@ -252,7 +317,8 @@ func (f *Folder) FoldExtent(data []byte, at time.Time) {
 				f.matchTrace(r)
 			}
 		}
-		idx := f.windowIndex(r.Start)
+		base := f.windowIndex(r.Start)
+		late := false
 		for _, ss := range f.specs {
 			if ss.spec.Where != nil && !ss.spec.Where(r) {
 				continue
@@ -262,10 +328,19 @@ func (f *Folder) FoldExtent(data []byte, at time.Time) {
 				continue
 			}
 			f.keyBuf = kb[:0]
-			if idx != ss.curIdx || ss.cur == nil {
+			idx := base
+			if ss.every != 1 {
+				idx = floorDiv(base, ss.every)
+			}
+			if idx != ss.curIdx {
+				if idx < ss.floor {
+					late = true
+					continue
+				}
 				p := ss.windows[idx]
 				if p == nil {
 					p = NewPartial()
+					p.talliesOnly = ss.spec.TalliesOnly
 					ss.windows[idx] = p
 				}
 				ss.curIdx, ss.cur = idx, p
@@ -274,6 +349,13 @@ func (f *Folder) FoldExtent(data []byte, at time.Time) {
 				ss.cur.observeSketch(kb, sk)
 			} else {
 				ss.cur.observe(kb, r)
+			}
+		}
+		if late {
+			if sk != nil {
+				f.late += sk.Records()
+			} else {
+				f.late++
 			}
 		}
 	}
@@ -295,27 +377,27 @@ func (f *Folder) matchTrace(r *probe.Record) {
 // if nothing folded into it. Callers must not mutate it — Merge into a
 // fresh Partial to consume.
 func (f *Folder) Partial(spec string, win int64) *Partial {
-	for _, ss := range f.specs {
-		if ss.spec.Name == spec {
-			return ss.windows[win]
-		}
-	}
-	return nil
+	return f.state(spec).windows[win]
 }
 
-// DropWindowsBefore forgets partials for windows strictly below min,
-// bounding memory across a long-running pipeline (published cycles never
-// read old windows again).
-func (f *Folder) DropWindowsBefore(min int64) {
-	for _, ss := range f.specs {
-		for idx := range ss.windows {
-			if idx < min {
-				delete(ss.windows, idx)
-				if ss.curIdx == idx {
-					ss.cur, ss.curIdx = nil, -1<<62
-				}
-			}
+// DropWindowsBefore forgets the spec's partials for windows strictly below
+// min and folds nothing into them again, bounding memory across a
+// long-running pipeline: a published window is never read from partials
+// again, and what arrives for it afterwards is counted in Late. The floor
+// only rises.
+func (f *Folder) DropWindowsBefore(spec string, min int64) {
+	ss := f.state(spec)
+	if min <= ss.floor {
+		return
+	}
+	ss.floor = min
+	for idx := range ss.windows {
+		if idx < min {
+			delete(ss.windows, idx)
 		}
+	}
+	if ss.curIdx < min {
+		ss.cur, ss.curIdx = nil, noWindow
 	}
 }
 
@@ -324,6 +406,10 @@ func (f *Folder) Scanned() uint64 { return f.scanned }
 
 // ParseErrors returns undecodable rows skipped across all folded extents.
 func (f *Folder) ParseErrors() uint64 { return f.parseErrors }
+
+// Late returns how many probes (sketches counted by what they summarize)
+// arrived for a window some spec had already dropped.
+func (f *Folder) Late() uint64 { return f.late }
 
 // Extents returns how many extents this folder has folded.
 func (f *Folder) Extents() uint64 { return f.extents }

@@ -203,14 +203,63 @@ func TestFolderWindowing(t *testing.T) {
 	if idx := f.windowIndex(t0.Add(-10 * time.Minute)); idx != -1 {
 		t.Fatalf("windowIndex(anchor-10m) = %d", idx)
 	}
-	if win, ok := f.Aligned(t0.Add(20*time.Minute), t0.Add(30*time.Minute)); !ok || win != 2 {
-		t.Fatalf("Aligned(+20m,+30m) = %d, %v", win, ok)
+	if lo, hi, ok := f.Span("all", t0.Add(20*time.Minute), t0.Add(30*time.Minute)); !ok || lo != 2 || hi != 3 {
+		t.Fatalf("Span(+20m,+30m) = [%d,%d), %v", lo, hi, ok)
 	}
-	if _, ok := f.Aligned(t0, t0.Add(20*time.Minute)); ok {
-		t.Fatal("Aligned accepted a 20-minute span")
+	if lo, hi, ok := f.Span("all", t0.Add(-10*time.Minute), t0.Add(20*time.Minute)); !ok || lo != -1 || hi != 2 {
+		t.Fatalf("Span(-10m,+20m) = [%d,%d), %v", lo, hi, ok)
 	}
-	if _, ok := f.Aligned(t0.Add(time.Minute), t0.Add(11*time.Minute)); ok {
-		t.Fatal("Aligned accepted an off-grid window")
+	if _, _, ok := f.Span("all", t0.Add(time.Minute), t0.Add(11*time.Minute)); ok {
+		t.Fatal("Span accepted an off-grid window")
+	}
+	if _, _, ok := f.Span("all", t0, t0.Add(15*time.Minute)); ok {
+		t.Fatal("Span accepted a window and a half")
+	}
+	if _, _, ok := f.Span("all", t0, t0); ok {
+		t.Fatal("Span accepted an empty span")
+	}
+}
+
+// TestFolderPerSpecWindows: specs with different window lengths fold in one
+// pass on one anchor — an hour partial holds exactly what the six 10-minute
+// partials under it hold — and each answers Span on its own grid.
+func TestFolderPerSpecWindows(t *testing.T) {
+	specs := foldSpecs()
+	hourly := specs[1]
+	hourly.Name, hourly.Window = "all-hourly", Every1Hour
+	tallies := specs[0]
+	tallies.Name, tallies.Window, tallies.TalliesOnly = "tallies-hourly", Every1Hour, true
+	f := NewFolder(t0, Every10Min, append(specs, hourly, tallies), nil)
+	for _, data := range foldExtents(200) { // 20 windows: three hours and a bit
+		f.FoldExtent(data, t0)
+	}
+	for hour := int64(0); hour < 4; hour++ {
+		var tens []*Partial
+		for w := 6 * hour; w < 6*hour+6; w++ {
+			tens = append(tens, f.Partial("all", w))
+		}
+		want, got := mergeAll(tens...), mergeAll(f.Partial("all-hourly", hour))
+		if want.Records == 0 || !reflect.DeepEqual(want, got) {
+			t.Fatalf("hour %d: hourly partial (%d records) != merge of its six windows (%d)", hour, got.Records, want.Records)
+		}
+		ta := f.Partial("tallies-hourly", hour)
+		for k, st := range ta.Groups {
+			if st.Total() == 0 || st.Summary().Count != 0 {
+				t.Fatalf("hour %d group %q: total %d, histogram count %d; want tallies only", hour, k, st.Total(), st.Summary().Count)
+			}
+		}
+	}
+	if f.WindowOf("all-hourly", t0.Add(-time.Second)) != -1 || f.WindowOf("all-hourly", t0.Add(119*time.Minute)) != 1 {
+		t.Fatal("WindowOf is not on the hour grid")
+	}
+	if lo, hi, ok := f.Span("all-hourly", t0.Add(time.Hour), t0.Add(3*time.Hour)); !ok || lo != 1 || hi != 3 {
+		t.Fatalf("hourly Span(+1h,+3h) = [%d,%d), %v", lo, hi, ok)
+	}
+	if _, _, ok := f.Span("all-hourly", t0.Add(10*time.Minute), t0.Add(70*time.Minute)); ok {
+		t.Fatal("hourly Span accepted an hour that starts off the hour grid")
+	}
+	if _, _, ok := f.Span("all-hourly", t0, t0.Add(10*time.Minute)); ok {
+		t.Fatal("hourly Span accepted ten minutes")
 	}
 }
 
@@ -222,29 +271,65 @@ func TestFolderDropWindowsBefore(t *testing.T) {
 	if f.Partial("all", 0) == nil || f.Partial("all", 3) == nil {
 		t.Fatal("expected partials in windows 0 and 3")
 	}
-	f.DropWindowsBefore(2)
+	f.DropWindowsBefore("all", 2)
 	if f.Partial("all", 0) != nil || f.Partial("all", 1) != nil {
 		t.Fatal("dropped windows still present")
 	}
 	if f.Partial("all", 2) == nil || f.Partial("all", 3) == nil {
 		t.Fatal("retained windows lost")
 	}
-	// Folding still works after the drop (window cache was invalidated).
-	before := f.Partial("all", 0)
-	f.FoldExtent(probe.EncodeBatch([]probe.Record{mkRecord(1, time.Millisecond, "")}), t0)
-	if before != nil {
-		t.Fatal("unreachable")
+	if f.Partial("ok-by-srcnet", 0) == nil {
+		t.Fatal("dropping one spec's windows dropped another's")
 	}
-	if f.Partial("all", 0) == nil {
-		t.Fatal("refold into dropped window did not recreate the partial")
+	if _, _, ok := f.Span("all", t0, t0.Add(10*time.Minute)); ok {
+		t.Fatal("Span offers a dropped window")
+	}
+	if _, _, ok := f.Span("all", t0.Add(20*time.Minute), t0.Add(40*time.Minute)); !ok {
+		t.Fatal("Span refuses retained windows")
+	}
+	f.DropWindowsBefore("all", 1) // the floor only rises
+	if _, _, ok := f.Span("all", t0.Add(10*time.Minute), t0.Add(20*time.Minute)); ok {
+		t.Fatal("a lower floor re-opened a dropped window")
+	}
+
+	// What folds into a dropped window afterwards is late: counted once per
+	// record, aggregated by the specs that still retain the window and by
+	// nobody else. A fork inherits the floor, and its count is absorbed.
+	lateRec := probe.EncodeBatch([]probe.Record{mkRecord(1, time.Millisecond, "")})
+	kept := f.Partial("ok-by-srcnet", 0).Records
+	f.FoldExtent(lateRec, t0)
+	fork := f.Fork()
+	fork.FoldExtent(lateRec, t0)
+	f.Absorb(fork)
+	if f.Partial("all", 0) != nil {
+		t.Fatal("a late record recreated a dropped partial")
+	}
+	if got := f.Partial("ok-by-srcnet", 0).Records; got != kept+2 {
+		t.Fatalf("the spec that retains window 0 holds %d records, want %d", got, kept+2)
+	}
+	if f.Late() != 2 {
+		t.Fatalf("Late() = %d, want 2", f.Late())
+	}
+	// Folding into retained windows still works (the window cache was
+	// invalidated, not left pointing at a dropped partial).
+	before := f.Partial("all", 2).Records
+	f.FoldExtent(probe.EncodeBatch([]probe.Record{mkRecord(23, time.Millisecond, "")}), t0)
+	if got := f.Partial("all", 2).Records; got != before+1 || f.Late() != 2 {
+		t.Fatalf("window 2 holds %d records after one more, want %d; late %d", got, before+1, f.Late())
 	}
 }
 
 // TestFoldExtentZeroAlloc guards the fold hot path: once group keys and
-// window partials exist, folding an extent allocates nothing per record
-// (CI tier 3).
+// window partials exist and the groups' sparse histogram runs have reached
+// their size, folding an extent allocates nothing per record — for specs on
+// the base window, on a longer one, and tallies-only (CI tier 3; the
+// production job table has the same guard in internal/dsa).
 func TestFoldExtentZeroAlloc(t *testing.T) {
 	specs := foldSpecs()
+	hourly, tallies := specs[0], specs[1]
+	hourly.Name, hourly.Window = "hourly", Every1Hour
+	tallies.Name, tallies.Window, tallies.TalliesOnly = "tallies", Every1Hour, true
+	specs = append(specs, hourly, tallies)
 	f := NewFolder(t0, Every10Min, specs, nil)
 	recs := make([]probe.Record, 0, 256)
 	for i := 0; i < 256; i++ {

@@ -2,7 +2,6 @@ package scope
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pingmesh/internal/metrics"
@@ -43,12 +42,14 @@ func (m *JobManager) Metrics() *metrics.Registry { return m.reg }
 
 // ScheduledJob is one recurring submission.
 type ScheduledJob struct {
-	name     string
-	every    time.Duration
-	stop     chan struct{}
-	once     sync.Once
-	inFlight atomic.Bool
-	done     sync.WaitGroup
+	name  string
+	every time.Duration
+	stop  chan struct{}
+	once  sync.Once
+
+	mu       sync.Mutex
+	inFlight bool
+	idle     *sync.Cond // signalled, under mu, when inFlight clears
 }
 
 // Name returns the job's name.
@@ -57,9 +58,34 @@ func (s *ScheduledJob) Name() string { return s.name }
 // Stop cancels future runs.
 func (s *ScheduledJob) Stop() { s.once.Do(func() { close(s.stop) }) }
 
-// Wait blocks until any in-flight invocation has returned. Stop then Wait
-// gives a clean shutdown.
-func (s *ScheduledJob) Wait() { s.done.Wait() }
+// Wait blocks until no invocation is in flight: the job accepts the next
+// tick. Stop then Wait gives a clean shutdown. It may be called at any time,
+// also while ticks are arriving.
+func (s *ScheduledJob) Wait() {
+	s.mu.Lock()
+	for s.inFlight {
+		s.idle.Wait()
+	}
+	s.mu.Unlock()
+}
+
+// begin claims the job for one invocation, or reports that one is running.
+func (s *ScheduledJob) begin() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.inFlight {
+		return false
+	}
+	s.inFlight = true
+	return true
+}
+
+func (s *ScheduledJob) end() {
+	s.mu.Lock()
+	s.inFlight = false
+	s.idle.Broadcast()
+	s.mu.Unlock()
+}
 
 // Schedule runs fn every interval. fn receives the window [from, to) it
 // should process: the grid-aligned interval that just ended (windows are
@@ -81,6 +107,7 @@ func (m *JobManager) Schedule(name string, every time.Duration, fn func(from, to
 // two clock.Now() reads on a real clock never coincide.
 func (m *JobManager) ScheduleAt(name string, every time.Duration, anchor time.Time, fn func(from, to time.Time) error) *ScheduledJob {
 	job := &ScheduledJob{name: name, every: every, stop: make(chan struct{})}
+	job.idle = sync.NewCond(&job.mu)
 	m.mu.Lock()
 	m.jobs = append(m.jobs, job)
 	m.mu.Unlock()
@@ -90,15 +117,17 @@ func (m *JobManager) ScheduleAt(name string, every time.Duration, anchor time.Ti
 	skipped := m.reg.Counter("scope.job." + name + ".overlap_skipped")
 	lastMS := m.reg.Gauge("scope.job." + name + ".last_ms")
 	duration := m.reg.Histogram("scope.job." + name + ".duration")
+	// Armed before ScheduleAt returns: whoever moves the clock next cannot
+	// slip a tick past a job that is still starting up.
+	ticker := m.clock.NewTicker(every)
 	go func() {
-		ticker := m.clock.NewTicker(every)
 		defer ticker.Stop()
 		for {
 			select {
 			case <-job.stop:
 				return
 			case now := <-ticker.C:
-				if !job.inFlight.CompareAndSwap(false, true) {
+				if !job.begin() {
 					skipped.Inc()
 					continue
 				}
@@ -109,10 +138,8 @@ func (m *JobManager) ScheduleAt(name string, every time.Duration, anchor time.Ti
 				k := int64((now.Sub(anchor) + every/2) / every)
 				to := anchor.Add(time.Duration(k) * every)
 				from := to.Add(-every)
-				job.done.Add(1)
 				go func() {
-					defer job.done.Done()
-					defer job.inFlight.Store(false)
+					defer job.end()
 					start := m.clock.Now()
 					err := fn(from, to)
 					runs.Inc()
@@ -127,6 +154,18 @@ func (m *JobManager) ScheduleAt(name string, every time.Duration, anchor time.Ti
 		}
 	}()
 	return job
+}
+
+// Wait blocks until every job has been seen with no invocation in flight.
+// With nothing moving the clock meanwhile, every job then accepts its next
+// tick.
+func (m *JobManager) Wait() {
+	m.mu.Lock()
+	jobs := append([]*ScheduledJob(nil), m.jobs...)
+	m.mu.Unlock()
+	for _, j := range jobs {
+		j.Wait()
+	}
 }
 
 // StopAll cancels every scheduled job.

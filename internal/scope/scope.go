@@ -49,6 +49,9 @@ type Job struct {
 	// dst's backing array (append semantics); the engine owns it until
 	// the next record.
 	KeyBytes func(dst []byte, r *probe.Record) ([]byte, bool)
+	// TalliesOnly aggregates groups as analysis.NewTallies — counts and
+	// rates, no histograms — for jobs whose consumer reads nothing else.
+	TalliesOnly bool
 }
 
 // Result is the output of one job run.
@@ -93,13 +96,7 @@ type Engine struct {
 	Tracer *trace.Tracer
 }
 
-type task struct {
-	stream string
-	extent int
-}
-
-// Extent names one extent of one stream, for jobs that run over an
-// explicit extent list instead of everything under a prefix.
+// Extent names one extent of one stream.
 type Extent struct {
 	Stream string
 	Index  int
@@ -111,30 +108,16 @@ func (e *Engine) Run(job Job) (*Result, error) {
 	if job.Source.Store == nil {
 		return nil, fmt.Errorf("scope: job %q has no source store", job.Name)
 	}
-	var tasks []task
+	var tasks []Extent
 	for _, stream := range job.Source.Store.Streams(job.Source.StreamPrefix) {
 		for i := 0; i < job.Source.Store.NumExtents(stream); i++ {
-			tasks = append(tasks, task{stream: stream, extent: i})
+			tasks = append(tasks, Extent{Stream: stream, Index: i})
 		}
 	}
 	return e.runTasks(job, tasks)
 }
 
-// RunExtents executes one job over exactly the given extents: the tail-scan
-// half of an incremental cycle, where the already-folded sealed extents are
-// skipped and only the unfolded remainder is decoded.
-func (e *Engine) RunExtents(job Job, extents []Extent) (*Result, error) {
-	if job.Source.Store == nil {
-		return nil, fmt.Errorf("scope: job %q has no source store", job.Name)
-	}
-	tasks := make([]task, len(extents))
-	for i, ext := range extents {
-		tasks[i] = task{stream: ext.Stream, extent: ext.Index}
-	}
-	return e.runTasks(job, tasks)
-}
-
-func (e *Engine) runTasks(job Job, tasks []task) (*Result, error) {
+func (e *Engine) runTasks(job Job, tasks []Extent) (*Result, error) {
 	var runStart time.Time
 	if e.Tracer != nil {
 		runStart = e.Tracer.Now()
@@ -148,7 +131,7 @@ func (e *Engine) runTasks(job Job, tasks []task) (*Result, error) {
 	// never block: a worker that returns early on a ReadExtent error stops
 	// draining, and with an unbuffered channel the sends would deadlock
 	// once every worker had failed (all replicas of a store down).
-	taskCh := make(chan task, len(tasks))
+	taskCh := make(chan Extent, len(tasks))
 	for _, t := range tasks {
 		taskCh <- t
 	}
@@ -216,11 +199,11 @@ func (r *Result) addTrace(tid trace.TraceID) {
 // stream straight into the group aggregators without ever being
 // materialized as a []probe.Record, so the worker's steady-state loop
 // allocates nothing per record (see extentSink and TestProcessExtentZeroAlloc).
-func (e *Engine) worker(job *Job, tasks <-chan task) (*Result, error) {
+func (e *Engine) worker(job *Job, tasks <-chan Extent) (*Result, error) {
 	res := &Result{Groups: make(map[string]*analysis.LatencyStats)}
 	sink := extentSink{job: job, res: res, tracer: e.Tracer}
 	for t := range tasks {
-		data, err := job.Source.Store.ReadExtent(t.stream, t.extent)
+		data, err := job.Source.Store.ReadExtent(t.Stream, t.Index)
 		if err != nil {
 			return nil, fmt.Errorf("scope: job %q: %w", job.Name, err)
 		}
@@ -315,7 +298,7 @@ func (s *extentSink) process(data []byte) {
 			// group is first seen.
 			st = res.Groups[string(kb)]
 			if st == nil {
-				st = analysis.NewLatencyStats()
+				st = newStats(job.TalliesOnly)
 				res.Groups[string(kb)] = st
 			}
 		} else {
@@ -329,7 +312,7 @@ func (s *extentSink) process(data []byte) {
 			}
 			st = res.Groups[key]
 			if st == nil {
-				st = analysis.NewLatencyStats()
+				st = newStats(job.TalliesOnly)
 				res.Groups[key] = st
 			}
 		}
