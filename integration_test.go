@@ -3,8 +3,8 @@ package pingmesh
 // Integration tests exercising the full stack together: controller (HTTP)
 // -> agents (real scheduling loops on the simulated clock, probing the
 // simulated fabric) -> Cosmos uploads -> SCOPE/DSA analysis -> report
-// database + perfcounter aggregation. Unlike the fleet runner used by the
-// experiments, these tests run the real agent goroutines.
+// database, with the agents' perf counters read beside it. Unlike the fleet
+// runner used by the experiments, these tests run the real agent goroutines.
 
 import (
 	"context"
@@ -60,9 +60,6 @@ func TestIntegrationAgentsToAnalysis(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// PA collects every agent's counters.
-	pa := autopilot.NewPA(clock, 5*time.Minute)
-
 	// One real agent per server, probing the simulated fabric.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -81,7 +78,6 @@ func TestIntegrationAgentsToAnalysis(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pa.Register(s.Name, a.Metrics().Snapshot)
 		agents = append(agents, a)
 		go a.Run(ctx)
 	}
@@ -104,7 +100,6 @@ func TestIntegrationAgentsToAnalysis(t *testing.T) {
 	waitUntil(t, func() bool {
 		return len(store.Streams("pingmesh/")) > 0
 	}, "agents uploaded to cosmos")
-	pa.Collect()
 
 	// Analysis over the uploaded records.
 	pipe, err := dsa.New(dsa.Config{Store: store, Top: top, Clock: clock})
@@ -130,9 +125,14 @@ func TestIntegrationAgentsToAnalysis(t *testing.T) {
 		t.Fatalf("p50 = %v", p50)
 	}
 
-	// PA has per-agent counters.
-	if _, ok := pa.Latest(top.Server(0).Name + "/counter/agent.probes_total"); !ok {
-		t.Fatal("PA missing agent counters")
+	// The agents' registries — what their PMT1 reports ship — counted every
+	// probe the analysis saw.
+	var counted int64
+	for _, a := range agents {
+		counted += a.Metrics().Snapshot().Counters["agent.probes_total"]
+	}
+	if counted < probes {
+		t.Fatalf("agents counted %d probes, analysis saw %d", counted, probes)
 	}
 
 	// The emergency stop: clear the controller, agents fail closed on

@@ -38,12 +38,11 @@ func DropSignature(rtt time.Duration) int {
 // workers each own one and Merge.
 //
 // Resident fold state is thousands of these, so the aggregate is compact:
-// the tallies are inline and the histograms sit behind a pointer that stays
-// nil until the first successful probe. The connect-RTT histogram starts as
-// sparse runs and is promoted to a dense metrics.Histogram only past a fixed
-// fill threshold (see sparseHist); the payload histogram — which every job
-// filtering PayloadLen == 0 never touches — is allocated on the first
-// payload observation. Every accessor reads the same in either form.
+// the tallies are inline and each histogram stays nil until it has something
+// to hold — the connect-RTT one until the first successful probe, the payload
+// one (which every job filtering PayloadLen == 0 never touches) until the
+// first payload observation. metrics.Histogram keeps itself small while it
+// holds few distinct buckets.
 //
 // The tallies-only form (NewTallies) keeps no histogram at all: for jobs
 // whose consumer reads counts and rates, never a percentile.
@@ -53,15 +52,9 @@ type LatencyStats struct {
 	rtt3s   uint64 // probes with the one-drop signature
 	rtt9s   uint64 // probes with the correlated-drop signature
 
-	h           *latencyHists // nil until a successful probe; always nil in the tallies-only form
-	talliesOnly bool
-}
-
-// latencyHists is the histogram half of a LatencyStats.
-type latencyHists struct {
-	rtt     sparseHist         // successful connect RTTs (incl. retransmit-inflated), until promoted
-	dense   *metrics.Histogram // the same once promoted; rtt is then empty
-	payload *metrics.Histogram // successful payload echo RTTs
+	rtt         *metrics.Histogram // successful connect RTTs (incl. retransmit-inflated)
+	payload     *metrics.Histogram // successful payload echo RTTs
+	talliesOnly bool               // both histograms stay nil
 }
 
 // NewLatencyStats returns an empty aggregator.
@@ -74,27 +67,12 @@ func NewLatencyStats() *LatencyStats { return &LatencyStats{} }
 // histogram would no longer cover every probe counted.
 func NewTallies() *LatencyStats { return &LatencyStats{talliesOnly: true} }
 
-func (s *LatencyStats) hists() *latencyHists {
-	if s.h == nil {
-		s.h = &latencyHists{}
+// hist returns *h, allocating it on first use.
+func hist(h **metrics.Histogram) *metrics.Histogram {
+	if *h == nil {
+		*h = metrics.NewLatencyHistogram()
 	}
-	return s.h
-}
-
-// promote switches the RTT histogram to the dense form.
-func (h *latencyHists) promote() {
-	if h.dense == nil {
-		h.dense = metrics.NewLatencyHistogram()
-		h.rtt.addTo(h.dense)
-		h.rtt = sparseHist{}
-	}
-}
-
-func (h *latencyHists) payloadHist() *metrics.Histogram {
-	if h.payload == nil {
-		h.payload = metrics.NewLatencyHistogram()
-	}
-	return h.payload
+	return *h
 }
 
 // Add folds one record in.
@@ -113,15 +91,9 @@ func (s *LatencyStats) Add(r *probe.Record) {
 	if s.talliesOnly {
 		return
 	}
-	h := s.hists()
-	if h.dense == nil && !h.rtt.observe(r.RTT) {
-		h.promote()
-	}
-	if h.dense != nil {
-		h.dense.Observe(r.RTT)
-	}
+	hist(&s.rtt).Observe(r.RTT)
 	if r.PayloadRTT > 0 {
-		h.payloadHist().Observe(r.PayloadRTT)
+		hist(&s.payload).Observe(r.PayloadRTT)
 	}
 }
 
@@ -143,26 +115,9 @@ func (s *LatencyStats) AddSketch(sk *probe.Sketch) {
 	if s.talliesOnly || n == 0 {
 		return
 	}
-	// Tallies first, then buckets: an add that outgrows the sparse form finds
-	// it non-empty (one sketch alone stays far below a run's count limit), so
-	// promotion carries the tallies over and the remaining buckets go dense.
-	h := s.hists()
-	if h.dense == nil {
-		h.rtt.tally(h.rtt.count == 0, sk.RTT.Sum, sk.RTT.MinNS, sk.RTT.MaxNS)
-	} else {
-		h.dense.AddTallies(sk.RTT.Sum, sk.RTT.MinNS, sk.RTT.MaxNS)
-	}
-	it := sk.RTT.Buckets()
-	for b, ok := it.Next(); ok; b, ok = it.Next() {
-		if h.dense == nil && !h.rtt.add(b.Index, b.Count) {
-			h.promote()
-		}
-		if h.dense != nil {
-			h.dense.AddBucket(b.Index, b.Count)
-		}
-	}
+	sk.RTT.AddTo(hist(&s.rtt))
 	if sk.Payload.Count > 0 {
-		sk.Payload.AddTo(h.payloadHist())
+		sk.Payload.AddTo(hist(&s.payload))
 	}
 }
 
@@ -171,14 +126,11 @@ func (s *LatencyStats) AddSketch(sk *probe.Sketch) {
 // while a cycle combines snapshots of them.
 func (s *LatencyStats) Clone() *LatencyStats {
 	c := *s
-	if s.h != nil {
-		c.h = &latencyHists{rtt: s.h.rtt.clone()}
-		if s.h.dense != nil {
-			c.h.dense = s.h.dense.Clone()
-		}
-		if s.h.payload != nil {
-			c.h.payload = s.h.payload.Clone()
-		}
+	if s.rtt != nil {
+		c.rtt = s.rtt.Clone()
+	}
+	if s.payload != nil {
+		c.payload = s.payload.Clone()
 	}
 	return &c
 }
@@ -190,25 +142,14 @@ func (s *LatencyStats) Merge(o *LatencyStats) {
 	s.rtt3s += o.rtt3s
 	s.rtt9s += o.rtt9s
 	if s.talliesOnly || o.talliesOnly {
-		s.talliesOnly, s.h = true, nil
+		s.talliesOnly, s.rtt, s.payload = true, nil, nil
 		return
 	}
-	if o.h == nil {
-		return
+	if o.rtt != nil {
+		hist(&s.rtt).Merge(o.rtt)
 	}
-	h := s.hists()
-	switch {
-	case o.h.dense != nil:
-		h.promote()
-		h.dense.Merge(o.h.dense)
-	case h.dense != nil:
-		o.h.rtt.addTo(h.dense)
-	case !h.rtt.merge(&o.h.rtt):
-		h.promote()
-		o.h.rtt.addTo(h.dense)
-	}
-	if o.h.payload != nil {
-		h.payloadHist().Merge(o.h.payload)
+	if o.payload != nil {
+		hist(&s.payload).Merge(o.payload)
 	}
 }
 
@@ -246,56 +187,27 @@ func (s *LatencyStats) DropRate() float64 {
 	return float64(s.rtt3s+s.rtt9s) / float64(s.success)
 }
 
-// noHists is what the read side sees of an aggregate that holds no
-// histograms: empty ones.
-var noHists latencyHists
+// noHist is what the read side sees of a histogram never allocated.
+var noHist = metrics.NewLatencyHistogram()
 
-func (s *LatencyStats) read() *latencyHists {
-	if s.h == nil {
-		return &noHists
+func read(h *metrics.Histogram) *metrics.Histogram {
+	if h == nil {
+		return noHist
 	}
-	return s.h
+	return h
 }
 
 // Percentile returns the q-quantile of successful connect RTTs.
-func (s *LatencyStats) Percentile(q float64) time.Duration {
-	h := s.read()
-	if h.dense != nil {
-		return h.dense.Percentile(q)
-	}
-	return h.rtt.percentile(q)
-}
+func (s *LatencyStats) Percentile(q float64) time.Duration { return read(s.rtt).Percentile(q) }
 
 // Summary returns the percentile summary of successful connect RTTs.
-func (s *LatencyStats) Summary() metrics.Summary {
-	h := s.read()
-	if h.dense != nil {
-		return h.dense.Summarize()
-	}
-	return h.rtt.summarize()
-}
+func (s *LatencyStats) Summary() metrics.Summary { return read(s.rtt).Summarize() }
 
 // PayloadSummary returns the percentile summary of payload echo RTTs.
-func (s *LatencyStats) PayloadSummary() metrics.Summary {
-	if h := s.read(); h.payload != nil {
-		return h.payload.Summarize()
-	}
-	return metrics.Summary{}
-}
+func (s *LatencyStats) PayloadSummary() metrics.Summary { return read(s.payload).Summarize() }
 
 // CDF returns the empirical CDF of successful connect RTTs.
-func (s *LatencyStats) CDF() []metrics.CDFPoint {
-	h := s.read()
-	if h.dense != nil {
-		return h.dense.CDF()
-	}
-	return h.rtt.cdf()
-}
+func (s *LatencyStats) CDF() []metrics.CDFPoint { return read(s.rtt).CDF() }
 
 // PayloadCDF returns the empirical CDF of payload RTTs.
-func (s *LatencyStats) PayloadCDF() []metrics.CDFPoint {
-	if h := s.read(); h.payload != nil {
-		return h.payload.CDF()
-	}
-	return nil
-}
+func (s *LatencyStats) PayloadCDF() []metrics.CDFPoint { return read(s.payload).CDF() }

@@ -2,10 +2,10 @@
 // center management stack (§2.3) that Pingmesh is built into: a Device
 // Manager holding device health state, a Watchdog Service that monitors
 // components and reports failures, a Repair Service that executes repair
-// actions under a rate budget (the ≤20 switch reloads per day of §5.1), a
-// Deployment Service that rolls shared services out across servers, and a
-// Perfcounter Aggregator that collects component counters every five
-// minutes — the fast reporting path that complements Cosmos/SCOPE (§3.5).
+// actions under a rate budget (the ≤20 switch reloads per day of §5.1), and
+// a Deployment Service that rolls shared services out across servers. The
+// Perfcounter Aggregator — the five-minute reporting path that complements
+// Cosmos/SCOPE (§3.5) — is internal/telemetry.
 package autopilot
 
 import (

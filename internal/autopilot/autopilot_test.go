@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"pingmesh/internal/metrics"
 	"pingmesh/internal/simclock"
 )
 
@@ -210,131 +209,34 @@ func TestDeploymentStopsOnFailure(t *testing.T) {
 	}
 }
 
-func TestPACollectsSeries(t *testing.T) {
+func TestFleetTelemetryWatchdog(t *testing.T) {
 	clock := simclock.NewSim(t0)
-	pa := NewPA(clock, 5*time.Minute)
-	reg := metrics.NewRegistry()
-	reg.Counter("probes").Add(10)
-	reg.Gauge("peers").Set(2500)
-	reg.Histogram("rtt").Observe(400 * time.Microsecond)
-	pa.Register("srv1", reg.Snapshot)
-
-	pa.Collect()
-	clock.Advance(5 * time.Minute)
-	reg.Counter("probes").Add(5)
-	pa.Collect()
-
-	series := pa.Series("srv1/counter/probes")
-	if len(series) != 2 {
-		t.Fatalf("%d points", len(series))
+	src := &fakeTelemetry{}
+	wd := NewFleetTelemetryWatchdog(src, clock, 15*time.Minute, 0.25)
+	if wd.Name != FleetTelemetryWatchdogName || wd.Device != FleetTelemetryDevice {
+		t.Fatalf("identity: %+v", wd)
 	}
-	if series[0].Value != 10 || series[1].Value != 15 {
-		t.Fatalf("values = %v", series)
+	// Empty fleet: healthy.
+	if err := wd.Check(); err != nil {
+		t.Fatalf("empty fleet unhealthy: %v", err)
 	}
-	if p, ok := pa.Latest("srv1/gauge/peers"); !ok || p.Value != 2500 {
-		t.Fatalf("Latest gauge = %v %v", p, ok)
+	src.agents, src.stale = 100, 0.2
+	if err := wd.Check(); err != nil {
+		t.Fatalf("20%% stale under 25%% budget flagged: %v", err)
 	}
-	if p, ok := pa.Latest("srv1/p99/rtt"); !ok || p.Value <= 0 {
-		t.Fatalf("Latest p99 = %v %v", p, ok)
-	}
-	if len(pa.Keys()) < 4 {
-		t.Fatalf("Keys = %v", pa.Keys())
-	}
-	if _, ok := pa.Latest("nope"); ok {
-		t.Fatal("Latest on missing key")
+	src.stale = 0.3
+	if err := wd.Check(); err == nil {
+		t.Fatal("30% stale over 25% budget passed")
 	}
 }
 
-func TestPAPeriodicAndUnregister(t *testing.T) {
-	clock := simclock.NewSim(t0)
-	pa := NewPA(clock, 5*time.Minute)
-	reg := metrics.NewRegistry()
-	reg.Counter("c").Add(1)
-	pa.Register("s", reg.Snapshot)
-	pa.Start()
-	defer pa.Stop()
-	waitFor(t, func() bool { return clock.PendingTimers() >= 1 })
-	for i := 1; i <= 3; i++ {
-		clock.Advance(5 * time.Minute)
-		waitFor(t, func() bool { return len(pa.Series("s/counter/c")) >= i })
-	}
-	pa.Unregister("s")
-	n := len(pa.Series("s/counter/c"))
-	clock.Advance(10 * time.Minute)
-	time.Sleep(10 * time.Millisecond)
-	if len(pa.Series("s/counter/c")) != n {
-		t.Fatal("unregistered source still collected")
-	}
+type fakeTelemetry struct {
+	agents int
+	stale  float64
 }
 
-func TestPASeriesPruning(t *testing.T) {
-	clock := simclock.NewSim(t0)
-	pa := NewPA(clock, 5*time.Minute)
-	pa.maxPts = 4
-	reg := metrics.NewRegistry()
-	c := reg.Counter("c")
-	pa.Register("s", reg.Snapshot)
-
-	for i := 0; i < 10; i++ {
-		c.Inc()
-		pa.Collect()
-		clock.Advance(5 * time.Minute)
-	}
-	s := pa.Series("s/counter/c")
-	if len(s) != 4 {
-		t.Fatalf("series length = %d, want maxPts = 4", len(s))
-	}
-	// The retained window must be the newest samples: counts 7..10.
-	for i, p := range s {
-		if want := float64(7 + i); p.Value != want {
-			t.Fatalf("series[%d] = %v, want %v (oldest points should be pruned)", i, p.Value, want)
-		}
-	}
-	// Timestamps stay monotonic across the prune.
-	for i := 1; i < len(s); i++ {
-		if !s[i].At.After(s[i-1].At) {
-			t.Fatalf("timestamps out of order: %v then %v", s[i-1].At, s[i].At)
-		}
-	}
-}
-
-// TestPAConcurrentRegisterUnregister races source churn against the
-// collection tick: agents register and vanish while the PA is sampling
-// (run under -race in CI tier 2).
-func TestPAConcurrentRegisterUnregister(t *testing.T) {
-	clock := simclock.NewSim(t0)
-	pa := NewPA(clock, 5*time.Minute)
-	pa.Start()
-	defer pa.Stop()
-	waitFor(t, func() bool { return clock.PendingTimers() >= 1 })
-
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			reg := metrics.NewRegistry()
-			cnt := reg.Counter("c")
-			name := fmt.Sprintf("src%d", g)
-			for i := 0; i < 100; i++ {
-				cnt.Inc()
-				pa.Register(name, reg.Snapshot)
-				pa.Collect()
-				pa.Unregister(name)
-			}
-		}(g)
-	}
-	for i := 0; i < 50; i++ {
-		clock.Advance(5 * time.Minute)
-	}
-	wg.Wait()
-	pa.Collect() // all sources unregistered: must not panic
-	for _, key := range []string{"src0/counter/c", "src1/counter/c", "src2/counter/c", "src3/counter/c"} {
-		if len(pa.Series(key)) == 0 {
-			t.Fatalf("no samples collected for %s despite churn", key)
-		}
-	}
-}
+func (f *fakeTelemetry) StaleFraction(time.Duration, time.Time) float64 { return f.stale }
+func (f *fakeTelemetry) AgentCount() int                                { return f.agents }
 
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()

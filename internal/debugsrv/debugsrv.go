@@ -20,9 +20,7 @@ import (
 )
 
 // SeriesSource is the slice of a time-series store the /telemetry dump
-// reads — satisfied by *telemetry.Store (and so by autopilot.PA.Store()
-// and Collector.Store()), letting every binary serve its own recent
-// series without a fleet collector.
+// reads — satisfied by *telemetry.Store (and so by Collector.Store()).
 type SeriesSource interface {
 	Keys() []string
 	Series(key string) []telemetry.Point

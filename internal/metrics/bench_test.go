@@ -6,11 +6,26 @@ import (
 	"time"
 )
 
+// BenchmarkHistogramObserve measures both forms: "few" is the handful of
+// buckets a per-peer sketch sees and "wide" the ~50 of a busy aggregate, both
+// kept as runs, where an observation is a search; "dense" spreads over ~200
+// buckets, past the promotion threshold, where it is an index.
 func BenchmarkHistogramObserve(b *testing.B) {
-	h := NewLatencyHistogram()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h.Observe(time.Duration(200+i%2000) * time.Microsecond)
+	for _, c := range []struct {
+		name string
+		us   func(i int) int
+	}{
+		{"few", func(i int) int { return 200 + i%20 }},
+		{"wide", func(i int) int { return 200 + i%2000 }},
+		{"dense", func(i int) int { return 200 + (i%2000)*(i%2000) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			h := NewLatencyHistogram()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				h.Observe(time.Duration(c.us(i)) * time.Microsecond)
+			}
+		})
 	}
 }
 

@@ -120,18 +120,16 @@ func (e *Exposition) VisitHistogram(name string, h *LockedHistogram) {
 	s := e.scratch
 	e.appendTypeLine(name, "histogram")
 	var cum uint64
-	for i, c := range s.counts {
-		if c == 0 {
-			continue
-		}
-		cum += c
-		if i >= len(s.bounds) {
+	it := s.Buckets()
+	for b, ok := it.Next(); ok; b, ok = it.Next() {
+		cum += b.Count
+		if b.Index >= len(latencyBounds) {
 			// Overflow bucket; folded into +Inf below.
 			continue
 		}
 		e.appendName(name)
 		e.buf = append(e.buf, `_bucket{le="`...)
-		e.buf = strconv.AppendFloat(e.buf, float64(s.bounds[i])/1e9, 'g', -1, 64)
+		e.buf = strconv.AppendFloat(e.buf, float64(latencyBounds[b.Index])/1e9, 'g', -1, 64)
 		e.buf = append(e.buf, `"} `...)
 		e.buf = strconv.AppendUint(e.buf, cum, 10)
 		e.buf = append(e.buf, '\n')

@@ -1,7 +1,8 @@
 // Package metrics implements the measurement primitives Pingmesh agents and
 // the analysis pipeline share: exponential-bucket latency histograms with
-// percentile estimation, counters, gauges, and a registry whose snapshots
-// feed the Autopilot Perfcounter Aggregator pipeline.
+// percentile estimation, counters, gauges, and a registry whose metrics
+// feed the /metrics exposition and the PMT1 telemetry plane (the paper's
+// Perfcounter Aggregator, internal/telemetry).
 package metrics
 
 import (
@@ -107,29 +108,26 @@ func (t *bucketIndex) find(bounds []int64, ns int64) int {
 	return i
 }
 
-// Histogram records duration observations in geometric buckets and answers
-// percentile queries with bounded relative error. The zero value is NOT
-// ready to use; call NewLatencyHistogram. Histogram is not safe for
-// concurrent use; callers that share one across goroutines must lock.
+// Histogram records duration observations in the geometric buckets of the
+// shared latency layout and answers percentile queries with bounded relative
+// error. It is the only latency histogram in the system and owns its form
+// (see sketch.go): sorted packed runs while it holds few distinct buckets,
+// one count per bucket past that. Every method reads and writes the same in
+// either form. The zero value is NOT ready to use; call NewLatencyHistogram.
+// Histogram is not safe for concurrent use; callers that share one across
+// goroutines must lock.
 type Histogram struct {
-	bounds []int64 // upper bound (ns) of each bucket, ascending
-	index  *bucketIndex
-	counts []uint64
-	count  uint64
-	sum    int64
-	min    int64
-	max    int64
+	buckets []uint64 // packed runs (len <= maxRuns) or dense counts (len LatencyBucketCount)
+	count   uint64
+	sum     int64
+	min     int64
+	max     int64
 }
 
 // NewLatencyHistogram returns a histogram spanning 1µs–120s, suitable for
 // every RTT Pingmesh can measure including SYN-retransmit inflated ones.
 func NewLatencyHistogram() *Histogram {
-	return &Histogram{
-		bounds: latencyBounds,
-		index:  latencyIndex,
-		counts: make([]uint64, len(latencyBounds)+1),
-		min:    math.MaxInt64,
-	}
+	return &Histogram{min: math.MaxInt64}
 }
 
 // Observe records one duration.
@@ -138,9 +136,7 @@ func (h *Histogram) Observe(d time.Duration) {
 	if ns < 0 {
 		ns = 0
 	}
-	i := h.index.find(h.bounds, ns)
-	h.counts[i]++
-	h.count++
+	h.add(latencyIndex.find(latencyBounds, ns), 1)
 	h.sum += ns
 	if ns < h.min {
 		h.min = ns
@@ -193,32 +189,41 @@ func (h *Histogram) Percentile(q float64) time.Duration {
 	if q >= 1 {
 		return h.Max()
 	}
-	rank := q * float64(h.count)
+	var out [1]time.Duration
+	h.quantiles([]float64{q}, out[:])
+	return out[0]
+}
+
+// quantiles sets out[k] to the estimate of the qs[k]-quantile in one pass
+// over the non-empty buckets, however many are asked for; qs must ascend
+// within (0,1) and h hold an observation.
+func (h *Histogram) quantiles(qs []float64, out []time.Duration) {
+	k := 0
 	var cum float64
-	for i, c := range h.counts {
-		if c == 0 {
-			continue
-		}
-		next := cum + float64(c)
-		if next >= rank {
-			lo, hi := h.bucketRange(i)
-			frac := (rank - cum) / float64(c)
+	it := h.Buckets()
+	for b, ok := it.Next(); ok && k < len(qs); b, ok = it.Next() {
+		next := cum + float64(b.Count)
+		for ; k < len(qs) && next >= qs[k]*float64(h.count); k++ {
+			lo, hi := h.bucketRange(b.Index)
+			frac := (qs[k]*float64(h.count) - cum) / float64(b.Count)
 			v := lo + int64(frac*float64(hi-lo))
-			return h.clamp(time.Duration(v))
+			out[k] = h.clamp(time.Duration(v))
 		}
 		cum = next
 	}
-	return h.Max()
+	for ; k < len(qs); k++ {
+		out[k] = h.Max()
+	}
 }
 
 func (h *Histogram) bucketRange(i int) (lo, hi int64) {
 	switch {
 	case i == 0:
-		return 0, h.bounds[0]
-	case i >= len(h.bounds):
-		return h.bounds[len(h.bounds)-1], h.max
+		return 0, latencyBounds[0]
+	case i >= len(latencyBounds):
+		return latencyBounds[len(latencyBounds)-1], h.max
 	default:
-		return h.bounds[i-1], h.bounds[i]
+		return latencyBounds[i-1], latencyBounds[i]
 	}
 }
 
@@ -232,52 +237,34 @@ func (h *Histogram) clamp(d time.Duration) time.Duration {
 	return d
 }
 
-// Merge folds other into h. Both histograms must have been created by the
-// same constructor; Merge panics on mismatched bucket layouts.
+// Merge folds other into h: an exact integer sum bucket by bucket, so merges
+// in any order leave identical histograms.
 func (h *Histogram) Merge(other *Histogram) {
-	if len(h.counts) != len(other.counts) {
-		panic(fmt.Sprintf("metrics: merging histograms with %d and %d buckets", len(h.counts), len(other.counts)))
+	if other.count == 0 {
+		return
 	}
-	for i, c := range other.counts {
-		h.counts[i] += c
-	}
-	h.count += other.count
-	h.sum += other.sum
-	if other.count > 0 {
-		if other.min < h.min {
-			h.min = other.min
-		}
-		if other.max > h.max {
-			h.max = other.max
-		}
-	}
+	h.addBuckets(other.Buckets())
+	h.AddTallies(other.sum, other.min, other.max)
 }
 
 // Clone returns a deep copy of h.
 func (h *Histogram) Clone() *Histogram {
 	c := *h
-	c.counts = append([]uint64(nil), h.counts...)
+	c.buckets = append([]uint64(nil), h.buckets...)
 	return &c
 }
 
-// CopyInto overwrites dst with h's contents without allocating. Both
-// histograms must share a bucket layout (same constructor); CopyInto
-// panics on a mismatch, like Merge.
+// CopyInto overwrites dst with h's contents, allocating only when dst's
+// storage is smaller than what h holds.
 func (h *Histogram) CopyInto(dst *Histogram) {
-	if len(dst.counts) != len(h.counts) {
-		panic(fmt.Sprintf("metrics: copying histogram with %d buckets into %d", len(h.counts), len(dst.counts)))
-	}
-	counts := dst.counts
+	buckets := append(dst.buckets[:0], h.buckets...)
 	*dst = *h
-	dst.counts = counts
-	copy(dst.counts, h.counts)
+	dst.buckets = buckets
 }
 
-// Reset discards all observations.
+// Reset discards all observations and keeps the storage.
 func (h *Histogram) Reset() {
-	for i := range h.counts {
-		h.counts[i] = 0
-	}
+	h.buckets = h.buckets[:0]
 	h.count, h.sum, h.max = 0, 0, 0
 	h.min = math.MaxInt64
 }
@@ -301,15 +288,20 @@ type Summary struct {
 
 // Summarize computes a Summary from h.
 func (h *Histogram) Summarize() Summary {
+	if h.count == 0 {
+		return Summary{}
+	}
+	var p [5]time.Duration
+	h.quantiles([]float64{0.50, 0.90, 0.99, 0.999, 0.9999}, p[:])
 	return Summary{
 		Count: h.count,
 		Sum:   h.Sum(),
 		Mean:  h.Mean(),
-		P50:   h.Percentile(0.50),
-		P90:   h.Percentile(0.90),
-		P99:   h.Percentile(0.99),
-		P999:  h.Percentile(0.999),
-		P9999: h.Percentile(0.9999),
+		P50:   p[0],
+		P90:   p[1],
+		P99:   p[2],
+		P999:  p[3],
+		P9999: p[4],
 		Max:   h.Max(),
 	}
 }
@@ -328,12 +320,10 @@ func (h *Histogram) CDF() []CDFPoint {
 	}
 	var pts []CDFPoint
 	var cum uint64
-	for i, c := range h.counts {
-		if c == 0 {
-			continue
-		}
-		cum += c
-		_, hi := h.bucketRange(i)
+	it := h.Buckets()
+	for b, ok := it.Next(); ok; b, ok = it.Next() {
+		cum += b.Count
+		_, hi := h.bucketRange(b.Index)
 		pts = append(pts, CDFPoint{
 			Value:    h.clamp(time.Duration(hi)),
 			Fraction: float64(cum) / float64(h.count),

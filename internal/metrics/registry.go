@@ -33,7 +33,7 @@ func (g *Gauge) Set(v int64) { g.v.Store(v) }
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // LockedHistogram wraps Histogram with a mutex so the agent's probing
-// goroutines and the perfcounter collector can share it.
+// goroutines and the telemetry encoder can share it.
 type LockedHistogram struct {
 	mu sync.Mutex
 	h  *Histogram
@@ -61,8 +61,7 @@ func (l *LockedHistogram) Snapshot() *Histogram {
 // SnapshotInto copies the live histogram into dst and returns dst,
 // avoiding Snapshot's per-call clone on hot scrape paths (the exposition
 // writer reuses one scratch histogram across every scrape). A nil dst
-// allocates a fresh copy; a non-nil dst must share the live histogram's
-// bucket layout.
+// allocates a fresh copy.
 func (l *LockedHistogram) SnapshotInto(dst *Histogram) *Histogram {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -73,19 +72,8 @@ func (l *LockedHistogram) SnapshotInto(dst *Histogram) *Histogram {
 	return dst
 }
 
-// SnapshotAndReset returns a copy and clears the live histogram, for
-// interval-based collection (the PA service collects every 5 minutes).
-func (l *LockedHistogram) SnapshotAndReset() *Histogram {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	c := l.h.Clone()
-	l.h.Reset()
-	return c
-}
-
 // Registry holds named counters, gauges, and histograms for one component.
-// The Autopilot Perfcounter Aggregator collects Snapshot()s periodically,
-// and the exposition writer walks it with Visit.
+// The exposition writer and the PMT1 telemetry encoder walk it with Visit.
 type Registry struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter

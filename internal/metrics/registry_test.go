@@ -58,18 +58,6 @@ func TestLockedHistogramConcurrent(t *testing.T) {
 	}
 }
 
-func TestLockedHistogramSnapshotAndReset(t *testing.T) {
-	lh := NewLockedLatencyHistogram()
-	lh.Observe(time.Millisecond)
-	s := lh.SnapshotAndReset()
-	if s.Count() != 1 {
-		t.Fatalf("snapshot Count = %d", s.Count())
-	}
-	if lh.Snapshot().Count() != 0 {
-		t.Fatal("live histogram not reset")
-	}
-}
-
 func TestRegistrySameInstance(t *testing.T) {
 	r := NewRegistry()
 	if r.Counter("probes") != r.Counter("probes") {

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"time"
@@ -12,9 +13,9 @@ import (
 // layout (1µs–120s, geometric growth LatencyBucketGrowth). That makes a
 // histogram a mergeable sketch in the DDSketch sense: two histograms merge
 // by exact integer bucket addition (Merge), and a histogram can be shipped
-// on the wire as its sparse (bucket index, count) pairs plus the exact
-// sum/min/max tallies, then folded into any other latency histogram with
-// AddBucket/AddTallies — no per-observation replay.
+// on the wire as its sparse (bucket index, count) runs plus the exact
+// sum/min/max tallies (runs.go), then folded into any other latency
+// histogram — no per-observation replay.
 //
 // Error-bound contract: a value placed in bucket i is somewhere in
 // [lo, hi) = LatencyBucketRange(i) with hi/lo <= LatencyBucketGrowth, so
@@ -25,6 +26,26 @@ import (
 // layout, shipping bucket counts instead of raw records loses nothing the
 // analysis side would have kept: the folded histogram is bucket-for-bucket
 // identical to observing every raw value directly.
+//
+// In-memory form: a histogram keeps its non-empty buckets as sorted runs,
+// each packing the bucket index into the top runIndexBits of a uint64 and
+// the count into the rest, so the runs sort by bucket as plain integers and
+// cost 8 bytes each. A per-peer sketch or a pod-pair aggregate sees a few
+// dozen distinct buckets; the agent holds thousands of the former and the
+// fold tier thousands of the latter, against 3 KB each for one count per
+// bucket. A histogram that would hold more than maxRuns distinct buckets, or
+// a count past runCountBits, switches itself to the dense counts array, where
+// an observation is an index instead of a search. The form is a function of
+// the content alone — nothing demotes, and Reset starts over — so merges in
+// any order leave reflect.DeepEqual histograms.
+const (
+	runIndexBits = 9 // 382 buckets
+	runCountBits = 64 - runIndexBits
+	runCountMask = 1<<runCountBits - 1
+
+	// maxRuns is the fill threshold; at it the runs take 1 KB.
+	maxRuns = 128
+)
 
 // LatencyBucketGrowth is the geometric growth factor between consecutive
 // latency-histogram bucket bounds. The relative error of any percentile
@@ -74,23 +95,38 @@ type Bucket struct {
 // index order. The iterator is a value type and allocates nothing; it
 // reads h's live counts, so h must not be modified during iteration.
 func (h *Histogram) Buckets() BucketIter {
-	return BucketIter{counts: h.counts}
+	return BucketIter{buckets: h.buckets}
 }
 
-// BucketIter iterates the non-empty buckets of a Histogram. The zero value
-// is an exhausted iterator.
+// BucketIter iterates non-empty buckets in strictly ascending index order:
+// a Histogram's in either form, or a decoded Runs' straight off the wire
+// bytes. The zero value is an exhausted iterator.
 type BucketIter struct {
-	counts []uint64
-	i      int
+	buckets []uint64 // a Histogram's runs or dense counts, told apart by length
+	i       int
+	wire    []byte // a Runs' validated run bytes
+	left    int    // runs left on the wire
+	index   int    // the last bucket the wire yielded
 }
 
 // Next returns the next non-empty bucket, or ok=false when exhausted.
 func (it *BucketIter) Next() (b Bucket, ok bool) {
-	for it.i < len(it.counts) {
-		i := it.i
+	if it.left > 0 {
+		it.left--
+		gap, n := binary.Uvarint(it.wire)
+		c, m := binary.Uvarint(it.wire[n:])
+		it.wire = it.wire[n+m:]
+		it.index += int(gap)
+		return Bucket{Index: it.index, Count: c}, true
+	}
+	for it.i < len(it.buckets) {
+		i, w := it.i, it.buckets[it.i]
 		it.i++
-		if c := it.counts[i]; c != 0 {
-			return Bucket{Index: i, Count: c}, true
+		if len(it.buckets) <= maxRuns {
+			return Bucket{Index: int(w >> runCountBits), Count: w & runCountMask}, true
+		}
+		if w != 0 {
+			return Bucket{Index: i, Count: w}, true
 		}
 	}
 	return Bucket{}, false
@@ -98,18 +134,18 @@ func (it *BucketIter) Next() (b Bucket, ok bool) {
 
 // AddBucket folds n observations directly into bucket i, the decode-side
 // inverse of Buckets. It updates the bucket count and the total count but
-// not sum/min/max — callers folding a wire sketch follow up with one
-// AddTallies carrying the exact tallies. It panics if i is outside h's
-// layout.
+// not sum/min/max — callers folding a sketch follow up with one AddTallies
+// carrying the exact tallies. It panics if i is outside the layout.
 func (h *Histogram) AddBucket(i int, n uint64) {
-	if i < 0 || i >= len(h.counts) {
-		panic(fmt.Sprintf("metrics: bucket %d out of range [0,%d)", i, len(h.counts)))
+	if i < 0 || i > len(latencyBounds) {
+		panic(fmt.Sprintf("metrics: bucket %d out of range [0,%d]", i, len(latencyBounds)))
 	}
-	h.counts[i] += n
-	h.count += n
+	if n > 0 { // a run is a non-empty bucket
+		h.add(i, n)
+	}
 }
 
-// AddTallies folds the exact sum/min/max tallies of a wire sketch into h,
+// AddTallies folds the exact sum/min/max tallies of a sketch into h,
 // completing a sequence of AddBucket calls. Call it only for a sketch with
 // at least one observation (min/max of an empty sketch are meaningless).
 func (h *Histogram) AddTallies(sum, min, max int64) {
@@ -119,5 +155,67 @@ func (h *Histogram) AddTallies(sum, min, max int64) {
 	}
 	if max > h.max {
 		h.max = max
+	}
+}
+
+func (h *Histogram) dense() bool { return len(h.buckets) > maxRuns }
+
+// add folds n observations into bucket i.
+func (h *Histogram) add(i int, n uint64) {
+	h.count += n
+	if h.dense() {
+		h.buckets[i] += n
+		return
+	}
+	key := uint64(i) << runCountBits
+	at, end := 0, len(h.buckets)
+	for at < end { // the first run at or past bucket i
+		if m := int(uint(at+end) >> 1); h.buckets[m] < key {
+			at = m + 1
+		} else {
+			end = m
+		}
+	}
+	h.addRun(at, i, n)
+}
+
+// addRun folds n observations into bucket i, whose run is — or would be
+// inserted — at position at. When the runs cannot take them (one more
+// distinct bucket than maxRuns, or a count past runCountBits) it switches
+// to the dense counts array first.
+func (h *Histogram) addRun(at, i int, n uint64) {
+	if at < len(h.buckets) && h.buckets[at]>>runCountBits == uint64(i) {
+		if n <= runCountMask-h.buckets[at]&runCountMask {
+			h.buckets[at] += n
+			return
+		}
+	} else if len(h.buckets) < maxRuns && n <= runCountMask {
+		h.buckets = append(h.buckets, 0)
+		copy(h.buckets[at+1:], h.buckets[at:])
+		h.buckets[at] = uint64(i)<<runCountBits | n
+		return
+	}
+	runs := h.buckets
+	h.buckets = make([]uint64, len(latencyBounds)+1)
+	for _, run := range runs {
+		h.buckets[run>>runCountBits] = run & runCountMask
+	}
+	h.buckets[i] += n
+}
+
+// addBuckets folds the buckets it yields into h — the one fold behind Merge
+// and Runs.AddTo: a merge-join, which is why it must ascend strictly.
+func (h *Histogram) addBuckets(it BucketIter) {
+	at := 0
+	for b, ok := it.Next(); ok; b, ok = it.Next() {
+		h.count += b.Count
+		if h.dense() {
+			h.buckets[b.Index] += b.Count
+			continue
+		}
+		for at < len(h.buckets) && int(h.buckets[at]>>runCountBits) < b.Index {
+			at++
+		}
+		h.addRun(at, b.Index, b.Count)
 	}
 }

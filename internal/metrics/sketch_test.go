@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -45,10 +46,8 @@ func TestSketchRoundTripExact(t *testing.T) {
 	if got, want := dst.Summarize(), src.Summarize(); got != want {
 		t.Fatalf("round-tripped summary %v, want %v", got, want)
 	}
-	for i := range src.counts {
-		if src.counts[i] != dst.counts[i] {
-			t.Fatalf("bucket %d: got %d want %d", i, dst.counts[i], src.counts[i])
-		}
+	if !reflect.DeepEqual(src, dst) {
+		t.Fatalf("round-tripped histogram differs:\ngot  %+v\nwant %+v", dst, src)
 	}
 }
 
@@ -88,12 +87,9 @@ func TestLatencyBucketOfMatchesObserve(t *testing.T) {
 		d := time.Duration(rng.Int63n(int64(histMax) * 2))
 		h := NewLatencyHistogram()
 		h.Observe(d)
-		want := -1
-		for j, c := range h.counts {
-			if c != 0 {
-				want = j
-			}
-		}
+		it := h.Buckets()
+		b, _ := it.Next()
+		want := b.Index
 		if got := LatencyBucketOf(d); got != want {
 			t.Fatalf("LatencyBucketOf(%v) = %d, Observe filled bucket %d", d, got, want)
 		}

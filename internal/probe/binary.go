@@ -30,8 +30,8 @@ import (
 //	addr    := len:byte(0|4|16) bytes            // 0 = invalid/zero Addr
 //	sketch  := addr(src) addr(dst) dport:uv class:byte proto:byte qos:byte
 //	           payloadLen:v minStart_ns:v span_ns:uv hist(rtt) hist(payload)
-//	hist    := nBuckets:uv [sum_ns:v min_ns:v max_ns:v run*]   // tallies only when nBuckets > 0
-//	run     := gap:uv count:uv   // first gap = bucket index; later gaps = idx - prevIdx >= 1
+//	hist    := nRuns:uv [tallies run*], the one histogram wire form: encoded,
+//	           validated and iterated by internal/metrics (runs.go)
 //
 // The length prefix makes the format self-delimiting: a cosmos extent is a
 // concatenation of upload batches (CSV documents and/or binary batches),
@@ -53,11 +53,6 @@ var (
 	errBadBatchHeader = errors.New("probe: bad binary batch header")
 	errBadBatch       = errors.New("probe: corrupt binary batch")
 )
-
-// maxSketchCount bounds the total observation count a decoded wire
-// histogram may claim, so corrupt or adversarial input cannot smuggle
-// absurd tallies into downstream aggregates.
-const maxSketchCount = 1 << 48
 
 // hasBinaryMagic reports whether b starts a binary batch.
 func hasBinaryMagic(b []byte) bool {
@@ -149,104 +144,8 @@ func appendBinSketch(dst []byte, sk *PeerSketch) []byte {
 	dst = binary.AppendVarint(dst, int64(sk.PayloadLen))
 	dst = binary.AppendVarint(dst, sk.MinStart.UnixNano())
 	dst = binary.AppendUvarint(dst, uint64(sk.MaxStart.UnixNano()-sk.MinStart.UnixNano()))
-	dst = appendBinHist(dst, sk.RTT)
-	return appendBinHist(dst, sk.Payload)
-}
-
-func appendBinHist(dst []byte, h *metrics.Histogram) []byte {
-	if h == nil || h.Count() == 0 {
-		return binary.AppendUvarint(dst, 0)
-	}
-	n := 0
-	it := h.Buckets()
-	for {
-		if _, ok := it.Next(); !ok {
-			break
-		}
-		n++
-	}
-	dst = binary.AppendUvarint(dst, uint64(n))
-	dst = binary.AppendVarint(dst, int64(h.Sum()))
-	dst = binary.AppendVarint(dst, int64(h.Min()))
-	dst = binary.AppendVarint(dst, int64(h.Max()))
-	prev := -1
-	it = h.Buckets()
-	for {
-		b, ok := it.Next()
-		if !ok {
-			break
-		}
-		if prev < 0 {
-			dst = binary.AppendUvarint(dst, uint64(b.Index))
-		} else {
-			dst = binary.AppendUvarint(dst, uint64(b.Index-prev))
-		}
-		prev = b.Index
-		dst = binary.AppendUvarint(dst, b.Count)
-	}
-	return dst
-}
-
-// SketchHist is one decoded wire histogram: the exact tallies plus the raw
-// bucket runs, which alias the scanned input buffer (zero-copy — valid
-// only while the buffer is). An empty histogram has Count == 0.
-type SketchHist struct {
-	Count uint64
-	Sum   int64
-	MinNS int64
-	MaxNS int64
-	runs  []byte // validated run* bytes, aliasing the batch payload
-	n     int    // number of runs
-}
-
-// Buckets returns an iterator over the histogram's non-empty buckets in
-// ascending index order. The runs were validated at decode time, so every
-// yielded index is within the shared latency layout.
-func (h *SketchHist) Buckets() SketchBucketIter {
-	return SketchBucketIter{runs: h.runs, rem: h.n, idx: -1}
-}
-
-// SketchBucketIter iterates the buckets of a SketchHist.
-type SketchBucketIter struct {
-	runs []byte
-	rem  int
-	idx  int
-}
-
-// Next returns the next bucket, or ok=false when exhausted.
-func (it *SketchBucketIter) Next() (b metrics.Bucket, ok bool) {
-	if it.rem == 0 {
-		return metrics.Bucket{}, false
-	}
-	it.rem--
-	gap, n := binary.Uvarint(it.runs)
-	it.runs = it.runs[n:]
-	c, n := binary.Uvarint(it.runs)
-	it.runs = it.runs[n:]
-	if it.idx < 0 {
-		it.idx = int(gap)
-	} else {
-		it.idx += int(gap)
-	}
-	return metrics.Bucket{Index: it.idx, Count: c}, true
-}
-
-// AddTo folds the wire histogram into dst: bucket counts via AddBucket,
-// then the exact tallies. Folding allocates nothing and costs one pass
-// over the non-empty buckets — no per-observation replay.
-func (h *SketchHist) AddTo(dst *metrics.Histogram) {
-	if h.Count == 0 {
-		return
-	}
-	it := h.Buckets()
-	for {
-		b, ok := it.Next()
-		if !ok {
-			break
-		}
-		dst.AddBucket(b.Index, b.Count)
-	}
-	dst.AddTallies(h.Sum, h.MinNS, h.MaxNS)
+	dst = sk.RTT.AppendRuns(dst)
+	return sk.Payload.AppendRuns(dst)
 }
 
 // Sketch is one decoded per-peer sketch. Like Scanner's Record, the value
@@ -262,8 +161,8 @@ type Sketch struct {
 	PayloadLen int
 	MinStart   time.Time
 	MaxStart   time.Time
-	RTT        SketchHist
-	Payload    SketchHist
+	RTT        metrics.Runs
+	Payload    metrics.Runs
 }
 
 // Records returns the number of probe outcomes the sketch summarizes.
@@ -426,75 +325,20 @@ func (s *Scanner) parseBinSketch() error {
 		return errBadBatch
 	}
 	sk.MaxStart = time.Unix(0, v+int64(u)).UTC()
-	var err error
-	if off, err = parseBinHist(d, off, &sk.RTT); err != nil {
-		return err
+	var n int
+	if sk.RTT, n, ok = metrics.DecodeRuns(d[off:]); !ok {
+		return errBadBatch
 	}
-	if off, err = parseBinHist(d, off, &sk.Payload); err != nil {
-		return err
+	off += n
+	if sk.Payload, n, ok = metrics.DecodeRuns(d[off:]); !ok {
+		return errBadBatch
 	}
 	// A sketch that summarizes nothing is meaningless on the wire.
 	if sk.RTT.Count == 0 {
 		return errBadBatch
 	}
-	s.off = off
+	s.off = off + n
 	return nil
-}
-
-// parseBinHist decodes and validates one wire histogram, leaving h.runs
-// aliasing the validated run bytes so iteration needs no re-checking.
-func parseBinHist(d []byte, off int, h *SketchHist) (int, error) {
-	nb, off, ok := getUvarint(d, off)
-	if !ok {
-		return off, errBadBatch
-	}
-	*h = SketchHist{}
-	if nb == 0 {
-		return off, nil
-	}
-	if nb > uint64(metrics.LatencyBucketCount()) {
-		return off, errBadBatch
-	}
-	if h.Sum, off, ok = getVarint(d, off); !ok {
-		return off, errBadBatch
-	}
-	if h.MinNS, off, ok = getVarint(d, off); !ok {
-		return off, errBadBatch
-	}
-	if h.MaxNS, off, ok = getVarint(d, off); !ok || h.MaxNS < h.MinNS {
-		return off, errBadBatch
-	}
-	runsStart := off
-	idx := -1
-	var total uint64
-	for i := uint64(0); i < nb; i++ {
-		var gap, c uint64
-		if gap, off, ok = getUvarint(d, off); !ok {
-			return off, errBadBatch
-		}
-		if idx < 0 {
-			idx = int(gap)
-		} else {
-			if gap == 0 {
-				return off, errBadBatch
-			}
-			idx += int(gap)
-		}
-		if idx < 0 || idx >= metrics.LatencyBucketCount() {
-			return off, errBadBatch
-		}
-		if c, off, ok = getUvarint(d, off); !ok || c == 0 {
-			return off, errBadBatch
-		}
-		total += c
-		if total > maxSketchCount {
-			return off, errBadBatch
-		}
-	}
-	h.Count = total
-	h.runs = d[runsStart:off]
-	h.n = int(nb)
-	return off, nil
 }
 
 // Binary batch state machine, driven by Scanner.ScanEntry.

@@ -1,6 +1,7 @@
 package probe
 
 import (
+	"encoding/hex"
 	"math/rand"
 	"net/netip"
 	"testing"
@@ -86,7 +87,7 @@ func compareSketch(t *testing.T, got *Sketch, want *PeerSketch) {
 	compareHist(t, "payload", &got.Payload, want.Payload)
 }
 
-func compareHist(t *testing.T, label string, got *SketchHist, want *metrics.Histogram) {
+func compareHist(t *testing.T, label string, got *metrics.Runs, want *metrics.Histogram) {
 	t.Helper()
 	if want == nil || want.Count() == 0 {
 		if got.Count != 0 {
@@ -95,9 +96,9 @@ func compareHist(t *testing.T, label string, got *SketchHist, want *metrics.Hist
 		return
 	}
 	if got.Count != want.Count() || got.Sum != int64(want.Sum()) ||
-		got.MinNS != int64(want.Min()) || got.MaxNS != int64(want.Max()) {
+		got.Min != int64(want.Min()) || got.Max != int64(want.Max()) {
 		t.Fatalf("%s: tallies diverged: got n=%d sum=%d min=%d max=%d, want n=%d sum=%v min=%v max=%v",
-			label, got.Count, got.Sum, got.MinNS, got.MaxNS,
+			label, got.Count, got.Sum, got.Min, got.Max,
 			want.Count(), int64(want.Sum()), int64(want.Min()), int64(want.Max()))
 	}
 	gi, wi := got.Buckets(), want.Buckets()
@@ -241,6 +242,40 @@ func TestBinaryBatchCorruptionResync(t *testing.T) {
 	}
 }
 
+// sketchBatchWithRuns hand-builds a batch of one sketch whose RTT histogram
+// claims two runs and carries the given run bytes.
+func sketchBatchWithRuns(runs ...byte) []byte {
+	p := []byte{0, 1} // no records, one sketch
+	p = appendBinAddr(p, netip.MustParseAddr("10.0.0.1"))
+	p = appendBinAddr(p, netip.MustParseAddr("10.0.0.2"))
+	p = append(p, 80, 0, 0, 0, 0, 0, 0) // dport, class/proto/qos, payloadLen, minStart, span
+	p = append(p, 2, 4, 2, 2)           // nRuns, sum, min, max
+	p = append(p, runs...)
+	p = append(p, 0) // empty payload histogram
+	return append(append([]byte(binaryMagic), byte(len(p))), p...)
+}
+
+// A run list the encoder cannot produce but a corrupt extent can: the gap
+// 2^64−1, added to the bucket index as an int, wraps to −1, so a decoder
+// that only range-checks the result yields buckets 5 then 4 and breaks the
+// ascending order every fold relies on; a count of 2^64−1 wraps the running
+// total to 0. Both must cost the batch, as one row error.
+func TestBinarySketchRejectsWrappingRuns(t *testing.T) {
+	max := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}
+	if _, sks, errs := scanAllEntries(sketchBatchWithRuns(5, 1, 1, 1)); len(sks) != 1 || errs != 0 {
+		t.Fatalf("well-formed runs: %d sketches, %d errors", len(sks), errs)
+	}
+	for name, runs := range map[string][]byte{
+		"gap wrapping the index":   append(append([]byte{5, 1}, max...), 1),
+		"count wrapping the total": append([]byte{5, 1, 1}, max...),
+	} {
+		_, sks, errs := scanAllEntries(sketchBatchWithRuns(runs...))
+		if len(sks) != 0 || errs != 1 {
+			t.Fatalf("%s: %d sketches, %d errors, want the batch rejected", name, len(sks), errs)
+		}
+	}
+}
+
 // A CSV line that merely starts with the magic is a binary batch attempt
 // now (documented acceptance change): still exactly one row error, and
 // surrounding batches still decode when the length prefix happens to be
@@ -323,6 +358,7 @@ func FuzzBinaryCodecRoundTrip(f *testing.F) {
 	f.Add([]byte(binaryMagic))
 	f.Add([]byte(binaryMagic + "\x02\x00\x00garbage"))
 	f.Add([]byte("csv,line\n" + binaryMagic + "\x05\x01"))
+	f.Add(sketchBatchWithRuns(5, 1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 1)) // gap 2^64−1
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var sc Scanner
 		sc.Reset(data)
@@ -365,4 +401,60 @@ func FuzzBinaryCodecRoundTrip(f *testing.F) {
 			compareSketch(t, &gotSks[i], &sks[i])
 		}
 	})
+}
+
+// goldenBatch builds a PMB1 batch from fixed inputs: one failed raw record,
+// a sketch of a few dozen distinct buckets with a payload histogram, and one
+// spread over more distinct buckets than a histogram keeps as runs.
+func goldenBatch() []byte {
+	start := time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC)
+	src, dst := netip.MustParseAddr("10.0.0.1"), netip.MustParseAddr("fd00::2")
+	narrow, payload, wide := metrics.NewLatencyHistogram(), metrics.NewLatencyHistogram(), metrics.NewLatencyHistogram()
+	for i := 0; i < 300; i++ {
+		narrow.Observe(time.Duration(180+7*i) * time.Microsecond)
+		if i%3 == 0 {
+			payload.Observe(time.Duration(400+11*i) * time.Microsecond)
+		}
+	}
+	for i := 0; i < 200; i++ {
+		wide.Observe(time.Duration(50+i*i*i) * time.Microsecond)
+	}
+	recs := []Record{{Start: start, Src: src, SrcPort: 40000, Dst: dst, DstPort: 8765,
+		Class: IntraDC, Proto: HTTP, QoS: QoSLow, PayloadLen: 64, RTT: 21 * time.Second, Err: "connect: timeout"}}
+	sks := []PeerSketch{
+		{Src: src, Dst: dst, DstPort: 8765, Class: IntraPod, PayloadLen: 64,
+			MinStart: start, MaxStart: start.Add(9 * time.Minute), RTT: narrow, Payload: payload},
+		{Src: dst, Dst: src, DstPort: 80, Class: InterDC, Proto: HTTP, QoS: QoSLow,
+			MinStart: start.Add(time.Second), MaxStart: start.Add(time.Minute), RTT: wide},
+	}
+	return AppendBinaryBatch(nil, recs, sks)
+}
+
+const goldenBatchHex = "" +
+	"504d42319205018080a8ad95d780be31040a000001c0b80210fd000000000000000000000000000002bd440101018001" +
+	"80c894bb9c010010636f6e6e6563743a2074696d656f757402040a00000110fd000000000000000000000000000002bd" +
+	"4400000080018080a8ad95d780be3180b088d4db0f35e0e2f3de02c0fc15d0bb95026b01010201010101010201020101" +
+	"010201020102010201020102010301020103010201030103010401030103010401040104010401050104010501060105" +
+	"01060106010601070107010701080108010801090109010a010a010b010b010c010d010d010d010f010f01072ce0fff6" +
+	"c10180ea30f0d0bf037b0102010101020101010101020101010101010101010102010101010101010201010102010101" +
+	"020102010201020102010201020103010201030103010301030103010301040104010301050104010401050105010501" +
+	"0210fd000000000000000000000000000002040a000001500201010080a8fee69cd780be31809cb2e5db01860180948d" +
+	"ca8617a08d06d0a4c9db3a51020301060108010801090108010701070106010601050105010401040104010401030104" +
+	"010301030103010201030102010301020102010301020102010201020101010201020102010101020101010201010102" +
+	"010101020101010101020101010101010101010201010101010101010101010101010101010101010101010101010101" +
+	"010101010101010102010101010101010101020101010101020101010101020101010201010101010201010102010201" +
+	"010102010201010102010201010102010201020102010201020102010201020102010201020102010301020102010201" +
+	"03010201030102010301020103010301020103010301030103010301030103010301030103010200"
+
+// TestBinaryBatchGoldenBytes pins the PMB1 wire bytes: the constant was taken
+// before the run codec moved into internal/metrics and the histogram became
+// self-compacting, and neither may change a byte agents and extents carry.
+func TestBinaryBatchGoldenBytes(t *testing.T) {
+	if got := hex.EncodeToString(goldenBatch()); got != goldenBatchHex {
+		t.Fatalf("PMB1 batch bytes changed:\ngot  %s\nwant %s", got, goldenBatchHex)
+	}
+	recs, sks, errs := scanAllEntries(goldenBatch())
+	if len(recs) != 1 || len(sks) != 2 || errs != 0 {
+		t.Fatalf("golden batch decoded to %d records, %d sketches, %d errors", len(recs), len(sks), errs)
+	}
 }

@@ -18,7 +18,7 @@ import (
 // reports from the whole fleet, folds them into rollups keyed by the scope
 // hierarchy (fleet, DC, podset, pod), and periodically samples those
 // rollups into ring-buffer time series. Counters sum exactly across
-// agents; histograms merge bucket-for-bucket via AddBucket, so a fleet
+// agents; histograms merge bucket-for-bucket via Runs.AddTo, so a fleet
 // percentile is bit-identical to one histogram fed every agent's
 // observations. Per-agent state is two words (last applied seq, last
 // report time) — a million agents cost tens of megabytes, not gigabytes.

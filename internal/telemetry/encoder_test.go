@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"encoding/hex"
 	"testing"
 	"time"
 
@@ -397,4 +398,80 @@ func TestFleetHistogramParity(t *testing.T) {
 	// Pod-level rollup covers the same population here, so it must match too.
 	ph, _ := c.RollupHistogram("d0.s0.p0", "agent.probe_rtt")
 	assertHistEqual(t, ph, exact)
+}
+
+// goldenReports encodes a fixed registry twice: a self-contained first
+// report, then — after its ack and more activity — a delta report whose
+// histogram entries are the per-bucket differences against the acked base.
+func goldenReports() (first, second []byte) {
+	reg := metrics.NewRegistry()
+	sent, peers := reg.Counter("agent.probes_sent"), reg.Gauge("agent.peers")
+	rtt, wide := reg.Histogram("agent.rtt.intra-pod"), reg.Histogram("agent.rtt.inter-dc")
+	idle := reg.Histogram("agent.rtt.idle")
+	e := NewEncoder("srv042.d1", "d1.s2.p3", reg)
+	observe := func(round int) {
+		sent.Add(int64(1000 * round))
+		peers.Set(int64(2500 - round))
+		for i := 0; i < 300; i++ {
+			rtt.Observe(time.Duration(180*round+7*i) * time.Microsecond)
+		}
+		for i := 0; i < 200; i++ {
+			wide.Observe(time.Duration(50*round+i*i*i) * time.Microsecond)
+		}
+	}
+	observe(1)
+	idle.Observe(time.Millisecond)
+	data, seq := e.Encode(1_782_864_000_000_000_000)
+	first = append(first, data...)
+	e.Ack(seq)
+	observe(2)
+	data, _ = e.Encode(1_782_864_300_000_000_000)
+	return first, append(second, data...)
+}
+
+const goldenFirstHex = "" +
+	"504d54318604097372763034322e64310864312e73322e703301008080a8ad95d780be310100116167656e742e70726f" +
+	"6265735f73656e74e80701000b6167656e742e7065657273862703000e6167656e742e7274742e69646c650180897a80" +
+	"897a80897a8e01010b076e7465722d6463860180948dca8617a08d06d0a4c9db3a510203010601080108010901080107" +
+	"010701060106010501050104010401040104010301040103010301030102010301020103010201020103010201020102" +
+	"010201010102010201020101010201010102010101020101010201010101010201010101010101010102010101010101" +
+	"010101010101010101010101010101010101010101010101010101010101020101010101010101010201010101010201" +
+	"010101010201010102010101010102010101020102010101020102010101020102010101020102010201020102010201" +
+	"020102010201020102010201020103010201020102010301020103010201030102010301030102010301030103010301" +
+	"030103010301030103010301020d0672612d706f6435e0e2f3de02c0fc15d0bb95026b01010201010101010201020101" +
+	"010201020102010201020102010301020103010201030103010401030103010401040104010401050104010501060105" +
+	"01060106010601070107010701080108010801090109010a010a010b010b010c010d010d010d010f010f0107"
+
+const goldenSecondHex = "" +
+	"504d5431d903097372763034322e64310864312e73322e7033020180e0cdc3d0e880be310100116167656e742e70726f" +
+	"6265735f73656e74d00f01000b6167656e742e7065657273010200126167656e742e7274742e696e7465722d64638601" +
+	"80eed1d38617a08d06f0b1cfdb3a5f020101040105010701060107010701060106010501050105010501040103010401" +
+	"040103010301030103010201030103010201020102010301020102010201020101010201020102010101020101010201" +
+	"010102010101020101010101020101010101010101010201010101010101010101010101010101010101010101010101" +
+	"010101010101010101010102010101010101010101020101010101020101010101020101010201010101010201010102" +
+	"010201010102010201010102010201010102010201020102010201020102010201020102010201020102010301020102" +
+	"0102010301020103010201030102010301030102010301030103010301030103010301030103010301020d0672612d70" +
+	"6f6428e0c8b39203c0fc1590b8ab02790101030103010301030103010301040103010401040105010401050105010501" +
+	"0501060106010601070107010701080108010801090109010a010a010b010c010b010d010d010e010e010f01100111"
+
+// TestReportGoldenBytes pins the PMT1 wire bytes: the constants were taken
+// before the run codec moved into internal/metrics and the histogram became
+// self-compacting, and neither may change a byte a collector receives.
+func TestReportGoldenBytes(t *testing.T) {
+	first, second := goldenReports()
+	if got := hex.EncodeToString(first); got != goldenFirstHex {
+		t.Fatalf("self-contained report bytes changed:\ngot  %s\nwant %s", got, goldenFirstHex)
+	}
+	if got := hex.EncodeToString(second); got != goldenSecondHex {
+		t.Fatalf("delta report bytes changed:\ngot  %s\nwant %s", got, goldenSecondHex)
+	}
+	c := NewCollector(CollectorConfig{})
+	for _, data := range [][]byte{first, second} {
+		if _, err := c.Ingest(data, time.Unix(1000, 0)); err != nil {
+			t.Fatalf("Ingest: %v", err)
+		}
+	}
+	if h, ok := c.RollupHistogram("fleet", "agent.rtt.inter-dc"); !ok || h.Count() != 400 {
+		t.Fatalf("golden reports folded to %v, ok=%v", h, ok)
+	}
 }

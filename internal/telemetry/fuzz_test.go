@@ -25,6 +25,7 @@ func FuzzPMT1RoundTrip(f *testing.F) {
 	f.Add([]byte("PMT1"))
 	f.Add([]byte{})
 	f.Add([]byte("PMT1\x00\x00"))
+	f.Add(badRunsReport(metrics.Bucket{Index: 5, Count: 1}, metrics.Bucket{Index: 4, Count: 1})) // gap 2^64−1
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Direction 1: arbitrary bytes must not panic the parser, and a
@@ -156,9 +157,9 @@ func FuzzPMT1RoundTrip(f *testing.F) {
 			if !ok || string(name) != want.name {
 				t.Fatalf("hist: got %q %v want %q", name, ok, want.name)
 			}
-			if hd.SumDelta != want.sum || hd.CumMin != want.min || hd.CumMax != want.max {
+			if hd.Sum != want.sum || hd.Min != want.min || hd.Max != want.max {
 				t.Fatalf("hist tallies: got %d %d %d want %d %d %d",
-					hd.SumDelta, hd.CumMin, hd.CumMax, want.sum, want.min, want.max)
+					hd.Sum, hd.Min, hd.Max, want.sum, want.min, want.max)
 			}
 			it := hd.Buckets()
 			for _, wb := range want.buckets {

@@ -1,6 +1,8 @@
 package telemetry
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 )
@@ -117,5 +119,39 @@ func TestStoreKeysSorted(t *testing.T) {
 	}
 	if NewStore(0, 0).Keys() != nil {
 		t.Fatal("empty store Keys should be nil")
+	}
+}
+
+// TestStoreConcurrentAppend races writers of their own and of a shared key
+// against readers — what the deleted autopilot.PA's churn test exercised on
+// the store through its collectors (run under -race in CI tiers 2 and 2c).
+func TestStoreConcurrentAppend(t *testing.T) {
+	s := NewStore(8, 0)
+	t0 := time.Unix(1000, 0)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			own := fmt.Sprintf("src%d/counter/c", g)
+			for i := 0; i < 100; i++ {
+				at := t0.Add(time.Duration(i) * time.Minute)
+				s.Append(own, at, float64(i))
+				s.Append("shared", at, float64(g))
+				s.Series(own)
+				s.Latest("shared")
+				s.Keys()
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g := 0; g < 4; g++ {
+		pts := s.Series(fmt.Sprintf("src%d/counter/c", g))
+		if len(pts) != 8 || pts[7].Value != 99 {
+			t.Fatalf("writer %d: %d points, newest %v", g, len(pts), pts[len(pts)-1])
+		}
+	}
+	if n := s.Len("shared"); n != 8 {
+		t.Fatalf("shared key kept %d points, want 8", n)
 	}
 }

@@ -29,9 +29,10 @@ import (
 //	           nCounters:uv counter* nGauges:uv gauge* nHists:uv hist*
 //	counter := name delta:uv                 // value increment since base
 //	gauge   := name delta:v                  // signed change since base
-//	hist    := name nRuns:uv [sumDelta:v cumMin:v cumMax:v run*]
-//	run     := gap:uv count:uv               // new observations per bucket;
-//	                                         // first gap = index, later >= 1
+//	hist    := name runs                     // the one histogram wire form of
+//	                                         // internal/metrics (runs.go): new
+//	                                         // observations per bucket, with
+//	                                         // sum = sumDelta, min/max = cumMin/cumMax
 //	name    := prefixLen:uv suffixLen:uv suffix
 //
 // Names are front-coded against the previously emitted name of the same
@@ -56,8 +57,8 @@ import (
 
 const telemetryMagic = "PMT1"
 
-// Wire validation limits. maxWireCount matches the probe codec's sketch
-// bound: no decoded report may smuggle absurd totals into the rollups.
+// Wire validation limits. maxWireCount matches the histogram codec's bound:
+// no decoded report may smuggle absurd totals into the rollups.
 const (
 	maxIDLen     = 256
 	maxNameLen   = 512
@@ -85,9 +86,7 @@ type ReportBuilder struct {
 	hprev            []byte
 	out              []byte
 
-	histTallyOff int // hbuf offset where the open hist's nRuns splices in
-	histRuns     int
-	histPrevIdx  int
+	hist metrics.RunEncoder // the open hist entry
 }
 
 // Begin starts a report, discarding any previous state. src identifies the
@@ -107,7 +106,6 @@ func (b *ReportBuilder) Begin(src, scope string, seq, base uint64, nowNS int64) 
 	b.cbuf, b.gbuf, b.hbuf = b.cbuf[:0], b.gbuf[:0], b.hbuf[:0]
 	b.cn, b.gn, b.hn = 0, 0, 0
 	b.cprev, b.gprev, b.hprev = b.cprev[:0], b.gprev[:0], b.hprev[:0]
-	b.histRuns = -1
 }
 
 // Counter adds one counter entry. Skip zero deltas: absence means zero.
@@ -130,38 +128,21 @@ func (b *ReportBuilder) Gauge(name string, delta int64) {
 // EndHist.
 func (b *ReportBuilder) BeginHist(name string, sumDelta, cumMin, cumMax int64) {
 	b.hbuf, b.hprev = appendFrontCoded(b.hbuf, b.hprev, name)
-	b.histTallyOff = len(b.hbuf)
-	b.hbuf = binary.AppendVarint(b.hbuf, sumDelta)
-	b.hbuf = binary.AppendVarint(b.hbuf, cumMin)
-	b.hbuf = binary.AppendVarint(b.hbuf, cumMax)
-	b.histRuns = 0
-	b.histPrevIdx = -1
+	b.hbuf, b.hist = metrics.BeginRuns(b.hbuf, sumDelta, cumMin, cumMax)
 }
 
 // Bucket adds n new observations in bucket index of the shared latency
 // layout. Indexes must strictly ascend within one histogram; n must be
 // positive.
 func (b *ReportBuilder) Bucket(index int, n uint64) {
-	if b.histPrevIdx < 0 {
-		b.hbuf = binary.AppendUvarint(b.hbuf, uint64(index))
-	} else {
-		b.hbuf = binary.AppendUvarint(b.hbuf, uint64(index-b.histPrevIdx))
-	}
-	b.histPrevIdx = index
-	b.hbuf = binary.AppendUvarint(b.hbuf, n)
-	b.histRuns++
+	b.hbuf = b.hist.Run(b.hbuf, index, n)
 }
 
-// EndHist closes the open histogram, splicing its run count in front of
-// the tallies. A histogram that received no Bucket calls is emitted as an
-// empty entry (nRuns = 0, tallies dropped) — harmless, but callers should
-// skip unchanged histograms entirely.
+// EndHist closes the open histogram. One that received no Bucket calls is
+// emitted as an empty entry (nRuns = 0, tallies dropped) — harmless, but
+// callers should skip unchanged histograms entirely.
 func (b *ReportBuilder) EndHist() {
-	if b.histRuns == 0 {
-		b.hbuf = b.hbuf[:b.histTallyOff]
-	}
-	b.hbuf = spliceUvarint(b.hbuf, b.histTallyOff, uint64(b.histRuns))
-	b.histRuns = -1
+	b.hbuf = b.hist.End(b.hbuf)
 	b.hn++
 }
 
@@ -344,145 +325,38 @@ func (p *Parser) NextGauge() (name []byte, delta int64, ok bool) {
 	return p.name, delta, true
 }
 
-// HistDelta is one decoded histogram entry: the tallies plus the validated
-// run bytes, which alias the report buffer (zero-copy).
-type HistDelta struct {
-	Count    uint64 // total new observations across all runs
-	SumDelta int64
-	CumMin   int64
-	CumMax   int64
-	runs     []byte
-	n        int
-}
-
-// Buckets returns an iterator over the entry's bucket runs in ascending
-// index order. Runs were validated at parse time, so every yielded index
-// is within the shared latency layout.
-func (h *HistDelta) Buckets() HistBucketIter {
-	return HistBucketIter{runs: h.runs, rem: h.n, idx: -1}
-}
-
-// HistBucketIter iterates the buckets of a HistDelta.
-type HistBucketIter struct {
-	runs []byte
-	rem  int
-	idx  int
-}
-
-// Next returns the next bucket, or ok=false when exhausted.
-func (it *HistBucketIter) Next() (b metrics.Bucket, ok bool) {
-	if it.rem == 0 {
-		return metrics.Bucket{}, false
-	}
-	it.rem--
-	gap, n := binary.Uvarint(it.runs)
-	it.runs = it.runs[n:]
-	c, n := binary.Uvarint(it.runs)
-	it.runs = it.runs[n:]
-	if it.idx < 0 {
-		it.idx = int(gap)
-	} else {
-		it.idx += int(gap)
-	}
-	return metrics.Bucket{Index: it.idx, Count: c}, true
-}
-
-// AddTo folds the histogram delta into dst: bucket counts via AddBucket,
-// then the tallies. An empty delta folds nothing.
-func (h *HistDelta) AddTo(dst *metrics.Histogram) {
-	if h.Count == 0 {
-		return
-	}
-	it := h.Buckets()
-	for {
-		b, ok := it.Next()
-		if !ok {
-			break
-		}
-		dst.AddBucket(b.Index, b.Count)
-	}
-	dst.AddTallies(h.SumDelta, h.CumMin, h.CumMax)
-}
-
-// NextHist returns the next histogram entry. Call only after NextGauge has
-// returned false. After the last histogram, the parser verifies the
-// payload was fully consumed; check Err.
-func (p *Parser) NextHist() (name []byte, hd HistDelta, ok bool) {
+// NextHist returns the next histogram entry: its sum is the sum of the new
+// observations, its min/max the agent's cumulative ones. The runs alias the
+// report buffer. Call only after NextGauge has returned false. After the
+// last histogram, the parser verifies the payload was fully consumed; check
+// Err.
+func (p *Parser) NextHist() (name []byte, hd metrics.Runs, ok bool) {
 	if p.err != nil {
-		return nil, HistDelta{}, false
+		return nil, metrics.Runs{}, false
 	}
 	if p.phase != phaseHists {
 		if p.phase != phaseDone {
 			p.fail(errParserPhase)
 		}
-		return nil, HistDelta{}, false
+		return nil, metrics.Runs{}, false
 	}
 	if p.remain == 0 {
 		if p.off != p.end {
 			p.fail(errBadReport)
 		}
 		p.phase = phaseDone
-		return nil, HistDelta{}, false
+		return nil, metrics.Runs{}, false
 	}
 	p.remain--
 	if !p.readName() {
-		return nil, HistDelta{}, false
+		return nil, metrics.Runs{}, false
 	}
-	var nb uint64
-	if nb, p.off, ok = p.getUvarint(); !ok || nb > uint64(metrics.LatencyBucketCount()) {
+	hd, n, ok := metrics.DecodeRuns(p.d[p.off:p.end])
+	if !ok {
 		p.fail(errBadReport)
-		return nil, HistDelta{}, false
+		return nil, metrics.Runs{}, false
 	}
-	if nb == 0 {
-		return p.name, HistDelta{}, true
-	}
-	if hd.SumDelta, p.off, ok = p.getVarint(); !ok {
-		p.fail(errBadReport)
-		return nil, HistDelta{}, false
-	}
-	if hd.CumMin, p.off, ok = p.getVarint(); !ok {
-		p.fail(errBadReport)
-		return nil, HistDelta{}, false
-	}
-	if hd.CumMax, p.off, ok = p.getVarint(); !ok || hd.CumMax < hd.CumMin {
-		p.fail(errBadReport)
-		return nil, HistDelta{}, false
-	}
-	runsStart := p.off
-	idx := -1
-	var total uint64
-	for i := uint64(0); i < nb; i++ {
-		var gap, c uint64
-		if gap, p.off, ok = p.getUvarint(); !ok {
-			p.fail(errBadReport)
-			return nil, HistDelta{}, false
-		}
-		if idx < 0 {
-			idx = int(gap)
-		} else {
-			if gap == 0 {
-				p.fail(errBadReport)
-				return nil, HistDelta{}, false
-			}
-			idx += int(gap)
-		}
-		if idx < 0 || idx >= metrics.LatencyBucketCount() {
-			p.fail(errBadReport)
-			return nil, HistDelta{}, false
-		}
-		if c, p.off, ok = p.getUvarint(); !ok || c == 0 {
-			p.fail(errBadReport)
-			return nil, HistDelta{}, false
-		}
-		total += c
-		if total > maxWireCount {
-			p.fail(errBadReport)
-			return nil, HistDelta{}, false
-		}
-	}
-	hd.Count = total
-	hd.runs = p.d[runsStart:p.off]
-	hd.n = int(nb)
+	p.off += n
 	return p.name, hd, true
 }
 

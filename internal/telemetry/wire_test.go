@@ -59,7 +59,7 @@ func drainReport(t *testing.T, data []byte) drained {
 			bs = append(bs, b)
 		}
 		d.hists[string(name)] = bs
-		d.tallies[string(name)] = [3]int64{hd.SumDelta, hd.CumMin, hd.CumMax}
+		d.tallies[string(name)] = [3]int64{hd.Sum, hd.Min, hd.Max}
 	}
 	if err := p.Err(); err != nil {
 		t.Fatalf("Err after drain: %v", err)
@@ -241,34 +241,52 @@ func TestWireSectionOrderEnforced(t *testing.T) {
 	}
 }
 
-func TestWireHistRejectsBadRuns(t *testing.T) {
-	// Hand-build a hist section with a zero gap on a non-first run, which
-	// the builder can't produce but a hostile peer could.
+// badRunsReport builds a report whose one histogram carries the given
+// buckets as the builder was handed them, in order or not.
+func badRunsReport(buckets ...metrics.Bucket) []byte {
 	var b ReportBuilder
 	b.Begin("s", "", 1, 0, 0)
 	b.BeginHist("h", 2, 1, 1)
-	b.Bucket(3, 1)
-	b.Bucket(3, 1) // gap 0 — invalid on the wire
+	for _, bk := range buckets {
+		b.Bucket(bk.Index, bk.Count)
+	}
 	b.EndHist()
-	data := b.Finish()
-	var p Parser
-	if err := p.Reset(data); err != nil {
-		t.Fatal(err)
-	}
-	for {
-		if _, _, ok := p.NextCounter(); !ok {
-			break
+	return append([]byte(nil), b.Finish()...)
+}
+
+func TestWireHistRejectsBadRuns(t *testing.T) {
+	// Hist sections the builder's contract forbids but a hostile peer could
+	// send. A descending index goes out as the gap 2^64−1: added to the index
+	// as an int it wraps to −1, so a decoder that only range-checks the
+	// result yields buckets 5 then 4 and breaks the iterator's ascending
+	// contract. A count of 2^64−1 likewise wraps the running total to 0.
+	for name, data := range map[string][]byte{
+		"zero gap on a non-first run": badRunsReport(metrics.Bucket{Index: 3, Count: 1}, metrics.Bucket{Index: 3, Count: 1}),
+		"gap wrapping the index":      badRunsReport(metrics.Bucket{Index: 5, Count: 1}, metrics.Bucket{Index: 4, Count: 1}),
+		"count wrapping the total":    badRunsReport(metrics.Bucket{Index: 5, Count: 1}, metrics.Bucket{Index: 6, Count: 1<<64 - 1}),
+	} {
+		var p Parser
+		if err := p.Reset(data); err != nil {
+			t.Fatal(err)
 		}
-	}
-	for {
-		if _, _, ok := p.NextGauge(); !ok {
-			break
+		for {
+			if _, _, ok := p.NextCounter(); !ok {
+				break
+			}
 		}
-	}
-	if _, _, ok := p.NextHist(); ok {
-		t.Fatal("zero-gap run accepted")
-	}
-	if p.Err() == nil {
-		t.Fatal("zero-gap run did not set Err")
+		for {
+			if _, _, ok := p.NextGauge(); !ok {
+				break
+			}
+		}
+		if _, hd, ok := p.NextHist(); ok {
+			it := hd.Buckets()
+			first, _ := it.Next()
+			second, _ := it.Next()
+			t.Fatalf("%s: accepted, as %d observations in buckets %d then %d", name, hd.Count, first.Index, second.Index)
+		}
+		if p.Err() == nil {
+			t.Fatalf("%s: did not set Err", name)
+		}
 	}
 }

@@ -20,8 +20,9 @@
 #                                      topology update, telemetry rollups
 #                                      against exact shadow tallies)
 #   2c. flake pass                    (the packages with concurrency-
-#                                      sensitive tests, and the two whose
-#                                      aggregates the fold lanes merge
+#                                      sensitive tests, and the three whose
+#                                      aggregates — down to the histogram
+#                                      type itself — the fold lanes merge
 #                                      in whatever order they finish,
 #                                      five times over
 #                                      under -race at GOMAXPROCS 1 and 4;
@@ -53,8 +54,8 @@
 #   4. short fuzz pass over the pinglist wire format, the delta codec
 #      (patch(old, diff) == new, byte-identical), the streaming record
 #      decoder, the binary sketch codec, the sketch-vs-exact aggregation
-#      equivalence, the compact-vs-dense aggregate equivalence, and the
-#      PMT1 telemetry report round trip
+#      equivalence, the histogram's compact-vs-dense equivalence and its
+#      run codec, and the PMT1 telemetry report round trip
 #      (optional, FUZZ=1)
 #
 # Usage: scripts/ci.sh [package...]   # default: ./...
@@ -78,7 +79,7 @@ sh bench/run.sh --workload all --scale smoke --seconds 0
 echo "== tier 2c: flake pass (-race -count 5 -cpu 1,4)"
 go test -race -count 5 -cpu 1,4 -timeout 30m ./internal/dsa ./internal/cosmos \
     ./internal/controller ./internal/telemetry ./internal/agent \
-    ./internal/scope ./internal/analysis
+    ./internal/scope ./internal/analysis ./internal/metrics
 
 echo "== tier 3: alloc-guard smoke"
 go test ./internal/scope ./internal/probe ./internal/analysis \
@@ -100,8 +101,10 @@ if [ "${FUZZ:-0}" = "1" ]; then
     go test ./internal/probe -fuzz FuzzScannerVsDecodeBatch -fuzztime 30s
     go test ./internal/probe -fuzz FuzzBinaryCodecRoundTrip -fuzztime 30s
     go test ./internal/analysis -fuzz FuzzSketchMergeVsExact -fuzztime 30s
-    go test ./internal/analysis -fuzz FuzzCompactVsDense -fuzztime 30s
+    go test ./internal/metrics -fuzz FuzzCompactVsDense -fuzztime 30s
+    go test ./internal/metrics -fuzz FuzzRuns -fuzztime 30s
     go test ./internal/telemetry -fuzz FuzzPMT1RoundTrip -fuzztime 30s
 fi
 
+echo "== non-test Go lines outside bench/: $(sh scripts/loc.sh)"
 echo "== ci ok"
