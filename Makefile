@@ -27,8 +27,7 @@ bench:
 	sh bench/run.sh --workload all
 
 # Every Benchmark* function under internal/, for measuring one layer while
-# working on it. The timeout is for BenchmarkAgentRecordHotPath, which
-# takes minutes: a full agent buffer is memmoved on every record.
+# working on it.
 microbench:
 	$(GO) test -run '^$$' -bench . -benchmem -timeout 30m ./internal/...
 

@@ -24,6 +24,7 @@ import (
 	"pingmesh/internal/netsim"
 	"pingmesh/internal/probe"
 	"pingmesh/internal/reportdb"
+	"pingmesh/internal/scope"
 )
 
 func main() {
@@ -78,7 +79,7 @@ func main() {
 	}
 
 	fmt.Println("\ninter-DC latency (the DC-level complete graph):")
-	interDC := dropInterDCStats(tb, from)
+	interDC := interDCStats(tb, from, tb.Clock.Now())
 	fmt.Printf("  DC1<->DC2 probes=%d p50=%v p99=%v\n",
 		interDC.Total(), interDC.Percentile(0.5), interDC.Percentile(0.99))
 
@@ -99,20 +100,19 @@ func main() {
 	fmt.Printf("pattern: %s\n", h.Classify().Pattern)
 }
 
-// dropInterDCStats re-aggregates the stored records for the inter-DC class.
-func dropInterDCStats(tb *pingmesh.SimTestbed, from time.Time) *pingmesh.LatencyStats {
-	st := analysis.NewLatencyStats()
-	for _, stream := range tb.Store.Streams("pingmesh/") {
-		data, err := tb.Store.Read(stream)
-		if err != nil {
-			continue
-		}
-		recs, _ := probe.DecodeBatch(data)
-		for i := range recs {
-			if recs[i].Class == probe.InterDC {
-				st.Add(&recs[i])
-			}
-		}
+// interDCStats aggregates the stored inter-DC probes of [from, to) with one
+// scan job — the store holds what agents upload, sketches and raw records,
+// and a job reads both.
+func interDCStats(tb *pingmesh.SimTestbed, from, to time.Time) *pingmesh.LatencyStats {
+	res, err := (&scope.Engine{}).Run(scope.Job{
+		Name:   "inter-dc",
+		Source: scope.Source{Store: tb.Store, StreamPrefix: "pingmesh"},
+		From:   from, To: to,
+		Where: func(r *probe.Record) bool { return r.Class == probe.InterDC },
+		Key:   func(*probe.Record) (string, bool) { return "", true },
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
-	return st
+	return res.Get("")
 }

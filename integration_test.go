@@ -32,7 +32,9 @@ import (
 )
 
 func TestIntegrationAgentsToAnalysis(t *testing.T) {
-	epoch := time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC)
+	// Two minutes before a window boundary: agents upload a window's
+	// sketches at the first flush after it closes.
+	epoch := time.Date(2026, 7, 1, 0, 8, 0, 0, time.UTC)
 	clock := simclock.NewSim(epoch)
 
 	top, err := topology.Build(topology.Spec{DCs: []topology.DCSpec{

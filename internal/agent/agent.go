@@ -15,11 +15,13 @@
 //   - upload failures are retried a bounded number of times and then the
 //     in-memory data is discarded, so memory stays bounded;
 //   - results are also written to a size-capped local log.
+//
+// An agent with an Uploader ships one format, PMB1 (probe.AppendBinaryBatch):
+// healthy probes summarized per peer per probe.Window, anomalies and traced
+// probes raw (ShipsRaw). CSV is the local log's format, not the wire's.
 package agent
 
 import (
-	"bytes"
-	"compress/gzip"
 	"context"
 	"errors"
 	"fmt"
@@ -28,7 +30,6 @@ import (
 	"sync"
 	"time"
 
-	"pingmesh/internal/analysis"
 	"pingmesh/internal/metrics"
 	"pingmesh/internal/pinglist"
 	"pingmesh/internal/probe"
@@ -48,6 +49,8 @@ const (
 	// MaxFetchFailures is how many consecutive controller-fetch failures
 	// the agent tolerates before failing closed.
 	MaxFetchFailures = 3
+	// maxConcurrentProbes bounds in-flight probes.
+	maxConcurrentProbes = 8
 )
 
 // Target is one probing destination resolved from a pinglist peer.
@@ -73,7 +76,7 @@ type Prober interface {
 	Probe(ctx context.Context, t Target) (Outcome, error)
 }
 
-// Uploader receives encoded record batches (the DSA ingestion point; in
+// Uploader receives encoded PMB1 batches (the DSA ingestion point; in
 // production this is Cosmos behind a VIP). The batch slice is only valid
 // for the duration of the call — the agent reuses one encode buffer across
 // uploads — so implementations that retain the bytes must copy them
@@ -97,8 +100,9 @@ type Config struct {
 	Controller Fetcher
 	// Prober executes probes.
 	Prober Prober
-	// Uploader receives result batches. May be nil (records then only go
-	// to the in-memory buffer / local log).
+	// Uploader receives result batches. May be nil: every record then stays
+	// in the bounded in-memory buffer (and the local log), nothing is
+	// sketched.
 	Uploader Uploader
 	// Clock defaults to wall time.
 	Clock simclock.Clock
@@ -117,8 +121,8 @@ type Config struct {
 	FetchJitter float64
 	// UploadInterval is how often buffered records are uploaded. Default 1m.
 	UploadInterval time.Duration
-	// UploadThreshold uploads early once this many records are buffered.
-	// Default 4096.
+	// UploadThreshold uploads early once this many raw records are
+	// buffered. Default 4096.
 	UploadThreshold int
 	// UploadRetries bounds upload retry attempts before data is discarded.
 	// Default 3.
@@ -126,34 +130,12 @@ type Config struct {
 	// MaxBufferedRecords bounds agent memory; oldest records are dropped
 	// beyond it. Default 65536.
 	MaxBufferedRecords int
-	// MaxConcurrentProbes bounds in-flight probes. Default 8.
-	MaxConcurrentProbes int
 	// LocalLog, if non-nil, additionally receives every record (§3.4.2:
 	// the agent writes latency data to size-capped local log files).
 	LocalLog *LocalLog
 	// Tracer, if non-nil, lets sampled probes carry an end-to-end trace
 	// and marks upload freshness. Nil disables tracing entirely.
 	Tracer *trace.Tracer
-
-	// SketchUpload switches uploads to the binary sketch format: each
-	// reporting window's successful, non-anomalous probes aggregate into
-	// per-peer latency sketches and only anomalies (failures, SYN-
-	// retransmit signatures, RTTs at or above RawThreshold, traced probes)
-	// ship as raw records. Off by default: the raw-CSV path is the
-	// fallback and remains byte-identical to the pre-sketch agent.
-	SketchUpload bool
-	// SketchWindow is the sketch cut window, aligned to the UTC epoch
-	// grid. It must equal the analysis pipeline's fold window so sketches
-	// never straddle an analysis window. Default 10m (the DSA cadence).
-	SketchWindow time.Duration
-	// RawThreshold is the successful-probe RTT at or above which a record
-	// ships raw even in sketch mode, keeping per-record identity for the
-	// tail the operators will drill into. Default 1s.
-	RawThreshold time.Duration
-	// GzipUploads compresses upload batches with a pooled gzip writer.
-	// The cosmos client transparently inflates before storing, so stored
-	// extents stay scannable.
-	GzipUploads bool
 }
 
 func (c *Config) withDefaults() (Config, error) {
@@ -194,15 +176,6 @@ func (c *Config) withDefaults() (Config, error) {
 	if out.MaxBufferedRecords <= 0 {
 		out.MaxBufferedRecords = 65536
 	}
-	if out.MaxConcurrentProbes <= 0 {
-		out.MaxConcurrentProbes = 8
-	}
-	if out.SketchWindow <= 0 {
-		out.SketchWindow = 10 * time.Minute
-	}
-	if out.RawThreshold <= 0 {
-		out.RawThreshold = time.Second
-	}
 	return out, nil
 }
 
@@ -225,7 +198,7 @@ type Agent struct {
 	cRTT9s        *metrics.Counter
 	cUploadRaw    *metrics.Counter // agent.upload_raw_records
 	cUploadSketch *metrics.Counter // agent.upload_sketches
-	cUploadBytes  *metrics.Counter // agent.upload_bytes (on-wire, post-gzip)
+	cUploadBytes  *metrics.Counter // agent.upload_bytes
 	hRTT          [3]*metrics.LockedHistogram
 	hPayloadRTT   [3]*metrics.LockedHistogram
 
@@ -234,25 +207,23 @@ type Agent struct {
 	version       string
 	fetchFailures int
 	failedClosed  bool
-	buffer        []probe.Record
-	dropped       int64              // records discarded to respect the memory bound
-	sketch        *SketchAccumulator // nil unless SketchUpload
+	// buffer holds the raw records awaiting upload. At MaxBufferedRecords it
+	// is a ring: head is the oldest record, the one the next overwrites.
+	buffer []probe.Record
+	head   int
+	sketch *SketchAccumulator // nil without an Uploader
 
 	peersChanged chan struct{} // kicks the scheduler
 	uploadKick   chan struct{} // kicks the uploader on buffer-threshold
 
 	// encMu serializes flushes; encBuf is the batch encode buffer reused
 	// across uploads so steady-state encoding allocates nothing. flushTIDs
-	// is the per-flush scratch of sampled traces riding in the batch.
-	// pendingSketches is the per-flush scratch of cut sketches, and the
-	// gzip writer/buffer are pooled the same way — one instance reused
-	// across every flush, never re-allocated per batch.
+	// is the per-flush scratch of sampled traces riding in the batch and
+	// pendingSketches that of cut sketches.
 	encMu           sync.Mutex
 	encBuf          []byte
 	flushTIDs       []trace.TraceID
 	pendingSketches []probe.PeerSketch
-	gzw             *gzip.Writer
-	gzBuf           bytes.Buffer
 }
 
 type peerState struct {
@@ -292,13 +263,10 @@ func New(cfg Config) (*Agent, error) {
 	a.cUploadRaw = a.reg.Counter("agent.upload_raw_records")
 	a.cUploadSketch = a.reg.Counter("agent.upload_sketches")
 	a.cUploadBytes = a.reg.Counter("agent.upload_bytes")
-	// Sketch mode only engages with an uploader: without one, records stay
-	// in the bounded raw buffer for in-process consumers, exactly as before.
-	if c.SketchUpload && c.Uploader != nil {
-		a.sketch = NewSketchAccumulator(c.SourceAddr, c.SketchWindow)
-	}
-	if c.GzipUploads {
-		a.gzw = gzip.NewWriter(&a.gzBuf)
+	// Sketches only leave in an upload: without an uploader every record
+	// stays in the bounded raw buffer for in-process consumers.
+	if c.Uploader != nil {
+		a.sketch = NewSketchAccumulator(c.SourceAddr, probe.Window)
 	}
 	for cls := probe.IntraPod; cls <= probe.InterDC; cls++ {
 		a.hRTT[cls] = a.reg.Histogram("agent.rtt." + cls.String())
@@ -334,12 +302,29 @@ func (a *Agent) Version() string {
 	return a.version
 }
 
-// BufferedRecords returns a copy of the not-yet-uploaded records. Intended
-// for tests and for in-process pipelines that bypass the uploader.
+// BufferedRecords returns a copy of the not-yet-uploaded raw records, oldest
+// first. Intended for tests and for in-process pipelines that bypass the
+// uploader.
 func (a *Agent) BufferedRecords() []probe.Record {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return append([]probe.Record(nil), a.buffer...)
+	return a.bufferedLocked()
+}
+
+// bufferedLocked returns a copy of the raw buffer, oldest first.
+func (a *Agent) bufferedLocked() []probe.Record {
+	return append(append([]probe.Record(nil), a.buffer[a.head:]...), a.buffer[:a.head]...)
+}
+
+// takeBufferLocked empties the raw buffer and returns its records, oldest
+// first: the buffer itself unless it has wrapped.
+func (a *Agent) takeBufferLocked() []probe.Record {
+	batch := a.buffer
+	if a.head != 0 {
+		batch = a.bufferedLocked()
+	}
+	a.buffer, a.head = nil, 0
+	return batch
 }
 
 // applyPinglist converts a fetched file into peer state, enforcing the
@@ -417,36 +402,39 @@ func (a *Agent) kick() {
 }
 
 // record stores one result, enforcing the memory bound, mirroring to the
-// local log, and updating perf counters. In sketch mode the anomaly policy
-// routes here: successful, non-anomalous probes fold into the per-peer
-// sketch accumulator; failures, SYN-retransmit drop signatures, RTTs at or
-// above RawThreshold, and traced probes keep per-record identity and go
-// through the raw buffer.
+// local log, and updating perf counters. With an uploader the anomaly policy
+// routes here: what ShipsRaw claims, and the probes of a sampled trace, keep
+// per-record identity and go through the raw buffer; the rest folds into the
+// per-peer sketch accumulator.
 func (a *Agent) record(r probe.Record) {
-	sketchable := a.sketch != nil && r.Success() &&
-		r.RTT < a.cfg.RawThreshold && analysis.DropSignature(r.RTT) == 0
+	sketchable := a.sketch != nil && !ShipsRaw(&r)
 	if sketchable && a.tracer != nil && a.tracer.HasActiveProbes() &&
 		a.tracer.MatchProbe(r.Src, r.SrcPort, r.Start.UnixNano()) != 0 {
 		sketchable = false // a sampled trace needs its record on the wire
 	}
 	a.mu.Lock()
-	if sketchable {
+	switch {
+	case sketchable:
 		a.sketch.Observe(&r)
-	} else {
-		if len(a.buffer) >= a.cfg.MaxBufferedRecords {
-			// Drop oldest: bounded memory beats complete data (§3.4.2).
-			copy(a.buffer, a.buffer[1:])
-			a.buffer = a.buffer[:len(a.buffer)-1]
-			a.dropped++
-			a.cDropped.Inc()
-		}
+	case len(a.buffer) < a.cfg.MaxBufferedRecords:
 		a.buffer = append(a.buffer, r)
+	default:
+		// Drop oldest: bounded memory beats complete data (§3.4.2).
+		a.buffer[a.head] = r
+		a.head = (a.head + 1) % len(a.buffer)
+		a.cDropped.Inc()
 	}
 	n := len(a.buffer)
 	a.mu.Unlock()
 
 	if a.cfg.LocalLog != nil {
 		a.cfg.LocalLog.Write(&r)
+	}
+
+	// Ahead of the failed-probe return below: in an incident it is failed
+	// probes that fill the raw buffer.
+	if n >= a.cfg.UploadThreshold && a.cfg.Uploader != nil {
+		a.kickUpload()
 	}
 
 	a.cProbesTotal.Inc()
@@ -468,9 +456,6 @@ func (a *Agent) record(r probe.Record) {
 		a.cRTT3s.Inc()
 	case r.RTT >= 6*time.Second && r.RTT < 15*time.Second:
 		a.cRTT9s.Inc()
-	}
-	if n >= a.cfg.UploadThreshold && a.cfg.Uploader != nil {
-		a.kickUpload()
 	}
 }
 

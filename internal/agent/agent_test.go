@@ -48,6 +48,12 @@ func (ff *fakeFetcher) Fetch(ctx context.Context, server string) (*pinglist.File
 	return r.f, r.err
 }
 
+func (ff *fakeFetcher) callCount() int {
+	ff.mu.Lock()
+	defer ff.mu.Unlock()
+	return ff.calls
+}
+
 // fakeProber returns a configurable outcome.
 type fakeProber struct {
 	mu     sync.Mutex
@@ -294,7 +300,9 @@ func TestUploadBatches(t *testing.T) {
 	defer cancel()
 	go a.Run(ctx)
 	waitUntil(t, func() bool { return a.PeerCount() == 2 }, "applied")
-	for i := 0; i < 15; i++ {
+	// Healthy probes leave in their window's sketches, at the first upload
+	// tick after the window has closed: drive past the 10-minute boundary.
+	for i := 0; i < 70 && fu.batchCount() == 0; i++ {
 		clock.Advance(10 * time.Second)
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -303,17 +311,25 @@ func TestUploadBatches(t *testing.T) {
 	fu.mu.Lock()
 	batch := fu.batches[0]
 	fu.mu.Unlock()
-	recs, errs := probe.DecodeBatch(batch)
-	if len(errs) > 0 || len(recs) == 0 {
-		t.Fatalf("uploaded batch undecodable: %d recs, errs %v", len(recs), errs)
+	if now := clock.Now(); now.Before(epoch.Add(probe.Window)) {
+		t.Fatalf("uploaded at %v, with the only window still open", now)
+	}
+	recs, sks := scanUpload(t, batch)
+	if len(recs) != 0 || len(sks) == 0 {
+		t.Fatalf("uploaded batch holds %d raw records and %d sketches, want sketches only", len(recs), len(sks))
+	}
+	for i := range sks {
+		if !sks[i].MaxStart.Before(epoch.Add(probe.Window)) {
+			t.Fatalf("sketch %d reaches %v, into the open window", i, sks[i].MaxStart)
+		}
 	}
 }
 
 func TestUploadRetryThenDiscard(t *testing.T) {
 	clock := simclock.NewSim(epoch)
 	ff := &fakeFetcher{results: []fetchResult{{f: testFile("v1", 1)}}}
-	fp := &fakeProber{rtt: time.Millisecond}
-	fu := &fakeUploader{failures: 1 << 30} // always fail
+	fp := &fakeProber{err: errors.New("timeout")} // failed probes ship raw, at every upload tick
+	fu := &fakeUploader{failures: 1 << 30}        // always fail
 	cfg := testConfig(ff, fp, clock)
 	cfg.Uploader = fu
 	cfg.UploadRetries = 2
@@ -367,7 +383,7 @@ func TestUploadBackoff(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a.record(probe.Record{Start: epoch, Src: agentAddr, Dst: peerAddr, RTT: time.Millisecond})
+		a.record(probe.Record{Start: epoch, Src: agentAddr, Dst: peerAddr, Err: "timeout"})
 		return a, clock, fu
 	}
 
@@ -602,25 +618,35 @@ func TestFailClosedStopsProbing(t *testing.T) {
 	defer cancel()
 	go a.Run(ctx)
 	waitUntil(t, func() bool { return a.PeerCount() == 2 }, "applied")
+	// The pinglist is applied before the fetch loop arms its ticker, and an
+	// Advance that beats the ticker fires nothing. Three armed timers are the
+	// upload ticker, the scheduler's wait and the fetch ticker.
+	waitUntil(t, func() bool { return clock.PendingTimers() >= 3 }, "fetch ticker armed")
 
 	clock.Advance(5 * time.Minute) // next fetch: no pinglist -> fail closed
 	waitUntil(t, func() bool { return a.FailedClosed() }, "failed closed")
-	probesAtStop := fp.count()
+	stopped := clock.Now()
 
-	// Hours of simulated time later: not a single new probe.
-	for i := 0; i < 20; i++ {
-		clock.Advance(10 * time.Minute)
-		time.Sleep(2 * time.Millisecond)
+	// Hours of simulated time later: not a single new probe. Each step
+	// waits for the fetch it triggers, which kicks the scheduler again. A
+	// probe dispatched just before the stop may still land after it, so the
+	// verdict is on when probes started, not on how many were counted when.
+	for i := 0; i < 40; i++ {
+		fetched := ff.callCount()
+		clock.Advance(5 * time.Minute)
+		waitUntil(t, func() bool { return ff.callCount() > fetched }, "fetch after fail-closed")
 	}
-	if got := fp.count(); got > probesAtStop {
-		t.Fatalf("probing continued after fail-closed: %d -> %d", probesAtStop, got)
+	for _, r := range a.BufferedRecords() {
+		if r.Start.After(stopped) {
+			t.Fatalf("probe at %v, after the agent failed closed at %v", r.Start, stopped)
+		}
 	}
 }
 
 func TestUploadThresholdTriggersEarlyShip(t *testing.T) {
 	clock := simclock.NewSim(epoch)
 	ff := &fakeFetcher{results: []fetchResult{{f: testFile("v1", 1)}}}
-	fp := &fakeProber{rtt: time.Millisecond}
+	fp := &fakeProber{err: errors.New("timeout")} // the threshold counts raw records
 	fu := &fakeUploader{}
 	cfg := testConfig(ff, fp, clock)
 	cfg.Uploader = fu
@@ -642,8 +668,8 @@ func TestUploadThresholdTriggersEarlyShip(t *testing.T) {
 }
 
 func TestRunFinalFlushOnShutdown(t *testing.T) {
-	// Run's exit path flushes buffered records so a clean shutdown does
-	// not lose the last batch.
+	// Run's exit path ships what a clean shutdown would otherwise lose: the
+	// still-open window's sketches, which no periodic flush may cut.
 	clock := simclock.NewSim(epoch)
 	ff := &fakeFetcher{results: []fetchResult{{f: testFile("v1", 1)}}}
 	fp := &fakeProber{rtt: time.Millisecond}
@@ -663,11 +689,23 @@ func TestRunFinalFlushOnShutdown(t *testing.T) {
 		clock.Advance(time.Second)
 		time.Sleep(time.Millisecond)
 	}
-	waitUntil(t, func() bool { return len(a.BufferedRecords()) >= 1 }, "buffered")
+	probed := func() int64 { return a.Metrics().Snapshot().Counters["agent.probes_total"] }
+	waitUntil(t, func() bool { return probed() >= 1 }, "probed")
+	if n := len(a.BufferedRecords()); n != 0 {
+		t.Fatalf("%d healthy probes sit in the raw buffer", n)
+	}
 	cancel()
 	<-done
-	if fu.batchCount() == 0 {
-		t.Fatal("shutdown lost the buffered records")
+	if fu.batchCount() != 1 {
+		t.Fatalf("shutdown shipped %d batches, want the final flush's one", fu.batchCount())
+	}
+	recs, sks := scanUpload(t, fu.batches[0])
+	var summarized uint64
+	for i := range sks {
+		summarized += sks[i].Records()
+	}
+	if len(recs) != 0 || int64(summarized) != probed() {
+		t.Fatalf("final flush shipped %d raw records and sketches of %d probes, want 0 and all %d", len(recs), summarized, probed())
 	}
 }
 
@@ -683,9 +721,18 @@ func BenchmarkAgentRecordHotPath(b *testing.B) {
 		b.Fatal(err)
 	}
 	rec := probe.Record{Start: epoch, Src: agentAddr, Dst: peerAddr, RTT: 300 * time.Microsecond}
+	// With no uploader nothing drains the buffer. Fill it first, so that
+	// every timed record lands on the full ring: the drop-oldest path, which
+	// cost a copy of the whole buffer when it was not a ring.
+	for i := 0; i < a.cfg.MaxBufferedRecords; i++ {
+		a.record(rec)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a.record(rec)
+	}
+	if dropped := a.Metrics().Snapshot().Counters["agent.records_dropped"]; dropped < int64(b.N) {
+		b.Fatalf("%d of %d timed records dropped the oldest", dropped, b.N)
 	}
 }

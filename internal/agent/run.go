@@ -154,7 +154,7 @@ func (a *Agent) fetchOnce(ctx context.Context) {
 // concurrency limit. A single goroutine owns the schedule; probe execution
 // fans out to short-lived workers.
 func (a *Agent) scheduleLoop(ctx context.Context) {
-	sem := make(chan struct{}, a.cfg.MaxConcurrentProbes)
+	sem := make(chan struct{}, maxConcurrentProbes)
 	for {
 		a.mu.Lock()
 		a.sortPeersLocked()
@@ -267,11 +267,11 @@ func (a *Agent) uploadLoop(ctx context.Context) {
 	}
 }
 
-// flush uploads everything buffered: the raw record batch plus, in sketch
-// mode, the completed sketch windows. On persistent failure the batch is
-// discarded: bounded memory wins over completeness (§3.4.2); the local log
-// still has the raw data. final additionally cuts the still-open sketch
-// windows — the shutdown path must not strand partial windows.
+// flush uploads everything buffered as one PMB1 batch: the raw records plus
+// the sketches of the windows the grid has moved past. On persistent failure
+// the batch is discarded: bounded memory wins over completeness (§3.4.2); the
+// local log still has the raw data. final additionally cuts the still-open
+// sketch windows — the shutdown path must not strand partial windows.
 func (a *Agent) flush(ctx context.Context, final bool) {
 	if a.cfg.Uploader == nil {
 		// No uploader configured: records stay buffered for in-process
@@ -280,22 +280,17 @@ func (a *Agent) flush(ctx context.Context, final bool) {
 	}
 	// encMu serializes the upload loop's flush with the final flush in Run
 	// and guards the pooled per-flush state (encBuf, flushTIDs,
-	// pendingSketches, the gzip writer), so all of it is reused verbatim on
-	// the next flush — the Uploader contract says the batch is only valid
-	// during the call.
+	// pendingSketches), so all of it is reused verbatim on the next flush —
+	// the Uploader contract says the batch is only valid during the call.
 	a.encMu.Lock()
 	defer a.encMu.Unlock()
 	a.mu.Lock()
-	batch := a.buffer
-	a.buffer = nil
-	sks := a.pendingSketches[:0]
-	if a.sketch != nil {
-		cut := a.sketch.WindowIndex(a.clock.Now())
-		if final {
-			cut = math.MaxInt64
-		}
-		sks = a.sketch.CutBefore(cut, sks)
+	batch := a.takeBufferLocked()
+	cut := a.sketch.WindowIndex(a.clock.Now())
+	if final {
+		cut = math.MaxInt64
 	}
+	sks := a.sketch.CutBefore(cut, a.pendingSketches[:0])
 	a.pendingSketches = sks
 	a.mu.Unlock()
 	if len(batch) == 0 && len(sks) == 0 {
@@ -327,20 +322,8 @@ func (a *Agent) flush(ctx context.Context, final bool) {
 		}
 	}
 	encStart := a.clock.Now()
-	var data []byte
-	if a.sketch != nil {
-		data = probe.AppendBinaryBatch(a.encBuf[:0], batch, sks)
-	} else {
-		data = probe.AppendBatch(a.encBuf[:0], batch)
-	}
+	data := probe.AppendBinaryBatch(a.encBuf[:0], batch, sks)
 	a.encBuf = data[:0]
-	if a.gzw != nil {
-		a.gzBuf.Reset()
-		a.gzw.Reset(&a.gzBuf)
-		a.gzw.Write(data) // bytes.Buffer writes cannot fail
-		a.gzw.Close()
-		data = a.gzBuf.Bytes()
-	}
 	encEnd := a.clock.Now()
 	for _, tid := range a.flushTIDs {
 		a.tring.SpanAttr(tid, trace.StageEncode, "batch", encStart, encEnd, true, "records", int64(len(batch)))

@@ -4,20 +4,33 @@ import (
 	"net/netip"
 	"time"
 
+	"pingmesh/internal/analysis"
 	"pingmesh/internal/metrics"
 	"pingmesh/internal/probe"
 )
 
-// SketchAccumulator aggregates successful, non-anomalous probe outcomes
-// into per-peer latency sketches (probe.PeerSketch), the agent half of the
-// sketch-upload pipeline. One sketch summarizes every probe to one
+// slowRTT is the successful-probe RTT at or above which a record ships raw:
+// the tail operators drill into keeps per-record identity.
+const slowRTT = time.Second
+
+// ShipsRaw is the upload anomaly policy, stated once: a failed probe, one
+// whose RTT carries a SYN-retransmit drop signature (~3 s, ~9 s) and one at or
+// above a second ship as raw records — the per-record identity that drop
+// analysis and hop voting need — and every other probe is summarized in its
+// peer's sketch. (The agent also ships the probes of a sampled trace raw.)
+func ShipsRaw(r *probe.Record) bool {
+	return !r.Success() || r.RTT >= slowRTT || analysis.DropSignature(r.RTT) != 0
+}
+
+// SketchAccumulator aggregates the probes ShipsRaw does not claim into
+// per-peer latency sketches (probe.PeerSketch), the agent half of the upload
+// path. One sketch summarizes every probe to one
 // (dst, dstPort, class, proto, qos, payloadLen) peer within one window.
 //
-// Windows are cut on the UTC-epoch-aligned grid (window index =
-// floor(UnixNano / window)), the same grid the 10-minute analysis jobs
-// use: a sketch therefore never straddles an analysis window boundary,
-// which is what lets the ingest side attribute a whole sketch to the
-// window containing its MinStart.
+// Windows are those of probe.WindowIndex, the one grid agents and analysis
+// share: a sketch therefore never straddles an analysis window boundary,
+// which is what lets the ingest side attribute a whole sketch to the window
+// containing its MinStart.
 //
 // A SketchAccumulator is not safe for concurrent use; the Agent guards it
 // with its buffer mutex. Histograms are recycled through a freelist
@@ -44,7 +57,7 @@ type sketchKey struct {
 }
 
 // NewSketchAccumulator returns an empty accumulator for probes originating
-// from src, cutting sketches on the epoch-aligned window grid.
+// from src, cutting sketches on the grid of the given window length.
 func NewSketchAccumulator(src netip.Addr, window time.Duration) *SketchAccumulator {
 	return &SketchAccumulator{
 		src:    src,
@@ -53,20 +66,13 @@ func NewSketchAccumulator(src netip.Addr, window time.Duration) *SketchAccumulat
 	}
 }
 
-// WindowIndex returns the epoch-grid window index of t.
+// WindowIndex returns the grid index of t's window (probe.WindowIndex).
 func (s *SketchAccumulator) WindowIndex(t time.Time) int64 {
-	ns := t.UnixNano()
-	w := int64(s.window)
-	idx := ns / w
-	if ns < 0 && ns%w != 0 {
-		idx--
-	}
-	return idx
+	return probe.WindowIndex(t, s.window)
 }
 
-// Observe folds one successful record into its peer sketch. The caller is
-// responsible for the anomaly policy: failures, drop-signature RTTs,
-// over-threshold RTTs and traced probes must ship raw instead.
+// Observe folds one record into its peer sketch. The caller applies the
+// anomaly policy first: what ShipsRaw claims, and traced probes, ship raw.
 func (s *SketchAccumulator) Observe(r *probe.Record) {
 	k := sketchKey{
 		dst:        r.Dst,

@@ -6,15 +6,14 @@ import (
 	"time"
 
 	"pingmesh/internal/analysis"
-	"pingmesh/internal/cosmos"
 	"pingmesh/internal/probe"
 	"pingmesh/internal/simclock"
+	"pingmesh/internal/trace"
 )
 
 func sketchConfig(clock simclock.Clock, fu Uploader) Config {
 	cfg := testConfig(&fakeFetcher{results: []fetchResult{{f: testFile("v1", 1)}}}, &fakeProber{}, clock)
 	cfg.Uploader = fu
-	cfg.SketchUpload = true
 	return cfg
 }
 
@@ -48,7 +47,7 @@ func scanUpload(t *testing.T, data []byte) ([]probe.Record, []probe.Sketch) {
 	return recs, sks
 }
 
-// TestSketchModeFlushMatchesExact: a sketch-mode agent's upload, folded back
+// TestSketchModeFlushMatchesExact: an agent's upload, folded back
 // into LatencyStats, must equal Add-ing every probe result raw — and the
 // anomalies (failures, drop signatures, over-threshold RTTs) must ship as
 // raw records so they keep per-record identity.
@@ -64,7 +63,7 @@ func TestSketchModeFlushMatchesExact(t *testing.T) {
 	var wantRaw int
 	add := func(r probe.Record) {
 		exact.Add(&r)
-		if r.Err != "" || analysis.DropSignature(r.RTT) != 0 || (r.Success() && r.RTT >= a.cfg.RawThreshold) {
+		if r.Err != "" || analysis.DropSignature(r.RTT) != 0 || r.RTT >= time.Second {
 			wantRaw++
 		}
 		a.record(r)
@@ -75,7 +74,7 @@ func TestSketchModeFlushMatchesExact(t *testing.T) {
 	}
 	add(probe.Record{Start: epoch, Src: agentAddr, Dst: peerAddr, RTT: 21 * time.Second, Err: "connect timeout"})
 	add(probe.Record{Start: epoch, Src: agentAddr, Dst: peerAddr, RTT: 3 * time.Second})         // drop signature
-	add(probe.Record{Start: epoch, Src: agentAddr, Dst: peerAddr, RTT: 1500 * time.Millisecond}) // >= RawThreshold
+	add(probe.Record{Start: epoch, Src: agentAddr, Dst: peerAddr, RTT: 1500 * time.Millisecond}) // a second or more
 
 	if n := len(a.BufferedRecords()); n != wantRaw {
 		t.Fatalf("raw buffer has %d records, want only the %d anomalies", n, wantRaw)
@@ -163,82 +162,125 @@ func TestSketchWindowCutsOnGrid(t *testing.T) {
 	}
 }
 
-// TestSketchModeOffIsByteIdenticalCSV: with SketchUpload unset the upload
-// path is the pre-sketch raw CSV encoder, byte for byte.
-func TestSketchModeOffIsByteIdenticalCSV(t *testing.T) {
+// TestUploadPolicy pins what leaves an agent in which form: failed probes,
+// probes of a second or more, the 3 s and 9 s drop signatures and the probes
+// of a sampled trace ship raw at the next flush; healthy probes ship only in
+// their window's sketches, and an open window only in the final flush.
+func TestUploadPolicy(t *testing.T) {
 	clock := simclock.NewSim(epoch)
 	fu := &fakeUploader{}
-	cfg := testConfig(&fakeFetcher{results: []fetchResult{{f: testFile("v1", 1)}}}, &fakeProber{}, clock)
-	cfg.Uploader = fu
+	cfg := sketchConfig(clock, fu)
+	cfg.Tracer = trace.New(clock)
 	a, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var recs []probe.Record
-	for i := 0; i < 10; i++ {
-		r := probe.Record{Start: epoch.Add(time.Duration(i) * time.Second), Src: agentAddr, Dst: peerAddr,
-			RTT: time.Duration(300+i) * time.Microsecond}
-		recs = append(recs, r)
+	cases := []struct {
+		name string
+		rtt  time.Duration
+		err  string
+		raw  bool
+	}{
+		{name: "healthy", rtt: 300 * time.Microsecond},
+		{name: "just under a second", rtt: time.Second - time.Nanosecond},
+		{name: "failed", rtt: 21 * time.Second, err: "connect timeout", raw: true},
+		{name: "a second", rtt: time.Second, raw: true},
+		{name: "3 s signature", rtt: 3*time.Second + 400*time.Microsecond, raw: true},
+		{name: "9 s signature", rtt: 9*time.Second + 400*time.Microsecond, raw: true},
+		{name: "traced", rtt: 300 * time.Microsecond, raw: true},
+	}
+	wantRaw := map[uint16]string{} // by source port, the case's index
+	wantSketched := 0
+	for i, c := range cases {
+		r := probe.Record{Start: epoch.Add(time.Duration(i) * time.Second), Src: agentAddr, SrcPort: uint16(i),
+			Dst: peerAddr, RTT: c.rtt, Err: c.err}
+		if c.name == "traced" {
+			cfg.Tracer.RegisterProbe(1, r.Src, r.SrcPort, r.Start.UnixNano())
+		}
+		if c.raw != (ShipsRaw(&r) || c.name == "traced") {
+			t.Fatalf("%s: ShipsRaw = %v", c.name, ShipsRaw(&r))
+		}
+		if c.raw {
+			wantRaw[r.SrcPort] = c.name
+		} else {
+			wantSketched++
+		}
 		a.record(r)
 	}
-	a.flush(context.Background(), true)
+
+	clock.Advance(5 * time.Minute)
+	a.flush(context.Background(), false)
 	if fu.batchCount() != 1 {
-		t.Fatalf("batchCount = %d", fu.batchCount())
+		t.Fatalf("mid-window flush shipped %d batches, want 1", fu.batchCount())
 	}
-	want := probe.AppendBatch(nil, recs)
-	if string(fu.batches[0]) != string(want) {
-		t.Fatal("raw-CSV fallback not byte-identical to AppendBatch")
+	recs, sks := scanUpload(t, fu.batches[0])
+	if len(sks) != 0 {
+		t.Fatalf("mid-window flush cut %d sketches of the open window", len(sks))
+	}
+	for i := range recs {
+		if _, ok := wantRaw[recs[i].SrcPort]; !ok {
+			t.Fatalf("%s probe shipped raw", cases[recs[i].SrcPort].name)
+		}
+		delete(wantRaw, recs[i].SrcPort)
+	}
+	if len(wantRaw) != 0 {
+		t.Fatalf("not shipped raw: %v", wantRaw)
+	}
+
+	a.flush(context.Background(), true)
+	if fu.batchCount() != 2 {
+		t.Fatalf("final flush shipped %d batches, want 1", fu.batchCount()-1)
+	}
+	recs, sks = scanUpload(t, fu.batches[1])
+	if len(recs) != 0 || len(sks) != 1 || sks[0].Records() != uint64(wantSketched) {
+		t.Fatalf("final flush shipped %d raw records and %d sketches, want one sketch of %d probes", len(recs), len(sks), wantSketched)
 	}
 }
 
-// TestGzipUploadThroughCosmos: a gzip-enabled sketch agent uploading through
-// the cosmos client stores inflated, scannable bytes — the wire is
-// compressed, the extents are not.
-func TestGzipUploadThroughCosmos(t *testing.T) {
+// TestNoUploaderKeepsRecords: without an uploader nothing is sketched and
+// nothing is flushed — every record stays in the ring for in-process readers.
+func TestNoUploaderKeepsRecords(t *testing.T) {
 	clock := simclock.NewSim(epoch)
-	store, err := cosmos.NewStore(1, cosmos.Config{})
+	a, err := New(sketchConfig(clock, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl := &cosmos.Client{Store: store, Clock: clock, Stream: func(time.Time) string { return "pingmesh/gz" }}
-	cfg := sketchConfig(clock, cl)
-	cfg.GzipUploads = true
+	for i := 0; i < 5; i++ {
+		a.record(probe.Record{Start: epoch.Add(time.Duration(i) * time.Second), Src: agentAddr, Dst: peerAddr, RTT: time.Millisecond})
+	}
+	clock.Advance(time.Hour)
+	a.flush(context.Background(), true)
+	if recs := a.BufferedRecords(); len(recs) != 5 || !recs[0].Start.Equal(epoch) {
+		t.Fatalf("ring holds %d records after a flush with no uploader, want all 5 oldest first", len(recs))
+	}
+}
+
+// TestWrappedRingUploadsOldestFirst: a raw buffer that wrapped while uploads
+// were stalled ships what it kept in probe order.
+func TestWrappedRingUploadsOldestFirst(t *testing.T) {
+	clock := simclock.NewSim(epoch)
+	fu := &fakeUploader{}
+	cfg := sketchConfig(clock, fu)
+	cfg.MaxBufferedRecords = 8
 	a, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 100; i++ {
-		a.record(probe.Record{Start: epoch.Add(time.Duration(i) * time.Second), Src: agentAddr, Dst: peerAddr,
-			RTT: time.Duration(200+i) * time.Microsecond})
+	for i := 0; i < 21; i++ {
+		a.record(probe.Record{Start: epoch.Add(time.Duration(i) * time.Second), Src: agentAddr, Dst: peerAddr, Err: "timeout"})
 	}
-	for i := 0; i < 50; i++ {
-		a.record(probe.Record{Start: epoch.Add(time.Duration(i) * time.Second), Src: agentAddr, Dst: peerAddr,
-			RTT: 21 * time.Second, Err: "connect: connection timed out"})
+	a.flush(context.Background(), false)
+	recs, _ := scanUpload(t, fu.batches[0])
+	if len(recs) != 8 {
+		t.Fatalf("uploaded %d records, want the 8 kept", len(recs))
 	}
-	a.flush(context.Background(), true)
-
-	stored, err := store.Read("pingmesh/gz")
-	if err != nil {
-		t.Fatal(err)
+	for i := range recs {
+		if want := epoch.Add(time.Duration(13+i) * time.Second); !recs[i].Start.Equal(want) {
+			t.Fatalf("record %d starts %v, want %v", i, recs[i].Start, want)
+		}
 	}
-	if len(stored) == 0 {
-		t.Fatal("nothing stored")
-	}
-	if stored[0] == 0x1f {
-		t.Fatal("store holds gzip bytes; client must inflate before Append")
-	}
-	recs, sks := scanUpload(t, stored)
-	if len(recs) != 50 || len(sks) != 1 {
-		t.Fatalf("stored batch decodes to %d records + %d sketches, want 50 + 1", len(recs), len(sks))
-	}
-	if got := sks[0].Records(); got != 100 {
-		t.Fatalf("sketch summarizes %d probes, want 100", got)
-	}
-	// The wire was actually compressed: upload_bytes counts post-gzip bytes,
-	// which must be smaller than the stored (inflated) batch.
-	wire := a.Metrics().Snapshot().Counters["agent.upload_bytes"]
-	if wire <= 0 || wire >= int64(len(stored)) {
-		t.Fatalf("upload_bytes = %d, want in (0, %d)", wire, len(stored))
+	if n := len(a.BufferedRecords()); n != 0 {
+		t.Fatalf("%d records left after the flush", n)
 	}
 }
 

@@ -21,6 +21,10 @@ import (
 	"pingmesh/internal/topology"
 )
 
+// scoreThreshold is the fraction of a ToR's servers that must show the
+// symptom to make the ToR a candidate.
+const scoreThreshold = 0.5
+
 // Config tunes the detector.
 type Config struct {
 	// MinPairProbes is the minimum number of probes a server pair needs
@@ -31,9 +35,6 @@ type Config struct {
 	// 100%, type-2 fail the fraction of port space the corrupt entry
 	// covers).
 	PairFailureRate float64
-	// ScoreThreshold is the fraction of a ToR's servers that must show the
-	// symptom to make the ToR a candidate (default 0.5).
-	ScoreThreshold float64
 	// VictimPairFraction is the fraction of a server's judged pairs that
 	// must fail before the server counts as a black-hole victim. This is
 	// what localizes the fault: servers under a black-holed ToR see a
@@ -49,9 +50,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.PairFailureRate <= 0 {
 		out.PairFailureRate = 0.5
-	}
-	if out.ScoreThreshold <= 0 {
-		out.ScoreThreshold = 0.5
 	}
 	if out.VictimPairFraction <= 0 {
 		out.VictimPairFraction = 0.25
@@ -167,7 +165,7 @@ func Detect(top *topology.Topology, pairs map[string]*analysis.LatencyStats, cfg
 				score := vt.Score(pod.ToR)
 				det.Scores[pod.ToR] = score
 				torsOf[psKey{di, psi}] = append(torsOf[psKey{di, psi}], pod.ToR)
-				if score >= c.ScoreThreshold {
+				if score >= scoreThreshold {
 					candidateSet[pod.ToR] = true
 				}
 			}

@@ -92,7 +92,7 @@ func detectReference(top *topology.Topology, pairs map[string]*analysis.LatencyS
 				score := float64(nVictims) / float64(len(pod.Servers))
 				det.Scores[pod.ToR] = score
 				torsOf[psKey{di, psi}] = append(torsOf[psKey{di, psi}], pod.ToR)
-				if score >= c.ScoreThreshold {
+				if score >= scoreThreshold {
 					candidateSet[pod.ToR] = true
 				}
 			}

@@ -1,12 +1,7 @@
 package cosmos
 
 import (
-	"bytes"
-	"compress/gzip"
 	"context"
-	"fmt"
-	"io"
-	"sync"
 	"time"
 
 	"pingmesh/internal/simclock"
@@ -16,11 +11,6 @@ import (
 // chosen per upload (typically "pingmesh/<date>/<dc>", so daily jobs can
 // select their window by prefix). It implements the agent package's
 // Uploader interface.
-//
-// Gzip-compressed uploads (agents with GzipUploads set) are transparently
-// inflated before storage: compression saves wire bytes between agent and
-// storage, but stored extents stay raw so the scan and fold paths keep
-// their zero-copy contract.
 type Client struct {
 	// Store is the cosmos cluster (in production: the VIP front end).
 	Store *Store
@@ -28,11 +18,6 @@ type Client struct {
 	Stream func(t time.Time) string
 	// Clock defaults to wall time.
 	Clock simclock.Clock
-
-	// mu guards the pooled inflate state below.
-	mu     sync.Mutex
-	gzr    *gzip.Reader
-	infBuf bytes.Buffer
 }
 
 // Upload implements the agent Uploader contract.
@@ -48,42 +33,7 @@ func (c *Client) Upload(ctx context.Context, batch []byte) error {
 	if c.Stream != nil {
 		name = c.Stream(clock.Now())
 	}
-	if isGzip(batch) {
-		return c.inflateAppend(name, batch)
-	}
 	return c.Store.Append(name, batch)
-}
-
-// isGzip sniffs the two-byte gzip magic. Neither CSV batches (printable
-// first byte) nor binary batches ("PMB1") can start with 0x1f 0x8b.
-func isGzip(b []byte) bool {
-	return len(b) >= 2 && b[0] == 0x1f && b[1] == 0x8b
-}
-
-// inflateAppend decompresses a gzip upload into the pooled buffer and
-// appends the raw bytes. The reader and buffer are reused across uploads;
-// Store.Append copies out of the buffer before returning.
-func (c *Client) inflateAppend(name string, batch []byte) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	br := bytes.NewReader(batch)
-	if c.gzr == nil {
-		gzr, err := gzip.NewReader(br)
-		if err != nil {
-			return fmt.Errorf("cosmos: bad gzip upload: %w", err)
-		}
-		c.gzr = gzr
-	} else if err := c.gzr.Reset(br); err != nil {
-		return fmt.Errorf("cosmos: bad gzip upload: %w", err)
-	}
-	c.infBuf.Reset()
-	if _, err := io.Copy(&c.infBuf, c.gzr); err != nil {
-		return fmt.Errorf("cosmos: bad gzip upload: %w", err)
-	}
-	if err := c.gzr.Close(); err != nil {
-		return fmt.Errorf("cosmos: bad gzip upload: %w", err)
-	}
-	return c.Store.Append(name, c.infBuf.Bytes())
 }
 
 // DailyStream returns a Stream function producing "<prefix>/<YYYY-MM-DD>".

@@ -96,6 +96,21 @@ type EvidenceSource interface {
 	PairCell(src, dst topology.ServerID) (CellFacts, bool)
 }
 
+const (
+	// pinThreshold is the per-hop loss estimate that pins a hop: about 2.5
+	// binomial standard deviations of a per-hop estimate at the default
+	// probe budget, so sampling noise rarely clears it even before the
+	// confirmation sweep.
+	pinThreshold = 0.02
+	// suspectScore is the normalized vote score that makes a path hop a
+	// suspect: an order of magnitude above what the baseline ~1e-4 drop
+	// rate can produce on a 6-hop path.
+	suspectScore = 0.01
+	// portTries is how many source ports the pin step samples when looking
+	// for a five-tuple that reproduces the loss.
+	portTries = 8
+)
+
 // Engine walks a (src, dst) pair's modeled path through the ordered
 // assertion list and emits an evidence Chain. Every dependency is
 // optional: a missing one turns its assertion into a skip, so the engine
@@ -116,18 +131,6 @@ type Engine struct {
 
 	// ProbesPerHop is the pin sweep's per-TTL probe count (default 200).
 	ProbesPerHop int
-	// PinThreshold is the per-hop loss estimate that pins a hop (default
-	// 0.02 — about 2.5 binomial standard deviations of a per-hop estimate
-	// at the default probe budget, so sampling noise rarely clears it even
-	// before the confirmation sweep).
-	PinThreshold float64
-	// SuspectScore is the normalized vote score that makes a path hop a
-	// suspect (default 0.01 — an order of magnitude above what the
-	// baseline ~1e-4 drop rate can produce on a 6-hop path).
-	SuspectScore float64
-	// PortTries is how many source ports the pin step samples when
-	// looking for a five-tuple that reproduces the loss (default 8).
-	PortTries int
 	// Seed makes pin sweeps reproducible.
 	Seed uint64
 	// Clock times chains for the latency histogram (default wall clock).
@@ -151,15 +154,6 @@ func (e *Engine) defaults() {
 func (e *Engine) applyDefaults() {
 	if e.ProbesPerHop <= 0 {
 		e.ProbesPerHop = 200
-	}
-	if e.PinThreshold <= 0 {
-		e.PinThreshold = 0.02
-	}
-	if e.SuspectScore <= 0 {
-		e.SuspectScore = 0.01
-	}
-	if e.PortTries <= 0 {
-		e.PortTries = 8
 	}
 	if e.Clock == nil {
 		e.Clock = simclock.NewReal()
@@ -316,12 +310,12 @@ func (e *Engine) maxVoteHop(src, dst topology.ServerID) (hop topology.SwitchID, 
 }
 
 // TopSuspect returns the name and score of the pair's highest-scoring
-// candidate hop when it clears SuspectScore — the cheap, votes-only
+// candidate hop when it clears suspectScore — the cheap, votes-only
 // summary /triage attaches without running a full chain.
 func (e *Engine) TopSuspect(src, dst topology.ServerID) (string, float64, bool) {
 	e.defaults()
 	best, score, ok := e.maxVoteHop(src, dst)
-	if !ok || score < e.SuspectScore {
+	if !ok || score < suspectScore {
 		return "", 0, false
 	}
 	return e.Top.Switch(best).Name, score, true
@@ -339,13 +333,13 @@ func (e *Engine) assertHopVotes(ch *Chain, src, dst topology.ServerID) (hop topo
 		ch.Steps = append(ch.Steps, Step{Assertion: AssertHopVotes, Verdict: StepSkip, Detail: "pair endpoints unknown to the topology"})
 		return -1, 0, false
 	}
-	if best >= 0 && bestScore >= e.SuspectScore {
+	if best >= 0 && bestScore >= suspectScore {
 		ch.Steps = append(ch.Steps, Step{Assertion: AssertHopVotes, Verdict: StepFail, Hop: e.Top.Switch(best).Name, Score: bestScore,
-			Detail: fmt.Sprintf("%s holds vote score %.4f (threshold %.4f) across the pair's candidate hops", e.Top.Switch(best).Name, bestScore, e.SuspectScore)})
+			Detail: fmt.Sprintf("%s holds vote score %.4f (threshold %.4f) across the pair's candidate hops", e.Top.Switch(best).Name, bestScore, suspectScore)})
 		return best, bestScore, true
 	}
 	ch.Steps = append(ch.Steps, Step{Assertion: AssertHopVotes, Verdict: StepPass, Score: bestScore,
-		Detail: fmt.Sprintf("no candidate hop above vote score %.4f (max %.4f)", e.SuspectScore, bestScore)})
+		Detail: fmt.Sprintf("no candidate hop above vote score %.4f (max %.4f)", suspectScore, bestScore)})
 	return best, bestScore, false
 }
 
@@ -405,7 +399,7 @@ func (e *Engine) assertTracePin(ch *Chain, src, dst topology.ServerID, suspect t
 	// Leading suspects by mean estimate, deterministically ordered.
 	suspects := make([]topology.SwitchID, 0, len(tallies))
 	for sw, t := range tallies {
-		if t.sum/float64(t.n) >= e.PinThreshold {
+		if t.sum/float64(t.n) >= pinThreshold {
 			suspects = append(suspects, sw)
 		}
 	}
@@ -424,15 +418,15 @@ func (e *Engine) assertTracePin(ch *Chain, src, dst topology.ServerID, suspect t
 		t := tallies[sw]
 		spec := netsim.ProbeSpec{Src: src, Dst: dst, SrcPort: t.port, DstPort: engineDstPort, Proto: probe.TCP}
 		est := EstimateHopLoss(e.Tracer, spec, t.kHop+1, 5*e.ProbesPerHop, rng)
-		if got := est[t.kHop]; got >= e.PinThreshold {
+		if got := est[t.kHop]; got >= pinThreshold {
 			ch.Steps = append(ch.Steps, Step{Assertion: AssertTracePin, Verdict: StepFail, Hop: e.Top.Switch(sw).Name, Score: got,
 				Detail: fmt.Sprintf("TTL sweep pins %s: per-traversal loss %.4f confirmed at 5x probes (threshold %.4f)",
-					e.Top.Switch(sw).Name, got, e.PinThreshold)})
+					e.Top.Switch(sw).Name, got, pinThreshold)})
 			return sw, got, true
 		}
 	}
 	ch.Steps = append(ch.Steps, Step{Assertion: AssertTracePin, Verdict: StepPass,
-		Detail: fmt.Sprintf("TTL sweep over %d tuples found no hop sustaining %.4f loss", len(ports), e.PinThreshold)})
+		Detail: fmt.Sprintf("TTL sweep over %d tuples found no hop sustaining %.4f loss", len(ports), pinThreshold)})
 	return -1, 0, false
 }
 
@@ -442,15 +436,15 @@ func (e *Engine) assertTracePin(ch *Chain, src, dst topology.ServerID, suspect t
 // tuple, or a fault on an ECMP member none of the tuples crosses is
 // unobservable — plus up to three tuples crossing the vote suspect so its
 // per-hop mean averages over more samples. Without a model it falls back
-// to PortTries sequential ports.
+// to portTries sequential ports.
 func (e *Engine) pinPorts(src, dst topology.ServerID, suspect topology.SwitchID) []uint16 {
-	ports := make([]uint16, 0, 2*e.PortTries)
+	ports := make([]uint16, 0, 2*portTries)
 	if e.Paths != nil {
 		const suspectQuota = 3
 		covered := map[topology.SwitchID]bool{}
 		suspectTuples := 0
 		var buf []topology.SwitchID
-		for i := 0; i < 8*e.PortTries && len(ports) < 2*e.PortTries; i++ {
+		for i := 0; i < 8*portTries && len(ports) < 2*portTries; i++ {
 			sport := uint16(engineBaseSrcPort + i)
 			hops, ok := e.Paths.AppendPath(buf[:0], src, dst, sport, engineDstPort)
 			buf = hops
@@ -478,7 +472,7 @@ func (e *Engine) pinPorts(src, dst topology.ServerID, suspect topology.SwitchID)
 			ports = append(ports, sport)
 		}
 	}
-	for i := 0; len(ports) < e.PortTries; i++ {
+	for i := 0; len(ports) < portTries; i++ {
 		ports = append(ports, uint16(engineBaseSrcPort+i))
 	}
 	return ports

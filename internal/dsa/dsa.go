@@ -143,7 +143,7 @@ func New(cfg Config) (*Pipeline, error) {
 		})
 	}
 	p.jobs = p.jobTable()
-	p.inc = newIncremental(p, cfg.Clock.Now())
+	p.inc = newIncremental(p)
 	p.offGrid = p.jm.Metrics().Counter("dsa.cycle.offgrid_rescans")
 	for _, t := range []struct {
 		name string
@@ -225,19 +225,17 @@ func (p *Pipeline) Alerts() []analysis.Alert {
 const foldInterval = time.Minute
 
 // Start schedules the background fold job and the three recurring analysis
-// jobs. Call Stop to cancel.
+// jobs. Each cycle fires at the end of its window on the one window grid
+// (probe.WindowIndex) — the folder's, so scheduled cycles are served from
+// partials whenever the pipeline was started. Call Stop to cancel.
 func (p *Pipeline) Start() {
-	now := p.cfg.Clock.Now()
-	// The fold-window grid must coincide with the scheduler's window grid
-	// or cycles could never be served from partials.
-	p.inc.rearm(now)
-	p.jm.ScheduleAt("fold", foldInterval, now, func(from, to time.Time) error {
+	p.jm.Schedule("fold", foldInterval, func(from, to time.Time) error {
 		p.FoldNow()
 		return nil
 	})
-	p.jm.ScheduleAt("10min", scope.Every10Min, now, p.RunTenMinute)
-	p.jm.ScheduleAt("1hour", scope.Every1Hour, now, p.RunHourly)
-	p.jm.ScheduleAt("1day", scope.Every1Day, now, p.RunDaily)
+	p.jm.Schedule("10min", scope.Every10Min, p.RunTenMinute)
+	p.jm.Schedule("1hour", scope.Every1Hour, p.RunHourly)
+	p.jm.Schedule("1day", scope.Every1Day, p.RunDaily)
 }
 
 // Stop cancels the recurring jobs.

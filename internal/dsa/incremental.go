@@ -58,33 +58,23 @@ type incremental struct {
 // plus the hour being filled.
 const hoursKept = 25
 
-func newIncremental(p *Pipeline, anchor time.Time) *incremental {
+func newIncremental(p *Pipeline) *incremental {
 	specs := make([]scope.FoldSpec, len(p.jobs))
 	for i := range p.jobs {
 		specs[i] = p.jobs[i].spec
 	}
 	reg := p.jm.Metrics()
 	inc := &incremental{
-		p:         p,
-		folder:    scope.NewFolder(anchor, scope.Every10Min, specs, p.cfg.Tracer),
+		p: p,
+		// Anchored at the Unix epoch: the folder's ten minutes, hours and
+		// days are UTC's, the windows the job manager fires on.
+		folder:    scope.NewFolder(time.Unix(0, 0).UTC(), scope.Every10Min, specs, p.cfg.Tracer),
 		folded:    make(map[string]map[int]bool),
 		foldedCtr: reg.Counter("dsa.fold.extents_folded"),
 		lateCtr:   reg.Counter("dsa.fold.late_records"),
 	}
 	reg.GaugeFunc("dsa.fold.backlog", func() int64 { return int64(inc.backlog()) })
 	return inc
-}
-
-// rearm re-anchors the window grid, allowed only while nothing has been
-// folded: Start calls it so the fold grid matches the job manager's
-// scheduling grid exactly (a real clock's Now() differs between New and
-// Start).
-func (inc *incremental) rearm(anchor time.Time) {
-	inc.passMu.Lock()
-	defer inc.passMu.Unlock()
-	if inc.folder.Extents() == 0 {
-		inc.folder.Anchor = anchor
-	}
 }
 
 // foldInto folds the named extents into dst, decoding on every core as the

@@ -34,8 +34,7 @@ type diffFixture struct {
 	batches    [][]byte // CSV, 32 records a batch
 	extentSize int      // small enough that batches seals many extents
 
-	// sketched is the same records the way a sketch-mode agent uploads
-	// them: one PMB1 batch per server per 10-minute window, healthy probes
+	// sketched is the same records the way an agent uploads them: one PMB1 batch per server per 10-minute window, healthy probes
 	// folded into per-peer sketches, anomalies raw.
 	sketched [][]byte
 }
@@ -81,17 +80,15 @@ func buildDiffFixture(t *testing.T) *diffFixture {
 	runner := &fleet.Runner{Net: n, Lists: lists, Seed: 21}
 	sink := func(src topology.ServerID, recs []probe.Record) {
 		if accs[src] == nil {
-			accs[src] = agent.NewSketchAccumulator(top.Server(src).Addr, 10*time.Minute)
+			accs[src] = agent.NewSketchAccumulator(top.Server(src).Addr, probe.Window)
 		}
 		for i := range recs {
-			// The agent's raw/anomaly policy (Agent.record) at its default
-			// RawThreshold of one second.
 			r := &recs[i]
-			if r.Success() && r.RTT < time.Second && analysis.DropSignature(r.RTT) == 0 {
-				accs[src].Observe(r)
-			} else {
-				w := r.Start.Sub(t0) / (10 * time.Minute)
+			if agent.ShipsRaw(r) {
+				w := r.Start.Sub(t0) / probe.Window
 				raw[src][w] = append(raw[src][w], *r)
+			} else {
+				accs[src].Observe(r)
 			}
 		}
 		// Chunked uploads: many small batches make upload-order shuffling
@@ -613,7 +610,8 @@ func TestDailyPartialsBoundedWithoutDailyCycle(t *testing.T) {
 		pipe.FoldNow()
 		for _, job := range append(pipe.jobsOf(Cycle1Hour), pipe.jobsOf(Cycle1Day)...) {
 			resident := 0
-			for w := int64(-1); w <= hours; w++ {
+			first := pipe.inc.folder.WindowOf(job.spec.Name, t0)
+			for w := first - 1; w <= first+hours; w++ {
 				if pipe.inc.folder.Partial(job.spec.Name, w) != nil {
 					resident++
 				}
@@ -721,11 +719,7 @@ func TestZeroValueConfigFolds(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The grid anchors at the wall clock; pick the grid window holding the
-	// fixture's 20th minute.
-	anchor := pipe.inc.folder.Anchor
-	from := anchor.Add(t0.Add(20*time.Minute).Sub(anchor).Truncate(10*time.Minute) - 10*time.Minute)
-	to := from.Add(10 * time.Minute)
+	from, to := window(1)
 	if err := pipe.RunTenMinute(from, to); err != nil {
 		t.Fatal(err)
 	}
@@ -826,15 +820,21 @@ func TestFoldExactlyOnceUnderConcurrency(t *testing.T) {
 
 // driveScheduled starts the pipeline's recurring jobs and moves the sim clock
 // through the given number of 10-minute steps. After each step it waits — on
-// the publication hook, not on time — for exactly the cycles that step's
-// instant schedules, then for their jobs to accept the next tick, so no tick
-// is dropped and no verdict depends on how fast the jobs run. It returns how
-// many cycles of each kind were published.
+// the publication hook, not on time — for exactly the cycles that step
+// schedules, each over the window of its cadence that the step closed, then
+// for their jobs to accept the next boundary, so none is missed and no verdict
+// depends on how fast the jobs run. It returns how many cycles of each kind
+// were published.
 func driveScheduled(t *testing.T, pipe *Pipeline, clock *simclock.Sim, steps int) map[string]int {
 	t.Helper()
+	type cycle struct {
+		kind     string
+		from, to time.Time
+	}
+	every := map[string]time.Duration{Cycle10Min: scope.Every10Min, Cycle1Hour: scope.Every1Hour, Cycle1Day: scope.Every1Day}
 	// One slot per cycle a step can schedule.
-	events := make(chan string, 3)
-	pipe.SetOnCycle(func(kind string, from, to time.Time) { events <- kind })
+	events := make(chan cycle, 3)
+	pipe.SetOnCycle(func(kind string, from, to time.Time) { events <- cycle{kind, from, to} })
 	pipe.Start()
 	defer pipe.Stop()
 	published := map[string]int{}
@@ -849,9 +849,13 @@ func driveScheduled(t *testing.T, pipe *Pipeline, clock *simclock.Sim, steps int
 		}
 		for n := len(want); n > 0; n-- {
 			select {
-			case kind := <-events:
+			case cy := <-events:
+				kind := cy.kind
 				if want[kind] == 0 {
 					t.Fatalf("step %d: unexpected %s cycle", step, kind)
+				}
+				if to := clock.Now().Truncate(every[kind]); !cy.to.Equal(to) || cy.to.Sub(cy.from) != every[kind] {
+					t.Fatalf("step %d: %s cycle over [%v, %v), want the %v ending %v", step, kind, cy.from, cy.to, every[kind], to)
 				}
 				want[kind]--
 				published[kind]++
@@ -879,8 +883,7 @@ func driveScheduled(t *testing.T, pipe *Pipeline, clock *simclock.Sim, steps int
 // TestIncrementalScheduledPipeline drives the pipeline through the job
 // manager on the sim clock for a full day. Every scheduled cycle — 144
 // ten-minute, 24 hourly, one daily — must be served from partials: the
-// scheduler's [anchor + k*every) grid and the folder's coincide at every
-// cadence, nothing is re-scanned and no backlog is left; and what the
+// scheduler's grid and the folder's coincide at every cadence, nothing is re-scanned and no backlog is left; and what the
 // scheduled cycles publish equals the scan of the same spans.
 func TestIncrementalScheduledPipeline(t *testing.T) {
 	// The sketched encoding: the oracle re-scans the store 600 times.
@@ -917,6 +920,40 @@ func TestIncrementalScheduledPipeline(t *testing.T) {
 	got, want := renderReports(t, pipe), renderReports(t, ref)
 	if got != want || !strings.Contains(want, "blackholes|") || !strings.Contains(want, "sla|pod/") {
 		t.Fatalf("scheduled cycles diverged from the scan\nwant:\n%s\ngot:\n%s", want, got)
+	}
+}
+
+// TestScheduledPipelineStartedOffGrid constructs and starts the pipeline
+// three minutes and seventeen seconds into a window — on a real clock every
+// start is off the grid — and lets the scheduler fire every 10-minute and
+// hourly cycle of the fixture's two hours. The windows it publishes must be
+// the grid's, :00/:10/…, the ones agents cut their sketches on: every cycle
+// served from partials, and the CSV and the PMB1 encoding of the same probes
+// publishing the same rows. (Windows anchored at the start time attribute a
+// whole sketch to the window holding its MinStart but a CSV record to the one
+// holding its own Start, and the two encodings' rows part.)
+func TestScheduledPipelineStartedOffGrid(t *testing.T) {
+	csv := buildDiffFixture(t)
+	run := func(fx *diffFixture) string {
+		store := fx.newStore(t)
+		fx.upload(t, store, fx.inOrder())
+		clock := simclock.NewSim(t0.Add(3*time.Minute + 17*time.Second))
+		pipe := fx.newPipeOn(t, store, clock)
+		published := driveScheduled(t, pipe, clock, diffWindows)
+		if published[Cycle10Min] != diffWindows || published[Cycle1Hour] != diffHours {
+			t.Fatalf("cycles published over %d hours: %v", diffHours, published)
+		}
+		if n := offGridRescans(pipe); n != 0 {
+			t.Fatalf("%d scheduled cycles were re-scanned", n)
+		}
+		return renderReports(t, pipe)
+	}
+	want, got := run(csv), run(csv.asSketched())
+	if !strings.Contains(want, "alerts|") || !strings.Contains(want, "sla|pod/") {
+		t.Fatalf("the scheduled cycles published no alert or no pod row:\n%s", want)
+	}
+	if got != want {
+		t.Fatalf("started off the grid, the two upload encodings publish different rows\ncsv:\n%s\npmb1:\n%s", want, got)
 	}
 }
 

@@ -18,9 +18,6 @@ type Config struct {
 	Profiles []Profile
 	// InterDC models the long-haul network between data centers.
 	InterDC InterDCConfig
-	// LowQoSQueueFactor scales queuing delay for QoSLow probes (DSCP-based
-	// QoS gives low-priority packets deeper queues). 0 means the default.
-	LowQoSQueueFactor float64
 }
 
 // InterDCConfig models the inter-DC WAN.
@@ -163,6 +160,10 @@ func (ft *faultTable) clone() *faultTable {
 	return c
 }
 
+// lowQoSQueueFactor scales queuing delay for QoSLow probes: DSCP-based QoS
+// gives low-priority packets deeper queues.
+const lowQoSQueueFactor = 1.6
+
 // Network is a simulated multi-DC fabric. It is safe for concurrent use:
 // probes are lock-free; fault injection swaps an immutable fault table,
 // which also invalidates the per-pair probe plan cache (plans embed the
@@ -170,7 +171,6 @@ func (ft *faultTable) clone() *faultTable {
 type Network struct {
 	top    *topology.Topology
 	cfg    Config
-	qosLow float64
 	mu     sync.Mutex // serializes fault mutation
 	faults atomic.Pointer[faultTable]
 	plans  atomic.Pointer[planCache]
@@ -189,11 +189,7 @@ func New(top *topology.Topology, cfg Config) (*Network, error) {
 	if cfg.InterDC == (InterDCConfig{}) {
 		cfg.InterDC = DefaultInterDC()
 	}
-	q := cfg.LowQoSQueueFactor
-	if q <= 0 {
-		q = 1.6
-	}
-	n := &Network{top: top, cfg: cfg, qosLow: q}
+	n := &Network{top: top, cfg: cfg}
 	n.faults.Store(&faultTable{
 		perSwitch:  make([]switchFault, top.NumSwitches()),
 		podsetDown: map[psKey]bool{},

@@ -499,7 +499,7 @@ func (n *Network) sampleRTTPlan(pl *pairPlan, chosen *[6]*switchFault, spec *Pro
 	loadS, loadD := sp.load(spec.Start), dp.load(spec.Start)
 	qos := 1.0
 	if spec.QoS == probe.QoSLow {
-		qos = n.qosLow
+		qos = lowQoSQueueFactor
 	}
 
 	d := pl.rttFixed

@@ -208,7 +208,7 @@ func (n *Network) sampleRTT(ft *faultTable, r *route, ss, ds *topology.Server, s
 	loadS, loadD := sp.load(spec.Start), dp.load(spec.Start)
 	qos := 1.0
 	if spec.QoS == probe.QoSLow {
-		qos = n.qosLow
+		qos = lowQoSQueueFactor
 	}
 
 	// End-host stacks: send+receive on each host per direction.

@@ -30,10 +30,11 @@ import (
 	"pingmesh/internal/viz"
 )
 
-// Defaults for Config zero values.
+// The /alerts feed holds the newest alertLimit alerts of the last
+// alertWindow.
 const (
-	DefaultAlertLimit  = 100
-	DefaultAlertWindow = 24 * time.Hour
+	alertLimit  = 100
+	alertWindow = 24 * time.Hour
 )
 
 // MetricSource names a metrics registry exposed on /metrics. Prefix is
@@ -49,10 +50,6 @@ type Config struct {
 	Pipeline *dsa.Pipeline
 	Top      *topology.Topology
 	Clock    simclock.Clock
-	// AlertLimit caps the /alerts feed (DefaultAlertLimit if 0).
-	AlertLimit int
-	// AlertWindow bounds feed recency (DefaultAlertWindow if 0).
-	AlertWindow time.Duration
 	// Metrics lists additional registries for /metrics; the portal's own
 	// registry is always included.
 	Metrics []MetricSource
@@ -108,12 +105,6 @@ type Portal struct {
 
 // New returns a portal serving empty responses until the first Refresh.
 func New(cfg Config) *Portal {
-	if cfg.AlertLimit <= 0 {
-		cfg.AlertLimit = DefaultAlertLimit
-	}
-	if cfg.AlertWindow <= 0 {
-		cfg.AlertWindow = DefaultAlertWindow
-	}
 	if cfg.Budget == (trace.Budget{}) {
 		cfg.Budget = trace.DefaultBudget()
 	}
@@ -171,7 +162,7 @@ func (p *Portal) Refresh() error {
 	if tr != nil {
 		pubStart = tr.Now()
 	}
-	snap, err := BuildSnapshot(p.cfg.Pipeline, p.cfg.Clock.Now(), p.cfg.AlertWindow, p.cfg.AlertLimit)
+	snap, err := BuildSnapshot(p.cfg.Pipeline, p.cfg.Clock.Now())
 	if err != nil {
 		return err
 	}

@@ -71,7 +71,7 @@ type Snapshot struct {
 
 // BuildSnapshot assembles a snapshot from the pipeline's report database
 // and retained heatmaps. now anchors the alert-feed recency cutoff.
-func BuildSnapshot(p *dsa.Pipeline, now time.Time, alertWindow time.Duration, alertLimit int) (*Snapshot, error) {
+func BuildSnapshot(p *dsa.Pipeline, now time.Time) (*Snapshot, error) {
 	s := &Snapshot{
 		PublishedAt: now,
 		SLA:         make(map[string]SLAEntry),

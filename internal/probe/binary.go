@@ -11,13 +11,13 @@ import (
 
 // Binary wire format ("PMB1").
 //
-// Agents historically upload CSV: one ~90-byte line per probe, linear in
-// probe count. The binary format ships the same pipeline a second, far
-// denser payload kind — per-peer latency sketches (sparse bucket counts of
-// the shared metrics.Histogram layout plus exact tallies) — alongside raw
-// records for the probes that need per-record identity (anomalies, traced
-// probes). One sketch summarizes an entire reporting window of probes to
-// one peer, making upload bytes sub-linear in probe count.
+// What agents upload. CSV is one ~90-byte line per probe, linear in probe
+// count; the binary format carries a far denser payload kind — per-peer
+// latency sketches (sparse bucket counts of the shared metrics.Histogram
+// layout plus exact tallies) — alongside raw records for the probes that
+// need per-record identity (anomalies, traced probes). One sketch
+// summarizes an entire reporting window of probes to one peer, making
+// upload bytes sub-linear in probe count.
 //
 // Layout (all integers are encoding/binary varints — "uv" unsigned,
 // "v" signed zig-zag):
@@ -57,6 +57,26 @@ var (
 // hasBinaryMagic reports whether b starts a binary batch.
 func hasBinaryMagic(b []byte) bool {
 	return len(b) >= 4 && b[0] == 'P' && b[1] == 'M' && b[2] == 'B' && b[3] == '1'
+}
+
+// Window is the reporting window: a sketch summarizes one peer's healthy
+// probes of one Window, and the 10-minute analysis jobs each process one.
+const Window = 10 * time.Minute
+
+// WindowIndex returns the index of the window of the given length holding t
+// on the system's one window grid: windows start at whole multiples of their
+// length since the Unix epoch, so the index is floor(t / window) and ten
+// minutes, hours and days all begin where UTC's do. Agents cut sketches on
+// this grid, the fold tier keeps its partials by it and the job manager fires
+// on it; that is why a sketch never straddles an analysis window and lands
+// whole in the window holding its MinStart.
+func WindowIndex(t time.Time, window time.Duration) int64 {
+	ns, w := t.UnixNano(), int64(window)
+	idx := ns / w
+	if ns%w < 0 {
+		idx--
+	}
+	return idx
 }
 
 // PeerSketch is the encode-side aggregate for one peer: the identity

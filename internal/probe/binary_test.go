@@ -458,3 +458,29 @@ func TestBinaryBatchGoldenBytes(t *testing.T) {
 		t.Fatalf("golden batch decoded to %d records, %d sketches, %d errors", len(recs), len(sks), errs)
 	}
 }
+
+// TestWindowIndex: windows start at whole multiples of their length since the
+// Unix epoch — also before it — so ten minutes, hours and days begin where
+// UTC's do.
+func TestWindowIndex(t *testing.T) {
+	day := time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC)
+	for _, c := range []struct {
+		t      time.Time
+		window time.Duration
+		want   int64
+	}{
+		{time.Unix(0, 0), Window, 0},
+		{time.Unix(0, -1), Window, -1},
+		{time.Unix(0, -int64(Window)), Window, -1},
+		{time.Unix(0, -int64(Window)-1), Window, -2},
+		{day, 24 * time.Hour, day.Unix() / 86400},
+		{day.Add(-time.Nanosecond), 24 * time.Hour, day.Unix()/86400 - 1},
+		{day.Add(9*time.Minute + 59*time.Second), Window, day.Unix() / 600},
+		{day.Add(10 * time.Minute), Window, day.Unix()/600 + 1},
+		{day.Add(59 * time.Minute).In(time.FixedZone("x", 5*3600+1800)), time.Hour, day.Unix() / 3600},
+	} {
+		if got := WindowIndex(c.t, c.window); got != c.want {
+			t.Errorf("WindowIndex(%v, %v) = %d, want %d", c.t, c.window, got, c.want)
+		}
+	}
+}

@@ -1,7 +1,9 @@
 // Package probe defines the latency measurement record that flows through
 // the whole Pingmesh pipeline — produced by agents, uploaded to Cosmos as
-// CSV, and consumed by SCOPE analysis jobs — together with the probe
-// classification vocabulary (ping class, protocol, QoS class).
+// PMB1 batches (binary.go: per-peer sketches plus raw records; CSV is the
+// local log's format and the import/export codec), and consumed by SCOPE
+// analysis jobs — together with the probe classification vocabulary (ping
+// class, protocol, QoS class) and the window grid agents and analysis share.
 package probe
 
 import (

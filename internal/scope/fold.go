@@ -141,14 +141,17 @@ type specState struct {
 // noWindow is a window index no record has.
 const noWindow = math.MinInt64
 
-// Folder folds sealed extents into per-(spec, window) partials. A spec's
-// windows are [Anchor+k*W, Anchor+(k+1)*W) for integer k, W being the spec's
-// window length: every cadence shares the one anchor. A Folder is
+// Folder folds sealed extents into per-(spec, window) partials. Its base
+// windows are the system's one grid, probe.WindowIndex — the grid agents cut
+// their sketches on — numbered from the anchor's; a spec's windows are
+// [Anchor+k*W, Anchor+(k+1)*W) for integer k, W being the spec's window
+// length, so every cadence shares the one anchor. The DSA pipeline anchors at
+// the Unix epoch, which puts hours and days on UTC's. A Folder is
 // not safe for concurrent use — the DSA pipeline serializes fold passes and
 // cycle reads (which copy via Partial.Merge) under its pass lock, and a
 // pass that decodes on several cores gives every core but one a Fork.
 type Folder struct {
-	// Anchor fixes the window grid origin.
+	// Anchor is the start of window 0 of every spec. It lies on the grid.
 	Anchor time.Time
 	// Window is the base fold window length (the 10-minute DSA cadence).
 	Window time.Duration
@@ -156,7 +159,8 @@ type Folder struct {
 	// path does; matched IDs accumulate until TakeTraces.
 	Tracer *trace.Tracer
 
-	specs []*specState
+	origin int64 // probe.WindowIndex of Anchor
+	specs  []*specState
 
 	// Extent-level tallies. Scanned/ParseErrors are window-free (the scan
 	// counts records before any filter), so a cycle's totals are these plus
@@ -173,10 +177,14 @@ type Folder struct {
 	traces []trace.TraceID
 }
 
-// NewFolder returns a folder for the given specs. It panics on a spec whose
-// Window is not a whole multiple of window: the job table is code, not input.
+// NewFolder returns a folder for the given specs. It panics on an anchor off
+// the window grid and on a spec whose Window is not a whole multiple of
+// window: the job table is code, not input.
 func NewFolder(anchor time.Time, window time.Duration, specs []FoldSpec, tracer *trace.Tracer) *Folder {
-	f := &Folder{Anchor: anchor, Window: window, Tracer: tracer}
+	if anchor.UnixNano()%int64(window) != 0 {
+		panic(fmt.Sprintf("scope: anchor %v is off the %v window grid", anchor, window))
+	}
+	f := &Folder{Anchor: anchor, Window: window, Tracer: tracer, origin: probe.WindowIndex(anchor, window)}
 	for _, sp := range specs {
 		every := int64(1)
 		if sp.Window != 0 {
@@ -248,9 +256,9 @@ func floorDiv(a, b int64) int64 {
 	return q
 }
 
-// windowIndex returns the floor-division base window index of t on the grid.
+// windowIndex returns the index of the base window holding t.
 func (f *Folder) windowIndex(t time.Time) int64 {
-	return floorDiv(int64(t.Sub(f.Anchor)), int64(f.Window))
+	return probe.WindowIndex(t, f.Window) - f.origin
 }
 
 // state returns the fold state of the named spec, which must be one of the

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"pingmesh/internal/metrics"
+	"pingmesh/internal/probe"
 	"pingmesh/internal/simclock"
 )
 
@@ -12,7 +13,7 @@ import (
 // jobs are the near-real-time path, 1-hour and 1-day jobs handle SLA
 // tracking, black-hole detection, and drop analysis.
 const (
-	Every10Min = 10 * time.Minute
+	Every10Min = probe.Window
 	Every1Hour = time.Hour
 	Every1Day  = 24 * time.Hour
 )
@@ -87,25 +88,24 @@ func (s *ScheduledJob) end() {
 	s.mu.Unlock()
 }
 
-// Schedule runs fn every interval. fn receives the window [from, to) it
-// should process: the grid-aligned interval that just ended (windows are
-// anchored at scheduling time, so from and to always land on exact
-// multiples of the interval even when the ticker fires late). The first
-// run happens one interval after scheduling.
+// Schedule runs fn at every multiple of every on the window grid
+// (probe.WindowIndex: since the Unix epoch, so ten-minute, hourly and daily
+// jobs fire where UTC's ten minutes, hours and days end), first at the next
+// one after now. fn receives the window [from, to) that just ended: to is the
+// latest grid point the clock has reached, so it is exact even when the timer
+// fires late, and never lies ahead of the clock.
 //
-// Runs never overlap: if a tick arrives while the previous invocation of
+// The job is armed when Schedule returns: whoever moves the clock next cannot
+// slip a boundary past a job that is still starting up. After each firing one
+// timer is re-armed for the next boundary — a free-running ticker would keep
+// the phase of the instant it was started at.
+//
+// Runs never overlap: if a boundary arrives while the previous invocation of
 // fn is still in flight, the run is skipped — not queued — and counted on
 // scope.job.<name>.overlap_skipped. A job that persistently overruns its
 // interval processes every other window rather than stacking unboundedly;
 // the skip counter is the watchdog signal that the interval is too tight.
 func (m *JobManager) Schedule(name string, every time.Duration, fn func(from, to time.Time) error) *ScheduledJob {
-	return m.ScheduleAt(name, every, m.clock.Now(), fn)
-}
-
-// ScheduleAt is Schedule with an explicit window-grid anchor, for callers
-// that must line several jobs (or an incremental folder) up on one grid —
-// two clock.Now() reads on a real clock never coincide.
-func (m *JobManager) ScheduleAt(name string, every time.Duration, anchor time.Time, fn func(from, to time.Time) error) *ScheduledJob {
 	job := &ScheduledJob{name: name, every: every, stop: make(chan struct{})}
 	job.idle = sync.NewCond(&job.mu)
 	m.mu.Lock()
@@ -117,31 +117,34 @@ func (m *JobManager) ScheduleAt(name string, every time.Duration, anchor time.Ti
 	skipped := m.reg.Counter("scope.job." + name + ".overlap_skipped")
 	lastMS := m.reg.Gauge("scope.job." + name + ".last_ms")
 	duration := m.reg.Histogram("scope.job." + name + ".duration")
-	// Armed before ScheduleAt returns: whoever moves the clock next cannot
-	// slip a tick past a job that is still starting up.
-	ticker := m.clock.NewTicker(every)
+	// boundary returns the latest grid point at or before t.
+	boundary := func(t time.Time) time.Time {
+		return time.Unix(0, probe.WindowIndex(t, every)*int64(every)).UTC()
+	}
+	now := m.clock.Now()
+	last := boundary(now) // the end of the latest window not to run
+	timer := m.clock.NewTimer(last.Add(every).Sub(now))
 	go func() {
-		defer ticker.Stop()
 		for {
 			select {
 			case <-job.stop:
+				timer.Stop()
 				return
-			case now := <-ticker.C:
+			case now := <-timer.C:
+				to := boundary(now)
+				timer = m.clock.NewTimer(to.Add(every).Sub(now))
+				if !to.After(last) {
+					continue // woken ahead of the boundary (a wall clock stepped back): wait it out
+				}
+				last = to
 				if !job.begin() {
 					skipped.Inc()
 					continue
 				}
-				// Snap the fire time onto the anchor grid: k is the
-				// nearest multiple of every (ticker jitter on a real clock
-				// stays well under every/2), so [from, to) is exact and an
-				// incremental cycle can serve it from folded partials.
-				k := int64((now.Sub(anchor) + every/2) / every)
-				to := anchor.Add(time.Duration(k) * every)
-				from := to.Add(-every)
 				go func() {
 					defer job.end()
 					start := m.clock.Now()
-					err := fn(from, to)
+					err := fn(to.Add(-every), to)
 					runs.Inc()
 					if err != nil {
 						errors.Inc()

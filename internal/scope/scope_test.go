@@ -182,34 +182,67 @@ func TestRunEmptyStore(t *testing.T) {
 	}
 }
 
+// jobRun is one invocation a scheduled test job saw: its window and the
+// clock when it started.
+type jobRun struct{ from, to, at time.Time }
+
+// TestJobManagerRunsOnCadence: jobs scheduled at hh:03:17 run on the window
+// grid, not seventeen seconds past three minutes past it — first at hh:10:00
+// with [hh:00, hh:10), an hourly job at the hour with the hour — and no run
+// is handed a window that ends ahead of the clock, also when its timer fires
+// late.
 func TestJobManagerRunsOnCadence(t *testing.T) {
-	clock := simclock.NewSim(t0)
+	clock := simclock.NewSim(t0.Add(3*time.Minute + 17*time.Second))
 	m := NewJobManager(clock)
 	defer m.StopAll()
-	var runs atomic.Int64
-	var lastFrom, lastTo atomic.Value
-	m.Schedule("sla-10min", Every10Min, func(from, to time.Time) error {
-		runs.Add(1)
-		lastFrom.Store(from)
-		lastTo.Store(to)
-		return nil
-	})
-	waitFor(t, func() bool { return clock.PendingTimers() >= 1 })
-	for i := 0; i < 3; i++ {
+	schedule := func(name string, every time.Duration) chan jobRun {
+		ch := make(chan jobRun, 1)
+		m.Schedule(name, every, func(from, to time.Time) error {
+			ch <- jobRun{from, to, clock.Now()}
+			return nil
+		})
+		return ch
+	}
+	// next takes one run off ch and waits until its job accepts the next
+	// boundary, so that the caller may move the clock.
+	next := func(ch chan jobRun, every time.Duration, wantTo time.Time) {
+		t.Helper()
+		select {
+		case r := <-ch:
+			if !r.to.Equal(wantTo) || r.to.Sub(r.from) != every || r.to.After(r.at) {
+				t.Fatalf("run at %v got [%v, %v), want the %v ending %v", r.at, r.from, r.to, every, wantTo)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("no run for the window ending %v", wantTo)
+		}
+		m.Wait()
+	}
+	tenMin := schedule("sla-10min", Every10Min)
+	hourly := schedule("heatmap-1hour", Every1Hour)
+
+	// Armed when Schedule returned: nothing to wait for before the clock moves.
+	clock.Advance(6*time.Minute + 42*time.Second) // hh:09:59
+	clock.Advance(time.Second)
+	next(tenMin, Every10Min, t0.Add(Every10Min))
+	for w := 2; w <= 6; w++ {
 		clock.Advance(Every10Min)
-		waitFor(t, func() bool { return runs.Load() == int64(i+1) })
+		next(tenMin, Every10Min, t0.Add(time.Duration(w)*Every10Min))
 	}
-	from := lastFrom.Load().(time.Time)
-	to := lastTo.Load().(time.Time)
-	if to.Sub(from) != Every10Min {
-		t.Fatalf("window = [%v, %v)", from, to)
+	next(hourly, Every1Hour, t0.Add(Every1Hour))
+	select {
+	case r := <-tenMin:
+		t.Fatalf("a seventh ten-minute run in the first hour: %+v", r)
+	default:
 	}
-	if !to.Equal(t0.Add(30 * time.Minute)) {
-		t.Fatalf("final window end = %v", to)
-	}
+
+	// One leap over two boundaries: the timer armed for 01:10 fires there, and
+	// its run gets the window ending there.
+	clock.Advance(25 * time.Minute)
+	next(tenMin, Every10Min, t0.Add(Every1Hour+Every10Min))
+
 	snap := m.Metrics().Snapshot()
-	if snap.Counters["scope.job.sla-10min.runs"] != 3 {
-		t.Fatalf("runs counter = %d", snap.Counters["scope.job.sla-10min.runs"])
+	if snap.Counters["scope.job.sla-10min.runs"] < 6 || snap.Counters["scope.job.heatmap-1hour.runs"] != 1 {
+		t.Fatalf("runs counters = %v", snap.Counters)
 	}
 }
 
@@ -225,6 +258,7 @@ func TestJobManagerCountsErrors(t *testing.T) {
 	waitFor(t, func() bool { return clock.PendingTimers() >= 1 })
 	clock.Advance(time.Minute)
 	waitFor(t, func() bool { return runs.Load() == 1 })
+	m.Wait() // the error is counted after fn returns
 	if m.Metrics().Snapshot().Counters["scope.job.flaky.errors"] != 1 {
 		t.Fatal("error not counted")
 	}
@@ -291,6 +325,7 @@ func TestJobManagerSkipsOverlappingRuns(t *testing.T) {
 
 	close(block) // unblock; later invocations return immediately
 	waitFor(t, func() bool { return finished.Load() == 1 })
+	m.Wait()                  // in flight until fn has returned
 	clock.Advance(Every10Min) // next run proceeds normally
 	waitFor(t, func() bool { return finished.Load() == 2 })
 

@@ -21,10 +21,7 @@ func localizeReference(l *Localizer, pairs []Pair) []Suspect {
 	if probesPerHop <= 0 {
 		probesPerHop = 400
 	}
-	threshold := l.LossThreshold
-	if threshold <= 0 {
-		threshold = 0.005
-	}
+	threshold := lossThreshold
 	rng := l.Rand
 	if rng == nil {
 		rng = rand.New(rand.NewPCG(0x51e27, 0xd309))

@@ -67,6 +67,10 @@ type Suspect struct {
 	Pairs int
 }
 
+// lossThreshold is the minimum per-hop loss increase that implicates a
+// switch.
+const lossThreshold = 0.005
+
 // Localizer runs TCP-traceroute-style per-hop loss estimation against the
 // network. In production the probes are real TCP traceroutes; here they
 // run against the simulator, which reproduces the per-hop loss behaviour.
@@ -75,9 +79,6 @@ type Localizer struct {
 	// ProbesPerHop is how many trace probes each TTL gets (default 400 —
 	// enough to resolve percent-level loss).
 	ProbesPerHop int
-	// LossThreshold is the minimum per-hop loss increase that implicates
-	// a switch (default 0.005).
-	LossThreshold float64
 	// Rand seeds the probing; required.
 	Rand *rand.Rand
 }
@@ -88,10 +89,6 @@ func (l *Localizer) Localize(pairs []Pair) []Suspect {
 	probesPerHop := l.ProbesPerHop
 	if probesPerHop <= 0 {
 		probesPerHop = 400
-	}
-	threshold := l.LossThreshold
-	if threshold <= 0 {
-		threshold = 0.005
 	}
 	rng := l.Rand
 	if rng == nil {
@@ -124,7 +121,7 @@ func (l *Localizer) Localize(pairs []Pair) []Suspect {
 		// pre-refactor loop.
 		prevLoss := 0.0
 		diagnosis.SweepTraceLoss(l.Net, spec, len(hops), probesPerHop, rng, func(ttl int, loss float64) bool {
-			if delta := loss - prevLoss; delta >= threshold {
+			if delta := loss - prevLoss; delta >= lossThreshold {
 				a := blame[hops[ttl-1]]
 				if a == nil {
 					a = &acc{}

@@ -22,9 +22,11 @@ package pingmesh
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"time"
 
+	"pingmesh/internal/agent"
 	"pingmesh/internal/analysis"
 	"pingmesh/internal/autopilot"
 	"pingmesh/internal/blackhole"
@@ -118,8 +120,6 @@ type SimOptions struct {
 	// Profiles holds one network profile per DC; defaults to the paper's
 	// five DC profiles cycled across the spec's DCs.
 	Profiles []netsim.Profile
-	// Generator overrides the pinglist generation parameters.
-	Generator *core.GeneratorConfig
 	// Services to track SLAs for.
 	Services []*analysis.Service
 	// Seed makes runs reproducible.
@@ -150,7 +150,6 @@ type SimTestbed struct {
 	// reads it for the hop-votes assertion.
 	Diag *diagnosis.Collector
 
-	gen    core.GeneratorConfig
 	seed   uint64
 	lists  map[topology.ServerID]*pinglist.File
 	repair *autopilot.RepairService
@@ -181,9 +180,6 @@ func NewSimTestbed(spec TopologySpec, opts SimOptions) (*SimTestbed, error) {
 	clock := simclock.NewSim(start)
 
 	gen := core.DefaultGeneratorConfig()
-	if opts.Generator != nil {
-		gen = *opts.Generator
-	}
 	ctrl, err := controller.New(top, gen, clock)
 	if err != nil {
 		return nil, err
@@ -218,7 +214,7 @@ func NewSimTestbed(spec TopologySpec, opts SimOptions) (*SimTestbed, error) {
 	return &SimTestbed{
 		Top: top, Net: net, Clock: clock, Store: store,
 		Controller: ctrl, Pipeline: pipe, Tracer: tracer, Diag: diag,
-		gen: gen, seed: seed, lists: lists,
+		seed: seed, lists: lists,
 	}, nil
 }
 
@@ -226,8 +222,9 @@ func NewSimTestbed(spec TopologySpec, opts SimOptions) (*SimTestbed, error) {
 func (tb *SimTestbed) Pinglists() map[ServerID]*Pinglist { return tb.lists }
 
 // RunWindow executes every scheduled probe of the fleet for the next d of
-// simulated time, uploads the records to the store, and advances the
-// clock. Call Analyze* (or Pipeline methods) afterwards to process the
+// simulated time, uploads them to the store as agents do — PMB1 batches,
+// healthy probes sketched per peer per window, anomalies raw — and advances
+// the clock. Call Analyze* (or Pipeline methods) afterwards to process the
 // window.
 //
 // Fault state is sampled per probe but the window executes as one batch:
@@ -239,7 +236,19 @@ func (tb *SimTestbed) RunWindow(d time.Duration) error {
 	runner := &fleet.Runner{Net: tb.Net, Lists: tb.lists, Seed: tb.seed ^ uint64(from.UnixNano())}
 	stream := cosmos.DailyStream("pingmesh")
 	err := runner.Run(from, to, func(src topology.ServerID, recs []probe.Record) {
-		if err := tb.Store.Append(stream(recs[0].Start), probe.EncodeBatch(recs)); err != nil {
+		// Every batch is cut whole, as an agent's final flush is: callers
+		// analyze the window as soon as RunWindow returns.
+		acc := agent.NewSketchAccumulator(recs[0].Src, probe.Window)
+		var raw []probe.Record
+		for i := range recs {
+			if r := &recs[i]; agent.ShipsRaw(r) {
+				raw = append(raw, *r)
+			} else {
+				acc.Observe(r)
+			}
+		}
+		batch := probe.AppendBinaryBatch(nil, raw, acc.CutBefore(math.MaxInt64, nil))
+		if err := tb.Store.Append(stream(recs[0].Start), batch); err != nil {
 			panic(fmt.Sprintf("pingmesh: store append: %v", err)) // in-memory store: only programming errors
 		}
 		tb.Diag.ObserveBatch(recs)

@@ -2,13 +2,20 @@ package pingmesh
 
 import (
 	"context"
+	"fmt"
 	"net/http/httptest"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
+	"pingmesh/internal/agent"
 	"pingmesh/internal/autopilot"
+	"pingmesh/internal/cosmos"
 	"pingmesh/internal/dsa"
+	"pingmesh/internal/fleet"
 	"pingmesh/internal/netsim"
+	"pingmesh/internal/probe"
 	"pingmesh/internal/reportdb"
 )
 
@@ -255,5 +262,80 @@ func TestRunTimeline(t *testing.T) {
 	// Zero-duration steps are rejected.
 	if _, err := tb.RunTimeline([]TimelineStep{{Name: "bad"}}); err == nil {
 		t.Fatal("zero-duration step accepted")
+	}
+}
+
+// TestRunWindowUploadsWhatAgentsUpload: the testbed's store holds PMB1 —
+// sketches, and raw records only for what the anomaly policy keeps raw — and
+// every report row is the one the same probes publish uploaded as CSV.
+func TestRunWindowUploadsWhatAgentsUpload(t *testing.T) {
+	build := func() *SimTestbed {
+		tb, err := NewSimTestbed(smallSpec(), SimOptions{Seed: 3, HeatmapMinProbes: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Drops, so that some probes fail and some carry a retransmit signature.
+		tb.Net.SetPodsetDegraded(0, 1, netsim.Degradation{DropProb: 0.03})
+		return tb
+	}
+	tb, ref := build(), build()
+	from, to := tb.Clock.Now(), tb.Clock.Now().Add(time.Hour)
+	if err := tb.RunWindow(time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	stream := cosmos.DailyStream("pingmesh")(from)
+	runner := &fleet.Runner{Net: ref.Net, Lists: ref.lists, Seed: ref.seed ^ uint64(from.UnixNano())}
+	if err := runner.Run(from, to, func(_ ServerID, recs []Record) {
+		if err := ref.Store.Append(stream, probe.EncodeBatch(recs)); err != nil {
+			t.Error(err)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	ref.Clock.AdvanceTo(to)
+
+	render := func(tb *SimTestbed) string {
+		if err := tb.AnalyzeWindow(from, to); err != nil {
+			t.Fatal(err)
+		}
+		var lines []string
+		for _, table := range tb.DB().Tables() {
+			rows, err := tb.DB().Query(table)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range rows {
+				lines = append(lines, fmt.Sprintf("%s %v", table, r))
+			}
+		}
+		sort.Strings(lines)
+		return strings.Join(lines, "\n")
+	}
+	want, got := render(ref), render(tb)
+	if got != want || !strings.Contains(want, dsa.TableAlerts+" ") {
+		t.Fatalf("rows from the PMB1 store differ from the CSV store's (or nothing alerted)\ncsv:\n%s\npmb1:\n%s", want, got)
+	}
+
+	data, err := tb.Store.Read(stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sc probe.Scanner
+	sc.Reset(data)
+	var raw, sketched uint64
+	for kind := sc.ScanEntry(); kind != probe.EntryEOF; kind = sc.ScanEntry() {
+		switch {
+		case sc.RowErr() != nil:
+			t.Fatal(sc.RowErr())
+		case kind == probe.EntrySketch:
+			sketched += sc.Sketch().Records()
+		case !agent.ShipsRaw(sc.Record()):
+			t.Fatalf("healthy probe stored raw: %+v", sc.Record())
+		default:
+			raw++
+		}
+	}
+	if raw == 0 || sketched < 20*raw || len(data) > ref.Store.TotalBytes(stream)/10 {
+		t.Fatalf("store holds %d raw and %d sketched probes in %d bytes (CSV: %d)", raw, sketched, len(data), ref.Store.TotalBytes(stream))
 	}
 }

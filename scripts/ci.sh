@@ -45,7 +45,11 @@
 #                                      must be allocation-free per record;
 #                                      PMT1 telemetry encode and collector
 #                                      ingest must be allocation-free per
-#                                      report in steady state)
+#                                      report in steady state; the agent's
+#                                      record path past its buffer cap must
+#                                      stay a ring write: 100,000 records
+#                                      take well under a second, minutes if
+#                                      drop-oldest copies the buffer)
 #   3b. diagnosis smoke               (the root-cause localization CLI at
 #                                      reduced scale: two simultaneous
 #                                      injected faults must land in the
@@ -89,6 +93,7 @@ go test ./internal/scope ./internal/probe ./internal/analysis \
     ./internal/dsa ./internal/diagnosis \
     ./internal/telemetry \
     -run 'ZeroAlloc' -count=1 -v | grep -E '^(=== RUN|--- (PASS|FAIL)|ok|FAIL)'
+go test ./internal/agent -run xxx -bench AgentRecordHotPath -benchtime 100000x
 
 echo "== tier 3b: diagnosis smoke (reduced scale)"
 go run ./cmd/pingmesh-diagnose -minutes 6 -check > /dev/null
