@@ -85,8 +85,11 @@ func BenchmarkServeNotModified(b *testing.B) {
 	}
 }
 
-// BenchmarkUpdateTopology measures a full regeneration — parallel
-// generation plus concurrent marshal/gzip/hash of every file.
+// BenchmarkUpdateTopology measures a full regeneration with the ring full
+// — parallel generation, then marshal/gzip/hash of every file and the
+// patch to it from each of its DefaultDeltaRing ringed predecessors.
+// scripts/ci.sh tier 3 prints it: with -benchmem it is where a compressor
+// per body (≈1.3 MB/pinglist) or an XML parse per patch would show.
 func BenchmarkUpdateTopology(b *testing.B) {
 	c, _ := benchController(b)
 	top, err := topology.Build(topology.Spec{DCs: []topology.DCSpec{
@@ -95,13 +98,16 @@ func BenchmarkUpdateTopology(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for i := 0; i < DefaultDeltaRing+b.N; i++ {
+		if i == DefaultDeltaRing {
+			b.ResetTimer()
+		}
 		if err := c.UpdateTopology(top); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(c.PinglistCount()), "pinglists")
+	b.ReportMetric(float64(c.Metrics().Gauge("controller.patches").Value()), "patches")
 }
 
 // nopResponseWriter is a reusable ResponseWriter with a persistent header

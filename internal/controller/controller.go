@@ -28,7 +28,6 @@ import (
 	"pingmesh/internal/core"
 	"pingmesh/internal/httpcache"
 	"pingmesh/internal/metrics"
-	"pingmesh/internal/pinglist"
 	"pingmesh/internal/simclock"
 	"pingmesh/internal/telemetry"
 	"pingmesh/internal/topology"
@@ -41,31 +40,35 @@ type Controller struct {
 	reg       *metrics.Registry
 	telemetry *telemetry.Collector // nil unless Options.Telemetry mounted one
 
-	state atomic.Pointer[state] // current generation
-	gen   atomic.Uint64         // version counter
+	state atomic.Pointer[state] // current generation; readers take one load
+
+	// writeMu serialises the writers of state — UpdateTopology (demote the
+	// outgoing generation, build against it, store) and Clear — so neither
+	// can publish over the other's store or re-ring a generation the other
+	// dropped. gen is the version counter, guarded by it.
+	writeMu sync.Mutex
+	gen     uint64
 
 	// Hot-path counters, resolved once so serving never takes the
 	// registry lock.
 	cServes, cBytes, cNotModified, cMisses *metrics.Counter
 	cDeltaServes, cDeltaBytes              *metrics.Counter
-	cDeltaBuilds, cDeltaFallbacks          *metrics.Counter
+	cDeltaFallbacks                        *metrics.Counter
 }
 
 // state is one immutable generation of pinglist files. Each file is an
 // httpcache.Body: marshaled XML with its precomputed gzip variant and
 // strong ETag, shared with the portal's render cache machinery. The state
 // also carries the delta machinery scoped to this generation: the ring of
-// previous generations patches may be built from, and the lazily filled
-// cache of built patches (copy-on-write map — readers take one atomic
-// load, builders swap in a new map under deltaMu).
+// previous generations, and the patch from every ringed file to its
+// current one, built with the generation and never written afterwards.
 type state struct {
 	version  string
 	versionH []string                   // precomputed X-Pingmesh-Version value
 	files    map[string]*httpcache.Body // server name -> body
 
-	ring    []ringGen // newest first, at most DefaultDeltaRing
-	deltaMu sync.Mutex
-	deltas  atomic.Pointer[map[deltaKey]*deltaBody]
+	ring   []ringGen // newest first, at most DefaultDeltaRing
+	deltas map[deltaKey]*deltaBody
 }
 
 // Options tunes controller behavior beyond the generator config.
@@ -95,7 +98,6 @@ func NewWithOptions(top *topology.Topology, cfg core.GeneratorConfig, clock simc
 	c.cMisses = c.reg.Counter("controller.pinglist_misses")
 	c.cDeltaServes = c.reg.Counter("controller.delta_serves")
 	c.cDeltaBytes = c.reg.Counter("controller.delta_bytes")
-	c.cDeltaBuilds = c.reg.Counter("controller.delta_builds")
 	c.cDeltaFallbacks = c.reg.Counter("controller.delta_fallback_full")
 	if err := c.UpdateTopology(top); err != nil {
 		return nil, err
@@ -107,40 +109,33 @@ func NewWithOptions(top *topology.Topology, cfg core.GeneratorConfig, clock simc
 // based, so identical files get identical ETags on every replica.
 func etagFor(data []byte) string { return httpcache.ETagFor(data) }
 
-// buildEntry marshals one pinglist and precomputes its gzip body and ETag.
-func buildEntry(f *pinglist.File) (*httpcache.Body, error) {
-	data, err := pinglist.Marshal(f)
-	if err != nil {
-		return nil, fmt.Errorf("marshal pinglist for %s: %w", f.Server, err)
-	}
-	b, err := httpcache.New("application/xml", data)
-	if err != nil {
-		return nil, fmt.Errorf("pinglist for %s: %w", f.Server, err)
-	}
-	return b, nil
-}
-
 // UpdateTopology regenerates every pinglist from a new network graph and
 // atomically publishes the new generation (§6.2: the controller updates
-// pinglists whenever topology or configuration changes). Generation shards
-// across core's worker pool and marshaling fans out here; both are
-// deterministic, so replicas still publish byte-identical generations.
+// pinglists whenever topology or configuration changes), together with the
+// patch to it from every file in the generation ring. Generation shards
+// across core's worker pool; marshaling, compression and patch building
+// fan out here. All of it is deterministic, so replicas still publish
+// byte-identical generations.
 func (c *Controller) UpdateTopology(top *topology.Topology) error {
-	version := fmt.Sprintf("gen-%d", c.gen.Add(1))
+	c.writeMu.Lock()
+	defer c.writeMu.Unlock()
+	ring := demote(c.state.Load())
+	c.gen++
+	version := fmt.Sprintf("gen-%d", c.gen)
 	start := c.clock.Now()
 	lists, gstats, err := core.GenerateWithStats(top, c.cfg, version, start)
 	if err != nil {
 		return fmt.Errorf("controller: %w", err)
 	}
 
-	// Marshal + compress + hash every file concurrently. Output is keyed
-	// by server name, so worker order is irrelevant.
+	// Each worker claims servers one at a time and does everything for a
+	// server while its file is in hand: marshal, compress, hash, and the
+	// patch from each ringed generation. Output is keyed by server name,
+	// so worker order is irrelevant.
 	ids := make([]topology.ServerID, 0, len(lists))
 	for id := range lists {
 		ids = append(ids, id)
 	}
-	entries := make([]*httpcache.Body, len(ids))
-	errs := make([]error, len(ids))
 	workers := runtime.GOMAXPROCS(0)
 	if c.cfg.Parallelism > 0 {
 		workers = c.cfg.Parallelism
@@ -148,69 +143,64 @@ func (c *Controller) UpdateTopology(top *topology.Topology) error {
 	if workers > len(ids) {
 		workers = len(ids)
 	}
+	entries := make([]*httpcache.Body, len(ids))
+	builders := make([]builder, workers)
 	marshalStart := time.Now()
-	if workers <= 1 {
-		for i, id := range ids {
-			entries[i], errs[i] = buildEntry(lists[id])
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(ids) {
-						return
-					}
-					entries[i], errs[i] = buildEntry(lists[ids[i]])
+	var claim atomic.Int64
+	var wg sync.WaitGroup
+	for w := range builders {
+		wg.Add(1)
+		go func(b *builder) {
+			defer wg.Done()
+			for b.err == nil {
+				i := int(claim.Add(1)) - 1
+				if i >= len(ids) {
+					return
 				}
-			}()
-		}
-		wg.Wait()
+				entries[i] = b.build(lists[ids[i]], top.Server(ids[i]).Name, ring)
+			}
+		}(&builders[w])
 	}
+	wg.Wait()
 	marshalWall := time.Since(marshalStart)
-	files := make(map[string]*httpcache.Body, len(ids))
-	for i, id := range ids {
-		if errs[i] != nil {
-			return fmt.Errorf("controller: %w", errs[i])
-		}
-		files[top.Server(id).Name] = entries[i]
-	}
 
-	next := &state{version: version, versionH: []string{version}, files: files}
-	// Demote the outgoing generation into the ring so agents holding its
-	// ETags can be served patches. Only the ETag and the compressed body
-	// are kept — the parsed peers and the httpcache headers are dropped —
-	// so the ring costs roughly gzip-sized memory per retained generation.
-	if prev := c.state.Load(); prev != nil && len(prev.files) > 0 {
-		g := ringGen{version: prev.version, entries: make(map[string]ringEntry, len(prev.files))}
-		for name, b := range prev.files {
-			e := ringEntry{etag: b.ETag()}
-			if gz := b.Gzip(); gz != nil {
-				e.comp, e.gzipped = gz, true
-			} else {
-				e.comp = b.Data()
-			}
-			g.entries[name] = e
+	next := &state{
+		version: version, versionH: []string{version}, ring: ring,
+		files:  make(map[string]*httpcache.Body, len(ids)),
+		deltas: make(map[deltaKey]*deltaBody, len(ring)*len(ids)),
+	}
+	for i, id := range ids {
+		next.files[top.Server(id).Name] = entries[i]
+	}
+	var served, notSmaller, buildErrors int64
+	var patchWall time.Duration
+	for w := range builders {
+		b := &builders[w]
+		if b.err != nil {
+			return fmt.Errorf("controller: %w", b.err)
 		}
-		next.ring = append(next.ring, g)
-		for _, og := range prev.ring {
-			if len(next.ring) >= DefaultDeltaRing {
-				break
-			}
-			next.ring = append(next.ring, og)
+		for _, p := range b.patches {
+			next.deltas[p.key] = p.body
 		}
+		served += int64(len(b.patches)) - b.notSmaller - b.buildErrors
+		notSmaller += b.notSmaller
+		buildErrors += b.buildErrors
+		patchWall = max(patchWall, b.patchWall)
 	}
 	c.state.Store(next)
 	c.reg.Counter("controller.generations").Inc()
+	c.reg.Counter("controller.delta_builds").Add(served + notSmaller + buildErrors)
+	c.reg.Counter("controller.delta_not_smaller").Add(notSmaller)
+	c.reg.Counter("controller.delta_build_errors").Add(buildErrors)
 	c.reg.Gauge("controller.delta_ring").Set(int64(len(next.ring)))
-	c.reg.Gauge("controller.pinglists").Set(int64(len(files)))
+	c.reg.Gauge("controller.pinglists").Set(int64(len(next.files)))
+	c.reg.Gauge("controller.patches").Set(served)
 	c.reg.Gauge("controller.last_generation_ms").Set(int64(c.clock.Since(start) / time.Millisecond))
 	c.reg.Gauge("controller.generate_wall_us").Set(int64(gstats.Wall / time.Microsecond))
+	// marshal_wall_us is the whole fan-out above; patch_wall_us is the part
+	// of it the busiest worker spent building patches.
 	c.reg.Gauge("controller.marshal_wall_us").Set(int64(marshalWall / time.Microsecond))
+	c.reg.Gauge("controller.patch_wall_us").Set(int64(patchWall / time.Microsecond))
 	c.reg.Gauge("controller.generate_workers").Set(int64(gstats.Workers))
 	// Realized parallel speedup (work/wall), in hundredths: 100 = serial.
 	c.reg.Gauge("controller.generate_speedup_x100").Set(int64(gstats.Speedup() * 100))
@@ -223,9 +213,12 @@ func (c *Controller) UpdateTopology(top *topology.Topology) error {
 // ring is dropped too: nothing may be reconstructable from a cleared
 // controller, not even via deltas.
 func (c *Controller) Clear() {
+	c.writeMu.Lock()
+	defer c.writeMu.Unlock()
 	c.state.Store(&state{version: "cleared", versionH: []string{"cleared"}, files: map[string]*httpcache.Body{}})
 	c.reg.Gauge("controller.pinglists").Set(0)
 	c.reg.Gauge("controller.delta_ring").Set(0)
+	c.reg.Gauge("controller.patches").Set(0)
 }
 
 // Version returns the current generation identifier.
@@ -295,7 +288,7 @@ func (c *Controller) Handler() http.Handler {
 		// (A matching validator falls through to Serve's 304 path.)
 		if inm := r.Header.Get("If-None-Match"); inm != "" &&
 			!httpcache.ETagMatches(inm, e.ETag()) && wantsDelta(r) {
-			if db := c.deltaFor(st, server, inm); db != nil {
+			if db := st.deltaFor(server, inm); db != nil {
 				w.Header()["X-Pingmesh-Version"] = st.versionH
 				n := db.serve(w, r)
 				c.cDeltaServes.Inc()

@@ -6,10 +6,11 @@ package controller
 // so the ring costs gzip-sized memory, not parsed-peer memory — and
 // answers a conditional GET whose If-None-Match names a ringed generation
 // with a small patch (226 IM Used) instead of the whole file. The patch
-// body for each (server, base-generation) pair is built lazily on first
-// request and cached immutably for the lifetime of the generation, so the
-// steady state of a fleet converging through a topology update is a
-// zero-allocation map lookup per request, exactly like the 304 and full
+// body for every (server, base-generation) pair is built with the
+// generation, in the worker that marshals the server's file, and published
+// immutably with it — at most ring depth × servers bodies — so a fleet
+// converging through a topology update costs a zero-allocation map lookup
+// per request from its first request on, exactly like the 304 and full
 // cached paths.
 //
 // Protocol:
@@ -25,11 +26,11 @@ package controller
 // stays valid for a body (full or patched) obtained from any other.
 
 import (
-	"bytes"
-	"compress/gzip"
-	"io"
+	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
+	"time"
 
 	"pingmesh/internal/httpcache"
 	"pingmesh/internal/pinglist"
@@ -88,7 +89,7 @@ type deltaBody struct {
 }
 
 // noDelta marks (server, base) pairs where a patch is impossible or not
-// smaller than the full body; cached so the decision is made once.
+// smaller than the full body.
 var noDelta = &deltaBody{}
 
 // serve writes the delta response. The steady-state path allocates
@@ -146,135 +147,134 @@ func wantsDelta(r *http.Request) bool {
 	return false
 }
 
-// deltaFor returns the cached patch from the agent's base generation
-// (named by inm) to the current one, building and caching it on first
-// request. nil means "serve the full body instead": the base is unknown,
-// evicted, or the patch would not be smaller. The fast path is one atomic
-// load and one map lookup with zero allocations.
-func (c *Controller) deltaFor(st *state, server, inm string) *deltaBody {
-	if m := st.deltas.Load(); m != nil {
-		if db, ok := (*m)[deltaKey{server, inm}]; ok {
-			if db == noDelta {
-				return nil
-			}
-			return db
-		}
+// deltaFor returns the patch from the agent's base generation (named by
+// inm) to this one. nil means "serve the full body instead": the base is
+// unknown or evicted, or the patch would not be smaller. One map lookup,
+// zero allocations; bogus ETags cost nothing and are remembered nowhere.
+func (st *state) deltaFor(server, inm string) *deltaBody {
+	if db := st.deltas[deltaKey{server, inm}]; db != noDelta {
+		return db
 	}
-	st.deltaMu.Lock()
-	defer st.deltaMu.Unlock()
-	if m := st.deltas.Load(); m != nil { // lost a build race: re-check
-		if db, ok := (*m)[deltaKey{server, inm}]; ok {
-			if db == noDelta {
-				return nil
-			}
-			return db
-		}
-	}
-	var base ringEntry
-	found := false
-	for gi := range st.ring {
-		if e, ok := st.ring[gi].entries[server]; ok && e.etag == inm {
-			base = e
-			found = true
-			break
-		}
-	}
-	if !found {
-		// Unknown or evicted base: full fetch. Deliberately not cached —
-		// the key space of bogus ETags is attacker-controlled.
-		return nil
-	}
-	cur, ok := st.files[server]
-	if !ok {
-		return nil
-	}
-	db := buildDelta(base, cur)
-	c.cDeltaBuilds.Inc()
-	old := st.deltas.Load()
-	var m map[deltaKey]*deltaBody
-	if old == nil {
-		m = make(map[deltaKey]*deltaBody, 64)
-	} else {
-		m = make(map[deltaKey]*deltaBody, len(*old)+1)
-		for k, v := range *old {
-			m[k] = v
-		}
-	}
-	m[deltaKey{server, inm}] = db
-	st.deltas.Store(&m)
-	if db == noDelta {
-		return nil
-	}
-	return db
+	return nil
 }
 
-// buildDelta computes the patch from a ringed base to the current body.
-// Both sides are re-parsed from their retained wire forms — the ring keeps
-// no parsed peers — then diffed, marshaled and precompressed. Any failure,
-// and any patch that would not beat the full body on the wire, degrades to
-// noDelta (the agent simply downloads the full file).
-func buildDelta(base ringEntry, cur *httpcache.Body) *deltaBody {
-	oldRaw := base.comp
+// demote returns the generation ring a successor of prev publishes: prev's
+// files in front, then prev's own ring up to DefaultDeltaRing generations.
+// Only the ETag and the compressed body of each file are kept — the parsed
+// peers and the httpcache headers are dropped — so the ring costs roughly
+// gzip-sized memory per retained generation. A cleared or absent prev
+// leaves nothing to patch from.
+func demote(prev *state) []ringGen {
+	if prev == nil || len(prev.files) == 0 {
+		return nil
+	}
+	g := ringGen{version: prev.version, entries: make(map[string]ringEntry, len(prev.files))}
+	for name, b := range prev.files {
+		e := ringEntry{etag: b.ETag()}
+		if gz := b.Gzip(); gz != nil {
+			e.comp, e.gzipped = gz, true
+		} else {
+			e.comp = b.Data()
+		}
+		g.entries[name] = e
+	}
+	ring := append(make([]ringGen, 0, DefaultDeltaRing), g)
+	return append(ring, prev.ring[:min(len(prev.ring), DefaultDeltaRing-1)]...)
+}
+
+// builder is one UpdateTopology worker: the compressor and scratch space
+// it reuses from server to server, and what it has built.
+type builder struct {
+	comp httpcache.Compressor
+	base []byte // gunzip scratch
+
+	patches                 []patch
+	notSmaller, buildErrors int64 // how many of patches are noDelta, by reason
+	patchWall               time.Duration
+	err                     error // first failure to build a file; stops the worker
+}
+
+// patch is one entry of the next state's delta map.
+type patch struct {
+	key  deltaKey
+	body *deltaBody
+}
+
+// build marshals, compresses and hashes one server's file, then builds
+// the patch to it from that server's file in every ringed generation.
+func (b *builder) build(f *pinglist.File, name string, ring []ringGen) *httpcache.Body {
+	data, err := pinglist.Marshal(f)
+	if err != nil {
+		b.err = fmt.Errorf("marshal pinglist for %s: %w", name, err)
+		return nil
+	}
+	cur, err := b.comp.New("application/xml", data)
+	if err != nil {
+		b.err = fmt.Errorf("pinglist for %s: %w", name, err)
+		return nil
+	}
+	t0 := time.Now()
+	target := "" // data as a string, converted once for all of its patches
+	for gi := range ring {
+		base, ok := ring[gi].entries[name]
+		if !ok || base.etag == cur.ETag() {
+			continue
+		}
+		if target == "" {
+			target = string(data)
+		}
+		db, err := b.buildDelta(base, cur, target, f)
+		switch {
+		case err != nil:
+			b.buildErrors++
+		case db == noDelta:
+			b.notSmaller++
+		}
+		b.patches = append(b.patches, patch{deltaKey{name, base.etag}, db})
+	}
+	b.patchWall += time.Since(t0)
+	return cur
+}
+
+// buildDelta computes the patch from a ringed base to the current body
+// without parsing either: the base is inflated and diffed line by line
+// against the body just marshaled from f. A patch that would not beat the
+// full body on the wire is noDelta, and so is any failure — the agent
+// simply downloads the full file — but a failure is returned too, so the
+// two are counted apart.
+func (b *builder) buildDelta(base ringEntry, cur *httpcache.Body, target string, f *pinglist.File) (*deltaBody, error) {
+	old := base.comp
 	if base.gzipped {
-		zr, err := gzip.NewReader(bytes.NewReader(base.comp))
-		if err != nil {
-			return noDelta
+		var err error
+		if b.base, err = b.comp.Gunzip(b.base[:0], base.comp); err != nil {
+			return noDelta, err
 		}
-		oldRaw, err = io.ReadAll(io.LimitReader(zr, 64<<20))
-		if err != nil {
-			return noDelta
-		}
+		old = b.base
 	}
-	oldF, err := pinglist.Unmarshal(oldRaw)
+	d, err := pinglist.DiffMarshaled(string(old), target, f, base.etag, cur.ETag())
 	if err != nil {
-		return noDelta
-	}
-	curF, err := pinglist.Unmarshal(cur.Data())
-	if err != nil {
-		return noDelta
-	}
-	d, err := pinglist.Diff(oldF, curF, base.etag, cur.ETag())
-	if err != nil {
-		return noDelta
+		return noDelta, err
 	}
 	data, err := pinglist.MarshalDelta(d)
 	if err != nil {
-		return noDelta
+		return noDelta, err
+	}
+	gz, err := b.comp.Gzip(data)
+	if err != nil {
+		return noDelta, err
+	}
+	db := &deltaBody{data: data, gz: gz, etagH: []string{cur.ETag()}, clenH: []string{strconv.Itoa(len(data))}}
+	if gz != nil {
+		db.clenGzH = []string{strconv.Itoa(len(gz))}
 	}
 	fullWire := len(cur.Data())
 	if gz := cur.Gzip(); gz != nil {
 		fullWire = len(gz)
 	}
-	db := &deltaBody{data: data, etagH: []string{cur.ETag()}, clenH: []string{itoa(len(data))}}
-	if len(data) >= httpcache.MinGzipSize {
-		var buf bytes.Buffer
-		zw, _ := gzip.NewWriterLevel(&buf, gzip.BestSpeed)
-		zw.Write(data)
-		if err := zw.Close(); err == nil && buf.Len() < len(data) {
-			db.gz = buf.Bytes()
-			db.clenGzH = []string{itoa(len(db.gz))}
-		}
-	}
 	if int(db.wire()) >= fullWire {
-		return noDelta // the full body is already the cheaper answer
+		return noDelta, nil // the full body is already the cheaper answer
 	}
-	return db
-}
-
-// itoa is strconv.Itoa for the non-negative lengths above, kept local so
-// delta.go's imports stay minimal.
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [20]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
+	return db, nil
 }
 
 // FetchKind classifies how an in-process fetch was answered.
@@ -302,7 +302,7 @@ type FetchOutcome struct {
 
 // ServeFetch answers one pinglist fetch without HTTP: the same decision
 // procedure as Handler — If-None-Match → 304, known base in the ring →
-// delta, otherwise full body — sharing the same delta cache and counters.
+// delta, otherwise full body — sharing the same patches and counters.
 // The pipeline benchmark's fleet_churn workload drives its simulated
 // agents through it; it is safe for concurrent use.
 func (c *Controller) ServeFetch(server, ifNoneMatch string, wantDelta bool) FetchOutcome {
@@ -317,7 +317,7 @@ func (c *Controller) ServeFetch(server, ifNoneMatch string, wantDelta bool) Fetc
 		return FetchOutcome{Kind: FetchNotModified, ETag: b.ETag(), Version: st.version}
 	}
 	if wantDelta && ifNoneMatch != "" {
-		if db := c.deltaFor(st, server, ifNoneMatch); db != nil {
+		if db := st.deltaFor(server, ifNoneMatch); db != nil {
 			wire := db.wire()
 			c.cDeltaServes.Inc()
 			c.cDeltaBytes.Add(wire)

@@ -259,8 +259,8 @@ func TestServeFetchMatchesHandler(t *testing.T) {
 }
 
 // TestDeltaServeCachedZeroAlloc is the tier-3 guard from the acceptance
-// criteria: once a patch is built and cached, serving it must allocate
-// nothing — same discipline as the 304 and cached full-body paths.
+// criteria: serving a patch — built with its generation — must allocate
+// nothing, same discipline as the 304 and cached full-body paths.
 func TestDeltaServeCachedZeroAlloc(t *testing.T) {
 	rig := newDeltaRig(t, Options{})
 	st := rig.c.state.Load()
@@ -271,8 +271,7 @@ func TestDeltaServeCachedZeroAlloc(t *testing.T) {
 	req.Header.Set("Accept-Encoding", "gzip")
 	w := &nopResponseWriter{}
 
-	// Warm: first request builds and caches the patch.
-	db := rig.c.deltaFor(st, rig.name, rig.oldETag)
+	db := st.deltaFor(rig.name, rig.oldETag)
 	if db == nil {
 		t.Fatal("no delta for ringed base")
 	}
@@ -282,7 +281,7 @@ func TestDeltaServeCachedZeroAlloc(t *testing.T) {
 		if !wantsDelta(req) {
 			t.Fatal("A-IM not detected")
 		}
-		db := rig.c.deltaFor(st, rig.name, rig.oldETag)
+		db := st.deltaFor(rig.name, rig.oldETag)
 		db.serve(w, req)
 	}); n != 0 {
 		t.Errorf("cached delta serve allocates %v allocs/op, want 0", n)

@@ -17,6 +17,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -63,21 +64,35 @@ const MinGzipSize = 64
 
 // New builds a Body from content, precomputing the gzip variant and the
 // strong content-hash ETag. data is retained, not copied: callers hand
-// over ownership.
+// over ownership. It is the one-off form of Compressor.New: a publisher
+// with more than one body to build keeps a Compressor for the batch.
 func New(contentType string, data []byte) (*Body, error) {
-	b := &Body{data: data, ctype: contentType, etag: ETagFor(data)}
-	if len(data) >= MinGzipSize {
-		var buf bytes.Buffer
-		zw, _ := gzip.NewWriterLevel(&buf, gzip.BestSpeed)
-		zw.Write(data)
-		if err := zw.Close(); err != nil {
-			return nil, fmt.Errorf("httpcache: gzip: %w", err)
-		}
-		// Keep the variant only if it actually shrinks the body.
-		if buf.Len() < len(data) {
-			b.gz = buf.Bytes()
-		}
+	var c Compressor
+	return c.New(contentType, data)
+}
+
+// Compressor builds the bodies of one publication batch with one gzip
+// writer and one gzip reader between them: a compress/flate compressor is
+// ≈650 KB of tables, which dwarfs the few-KB bodies published here, so
+// constructing one per body made allocation the cost of a publish. The
+// zero value is ready to use; a Compressor is not safe for concurrent use
+// (each publishing goroutine owns one) and is meant to be dropped with the
+// batch — deliberately not a package-level sync.Pool, whose pooled
+// compressors would outlive every publish as resident heap.
+type Compressor struct {
+	zw  *gzip.Writer
+	zr  *gzip.Reader
+	buf bytes.Buffer
+	src bytes.Reader
+}
+
+// New is the batch form of the package-level New, with identical output.
+func (c *Compressor) New(contentType string, data []byte) (*Body, error) {
+	gz, err := c.Gzip(data)
+	if err != nil {
+		return nil, err
 	}
+	b := &Body{data: data, gz: gz, ctype: contentType, etag: ETagFor(data)}
 	b.etagH = []string{b.etag}
 	b.ctypeH = []string{contentType}
 	b.clenH = []string{strconv.Itoa(len(b.data))}
@@ -85,6 +100,53 @@ func New(contentType string, data []byte) (*Body, error) {
 		b.clenGzH = []string{strconv.Itoa(len(b.gz))}
 	}
 	return b, nil
+}
+
+// Gzip returns the gzip (BestSpeed) form of data in a slice of its own, or
+// nil when a variant is not worth keeping: data is under MinGzipSize or
+// does not shrink.
+func (c *Compressor) Gzip(data []byte) ([]byte, error) {
+	if len(data) < MinGzipSize {
+		return nil, nil
+	}
+	c.buf.Reset()
+	if c.zw == nil {
+		c.zw, _ = gzip.NewWriterLevel(&c.buf, gzip.BestSpeed)
+	} else {
+		c.zw.Reset(&c.buf)
+	}
+	c.zw.Write(data)
+	if err := c.zw.Close(); err != nil {
+		return nil, fmt.Errorf("httpcache: gzip: %w", err)
+	}
+	if c.buf.Len() >= len(data) {
+		return nil, nil
+	}
+	return bytes.Clone(c.buf.Bytes()), nil
+}
+
+// maxGunzip bounds what Gunzip will inflate: far above any body published
+// here, far below what a corrupt stream could cost.
+const maxGunzip = 64 << 20
+
+// Gunzip appends the decompressed form of gz (a Body.Gzip value) to dst.
+func (c *Compressor) Gunzip(dst, gz []byte) ([]byte, error) {
+	c.src.Reset(gz)
+	var err error
+	if c.zr == nil {
+		c.zr, err = gzip.NewReader(&c.src)
+	} else {
+		err = c.zr.Reset(&c.src)
+	}
+	if err == nil {
+		buf := bytes.NewBuffer(dst)
+		_, err = buf.ReadFrom(io.LimitReader(c.zr, maxGunzip))
+		dst = buf.Bytes()
+	}
+	if err != nil {
+		return dst, fmt.Errorf("httpcache: gunzip: %w", err)
+	}
+	return dst, nil
 }
 
 // MustNew is New for static bodies that cannot fail.

@@ -210,3 +210,58 @@ func BenchmarkServeNotModified(b *testing.B) {
 		}
 	}
 }
+
+// TestCompressorMatchesNew: a Compressor reused across a batch builds the
+// bodies New builds one at a time — same gzip bytes, same ETag — whatever
+// it compressed or inflated before, and every body owns its bytes (a later
+// body does not overwrite an earlier one's variant in shared scratch).
+func TestCompressorMatchesNew(t *testing.T) {
+	var batch [][]byte
+	for i := 0; i < 40; i++ {
+		n := []int{0, 1, MinGzipSize - 1, MinGzipSize, 700, 9000, 70000}[i%7]
+		data := make([]byte, n)
+		for j := range data {
+			data[j] = "pingmesh <Peer addr=\"10.0.0.1\"/>\n"[(j*(i+1)+j/97)%33]
+		}
+		if i%5 == 4 { // incompressible: the variant must be dropped
+			for j := range data {
+				data[j] = byte(j*j*31 + j>>3*17 + i)
+			}
+		}
+		batch = append(batch, data)
+	}
+	var c Compressor
+	var built []*Body
+	var plain []byte
+	for _, data := range batch {
+		b, err := c.New("text/plain", data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		built = append(built, b)
+		if gz := b.Gzip(); gz != nil {
+			// Interleave inflation: the writer and reader share scratch.
+			if plain, err = c.Gunzip(plain[:0], gz); err != nil || !bytes.Equal(plain, data) {
+				t.Fatalf("Gunzip of a %d-byte body: %v", len(data), err)
+			}
+		}
+	}
+	for i, data := range batch {
+		want, err := New("text/plain", data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := built[i]
+		if got.ETag() != want.ETag() || !bytes.Equal(got.Gzip(), want.Gzip()) || (got.Gzip() == nil) != (want.Gzip() == nil) {
+			t.Fatalf("body %d (%d bytes): batch-built body differs from New's", i, len(data))
+		}
+	}
+	for _, bad := range [][]byte{nil, []byte("not gzip at all"), built[5].Gzip()[:40]} {
+		if _, err := c.Gunzip(nil, bad); err == nil {
+			t.Fatalf("Gunzip accepted %q", bad)
+		}
+	}
+	if out, err := c.Gunzip([]byte("kept:"), built[5].Gzip()); err != nil || !bytes.Equal(out, append([]byte("kept:"), batch[5]...)) {
+		t.Fatalf("Gunzip after an error, appending to a prefix: %v", err)
+	}
+}

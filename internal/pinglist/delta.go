@@ -21,6 +21,7 @@ package pinglist
 import (
 	"encoding/xml"
 	"fmt"
+	"strings"
 	"time"
 
 	"pingmesh/internal/httpcache"
@@ -55,13 +56,13 @@ type Delta struct {
 	Ops        []Op      `xml:"Op"`
 }
 
-// MarshalDelta renders the delta as XML.
+// MarshalDelta renders the delta as XML, like Marshal.
 func MarshalDelta(d *Delta) ([]byte, error) {
-	out, err := xml.MarshalIndent(d, "", "  ")
+	generated, err := d.Generated.MarshalText()
 	if err != nil {
 		return nil, fmt.Errorf("pinglist: marshal delta: %w", err)
 	}
-	return append(out, '\n'), nil
+	return appendDelta(make([]byte, 0, deltaSize(d, generated)), d, generated), nil
 }
 
 // UnmarshalDelta parses an XML delta document.
@@ -75,60 +76,131 @@ func UnmarshalDelta(data []byte) (*Delta, error) {
 
 // Diff computes the delta that patches old into new. baseETag and
 // targetETag are the strong ETags of the two files' Marshal outputs (the
-// caller usually has them precomputed; DiffFiles computes them). The edit
-// script is greedy and monotone: it walks both peer sequences forward,
-// emitting maximal copy runs for shared stretches and literal inserts for
-// everything else, which is near-minimal for the localized add / remove /
-// modify churn that topology updates produce.
+// caller usually has them precomputed; DiffFiles computes them). Insert
+// ops alias new.Peers rather than copy them.
 func Diff(old, new *File, baseETag, targetETag string) (*Delta, error) {
 	if old.Server != new.Server {
 		return nil, fmt.Errorf("pinglist: diff across servers %q and %q", old.Server, new.Server)
 	}
-	d := &Delta{
+	return newDelta(new, baseETag, targetETag, editScript(old.Peers, new.Peers, new.Peers)), nil
+}
+
+// DiffMarshaled is Diff for a base held only in marshaled form — the
+// controller's generation ring — so that nothing is parsed to build a
+// patch: base and target are Marshal outputs, target that of new, and the
+// edit script is keyed on their peer lines. Marshal writes one line per
+// peer and equal peers marshal to equal lines, so this is the script Diff
+// computes from the parsed files. A base that is not Marshal output is an
+// error.
+func DiffMarshaled(base, target string, new *File, baseETag, targetETag string) (*Delta, error) {
+	baseServer, baseLines, err := peerLines(base)
+	if err != nil {
+		return nil, fmt.Errorf("pinglist: diff base: %w", err)
+	}
+	server, lines, err := peerLines(target)
+	if err != nil {
+		return nil, fmt.Errorf("pinglist: diff target: %w", err)
+	}
+	if len(lines) != len(new.Peers) {
+		return nil, fmt.Errorf("pinglist: diff target: %d peer lines for %d peers", len(lines), len(new.Peers))
+	}
+	if baseServer != server {
+		return nil, fmt.Errorf("pinglist: diff across servers %q and %q", baseServer, server)
+	}
+	return newDelta(new, baseETag, targetETag, editScript(baseLines, lines, new.Peers)), nil
+}
+
+func newDelta(target *File, baseETag, targetETag string, ops []Op) *Delta {
+	return &Delta{
 		V:          DeltaVersion,
-		Server:     new.Server,
-		Version:    new.Version,
-		Generated:  new.Generated,
+		Server:     target.Server,
+		Version:    target.Version,
+		Generated:  target.Generated,
 		BaseETag:   baseETag,
 		TargetETag: targetETag,
+		Ops:        ops,
 	}
-	// Positions of each distinct peer value in the base, ascending.
-	pos := make(map[Peer][]int, len(old.Peers))
-	for i := range old.Peers {
-		pos[old.Peers[i]] = append(pos[old.Peers[i]], i)
+}
+
+// peerLines splits a marshaled pinglist into its server attribute (still
+// escaped) and its peer lines. Attribute values never hold a raw newline
+// or quote — Marshal escapes both — so lines and the first quote are
+// reliable separators.
+func peerLines(body string) (server string, lines []string, err error) {
+	const open, closing = `<Pinglist server="`, "</Pinglist>\n"
+	head, rest, _ := strings.Cut(body, "\n")
+	attrs, opened := strings.CutPrefix(head, open)
+	server, _, quoted := strings.Cut(attrs, `"`)
+	if !opened || !quoted {
+		return "", nil, fmt.Errorf("not a marshaled pinglist")
 	}
-	i := 0 // next base index a copy run may start at (monotone)
-	var ins []Peer
-	flush := func() {
-		if len(ins) > 0 {
-			d.Ops = append(d.Ops, Op{Peers: ins})
-			ins = nil
+	if rest == "" && strings.HasSuffix(body, ">"+closing) {
+		return server, nil, nil // no peers: the element closes on its header line
+	}
+	if !strings.HasSuffix(rest, "\n"+closing) {
+		return "", nil, fmt.Errorf("not a marshaled pinglist")
+	}
+	rest = rest[:len(rest)-len(closing)]
+	lines = make([]string, 0, strings.Count(rest, "\n"))
+	for rest != "" {
+		var line string
+		line, rest, _ = strings.Cut(rest, "\n")
+		if !strings.HasPrefix(line, "  <Peer ") || !strings.HasSuffix(line, "></Peer>") {
+			return "", nil, fmt.Errorf("peer line %d is not marshaled form", len(lines))
 		}
+		lines = append(lines, line)
 	}
-	for j := 0; j < len(new.Peers); {
-		// Smallest base position >= i holding this exact peer.
-		k := -1
-		for _, p := range pos[new.Peers[j]] {
-			if p >= i {
-				k = p
-				break
-			}
+	return server, lines, nil
+}
+
+// editScript is the edit script turning the sequence old into new, over
+// whatever comparable key stands for a peer; peers[j] is the peer new[j]
+// stands for, and insert ops are sub-slices of peers. The script is greedy
+// and monotone: it walks both sequences forward, emitting maximal copy
+// runs for shared stretches and literal inserts for everything else, which
+// is near-minimal for the localized add / remove / modify churn that
+// topology updates produce.
+func editScript[K comparable](old, new []K, peers []Peer) []Op {
+	// first[k] is the lowest base position holding k, next[p] the next
+	// position after p holding the same key (-1: none).
+	first := make(map[K]int, len(old))
+	next := make([]int, len(old))
+	for p := len(old) - 1; p >= 0; p-- {
+		next[p] = -1
+		if q, ok := first[old[p]]; ok {
+			next[p] = q
 		}
-		if k < 0 {
-			ins = append(ins, new.Peers[j])
+		first[old[p]] = p
+	}
+	var ops []Op
+	i := 0   // next base index a copy run may start at (monotone)
+	ins := 0 // start of the pending insert run in new
+	for j := 0; j < len(new); {
+		// Lowest base position >= i holding this exact peer.
+		k, ok := first[new[j]]
+		for ok && k < i {
+			k = next[k]
+			ok = k >= 0
+		}
+		if !ok {
 			j++
 			continue
 		}
-		flush()
+		if ins < j {
+			ops = append(ops, Op{Peers: peers[ins:j:j]})
+		}
 		i = k
-		for j < len(new.Peers) && i < len(old.Peers) && old.Peers[i] == new.Peers[j] {
+		for j < len(new) && i < len(old) && old[i] == new[j] {
 			i++
 			j++
 		}
-		d.Ops = append(d.Ops, Op{From: k, Count: i - k})
+		ops = append(ops, Op{From: k, Count: i - k})
+		ins = j
 	}
-	flush()
-	return d, nil
+	if ins < len(new) {
+		ops = append(ops, Op{Peers: peers[ins:len(new):len(new)]})
+	}
+	return ops
 }
 
 // DiffFiles is Diff with the ETags computed here by marshaling both files.

@@ -1,6 +1,8 @@
 package pinglist
 
 import (
+	"encoding/xml"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -53,6 +55,12 @@ func roundTrip(t *testing.T, old, target *File) *Delta {
 	d, err := Diff(old, target, httpcache.ETagFor(oldData), httpcache.ETagFor(wantData))
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The controller never parses a base: keyed on the marshaled peer
+	// lines, the script must be the one the parsed files give.
+	dm, err := DiffMarshaled(string(oldData), string(wantData), target, d.BaseETag, d.TargetETag)
+	if err != nil || !reflect.DeepEqual(dm, d) {
+		t.Fatalf("line-keyed delta %+v (%v), struct-keyed %+v", dm, err, d)
 	}
 	wire, err := MarshalDelta(d)
 	if err != nil {
@@ -124,6 +132,15 @@ func TestDeltaAddRemoveModify(t *testing.T) {
 			target.Peers[i].Port = 7000 + uint16(i)
 		}
 		roundTrip(t, old, target)
+	})
+	t.Run("duplicates", func(t *testing.T) {
+		// Repeated peers: a copy run must start at the lowest base
+		// position not yet passed, never behind it.
+		base := deltaFile("gen-1", 6)
+		base.Peers = append(base.Peers, base.Peers[1], base.Peers[1], base.Peers[4])
+		target := deltaFile("gen-2", 6)
+		target.Peers = []Peer{target.Peers[1], target.Peers[1], target.Peers[4], target.Peers[1], target.Peers[0], target.Peers[1]}
+		roundTrip(t, base, target)
 	})
 	t.Run("empty-target", func(t *testing.T) {
 		target := deltaFile("gen-2", 0)
@@ -211,5 +228,77 @@ func TestDeltaWireShape(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Fatalf("delta wire form missing %q:\n%s", want, s)
 		}
+	}
+}
+
+// TestDiffMarshaledRejectsForeignBase: the line-keyed diff trusts a base
+// only in the exact form Marshal writes; anything else is an error (the
+// controller counts it and serves the full body), never a guessed patch.
+func TestDiffMarshaledRejectsForeignBase(t *testing.T) {
+	target := deltaFile("gen-2", 3)
+	targetData, _ := Marshal(target)
+	compact, err := xml.Marshal(deltaFile("gen-1", 3)) // same document, no indentation
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, _ := Marshal(deltaFile("gen-1", 3))
+	other := deltaFile("gen-1", 3)
+	other.Server = "srv-2"
+	otherData, _ := Marshal(other)
+	for name, base := range map[string]string{
+		"empty":        "",
+		"compact":      string(compact),
+		"no-newline":   strings.TrimSuffix(string(good), "\n"),
+		"truncated":    string(good[:len(good)/2]),
+		"self-closing": strings.ReplaceAll(string(good), "></Peer>", "/>"),
+		"other-root":   strings.ReplaceAll(string(good), "Pinglist", "Pinglisp"),
+		"other-server": string(otherData),
+	} {
+		if d, err := DiffMarshaled(base, string(targetData), target, `"a"`, `"b"`); err == nil {
+			t.Errorf("%s base accepted: %+v", name, d)
+		}
+	}
+	if _, err := DiffMarshaled(string(good), string(good), target, `"a"`, `"b"`); err != nil {
+		t.Errorf("marshaled base rejected: %v", err)
+	}
+	if _, err := DiffMarshaled(string(good), string(targetData), deltaFile("gen-2", 4), `"a"`, `"b"`); err == nil {
+		t.Error("target bytes that are not Marshal(new) accepted")
+	}
+}
+
+// TestGoldenDeltaWireFormat pins the exact bytes of a delta document, as
+// TestGoldenWireFormat does for the pinglist itself.
+func TestGoldenDeltaWireFormat(t *testing.T) {
+	d := &Delta{
+		V:          DeltaVersion,
+		Server:     "DC1-ps00-pod00-s00",
+		Version:    "gen-8",
+		Generated:  time.Date(2026, 7, 1, 12, 5, 0, 0, time.UTC),
+		BaseETag:   `"00112233445566778899aabbccddeeff"`,
+		TargetETag: `"ffeeddccbbaa99887766554433221100"`,
+		Ops: []Op{
+			{From: 0, Count: 53},
+			{Peers: []Peer{
+				{Addr: "10.0.9.2", Port: 8765, Class: "intra-dc", Proto: "tcp", QoS: "high", IntervalSec: 30},
+				{Addr: "10.0.9.6", Port: 8766, Class: "intra-dc", Proto: "tcp", QoS: "low", IntervalSec: 30, PayloadLen: 1000},
+			}},
+			{From: 54, Count: 1},
+		},
+	}
+	golden := `<PinglistDelta v="1" server="DC1-ps00-pod00-s00" version="gen-8" generated="2026-07-01T12:05:00Z" base="&#34;00112233445566778899aabbccddeeff&#34;" target="&#34;ffeeddccbbaa99887766554433221100&#34;">
+  <Op from="0" count="53"></Op>
+  <Op from="0" count="0">
+    <Peer addr="10.0.9.2" port="8765" class="intra-dc" proto="tcp" qos="high" interval="30" payload="0"></Peer>
+    <Peer addr="10.0.9.6" port="8766" class="intra-dc" proto="tcp" qos="low" interval="30" payload="1000"></Peer>
+  </Op>
+  <Op from="54" count="1"></Op>
+</PinglistDelta>
+`
+	got, err := MarshalDelta(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != golden {
+		t.Fatalf("delta wire format drifted:\n--- got ---\n%s\n--- want ---\n%s", got, golden)
 	}
 }

@@ -1,7 +1,10 @@
 package pinglist
 
 import (
+	"encoding/xml"
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 	"unicode/utf8"
@@ -176,6 +179,12 @@ func FuzzDeltaPatchVsFull(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Diff failed for same-server pair: %v", err)
 		}
+		// Keyed on the marshaled peer lines — how the controller diffs a
+		// ringed base — the edit script is the same one.
+		dm, err := DiffMarshaled(string(oldData), string(newData), target, d.BaseETag, d.TargetETag)
+		if err != nil || !reflect.DeepEqual(dm, d) {
+			t.Fatalf("line-keyed delta %+v (%v), struct-keyed %+v", dm, err, d)
+		}
 		wire, err := MarshalDelta(d)
 		if err != nil {
 			t.Fatalf("delta of marshalable files not marshalable: %v", err)
@@ -223,6 +232,86 @@ func FuzzDeltaPatchVsFull(f *testing.F) {
 		}
 		if string(got2) != string(newData) {
 			t.Fatalf("corrupted delta verified but produced wrong bytes\n got %q\nwant %q", got2, newData)
+		}
+	})
+}
+
+// FuzzMarshalMatchesEncodingXML holds the append-based writers to the
+// encoder they replaced: for any File and any Delta, Marshal and
+// MarshalDelta produce xml.MarshalIndent's bytes plus a newline, and fail
+// exactly when it fails. Every ETag in the system hashes these bytes, so
+// "equivalent XML" is not enough.
+func FuzzMarshalMatchesEncodingXML(f *testing.F) {
+	f.Add("srv-0", "gen-1", int64(1751328000), int64(0), int32(0), "10.0.0.2", "intra-pod", "tcp", "high",
+		uint16(8765), 10, 0, `"0123"`, `"4567"`, uint8(2), []byte{2, 1, 4})
+	// Empty peer list, empty op list.
+	f.Add("", "", int64(0), int64(0), int32(0), "", "", "", "", uint16(0), 0, 0, "", "", uint8(0), []byte{})
+	// XML metacharacters and whitespace in every string attribute.
+	f.Add(`s"&<>'`, "v\t\r\n", int64(1), int64(1), int32(60), `a"&<>'`, "c\t\r\n", `p"&<>'`, "q\t\r\n",
+		uint16(1), -1, -1024, "b\"&<>'\t", "t\r\n", uint8(3), []byte{0, 1, 3, 5, 255})
+	// Non-ASCII, invalid UTF-8, control bytes and non-characters.
+	f.Add("über-\xff", "v\x00\x7f", int64(1751328000), int64(123456789), int32(-3600*7-1800), "\xc3\x28", "pod-é",
+		"\ufffe", "\U0001F600", uint16(65535), 1<<31, 1<<40, "\xed\xa0\x80", "\x1f", uint8(1), []byte{1, 1, 7})
+	// Non-UTC zones, and timestamps MarshalText refuses.
+	f.Add("s", "v", int64(253402300800), int64(999999999), int32(14*3600), "a", "c", "p", "q", uint16(1), 1, 1, "b", "t", uint8(1), []byte{6})
+	f.Add("s", "v", int64(-62135596801), int64(5), int32(-25*3600), "a", "c", "p", "q", uint16(1), 1, 1, "b", "t", uint8(1), []byte{9})
+
+	f.Fuzz(func(t *testing.T, server, version string, sec, nsec int64, zone int32,
+		addr, class, proto, qos string, port uint16, interval, payload int,
+		base, target string, nPeers uint8, ops []byte) {
+		file := &File{
+			Server:    server,
+			Version:   version,
+			Generated: time.Unix(sec, nsec).In(time.FixedZone("", int(zone))),
+		}
+		for i := 0; i < int(nPeers%4); i++ {
+			// Rotate the strings through the attributes so each one sees
+			// every kind of content.
+			vals := [4]string{addr, class, proto, qos}
+			file.Peers = append(file.Peers, Peer{
+				Addr: vals[i%4], Class: vals[(i+1)%4], Proto: vals[(i+2)%4], QoS: vals[(i+3)%4],
+				Port: port + uint16(i), IntervalSec: interval - i, PayloadLen: payload * (1 - i),
+			})
+		}
+		delta := &Delta{
+			V: DeltaVersion + int(nPeers/4), Server: server, Version: version,
+			Generated: file.Generated, BaseETag: base, TargetETag: target,
+		}
+		if len(ops) > 16 {
+			ops = ops[:16]
+		}
+		for _, b := range ops {
+			// Copy runs, inserts of 0..3 peers, and ops that are (invalidly)
+			// both: the writer is not the validator.
+			op := Op{From: int(b) - 3, Count: int(b%3) * int(b)}
+			if b%2 == 1 {
+				op.Peers = file.Peers[:min(int(b/2%4), len(file.Peers))]
+			}
+			delta.Ops = append(delta.Ops, op)
+		}
+
+		check := func(v any, got []byte, err error) {
+			t.Helper()
+			want, wantErr := xml.MarshalIndent(v, "", "  ")
+			if (err != nil) != (wantErr != nil) {
+				t.Fatalf("%T: error %v, encoding/xml %v", v, err, wantErr)
+			}
+			if err == nil && string(got) != string(want)+"\n" {
+				t.Fatalf("%T differs from encoding/xml:\n got %q\nwant %q", v, got, string(want)+"\n")
+			}
+		}
+		// Bodies are retained for a generation: what the generator can
+		// produce (plain ASCII; ETags are quoted) is sized exactly.
+		plain := plainASCII(server + version + addr + class + proto + qos)
+		got, err := Marshal(file)
+		check(file, got, err)
+		if err == nil && plain && cap(got) != len(got) {
+			t.Fatalf("Marshal left %d bytes of slack on a %d-byte body", cap(got)-len(got), len(got))
+		}
+		got, err = MarshalDelta(delta)
+		check(delta, got, err)
+		if err == nil && plain && plainASCII(strings.ReplaceAll(base+target, `"`, "")) && cap(got) != len(got) {
+			t.Fatalf("MarshalDelta left %d bytes of slack on a %d-byte body", cap(got)-len(got), len(got))
 		}
 	})
 }

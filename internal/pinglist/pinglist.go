@@ -60,13 +60,15 @@ type File struct {
 	Peers   []Peer `xml:"Peer"`
 }
 
-// Marshal renders the file as XML.
+// Marshal renders the file as XML: a header line, one line per peer and a
+// footer line, the bytes xml.MarshalIndent would produce. The result has
+// no spare capacity, so it can be retained as is.
 func Marshal(f *File) ([]byte, error) {
-	out, err := xml.MarshalIndent(f, "", "  ")
+	generated, err := f.Generated.MarshalText()
 	if err != nil {
 		return nil, fmt.Errorf("pinglist: marshal: %w", err)
 	}
-	return append(out, '\n'), nil
+	return appendFile(make([]byte, 0, fileSize(f, generated)), f, generated), nil
 }
 
 // Unmarshal parses an XML pinglist.

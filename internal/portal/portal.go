@@ -223,18 +223,22 @@ func renderState(snap *Snapshot, top *topology.Topology, tel *telemetry.Collecto
 		bodies: make(map[string]*httpcache.Body, len(snap.SLA)+2*len(snap.Heatmaps)+3),
 		epochH: []string{strconv.FormatUint(snap.Epoch, 10)},
 	}
-	put := func(path, ctype string, v any) error {
-		data, err := json.Marshal(v)
-		if err != nil {
-			return fmt.Errorf("portal: render %s: %w", path, err)
-		}
-		data = append(data, '\n')
-		b, err := httpcache.New(ctype, data)
+	// One compressor for the whole publish, dropped with it.
+	var comp httpcache.Compressor
+	putRaw := func(path, ctype string, data []byte) error {
+		b, err := comp.New(ctype, data)
 		if err != nil {
 			return fmt.Errorf("portal: render %s: %w", path, err)
 		}
 		st.bodies[path] = b
 		return nil
+	}
+	put := func(path, ctype string, v any) error {
+		data, err := json.Marshal(v)
+		if err != nil {
+			return fmt.Errorf("portal: render %s: %w", path, err)
+		}
+		return putRaw(path, ctype, append(data, '\n'))
 	}
 
 	scopes := snap.sortedScopes()
@@ -262,11 +266,9 @@ func renderState(snap *Snapshot, top *topology.Topology, tel *telemetry.Collecto
 		if err := put("/heatmap/"+dc, ctJSON, heatmapDoc(hv)); err != nil {
 			return nil, err
 		}
-		svg, err := httpcache.New(ctSVG, hv.Heatmap.AppendSVG(nil))
-		if err != nil {
-			return nil, fmt.Errorf("portal: render heatmap svg %s: %w", dc, err)
+		if err := putRaw("/heatmap/"+dc+".svg", ctSVG, hv.Heatmap.AppendSVG(nil)); err != nil {
+			return nil, err
 		}
-		st.bodies["/heatmap/"+dc+".svg"] = svg
 	}
 	sortStrings(heatmapNames)
 
@@ -282,7 +284,7 @@ func renderState(snap *Snapshot, top *topology.Topology, tel *telemetry.Collecto
 		endpoints = append(endpoints, "/diagnose", "/diagnose?src=&dst=")
 	}
 	if tel != nil {
-		if err := renderTelemetry(st, put, tel, snap.PublishedAt); err != nil {
+		if err := renderTelemetry(put, putRaw, tel, snap.PublishedAt); err != nil {
 			return nil, err
 		}
 		endpoints = append(endpoints,
@@ -430,12 +432,13 @@ type telemetrySeriesDoc struct {
 // count as stale (the fleet watchdog uses the same default).
 const telemetryStaleAfter = 15 * time.Minute
 
-// renderTelemetry renders the /telemetry bodies into st: the summary doc
-// plus, for every fleet-level series, the point dump and a sparkline SVG.
+// renderTelemetry renders the /telemetry bodies through renderState's put
+// (JSON documents) and putRaw (finished bytes): the summary doc plus, for
+// every fleet-level series, the point dump and a sparkline SVG.
 // Per-DC/podset/pod series stay reachable through the collector's own
 // handler — pre-rendering the full scope hierarchy would scale with the
 // fleet, not with the dashboard.
-func renderTelemetry(st *state, put func(path, ctype string, v any) error, tel *telemetry.Collector, now time.Time) error {
+func renderTelemetry(put func(path, ctype string, v any) error, putRaw func(path, ctype string, data []byte) error, tel *telemetry.Collector, now time.Time) error {
 	store := tel.Store()
 	keys := store.Keys()
 	doc := telemetryJSON{
@@ -460,11 +463,9 @@ func renderTelemetry(st *state, put func(path, ctype string, v any) error, tel *
 		for _, pt := range pts {
 			vals = append(vals, pt.Value)
 		}
-		svg, err := httpcache.New(ctSVG, viz.AppendSparkline(nil, vals, 220, 36))
-		if err != nil {
-			return fmt.Errorf("portal: render telemetry svg %s: %w", k, err)
+		if err := putRaw("/telemetry/"+k+".svg", ctSVG, viz.AppendSparkline(nil, vals, 220, 36)); err != nil {
+			return err
 		}
-		st.bodies["/telemetry/"+k+".svg"] = svg
 		last := pts[len(pts)-1]
 		doc.Fleet = append(doc.Fleet, telemetrySeriesJSON{
 			Key: k, Latest: last.Value, At: last.At, Points: len(pts),
