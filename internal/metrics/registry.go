@@ -29,6 +29,11 @@ type Gauge struct {
 // Set stores v.
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
+// Add moves the gauge by delta and returns the new value: the form for a
+// gauge several goroutines keep as a running count, where a Set of a value
+// computed elsewhere could land out of order.
+func (g *Gauge) Add(delta int64) int64 { return g.v.Add(delta) }
+
 // Value returns the stored value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 

@@ -38,6 +38,9 @@ func TestGauge(t *testing.T) {
 	if g.Value() != -1 {
 		t.Fatalf("Gauge = %d", g.Value())
 	}
+	if got := g.Add(3); got != 2 || g.Value() != 2 {
+		t.Fatalf("Gauge after Add(3) = %d (returned %d)", g.Value(), got)
+	}
 }
 
 func TestLockedHistogramConcurrent(t *testing.T) {

@@ -4,9 +4,12 @@ import (
 	"compress/gzip"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"net/http"
+	"strings"
 	"sync"
 	"time"
 
@@ -15,13 +18,35 @@ import (
 )
 
 // Collector is the receiving side of the telemetry plane: it ingests PMT1
-// reports from the whole fleet, folds them into rollups keyed by the scope
-// hierarchy (fleet, DC, podset, pod), and periodically samples those
-// rollups into ring-buffer time series. Counters sum exactly across
-// agents; histograms merge bucket-for-bucket via Runs.AddTo, so a fleet
-// percentile is bit-identical to one histogram fed every agent's
-// observations. Per-agent state is two words (last applied seq, last
-// report time) — a million agents cost tens of megabytes, not gigabytes.
+// reports from the whole fleet and periodically samples rollups of them,
+// keyed by the scope hierarchy (fleet, DC, podset, pod), into ring-buffer
+// time series. Counters sum exactly across agents; histograms merge
+// bucket-for-bucket via Runs.AddTo, so a fleet percentile is bit-identical
+// to one histogram fed every agent's observations. Per-agent state is two
+// words (last applied seq, last report time) — a million agents cost tens
+// of megabytes, not gigabytes.
+//
+// A report folds once, into the cells of its own scope (its leaf): one
+// scope lookup, one short-key lookup per metric, each histogram's runs
+// walked once. The levels above a pod are derived — integer sums of the
+// leaves under them, recomputed by SampleRollups into a table it keeps and
+// summed on demand by the Rollup readers — so a derived level is
+// bit-identical to one folded report by report. Only leaves shallower than
+// a pod (a process reporting at "d0", or at no scope) also appear in the
+// derived table, because such a scope may be other agents' ancestor; a
+// pod's cells, the bulk, exist once.
+//
+// Nothing is collector-wide on the ingest path. Leaves live in
+// collectorStripes stripes chosen by a hash of the (cut) scope, so a pod's
+// cells sit in exactly one; the agent seq/ack table is striped by a hash of
+// src, so an agent is one entry whatever scope it reports under. The lock
+// order is agent stripe, then scope stripe, and Ingest holds the agent
+// stripe across check, fold and the lastApplied update: two simultaneous
+// deliveries of one report fold once. Each report is atomic — it is parsed
+// completely before anything is applied, and applied under one scope
+// stripe's lock — but a read or sample that runs beside ingest visits the
+// stripes one after another, so what it returns is a sum of whole reports,
+// not a stop-the-world snapshot.
 //
 // Delta/ack rules, per report (seq, base) against the agent's lastApplied:
 //
@@ -43,29 +68,69 @@ type Collector struct {
 	store    *Store
 	interval time.Duration
 	reg      *metrics.Registry
+	seed     maphash.Seed
 
-	mu      sync.Mutex
-	parser  Parser
-	agents  map[string]int32
-	states  []agentSt
-	rollups map[string]*rollup
-	keyBuf  []byte
-	levels  [4][]byte
-	nLevels int
+	agents [collectorStripes]agentStripe
+	scopes [collectorStripes]scopeStripe
 
-	cReports    *metrics.Counter
-	cBytes      *metrics.Counter
-	cDuplicates *metrics.Counter
-	cResyncs    *metrics.Counter
-	cRejects    *metrics.Counter
-	gAgents     *metrics.Gauge
+	// sampleMu serialises SampleRollups; it guards upper and every leaf's
+	// ups. Taken before a scope stripe's lock, never by Ingest.
+	sampleMu sync.Mutex
+	upper    map[string]*level
+
+	cReports        *metrics.Counter
+	cBytes          *metrics.Counter
+	cDuplicates     *metrics.Counter
+	cResyncs        *metrics.Counter
+	cResyncsUnknown *metrics.Counter
+	cResyncsBase    *metrics.Counter
+	cRejects        *metrics.Counter
+	gAgents         *metrics.Gauge
+	gRollupWallUS   *metrics.Gauge
+	gRollupCells    *metrics.Gauge
 }
 
-// agentSt is the entire per-agent state: at a million agents this must
-// stay a couple of words.
+// collectorStripes is how many ways the agent table and the leaf table are
+// each split. Fixed, not configured: two reports in flight meet on a stripe
+// one time in sixteen, and a stripe costs a mutex and a map header, so
+// there is nothing here for an operator to tune.
+const collectorStripes = 16
+
+// agentStripe is one slice of the seq/ack table. At a million agents the
+// per-agent state must stay a couple of words.
+type agentStripe struct {
+	mu     sync.Mutex
+	index  map[string]int32
+	states []agentSt
+}
+
 type agentSt struct {
 	lastApplied uint64
 	lastNS      int64
+}
+
+// scopeStripe is one slice of the leaf table.
+type scopeStripe struct {
+	mu     sync.Mutex
+	leaves map[string]*leaf
+}
+
+// leaf holds the cells of one scope as agents name it, cut to three
+// segments: the only place a report's deltas are added.
+type leaf struct {
+	scope string
+	// series is the level the cells are sampled as: the scope itself for a
+	// pod (three segments, nobody's ancestor, so its cells are its level's
+	// values), "" for a shallower leaf, whose level is derived.
+	series string
+	cells  map[string]*rollup // by kind byte + metric name
+	ups    []*level           // the derived levels the cells sum into; nil until first sampled
+}
+
+// level is one derived scope level: "fleet", a DC or a podset.
+type level struct {
+	name  string
+	cells map[string]*rollup
 }
 
 const (
@@ -74,14 +139,42 @@ const (
 	kindHist    = 'h'
 )
 
-// rollup is one (scope level, metric) aggregation cell. Series keys are
-// precomputed at creation so sampling allocates nothing.
+// fleetLevel names the root level, the sum of every leaf; no scope may
+// start with it.
+const fleetLevel = "fleet"
+
+// rollup is one (scope, metric) aggregation cell. Series keys are
+// precomputed at creation so sampling allocates nothing; a cell that is
+// never sampled (a leaf's above the pod level) has none.
 type rollup struct {
 	kind byte
 	val  int64
 	hist *metrics.Histogram
 	key0 string // counter/gauge series, or histogram p50
 	key1 string // histogram p99
+}
+
+// newRollup returns an empty cell for the metric key (kind byte + name);
+// series names the level it is sampled as, "" for an unsampled one.
+func newRollup(series, key string) *rollup {
+	r := &rollup{kind: key[0]}
+	if r.kind == kindHist {
+		r.hist = metrics.NewLatencyHistogram()
+	}
+	if series == "" {
+		return r
+	}
+	name := key[1:]
+	switch r.kind {
+	case kindCounter:
+		r.key0 = series + "/counter/" + name
+	case kindGauge:
+		r.key0 = series + "/gauge/" + name
+	case kindHist:
+		r.key0 = series + "/p50/" + name
+		r.key1 = series + "/p99/" + name
+	}
+	return r
 }
 
 // CollectorConfig configures a Collector. The zero value works.
@@ -111,15 +204,23 @@ func NewCollector(cfg CollectorConfig) *Collector {
 		store:    cfg.Store,
 		interval: cfg.SampleInterval,
 		reg:      metrics.NewRegistry(),
-		agents:   map[string]int32{},
-		rollups:  map[string]*rollup{},
+		seed:     maphash.MakeSeed(),
+		upper:    map[string]*level{},
+	}
+	for i := range c.agents {
+		c.agents[i].index = map[string]int32{}
+		c.scopes[i].leaves = map[string]*leaf{}
 	}
 	c.cReports = c.reg.Counter("telemetry.reports")
 	c.cBytes = c.reg.Counter("telemetry.report_bytes")
 	c.cDuplicates = c.reg.Counter("telemetry.duplicates")
 	c.cResyncs = c.reg.Counter("telemetry.resyncs")
+	c.cResyncsUnknown = c.reg.Counter("telemetry.resyncs_unknown_agent")
+	c.cResyncsBase = c.reg.Counter("telemetry.resyncs_base_mismatch")
 	c.cRejects = c.reg.Counter("telemetry.rejects")
 	c.gAgents = c.reg.Gauge("telemetry.agents")
+	c.gRollupWallUS = c.reg.Gauge("telemetry.rollup_wall_us")
+	c.gRollupCells = c.reg.Gauge("telemetry.rollup_cells")
 	return c
 }
 
@@ -144,44 +245,54 @@ type IngestResult struct {
 	Duplicate bool
 }
 
-// Ingest validates and folds one PMT1 report. The data is parsed twice —
-// a validation pass, then a fold pass — so a report that is corrupt at
-// byte 900 cannot leave half its deltas behind. Steady-state ingest
-// performs no allocations (CI tier 3 guards this); the only allocating
-// path is an agent's or metric's first appearance.
+// parsedEntry is one metric of a report drained into Ingest's scratch.
+type parsedEntry struct {
+	lo, hi int32        // the cell key, kind byte + name, within the scratch's key bytes
+	delta  int64        // counter or gauge
+	runs   metrics.Runs // histogram; aliases the report
+}
+
+// Ingest validates and folds one PMT1 report. The report is parsed once,
+// outside any lock, into scratch on Ingest's own stack, and nothing is
+// applied until the parser has accepted the last byte — a report that is
+// corrupt at byte 900 cannot leave half its deltas behind. Its deltas are
+// then added to the cells of its own scope under that scope's stripe (see
+// Collector for the locking and what concurrent readers observe).
+// Steady-state ingest performs no allocations (CI tier 3 guards this); the
+// allocating paths are an agent's, scope's or metric's first appearance and
+// a report with more metrics than the scratch holds.
 func (c *Collector) Ingest(data []byte, now time.Time) (IngestResult, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-
-	p := &c.parser
-	if err := c.validate(data); err != nil {
+	// The scratch is per call and on the stack rather than pooled: the race
+	// runtime drops sync.Pool items on purpose, which would make the
+	// zero-alloc guard fail exactly where tier 2c runs it.
+	var (
+		p      Parser
+		keyBuf [512]byte
+		entBuf [32]parsedEntry
+	)
+	keys, ents, scope, err := parseReport(&p, data, keyBuf[:0], entBuf[:0])
+	if err != nil {
 		c.cRejects.Inc()
 		return IngestResult{}, err
 	}
-	// Validation re-parses the header, so the cheap fields are still set.
-	if err := p.Reset(data); err != nil {
-		c.cRejects.Inc()
-		return IngestResult{}, err
-	}
-	src := p.Src()
-	if len(src) == 0 {
-		c.cRejects.Inc()
-		return IngestResult{}, fmt.Errorf("telemetry: report with empty src")
-	}
-	seq, base := p.Seq(), p.Base()
+	src, seq, base := p.Src(), p.Seq(), p.Base()
 
-	idx, known := c.agents[string(src)]
+	as := &c.agents[c.stripeOf(src)]
+	as.mu.Lock()
+	defer as.mu.Unlock()
+	idx, known := as.index[string(src)]
 	if !known {
 		if base != 0 {
 			c.cResyncs.Inc()
+			c.cResyncsUnknown.Inc()
 			return IngestResult{Resync: true}, nil
 		}
-		idx = int32(len(c.states))
-		c.states = append(c.states, agentSt{})
-		c.agents[string(src)] = idx
-		c.gAgents.Set(int64(len(c.states)))
+		idx = int32(len(as.states))
+		as.states = append(as.states, agentSt{})
+		as.index[string(src)] = idx
+		c.gAgents.Add(1)
 	}
-	st := &c.states[idx]
+	st := &as.states[idx]
 	switch {
 	case known && seq != 0 && seq == st.lastApplied:
 		// Retry of a report we already applied (its ack was lost): ack
@@ -195,50 +306,36 @@ func (c *Collector) Ingest(data []byte, now time.Time) (IngestResult, error) {
 		// rebase. Fold as-is.
 	case base != st.lastApplied:
 		c.cResyncs.Inc()
+		c.cResyncsBase.Inc()
 		return IngestResult{Resync: true, LastApplied: st.lastApplied}, nil
 	}
 
-	c.setLevels(p.Scope())
-	for {
-		name, delta, ok := p.NextCounter()
+	ss := &c.scopes[c.stripeOf(scope)]
+	ss.mu.Lock()
+	lf, ok := ss.leaves[string(scope)]
+	if !ok {
+		lf = &leaf{scope: string(scope), cells: map[string]*rollup{}}
+		if strings.Count(lf.scope, ".") == 2 {
+			lf.series = lf.scope
+		}
+		ss.leaves[lf.scope] = lf
+	}
+	for i := range ents {
+		e := &ents[i]
+		key := keys[e.lo:e.hi]
+		r, ok := lf.cells[string(key)]
 		if !ok {
-			break
+			k := string(key)
+			r = newRollup(lf.series, k)
+			lf.cells[k] = r
 		}
-		for l := 0; l < c.nLevels; l++ {
-			c.cell(c.levels[l], kindCounter, name).val += int64(delta)
-		}
-	}
-	for {
-		name, delta, ok := p.NextGauge()
-		if !ok {
-			break
-		}
-		for l := 0; l < c.nLevels; l++ {
-			c.cell(c.levels[l], kindGauge, name).val += delta
+		if r.kind == kindHist {
+			e.runs.AddTo(r.hist)
+		} else {
+			r.val += e.delta
 		}
 	}
-	for {
-		name, hd, ok := p.NextHist()
-		if !ok {
-			break
-		}
-		if hd.Count == 0 {
-			continue
-		}
-		for l := 0; l < c.nLevels; l++ {
-			r := c.cell(c.levels[l], kindHist, name)
-			if r.hist == nil {
-				r.hist = metrics.NewLatencyHistogram()
-			}
-			hd.AddTo(r.hist)
-		}
-	}
-	if err := p.Err(); err != nil {
-		// Unreachable after a clean validation pass; fail loudly if the
-		// two passes ever disagree.
-		c.cRejects.Inc()
-		return IngestResult{}, err
-	}
+	ss.mu.Unlock()
 
 	st.lastApplied = seq
 	st.lastNS = now.UnixNano()
@@ -247,89 +344,192 @@ func (c *Collector) Ingest(data []byte, now time.Time) (IngestResult, error) {
 	return IngestResult{Ack: seq, LastApplied: seq}, nil
 }
 
-// validate drains the whole report without folding anything.
-func (c *Collector) validate(data []byte) error {
-	p := &c.parser
+var (
+	errEmptySrc      = errors.New("telemetry: report with empty src")
+	errScopeSegment  = errors.New("telemetry: scope has an empty segment")
+	errScopeReserved = errors.New(`telemetry: scope starts with the reserved name "fleet"`)
+)
+
+// parseReport parses the whole of data, appending each metric's cell key
+// to keys and its entry to ents, and returns both with the scope the report
+// folds under. Any error means the report is refused whole: corrupt bytes,
+// no src, an illegal scope. Histogram entries with no observations are
+// dropped, as absence means a zero delta.
+func parseReport(p *Parser, data []byte, keys []byte, ents []parsedEntry) ([]byte, []parsedEntry, []byte, error) {
 	if err := p.Reset(data); err != nil {
-		return err
+		return keys, ents, nil, err
+	}
+	if len(p.Src()) == 0 {
+		return keys, ents, nil, errEmptySrc
+	}
+	scope, err := leafScope(p.Scope())
+	if err != nil {
+		return keys, ents, nil, err
 	}
 	for {
-		if _, _, ok := p.NextCounter(); !ok {
+		name, delta, ok := p.NextCounter()
+		if !ok {
 			break
 		}
+		e := parsedEntry{delta: int64(delta)} // at most maxWireCount
+		keys, e.lo, e.hi = appendKey(keys, kindCounter, name)
+		ents = append(ents, e)
 	}
 	for {
-		if _, _, ok := p.NextGauge(); !ok {
+		name, delta, ok := p.NextGauge()
+		if !ok {
 			break
 		}
+		e := parsedEntry{delta: delta}
+		keys, e.lo, e.hi = appendKey(keys, kindGauge, name)
+		ents = append(ents, e)
 	}
 	for {
-		if _, _, ok := p.NextHist(); !ok {
+		name, runs, ok := p.NextHist()
+		if !ok {
 			break
 		}
+		if runs.Count == 0 {
+			continue
+		}
+		e := parsedEntry{runs: runs}
+		keys, e.lo, e.hi = appendKey(keys, kindHist, name)
+		ents = append(ents, e)
 	}
-	return p.Err()
+	return keys, ents, scope, p.Err()
 }
 
-// setLevels splits a scope path into its rollup levels: the fleet root
-// plus each dot-separated prefix ("d0.s1.p2" → fleet, d0, d0.s1,
-// d0.s1.p2). Deeper paths fold into the deepest three levels plus fleet.
-func (c *Collector) setLevels(scope []byte) {
-	c.levels[0] = fleetLevel
-	c.nLevels = 1
-	for i := 0; i <= len(scope) && c.nLevels < len(c.levels); i++ {
-		if i == len(scope) || scope[i] == '.' {
-			if i > 0 {
-				c.levels[c.nLevels] = scope[:i]
-				c.nLevels++
-			}
-		}
-	}
+// appendKey appends a metric's cell key and returns where it lies.
+func appendKey(keys []byte, kind byte, name []byte) ([]byte, int32, int32) {
+	lo := len(keys)
+	keys = append(append(keys, kind), name...)
+	return keys, int32(lo), int32(len(keys))
 }
 
-var fleetLevel = []byte("fleet")
-
-// cell returns the rollup cell for (level, kind, metric), creating it on
-// first sight. Lookups build the composite key in a reused buffer; the
-// map index with a string conversion does not allocate on hit.
-func (c *Collector) cell(level []byte, kind byte, name []byte) *rollup {
-	b := append(c.keyBuf[:0], level...)
-	b = append(b, 0, kind)
-	b = append(b, name...)
-	c.keyBuf = b
-	r, ok := c.rollups[string(b)]
-	if !ok {
-		r = &rollup{kind: kind}
-		switch kind {
-		case kindCounter:
-			r.key0 = string(level) + "/counter/" + string(name)
-		case kindGauge:
-			r.key0 = string(level) + "/gauge/" + string(name)
-		case kindHist:
-			r.key0 = string(level) + "/p50/" + string(name)
-			r.key1 = string(level) + "/p99/" + string(name)
-		}
-		c.rollups[string(b)] = r
+// leafScope validates a report's scope path and returns the scope its
+// deltas are added under: the path cut to its first three segments, the
+// dc.podset.pod levels the collector keeps ("d0.s1.p2.r3" folds at
+// "d0.s1.p2" and shows in fleet, d0, d0.s1 and d0.s1.p2). The empty scope
+// is legal and counts towards fleet only. A path with an empty segment, or
+// whose first segment is "fleet" — the name of the root level, which would
+// otherwise receive the report twice — is an error.
+func leafScope(scope []byte) ([]byte, error) {
+	if len(scope) == 0 {
+		return scope, nil
 	}
-	return r
+	leaf := scope
+	segs, start := 0, 0
+	for i := 0; i <= len(scope); i++ {
+		if i < len(scope) && scope[i] != '.' {
+			continue
+		}
+		if i == start {
+			return nil, errScopeSegment
+		}
+		segs++
+		if segs == 1 && string(scope[:i]) == fleetLevel {
+			return nil, errScopeReserved
+		}
+		if segs == 3 {
+			leaf = scope[:i]
+		}
+		start = i + 1
+	}
+	return leaf, nil
+}
+
+// stripeOf picks the stripe for an agent's src or a leaf's scope.
+func (c *Collector) stripeOf(b []byte) int {
+	return int(maphash.Bytes(c.seed, b) % collectorStripes)
 }
 
 // SampleRollups appends every rollup's current value to the store: one
 // point per counter and gauge, p50/p99 points (milliseconds, like the
-// Perfcounter Aggregator's series) per histogram. Call it on the
-// reporting cadence; Run does.
+// Perfcounter Aggregator's series) per histogram. A pod's cells are sampled
+// where they are; the levels above are first re-derived, each as the sum of
+// the leaves under it, in a table that persists between samples so the
+// merge reuses its storage. Call it on the reporting cadence; Run does.
 func (c *Collector) SampleRollups(now time.Time) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, r := range c.rollups {
-		switch r.kind {
-		case kindCounter, kindGauge:
-			c.store.Append(r.key0, now, float64(r.val))
-		case kindHist:
-			c.store.Append(r.key0, now, float64(r.hist.Percentile(0.50))/1e6)
-			c.store.Append(r.key1, now, float64(r.hist.Percentile(0.99))/1e6)
+	t0 := time.Now()
+	c.sampleMu.Lock()
+	defer c.sampleMu.Unlock()
+	for _, lv := range c.upper {
+		for _, r := range lv.cells {
+			r.val = 0
+			if r.kind == kindHist {
+				r.hist.Reset()
+			}
 		}
 	}
+	cells := 0
+	for i := range c.scopes {
+		ss := &c.scopes[i]
+		ss.mu.Lock()
+		for _, lf := range ss.leaves {
+			if lf.ups == nil {
+				lf.ups = c.levelsAbove(lf.scope)
+			}
+			for key, r := range lf.cells {
+				for _, lv := range lf.ups {
+					u, ok := lv.cells[key]
+					if !ok {
+						u = newRollup(lv.name, key)
+						lv.cells[key] = u
+					}
+					if r.kind == kindHist {
+						u.hist.Merge(r.hist)
+					} else {
+						u.val += r.val
+					}
+				}
+				if lf.series != "" {
+					c.sample(r, now)
+					cells++
+				}
+			}
+		}
+		ss.mu.Unlock()
+	}
+	for _, lv := range c.upper {
+		for _, r := range lv.cells {
+			c.sample(r, now)
+			cells++
+		}
+	}
+	c.gRollupCells.Set(int64(cells))
+	c.gRollupWallUS.Set(int64(time.Since(t0) / time.Microsecond))
+}
+
+// levelsAbove returns the derived levels a leaf's cells sum into: fleet
+// and the scope's one- and two-segment prefixes — for a leaf shallower than
+// a pod that includes the scope itself, which may be other leaves'
+// ancestor.
+func (c *Collector) levelsAbove(scope string) []*level {
+	ups := []*level{c.level(fleetLevel)}
+	for i := 1; i <= len(scope) && len(ups) < 3; i++ {
+		if i == len(scope) || scope[i] == '.' {
+			ups = append(ups, c.level(scope[:i]))
+		}
+	}
+	return ups
+}
+
+func (c *Collector) level(name string) *level {
+	lv, ok := c.upper[name]
+	if !ok {
+		lv = &level{name: name, cells: map[string]*rollup{}}
+		c.upper[name] = lv
+	}
+	return lv
+}
+
+func (c *Collector) sample(r *rollup, now time.Time) {
+	if r.kind == kindHist {
+		c.store.Append(r.key0, now, float64(r.hist.Percentile(0.50))/1e6)
+		c.store.Append(r.key1, now, float64(r.hist.Percentile(0.99))/1e6)
+		return
+	}
+	c.store.Append(r.key0, now, float64(r.val))
 }
 
 // Run samples rollups on the configured interval until ctx is done.
@@ -347,29 +547,29 @@ func (c *Collector) Run(ctx context.Context) {
 }
 
 // AgentCount returns how many distinct agents have ever reported.
-func (c *Collector) AgentCount() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.states)
-}
+func (c *Collector) AgentCount() int { return int(c.gAgents.Value()) }
 
 // StaleFraction returns the fraction of known agents whose last accepted
 // report is older than staleAfter — the fleet-level watchdog signal that
 // pages before any single component's staleness would.
 func (c *Collector) StaleFraction(staleAfter time.Duration, now time.Time) float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.states) == 0 {
+	cutoff := now.Add(-staleAfter).UnixNano()
+	stale, total := 0, 0
+	for i := range c.agents {
+		as := &c.agents[i]
+		as.mu.Lock()
+		total += len(as.states)
+		for j := range as.states {
+			if as.states[j].lastNS < cutoff {
+				stale++
+			}
+		}
+		as.mu.Unlock()
+	}
+	if total == 0 {
 		return 0
 	}
-	cutoff := now.Add(-staleAfter).UnixNano()
-	stale := 0
-	for i := range c.states {
-		if c.states[i].lastNS < cutoff {
-			stale++
-		}
-	}
-	return float64(stale) / float64(len(c.states))
+	return float64(stale) / float64(total)
 }
 
 // RollupCounter returns the summed counter value for a scope level
@@ -383,26 +583,59 @@ func (c *Collector) RollupGauge(scope, name string) (int64, bool) {
 	return c.rollupVal(scope, kindGauge, name)
 }
 
-func (c *Collector) rollupVal(scope string, kind byte, name string) (int64, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	r, ok := c.rollups[scope+"\x00"+string(kind)+name]
-	if !ok {
-		return 0, false
-	}
-	return r.val, true
+func (c *Collector) rollupVal(scope string, kind byte, name string) (v int64, ok bool) {
+	c.cellsUnder(scope, string(kind)+name, func(r *rollup) {
+		v += r.val
+		ok = true
+	})
+	return v, ok
 }
 
-// RollupHistogram returns a copy of the merged histogram for a scope level
-// and metric name.
+// RollupHistogram returns the merged histogram for a scope level and metric
+// name; the caller owns it.
 func (c *Collector) RollupHistogram(scope, name string) (*metrics.Histogram, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	r, ok := c.rollups[scope+"\x00"+string(kindHist)+name]
-	if !ok || r.hist == nil {
-		return nil, false
+	var h *metrics.Histogram
+	c.cellsUnder(scope, string(kindHist)+name, func(r *rollup) {
+		if h == nil {
+			h = metrics.NewLatencyHistogram()
+		}
+		h.Merge(r.hist)
+	})
+	return h, h != nil
+}
+
+// cellsUnder calls fn, under the owning stripe's lock, with the metric's
+// cell in every leaf that counts towards the level named scope: the leaf of
+// that name and the leaves below it, or all of them for "fleet". No level
+// is named "" — the unscoped leaf counts towards fleet alone.
+func (c *Collector) cellsUnder(scope, key string, fn func(*rollup)) {
+	if scope == "" {
+		return
 	}
-	return r.hist.Clone(), true
+	lo, hi := 0, collectorStripes
+	if strings.Count(scope, ".") >= 2 { // a pod: one leaf, in one stripe
+		lo = int(maphash.String(c.seed, scope) % collectorStripes)
+		hi = lo + 1
+	}
+	for i := lo; i < hi; i++ {
+		ss := &c.scopes[i]
+		ss.mu.Lock()
+		for _, lf := range ss.leaves {
+			if !scopeUnder(lf.scope, scope) {
+				continue
+			}
+			if r, ok := lf.cells[key]; ok {
+				fn(r)
+			}
+		}
+		ss.mu.Unlock()
+	}
+}
+
+// scopeUnder reports whether a leaf's scope counts towards level.
+func scopeUnder(leaf, level string) bool {
+	return level == fleetLevel || leaf == level ||
+		len(leaf) > len(level) && leaf[len(level)] == '.' && leaf[:len(level)] == level
 }
 
 // HTTP surface. The handler is standalone so the same collector mounts in
@@ -429,12 +662,9 @@ func (c *Collector) Handler() http.Handler {
 			http.NotFound(w, r)
 			return
 		}
-		c.mu.Lock()
-		agents := len(c.states)
-		c.mu.Unlock()
 		writeJSON(w, http.StatusOK, map[string]any{
 			"service": "pingmesh-telemetry",
-			"agents":  agents,
+			"agents":  c.AgentCount(),
 			"series":  len(c.store.Keys()),
 			"counters": map[string]int64{
 				"reports":    c.cReports.Value(),

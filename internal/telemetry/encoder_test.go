@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"encoding/hex"
+	"strings"
 	"testing"
 	"time"
 
@@ -300,6 +301,95 @@ func TestCollectorSampleRollups(t *testing.T) {
 	if _, ok := st.Latest("fleet/p99/h"); !ok {
 		t.Fatal("fleet/p99/h missing")
 	}
+
+	// The series key set and every sampled point of the fixture fleet are
+	// those the report-by-report four-level fold produced (the golden was
+	// taken from it): "d0" is both a1's leaf and the pods' ancestor, a0
+	// counts towards fleet only, a7's fourth segment is cut.
+	got := dumpStore(sampledFixture(t).Store())
+	if len(got) != len(rollupGolden) {
+		t.Fatalf("%d sampled points, want %d:\n%s", len(got), len(rollupGolden), strings.Join(got, "\n"))
+	}
+	for i := range got {
+		if got[i] != rollupGolden[i] {
+			t.Fatalf("point %d: got %s want %s", i, got[i], rollupGolden[i])
+		}
+	}
+}
+
+var rollupGolden = []string{
+	"d0.s1.p2/counter/c@1300=53000",
+	"d0.s1.p2/counter/c@1600=159000",
+	"d0.s1.p2/counter/x@1300=9",
+	"d0.s1.p2/counter/x@1600=18",
+	"d0.s1.p2/gauge/g@1300=7",
+	"d0.s1.p2/gauge/g@1600=14",
+	"d0.s1.p2/p50/h@1300=0.12837",
+	"d0.s1.p2/p50/h@1600=0.131501",
+	"d0.s1.p2/p99/h@1300=7.01",
+	"d0.s1.p2/p99/h@1600=7.02",
+	"d0.s1.p3/counter/c@1300=3",
+	"d0.s1.p3/counter/c@1600=9",
+	"d0.s1.p3/gauge/g@1300=-1",
+	"d0.s1.p3/gauge/g@1600=-2",
+	"d0.s1.p3/p50/h@1300=0.31",
+	"d0.s1.p3/p50/h@1600=0.316473",
+	"d0.s1.p3/p99/h@1300=0.31",
+	"d0.s1.p3/p99/h@1600=0.32",
+	"d0.s1/counter/c@1300=53103",
+	"d0.s1/counter/c@1600=159309",
+	"d0.s1/counter/x@1300=9",
+	"d0.s1/counter/x@1600=18",
+	"d0.s1/gauge/g@1300=6",
+	"d0.s1/gauge/g@1600=12",
+	"d0.s1/p50/h@1300=0.209101",
+	"d0.s1/p50/h@1600=0.214201",
+	"d0.s1/p99/h@1300=40.01",
+	"d0.s1/p99/h@1600=40.02",
+	"d0/counter/c@1300=53113",
+	"d0/counter/c@1600=159339",
+	"d0/counter/x@1300=9",
+	"d0/counter/x@1600=18",
+	"d0/gauge/g@1300=11",
+	"d0/gauge/g@1600=22",
+	"d0/p50/h@1300=0.308938",
+	"d0/p50/h@1600=0.316473",
+	"d0/p99/h@1300=40.01",
+	"d0/p99/h@1600=40.02",
+	"d1.s0.p0/counter/c@1300=4",
+	"d1.s0.p0/counter/c@1600=12",
+	"d1.s0.p0/gauge/g@1300=1",
+	"d1.s0.p0/gauge/g@1600=2",
+	"d1.s0.p0/p50/h@1300=9000.01",
+	"d1.s0.p0/p50/h@1600=9000.02",
+	"d1.s0.p0/p99/h@1300=9000.01",
+	"d1.s0.p0/p99/h@1600=9000.02",
+	"d1.s0/counter/c@1300=4",
+	"d1.s0/counter/c@1600=12",
+	"d1.s0/gauge/g@1300=1",
+	"d1.s0/gauge/g@1600=2",
+	"d1.s0/p50/h@1300=9000.01",
+	"d1.s0/p50/h@1600=9000.02",
+	"d1.s0/p99/h@1300=9000.01",
+	"d1.s0/p99/h@1600=9000.02",
+	"d1/counter/c@1300=4",
+	"d1/counter/c@1600=12",
+	"d1/gauge/g@1300=1",
+	"d1/gauge/g@1600=2",
+	"d1/p50/h@1300=9000.01",
+	"d1/p50/h@1600=9000.02",
+	"d1/p99/h@1300=9000.01",
+	"d1/p99/h@1600=9000.02",
+	"fleet/counter/c@1300=53118",
+	"fleet/counter/c@1600=159354",
+	"fleet/counter/x@1300=9",
+	"fleet/counter/x@1600=18",
+	"fleet/gauge/g@1300=10",
+	"fleet/gauge/g@1600=20",
+	"fleet/p50/h@1300=0.996356",
+	"fleet/p50/h@1600=0.996356",
+	"fleet/p99/h@1300=9000.01",
+	"fleet/p99/h@1600=9000.02",
 }
 
 // TestFleetHistogramParity is the acceptance differential test: many

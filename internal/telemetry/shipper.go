@@ -33,7 +33,8 @@ type Shipper struct {
 	// Src identifies this agent on the wire (typically its server name).
 	Src string
 	// Scope is the agent's position in the rollup hierarchy, e.g.
-	// "d0.s1.p2" for DC d0, podset s1, pod p2. Empty folds into fleet only.
+	// "d0.s1.p2" for DC d0, podset s1, pod p2. Empty counts towards fleet
+	// only; "fleet" itself is the collector's and not a legal first segment.
 	Scope string
 	// Registry is the metrics source.
 	Registry *metrics.Registry
@@ -67,7 +68,9 @@ type Shipper struct {
 type ShipperStats struct {
 	// Reports is the number of reports acknowledged by the collector.
 	Reports int64
-	// BytesOnWire is total body bytes sent (compressed size when gzip).
+	// BytesOnWire is total body bytes sent (compressed size when gzip):
+	// every attempt counts, retried bodies and the one that drew a 409
+	// included.
 	BytesOnWire int64
 	// Retries is how many transient-failure retries were attempted.
 	Retries int64
@@ -188,6 +191,7 @@ func (s *Shipper) post(ctx context.Context, body []byte, seq uint64) error {
 	if !s.NoGzip {
 		req.Header.Set("Content-Encoding", "gzip")
 	}
+	s.stats.BytesOnWire += int64(len(body))
 	resp, err := s.httpClient().Do(req)
 	if err != nil {
 		return &transientError{fmt.Errorf("telemetry: ship report: %w", err)}
@@ -206,7 +210,6 @@ func (s *Shipper) post(ctx context.Context, body []byte, seq uint64) error {
 		}
 		s.enc.Ack(seq)
 		s.stats.Reports++
-		s.stats.BytesOnWire += int64(len(body))
 		return nil
 	case http.StatusConflict:
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))

@@ -73,7 +73,9 @@ func TestShipperRetriesTransient(t *testing.T) {
 	col := NewCollector(CollectorConfig{})
 	inner := col.Handler()
 	var fails int32 = 2
+	var received int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		atomic.AddInt64(&received, r.ContentLength)
 		if atomic.AddInt32(&fails, -1) >= 0 {
 			http.Error(w, "unavailable", http.StatusServiceUnavailable)
 			return
@@ -94,16 +96,28 @@ func TestShipperRetriesTransient(t *testing.T) {
 	if v, _ := col.RollupCounter("fleet", "c"); v != 7 {
 		t.Fatalf("counter=%d want 7", v)
 	}
-	if st := sh.Stats(); st.Retries != 2 || st.Reports != 1 {
+	st := sh.Stats()
+	if st.Retries != 2 || st.Reports != 1 {
 		t.Fatalf("stats: %+v", st)
+	}
+	// All three attempts carried the body, not only the one that was acked.
+	if got := atomic.LoadInt64(&received); st.BytesOnWire != got || got == 0 {
+		t.Fatalf("BytesOnWire = %d, the server received %d", st.BytesOnWire, got)
 	}
 }
 
 // TestShipperResyncAfterCollectorRestart: the 409 path rebases and the
 // next interval's report lands self-contained.
 func TestShipperResyncAfterCollectorRestart(t *testing.T) {
+	var received int64
+	counted := func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			atomic.AddInt64(&received, r.ContentLength)
+			h.ServeHTTP(w, r)
+		})
+	}
 	col1 := NewCollector(CollectorConfig{})
-	srv1 := httptest.NewServer(col1.Handler())
+	srv1 := httptest.NewServer(counted(col1.Handler()))
 	reg := metrics.NewRegistry()
 	cnt := reg.Counter("c")
 	sh := &Shipper{URL: srv1.URL + "/report", Src: "s", Registry: reg}
@@ -116,7 +130,7 @@ func TestShipperResyncAfterCollectorRestart(t *testing.T) {
 
 	// Collector restarts with empty state at the same logical endpoint.
 	col2 := NewCollector(CollectorConfig{})
-	srv2 := httptest.NewServer(col2.Handler())
+	srv2 := httptest.NewServer(counted(col2.Handler()))
 	defer srv2.Close()
 	sh.URL = srv2.URL + "/report"
 
@@ -135,6 +149,10 @@ func TestShipperResyncAfterCollectorRestart(t *testing.T) {
 	// anchored at value 14, so the collector sees the 6 alone.
 	if v, _ := col2.RollupCounter("fleet", "c"); v != 6 {
 		t.Fatalf("counter=%d want 6 (post-rebase delta only)", v)
+	}
+	// The body that drew the 409 went over the wire too.
+	if st, got := sh.Stats(), atomic.LoadInt64(&received); st.Reports != 2 || st.BytesOnWire != got || got == 0 {
+		t.Fatalf("BytesOnWire = %d over %d acked reports, the servers received %d", st.BytesOnWire, st.Reports, got)
 	}
 }
 

@@ -91,9 +91,10 @@ type ReportBuilder struct {
 
 // Begin starts a report, discarding any previous state. src identifies the
 // agent, scope is its position in the DC/podset/pod hierarchy (e.g.
-// "d0.s1.p2", "" for unscoped), seq numbers this report, base is the last
-// acked seq the deltas are computed against (0 = self-contained), and
-// nowNS timestamps it.
+// "d0.s1.p2", "" for unscoped; the collector refuses a path with an empty
+// segment or one that starts with its root level's name, "fleet"), seq
+// numbers this report, base is the last acked seq the deltas are computed
+// against (0 = self-contained), and nowNS timestamps it.
 func (b *ReportBuilder) Begin(src, scope string, seq, base uint64, nowNS int64) {
 	b.hdr = b.hdr[:0]
 	b.hdr = binary.AppendUvarint(b.hdr, uint64(len(src)))
@@ -194,10 +195,12 @@ func appendFrontCoded(dst, prev []byte, name string) ([]byte, []byte) {
 }
 
 // Parser decodes one PMT1 report in place: no copies of the payload, one
-// reusable name buffer, every field bounds-checked before use. Sections
-// must be drained in wire order — NextCounter until exhausted, then
-// NextGauge, then NextHist — mirroring how the Collector folds. The zero
-// value is ready for Reset.
+// name buffer, every field bounds-checked before use. Sections must be
+// drained in wire order — NextCounter until exhausted, then NextGauge, then
+// NextHist — mirroring how the Collector reads them. The zero value is
+// ready for Reset. The name buffer is an array inside the Parser, not a
+// slice it grows, so a Parser declared in a function stays on that
+// function's stack: the Collector parses each report on its caller's.
 type Parser struct {
 	d          []byte
 	off, end   int
@@ -206,7 +209,8 @@ type Parser struct {
 	nowNS      int64
 	remain     int // entries left in the current section
 	phase      int8
-	name       []byte // front-decoded current name, reused
+	nameLen    int // front-decoded current name: name[:nameLen]
+	name       [maxNameLen]byte
 	err        error
 }
 
@@ -222,7 +226,7 @@ const (
 // are an error). The parser aliases data; it must not be mutated while
 // parsing.
 func (p *Parser) Reset(data []byte) error {
-	*p = Parser{d: data, name: p.name[:0]}
+	*p = Parser{d: data}
 	if len(data) < len(telemetryMagic) || string(data[:len(telemetryMagic)]) != telemetryMagic {
 		return p.fail(errBadReportHeader)
 	}
@@ -278,7 +282,7 @@ func (p *Parser) NowNS() int64 { return p.nowNS }
 func (p *Parser) Err() error { return p.err }
 
 // NextCounter returns the next counter entry. The name aliases the
-// parser's reusable buffer: valid only until the next Next* call.
+// parser's name buffer: valid only until the next Next* call.
 func (p *Parser) NextCounter() (name []byte, delta uint64, ok bool) {
 	if p.err != nil || p.phase != phaseCounters {
 		return nil, 0, false
@@ -295,7 +299,7 @@ func (p *Parser) NextCounter() (name []byte, delta uint64, ok bool) {
 		p.fail(errBadReport)
 		return nil, 0, false
 	}
-	return p.name, delta, true
+	return p.name[:p.nameLen], delta, true
 }
 
 // NextGauge returns the next gauge entry. Call only after NextCounter has
@@ -322,7 +326,7 @@ func (p *Parser) NextGauge() (name []byte, delta int64, ok bool) {
 		p.fail(errBadReport)
 		return nil, 0, false
 	}
-	return p.name, delta, true
+	return p.name[:p.nameLen], delta, true
 }
 
 // NextHist returns the next histogram entry: its sum is the sum of the new
@@ -357,7 +361,7 @@ func (p *Parser) NextHist() (name []byte, hd metrics.Runs, ok bool) {
 		return nil, metrics.Runs{}, false
 	}
 	p.off += n
-	return p.name, hd, true
+	return p.name[:p.nameLen], hd, true
 }
 
 // openSection reads the next section's entry count and sanity-checks it
@@ -370,14 +374,14 @@ func (p *Parser) openSection(phase int8) error {
 	p.off = off
 	p.remain = int(n)
 	p.phase = phase
-	p.name = p.name[:0]
+	p.nameLen = 0
 	return nil
 }
 
 // readName front-decodes the next name into p.name.
 func (p *Parser) readName() bool {
 	prefix, off, ok := p.getUvarint()
-	if !ok || prefix > uint64(len(p.name)) {
+	if !ok || prefix > uint64(p.nameLen) {
 		p.fail(errBadReport)
 		return false
 	}
@@ -386,7 +390,7 @@ func (p *Parser) readName() bool {
 		p.fail(errBadReport)
 		return false
 	}
-	p.name = append(p.name[:prefix], p.d[off2:off2+int(sfx)]...)
+	p.nameLen = int(prefix) + copy(p.name[prefix:], p.d[off2:off2+int(sfx)])
 	p.off = off2 + int(sfx)
 	return true
 }

@@ -45,7 +45,15 @@
 #                                      must be allocation-free per record;
 #                                      PMT1 telemetry encode and collector
 #                                      ingest must be allocation-free per
-#                                      report in steady state; the agent's
+#                                      report in steady state, and ingest of
+#                                      the fleet_churn-shaped fleet — 12,000
+#                                      agents over 100 pods, one goroutine
+#                                      per core — prints its ns/report at
+#                                      GOMAXPROCS 1, 2 and 4: ≈2 µs and not
+#                                      rising with cores on the 2-vCPU box,
+#                                      where one collector mutex and a fold
+#                                      per scope level read ≈6 µs at 1 and
+#                                      ≈8 µs at 2; the agent's
 #                                      record path past its buffer cap must
 #                                      stay a ring write: 100,000 records
 #                                      take well under a second, minutes if
@@ -102,6 +110,7 @@ go test ./internal/scope ./internal/probe ./internal/analysis \
     ./internal/telemetry \
     -run 'ZeroAlloc' -count=1 -v | grep -E '^(=== RUN|--- (PASS|FAIL)|ok|FAIL)'
 go test ./internal/agent -run xxx -bench AgentRecordHotPath -benchtime 100000x
+go test ./internal/telemetry -run xxx -bench 'IngestFleet$' -benchmem -benchtime 1000000x -cpu 1,2,4
 go test ./internal/controller -run xxx -bench 'UpdateTopology$' -benchmem -benchtime 5x
 
 echo "== tier 3b: diagnosis smoke (reduced scale)"
