@@ -630,7 +630,10 @@ func TestFailClosedStopsProbing(t *testing.T) {
 	// Hours of simulated time later: not a single new probe. Each step
 	// waits for the fetch it triggers, which kicks the scheduler again. A
 	// probe dispatched just before the stop may still land after it, so the
-	// verdict is on when probes started, not on how many were counted when.
+	// verdict is on when probes started, not on how many were counted when —
+	// and a probe stamps its Start under the lock that orders it against the
+	// stop, so one that was still waiting for its goroutine to be scheduled
+	// when this test advanced the clock is dropped, not stamped late.
 	for i := 0; i < 40; i++ {
 		fetched := ff.callCount()
 		clock.Advance(5 * time.Minute)

@@ -209,7 +209,16 @@ func (a *Agent) probeOne(ctx context.Context, t Target) {
 			ctx = trace.NewContext(ctx, a.tracer, tid)
 		}
 	}
+	// A probe the scheduler dispatched just before the agent failed closed
+	// must not start after it: the stop and the start stamp are ordered by
+	// the one lock, so no record's Start is later than the stop.
+	a.mu.Lock()
+	stopped := a.failedClosed
 	start := a.clock.Now()
+	a.mu.Unlock()
+	if stopped {
+		return
+	}
 	out, err := a.cfg.Prober.Probe(ctx, t)
 	rec := probe.Record{
 		Start:      start,

@@ -27,7 +27,8 @@ type CollectorConfig struct {
 }
 
 // Collector ingests probe records into a VoteTable. Safe for concurrent
-// use; the ingest path is allocation-free once warm.
+// use: endpoints and paths resolve outside the lock, a chunk of paths
+// applies under one acquisition; allocation-free once warm.
 type Collector struct {
 	top   *topology.Topology
 	paths PathResolver
@@ -36,12 +37,30 @@ type Collector struct {
 	cObserved *metrics.Counter // probes ingested
 	cVotes    *metrics.Counter // failed probes that cast votes
 	cSkipped  *metrics.Counter // records with unknown endpoints
-	cRanked   *metrics.Counter // ranking snapshots produced
+	cRanked   *metrics.Counter // rankings computed (one per publish that saw new probes)
 
-	mu      sync.Mutex
-	vt      *VoteTable
-	pathBuf []topology.SwitchID
-	ps      PathSet
+	// free holds idle ingest scratch, sized past any plausible number of
+	// concurrent uploaders (an extra one allocates its own). Not a
+	// sync.Pool: the race runtime drops pooled items on purpose, and the
+	// zero-alloc guard runs under it.
+	free chan *ingestChunk
+
+	mu     sync.Mutex
+	vt     *VoteTable
+	ps     PathSet
+	ranked *Ranking // the full ranking of vt as it stands; nil once vt moves on
+}
+
+// observeChunk is how many records resolve before one lock applies them.
+const observeChunk = 256
+
+// ingestChunk is one chunk's resolved probes: flattened hop lists in
+// exact-path mode, endpoint pairs in candidate-stage mode.
+type ingestChunk struct {
+	hops   []topology.SwitchID
+	ends   []int32
+	pairs  [][2]topology.ServerID
+	failed []bool
 }
 
 // NewCollector builds a collector for a fleet.
@@ -59,58 +78,87 @@ func NewCollector(cfg CollectorConfig) *Collector {
 		cSkipped:  reg.Counter("diagnosis.records_skipped"),
 		cRanked:   reg.Counter("diagnosis.episodes_ranked"),
 		vt:        NewVoteTable(cfg.Top.NumSwitches()),
-		pathBuf:   make([]topology.SwitchID, 0, 8),
+		free:      make(chan *ingestChunk, 16),
 	}
+	c.vt.dropped = reg.Counter("diagnosis.faillog_dropped")
+	c.vt.li = newLinkIndex(cfg.Top)
+	c.vt.dense = make([]linkTally, len(c.vt.li.links))
 	return c
 }
 
 // Metrics returns the registry holding the diagnosis.* counters.
 func (c *Collector) Metrics() *metrics.Registry { return c.reg }
 
-// Top returns the topology the collector resolves endpoints against.
-func (c *Collector) Top() *topology.Topology { return c.top }
+// Observe ingests one probe record: a batch of one.
+func (c *Collector) Observe(r *probe.Record) { c.ObserveBatch([]probe.Record{*r}) }
 
-// Observe ingests one probe record: the hot failed-probe path. Records
-// whose endpoints are not in the topology (VIPs, stale entries) are
-// counted and skipped.
-func (c *Collector) Observe(r *probe.Record) {
-	src, okS := c.top.ServerByAddr(r.Src)
-	dst, okD := c.top.ServerByAddr(r.Dst)
-	if !okS || !okD {
-		c.cSkipped.Inc()
-		return
+// ObserveBatch ingests a record batch (the agent upload sink). Records
+// whose endpoints are not in the topology (VIPs, stale entries) or that
+// have no route are counted and skipped.
+func (c *Collector) ObserveBatch(recs []probe.Record) {
+	var ch *ingestChunk
+	select {
+	case ch = <-c.free:
+	default:
+		ch = new(ingestChunk)
 	}
-	failed := !r.Success()
-	c.mu.Lock()
-	if c.paths != nil {
-		if hops, ok := c.paths.AppendPath(c.pathBuf[:0], src, dst, r.SrcPort, r.DstPort); ok {
-			c.vt.ObservePath(hops, failed)
-			c.pathBuf = hops[:0]
-		} else {
-			c.mu.Unlock()
-			c.cSkipped.Inc()
-			return
-		}
-	} else {
-		if !CandidateHops(&c.ps, c.top, src, dst) {
-			c.mu.Unlock()
-			c.cSkipped.Inc()
-			return
-		}
-		c.vt.ObserveStages(&c.ps, failed)
+	for len(recs) > 0 {
+		n := min(len(recs), observeChunk)
+		c.observeChunk(ch, recs[:n])
+		recs = recs[n:]
 	}
-	c.mu.Unlock()
-	c.cObserved.Inc()
-	if failed {
-		c.cVotes.Inc()
+	select {
+	case c.free <- ch:
+	default:
 	}
 }
 
-// ObserveBatch ingests a record batch (the agent upload sink).
-func (c *Collector) ObserveBatch(recs []probe.Record) {
+func (c *Collector) observeChunk(ch *ingestChunk, recs []probe.Record) {
+	*ch = ingestChunk{hops: ch.hops[:0], ends: ch.ends[:0], pairs: ch.pairs[:0], failed: ch.failed[:0]}
+	var src topology.ServerID
+	var okS bool
+	votes := 0
 	for i := range recs {
-		c.Observe(&recs[i])
+		r := &recs[i]
+		// An upload is one agent's records: resolve src once per run.
+		if i == 0 || r.Src != recs[i-1].Src {
+			src, okS = c.top.ServerByAddr(r.Src)
+		}
+		dst, okD := c.top.ServerByAddr(r.Dst)
+		if !okS || !okD {
+			continue
+		}
+		if c.paths == nil {
+			ch.pairs = append(ch.pairs, [2]topology.ServerID{src, dst})
+		} else if hops, ok := c.paths.AppendPath(ch.hops, src, dst, r.SrcPort, r.DstPort); ok {
+			ch.hops = hops
+			ch.ends = append(ch.ends, int32(len(hops)))
+		} else {
+			continue
+		}
+		failed := !r.Success()
+		ch.failed = append(ch.failed, failed)
+		if failed {
+			votes++
+		}
 	}
+
+	c.mu.Lock()
+	start := int32(0)
+	for i, end := range ch.ends {
+		c.vt.ObservePath(ch.hops[start:end], ch.failed[i])
+		start = end
+	}
+	for i, p := range ch.pairs {
+		CandidateHops(&c.ps, c.top, p[0], p[1])
+		c.vt.ObserveStages(&c.ps, ch.failed[i])
+	}
+	c.ranked = nil
+	c.mu.Unlock()
+
+	c.cObserved.Add(int64(len(ch.failed)))
+	c.cVotes.Add(int64(votes))
+	c.cSkipped.Add(int64(len(recs) - len(ch.failed)))
 }
 
 // ObservePath ingests one probe with an externally recovered hop sequence
@@ -118,6 +166,7 @@ func (c *Collector) ObserveBatch(recs []probe.Record) {
 func (c *Collector) ObservePath(hops []topology.SwitchID, failed bool) {
 	c.mu.Lock()
 	c.vt.ObservePath(hops, failed)
+	c.ranked = nil
 	c.mu.Unlock()
 	c.cObserved.Inc()
 	if failed {
@@ -125,24 +174,11 @@ func (c *Collector) ObservePath(hops []topology.SwitchID, failed bool) {
 	}
 }
 
-// Score returns a switch's current normalized vote score.
-func (c *Collector) Score(sw topology.SwitchID) float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.vt.Score(sw)
-}
-
-// Ranked returns the current explain-away ranking (worst first, detached).
-func (c *Collector) Ranked() []Candidate {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.vt.AppendRankGreedy(nil)
-}
-
 // Reset clears the vote state (window rotation).
 func (c *Collector) Reset() {
 	c.mu.Lock()
 	c.vt.Reset()
+	c.ranked = nil
 	c.mu.Unlock()
 }
 
@@ -155,28 +191,65 @@ type Ranking struct {
 	Candidates []Candidate `json:"candidates"`
 	// Links are suspect directed links, worst first (exact-path mode only).
 	Links []LinkCandidate `json:"links,omitempty"`
+
+	// By SwitchID, whatever limit capped the lists above: the switch's
+	// 1-based place in the full greedy order (0: no vote mass) and its raw
+	// votes per traversal.
+	rank  []int32
+	score []float64
 }
 
-// Snapshot ranks the current episode with greedy explain-away (see
-// VoteTable.AppendRankGreedy). limit > 0 caps both lists. The result is
-// detached from the collector and safe to publish.
+// rank ranks the table with greedy explain-away (see AppendRankGreedy).
+func (vt *VoteTable) rank() *Ranking {
+	r := &Ranking{
+		Observed:   vt.observed,
+		Failures:   vt.failures,
+		Candidates: vt.AppendRankGreedy(nil),
+		Links:      vt.AppendRankLinks(nil),
+		rank:       make([]int32, len(vt.votes)),
+		score:      make([]float64, len(vt.votes)),
+	}
+	// Backwards, so a switch the overflow tail repeats keeps its first place.
+	for i := len(r.Candidates) - 1; i >= 0; i-- {
+		sw := r.Candidates[i].Switch
+		r.rank[sw], r.score[sw] = int32(i+1), vt.Score(sw)
+	}
+	return r
+}
+
+// topHop returns the best-ranked switch among ps's candidate hops and its
+// raw vote score, or -1 when the ranking touches none of them.
+func (r *Ranking) topHop(ps *PathSet) (topology.SwitchID, float64) {
+	best := topology.SwitchID(-1)
+	for _, sw := range ps.hops {
+		if int(sw) < len(r.rank) && r.rank[sw] > 0 && (best < 0 || r.rank[sw] < r.rank[best]) {
+			best = sw
+		}
+	}
+	if best < 0 {
+		return -1, 0
+	}
+	return best, r.score[best]
+}
+
+// Snapshot returns the ranking of every probe ingested so far, ranking
+// only if one arrived since the last call (a publish with no ingest since
+// the last reuses the same immutable Ranking). limit > 0 caps both lists,
+// not the index topHop reads.
 func (c *Collector) Snapshot(limit int) *Ranking {
 	c.mu.Lock()
-	r := &Ranking{
-		Observed:   c.vt.Observed(),
-		Failures:   c.vt.Failures(),
-		Candidates: c.vt.AppendRankGreedy(nil),
-		Links:      c.vt.AppendRankLinks(nil),
+	r := c.ranked
+	if r == nil {
+		r = c.vt.rank()
+		c.ranked = r
+		c.cRanked.Inc()
 	}
 	c.mu.Unlock()
-	if limit > 0 {
-		if len(r.Candidates) > limit {
-			r.Candidates = r.Candidates[:limit]
-		}
-		if len(r.Links) > limit {
-			r.Links = r.Links[:limit]
-		}
+	if limit <= 0 || (len(r.Candidates) <= limit && len(r.Links) <= limit) {
+		return r
 	}
-	c.cRanked.Inc()
-	return r
+	capped := *r
+	nc, nl := min(limit, len(r.Candidates)), min(limit, len(r.Links))
+	capped.Candidates, capped.Links = r.Candidates[:nc:nc], r.Links[:nl:nl]
+	return &capped
 }

@@ -86,14 +86,17 @@ type CellFacts struct {
 	Judgeable bool
 }
 
-// EvidenceSource supplies the read-side evidence for the first two
+// EvidenceSource supplies the read-side evidence for the first three
 // assertions. The portal's immutable snapshot implements it; a nil source
-// skips both steps.
+// skips the first two steps and judges hop votes against the collector's
+// ranking as it stands.
 type EvidenceSource interface {
 	// PairSLA returns the SLA facts of the pair's scope (DC or inter-DC).
 	PairSLA(src, dst topology.ServerID) (SLAFacts, bool)
 	// PairCell returns the pair's pod-pair heatmap cell facts.
 	PairCell(src, dst topology.ServerID) (CellFacts, bool)
+	// Ranking returns the epoch's vote ranking (nil when none was published).
+	Ranking() *Ranking
 }
 
 const (
@@ -118,7 +121,8 @@ const (
 // summaries (real deployments without a prober).
 type Engine struct {
 	Top *topology.Topology
-	// Votes supplies per-hop vote scores (assertion 3).
+	// Votes ranks per-hop vote scores (assertion 3) for callers that bring
+	// no published ranking of their own.
 	Votes *Collector
 	// Paths models exact per-tuple paths; also guides the pin step toward
 	// tuples that cross the top vote suspect.
@@ -203,7 +207,7 @@ func (e *Engine) Diagnose(src, dst topology.ServerID, ev EvidenceSource) *Chain 
 
 	slaFail := e.assertPairSLA(ch, src, dst, ev)
 	cellFail := e.assertCell(ch, src, dst, ev)
-	voteHop, _, votesFail := e.assertHopVotes(ch, src, dst)
+	voteHop, _, votesFail := e.assertHopVotes(ch, src, dst, e.ranking(ev))
 	pinHop, _, pinFail := e.assertTracePin(ch, src, dst, voteHop)
 	e.assertRepairBudget(ch)
 
@@ -281,40 +285,41 @@ func (e *Engine) assertCell(ch *Chain, src, dst topology.ServerID, ev EvidenceSo
 	return st.Verdict == StepFail
 }
 
-// maxVoteHop returns the pair's most-implicated candidate hop: the first
-// switch of the fleet-wide explain-away ranking that lies on one of the
-// pair's candidate stages. Selection uses explained (residual) vote mass —
-// a loud fault elsewhere cannot nominate an innocent shared hop — while
-// the returned score is the hop's raw vote score, the evidence magnitude
-// the threshold judges. hop is -1 when no ranked switch touches the pair;
-// ok is false when no vote collector is wired or the endpoints are
+// ranking picks the vote ranking a chain reads: the evidence source's
+// published one, else the collector's (cached until the next ingest).
+func (e *Engine) ranking(ev EvidenceSource) (r *Ranking) {
+	if ev != nil {
+		r = ev.Ranking()
+	}
+	if r == nil && e.Votes != nil {
+		r = e.Votes.Snapshot(0)
+	}
+	return r
+}
+
+// maxVoteHop returns the pair's most-implicated candidate hop: the
+// best-ranked switch of the fleet-wide explain-away ranking that lies on
+// one of the pair's candidate stages. Selection uses explained (residual)
+// vote mass — a loud fault elsewhere cannot nominate an innocent shared
+// hop — while the returned score is the hop's raw vote score, the evidence
+// magnitude the threshold judges. hop is -1 when no ranked switch touches
+// the pair; ok is false when there is no ranking or the endpoints are
 // unknown.
-func (e *Engine) maxVoteHop(src, dst topology.ServerID) (hop topology.SwitchID, score float64, ok bool) {
-	if e.Votes == nil {
-		return -1, 0, false
-	}
+func (e *Engine) maxVoteHop(src, dst topology.ServerID, r *Ranking) (hop topology.SwitchID, score float64, ok bool) {
 	var ps PathSet
-	if !CandidateHops(&ps, e.Top, src, dst) {
+	if r == nil || !CandidateHops(&ps, e.Top, src, dst) {
 		return -1, 0, false
 	}
-	for _, cand := range e.Votes.Ranked() {
-		for s := 0; s < ps.Stages(); s++ {
-			for _, sw := range ps.Stage(s) {
-				if sw == cand.Switch {
-					return sw, e.Votes.Score(sw), true
-				}
-			}
-		}
-	}
-	return -1, 0, true
+	hop, score = r.topHop(&ps)
+	return hop, score, true
 }
 
 // TopSuspect returns the name and score of the pair's highest-scoring
 // candidate hop when it clears suspectScore — the cheap, votes-only
 // summary /triage attaches without running a full chain.
-func (e *Engine) TopSuspect(src, dst topology.ServerID) (string, float64, bool) {
+func (e *Engine) TopSuspect(src, dst topology.ServerID, ev EvidenceSource) (string, float64, bool) {
 	e.defaults()
-	best, score, ok := e.maxVoteHop(src, dst)
+	best, score, ok := e.maxVoteHop(src, dst, e.ranking(ev))
 	if !ok || score < suspectScore {
 		return "", 0, false
 	}
@@ -322,13 +327,13 @@ func (e *Engine) TopSuspect(src, dst topology.ServerID) (string, float64, bool) 
 }
 
 // assertHopVotes checks every candidate hop of the pair against the vote
-// table.
-func (e *Engine) assertHopVotes(ch *Chain, src, dst topology.ServerID) (hop topology.SwitchID, score float64, fail bool) {
-	if e.Votes == nil {
+// ranking.
+func (e *Engine) assertHopVotes(ch *Chain, src, dst topology.ServerID, r *Ranking) (hop topology.SwitchID, score float64, fail bool) {
+	if r == nil {
 		ch.Steps = append(ch.Steps, Step{Assertion: AssertHopVotes, Verdict: StepSkip, Detail: "no vote collector wired"})
 		return -1, 0, false
 	}
-	best, bestScore, ok := e.maxVoteHop(src, dst)
+	best, bestScore, ok := e.maxVoteHop(src, dst, r)
 	if !ok {
 		ch.Steps = append(ch.Steps, Step{Assertion: AssertHopVotes, Verdict: StepSkip, Detail: "pair endpoints unknown to the topology"})
 		return -1, 0, false
@@ -490,11 +495,10 @@ func (e *Engine) tupleHops(spec netsim.ProbeSpec, rng *rand.Rand) []topology.Swi
 }
 
 func (e *Engine) assertRepairBudget(ch *Chain) {
-	if e.Budget == nil {
-		ch.Steps = append(ch.Steps, Step{Assertion: AssertRepairBudg, Verdict: StepSkip, Detail: "no repair service wired"})
-		return
+	remaining, perDay := 0, 0
+	if e.Budget != nil {
+		remaining, perDay = e.Budget()
 	}
-	remaining, perDay := e.Budget()
 	if perDay <= 0 {
 		ch.Steps = append(ch.Steps, Step{Assertion: AssertRepairBudg, Verdict: StepSkip, Detail: "no repair service wired"})
 		return

@@ -29,6 +29,7 @@ type fakeEvidence struct {
 }
 
 func (f *fakeEvidence) PairSLA(src, dst topology.ServerID) (SLAFacts, bool) { return f.sla, f.slaOK }
+func (f *fakeEvidence) Ranking() *Ranking                                   { return nil }
 func (f *fakeEvidence) PairCell(src, dst topology.ServerID) (CellFacts, bool) {
 	return f.cell, f.cellOK
 }
@@ -184,7 +185,7 @@ func TestTopSuspectThreshold(t *testing.T) {
 	e := &Engine{Top: top, Votes: col}
 	src := top.DCs[0].Podsets[0].Pods[0].Servers[0]
 	dst := top.DCs[0].Podsets[0].Pods[1].Servers[0]
-	if name, _, ok := e.TopSuspect(src, dst); ok {
+	if name, _, ok := e.TopSuspect(src, dst, nil); ok {
 		t.Fatalf("empty collector nominated %q", name)
 	}
 	// Synthesize failures pinned on the dst ToR via exact paths.
@@ -197,7 +198,7 @@ func TestTopSuspectThreshold(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		col.ObservePath([]topology.SwitchID{srcToR, leaf, tor}, false)
 	}
-	name, score, ok := e.TopSuspect(src, dst)
+	name, score, ok := e.TopSuspect(src, dst, nil)
 	if !ok {
 		t.Fatal("suspect not nominated")
 	}

@@ -40,11 +40,6 @@ func (ps *PathSet) addStage(members ...topology.SwitchID) {
 	ps.ends = append(ps.ends, len(ps.hops))
 }
 
-func (ps *PathSet) addStageSlice(members []topology.SwitchID) {
-	ps.hops = append(ps.hops, members...)
-	ps.ends = append(ps.ends, len(ps.hops))
-}
-
 // CandidateHops fills ps with the candidate path set for (src, dst) using
 // only the topology: the same route shape as the ECMP resolver — ToR up
 // through leaves and spines and back down — but with every ECMP member
@@ -56,24 +51,18 @@ func CandidateHops(ps *PathSet, top *topology.Topology, src, dst topology.Server
 	}
 	ss, ds := top.Server(src), top.Server(dst)
 	srcToR, dstToR := top.ToROf(src), top.ToROf(dst)
-	if srcToR == dstToR {
-		ps.addStage(srcToR)
-		return true
-	}
 	ps.addStage(srcToR)
-	if ss.DC == ds.DC && ss.Podset == ds.Podset {
-		ps.addStageSlice(top.DCs[ss.DC].Podsets[ss.Podset].Leaves)
-		ps.addStage(dstToR)
+	if srcToR == dstToR {
 		return true
 	}
-	ps.addStageSlice(top.DCs[ss.DC].Podsets[ss.Podset].Leaves)
-	if ss.DC == ds.DC {
-		ps.addStageSlice(top.DCs[ss.DC].Spines)
-	} else {
-		ps.addStageSlice(top.DCs[ss.DC].Spines)
-		ps.addStageSlice(top.DCs[ds.DC].Spines)
+	ps.addStage(top.DCs[ss.DC].Podsets[ss.Podset].Leaves...)
+	if ss.DC != ds.DC || ss.Podset != ds.Podset {
+		ps.addStage(top.DCs[ss.DC].Spines...)
+		if ss.DC != ds.DC {
+			ps.addStage(top.DCs[ds.DC].Spines...)
+		}
+		ps.addStage(top.DCs[ds.DC].Podsets[ds.Podset].Leaves...)
 	}
-	ps.addStageSlice(top.DCs[ds.DC].Podsets[ds.Podset].Leaves)
 	ps.addStage(dstToR)
 	return true
 }

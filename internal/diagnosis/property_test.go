@@ -101,10 +101,3 @@ func TestPropertyInjectedFaultsRank(t *testing.T) {
 		})
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -20,8 +20,10 @@
 package diagnosis
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
+	"pingmesh/internal/metrics"
 	"pingmesh/internal/topology"
 )
 
@@ -56,6 +58,67 @@ type linkTally struct {
 	traversals float64
 }
 
+// linkIndex names every directed link of the static fabric by a dense slot,
+// so a probe's link tallies are array reads rather than map lookups. A Clos
+// link joins a switch to its uplink tier (or spine to spine, across DCs):
+// its slot is the lower end's block, plus twice the upper end's ordinal
+// among its podset's leaves or the fleet's spines, plus one if it descends.
+type linkIndex struct {
+	tier      []topology.Tier
+	base, ord []int32 // per switch: first slot of its block; ordinal as an upper end
+	links     []Link  // slot -> link; {-1, -1} where the formula names no real link
+}
+
+func newLinkIndex(top *topology.Topology) *linkIndex {
+	n := top.NumSwitches()
+	li := &linkIndex{tier: make([]topology.Tier, n), base: make([]int32, n), ord: make([]int32, n)}
+	block := func(sws []topology.SwitchID, uplinks int) {
+		for i, sw := range sws {
+			li.tier[sw], li.ord[sw], li.base[sw] = top.Switch(sw).Tier, int32(i), int32(len(li.links))
+			for range 2 * uplinks {
+				li.links = append(li.links, Link{-1, -1})
+			}
+		}
+	}
+	join := func(lower, upper []topology.SwitchID) {
+		for _, a := range lower {
+			for _, b := range upper {
+				li.links[li.slot(a, b)], li.links[li.slot(b, a)] = Link{a, b}, Link{b, a}
+			}
+		}
+	}
+	var spines []topology.SwitchID
+	for d := range top.DCs {
+		spines = append(spines, top.DCs[d].Spines...)
+	}
+	block(spines, len(spines))
+	join(spines, spines)
+	for d := range top.DCs {
+		for p := range top.DCs[d].Podsets {
+			ps := &top.DCs[d].Podsets[p]
+			tors := make([]topology.SwitchID, len(ps.Pods))
+			for q := range tors {
+				tors[q] = ps.Pods[q].ToR
+			}
+			block(ps.Leaves, len(spines))
+			block(tors, len(ps.Leaves))
+			join(ps.Leaves, top.DCs[d].Spines)
+			join(tors, ps.Leaves)
+		}
+	}
+	return li
+}
+
+// slot is the formula alone: a caller holding an arbitrary pair (a fixture
+// path, a traceroute off the model) must check that links[slot] names it.
+func (li *linkIndex) slot(a, b topology.SwitchID) int32 {
+	lo, hi, down := a, b, int32(0)
+	if li.tier[a] > li.tier[b] {
+		lo, hi, down = b, a, 1
+	}
+	return li.base[lo] + 2*li.ord[hi] + down
+}
+
 // VoteTable accumulates 007-style root-cause votes, keyed by switch and by
 // link. Not safe for concurrent use; Collector adds the locking.
 //
@@ -65,11 +128,14 @@ type linkTally struct {
 // collateral vote mass over the innocent hops of its victims' paths to
 // bury a second, quieter fault.
 type VoteTable struct {
-	votes      []float64 // vote mass per SwitchID
-	traversals []float64 // traversal credit per SwitchID
-	links      map[Link]*linkTally
+	votes      []float64           // vote mass per SwitchID
+	traversals []float64           // traversal credit per SwitchID
+	li         *linkIndex          // nil: every link tallies in links
+	dense      []linkTally         // one per linkIndex slot
+	links      map[Link]*linkTally // links the index does not name
 	observed   uint64
 	failures   uint64
+	dropped    *metrics.Counter // failures the full explain-away log turned away (nil: uncounted)
 
 	// failure log: flattened hop (or candidate-hop) lists of failed
 	// probes, each entry having cast vote share 1/len on every hop.
@@ -79,7 +145,8 @@ type VoteTable struct {
 
 // maxFailLog caps how many failures the explain-away log retains; beyond
 // it, votes still tally but greedy ranking can no longer subtract the
-// overflow (a window with >128k failures has bigger problems).
+// overflow (a window with >128k failures has bigger problems), and each
+// one turned away is counted (diagnosis.faillog_dropped).
 const maxFailLog = 1 << 17
 
 // NewVoteTable sizes a table for a fleet of numSwitches switches.
@@ -97,12 +164,11 @@ func (vt *VoteTable) Reset() {
 		vt.votes[i] = 0
 		vt.traversals[i] = 0
 	}
+	clear(vt.dense)
 	for _, lt := range vt.links {
-		lt.votes = 0
-		lt.traversals = 0
+		*lt = linkTally{}
 	}
-	vt.observed = 0
-	vt.failures = 0
+	vt.observed, vt.failures = 0, 0
 	vt.failHops = vt.failHops[:0]
 	vt.failEnds = vt.failEnds[:0]
 }
@@ -110,24 +176,29 @@ func (vt *VoteTable) Reset() {
 // logFailure retains one failed probe's hop list for explain-away ranking.
 func (vt *VoteTable) logFailure(hops []topology.SwitchID) {
 	if len(vt.failEnds) >= maxFailLog {
+		if vt.dropped != nil {
+			vt.dropped.Inc()
+		}
 		return
 	}
 	vt.failHops = append(vt.failHops, hops...)
 	vt.failEnds = append(vt.failEnds, len(vt.failHops))
 }
 
-// Observed returns how many probes have been ingested.
-func (vt *VoteTable) Observed() uint64 { return vt.observed }
-
-// Failures returns how many ingested probes failed (cast votes).
-func (vt *VoteTable) Failures() uint64 { return vt.failures }
+// perTraversal normalizes a vote tally: votes per traversal, 0 uncovered.
+func perTraversal(votes, traversals float64) float64 {
+	if traversals <= 0 {
+		return 0
+	}
+	return votes / traversals
+}
 
 // Score returns a switch's current normalized tally.
 func (vt *VoteTable) Score(sw topology.SwitchID) float64 {
-	if int(sw) >= len(vt.votes) || vt.traversals[sw] <= 0 {
+	if int(sw) >= len(vt.votes) {
 		return 0
 	}
-	return vt.votes[sw] / vt.traversals[sw]
+	return perTraversal(vt.votes[sw], vt.traversals[sw])
 }
 
 // Votes returns a switch's accumulated vote mass.
@@ -209,6 +280,11 @@ func (vt *VoteTable) AddVotes(sw topology.SwitchID, votes, coverage float64) {
 }
 
 func (vt *VoteTable) linkTally(l Link) *linkTally {
+	if li := vt.li; li != nil {
+		if s := li.slot(l.A, l.B); int(s) < len(li.links) && li.links[s] == l {
+			return &vt.dense[s]
+		}
+	}
 	lt := vt.links[l]
 	if lt == nil {
 		lt = &linkTally{}
@@ -222,33 +298,10 @@ func (lt *linkTally) add(votes, traversals float64) {
 	lt.traversals += traversals
 }
 
-// AppendRank appends every switch with vote mass to dst, ranked worst
-// first (score desc, votes desc, switch asc), and returns dst. A window
-// with no failures yields no candidates.
-func (vt *VoteTable) AppendRank(dst []Candidate) []Candidate {
-	for sw, v := range vt.votes {
-		if v <= 0 {
-			continue
-		}
-		c := Candidate{Switch: topology.SwitchID(sw), Votes: v, Coverage: vt.traversals[sw]}
-		if c.Coverage > 0 {
-			c.Score = c.Votes / c.Coverage
-		}
-		dst = append(dst, c)
-	}
-	sortRank(dst)
-	return dst
-}
-
+// sortRank orders worst first: score desc, votes desc, switch asc.
 func sortRank(cands []Candidate) {
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].Score != cands[j].Score {
-			return cands[i].Score > cands[j].Score
-		}
-		if cands[i].Votes != cands[j].Votes {
-			return cands[i].Votes > cands[j].Votes
-		}
-		return cands[i].Switch < cands[j].Switch
+	slices.SortFunc(cands, func(a, b Candidate) int {
+		return cmp.Or(cmp.Compare(b.Score, a.Score), cmp.Compare(b.Votes, a.Votes), cmp.Compare(a.Switch, b.Switch))
 	})
 }
 
@@ -273,10 +326,7 @@ func (vt *VoteTable) AppendRankGreedy(dst []Candidate) []Candidate {
 			if v <= eps {
 				continue
 			}
-			score := 0.0
-			if vt.traversals[sw] > 0 {
-				score = v / vt.traversals[sw]
-			}
+			score := perTraversal(v, vt.traversals[sw])
 			if best < 0 || score > bestScore ||
 				(score == bestScore && v > bestVotes) {
 				best, bestScore, bestVotes = sw, score, v
@@ -294,17 +344,7 @@ func (vt *VoteTable) AppendRankGreedy(dst []Candidate) []Candidate {
 		for f, end := range vt.failEnds {
 			hops := vt.failHops[start:end]
 			start = end
-			if removed[f] {
-				continue
-			}
-			hit := false
-			for _, sw := range hops {
-				if int(sw) == best {
-					hit = true
-					break
-				}
-			}
-			if !hit {
+			if removed[f] || !slices.Contains(hops, topology.SwitchID(best)) {
 				continue
 			}
 			share := 1 / float64(len(hops))
@@ -323,11 +363,8 @@ func (vt *VoteTable) AppendRankGreedy(dst []Candidate) []Candidate {
 				if v <= eps {
 					continue
 				}
-				c := Candidate{Switch: topology.SwitchID(sw), Votes: v, Coverage: vt.traversals[sw]}
-				if c.Coverage > 0 {
-					c.Score = c.Votes / c.Coverage
-				}
-				dst = append(dst, c)
+				dst = append(dst, Candidate{Switch: topology.SwitchID(sw),
+					Score: perTraversal(v, vt.traversals[sw]), Votes: v, Coverage: vt.traversals[sw]})
 			}
 			sortRank(dst[tail:])
 			break
@@ -337,29 +374,24 @@ func (vt *VoteTable) AppendRankGreedy(dst []Candidate) []Candidate {
 }
 
 // AppendRankLinks appends every link with vote mass to dst, ranked worst
-// first with the same order as AppendRank.
+// first: score desc, votes desc, link asc.
 func (vt *VoteTable) AppendRankLinks(dst []LinkCandidate) []LinkCandidate {
-	for l, lt := range vt.links {
+	add := func(l Link, lt *linkTally) {
 		if lt.votes <= 0 {
-			continue
+			return
 		}
-		c := LinkCandidate{Link: l, Votes: lt.votes, Coverage: lt.traversals}
-		if c.Coverage > 0 {
-			c.Score = c.Votes / c.Coverage
-		}
-		dst = append(dst, c)
+		dst = append(dst, LinkCandidate{Link: l,
+			Score: perTraversal(lt.votes, lt.traversals), Votes: lt.votes, Coverage: lt.traversals})
 	}
-	sort.Slice(dst, func(i, j int) bool {
-		if dst[i].Score != dst[j].Score {
-			return dst[i].Score > dst[j].Score
-		}
-		if dst[i].Votes != dst[j].Votes {
-			return dst[i].Votes > dst[j].Votes
-		}
-		if dst[i].Link.A != dst[j].Link.A {
-			return dst[i].Link.A < dst[j].Link.A
-		}
-		return dst[i].Link.B < dst[j].Link.B
+	for s := range vt.dense {
+		add(vt.li.links[s], &vt.dense[s])
+	}
+	for l, lt := range vt.links {
+		add(l, lt)
+	}
+	slices.SortFunc(dst, func(a, b LinkCandidate) int {
+		return cmp.Or(cmp.Compare(b.Score, a.Score), cmp.Compare(b.Votes, a.Votes),
+			cmp.Compare(a.Link.A, b.Link.A), cmp.Compare(a.Link.B, b.Link.B))
 	})
 	return dst
 }
@@ -367,11 +399,8 @@ func (vt *VoteTable) AppendRankLinks(dst []LinkCandidate) []LinkCandidate {
 // SortByScore orders candidates by score desc, then switch asc — the §5.1
 // black-hole candidate order (score ties break on device identity only).
 func SortByScore(cands []Candidate) {
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].Score != cands[j].Score {
-			return cands[i].Score > cands[j].Score
-		}
-		return cands[i].Switch < cands[j].Switch
+	slices.SortFunc(cands, func(a, b Candidate) int {
+		return cmp.Or(cmp.Compare(b.Score, a.Score), cmp.Compare(a.Switch, b.Switch))
 	})
 }
 
@@ -379,13 +408,7 @@ func SortByScore(cands []Candidate) {
 // switch asc — the §5.2 silent-drop suspect order (implicating pairs
 // first, loss estimate second).
 func SortByVotes(cands []Candidate) {
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].Votes != cands[j].Votes {
-			return cands[i].Votes > cands[j].Votes
-		}
-		if cands[i].Score != cands[j].Score {
-			return cands[i].Score > cands[j].Score
-		}
-		return cands[i].Switch < cands[j].Switch
+	slices.SortFunc(cands, func(a, b Candidate) int {
+		return cmp.Or(cmp.Compare(b.Votes, a.Votes), cmp.Compare(b.Score, a.Score), cmp.Compare(a.Switch, b.Switch))
 	})
 }

@@ -26,8 +26,8 @@ func TestVoteSplitAndNormalize(t *testing.T) {
 	if got := vt.Score(1); got != 0.25/4 {
 		t.Fatalf("hop 1 score = %v, want %v", got, 0.25/4)
 	}
-	if vt.Observed() != 4 || vt.Failures() != 1 {
-		t.Fatalf("observed/failures = %d/%d, want 4/1", vt.Observed(), vt.Failures())
+	if vt.observed != 4 || vt.failures != 1 {
+		t.Fatalf("observed/failures = %d/%d, want 4/1", vt.observed, vt.failures)
 	}
 }
 
@@ -50,9 +50,6 @@ func TestZeroFailuresEmptyRanking(t *testing.T) {
 	vt := NewVoteTable(8)
 	for i := 0; i < 100; i++ {
 		vt.ObservePath(path(1, 2, 3), false)
-	}
-	if got := vt.AppendRank(nil); len(got) != 0 {
-		t.Fatalf("AppendRank with zero failures = %v, want empty", got)
 	}
 	if got := vt.AppendRankGreedy(nil); len(got) != 0 {
 		t.Fatalf("AppendRankGreedy with zero failures = %v, want empty", got)
@@ -154,7 +151,7 @@ func TestResetKeepsCapacityClearsLog(t *testing.T) {
 	vt := NewVoteTable(4)
 	vt.ObservePath(path(0, 1), true)
 	vt.Reset()
-	if vt.Observed() != 0 || vt.Failures() != 0 || vt.Votes(0) != 0 {
+	if vt.observed != 0 || vt.failures != 0 || vt.Votes(0) != 0 {
 		t.Fatal("Reset left state behind")
 	}
 	if got := vt.AppendRankGreedy(nil); len(got) != 0 {

@@ -3,6 +3,8 @@ package portal
 import (
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -206,5 +208,221 @@ func TestTriageCarriesDiagnosePointer(t *testing.T) {
 	}
 	if res.Diagnose == "" {
 		t.Fatal("/triage has no diagnose pointer with the engine wired")
+	}
+}
+
+// crossPodsetPair names one cross-podset pair three ways: server names,
+// addresses and pod refs all resolve to the pods' first servers.
+func crossPodsetPair(top *topology.Topology) (names, addrs, refs [2]string) {
+	a := top.Server(top.DCs[0].Podsets[0].Pods[0].Servers[0])
+	b := top.Server(top.DCs[0].Podsets[1].Pods[0].Servers[0])
+	return [2]string{a.Name, b.Name}, [2]string{a.Addr.String(), b.Addr.String()}, [2]string{"d0.s0.p0", "d0.s1.p0"}
+}
+
+func pairQuery(p [2]string) string { return "?src=" + p[0] + "&dst=" + p[1] }
+
+// TestDiagnosisReadsTheEpoch: /triage and /diagnose?src=&dst= answer from
+// the published epoch, as their X-Pingmesh-Epoch header says. Votes cast
+// after the publish — enough to convict a spine — change neither body until
+// the next Refresh, and change both after it.
+func TestDiagnosisReadsTheEpoch(t *testing.T) {
+	r, engine := buildDiagRig(t, nil)
+	h := r.portal.Handler()
+	names, _, _ := crossPodsetPair(r.top)
+	triageURL, chainURL := "/triage"+pairQuery(names), "/diagnose"+pairQuery(names)
+
+	triage1, chain1 := get(t, h, triageURL, nil), get(t, h, chainURL, nil)
+	if triage1.Code != http.StatusOK || chain1.Code != http.StatusOK {
+		t.Fatalf("status triage/diagnose = %d/%d", triage1.Code, chain1.Code)
+	}
+	etag1 := chain1.Header().Get("ETag")
+	if etag1 == "" {
+		t.Fatal("chain response has no ETag")
+	}
+
+	spine := r.top.DCs[0].Spines[1]
+	for i := 0; i < 200; i++ {
+		engine.Votes.ObservePath([]topology.SwitchID{spine}, i%2 == 0)
+	}
+
+	for i := 0; i < 2; i++ {
+		if w := get(t, h, triageURL, nil); w.Body.String() != triage1.Body.String() || w.Header().Get(epochHeaderKey) != "1" {
+			t.Fatalf("/triage moved inside epoch 1:\n%s\nwas\n%s", w.Body, triage1.Body)
+		}
+		if w := get(t, h, chainURL, nil); w.Body.String() != chain1.Body.String() || w.Header().Get(epochHeaderKey) != "1" {
+			t.Fatalf("/diagnose moved inside epoch 1:\n%s\nwas\n%s", w.Body, chain1.Body)
+		}
+	}
+	w := get(t, h, chainURL, map[string]string{"If-None-Match": etag1})
+	if w.Code != http.StatusNotModified || w.Body.Len() != 0 || w.Header().Get(epochHeaderKey) != "1" {
+		t.Fatalf("revalidation inside the epoch: status %d, %d bytes, epoch %q", w.Code, w.Body.Len(), w.Header().Get(epochHeaderKey))
+	}
+
+	if err := r.portal.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	spineName := r.top.Switch(spine).Name
+	var tri TriageResult
+	w = get(t, h, triageURL, nil)
+	if err := json.Unmarshal(w.Body.Bytes(), &tri); err != nil {
+		t.Fatal(err)
+	}
+	if tri.PinnedHop != spineName || w.Header().Get(epochHeaderKey) != "2" {
+		t.Fatalf("epoch 2 /triage pinned %q (epoch %q), want %q", tri.PinnedHop, w.Header().Get(epochHeaderKey), spineName)
+	}
+	var ch diagnosis.Chain
+	w = get(t, h, chainURL, map[string]string{"If-None-Match": etag1})
+	if w.Code != http.StatusOK || w.Header().Get(epochHeaderKey) != "2" || w.Header().Get("ETag") == etag1 {
+		t.Fatalf("epoch 2 /diagnose: status %d epoch %q etag %q", w.Code, w.Header().Get(epochHeaderKey), w.Header().Get("ETag"))
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &ch); err != nil {
+		t.Fatal(err)
+	}
+	voted := false
+	for _, st := range ch.Steps {
+		voted = voted || (st.Assertion == diagnosis.AssertHopVotes && st.Verdict == diagnosis.StepFail && st.Hop == spineName)
+	}
+	if !voted {
+		t.Fatalf("epoch 2 chain does not hold the spine's votes against it: %+v", ch.Steps)
+	}
+}
+
+// TestChainMemo: a chain is computed once per (epoch, resolved pair) —
+// whichever spelling asks, however many ask at once — the memo never holds
+// more than maxChains pairs, and a new epoch starts empty.
+func TestChainMemo(t *testing.T) {
+	r, engine := buildDiagRig(t, nil)
+	engine.ProbesPerHop = 4 // the sweep's accuracy is not under test
+	p, h := r.portal, r.portal.Handler()
+	count := func(name string) int64 { return p.Metrics().Snapshot().Counters[name] }
+	chains := func() int64 { return engine.Metrics().Snapshot().Counters["diagnosis.chains"] }
+
+	names, addrs, refs := crossPodsetPair(r.top)
+	var etag string
+	for i, spelling := range [][2]string{names, addrs, refs} {
+		w := get(t, h, "/diagnose"+pairQuery(spelling), nil)
+		if w.Code != http.StatusOK {
+			t.Fatalf("%v: status %d", spelling, w.Code)
+		}
+		if i == 0 {
+			etag = w.Header().Get("ETag")
+		} else if w.Header().Get("ETag") != etag {
+			t.Fatalf("%v: a different body than %v", spelling, names)
+		}
+	}
+	st := p.state.Load()
+	if len(st.chains) != 1 || len(st.chainsBy) != 3 || chains() != 1 ||
+		count("portal.chain_cache_misses") != 1 || count("portal.chain_cache_hits") != 2 {
+		t.Fatalf("three spellings: %d entries, %d aliases, %d chains run, %d misses, %d hits",
+			len(st.chains), len(st.chainsBy), chains(), count("portal.chain_cache_misses"), count("portal.chain_cache_hits"))
+	}
+
+	// Eight first requests for a new pair at once: one computes, seven wait.
+	servers := r.top.Servers()
+	url := "/diagnose?src=" + servers[1].Name + "&dst=" + servers[len(servers)-1].Name
+	var wg sync.WaitGroup
+	etags := make([]string, 8)
+	for i := range etags {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			etags[i] = get(t, h, url, nil).Header().Get("ETag")
+		}()
+	}
+	wg.Wait()
+	for _, e := range etags {
+		if e == "" || e != etags[0] {
+			t.Fatalf("concurrent first requests saw different bodies: %q", etags)
+		}
+	}
+	if chains() != 2 || count("portal.chain_cache_misses") != 2 || count("portal.chain_cache_hits") != 9 {
+		t.Fatalf("concurrent first requests: %d chains run, %d misses, %d hits", chains(), count("portal.chain_cache_misses"), count("portal.chain_cache_hits"))
+	}
+
+	// Every pair of the fleet: more than the memo holds.
+	for _, a := range servers {
+		for _, b := range servers {
+			var ch diagnosis.Chain
+			w := get(t, h, "/diagnose?src="+a.Name+"&dst="+b.Name, nil)
+			if err := json.Unmarshal(w.Body.Bytes(), &ch); err != nil || w.Code != http.StatusOK || ch.Src != a.Name || ch.Dst != b.Name {
+				t.Fatalf("%s->%s: status %d, chain %s->%s, err %v", a.Name, b.Name, w.Code, ch.Src, ch.Dst, err)
+			}
+		}
+	}
+	pairs := int64(len(servers) * len(servers))
+	if pairs <= maxChains {
+		t.Fatalf("rig has %d pairs, not enough to pass the cap of %d", pairs, maxChains)
+	}
+	if len(st.chains) != maxChains || count("portal.chain_cache_misses") != maxChains ||
+		count("portal.chain_cache_uncached") != pairs-maxChains {
+		t.Fatalf("past the cap: %d entries, %d misses, %d uncached; want %d, %d, %d", len(st.chains),
+			count("portal.chain_cache_misses"), count("portal.chain_cache_uncached"), maxChains, maxChains, pairs-maxChains)
+	}
+
+	if err := p.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	if st = p.state.Load(); len(st.chains) != 0 || len(st.chainsBy) != 0 {
+		t.Fatalf("new epoch starts with %d entries, %d aliases", len(st.chains), len(st.chainsBy))
+	}
+	misses := count("portal.chain_cache_misses")
+	get(t, h, "/diagnose"+pairQuery(names), nil)
+	if count("portal.chain_cache_misses") != misses+1 {
+		t.Fatal("first request of the new epoch was not computed afresh")
+	}
+}
+
+// TestDiagnoseHitZeroAlloc: a memoised chain and its 304 cost what any
+// other cached read costs — no allocation.
+func TestDiagnoseHitZeroAlloc(t *testing.T) {
+	r, _ := buildDiagRig(t, nil)
+	names, _, _ := crossPodsetPair(r.top)
+	url := "/diagnose" + pairQuery(names)
+	etag := get(t, r.portal.Handler(), url, nil).Header().Get("ETag")
+	w := &nopResponseWriter{}
+	for _, revalidate := range []bool{false, true} {
+		req := httptest.NewRequest(http.MethodGet, url, nil)
+		if revalidate {
+			req.Header.Set("If-None-Match", etag)
+		}
+		r.portal.serveDiagnose(w, req) // warm the header map
+		if allocs := testing.AllocsPerRun(200, func() {
+			r.portal.serveDiagnose(w, req)
+		}); allocs != 0 {
+			t.Errorf("memoised chain (revalidate %v): %v allocs/op, want 0", revalidate, allocs)
+		}
+	}
+}
+
+// BenchmarkPortalDiagnoseHit is a /diagnose?src=&dst= read once its chain
+// is in the epoch's memo: a cached read like any other.
+func BenchmarkPortalDiagnoseHit(b *testing.B) {
+	r, _ := buildDiagRig(b, nil)
+	names, _, _ := crossPodsetPair(r.top)
+	req := httptest.NewRequest(http.MethodGet, "/diagnose"+pairQuery(names), nil)
+	w := &nopResponseWriter{}
+	r.portal.serveDiagnose(w, req)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.portal.serveDiagnose(w, req)
+	}
+}
+
+// BenchmarkPortalDiagnoseMiss is the first read of a pair in an epoch: the
+// chain with its TTL sweep, rendered and compressed — what every read cost
+// before the memo.
+func BenchmarkPortalDiagnoseMiss(b *testing.B) {
+	r, _ := buildDiagRig(b, nil)
+	names, _, _ := crossPodsetPair(r.top)
+	req := httptest.NewRequest(http.MethodGet, "/diagnose"+pairQuery(names), nil)
+	w := &nopResponseWriter{}
+	st := r.portal.state.Load()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		clear(st.chains)
+		clear(st.chainsBy)
+		r.portal.serveDiagnose(w, req)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -71,12 +72,30 @@ type Config struct {
 }
 
 // state is one published epoch: the snapshot plus every pre-rendered
-// response body, keyed by exact request path. Immutable after Store.
+// response body, keyed by exact request path. Immutable after Store but
+// for the chain memo, which fills as pairs are asked about.
 type state struct {
 	snap   *Snapshot
 	bodies map[string]*httpcache.Body
 	epochH []string // precomputed X-Pingmesh-Epoch header value
+
+	// The epoch's /diagnose?src=&dst= chains: each rendered once, on first
+	// call, and found again by resolved pair or by the exact query string
+	// that asked.
+	chainMu  sync.Mutex
+	chains   map[chainKey]func() *httpcache.Body
+	chainsBy map[string]func() *httpcache.Body
 }
+
+type chainKey struct{ src, dst topology.ServerID }
+
+// An epoch memoises at most maxChains pairs under at most 4*maxChains
+// query spellings of maxChainQuery bytes; a request past either is
+// computed and served unstored. The memo dies with its epoch.
+const (
+	maxChains     = 256
+	maxChainQuery = 256
+)
 
 // Portal serves DSA results over HTTP. Create with New, publish epochs
 // with Refresh, serve with Handler.
@@ -97,6 +116,9 @@ type Portal struct {
 	cNotFound    *metrics.Counter
 	cTriage      *metrics.Counter
 	cDiagnose    *metrics.Counter
+	cChainHits   *metrics.Counter // chain served from the epoch's memo
+	cChainMisses *metrics.Counter // chain computed and stored
+	cChainOver   *metrics.Counter // memo full: computed, served, not stored
 	cScrapes     *metrics.Counter
 	gEpoch       *metrics.Gauge
 	gBodies      *metrics.Gauge
@@ -127,6 +149,9 @@ func New(cfg Config) *Portal {
 	p.cNotFound = p.reg.Counter("portal.not_found")
 	p.cTriage = p.reg.Counter("portal.triage_requests")
 	p.cDiagnose = p.reg.Counter("portal.diagnose_requests")
+	p.cChainHits = p.reg.Counter("portal.chain_cache_hits")
+	p.cChainMisses = p.reg.Counter("portal.chain_cache_misses")
+	p.cChainOver = p.reg.Counter("portal.chain_cache_uncached")
 	p.cScrapes = p.reg.Counter("portal.metrics_scrapes")
 	p.gEpoch = p.reg.Gauge("portal.epoch")
 	p.gBodies = p.reg.Gauge("portal.cached_bodies")
@@ -222,6 +247,7 @@ func renderState(snap *Snapshot, top *topology.Topology, tel *telemetry.Collecto
 		snap:   snap,
 		bodies: make(map[string]*httpcache.Body, len(snap.SLA)+2*len(snap.Heatmaps)+3),
 		epochH: []string{strconv.FormatUint(snap.Epoch, 10)},
+		chains: map[chainKey]func() *httpcache.Body{}, chainsBy: map[string]func() *httpcache.Body{},
 	}
 	// One compressor for the whole publish, dropped with it.
 	var comp httpcache.Compressor
@@ -270,7 +296,7 @@ func renderState(snap *Snapshot, top *topology.Topology, tel *telemetry.Collecto
 			return nil, err
 		}
 	}
-	sortStrings(heatmapNames)
+	slices.Sort(heatmapNames)
 
 	endpoints := []string{
 		"/sla", "/sla/{scope}", "/heatmap/{dc}", "/heatmap/{dc}.svg",
@@ -528,13 +554,13 @@ func (p *Portal) ServeHealth(w http.ResponseWriter, r *http.Request) {
 // components, ordered by start time.
 func (p *Portal) ServeTrace(w http.ResponseWriter, r *http.Request) {
 	if p.cfg.Tracer == nil {
-		writeJSON(w, http.StatusNotFound, map[string]string{"error": "tracing disabled"})
+		writeError(w, http.StatusNotFound, "tracing disabled")
 		return
 	}
 	if idHex := r.URL.Query().Get("trace"); idHex != "" {
 		id, err := strconv.ParseUint(idHex, 16, 64)
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad trace id (want hex)"})
+			writeError(w, http.StatusBadRequest, "bad trace id (want hex)")
 			return
 		}
 		writeJSON(w, http.StatusOK, p.cfg.Tracer.TraceSpans(trace.TraceID(id)))
@@ -571,6 +597,12 @@ func (p *Portal) ServeCached(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
+	p.serveBody(w, r, st, b)
+}
+
+// serveBody is the one way a rendered body leaves the portal: the epoch it
+// belongs to on 200 and 304 alike, then httpcache's validators and gzip.
+func (p *Portal) serveBody(w http.ResponseWriter, r *http.Request, st *state, b *httpcache.Body) {
 	w.Header()[epochHeaderKey] = st.epochH
 	res := b.Serve(w, r)
 	if res.Status == http.StatusNotModified {
@@ -592,36 +624,33 @@ func (p *Portal) ServeMetrics(w http.ResponseWriter, r *http.Request) {
 	p.exp.WriteTo(w)
 }
 
-// serveTriage answers GET /triage?src=&dst= with the §4.3 decision. This
-// endpoint is dynamic (the pair space is quadratic; pre-rendering it would
-// defeat the snapshot budget) but still reads only the immutable snapshot.
+// serveTriage answers GET /triage?src=&dst= with the §4.3 decision. The
+// body is encoded per request (the pair space is quadratic; pre-rendering
+// it would defeat the snapshot budget) from the immutable snapshot alone —
+// the suspect hop included, which is looked up in the epoch's ranking.
 func (p *Portal) serveTriage(w http.ResponseWriter, r *http.Request) {
 	p.cTriage.Inc()
 	q := r.URL.Query()
 	src, dst := q.Get("src"), q.Get("dst")
 	if src == "" || dst == "" {
-		writeJSON(w, http.StatusBadRequest, map[string]string{
-			"error": "usage: /triage?src=<server|addr|podref>&dst=<server|addr|podref>",
-		})
+		writeError(w, http.StatusBadRequest, "usage: /triage?src=<server|addr|podref>&dst=<server|addr|podref>")
 		return
 	}
 	st := p.state.Load()
 	if st.snap == nil {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{
-			"error": "no snapshot published yet",
-		})
+		writeError(w, http.StatusServiceUnavailable, "no snapshot published yet")
 		return
 	}
 	w.Header()[epochHeaderKey] = st.epochH
 	res := st.snap.Triage(p.cfg.Top, src, dst)
 	// With diagnosis wired, /triage is the chain's thin summary: the same
-	// SLA/heatmap evidence condensed into the verdict, plus the vote
-	// table's current suspect and a pointer to the full chain.
+	// SLA/heatmap evidence condensed into the verdict, plus the epoch's
+	// vote suspect and a pointer to the full chain.
 	if p.cfg.Diagnosis != nil {
 		srcID, okS := resolveServer(p.cfg.Top, src)
 		dstID, okD := resolveServer(p.cfg.Top, dst)
 		if okS && okD {
-			if hop, _, ok := p.cfg.Diagnosis.TopSuspect(srcID, dstID); ok {
+			if hop, _, ok := p.cfg.Diagnosis.TopSuspect(srcID, dstID, st.snap.Evidence(p.cfg.Top)); ok {
 				res.PinnedHop = hop
 			}
 			res.Diagnose = "/diagnose?src=" + url.QueryEscape(src) + "&dst=" + url.QueryEscape(dst)
@@ -631,52 +660,94 @@ func (p *Portal) serveTriage(w http.ResponseWriter, r *http.Request) {
 }
 
 // serveDiagnose answers GET /diagnose. Bare, it serves the epoch's
-// pre-rendered root-cause ranking (the httpcache path, like every other
-// read). With ?src=&dst= it runs the evidence chain for the pair — dynamic
-// like /triage (the pair space is quadratic) but reading only the
-// immutable snapshot plus the vote table.
+// pre-rendered root-cause ranking. With ?src=&dst= it serves the pair's
+// evidence chain, an epoch artefact like the ranking it reads: computed on
+// the first request of the epoch for the pair — the traceroute-pin sweep
+// is the one live measurement in it — rendered into an httpcache.Body, and
+// served from the epoch's memo from then on (ETag, 304, gzip).
 func (p *Portal) serveDiagnose(w http.ResponseWriter, r *http.Request) {
 	if p.cfg.Diagnosis == nil {
 		p.cNotFound.Inc()
-		writeJSON(w, http.StatusNotFound, map[string]string{"error": "diagnosis not enabled on this portal"})
+		writeError(w, http.StatusNotFound, "diagnosis not enabled on this portal")
 		return
 	}
-	q := r.URL.Query()
-	src, dst := q.Get("src"), q.Get("dst")
-	if src == "" && dst == "" {
+	raw := r.URL.RawQuery
+	if raw == "" {
 		p.ServeCached(w, r)
 		return
 	}
 	p.cDiagnose.Inc()
-	if src == "" || dst == "" {
-		writeJSON(w, http.StatusBadRequest, map[string]string{
-			"error": "usage: /diagnose?src=<server|addr|podref>&dst=<server|addr|podref>",
-		})
+	st := p.state.Load()
+	st.chainMu.Lock()
+	chain := st.chainsBy[raw]
+	st.chainMu.Unlock()
+	if chain != nil {
+		p.cChainHits.Inc()
+		p.serveChain(w, r, st, chain)
 		return
 	}
-	st := p.state.Load()
+
+	q := r.URL.Query()
+	src, dst := q.Get("src"), q.Get("dst")
+	if src == "" || dst == "" {
+		writeError(w, http.StatusBadRequest, "usage: /diagnose?src=<server|addr|podref>&dst=<server|addr|podref>")
+		return
+	}
 	if st.snap == nil {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{
-			"error": "no snapshot published yet",
-		})
+		writeError(w, http.StatusServiceUnavailable, "no snapshot published yet")
 		return
 	}
 	srcID, ok := resolveServer(p.cfg.Top, src)
 	if !ok {
-		writeJSON(w, http.StatusBadRequest, map[string]string{
-			"error": fmt.Sprintf("source %q is not a known server, address, or pod ref", src),
-		})
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("source %q is not a known server, address, or pod ref", src))
 		return
 	}
 	dstID, ok := resolveServer(p.cfg.Top, dst)
 	if !ok {
-		writeJSON(w, http.StatusBadRequest, map[string]string{
-			"error": fmt.Sprintf("destination %q is not a known server, address, or pod ref", dst),
-		})
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("destination %q is not a known server, address, or pod ref", dst))
 		return
 	}
-	w.Header()[epochHeaderKey] = st.epochH
-	writeJSON(w, http.StatusOK, p.cfg.Diagnosis.Diagnose(srcID, dstID, st.snap.Evidence(p.cfg.Top)))
+
+	key := chainKey{srcID, dstID}
+	st.chainMu.Lock()
+	chain, hit := st.chains[key]
+	if !hit {
+		// Run by whichever request calls it first, outside the lock; the
+		// others wait for that one body (nil if it cannot be rendered).
+		chain = sync.OnceValue(func() *httpcache.Body {
+			data, err := json.Marshal(p.cfg.Diagnosis.Diagnose(srcID, dstID, st.snap.Evidence(p.cfg.Top)))
+			if err != nil {
+				return nil
+			}
+			b, _ := httpcache.New(ctJSON, append(data, '\n')) // nil with its error
+			return b
+		})
+	}
+	stored := hit || len(st.chains) < maxChains
+	if stored {
+		st.chains[key] = chain
+		if len(raw) <= maxChainQuery && len(st.chainsBy) < 4*maxChains {
+			st.chainsBy[raw] = chain
+		}
+	}
+	st.chainMu.Unlock()
+	switch {
+	case hit:
+		p.cChainHits.Inc()
+	case stored:
+		p.cChainMisses.Inc()
+	default:
+		p.cChainOver.Inc()
+	}
+	p.serveChain(w, r, st, chain)
+}
+
+func (p *Portal) serveChain(w http.ResponseWriter, r *http.Request, st *state, chain func() *httpcache.Body) {
+	if b := chain(); b != nil {
+		p.serveBody(w, r, st, b)
+		return
+	}
+	writeError(w, http.StatusInternalServerError, "chain could not be rendered")
 }
 
 // resolveServer resolves a diagnosis parameter — a server address, server
@@ -713,19 +784,13 @@ func (p *Portal) serveHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, code, map[string]string{"status": status})
 }
 
+func writeError(w http.ResponseWriter, code int, msg string) {
+	writeJSON(w, code, map[string]string{"error": msg})
+}
+
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
 	enc.Encode(v)
-}
-
-// sortStrings is a tiny insertion sort: heatmap name lists are a handful
-// of DCs and this keeps the render path free of sort's interface boxing.
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

@@ -220,14 +220,8 @@ func resolvePod(top *topology.Topology, s string) (analysis.PodRef, bool) {
 	if ref, err := analysis.ParsePodRef(s); err == nil {
 		return ref, true
 	}
-	if id, ok := top.ServerByAddrString(s); ok {
-		sv := top.Server(id)
-		return analysis.PodRef{DC: sv.DC, Podset: sv.Podset, Pod: sv.Pod}, true
-	}
-	for _, sv := range top.Servers() {
-		if sv.Name == s {
-			return analysis.PodRef{DC: sv.DC, Podset: sv.Podset, Pod: sv.Pod}, true
-		}
+	if id, ok := resolveServer(top, s); ok {
+		return podRefOf(top, id), true
 	}
 	return analysis.PodRef{}, false
 }
@@ -361,8 +355,8 @@ func (s *Snapshot) pairScopeSLA(top *topology.Topology, src, dst analysis.PodRef
 }
 
 // Evidence adapts the snapshot into the diagnosis engine's evidence
-// source: the chain's first two assertions (pair SLA, heatmap cell) read
-// the same immutable epoch every other portal endpoint serves.
+// source: the chain's first three assertions (pair SLA, heatmap cell, hop
+// votes) read the same immutable epoch every other portal endpoint serves.
 func (s *Snapshot) Evidence(top *topology.Topology) diagnosis.EvidenceSource {
 	return &snapshotEvidence{snap: s, top: top}
 }
@@ -371,6 +365,8 @@ type snapshotEvidence struct {
 	snap *Snapshot
 	top  *topology.Topology
 }
+
+func (se *snapshotEvidence) Ranking() *diagnosis.Ranking { return se.snap.Diagnosis }
 
 func podRefOf(top *topology.Topology, id topology.ServerID) analysis.PodRef {
 	sv := top.Server(id)

@@ -20,14 +20,6 @@ import (
 	"pingmesh/internal/topology"
 )
 
-// SweepTraceLoss and EstimateHopLoss moved to internal/diagnosis so the
-// root-cause engine shares the per-TTL estimator; re-exported here because
-// this package is where the §5.2 workflow lives.
-var (
-	SweepTraceLoss  = diagnosis.SweepTraceLoss
-	EstimateHopLoss = diagnosis.EstimateHopLoss
-)
-
 // SpikeDetector decides whether a drop-rate series left its normal band.
 type SpikeDetector struct {
 	// Baseline is the expected drop rate under normal conditions

@@ -23,7 +23,10 @@
 #                                      sensitive tests, and the three whose
 #                                      aggregates — down to the histogram
 #                                      type itself — the fold lanes merge
-#                                      in whatever order they finish,
+#                                      in whatever order they finish, and
+#                                      the two whose state uploads and reads
+#                                      share — the vote collector's batched
+#                                      ingest, the portal's chain memo —
 #                                      five times over
 #                                      under -race at GOMAXPROCS 1 and 4;
 #                                      the controller's ten passes alone
@@ -63,7 +66,19 @@
 #                                      with it — prints its ms/op and MB/op:
 #                                      ≈100 ms and ≈75 MB on the 2-vCPU box,
 #                                      where a compressor per body read
-#                                      1,289 MB and a parse per patch 1 s)
+#                                      1,289 MB and a parse per patch 1 s;
+#                                      the vote collector's batched ingest
+#                                      prints its lane ns/probe at
+#                                      GOMAXPROCS 1, 2 and 4 — ≈190 at 1 and
+#                                      240–310 beyond on the 2-vCPU box,
+#                                      where a path lookup per record under
+#                                      the collector's mutex read 305, 652
+#                                      and 1,284 — beside the cost of the one
+#                                      greedy rank a publish pays; a
+#                                      /diagnose?src=&dst= read prints its
+#                                      cost as a memo hit, ≈0.2 µs and no
+#                                      allocation like any cached read, and
+#                                      as the epoch's first, ≈1.2 ms)
 #   3b. diagnosis smoke               (the root-cause localization CLI at
 #                                      reduced scale: two simultaneous
 #                                      injected faults must land in the
@@ -99,7 +114,8 @@ sh bench/run.sh --workload all --scale smoke --seconds 0
 echo "== tier 2c: flake pass (-race -count 5 -cpu 1,4)"
 go test -race -count 5 -cpu 1,4 -timeout 30m ./internal/dsa ./internal/cosmos \
     ./internal/controller ./internal/telemetry ./internal/agent \
-    ./internal/scope ./internal/analysis ./internal/metrics
+    ./internal/scope ./internal/analysis ./internal/metrics \
+    ./internal/diagnosis ./internal/portal
 
 echo "== tier 3: alloc-guard smoke"
 go test ./internal/scope ./internal/probe ./internal/analysis \
@@ -112,6 +128,8 @@ go test ./internal/scope ./internal/probe ./internal/analysis \
 go test ./internal/agent -run xxx -bench AgentRecordHotPath -benchtime 100000x
 go test ./internal/telemetry -run xxx -bench 'IngestFleet$' -benchmem -benchtime 1000000x -cpu 1,2,4
 go test ./internal/controller -run xxx -bench 'UpdateTopology$' -benchmem -benchtime 5x
+go test ./internal/diagnosis -run xxx -bench 'ObserveBatch$|RankGreedy$' -benchmem -cpu 1,2,4
+go test ./internal/portal -run xxx -bench 'PortalDiagnose(Hit|Miss)$|PortalSLACached$|PortalNotModified$' -benchmem
 
 echo "== tier 3b: diagnosis smoke (reduced scale)"
 go run ./cmd/pingmesh-diagnose -minutes 6 -check > /dev/null
