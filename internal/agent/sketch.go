@@ -32,38 +32,64 @@ func ShipsRaw(r *probe.Record) bool {
 // which is what lets the ingest side attribute a whole sketch to the window
 // containing its MinStart.
 //
+// Open sketches live in slots, in the order their first probe arrived. A
+// probe stream visits its peers in runs (the simulated fleet) or in a
+// repeating next-probe order (the agent's scheduler), so a record's slot is
+// almost always the one the previous record matched or the one after it:
+// Observe compares against those two and only on a miss builds a key and
+// consults the index map. CutBefore hands sketches out in slot order, so an
+// upload's bytes are a function of the probe stream alone.
+//
 // A SketchAccumulator is not safe for concurrent use; the Agent guards it
-// with its buffer mutex. Histograms are recycled through a freelist
-// (Release) so steady-state accumulation stops allocating once the peer
-// set has been seen.
+// with its buffer mutex. Slots are reused in place and histograms recycled
+// through a freelist (Release), so accumulation — window rolls included —
+// stops allocating once the peer set has been seen.
 type SketchAccumulator struct {
 	src    netip.Addr
 	window time.Duration
-	m      map[sketchKey]*probe.PeerSketch
+	slots  []sketchSlot      // open sketches, first-seen order
+	last   int               // the slot the previous record matched
+	index  map[sketchKey]int // slot of every open sketch: the miss path
 	free   []*metrics.Histogram
 }
 
-// sketchKey is the aggregation identity: the fields every record in the
-// sketch must share, plus the window index so records landing after a
-// window closes (but before it is cut) open a fresh sketch.
-type sketchKey struct {
+// sketchSlot is one open sketch, kept small — the slots are what an
+// accumulator holds on to between windows: the identity a hit compares, the
+// window's start and the probes' time range in Unix nanoseconds (a hit skips
+// the division), and the histograms.
+type sketchSlot struct {
+	sketchID
+	start        int64
+	minNS, maxNS int64
+	rtt, payload *metrics.Histogram
+}
+
+// sketchID is the identity every record of a sketch shares, as wide as the
+// wire has it: class, proto and qos are a byte each there (AppendBinaryBatch),
+// packed here with the port. No field leaves padding, so as part of a map key
+// it is hashed as one run of memory, not field by field.
+type sketchID struct {
 	dst        netip.Addr
-	dstPort    uint16
-	class      probe.Class
-	proto      probe.Proto
-	qos        probe.QoS
 	payloadLen int
-	win        int64
+	meta       uint64 // dstPort<<24 | class<<16 | proto<<8 | qos
+}
+
+func idOf(r *probe.Record) sketchID {
+	return sketchID{r.Dst, r.PayloadLen,
+		uint64(r.DstPort)<<24 | uint64(uint8(r.Class))<<16 | uint64(uint8(r.Proto))<<8 | uint64(uint8(r.QoS))}
+}
+
+// sketchKey is the aggregation identity plus the window index, so records
+// landing after a window closes (but before it is cut) open a fresh sketch.
+type sketchKey struct {
+	sketchID
+	win int64
 }
 
 // NewSketchAccumulator returns an empty accumulator for probes originating
 // from src, cutting sketches on the grid of the given window length.
 func NewSketchAccumulator(src netip.Addr, window time.Duration) *SketchAccumulator {
-	return &SketchAccumulator{
-		src:    src,
-		window: window,
-		m:      make(map[sketchKey]*probe.PeerSketch),
-	}
+	return &SketchAccumulator{src: src, window: window, index: make(map[sketchKey]int)}
 }
 
 // WindowIndex returns the grid index of t's window (probe.WindowIndex).
@@ -71,73 +97,95 @@ func (s *SketchAccumulator) WindowIndex(t time.Time) int64 {
 	return probe.WindowIndex(t, s.window)
 }
 
+// holds reports whether a record of identity id starting at Unix nanosecond
+// ns belongs to slot i.
+func (s *SketchAccumulator) holds(i int, id sketchID, ns int64) bool {
+	if i >= len(s.slots) {
+		return false
+	}
+	sl := &s.slots[i]
+	return uint64(ns-sl.start) < uint64(s.window) && sl.meta == id.meta && sl.dst == id.dst && sl.payloadLen == id.payloadLen
+}
+
 // Observe folds one record into its peer sketch. The caller applies the
 // anomaly policy first: what ShipsRaw claims, and traced probes, ship raw.
 func (s *SketchAccumulator) Observe(r *probe.Record) {
-	k := sketchKey{
-		dst:        r.Dst,
-		dstPort:    r.DstPort,
-		class:      r.Class,
-		proto:      r.Proto,
-		qos:        r.QoS,
-		payloadLen: r.PayloadLen,
-		win:        s.WindowIndex(r.Start),
-	}
-	sk := s.m[k]
-	if sk == nil {
-		sk = &probe.PeerSketch{
-			Src:        s.src,
-			Dst:        r.Dst,
-			DstPort:    r.DstPort,
-			Class:      r.Class,
-			Proto:      r.Proto,
-			QoS:        r.QoS,
-			PayloadLen: r.PayloadLen,
-			MinStart:   r.Start,
-			MaxStart:   r.Start,
-			RTT:        s.newHist(),
+	id, ns := idOf(r), r.Start.UnixNano()
+	i := s.last
+	if !s.holds(i, id, ns) {
+		if i++; !s.holds(i, id, ns) {
+			i = s.slotFor(r, id, ns)
 		}
-		s.m[k] = sk
+		s.last = i
 	}
-	sk.RTT.Observe(r.RTT)
+	sl := &s.slots[i]
+	sl.rtt.Observe(r.RTT)
 	if r.PayloadRTT > 0 {
-		if sk.Payload == nil {
-			sk.Payload = s.newHist()
+		if sl.payload == nil {
+			sl.payload = s.newHist()
 		}
-		sk.Payload.Observe(r.PayloadRTT)
+		sl.payload.Observe(r.PayloadRTT)
 	}
-	if r.Start.Before(sk.MinStart) {
-		sk.MinStart = r.Start
+	sl.minNS, sl.maxNS = min(sl.minNS, ns), max(sl.maxNS, ns)
+}
+
+// slotFor is Observe's miss path: the slot of the (peer, window) by the index
+// map, opened if this is its first probe.
+func (s *SketchAccumulator) slotFor(r *probe.Record, id sketchID, ns int64) int {
+	win := s.WindowIndex(r.Start)
+	k := sketchKey{id, win}
+	if i, ok := s.index[k]; ok {
+		return i
 	}
-	if r.Start.After(sk.MaxStart) {
-		sk.MaxStart = r.Start
-	}
+	s.slots = append(s.slots, sketchSlot{sketchID: id, start: win * int64(s.window), minNS: ns, maxNS: ns, rtt: s.newHist()})
+	s.index[k] = len(s.slots) - 1
+	return len(s.slots) - 1
 }
 
 // CutBefore removes every sketch whose window index is below win and
-// appends them to dst (reusable across flushes). The agent cuts completed
-// windows each flush: open windows keep accumulating until the grid
-// advances past them, so each (peer, window) uploads exactly one sketch.
+// appends them to dst (reusable across flushes) in first-seen order. The
+// agent cuts completed windows each flush: open windows keep accumulating
+// until the grid advances past them, so each (peer, window) uploads exactly
+// one sketch.
 func (s *SketchAccumulator) CutBefore(win int64, dst []probe.PeerSketch) []probe.PeerSketch {
-	for k, sk := range s.m {
+	n := 0
+	for i := range s.slots {
+		sl := &s.slots[i]
+		k := sketchKey{sl.sketchID, sl.start / int64(s.window)}
 		if k.win < win {
-			dst = append(dst, *sk)
-			delete(s.m, k)
+			dst = append(dst, probe.PeerSketch{
+				Src: s.src, Dst: sl.dst, DstPort: uint16(sl.meta >> 24), Class: probe.Class(uint8(sl.meta >> 16)),
+				Proto: probe.Proto(uint8(sl.meta >> 8)), QoS: probe.QoS(uint8(sl.meta)), PayloadLen: sl.payloadLen,
+				MinStart: time.Unix(0, sl.minNS).UTC(), MaxStart: time.Unix(0, sl.maxNS).UTC(),
+				RTT: sl.rtt, Payload: sl.payload,
+			})
+			delete(s.index, k)
+			continue
 		}
+		if n != i {
+			s.index[k] = n
+			s.slots[n] = *sl
+		}
+		n++
+	}
+	if n != len(s.slots) {
+		s.slots, s.last = s.slots[:n], 0
 	}
 	return dst
 }
 
 // Release returns the histograms of cut sketches to the freelist after
 // their batch has been encoded (or discarded), and zeroes the entries so
-// the backing slice can be reused without retaining Addr/time values.
+// the backing slice can be reused without retaining Addr/time values. Last
+// sketch first: the next window opens its sketches in much the same order, so
+// each pops the histogram its peer filled last, grown to that peer's buckets.
 func (s *SketchAccumulator) Release(sks []probe.PeerSketch) {
-	for i := range sks {
-		if h := sks[i].RTT; h != nil {
+	for i := len(sks) - 1; i >= 0; i-- {
+		if h := sks[i].Payload; h != nil {
 			h.Reset()
 			s.free = append(s.free, h)
 		}
-		if h := sks[i].Payload; h != nil {
+		if h := sks[i].RTT; h != nil {
 			h.Reset()
 			s.free = append(s.free, h)
 		}
@@ -146,7 +194,7 @@ func (s *SketchAccumulator) Release(sks []probe.PeerSketch) {
 }
 
 // Len returns the number of open (peer, window) sketches.
-func (s *SketchAccumulator) Len() int { return len(s.m) }
+func (s *SketchAccumulator) Len() int { return len(s.slots) }
 
 func (s *SketchAccumulator) newHist() *metrics.Histogram {
 	if n := len(s.free); n > 0 {

@@ -10,6 +10,7 @@ import (
 
 	"pingmesh/internal/cosmos"
 	"pingmesh/internal/metrics"
+	"pingmesh/internal/probe"
 	"pingmesh/internal/scope"
 )
 
@@ -77,43 +78,82 @@ func newIncremental(p *Pipeline) *incremental {
 	return inc
 }
 
-// foldInto folds the named extents into dst, decoding on every core as the
-// scan engine does: the extents are dealt to one lane per core, lane 0 being
-// dst itself and the others forks it absorbs at the end, so a single extent —
-// the scheduled fold job's usual find — forks nothing. A cycle that catches
-// up on a whole window must not do it on one core: besides the wall time, a
-// phase that runs alone keeps its pace when the box slows down under load on
-// every core, and that is the machine speed bench/ samples and normalizes
-// timings by — a serial pass makes its rates spread wider from run to run than
-// the driver can resolve. It returns, per extent, the error that kept it from
-// being read; such an extent is not folded.
-func (inc *incremental) foldInto(dst *scope.Folder, exts []scope.Extent, now time.Time) []error {
-	store := inc.p.cfg.Store
-	lanes := []*scope.Folder{dst}
-	for len(lanes) < min(runtime.NumCPU(), len(exts)) {
-		lanes = append(lanes, dst.Fork())
+// foldChunkSize is about how long a lane's unit of work is. A sketched window
+// fills one extent of cosmos's 1 MiB, so a pass uses a second core only if the
+// unit is smaller than an extent; at 64 KiB that extent is sixteen units.
+const foldChunkSize = 64 << 10
+
+// foldChunk is one unit: a run of whole upload batches of one extent.
+type foldChunk struct {
+	data []byte
+	last bool // the extent's final chunk: folding it counts the extent folded
+}
+
+// appendChunks cuts an extent into chunks of about size bytes, at the batch
+// boundaries probe.SplitBatches can prove. An empty extent is one empty chunk.
+func appendChunks(chunks []foldChunk, data []byte, size int) []foldChunk {
+	for {
+		chunk, rest := probe.SplitBatches(data, size)
+		chunks = append(chunks, foldChunk{chunk, len(rest) == 0})
+		if len(rest) == 0 {
+			return chunks
+		}
+		data = rest
 	}
-	errs := make([]error, len(exts))
+}
+
+// foldChunks folds the chunks into dst on up to the given number of lanes,
+// each taking the next chunk as it finishes one: the caller's goroutine folds
+// into dst itself, every other lane into a fork dst absorbs at the end. Every
+// merge is exact, so which lane a chunk went to does not show in the result.
+func foldChunks(dst *scope.Folder, chunks []foldChunk, lanes int, now time.Time) {
 	var dealt atomic.Int64
+	fold := func(lane *scope.Folder) {
+		for i := int(dealt.Add(1)) - 1; i < len(chunks); i = int(dealt.Add(1)) - 1 {
+			if c := chunks[i]; c.last {
+				lane.FoldExtent(c.data, now)
+			} else {
+				lane.FoldChunk(c.data)
+			}
+		}
+	}
+	var forks []*scope.Folder
 	var wg sync.WaitGroup
-	for _, lane := range lanes {
+	for len(forks) < min(lanes, len(chunks))-1 {
+		fork := dst.Fork()
+		forks = append(forks, fork)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := int(dealt.Add(1)) - 1; i < len(exts); i = int(dealt.Add(1)) - 1 {
-				data, err := store.ReadExtent(exts[i].Stream, exts[i].Index)
-				if err != nil {
-					errs[i] = err
-					continue
-				}
-				lane.FoldExtent(data, now)
-			}
+			fold(fork)
 		}()
 	}
+	fold(dst)
 	wg.Wait()
-	for _, fork := range lanes[1:] {
+	for _, fork := range forks {
 		dst.Absorb(fork)
 	}
+}
+
+// foldInto folds the named extents into dst on every core the process may run
+// on. The extents are read zero-copy and cut into chunks, and the chunks — not
+// the extents — are dealt to the lanes: the sketch path puts a whole window in
+// one extent, and a pass that deals extents folds it on one core while the
+// others idle (DESIGN.md has why a pass must not run on one core). It returns,
+// per extent, the error that kept it from being read; such an extent is not
+// folded.
+func (inc *incremental) foldInto(dst *scope.Folder, exts []scope.Extent, now time.Time) []error {
+	errs := make([]error, len(exts))
+	var chunks []foldChunk
+	for i, ext := range exts {
+		data, err := inc.p.cfg.Store.ReadExtent(ext.Stream, ext.Index)
+		if err != nil {
+			errs[i] = err
+			continue
+		}
+		chunks = appendChunks(chunks, data, foldChunkSize)
+	}
+	foldChunks(dst, chunks, runtime.GOMAXPROCS(0), now)
 	return errs
 }
 
@@ -188,15 +228,19 @@ func (inc *incremental) tailExtents() []scope.Extent {
 
 // assemble produces one job's Result from its windows [lo, hi): the folded
 // partials (deep-copied — the live ones keep folding after the cycle) plus
-// what the cycle's tail pass folded of the unfolded extents.
+// what the cycle's tail pass folded of the unfolded extents (the cycle's own:
+// no copy).
 func (inc *incremental) assemble(spec string, lo, hi int64, tail *scope.Folder) *scope.Result {
 	merged := scope.NewPartial()
 	for win := lo; win < hi; win++ {
 		if part := inc.folder.Partial(spec, win); part != nil {
 			merged.Merge(part)
 		}
+		if part := tail.Partial(spec, win); part != nil {
+			merged.Absorb(part)
+		}
 	}
-	res := &scope.Result{
+	return &scope.Result{
 		Groups:  merged.Groups,
 		Records: merged.Records,
 		// Scanned/ParseErrors are window-free, so the folder's running
@@ -204,21 +248,6 @@ func (inc *incremental) assemble(spec string, lo, hi int64, tail *scope.Folder) 
 		Scanned:     inc.folder.Scanned() + tail.Scanned(),
 		ParseErrors: inc.folder.ParseErrors() + tail.ParseErrors(),
 	}
-	for win := lo; win < hi; win++ {
-		part := tail.Partial(spec, win)
-		if part == nil {
-			continue
-		}
-		res.Records += part.Records
-		for k, st := range part.Groups { // the tail folder is the cycle's own: no copy
-			if cur, ok := res.Groups[k]; ok {
-				cur.Merge(st)
-			} else {
-				res.Groups[k] = st
-			}
-		}
-	}
-	return res
 }
 
 // boundHoursLocked drops the hour partials that have aged out of the

@@ -46,7 +46,7 @@ func (fx *diffFixture) asSketched() *diffFixture {
 	return &sk
 }
 
-func buildDiffFixture(t *testing.T) *diffFixture {
+func buildDiffFixture(t testing.TB) *diffFixture {
 	t.Helper()
 	top, err := topology.Build(topology.Spec{DCs: []topology.DCSpec{
 		{Name: "DC1", Podsets: 2, PodsPerPodset: 2, ServersPerPod: 3, LeavesPerPodset: 2, Spines: 2},
@@ -174,12 +174,12 @@ func (fx *diffFixture) inOrder() []int {
 	return order
 }
 
-func (fx *diffFixture) newPipe(t *testing.T, store *cosmos.Store) *Pipeline {
+func (fx *diffFixture) newPipe(t testing.TB, store *cosmos.Store) *Pipeline {
 	t.Helper()
 	return fx.newPipeOn(t, store, simclock.NewSim(t0))
 }
 
-func (fx *diffFixture) newPipeOn(t *testing.T, store *cosmos.Store, clock simclock.Clock) *Pipeline {
+func (fx *diffFixture) newPipeOn(t testing.TB, store *cosmos.Store, clock simclock.Clock) *Pipeline {
 	t.Helper()
 	pipe, err := New(Config{
 		Store:           store,

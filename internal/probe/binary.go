@@ -1,6 +1,7 @@
 package probe
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"net/netip"
@@ -361,6 +362,48 @@ func (s *Scanner) parseBinSketch() error {
 	return nil
 }
 
+// batchPayload reads the header of the batch whose magic starts at
+// data[off:]: where its payload starts and how long it is. ok is false when
+// the length prefix is malformed or reaches past the input.
+func batchPayload(data []byte, off int) (start, plen int, ok bool) {
+	off += len(binaryMagic)
+	n64, n := binary.Uvarint(data[off:])
+	if n <= 0 || n64 > uint64(len(data)-off-n) {
+		return 0, 0, false
+	}
+	return off + n, int(n64), true
+}
+
+// SplitBatches cuts the shortest non-empty prefix of data that is at least
+// size bytes long and ends on a top-level boundary — after a whole binary
+// batch, skipped by its length prefix, or after a CSV line's newline — and
+// returns it with the rest (empty on the last chunk). It walks the top-level
+// positions the Scanner does, so scanning chunk after chunk yields exactly
+// the entries and row errors of scanning data whole (Line restarts per chunk;
+// HeaderOnlyAtStart documents must not be split). At a batch header whose
+// length cannot be trusted — which the Scanner reports as one corrupt row to
+// the end of the input — there is no provable boundary: the rest is one chunk.
+func SplitBatches(data []byte, size int) (chunk, rest []byte) {
+	off := 0
+	for off < len(data) {
+		if hasBinaryMagic(data[off:]) {
+			start, plen, ok := batchPayload(data, off)
+			if !ok {
+				return data, nil
+			}
+			off = start + plen
+		} else if i := bytes.IndexByte(data[off:], '\n'); i >= 0 {
+			off += i + 1
+		} else {
+			return data, nil
+		}
+		if off >= size {
+			break
+		}
+	}
+	return data[:off], data[off:]
+}
+
 // Binary batch state machine, driven by Scanner.ScanEntry.
 
 const (
@@ -374,21 +417,19 @@ const (
 // trusted is unrecoverable — there is no resync point — so the rest of the
 // input is consumed and reported as one corrupt row.
 func (s *Scanner) startBinaryBatch() EntryKind {
-	off := s.off + len(binaryMagic)
-	plen, n := binary.Uvarint(s.data[off:])
-	if n <= 0 || plen > uint64(len(s.data)-off-n) {
+	off, plen, ok := batchPayload(s.data, s.off)
+	if !ok {
 		s.off = len(s.data)
 		s.rowErr = errBadBatchHeader
 		return EntryRecord
 	}
-	off += n
-	s.binEnd = off + int(plen)
+	s.binEnd = off + plen
 	s.off = off
 	nrec, n := binary.Uvarint(s.data[s.off:s.binEnd])
 	// Every record is >= 13 bytes on the wire, so a count beyond the
 	// payload length is certainly corrupt; checking here keeps the loop
 	// counter within the input size.
-	if n <= 0 || nrec > plen {
+	if n <= 0 || nrec > uint64(plen) {
 		return s.abortBatch(errBadBatch)
 	}
 	s.off += n

@@ -66,10 +66,19 @@ func newStats(talliesOnly bool) *analysis.LatencyStats {
 // Merge folds o into p. o is not mutated and shares no state with p
 // afterwards (group aggregates are deep-copied on first sight), so live
 // partials can keep folding while a cycle merges snapshots of them.
-func (p *Partial) Merge(o *Partial) {
+func (p *Partial) Merge(o *Partial) { p.merge(o, false) }
+
+// Absorb folds o into p and takes what it can of o instead of copying it: for
+// an o the caller owns and will not use again (a fork's partial, a cycle's
+// tail), where Merge's copies would be garbage at once.
+func (p *Partial) Absorb(o *Partial) { p.merge(o, true) }
+
+func (p *Partial) merge(o *Partial, owned bool) {
 	for k, st := range o.Groups {
 		if cur, ok := p.Groups[k]; ok {
 			cur.Merge(st)
+		} else if owned {
+			p.Groups[k] = st
 		} else {
 			p.Groups[k] = st.Clone()
 		}
@@ -175,6 +184,7 @@ type Folder struct {
 	keyBuf []byte
 	rep    probe.Record // representative record for the current sketch
 	traces []trace.TraceID
+	idle   []*Folder // absorbed forks, emptied: the next Fork reuses one
 }
 
 // NewFolder returns a folder for the given specs. It panics on an anchor off
@@ -205,14 +215,19 @@ func NewFolder(anchor time.Time, window time.Duration, specs []FoldSpec, tracer 
 }
 
 // Fork returns an empty folder on the same grid, specs, retention floors and
-// tracer: a lane that folds its share of a pass's extents beside f and is
-// then Absorbed.
+// tracer: a lane that folds its share of a pass's chunks beside f and is
+// then Absorbed. It reuses a fork f has absorbed, if there is one.
 func (f *Folder) Fork() *Folder {
-	specs := make([]FoldSpec, len(f.specs))
-	for i, ss := range f.specs {
-		specs[i] = ss.spec
+	var fork *Folder
+	if n := len(f.idle); n > 0 {
+		fork, f.idle = f.idle[n-1], f.idle[:n-1]
+	} else {
+		specs := make([]FoldSpec, len(f.specs))
+		for i, ss := range f.specs {
+			specs[i] = ss.spec
+		}
+		fork = NewFolder(f.Anchor, f.Window, specs, f.Tracer)
 	}
-	fork := NewFolder(f.Anchor, f.Window, specs, f.Tracer)
 	for i, ss := range f.specs {
 		fork.specs[i].floor = ss.floor
 	}
@@ -220,18 +235,22 @@ func (f *Folder) Fork() *Folder {
 }
 
 // Absorb adds everything o — a Fork of f — has folded to f: partials
-// (exact merges, so the order extents were dealt to lanes in does not show),
-// tallies and matched traces. o must not be used afterwards.
+// (exact merges, so the order chunks were dealt to lanes in does not show),
+// tallies and matched traces. It takes o's aggregates rather than copying
+// them — only a group both hold is merged — and keeps o, emptied, for the
+// next Fork: o must not be used afterwards.
 func (f *Folder) Absorb(o *Folder) {
 	for i, ss := range o.specs {
 		dst := f.specs[i].windows
 		for idx, part := range ss.windows {
 			if cur := dst[idx]; cur != nil {
-				cur.Merge(part)
+				cur.Absorb(part)
 			} else {
 				dst[idx] = part
 			}
 		}
+		clear(ss.windows)
+		ss.cur, ss.curIdx = nil, noWindow
 	}
 	f.scanned += o.scanned
 	f.parseErrors += o.parseErrors
@@ -245,6 +264,9 @@ func (f *Folder) Absorb(o *Folder) {
 			f.traces = append(f.traces, tid)
 		}
 	}
+	o.scanned, o.parseErrors, o.extents, o.late = 0, 0, 0, 0
+	o.lastFold, o.traces = time.Time{}, o.traces[:0]
+	f.idle = append(f.idle, o)
 }
 
 // floorDiv is a/b rounded towards minus infinity, for b > 0.
@@ -290,17 +312,28 @@ func (f *Folder) Span(spec string, from, to time.Time) (lo, hi int64, ok bool) {
 	return lo, lo + int64(to.Sub(from)/w), lo >= ss.floor
 }
 
-// FoldExtent folds one sealed extent's bytes into the per-(spec, window)
-// partials. data is only read during the call (the cosmos zero-copy
-// aliasing contract); nothing the folder retains aliases it. The
-// steady-state loop allocates nothing per record (TestFoldExtentZeroAlloc).
+// FoldExtent folds one extent's bytes — or the last of its chunks — into the
+// per-(spec, window) partials and counts the extent folded at the given time.
+func (f *Folder) FoldExtent(data []byte, at time.Time) {
+	f.FoldChunk(data)
+	f.extents++
+	f.lastFold = at
+}
+
+// FoldChunk folds a run of whole upload batches — an extent, or one of the
+// chunks probe.SplitBatches cuts it into — into the per-(spec, window)
+// partials. Folding is a sum over entries, so an extent's chunks folded in
+// any order, here or on forks, leave what folding it whole leaves. data is
+// only read during the call (the cosmos zero-copy aliasing contract); nothing
+// the folder retains aliases it. The steady-state loop allocates nothing per
+// record (TestFoldExtentZeroAlloc).
 //
 // Binary extents fold their sketches straight into the partials' histogram
 // buckets: filters and keyers see a representative record (identity fields
 // plus Start = MinStart), and the whole sketch lands in MinStart's window
 // — sound because the agent cuts sketches on the analysis window grid, so
 // a sketch never straddles a window boundary.
-func (f *Folder) FoldExtent(data []byte, at time.Time) {
+func (f *Folder) FoldChunk(data []byte) {
 	f.sc.Reset(data)
 	for {
 		kind := f.sc.ScanEntry()
@@ -367,8 +400,6 @@ func (f *Folder) FoldExtent(data []byte, at time.Time) {
 			}
 		}
 	}
-	f.extents++
-	f.lastFold = at
 }
 
 func (f *Folder) matchTrace(r *probe.Record) {

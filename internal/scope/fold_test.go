@@ -319,6 +319,52 @@ func TestFolderDropWindowsBefore(t *testing.T) {
 	}
 }
 
+// TestAbsorbMovesGroups guards the owning Absorb: a fork is the pass's own, so
+// the groups the folder lacks — in a window it already holds — move over, and
+// absorbing n new groups costs the map's growth, not n deep copies (which is
+// what merging the fork as a live partial did: a LatencyStats, a histogram and
+// its buckets per group).
+func TestAbsorbMovesGroups(t *testing.T) {
+	const groups, runs = 512, 5
+	spec := FoldSpec{Name: "by-port", KeyBytes: func(dst []byte, r *probe.Record) ([]byte, bool) {
+		return append(dst, byte(r.SrcPort>>8), byte(r.SrcPort)), true
+	}}
+	f := NewFolder(t0, Every10Min, []FoldSpec{spec}, nil)
+	f.FoldExtent(probe.EncodeBatch([]probe.Record{mkRecord(0, time.Millisecond, "")}), t0)
+	var forks []*Folder
+	for run := 0; run <= runs; run++ { // AllocsPerRun warms up with one more
+		recs := make([]probe.Record, groups)
+		for i := range recs {
+			recs[i] = mkRecord(0, time.Duration(200+i)*time.Microsecond, "")
+			recs[i].SrcPort = uint16(1 + run*groups + i)
+		}
+		fork := f.Fork()
+		fork.FoldExtent(probe.EncodeBatch(recs), t0)
+		forks = append(forks, fork)
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		f.Absorb(forks[next])
+		next++
+	})
+	if got := len(f.Partial("by-port", 0).Groups); got != 1+(runs+1)*groups {
+		t.Fatalf("folder holds %d groups, want %d", got, 1+(runs+1)*groups)
+	}
+	if allocs > groups/8 {
+		t.Fatalf("absorbing a fork of %d new groups allocated %.0f times", groups, allocs)
+	}
+	// An absorbed fork comes back empty, on the folder's current floors.
+	f.DropWindowsBefore("by-port", 1)
+	fork := f.Fork()
+	if fork != forks[runs] || fork.Scanned() != 0 || fork.Extents() != 0 || fork.Partial("by-port", 0) != nil {
+		t.Fatalf("Fork did not hand back the last absorbed fork, emptied")
+	}
+	fork.FoldExtent(probe.EncodeBatch([]probe.Record{mkRecord(0, time.Millisecond, "")}), t0)
+	if fork.Late() != 1 || fork.Partial("by-port", 0) != nil {
+		t.Fatalf("reused fork folded below the folder's floor: late %d", fork.Late())
+	}
+}
+
 // TestFoldExtentZeroAlloc guards the fold hot path: once group keys and
 // window partials exist and the groups' sparse histogram runs have reached
 // their size, folding an extent allocates nothing per record — for specs on

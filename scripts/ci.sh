@@ -23,7 +23,11 @@
 #                                      sensitive tests, and the three whose
 #                                      aggregates — down to the histogram
 #                                      type itself — the fold lanes merge
-#                                      in whatever order they finish, and
+#                                      in whatever order they finish, with
+#                                      the package whose splitter decides
+#                                      what a lane is dealt
+#                                      (FuzzSplitBatches' seeds,
+#                                      TestFoldChunksEqualWhole), and
 #                                      the two whose state uploads and reads
 #                                      share — the vote collector's batched
 #                                      ingest, the portal's chain memo —
@@ -60,7 +64,23 @@
 #                                      record path past its buffer cap must
 #                                      stay a ring write: 100,000 records
 #                                      take well under a second, minutes if
-#                                      drop-oldest copies the buffer; a
+#                                      drop-oldest copies the buffer; its
+#                                      sketch accumulator prints ns/probe
+#                                      over whole windows in three arrival
+#                                      orders — ≈28 in peer runs, ≈31
+#                                      round-robin, ≈73 shuffled (every
+#                                      probe a miss) on the 2-vCPU box, all
+#                                      at 0 allocs/op, where a map lookup
+#                                      on a padded key per probe read ≈70
+#                                      in each (≈117 inside bench/) and 48
+#                                      allocs; one pass of the fold tier
+#                                      prints its wall at GOMAXPROCS 1, 2
+#                                      and 4: a sealed extent of sketches
+#                                      must get faster from 1 to 2 — ≈16 ms
+#                                      to ≈10 ms; dealt as one extent it
+#                                      read ≈15 ms at any — and eight CSV
+#                                      extents must not get slower, ≈70 ms
+#                                      to ≈35 ms; a
 #                                      regeneration of 1,000 pinglists with
 #                                      the ring full — 3,000 patches built
 #                                      with it — prints its ms/op and MB/op:
@@ -88,7 +108,8 @@
 #      and the append writers against encoding/xml byte for byte), the
 #      delta codec
 #      (patch(old, diff) == new, byte-identical), the streaming record
-#      decoder, the binary sketch codec, the sketch-vs-exact aggregation
+#      decoder, the binary sketch codec, the batch splitter against the
+#      whole-extent scan, the sketch-vs-exact aggregation
 #      equivalence, the histogram's compact-vs-dense equivalence and its
 #      run codec, and the PMT1 telemetry report round trip
 #      (optional, FUZZ=1)
@@ -115,7 +136,7 @@ echo "== tier 2c: flake pass (-race -count 5 -cpu 1,4)"
 go test -race -count 5 -cpu 1,4 -timeout 30m ./internal/dsa ./internal/cosmos \
     ./internal/controller ./internal/telemetry ./internal/agent \
     ./internal/scope ./internal/analysis ./internal/metrics \
-    ./internal/diagnosis ./internal/portal
+    ./internal/probe ./internal/diagnosis ./internal/portal
 
 echo "== tier 3: alloc-guard smoke"
 go test ./internal/scope ./internal/probe ./internal/analysis \
@@ -126,6 +147,8 @@ go test ./internal/scope ./internal/probe ./internal/analysis \
     ./internal/telemetry \
     -run 'ZeroAlloc' -count=1 -v | grep -E '^(=== RUN|--- (PASS|FAIL)|ok|FAIL)'
 go test ./internal/agent -run xxx -bench AgentRecordHotPath -benchtime 100000x
+go test ./internal/agent -run xxx -bench 'SketchObserve$' -benchmem -benchtime 2000x
+go test ./internal/dsa -run xxx -bench 'FoldPass$' -benchtime 20x -cpu 1,2,4
 go test ./internal/telemetry -run xxx -bench 'IngestFleet$' -benchmem -benchtime 1000000x -cpu 1,2,4
 go test ./internal/controller -run xxx -bench 'UpdateTopology$' -benchmem -benchtime 5x
 go test ./internal/diagnosis -run xxx -bench 'ObserveBatch$|RankGreedy$' -benchmem -cpu 1,2,4
@@ -142,6 +165,7 @@ if [ "${FUZZ:-0}" = "1" ]; then
     go test ./internal/pinglist -fuzz FuzzDeltaPatchVsFull -fuzztime 30s
     go test ./internal/probe -fuzz FuzzScannerVsDecodeBatch -fuzztime 30s
     go test ./internal/probe -fuzz FuzzBinaryCodecRoundTrip -fuzztime 30s
+    go test ./internal/probe -fuzz FuzzSplitBatches -fuzztime 30s
     go test ./internal/analysis -fuzz FuzzSketchMergeVsExact -fuzztime 30s
     go test ./internal/metrics -fuzz FuzzCompactVsDense -fuzztime 30s
     go test ./internal/metrics -fuzz FuzzRuns -fuzztime 30s
