@@ -1,192 +1,288 @@
-// Command pingmesh-dsa runs the analysis half of Pingmesh over latency
-// record CSV files (agents' local logs or exported batches): it computes
-// per-scope network SLAs with the drop-rate heuristic, fires threshold
-// alerts, and — given the topology — runs black-hole detection (§3.5, §4,
-// §5.1).
+// Command pingmesh-dsa runs the analysis half of Pingmesh (§3.5) offline,
+// over latency data in files: agents' local CSV logs, or the PMB1 batches
+// they upload (a store's exported extents) — whatever probe.Scanner reads.
+// The files are imported into a cosmos store and the DSA pipeline's
+// 10-minute, hourly and daily jobs run once over the span the data covers;
+// the report tables they fill are printed, with one DC's hourly heatmap on
+// request. Without a topology only the fleet-wide intra-/inter-DC summary
+// can be computed.
 //
 // Usage:
 //
-//	pingmesh-dsa -topology topology.json record1.csv record2.csv ...
+//	pingmesh-dsa [-topology spec.json [-heatmap DC1 [-svg out.svg]] [-diagnose]] file...
 package main
 
 import (
+	"encoding/binary"
 	"flag"
 	"fmt"
-	"log"
+	"io"
+	"math"
 	"os"
 	"sort"
+	"strings"
 	"time"
 
 	"pingmesh/internal/analysis"
 	"pingmesh/internal/blackhole"
+	"pingmesh/internal/cosmos"
 	"pingmesh/internal/debugsrv"
 	"pingmesh/internal/diagnosis"
+	"pingmesh/internal/dsa"
 	"pingmesh/internal/probe"
+	"pingmesh/internal/reportdb"
+	"pingmesh/internal/scope"
+	"pingmesh/internal/simclock"
 	"pingmesh/internal/topology"
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "pingmesh-dsa:", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("pingmesh-dsa", flag.ContinueOnError)
 	var (
-		topoPath  = flag.String("topology", "", "topology spec JSON for scope/black-hole analysis (optional)")
-		maxDrop   = flag.Float64("alert-drop", 1e-3, "drop rate alert threshold")
-		maxP99    = flag.Duration("alert-p99", 5*time.Millisecond, "P99 latency alert threshold")
-		debugAddr = flag.String("debug-addr", "", "serve pprof on this address while the analysis runs (empty = off)")
-		diagnose  = flag.Bool("diagnose", false, "rank root-cause suspect switches from failed probes (requires -topology)")
+		topoPath  = fs.String("topology", "", "topology spec JSON; required for everything but the fleet-wide summary")
+		maxDrop   = fs.Float64("alert-drop", 1e-3, "drop rate alert threshold")
+		maxP99    = fs.Duration("alert-p99", 5*time.Millisecond, "P99 latency alert threshold")
+		debugAddr = fs.String("debug-addr", "", "serve pprof on this address while the analysis runs (empty = off)")
+		diagnose  = fs.Bool("diagnose", false, "rank root-cause suspect switches from the raw records (requires -topology)")
+		heatmap   = fs.String("heatmap", "", "also print this DC's hourly pod-pair heatmap (requires -topology)")
+		svgPath   = fs.String("svg", "", "with -heatmap, write the heatmap as SVG here")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() == 0 {
+		return fmt.Errorf("usage: pingmesh-dsa [-topology spec.json] file...")
+	}
+	if (*diagnose || *heatmap != "") && *topoPath == "" {
+		return fmt.Errorf("-diagnose and -heatmap require -topology")
+	}
 	if *debugAddr != "" {
 		dbg, err := debugsrv.Serve(*debugAddr, debugsrv.Config{})
 		if err != nil {
-			log.Fatalf("debug server: %v", err)
+			return fmt.Errorf("debug server: %w", err)
 		}
 		defer dbg.Close()
 		fmt.Fprintf(os.Stderr, "debug server on http://%s\n", dbg.Addr())
 	}
-	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: pingmesh-dsa [-topology spec.json] file.csv...")
-		os.Exit(2)
+	var top *topology.Topology
+	if *topoPath != "" {
+		var err error
+		if top, err = loadTopology(*topoPath); err != nil {
+			return err
+		}
 	}
 
-	var recs []probe.Record
-	for _, path := range flag.Args() {
+	// Import: one stream per file, so no file's last line runs into the
+	// next file's first.
+	store, err := cosmos.NewStore(1, cosmos.Config{})
+	if err != nil {
+		return err
+	}
+	var votes *diagnosis.Collector
+	if *diagnose {
+		// No path resolver offline: the collector attributes votes over
+		// topology candidate stage sets.
+		votes = diagnosis.NewCollector(diagnosis.CollectorConfig{Top: top})
+	}
+	for i, path := range fs.Args() {
 		data, err := os.ReadFile(path)
 		if err != nil {
-			log.Fatalf("read %s: %v", path, err)
+			return err
 		}
-		got, errs := probe.DecodeBatch(data)
-		if len(errs) > 0 {
-			fmt.Fprintf(os.Stderr, "%s: skipped %d corrupt rows\n", path, len(errs))
+		if err := store.Append(fmt.Sprintf("pingmesh/file%d", i), data); err != nil {
+			return err
 		}
-		recs = append(recs, got...)
+		if votes != nil {
+			raw, _ := probe.DecodeBatch(data) // corrupt rows are counted by the jobs below
+			votes.ObserveBatch(raw)
+		}
 	}
-	fmt.Printf("loaded %d records\n", len(recs))
 
-	if *diagnose {
-		if *topoPath == "" {
-			log.Fatal("-diagnose requires -topology")
-		}
-		// No path resolver for CSV uploads: the collector attributes votes
-		// over topology candidate stage sets.
-		top := loadTopology(*topoPath)
-		col := diagnosis.NewCollector(diagnosis.CollectorConfig{Top: top})
-		col.ObserveBatch(recs)
-		r := col.Snapshot(16)
-		fmt.Printf("diagnosis: observed=%d failures=%d\n", r.Observed, r.Failures)
+	// The span the data covers, on the 10-minute grid: a job keyed by window.
+	// A sketch lies whole in the window of its first probe.
+	source := scope.Source{Store: store, StreamPrefix: "pingmesh"}
+	engine := &scope.Engine{}
+	windows, err := engine.Run(scope.Job{Name: "windows", Source: source, TalliesOnly: true,
+		KeyBytes: func(dst []byte, r *probe.Record) ([]byte, bool) {
+			return binary.BigEndian.AppendUint64(dst, uint64(probe.WindowIndex(r.Start, probe.Window))), true
+		}})
+	if err != nil {
+		return err
+	}
+	if windows.ParseErrors > 0 {
+		fmt.Fprintf(os.Stderr, "skipped %d corrupt rows\n", windows.ParseErrors)
+	}
+	if windows.Records == 0 {
+		return fmt.Errorf("no probe records in %d files", fs.NArg())
+	}
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	for key := range windows.Groups {
+		win := int64(binary.BigEndian.Uint64([]byte(key)))
+		lo, hi = min(lo, win), max(hi, win)
+	}
+	from := time.Unix(0, lo*int64(probe.Window)).UTC()
+	to := time.Unix(0, (hi+1)*int64(probe.Window)).UTC()
+	fmt.Fprintf(stdout, "loaded %d probes in %d windows, %s to %s\n",
+		windows.Records, len(windows.Groups), from.Format(time.RFC3339), to.Format(time.RFC3339))
+
+	th := analysis.Thresholds{MaxDropRate: *maxDrop, MaxP99: *maxP99, MinProbes: 100}
+	if top == nil {
+		return summarize(stdout, engine, source, th, to)
+	}
+
+	if votes != nil {
+		r := votes.Snapshot(16)
+		fmt.Fprintf(stdout, "diagnosis: observed=%d failures=%d; %d sketched probes not observed (votes need raw records)\n",
+			r.Observed, r.Failures, windows.Records-r.Observed)
 		if len(r.Candidates) == 0 {
-			fmt.Println("diagnosis: no failures, empty ranking")
+			fmt.Fprintln(stdout, "diagnosis: no failures, empty ranking")
 		}
 		for i, c := range r.Candidates {
-			fmt.Printf("%2d. %-20s score=%.4f votes=%.1f coverage=%.1f\n",
+			fmt.Fprintf(stdout, "%2d. %-20s score=%.4f votes=%.1f coverage=%.1f\n",
 				i+1, top.Switch(c.Switch).Name, c.Score, c.Votes, c.Coverage)
 		}
 	}
 
-	th := analysis.Thresholds{MaxDropRate: *maxDrop, MaxP99: *maxP99, MinProbes: 100}
-
-	// The headline SLA metric is the intra-DC SYN RTT; inter-DC WAN
-	// latency is tracked separately so a 25ms WAN round trip does not
-	// trip the 5ms intra-DC threshold (§3.5's separate inter-DC pipeline).
-	overall := analysis.NewLatencyStats()
-	interDC := analysis.NewLatencyStats()
-	for i := range recs {
-		if recs[i].Class == probe.InterDC {
-			interDC.Add(&recs[i])
-			continue
-		}
-		if recs[i].PayloadLen == 0 {
-			overall.Add(&recs[i])
-		}
+	var escalations []blackhole.PodsetRef
+	pipe, err := dsa.New(dsa.Config{
+		Store:       store,
+		Top:         top,
+		Clock:       simclock.NewSim(to),
+		Thresholds:  th,
+		OnDetection: func(det blackhole.Detection) { escalations = det.Escalations },
+	})
+	if err != nil {
+		return err
 	}
-	s := overall.Summary()
-	fmt.Printf("intra-dc: n=%d p50=%v p99=%v p99.9=%v drop_rate=%.2e failure_rate=%.2e\n",
-		s.Count, s.P50, s.P99, s.P999, overall.DropRate(), overall.FailureRate())
-	if interDC.Total() > 0 {
-		fmt.Printf("inter-dc: n=%d p50=%v p99=%v drop_rate=%.2e\n",
-			interDC.Total(), interDC.Percentile(0.5), interDC.Percentile(0.99), interDC.DropRate())
-	}
-
-	if a := analysis.Check("intra-dc", overall, th, time.Now()); a != nil {
-		fmt.Println("ALERT:", a)
-	}
-
-	if *topoPath == "" {
-		return
-	}
-	top := loadTopology(*topoPath)
-	keyer := &analysis.Keyer{Top: top}
-
-	// Per-DC SLA.
-	byDC := map[string]*analysis.LatencyStats{}
-	pairs := map[string]*analysis.LatencyStats{}
-	for i := range recs {
-		r := &recs[i]
-		if r.Class == probe.InterDC {
-			if key, ok := keyer.ServerPair(r); ok {
-				st := pairs[key]
-				if st == nil {
-					st = analysis.NewLatencyStats()
-					pairs[key] = st
-				}
-				st.Add(r)
-			}
-			continue
-		}
-		if key, ok := keyer.SrcDC(r); ok {
-			st := byDC[key]
-			if st == nil {
-				st = analysis.NewLatencyStats()
-				byDC[key] = st
-			}
-			st.Add(r)
-		}
-		if key, ok := keyer.ServerPair(r); ok {
-			st := pairs[key]
-			if st == nil {
-				st = analysis.NewLatencyStats()
-				pairs[key] = st
-			}
-			st.Add(r)
+	for _, cycle := range []func(from, to time.Time) error{pipe.RunTenMinute, pipe.RunHourly, pipe.RunDaily} {
+		if err := cycle(from, to); err != nil {
+			return err
 		}
 	}
-	var dcs []string
-	for dc := range byDC {
-		dcs = append(dcs, dc)
+	if err := printTables(stdout, pipe.DB()); err != nil {
+		return err
 	}
-	sort.Strings(dcs)
-	for _, dc := range dcs {
-		st := byDC[dc]
-		fmt.Printf("dc %s: n=%d p50=%v p99=%v drop_rate=%.2e\n",
-			dc, st.Total(), st.Percentile(0.5), st.Percentile(0.99), st.DropRate())
-		if a := analysis.Check("dc/"+dc, st, th, time.Now()); a != nil {
-			fmt.Println("ALERT:", a)
+	for _, e := range escalations {
+		fmt.Fprintf(stdout, "escalation: DC %s podset %d (fault above the ToR layer)\n", top.DCs[e.DC].Name, e.Podset)
+	}
+	if *heatmap == "" {
+		return nil
+	}
+	h, ok := pipe.Heatmaps()[*heatmap]
+	if !ok {
+		return fmt.Errorf("no DC %q in the topology", *heatmap)
+	}
+	printHeatmap(stdout, *heatmap, h)
+	if *svgPath != "" {
+		if err := os.WriteFile(*svgPath, []byte(h.Heatmap.RenderSVG()), 0o644); err != nil {
+			return err
 		}
+		fmt.Fprintf(stdout, "wrote %s\n", *svgPath)
 	}
-
-	det := blackhole.Detect(top, pairs, blackhole.Config{})
-	for _, c := range det.Candidates {
-		fmt.Printf("black-hole candidate: %s score=%.2f\n", top.Switch(c.ToR).Name, c.Score)
-	}
-	for _, e := range det.Escalations {
-		fmt.Printf("escalation: DC %s podset %d (fault above the ToR layer)\n", top.DCs[e.DC].Name, e.Podset)
-	}
-	if len(det.Candidates) == 0 && len(det.Escalations) == 0 {
-		fmt.Println("black-hole detection: clean")
-	}
+	return nil
 }
 
-func loadTopology(path string) *topology.Topology {
+// summarize prints what can be said of the data without a topology. The
+// headline SLA metric is the intra-DC SYN RTT; inter-DC WAN latency is tracked
+// apart so that a 25ms WAN round trip does not trip the 5ms intra-DC threshold
+// (§3.5's separate inter-DC pipeline).
+func summarize(w io.Writer, engine *scope.Engine, source scope.Source, th analysis.Thresholds, at time.Time) error {
+	for _, class := range []struct {
+		name  string
+		where func(*probe.Record) bool
+		alert bool
+	}{
+		{"intra-dc", func(r *probe.Record) bool { return r.Class != probe.InterDC && r.PayloadLen == 0 }, true},
+		{"inter-dc", func(r *probe.Record) bool { return r.Class == probe.InterDC }, false},
+	} {
+		res, err := engine.Run(scope.Job{Name: class.name, Source: source, Where: class.where})
+		if err != nil {
+			return err
+		}
+		st := res.Get("")
+		if st.Total() == 0 {
+			continue
+		}
+		fmt.Fprintf(w, "%s: n=%d p50=%v p99=%v p99.9=%v drop_rate=%.2e failure_rate=%.2e\n", class.name,
+			st.Total(), st.Percentile(0.5), st.Percentile(0.99), st.Percentile(0.999), st.DropRate(), st.FailureRate())
+		if class.alert {
+			if a := analysis.Check(class.name, st, th, at); a != nil {
+				fmt.Fprintln(w, "ALERT:", a)
+			}
+		}
+	}
+	return nil
+}
+
+// reports is the pipeline's report tables in print order, each with its
+// columns in the order shown.
+var reports = []struct {
+	table string
+	cols  []string
+}{
+	{dsa.TableSLA, []string{"scope", "window_start", "window_end", "probes", "p50", "p99", "drop_rate", "failure_rate"}},
+	{dsa.TableAlerts, []string{"scope", "at", "reason"}},
+	{dsa.TableDropRates, []string{"dc", "class", "probes", "drop_rate"}},
+	{dsa.TableBlackholes, []string{"tor", "score"}},
+	{dsa.TablePatterns, []string{"dc", "pattern", "podset"}},
+}
+
+// printTables prints every report table, rows in the order of their text.
+func printTables(w io.Writer, db *reportdb.DB) error {
+	for _, rep := range reports {
+		rows, err := db.Query(rep.table)
+		if err != nil {
+			return err
+		}
+		lines := make([]string, len(rows))
+		for i, row := range rows {
+			var sb strings.Builder
+			for _, col := range rep.cols {
+				if at, ok := row[col].(time.Time); ok {
+					row[col] = at.UTC().Format(time.RFC3339)
+				}
+				fmt.Fprintf(&sb, " %s=%v", col, row[col])
+			}
+			lines[i] = sb.String()[1:]
+		}
+		sort.Strings(lines)
+		fmt.Fprintf(w, "\n-- %s --\n", rep.table)
+		if len(lines) == 0 {
+			fmt.Fprintln(w, "(none)")
+		}
+		for _, line := range lines {
+			fmt.Fprintln(w, line)
+		}
+	}
+	return nil
+}
+
+// printHeatmap prints one DC's hourly heatmap (§6.3) and its pattern.
+func printHeatmap(w io.Writer, dc string, h dsa.HeatmapResult) {
+	fmt.Fprintf(w, "\n-- heatmap %s --\n%s", dc, h.Heatmap.RenderASCII())
+	fmt.Fprintf(w, "pattern: %s", h.Classification.Pattern)
+	if h.Classification.Podset >= 0 {
+		fmt.Fprintf(w, " (podset %d)", h.Classification.Podset)
+	}
+	fmt.Fprintln(w)
+}
+
+func loadTopology(path string) (*topology.Topology, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		log.Fatalf("open topology: %v", err)
+		return nil, fmt.Errorf("open topology: %w", err)
 	}
+	defer f.Close()
 	spec, err := topology.ReadSpec(f)
-	f.Close()
 	if err != nil {
-		log.Fatalf("parse topology: %v", err)
+		return nil, fmt.Errorf("parse topology: %w", err)
 	}
-	top, err := topology.Build(spec)
-	if err != nil {
-		log.Fatalf("build topology: %v", err)
-	}
-	return top
+	return topology.Build(spec)
 }

@@ -109,7 +109,6 @@ func interDCStats(tb *pingmesh.SimTestbed, from, to time.Time) *pingmesh.Latency
 		Source: scope.Source{Store: tb.Store, StreamPrefix: "pingmesh"},
 		From:   from, To: to,
 		Where: func(r *probe.Record) bool { return r.Class == probe.InterDC },
-		Key:   func(*probe.Record) (string, bool) { return "", true },
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -13,15 +13,10 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/rand/v2"
 	"time"
 
 	"pingmesh"
 	"pingmesh/internal/autopilot"
-	"pingmesh/internal/dsa"
-	"pingmesh/internal/netsim"
-	"pingmesh/internal/reportdb"
-	"pingmesh/internal/silentdrop"
 )
 
 func main() {
@@ -32,52 +27,46 @@ func main() {
 		log.Fatal(err)
 	}
 
-	measure := func(label string) float64 {
-		from := tb.Clock.Now()
-		if err := tb.RunWindow(20 * time.Minute); err != nil {
+	// Each phase of the incident is a timeline step: mutate the fabric, let
+	// the fleet probe for 20 minutes, aggregate the DC's intra-DC SYN probes.
+	phase := func(name string, mutate func(*pingmesh.SimTestbed)) pingmesh.TimelinePhase {
+		phases, err := tb.RunTimeline([]pingmesh.TimelineStep{{Name: name, Duration: 20 * time.Minute, Mutate: mutate}})
+		if err != nil {
 			log.Fatal(err)
 		}
-		if err := tb.Pipeline.RunTenMinute(from, tb.Clock.Now()); err != nil {
-			log.Fatal(err)
-		}
-		rows, err := tb.DB().Query(dsa.TableSLA,
-			reportdb.Where(func(r reportdb.Row) bool { return r["scope"] == "dc/DC1" }),
-			reportdb.OrderByDesc("window_start"), reportdb.Limit(1))
-		if err != nil || len(rows) == 0 {
-			log.Fatalf("no SLA rows: %v", err)
-		}
-		rate := rows[0]["drop_rate"].(float64)
-		fmt.Printf("%-22s drop_rate=%.2e p99=%v\n", label, rate, rows[0]["p99"])
-		return rate
+		ph := phases[0]
+		fmt.Printf("%-22s drop_rate=%.2e p99=%v\n", name, ph.Stats.DropRate(), ph.Stats.Percentile(0.99))
+		return ph
 	}
 
 	fmt.Println("== phase 1: normal operations ==")
-	baseline := measure("baseline")
+	baseline := phase("baseline", nil).Stats.DropRate()
 
 	// The incident: bit flips in one Spine's fabric module.
 	spine := tb.Top.DCs[0].Spines[5]
-	tb.Net.SetRandomDrop(spine, 0.015, true)
 	fmt.Println("\n== phase 2: incident (invisible in switch counters) ==")
-	incident := measure("during incident")
+	during := phase("during incident", func(tb *pingmesh.SimTestbed) { tb.Net.SetRandomDrop(spine, 0.015, true) })
+	incident := during.Stats.DropRate()
 	if incident < baseline*5 {
 		fmt.Println("(spike not yet visible; production would watch more windows)")
+	}
+	// The 10-minute SLA job over the same window is what pages the on-call.
+	if err := tb.Pipeline.RunTenMinute(during.From, during.To); err != nil {
+		log.Fatal(err)
 	}
 	for _, a := range tb.Alerts() {
 		fmt.Println("ALERT:", a.String())
 	}
 
-	// Localize: pull affected pairs out of Pingmesh data, traceroute them.
+	// Localize: pull the affected pairs out of the stored Pingmesh data and
+	// TCP-traceroute them.
 	fmt.Println("\n== phase 3: localization (Pingmesh + TCP traceroute) ==")
-	pairs := affectedPairs(tb)
-	fmt.Printf("selected %d affected server pairs from Pingmesh data\n", len(pairs))
-	loc := &silentdrop.Localizer{
-		Net:          tb.Net,
-		ProbesPerHop: 600,
-		Rand:         rand.New(rand.NewPCG(7, 9)),
+	suspects, err := tb.LocalizeSilentDrops(during.From, during.To)
+	if err != nil {
+		log.Fatal(err)
 	}
-	suspects := loc.Localize(pairs)
-	if len(suspects) == 0 {
-		log.Fatal("localization found nothing")
+	if len(suspects) == 0 || suspects[0].Switch != spine {
+		log.Fatalf("localization missed the injected %s: %v", tb.Top.Switch(spine).Name, suspects)
 	}
 	top := suspects[0]
 	fmt.Printf("suspect: %s (per-hop loss ~%.1f%%, implicated by %d pairs) — injected: %s\n",
@@ -92,8 +81,7 @@ func main() {
 	}); err != nil {
 		log.Fatal(err)
 	}
-	recovered := measure("after isolation")
-	if recovered < incident/3 {
+	if recovered := phase("after isolation", nil).Stats.DropRate(); recovered < incident/3 {
 		fmt.Println("recovery confirmed: drop rate back at baseline")
 	}
 
@@ -109,32 +97,4 @@ func main() {
 	}
 	tb.Net.UnisolateSwitch(spine)
 	fmt.Printf("after RMA: faulty = %v; switch back in rotation\n", tb.Net.SwitchFaulty(spine))
-}
-
-// affectedPairs samples cross-podset pairs and keeps those whose measured
-// retransmit rate is elevated — what the on-call pulls from Pingmesh.
-func affectedPairs(tb *pingmesh.SimTestbed) []silentdrop.Pair {
-	rng := rand.New(rand.NewPCG(3, 4))
-	servers := tb.Top.DCs[0].Servers()
-	var out []silentdrop.Pair
-	for tries := 0; len(out) < 6 && tries < 400; tries++ {
-		src := servers[rng.IntN(len(servers))]
-		dst := servers[rng.IntN(len(servers))]
-		if src == dst || tb.Top.SamePodset(src, dst) {
-			continue
-		}
-		port := uint16(34000 + tries)
-		retx := 0
-		const n = 300
-		for i := 0; i < n; i++ {
-			res := tb.Net.Probe(netsim.ProbeSpec{Src: src, Dst: dst, SrcPort: port, DstPort: 8765}, rng)
-			if res.Err == "" && res.Attempts > 1 {
-				retx++
-			}
-		}
-		if float64(retx)/n > 0.005 {
-			out = append(out, silentdrop.Pair{Src: src, Dst: dst, SrcPort: port, DstPort: 8765})
-		}
-	}
-	return out
 }

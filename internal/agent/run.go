@@ -337,7 +337,12 @@ func (a *Agent) flush(ctx context.Context, final bool) {
 	for _, tid := range a.flushTIDs {
 		a.tring.SpanAttr(tid, trace.StageEncode, "batch", encStart, encEnd, true, "records", int64(len(batch)))
 	}
-	for attempt := 0; attempt < a.cfg.UploadRetries; attempt++ {
+	// Every upload error is worth retrying: the store is the one thing an
+	// agent uploads to. The backoff is jittered so a fleet retrying against a
+	// recovering store does not do so in lockstep, and ctx-aware so shutdown
+	// is not held mid-backoff.
+	policy := simclock.RetryPolicy{Attempts: a.cfg.UploadRetries, Base: time.Second, Max: uploadBackoffMax}
+	st, err := simclock.Retry(ctx, a.clock, policy, func() error {
 		upStart := a.clock.Now()
 		err := a.cfg.Uploader.Upload(ctx, data)
 		if a.tracer != nil {
@@ -345,27 +350,28 @@ func (a *Agent) flush(ctx context.Context, final bool) {
 				a.tring.SpanAttr(tid, trace.StageUpload, "batch", upStart, a.clock.Now(), err == nil, "bytes", int64(len(data)))
 			}
 		}
-		if err == nil {
-			if a.tracer != nil {
-				a.tracer.Freshness().Mark(trace.StageUpload)
-			}
-			a.reg.Counter("agent.uploads_ok").Inc()
-			a.reg.Histogram("agent.flush.duration").Observe(a.clock.Since(flushStart))
-			a.reg.Counter("agent.uploaded_records").Add(int64(len(batch)) + skRecords)
-			a.cUploadRaw.Add(int64(len(batch)))
-			a.cUploadSketch.Add(int64(len(sks)))
-			a.cUploadBytes.Add(int64(len(data)))
-			return
+		if err != nil {
+			a.reg.Counter("agent.upload_errors").Inc()
+			return simclock.Transient(err)
 		}
-		a.reg.Counter("agent.upload_errors").Inc()
-		if ctx.Err() != nil {
-			break
+		return nil
+	})
+	if err == nil {
+		if a.tracer != nil {
+			a.tracer.Freshness().Mark(trace.StageUpload)
 		}
-		// Jittered so a fleet retrying against a recovering store does not
-		// do so in lockstep; ctx-aware so shutdown is not held mid-backoff.
-		if simclock.Sleep(ctx, a.clock, simclock.Backoff(time.Second, uploadBackoffMax, attempt)) != nil {
-			break
-		}
+		a.reg.Counter("agent.uploads_ok").Inc()
+		a.reg.Histogram("agent.flush.duration").Observe(a.clock.Since(flushStart))
+		a.reg.Counter("agent.uploaded_records").Add(int64(len(batch)) + skRecords)
+		a.cUploadRaw.Add(int64(len(batch)))
+		a.cUploadSketch.Add(int64(len(sks)))
+		a.cUploadBytes.Add(int64(len(data)))
+		return
+	}
+	// The upload loop's next tick may already be due, so one more backoff
+	// stands between this batch's last attempt and the next batch's first.
+	if ctx.Err() == nil {
+		simclock.Sleep(ctx, a.clock, simclock.Backoff(policy.Base, policy.Max, st.Attempts-1))
 	}
 	a.reg.Counter("agent.uploads_discarded").Inc()
 	a.reg.Counter("agent.discarded_records").Add(int64(len(batch)) + skRecords)

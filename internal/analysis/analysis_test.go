@@ -133,34 +133,19 @@ func TestKeyerScopes(t *testing.T) {
 	dst := top.Server(topology.ServerID(5)) // another server in DC1
 	r := probe.Record{Src: src.Addr, Dst: dst.Addr}
 
-	if key, ok := k.SrcServer(&r); !ok || key != src.Name {
-		t.Fatalf("SrcServer = %q,%v", key, ok)
+	if key, ok := k.AppendSrcDC(nil, &r); !ok || string(key) != top.DCs[src.DC].Name {
+		t.Fatalf("AppendSrcDC = %q,%v", key, ok)
 	}
-	if key, ok := k.SrcPod(&r); !ok || key != "d0.s0.p0" {
-		t.Fatalf("SrcPod = %q,%v", key, ok)
-	}
-	if key, ok := k.SrcPodset(&r); !ok || key != "d0.s0" {
-		t.Fatalf("SrcPodset = %q,%v", key, ok)
-	}
-	if key, ok := k.SrcDC(&r); !ok || key != "DC1" {
-		t.Fatalf("SrcDC = %q,%v", key, ok)
-	}
-	pair, ok := k.PodPair(&r)
+	pair, ok := k.AppendPodPair(nil, &r)
 	if !ok {
-		t.Fatal("PodPair failed")
+		t.Fatal("AppendPodPair failed")
 	}
-	s, d, err := SplitPodPair(pair)
+	s, d, err := SplitPodPair(string(pair))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s != (PodRef{0, 0, 0}) {
-		t.Fatalf("pair src = %v", s)
-	}
-	if d.DC != 0 {
-		t.Fatalf("pair dst = %v", d)
-	}
-	if key, ok := k.ServerPair(&r); !ok || key != src.Addr.String()+"|"+dst.Addr.String() {
-		t.Fatalf("ServerPair = %q", key)
+	if s != (PodRef{src.DC, src.Podset, src.Pod}) || d != (PodRef{dst.DC, dst.Podset, dst.Pod}) {
+		t.Fatalf("pair %q splits to %v, %v", pair, s, d)
 	}
 }
 
@@ -168,14 +153,14 @@ func TestKeyerUnknownAddr(t *testing.T) {
 	top := topology.SmallTestbed()
 	k := &Keyer{Top: top}
 	r := probe.Record{Src: netip.MustParseAddr("192.0.2.1"), Dst: top.Server(0).Addr}
-	if _, ok := k.SrcServer(&r); ok {
+	if _, ok := k.AppendSrcDC(nil, &r); ok {
 		t.Fatal("unknown source resolved")
 	}
-	if _, ok := k.PodPair(&r); ok {
+	if _, ok := k.AppendPodPair(nil, &r); ok {
 		t.Fatal("unknown source resolved in pair")
 	}
 	r2 := probe.Record{Src: top.Server(0).Addr, Dst: netip.MustParseAddr("192.0.2.1")}
-	if _, ok := k.PodPair(&r2); ok {
+	if _, ok := k.AppendPodPair(nil, &r2); ok {
 		t.Fatal("unknown destination resolved in pair")
 	}
 }

@@ -26,47 +26,38 @@ func TestPodRefAppendToMatchesString(t *testing.T) {
 	}
 }
 
-// TestAppendKeyersMatchStringKeyers pins every AppendX keyer to its string
-// counterpart: byte-identical keys and identical ok for records whose
-// endpoints resolve (or not) against the topology.
-func TestAppendKeyersMatchStringKeyers(t *testing.T) {
+// TestAppendKeyerGoldens pins every keyer's literal key bytes — report rows,
+// heatmap cells and black-hole pairs are all named by them — and its ok for
+// records whose endpoints resolve (or not) against the topology.
+func TestAppendKeyerGoldens(t *testing.T) {
 	top := topology.SmallTestbed()
 	k := &Keyer{Top: top}
-
 	inside := func(i int) netip.Addr { return top.Server(topology.ServerID(i)).Addr }
 	outside := netip.MustParseAddr("192.0.2.1")
 	recs := []probe.Record{
 		{Src: inside(0), Dst: inside(5)},
 		{Src: inside(5), Dst: inside(0)},
-		{Src: inside(0), Dst: inside(0)},
+		{Src: inside(0), Dst: inside(40)}, // DC1 -> DC2
 		{Src: inside(0), Dst: outside},
 		{Src: outside, Dst: inside(0)},
-		{Src: outside, Dst: outside},
 	}
-	pairs := []struct {
-		name   string
-		str    func(*probe.Record) (string, bool)
-		append func([]byte, *probe.Record) ([]byte, bool)
+	// One golden per record; "" means the keyer rejects the record.
+	for _, c := range []struct {
+		name string
+		fn   func([]byte, *probe.Record) ([]byte, bool)
+		want [5]string
 	}{
-		{"SrcServer", k.SrcServer, k.AppendSrcServer},
-		{"SrcPod", k.SrcPod, k.AppendSrcPod},
-		{"SrcDC", k.SrcDC, k.AppendSrcDC},
-		{"PodPair", k.PodPair, k.AppendPodPair},
-		{"DCPair", k.DCPair, k.AppendDCPair},
-		{"ServerPair", k.ServerPair, k.AppendServerPair},
-	}
-	for _, p := range pairs {
-		buf := make([]byte, 0, 64)
+		{"AppendSrcDC", k.AppendSrcDC, [5]string{"DC1", "DC1", "DC1", "DC1", ""}},
+		{"AppendPodPair", k.AppendPodPair, [5]string{"d0.s0.p0|d0.s0.p1", "d0.s0.p1|d0.s0.p0", "d0.s0.p0|d1.s1.p1", "", ""}},
+		{"AppendSrcPodPair", k.AppendSrcPodPair, [5]string{"d0.s0.p0|d0.s0.p1", "d0.s0.p1|d0.s0.p0", "d0.s0.p0|d1.s1.p1", "d0.s0.p0|", ""}},
+		{"AppendDCPair", k.AppendDCPair, [5]string{"DC1->DC1", "DC1->DC1", "DC1->DC2", "", ""}},
+		{"AppendServerPair", k.AppendServerPair, [5]string{"10.0.0.1|10.0.0.6", "10.0.0.6|10.0.0.1", "10.0.0.1|10.1.0.17", "10.0.0.1|192.0.2.1", "192.0.2.1|10.0.0.1"}},
+		{"AppendServerPairBinary", k.AppendServerPairBinary, [5]string{"\x04\n\x00\x00\x01\n\x00\x00\x06", "\x04\n\x00\x00\x06\n\x00\x00\x01", "\x04\n\x00\x00\x01\n\x01\x00\x11", "\x04\n\x00\x00\x01\xc0\x00\x02\x01", "\x04\xc0\x00\x02\x01\n\x00\x00\x01"}},
+	} {
 		for i := range recs {
-			r := &recs[i]
-			wantKey, wantOK := p.str(r)
-			gotBytes, gotOK := p.append(buf[:0], r)
-			if gotOK != wantOK {
-				t.Errorf("%s(%v->%v): ok=%v, string keyer ok=%v", p.name, r.Src, r.Dst, gotOK, wantOK)
-				continue
-			}
-			if gotOK && string(gotBytes) != wantKey {
-				t.Errorf("%s(%v->%v): key %q, string keyer %q", p.name, r.Src, r.Dst, gotBytes, wantKey)
+			got, ok := c.fn([]byte("pre/"), &recs[i])
+			if want := c.want[i]; ok != (want != "") || ok && string(got) != "pre/"+want {
+				t.Errorf("%s(%v->%v) = %q, %v; want %q appended", c.name, recs[i].Src, recs[i].Dst, got, ok, want)
 			}
 		}
 	}
@@ -76,7 +67,7 @@ func TestAppendKeyersMatchStringKeyers(t *testing.T) {
 // table uses to the ones they stand in for: the binary server-pair key
 // renders to AppendServerPair's text for every address family, and
 // AppendSrcPodPair is AppendPodPair plus a half-key — one SplitPodPair rejects
-// — for exactly the records AppendSrcPod keys and AppendPodPair drops.
+// — for exactly the records whose source resolves and AppendPodPair drops.
 func TestFoldKeyersAgreeWithTextKeyers(t *testing.T) {
 	top := topology.SmallTestbed()
 	k := &Keyer{Top: top}
@@ -87,23 +78,23 @@ func TestFoldKeyersAgreeWithTextKeyers(t *testing.T) {
 	for _, src := range addrs {
 		for _, dst := range addrs {
 			r := &probe.Record{Src: src, Dst: dst}
-			want, _ := k.ServerPair(r)
+			want, _ := k.AppendServerPair(nil, r)
 			bin, ok := k.AppendServerPairBinary(nil, r)
-			if got := ServerPairKey(string(bin)); !ok || got != want {
+			if got := ServerPairKey(string(bin)); !ok || got != string(want) {
 				t.Errorf("server pair %v->%v renders %q (ok=%v), want %q", src, dst, got, ok, want)
 			}
 
 			got, ok := k.AppendSrcPodPair(nil, r)
-			pod, okPod := k.SrcPod(r)
-			pair, okPair := k.PodPair(r)
+			srv, okPod := k.server(src)
+			pair, okPair := k.AppendPodPair(nil, r)
 			switch {
 			case ok != okPod:
-				t.Errorf("AppendSrcPodPair(%v->%v) ok=%v, SrcPod ok=%v", src, dst, ok, okPod)
-			case okPair && string(got) != pair:
-				t.Errorf("AppendSrcPodPair(%v->%v) = %q, PodPair %q", src, dst, got, pair)
+				t.Errorf("AppendSrcPodPair(%v->%v) ok=%v, source resolves: %v", src, dst, ok, okPod)
+			case okPair && string(got) != string(pair):
+				t.Errorf("AppendSrcPodPair(%v->%v) = %q, AppendPodPair %q", src, dst, got, pair)
 			case ok && !okPair:
-				if string(got) != pod+"|" {
-					t.Errorf("AppendSrcPodPair(%v->%v) = %q, want the half-key %q", src, dst, got, pod+"|")
+				if want := (PodRef{srv.DC, srv.Podset, srv.Pod}).String() + "|"; string(got) != want {
+					t.Errorf("AppendSrcPodPair(%v->%v) = %q, want the half-key %q", src, dst, got, want)
 				}
 				if _, _, err := SplitPodPair(string(got)); err == nil {
 					t.Errorf("SplitPodPair accepted the half-key %q", got)
@@ -124,8 +115,6 @@ func TestAppendKeyersZeroAlloc(t *testing.T) {
 		name string
 		fn   func([]byte, *probe.Record) ([]byte, bool)
 	}{
-		{"AppendSrcServer", k.AppendSrcServer},
-		{"AppendSrcPod", k.AppendSrcPod},
 		{"AppendSrcDC", k.AppendSrcDC},
 		{"AppendPodPair", k.AppendPodPair},
 		{"AppendDCPair", k.AppendDCPair},

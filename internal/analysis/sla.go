@@ -53,6 +53,10 @@ func ParsePodRef(s string) (PodRef, error) {
 // Keyer maps probe records to SLA scope keys by resolving their addresses
 // against the topology. Records whose source is unknown to the topology
 // (e.g. VIP targets) yield ok=false.
+//
+// Every keyer has the scope.Job.KeyBytes form: it appends the group key to
+// dst instead of returning a fresh string, so with the engine's group-key
+// interning per-record grouping allocates nothing.
 type Keyer struct {
 	Top *topology.Topology
 }
@@ -65,59 +69,7 @@ func (k *Keyer) server(a netip.Addr) (*topology.Server, bool) {
 	return k.Top.Server(id), true
 }
 
-// SrcServer keys by source server name (per-server SLA).
-func (k *Keyer) SrcServer(r *probe.Record) (string, bool) {
-	s, ok := k.server(r.Src)
-	if !ok {
-		return "", false
-	}
-	return s.Name, true
-}
-
-// SrcPod keys by source pod (per-pod SLA).
-func (k *Keyer) SrcPod(r *probe.Record) (string, bool) {
-	s, ok := k.server(r.Src)
-	if !ok {
-		return "", false
-	}
-	return PodRef{DC: s.DC, Podset: s.Podset, Pod: s.Pod}.String(), true
-}
-
-// SrcPodset keys by source podset.
-func (k *Keyer) SrcPodset(r *probe.Record) (string, bool) {
-	s, ok := k.server(r.Src)
-	if !ok {
-		return "", false
-	}
-	return fmt.Sprintf("d%d.s%d", s.DC, s.Podset), true
-}
-
-// SrcDC keys by source data center name (per-DC SLA).
-func (k *Keyer) SrcDC(r *probe.Record) (string, bool) {
-	s, ok := k.server(r.Src)
-	if !ok {
-		return "", false
-	}
-	return k.Top.DCs[s.DC].Name, true
-}
-
-// PodPair keys by (source pod, destination pod): the grouping behind the
-// visualization heatmaps of §6.3. Both endpoints must resolve.
-func (k *Keyer) PodPair(r *probe.Record) (string, bool) {
-	src, ok := k.server(r.Src)
-	if !ok {
-		return "", false
-	}
-	dst, ok := k.server(r.Dst)
-	if !ok {
-		return "", false
-	}
-	a := PodRef{DC: src.DC, Podset: src.Podset, Pod: src.Pod}
-	b := PodRef{DC: dst.DC, Podset: dst.Podset, Pod: dst.Pod}
-	return a.String() + "|" + b.String(), true
-}
-
-// SplitPodPair decodes a PodPair key.
+// SplitPodPair decodes an AppendPodPair key.
 func SplitPodPair(key string) (src, dst PodRef, err error) {
 	a, b, ok := strings.Cut(key, "|")
 	if !ok || strings.Contains(b, "|") {
@@ -130,51 +82,7 @@ func SplitPodPair(key string) (src, dst PodRef, err error) {
 	return
 }
 
-// DCPair keys by (source DC, destination DC) name pair: the grouping of
-// the inter-DC processing pipeline (§6.2). Same-DC records resolve too,
-// so callers filter by class when they want WAN-only data.
-func (k *Keyer) DCPair(r *probe.Record) (string, bool) {
-	src, ok := k.server(r.Src)
-	if !ok {
-		return "", false
-	}
-	dst, ok := k.server(r.Dst)
-	if !ok {
-		return "", false
-	}
-	return k.Top.DCs[src.DC].Name + "->" + k.Top.DCs[dst.DC].Name, true
-}
-
-// ServerPair keys by (src addr, dst addr): the grouping black-hole
-// detection reasons over.
-func (k *Keyer) ServerPair(r *probe.Record) (string, bool) {
-	return r.Src.String() + "|" + r.Dst.String(), true
-}
-
-// Byte-oriented keyers: the scope.Job.KeyBytes forms of the keyers above.
-// They append the identical key bytes to dst instead of returning a fresh
-// string, so the engine's group-key interning makes per-record grouping
-// allocation-free. Each AppendX produces exactly the same key as X.
-
-// AppendSrcServer is the KeyBytes form of SrcServer.
-func (k *Keyer) AppendSrcServer(dst []byte, r *probe.Record) ([]byte, bool) {
-	s, ok := k.server(r.Src)
-	if !ok {
-		return dst, false
-	}
-	return append(dst, s.Name...), true
-}
-
-// AppendSrcPod is the KeyBytes form of SrcPod.
-func (k *Keyer) AppendSrcPod(dst []byte, r *probe.Record) ([]byte, bool) {
-	s, ok := k.server(r.Src)
-	if !ok {
-		return dst, false
-	}
-	return PodRef{DC: s.DC, Podset: s.Podset, Pod: s.Pod}.AppendTo(dst), true
-}
-
-// AppendSrcDC is the KeyBytes form of SrcDC.
+// AppendSrcDC keys by source data center name (per-DC SLA).
 func (k *Keyer) AppendSrcDC(dst []byte, r *probe.Record) ([]byte, bool) {
 	s, ok := k.server(r.Src)
 	if !ok {
@@ -183,7 +91,8 @@ func (k *Keyer) AppendSrcDC(dst []byte, r *probe.Record) ([]byte, bool) {
 	return append(dst, k.Top.DCs[s.DC].Name...), true
 }
 
-// AppendPodPair is the KeyBytes form of PodPair.
+// AppendPodPair keys by "<source pod>|<destination pod>": the grouping behind
+// the visualization heatmaps of §6.3. Both endpoints must resolve.
 func (k *Keyer) AppendPodPair(dst []byte, r *probe.Record) ([]byte, bool) {
 	src, ok := k.server(r.Src)
 	if !ok {
@@ -202,7 +111,7 @@ func (k *Keyer) AppendPodPair(dst []byte, r *probe.Record) ([]byte, bool) {
 // AppendSrcPodPair keys like AppendPodPair, except that a record whose
 // destination is no fabric server (a VIP target) is kept, under the half-key
 // "<src pod>|". The groups sharing a source pod then cover exactly the
-// records AppendSrcPod keys to it, so a per-pod aggregate is the merge of its
+// records that pod sent, so a per-pod aggregate is the merge of its
 // "<src pod>|*" groups and needs no job of its own; SplitPodPair rejects the
 // half-key, so heatmaps never see it.
 func (k *Keyer) AppendSrcPodPair(dst []byte, r *probe.Record) ([]byte, bool) {
@@ -218,7 +127,9 @@ func (k *Keyer) AppendSrcPodPair(dst []byte, r *probe.Record) ([]byte, bool) {
 	return b, true
 }
 
-// AppendDCPair is the KeyBytes form of DCPair.
+// AppendDCPair keys by "<source DC>-><destination DC>": the grouping of the
+// inter-DC processing pipeline (§6.2). Same-DC records resolve too, so
+// callers filter by class when they want WAN-only data.
 func (k *Keyer) AppendDCPair(dst []byte, r *probe.Record) ([]byte, bool) {
 	src, ok := k.server(r.Src)
 	if !ok {
@@ -234,8 +145,9 @@ func (k *Keyer) AppendDCPair(dst []byte, r *probe.Record) ([]byte, bool) {
 	return b, true
 }
 
-// AppendServerPair is the KeyBytes form of ServerPair. Addresses are
-// appended with netip.Addr.AppendTo, so no intermediate strings exist.
+// AppendServerPair keys by "<src addr>|<dst addr>": the grouping black-hole
+// detection reasons over. Addresses are appended with netip.Addr.AppendTo, so
+// no intermediate strings exist.
 func (k *Keyer) AppendServerPair(dst []byte, r *probe.Record) ([]byte, bool) {
 	b := r.Src.AppendTo(dst)
 	b = append(b, '|')

@@ -121,9 +121,6 @@ const StalenessDevice = "pingmesh-pipeline"
 // that has run before is now over budget. A pipeline that has not booted
 // yet ("waiting") is healthy — watchdogs run from process start.
 func NewStalenessWatchdog(f *trace.Freshness, b trace.Budget) Watchdog {
-	if b == (trace.Budget{}) {
-		b = trace.DefaultBudget()
-	}
 	return Watchdog{
 		Name:   StalenessWatchdogName,
 		Device: StalenessDevice,

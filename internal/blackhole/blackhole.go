@@ -80,7 +80,7 @@ type Candidate struct {
 }
 
 // Detect runs the algorithm over server-pair grouped stats (the output of
-// a SCOPE job keyed by Keyer.ServerPair).
+// a SCOPE job keyed by Keyer.AppendServerPair).
 func Detect(top *topology.Topology, pairs map[string]*analysis.LatencyStats, cfg Config) Detection {
 	c := cfg.withDefaults()
 

@@ -3,7 +3,6 @@ package controller
 import (
 	"compress/gzip"
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -162,32 +161,17 @@ func (c *Client) Fetch(ctx context.Context, server string) (*pinglist.File, erro
 // revalidated with a 304 or patched from a 226 and how many bytes crossed
 // the wire. The agent's refresh loop uses it to count cheap refreshes.
 // Transient failures are retried per the Backoff fields.
-func (c *Client) FetchDetail(ctx context.Context, server string) (FetchResult, error) {
-	res, err := c.fetchDetail(ctx, server, !c.DisableCache)
-	for attempt := 0; attempt < c.maxRetries(); attempt++ {
-		if err == nil || !isTransient(err) || ctx.Err() != nil {
-			break
-		}
-		c.mu.Lock()
-		c.stats.Retries++
-		c.mu.Unlock()
-		if serr := simclock.Sleep(ctx, c.clock(), simclock.Backoff(c.BackoffBase, c.BackoffMax, attempt)); serr != nil {
-			break // context canceled mid-backoff; report the fetch error
-		}
+func (c *Client) FetchDetail(ctx context.Context, server string) (res FetchResult, err error) {
+	st, err := simclock.Retry(ctx, c.clock(), simclock.MaxRetries(c.MaxRetries, c.BackoffBase, c.BackoffMax), func() (err error) {
 		res, err = c.fetchDetail(ctx, server, !c.DisableCache)
+		return err
+	})
+	if st.Attempts > 1 {
+		c.mu.Lock()
+		c.stats.Retries += int64(st.Attempts - 1)
+		c.mu.Unlock()
 	}
 	return res, err
-}
-
-func (c *Client) maxRetries() int {
-	switch {
-	case c.MaxRetries < 0:
-		return 0
-	case c.MaxRetries == 0:
-		return 2
-	default:
-		return c.MaxRetries
-	}
 }
 
 func (c *Client) clock() simclock.Clock {
@@ -198,19 +182,6 @@ func (c *Client) clock() simclock.Clock {
 }
 
 var realClock = simclock.NewReal()
-
-// transientError marks failures worth retrying: transport errors and 5xx
-// responses — the shapes a dying or draining replica produces. 4xx, parse
-// and validation failures are permanent and surface immediately.
-type transientError struct{ err error }
-
-func (e *transientError) Error() string { return e.err.Error() }
-func (e *transientError) Unwrap() error { return e.err }
-
-func isTransient(err error) bool {
-	var te *transientError
-	return errors.As(err, &te)
-}
 
 func (c *Client) fetchDetail(ctx context.Context, server string, revalidate bool) (FetchResult, error) {
 	u := fmt.Sprintf("%s/pinglist/%s", c.BaseURL, url.PathEscape(server))
@@ -231,7 +202,7 @@ func (c *Client) fetchDetail(ctx context.Context, server string, revalidate bool
 	}
 	resp, err := c.httpClient().Do(req)
 	if err != nil {
-		return FetchResult{}, &transientError{fmt.Errorf("controller: fetch pinglist: %w", err)}
+		return FetchResult{}, simclock.Transient(fmt.Errorf("controller: fetch pinglist: %w", err))
 	}
 	defer resp.Body.Close()
 	switch resp.StatusCode {
@@ -267,7 +238,7 @@ func (c *Client) fetchDetail(ctx context.Context, server string, revalidate bool
 		io.Copy(io.Discard, resp.Body)
 		err := fmt.Errorf("controller: fetch pinglist: status %d", resp.StatusCode)
 		if resp.StatusCode >= 500 {
-			return FetchResult{}, &transientError{err}
+			return FetchResult{}, simclock.Transient(err)
 		}
 		return FetchResult{}, err
 	}

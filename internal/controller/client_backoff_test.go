@@ -149,7 +149,7 @@ func TestFetchRetriesExhausted(t *testing.T) {
 	if err == nil {
 		t.Fatal("fetch succeeded against an always-502 server")
 	}
-	if !isTransient(err) {
+	if !simclock.IsTransient(err) {
 		t.Fatalf("exhausted error not marked transient: %v", err)
 	}
 	if got := len(fh.times()); got != 3 { // 1 try + MaxRetries(default 2)

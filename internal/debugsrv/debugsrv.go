@@ -53,17 +53,14 @@ type Config struct {
 //	GET /metrics       Prometheus text exposition
 //	GET /telemetry     series keys; ?key=<k> for points, &tier=hourly
 func Handler(cfg Config) http.Handler {
-	if cfg.Budget == (trace.Budget{}) {
-		cfg.Budget = trace.DefaultBudget()
-	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, r *http.Request) { serveTrace(cfg, w, r) })
-	mux.HandleFunc("/health", func(w http.ResponseWriter, r *http.Request) { serveHealth(cfg, w, r) })
+	mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, r *http.Request) { ServeTrace(cfg.Tracer, w, r) })
+	mux.HandleFunc("/health", func(w http.ResponseWriter, r *http.Request) { ServeHealth(cfg.Tracer, cfg.Budget, w, r) })
 	if cfg.Metrics != nil {
 		mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -94,8 +91,12 @@ func Handler(cfg Config) http.Handler {
 	return mux
 }
 
-func serveTrace(cfg Config, w http.ResponseWriter, r *http.Request) {
-	if cfg.Tracer == nil {
+// ServeTrace answers GET /debug/trace with the tracer's full span dump, or
+// with ?trace=<hex id> just that trace's spans across all components, ordered
+// by start time. It is the one implementation behind every port that serves
+// the path (the portal mounts it too).
+func ServeTrace(tr *trace.Tracer, w http.ResponseWriter, r *http.Request) {
+	if tr == nil {
 		writeJSON(w, http.StatusNotFound, map[string]string{"error": "tracing disabled"})
 		return
 	}
@@ -105,20 +106,24 @@ func serveTrace(cfg Config, w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad trace id (want hex)"})
 			return
 		}
-		writeJSON(w, http.StatusOK, cfg.Tracer.TraceSpans(trace.TraceID(id)))
+		writeJSON(w, http.StatusOK, tr.TraceSpans(trace.TraceID(id)))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	cfg.Tracer.WriteJSON(w)
+	tr.WriteJSON(w)
 }
 
-func serveHealth(cfg Config, w http.ResponseWriter, r *http.Request) {
-	if cfg.Tracer == nil {
+// ServeHealth answers GET /health with the pipeline freshness verdict against
+// the §3.5 budget: 200 for "ok"/"waiting", 503 for "degraded". The stage list
+// is the tracer's — its marks plus whatever the pipeline has it watch — so
+// two ports of one process cannot disagree.
+func ServeHealth(tr *trace.Tracer, b trace.Budget, w http.ResponseWriter, r *http.Request) {
+	if tr == nil {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok", "note": "tracing disabled"})
 		return
 	}
-	h := cfg.Tracer.Freshness().Check(cfg.Budget)
+	h := tr.Freshness().Check(b)
 	code := http.StatusOK
 	if h.Status == "degraded" {
 		code = http.StatusServiceUnavailable

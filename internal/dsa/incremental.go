@@ -12,6 +12,7 @@ import (
 	"pingmesh/internal/metrics"
 	"pingmesh/internal/probe"
 	"pingmesh/internal/scope"
+	"pingmesh/internal/trace"
 )
 
 // incremental is the delta-folding tier of every cadence: it walks the
@@ -75,7 +76,32 @@ func newIncremental(p *Pipeline) *incremental {
 		lateCtr:   reg.Counter("dsa.fold.late_records"),
 	}
 	reg.GaugeFunc("dsa.fold.backlog", func() int64 { return int64(inc.backlog()) })
+	if p.cfg.Tracer != nil {
+		p.cfg.Tracer.Freshness().Watch(inc.health)
+	}
 	return inc
+}
+
+// health is the fold tier's stage of the freshness verdict: a backlog whose
+// last fold is older than the DSA cycle budget is lagging — the cycle would
+// degrade next, so the verdict says so first. A folder that has never folded
+// is not lagging: a deployment that only analyses off-grid windows never
+// folds.
+func (inc *incremental) health(b trace.Budget, now time.Time) trace.StageHealth {
+	inc.passMu.Lock()
+	last := inc.folder.LastFold()
+	inc.passMu.Unlock()
+	sh := trace.StageHealth{
+		Stage:    "dsa-fold",
+		Marked:   !last.IsZero(),
+		AgeMs:    -1,
+		BudgetMs: b.DSACycle.Milliseconds(),
+	}
+	if sh.Marked {
+		sh.AgeMs = now.Sub(last).Milliseconds()
+		sh.Stale = sh.AgeMs > sh.BudgetMs && inc.backlog() > 0
+	}
+	return sh
 }
 
 // foldChunkSize is about how long a lane's unit of work is. A sketched window
@@ -320,8 +346,7 @@ func (p *Pipeline) FoldNow() {
 	p.inc.foldPassLocked(now)
 }
 
-// ShardLag is the fold tier's state, for /health and the fold-lag
-// watchdog.
+// ShardLag is the fold tier's state.
 type ShardLag struct {
 	Backlog  int    // sealed extents in the journal not yet folded
 	Stolen   uint64 // always 0: one folder, nothing to steal from

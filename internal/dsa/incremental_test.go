@@ -22,6 +22,7 @@ import (
 	"pingmesh/internal/scope"
 	"pingmesh/internal/simclock"
 	"pingmesh/internal/topology"
+	"pingmesh/internal/trace"
 )
 
 // diffFixture is two hours of probes from a two-DC fleet (with one podset
@@ -1043,5 +1044,59 @@ func TestFoldSkipsWhatItFoldedPastAnUnreadableExtent(t *testing.T) {
 	oracleCycle(t, ref, Cycle10Min, from, to)
 	if got, want := renderReports(t, pipe), renderReports(t, ref); got != want {
 		t.Fatalf("rows differ from the scan\nwant:\n%s\ngot:\n%s", want, got)
+	}
+}
+
+// TestFoldLagInFreshnessVerdict: the fold tier's stage is part of the tracer's
+// freshness verdict — what /health serves on every port and the staleness
+// watchdog pages on. It is stale only while a backlog sits behind a fold older
+// than the cycle budget; a folder that never folded, or has nothing waiting, is
+// not.
+func TestFoldLagInFreshnessVerdict(t *testing.T) {
+	fx := buildDiffFixture(t)
+	store, err := cosmos.NewStore(3, cosmos.Config{ExtentSize: 16 << 10, Replicas: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fx.upload(t, store, fx.inOrder())
+	clock := simclock.NewSim(t0)
+	tracer := trace.New(clock)
+	pipe, err := New(Config{Store: store, Top: fx.top, Clock: clock, Tracer: tracer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fold := func() trace.StageHealth {
+		t.Helper()
+		h := tracer.Freshness().Check(trace.Budget{})
+		last := h.Stages[len(h.Stages)-1]
+		if last.Stage != "dsa-fold" || last.Stale != (h.Status == "degraded") {
+			t.Fatalf("verdict %+v", h)
+		}
+		return last
+	}
+	if sh := fold(); sh.Marked || sh.Stale {
+		t.Fatalf("never folded: %+v", sh)
+	}
+	// One node of three down: the pass folds what it can read and a backlog
+	// stays behind it.
+	if err := store.SetNodeDown(1, true); err != nil {
+		t.Fatal(err)
+	}
+	pipe.FoldNow()
+	clock.Advance(19 * time.Minute)
+	if sh := fold(); !sh.Marked || sh.Stale {
+		t.Fatalf("backlog inside the budget: %+v", sh)
+	}
+	clock.Advance(2 * time.Minute)
+	if sh := fold(); !sh.Stale || sh.BudgetMs != (20*time.Minute).Milliseconds() {
+		t.Fatalf("backlog %d behind a 21-minute-old fold: %+v", pipe.MaxFoldBacklog(), sh)
+	}
+	if err := store.SetNodeDown(1, false); err != nil {
+		t.Fatal(err)
+	}
+	pipe.FoldNow()
+	clock.Advance(time.Hour)
+	if sh := fold(); sh.Stale {
+		t.Fatalf("nothing waiting: %+v", sh)
 	}
 }

@@ -45,8 +45,8 @@ func QoSMonitoring(opts Options) (*QoSResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	col := fleet.NewStatsCollector(func(r *probe.Record) (string, bool) {
-		return r.QoS.String(), true
+	col := fleet.NewStatsCollector(func(dst []byte, r *probe.Record) ([]byte, bool) {
+		return append(dst, r.QoS.String()...), true
 	})
 	runner := &fleet.Runner{Net: net, Lists: lists, Seed: opts.seed(), Workers: opts.workers(), IntervalScale: 0.2}
 	if err := runner.Run(start, start.Add(30*time.Minute), col.Sink); err != nil {

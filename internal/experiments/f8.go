@@ -66,7 +66,7 @@ func Figure8(opts Options) (*Figure8Result, error) {
 			return nil, err
 		}
 		keyer := &analysis.Keyer{Top: top}
-		col := fleet.NewStatsCollector(keyer.PodPair)
+		col := fleet.NewStatsCollector(keyer.AppendPodPair)
 		runner := &fleet.Runner{Net: net, Lists: lists, Seed: opts.seed(), Workers: opts.workers()}
 		if err := runner.Run(start, start.Add(30*time.Minute), col.Sink); err != nil {
 			return nil, err

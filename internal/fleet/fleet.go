@@ -195,14 +195,15 @@ func (r *Runner) runServer(src topology.ServerID, from, to time.Time, scale floa
 // StatsCollector is a sink that aggregates records into LatencyStats
 // groups on the fly, so day-scale runs never materialize raw records.
 type StatsCollector struct {
-	key    func(*probe.Record) (string, bool)
+	key    func(dst []byte, r *probe.Record) ([]byte, bool)
 	mu     sync.Mutex
 	groups map[string]*analysis.LatencyStats
+	keyBuf []byte
 }
 
-// NewStatsCollector builds a collector grouping by key; a nil key groups
-// everything under "".
-func NewStatsCollector(key func(*probe.Record) (string, bool)) *StatsCollector {
+// NewStatsCollector builds a collector grouping by key, which has the
+// scope.Job.KeyBytes form; a nil key groups everything under "".
+func NewStatsCollector(key func(dst []byte, r *probe.Record) ([]byte, bool)) *StatsCollector {
 	return &StatsCollector{key: key, groups: map[string]*analysis.LatencyStats{}}
 }
 
@@ -210,36 +211,28 @@ func NewStatsCollector(key func(*probe.Record) (string, bool)) *StatsCollector {
 func (c *StatsCollector) Sink(_ topology.ServerID, recs []probe.Record) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.key == nil {
-		st := c.group("")
-		for i := range recs {
-			st.Add(&recs[i])
-		}
-		return
-	}
 	// Consecutive records usually come from the same peer and land in
 	// the same group; memoize the last lookup.
 	var st *analysis.LatencyStats
 	var last string
 	for i := range recs {
-		k, ok := c.key(&recs[i])
-		if !ok {
-			continue
+		k := c.keyBuf[:0]
+		if c.key != nil {
+			var ok bool
+			if k, ok = c.key(k, &recs[i]); !ok {
+				continue
+			}
+			c.keyBuf = k[:0]
 		}
-		if st == nil || k != last {
-			st, last = c.group(k), k
+		if st == nil || string(k) != last {
+			last = string(k)
+			if st = c.groups[last]; st == nil {
+				st = analysis.NewLatencyStats()
+				c.groups[last] = st
+			}
 		}
 		st.Add(&recs[i])
 	}
-}
-
-func (c *StatsCollector) group(k string) *analysis.LatencyStats {
-	st, ok := c.groups[k]
-	if !ok {
-		st = analysis.NewLatencyStats()
-		c.groups[k] = st
-	}
-	return st
 }
 
 // Groups returns the aggregates. The collector must not be used after.

@@ -124,7 +124,7 @@ func TestStatsCollector(t *testing.T) {
 	n, lists := testRig(t)
 	top := n.Topology()
 	keyer := &analysis.Keyer{Top: top}
-	col := NewStatsCollector(keyer.SrcDC)
+	col := NewStatsCollector(keyer.AppendSrcDC)
 	r := &Runner{Net: n, Lists: lists, Seed: 4}
 	if err := r.Run(t0, t0.Add(5*time.Minute), col.Sink); err != nil {
 		t.Fatal(err)

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"pingmesh/internal/analysis"
+	"pingmesh/internal/debugsrv"
 	"pingmesh/internal/diagnosis"
 	"pingmesh/internal/dsa"
 	"pingmesh/internal/httpcache"
@@ -127,9 +128,6 @@ type Portal struct {
 
 // New returns a portal serving empty responses until the first Refresh.
 func New(cfg Config) *Portal {
-	if cfg.Budget == (trace.Budget{}) {
-		cfg.Budget = trace.DefaultBudget()
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = simclock.NewReal()
 	}
@@ -509,66 +507,21 @@ func (p *Portal) Handler() http.Handler {
 	mux.HandleFunc("/metrics", p.ServeMetrics)
 	mux.HandleFunc("/healthz", p.serveHealthz)
 	mux.HandleFunc("/health", p.ServeHealth)
-	mux.HandleFunc("/debug/trace", p.ServeTrace)
+	mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, r *http.Request) { debugsrv.ServeTrace(p.cfg.Tracer, w, r) })
 	mux.HandleFunc("/", p.ServeCached)
 	return mux
 }
 
 // ServeHealth answers GET /health with the pipeline freshness verdict
-// (§3.5 budget): 200 for "ok"/"waiting", 503 for "degraded". Without a
-// tracer it degenerates to the liveness answer of /healthz.
+// (§3.5 budget), fold tier included — debugsrv's, so this port and a
+// -debug-addr one say the same. Without a tracer it degenerates to the
+// liveness answer of /healthz.
 func (p *Portal) ServeHealth(w http.ResponseWriter, r *http.Request) {
 	if p.cfg.Tracer == nil {
 		p.serveHealthz(w, r)
 		return
 	}
-	h := p.cfg.Tracer.Freshness().Check(p.cfg.Budget)
-	// The fold tier adds one synthetic stage: a backlog whose last fold is
-	// older than the DSA budget is lagging — the cycle would degrade next,
-	// so /health says so first. A folder that has never folded is not
-	// lagging: a deployment that only analyses off-grid windows never folds.
-	lag := p.cfg.Pipeline.ShardLags()[0]
-	sh := trace.StageHealth{
-		Stage:    "dsa-fold",
-		Marked:   !lag.LastFold.IsZero(),
-		AgeMs:    -1,
-		BudgetMs: p.cfg.Budget.DSACycle.Milliseconds(),
-	}
-	if sh.Marked {
-		sh.AgeMs = p.cfg.Clock.Now().Sub(lag.LastFold).Milliseconds()
-		if lag.Backlog > 0 && sh.AgeMs > sh.BudgetMs {
-			sh.Stale = true
-			h.Status = "degraded"
-		}
-	}
-	h.Stages = append(h.Stages, sh)
-	code := http.StatusOK
-	if h.Status == "degraded" {
-		code = http.StatusServiceUnavailable
-	}
-	writeJSON(w, code, h)
-}
-
-// ServeTrace answers GET /debug/trace with the tracer's full span dump.
-// With ?trace=<hex id> it returns just that trace's spans across all
-// components, ordered by start time.
-func (p *Portal) ServeTrace(w http.ResponseWriter, r *http.Request) {
-	if p.cfg.Tracer == nil {
-		writeError(w, http.StatusNotFound, "tracing disabled")
-		return
-	}
-	if idHex := r.URL.Query().Get("trace"); idHex != "" {
-		id, err := strconv.ParseUint(idHex, 16, 64)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad trace id (want hex)")
-			return
-		}
-		writeJSON(w, http.StatusOK, p.cfg.Tracer.TraceSpans(trace.TraceID(id)))
-		return
-	}
-	w.Header()["Content-Type"] = jsonContentType
-	w.WriteHeader(http.StatusOK)
-	p.cfg.Tracer.WriteJSON(w)
+	debugsrv.ServeHealth(p.cfg.Tracer, p.cfg.Budget, w, r)
 }
 
 // Precomputed header values for the dynamic endpoints, mirroring the

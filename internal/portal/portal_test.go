@@ -10,6 +10,7 @@ import (
 
 	"pingmesh/internal/core"
 	"pingmesh/internal/cosmos"
+	"pingmesh/internal/debugsrv"
 	"pingmesh/internal/dsa"
 	"pingmesh/internal/fleet"
 	"pingmesh/internal/metrics"
@@ -320,6 +321,11 @@ func TestPortalShardHealthAndMetrics(t *testing.T) {
 	}
 	if found != 1 {
 		t.Fatalf("health carries %d dsa-fold stages, want 1:\n%s", found, w.Body.String())
+	}
+	// A -debug-addr listener of the same process serves the same verdict: one
+	// implementation, one stage list.
+	if side := get(t, debugsrv.Handler(debugsrv.Config{Tracer: tracer}), "/health", nil); side.Code != w.Code || side.Body.String() != w.Body.String() {
+		t.Fatalf("debug port /health = %d\n%s\nportal /health = %d\n%s", side.Code, side.Body.String(), w.Code, w.Body.String())
 	}
 
 	body := get(t, h, "/metrics", nil).Body.String()

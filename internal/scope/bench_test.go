@@ -12,9 +12,9 @@ func BenchmarkEngineRun(b *testing.B) {
 	store := seedStoreB(b, 50000)
 	e := &Engine{}
 	job := Job{
-		Name:   "bench",
-		Source: Source{Store: store, StreamPrefix: "pingmesh/"},
-		Key:    func(r *probe.Record) (string, bool) { return r.Src.String(), true },
+		Name:     "bench",
+		Source:   Source{Store: store, StreamPrefix: "pingmesh/"},
+		KeyBytes: func(dst []byte, r *probe.Record) ([]byte, bool) { return r.Src.AppendTo(dst), true },
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

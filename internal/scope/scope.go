@@ -37,17 +37,14 @@ type Job struct {
 	From, To time.Time
 	// Where optionally filters records.
 	Where func(*probe.Record) bool
-	// Key groups records; records whose key resolves ok=false are skipped.
-	// A nil Key groups everything under "".
-	Key func(*probe.Record) (string, bool)
-	// KeyBytes is the allocation-free form of Key and takes precedence
-	// over it when both are set: it appends the group key for r to dst
-	// and returns the extended slice. The engine passes a reused buffer
-	// and interns the key (one string allocation per distinct group, not
-	// per record), so an append-only KeyBytes implementation makes the
+	// KeyBytes groups records: it appends the group key for r to dst and
+	// returns the extended slice; records it answers ok=false for are
+	// skipped. A nil KeyBytes groups everything under "". The engine passes
+	// a reused buffer and interns the key (one string allocation per
+	// distinct group, not per record), so an append-only KeyBytes makes the
 	// whole grouping path allocation-free. The returned slice must alias
-	// dst's backing array (append semantics); the engine owns it until
-	// the next record.
+	// dst's backing array (append semantics); the engine owns it until the
+	// next record.
 	KeyBytes func(dst []byte, r *probe.Record) ([]byte, bool)
 	// TalliesOnly aggregates groups as analysis.NewTallies — counts and
 	// rates, no histograms — for jobs whose consumer reads nothing else.
@@ -114,10 +111,6 @@ func (e *Engine) Run(job Job) (*Result, error) {
 			tasks = append(tasks, Extent{Stream: stream, Index: i})
 		}
 	}
-	return e.runTasks(job, tasks)
-}
-
-func (e *Engine) runTasks(job Job, tasks []Extent) (*Result, error) {
 	var runStart time.Time
 	if e.Tracer != nil {
 		runStart = e.Tracer.Now()
@@ -286,35 +279,21 @@ func (s *extentSink) process(data []byte) {
 		if job.Where != nil && !job.Where(r) {
 			continue
 		}
-		var st *analysis.LatencyStats
+		kb := s.keyBuf[:0]
 		if job.KeyBytes != nil {
-			kb, ok := job.KeyBytes(s.keyBuf[:0], r)
-			if !ok {
+			var ok bool
+			if kb, ok = job.KeyBytes(kb, r); !ok {
 				continue
 			}
 			s.keyBuf = kb[:0]
-			// Group-key interning: the map index on string(kb) does not
-			// allocate; the key string is materialized only when a new
-			// group is first seen.
-			st = res.Groups[string(kb)]
-			if st == nil {
-				st = newStats(job.TalliesOnly)
-				res.Groups[string(kb)] = st
-			}
-		} else {
-			key := ""
-			if job.Key != nil {
-				var ok bool
-				key, ok = job.Key(r)
-				if !ok {
-					continue
-				}
-			}
-			st = res.Groups[key]
-			if st == nil {
-				st = newStats(job.TalliesOnly)
-				res.Groups[key] = st
-			}
+		}
+		// Group-key interning: the map index on string(kb) does not
+		// allocate; the key string is materialized only when a new group is
+		// first seen.
+		st := res.Groups[string(kb)]
+		if st == nil {
+			st = newStats(job.TalliesOnly)
+			res.Groups[string(kb)] = st
 		}
 		if sk != nil {
 			st.AddSketch(sk)

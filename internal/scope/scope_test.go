@@ -94,9 +94,9 @@ func TestRunGroupsByKey(t *testing.T) {
 	store := seedStore(t, 90)
 	e := &Engine{Parallelism: 3}
 	res, err := e.Run(Job{
-		Name:   "grouped",
-		Source: Source{Store: store, StreamPrefix: "pingmesh/"},
-		Key:    func(r *probe.Record) (string, bool) { return r.Src.String(), true },
+		Name:     "grouped",
+		Source:   Source{Store: store, StreamPrefix: "pingmesh/"},
+		KeyBytes: func(dst []byte, r *probe.Record) ([]byte, bool) { return r.Src.AppendTo(dst), true },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -113,19 +113,24 @@ func TestRunGroupsByKey(t *testing.T) {
 	}
 }
 
+// TestRunKeySkips: a record the keyer answers ok=false for is scanned but not
+// aggregated, and its neighbours still are.
 func TestRunKeySkips(t *testing.T) {
 	store := seedStore(t, 60)
+	skipped := mkRecord(0, 0, "").Src
 	e := &Engine{}
 	res, err := e.Run(Job{
 		Name:   "skippy",
 		Source: Source{Store: store, StreamPrefix: "pingmesh/"},
-		Key:    func(r *probe.Record) (string, bool) { return "", false },
+		KeyBytes: func(dst []byte, r *probe.Record) ([]byte, bool) {
+			return r.Src.AppendTo(dst), r.Src != skipped
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Records != 0 || res.Scanned != 60 {
-		t.Fatalf("Records=%d Scanned=%d", res.Records, res.Scanned)
+	if res.Records != 40 || res.Scanned != 60 || len(res.Groups) != 2 {
+		t.Fatalf("Records=%d Scanned=%d groups=%d, want 40 of 60 in 2", res.Records, res.Scanned, len(res.Groups))
 	}
 }
 
@@ -382,9 +387,9 @@ func TestRunParallelismInvariance(t *testing.T) {
 	// Property: results are identical whatever the worker count.
 	store := seedStore(t, 300)
 	job := Job{
-		Name:   "inv",
-		Source: Source{Store: store, StreamPrefix: "pingmesh/"},
-		Key:    func(r *probe.Record) (string, bool) { return r.Src.String(), true },
+		Name:     "inv",
+		Source:   Source{Store: store, StreamPrefix: "pingmesh/"},
+		KeyBytes: func(dst []byte, r *probe.Record) ([]byte, bool) { return r.Src.AppendTo(dst), true },
 	}
 	base, err := (&Engine{Parallelism: 1}).Run(job)
 	if err != nil {

@@ -37,46 +37,7 @@ func TestRunAllReplicasDown(t *testing.T) {
 	}
 }
 
-// TestKeyBytesMatchesKey: the allocation-free KeyBytes path must produce
-// byte-identical grouping to the legacy string Key path.
-func TestKeyBytesMatchesKey(t *testing.T) {
-	store := seedStore(t, 300)
-	base, err := (&Engine{Parallelism: 2}).Run(Job{
-		Name:   "string-keys",
-		Source: Source{Store: store, StreamPrefix: "pingmesh/"},
-		Key:    func(r *probe.Record) (string, bool) { return r.Src.String(), true },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := (&Engine{Parallelism: 2}).Run(Job{
-		Name:   "byte-keys",
-		Source: Source{Store: store, StreamPrefix: "pingmesh/"},
-		KeyBytes: func(dst []byte, r *probe.Record) ([]byte, bool) {
-			return r.Src.AppendTo(dst), true
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Records != base.Records || got.Scanned != base.Scanned {
-		t.Fatalf("records %d/%d vs %d/%d", got.Records, got.Scanned, base.Records, base.Scanned)
-	}
-	if len(got.Groups) != len(base.Groups) {
-		t.Fatalf("groups %d vs %d", len(got.Groups), len(base.Groups))
-	}
-	for k, st := range base.Groups {
-		g, ok := got.Groups[k]
-		if !ok {
-			t.Fatalf("group %q missing from KeyBytes result", k)
-		}
-		if g.Total() != st.Total() || g.Percentile(0.99) != st.Percentile(0.99) {
-			t.Fatalf("group %q diverged", k)
-		}
-	}
-}
-
-// TestKeyBytesSkips mirrors TestRunKeySkips for the byte path.
+// TestKeyBytesSkips: a keyer that rejects everything aggregates nothing.
 func TestKeyBytesSkips(t *testing.T) {
 	store := seedStore(t, 60)
 	res, err := (&Engine{}).Run(Job{

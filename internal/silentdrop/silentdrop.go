@@ -150,7 +150,7 @@ func (l *Localizer) Localize(pairs []Pair) []Suspect {
 }
 
 // AffectedPairsFromStats extracts the pairs worth tracerouting: server
-// pairs whose drop estimate is elevated. keys are Keyer.ServerPair keys;
+// pairs whose drop estimate is elevated. keys are Keyer.AppendServerPair keys;
 // the ports to traceroute with are synthesized deterministically per pair
 // (a traceroute probes one concrete five-tuple).
 func AffectedPairsFromStats(top *topology.Topology, dropRateByPair map[string]float64, minRate float64, limit int) []Pair {

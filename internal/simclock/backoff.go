@@ -2,6 +2,7 @@ package simclock
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"time"
 )
@@ -37,5 +38,71 @@ func Sleep(ctx context.Context, clk Clock, d time.Duration) error {
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
+	}
+}
+
+// RetryPolicy bounds a Retry: Attempts tries in all (fewer than two is one
+// try), with Backoff(Base, Max, k) slept between try k and the next.
+type RetryPolicy struct {
+	Attempts  int
+	Base, Max time.Duration
+}
+
+// MaxRetries is the policy of a MaxRetries / BackoffBase / BackoffMax
+// configuration: n retries after the first try, where 0 means the default of
+// 2 (three attempts in all) and a negative n disables retries.
+func MaxRetries(n int, base, max time.Duration) RetryPolicy {
+	switch {
+	case n < 0:
+		n = 0
+	case n == 0:
+		n = 2
+	}
+	return RetryPolicy{Attempts: n + 1, Base: base, Max: max}
+}
+
+// transientError marks a failure worth retrying.
+type transientError struct{ err error }
+
+func (e *transientError) Error() string { return e.err.Error() }
+func (e *transientError) Unwrap() error { return e.err }
+
+// Transient marks err as worth retrying: a transport error or a 5xx, the
+// shapes a dying, draining or restarting service produces. Retry returns
+// anything else — 4xx, parse and validation failures — at once.
+func Transient(err error) error { return &transientError{err} }
+
+// IsTransient reports whether err, or an error it wraps, was marked Transient.
+func IsTransient(err error) bool {
+	var te *transientError
+	return errors.As(err, &te)
+}
+
+// RetryStats is what one Retry did, the same for every caller that counts it.
+type RetryStats struct {
+	// Attempts is how many times fn ran.
+	Attempts int
+	// GaveUp is set when the last error was still Transient: the attempts
+	// ran out, or ctx ended first.
+	GaveUp bool
+}
+
+// Retry runs fn until it succeeds, fails with an error not marked Transient,
+// exhausts the policy's attempts, or ctx is done, sleeping the policy's
+// jittered backoff on clk between attempts. It returns fn's last error; a
+// ctx that ends mid-backoff does not replace it.
+func Retry(ctx context.Context, clk Clock, p RetryPolicy, fn func() error) (RetryStats, error) {
+	var st RetryStats
+	for {
+		err := fn()
+		st.Attempts++
+		if err == nil || !IsTransient(err) {
+			return st, err
+		}
+		if st.Attempts >= p.Attempts || ctx.Err() != nil ||
+			Sleep(ctx, clk, Backoff(p.Base, p.Max, st.Attempts-1)) != nil {
+			st.GaveUp = true
+			return st, err
+		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"compress/gzip"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -110,17 +109,6 @@ func (s *Shipper) interval() time.Duration {
 	return 5 * time.Minute
 }
 
-func (s *Shipper) maxRetries() int {
-	switch {
-	case s.MaxRetries < 0:
-		return 0
-	case s.MaxRetries == 0:
-		return 2
-	default:
-		return s.MaxRetries
-	}
-}
-
 // Run reports every Interval until ctx is done, then ships one final
 // report so the collector sees activity up to shutdown.
 func (s *Shipper) Run(ctx context.Context) {
@@ -165,17 +153,10 @@ func (s *Shipper) ReportOnce(ctx context.Context) error {
 		body = s.zbuf.Bytes()
 	}
 
-	err := s.post(ctx, body, seq)
-	for attempt := 0; attempt < s.maxRetries(); attempt++ {
-		if err == nil || !isTransient(err) || ctx.Err() != nil {
-			break
-		}
-		s.stats.Retries++
-		if serr := simclock.Sleep(ctx, s.clock(), simclock.Backoff(s.BackoffBase, s.BackoffMax, attempt)); serr != nil {
-			break
-		}
-		err = s.post(ctx, body, seq)
-	}
+	st, err := simclock.Retry(ctx, s.clock(), simclock.MaxRetries(s.MaxRetries, s.BackoffBase, s.BackoffMax), func() error {
+		return s.post(ctx, body, seq)
+	})
+	s.stats.Retries += int64(st.Attempts - 1)
 	if err != nil {
 		s.stats.Errors++
 	}
@@ -194,7 +175,7 @@ func (s *Shipper) post(ctx context.Context, body []byte, seq uint64) error {
 	s.stats.BytesOnWire += int64(len(body))
 	resp, err := s.httpClient().Do(req)
 	if err != nil {
-		return &transientError{fmt.Errorf("telemetry: ship report: %w", err)}
+		return simclock.Transient(fmt.Errorf("telemetry: ship report: %w", err))
 	}
 	defer resp.Body.Close()
 	switch resp.StatusCode {
@@ -220,20 +201,8 @@ func (s *Shipper) post(ctx context.Context, body []byte, seq uint64) error {
 		io.Copy(io.Discard, resp.Body)
 		err := fmt.Errorf("telemetry: ship report: status %d", resp.StatusCode)
 		if resp.StatusCode >= 500 {
-			return &transientError{err}
+			return simclock.Transient(err)
 		}
 		return err
 	}
-}
-
-// transientError marks failures worth retrying: transport errors and 5xx —
-// the shapes a restarting collector produces.
-type transientError struct{ err error }
-
-func (e *transientError) Error() string { return e.err.Error() }
-func (e *transientError) Unwrap() error { return e.err }
-
-func isTransient(err error) bool {
-	var te *transientError
-	return errors.As(err, &te)
 }

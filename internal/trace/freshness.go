@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -16,6 +17,9 @@ import (
 type Freshness struct {
 	clock simclock.Clock
 	marks [numStages]atomic.Int64
+
+	mu      sync.Mutex
+	watches []func(b Budget, now time.Time) StageHealth
 }
 
 // NewFreshness returns a Freshness on the given clock with no stage marked.
@@ -111,8 +115,24 @@ type Health struct {
 	Stages []StageHealth `json:"stages"`
 }
 
-// Check evaluates the marks against a budget.
+// Watch adds a stage whose verdict a mark cannot carry — the fold tier is
+// stale only while it also has a backlog — to every Check from now on, so
+// that each reader of the verdict (a /health on any port, the staleness
+// watchdog) sees the same stage list. A watched stage that never ran is not
+// "waiting". The stage, and what it closes over, lives as long as f does:
+// one pipeline per tracer.
+func (f *Freshness) Watch(stage func(b Budget, now time.Time) StageHealth) {
+	f.mu.Lock()
+	f.watches = append(f.watches, stage)
+	f.mu.Unlock()
+}
+
+// Check evaluates the marks, then the watched stages, against a budget; the
+// zero Budget means DefaultBudget.
 func (f *Freshness) Check(b Budget) Health {
+	if b == (Budget{}) {
+		b = DefaultBudget()
+	}
 	h := Health{Status: "ok"}
 	for s := Stage(0); s < numStages; s++ {
 		limit := b.stageBudget(s)
@@ -132,6 +152,16 @@ func (f *Freshness) Check(b Budget) Health {
 			}
 		} else if age > limit.Milliseconds() {
 			sh.Stale = true
+			h.Status = "degraded"
+		}
+		h.Stages = append(h.Stages, sh)
+	}
+	f.mu.Lock()
+	watches := f.watches
+	f.mu.Unlock()
+	for _, stage := range watches {
+		sh := stage(b, f.clock.Now())
+		if sh.Stale {
 			h.Status = "degraded"
 		}
 		h.Stages = append(h.Stages, sh)

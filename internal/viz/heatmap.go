@@ -97,7 +97,7 @@ type Heatmap struct {
 }
 
 // BuildHeatmap assembles the matrix for DC dc from pod-pair grouped stats
-// (the output of a SCOPE job keyed by Keyer.PodPair). Cells with fewer
+// (the output of a SCOPE job keyed by Keyer.AppendPodPair). Cells with fewer
 // than minProbes successful probes count as having no data.
 func BuildHeatmap(top *topology.Topology, dc int, groups map[string]*analysis.LatencyStats, minProbes uint64) *Heatmap {
 	var pods []analysis.PodRef

@@ -288,7 +288,6 @@ type TimelinePhase struct {
 // mutation, probes for the step's duration, and aggregates the phase's
 // stats — the idiom behind Figure 7-style before/during/after studies.
 func (tb *SimTestbed) RunTimeline(steps []TimelineStep) ([]TimelinePhase, error) {
-	keyer := &analysis.Keyer{Top: tb.Top}
 	engine := &scope.Engine{}
 	var out []TimelinePhase
 	for i, step := range steps {
@@ -308,16 +307,11 @@ func (tb *SimTestbed) RunTimeline(steps []TimelineStep) ([]TimelinePhase, error)
 			Source: scope.Source{Store: tb.Store, StreamPrefix: "pingmesh"},
 			From:   from, To: to,
 			Where: func(r *probe.Record) bool { return r.Class != probe.InterDC && r.PayloadLen == 0 },
-			Key:   keyer.SrcDC,
 		})
 		if err != nil {
 			return nil, err
 		}
-		merged := analysis.NewLatencyStats()
-		for _, st := range res.Groups {
-			merged.Merge(st)
-		}
-		out = append(out, TimelinePhase{Name: step.Name, From: from, To: to, Stats: merged})
+		out = append(out, TimelinePhase{Name: step.Name, From: from, To: to, Stats: res.Get("")})
 	}
 	return out, nil
 }
@@ -375,7 +369,7 @@ func (tb *SimTestbed) Alerts() []Alert { return tb.Pipeline.Alerts() }
 // production pod pairs aggregate far more server pairs than a testbed.
 func (tb *SimTestbed) HeatmapFor(dc int, from, to time.Time) (*Heatmap, error) {
 	keyer := &analysis.Keyer{Top: tb.Top}
-	col := fleet.NewStatsCollector(keyer.PodPair)
+	col := fleet.NewStatsCollector(keyer.AppendPodPair)
 	runner := &fleet.Runner{Net: tb.Net, Lists: tb.lists, Seed: tb.seed ^ 0x77, IntervalScale: 0.1}
 	if err := runner.Run(from, to, col.Sink); err != nil {
 		return nil, err
@@ -433,8 +427,6 @@ func (tb *SimTestbed) NewDiagnosisEngine() *diagnosis.Engine {
 	}
 }
 
-func defaultProfiles() []netsim.Profile { return netsim.DefaultProfiles() }
-
 // SilentDropSuspect is one switch accused of silent random packet drops.
 type SilentDropSuspect = silentdrop.Suspect
 
@@ -450,7 +442,7 @@ func (tb *SimTestbed) LocalizeSilentDrops(from, to time.Time) ([]SilentDropSuspe
 		Name:   "silentdrop-pairs",
 		Source: scope.Source{Store: tb.Store, StreamPrefix: "pingmesh"},
 		From:   from, To: to,
-		Key: keyer.ServerPair,
+		KeyBytes: keyer.AppendServerPair,
 	})
 	if err != nil {
 		return nil, err
@@ -511,27 +503,11 @@ func (tb *SimTestbed) StandardWatchdogs(interval time.Duration) (*autopilot.Watc
 			return nil
 		},
 	})
-	// The "who watches Pingmesh" check: the pipeline's own freshness marks
-	// against the §3.5 budget.
+	// The "who watches Pingmesh" check: the pipeline's own freshness verdict
+	// against the §3.5 budget — the stage marks and the fold tier's lag (a
+	// folder sitting on a backlog without folding is what makes the next
+	// cycle blow the 20-minute budget, so it pages before the cycle does).
 	ws.Register(autopilot.NewStalenessWatchdog(tb.Tracer.Freshness(), trace.DefaultBudget()))
-	// Fold lag, against the same DSA cycle budget: a folder sitting on a
-	// backlog without folding is what makes the next cycle blow the
-	// 20-minute budget, so it pages before the cycle does.
-	budget := trace.DefaultBudget()
-	ws.Register(autopilot.Watchdog{
-		Name:   "fold-lag",
-		Device: "pingmesh-dsa",
-		Check: func() error {
-			lag := tb.Pipeline.ShardLags()[0]
-			if lag.Backlog == 0 || lag.LastFold.IsZero() {
-				return nil
-			}
-			if age := tb.Clock.Now().Sub(lag.LastFold); age > budget.DSACycle {
-				return fmt.Errorf("%d extents unfolded for %v (budget %v)", lag.Backlog, age, budget.DSACycle)
-			}
-			return nil
-		},
-	})
 	return ws, dm
 }
 

@@ -9,6 +9,7 @@ import (
 	"pingmesh/internal/controller"
 	"pingmesh/internal/core"
 	"pingmesh/internal/netlib"
+	"pingmesh/internal/netsim"
 	"pingmesh/internal/topology"
 )
 
@@ -72,6 +73,4 @@ func SmallTestbed() *Topology { return topology.SmallTestbed() }
 func DefaultGeneratorConfig() GeneratorConfig { return core.DefaultGeneratorConfig() }
 
 // DefaultProfiles returns the five Table 1 DC network profiles.
-func DefaultProfiles() []NetworkProfile {
-	return defaultProfiles()
-}
+func DefaultProfiles() []NetworkProfile { return netsim.DefaultProfiles() }
