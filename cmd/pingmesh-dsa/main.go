@@ -108,8 +108,7 @@ func run(args []string, stdout io.Writer) error {
 	// The span the data covers, on the 10-minute grid: a job keyed by window.
 	// A sketch lies whole in the window of its first probe.
 	source := scope.Source{Store: store, StreamPrefix: "pingmesh"}
-	engine := &scope.Engine{}
-	windows, err := engine.Run(scope.Job{Name: "windows", Source: source, TalliesOnly: true,
+	windows, err := scope.Run(scope.Job{Name: "windows", Source: source, TalliesOnly: true,
 		KeyBytes: func(dst []byte, r *probe.Record) ([]byte, bool) {
 			return binary.BigEndian.AppendUint64(dst, uint64(probe.WindowIndex(r.Start, probe.Window))), true
 		}})
@@ -134,7 +133,7 @@ func run(args []string, stdout io.Writer) error {
 
 	th := analysis.Thresholds{MaxDropRate: *maxDrop, MaxP99: *maxP99, MinProbes: 100}
 	if top == nil {
-		return summarize(stdout, engine, source, th, to)
+		return summarize(stdout, source, th, to)
 	}
 
 	if votes != nil {
@@ -193,7 +192,7 @@ func run(args []string, stdout io.Writer) error {
 // headline SLA metric is the intra-DC SYN RTT; inter-DC WAN latency is tracked
 // apart so that a 25ms WAN round trip does not trip the 5ms intra-DC threshold
 // (§3.5's separate inter-DC pipeline).
-func summarize(w io.Writer, engine *scope.Engine, source scope.Source, th analysis.Thresholds, at time.Time) error {
+func summarize(w io.Writer, source scope.Source, th analysis.Thresholds, at time.Time) error {
 	for _, class := range []struct {
 		name  string
 		where func(*probe.Record) bool
@@ -202,7 +201,7 @@ func summarize(w io.Writer, engine *scope.Engine, source scope.Source, th analys
 		{"intra-dc", func(r *probe.Record) bool { return r.Class != probe.InterDC && r.PayloadLen == 0 }, true},
 		{"inter-dc", func(r *probe.Record) bool { return r.Class == probe.InterDC }, false},
 	} {
-		res, err := engine.Run(scope.Job{Name: class.name, Source: source, Where: class.where})
+		res, err := scope.Run(scope.Job{Name: class.name, Source: source, Where: class.where})
 		if err != nil {
 			return err
 		}

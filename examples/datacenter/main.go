@@ -101,10 +101,10 @@ func main() {
 }
 
 // interDCStats aggregates the stored inter-DC probes of [from, to) with one
-// scan job — the store holds what agents upload, sketches and raw records,
+// ad-hoc job — the store holds what agents upload, sketches and raw records,
 // and a job reads both.
 func interDCStats(tb *pingmesh.SimTestbed, from, to time.Time) *pingmesh.LatencyStats {
-	res, err := (&scope.Engine{}).Run(scope.Job{
+	res, err := scope.Run(scope.Job{
 		Name:   "inter-dc",
 		Source: scope.Source{Store: tb.Store, StreamPrefix: "pingmesh"},
 		From:   from, To: to,

@@ -204,7 +204,7 @@ func (*pinglistsMissingError) Error() string { return "no pinglists generated" }
 
 func TestIntegrationMetricsRoundTripThroughCosmos(t *testing.T) {
 	// Records written through the cosmos client parse back identically
-	// through the scope engine — the durability contract agents depend on.
+	// through a scope job — the durability contract agents depend on.
 	store, err := cosmos.NewStore(3, cosmos.Config{ExtentSize: 1 << 10})
 	if err != nil {
 		t.Fatal(err)
@@ -226,8 +226,7 @@ func TestIntegrationMetricsRoundTripThroughCosmos(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	e := &scope.Engine{}
-	res, err := e.Run(scope.Job{Name: "roundtrip", Source: scope.Source{Store: store, StreamPrefix: "pingmesh/"}})
+	res, err := scope.Run(scope.Job{Name: "roundtrip", Source: scope.Source{Store: store, StreamPrefix: "pingmesh/"}})
 	if err != nil {
 		t.Fatal(err)
 	}

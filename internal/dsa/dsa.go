@@ -13,6 +13,7 @@ package dsa
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -93,14 +94,13 @@ type HeatmapResult struct {
 
 // Pipeline is a running DSA instance.
 type Pipeline struct {
-	cfg    Config
-	engine *scope.Engine
-	jm     *scope.JobManager
-	db     *reportdb.DB
-	keyer  *analysis.Keyer
+	cfg   Config
+	jm    *scope.JobManager
+	db    *reportdb.DB
+	keyer *analysis.Keyer
 
 	jobs    []cycleJob   // the job table, built once in New
-	inc     *incremental // the fold tier serving grid-aligned cycles
+	inc     *incremental // the fold tier, serving every cycle
 	offGrid *metrics.Counter
 
 	mu       sync.Mutex
@@ -131,7 +131,6 @@ func New(cfg Config) (*Pipeline, error) {
 	}
 	p := &Pipeline{
 		cfg:      cfg,
-		engine:   &scope.Engine{Tracer: cfg.Tracer},
 		jm:       scope.NewJobManager(cfg.Clock),
 		db:       reportdb.New(),
 		keyer:    &analysis.Keyer{Top: cfg.Top},
@@ -241,13 +240,10 @@ func (p *Pipeline) Start() {
 // Stop cancels the recurring jobs.
 func (p *Pipeline) Stop() { p.jm.StopAll() }
 
-func (p *Pipeline) source() scope.Source {
-	return scope.Source{Store: p.cfg.Store, StreamPrefix: p.cfg.StreamPrefix}
-}
-
 // cycleTrace accumulates the sampled traces one analysis cycle touched.
 // Zero value is inert when tracing is disabled.
 type cycleTrace struct {
+	tr    *trace.Tracer
 	start time.Time
 	ids   []trace.TraceID
 }
@@ -256,22 +252,30 @@ func (p *Pipeline) beginCycle() cycleTrace {
 	if p.cfg.Tracer == nil {
 		return cycleTrace{}
 	}
-	return cycleTrace{start: p.cfg.Tracer.Now()}
+	return cycleTrace{tr: p.cfg.Tracer, start: p.cfg.Tracer.Now()}
 }
 
-// observe folds one engine result's traces into the cycle.
-func (cy *cycleTrace) observe(res *scope.Result) {
-	for _, tid := range res.Traces {
-		dup := false
-		for _, have := range cy.ids {
-			if have == tid {
-				dup = true
-				break
-			}
-		}
-		if !dup {
+// observe adds the traces a fold matched to the cycle's.
+func (cy *cycleTrace) observe(ids []trace.TraceID) {
+	for _, tid := range ids {
+		if !slices.Contains(cy.ids, tid) {
 			cy.ids = append(cy.ids, tid)
 		}
+	}
+}
+
+// job records one job's scope-job spans, from the cycle's start to its result:
+// a pipeline-level span (trace 0) with the records scanned, and one on every
+// sampled trace the cycle folded with the records the job aggregated.
+func (cy *cycleTrace) job(name string, res *scope.Result) {
+	if cy.tr == nil {
+		return
+	}
+	ring := cy.tr.Ring("scope")
+	end := cy.tr.Now()
+	ring.SpanAttr(0, trace.StageScopeJob, name, cy.start, end, true, "scanned", int64(res.Scanned))
+	for _, tid := range cy.ids {
+		ring.SpanAttr(tid, trace.StageScopeJob, name, cy.start, end, true, "records", int64(res.Records))
 	}
 }
 
@@ -281,7 +285,7 @@ func (cy *cycleTrace) observe(res *scope.Result) {
 // only then completes the cycle's traces — the portal publish triggered by
 // the hook must still see them in flight to stamp its publish span.
 func (p *Pipeline) finishCycle(cy *cycleTrace, kind string, from, to time.Time) {
-	tr := p.cfg.Tracer
+	tr := cy.tr
 	if tr != nil {
 		end := tr.Now()
 		ring := tr.Ring("dsa")
@@ -298,10 +302,9 @@ func (p *Pipeline) finishCycle(cy *cycleTrace, kind string, from, to time.Time) 
 	}
 }
 
-// cycleJob is one entry of the job table: the window-free spec both
-// executors read (the fold tier registers it with the folder, the scan runs
-// it as a scope.Job), the cadence that publishes it, and what its result
-// becomes.
+// cycleJob is one entry of the job table: the window-free spec (the fold
+// tier registers it with the folder, a cycle's span folder folds it too), the
+// cadence that publishes it, and what its result becomes.
 type cycleJob struct {
 	kind    string // Cycle10Min, Cycle1Hour or Cycle1Day
 	spec    scope.FoldSpec
@@ -381,19 +384,6 @@ func (p *Pipeline) jobsOf(kind string) []*cycleJob {
 	return jobs
 }
 
-// windowJob binds a spec to [from, to) as a scan job over the pipeline's
-// streams.
-func (p *Pipeline) windowJob(spec scope.FoldSpec, from, to time.Time) scope.Job {
-	return scope.Job{
-		Name:   spec.Name,
-		Source: p.source(),
-		From:   from, To: to,
-		Where:       spec.Where,
-		KeyBytes:    spec.KeyBytes,
-		TalliesOnly: spec.TalliesOnly,
-	}
-}
-
 // RunTenMinute computes near-real-time SLA per DC, per DC pair and per
 // service over the window and fires threshold alerts.
 func (p *Pipeline) RunTenMinute(from, to time.Time) error { return p.runCycle(Cycle10Min, from, to) }
@@ -406,44 +396,24 @@ func (p *Pipeline) RunHourly(from, to time.Time) error { return p.runCycle(Cycle
 // black-hole detection over server-pair stats, and ages out expired streams.
 func (p *Pipeline) RunDaily(from, to time.Time) error { return p.runCycle(Cycle1Day, from, to) }
 
-// runCycle is the one path of every cadence. A span that is a whole number
-// of the cadence's retained partial windows — 10-minute windows for the SLA
-// jobs, hours for the hourly and daily jobs — is served by merging folded
-// partials plus one fold of the unfolded extents; any other span (a manual
-// run off the grid, or one whose partials were already dropped) is scanned in
-// full and counted in dsa.cycle.offgrid_rescans. Both executors read the same
-// job table, and the scan is the reference the fold tier is tested against.
+// runCycle is the one path of every cadence: incremental.serve folds what
+// the resident partials cannot answer for — the open tails of a span on the
+// grid, every extent of one off it (a manual run, or one whose partials were
+// already dropped, counted in dsa.cycle.offgrid_rescans) — once, for all of
+// the cadence's jobs, and publish turns the results into rows.
 func (p *Pipeline) runCycle(kind string, from, to time.Time) error {
 	cy := p.beginCycle()
 	jobs := p.jobsOf(kind)
-	results, served, err := p.inc.serve(&cy, kind, jobs, from, to)
-	if !served {
-		p.offGrid.Inc()
-		results, err = p.scanJobs(jobs, from, to)
-	}
+	results, err := p.inc.serve(&cy, kind, jobs, from, to)
 	if err != nil {
 		return err
 	}
 	return p.publish(&cy, kind, jobs, results, from, to)
 }
 
-// scanJobs runs every job as a full scan of [from, to).
-func (p *Pipeline) scanJobs(jobs []*cycleJob, from, to time.Time) ([]*scope.Result, error) {
-	results := make([]*scope.Result, len(jobs))
-	for i, job := range jobs {
-		res, err := p.engine.Run(p.windowJob(job.spec, from, to))
-		if err != nil {
-			return nil, err
-		}
-		results[i] = res
-	}
-	return results, nil
-}
-
 // publish turns one result per job into report rows and closes the cycle.
 func (p *Pipeline) publish(cy *cycleTrace, kind string, jobs []*cycleJob, results []*scope.Result, from, to time.Time) error {
 	for i, job := range jobs {
-		cy.observe(results[i])
 		if err := job.publish(results[i], from, to); err != nil {
 			return err
 		}

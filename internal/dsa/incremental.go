@@ -2,7 +2,7 @@ package dsa
 
 import (
 	"fmt"
-	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -10,7 +10,6 @@ import (
 
 	"pingmesh/internal/cosmos"
 	"pingmesh/internal/metrics"
-	"pingmesh/internal/probe"
 	"pingmesh/internal/scope"
 	"pingmesh/internal/trace"
 )
@@ -19,15 +18,15 @@ import (
 // store's seal journal with a cursor, folds each newly sealed extent into
 // per-(job, window) partial aggregates exactly once — all jobs of all three
 // cadences in the one decode — and lets a cycle serve its span by merging
-// partials plus a tail scan of only the unfolded extents, instead of
+// partials plus a span fold of only the unfolded extents, instead of
 // re-decoding every extent of the day.
 //
 // Correctness invariant: at cycle snapshot time (under passMu, after a
 // fold pass) every extent is either in the folded set — its records already
-// summed into the partials of their windows — or in the tail scan, which
-// decodes it with the [from, to) filter. Histogram merges are exact integer
-// bucket additions, so the merged result yields report rows byte-identical
-// to one full scan.
+// summed into the partials of their windows — or in the cycle's span fold,
+// which decodes it with the [from, to) filter. Histogram merges are exact
+// integer bucket additions, so the merged result yields report rows
+// byte-identical to one fold of every extent over the span.
 //
 // Retention, per cadence: a 10-minute cycle drops the SLA partials below
 // the window it published (that one stays, so re-running the current window
@@ -42,7 +41,7 @@ type incremental struct {
 
 	// passMu serializes fold passes and cycles: a cycle must not race a
 	// fold pass, or an extent folded between the partial merge and the
-	// tail snapshot would be counted twice (or not at all).
+	// span fold's snapshot would be counted twice (or not at all).
 	passMu sync.Mutex
 	folder *scope.Folder
 	folded map[string]map[int]bool // stream -> folded extent indexes
@@ -104,85 +103,6 @@ func (inc *incremental) health(b trace.Budget, now time.Time) trace.StageHealth 
 	return sh
 }
 
-// foldChunkSize is about how long a lane's unit of work is. A sketched window
-// fills one extent of cosmos's 1 MiB, so a pass uses a second core only if the
-// unit is smaller than an extent; at 64 KiB that extent is sixteen units.
-const foldChunkSize = 64 << 10
-
-// foldChunk is one unit: a run of whole upload batches of one extent.
-type foldChunk struct {
-	data []byte
-	last bool // the extent's final chunk: folding it counts the extent folded
-}
-
-// appendChunks cuts an extent into chunks of about size bytes, at the batch
-// boundaries probe.SplitBatches can prove. An empty extent is one empty chunk.
-func appendChunks(chunks []foldChunk, data []byte, size int) []foldChunk {
-	for {
-		chunk, rest := probe.SplitBatches(data, size)
-		chunks = append(chunks, foldChunk{chunk, len(rest) == 0})
-		if len(rest) == 0 {
-			return chunks
-		}
-		data = rest
-	}
-}
-
-// foldChunks folds the chunks into dst on up to the given number of lanes,
-// each taking the next chunk as it finishes one: the caller's goroutine folds
-// into dst itself, every other lane into a fork dst absorbs at the end. Every
-// merge is exact, so which lane a chunk went to does not show in the result.
-func foldChunks(dst *scope.Folder, chunks []foldChunk, lanes int, now time.Time) {
-	var dealt atomic.Int64
-	fold := func(lane *scope.Folder) {
-		for i := int(dealt.Add(1)) - 1; i < len(chunks); i = int(dealt.Add(1)) - 1 {
-			if c := chunks[i]; c.last {
-				lane.FoldExtent(c.data, now)
-			} else {
-				lane.FoldChunk(c.data)
-			}
-		}
-	}
-	var forks []*scope.Folder
-	var wg sync.WaitGroup
-	for len(forks) < min(lanes, len(chunks))-1 {
-		fork := dst.Fork()
-		forks = append(forks, fork)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			fold(fork)
-		}()
-	}
-	fold(dst)
-	wg.Wait()
-	for _, fork := range forks {
-		dst.Absorb(fork)
-	}
-}
-
-// foldInto folds the named extents into dst on every core the process may run
-// on. The extents are read zero-copy and cut into chunks, and the chunks — not
-// the extents — are dealt to the lanes: the sketch path puts a whole window in
-// one extent, and a pass that deals extents folds it on one core while the
-// others idle (DESIGN.md has why a pass must not run on one core). It returns,
-// per extent, the error that kept it from being read; such an extent is not
-// folded.
-func (inc *incremental) foldInto(dst *scope.Folder, exts []scope.Extent, now time.Time) []error {
-	errs := make([]error, len(exts))
-	var chunks []foldChunk
-	for i, ext := range exts {
-		data, err := inc.p.cfg.Store.ReadExtent(ext.Stream, ext.Index)
-		if err != nil {
-			errs[i] = err
-			continue
-		}
-		chunks = appendChunks(chunks, data, foldChunkSize)
-	}
-	foldChunks(dst, chunks, runtime.GOMAXPROCS(0), now)
-	return errs
-}
-
 // foldPassLocked folds every extent sealed since the last pass into the
 // resident partials.
 //
@@ -190,8 +110,7 @@ func (inc *incremental) foldInto(dst *scope.Folder, exts []scope.Extent, now tim
 // the journal snapshot) is left unfolded and holds the cursor at its event:
 // the next pass retries it — a deleted stream's events are compacted out of
 // the journal by then — and skips what this one folded past it; meanwhile
-// the cycle's tail pass surfaces the read error, or the deletion, exactly as
-// a full scan would.
+// the cycle's span fold surfaces the read error, or the deletion.
 func (inc *incremental) foldPassLocked(now time.Time) {
 	prefix := inc.p.cfg.StreamPrefix
 	var evs []cosmos.SealEvent
@@ -207,7 +126,7 @@ func (inc *incremental) foldPassLocked(now time.Time) {
 		return
 	}
 	late := inc.folder.Late()
-	errs := inc.foldInto(inc.folder, exts, now)
+	errs := inc.folder.FoldExtents(inc.p.cfg.Store, exts, now)
 	inc.lateCtr.Add(int64(inc.folder.Late() - late))
 	// Backwards, so that next ends on the first unreadable event.
 	for i := len(evs) - 1; i >= 0; i-- {
@@ -234,48 +153,6 @@ func (inc *incremental) forgetStream(name string) {
 	inc.passMu.Unlock()
 }
 
-// tailExtents lists every extent not yet folded: the open tails plus any
-// sealed extent whose seal has not reached the journal. Callers hold
-// passMu.
-func (inc *incremental) tailExtents() []scope.Extent {
-	var out []scope.Extent
-	store := inc.p.cfg.Store
-	for _, name := range store.Streams(inc.p.cfg.StreamPrefix) {
-		fm := inc.folded[name]
-		n := store.NumExtents(name)
-		for i := 0; i < n; i++ {
-			if !fm[i] {
-				out = append(out, scope.Extent{Stream: name, Index: i})
-			}
-		}
-	}
-	return out
-}
-
-// assemble produces one job's Result from its windows [lo, hi): the folded
-// partials (deep-copied — the live ones keep folding after the cycle) plus
-// what the cycle's tail pass folded of the unfolded extents (the cycle's own:
-// no copy).
-func (inc *incremental) assemble(spec string, lo, hi int64, tail *scope.Folder) *scope.Result {
-	merged := scope.NewPartial()
-	for win := lo; win < hi; win++ {
-		if part := inc.folder.Partial(spec, win); part != nil {
-			merged.Merge(part)
-		}
-		if part := tail.Partial(spec, win); part != nil {
-			merged.Absorb(part)
-		}
-	}
-	return &scope.Result{
-		Groups:  merged.Groups,
-		Records: merged.Records,
-		// Scanned/ParseErrors are window-free, so the folder's running
-		// totals plus the tail's match what one full scan would count.
-		Scanned:     inc.folder.Scanned() + tail.Scanned(),
-		ParseErrors: inc.folder.ParseErrors() + tail.ParseErrors(),
-	}
-}
-
 // boundHoursLocked drops the hour partials that have aged out of the
 // hoursKept ending at now. It runs before every fold pass, so the bound holds
 // — and what arrives for an aged-out hour is counted late — whatever cycles
@@ -289,15 +166,18 @@ func (inc *incremental) boundHoursLocked(now time.Time) {
 	}
 }
 
-// serve assembles one result per job for [from, to) from folded partials.
-// served is false when some job cannot serve the span — it is not a whole
-// number of the job's windows on the grid, or reaches below what the job
-// still retains; the caller then scans the span in full.
+// serve assembles one result per job for [from, to). It has one path: a span
+// folder of the cycle's own (scope.NewSpanFolder) folds every extent the
+// resident partials cannot answer for, once, for all of the cycle's jobs, and
+// is thrown away afterwards.
 //
-// The extents not yet folded — the open tails — are decoded once per cycle,
-// for all of the cycle's jobs, by a folder of the cycle's own that is thrown
-// away afterwards: they still grow, so nothing of them may stay.
-func (inc *incremental) serve(cy *cycleTrace, kind string, jobs []*cycleJob, from, to time.Time) (results []*scope.Result, served bool, err error) {
+// On the grid — the span is a whole number of every job's windows, none of
+// them dropped — those extents are the ones not yet folded, the open tails:
+// they still grow, so nothing of them may stay. Each job's result is its
+// windows' partials plus what the span folder folded. Off the grid — a manual
+// run, or one reaching partials already dropped — the span folder folds every
+// extent, and the cycle is counted in dsa.cycle.offgrid_rescans.
+func (inc *incremental) serve(cy *cycleTrace, kind string, jobs []*cycleJob, from, to time.Time) ([]*scope.Result, error) {
 	inc.passMu.Lock()
 	defer inc.passMu.Unlock()
 	now := inc.p.cfg.Clock.Now()
@@ -305,35 +185,58 @@ func (inc *incremental) serve(cy *cycleTrace, kind string, jobs []*cycleJob, fro
 	type span struct{ lo, hi int64 }
 	spans := make([]span, len(jobs))
 	specs := make([]scope.FoldSpec, len(jobs))
+	onGrid := true
 	for i, job := range jobs {
 		lo, hi, ok := inc.folder.Span(job.spec.Name, from, to)
-		if !ok {
-			return nil, false, nil
-		}
 		spans[i], specs[i] = span{lo, hi}, job.spec
+		onGrid = onGrid && ok
 	}
-	inc.foldPassLocked(now) // the folded set must be complete at snapshot
-	exts := inc.tailExtents()
-	tail := scope.NewFolder(inc.folder.Anchor, inc.folder.Window, specs, inc.p.cfg.Tracer)
-	for i, err := range inc.foldInto(tail, exts, now) {
+	if onGrid {
+		inc.foldPassLocked(now) // the folded set must be complete at snapshot
+	} else {
+		inc.p.offGrid.Inc()
+	}
+	exts := scope.Source{Store: inc.p.cfg.Store, StreamPrefix: inc.p.cfg.StreamPrefix}.Extents()
+	if onGrid {
+		exts = slices.DeleteFunc(exts, func(e scope.Extent) bool { return inc.folded[e.Stream][e.Index] })
+	}
+	tail := scope.NewSpanFolder(specs, from, to, inc.p.cfg.Tracer)
+	for i, err := range tail.FoldExtents(inc.p.cfg.Store, exts, now) {
 		if err != nil {
-			return nil, true, fmt.Errorf("dsa: %s cycle: extent %d of %s: %w", kind, exts[i].Index, exts[i].Stream, err)
+			return nil, fmt.Errorf("dsa: %s cycle: extent %d of %s: %w", kind, exts[i].Index, exts[i].Stream, err)
 		}
 	}
-	cy.observe(&scope.Result{Traces: append(inc.folder.TakeTraces(), tail.TakeTraces()...)})
-	results = make([]*scope.Result, len(jobs))
+	cy.observe(inc.folder.TakeTraces())
+	cy.observe(tail.TakeTraces())
+	results := make([]*scope.Result, len(jobs))
 	for i, job := range jobs {
-		results[i] = inc.assemble(job.spec.Name, spans[i].lo, spans[i].hi, tail)
-		// What was published is not read from partials again; see the
-		// retention rule on incremental.
-		switch kind {
-		case Cycle10Min:
-			inc.folder.DropWindowsBefore(job.spec.Name, spans[i].hi-1)
-		case Cycle1Hour:
-			inc.folder.DropWindowsBefore(job.spec.Name, spans[i].hi)
+		name := job.spec.Name
+		res := tail.Result(name)
+		if onGrid {
+			// The resident partials are deep-copied: they keep folding after
+			// the cycle. Scanned/ParseErrors are window-free, so the folder's
+			// running totals plus the span folder's are what one fold of
+			// every extent would count.
+			for win := spans[i].lo; win < spans[i].hi; win++ {
+				if part := inc.folder.Partial(name, win); part != nil {
+					res.Merge(part)
+				}
+			}
+			res.Scanned += inc.folder.Scanned()
+			res.ParseErrors += inc.folder.ParseErrors()
+			// What was published is not read from partials again; see the
+			// retention rule on incremental.
+			switch kind {
+			case Cycle10Min:
+				inc.folder.DropWindowsBefore(name, spans[i].hi-1)
+			case Cycle1Hour:
+				inc.folder.DropWindowsBefore(name, spans[i].hi)
+			}
 		}
+		cy.job(name, res)
+		results[i] = res
 	}
-	return results, true, nil
+	return results, nil
 }
 
 // FoldNow runs one fold pass immediately: the scheduled fold job's body,

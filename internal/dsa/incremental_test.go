@@ -195,19 +195,80 @@ func (fx *diffFixture) newPipeOn(t testing.TB, store *cosmos.Store, clock simclo
 	return pipe
 }
 
-// oracleCycle publishes one cycle of the cadence over [from, to) through
-// the scan executor — one scope.Engine.Run per entry of the job table —
-// whether or not the span is on the grid: the reference the fold tier is
-// compared against.
+// oracleResults is the reference the fold tier is compared against: every
+// job evaluated over [from, to) a record at a time, straight off the store —
+// probe.Scanner, the job's Where, the span, its KeyBytes, then
+// LatencyStats.Add or AddSketch — sharing no code with the fold.
+func oracleResults(t *testing.T, p *Pipeline, jobs []*cycleJob, from, to time.Time) []*scope.Result {
+	t.Helper()
+	results := make([]*scope.Result, len(jobs))
+	for i := range results {
+		results[i] = &scope.Result{}
+		results[i].Groups = make(map[string]*analysis.LatencyStats)
+	}
+	store := p.cfg.Store
+	var sc probe.Scanner
+	var rep probe.Record
+	for _, stream := range store.Streams(p.cfg.StreamPrefix) {
+		for e := 0; e < store.NumExtents(stream); e++ {
+			data, err := store.ReadExtent(stream, e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc.Reset(data)
+			for kind := sc.ScanEntry(); kind != probe.EntryEOF; kind = sc.ScanEntry() {
+				if sc.RowErr() != nil {
+					continue
+				}
+				r := &rep
+				var sk *probe.Sketch
+				if kind == probe.EntrySketch {
+					sk = sc.Sketch()
+					sk.FillRecord(&rep)
+				} else {
+					r = sc.Record()
+				}
+				for i, job := range jobs {
+					if job.spec.Where != nil && !job.spec.Where(r) {
+						continue
+					}
+					if r.Start.Before(from) || !r.Start.Before(to) {
+						continue
+					}
+					key, ok := job.spec.KeyBytes(nil, r)
+					if !ok {
+						continue
+					}
+					res := results[i]
+					st := res.Groups[string(key)]
+					if st == nil {
+						st = analysis.NewLatencyStats()
+						if job.spec.TalliesOnly {
+							st = analysis.NewTallies()
+						}
+						res.Groups[string(key)] = st
+					}
+					if sk != nil {
+						st.AddSketch(sk)
+						res.Records += sk.Records()
+					} else {
+						st.Add(r)
+						res.Records++
+					}
+				}
+			}
+		}
+	}
+	return results
+}
+
+// oracleCycle publishes one cycle of the cadence over [from, to) from
+// oracleResults, whether or not the span is on the grid.
 func oracleCycle(t *testing.T, p *Pipeline, kind string, from, to time.Time) {
 	t.Helper()
 	cy := p.beginCycle()
 	jobs := p.jobsOf(kind)
-	results, err := p.scanJobs(jobs, from, to)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.publish(&cy, kind, jobs, results, from, to); err != nil {
+	if err := p.publish(&cy, kind, jobs, oracleResults(t, p, jobs, from, to), from, to); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -285,7 +346,8 @@ func renderResults(jobs []*cycleJob, results []*scope.Result) string {
 // extents, an open tail and late records for already published windows,
 // cycles of all three cadences served from folded partials produce report
 // rows — SLA, alerts, patterns, heatmap cells, drop rates, black-hole
-// candidates — byte-identical to the scan executor over the same store state.
+// candidates — byte-identical to the record-at-a-time oracle over the same
+// store state.
 //
 // It holds for both upload encodings of the fixture's records, and with
 // everything uploaded the two encodings publish the same rows: a fleet
@@ -376,16 +438,13 @@ func testIncrementalMatchesScan(t *testing.T, fx *diffFixture) {
 		day := t0.Add(diffHours * time.Hour)
 		daily := pipe.jobsOf(Cycle1Day)
 		cy := pipe.beginCycle()
-		got, served, err := pipe.inc.serve(&cy, Cycle1Day, daily, t0, day)
-		if err != nil || !served {
-			t.Fatalf("trial %d: daily jobs not served from partials (served %v, err %v)", trial, served, err)
+		got, err := pipe.inc.serve(&cy, Cycle1Day, daily, t0, day)
+		if n := offGridRescans(pipe); err != nil || n != 0 {
+			t.Fatalf("trial %d: daily jobs not served from partials (%d rescans, err %v)", trial, n, err)
 		}
-		want, err := ref.scanJobs(ref.jobsOf(Cycle1Day), t0, day)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := oracleResults(t, ref, ref.jobsOf(Cycle1Day), t0, day)
 		if got, want := renderResults(daily, got), renderResults(daily, want); got != want {
-			t.Fatalf("trial %d: daily aggregates differ from the scan\nwant:\n%s\ngot:\n%s", trial, want, got)
+			t.Fatalf("trial %d: daily aggregates differ from the oracle\nwant:\n%s\ngot:\n%s", trial, want, got)
 		}
 		if err := pipe.RunDaily(t0, day); err != nil {
 			t.Fatal(err)
@@ -400,7 +459,7 @@ func testIncrementalMatchesScan(t *testing.T, fx *diffFixture) {
 			}
 		}
 		if gotRows := renderReports(t, pipe); gotRows != wantRows {
-			t.Fatalf("trial %d: incremental reports differ from the scan\nwant:\n%s\ngot:\n%s", trial, wantRows, gotRows)
+			t.Fatalf("trial %d: incremental reports differ from the oracle\nwant:\n%s\ngot:\n%s", trial, wantRows, gotRows)
 		}
 		lag := pipe.ShardLags()[0]
 		if lag.Folded == 0 || lag.Backlog != 0 {
@@ -419,10 +478,15 @@ func testIncrementalMatchesScan(t *testing.T, fx *diffFixture) {
 // cadence: a span that is not a whole number of the cadence's windows on the
 // grid, or that reaches partials already dropped — a published 10-minute
 // window, a published hour, an hour older than the daily jobs retain — is
-// served by the scan, counted in dsa.cycle.offgrid_rescans, and matches the
-// oracle exactly.
+// served by a span fold of every extent, counted in
+// dsa.cycle.offgrid_rescans, and matches the oracle exactly.
 func TestIncrementalFallsBackOffGrid(t *testing.T) {
-	fx := buildDiffFixture(t)
+	csv := buildDiffFixture(t)
+	t.Run("csv", func(t *testing.T) { testFallsBackOffGrid(t, csv) })
+	t.Run("pmb1", func(t *testing.T) { testFallsBackOffGrid(t, csv.asSketched()) })
+}
+
+func testFallsBackOffGrid(t *testing.T, fx *diffFixture) {
 	store := fx.newStore(t)
 	fx.upload(t, store, fx.inOrder())
 	clock := simclock.NewSim(t0)
@@ -486,7 +550,7 @@ func lateMatters(r *probe.Record) bool { return r.PayloadLen == 0 || r.Class == 
 // rows and whose hour are already published is counted in
 // dsa.fold.late_records when it is folded, changes no published row, still
 // reaches the daily jobs (which retain its hour), and is in the rows of a
-// re-run of its window — by the scan, since the partials are gone.
+// re-run of its window — off the grid, since the partials are gone.
 func TestLateRecordsAreCounted(t *testing.T) {
 	fx := buildDiffFixture(t)
 	store, err := cosmos.NewStore(3, cosmos.Config{ExtentSize: 1}) // every batch seals its own extent
@@ -579,7 +643,7 @@ func TestLateRecordsAreCounted(t *testing.T) {
 		}
 	}
 	if got = strings.Join(gotRows, "\n"); got != want {
-		t.Fatalf("rows with the late batch differ from the scan\nwant:\n%s\ngot:\n%s", want, got)
+		t.Fatalf("rows with the late batch differ from the oracle\nwant:\n%s\ngot:\n%s", want, got)
 	}
 }
 
@@ -706,7 +770,7 @@ func TestFoldProductionTableZeroAlloc(t *testing.T) {
 
 // TestZeroValueConfigFolds pins that the fold tier needs no opt-in: a
 // pipeline built from nothing but a store and a topology serves a
-// grid-aligned cycle from folded extents, without the scan.
+// grid-aligned cycle from folded extents, not from a fold of every extent.
 func TestZeroValueConfigFolds(t *testing.T) {
 	fx := buildDiffFixture(t)
 	store := fx.newStore(t)
@@ -730,7 +794,7 @@ func TestZeroValueConfigFolds(t *testing.T) {
 	}
 	got, want := renderReports(t, pipe), renderReports(t, ref)
 	if got != want || !strings.Contains(want, "sla|dc/DC1") {
-		t.Fatalf("zero-value pipeline diverged from the scan\nwant:\n%s\ngot:\n%s", want, got)
+		t.Fatalf("zero-value pipeline diverged from the oracle\nwant:\n%s\ngot:\n%s", want, got)
 	}
 }
 
@@ -815,7 +879,7 @@ func TestFoldExactlyOnceUnderConcurrency(t *testing.T) {
 		t.Fatalf("%d aligned cycles were re-scanned", n)
 	}
 	if got, want := renderReports(t, pipe), renderReports(t, ref); got != want {
-		t.Fatalf("rows after concurrent folding differ from the scan\nwant:\n%s\ngot:\n%s", want, got)
+		t.Fatalf("rows after concurrent folding differ from the oracle\nwant:\n%s\ngot:\n%s", want, got)
 	}
 }
 
@@ -885,9 +949,9 @@ func driveScheduled(t *testing.T, pipe *Pipeline, clock *simclock.Sim, steps int
 // manager on the sim clock for a full day. Every scheduled cycle — 144
 // ten-minute, 24 hourly, one daily — must be served from partials: the
 // scheduler's grid and the folder's coincide at every cadence, nothing is re-scanned and no backlog is left; and what the
-// scheduled cycles publish equals the scan of the same spans.
+// scheduled cycles publish equals the oracle over the same spans.
 func TestIncrementalScheduledPipeline(t *testing.T) {
-	// The sketched encoding: the oracle re-scans the store 600 times.
+	// The sketched encoding: the oracle reads the store 169 times.
 	fx := buildDiffFixture(t).asSketched()
 	store := fx.newStore(t)
 	fx.upload(t, store, fx.inOrder())
@@ -920,7 +984,7 @@ func TestIncrementalScheduledPipeline(t *testing.T) {
 	oracleCycle(t, ref, Cycle1Day, t0, t0.Add(24*time.Hour))
 	got, want := renderReports(t, pipe), renderReports(t, ref)
 	if got != want || !strings.Contains(want, "blackholes|") || !strings.Contains(want, "sla|pod/") {
-		t.Fatalf("scheduled cycles diverged from the scan\nwant:\n%s\ngot:\n%s", want, got)
+		t.Fatalf("scheduled cycles diverged from the oracle\nwant:\n%s\ngot:\n%s", want, got)
 	}
 }
 
@@ -960,7 +1024,7 @@ func TestScheduledPipelineStartedOffGrid(t *testing.T) {
 
 // TestFoldRetriesUnreadableExtent pins the fold pass's failure contract:
 // with every replica down nothing is folded or skipped, the backlog stays
-// visible, and the cycle fails with the read error a scan would hit; once
+// visible, and the cycle fails with the read error; once
 // the store is back the same extents fold and the rows match the oracle.
 func TestFoldRetriesUnreadableExtent(t *testing.T) {
 	fx := buildDiffFixture(t)
@@ -999,7 +1063,7 @@ func TestFoldRetriesUnreadableExtent(t *testing.T) {
 	ref := fx.newPipe(t, store)
 	oracleCycle(t, ref, Cycle10Min, from, to)
 	if got, want := renderReports(t, pipe), renderReports(t, ref); got != want {
-		t.Fatalf("rows after the retry differ from the scan\nwant:\n%s\ngot:\n%s", want, got)
+		t.Fatalf("rows after the retry differ from the oracle\nwant:\n%s\ngot:\n%s", want, got)
 	}
 }
 
@@ -1043,7 +1107,7 @@ func TestFoldSkipsWhatItFoldedPastAnUnreadableExtent(t *testing.T) {
 	ref := fx.newPipe(t, store)
 	oracleCycle(t, ref, Cycle10Min, from, to)
 	if got, want := renderReports(t, pipe), renderReports(t, ref); got != want {
-		t.Fatalf("rows differ from the scan\nwant:\n%s\ngot:\n%s", want, got)
+		t.Fatalf("rows differ from the oracle\nwant:\n%s\ngot:\n%s", want, got)
 	}
 }
 
@@ -1098,5 +1162,47 @@ func TestFoldLagInFreshnessVerdict(t *testing.T) {
 	clock.Advance(time.Hour)
 	if sh := fold(); sh.Stale {
 		t.Fatalf("nothing waiting: %+v", sh)
+	}
+}
+
+// BenchmarkFoldPass times one pass of the fold tier over freshly sealed
+// extents, through FoldExtents as a cycle and the fold job run it: one extent
+// of sketches — a sketched window, which a pass that deals extents folds on
+// one core whatever -cpu says — and eight extents of CSV, which it already
+// spread.
+func BenchmarkFoldPass(b *testing.B) {
+	fx := buildDiffFixture(b)
+	for _, bc := range []struct {
+		name    string
+		batches [][]byte
+		extents int
+	}{{"extents=1", fx.sketched, 1}, {"extents=8", fx.batches, 8}} {
+		b.Run(bc.name, func(b *testing.B) {
+			const extentSize = 1 << 20
+			store, err := cosmos.NewStore(3, cosmos.Config{ExtentSize: extentSize})
+			if err != nil {
+				b.Fatal(err)
+			}
+			var exts []scope.Extent
+			for i := 0; len(exts) < bc.extents; i++ {
+				if err := store.Append(diffStream, bc.batches[i%len(bc.batches)]); err != nil {
+					b.Fatal(err)
+				}
+				if sealed, _ := store.Sealed(diffStream, len(exts)); sealed {
+					exts = append(exts, scope.Extent{Stream: diffStream, Index: len(exts)})
+				}
+			}
+			pipe := fx.newPipe(b, store)
+			b.SetBytes(int64(bc.extents) * extentSize)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				// A pass folds into windows that hold their groups already.
+				for _, err := range pipe.inc.folder.FoldExtents(store, exts, t0) {
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }

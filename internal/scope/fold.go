@@ -11,18 +11,22 @@ import (
 	"pingmesh/internal/trace"
 )
 
-// FoldSpec is the window-free core of a recurring Job: the filter and
-// grouping of an analysis, registered once so every sealed extent can be
-// folded into per-(spec, window) partials as it lands. The cycle then merges
-// partials instead of re-decoding the extent.
+// FoldSpec is the window-free core of a job: the filter and grouping of an
+// analysis, registered once so every sealed extent can be folded into
+// per-(spec, window) partials as it lands. The cycle then merges partials
+// instead of re-decoding the extent.
 type FoldSpec struct {
-	// Name identifies the spec; it must match the recurring Job.Name the
-	// cycle will assemble results for.
+	// Name identifies the spec among its folder's.
 	Name string
-	// Where optionally filters records, exactly as Job.Where.
+	// Where optionally filters records.
 	Where func(*probe.Record) bool
-	// KeyBytes groups records, exactly as Job.KeyBytes (allocation-free
-	// append-style keyer). Required: incremental specs are the hot path.
+	// KeyBytes groups records: it appends the group key for r to dst and
+	// returns the extended slice; records it answers ok=false for are
+	// skipped. The folder passes a reused buffer and interns the key (one
+	// string allocation per distinct group, not per record), so an
+	// append-only KeyBytes makes the whole grouping path allocation-free.
+	// The returned slice must alias dst's backing array (append semantics);
+	// the folder owns it until the next record. Required.
 	KeyBytes func(dst []byte, r *probe.Record) ([]byte, bool)
 	// Window is the length of the spec's partials: a whole multiple of the
 	// folder's window, on the folder's anchor. Zero means the folder's window.
@@ -94,8 +98,9 @@ func (p *Partial) merge(o *Partial, owned bool) {
 	}
 }
 
-// group returns the aggregate for kb, the interned-on-first-sight group key
-// (same idiom as extentSink.process).
+// group returns the aggregate for kb, interning the group key on first
+// sight: the map index on string(kb) does not allocate, so a key string is
+// materialized once per group, not per record.
 func (p *Partial) group(kb []byte) *analysis.LatencyStats {
 	st := p.Groups[string(kb)]
 	if st == nil {
@@ -164,16 +169,18 @@ type Folder struct {
 	Anchor time.Time
 	// Window is the base fold window length (the 10-minute DSA cadence).
 	Window time.Duration
-	// Tracer, if non-nil, re-attaches sampled traces exactly as the scan
-	// path does; matched IDs accumulate until TakeTraces.
+	// Tracer, if non-nil, re-attaches sampled end-to-end traces to the raw
+	// records folded (an ingest span each); matched IDs accumulate until
+	// TakeTraces. With no trace in flight the per-record cost is one atomic
+	// load (TestIngestTraceUnsampledZeroAlloc).
 	Tracer *trace.Tracer
 
 	origin int64 // probe.WindowIndex of Anchor
 	specs  []*specState
 
-	// Extent-level tallies. Scanned/ParseErrors are window-free (the scan
-	// counts records before any filter), so a cycle's totals are these plus
-	// the tail scan's — matching what a full re-scan would have counted.
+	// Extent-level tallies. Scanned/ParseErrors are window-free (records are
+	// counted before any filter), so a cycle's totals are these plus its span
+	// folder's — what one fold of every extent would have counted.
 	scanned     uint64
 	parseErrors uint64
 	extents     uint64
@@ -212,6 +219,41 @@ func NewFolder(anchor time.Time, window time.Duration, specs []FoldSpec, tracer 
 		})
 	}
 	return f
+}
+
+// allTime is the window of a span folder: anchored at the Unix epoch, every
+// Start from 1970 on lies in window 0 (and any earlier one in window -1).
+const allTime = time.Duration(math.MaxInt64)
+
+// NewSpanFolder returns a folder for one pass over [from, to) — zero sides
+// unbounded — that is read with Result and thrown away: an ad-hoc job's, or
+// a DSA cycle's over the extents its partials do not cover. Each spec's
+// filter also takes only records starting in the span, its Window is
+// cleared, and the folder's one window covers all time, so a spec folds into
+// one partial per group however many grid windows the span crosses.
+func NewSpanFolder(specs []FoldSpec, from, to time.Time, tracer *trace.Tracer) *Folder {
+	bound := make([]FoldSpec, len(specs))
+	for i, sp := range specs {
+		where := sp.Where
+		sp.Where = func(r *probe.Record) bool {
+			return (from.IsZero() || !r.Start.Before(from)) && (to.IsZero() || r.Start.Before(to)) &&
+				(where == nil || where(r))
+		}
+		sp.Window = 0
+		bound[i] = sp
+	}
+	return NewFolder(time.Unix(0, 0).UTC(), allTime, bound, tracer)
+}
+
+// Result returns what the folder folded for the spec, every window merged,
+// with the folder's scan tallies. It takes the partials rather than copying
+// them: the folder must fold nothing more afterwards.
+func (f *Folder) Result(spec string) *Result {
+	res := &Result{Partial: *NewPartial(), Scanned: f.scanned, ParseErrors: f.parseErrors}
+	for _, part := range f.state(spec).windows {
+		res.Absorb(part)
+	}
+	return res
 }
 
 // Fork returns an empty folder on the same grid, specs, retention floors and

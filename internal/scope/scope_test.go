@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"pingmesh/internal/analysis"
 	"pingmesh/internal/cosmos"
 	"pingmesh/internal/probe"
 	"pingmesh/internal/simclock"
@@ -26,7 +27,7 @@ func mkRecord(i int, rtt time.Duration, errStr string) probe.Record {
 }
 
 // seedStore writes n records split across two daily streams with small
-// extents, so the engine gets real parallel work.
+// extents, so a job gets real parallel work.
 func seedStore(t *testing.T, n int) *cosmos.Store {
 	t.Helper()
 	store, err := cosmos.NewStore(3, cosmos.Config{ExtentSize: 512})
@@ -43,13 +44,97 @@ func seedStore(t *testing.T, n int) *cosmos.Store {
 	return store
 }
 
-func TestRunAggregatesEverything(t *testing.T) {
-	store := seedStore(t, 200)
-	e := &Engine{Parallelism: 4}
-	res, err := e.Run(Job{Name: "all", Source: Source{Store: store, StreamPrefix: "pingmesh/"}})
+// refRun is the reference Run is tested against: the job evaluated a record
+// at a time straight off the store — probe.Scanner, the span, Where,
+// KeyBytes, then LatencyStats.Add or AddSketch — sharing no code with the
+// fold.
+func refRun(t *testing.T, job Job) *Result {
+	t.Helper()
+	res := &Result{}
+	res.Groups = make(map[string]*analysis.LatencyStats)
+	store := job.Source.Store
+	var sc probe.Scanner
+	var rep probe.Record
+	for _, stream := range store.Streams(job.Source.StreamPrefix) {
+		for i := 0; i < store.NumExtents(stream); i++ {
+			data, err := store.ReadExtent(stream, i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc.Reset(data)
+			for kind := sc.ScanEntry(); kind != probe.EntryEOF; kind = sc.ScanEntry() {
+				if sc.RowErr() != nil {
+					res.ParseErrors++
+					continue
+				}
+				r, n := &rep, uint64(1)
+				var sk *probe.Sketch
+				if kind == probe.EntrySketch {
+					sk = sc.Sketch()
+					sk.FillRecord(&rep)
+					n = sk.Records()
+				} else {
+					r = sc.Record()
+				}
+				res.Scanned += n
+				if (!job.From.IsZero() && r.Start.Before(job.From)) || (!job.To.IsZero() && !r.Start.Before(job.To)) {
+					continue
+				}
+				if job.Where != nil && !job.Where(r) {
+					continue
+				}
+				var key []byte
+				if job.KeyBytes != nil {
+					var ok bool
+					if key, ok = job.KeyBytes(nil, r); !ok {
+						continue
+					}
+				}
+				st := res.Groups[string(key)]
+				if st == nil {
+					st = analysis.NewLatencyStats()
+					if job.TalliesOnly {
+						st = analysis.NewTallies()
+					}
+					res.Groups[string(key)] = st
+				}
+				if sk != nil {
+					st.AddSketch(sk)
+				} else {
+					st.Add(r)
+				}
+				res.Records += n
+			}
+		}
+	}
+	return res
+}
+
+// runJob runs the job and requires its result to be refRun's.
+func runJob(t *testing.T, job Job) *Result {
+	t.Helper()
+	res, err := Run(job)
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := refRun(t, job)
+	if res.Records != want.Records || res.Scanned != want.Scanned || res.ParseErrors != want.ParseErrors || len(res.Groups) != len(want.Groups) {
+		t.Fatalf("job %q: records/scanned/errors/groups %d/%d/%d/%d, the reference %d/%d/%d/%d", job.Name,
+			res.Records, res.Scanned, res.ParseErrors, len(res.Groups), want.Records, want.Scanned, want.ParseErrors, len(want.Groups))
+	}
+	for k, st := range want.Groups {
+		got, ok := res.Groups[k]
+		if !ok {
+			t.Fatalf("job %q: no group %q", job.Name, k)
+		}
+		compareStats(t, k, got, st)
+	}
+	return res
+}
+
+func TestRunAggregatesEverything(t *testing.T) {
+	store := seedStore(t, 200)
+	res := runJob(t, Job{Name: "all", Source: Source{Store: store, StreamPrefix: "pingmesh/"}})
 	if res.Records != 200 || res.Scanned != 200 {
 		t.Fatalf("Records=%d Scanned=%d, want 200", res.Records, res.Scanned)
 	}
@@ -63,11 +148,7 @@ func TestRunAggregatesEverything(t *testing.T) {
 
 func TestRunStreamPrefixSelects(t *testing.T) {
 	store := seedStore(t, 100)
-	e := &Engine{}
-	res, err := e.Run(Job{Name: "day1", Source: Source{Store: store, StreamPrefix: "pingmesh/2026-07-01"}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runJob(t, Job{Name: "day1", Source: Source{Store: store, StreamPrefix: "pingmesh/2026-07-01"}})
 	if res.Records != 50 {
 		t.Fatalf("Records = %d, want 50", res.Records)
 	}
@@ -75,15 +156,11 @@ func TestRunStreamPrefixSelects(t *testing.T) {
 
 func TestRunWhereFilters(t *testing.T) {
 	store := seedStore(t, 100)
-	e := &Engine{}
-	res, err := e.Run(Job{
+	res := runJob(t, Job{
 		Name:   "filtered",
 		Source: Source{Store: store, StreamPrefix: "pingmesh/"},
 		Where:  func(r *probe.Record) bool { return r.Src.As4()[2] == 0 },
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Src third octet cycles 0,1,2: about a third match.
 	if res.Records < 30 || res.Records > 37 {
 		t.Fatalf("Records = %d, want ~34", res.Records)
@@ -92,15 +169,11 @@ func TestRunWhereFilters(t *testing.T) {
 
 func TestRunGroupsByKey(t *testing.T) {
 	store := seedStore(t, 90)
-	e := &Engine{Parallelism: 3}
-	res, err := e.Run(Job{
+	res := runJob(t, Job{
 		Name:     "grouped",
 		Source:   Source{Store: store, StreamPrefix: "pingmesh/"},
 		KeyBytes: func(dst []byte, r *probe.Record) ([]byte, bool) { return r.Src.AppendTo(dst), true },
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(res.Groups) != 3 {
 		t.Fatalf("%d groups, want 3", len(res.Groups))
 	}
@@ -118,17 +191,13 @@ func TestRunGroupsByKey(t *testing.T) {
 func TestRunKeySkips(t *testing.T) {
 	store := seedStore(t, 60)
 	skipped := mkRecord(0, 0, "").Src
-	e := &Engine{}
-	res, err := e.Run(Job{
+	res := runJob(t, Job{
 		Name:   "skippy",
 		Source: Source{Store: store, StreamPrefix: "pingmesh/"},
 		KeyBytes: func(dst []byte, r *probe.Record) ([]byte, bool) {
 			return r.Src.AppendTo(dst), r.Src != skipped
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if res.Records != 40 || res.Scanned != 60 || len(res.Groups) != 2 {
 		t.Fatalf("Records=%d Scanned=%d groups=%d, want 40 of 60 in 2", res.Records, res.Scanned, len(res.Groups))
 	}
@@ -136,16 +205,12 @@ func TestRunKeySkips(t *testing.T) {
 
 func TestRunTimeWindow(t *testing.T) {
 	store := seedStore(t, 120) // records at t0 + i minutes
-	e := &Engine{}
-	res, err := e.Run(Job{
+	res := runJob(t, Job{
 		Name:   "window",
 		Source: Source{Store: store, StreamPrefix: "pingmesh/"},
 		From:   t0.Add(30 * time.Minute),
 		To:     t0.Add(60 * time.Minute),
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if res.Records != 30 {
 		t.Fatalf("Records = %d, want 30", res.Records)
 	}
@@ -154,30 +219,21 @@ func TestRunTimeWindow(t *testing.T) {
 func TestRunSkipsCorruptRows(t *testing.T) {
 	store := seedStore(t, 10)
 	store.Append("pingmesh/2026-07-01", []byte("this is not a record\n"))
-	e := &Engine{}
-	res, err := e.Run(Job{Name: "corrupt", Source: Source{Store: store, StreamPrefix: "pingmesh/"}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runJob(t, Job{Name: "corrupt", Source: Source{Store: store, StreamPrefix: "pingmesh/"}})
 	if res.Records != 10 || res.ParseErrors != 1 {
 		t.Fatalf("Records=%d ParseErrors=%d", res.Records, res.ParseErrors)
 	}
 }
 
 func TestRunNoStore(t *testing.T) {
-	e := &Engine{}
-	if _, err := e.Run(Job{Name: "nil"}); err == nil {
+	if _, err := Run(Job{Name: "nil"}); err == nil {
 		t.Fatal("Run without store succeeded")
 	}
 }
 
 func TestRunEmptyStore(t *testing.T) {
 	store, _ := cosmos.NewStore(1, cosmos.Config{})
-	e := &Engine{}
-	res, err := e.Run(Job{Name: "empty", Source: Source{Store: store, StreamPrefix: ""}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runJob(t, Job{Name: "empty", Source: Source{Store: store, StreamPrefix: ""}})
 	if res.Records != 0 || len(res.Groups) != 0 {
 		t.Fatalf("unexpected result: %+v", res)
 	}
@@ -282,9 +338,11 @@ func TestJobManagerStop(t *testing.T) {
 	waitFor(t, func() bool { return runs.Load() == 1 })
 	job.Stop()
 	job.Stop() // idempotent
-	time.Sleep(5 * time.Millisecond)
+	// The job's goroutine has seen the stop once it has dropped its timer:
+	// nothing is left for the clock to fire.
+	waitFor(t, func() bool { return clock.PendingTimers() == 0 })
 	clock.Advance(10 * time.Minute)
-	time.Sleep(10 * time.Millisecond)
+	m.Wait()
 	if runs.Load() != 1 {
 		t.Fatalf("job ran %d times after Stop", runs.Load())
 	}
@@ -360,55 +418,18 @@ func waitFor(t *testing.T, cond func() bool) {
 
 func TestRunHalfOpenWindows(t *testing.T) {
 	store := seedStore(t, 60) // records at t0+i minutes, i in [0,60)
-	e := &Engine{}
-	fromOnly, err := e.Run(Job{
+	fromOnly := runJob(t, Job{
 		Name: "from", Source: Source{Store: store, StreamPrefix: "pingmesh/"},
 		From: t0.Add(30 * time.Minute),
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if fromOnly.Records != 30 {
 		t.Fatalf("From-only records = %d, want 30", fromOnly.Records)
 	}
-	toOnly, err := e.Run(Job{
+	toOnly := runJob(t, Job{
 		Name: "to", Source: Source{Store: store, StreamPrefix: "pingmesh/"},
 		To: t0.Add(30 * time.Minute),
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if toOnly.Records != 30 {
 		t.Fatalf("To-only records = %d, want 30", toOnly.Records)
-	}
-}
-
-func TestRunParallelismInvariance(t *testing.T) {
-	// Property: results are identical whatever the worker count.
-	store := seedStore(t, 300)
-	job := Job{
-		Name:     "inv",
-		Source:   Source{Store: store, StreamPrefix: "pingmesh/"},
-		KeyBytes: func(dst []byte, r *probe.Record) ([]byte, bool) { return r.Src.AppendTo(dst), true },
-	}
-	base, err := (&Engine{Parallelism: 1}).Run(job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, par := range []int{2, 4, 8} {
-		got, err := (&Engine{Parallelism: par}).Run(job)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Records != base.Records || len(got.Groups) != len(base.Groups) {
-			t.Fatalf("par=%d: records=%d groups=%d vs base %d/%d",
-				par, got.Records, len(got.Groups), base.Records, len(base.Groups))
-		}
-		for k, st := range base.Groups {
-			g, ok := got.Groups[k]
-			if !ok || g.Total() != st.Total() || g.Percentile(0.99) != st.Percentile(0.99) {
-				t.Fatalf("par=%d: group %q diverged", par, k)
-			}
-		}
 	}
 }

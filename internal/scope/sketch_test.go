@@ -15,7 +15,7 @@ import (
 // These tests pin the sketch ingest path to the exact raw-record path: the
 // same probes, shipped once as CSV records and once as binary
 // sketch-plus-anomalous-raw batches, must produce identical aggregates
-// through both the Engine scan path and the Folder fold path.
+// through an ad-hoc job and through the Folder's per-window partials.
 
 // sketchCorpus generates successful and anomalous records across three
 // source nets and several 10-minute windows.
@@ -107,11 +107,11 @@ func compareStats(t *testing.T, key string, got, want *analysis.LatencyStats) {
 	}
 }
 
-// TestEngineSketchVsExact: an Engine job over sketch-encoded uploads must
-// equal the same job over the raw-record uploads — not just within error
-// bounds but bucket-for-bucket, because agents and analysis share one
-// histogram layout.
-func TestEngineSketchVsExact(t *testing.T) {
+// TestRunSketchVsExact: a job over sketch-encoded uploads must equal the
+// same job over the raw-record uploads — not just within error bounds but
+// bucket-for-bucket, because agents and analysis share one histogram layout —
+// and each must equal the record-at-a-time reference.
+func TestRunSketchVsExact(t *testing.T) {
 	recs := sketchCorpus(600)
 	raw, sks := buildSketches(recs)
 
@@ -135,27 +135,14 @@ func TestEngineSketchVsExact(t *testing.T) {
 			return append(dst, 'n', r.Src.As4()[2]), true
 		},
 	}
-	e := &Engine{Parallelism: 2}
 	job.Source = Source{Store: rawStore, StreamPrefix: "pingmesh/"}
-	exact, err := e.Run(job)
-	if err != nil {
-		t.Fatal(err)
-	}
+	exact := runJob(t, job)
 	job.Source = Source{Store: skStore, StreamPrefix: "pingmesh/"}
-	sketched, err := e.Run(job)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sketched := runJob(t, job)
 
-	if sketched.Records != exact.Records || sketched.Scanned != exact.Scanned {
-		t.Fatalf("tallies diverged: sketch Records=%d Scanned=%d, exact Records=%d Scanned=%d",
-			sketched.Records, sketched.Scanned, exact.Records, exact.Scanned)
-	}
-	if sketched.Sketches == 0 {
-		t.Fatal("sketch pipeline aggregated no sketches")
-	}
-	if exact.Sketches != 0 {
-		t.Fatalf("exact pipeline claims %d sketches", exact.Sketches)
+	if len(sks) == 0 || sketched.Records != exact.Records || sketched.Scanned != exact.Scanned {
+		t.Fatalf("tallies diverged over %d sketches: sketch Records=%d Scanned=%d, exact Records=%d Scanned=%d",
+			len(sks), sketched.Records, sketched.Scanned, exact.Records, exact.Scanned)
 	}
 	if len(sketched.Groups) != len(exact.Groups) {
 		t.Fatalf("group sets diverged: %d vs %d", len(sketched.Groups), len(exact.Groups))

@@ -4,16 +4,13 @@ import (
 	"testing"
 	"time"
 
-	"pingmesh/internal/analysis"
 	"pingmesh/internal/cosmos"
 	"pingmesh/internal/probe"
 )
 
 // TestRunAllReplicasDown is the deadlock regression test: when every
-// storage node is down, every worker fails its first ReadExtent and
-// returns early. With an unbuffered task channel the Run send loop used to
-// block forever once all workers had exited; it must instead surface the
-// read error promptly.
+// storage node is down, no extent can be read. The job must surface the read
+// error promptly, not hang waiting for lanes that have nothing to fold.
 func TestRunAllReplicasDown(t *testing.T) {
 	store := seedStore(t, 100) // many extents (512-byte extent size)
 	for id := 0; id < 3; id++ {
@@ -21,10 +18,9 @@ func TestRunAllReplicasDown(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	e := &Engine{Parallelism: 2}
 	done := make(chan error, 1)
 	go func() {
-		_, err := e.Run(Job{Name: "alldown", Source: Source{Store: store, StreamPrefix: "pingmesh/"}})
+		_, err := Run(Job{Name: "alldown", Source: Source{Store: store, StreamPrefix: "pingmesh/"}})
 		done <- err
 	}()
 	select {
@@ -40,62 +36,30 @@ func TestRunAllReplicasDown(t *testing.T) {
 // TestKeyBytesSkips: a keyer that rejects everything aggregates nothing.
 func TestKeyBytesSkips(t *testing.T) {
 	store := seedStore(t, 60)
-	res, err := (&Engine{}).Run(Job{
+	res := runJob(t, Job{
 		Name:     "skippy-bytes",
 		Source:   Source{Store: store, StreamPrefix: "pingmesh/"},
 		KeyBytes: func(dst []byte, r *probe.Record) ([]byte, bool) { return dst, false },
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if res.Records != 0 || res.Scanned != 60 {
 		t.Fatalf("Records=%d Scanned=%d", res.Records, res.Scanned)
 	}
 }
 
-// TestProcessExtentZeroAlloc is the strict allocs/op guard on the worker
-// inner loop: once the group set and intern tables are warm, streaming an
-// extent through the sink must not allocate per record.
-func TestProcessExtentZeroAlloc(t *testing.T) {
-	const n = 2048
-	recs := make([]probe.Record, n)
-	for i := range recs {
-		recs[i] = mkRecord(i, time.Duration(200+i%50)*time.Microsecond, "")
-		if i%11 == 0 {
-			recs[i].Err = "connect timeout"
-		}
-	}
-	data := probe.EncodeBatch(recs)
-	job := &Job{
-		Name: "alloc-guard",
-		From: t0, To: t0.Add(time.Duration(n) * time.Minute),
-		Where:    func(r *probe.Record) bool { return true },
-		KeyBytes: func(dst []byte, r *probe.Record) ([]byte, bool) { return r.Src.AppendTo(dst), true },
-	}
-	sink := extentSink{job: job, res: &Result{Groups: make(map[string]*analysis.LatencyStats)}}
-	sink.process(data) // warm: groups + key buffer + intern table
-	avg := testing.AllocsPerRun(20, func() { sink.process(data) })
-	perRecord := avg / n
-	if perRecord > 0.01 {
-		t.Fatalf("worker loop allocates %.4f allocs/record (%.1f per %d-record extent), want ~0",
-			perRecord, avg, n)
-	}
-}
-
-// TestScopeRunZeroAllocAmortized guards the whole Engine.Run path: over a
-// 50k-record store the per-run scaffolding (channels, goroutines, maps)
-// must stay constant, i.e. amortized allocations per record ~0.
+// TestScopeRunZeroAllocAmortized guards the whole Run path: over a
+// 50k-record store spread over 50k minutes the per-run scaffolding (the span
+// folder, its lanes, one partial per group) must stay constant, i.e.
+// amortized allocations per record ~0.
 func TestScopeRunZeroAllocAmortized(t *testing.T) {
 	const n = 50000
 	store := seedStoreN(t, n)
-	e := &Engine{Parallelism: 1}
 	job := Job{
 		Name:     "amortized",
 		Source:   Source{Store: store, StreamPrefix: "pingmesh/"},
 		KeyBytes: func(dst []byte, r *probe.Record) ([]byte, bool) { return r.Src.AppendTo(dst), true },
 	}
 	run := func() {
-		res, err := e.Run(job)
+		res, err := Run(job)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +70,7 @@ func TestScopeRunZeroAllocAmortized(t *testing.T) {
 	run() // warm
 	avg := testing.AllocsPerRun(5, run)
 	if perRecord := avg / n; perRecord > 0.05 {
-		t.Fatalf("Engine.Run allocates %.4f allocs/record (%.0f total), want ~0 per record", perRecord, avg)
+		t.Fatalf("Run allocates %.4f allocs/record (%.0f total), want ~0 per record", perRecord, avg)
 	}
 }
 

@@ -4,16 +4,14 @@ import (
 	"testing"
 	"time"
 
-	"pingmesh/internal/analysis"
 	"pingmesh/internal/probe"
 	"pingmesh/internal/trace"
 )
 
-// TestIngestTraceUnsampledZeroAlloc guards the ingest side of the
-// tentpole's overhead claim: a worker streaming extents with a tracer
-// attached but no sampled probes in flight pays one atomic load per
-// record (the HasActiveProbes gate) and nothing else — allocs/record
-// stay at the PR-2 floor (CI tier 3).
+// TestIngestTraceUnsampledZeroAlloc guards the ingest side of the tracing
+// overhead claim: a folder with a tracer attached but no sampled probes in
+// flight pays one atomic load per record (the HasActiveProbes gate) and
+// nothing else — allocs/record stay at the PR-2 floor (CI tier 3).
 func TestIngestTraceUnsampledZeroAlloc(t *testing.T) {
 	const n = 2048
 	recs := make([]probe.Record, n)
@@ -21,20 +19,9 @@ func TestIngestTraceUnsampledZeroAlloc(t *testing.T) {
 		recs[i] = mkRecord(i, time.Duration(200+i%50)*time.Microsecond, "")
 	}
 	data := probe.EncodeBatch(recs)
-	job := &Job{
-		Name: "trace-alloc-guard",
-		From: t0, To: t0.Add(time.Duration(n) * time.Minute),
-		Where:    func(r *probe.Record) bool { return true },
-		KeyBytes: func(dst []byte, r *probe.Record) ([]byte, bool) { return r.Src.AppendTo(dst), true },
-	}
-	tr := trace.New(nil) // attached; probe table empty
-	sink := extentSink{
-		job:    job,
-		res:    &Result{Groups: make(map[string]*analysis.LatencyStats)},
-		tracer: tr,
-	}
-	sink.process(data) // warm: groups + key buffer + intern table
-	avg := testing.AllocsPerRun(20, func() { sink.process(data) })
+	f := NewFolder(t0, Every10Min, foldSpecs(), trace.New(nil)) // attached; probe table empty
+	f.FoldExtent(data, t0)                                      // warm: groups, windows, key buffer, intern table
+	avg := testing.AllocsPerRun(20, func() { f.FoldExtent(data, t0) })
 	perRecord := avg / n
 	if perRecord > 0.01 {
 		t.Fatalf("ingest with unsampled tracer allocates %.4f allocs/record (%.1f per %d-record extent), want ~0",

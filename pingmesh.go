@@ -288,7 +288,6 @@ type TimelinePhase struct {
 // mutation, probes for the step's duration, and aggregates the phase's
 // stats — the idiom behind Figure 7-style before/during/after studies.
 func (tb *SimTestbed) RunTimeline(steps []TimelineStep) ([]TimelinePhase, error) {
-	engine := &scope.Engine{}
 	var out []TimelinePhase
 	for i, step := range steps {
 		if step.Mutate != nil {
@@ -302,7 +301,7 @@ func (tb *SimTestbed) RunTimeline(steps []TimelineStep) ([]TimelinePhase, error)
 			return nil, err
 		}
 		to := tb.Clock.Now()
-		res, err := engine.Run(scope.Job{
+		res, err := scope.Run(scope.Job{
 			Name:   "timeline-" + step.Name,
 			Source: scope.Source{Store: tb.Store, StreamPrefix: "pingmesh"},
 			From:   from, To: to,
@@ -437,8 +436,7 @@ type SilentDropSuspect = silentdrop.Suspect
 // clean).
 func (tb *SimTestbed) LocalizeSilentDrops(from, to time.Time) ([]SilentDropSuspect, error) {
 	keyer := &analysis.Keyer{Top: tb.Top}
-	engine := &scope.Engine{}
-	res, err := engine.Run(scope.Job{
+	res, err := scope.Run(scope.Job{
 		Name:   "silentdrop-pairs",
 		Source: scope.Source{Store: tb.Store, StreamPrefix: "pingmesh"},
 		From:   from, To: to,

@@ -57,6 +57,7 @@ go test ./internal/scope ./internal/probe ./internal/analysis \
 go test ./internal/agent -run xxx -bench AgentRecordHotPath -benchtime 100000x
 go test ./internal/agent -run xxx -bench 'SketchObserve$' -benchmem -benchtime 2000x
 go test ./internal/dsa -run xxx -bench 'FoldPass$' -benchtime 20x -cpu 1,2,4
+go test ./internal/scope -run xxx -bench 'ScopeRun$' -benchmem -cpu 1,2
 go test ./internal/telemetry -run xxx -bench 'IngestFleet$' -benchmem -benchtime 1000000x -cpu 1,2,4
 go test ./internal/controller -run xxx -bench 'UpdateTopology$' -benchmem -benchtime 5x
 go test ./internal/diagnosis -run xxx -bench 'ObserveBatch$|RankGreedy$' -benchmem -cpu 1,2,4
