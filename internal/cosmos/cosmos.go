@@ -8,11 +8,14 @@
 //
 // Consistency note: a write is acknowledged when at least one replica
 // accepts it; a replica that is down during a write misses that copy
-// permanently (this store has no repair/re-replication). Readers fail over
-// to the first healthy replica, so prolonged node outages can surface
-// shorter-but-consistent prefixes. Production Cosmos repairs replicas in
-// the background; Pingmesh tolerates missing latency records by design, so
-// the simplification does not change system behaviour.
+// permanently (this store has no repair/re-replication). A read serves the
+// healthy replica that has accepted the most bytes of the extent, so a
+// replica that missed writes while down is not read while one that holds
+// them is up. Only when every replica holding a write is down, or when
+// replicas missed different writes, does a read lack acknowledged bytes.
+// Production Cosmos repairs replicas in the background; Pingmesh tolerates
+// missing latency records by design, so the simplification does not change
+// system behaviour.
 package cosmos
 
 import (
@@ -30,6 +33,20 @@ type Config struct {
 	// the node count.
 	Replicas int
 }
+
+// A replica's copy of an extent starts at extentFloor bytes of capacity and
+// doubles, up to ExtentSize plus extentSlack: room for the batch that
+// crosses the seal threshold, so that batch lands without one more copy of
+// the extent. A stored byte is allocated about twice and copied once more
+// than the append that brings it, where append's own 1.25× growth of large
+// slices allocates it about five times. Upload batches are a few KB (a
+// simulated fleet's seal-crossing batches measure 1.5–22 KB, overshooting
+// the threshold by at most 12.6 KB), so any batch up to 32 KiB lands in the
+// slack wherever it starts.
+const (
+	extentFloor = 4 << 10
+	extentSlack = 32 << 10
+)
 
 // Store is an in-process Cosmos cluster.
 type Store struct {
@@ -139,7 +156,7 @@ func (s *Store) Append(name string, data []byte) error {
 	// without holding the store lock (and without building a node slice).
 	wrote := 0
 	for _, nid := range replicas {
-		if s.nodes[nid].append(id, data) {
+		if s.nodes[nid].append(id, data, s.cfg.ExtentSize) {
 			wrote++
 		}
 	}
@@ -188,18 +205,30 @@ func (s *Store) newExtentLocked() (*extent, error) {
 	// reader racing the extent's first append must see an empty extent,
 	// not one that is "unavailable on all replicas".
 	for _, nid := range replicas {
-		s.nodes[nid].append(s.next, nil)
+		s.nodes[nid].append(s.next, nil, s.cfg.ExtentSize)
 	}
 	return &extent{id: s.next, replicas: replicas}, nil
 }
 
-func (n *node) append(id uint64, data []byte) bool {
+// append adds data to the node's copy of extent id, growing the copy by the
+// extentFloor/extentSlack policy for an extent that seals at extentSize.
+// Growth moves the copy to a new array, so slices ReadExtent handed out
+// keep reading the bytes they were given.
+func (n *node) append(id uint64, data []byte, extentSize int) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.down {
 		return false
 	}
-	n.extents[id] = append(n.extents[id], data...)
+	buf := n.extents[id]
+	if need := len(buf) + len(data); need > cap(buf) {
+		c := max(2*cap(buf), min(extentFloor, extentSize))
+		if c >= extentSize {
+			c = extentSize + min(extentSlack, extentSize)
+		}
+		buf = append(make([]byte, 0, max(c, need)), buf...)
+	}
+	n.extents[id] = append(buf, data...)
 	return true
 }
 
@@ -244,7 +273,9 @@ func (s *Store) NumExtents(name string) int {
 }
 
 // ReadExtent returns the contents of the i-th extent of a stream, served
-// from the first healthy replica.
+// from the healthy replica holding the most bytes of it (the first such
+// replica on a tie). A replica's copy is append-only, so its length is the
+// bytes it has accepted.
 //
 // Aliasing rules (zero-copy read path): the returned slice aliases the
 // replica's in-memory copy of the extent — no bytes are copied, so a SCOPE
@@ -266,12 +297,17 @@ func (s *Store) ReadExtent(name string, i int) ([]byte, error) {
 	ext := st.extents[i]
 	replicas := ext.replicas
 	s.mu.RUnlock()
+	var best []byte
+	found := false
 	for _, nid := range replicas {
-		if data, ok := s.nodes[nid].read(ext.id); ok {
-			return data, nil
+		if data, ok := s.nodes[nid].read(ext.id); ok && (!found || len(data) > len(best)) {
+			best, found = data, true
 		}
 	}
-	return nil, fmt.Errorf("cosmos: extent %d of %q unavailable on all replicas", i, name)
+	if !found {
+		return nil, fmt.Errorf("cosmos: extent %d of %q unavailable on all replicas", i, name)
+	}
+	return best, nil
 }
 
 // ReadExtentAppend appends the contents of the i-th extent of a stream to

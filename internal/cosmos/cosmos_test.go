@@ -288,30 +288,54 @@ func TestClientDefaultStream(t *testing.T) {
 	}
 }
 
-func TestConcurrentAppendsWithNodeFlapping(t *testing.T) {
-	// Appends race with nodes bouncing. The store must never panic or
-	// race; acknowledged writes land on at least one replica, and after
-	// full recovery the stream reads back whole 100-byte records (a node
-	// that was down during a write simply misses that write's copy; the
-	// read fails over to a replica that has it).
-	s := newStore(t, 4, Config{Replicas: 3, ExtentSize: 2048})
-	stop := make(chan struct{})
-	var flapper sync.WaitGroup
-	flapper.Add(1)
-	go func() {
-		defer flapper.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			node := i % 4
-			s.SetNodeDown(node, true)
-			time.Sleep(time.Millisecond)
-			s.SetNodeDown(node, false)
+// TestReadServesTheFullestReplica: a replica that was down for an append
+// the others hold is back up, and it is the first in the extent's replica
+// list; a read must still return every acknowledged byte.
+func TestReadServesTheFullestReplica(t *testing.T) {
+	s := newStore(t, 3, Config{Replicas: 3})
+	for i, step := range []string{"one", "down", "two", "up", "three"} {
+		var err error
+		switch step {
+		case "down", "up":
+			err = s.SetNodeDown(0, step == "down")
+		default:
+			err = s.Append("a", []byte(step+"\n"))
 		}
-	}()
+		if err != nil {
+			t.Fatalf("step %d (%s): %v", i, step, err)
+		}
+	}
+	if got, err := s.ReadExtent("a", 0); err != nil || string(got) != "one\ntwo\nthree\n" {
+		t.Fatalf("ReadExtent = %q, %v; want every acknowledged append", got, err)
+	}
+}
+
+func TestConcurrentAppendsWithNodeFlapping(t *testing.T) {
+	// Appends race with nodes bouncing: every tenth append, by a count the
+	// writers share, takes the next node down and brings the previous one
+	// up, so one node is down at a time and which one moves with the work
+	// done, not with the wall clock. The store must never panic or race;
+	// acknowledged writes land on at least one replica, and after full
+	// recovery the stream reads back whole 100-byte records (a node that was
+	// down during a write simply misses that write's copy; the read serves
+	// a replica that has it).
+	s := newStore(t, 4, Config{Replicas: 3, ExtentSize: 2048})
+	var flipMu sync.Mutex
+	var appends atomic.Int64
+	down := -1
+	flip := func() {
+		n := appends.Add(1)
+		if n%10 != 0 {
+			return
+		}
+		flipMu.Lock()
+		defer flipMu.Unlock()
+		if down >= 0 {
+			s.SetNodeDown(down, false)
+		}
+		down = int(n/10) % 4
+		s.SetNodeDown(down, true)
+	}
 
 	var writers sync.WaitGroup
 	var acked atomic.Int64
@@ -321,6 +345,7 @@ func TestConcurrentAppendsWithNodeFlapping(t *testing.T) {
 			defer writers.Done()
 			payload := bytes.Repeat([]byte{byte('a' + w)}, 100)
 			for i := 0; i < 200; i++ {
+				flip()
 				if err := s.Append("flap", payload); err == nil {
 					acked.Add(1)
 				}
@@ -328,8 +353,6 @@ func TestConcurrentAppendsWithNodeFlapping(t *testing.T) {
 		}(w)
 	}
 	writers.Wait()
-	close(stop)
-	flapper.Wait()
 	for n := 0; n < 4; n++ {
 		s.SetNodeDown(n, false)
 	}

@@ -499,16 +499,18 @@ func renderTelemetry(put func(path, ctype string, v any) error, putRaw func(path
 	return put("/telemetry", ctJSON, doc)
 }
 
-// Handler returns the portal's HTTP handler.
+// Handler returns the portal's HTTP handler. Every route is read-only: the
+// mux serves GET and HEAD and answers any other method 405 with
+// "Allow: GET, HEAD".
 func (p *Portal) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/triage", p.serveTriage)
-	mux.HandleFunc("/diagnose", p.serveDiagnose)
-	mux.HandleFunc("/metrics", p.ServeMetrics)
-	mux.HandleFunc("/healthz", p.serveHealthz)
-	mux.HandleFunc("/health", p.ServeHealth)
-	mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, r *http.Request) { debugsrv.ServeTrace(p.cfg.Tracer, w, r) })
-	mux.HandleFunc("/", p.ServeCached)
+	mux.HandleFunc("GET /triage", p.serveTriage)
+	mux.HandleFunc("GET /diagnose", p.serveDiagnose)
+	mux.HandleFunc("GET /metrics", p.ServeMetrics)
+	mux.HandleFunc("GET /healthz", p.serveHealthz)
+	mux.HandleFunc("GET /health", p.ServeHealth)
+	mux.HandleFunc("GET /debug/trace", func(w http.ResponseWriter, r *http.Request) { debugsrv.ServeTrace(p.cfg.Tracer, w, r) })
+	mux.HandleFunc("GET /", p.ServeCached)
 	return mux
 }
 
@@ -537,12 +539,8 @@ var (
 // /sla/{scope}, /heatmap/{dc}, /heatmap/{dc}.svg, /alerts. Exported (and
 // reached directly by the alloc guards) because this is the portal's
 // steady-state path: one atomic load, one map lookup, zero allocations.
+// It treats every request as a GET; Handler's mux lets no other method in.
 func (p *Portal) ServeCached(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet && r.Method != http.MethodHead {
-		w.Header()["Allow"] = allowGetHead
-		w.WriteHeader(http.StatusMethodNotAllowed)
-		return
-	}
 	st := p.state.Load()
 	b, ok := st.bodies[r.URL.Path]
 	if !ok {
@@ -565,8 +563,6 @@ func (p *Portal) serveBody(w http.ResponseWriter, r *http.Request, st *state, b 
 	p.cServes.Inc()
 	p.cBytes.Add(int64(res.Bytes))
 }
-
-var allowGetHead = []string{"GET, HEAD"}
 
 // ServeMetrics writes the Prometheus text exposition of every configured
 // registry. Exported for the alloc guard: a scrape reuses the exposition's

@@ -179,6 +179,31 @@ func TestPortalEndpoints(t *testing.T) {
 	}
 }
 
+// TestPortalRoutesAreReadOnly: every route the portal mounts answers a
+// method other than GET and HEAD with 405 and the methods it allows, before
+// any handler runs, and still serves HEAD.
+func TestPortalRoutesAreReadOnly(t *testing.T) {
+	h := buildRig(t, nil).portal.Handler()
+	for _, path := range []string{
+		"/", "/sla", "/sla/dc/DC1", "/heatmap/DC1", "/heatmap/DC1.svg", "/alerts", "/nope",
+		"/triage?src=d0.s0.p0&dst=d0.s1.p1", "/diagnose", "/diagnose?src=d0.s0.p0&dst=d0.s1.p1",
+		"/metrics", "/healthz", "/health", "/debug/trace",
+	} {
+		for _, method := range []string{http.MethodPost, http.MethodPut, http.MethodDelete} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(method, path, nil))
+			if rec.Code != http.StatusMethodNotAllowed || rec.Header().Get("Allow") != "GET, HEAD" {
+				t.Errorf("%s %s = %d, Allow %q; want 405, Allow \"GET, HEAD\"", method, path, rec.Code, rec.Header().Get("Allow"))
+			}
+		}
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodHead, "/sla", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("HEAD /sla = %d", rec.Code)
+	}
+}
+
 func TestPortalConditionalGet(t *testing.T) {
 	r := buildRig(t, nil)
 	h := r.portal.Handler()

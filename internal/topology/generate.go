@@ -53,8 +53,8 @@ type Spec struct {
 }
 
 // Build generates a Topology from the spec. Server addresses follow a
-// 10.dc.x.y plan where x.y is a flat per-DC server counter, so a DC can
-// hold up to 65000 servers.
+// 10.dc.x.y plan where x.y is a flat per-DC server counter from 1, so a DC
+// can hold up to 65000 servers; ServerByAddr inverts the plan by arithmetic.
 func Build(spec Spec) (*Topology, error) {
 	if len(spec.DCs) == 0 {
 		return nil, fmt.Errorf("topology: spec has no DCs")
@@ -62,10 +62,7 @@ func Build(spec Spec) (*Topology, error) {
 	if len(spec.DCs) > 200 {
 		return nil, fmt.Errorf("topology: more than 200 DCs exceeds the addressing plan")
 	}
-	t := &Topology{
-		byAddr: make(map[netip.Addr]ServerID),
-		byName: make(map[string]ServerID),
-	}
+	t := &Topology{byName: make(map[string]ServerID)}
 	names := make(map[string]bool)
 	for di, ds := range spec.DCs {
 		if err := ds.validate(); err != nil {
@@ -121,7 +118,6 @@ func Build(spec Spec) (*Topology, error) {
 func (t *Topology) addServer(s Server) ServerID {
 	s.ID = ServerID(len(t.servers))
 	t.servers = append(t.servers, s)
-	t.byAddr[s.Addr] = s.ID
 	t.byName[s.Name] = s.ID
 	return s.ID
 }

@@ -111,7 +111,6 @@ type Topology struct {
 	DCs      []DC
 	servers  []Server
 	switches []Switch
-	byAddr   map[netip.Addr]ServerID
 	byName   map[string]ServerID
 }
 
@@ -137,10 +136,23 @@ func (t *Topology) Servers() []Server { return t.servers }
 // Switches returns all switches. Callers must not mutate the result.
 func (t *Topology) Switches() []Switch { return t.switches }
 
-// ServerByAddr looks a server up by IP address.
+// ServerByAddr looks a server up by IP address. It is arithmetic on Build's
+// address plan, not a hash lookup: 10.<dc>.<x>.<y> is server number x.y
+// (from 1) of DC dc, and DC dc's servers have consecutive IDs.
 func (t *Topology) ServerByAddr(a netip.Addr) (ServerID, bool) {
-	id, ok := t.byAddr[a]
-	return id, ok
+	if !a.Is4() {
+		return 0, false
+	}
+	b := a.As4()
+	host := int(b[2])<<8 | int(b[3])
+	if b[0] != 10 || int(b[1]) >= len(t.DCs) || host == 0 {
+		return 0, false
+	}
+	id := int(t.DCs[b[1]].Podsets[0].Pods[0].Servers[0]) + host - 1
+	if id >= len(t.servers) || t.servers[id].Addr != a {
+		return 0, false
+	}
+	return ServerID(id), true
 }
 
 // ServerByAddrString looks a server up by the textual form of its IP

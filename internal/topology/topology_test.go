@@ -88,6 +88,52 @@ func TestServerLookups(t *testing.T) {
 	}
 }
 
+// TestServerByAddrArithmetic pins the address plan ServerByAddr computes
+// on: every server of a three-DC fleet, whose middle DC has more than 256
+// servers so the host counter carries into the third octet, resolves
+// without allocating, and no address outside the plan resolves.
+func TestServerByAddrArithmetic(t *testing.T) {
+	top := mustBuild(t, Spec{DCs: []DCSpec{
+		{Name: "A", Podsets: 1, PodsPerPodset: 2, ServersPerPod: 3, LeavesPerPodset: 1},
+		{Name: "B", Podsets: 2, PodsPerPodset: 5, ServersPerPod: 30, LeavesPerPodset: 2, Spines: 2},
+		{Name: "C", Podsets: 1, PodsPerPodset: 1, ServersPerPod: 4},
+	}})
+	if n := len(top.DCs[1].Servers()); n <= 256 {
+		t.Fatalf("DC B has %d servers, want more than 256", n)
+	}
+	servers := top.Servers()
+	for _, s := range servers {
+		if id, ok := top.ServerByAddr(s.Addr); !ok || id != s.ID {
+			t.Fatalf("ServerByAddr(%v) = %v,%v, want %v", s.Addr, id, ok, s.ID)
+		}
+	}
+	if b := servers[len(servers)-1].Addr.As4(); b != [4]byte{10, 2, 0, 4} {
+		t.Fatalf("last server of DC C is %v, want 10.2.0.4", b)
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		for i := range servers {
+			top.ServerByAddr(servers[i].Addr)
+		}
+	}); allocs != 0 {
+		t.Fatalf("ServerByAddr allocates %.0f times per fleet", allocs)
+	}
+	for _, addr := range []string{
+		"10.1.0.0",             // host number 0 is no server
+		"10.0.0.7",             // one past DC A's six servers
+		"10.1.1.45",            // one past DC B's 300 servers
+		"10.2.0.5",             // one past the last server of the last DC
+		"10.3.0.1",             // a DC index past the last
+		"11.0.0.1",             // outside 10/8
+		"fd00::1",              // IPv6
+		"::ffff:10.0.0.1",      // IPv4-in-IPv6 form of a real server's address
+		"::ffff:10.0.0.1%eth0", // zoned (IPv4 addresses carry no zone)
+	} {
+		if id, ok := top.ServerByAddr(netip.MustParseAddr(addr)); ok {
+			t.Errorf("ServerByAddr(%s) = %v, want no server", addr, id)
+		}
+	}
+}
+
 func TestRelations(t *testing.T) {
 	top := SmallTestbed()
 	var a, b ServerID // same pod

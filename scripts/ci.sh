@@ -13,7 +13,10 @@
 #   2c. flake pass: the packages with concurrency-sensitive tests, five
 #       times over under -race at GOMAXPROCS 1 and 4
 #   3.  alloc guards (every *ZeroAlloc* test) and the microbenchmarks that
-#       print per-layer costs at GOMAXPROCS 1, 2 and 4
+#       print per-layer costs at GOMAXPROCS 1, 2 and 4. cosmos Append$
+#       runs 2,048 ops, two 4 MiB extents; an op stores 12,288 B and
+#       should read about 24.7 KB/op (2.01x; append's own growth read
+#       61.7 KB/op; TestAppendAllocatesAboutTwice fails above 2.1x)
 #   3b. diagnosis smoke: the root-cause localization CLI at reduced scale
 #   4.  short fuzz pass over the wire formats and merge equivalences
 #       (optional, FUZZ=1)
@@ -58,6 +61,7 @@ go test ./internal/agent -run xxx -bench AgentRecordHotPath -benchtime 100000x
 go test ./internal/agent -run xxx -bench 'SketchObserve$' -benchmem -benchtime 2000x
 go test ./internal/dsa -run xxx -bench 'FoldPass$' -benchtime 20x -cpu 1,2,4
 go test ./internal/scope -run xxx -bench 'ScopeRun$' -benchmem -cpu 1,2
+go test ./internal/cosmos -run xxx -bench 'Append$' -benchmem -benchtime 2048x
 go test ./internal/telemetry -run xxx -bench 'IngestFleet$' -benchmem -benchtime 1000000x -cpu 1,2,4
 go test ./internal/controller -run xxx -bench 'UpdateTopology$' -benchmem -benchtime 5x
 go test ./internal/diagnosis -run xxx -bench 'ObserveBatch$|RankGreedy$' -benchmem -cpu 1,2,4
