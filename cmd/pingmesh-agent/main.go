@@ -1,7 +1,13 @@
 // Command pingmesh-agent runs a Pingmesh Agent on a real network: it
 // starts the probe echo server, polls the controller for its pinglist, and
 // probes its peers, writing results to a size-capped local CSV log
-// (§3.4). Point -controller at the controller (or its SLB VIP).
+// (§3.4). Point -controller at the controller (or its SLB VIP); the agent
+// also ships its perfcounters as PMT1 reports (§3.5), every
+// -telemetry-interval, under the scope its -name spells, to the
+// controller's /telemetry/report. Each controller replica keeps its own
+// collector, so behind a VIP of several replicas set -telemetry-url to one
+// replica's report endpoint: reports spread over replicas are refused as
+// out of sequence.
 //
 // Usage:
 //
@@ -41,20 +47,27 @@ func scopeFromName(name string) string {
 	return strings.Join(parts[:3], ".")
 }
 
+// reportURL is where the agent ships reports: -telemetry-url if set, else
+// the collector endpoint on the controller it polls.
+func reportURL(telemetryURL, ctrlURL string) string {
+	if telemetryURL != "" {
+		return telemetryURL
+	}
+	return strings.TrimSuffix(ctrlURL, "/") + "/telemetry/report"
+}
+
 func main() {
 	var (
-		name        = flag.String("name", "", "this server's name, as known to the controller (required)")
-		source      = flag.String("source", "", "this server's IP address (required)")
-		ctrlURL     = flag.String("controller", "", "controller base URL (required)")
-		listen      = flag.String("listen", ":8765", "probe server listen address")
-		logPath     = flag.String("log", "pingmesh.log", "local latency log path")
-		logMax      = flag.Int64("log-max-bytes", 8<<20, "local log size cap")
-		statsEvery  = flag.Duration("stats", time.Minute, "perf counter print interval")
-		debugAddr   = flag.String("debug-addr", "", "serve pprof, /debug/trace, /health, and /metrics on this address (empty = off)")
-		traceSample = flag.Uint64("trace-sample", 0, "trace 1 in N probes end to end (0 = off)")
-
-		telemetryURL   = flag.String("telemetry-url", "", "ship PMT1 perfcounter reports to this collector endpoint, e.g. <controller>/telemetry/report (empty = off)")
-		telemetryScope = flag.String("telemetry-scope", "", "dot-separated DC.podset.pod scope for fleet rollups (default: derived from -name)")
+		name           = flag.String("name", "", "this server's name, as known to the controller (required)")
+		source         = flag.String("source", "", "this server's IP address (required)")
+		ctrlURL        = flag.String("controller", "", "controller base URL (required)")
+		listen         = flag.String("listen", ":8765", "probe server listen address")
+		logPath        = flag.String("log", "pingmesh.log", "local latency log path")
+		logMax         = flag.Int64("log-max-bytes", 8<<20, "local log size cap")
+		statsEvery     = flag.Duration("stats", time.Minute, "perf counter print interval")
+		debugAddr      = flag.String("debug-addr", "", "serve pprof, /debug/trace, /health, and /metrics on this address (empty = off)")
+		traceSample    = flag.Uint64("trace-sample", 0, "trace 1 in N probes end to end (0 = off)")
+		telemetryURL   = flag.String("telemetry-url", "", "PMT1 report endpoint (default <controller>/telemetry/report; one replica's, behind a VIP of several)")
 		telemetryEvery = flag.Duration("telemetry-interval", 5*time.Minute, "perfcounter report interval")
 	)
 	flag.Parse()
@@ -107,18 +120,11 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if *telemetryURL != "" {
-		scope := *telemetryScope
-		if scope == "" {
-			scope = scopeFromName(*name)
-		}
-		sh := &telemetry.Shipper{
-			URL: *telemetryURL, Src: *name, Scope: scope,
-			Registry: a.Metrics(), Interval: *telemetryEvery,
-		}
-		go sh.Run(ctx)
-		fmt.Printf("telemetry: shipping to %s every %v as scope %q\n", *telemetryURL, *telemetryEvery, scope)
+	sh := &telemetry.Shipper{
+		URL: reportURL(*telemetryURL, *ctrlURL), Src: *name, Scope: scopeFromName(*name),
+		Registry: a.Metrics(), Interval: *telemetryEvery,
 	}
+	go sh.Run(ctx)
 	go func() {
 		t := time.NewTicker(*statsEvery)
 		defer t.Stop()

@@ -8,7 +8,12 @@
 //	pingmesh-controller -topology topology.json -listen :8080 [-save-dir dir]
 //
 // The topology file is a JSON topology.Spec; see examples/quickstart for a
-// generated one.
+// generated one. The same listener takes the agents' PMT1 perfcounter
+// reports on POST /telemetry/report (§3.5), from the topology's servers
+// only; the fleet rollups are read on the -debug-addr port's /telemetry and
+// /metrics. Each replica keeps its own collector, and the SLB spreads an
+// agent's connections over the replicas, so the agents of a replicated
+// controller point -telemetry-url at one replica's address, not the VIP.
 package main
 
 import (
@@ -36,7 +41,6 @@ func main() {
 		payload   = flag.Int("payload", 0, "add payload probe variants of this many bytes")
 		debugAddr = flag.String("debug-addr", "", "serve pprof, /health, /metrics, and /telemetry on this address (empty = off)")
 
-		telemetryOn    = flag.Bool("telemetry", false, "mount the fleet telemetry collector on /telemetry/ (agent PMT1 reports)")
 		telemetryEvery = flag.Duration("telemetry-sample", 5*time.Minute, "fleet rollup sampling interval")
 	)
 	flag.Parse()
@@ -61,12 +65,9 @@ func main() {
 
 	cfg := core.DefaultGeneratorConfig()
 	cfg.PayloadBytes = *payload
-	var col *telemetry.Collector
-	if *telemetryOn {
-		col = telemetry.NewCollector(telemetry.CollectorConfig{SampleInterval: *telemetryEvery})
-		go col.Run(context.Background())
-	}
-	ctrl, err := controller.NewWithOptions(top, cfg, nil, controller.Options{Telemetry: col})
+	col := telemetry.NewCollector(telemetry.CollectorConfig{SampleInterval: *telemetryEvery})
+	go col.Run(context.Background())
+	ctrl, err := controller.New(top, cfg, nil)
 	if err != nil {
 		log.Fatalf("controller: %v", err)
 	}
@@ -78,12 +79,8 @@ func main() {
 	if *debugAddr != "" {
 		exp := metrics.NewExposition()
 		exp.Add("", ctrl.Metrics())
-		dcfg := debugsrv.Config{Metrics: exp}
-		if col != nil {
-			exp.Add("telemetry.", col.Metrics())
-			dcfg.Series = col.Store()
-		}
-		dbg, err := debugsrv.Serve(*debugAddr, dcfg)
+		exp.Add("", col.Metrics())
+		dbg, err := debugsrv.Serve(*debugAddr, debugsrv.Config{Metrics: exp, Series: col.Store()})
 		if err != nil {
 			log.Fatalf("debug server: %v", err)
 		}
@@ -92,5 +89,21 @@ func main() {
 	}
 	fmt.Printf("pingmesh-controller: %d servers, %d pinglists, version %s, listening on %s\n",
 		top.NumServers(), ctrl.PinglistCount(), ctrl.Version(), *listen)
-	log.Fatal(http.ListenAndServe(*listen, ctrl.Handler()))
+	log.Fatal(http.ListenAndServe(*listen, handler(ctrl, col, top)))
+}
+
+// handler is the controller's one listener: the pinglist API, and the
+// collector under /telemetry/ so a single controller takes its agents'
+// reports at the address they already poll (§3.3.2). The collector admits
+// reports from top's servers only: the listener is open, and its tables
+// grow with every new agent name.
+func handler(ctrl *controller.Controller, col *telemetry.Collector, top *topology.Topology) http.Handler {
+	known := func(src []byte) bool {
+		_, ok := top.ServerByName(string(src))
+		return ok
+	}
+	mux := http.NewServeMux()
+	mux.Handle("/", ctrl.Handler())
+	mux.Handle("/telemetry/", http.StripPrefix("/telemetry", col.Handler(known)))
+	return mux
 }

@@ -618,10 +618,9 @@ func TestFailClosedStopsProbing(t *testing.T) {
 	defer cancel()
 	go a.Run(ctx)
 	waitUntil(t, func() bool { return a.PeerCount() == 2 }, "applied")
-	// The pinglist is applied before the fetch loop arms its ticker, and an
-	// Advance that beats the ticker fires nothing. Three armed timers are the
-	// upload ticker, the scheduler's wait and the fetch ticker.
-	waitUntil(t, func() bool { return clock.PendingTimers() >= 3 }, "fetch ticker armed")
+	// An Advance that beats a loop's timer fires nothing. Three armed timers
+	// are the upload ticker, the scheduler's wait and the fetch timer.
+	waitUntil(t, func() bool { return clock.PendingTimers() >= 3 }, "timers armed")
 
 	clock.Advance(5 * time.Minute) // next fetch: no pinglist -> fail closed
 	waitUntil(t, func() bool { return a.FailedClosed() }, "failed closed")

@@ -35,32 +35,21 @@ func (a *Agent) Run(ctx context.Context) error {
 }
 
 // fetchLoop polls the controller. The agent pulls; the controller never
-// pushes (§3.3.2). With FetchJitter set, each wait is independently
-// shortened by up to that fraction, seeded per server so the fleet's
-// schedules decorrelate deterministically.
+// pushes (§3.3.2). Each wait is armed before its fetch, so polls are spaced
+// start to start whatever a fetch takes, as a ticker spaces them; with
+// FetchJitter set, each wait is independently shortened by up to that
+// fraction, seeded per server so the fleet's schedules decorrelate
+// deterministically.
 func (a *Agent) fetchLoop(ctx context.Context) {
-	a.fetchOnce(ctx)
-	if a.cfg.FetchJitter <= 0 {
-		ticker := a.clock.NewTicker(a.cfg.FetchInterval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-ticker.C:
-				a.fetchOnce(ctx)
-			}
-		}
-	}
 	rng := rand.New(rand.NewSource(seedFor(a.cfg.ServerName)))
 	for {
 		timer := a.clock.NewTimer(a.fetchWait(rng))
+		a.fetchOnce(ctx)
 		select {
 		case <-ctx.Done():
 			timer.Stop()
 			return
 		case <-timer.C:
-			a.fetchOnce(ctx)
 		}
 	}
 }

@@ -134,7 +134,7 @@ func (w *nopResponseWriter) Write(p []byte) (int, error) {
 // conditional GET from a one-generation-stale agent answered with the
 // cached patch body (226) instead of the full file.
 func BenchmarkServeDelta(b *testing.B) {
-	rig := newDeltaRig(b, Options{})
+	rig := newDeltaRig(b)
 	h := rig.h
 	path := "/pinglist/" + rig.name
 	hdr := map[string]string{

@@ -104,7 +104,7 @@ func fetchOnSim(t *testing.T, cl *Client, sim *simclock.Sim, server string) (Fet
 
 func newRetryRig(t *testing.T, failures, status int) (*flakyHandler, *Client, *simclock.Sim, string, func()) {
 	t.Helper()
-	rig := newDeltaRig(t, Options{})
+	rig := newDeltaRig(t)
 	sim := simclock.NewSim(time.Unix(1751328000, 0))
 	fh := &flakyHandler{failures: failures, status: status, inner: rig.h, clock: sim}
 	srv := httptest.NewServer(fh)

@@ -15,7 +15,7 @@ import (
 // revalidation comes back as a 226 patch the client applies and verifies
 // — yielding exactly the file a from-scratch download would.
 func TestClientAppliesDelta(t *testing.T) {
-	rig := newDeltaRig(t, Options{})
+	rig := newDeltaRig(t)
 	srv := httptest.NewServer(rig.h)
 	defer srv.Close()
 
@@ -88,7 +88,7 @@ func TestClientAppliesDelta(t *testing.T) {
 // contract: it must recover with an unconditional full download, never
 // surface a wrong pinglist.
 func TestClientDeltaFallback(t *testing.T) {
-	rig := newDeltaRig(t, Options{})
+	rig := newDeltaRig(t)
 	sabotage := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Header.Get("If-None-Match") != "" {
 			w.Header().Set("IM", DeltaIM)

@@ -20,7 +20,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,16 +28,14 @@ import (
 	"pingmesh/internal/httpcache"
 	"pingmesh/internal/metrics"
 	"pingmesh/internal/simclock"
-	"pingmesh/internal/telemetry"
 	"pingmesh/internal/topology"
 )
 
 // Controller generates and serves pinglists.
 type Controller struct {
-	cfg       core.GeneratorConfig
-	clock     simclock.Clock
-	reg       *metrics.Registry
-	telemetry *telemetry.Collector // nil unless Options.Telemetry mounted one
+	cfg   core.GeneratorConfig
+	clock simclock.Clock
+	reg   *metrics.Registry
 
 	state atomic.Pointer[state] // current generation; readers take one load
 
@@ -71,27 +68,13 @@ type state struct {
 	deltas map[deltaKey]*deltaBody
 }
 
-// Options tunes controller behavior beyond the generator config.
-type Options struct {
-	// Telemetry, if non-nil, mounts the fleet telemetry collector under
-	// /telemetry/ on the controller's data-plane handler, so agents ship
-	// their perfcounter reports to the same VIP they fetch pinglists from
-	// (§3.5: the PA shares the controller's web-service footprint).
-	Telemetry *telemetry.Collector
-}
-
-// New builds a controller with default options and runs the first
-// generation. clock may be nil for wall time.
+// New builds a controller and runs the first generation. clock may be nil
+// for wall time.
 func New(top *topology.Topology, cfg core.GeneratorConfig, clock simclock.Clock) (*Controller, error) {
-	return NewWithOptions(top, cfg, clock, Options{})
-}
-
-// NewWithOptions builds a controller and runs the first generation.
-func NewWithOptions(top *topology.Topology, cfg core.GeneratorConfig, clock simclock.Clock, opts Options) (*Controller, error) {
 	if clock == nil {
 		clock = simclock.NewReal()
 	}
-	c := &Controller{cfg: cfg, clock: clock, reg: metrics.NewRegistry(), telemetry: opts.Telemetry}
+	c := &Controller{cfg: cfg, clock: clock, reg: metrics.NewRegistry()}
 	c.cServes = c.reg.Counter("controller.pinglist_serves")
 	c.cBytes = c.reg.Counter("controller.bytes_served")
 	c.cNotModified = c.reg.Counter("controller.not_modified")
@@ -202,8 +185,6 @@ func (c *Controller) UpdateTopology(top *topology.Topology) error {
 	c.reg.Gauge("controller.marshal_wall_us").Set(int64(marshalWall / time.Microsecond))
 	c.reg.Gauge("controller.patch_wall_us").Set(int64(patchWall / time.Microsecond))
 	c.reg.Gauge("controller.generate_workers").Set(int64(gstats.Workers))
-	// Realized parallel speedup (work/wall), in hundredths: 100 = serial.
-	c.reg.Gauge("controller.generate_speedup_x100").Set(int64(gstats.Speedup() * 100))
 	return nil
 }
 
@@ -263,19 +244,16 @@ func (c *Controller) SaveToDir(dir string) error {
 //	                        A-IM: pingmesh-delta → 226 patch responses
 //	GET /version            current generation id
 //	GET /healthz            liveness for the SLB health prober
-//	POST /telemetry/report  agent PMT1 perfcounter reports (when mounted)
 //
-// Conditional-GET, gzip negotiation and cached delta serving all follow
-// the shared httpcache discipline: the steady-state paths (304, cached
-// full body, cached patch) allocate nothing.
+// Every route is read-only: the mux answers HEAD like GET and any other
+// method 405 with "Allow: GET, HEAD". Conditional-GET, gzip negotiation
+// and cached delta serving all follow the shared httpcache discipline: the
+// steady-state paths (304, cached full body, cached patch) allocate
+// nothing.
 func (c *Controller) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/pinglist/", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		server := strings.TrimPrefix(r.URL.Path, "/pinglist/")
+	mux.HandleFunc("GET /pinglist/{server}", func(w http.ResponseWriter, r *http.Request) {
+		server := r.PathValue("server")
 		st := c.state.Load()
 		e, ok := st.files[server]
 		if !ok {
@@ -306,14 +284,11 @@ func (c *Controller) Handler() http.Handler {
 		c.cServes.Inc()
 		c.cBytes.Add(int64(res.Bytes))
 	})
-	mux.HandleFunc("/version", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /version", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, c.Version())
 	})
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
-	if c.telemetry != nil {
-		mux.Handle("/telemetry/", http.StripPrefix("/telemetry", c.telemetry.Handler()))
-	}
 	return mux
 }

@@ -12,10 +12,8 @@ import (
 	"time"
 
 	"pingmesh/internal/core"
-	"pingmesh/internal/metrics"
 	"pingmesh/internal/simclock"
 	"pingmesh/internal/slb"
-	"pingmesh/internal/telemetry"
 	"pingmesh/internal/topology"
 )
 
@@ -71,17 +69,24 @@ func TestUnknownServer404(t *testing.T) {
 	}
 }
 
+// TestMethodNotAllowed: every route is read-only, so any method but GET
+// and HEAD is a 405 naming the allowed ones, mirroring the portal.
 func TestMethodNotAllowed(t *testing.T) {
 	c, top := newController(t)
-	srv := httptest.NewServer(c.Handler())
-	defer srv.Close()
-	resp, err := http.Post(srv.URL+"/pinglist/"+top.Server(0).Name, "text/plain", strings.NewReader("x"))
-	if err != nil {
-		t.Fatal(err)
+	h := c.Handler()
+	for _, path := range []string{"/pinglist/" + top.Server(0).Name, "/pinglist/nope", "/version", "/healthz"} {
+		for _, method := range []string{http.MethodPost, http.MethodPut, http.MethodDelete} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader("x")))
+			if rec.Code != http.StatusMethodNotAllowed || rec.Header().Get("Allow") != "GET, HEAD" {
+				t.Errorf("%s %s = %d, Allow %q; want 405, Allow \"GET, HEAD\"", method, path, rec.Code, rec.Header().Get("Allow"))
+			}
+		}
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("status = %d, want 405", resp.StatusCode)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodHead, "/version", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("HEAD /version = %d", rec.Code)
 	}
 }
 
@@ -218,48 +223,5 @@ func TestReplicasBehindSLB(t *testing.T) {
 		if _, err := client.Fetch(context.Background(), name); err != nil {
 			t.Fatalf("Fetch after replica death: %v", err)
 		}
-	}
-}
-
-// TestTelemetryMount verifies Options.Telemetry mounts the collector on
-// the data-plane handler: a shipper posting to the controller's VIP path
-// lands its PMT1 report in the collector and gets its ack back.
-func TestTelemetryMount(t *testing.T) {
-	top := topology.SmallTestbed()
-	clock := simclock.NewSim(time.Unix(1750000000, 0))
-	col := telemetry.NewCollector(telemetry.CollectorConfig{Clock: clock})
-	c, err := NewWithOptions(top, core.DefaultGeneratorConfig(), clock, Options{Telemetry: col})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(c.Handler())
-	defer srv.Close()
-
-	reg := metrics.NewRegistry()
-	reg.Counter("agent.probes_sent").Add(42)
-	sh := &telemetry.Shipper{
-		URL: srv.URL + "/telemetry/report", Src: "srv-0", Scope: "tb.ps0.pod0",
-		Registry: reg, Clock: clock,
-	}
-	if err := sh.ReportOnce(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if got := col.AgentCount(); got != 1 {
-		t.Fatalf("AgentCount = %d, want 1", got)
-	}
-	if v, ok := col.RollupCounter("fleet", "agent.probes_sent"); !ok || v != 42 {
-		t.Fatalf("fleet rollup = %d,%v, want 42", v, ok)
-	}
-	// The mount is absent without the option.
-	plain, _ := newController(t)
-	psrv := httptest.NewServer(plain.Handler())
-	defer psrv.Close()
-	resp, err := http.Get(psrv.URL + "/telemetry/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("unmounted /telemetry/ status = %d", resp.StatusCode)
 	}
 }

@@ -49,10 +49,10 @@ type deltaRig struct {
 	oldBody []byte
 }
 
-func newDeltaRig(t testing.TB, opts Options) *deltaRig {
+func newDeltaRig(t testing.TB) *deltaRig {
 	t.Helper()
 	top := buildTop(t, 8)
-	c, err := NewWithOptions(top, core.DefaultGeneratorConfig(), simclock.NewSim(time.Unix(1750000000, 0)), opts)
+	c, err := New(top, core.DefaultGeneratorConfig(), simclock.NewSim(time.Unix(1750000000, 0)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func newDeltaRig(t testing.TB, opts Options) *deltaRig {
 }
 
 func TestDeltaServe226(t *testing.T) {
-	rig := newDeltaRig(t, Options{})
+	rig := newDeltaRig(t)
 	newETag := rig.c.ETag(rig.name)
 	if newETag == rig.oldETag {
 		t.Fatal("topology update did not change the pinglist")
@@ -124,7 +124,7 @@ func TestDeltaServe226(t *testing.T) {
 }
 
 func TestDeltaServeGzipNegotiation(t *testing.T) {
-	rig := newDeltaRig(t, Options{})
+	rig := newDeltaRig(t)
 	hdr := map[string]string{
 		"If-None-Match":   rig.oldETag,
 		"A-IM":            DeltaIM,
@@ -155,7 +155,7 @@ func TestDeltaServeGzipNegotiation(t *testing.T) {
 }
 
 func TestDeltaRequiresAIM(t *testing.T) {
-	rig := newDeltaRig(t, Options{})
+	rig := newDeltaRig(t)
 	// Stale validator but no A-IM: the agent doesn't speak deltas, so it
 	// gets the full body exactly as before this PR.
 	w := serveOnce(rig.h, "/pinglist/"+rig.name, map[string]string{"If-None-Match": rig.oldETag})
@@ -165,7 +165,7 @@ func TestDeltaRequiresAIM(t *testing.T) {
 }
 
 func TestDeltaCurrentETagStill304(t *testing.T) {
-	rig := newDeltaRig(t, Options{})
+	rig := newDeltaRig(t)
 	w := serveOnce(rig.h, "/pinglist/"+rig.name, map[string]string{
 		"If-None-Match": rig.c.ETag(rig.name),
 		"A-IM":          DeltaIM,
@@ -176,7 +176,7 @@ func TestDeltaCurrentETagStill304(t *testing.T) {
 }
 
 func TestDeltaUnknownBaseFallsBackToFull(t *testing.T) {
-	rig := newDeltaRig(t, Options{})
+	rig := newDeltaRig(t)
 	w := serveOnce(rig.h, "/pinglist/"+rig.name, map[string]string{
 		"If-None-Match": `"deadbeefdeadbeef"`,
 		"A-IM":          DeltaIM,
@@ -194,7 +194,7 @@ func TestDeltaUnknownBaseFallsBackToFull(t *testing.T) {
 // patch; one generation later they get the full body, counted as a
 // fallback.
 func TestDeltaRingEviction(t *testing.T) {
-	rig := newDeltaRig(t, Options{}) // gen-1 is one generation back
+	rig := newDeltaRig(t) // gen-1 is one generation back
 	fromGen1 := map[string]string{"If-None-Match": rig.oldETag, "A-IM": DeltaIM}
 	podsets := 10
 	for back := 2; back <= DefaultDeltaRing; back++ {
@@ -224,7 +224,7 @@ func TestDeltaRingEviction(t *testing.T) {
 // pipeline benchmark's simulated agents call) to the HTTP handler's
 // decision procedure and byte accounting.
 func TestServeFetchMatchesHandler(t *testing.T) {
-	rig := newDeltaRig(t, Options{})
+	rig := newDeltaRig(t)
 	newETag := rig.c.ETag(rig.name)
 
 	if out := rig.c.ServeFetch("no-such-server", "", true); out.Kind != FetchNotFound {
@@ -262,7 +262,7 @@ func TestServeFetchMatchesHandler(t *testing.T) {
 // criteria: serving a patch — built with its generation — must allocate
 // nothing, same discipline as the 304 and cached full-body paths.
 func TestDeltaServeCachedZeroAlloc(t *testing.T) {
-	rig := newDeltaRig(t, Options{})
+	rig := newDeltaRig(t)
 	st := rig.c.state.Load()
 
 	req := httptest.NewRequest(http.MethodGet, "/pinglist/"+rig.name, nil)

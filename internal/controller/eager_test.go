@@ -175,7 +175,7 @@ func TestEagerPatchesEqualSerialOracle(t *testing.T) {
 // cannot be diffed by lines. That is counted as a build error — apart from
 // "not smaller" — and the base's holders get the full body.
 func TestDeltaBuildErrorCounted(t *testing.T) {
-	rig := newDeltaRig(t, Options{})
+	rig := newDeltaRig(t)
 	// Replace one current file with the same document in another layout,
 	// as if an older release had published it; the next update rings it.
 	st := *rig.c.state.Load()

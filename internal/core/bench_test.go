@@ -32,8 +32,7 @@ func benchTopology(b *testing.B, size string) *topology.Topology {
 
 // BenchmarkGenerateParallel measures pinglist generation across topology
 // sizes and parallelism levels. The per-op servers metric lets runs be
-// compared across sizes; speedup_x100 reports the realized work/wall
-// ratio (≈100·min(parallelism, usable cores) when shards balance).
+// compared across sizes.
 func BenchmarkGenerateParallel(b *testing.B) {
 	cfg := DefaultGeneratorConfig()
 	now := time.Unix(1751328000, 0).UTC()
@@ -43,17 +42,13 @@ func BenchmarkGenerateParallel(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/par=%d", size, par), func(b *testing.B) {
 				c := cfg
 				c.Parallelism = par
-				var speedup float64
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					_, stats, err := GenerateWithStats(top, c, "bench", now)
-					if err != nil {
+					if _, err := Generate(top, c, "bench", now); err != nil {
 						b.Fatal(err)
 					}
-					speedup += stats.Speedup()
 				}
 				b.ReportMetric(float64(top.NumServers()), "servers")
-				b.ReportMetric(speedup/float64(b.N)*100, "speedup_x100")
 			})
 		}
 	}

@@ -149,13 +149,7 @@ func TestGenerateStats(t *testing.T) {
 	if stats.Workers < 1 || stats.Workers > 4 {
 		t.Fatalf("Workers = %d", stats.Workers)
 	}
-	if stats.Wall < 0 || stats.Work < 0 {
-		t.Fatalf("negative durations: %+v", stats)
-	}
-	if s := stats.Speedup(); s < 0 {
-		t.Fatalf("Speedup = %v", s)
-	}
-	if (Stats{}).Speedup() != 1 {
-		t.Fatal("zero-wall speedup should report 1")
+	if stats.Wall < 0 {
+		t.Fatalf("negative wall: %+v", stats)
 	}
 }

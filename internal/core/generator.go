@@ -114,25 +114,11 @@ func (c *GeneratorConfig) normalize() {
 }
 
 // Stats reports how one generation run was executed: how many servers it
-// covered, how many workers sharded the loop, the wall-clock duration, and
-// the summed per-worker busy time.
+// covered, how many workers sharded the loop, and the wall-clock duration.
 type Stats struct {
 	Servers int
 	Workers int
 	Wall    time.Duration
-	Work    time.Duration
-}
-
-// Speedup returns Work/Wall — the average number of workers concurrently
-// in flight. 1.0 for a serial run, approaching Workers when the shards
-// balance. It equals the realized wall-clock speedup when each worker has
-// a core to itself; on an oversubscribed machine it reports the available
-// parallelism rather than the (smaller) achieved speedup.
-func (s Stats) Speedup() float64 {
-	if s.Wall <= 0 {
-		return 1
-	}
-	return float64(s.Work) / float64(s.Wall)
 }
 
 // Generate computes the pinglist for every server in the topology. The
@@ -144,8 +130,8 @@ func Generate(top *topology.Topology, cfg GeneratorConfig, version string, now t
 }
 
 // GenerateWithStats is Generate plus execution statistics, so callers (the
-// controller's perf counters, the benches) can observe the parallel
-// speedup without re-running the serial path.
+// controller's perf counters) can observe the generation's wall time and
+// worker count.
 func GenerateWithStats(top *topology.Topology, cfg GeneratorConfig, version string, now time.Time) (map[topology.ServerID]*pinglist.File, Stats, error) {
 	all := make([]topology.ServerID, top.NumServers())
 	for i := range all {
@@ -192,17 +178,13 @@ func GenerateSubsetWithStats(top *topology.Topology, cfg GeneratorConfig, versio
 		for i, id := range servers {
 			files[i] = g.generateOne(id, interDC)
 		}
-		stats.Wall = time.Since(wallStart)
-		stats.Work = stats.Wall
 	} else {
 		var next atomic.Int64
-		busy := make([]time.Duration, workers)
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
-			go func(w int) {
+			go func() {
 				defer wg.Done()
-				start := time.Now()
 				for {
 					lo := int(next.Add(shardSize)) - shardSize
 					if lo >= len(servers) {
@@ -216,15 +198,11 @@ func GenerateSubsetWithStats(top *topology.Topology, cfg GeneratorConfig, versio
 						files[i] = g.generateOne(servers[i], interDC)
 					}
 				}
-				busy[w] = time.Since(start)
-			}(w)
+			}()
 		}
 		wg.Wait()
-		stats.Wall = time.Since(wallStart)
-		for _, d := range busy {
-			stats.Work += d
-		}
 	}
+	stats.Wall = time.Since(wallStart)
 
 	out := make(map[topology.ServerID]*pinglist.File, len(servers))
 	for i, id := range servers {

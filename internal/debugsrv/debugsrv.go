@@ -19,15 +19,6 @@ import (
 	"pingmesh/internal/trace"
 )
 
-// SeriesSource is the slice of a time-series store the /telemetry dump
-// reads — satisfied by *telemetry.Store (and so by Collector.Store()).
-type SeriesSource interface {
-	Keys() []string
-	Series(key string) []telemetry.Point
-	Hourly(key string) []telemetry.Point
-	Latest(key string) (telemetry.Point, bool)
-}
-
 // Config selects what the debug server exposes. All fields are optional:
 // a zero Config still serves pprof and the index.
 type Config struct {
@@ -39,9 +30,9 @@ type Config struct {
 	Budget trace.Budget
 	// Metrics backs /metrics. Nil disables the endpoint.
 	Metrics *metrics.Exposition
-	// Series backs /telemetry: the binary's own recent time series. Nil
-	// disables the endpoint.
-	Series SeriesSource
+	// Series backs /telemetry: the fleet telemetry collector's rollup time
+	// series (Collector.Store). Nil disables the endpoint.
+	Series *telemetry.Store
 }
 
 // Handler returns the debug mux:

@@ -26,10 +26,8 @@ import (
 	"pingmesh/internal/httpcache"
 	"pingmesh/internal/metrics"
 	"pingmesh/internal/simclock"
-	"pingmesh/internal/telemetry"
 	"pingmesh/internal/topology"
 	"pingmesh/internal/trace"
-	"pingmesh/internal/viz"
 )
 
 // The /alerts feed holds the newest alertLimit alerts of the last
@@ -65,11 +63,6 @@ type Config struct {
 	// ranking at the bare path and the per-pair evidence chain with
 	// ?src=&dst=. /triage then carries the chain's thin summary.
 	Diagnosis *diagnosis.Engine
-	// Telemetry, if non-nil, enables GET /telemetry: the fleet
-	// self-monitoring rollups (§3.5), rendered at publish like every other
-	// body — a summary doc plus per-series JSON and sparkline SVGs for the
-	// fleet-level keys.
-	Telemetry *telemetry.Collector
 }
 
 // state is one published epoch: the snapshot plus every pre-rendered
@@ -190,7 +183,7 @@ func (p *Portal) Refresh() error {
 		return err
 	}
 	snap.Epoch = p.epoch + 1
-	st, err := renderState(snap, p.cfg.Top, p.cfg.Telemetry)
+	st, err := renderState(snap, p.cfg.Top)
 	if err != nil {
 		return err
 	}
@@ -240,7 +233,7 @@ type indexDoc struct {
 
 // renderState renders every cacheable body for a snapshot. All rendering
 // cost is paid here, once per analysis cycle, never per request.
-func renderState(snap *Snapshot, top *topology.Topology, tel *telemetry.Collector) (*state, error) {
+func renderState(snap *Snapshot, top *topology.Topology) (*state, error) {
 	st := &state{
 		snap:   snap,
 		bodies: make(map[string]*httpcache.Body, len(snap.SLA)+2*len(snap.Heatmaps)+3),
@@ -306,14 +299,6 @@ func renderState(snap *Snapshot, top *topology.Topology, tel *telemetry.Collecto
 			return nil, err
 		}
 		endpoints = append(endpoints, "/diagnose", "/diagnose?src=&dst=")
-	}
-	if tel != nil {
-		if err := renderTelemetry(put, putRaw, tel, snap.PublishedAt); err != nil {
-			return nil, err
-		}
-		endpoints = append(endpoints,
-			"/telemetry", "/telemetry/fleet/{kind}/{metric}",
-			"/telemetry/fleet/{kind}/{metric}.svg")
 	}
 
 	idx := indexDoc{
@@ -423,80 +408,6 @@ func diagnoseDoc(r *diagnosis.Ranking, top *topology.Topology) diagnoseJSON {
 		})
 	}
 	return doc
-}
-
-// telemetryJSON is the /telemetry body: the fleet self-monitoring plane
-// at a glance — agent population, staleness, and the latest value of
-// every fleet-level rollup series, each with a pointer to its full
-// series body and sparkline.
-type telemetryJSON struct {
-	Agents        int                   `json:"agents"`
-	StaleFraction float64               `json:"stale_fraction"`
-	SeriesKeys    int                   `json:"series_keys"`
-	Fleet         []telemetrySeriesJSON `json:"fleet"`
-}
-
-type telemetrySeriesJSON struct {
-	Key    string    `json:"key"`
-	Latest float64   `json:"latest"`
-	At     time.Time `json:"at"`
-	Points int       `json:"points"`
-	Series string    `json:"series"`
-	SVG    string    `json:"svg"`
-}
-
-// telemetrySeriesDoc is one series body under /telemetry/{key}.
-type telemetrySeriesDoc struct {
-	Key    string            `json:"key"`
-	Points []telemetry.Point `json:"points"`
-}
-
-// telemetryStaleAfter is the window the /telemetry summary uses for its
-// stale-agent fraction: agents silent longer than this at publish time
-// count as stale (the fleet watchdog uses the same default).
-const telemetryStaleAfter = 15 * time.Minute
-
-// renderTelemetry renders the /telemetry bodies through renderState's put
-// (JSON documents) and putRaw (finished bytes): the summary doc plus, for
-// every fleet-level series, the point dump and a sparkline SVG.
-// Per-DC/podset/pod series stay reachable through the collector's own
-// handler — pre-rendering the full scope hierarchy would scale with the
-// fleet, not with the dashboard.
-func renderTelemetry(put func(path, ctype string, v any) error, putRaw func(path, ctype string, data []byte) error, tel *telemetry.Collector, now time.Time) error {
-	store := tel.Store()
-	keys := store.Keys()
-	doc := telemetryJSON{
-		Agents:        tel.AgentCount(),
-		StaleFraction: tel.StaleFraction(telemetryStaleAfter, now),
-		SeriesKeys:    len(keys),
-		Fleet:         []telemetrySeriesJSON{},
-	}
-	vals := make([]float64, 0, 64)
-	for _, k := range keys {
-		if len(k) < 6 || k[:6] != "fleet/" {
-			continue
-		}
-		pts := store.Series(k)
-		if len(pts) == 0 {
-			continue
-		}
-		if err := put("/telemetry/"+k, ctJSON, telemetrySeriesDoc{Key: k, Points: pts}); err != nil {
-			return err
-		}
-		vals = vals[:0]
-		for _, pt := range pts {
-			vals = append(vals, pt.Value)
-		}
-		if err := putRaw("/telemetry/"+k+".svg", ctSVG, viz.AppendSparkline(nil, vals, 220, 36)); err != nil {
-			return err
-		}
-		last := pts[len(pts)-1]
-		doc.Fleet = append(doc.Fleet, telemetrySeriesJSON{
-			Key: k, Latest: last.Value, At: last.At, Points: len(pts),
-			Series: "/telemetry/" + k, SVG: "/telemetry/" + k + ".svg",
-		})
-	}
-	return put("/telemetry", ctJSON, doc)
 }
 
 // Handler returns the portal's HTTP handler. Every route is read-only: the

@@ -17,7 +17,6 @@ import (
 	"pingmesh/internal/netsim"
 	"pingmesh/internal/probe"
 	"pingmesh/internal/simclock"
-	"pingmesh/internal/telemetry"
 	"pingmesh/internal/topology"
 	"pingmesh/internal/trace"
 )
@@ -471,103 +470,5 @@ func TestConcurrentRefreshAndReads(t *testing.T) {
 	<-done
 	if got := r.portal.Epoch(); got != 51 {
 		t.Fatalf("final epoch = %d, want 51", got)
-	}
-}
-
-// TestPortalTelemetry wires a fleet collector into the portal and checks
-// the publish-time /telemetry bodies: the summary doc, the per-series
-// dump, and the sparkline SVG, all served from the epoch cache.
-func TestPortalTelemetry(t *testing.T) {
-	r := buildRig(t, nil)
-
-	col := telemetry.NewCollector(telemetry.CollectorConfig{Clock: r.clock})
-	reg := metrics.NewRegistry()
-	enc := telemetry.NewEncoder("srv-0", "DC1.ps0.pod1", reg)
-	probes := reg.Counter("agent.probes_sent")
-	for round := 0; round < 3; round++ {
-		probes.Add(10)
-		data, seq := enc.Encode(r.clock.Now().UnixNano())
-		res, err := col.Ingest(data, r.clock.Now())
-		if err != nil {
-			t.Fatal(err)
-		}
-		enc.Ack(res.Ack)
-		if res.Ack != seq {
-			t.Fatalf("ack = %d, want %d", res.Ack, seq)
-		}
-		col.SampleRollups(r.clock.Now())
-		r.clock.Advance(5 * time.Minute)
-	}
-
-	p := New(Config{Pipeline: r.pipe, Top: r.top, Clock: r.clock, Telemetry: col})
-	if err := p.Refresh(); err != nil {
-		t.Fatal(err)
-	}
-	h := p.Handler()
-
-	w := get(t, h, "/telemetry", nil)
-	if w.Code != http.StatusOK {
-		t.Fatalf("/telemetry status = %d", w.Code)
-	}
-	var doc telemetryJSON
-	if err := json.Unmarshal(w.Body.Bytes(), &doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc.Agents != 1 || len(doc.Fleet) == 0 {
-		t.Fatalf("telemetry doc = %+v", doc)
-	}
-	var probeSeries *telemetrySeriesJSON
-	for i := range doc.Fleet {
-		if doc.Fleet[i].Key == "fleet/counter/agent.probes_sent" {
-			probeSeries = &doc.Fleet[i]
-		}
-	}
-	if probeSeries == nil {
-		t.Fatalf("no fleet probes_sent series in %+v", doc.Fleet)
-	}
-	if probeSeries.Latest != 30 || probeSeries.Points != 3 {
-		t.Fatalf("probes series = %+v", probeSeries)
-	}
-
-	// The per-series dump and sparkline are both epoch-cached bodies.
-	w = get(t, h, probeSeries.Series, nil)
-	if w.Code != http.StatusOK {
-		t.Fatalf("%s status = %d", probeSeries.Series, w.Code)
-	}
-	var sd telemetrySeriesDoc
-	if err := json.Unmarshal(w.Body.Bytes(), &sd); err != nil {
-		t.Fatal(err)
-	}
-	if len(sd.Points) != 3 || sd.Points[0].Value != 10 || sd.Points[2].Value != 30 {
-		t.Fatalf("series points = %+v", sd.Points)
-	}
-	w = get(t, h, probeSeries.SVG, nil)
-	if ct := w.Header().Get("Content-Type"); ct != "image/svg+xml" {
-		t.Fatalf("svg content type = %q", ct)
-	}
-	if !strings.HasPrefix(w.Body.String(), "<svg") || !strings.Contains(w.Body.String(), "polyline") {
-		t.Fatalf("svg body = %q", w.Body.String())
-	}
-	if w.Header().Get("Etag") == "" {
-		t.Fatal("telemetry svg not served from the epoch cache")
-	}
-
-	// The index advertises the endpoint; a portal without a collector 404s.
-	w = get(t, h, "/", nil)
-	var idx indexDoc
-	if err := json.Unmarshal(w.Body.Bytes(), &idx); err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, e := range idx.Endpoints {
-		if e == "/telemetry" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("index endpoints missing /telemetry: %v", idx.Endpoints)
-	}
-	if w = get(t, r.portal.Handler(), "/telemetry", nil); w.Code != http.StatusNotFound {
-		t.Fatalf("portal without collector served /telemetry: %d", w.Code)
 	}
 }

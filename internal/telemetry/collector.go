@@ -85,6 +85,7 @@ type Collector struct {
 	cResyncsUnknown *metrics.Counter
 	cResyncsBase    *metrics.Counter
 	cRejects        *metrics.Counter
+	cRefused        *metrics.Counter
 	gAgents         *metrics.Gauge
 	gRollupWallUS   *metrics.Gauge
 	gRollupCells    *metrics.Gauge
@@ -181,8 +182,6 @@ func newRollup(series, key string) *rollup {
 type CollectorConfig struct {
 	// Clock drives ingest timestamps and the sampling loop. nil = wall.
 	Clock simclock.Clock
-	// Store receives the sampled rollup series. nil = NewStore(0, 0).
-	Store *Store
 	// SampleInterval is Run's rollup sampling cadence — the §3.5 5-minute
 	// perfcounter path. Default 5 minutes.
 	SampleInterval time.Duration
@@ -193,15 +192,12 @@ func NewCollector(cfg CollectorConfig) *Collector {
 	if cfg.Clock == nil {
 		cfg.Clock = simclock.NewReal()
 	}
-	if cfg.Store == nil {
-		cfg.Store = NewStore(0, 0)
-	}
 	if cfg.SampleInterval <= 0 {
 		cfg.SampleInterval = 5 * time.Minute
 	}
 	c := &Collector{
 		clock:    cfg.Clock,
-		store:    cfg.Store,
+		store:    NewStore(0, 0),
 		interval: cfg.SampleInterval,
 		reg:      metrics.NewRegistry(),
 		seed:     maphash.MakeSeed(),
@@ -218,6 +214,7 @@ func NewCollector(cfg CollectorConfig) *Collector {
 	c.cResyncsUnknown = c.reg.Counter("telemetry.resyncs_unknown_agent")
 	c.cResyncsBase = c.reg.Counter("telemetry.resyncs_base_mismatch")
 	c.cRejects = c.reg.Counter("telemetry.rejects")
+	c.cRefused = c.reg.Counter("telemetry.refused_src")
 	c.gAgents = c.reg.Gauge("telemetry.agents")
 	c.gRollupWallUS = c.reg.Gauge("telemetry.rollup_wall_us")
 	c.gRollupCells = c.reg.Gauge("telemetry.rollup_cells")
@@ -638,8 +635,8 @@ func scopeUnder(leaf, level string) bool {
 		len(leaf) > len(level) && leaf[len(level)] == '.' && leaf[:len(level)] == level
 }
 
-// HTTP surface. The handler is standalone so the same collector mounts in
-// the controller's mux, the debug server, or its own listener.
+// HTTP surface. The handler is standalone so pingmesh-controller mounts it
+// beside the pinglist API; the plane is read on the debug port.
 
 // MaxReportBytes bounds one report's decompressed size.
 const MaxReportBytes = 4 << 20
@@ -653,36 +650,24 @@ var (
 //
 //	POST /report   one PMT1 report (Content-Encoding: gzip honored);
 //	               200 {"ack":N} | 409 {"resync":true,"lastApplied":N}
-//	GET  /         summary: agents, keys, ingest counters
-func (c *Collector) Handler() http.Handler {
+//	               | 403 when admit refuses the report's src
+//
+// Any other method on /report is a 405 with "Allow: POST". admit, when
+// not nil, is asked about each well-formed report's src before it is
+// ingested: a collector on an open listener passes the fleet's server
+// names, so only a fleet server's name can add agents, scopes and metrics
+// to its tables.
+// Refusals count on telemetry.refused_src; the ingest counters are on the
+// collector's Metrics registry.
+func (c *Collector) Handler(admit func(src []byte) bool) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/report", c.serveReport)
-	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/" {
-			http.NotFound(w, r)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"service": "pingmesh-telemetry",
-			"agents":  c.AgentCount(),
-			"series":  len(c.store.Keys()),
-			"counters": map[string]int64{
-				"reports":    c.cReports.Value(),
-				"bytes":      c.cBytes.Value(),
-				"duplicates": c.cDuplicates.Value(),
-				"resyncs":    c.cResyncs.Value(),
-				"rejects":    c.cRejects.Value(),
-			},
-		})
+	mux.HandleFunc("POST /report", func(w http.ResponseWriter, r *http.Request) {
+		c.serveReport(w, r, admit)
 	})
 	return mux
 }
 
-func (c *Collector) serveReport(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
+func (c *Collector) serveReport(w http.ResponseWriter, r *http.Request, admit func([]byte) bool) {
 	bufp := ingestBufPool.Get().(*[]byte)
 	defer ingestBufPool.Put(bufp)
 	var body io.Reader = http.MaxBytesReader(w, r.Body, MaxReportBytes)
@@ -707,6 +692,15 @@ func (c *Collector) serveReport(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		return
+	}
+	if admit != nil {
+		// A report that does not parse falls through to Ingest's 400.
+		var p Parser
+		if p.Reset(data) == nil && !admit(p.Src()) {
+			c.cRefused.Inc()
+			writeJSON(w, http.StatusForbidden, map[string]string{"error": "telemetry: unknown src"})
+			return
+		}
 	}
 	res, err := c.Ingest(data, c.clock.Now())
 	switch {

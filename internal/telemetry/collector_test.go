@@ -96,7 +96,7 @@ func dumpStore(st *Store) []string {
 // sampledFixture runs the fixture fleet for two rounds, sampling after each.
 func sampledFixture(t *testing.T) *Collector {
 	t.Helper()
-	c := NewCollector(CollectorConfig{Store: NewStore(16, 0)})
+	c := NewCollector(CollectorConfig{})
 	var b ReportBuilder
 	for round := 1; round <= 2; round++ {
 		now := time.Unix(int64(1000+300*round), 0)
@@ -128,7 +128,7 @@ func TestCollectorScopeLevels(t *testing.T) {
 		{scope: "fleetwide.s1", levels: []string{"fleetwide", "fleetwide.s1"}},
 		{scope: "d0.fleet", levels: []string{"d0", "d0.fleet"}},
 	} {
-		c := NewCollector(CollectorConfig{Store: NewStore(4, 0)})
+		c := NewCollector(CollectorConfig{})
 		var b ReportBuilder
 		b.Begin("srv", tc.scope, 1, 0, 0)
 		b.Counter("c", 7)
@@ -171,7 +171,7 @@ func TestCollectorScopeLevels(t *testing.T) {
 	}
 
 	// Over HTTP a refused scope is a 400, like any other bad report.
-	srv := httptest.NewServer(NewCollector(CollectorConfig{}).Handler())
+	srv := httptest.NewServer(NewCollector(CollectorConfig{}).Handler(nil))
 	defer srv.Close()
 	var b ReportBuilder
 	b.Begin("srv", "fleet", 1, 0, 0)
@@ -339,7 +339,7 @@ func TestConcurrentIngestMatchesSerial(t *testing.T) {
 		}
 	}
 
-	c := NewCollector(CollectorConfig{Store: NewStore(4, 0)})
+	c := NewCollector(CollectorConfig{})
 	var dups, folds atomic.Int64
 	deliver := func(data []byte) {
 		res, err := c.Ingest(data, now)

@@ -282,8 +282,8 @@ func TestCollectorSampleRollups(t *testing.T) {
 	reg.Counter("c").Add(5)
 	reg.Histogram("h").Observe(2 * time.Millisecond)
 	e := NewEncoder("srv1", "d0", reg)
-	st := NewStore(16, 0)
-	c := NewCollector(CollectorConfig{Store: st})
+	c := NewCollector(CollectorConfig{})
+	st := c.Store()
 	now := time.Unix(1000, 0)
 	shipRound(t, e, c, now)
 	c.SampleRollups(now)

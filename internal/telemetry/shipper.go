@@ -38,24 +38,10 @@ type Shipper struct {
 	// Registry is the metrics source.
 	Registry *metrics.Registry
 
-	// HTTPClient optionally overrides the transport. Defaults to a client
-	// with a 10s timeout and keep-alives off (reports are minutes apart).
-	HTTPClient *http.Client
 	// Clock drives the report loop and backoff sleeps. nil means wall time.
 	Clock simclock.Clock
 	// Interval is the reporting cadence. Default 5 minutes (§3.5).
 	Interval time.Duration
-	// NoGzip ships reports uncompressed.
-	NoGzip bool
-
-	// MaxRetries bounds transient-failure retries per report. 0 means the
-	// default of 2 (three attempts total); negative disables retries.
-	MaxRetries int
-	// BackoffBase is the first retry's nominal delay (default 100ms),
-	// doubling per retry up to BackoffMax (default 2s), equal-jittered.
-	BackoffBase time.Duration
-	// BackoffMax caps the nominal backoff delay.
-	BackoffMax time.Duration
 
 	enc   *Encoder
 	zbuf  bytes.Buffer
@@ -83,16 +69,11 @@ type ShipperStats struct {
 // shipper's goroutine or after Run returns.
 func (s *Shipper) Stats() ShipperStats { return s.stats }
 
+// shipperClient has a 10s timeout and keep-alives off: reports are minutes
+// apart.
 var shipperClient = &http.Client{
 	Timeout:   10 * time.Second,
 	Transport: &http.Transport{DisableKeepAlives: true},
-}
-
-func (s *Shipper) httpClient() *http.Client {
-	if s.HTTPClient != nil {
-		return s.HTTPClient
-	}
-	return shipperClient
 }
 
 func (s *Shipper) clock() simclock.Clock {
@@ -138,22 +119,21 @@ func (s *Shipper) ReportOnce(ctx context.Context) error {
 		s.enc = NewEncoder(s.Src, s.Scope, s.Registry)
 	}
 	data, seq := s.enc.Encode(s.clock().Now().UnixNano())
-	body := data
-	if !s.NoGzip {
-		s.zbuf.Reset()
-		if s.zw == nil {
-			s.zw = gzip.NewWriter(&s.zbuf)
-		} else {
-			s.zw.Reset(&s.zbuf)
-		}
-		s.zw.Write(data)
-		if err := s.zw.Close(); err != nil {
-			return fmt.Errorf("telemetry: gzip report: %w", err)
-		}
-		body = s.zbuf.Bytes()
+	s.zbuf.Reset()
+	if s.zw == nil {
+		s.zw = gzip.NewWriter(&s.zbuf)
+	} else {
+		s.zw.Reset(&s.zbuf)
 	}
+	s.zw.Write(data)
+	if err := s.zw.Close(); err != nil {
+		return fmt.Errorf("telemetry: gzip report: %w", err)
+	}
+	body := s.zbuf.Bytes()
 
-	st, err := simclock.Retry(ctx, s.clock(), simclock.MaxRetries(s.MaxRetries, s.BackoffBase, s.BackoffMax), func() error {
+	// The pinglist client's default policy: two retries, a nominal 100ms
+	// first delay doubling up to 2s, equal-jittered.
+	st, err := simclock.Retry(ctx, s.clock(), simclock.MaxRetries(0, 0, 0), func() error {
 		return s.post(ctx, body, seq)
 	})
 	s.stats.Retries += int64(st.Attempts - 1)
@@ -169,11 +149,9 @@ func (s *Shipper) post(ctx context.Context, body []byte, seq uint64) error {
 		return fmt.Errorf("telemetry: build request: %w", err)
 	}
 	req.Header.Set("Content-Type", "application/octet-stream")
-	if !s.NoGzip {
-		req.Header.Set("Content-Encoding", "gzip")
-	}
+	req.Header.Set("Content-Encoding", "gzip")
 	s.stats.BytesOnWire += int64(len(body))
-	resp, err := s.httpClient().Do(req)
+	resp, err := shipperClient.Do(req)
 	if err != nil {
 		return simclock.Transient(fmt.Errorf("telemetry: ship report: %w", err))
 	}

@@ -14,7 +14,7 @@ import (
 
 func TestShipperEndToEnd(t *testing.T) {
 	col := NewCollector(CollectorConfig{})
-	srv := httptest.NewServer(col.Handler())
+	srv := httptest.NewServer(col.Handler(nil))
 	defer srv.Close()
 
 	reg := metrics.NewRegistry()
@@ -53,25 +53,33 @@ func TestShipperEndToEnd(t *testing.T) {
 	}
 }
 
-func TestShipperPlainBody(t *testing.T) {
+// TestCollectorAcceptsPlainBody: Content-Encoding is optional on /report;
+// an uncompressed PMT1 body folds like the shipper's gzipped one.
+func TestCollectorAcceptsPlainBody(t *testing.T) {
 	col := NewCollector(CollectorConfig{})
-	srv := httptest.NewServer(col.Handler())
+	srv := httptest.NewServer(col.Handler(nil))
 	defer srv.Close()
 	reg := metrics.NewRegistry()
 	reg.Counter("c").Add(1)
-	sh := &Shipper{URL: srv.URL + "/report", Src: "s", Registry: reg, NoGzip: true}
-	if err := sh.ReportOnce(context.Background()); err != nil {
+	data, _ := NewEncoder("s", "", reg).Encode(1)
+	resp, err := http.Post(srv.URL+"/report", "application/octet-stream", bytes.NewReader(data))
+	if err != nil {
 		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("plain body: status %d", resp.StatusCode)
 	}
 	if v, _ := col.RollupCounter("fleet", "c"); v != 1 {
 		t.Fatalf("counter=%d", v)
 	}
 }
 
-// TestShipperRetriesTransient: 5xx responses retry the same report bytes.
+// TestShipperRetriesTransient: 5xx responses retry the same report bytes,
+// on the default policy (two retries, at most 0.3s of backoff in all).
 func TestShipperRetriesTransient(t *testing.T) {
 	col := NewCollector(CollectorConfig{})
-	inner := col.Handler()
+	inner := col.Handler(nil)
 	var fails int32 = 2
 	var received int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -86,10 +94,7 @@ func TestShipperRetriesTransient(t *testing.T) {
 
 	reg := metrics.NewRegistry()
 	reg.Counter("c").Add(7)
-	sh := &Shipper{
-		URL: srv.URL + "/report", Src: "s", Registry: reg,
-		BackoffBase: time.Millisecond, BackoffMax: 2 * time.Millisecond,
-	}
+	sh := &Shipper{URL: srv.URL + "/report", Src: "s", Registry: reg}
 	if err := sh.ReportOnce(context.Background()); err != nil {
 		t.Fatalf("ReportOnce after retries: %v", err)
 	}
@@ -117,7 +122,7 @@ func TestShipperResyncAfterCollectorRestart(t *testing.T) {
 		})
 	}
 	col1 := NewCollector(CollectorConfig{})
-	srv1 := httptest.NewServer(counted(col1.Handler()))
+	srv1 := httptest.NewServer(counted(col1.Handler(nil)))
 	reg := metrics.NewRegistry()
 	cnt := reg.Counter("c")
 	sh := &Shipper{URL: srv1.URL + "/report", Src: "s", Registry: reg}
@@ -130,7 +135,7 @@ func TestShipperResyncAfterCollectorRestart(t *testing.T) {
 
 	// Collector restarts with empty state at the same logical endpoint.
 	col2 := NewCollector(CollectorConfig{})
-	srv2 := httptest.NewServer(counted(col2.Handler()))
+	srv2 := httptest.NewServer(counted(col2.Handler(nil)))
 	defer srv2.Close()
 	sh.URL = srv2.URL + "/report"
 
@@ -158,7 +163,7 @@ func TestShipperResyncAfterCollectorRestart(t *testing.T) {
 
 func TestCollectorHandlerRejectsGarbage(t *testing.T) {
 	col := NewCollector(CollectorConfig{})
-	srv := httptest.NewServer(col.Handler())
+	srv := httptest.NewServer(col.Handler(nil))
 	defer srv.Close()
 	garbage := bytes.Repeat([]byte{0xAB}, 64)
 	resp, err := http.Post(srv.URL+"/report", "application/octet-stream",
@@ -175,7 +180,17 @@ func TestCollectorHandlerRejectsGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET /report: %d", resp.StatusCode)
+	if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != "POST" {
+		t.Fatalf("GET /report: %d, Allow %q", resp.StatusCode, resp.Header.Get("Allow"))
+	}
+	// The handler is the report endpoint and nothing else: the plane is
+	// read on the debug port's /telemetry and /metrics.
+	resp, err = http.Get(srv.URL + "/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /: %d", resp.StatusCode)
 	}
 }

@@ -18,6 +18,9 @@
 #       should read about 24.7 KB/op (2.01x; append's own growth read
 #       61.7 KB/op; TestAppendAllocatesAboutTwice fails above 2.1x)
 #   3b. diagnosis smoke: the root-cause localization CLI at reduced scale
+#   3c. telemetry plane smoke: the real controller and agent binaries on
+#       loopback with no telemetry flag; within 10s the agent's report
+#       must show up as a fleet rollup point on the controller's debug port
 #   4.  short fuzz pass over the wire formats and merge equivalences
 #       (optional, FUZZ=1)
 #
@@ -69,6 +72,33 @@ go test ./internal/portal -run xxx -bench 'PortalDiagnose(Hit|Miss)$|PortalSLACa
 
 echo "== tier 3b: diagnosis smoke (reduced scale)"
 go run ./cmd/pingmesh-diagnose -minutes 6 -check > /dev/null
+
+echo "== tier 3c: telemetry plane smoke (loopback, no telemetry flags)"
+SMOKE=$(mktemp -d)
+go build -o "$SMOKE/controller" ./cmd/pingmesh-controller
+go build -o "$SMOKE/agent" ./cmd/pingmesh-agent
+"$SMOKE/controller" -topology examples/topology.json -listen 127.0.0.1:18480 \
+    -telemetry-sample 1s -debug-addr 127.0.0.1:18489 > "$SMOKE/controller.out" 2>&1 &
+CTRL_PID=$!
+"$SMOKE/agent" -name DC1-ps00-pod00-s00 -source 127.0.0.1 -controller http://127.0.0.1:18480 \
+    -listen 127.0.0.1:18765 -log "$SMOKE/agent.log" -telemetry-interval 1s > "$SMOKE/agent.out" 2>&1 &
+AGENT_PID=$!
+points=0
+for _ in 1 2 3 4 5 6 7 8 9 10; do
+    sleep 1
+    points=$(curl -s 'http://127.0.0.1:18489/telemetry?key=fleet/counter/agent.fetches_ok' | grep -c '"value"' || true)
+    [ "$points" -gt 0 ] && break
+done
+kill "$AGENT_PID" "$CTRL_PID" 2>/dev/null || true
+wait "$AGENT_PID" "$CTRL_PID" 2>/dev/null || true
+if [ "$points" -eq 0 ]; then
+    echo "no fleet/counter/agent.fetches_ok point within 10s" >&2
+    cat "$SMOKE/controller.out" "$SMOKE/agent.out" >&2
+    rm -rf "$SMOKE"
+    exit 1
+fi
+rm -rf "$SMOKE"
+echo "fleet/counter/agent.fetches_ok: $points point(s)"
 
 if [ "${FUZZ:-0}" = "1" ]; then
     echo "== tier 4: fuzz wire formats (30s each)"
