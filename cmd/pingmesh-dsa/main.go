@@ -131,7 +131,8 @@ func run(args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "loaded %d probes in %d windows, %s to %s\n",
 		windows.Records, len(windows.Groups), from.Format(time.RFC3339), to.Format(time.RFC3339))
 
-	th := analysis.Thresholds{MaxDropRate: *maxDrop, MaxP99: *maxP99, MinProbes: 100}
+	th := analysis.DefaultThresholds()
+	th.MaxDropRate, th.MaxP99 = *maxDrop, *maxP99
 	if top == nil {
 		return summarize(stdout, source, th, to)
 	}

@@ -2,18 +2,19 @@
 //
 // A service owner reports a latency regression. Before Pingmesh, the
 // network on-call would ask for source-destination pairs and manually run
-// tools. With Pingmesh, the always-on latency data answers directly:
-// compare the service's network SLA metrics (drop rate, P99) against
-// thresholds.
+// tools. With Pingmesh, the always-on latency data answers directly: every
+// SLA row the pipeline publishes carries the verdict of the paper's SLA
+// rule (drop rate above 1e-3 or P99 above 5ms, over at least 100
+// successful probes).
 //
 // Two incidents are replayed:
 //
 //  1. The service's own servers are overloaded (end-host stalls). Users
 //     scream "network!", but Pingmesh shows drop rate and P99 within SLA:
-//     NOT a network issue.
+//     verdict not-network.
 //  2. A Spine silently drops packets. Pingmesh shows the drop rate blowing
-//     through the 1e-3 threshold: IS a network issue — with the affected
-//     scope attached.
+//     through the 1e-3 threshold: verdict network — with the affected
+//     scope's alert attached.
 //
 // Run with:
 //
@@ -60,8 +61,8 @@ func newTestbed(spec pingmesh.TopologySpec, seed uint64) *pingmesh.SimTestbed {
 	return tb
 }
 
-// verdict pulls the always-on Pingmesh data for the window and applies the
-// paper's SLA thresholds: drop rate > 1e-3 or P99 > 5ms means network.
+// verdict pulls the always-on Pingmesh data for the window and prints the
+// verdict the pipeline gave its SLA row.
 func verdict(tb *pingmesh.SimTestbed, complaint string) {
 	fmt.Printf("complaint: %s\n", complaint)
 	from := tb.Clock.Now()
@@ -77,23 +78,16 @@ func verdict(tb *pingmesh.SimTestbed, complaint string) {
 		log.Fatalf("no SLA data: %v", err)
 	}
 	r := rows[0]
-	drop := r["drop_rate"].(float64)
-	p99 := r["p99"].(time.Duration)
 	fmt.Printf("pingmesh says: %s probes=%d p99=%v drop_rate=%.2e\n",
-		r["scope"], r["probes"], p99, drop)
-
-	th := analysis.DefaultThresholds()
-	switch {
-	case drop > th.MaxDropRate:
-		fmt.Printf("verdict: NETWORK ISSUE — drop rate %.2e exceeds %.0e; engage the network team\n",
-			drop, th.MaxDropRate)
+		r["scope"], r["probes"], r["p99"], r["drop_rate"])
+	fmt.Printf("verdict: %s (%s)\n", r["verdict"], r["reason"])
+	switch r["verdict"] {
+	case analysis.VerdictNetwork:
+		fmt.Println("         engage the network team")
 		for _, a := range tb.Alerts() {
 			fmt.Println("  alert:", a.String())
 		}
-	case p99 > th.MaxP99:
-		fmt.Printf("verdict: NETWORK ISSUE — P99 %v exceeds %v; engage the network team\n", p99, th.MaxP99)
-	default:
-		fmt.Println("verdict: NOT the network — Pingmesh metrics are within SLA;")
+	case analysis.VerdictNotNetwork:
 		fmt.Println("         look at the service's own servers (CPU, GC pauses, app bugs)")
 	}
 }

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"fmt"
-	"sort"
 	"time"
 )
 
@@ -38,42 +37,37 @@ func (a *Alert) String() string {
 		a.At.UTC().Format(time.RFC3339), a.Scope, a.Reason, a.DropRate, a.P99)
 }
 
-// Check evaluates one scope's stats against the thresholds, returning nil
-// when the scope is within SLA.
+// The three answers of §4.3's "is it the network?": the SLA rule's verdict
+// on a scope, and the diagnosis chain's on a server pair.
+const (
+	VerdictNetwork      = "network"
+	VerdictNotNetwork   = "not-network"
+	VerdictInconclusive = "inconclusive"
+)
+
+// Judge is the SLA rule, the one place a scope's numbers meet the
+// thresholds: fewer than MinProbes successful probes is inconclusive; else
+// a drop rate above MaxDropRate, then a P99 above MaxP99, is the network,
+// and anything else is not. reason names the deciding test and its numbers.
+func (th Thresholds) Judge(successes uint64, dropRate float64, p99 time.Duration) (verdict, reason string) {
+	switch {
+	case successes < th.MinProbes:
+		return VerdictInconclusive, fmt.Sprintf("%d successful probes, below the %d-probe floor", successes, th.MinProbes)
+	case th.MaxDropRate > 0 && dropRate > th.MaxDropRate:
+		return VerdictNetwork, fmt.Sprintf("packet drop rate %.2g exceeds %.2g", dropRate, th.MaxDropRate)
+	case th.MaxP99 > 0 && p99 > th.MaxP99:
+		return VerdictNetwork, fmt.Sprintf("P99 latency %v exceeds %v", p99, th.MaxP99)
+	}
+	return VerdictNotNetwork, "within SLA"
+}
+
+// Check judges one scope's stats, returning the alert its network verdict
+// stands for, or nil.
 func Check(scope string, st *LatencyStats, th Thresholds, at time.Time) *Alert {
-	if st.Success() < th.MinProbes {
+	drop, p99 := st.DropRate(), st.Percentile(0.99)
+	verdict, reason := th.Judge(st.Success(), drop, p99)
+	if verdict != VerdictNetwork {
 		return nil
 	}
-	drop := st.DropRate()
-	p99 := st.Percentile(0.99)
-	switch {
-	case th.MaxDropRate > 0 && drop > th.MaxDropRate:
-		return &Alert{Scope: scope, At: at, DropRate: drop, P99: p99,
-			Reason: fmt.Sprintf("packet drop rate %.2g exceeds %.2g", drop, th.MaxDropRate)}
-	case th.MaxP99 > 0 && p99 > th.MaxP99:
-		return &Alert{Scope: scope, At: at, DropRate: drop, P99: p99,
-			Reason: fmt.Sprintf("P99 latency %v exceeds %v", p99, th.MaxP99)}
-	}
-	return nil
-}
-
-// CheckAll evaluates a whole grouped result set and returns the alerts,
-// ordered by scope for stable output.
-func CheckAll(groups map[string]*LatencyStats, th Thresholds, at time.Time) []Alert {
-	var out []Alert
-	for _, scope := range sortedKeys(groups) {
-		if a := Check(scope, groups[scope], th, at); a != nil {
-			out = append(out, *a)
-		}
-	}
-	return out
-}
-
-func sortedKeys(m map[string]*LatencyStats) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+	return &Alert{Scope: scope, At: at, DropRate: drop, P99: p99, Reason: reason}
 }

@@ -238,22 +238,3 @@ func TestAlertThresholds(t *testing.T) {
 		t.Fatalf("tiny scope alerted: %v", a)
 	}
 }
-
-func TestCheckAllOrdersAlerts(t *testing.T) {
-	mk := func() *LatencyStats {
-		s := NewLatencyStats()
-		for i := 0; i < 1000; i++ {
-			r := rec(10*time.Millisecond, "")
-			s.Add(&r)
-		}
-		return s
-	}
-	groups := map[string]*LatencyStats{"z": mk(), "a": mk(), "m": mk()}
-	alerts := CheckAll(groups, DefaultThresholds(), at)
-	if len(alerts) != 3 {
-		t.Fatalf("%d alerts, want 3", len(alerts))
-	}
-	if alerts[0].Scope != "a" || alerts[1].Scope != "m" || alerts[2].Scope != "z" {
-		t.Fatalf("alerts unordered: %v", alerts)
-	}
-}

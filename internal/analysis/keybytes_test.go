@@ -104,6 +104,28 @@ func TestFoldKeyersAgreeWithTextKeyers(t *testing.T) {
 	}
 }
 
+// TestSplitServerPair: every AppendServerPair key — zoned and mapped
+// addresses included — splits back into the record's two addresses, and
+// anything else is refused.
+func TestSplitServerPair(t *testing.T) {
+	k := &Keyer{}
+	addrs := []netip.Addr{netip.MustParseAddr("10.0.0.1"), netip.MustParseAddr("2001:db8::1"),
+		netip.MustParseAddr("::ffff:10.0.0.1"), netip.MustParseAddr("fe80::1%eth0")}
+	for _, src := range addrs {
+		for _, dst := range addrs {
+			key, _ := k.AppendServerPair(nil, &probe.Record{Src: src, Dst: dst})
+			if s, d, ok := SplitServerPair(string(key)); !ok || s != src || d != dst {
+				t.Errorf("SplitServerPair(%q) = %v, %v, %v", key, s, d, ok)
+			}
+		}
+	}
+	for _, bad := range []string{"", "nope", "1.2.3.4|", "|1.2.3.4", "x|y", "1.2.3.4|5.6.7.8|9.9.9.9"} {
+		if _, _, ok := SplitServerPair(bad); ok {
+			t.Errorf("SplitServerPair(%q) ok", bad)
+		}
+	}
+}
+
 // TestAppendKeyersZeroAlloc: with a warm destination buffer, the byte
 // keyers must not allocate — that is their whole reason to exist.
 func TestAppendKeyersZeroAlloc(t *testing.T) {

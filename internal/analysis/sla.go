@@ -190,6 +190,20 @@ func ServerPairKey(bin string) string {
 	return src.String() + "|" + dst.String()
 }
 
+// SplitServerPair decodes an AppendServerPair key into its two addresses.
+func SplitServerPair(key string) (src, dst netip.Addr, ok bool) {
+	a, b, found := strings.Cut(key, "|")
+	if !found {
+		return netip.Addr{}, netip.Addr{}, false
+	}
+	src, err1 := netip.ParseAddr(a)
+	dst, err2 := netip.ParseAddr(b)
+	if err1 != nil || err2 != nil {
+		return netip.Addr{}, netip.Addr{}, false
+	}
+	return src, dst, true
+}
+
 // Service is a named set of servers; its SLA is computed from the probes
 // those servers send (§4.3: network SLA is tracked per service by mapping
 // the service to the servers it uses).

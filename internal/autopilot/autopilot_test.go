@@ -161,54 +161,6 @@ func TestRepairServiceDefaultBudgetIs20(t *testing.T) {
 	}
 }
 
-func TestDeploymentService(t *testing.T) {
-	ds := &DeploymentService{BatchSize: 4}
-	var mu sync.Mutex
-	started := map[string]bool{}
-	servers := make([]string, 10)
-	for i := range servers {
-		servers[i] = fmt.Sprintf("srv%02d", i)
-	}
-	deployed, err := ds.Deploy(servers, func(s string) error {
-		mu.Lock()
-		started[s] = true
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(deployed) != 10 || len(started) != 10 {
-		t.Fatalf("deployed %d, started %d", len(deployed), len(started))
-	}
-}
-
-func TestDeploymentStopsOnFailure(t *testing.T) {
-	ds := &DeploymentService{BatchSize: 2}
-	var mu sync.Mutex
-	attempts := 0
-	servers := []string{"a", "b", "c", "d", "e", "f"}
-	deployed, err := ds.Deploy(servers, func(s string) error {
-		mu.Lock()
-		attempts++
-		mu.Unlock()
-		if s == "c" {
-			return errors.New("disk full")
-		}
-		return nil
-	})
-	if err == nil {
-		t.Fatal("failed rollout reported success")
-	}
-	// Batches of 2: {a,b} ok, {c,d} fails -> e,f never attempted.
-	if attempts > 4 {
-		t.Fatalf("%d attempts; rollout did not stop at failing batch", attempts)
-	}
-	if len(deployed) != 2 {
-		t.Fatalf("deployed = %v", deployed)
-	}
-}
-
 func TestFleetTelemetryWatchdog(t *testing.T) {
 	clock := simclock.NewSim(t0)
 	src := &fakeTelemetry{}

@@ -109,44 +109,3 @@ func (rs *RepairService) History() []ExecutedRepair {
 	defer rs.mu.Unlock()
 	return append([]ExecutedRepair(nil), rs.history...)
 }
-
-// DeploymentService rolls a shared service out across servers in batches,
-// stopping the rollout if a batch fails (Autopilot's DS, §2.3).
-type DeploymentService struct {
-	// BatchSize is how many servers deploy concurrently per batch.
-	// Default 10.
-	BatchSize int
-}
-
-// Deploy starts the service on every server via start, batch by batch. It
-// returns the names that were successfully deployed and the first error.
-func (ds *DeploymentService) Deploy(servers []string, start func(server string) error) ([]string, error) {
-	batch := ds.BatchSize
-	if batch <= 0 {
-		batch = 10
-	}
-	var deployed []string
-	for i := 0; i < len(servers); i += batch {
-		end := i + batch
-		if end > len(servers) {
-			end = len(servers)
-		}
-		var wg sync.WaitGroup
-		errs := make([]error, end-i)
-		for j := i; j < end; j++ {
-			wg.Add(1)
-			go func(j int) {
-				defer wg.Done()
-				errs[j-i] = start(servers[j])
-			}(j)
-		}
-		wg.Wait()
-		for j, err := range errs {
-			if err != nil {
-				return deployed, fmt.Errorf("autopilot: deploy %s: %w", servers[i+j], err)
-			}
-			deployed = append(deployed, servers[i+j])
-		}
-	}
-	return deployed, nil
-}

@@ -13,7 +13,6 @@ package blackhole
 import (
 	"net/netip"
 	"sort"
-	"strings"
 
 	"pingmesh/internal/analysis"
 	"pingmesh/internal/autopilot"
@@ -90,7 +89,7 @@ func Detect(top *topology.Topology, pairs map[string]*analysis.LatencyStats, cfg
 	aliveDst := map[netip.Addr]bool{}
 	aliveSrc := map[netip.Addr]bool{}
 	for key, st := range pairs {
-		src, dst, ok := splitPair(key)
+		src, dst, ok := analysis.SplitServerPair(key)
 		if !ok || st.Success() == 0 {
 			continue
 		}
@@ -106,7 +105,7 @@ func Detect(top *topology.Topology, pairs map[string]*analysis.LatencyStats, cfg
 		if st.Total() < c.MinPairProbes {
 			continue
 		}
-		src, dst, ok := splitPair(key)
+		src, dst, ok := analysis.SplitServerPair(key)
 		if !ok {
 			continue
 		}
@@ -211,21 +210,6 @@ func Detect(top *topology.Topology, pairs map[string]*analysis.LatencyStats, cfg
 		return det.Escalations[i].Podset < det.Escalations[j].Podset
 	})
 	return det
-}
-
-func splitPair(key string) (src, dst netip.Addr, ok bool) {
-	i := strings.IndexByte(key, '|')
-	if i < 0 {
-		return netip.Addr{}, netip.Addr{}, false
-	}
-	var err error
-	if src, err = netip.ParseAddr(key[:i]); err != nil {
-		return netip.Addr{}, netip.Addr{}, false
-	}
-	if dst, err = netip.ParseAddr(key[i+1:]); err != nil {
-		return netip.Addr{}, netip.Addr{}, false
-	}
-	return src, dst, true
 }
 
 // Repair reloads candidate ToRs through the repair service until the daily

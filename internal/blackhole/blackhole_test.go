@@ -237,11 +237,3 @@ func TestRepairReloadsAndRespectsBudget(t *testing.T) {
 		t.Fatal("black-holes remain after two days of repair")
 	}
 }
-
-func TestSplitPairErrors(t *testing.T) {
-	for _, bad := range []string{"", "nope", "1.2.3.4|", "|1.2.3.4", "x|y"} {
-		if _, _, ok := splitPair(bad); ok {
-			t.Errorf("splitPair(%q) ok", bad)
-		}
-	}
-}

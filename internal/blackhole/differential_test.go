@@ -26,7 +26,7 @@ func detectReference(top *topology.Topology, pairs map[string]*analysis.LatencyS
 	aliveDst := map[netip.Addr]bool{}
 	aliveSrc := map[netip.Addr]bool{}
 	for key, st := range pairs {
-		src, dst, ok := splitPair(key)
+		src, dst, ok := analysis.SplitServerPair(key)
 		if !ok || st.Success() == 0 {
 			continue
 		}
@@ -40,7 +40,7 @@ func detectReference(top *topology.Topology, pairs map[string]*analysis.LatencyS
 		if st.Total() < c.MinPairProbes {
 			continue
 		}
-		src, dst, ok := splitPair(key)
+		src, dst, ok := analysis.SplitServerPair(key)
 		if !ok {
 			continue
 		}

@@ -7,18 +7,12 @@ import (
 	"sync"
 	"time"
 
+	"pingmesh/internal/analysis"
 	"pingmesh/internal/metrics"
 	"pingmesh/internal/netsim"
 	"pingmesh/internal/probe"
 	"pingmesh/internal/simclock"
 	"pingmesh/internal/topology"
-)
-
-// Chain verdicts (shared vocabulary with the portal's §4.3 triage).
-const (
-	VerdictNetwork      = "network"
-	VerdictNotNetwork   = "not-network"
-	VerdictInconclusive = "inconclusive"
 )
 
 // Step verdicts: pass means the assertion holds (that layer is healthy),
@@ -65,38 +59,107 @@ type Chain struct {
 	PinnedHop string `json:"pinned_hop,omitempty"`
 }
 
-// SLAFacts is the pair-scope SLA evidence the first assertion judges.
+// SLAFacts is the SLA row of the pair's scope, the first assertion's
+// evidence: its numbers and the verdict the SLA rule
+// (analysis.Thresholds.Judge) gave the row when the DSA published it.
 type SLAFacts struct {
 	Scope    string
 	Probes   int64
 	P99      time.Duration
 	DropRate float64
-	// Violated reports whether the scope breaches the deployment's
-	// thresholds (with MinProbes suppression already applied).
-	Violated bool
+	Verdict  string // analysis.VerdictNetwork, VerdictNotNetwork or VerdictInconclusive
+	Reason   string
 }
 
-// CellFacts is the pod-pair heatmap evidence the second assertion judges.
+// CellFacts is the pod-pair heatmap cell, the second assertion's evidence.
 type CellFacts struct {
-	Probes uint64
+	Probes uint64 // successful probes behind the cell
 	P99    time.Duration
 	// Color is the cell classification ("green"/"yellow"/"red").
 	Color string
-	// Judgeable reports whether the cell clears the MinProbes floor.
-	Judgeable bool
+	// Floor is the probe floor the cell must clear to be judged: the SLA
+	// thresholds' MinProbes, applied at pair granularity.
+	Floor uint64
 }
 
 // EvidenceSource supplies the read-side evidence for the first three
 // assertions. The portal's immutable snapshot implements it; a nil source
-// skips the first two steps and judges hop votes against the collector's
-// ranking as it stands.
+// leaves the first two steps without evidence and judges hop votes against
+// the collector's ranking as it stands.
 type EvidenceSource interface {
-	// PairSLA returns the SLA facts of the pair's scope (DC or inter-DC).
-	PairSLA(src, dst topology.ServerID) (SLAFacts, bool)
-	// PairCell returns the pair's pod-pair heatmap cell facts.
-	PairCell(src, dst topology.ServerID) (CellFacts, bool)
+	// PairSLA returns the SLA row of the pair's scope (DC or inter-DC), nil
+	// when the scope has none.
+	PairSLA(src, dst topology.ServerID) *SLAFacts
+	// PairCell returns the pair's pod-pair heatmap cell, nil when it has no
+	// data (heatmaps are per-DC: always nil across DCs).
+	PairCell(src, dst topology.ServerID) *CellFacts
 	// Ranking returns the epoch's vote ranking (nil when none was published).
 	Ranking() *Ranking
+}
+
+// Triage is §4.3's "is it the network?" as the chain's first two steps
+// answer it: both steps, the verdict they give together, and why.
+type Triage struct {
+	SLA, Cell Step
+	Verdict   string
+	Reason    string
+}
+
+// Decide is the decision table of the chain's first two steps, the one
+// place SLA and heatmap evidence become a verdict; /triage is this table
+// and nothing more. sla and cell are nil when the evidence is absent;
+// crossDC marks a pair that no heatmap covers. A failing step is the
+// network (the SLA's first); else a passing step says it is not; else the
+// evidence is inconclusive.
+func Decide(sla *SLAFacts, cell *CellFacts, crossDC bool) Triage {
+	t := Triage{SLA: slaStep(sla), Cell: cellStep(cell, crossDC)}
+	switch {
+	case t.SLA.Verdict == StepFail:
+		t.Verdict, t.Reason = analysis.VerdictNetwork, t.SLA.Detail
+	case t.Cell.Verdict == StepFail:
+		t.Verdict, t.Reason = analysis.VerdictNetwork, t.Cell.Detail
+	case t.SLA.Verdict == StepPass || t.Cell.Verdict == StepPass:
+		t.Verdict, t.Reason = analysis.VerdictNotNetwork, t.SLA.Detail+"; "+t.Cell.Detail
+	default:
+		t.Verdict, t.Reason = analysis.VerdictInconclusive, t.SLA.Detail+"; "+t.Cell.Detail
+	}
+	return t
+}
+
+// slaStep turns the row's verdict into the pair-SLA step: network fails,
+// not-network passes, a row below the probe floor is a skip.
+func slaStep(f *SLAFacts) Step {
+	st := Step{Assertion: AssertPairSLA, Verdict: StepSkip, Detail: "no SLA row for the pair's scope"}
+	if f == nil {
+		return st
+	}
+	st.Detail = fmt.Sprintf("scope %s: %s (p99=%v drop=%.2g over %d probes)", f.Scope, f.Reason, f.P99, f.DropRate, f.Probes)
+	switch f.Verdict {
+	case analysis.VerdictNetwork:
+		st.Verdict = StepFail
+	case analysis.VerdictNotNetwork:
+		st.Verdict = StepPass
+	}
+	return st
+}
+
+// cellStep judges the pod-pair cell: red fails, green or yellow passes, a
+// cell below the probe floor is a skip.
+func cellStep(f *CellFacts, crossDC bool) Step {
+	st := Step{Assertion: AssertCell, Verdict: StepSkip}
+	switch {
+	case crossDC:
+		st.Detail = "heatmaps are per-DC: no cell covers a cross-DC pair"
+	case f == nil:
+		st.Detail = "pod pair has no heatmap cell in the latest window"
+	case f.Probes < f.Floor:
+		st.Detail = fmt.Sprintf("pod-pair cell has only %d probes (< %d): too few to judge", f.Probes, f.Floor)
+	case f.Color == "red":
+		st.Verdict, st.Detail = StepFail, fmt.Sprintf("pod-pair cell red: p99=%v over %d probes", f.P99, f.Probes)
+	default:
+		st.Verdict, st.Detail = StepPass, fmt.Sprintf("pod-pair cell %s: p99=%v over %d probes", f.Color, f.P99, f.Probes)
+	}
+	return st
 }
 
 const (
@@ -185,14 +248,14 @@ const (
 )
 
 // Diagnose runs the assertion chain for one server pair. ev supplies the
-// snapshot evidence for the first two steps (nil skips them).
+// snapshot evidence Decide judges in the first two steps (nil supplies
+// none); a hop pinned by votes or by the TTL sweep overrides its verdict.
 func (e *Engine) Diagnose(src, dst topology.ServerID, ev EvidenceSource) *Chain {
 	e.defaults()
 	start := e.Clock.Now()
 	ch := &Chain{
-		Src:     e.Top.Server(src).Name,
-		Dst:     e.Top.Server(dst).Name,
-		Verdict: VerdictInconclusive,
+		Src: e.Top.Server(src).Name,
+		Dst: e.Top.Server(dst).Name,
 	}
 
 	// The modeled path of a representative five-tuple, for operators to
@@ -205,84 +268,33 @@ func (e *Engine) Diagnose(src, dst topology.ServerID, ev EvidenceSource) *Chain 
 		}
 	}
 
-	slaFail := e.assertPairSLA(ch, src, dst, ev)
-	cellFail := e.assertCell(ch, src, dst, ev)
+	var sla *SLAFacts
+	var cell *CellFacts
+	if ev != nil {
+		sla, cell = ev.PairSLA(src, dst), ev.PairCell(src, dst)
+	}
+	first := Decide(sla, cell, e.Top.Server(src).DC != e.Top.Server(dst).DC)
+	ch.Steps = append(ch.Steps, first.SLA, first.Cell)
 	voteHop, _, votesFail := e.assertHopVotes(ch, src, dst, e.ranking(ev))
 	pinHop, _, pinFail := e.assertTracePin(ch, src, dst, voteHop)
 	e.assertRepairBudget(ch)
 
 	switch {
 	case pinFail:
-		ch.Verdict = VerdictNetwork
+		ch.Verdict = analysis.VerdictNetwork
 		ch.PinnedHop = e.Top.Switch(pinHop).Name
 		e.cPins.Inc()
 	case votesFail:
-		ch.Verdict = VerdictNetwork
+		ch.Verdict = analysis.VerdictNetwork
 		ch.PinnedHop = e.Top.Switch(voteHop).Name
 		e.cPins.Inc()
-	case slaFail || cellFail:
-		ch.Verdict = VerdictNetwork
-	case stepPassed(ch, AssertPairSLA) || stepPassed(ch, AssertCell):
-		ch.Verdict = VerdictNotNetwork
+	default:
+		ch.Verdict = first.Verdict
 	}
 
 	e.cChains.Inc()
 	e.hDur.Observe(e.Clock.Now().Sub(start))
 	return ch
-}
-
-func stepPassed(ch *Chain, assertion string) bool {
-	for _, s := range ch.Steps {
-		if s.Assertion == assertion {
-			return s.Verdict == StepPass
-		}
-	}
-	return false
-}
-
-func (e *Engine) assertPairSLA(ch *Chain, src, dst topology.ServerID, ev EvidenceSource) (fail bool) {
-	if ev == nil {
-		ch.Steps = append(ch.Steps, Step{Assertion: AssertPairSLA, Verdict: StepSkip, Detail: "no snapshot evidence wired"})
-		return false
-	}
-	f, ok := ev.PairSLA(src, dst)
-	if !ok {
-		ch.Steps = append(ch.Steps, Step{Assertion: AssertPairSLA, Verdict: StepSkip, Detail: "no SLA entry for the pair's scope"})
-		return false
-	}
-	st := Step{Assertion: AssertPairSLA, Verdict: StepPass,
-		Detail: fmt.Sprintf("scope %s healthy: p99=%v drop=%.2g over %d probes", f.Scope, f.P99, f.DropRate, f.Probes)}
-	if f.Violated {
-		st.Verdict = StepFail
-		st.Detail = fmt.Sprintf("scope %s violates SLA: p99=%v drop=%.2g over %d probes", f.Scope, f.P99, f.DropRate, f.Probes)
-	}
-	ch.Steps = append(ch.Steps, st)
-	return f.Violated
-}
-
-func (e *Engine) assertCell(ch *Chain, src, dst topology.ServerID, ev EvidenceSource) (fail bool) {
-	if ev == nil {
-		ch.Steps = append(ch.Steps, Step{Assertion: AssertCell, Verdict: StepSkip, Detail: "no snapshot evidence wired"})
-		return false
-	}
-	f, ok := ev.PairCell(src, dst)
-	if !ok {
-		ch.Steps = append(ch.Steps, Step{Assertion: AssertCell, Verdict: StepSkip, Detail: "pod pair has no heatmap cell in the latest window"})
-		return false
-	}
-	if !f.Judgeable {
-		ch.Steps = append(ch.Steps, Step{Assertion: AssertCell, Verdict: StepSkip,
-			Detail: fmt.Sprintf("pod-pair cell has only %d probes: below the floor, not judgeable", f.Probes)})
-		return false
-	}
-	st := Step{Assertion: AssertCell, Verdict: StepPass,
-		Detail: fmt.Sprintf("pod-pair cell %s: p99=%v over %d probes", f.Color, f.P99, f.Probes)}
-	if f.Color == "red" {
-		st.Verdict = StepFail
-		st.Detail = fmt.Sprintf("pod-pair cell red: p99=%v over %d probes", f.P99, f.Probes)
-	}
-	ch.Steps = append(ch.Steps, st)
-	return st.Verdict == StepFail
 }
 
 // ranking picks the vote ranking a chain reads: the evidence source's

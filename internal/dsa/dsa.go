@@ -41,7 +41,8 @@ type Config struct {
 	StreamPrefix string
 	// Clock defaults to wall time.
 	Clock simclock.Clock
-	// Thresholds for SLA alerting; zero value means DefaultThresholds.
+	// Thresholds judge every SLA row (analysis.Thresholds.Judge); zero value
+	// means DefaultThresholds.
 	Thresholds analysis.Thresholds
 	// Services whose SLA is tracked individually.
 	Services []*analysis.Service
@@ -148,7 +149,7 @@ func New(cfg Config) (*Pipeline, error) {
 		name string
 		cols []string
 	}{
-		{TableSLA, []string{"scope", "window_start", "window_end", "probes", "p50", "p99", "drop_rate", "failure_rate"}},
+		{TableSLA, []string{"scope", "window_start", "window_end", "probes", "p50", "p99", "drop_rate", "failure_rate", "verdict", "reason"}},
 		{TableAlerts, []string{"scope", "at", "reason", "drop_rate", "p99"}},
 		{TablePatterns, []string{"dc", "window_start", "pattern", "podset"}},
 		{TableDropRates, []string{"dc", "class", "window_start", "probes", "drop_rate"}},
@@ -173,7 +174,7 @@ func (p *Pipeline) JobMetrics() map[string]int64 {
 // surfaces like the portal's /metrics exposition.
 func (p *Pipeline) JobRegistry() *metrics.Registry { return p.jm.Metrics() }
 
-// Thresholds returns the SLA alerting thresholds the pipeline runs with.
+// Thresholds returns the SLA thresholds the pipeline judges rows with.
 func (p *Pipeline) Thresholds() analysis.Thresholds { return p.cfg.Thresholds }
 
 // Diagnosis returns the wired root-cause vote collector (nil when the
@@ -427,22 +428,26 @@ func (p *Pipeline) publish(cy *cycleTrace, kind string, jobs []*cycleJob, result
 
 // slaPublisher returns the publishing rule of a 10-minute job: one SLA row
 // per group, named prefix + group key — or, for a whole job (which groups
-// everything under ""), exactly one row named prefix — checked against the
-// SLA thresholds if alerts is set.
+// everything under ""), exactly one row named prefix — and, if alerts is
+// set, one alert per row whose verdict is network, in scope order.
 func (p *Pipeline) slaPublisher(prefix string, whole, alerts bool) func(*scope.Result, time.Time, time.Time) error {
 	return func(res *scope.Result, from, to time.Time) error {
 		groups := res.Groups
 		if whole {
 			groups = map[string]*analysis.LatencyStats{"": res.Get("")}
 		}
-		rows := make(map[string]*analysis.LatencyStats, len(groups))
-		for k, st := range groups {
-			rows[prefix+k] = st
-			p.insertSLA(prefix+k, from, to, st)
+		keys := make([]string, 0, len(groups))
+		for k := range groups {
+			keys = append(keys, k)
 		}
-		if alerts {
-			p.fireAlerts(rows, to)
+		sort.Strings(keys)
+		var fired []analysis.Alert
+		for _, k := range keys {
+			if a := p.insertSLA(prefix+k, from, to, groups[k]); a != nil && alerts {
+				fired = append(fired, *a)
+			}
 		}
+		p.fireAlerts(fired)
 		return nil
 	}
 }
@@ -551,21 +556,31 @@ func (p *Pipeline) ageOut(now time.Time) {
 	}
 }
 
-func (p *Pipeline) insertSLA(scopeName string, from, to time.Time, st *analysis.LatencyStats) {
+// insertSLA writes one SLA row with the verdict and reason of the SLA rule,
+// judged here once per row, and returns the alert a network verdict stands
+// for (nil otherwise).
+func (p *Pipeline) insertSLA(scopeName string, from, to time.Time, st *analysis.LatencyStats) *analysis.Alert {
+	drop, p99 := st.DropRate(), st.Percentile(0.99)
+	verdict, reason := p.cfg.Thresholds.Judge(st.Success(), drop, p99)
 	p.db.Insert(TableSLA, reportdb.Row{
 		"scope":        scopeName,
 		"window_start": from,
 		"window_end":   to,
 		"probes":       int64(st.Total()),
 		"p50":          st.Percentile(0.50),
-		"p99":          st.Percentile(0.99),
-		"drop_rate":    st.DropRate(),
+		"p99":          p99,
+		"drop_rate":    drop,
 		"failure_rate": st.FailureRate(),
+		"verdict":      verdict,
+		"reason":       reason,
 	})
+	if verdict != analysis.VerdictNetwork {
+		return nil
+	}
+	return &analysis.Alert{Scope: scopeName, At: to, DropRate: drop, P99: p99, Reason: reason}
 }
 
-func (p *Pipeline) fireAlerts(groups map[string]*analysis.LatencyStats, at time.Time) {
-	alerts := analysis.CheckAll(groups, p.cfg.Thresholds, at)
+func (p *Pipeline) fireAlerts(alerts []analysis.Alert) {
 	if len(alerts) == 0 {
 		return
 	}

@@ -1,6 +1,7 @@
 package dsa
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -137,6 +138,109 @@ func TestServiceSLAAndAlerting(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("no alert for degraded service; alerts=%v", pipe.Alerts())
+	}
+}
+
+// TestAlertsFollowRowVerdicts: the SLA rule runs once per row, and an
+// alerting publisher fires exactly the rows it judged network — same
+// reason, same numbers, in scope order. A row judged on fewer successful
+// probes than the floor is inconclusive and fires nothing, however many
+// probes failed around them; an inter-DC row is judged but never alerts.
+func TestAlertsFollowRowVerdicts(t *testing.T) {
+	spec := topology.DCSpec{Podsets: 1, PodsPerPodset: 2, ServersPerPod: 2, LeavesPerPodset: 2, Spines: 2}
+	var dcs []topology.DCSpec
+	for _, name := range []string{"DC1", "DC2", "DC3", "DC4", "DC5"} {
+		spec.Name = name
+		dcs = append(dcs, spec)
+	}
+	top, err := topology.Build(topology.Spec{DCs: dcs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := func(dc, i int) topology.ServerID { return top.DCs[dc].Podsets[0].Servers()[i] }
+	var recs []probe.Record
+	probes := func(src, dst topology.ServerID, n int, rtt time.Duration, fail string) {
+		class := probe.IntraDC
+		if top.Server(src).DC != top.Server(dst).DC {
+			class = probe.InterDC
+		}
+		for i := 0; i < n; i++ {
+			recs = append(recs, probe.Record{Start: t0.Add(time.Duration(len(recs)%600) * time.Second),
+				Src: top.Server(src).Addr, Dst: top.Server(dst).Addr, Class: class, Proto: probe.TCP,
+				RTT: rtt, Err: fail})
+		}
+	}
+	ok := 500 * time.Microsecond
+	probes(srv(0, 0), srv(0, 1), 200, ok, "") // DC1: 1% drops
+	probes(srv(0, 0), srv(0, 1), 2, 3*time.Second, "")
+	probes(srv(1, 0), srv(1, 1), 58, ok, "") // DC2: 3% drops over 60 successes
+	probes(srv(1, 0), srv(1, 1), 2, 3*time.Second, "")
+	probes(srv(1, 0), srv(1, 1), 90, 0, "timeout")
+	probes(srv(2, 0), srv(2, 1), 200, 8*time.Millisecond, "") // DC3: slow
+	probes(srv(3, 0), srv(3, 1), 300, ok, "")                 // DC4: healthy
+	probes(srv(4, 0), srv(4, 1), 300, ok, "")                 // DC5: one 9s connect in 301
+	probes(srv(4, 0), srv(4, 1), 1, 9*time.Second, "")
+	probes(srv(3, 0), srv(0, 0), 200, 30*time.Millisecond, "") // WAN: slow, not alerted
+
+	store, err := cosmos.NewStore(3, cosmos.Config{ExtentSize: 64 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Append("pingmesh/2026-07-01", probe.EncodeBatch(recs)); err != nil {
+		t.Fatal(err)
+	}
+	svc := func(name string, dc int) *analysis.Service {
+		return analysis.ServiceFromServers(name, top, []topology.ServerID{srv(dc, 0)})
+	}
+	pipe, err := New(Config{Store: store, Top: top, Clock: simclock.NewSim(t0),
+		Services: []*analysis.Service{svc("few", 1), svc("slow", 2), svc("fine", 3)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pipe.RunTenMinute(t0, t0.Add(10*time.Minute)); err != nil {
+		t.Fatal(err)
+	}
+
+	N, P, I := analysis.VerdictNetwork, analysis.VerdictNotNetwork, analysis.VerdictInconclusive
+	want := map[string]string{
+		"dc/DC1": N, "dc/DC2": I, "dc/DC3": N, "dc/DC4": P, "dc/DC5": N,
+		"service/few": I, "service/slow": N, "service/fine": P,
+		"interdc/DC4->DC1": N,
+	}
+	rows, err := pipe.DB().Query(TableSLA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alerts := map[string]analysis.Alert{}
+	for _, a := range pipe.Alerts() {
+		alerts[a.Scope] = a
+	}
+	for _, r := range rows {
+		scope, verdict, reason := r["scope"].(string), r["verdict"].(string), r["reason"].(string)
+		if verdict != want[scope] || reason == "" {
+			t.Errorf("%s: row verdict %q (%s), want %q", scope, verdict, reason, want[scope])
+		}
+		delete(want, scope)
+		a, fired := alerts[scope]
+		if alerting := !strings.HasPrefix(scope, "interdc/"); fired != (alerting && verdict == N) {
+			t.Errorf("%s: verdict %q, alert fired %v", scope, verdict, fired)
+		}
+		if fired && (a.Reason != reason || a.DropRate != r["drop_rate"] || a.P99 != r["p99"] || !a.At.Equal(t0.Add(10*time.Minute))) {
+			t.Errorf("%s: alert %+v, row %v", scope, a, r)
+		}
+	}
+	if len(want) != 0 {
+		t.Errorf("no rows for %v", want)
+	}
+	var order []string
+	for _, a := range pipe.Alerts() {
+		order = append(order, a.Scope)
+	}
+	if got := strings.Join(order, " "); got != "dc/DC1 dc/DC3 dc/DC5 service/slow" {
+		t.Errorf("alerts fired in order %s", got)
+	}
+	if n, _ := pipe.DB().Query(TableAlerts); len(n) != len(order) {
+		t.Errorf("%d alert rows for %d alerts", len(n), len(order))
 	}
 }
 

@@ -295,7 +295,7 @@ func renderReports(t *testing.T, p *Pipeline) string {
 		name string
 		cols []string
 	}{
-		{TableSLA, []string{"scope", "window_start", "window_end", "probes", "p50", "p99", "drop_rate", "failure_rate"}},
+		{TableSLA, []string{"scope", "window_start", "window_end", "probes", "p50", "p99", "drop_rate", "failure_rate", "verdict", "reason"}},
 		{TableAlerts, []string{"scope", "at", "reason", "drop_rate", "p99"}},
 		{TablePatterns, []string{"dc", "window_start", "pattern", "podset"}},
 		{TableDropRates, []string{"dc", "class", "window_start", "probes", "drop_rate"}},

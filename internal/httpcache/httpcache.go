@@ -46,10 +46,9 @@ const (
 // strong ETag. Build once per publication epoch with New; Serve from as
 // many goroutines as you like.
 type Body struct {
-	data  []byte
-	gz    []byte
-	etag  string
-	ctype string
+	data []byte
+	gz   []byte
+	etag string
 
 	// Precomputed single-value header slices (see package comment).
 	etagH   []string
@@ -92,7 +91,7 @@ func (c *Compressor) New(contentType string, data []byte) (*Body, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &Body{data: data, gz: gz, ctype: contentType, etag: ETagFor(data)}
+	b := &Body{data: data, gz: gz, etag: ETagFor(data)}
 	b.etagH = []string{b.etag}
 	b.ctypeH = []string{contentType}
 	b.clenH = []string{strconv.Itoa(len(b.data))}
@@ -166,9 +165,6 @@ func (b *Body) Gzip() []byte { return b.gz }
 
 // ETag returns the strong validator (quoted hex of the content hash).
 func (b *Body) ETag() string { return b.etag }
-
-// ContentType returns the body's media type.
-func (b *Body) ContentType() string { return b.ctype }
 
 // Result reports what Serve did, for caller-side metrics.
 type Result struct {

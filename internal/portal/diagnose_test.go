@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"pingmesh/internal/analysis"
 	"pingmesh/internal/core"
 	"pingmesh/internal/cosmos"
 	"pingmesh/internal/diagnosis"
@@ -208,6 +209,125 @@ func TestTriageCarriesDiagnosePointer(t *testing.T) {
 	}
 	if res.Diagnose == "" {
 		t.Fatal("/triage has no diagnose pointer with the engine wired")
+	}
+}
+
+// craftedRig publishes exactly recs: one 10-minute cycle, and the hourly
+// one if hourly is set, behind a portal whose diagnosis engine has nothing
+// but the topology — its chain is then the first two steps alone.
+func craftedRig(t *testing.T, top *topology.Topology, hourly bool, recs []probe.Record) *Portal {
+	t.Helper()
+	store, err := cosmos.NewStore(3, cosmos.Config{ExtentSize: 64 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Append("pingmesh/2026-07-01", probe.EncodeBatch(recs)); err != nil {
+		t.Fatal(err)
+	}
+	clock := simclock.NewSim(t0.Add(time.Hour))
+	pipe, err := dsa.New(dsa.Config{Store: store, Top: top, Clock: clock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pipe.RunTenMinute(t0, t0.Add(10*time.Minute)); err != nil {
+		t.Fatal(err)
+	}
+	if hourly {
+		if err := pipe.RunHourly(t0, t0.Add(time.Hour)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := New(Config{Pipeline: pipe, Top: top, Clock: clock, Diagnosis: &diagnosis.Engine{Top: top}})
+	if err := p.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestTriageIsTheChainsFirstTwoSteps: for the same pair in the same epoch,
+// /triage and /diagnose?src=&dst= give the same verdict, and it is the one
+// the SLA row's verdict and the cell call for — below the probe floor
+// counted over successful probes, as the DSA alerts.
+func TestTriageIsTheChainsFirstTwoSteps(t *testing.T) {
+	top, err := topology.Build(topology.Spec{DCs: []topology.DCSpec{
+		{Name: "DC1", Podsets: 2, PodsPerPodset: 3, ServersPerPod: 3, LeavesPerPodset: 2, Spines: 4},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pod := func(ps, p int) topology.ServerID { return top.DCs[0].Podsets[ps].Pods[p].Servers[0] }
+	// probes appends n probes src->dst with the given outcome.
+	probes := func(recs []probe.Record, src, dst topology.ServerID, n int, rtt time.Duration, fail string) []probe.Record {
+		for i := 0; i < n; i++ {
+			recs = append(recs, probe.Record{Start: t0.Add(time.Duration(len(recs)) * time.Second),
+				Src: top.Server(src).Addr, Dst: top.Server(dst).Addr, Class: probe.IntraDC, Proto: probe.TCP,
+				RTT: rtt, Err: fail})
+		}
+		return recs
+	}
+	ok := 500 * time.Microsecond
+
+	// Healthy: 200 successes through one pod pair (a green cell), 50
+	// through another (a cell below the floor), none through a third.
+	var healthy []probe.Record
+	healthy = probes(healthy, pod(0, 0), pod(1, 0), 200, ok, "")
+	healthy = probes(healthy, pod(0, 0), pod(1, 1), 50, ok, "")
+	// 150 probes, of which 90 failed and 2 of the 60 successes took 3s: a
+	// drop rate of 3%, judged on fewer successes than the floor.
+	var fewSuccesses []probe.Record
+	fewSuccesses = probes(fewSuccesses, pod(0, 0), pod(1, 0), 58, ok, "")
+	fewSuccesses = probes(fewSuccesses, pod(0, 0), pod(1, 0), 2, 3*time.Second, "")
+	fewSuccesses = probes(fewSuccesses, pod(0, 0), pod(1, 0), 90, 0, "timeout")
+	var belowFloor []probe.Record
+	belowFloor = probes(belowFloor, pod(0, 0), pod(1, 0), 50, ok, "")
+
+	for _, c := range []struct {
+		name   string
+		recs   []probe.Record
+		hourly bool
+		dst    topology.ServerID
+		cell   uint64 // the pair's cell probes, 0 for no cell
+		want   string
+	}{
+		{"green cell", healthy, true, pod(1, 0), 200, analysis.VerdictNotNetwork},
+		{"cell below the floor", healthy, true, pod(1, 1), 50, analysis.VerdictNotNetwork},
+		{"no cell", healthy, true, pod(1, 2), 0, analysis.VerdictNotNetwork},
+		{"no heatmap", healthy, false, pod(1, 0), 0, analysis.VerdictNotNetwork},
+		{"drops over too few successes", fewSuccesses, false, pod(1, 0), 0, analysis.VerdictInconclusive},
+		{"SLA row below the floor", belowFloor, false, pod(1, 0), 0, analysis.VerdictInconclusive},
+	} {
+		p := craftedRig(t, top, c.hourly, c.recs)
+		if alerts := p.Snapshot().Alerts; len(alerts) != 0 {
+			t.Errorf("%s: alerts %+v", c.name, alerts)
+		}
+		q := "?src=" + top.Server(pod(0, 0)).Name + "&dst=" + top.Server(c.dst).Name
+		var tri TriageResult
+		var ch diagnosis.Chain
+		for path, v := range map[string]any{"/triage" + q: &tri, "/diagnose" + q: &ch} {
+			w := get(t, p.Handler(), path, nil)
+			if err := json.Unmarshal(w.Body.Bytes(), v); err != nil || w.Code != http.StatusOK {
+				t.Fatalf("%s: %s: %d %v", c.name, path, w.Code, err)
+			}
+		}
+		if tri.Verdict != c.want || ch.Verdict != c.want || tri.PairProbes != c.cell {
+			t.Errorf("%s: /triage %q (%s) on a %d-probe cell, /diagnose %q; want %q on %d",
+				c.name, tri.Verdict, tri.Reason, tri.PairProbes, ch.Verdict, c.want, c.cell)
+		}
+		if tri.DCSLA == nil || tri.DCSLA.Verdict == "" || tri.DCSLA.Reason == "" {
+			t.Errorf("%s: /triage carries no judged SLA row: %+v", c.name, tri.DCSLA)
+		}
+	}
+
+	// The same holds over simulated traffic with votes and the TTL sweep
+	// wired, on a clean fabric.
+	r, _ := buildDiagRig(t, nil)
+	names, _, _ := crossPodsetPair(r.top)
+	var tri TriageResult
+	var ch diagnosis.Chain
+	json.Unmarshal(get(t, r.portal.Handler(), "/triage"+pairQuery(names), nil).Body.Bytes(), &tri)
+	json.Unmarshal(get(t, r.portal.Handler(), "/diagnose"+pairQuery(names), nil).Body.Bytes(), &ch)
+	if tri.Verdict != analysis.VerdictNotNetwork || ch.Verdict != tri.Verdict {
+		t.Fatalf("clean fabric: /triage %q (%s), /diagnose %q", tri.Verdict, tri.Reason, ch.Verdict)
 	}
 }
 

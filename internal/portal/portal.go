@@ -61,7 +61,8 @@ type Config struct {
 	Budget trace.Budget
 	// Diagnosis, if non-nil, enables GET /diagnose: the cached root-cause
 	// ranking at the bare path and the per-pair evidence chain with
-	// ?src=&dst=. /triage then carries the chain's thin summary.
+	// ?src=&dst=. /triage then also names the pair's vote suspect and links
+	// its chain.
 	Diagnosis *diagnosis.Engine
 }
 
@@ -484,10 +485,12 @@ func (p *Portal) ServeMetrics(w http.ResponseWriter, r *http.Request) {
 	p.exp.WriteTo(w)
 }
 
-// serveTriage answers GET /triage?src=&dst= with the §4.3 decision. The
-// body is encoded per request (the pair space is quadratic; pre-rendering
-// it would defeat the snapshot budget) from the immutable snapshot alone —
-// the suspect hop included, which is looked up in the epoch's ranking.
+// serveTriage answers GET /triage?src=&dst= with the §4.3 decision: the
+// diagnosis chain's first two steps over the published epoch, diagnosis
+// engine or not. The body is encoded per request (the pair space is
+// quadratic; pre-rendering it would defeat the snapshot budget). With the
+// engine wired it also names the epoch's vote suspect on the pair and links
+// the full chain.
 func (p *Portal) serveTriage(w http.ResponseWriter, r *http.Request) {
 	p.cTriage.Inc()
 	q := r.URL.Query()
@@ -502,14 +505,18 @@ func (p *Portal) serveTriage(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header()[epochHeaderKey] = st.epochH
-	res := st.snap.Triage(p.cfg.Top, src, dst)
-	// With diagnosis wired, /triage is the chain's thin summary: the same
-	// SLA/heatmap evidence condensed into the verdict, plus the epoch's
-	// vote suspect and a pointer to the full chain.
-	if p.cfg.Diagnosis != nil {
-		srcID, okS := resolveServer(p.cfg.Top, src)
-		dstID, okD := resolveServer(p.cfg.Top, dst)
-		if okS && okD {
+	th := st.snap.Thresholds
+	res := TriageResult{Verdict: analysis.VerdictInconclusive, MaxDropRate: th.MaxDropRate, MaxP99: th.MaxP99}
+	srcID, okS := resolveServer(p.cfg.Top, src)
+	dstID, okD := resolveServer(p.cfg.Top, dst)
+	switch {
+	case !okS:
+		res.Reason = fmt.Sprintf("source %q is not a known server, address, or pod ref", src)
+	case !okD:
+		res.Reason = fmt.Sprintf("destination %q is not a known server, address, or pod ref", dst)
+	default:
+		res = st.snap.triage(p.cfg.Top, srcID, dstID)
+		if p.cfg.Diagnosis != nil {
 			if hop, _, ok := p.cfg.Diagnosis.TopSuspect(srcID, dstID, st.snap.Evidence(p.cfg.Top)); ok {
 				res.PinnedHop = hop
 			}
@@ -610,9 +617,9 @@ func (p *Portal) serveChain(w http.ResponseWriter, r *http.Request, st *state, c
 	writeError(w, http.StatusInternalServerError, "chain could not be rendered")
 }
 
-// resolveServer resolves a diagnosis parameter — a server address, server
-// name, or pod ref ("d0.s1.p2", standing for the pod's first server) — to
-// a concrete server, since chains walk real five-tuples.
+// resolveServer resolves a /triage or /diagnose parameter — a server
+// address, server name, or pod ref ("d0.s1.p2", standing for the pod's
+// first server) — to a concrete server, since chains walk real five-tuples.
 func resolveServer(top *topology.Topology, s string) (topology.ServerID, bool) {
 	if id, ok := top.ServerByAddrString(s); ok {
 		return id, true

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"pingmesh/internal/analysis"
 	"pingmesh/internal/core"
 	"pingmesh/internal/cosmos"
 	"pingmesh/internal/debugsrv"
@@ -395,11 +396,15 @@ func TestTriage(t *testing.T) {
 		t.Fatalf("resolved src = %q", res.Src)
 	}
 
-	// Unknown endpoints are inconclusive, not errors.
-	w = get(t, h, "/triage?src=nonsense&dst=d0.s0.p0", nil)
-	json.Unmarshal(w.Body.Bytes(), &res)
-	if res.Verdict != VerdictInconclusive {
-		t.Fatalf("unresolvable src verdict = %q", res.Verdict)
+	// Unknown endpoints are inconclusive, not errors; so is a pod ref
+	// outside the topology.
+	for _, q := range []string{"src=nonsense&dst=d0.s0.p0", "src=d9.s0.p0&dst=d0.s0.p0", "src=d0.s0.p0&dst=d0.s7.p0"} {
+		w = get(t, h, "/triage?"+q, nil)
+		res = TriageResult{}
+		json.Unmarshal(w.Body.Bytes(), &res)
+		if w.Code != http.StatusOK || res.Verdict != analysis.VerdictInconclusive {
+			t.Fatalf("%s: status %d, verdict = %q", q, w.Code, res.Verdict)
+		}
 	}
 
 	// Missing params are a usage error.

@@ -17,8 +17,8 @@ import (
 const DefaultRankLimit = 64
 
 // SLAEntry is one scope's latest network SLA: the row the §4.3 "is it a
-// network issue?" conversation starts from. Durations marshal as
-// nanoseconds.
+// network issue?" conversation starts from, with the verdict and reason the
+// SLA rule gave it at publish. Durations marshal as nanoseconds.
 type SLAEntry struct {
 	Scope       string        `json:"scope"`
 	WindowStart time.Time     `json:"window_start"`
@@ -28,6 +28,8 @@ type SLAEntry struct {
 	P99         time.Duration `json:"p99_ns"`
 	DropRate    float64       `json:"drop_rate"`
 	FailureRate float64       `json:"failure_rate"`
+	Verdict     string        `json:"verdict"`
+	Reason      string        `json:"reason"`
 }
 
 // AlertEntry is one fired SLA violation in the feed.
@@ -62,7 +64,7 @@ type Snapshot struct {
 	Alerts []AlertEntry
 	// Heatmaps holds the latest hourly heatmap per DC name.
 	Heatmaps map[string]HeatmapView
-	// Thresholds are the SLA limits triage verdicts are judged against.
+	// Thresholds are the SLA limits the rows were judged against.
 	Thresholds analysis.Thresholds
 	// Diagnosis is the epoch's root-cause vote ranking (nil when the
 	// deployment runs without a diagnosis collector).
@@ -142,6 +144,8 @@ func slaEntryFromRow(r reportdb.Row) (SLAEntry, error) {
 		P99:         dur(r["p99"]),
 		DropRate:    f64(r["drop_rate"]),
 		FailureRate: f64(r["failure_rate"]),
+		Verdict:     str(r["verdict"]),
+		Reason:      str(r["reason"]),
 	}, nil
 }
 
@@ -178,16 +182,16 @@ func (s *Snapshot) sortedScopes() []string {
 	return scopes
 }
 
-// Triage verdicts: the three possible answers of the §4.3 decision
-// procedure.
+// Two of /triage's verdicts, for callers that compare its answers: aliases
+// of analysis's words, the only ones there are.
 const (
-	VerdictNetwork      = "network"
-	VerdictNotNetwork   = "not-network"
-	VerdictInconclusive = "inconclusive"
+	VerdictNetwork    = analysis.VerdictNetwork
+	VerdictNotNetwork = analysis.VerdictNotNetwork
 )
 
-// TriageResult is the §4.3 decision procedure as data: the verdict plus
-// every number that supports it, so the caller can disagree.
+// TriageResult is the §4.3 decision as data: the verdict of the diagnosis
+// chain's first two steps plus every number they judged, so the caller can
+// disagree.
 type TriageResult struct {
 	Verdict string `json:"verdict"`
 	Reason  string `json:"reason"`
@@ -208,150 +212,70 @@ type TriageResult struct {
 
 	// PinnedHop names the root-cause engine's current top vote suspect on
 	// the pair's candidate path, when diagnosis is wired and a suspect
-	// clears its threshold; Diagnose links the full evidence chain. These
-	// make /triage the thin summary of /diagnose.
+	// clears its threshold; Diagnose links the full evidence chain, whose
+	// later steps may pin a hop the first two could not see.
 	PinnedHop string `json:"pinned_hop,omitempty"`
 	Diagnose  string `json:"diagnose,omitempty"`
 }
 
-// resolvePod resolves a src/dst parameter — a pod ref ("d0.s1.p2"), a
-// server name, or a server address — to a pod reference.
-func resolvePod(top *topology.Topology, s string) (analysis.PodRef, bool) {
-	if ref, err := analysis.ParsePodRef(s); err == nil {
-		return ref, true
-	}
-	if id, ok := resolveServer(top, s); ok {
-		return podRefOf(top, id), true
-	}
-	return analysis.PodRef{}, false
-}
-
-// violated reports whether an SLA entry breaches the thresholds, with the
-// paper's MinProbes suppression.
-func violated(e SLAEntry, th analysis.Thresholds) bool {
-	if uint64(e.Probes) < th.MinProbes {
-		return false
-	}
-	return (th.MaxDropRate > 0 && e.DropRate > th.MaxDropRate) ||
-		(th.MaxP99 > 0 && e.P99 > th.MaxP99)
-}
-
-// Triage answers "is it a network issue?" for a server pair (§4.3): it
-// compares the pair's latency/drop evidence from the latest heatmap
-// against the DC-level SLA and returns network / not-network /
-// inconclusive with the supporting numbers.
-func (s *Snapshot) Triage(top *topology.Topology, srcParam, dstParam string) TriageResult {
-	th := s.Thresholds
+// triage answers /triage for a resolved server pair: the diagnosis chain's
+// first two steps (diagnosis.Decide) over this epoch's evidence, with the
+// evidence itself attached.
+func (s *Snapshot) triage(top *topology.Topology, srcID, dstID topology.ServerID) TriageResult {
+	src, dst := podRefOf(top, srcID), podRefOf(top, dstID)
+	scope := pairScope(top, src, dst)
+	cell := s.cellFacts(top, src, dst)
+	d := diagnosis.Decide(s.slaFacts(scope), cell, src.DC != dst.DC)
 	res := TriageResult{
-		Verdict:     VerdictInconclusive,
-		MaxDropRate: th.MaxDropRate,
-		MaxP99:      th.MaxP99,
+		Verdict: d.Verdict, Reason: d.Reason,
+		Src: src.String(), Dst: dst.String(), DCScope: scope,
+		MaxDropRate: s.Thresholds.MaxDropRate, MaxP99: s.Thresholds.MaxP99,
 	}
-	src, ok := resolvePod(top, srcParam)
-	if !ok {
-		res.Reason = fmt.Sprintf("source %q is not a known server, address, or pod ref", srcParam)
-		return res
+	if e, ok := s.SLA[scope]; ok {
+		res.DCSLA = &e
 	}
-	dst, ok := resolvePod(top, dstParam)
-	if !ok {
-		res.Reason = fmt.Sprintf("destination %q is not a known server, address, or pod ref", dstParam)
-		return res
+	if cell != nil {
+		res.PairP99, res.PairProbes, res.PairColor = cell.P99, cell.Probes, cell.Color
 	}
-	res.Src, res.Dst = src.String(), dst.String()
+	return res
+}
 
+// pairScope names the SLA scope judging a pod pair: "dc/<name>" inside one
+// DC, "interdc/<a>-><b>" across DCs.
+func pairScope(top *topology.Topology, src, dst analysis.PodRef) string {
 	if src.DC != dst.DC {
-		return s.triageInterDC(top, src, dst, res)
+		return "interdc/" + top.DCs[src.DC].Name + "->" + top.DCs[dst.DC].Name
 	}
+	return "dc/" + top.DCs[src.DC].Name
+}
 
-	dcName := top.DCs[src.DC].Name
-	scope, e := s.pairScopeSLA(top, src, dst)
-	res.DCScope = scope
-	dcHealthy := false
-	if e != nil {
-		res.DCSLA = e
-		if violated(*e, th) {
-			res.Verdict = VerdictNetwork
-			res.Reason = fmt.Sprintf("DC-level SLA violated: p99=%v drop=%.2g over %d probes", e.P99, e.DropRate, e.Probes)
-			return res
-		}
-		dcHealthy = uint64(e.Probes) >= th.MinProbes
-	}
-
-	hv, ok := s.Heatmaps[dcName]
+// slaFacts returns a scope's SLA entry as diagnosis evidence (nil when the
+// scope has none).
+func (s *Snapshot) slaFacts(scope string) *diagnosis.SLAFacts {
+	e, ok := s.SLA[scope]
 	if !ok {
-		res.Reason = "no heatmap published for " + dcName + " yet"
-		return res
+		return nil
+	}
+	return &diagnosis.SLAFacts{Scope: scope, Probes: e.Probes, P99: e.P99, DropRate: e.DropRate,
+		Verdict: e.Verdict, Reason: e.Reason}
+}
+
+// cellFacts returns a pod pair's heatmap cell as diagnosis evidence (nil
+// when the pair has no cell with data, as across DCs).
+func (s *Snapshot) cellFacts(top *topology.Topology, src, dst analysis.PodRef) *diagnosis.CellFacts {
+	if src.DC != dst.DC {
+		return nil
+	}
+	hv, ok := s.Heatmaps[top.DCs[src.DC].Name]
+	if !ok {
+		return nil
 	}
 	cell, ok := lookupCell(hv.Heatmap, src, dst)
 	if !ok || !cell.HasData {
-		res.Reason = "pod pair has no heatmap data in the latest window"
-		return res
+		return nil
 	}
-	res.PairP99, res.PairProbes = cell.P99, cell.Probes
-	res.PairColor = cell.Color().String()
-	if cell.Probes < th.MinProbes {
-		// The paper's MinProbes suppression, applied at pair granularity: a
-		// handful of samples makes the cell's p99 the max of a few draws, so
-		// a red cell alone cannot convict the network. Fall back to the
-		// DC-level evidence.
-		if dcHealthy {
-			res.Verdict = VerdictNotNetwork
-			res.Reason = fmt.Sprintf("pod pair has only %d probes (< %d): too few to judge, and the DC-level SLA is healthy", cell.Probes, th.MinProbes)
-		} else {
-			res.Reason = fmt.Sprintf("pod pair has only %d probes (< %d) and no DC-level SLA evidence", cell.Probes, th.MinProbes)
-		}
-		return res
-	}
-	switch cell.Color() {
-	case viz.Red:
-		res.Verdict = VerdictNetwork
-		res.Reason = fmt.Sprintf("pod-pair p99 %v exceeds the %v SLA while the DC is healthy: localized network problem", cell.P99, viz.RedAbove)
-	case viz.Yellow:
-		res.Verdict = VerdictNotNetwork
-		res.Reason = fmt.Sprintf("pod-pair p99 %v is borderline but within the %v SLA; look at the application first", cell.P99, viz.RedAbove)
-	default:
-		res.Verdict = VerdictNotNetwork
-		res.Reason = fmt.Sprintf("DC SLA healthy and pod-pair p99 %v well within SLA: not a network issue", cell.P99)
-	}
-	return res
-}
-
-// triageInterDC judges a cross-DC pair from the inter-DC pipeline's SLA
-// scope (§6.2), since heatmaps are per-DC.
-func (s *Snapshot) triageInterDC(top *topology.Topology, src, dst analysis.PodRef, res TriageResult) TriageResult {
-	scope, e := s.pairScopeSLA(top, src, dst)
-	res.DCScope = scope
-	if e == nil {
-		res.Reason = "no inter-DC SLA data for " + scope
-		return res
-	}
-	res.DCSLA = e
-	if violated(*e, s.Thresholds) {
-		res.Verdict = VerdictNetwork
-		res.Reason = fmt.Sprintf("inter-DC SLA violated: p99=%v drop=%.2g", e.P99, e.DropRate)
-	} else {
-		res.Verdict = VerdictNotNetwork
-		res.Reason = fmt.Sprintf("inter-DC SLA healthy: p99=%v drop=%.2g", e.P99, e.DropRate)
-	}
-	return res
-}
-
-// pairScopeSLA names the SLA scope judging a pod pair — "dc/<name>" inside
-// one DC, "interdc/<a>-><b>" across DCs — and returns its latest entry
-// (nil when the scope has none). Both the §4.3 triage summary and the
-// diagnosis chain's first assertion read this one helper: /triage is a
-// thin summary over the same evidence the chain spells out.
-func (s *Snapshot) pairScopeSLA(top *topology.Topology, src, dst analysis.PodRef) (string, *SLAEntry) {
-	var scope string
-	if src.DC != dst.DC {
-		scope = "interdc/" + top.DCs[src.DC].Name + "->" + top.DCs[dst.DC].Name
-	} else {
-		scope = "dc/" + top.DCs[src.DC].Name
-	}
-	if e, ok := s.SLA[scope]; ok {
-		return scope, &e
-	}
-	return scope, nil
+	return &diagnosis.CellFacts{Probes: cell.Probes, P99: cell.P99, Color: cell.Color().String(),
+		Floor: s.Thresholds.MinProbes}
 }
 
 // Evidence adapts the snapshot into the diagnosis engine's evidence
@@ -373,34 +297,12 @@ func podRefOf(top *topology.Topology, id topology.ServerID) analysis.PodRef {
 	return analysis.PodRef{DC: sv.DC, Podset: sv.Podset, Pod: sv.Pod}
 }
 
-func (se *snapshotEvidence) PairSLA(src, dst topology.ServerID) (diagnosis.SLAFacts, bool) {
-	scope, e := se.snap.pairScopeSLA(se.top, podRefOf(se.top, src), podRefOf(se.top, dst))
-	if e == nil {
-		return diagnosis.SLAFacts{Scope: scope}, false
-	}
-	return diagnosis.SLAFacts{
-		Scope: scope, Probes: e.Probes, P99: e.P99, DropRate: e.DropRate,
-		Violated: violated(*e, se.snap.Thresholds),
-	}, true
+func (se *snapshotEvidence) PairSLA(src, dst topology.ServerID) *diagnosis.SLAFacts {
+	return se.snap.slaFacts(pairScope(se.top, podRefOf(se.top, src), podRefOf(se.top, dst)))
 }
 
-func (se *snapshotEvidence) PairCell(src, dst topology.ServerID) (diagnosis.CellFacts, bool) {
-	srcRef, dstRef := podRefOf(se.top, src), podRefOf(se.top, dst)
-	if srcRef.DC != dstRef.DC {
-		return diagnosis.CellFacts{}, false // heatmaps are per-DC
-	}
-	hv, ok := se.snap.Heatmaps[se.top.DCs[srcRef.DC].Name]
-	if !ok {
-		return diagnosis.CellFacts{}, false
-	}
-	cell, ok := lookupCell(hv.Heatmap, srcRef, dstRef)
-	if !ok || !cell.HasData {
-		return diagnosis.CellFacts{}, false
-	}
-	return diagnosis.CellFacts{
-		Probes: cell.Probes, P99: cell.P99, Color: cell.Color().String(),
-		Judgeable: cell.Probes >= se.snap.Thresholds.MinProbes,
-	}, true
+func (se *snapshotEvidence) PairCell(src, dst topology.ServerID) *diagnosis.CellFacts {
+	return se.snap.cellFacts(se.top, podRefOf(se.top, src), podRefOf(se.top, dst))
 }
 
 // lookupCell finds the heatmap cell for a pod pair.

@@ -14,6 +14,7 @@ import (
 	"math/rand/v2"
 	"sort"
 
+	"pingmesh/internal/analysis"
 	"pingmesh/internal/diagnosis"
 	"pingmesh/internal/netsim"
 	"pingmesh/internal/probe"
@@ -164,8 +165,13 @@ func AffectedPairsFromStats(top *topology.Topology, dropRateByPair map[string]fl
 		if r < minRate {
 			continue
 		}
-		src, dst, ok := splitPairKey(top, k)
+		srcAddr, dstAddr, ok := analysis.SplitServerPair(k)
 		if !ok {
+			continue
+		}
+		src, ok1 := top.ServerByAddr(srcAddr)
+		dst, ok2 := top.ServerByAddr(dstAddr)
+		if !ok1 || !ok2 {
 			continue // VIPs or stale topology entries
 		}
 		elevated = append(elevated, kv{src, dst, k, r})
@@ -187,15 +193,4 @@ func AffectedPairsFromStats(top *topology.Topology, dropRateByPair map[string]fl
 		})
 	}
 	return out
-}
-
-func splitPairKey(top *topology.Topology, key string) (src, dst topology.ServerID, ok bool) {
-	for i := 0; i < len(key); i++ {
-		if key[i] == '|' {
-			s, ok1 := top.ServerByAddrString(key[:i])
-			d, ok2 := top.ServerByAddrString(key[i+1:])
-			return s, d, ok1 && ok2
-		}
-	}
-	return 0, 0, false
 }

@@ -58,9 +58,6 @@ func (e *Encoder) Encode(nowNS int64) (data []byte, seq uint64) {
 	return e.b.Finish(), e.seq
 }
 
-// LastSeq returns the sequence of the last built report.
-func (e *Encoder) LastSeq() uint64 { return e.seq }
-
 // Ack records that the collector applied report seq. Deltas in the next
 // report are computed against it. Acks for anything but the last built
 // report are ignored (the shipper is synchronous: one report in flight).

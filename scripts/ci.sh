@@ -17,7 +17,9 @@
 #       runs 2,048 ops, two 4 MiB extents; an op stores 12,288 B and
 #       should read about 24.7 KB/op (2.01x; append's own growth read
 #       61.7 KB/op; TestAppendAllocatesAboutTwice fails above 2.1x)
-#   3b. diagnosis smoke: the root-cause localization CLI at reduced scale
+#   3b. diagnosis smoke: the root-cause localization CLI at reduced scale,
+#       and examples/isitnetwork, whose two incidents must print the
+#       verdicts not-network and network, in that order
 #   3c. telemetry plane smoke: the real controller and agent binaries on
 #       loopback with no telemetry flag; within 10s the agent's report
 #       must show up as a fleet rollup point on the controller's debug port
@@ -70,8 +72,13 @@ go test ./internal/controller -run xxx -bench 'UpdateTopology$' -benchmem -bench
 go test ./internal/diagnosis -run xxx -bench 'ObserveBatch$|RankGreedy$' -benchmem -cpu 1,2,4
 go test ./internal/portal -run xxx -bench 'PortalDiagnose(Hit|Miss)$|PortalSLACached$|PortalNotModified$' -benchmem
 
-echo "== tier 3b: diagnosis smoke (reduced scale)"
+echo "== tier 3b: diagnosis smoke (reduced scale) and the is-it-the-network example"
 go run ./cmd/pingmesh-diagnose -minutes 6 -check > /dev/null
+VERDICTS=$(go run ./examples/isitnetwork | grep '^verdict: ' | cut -d' ' -f2 | tr '\n' ' ')
+if [ "$VERDICTS" != "not-network network " ]; then
+    echo "examples/isitnetwork: verdicts '$VERDICTS', want incident 1 not-network, incident 2 network" >&2
+    exit 1
+fi
 
 echo "== tier 3c: telemetry plane smoke (loopback, no telemetry flags)"
 SMOKE=$(mktemp -d)
