@@ -8,11 +8,16 @@ import (
 	"pingmesh/internal/topology"
 )
 
-// PathResolver recovers the exact hop sequence of a five-tuple.
-// netsim.Network implements it; deployments without a fabric model leave
-// it nil and the collector falls back to topology candidate stage sets.
+// PathResolver recovers exact hop sequences, one run of a (src, dst)
+// pair's probes at a time. netsim.Network implements it from the pair's
+// cached probe plan; deployments without a fabric model leave it nil and
+// the collector falls back to topology candidate stage sets.
 type PathResolver interface {
-	AppendPath(dst []topology.SwitchID, src, dstID topology.ServerID, sport, dport uint16) ([]topology.SwitchID, bool)
+	// AppendPaths appends the hops of each {sport, dport} in ports for a
+	// probe from src to dstID, in order, and returns the extended slice
+	// and the route length they all share (the pair's route shape fixes
+	// it). ok is false, with dst unchanged, when the pair has no route.
+	AppendPaths(dst []topology.SwitchID, src, dstID topology.ServerID, ports [][2]uint16) ([]topology.SwitchID, int, bool)
 }
 
 // CollectorConfig wires a Collector.
@@ -27,8 +32,8 @@ type CollectorConfig struct {
 }
 
 // Collector ingests probe records into a VoteTable. Safe for concurrent
-// use: endpoints and paths resolve outside the lock, a chunk of paths
-// applies under one acquisition; allocation-free once warm.
+// use: endpoints and paths resolve outside the lock, a chunk applies under
+// one acquisition; allocation-free once warm.
 type Collector struct {
 	top   *topology.Topology
 	paths PathResolver
@@ -54,13 +59,19 @@ type Collector struct {
 // observeChunk is how many records resolve before one lock applies them.
 const observeChunk = 256
 
-// ingestChunk is one chunk's resolved probes: flattened hop lists in
-// exact-path mode, endpoint pairs in candidate-stage mode.
+// ingestChunk is one chunk's resolved probes. In exact-path mode, failures
+// (and successes with a link off the dense index) keep their hop lists, in
+// record order, and the other successes are summed into counts; in
+// candidate-stage mode every probe keeps its endpoint pair.
 type ingestChunk struct {
 	hops   []topology.SwitchID
 	ends   []int32
 	pairs  [][2]topology.ServerID
 	failed []bool
+	counts traversalCounts
+
+	ports [][2]uint16         // one run's five-tuple ports
+	run   []topology.SwitchID // one run's paths, from PathResolver
 }
 
 // NewCollector builds a collector for a fleet.
@@ -89,18 +100,17 @@ func NewCollector(cfg CollectorConfig) *Collector {
 // Metrics returns the registry holding the diagnosis.* counters.
 func (c *Collector) Metrics() *metrics.Registry { return c.reg }
 
-// Observe ingests one probe record: a batch of one.
-func (c *Collector) Observe(r *probe.Record) { c.ObserveBatch([]probe.Record{*r}) }
-
 // ObserveBatch ingests a record batch (the agent upload sink). Records
 // whose endpoints are not in the topology (VIPs, stale entries) or that
-// have no route are counted and skipped.
+// have no route are counted and skipped. An agent uploads its records
+// grouped by peer, so in exact-path mode each run of one (src, dst) pair
+// resolves with one PathResolver call.
 func (c *Collector) ObserveBatch(recs []probe.Record) {
 	var ch *ingestChunk
 	select {
 	case ch = <-c.free:
 	default:
-		ch = new(ingestChunk)
+		ch = &ingestChunk{counts: traversalCounts{sw: make([]uint32, len(c.vt.votes)), link: make([]uint32, len(c.vt.dense))}}
 	}
 	for len(recs) > 0 {
 		n := min(len(recs), observeChunk)
@@ -114,34 +124,49 @@ func (c *Collector) ObserveBatch(recs []probe.Record) {
 }
 
 func (c *Collector) observeChunk(ch *ingestChunk, recs []probe.Record) {
-	*ch = ingestChunk{hops: ch.hops[:0], ends: ch.ends[:0], pairs: ch.pairs[:0], failed: ch.failed[:0]}
-	var src topology.ServerID
-	var okS bool
+	ch.hops, ch.ends, ch.pairs, ch.failed = ch.hops[:0], ch.ends[:0], ch.pairs[:0], ch.failed[:0]
+	var src, dst topology.ServerID
+	var okS, okD bool
 	votes := 0
-	for i := range recs {
+	for i, j := 0, 0; i < len(recs); i = j {
 		r := &recs[i]
-		// An upload is one agent's records: resolve src once per run.
+		ch.ports = append(ch.ports[:0], [2]uint16{r.SrcPort, r.DstPort})
+		for j = i + 1; j < len(recs) && recs[j].Dst == r.Dst && recs[j].Src == r.Src; j++ {
+			ch.ports = append(ch.ports, [2]uint16{recs[j].SrcPort, recs[j].DstPort})
+		}
+		// An upload is one agent's records: resolve src when it changes.
 		if i == 0 || r.Src != recs[i-1].Src {
 			src, okS = c.top.ServerByAddr(r.Src)
 		}
-		dst, okD := c.top.ServerByAddr(r.Dst)
+		dst, okD = c.top.ServerByAddr(r.Dst)
 		if !okS || !okD {
 			continue
 		}
-		if c.paths == nil {
-			ch.pairs = append(ch.pairs, [2]topology.ServerID{src, dst})
-		} else if hops, ok := c.paths.AppendPath(ch.hops, src, dst, r.SrcPort, r.DstPort); ok {
-			ch.hops = hops
-			ch.ends = append(ch.ends, int32(len(hops)))
-		} else {
-			continue
+		run, paths, h := recs[i:j], ch.run[:0], 0
+		if c.paths != nil {
+			var ok bool
+			if paths, h, ok = c.paths.AppendPaths(paths, src, dst, ch.ports); !ok {
+				continue
+			}
+			ch.run = paths
 		}
-		failed := !r.Success()
-		ch.failed = append(ch.failed, failed)
-		if failed {
-			votes++
+		for k := range run {
+			failed := !run[k].Success()
+			if c.paths == nil {
+				ch.pairs = append(ch.pairs, [2]topology.ServerID{src, dst})
+			} else if hops := paths[k*h : (k+1)*h]; failed || !ch.counts.add(c.vt.li, hops) {
+				ch.hops = append(ch.hops, hops...)
+				ch.ends = append(ch.ends, int32(len(ch.hops)))
+			} else {
+				continue // a success, counted
+			}
+			ch.failed = append(ch.failed, failed)
+			if failed {
+				votes++
+			}
 		}
 	}
+	observed := int64(len(ch.failed)) + int64(ch.counts.probes)
 
 	c.mu.Lock()
 	start := int32(0)
@@ -149,6 +174,7 @@ func (c *Collector) observeChunk(ch *ingestChunk, recs []probe.Record) {
 		c.vt.ObservePath(ch.hops[start:end], ch.failed[i])
 		start = end
 	}
+	c.vt.addCounts(&ch.counts)
 	for i, p := range ch.pairs {
 		CandidateHops(&c.ps, c.top, p[0], p[1])
 		c.vt.ObserveStages(&c.ps, ch.failed[i])
@@ -156,9 +182,9 @@ func (c *Collector) observeChunk(ch *ingestChunk, recs []probe.Record) {
 	c.ranked = nil
 	c.mu.Unlock()
 
-	c.cObserved.Add(int64(len(ch.failed)))
+	c.cObserved.Add(observed)
 	c.cVotes.Add(int64(votes))
-	c.cSkipped.Add(int64(len(recs) - len(ch.failed)))
+	c.cSkipped.Add(int64(len(recs)) - observed)
 }
 
 // ObservePath ingests one probe with an externally recovered hop sequence

@@ -27,6 +27,15 @@ type episode struct {
 }
 
 func buildEpisode(tb testing.TB, seed uint64, perServer int) *episode {
+	return buildRunEpisode(tb, seed, perServer, 1, nil)
+}
+
+// buildRunEpisode is buildEpisode with records grouped per peer, as
+// fleet.Runner and SimTestbed.RunWindow emit them: each drawn peer gets
+// run consecutive probes from random source ports. mutate, when set,
+// injects fabric faults before any probe. Run 1 with no mutation is
+// buildEpisode's random-pair episode, draw for draw.
+func buildRunEpisode(tb testing.TB, seed uint64, perServer, run int, mutate func(*netsim.Network)) *episode {
 	tb.Helper()
 	top, err := topology.Build(topology.Spec{DCs: []topology.DCSpec{
 		{Name: "DC1", Podsets: 2, PodsPerPodset: 3, ServersPerPod: 2, LeavesPerPodset: 2, Spines: 3},
@@ -39,6 +48,9 @@ func buildEpisode(tb testing.TB, seed uint64, perServer int) *episode {
 	if err != nil {
 		tb.Fatal(err)
 	}
+	if mutate != nil {
+		mutate(net)
+	}
 	faulty := map[topology.SwitchID]float64{
 		top.ToRs(0)[1]:                  0.9,
 		top.DCs[0].Spines[0]:            0.2,
@@ -50,26 +62,28 @@ func buildEpisode(tb testing.TB, seed uint64, perServer int) *episode {
 	var buf []topology.SwitchID
 	for _, s := range servers {
 		var recs []probe.Record
-		for i := 0; i < perServer; i++ {
+		for i := 0; i < perServer; i += run {
 			d := servers[rng.IntN(len(servers))]
 			if d.ID == s.ID {
 				continue
 			}
-			r := probe.Record{Src: s.Addr, Dst: d.Addr, SrcPort: uint16(32768 + rng.IntN(16384)), DstPort: 8765}
-			hops, ok := net.AppendPath(buf[:0], s.ID, d.ID, r.SrcPort, r.DstPort)
-			buf = hops
-			if !ok {
-				continue
-			}
-			for _, sw := range hops {
-				if p, bad := faulty[sw]; bad && rng.Float64() < p {
-					r.Err = "timeout"
-					ep.fails++
-					break
+			for range run {
+				r := probe.Record{Src: s.Addr, Dst: d.Addr, SrcPort: uint16(32768 + rng.IntN(16384)), DstPort: 8765}
+				hops, ok := net.AppendPath(buf[:0], s.ID, d.ID, r.SrcPort, r.DstPort)
+				buf = hops
+				if !ok {
+					continue
 				}
+				for _, sw := range hops {
+					if p, bad := faulty[sw]; bad && rng.Float64() < p {
+						r.Err = "timeout"
+						ep.fails++
+						break
+					}
+				}
+				recs = append(recs, r)
+				ep.probes++
 			}
-			recs = append(recs, r)
-			ep.probes++
 		}
 		ep.batches = append(ep.batches, recs)
 	}
@@ -321,27 +335,37 @@ func TestObserveBatchZeroAlloc(t *testing.T) {
 // time — what one uploading worker waits per record, wall time times the
 // lanes the machine can really run at once — so it must not rise as cores
 // are added; it doubled with every doubling when each record took the
-// collector's mutex around its path lookup.
+// collector's mutex around its path lookup. random-pair draws a new peer
+// for every probe, so every run is one record long; run-ordered sends 24
+// probes to each peer in a row, as agents upload (incident's runs average
+// about 23).
 func BenchmarkObserveBatch(b *testing.B) {
-	ep := buildEpisode(b, 4, 600)
-	col := NewCollector(CollectorConfig{Top: ep.top, Paths: ep.net})
-	for _, batch := range ep.batches {
-		col.ObserveBatch(batch)
+	for _, c := range []struct {
+		name string
+		run  int
+	}{{"random-pair", 1}, {"run-ordered", 24}} {
+		b.Run(c.name, func(b *testing.B) {
+			ep := buildRunEpisode(b, 4, 600, c.run, nil)
+			col := NewCollector(CollectorConfig{Top: ep.top, Paths: ep.net})
+			for _, batch := range ep.batches {
+				col.ObserveBatch(batch)
+			}
+			var lane, probes atomic.Int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				i, n := int(lane.Add(1)), int64(0)
+				for pb.Next() {
+					batch := ep.batches[i%len(ep.batches)]
+					col.ObserveBatch(batch)
+					n += int64(len(batch))
+					i += 7
+				}
+				probes.Add(n)
+			})
+			b.StopTimer()
+			lanes := min(runtime.GOMAXPROCS(0), runtime.NumCPU(), b.N)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())*float64(lanes)/float64(probes.Load()), "ns/probe")
+		})
 	}
-	var lane, probes atomic.Int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i, n := int(lane.Add(1)), int64(0)
-		for pb.Next() {
-			batch := ep.batches[i%len(ep.batches)]
-			col.ObserveBatch(batch)
-			n += int64(len(batch))
-			i += 7
-		}
-		probes.Add(n)
-	})
-	b.StopTimer()
-	lanes := min(runtime.GOMAXPROCS(0), runtime.NumCPU(), b.N)
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())*float64(lanes)/float64(probes.Load()), "ns/probe")
 }

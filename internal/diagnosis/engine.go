@@ -261,7 +261,7 @@ func (e *Engine) Diagnose(src, dst topology.ServerID, ev EvidenceSource) *Chain 
 	// The modeled path of a representative five-tuple, for operators to
 	// read the chain against.
 	if e.Paths != nil {
-		if hops, ok := e.Paths.AppendPath(nil, src, dst, engineBaseSrcPort, engineDstPort); ok {
+		if hops, _, ok := e.Paths.AppendPaths(nil, src, dst, [][2]uint16{{engineBaseSrcPort, engineDstPort}}); ok {
 			for _, sw := range hops {
 				ch.Path = append(ch.Path, e.Top.Switch(sw).Name)
 			}
@@ -460,14 +460,14 @@ func (e *Engine) pinPorts(src, dst topology.ServerID, suspect topology.SwitchID)
 		const suspectQuota = 3
 		covered := map[topology.SwitchID]bool{}
 		suspectTuples := 0
-		var buf []topology.SwitchID
-		for i := 0; i < 8*portTries && len(ports) < 2*portTries; i++ {
-			sport := uint16(engineBaseSrcPort + i)
-			hops, ok := e.Paths.AppendPath(buf[:0], src, dst, sport, engineDstPort)
-			buf = hops
-			if !ok {
-				continue
-			}
+		// The whole port window is one run of the pair: one resolver call.
+		window := make([][2]uint16, 8*portTries)
+		for i := range window {
+			window[i] = [2]uint16{uint16(engineBaseSrcPort + i), engineDstPort}
+		}
+		paths, h, ok := e.Paths.AppendPaths(nil, src, dst, window)
+		for i := 0; ok && i < len(window) && len(ports) < 2*portTries; i++ {
+			sport, hops := window[i][0], paths[i*h:(i+1)*h]
 			fresh, hitSuspect := false, false
 			for _, sw := range hops {
 				if !covered[sw] {
@@ -499,7 +499,7 @@ func (e *Engine) pinPorts(src, dst topology.ServerID, suspect topology.SwitchID)
 // wired, a TTL-sweep path recovery otherwise.
 func (e *Engine) tupleHops(spec netsim.ProbeSpec, rng *rand.Rand) []topology.SwitchID {
 	if e.Paths != nil {
-		if h, ok := e.Paths.AppendPath(nil, spec.Src, spec.Dst, spec.SrcPort, spec.DstPort); ok {
+		if h, _, ok := e.Paths.AppendPaths(nil, spec.Src, spec.Dst, [][2]uint16{{spec.SrcPort, spec.DstPort}}); ok {
 			return h
 		}
 	}

@@ -244,6 +244,66 @@ func (vt *VoteTable) ObservePath(hops []topology.SwitchID, failed bool) {
 	}
 }
 
+// traversalCounts sums successful probes' traversal credit as integer
+// counts, per switch and per dense link slot, for one addCounts. A
+// successful probe casts no vote and adds exactly 1 to each hop's and
+// link's traversals, so its credit can wait and arrive as a count.
+type traversalCounts struct {
+	probes  uint64
+	sw      []uint32            // by SwitchID
+	link    []uint32            // by linkIndex slot
+	swSet   []topology.SwitchID // switches with a nonzero count
+	linkSet []int32             // slots with a nonzero count
+}
+
+// add counts one successful probe's path. It counts nothing and returns
+// false when a link of the path is not in li (a fixture, a traceroute off
+// the model): that probe takes ObservePath.
+func (tc *traversalCounts) add(li *linkIndex, hops []topology.SwitchID) bool {
+	var slots [5]int32 // a modeled route has at most 6 hops
+	if len(hops) > len(slots)+1 {
+		return false
+	}
+	for i := 1; i < len(hops); i++ {
+		s := li.slot(hops[i-1], hops[i])
+		if int(s) >= len(li.links) || li.links[s] != (Link{hops[i-1], hops[i]}) {
+			return false
+		}
+		slots[i-1] = s
+	}
+	for _, sw := range hops {
+		if tc.sw[sw] == 0 {
+			tc.swSet = append(tc.swSet, sw)
+		}
+		tc.sw[sw]++
+	}
+	for _, s := range slots[:max(len(hops)-1, 0)] {
+		if tc.link[s] == 0 {
+			tc.linkSet = append(tc.linkSet, s)
+		}
+		tc.link[s]++
+	}
+	tc.probes++
+	return true
+}
+
+// addCounts credits tc's probes and empties it. Traversal credit is an
+// integer-valued float64, and integer sums below 2^53 are exact in any
+// order, so the table ends bit-identical to ObservePath-ing each of the
+// probes wherever they fell among the others.
+func (vt *VoteTable) addCounts(tc *traversalCounts) {
+	vt.observed += tc.probes
+	for _, sw := range tc.swSet {
+		vt.traversals[sw] += float64(tc.sw[sw])
+		tc.sw[sw] = 0
+	}
+	for _, s := range tc.linkSet {
+		vt.dense[s].traversals += float64(tc.link[s])
+		tc.link[s] = 0
+	}
+	tc.probes, tc.swSet, tc.linkSet = 0, tc.swSet[:0], tc.linkSet[:0]
+}
+
 // ObserveStages ingests one probe whose exact ECMP choices are unknown: ps
 // holds every candidate switch per routing stage. A failed probe splits
 // its vote 1/h across all h candidate hops; traversal credit is the

@@ -103,15 +103,41 @@ func BenchmarkProbePairProber(b *testing.B) {
 	}
 }
 
+// BenchmarkPathResolve reports a cross-podset route three ways: one probe
+// through the pair's cached plan (AppendPath), a run of 24 probes through
+// one plan lookup (AppendPaths, what diagnosis ingest calls; ns/path), and
+// resolve, the reference that hashes both addresses at every ECMP stage.
 func BenchmarkPathResolve(b *testing.B) {
 	n := benchNetwork(b)
 	top := n.Topology()
 	src := top.DCs[0].Podsets[0].Pods[0].Servers[0]
 	dst := top.DCs[0].Podsets[1].Pods[0].Servers[0]
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		n.Path(src, dst, uint16(32768+i%28000), 8765)
-	}
+	buf := make([]topology.SwitchID, 0, 24*6)
+	b.Run("plan", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			buf, _ = n.AppendPath(buf[:0], src, dst, uint16(32768+i%28000), 8765)
+		}
+	})
+	b.Run("plan-run24", func(b *testing.B) {
+		ports := make([][2]uint16, 24)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for k := range ports {
+				ports[k] = [2]uint16{uint16(32768 + (24*i+k)%28000), 8765}
+			}
+			buf, _, _ = n.AppendPaths(buf[:0], src, dst, ports)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(24*b.N), "ns/path")
+	})
+	b.Run("resolve", func(b *testing.B) {
+		ft := n.faults.Load()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			r := n.resolve(ft, src, dst, uint16(32768+i%28000), 8765)
+			buf = append(buf[:0], r.Hops()...)
+		}
+	})
 }
 
 func BenchmarkTraceProbe(b *testing.B) {

@@ -107,12 +107,14 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// switchFault is the fault state of one switch. The zero value means
-// healthy.
+// switchFault is the fault state of one switch, which it names: a probe
+// plan's stage holds pointers to its alive members' entries, so the entry
+// is how a plan says which switch it picked. Healthy is {id: sw}.
 type switchFault struct {
 	blackholes   []Blackhole
 	randomDrop   float64
-	persistent   bool // random drop survives a reload (needs RMA, §5.2)
+	persistent   bool              // random drop survives a reload (needs RMA, §5.2)
+	id           topology.SwitchID // the switch this entry describes
 	fcsPerByte   float64
 	extraLatMean time.Duration
 	isolated     bool
@@ -190,12 +192,16 @@ func New(top *topology.Topology, cfg Config) (*Network, error) {
 		cfg.InterDC = DefaultInterDC()
 	}
 	n := &Network{top: top, cfg: cfg}
-	n.faults.Store(&faultTable{
+	ft := &faultTable{
 		perSwitch:  make([]switchFault, top.NumSwitches()),
 		podsetDown: map[psKey]bool{},
 		podsetDeg:  map[psKey]Degradation{},
 		tierDeg:    map[tierKey]Degradation{},
-	})
+	}
+	for i := range ft.perSwitch {
+		ft.perSwitch[i].id = topology.SwitchID(i)
+	}
+	n.faults.Store(ft)
 	return n, nil
 }
 
@@ -277,7 +283,7 @@ func (n *Network) UnisolateSwitch(sw topology.SwitchID) {
 // ReplaceSwitch models an RMA: the faulty device is swapped for a healthy
 // one, clearing all faults including persistent ones.
 func (n *Network) ReplaceSwitch(sw topology.SwitchID) {
-	n.mutate(func(ft *faultTable) { ft.perSwitch[sw] = switchFault{} })
+	n.mutate(func(ft *faultTable) { ft.perSwitch[sw] = switchFault{id: sw} })
 }
 
 // SetPodsetDown powers a podset off (or back on): its servers neither send

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"net/netip"
+	"slices"
 
 	"pingmesh/internal/topology"
 )
@@ -88,7 +89,10 @@ func (r *route) add(sw topology.SwitchID) {
 // Hops returns the traversed switches in order.
 func (r *route) Hops() []topology.SwitchID { return r.hops[:r.n] }
 
-// resolve computes the ECMP path for a five-tuple against a fault table.
+// resolve computes the ECMP path for a five-tuple against a fault table
+// from scratch, hashing both addresses at every ECMP stage. It is the
+// reference the probe plan's routes are pinned to (probeReference, and
+// TestPlanRoutesMatchResolve); AppendPath and TraceProbe read the plan.
 func (n *Network) resolve(ft *faultTable, src, dst topology.ServerID, sport, dport uint16) route {
 	ss, ds := n.top.Server(src), n.top.Server(dst)
 	sa, da := ss.Addr, ds.Addr
@@ -131,21 +135,31 @@ func (n *Network) resolve(ft *faultTable, src, dst topology.ServerID, sport, dpo
 // order, and whether a route exists. It is the ground truth TCP traceroute
 // recovers hop by hop (§5.2).
 func (n *Network) Path(src, dst topology.ServerID, sport, dport uint16) ([]topology.SwitchID, bool) {
-	r := n.resolve(n.faults.Load(), src, dst, sport, dport)
-	if !r.ok {
-		return nil, false
-	}
-	return append([]topology.SwitchID(nil), r.Hops()...), true
+	return n.AppendPath(nil, src, dst, sport, dport)
 }
 
 // AppendPath is Path into a caller-owned buffer: it appends the hops to
-// dst and returns the extended slice. Allocation-free when dst has
-// capacity (a route is at most 6 hops), which keeps per-record path
-// recovery off the allocator on the diagnosis ingest path.
+// dst and returns the extended slice. It reads the pair's cached probe
+// plan, so only the ports are hashed, and is allocation-free when dst has
+// capacity (a route is at most 6 hops).
 func (n *Network) AppendPath(dst []topology.SwitchID, src, dstID topology.ServerID, sport, dport uint16) ([]topology.SwitchID, bool) {
-	r := n.resolve(n.faults.Load(), src, dstID, sport, dport)
-	if !r.ok {
-		return dst, false
+	dst, _, ok := n.AppendPaths(dst, src, dstID, [][2]uint16{{sport, dport}})
+	return dst, ok
+}
+
+// AppendPaths is AppendPath for a run of probes between one pair, from one
+// plan lookup: it appends the hops of each {sport, dport} in ports, in
+// order, and returns the extended slice and the route length they all
+// share. ok is false, with dst unchanged, when the pair has no route.
+func (n *Network) AppendPaths(dst []topology.SwitchID, src, dstID topology.ServerID, ports [][2]uint16) ([]topology.SwitchID, int, bool) {
+	pl := n.planFor(n.faults.Load(), src, dstID)
+	if !pl.ok {
+		return dst, 0, false
 	}
-	return append(dst, r.Hops()...), true
+	h, n0 := pl.nHops, len(dst)
+	dst = slices.Grow(dst, len(ports)*h)[:n0+len(ports)*h]
+	for i, p := range ports {
+		pl.hops(dst[n0+i*h:n0+(i+1)*h], p[0], p[1])
+	}
+	return dst, h, true
 }

@@ -261,6 +261,29 @@ func (n *Network) buildPlan(ft *faultTable, src, dst topology.ServerID) *pairPla
 	return pl
 }
 
+// pick returns the stage member a five-tuple with these ports takes:
+// pickECMP's choice over the same isolation-filtered members, with the
+// addresses already folded into hashPrefix.
+func (st *planStage) pick(sport, dport uint16) *switchFault {
+	if len(st.faults) == 1 {
+		return st.faults[0]
+	}
+	h := hash5Ports(st.hashPrefix, sport, dport)
+	if st.mask != 0 {
+		return st.faults[h&st.mask]
+	}
+	return st.faults[h%uint64(len(st.faults))]
+}
+
+// hops writes the switches a five-tuple with these ports traverses into
+// out, which holds exactly nHops: resolve's route under the plan's fault
+// table, hashing only the ports. The plan must be ok.
+func (pl *pairPlan) hops(out []topology.SwitchID, sport, dport uint16) {
+	for i := range out {
+		out[i] = pl.stages[i].pick(sport, dport).id
+	}
+}
+
 // dropProb replicates roundTripDropProb float-op for float-op over the
 // chosen members.
 func (pl *pairPlan) dropProb(chosen *[6]*switchFault, pktSize int) float64 {
@@ -410,17 +433,7 @@ func (n *Network) probeWithPlan(pl *pairPlan, spec *ProbeSpec, rng *rand.Rand, r
 	chosen := &pl.fixedChosen
 	if !pl.allFixed {
 		for i := 0; i < pl.nHops; i++ {
-			st := &pl.stages[i]
-			if len(st.faults) == 1 {
-				chosenBuf[i] = st.faults[0]
-				continue
-			}
-			h := hash5Ports(st.hashPrefix, spec.SrcPort, spec.DstPort)
-			if st.mask != 0 {
-				chosenBuf[i] = st.faults[h&st.mask]
-			} else {
-				chosenBuf[i] = st.faults[h%uint64(len(st.faults))]
-			}
+			chosenBuf[i] = pl.stages[i].pick(spec.SrcPort, spec.DstPort)
 		}
 		chosen = &chosenBuf
 	}

@@ -27,15 +27,14 @@ type TraceResult struct {
 // reaches the destination host.
 func (n *Network) TraceProbe(spec ProbeSpec, ttl int, rng *rand.Rand) TraceResult {
 	ft := n.faults.Load()
+	pl := n.planFor(ft, spec.Src, spec.Dst)
+	if pl.srcDown || pl.dstDown || !pl.ok || ttl < 1 {
+		return TraceResult{Hop: -1}
+	}
+	var buf [6]topology.SwitchID
+	hops := buf[:pl.nHops]
+	pl.hops(hops, spec.SrcPort, spec.DstPort)
 	ss, ds := n.top.Server(spec.Src), n.top.Server(spec.Dst)
-	if ft.podsetDown[psKey{ss.DC, ss.Podset}] || ft.podsetDown[psKey{ds.DC, ds.Podset}] {
-		return TraceResult{Hop: -1}
-	}
-	r := n.resolve(ft, spec.Src, spec.Dst, spec.SrcPort, spec.DstPort)
-	if !r.ok || ttl < 1 {
-		return TraceResult{Hop: -1}
-	}
-	hops := r.Hops()
 	reach := ttl
 	if reach > len(hops) {
 		reach = len(hops)

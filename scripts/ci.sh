@@ -16,7 +16,10 @@
 #       print per-layer costs at GOMAXPROCS 1, 2 and 4. cosmos Append$
 #       runs 2,048 ops, two 4 MiB extents; an op stores 12,288 B and
 #       should read about 24.7 KB/op (2.01x; append's own growth read
-#       61.7 KB/op; TestAppendAllocatesAboutTwice fails above 2.1x)
+#       61.7 KB/op; TestAppendAllocatesAboutTwice fails above 2.1x).
+#       netsim PathResolve$ prints a route from the cached pair plan (one
+#       probe, and a run of 24) next to the from-scratch resolve; diagnosis
+#       ObserveBatch$ prints its random-pair and run-ordered episodes
 #   3b. diagnosis smoke: the root-cause localization CLI at reduced scale,
 #       and examples/isitnetwork, whose two incidents must print the
 #       verdicts not-network and network, in that order
@@ -69,6 +72,7 @@ go test ./internal/scope -run xxx -bench 'ScopeRun$' -benchmem -cpu 1,2
 go test ./internal/cosmos -run xxx -bench 'Append$' -benchmem -benchtime 2048x
 go test ./internal/telemetry -run xxx -bench 'IngestFleet$' -benchmem -benchtime 1000000x -cpu 1,2,4
 go test ./internal/controller -run xxx -bench 'UpdateTopology$' -benchmem -benchtime 5x
+go test ./internal/netsim -run xxx -bench 'PathResolve$' -benchmem
 go test ./internal/diagnosis -run xxx -bench 'ObserveBatch$|RankGreedy$' -benchmem -cpu 1,2,4
 go test ./internal/portal -run xxx -bench 'PortalDiagnose(Hit|Miss)$|PortalSLACached$|PortalNotModified$' -benchmem
 
