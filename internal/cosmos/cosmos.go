@@ -6,16 +6,20 @@
 // production it sits behind a load-balanced VIP, which the slb package
 // models separately.
 //
-// Consistency note: a write is acknowledged when at least one replica
-// accepts it; a replica that is down during a write misses that copy
-// permanently (this store has no repair/re-replication). A read serves the
-// healthy replica that has accepted the most bytes of the extent, so a
-// replica that missed writes while down is not read while one that holds
-// them is up. Only when every replica holding a write is down, or when
-// replicas missed different writes, does a read lack acknowledged bytes.
-// Production Cosmos repairs replicas in the background; Pingmesh tolerates
-// missing latency records by design, so the simplification does not change
-// system behaviour.
+// Consistency note: every extent has one write order. An append writes all
+// replicas of its extent under the extent's lock, so concurrent appends land
+// in the same order on every replica. A write is acknowledged when at least
+// one replica accepts it; a replica that misses one (its node is down) is
+// fenced for that extent and takes no later write to it, since it would then
+// hold a different byte sequence. So every replica's copy is a prefix of one
+// byte sequence, and a read serves the healthy replica holding the longest.
+// When an extent has no replica left that is up and not fenced, the append
+// seals it and retries on a new extent placed on healthy nodes: an append
+// fails only when no node is up. This store has no repair or
+// re-replication, so a read lacks acknowledged bytes only while every
+// replica holding them is down. Production Cosmos repairs replicas in the
+// background; Pingmesh tolerates missing latency records by design, so the
+// simplification does not change system behaviour.
 package cosmos
 
 import (
@@ -91,6 +95,10 @@ type extent struct {
 	// writers counts appends that have reserved room in the extent but not
 	// yet finished writing the replicas.
 	writers int
+
+	// mu orders the extent's writes: an append holds it across all replicas.
+	mu     sync.Mutex
+	fenced []bool // per replica: it missed a write and takes no more; under mu
 }
 
 type stream struct {
@@ -124,60 +132,70 @@ func (s *Store) Append(name string, data []byte) error {
 	if len(data) == 0 {
 		return nil
 	}
-	s.mu.Lock()
-	st, ok := s.strms[name]
-	if !ok {
-		st = &stream{}
-		s.strms[name] = st
-	}
-	var ext *extent
-	if n := len(st.extents); n > 0 && !st.extents[n-1].sealed {
-		ext = st.extents[n-1]
-	} else {
-		var err error
-		ext, err = s.newExtentLocked()
-		if err != nil {
-			s.mu.Unlock()
-			return err
+	for {
+		s.mu.Lock()
+		st, ok := s.strms[name]
+		if !ok {
+			st = &stream{}
+			s.strms[name] = st
 		}
-		st.extents = append(st.extents, ext)
-	}
-	replicas := ext.replicas
-	ext.size += len(data)
-	ext.writers++
-	idx := len(st.extents) - 1
-	if ext.size >= s.cfg.ExtentSize {
-		ext.sealed = true
-	}
-	id := ext.id
-	s.mu.Unlock()
+		var ext *extent
+		if n := len(st.extents); n > 0 && !st.extents[n-1].sealed {
+			ext = st.extents[n-1]
+		} else {
+			var err error
+			ext, err = s.newExtentLocked()
+			if err != nil {
+				s.mu.Unlock()
+				return err
+			}
+			st.extents = append(st.extents, ext)
+		}
+		ext.size += len(data)
+		ext.writers++
+		idx := len(st.extents) - 1
+		if ext.size >= s.cfg.ExtentSize {
+			ext.sealed = true
+		}
+		s.mu.Unlock()
 
-	// s.nodes is immutable after NewStore, so replica ids can be resolved
-	// without holding the store lock (and without building a node slice).
-	wrote := 0
-	for _, nid := range replicas {
-		if s.nodes[nid].append(id, data, s.cfg.ExtentSize) {
-			wrote++
+		// The extent's lock puts this write in one place of its order on
+		// every replica; a replica that misses it is fenced. s.nodes and
+		// ext.replicas are immutable, so no store lock is needed to find them.
+		wrote := false
+		ext.mu.Lock()
+		for i, nid := range ext.replicas {
+			if !ext.fenced[i] {
+				ext.fenced[i] = !s.nodes[nid].append(ext.id, data, s.cfg.ExtentSize)
+				wrote = wrote || !ext.fenced[i]
+			}
+		}
+		ext.mu.Unlock()
+
+		// A write no replica took leaves every replica fenced, so none can
+		// take a later one either: the extent seals at what it holds and the
+		// append retries on a new extent. Journal the seal once the last
+		// append that reserved room in the extent has finished writing,
+		// whichever append that is: a concurrent append can reserve its bytes
+		// before the sealing one and land them after it, and a VisitSealed
+		// cursor must never hand out an extent whose contents can still grow.
+		// A stream deleted in the meantime gets no event — nothing would ever
+		// compact it away.
+		s.mu.Lock()
+		ext.writers--
+		if !wrote {
+			ext.size -= len(data)
+			ext.sealed = true
+		}
+		if ext.sealed && ext.writers == 0 && s.strms[name] == st {
+			s.sealLog = append(s.sealLog, SealEvent{Seq: s.sealSeq, Stream: name, Index: idx})
+			s.sealSeq++
+		}
+		s.mu.Unlock()
+		if wrote {
+			return nil
 		}
 	}
-
-	// Journal the seal once the last append that reserved room in the
-	// extent has finished writing, whichever append that is: a concurrent
-	// append can reserve its bytes before the sealing one and land them
-	// after it, and a VisitSealed cursor must never hand out an extent
-	// whose contents can still grow. A stream deleted in the meantime gets
-	// no event — nothing would ever compact it away.
-	s.mu.Lock()
-	ext.writers--
-	if ext.sealed && ext.writers == 0 && s.strms[name] == st {
-		s.sealLog = append(s.sealLog, SealEvent{Seq: s.sealSeq, Stream: name, Index: idx})
-		s.sealSeq++
-	}
-	s.mu.Unlock()
-	if wrote == 0 {
-		return fmt.Errorf("cosmos: all %d replicas of extent %d unavailable", len(replicas), id)
-	}
-	return nil
 }
 
 // newExtentLocked allocates an extent on Replicas distinct healthy nodes.
@@ -207,7 +225,7 @@ func (s *Store) newExtentLocked() (*extent, error) {
 	for _, nid := range replicas {
 		s.nodes[nid].append(s.next, nil, s.cfg.ExtentSize)
 	}
-	return &extent{id: s.next, replicas: replicas}, nil
+	return &extent{id: s.next, replicas: replicas, fenced: make([]bool, len(replicas))}, nil
 }
 
 // append adds data to the node's copy of extent id, growing the copy by the
@@ -274,8 +292,10 @@ func (s *Store) NumExtents(name string) int {
 
 // ReadExtent returns the contents of the i-th extent of a stream, served
 // from the healthy replica holding the most bytes of it (the first such
-// replica on a tie). A replica's copy is append-only, so its length is the
-// bytes it has accepted.
+// replica on a tie). Every replica's copy is a prefix of the extent's one
+// byte sequence and a whole number of appends long, so the longest holds
+// every byte any healthy replica does, and a length read earlier is an
+// append boundary in every later read that is at least as long.
 //
 // Aliasing rules (zero-copy read path): the returned slice aliases the
 // replica's in-memory copy of the extent — no bytes are copied, so a SCOPE

@@ -14,19 +14,23 @@ import (
 	"pingmesh/internal/trace"
 )
 
-// incremental is the delta-folding tier of every cadence: it walks the
-// store's seal journal with a cursor, folds each newly sealed extent into
-// per-(job, window) partial aggregates exactly once — all jobs of all three
-// cadences in the one decode — and lets a cycle serve its span by merging
-// partials plus a span fold of only the unfolded extents, instead of
-// re-decoding every extent of the day.
+// incremental is the delta-folding tier of every cadence. It keeps a byte
+// cursor in every extent under the stream prefix it has not finished
+// folding, and each fold pass folds what lies past the cursors into
+// per-(job, window) partial aggregates — all jobs of all three cadences in
+// the one decode: of an extent still open, the bytes appended since the last
+// pass; of one the seal journal names, the remainder, after which the extent
+// is finished and counted folded once. A cycle on the grid is then a fold
+// pass and a merge of its windows' partials; no stored byte is decoded twice.
 //
-// Correctness invariant: at cycle snapshot time (under passMu, after a
-// fold pass) every extent is either in the folded set — its records already
-// summed into the partials of their windows — or in the cycle's span fold,
-// which decodes it with the [from, to) filter. Histogram merges are exact
-// integer bucket additions, so the merged result yields report rows
-// byte-identical to one fold of every extent over the span.
+// Correctness invariant: an extent's bytes before its cursor are in the
+// partials and its bytes after it are unread. Every replica of an extent
+// holds a prefix of one byte sequence (cosmos gives each extent one write
+// order), so the bytes past a cursor are the same whichever replica a later
+// read serves, and every cursor sits on a batch boundary. Histogram merges
+// are exact integer bucket additions, so what a cycle merges after a pass
+// yields report rows byte-identical to one fold of every extent over the
+// span.
 //
 // Retention, per cadence: a 10-minute cycle drops the SLA partials below
 // the window it published (that one stays, so re-running the current window
@@ -39,12 +43,11 @@ import (
 type incremental struct {
 	p *Pipeline
 
-	// passMu serializes fold passes and cycles: a cycle must not race a
-	// fold pass, or an extent folded between the partial merge and the
-	// span fold's snapshot would be counted twice (or not at all).
-	passMu sync.Mutex
-	folder *scope.Folder
-	folded map[string]map[int]bool // stream -> folded extent indexes
+	// passMu serializes fold passes and cycles: a cycle merges the partials
+	// as one pass left them.
+	passMu  sync.Mutex
+	folder  *scope.Folder
+	cursors map[string]map[int]int // stream -> extent index -> its byte cursor, or finished
 
 	// cursor is the seal-journal position of the first event not yet
 	// folded. Written under passMu; atomic so the backlog gauge can read it
@@ -54,6 +57,9 @@ type incremental struct {
 	foldedCtr *metrics.Counter
 	lateCtr   *metrics.Counter
 }
+
+// finished is the byte cursor of an extent sealed and folded to its end.
+const finished = -1
 
 // hoursKept is how many hour partials a job retains: the 24 of a full day
 // plus the hour being filled.
@@ -70,7 +76,7 @@ func newIncremental(p *Pipeline) *incremental {
 		// Anchored at the Unix epoch: the folder's ten minutes, hours and
 		// days are UTC's, the windows the job manager fires on.
 		folder:    scope.NewFolder(time.Unix(0, 0).UTC(), scope.Every10Min, specs, p.cfg.Tracer),
-		folded:    make(map[string]map[int]bool),
+		cursors:   make(map[string]map[int]int),
 		foldedCtr: reg.Counter("dsa.fold.extents_folded"),
 		lateCtr:   reg.Counter("dsa.fold.late_records"),
 	}
@@ -103,53 +109,68 @@ func (inc *incremental) health(b trace.Budget, now time.Time) trace.StageHealth 
 	return sh
 }
 
-// foldPassLocked folds every extent sealed since the last pass into the
-// resident partials.
+// foldPassLocked folds what lies past every cursor into the resident
+// partials and returns the first extent it could not read.
 //
-// An unreadable extent (every replica down, or its stream aged out after
-// the journal snapshot) is left unfolded and holds the cursor at its event:
-// the next pass retries it — a deleted stream's events are compacted out of
-// the journal by then — and skips what this one folded past it; meanwhile
-// the cycle's span fold surfaces the read error, or the deletion.
-func (inc *incremental) foldPassLocked(now time.Time) {
-	prefix := inc.p.cfg.StreamPrefix
-	var evs []cosmos.SealEvent
+// An unreadable extent (every replica down, its replicas shorter than its
+// cursor, or its stream aged out after the listing) keeps its cursor; if the
+// journal names it, it holds the journal cursor at its event too. The next
+// pass retries it — a deleted stream's events are compacted out of the
+// journal by then — and skips what this one finished past it.
+func (inc *incremental) foldPassLocked(now time.Time) error {
+	store, prefix := inc.p.cfg.Store, inc.p.cfg.StreamPrefix
+	// The journal's extents first, then every other extent not finished: it
+	// may still grow, and its new bytes are folded without finishing it.
+	var seqs []uint64
 	var exts []scope.Extent
-	next := inc.p.cfg.Store.VisitSealed(inc.cursor.Load(), func(ev cosmos.SealEvent) {
-		if strings.HasPrefix(ev.Stream, prefix) && !inc.folded[ev.Stream][ev.Index] {
-			evs = append(evs, ev)
-			exts = append(exts, scope.Extent{Stream: ev.Stream, Index: ev.Index})
+	next := store.VisitSealed(inc.cursor.Load(), func(ev cosmos.SealEvent) {
+		if from := inc.cursors[ev.Stream][ev.Index]; strings.HasPrefix(ev.Stream, prefix) && from != finished {
+			seqs = append(seqs, ev.Seq)
+			exts = append(exts, scope.Extent{Stream: ev.Stream, Index: ev.Index, From: from})
 		}
 	})
-	if len(evs) == 0 {
-		inc.cursor.Store(next)
-		return
+	journaled := len(exts)
+	for _, name := range store.Streams(prefix) {
+		for i := range store.NumExtents(name) {
+			if from := inc.cursors[name][i]; from != finished && !slices.ContainsFunc(exts[:journaled], func(e scope.Extent) bool {
+				return e.Index == i && e.Stream == name
+			}) {
+				exts = append(exts, scope.Extent{Stream: name, Index: i, From: from, Open: true})
+			}
+		}
 	}
 	late := inc.folder.Late()
-	errs := inc.folder.FoldExtents(inc.p.cfg.Store, exts, now)
+	ends, errs := inc.folder.FoldExtents(store, exts, now)
 	inc.lateCtr.Add(int64(inc.folder.Late() - late))
-	// Backwards, so that next ends on the first unreadable event.
-	for i := len(evs) - 1; i >= 0; i-- {
-		ev := evs[i]
+	// Backwards, so that next and err end on the first unreadable extent.
+	var err error
+	for i := len(exts) - 1; i >= 0; i-- {
+		ext := exts[i]
 		if errs[i] != nil {
-			next = ev.Seq
+			err = fmt.Errorf("extent %d of %s: %w", ext.Index, ext.Stream, errs[i])
+			if i < journaled {
+				next = seqs[i]
+			}
 			continue
 		}
-		m := inc.folded[ev.Stream]
-		if m == nil {
-			m = make(map[int]bool)
-			inc.folded[ev.Stream] = m
+		c := inc.cursors[ext.Stream]
+		if c == nil {
+			c = make(map[int]int)
+			inc.cursors[ext.Stream] = c
 		}
-		m[ev.Index] = true
-		inc.foldedCtr.Inc()
+		if c[ext.Index] = ends[i]; !ext.Open {
+			c[ext.Index] = finished
+			inc.foldedCtr.Inc()
+		}
 	}
 	inc.cursor.Store(next)
+	return err
 }
 
-// forgetStream drops fold bookkeeping for a deleted stream.
+// forgetStream drops the cursors of a deleted stream.
 func (inc *incremental) forgetStream(name string) {
 	inc.passMu.Lock()
-	delete(inc.folded, name)
+	delete(inc.cursors, name)
 	inc.passMu.Unlock()
 }
 
@@ -166,75 +187,75 @@ func (inc *incremental) boundHoursLocked(now time.Time) {
 	}
 }
 
-// serve assembles one result per job for [from, to). It has one path: a span
-// folder of the cycle's own (scope.NewSpanFolder) folds every extent the
-// resident partials cannot answer for, once, for all of the cycle's jobs, and
-// is thrown away afterwards.
-//
-// On the grid — the span is a whole number of every job's windows, none of
-// them dropped — those extents are the ones not yet folded, the open tails:
-// they still grow, so nothing of them may stay. Each job's result is its
-// windows' partials plus what the span folder folded. Off the grid — a manual
-// run, or one reaching partials already dropped — the span folder folds every
-// extent, and the cycle is counted in dsa.cycle.offgrid_rescans.
+// serve assembles one result per job for [from, to). On the grid — the span
+// is a whole number of every job's windows, none of them dropped — it runs a
+// fold pass, which leaves every stored byte in the partials, and merges each
+// job's windows. Off the grid — a manual run, or one reaching partials
+// already dropped — a span folder of the cycle's own (scope.NewSpanFolder)
+// folds every extent, once, for all of the cycle's jobs, and is thrown away;
+// the cycle is counted in dsa.cycle.offgrid_rescans.
 func (inc *incremental) serve(cy *cycleTrace, kind string, jobs []*cycleJob, from, to time.Time) ([]*scope.Result, error) {
 	inc.passMu.Lock()
 	defer inc.passMu.Unlock()
 	now := inc.p.cfg.Clock.Now()
 	inc.boundHoursLocked(now)
-	type span struct{ lo, hi int64 }
-	spans := make([]span, len(jobs))
-	specs := make([]scope.FoldSpec, len(jobs))
-	onGrid := true
-	for i, job := range jobs {
-		lo, hi, ok := inc.folder.Span(job.spec.Name, from, to)
-		spans[i], specs[i] = span{lo, hi}, job.spec
-		onGrid = onGrid && ok
+	for _, job := range jobs {
+		if _, _, ok := inc.folder.Span(job.spec.Name, from, to); !ok {
+			inc.p.offGrid.Inc()
+			return inc.spanFoldLocked(cy, kind, jobs, from, to, now)
+		}
 	}
-	if onGrid {
-		inc.foldPassLocked(now) // the folded set must be complete at snapshot
-	} else {
-		inc.p.offGrid.Inc()
+	if err := inc.foldPassLocked(now); err != nil {
+		return nil, fmt.Errorf("dsa: %s cycle: %w", kind, err)
+	}
+	cy.observe(inc.folder.TakeTraces())
+	results := make([]*scope.Result, len(jobs))
+	for i, job := range jobs {
+		name := job.spec.Name
+		lo, hi, _ := inc.folder.Span(name, from, to)
+		// The resident partials are deep-copied: they keep folding after the
+		// cycle. Scanned/ParseErrors are window-free: the folder's running
+		// totals are what one fold of every extent counts.
+		res := &scope.Result{Partial: *scope.NewPartial(), Scanned: inc.folder.Scanned(), ParseErrors: inc.folder.ParseErrors()}
+		for win := lo; win < hi; win++ {
+			if part := inc.folder.Partial(name, win); part != nil {
+				res.Merge(part)
+			}
+		}
+		// What was published is not read from partials again; see the
+		// retention rule on incremental.
+		switch kind {
+		case Cycle10Min:
+			inc.folder.DropWindowsBefore(name, hi-1)
+		case Cycle1Hour:
+			inc.folder.DropWindowsBefore(name, hi)
+		}
+		cy.job(name, res)
+		results[i] = res
+	}
+	return results, nil
+}
+
+// spanFoldLocked serves an off-grid cycle: one span folder over every extent
+// of the prefix, read to its current length.
+func (inc *incremental) spanFoldLocked(cy *cycleTrace, kind string, jobs []*cycleJob, from, to, now time.Time) ([]*scope.Result, error) {
+	specs := make([]scope.FoldSpec, len(jobs))
+	for i, job := range jobs {
+		specs[i] = job.spec
 	}
 	exts := scope.Source{Store: inc.p.cfg.Store, StreamPrefix: inc.p.cfg.StreamPrefix}.Extents()
-	if onGrid {
-		exts = slices.DeleteFunc(exts, func(e scope.Extent) bool { return inc.folded[e.Stream][e.Index] })
-	}
-	tail := scope.NewSpanFolder(specs, from, to, inc.p.cfg.Tracer)
-	for i, err := range tail.FoldExtents(inc.p.cfg.Store, exts, now) {
+	span := scope.NewSpanFolder(specs, from, to, inc.p.cfg.Tracer)
+	_, errs := span.FoldExtents(inc.p.cfg.Store, exts, now)
+	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("dsa: %s cycle: extent %d of %s: %w", kind, exts[i].Index, exts[i].Stream, err)
 		}
 	}
-	cy.observe(inc.folder.TakeTraces())
-	cy.observe(tail.TakeTraces())
+	cy.observe(span.TakeTraces())
 	results := make([]*scope.Result, len(jobs))
 	for i, job := range jobs {
-		name := job.spec.Name
-		res := tail.Result(name)
-		if onGrid {
-			// The resident partials are deep-copied: they keep folding after
-			// the cycle. Scanned/ParseErrors are window-free, so the folder's
-			// running totals plus the span folder's are what one fold of
-			// every extent would count.
-			for win := spans[i].lo; win < spans[i].hi; win++ {
-				if part := inc.folder.Partial(name, win); part != nil {
-					res.Merge(part)
-				}
-			}
-			res.Scanned += inc.folder.Scanned()
-			res.ParseErrors += inc.folder.ParseErrors()
-			// What was published is not read from partials again; see the
-			// retention rule on incremental.
-			switch kind {
-			case Cycle10Min:
-				inc.folder.DropWindowsBefore(name, spans[i].hi-1)
-			case Cycle1Hour:
-				inc.folder.DropWindowsBefore(name, spans[i].hi)
-			}
-		}
-		cy.job(name, res)
-		results[i] = res
+		results[i] = span.Result(job.spec.Name)
+		cy.job(job.spec.Name, results[i])
 	}
 	return results, nil
 }
@@ -246,7 +267,7 @@ func (p *Pipeline) FoldNow() {
 	defer p.inc.passMu.Unlock()
 	now := p.cfg.Clock.Now()
 	p.inc.boundHoursLocked(now)
-	p.inc.foldPassLocked(now)
+	p.inc.foldPassLocked(now) // an unreadable extent waits for the next pass
 }
 
 // ShardLag is the fold tier's state.

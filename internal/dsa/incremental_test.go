@@ -1169,7 +1169,7 @@ func TestFoldLagInFreshnessVerdict(t *testing.T) {
 // extents, through FoldExtents as a cycle and the fold job run it: one extent
 // of sketches — a sketched window, which a pass that deals extents folds on
 // one core whatever -cpu says — and eight extents of CSV, which it already
-// spread.
+// spread; and a pass over the new bytes of an open extent.
 func BenchmarkFoldPass(b *testing.B) {
 	fx := buildDiffFixture(b)
 	for _, bc := range []struct {
@@ -1197,7 +1197,8 @@ func BenchmarkFoldPass(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				// A pass folds into windows that hold their groups already.
-				for _, err := range pipe.inc.folder.FoldExtents(store, exts, t0) {
+				_, errs := pipe.inc.folder.FoldExtents(store, exts, t0)
+				for _, err := range errs {
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -1205,4 +1206,28 @@ func BenchmarkFoldPass(b *testing.B) {
 			}
 		})
 	}
+	// One extent that stays open: every op appends the next sketched upload
+	// batch and runs a fold pass, which folds that batch from the extent's
+	// byte cursor on, however long the extent has grown.
+	b.Run("open", func(b *testing.B) {
+		store, err := cosmos.NewStore(3, cosmos.Config{ExtentSize: 1 << 30})
+		if err != nil {
+			b.Fatal(err)
+		}
+		pipe := fx.newPipe(b, store)
+		var bytes int64
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			batch := fx.sketched[i%len(fx.sketched)]
+			if err := store.Append(diffStream, batch); err != nil {
+				b.Fatal(err)
+			}
+			pipe.FoldNow()
+			bytes += int64(len(batch))
+		}
+		b.SetBytes(bytes / int64(b.N))
+		if sealed, _ := store.Sealed(diffStream, 0); sealed || pipe.inc.folder.Scanned() == 0 {
+			b.Fatalf("extent sealed (%v) or nothing folded", sealed)
+		}
+	})
 }

@@ -9,6 +9,7 @@
 package portal
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -184,7 +185,7 @@ func (p *Portal) Refresh() error {
 		return err
 	}
 	snap.Epoch = p.epoch + 1
-	st, err := renderState(snap, p.cfg.Top)
+	st, err := renderState(snap, p.cfg.Top, p.state.Load())
 	if err != nil {
 		return err
 	}
@@ -233,8 +234,11 @@ type indexDoc struct {
 }
 
 // renderState renders every cacheable body for a snapshot. All rendering
-// cost is paid here, once per analysis cycle, never per request.
-func renderState(snap *Snapshot, top *topology.Topology) (*state, error) {
+// cost is paid here, once per analysis cycle, never per request, and only
+// for what changed since prev, the published epoch: a heatmap prev rendered
+// is not rendered again, and a body whose bytes equal prev's is prev's, its
+// gzip variant and content-hash ETag with it.
+func renderState(snap *Snapshot, top *topology.Topology, prev *state) (*state, error) {
 	st := &state{
 		snap:   snap,
 		bodies: make(map[string]*httpcache.Body, len(snap.SLA)+2*len(snap.Heatmaps)+3),
@@ -244,6 +248,10 @@ func renderState(snap *Snapshot, top *topology.Topology) (*state, error) {
 	// One compressor for the whole publish, dropped with it.
 	var comp httpcache.Compressor
 	putRaw := func(path, ctype string, data []byte) error {
+		if b := prev.bodies[path]; b != nil && bytes.Equal(b.Data(), data) {
+			st.bodies[path] = b
+			return nil
+		}
 		b, err := comp.New(ctype, data)
 		if err != nil {
 			return fmt.Errorf("portal: render %s: %w", path, err)
@@ -281,6 +289,11 @@ func renderState(snap *Snapshot, top *topology.Topology) (*state, error) {
 	var heatmapNames []string
 	for dc, hv := range snap.Heatmaps {
 		heatmapNames = append(heatmapNames, dc)
+		if prev.snap != nil && prev.snap.Heatmaps[dc] == hv {
+			st.bodies["/heatmap/"+dc] = prev.bodies["/heatmap/"+dc]
+			st.bodies["/heatmap/"+dc+".svg"] = prev.bodies["/heatmap/"+dc+".svg"]
+			continue
+		}
 		if err := put("/heatmap/"+dc, ctJSON, heatmapDoc(hv)); err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package portal
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -475,5 +476,54 @@ func TestConcurrentRefreshAndReads(t *testing.T) {
 	<-done
 	if got := r.portal.Epoch(); got != 51 {
 		t.Fatalf("final epoch = %d, want 51", got)
+	}
+}
+
+// TestRefreshReusesUnchangedBodies: a Refresh re-renders only what changed.
+// With no new data every body but the index is the previous epoch's, and what
+// the epoch serves is byte for byte what a fresh render of its snapshot
+// serves; after a 10-minute cycle over a later span the rows it republished
+// are new bodies, and the hourly heatmap, which it did not touch, is still
+// the old one.
+func TestRefreshReusesUnchangedBodies(t *testing.T) {
+	r := buildRig(t, nil)
+	before := r.portal.state.Load()
+	if err := r.portal.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	after := r.portal.state.Load()
+	if len(after.bodies) != len(before.bodies) || len(after.bodies) < 5 {
+		t.Fatalf("%d bodies, %d before", len(after.bodies), len(before.bodies))
+	}
+	for path, b := range after.bodies {
+		if reused := b == before.bodies[path]; reused != (path != "/") {
+			t.Fatalf("%s: body reused %v", path, reused)
+		}
+	}
+	fresh, err := renderState(after.snap, r.top, &state{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for path, want := range fresh.bodies {
+		got := after.bodies[path]
+		if got == nil || !bytes.Equal(got.Data(), want.Data()) || !bytes.Equal(got.Gzip(), want.Gzip()) || got.ETag() != want.ETag() {
+			t.Fatalf("%s: the reused body differs from a fresh render", path)
+		}
+	}
+
+	if err := r.pipe.RunTenMinute(t0.Add(10*time.Minute), t0.Add(70*time.Minute)); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.portal.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	next := r.portal.state.Load()
+	if next.bodies["/sla/dc/DC1"] == after.bodies["/sla/dc/DC1"] {
+		t.Fatal("/sla/dc/DC1 kept its body across a cycle that republished it")
+	}
+	for _, path := range []string{"/heatmap/DC1", "/heatmap/DC1.svg"} {
+		if next.bodies[path] != after.bodies[path] {
+			t.Fatalf("%s re-rendered though the hourly heatmap is unchanged", path)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package scope
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -21,12 +22,14 @@ type foldChunk struct {
 	last bool // the extent's final chunk: folding it counts the extent folded
 }
 
-// appendChunks cuts an extent into chunks of about size bytes, at the batch
-// boundaries probe.SplitBatches can prove. An empty extent is one empty chunk.
-func appendChunks(chunks []foldChunk, data []byte, size int) []foldChunk {
+// appendChunks cuts an extent's bytes into chunks of about size bytes, at
+// the batch boundaries probe.SplitBatches can prove. The last chunk of a
+// sealed extent's bytes is marked last; an empty sealed extent is one empty
+// chunk, so that it is still counted folded.
+func appendChunks(chunks []foldChunk, data []byte, size int, sealed bool) []foldChunk {
 	for {
 		chunk, rest := probe.SplitBatches(data, size)
-		chunks = append(chunks, foldChunk{chunk, len(rest) == 0})
+		chunks = append(chunks, foldChunk{chunk, sealed && len(rest) == 0})
 		if len(rest) == 0 {
 			return chunks
 		}
@@ -68,23 +71,32 @@ func foldChunks(dst *Folder, chunks []foldChunk, lanes int, now time.Time) {
 }
 
 // FoldExtents folds the named extents of store into f on every core the
-// process may run on, counting each folded at now. The extents are read
-// zero-copy and cut into chunks, and the chunks — not the extents — are dealt
-// to the lanes: the sketch path puts a whole window in one extent, and a pass
-// that deals extents folds it on one core while the others idle (DESIGN.md has
-// why a pass must not run on one core). It returns, per extent, the error
-// that kept it from being read; such an extent is not folded.
-func (f *Folder) FoldExtents(store *cosmos.Store, exts []Extent, now time.Time) []error {
-	errs := make([]error, len(exts))
+// process may run on: of each, the bytes from its From on, counting a sealed
+// one folded at now once they are folded. The extents are read zero-copy and
+// cut into chunks, and the chunks — not the extents — are dealt to the lanes:
+// the sketch path puts a whole window in one extent, and a pass that deals
+// extents folds it on one core while the others idle (DESIGN.md has why a
+// pass must not run on one core). It returns, per extent, the offset folding
+// reached — the extent's length when read, where the next fold of it starts —
+// or the error that kept it from being read; such an extent is not folded.
+// Reading fewer bytes than From is such an error: the replica that held them
+// is not readable now.
+func (f *Folder) FoldExtents(store *cosmos.Store, exts []Extent, now time.Time) (ends []int, errs []error) {
+	ends, errs = make([]int, len(exts)), make([]error, len(exts))
 	var chunks []foldChunk
 	for i, ext := range exts {
 		data, err := store.ReadExtent(ext.Stream, ext.Index)
+		if err == nil && len(data) < ext.From {
+			err = fmt.Errorf("scope: %d bytes readable, %d folded already", len(data), ext.From)
+		}
 		if err != nil {
-			errs[i] = err
+			ends[i], errs[i] = ext.From, err
 			continue
 		}
-		chunks = appendChunks(chunks, data, foldChunkSize)
+		if ends[i] = len(data); !ext.Open || ext.From < len(data) {
+			chunks = appendChunks(chunks, data[ext.From:], foldChunkSize, !ext.Open)
+		}
 	}
 	foldChunks(f, chunks, runtime.GOMAXPROCS(0), now)
-	return errs
+	return ends, errs
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"pingmesh/internal/cosmos"
 	"pingmesh/internal/probe"
 	"pingmesh/internal/simclock"
 	"pingmesh/internal/trace"
@@ -64,7 +65,7 @@ func TestFoldChunksEqualWhole(t *testing.T) {
 	for _, size := range []int{1, 4 << 10, foldChunkSize, 1 << 30} {
 		var chunks []foldChunk
 		for _, data := range exts {
-			chunks = appendChunks(chunks, data, size)
+			chunks = appendChunks(chunks, data, size, true)
 		}
 		if size == 1<<30 && len(chunks) != len(exts) {
 			t.Fatalf("%d extents left whole are %d chunks", len(exts), len(chunks))
@@ -91,5 +92,64 @@ func TestFoldChunksEqualWhole(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestFoldExtentsResumesAtCursor: folding an open extent as it grows, each
+// time from where the last fold ended, and then its remainder once it is
+// final leaves exactly what one fold of the whole extent leaves and counts it
+// folded once; a read shorter than the cursor is an error, not a fold.
+func TestFoldExtentsResumesAtCursor(t *testing.T) {
+	store, err := cosmos.NewStore(2, cosmos.Config{ExtentSize: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := sketchCorpus(600)
+	now := t0.Add(8 * time.Hour)
+	f := NewFolder(t0, Every10Min, foldSpecs(), nil)
+	fold := func(ext Extent) int {
+		t.Helper()
+		ends, errs := f.FoldExtents(store, []Extent{ext}, now)
+		if errs[0] != nil {
+			t.Fatal(errs[0])
+		}
+		return ends[0]
+	}
+	from := 0
+	for i := 0; i < len(recs); i += 20 {
+		raw, sks := buildSketches(recs[i+10 : i+20])
+		if err := store.Append("s", probe.AppendBinaryBatch(probe.AppendBatch(nil, recs[i:i+10]), raw, sks)); err != nil {
+			t.Fatal(err)
+		}
+		from = fold(Extent{Stream: "s", From: from, Open: true})
+		if i%100 == 0 {
+			from = fold(Extent{Stream: "s", From: from, Open: true}) // nothing new
+		}
+	}
+	if f.Extents() != 0 {
+		t.Fatalf("an open extent was counted folded %d times", f.Extents())
+	}
+	if end := fold(Extent{Stream: "s", From: from}); end != from {
+		t.Fatalf("the final fold ended at %d, the cursor was at %d", end, from)
+	}
+
+	data, err := store.ReadExtent("s", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole := NewFolder(t0, Every10Min, foldSpecs(), nil)
+	whole.FoldExtent(data, now)
+	if f.Scanned() != whole.Scanned() || f.Extents() != 1 || f.Scanned() != uint64(len(recs)) {
+		t.Fatalf("scanned %d, %d extents; one whole fold scans %d", f.Scanned(), f.Extents(), whole.Scanned())
+	}
+	for _, sp := range foldSpecs() {
+		for win := int64(-1); win <= f.WindowOf(sp.Name, now); win++ {
+			if !reflect.DeepEqual(f.Partial(sp.Name, win), whole.Partial(sp.Name, win)) {
+				t.Fatalf("%s window %d differs from the whole fold", sp.Name, win)
+			}
+		}
+	}
+	if _, errs := f.FoldExtents(store, []Extent{{Stream: "s", From: len(data) + 1}}, now); errs[0] == nil {
+		t.Fatal("a cursor past the readable bytes folded")
 	}
 }

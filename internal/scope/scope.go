@@ -37,10 +37,17 @@ func (s Source) Extents() []Extent {
 	return out
 }
 
-// Extent names one extent of one stream.
+// Extent names one extent of one stream, and where in it a fold starts.
 type Extent struct {
 	Stream string
 	Index  int
+	// From is the byte cursor a fold starts at: the extent's bytes before it
+	// are folded already. An extent holds whole upload batches at every
+	// length it is read at, so a length read before is a batch boundary.
+	From int
+	// Open marks an extent that may still grow: a fold takes its bytes past
+	// From but does not count it folded.
+	Open bool
 }
 
 // Job is a declarative analysis over probe records, the moral equivalent
@@ -102,7 +109,8 @@ func Run(job Job) (*Result, error) {
 	}
 	f := NewSpanFolder([]FoldSpec{spec}, job.From, job.To, nil)
 	exts := job.Source.Extents()
-	for i, err := range f.FoldExtents(job.Source.Store, exts, time.Time{}) {
+	_, errs := f.FoldExtents(job.Source.Store, exts, time.Time{})
+	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("scope: job %q: extent %d of %s: %w", job.Name, exts[i].Index, exts[i].Stream, err)
 		}

@@ -19,7 +19,10 @@
 #       61.7 KB/op; TestAppendAllocatesAboutTwice fails above 2.1x).
 #       netsim PathResolve$ prints a route from the cached pair plan (one
 #       probe, and a run of 24) next to the from-scratch resolve; diagnosis
-#       ObserveBatch$ prints its random-pair and run-ordered episodes
+#       ObserveBatch$ prints its random-pair and run-ordered episodes. dsa
+#       FoldPass$/open appends one sketched batch to an extent that stays
+#       open and folds it from the extent's byte cursor: ns/op follows the
+#       batch, not the extent's length
 #   3b. diagnosis smoke: the root-cause localization CLI at reduced scale,
 #       and examples/isitnetwork, whose two incidents must print the
 #       verdicts not-network and network, in that order
@@ -68,6 +71,7 @@ go test ./internal/scope ./internal/probe ./internal/analysis \
 go test ./internal/agent -run xxx -bench AgentRecordHotPath -benchtime 100000x
 go test ./internal/agent -run xxx -bench 'SketchObserve$' -benchmem -benchtime 2000x
 go test ./internal/dsa -run xxx -bench 'FoldPass$' -benchtime 20x -cpu 1,2,4
+go test ./internal/dsa -run xxx -bench 'FoldPass$/open' -benchtime 2000x -cpu 1,2
 go test ./internal/scope -run xxx -bench 'ScopeRun$' -benchmem -cpu 1,2
 go test ./internal/cosmos -run xxx -bench 'Append$' -benchmem -benchtime 2048x
 go test ./internal/telemetry -run xxx -bench 'IngestFleet$' -benchmem -benchtime 1000000x -cpu 1,2,4
