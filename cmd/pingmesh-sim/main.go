@@ -144,12 +144,9 @@ func main() {
 	}
 
 	fmt.Println("\n-- heatmap --")
-	h, err := tb.HeatmapFor(0, from, from.Add(30*time.Minute))
-	if err != nil {
-		log.Fatal(err)
-	}
+	hm := tb.Pipeline.Heatmaps()[tb.Top.DCs[0].Name]
+	h, cls := hm.Heatmap, hm.Classification
 	fmt.Print(h.RenderASCII())
-	cls := h.Classify()
 	fmt.Printf("pattern: %s", cls.Pattern)
 	if cls.Podset >= 0 {
 		fmt.Printf(" (podset %d)", cls.Podset)

@@ -18,29 +18,23 @@ func Example() {
 		panic(err)
 	}
 
-	// Healthy fleet.
-	from := tb.Clock.Now()
-	if err := tb.RunWindow(30 * time.Minute); err != nil {
-		panic(err)
+	// An hour of fleet probing, then the hourly job publishes the DC's
+	// heatmap with its pattern — what the portal serves.
+	hour := func() pingmesh.Pattern {
+		from := tb.Clock.Now()
+		if err := tb.RunWindow(time.Hour); err != nil {
+			panic(err)
+		}
+		if err := tb.Pipeline.RunHourly(from, tb.Clock.Now()); err != nil {
+			panic(err)
+		}
+		return tb.Pipeline.Heatmaps()["DC1"].Classification.Pattern
 	}
-	h, err := tb.HeatmapFor(0, from, tb.Clock.Now())
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println("healthy pattern:", h.Classify().Pattern)
+	fmt.Println("healthy pattern:", hour())
 
 	// The Spine tier degrades; cross-podset latency goes out of SLA.
 	tb.Net.SetTierDegraded(0, pingmesh.TierSpine, netsim.Degradation{ExtraLatencyMean: 10 * time.Millisecond})
-	from = tb.Clock.Now()
-	if err := tb.RunWindow(30 * time.Minute); err != nil {
-		panic(err)
-	}
-	h, err = tb.HeatmapFor(0, from, tb.Clock.Now())
-	if err != nil {
-		panic(err)
-	}
-	cls := h.Classify()
-	fmt.Println("incident pattern:", cls.Pattern)
+	fmt.Println("incident pattern:", hour())
 
 	// Output:
 	// healthy pattern: normal

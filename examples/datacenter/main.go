@@ -92,12 +92,9 @@ func main() {
 		fmt.Println("\nno SLA violations: the network is healthy")
 	}
 
-	h, err := tb.HeatmapFor(1, from, from.Add(30*time.Minute))
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nDC2 health heatmap:\n%s", h.RenderASCII())
-	fmt.Printf("pattern: %s\n", h.Classify().Pattern)
+	hm := tb.Pipeline.Heatmaps()["DC2"]
+	fmt.Printf("\nDC2 health heatmap:\n%s", hm.Heatmap.RenderASCII())
+	fmt.Printf("pattern: %s\n", hm.Classification.Pattern)
 }
 
 // interDCStats aggregates the stored inter-DC probes of [from, to) with one

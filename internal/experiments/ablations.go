@@ -262,7 +262,10 @@ func AblationSampling(opts Options) (*AblationSamplingResult, error) {
 				net.AddBlackhole(tor, netsim.Blackhole{MatchFraction: 0.35, IncludePorts: true})
 			}
 		}
-		pairs := probeRelationPairsSampled(net, 6, opts.seed()+uint64(participate)*13, opts.workers(), participate)
+		// Rank-sampled participation: the first participate servers of each pod.
+		pairs := probeRelationPairs(net, 6, opts.seed()+uint64(participate)*13, opts.workers(), func(id topology.ServerID) bool {
+			return top.Server(id).Rank < participate
+		})
 		det := blackhole.Detect(top, pairs, blackhole.Config{VictimPairFraction: 0.25})
 		detected := 0
 		for _, c := range det.Candidates {
@@ -273,16 +276,6 @@ func AblationSampling(opts Options) (*AblationSamplingResult, error) {
 		res.Rows = append(res.Rows, SamplingRow{ServersPerPod: participate, Detected: detected, Seeded: len(seeded)})
 	}
 	return res, nil
-}
-
-// probeRelationPairsSampled is probeRelationPairs restricted to the first
-// `participate` servers of each pod (rank-sampled participation).
-func probeRelationPairsSampled(net *netsim.Network, k int, seed uint64, workers, participate int) map[string]*analysis.LatencyStats {
-	top := net.Topology()
-	full := probeRelationPairsWithFilter(net, k, seed, workers, func(id topology.ServerID) bool {
-		return top.Server(id).Rank < participate
-	})
-	return full
 }
 
 // Report renders the sampling ablation.

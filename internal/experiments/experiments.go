@@ -1,10 +1,16 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (§4–§6) against the simulated substrate. Each experiment
-// returns structured results plus a printable report comparing the paper's
-// numbers with the measured ones. Absolute values depend on the simulator
-// calibration; the assertions that matter — orderings, ratios, crossovers,
-// detection dynamics — are checked by the experiment tests and the
-// benchmark harness.
+// evaluation (§4–§6) and returns structured results plus a printable report
+// comparing the paper's numbers with the measured ones.
+//
+// Figure 4(a–c), Table 1 and Figures 5–8 are read off the pipeline, as the
+// paper reads them off Pingmesh: each builds a pingmesh.SimTestbed, probes
+// with RunWindow until its budget is reached, and reads what an operator
+// reads — an ad-hoc scope job over the store, the DSA's rows and heatmaps,
+// its daily black-hole detections. Figure 3, Figure 4(d), QoS, ICW, fan-out
+// and the ablations vary the agent or the pinglist, which the testbed fixes,
+// and sample the fabric directly (measureDist). Absolute values depend on
+// the simulator's calibration; the shapes — orderings, ratios, crossovers,
+// detection dynamics — are checked by the experiment tests.
 package experiments
 
 import (
@@ -15,6 +21,7 @@ import (
 	"sync"
 	"time"
 
+	"pingmesh"
 	"pingmesh/internal/analysis"
 	"pingmesh/internal/metrics"
 	"pingmesh/internal/netsim"
@@ -89,13 +96,61 @@ func (o Options) seed() uint64 {
 	return 0x9127
 }
 
+// probesPer counts the probes the testbed's fleet sends in span from the
+// servers of one DC to peers of one class. Every pinglist interval divides a
+// minute, so over a whole number of minutes each peer is probed exactly
+// span/interval times.
+func probesPer(tb *pingmesh.SimTestbed, span time.Duration, dc int, class probe.Class) int {
+	n := 0
+	for id, list := range tb.Pinglists() {
+		if tb.Top.Server(id).DC != dc {
+			continue
+		}
+		for i := range list.Peers {
+			if c, err := list.Peers[i].ParsedClass(); err == nil && c == class {
+				n += int(span / list.Peers[i].Interval())
+			}
+		}
+	}
+	return n
+}
+
+// spansFor returns how many whole spans it takes until every one of the
+// per-span counts has reached budget probes.
+func spansFor(budget int, perSpan ...int) int {
+	w := 1
+	for _, n := range perSpan {
+		w = max(w, (budget+n-1)/n)
+	}
+	return w
+}
+
+// probeCycle probes for span from now, moves the clock on to the end of
+// period, and runs one DSA cycle over the period, which the figure then reads.
+// It fails if the pipeline served the cycle off the window grid: a figure
+// reads what the folded partials publish, as a deployment does, never a
+// re-scan of the store.
+func probeCycle(tb *pingmesh.SimTestbed, span, period time.Duration, run func(from, to time.Time) error) error {
+	from := tb.Clock.Now()
+	if err := tb.RunWindow(span); err != nil {
+		return err
+	}
+	tb.Clock.AdvanceTo(from.Add(period))
+	if err := run(from, tb.Clock.Now()); err != nil {
+		return err
+	}
+	if n := tb.Pipeline.JobMetrics()["dsa.cycle.offgrid_rescans"]; n != 0 {
+		return fmt.Errorf("experiments: %d DSA cycles ran off the window grid", n)
+	}
+	return nil
+}
+
 // pairKind selects which locality class of server pairs to sample.
 type pairKind int
 
 const (
-	pairIntraPod    pairKind = iota
-	pairInterPod             // different pod, same DC (the paper's headline metric)
-	pairCrossPodset          // different podset: the path must cross the Spine tier
+	pairInterPod    pairKind = iota // different pod, same DC (the paper's headline metric)
+	pairCrossPodset                 // different podset: the path must cross the Spine tier
 )
 
 // samplePairs returns up to want (src,dst) pairs of the given kind within
@@ -110,14 +165,9 @@ func samplePairs(top *topology.Topology, dc int, kind pairKind, want int, seed u
 		if src == dst {
 			continue
 		}
-		samePod := top.SamePod(src, dst)
 		switch kind {
-		case pairIntraPod:
-			if !samePod {
-				continue
-			}
 		case pairInterPod:
-			if samePod {
+			if top.SamePod(src, dst) {
 				continue
 			}
 		case pairCrossPodset:

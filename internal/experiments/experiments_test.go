@@ -139,7 +139,7 @@ func TestFigure6Decay(t *testing.T) {
 		t.Skip("multi-day experiment")
 	}
 	r, err := Figure6(Options{Seed: 15}, Figure6Config{
-		Days: 10, InitialBadToRs: 30, DailyArrivals: 1.0, ProbesPerPair: 4,
+		Days: 10, InitialBadToRs: 30, DailyArrivals: 1.0,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -4,8 +4,13 @@ import (
 	"fmt"
 	"time"
 
+	"pingmesh"
+	"pingmesh/internal/analysis"
+	"pingmesh/internal/dsa"
 	"pingmesh/internal/metrics"
 	"pingmesh/internal/netsim"
+	"pingmesh/internal/probe"
+	"pingmesh/internal/scope"
 	"pingmesh/internal/topology"
 )
 
@@ -25,48 +30,64 @@ type Figure4Result struct {
 
 // Figure4 measures the four latency distributions. DC1 models the
 // throughput-loaded storage/MapReduce DC, DC2 the latency-sensitive Search
-// DC (§4.1).
+// DC (§4.1). (a)–(c) come through the pipeline (figure4Dists); (d) needs
+// payload probes, which the testbed's pinglists do not carry, so it samples
+// the same fabric directly.
 func Figure4(opts Options) (*Figure4Result, error) {
-	top, err := topology.Build(topology.Spec{DCs: []topology.DCSpec{
-		{Name: "DC1", Podsets: 3, PodsPerPodset: 5, ServersPerPod: 8, LeavesPerPodset: 4, Spines: 8},
-		{Name: "DC2", Podsets: 3, PodsPerPodset: 5, ServersPerPod: 8, LeavesPerPodset: 4, Spines: 8},
-	}})
-	if err != nil {
-		return nil, err
-	}
-	net, err := netsim.New(top, netsim.Config{Profiles: []netsim.Profile{netsim.DC1Profile(), netsim.DC2Profile()}})
+	tb, err := figure4Testbed(opts.seed())
 	if err != nil {
 		return nil, err
 	}
 	n := opts.probes(1_500_000)
-	workers := opts.workers()
-	seed := opts.seed()
-	start := time.Unix(1751328000, 0).UTC()
-
-	res := &Figure4Result{}
-	// (a)+(b): inter-pod SYN RTT per DC.
-	dc1Pairs := samplePairs(top, 0, pairInterPod, 512, seed)
-	dc1 := measureDist(net, dc1Pairs, n, 0, start, seed+1, workers)
-	res.DC1Inter = dc1.Summary()
-	res.DC1InterCDF = dc1.CDF()
-
-	dc2Pairs := samplePairs(top, 1, pairInterPod, 512, seed)
-	dc2 := measureDist(net, dc2Pairs, n, 0, start, seed+2, workers)
-	res.DC2Inter = dc2.Summary()
-	res.DC2InterCDF = dc2.CDF()
-
-	// (c): intra-pod, DC1.
-	intraPairs := samplePairs(top, 0, pairIntraPod, 512, seed)
-	res.DC1Intra = measureDist(net, intraPairs, n, 0, start, seed+3, workers).Summary()
-
+	dc1, dc2, intra, err := figure4Dists(tb, n)
+	if err != nil {
+		return nil, err
+	}
 	// (d): inter-pod with ~1KB payload, DC1. The same probes yield both
 	// the SYN RTT and the payload echo RTT, exactly like the production
 	// agent's payload pings.
-	pay := measureDist(net, dc1Pairs, n/2, 1000, start, seed+4, workers)
-	res.DC1SYN = pay.Summary()
-	res.DC1Payload = pay.PayloadSummary()
+	pairs := samplePairs(tb.Top, 0, pairInterPod, 512, opts.seed())
+	pay := measureDist(tb.Net, pairs, n/2, 1000, tb.Clock.Now(), opts.seed()+4, opts.workers())
+	return &Figure4Result{
+		DC1Inter: dc1.Summary(), DC1InterCDF: dc1.CDF(),
+		DC2Inter: dc2.Summary(), DC2InterCDF: dc2.CDF(),
+		DC1Intra: intra.Summary(),
+		DC1SYN:   pay.Summary(), DC1Payload: pay.PayloadSummary(),
+	}, nil
+}
 
-	return res, nil
+// figure4Testbed is Figure 4's deployment: a DC1 and a DC2 of 120 servers.
+func figure4Testbed(seed uint64) (*pingmesh.SimTestbed, error) {
+	return pingmesh.NewSimTestbed(topology.Spec{DCs: []topology.DCSpec{
+		{Name: "DC1", Podsets: 3, PodsPerPodset: 5, ServersPerPod: 8, LeavesPerPodset: 4, Spines: 8},
+		{Name: "DC2", Podsets: 3, PodsPerPodset: 5, ServersPerPod: 8, LeavesPerPodset: 4, Spines: 8},
+	}}, pingmesh.SimOptions{Profiles: []netsim.Profile{netsim.DC1Profile(), netsim.DC2Profile()}, Seed: seed})
+}
+
+// figure4Dists probes whole windows until DC1's and DC2's inter-pod and
+// DC1's intra-pod SYN probes each number at least n, and reads them back
+// with one ad-hoc job over the store keyed by class and source DC: the SLA
+// rows carry only P50 and P99, the figure needs the tail and the CDF.
+func figure4Dists(tb *pingmesh.SimTestbed, n int) (dc1Inter, dc2Inter, dc1Intra *analysis.LatencyStats, err error) {
+	from := tb.Clock.Now()
+	w := spansFor(n, probesPer(tb, probe.Window, 0, probe.IntraDC), probesPer(tb, probe.Window, 1, probe.IntraDC), probesPer(tb, probe.Window, 0, probe.IntraPod))
+	if err := tb.RunWindow(time.Duration(w) * probe.Window); err != nil {
+		return nil, nil, nil, err
+	}
+	keyer := &analysis.Keyer{Top: tb.Top}
+	res, err := scope.Run(scope.Job{
+		Name:   "figure4",
+		Source: scope.Source{Store: tb.Store, StreamPrefix: "pingmesh"},
+		From:   from, To: tb.Clock.Now(),
+		Where: func(r *probe.Record) bool { return r.PayloadLen == 0 },
+		KeyBytes: func(dst []byte, r *probe.Record) ([]byte, bool) {
+			return keyer.AppendSrcDC(append(append(dst, r.Class.String()...), ' '), r)
+		},
+	})
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return res.Get("intra-dc DC1"), res.Get("intra-dc DC2"), res.Get("intra-pod DC1"), nil
 }
 
 // ReportA compares Figure 4(a)'s qualitative claim.
@@ -151,12 +172,13 @@ type Table1DC struct {
 	Name     string
 	IntraPod float64
 	InterPod float64
-	IntraObs uint64
-	InterObs uint64
 }
 
-// Table1 measures intra-pod and inter-pod packet drop rates for five DC
-// profiles with the SYN-retransmit heuristic (§4.2).
+// Table1 reads the intra-pod and inter-pod packet drop rates of five DC
+// profiles (the SYN-retransmit heuristic, §4.2) off the daily job's
+// drop-rate rows. The fleet probes whole windows until every DC's inter-pod
+// and intra-pod probes each reach the budget; a budget longer than a day
+// spans several daily cycles, and the table is their probe-weighted mean.
 func Table1(opts Options) (*Table1Result, error) {
 	profiles := netsim.DefaultProfiles()
 	var specs []topology.DCSpec
@@ -166,31 +188,37 @@ func Table1(opts Options) (*Table1Result, error) {
 			LeavesPerPodset: 4, Spines: 8,
 		})
 	}
-	top, err := topology.Build(topology.Spec{DCs: specs})
+	tb, err := pingmesh.NewSimTestbed(topology.Spec{DCs: specs}, pingmesh.SimOptions{Profiles: profiles, Seed: opts.seed()})
 	if err != nil {
 		return nil, err
 	}
-	net, err := netsim.New(top, netsim.Config{Profiles: profiles})
-	if err != nil {
-		return nil, err
-	}
-	n := opts.probes(2_000_000)
-	workers := opts.workers()
-	seed := opts.seed()
-	start := time.Unix(1751328000, 0).UTC()
-
-	res := &Table1Result{}
+	var perWindow []int
 	for dc := range profiles {
-		intraPairs := samplePairs(top, dc, pairIntraPod, 256, seed+uint64(dc))
-		intra := measureDist(net, intraPairs, n, 0, start, seed+uint64(dc)*11+5, workers)
-		interPairs := samplePairs(top, dc, pairInterPod, 256, seed+uint64(dc))
-		inter := measureDist(net, interPairs, n, 0, start, seed+uint64(dc)*11+6, workers)
+		perWindow = append(perWindow, probesPer(tb, probe.Window, dc, probe.IntraPod), probesPer(tb, probe.Window, dc, probe.IntraDC))
+	}
+	const windowsPerDay = int(24 * time.Hour / probe.Window)
+	for left := spansFor(opts.probes(2_000_000), perWindow...); left > 0; left -= windowsPerDay {
+		if err := probeCycle(tb, time.Duration(min(left, windowsPerDay))*probe.Window, 24*time.Hour, tb.Pipeline.RunDaily); err != nil {
+			return nil, err
+		}
+	}
+	rows, err := tb.DB().Query(dsa.TableDropRates)
+	if err != nil {
+		return nil, err
+	}
+	probes, drops := map[string]float64{}, map[string]float64{}
+	for _, r := range rows {
+		k, n := r["dc"].(string)+" "+r["class"].(string), float64(r["probes"].(int64))
+		probes[k] += n
+		drops[k] += n * r["drop_rate"].(float64)
+	}
+	rate := func(k string) float64 { return drops[k] / probes[k] }
+	res := &Table1Result{}
+	for _, p := range profiles {
 		res.DCs = append(res.DCs, Table1DC{
-			Name:     profiles[dc].Name,
-			IntraPod: intra.DropRate(),
-			InterPod: inter.DropRate(),
-			IntraObs: intra.Success(),
-			InterObs: inter.Success(),
+			Name:     p.Name,
+			IntraPod: rate(p.Name + " intra-pod"),
+			InterPod: rate(p.Name + " intra-dc"),
 		})
 	}
 	return res, nil

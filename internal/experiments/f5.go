@@ -3,9 +3,14 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
+	"pingmesh"
+	"pingmesh/internal/dsa"
 	"pingmesh/internal/netsim"
+	"pingmesh/internal/probe"
+	"pingmesh/internal/reportdb"
 	"pingmesh/internal/topology"
 )
 
@@ -28,7 +33,11 @@ type HourPoint struct {
 const SyncPeriodHours = 12
 
 // Figure5 replays one normal week for a service: no incidents, just the
-// periodic load bump from the service's own data sync.
+// periodic load bump from the service's own data sync. The service is the
+// DC's intra-DC SYN probes, and each hour's point is its dc/ SLA row, which
+// the 10-minute job publishes over the hour: the fleet probes whole minutes
+// at the hour's start until the hour holds the budget, and the clock moves on
+// to the hour's end.
 func Figure5(opts Options) (*Figure5Result, error) {
 	start := time.Date(2026, 6, 22, 0, 0, 0, 0, time.UTC) // a Monday
 	prof := netsim.DC2Profile()
@@ -39,30 +48,32 @@ func Figure5(opts Options) (*Figure5Result, error) {
 		}
 		return 1
 	}
-	top, err := topology.Build(topology.Spec{DCs: []topology.DCSpec{
+	tb, err := pingmesh.NewSimTestbed(topology.Spec{DCs: []topology.DCSpec{
 		{Name: "DC2", Podsets: 2, PodsPerPodset: 4, ServersPerPod: 8, LeavesPerPodset: 4, Spines: 8},
-	}})
+	}}, pingmesh.SimOptions{Profiles: []netsim.Profile{prof}, Seed: opts.seed(), Start: start})
 	if err != nil {
 		return nil, err
 	}
-	net, err := netsim.New(top, netsim.Config{Profiles: []netsim.Profile{prof}})
-	if err != nil {
-		return nil, err
-	}
-
-	perHour := opts.probes(3_400_000) / (7 * 24)
-	if perHour < 2000 {
-		perHour = 2000
-	}
-	pairs := samplePairs(top, 0, pairInterPod, 256, opts.seed())
-	res := &Figure5Result{}
+	perHour := max(opts.probes(3_400_000)/(7*24), 2000)
+	w := spansFor(perHour, probesPer(tb, time.Minute, 0, probe.IntraPod)+probesPer(tb, time.Minute, 0, probe.IntraDC))
+	span := min(time.Duration(w)*time.Minute, time.Hour)
 	for hour := 0; hour < 7*24; hour++ {
-		at := start.Add(time.Duration(hour) * time.Hour)
-		st := measureDist(net, pairs, perHour, 0, at, opts.seed()+uint64(hour)*31, opts.workers())
+		if err := probeCycle(tb, span, time.Hour, tb.Pipeline.RunTenMinute); err != nil {
+			return nil, err
+		}
+	}
+	rows, err := tb.DB().Query(dsa.TableSLA,
+		reportdb.Where(func(r reportdb.Row) bool { return r["scope"] == "dc/DC2" }),
+		reportdb.OrderBy("window_start"))
+	if err != nil {
+		return nil, err
+	}
+	res := &Figure5Result{}
+	for hour, r := range rows {
 		res.Hours = append(res.Hours, HourPoint{
 			Hour:     hour,
-			P99:      st.Percentile(0.99),
-			DropRate: st.DropRate(),
+			P99:      r["p99"].(time.Duration),
+			DropRate: r["drop_rate"].(float64),
 		})
 	}
 	return res, nil
@@ -80,25 +91,23 @@ func (r *Figure5Result) SyncHours() []int {
 }
 
 // BaselineP99 returns the median P99 across non-sync hours.
-func (r *Figure5Result) BaselineP99() time.Duration {
-	var vals []time.Duration
-	for _, h := range r.Hours {
-		if h.Hour%SyncPeriodHours != 0 {
-			vals = append(vals, h.P99)
-		}
-	}
-	return medianDur(vals)
-}
+func (r *Figure5Result) BaselineP99() time.Duration { return r.medianP99(false) }
 
 // SyncP99 returns the median P99 across sync hours.
-func (r *Figure5Result) SyncP99() time.Duration {
+func (r *Figure5Result) SyncP99() time.Duration { return r.medianP99(true) }
+
+func (r *Figure5Result) medianP99(sync bool) time.Duration {
 	var vals []time.Duration
 	for _, h := range r.Hours {
-		if h.Hour%SyncPeriodHours == 0 {
+		if (h.Hour%SyncPeriodHours == 0) == sync {
 			vals = append(vals, h.P99)
 		}
 	}
-	return medianDur(vals)
+	if len(vals) == 0 {
+		return 0
+	}
+	slices.Sort(vals)
+	return vals[len(vals)/2]
 }
 
 // MeanDropRate averages the weekly drop rate.
@@ -108,19 +117,6 @@ func (r *Figure5Result) MeanDropRate() float64 {
 		sum += h.DropRate
 	}
 	return sum / float64(len(r.Hours))
-}
-
-func medianDur(v []time.Duration) time.Duration {
-	if len(v) == 0 {
-		return 0
-	}
-	// insertion sort: the slices are tiny
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
-	return v[len(v)/2]
 }
 
 // Report renders the Figure 5 comparison.

@@ -6,10 +6,10 @@ import (
 	"math/rand/v2"
 	"time"
 
-	"pingmesh/internal/autopilot"
+	"pingmesh"
 	"pingmesh/internal/blackhole"
+	"pingmesh/internal/core"
 	"pingmesh/internal/netsim"
-	"pingmesh/internal/simclock"
 	"pingmesh/internal/topology"
 )
 
@@ -34,7 +34,6 @@ type Figure6Config struct {
 	Days           int     // default 25
 	InitialBadToRs int     // backlog when detection turns on; default 24
 	DailyArrivals  float64 // expected new black-holes per day; default 1.5
-	ProbesPerPair  int     // default 4
 	ReloadsPerDay  int     // default 20, the paper's cap
 	MatchFraction  float64 // corrupt TCAM coverage per black-hole; default 0.35
 }
@@ -50,9 +49,6 @@ func (c *Figure6Config) withDefaults() Figure6Config {
 	if out.DailyArrivals <= 0 {
 		out.DailyArrivals = 1.5
 	}
-	if out.ProbesPerPair <= 0 {
-		out.ProbesPerPair = 4
-	}
 	if out.ReloadsPerDay <= 0 {
 		out.ReloadsPerDay = 20
 	}
@@ -62,42 +58,37 @@ func (c *Figure6Config) withDefaults() Figure6Config {
 	return out
 }
 
-// Figure6 runs the detection + auto-repair loop day by day.
+// Figure6 runs the detection + auto-repair loop day by day: each day's
+// arrivals are injected at midnight, the fleet probes until every pair the
+// detector judges holds its 4 probes (blackhole.Config.MinPairProbes; an
+// inter-pod pair is probed every 30 s), the clock moves on to the day's end,
+// and the daily job's detection is handed to the testbed's repair service.
 func Figure6(opts Options, cfg Figure6Config) (*Figure6Result, error) {
 	c := cfg.withDefaults()
-	top, err := topology.Build(topology.Spec{DCs: []topology.DCSpec{
+	var det blackhole.Detection
+	tb, err := pingmesh.NewSimTestbed(topology.Spec{DCs: []topology.DCSpec{
 		{Name: "DC1", Podsets: 10, PodsPerPodset: 10, ServersPerPod: 4, LeavesPerPodset: 4, Spines: 16},
-	}})
+	}}, pingmesh.SimOptions{
+		Profiles:    []netsim.Profile{netsim.DC3Profile()},
+		Seed:        opts.seed(),
+		OnDetection: func(d blackhole.Detection) { det = d },
+	})
 	if err != nil {
 		return nil, err
 	}
-	net, err := netsim.New(top, netsim.Config{Profiles: []netsim.Profile{netsim.DC3Profile()}})
-	if err != nil {
-		return nil, err
-	}
+	rs := tb.NewRepairService(c.ReloadsPerDay)
 	rng := rand.New(rand.NewPCG(opts.seed(), 0xb1ac))
-	tors := top.ToRs(0)
+	tors := tb.Top.ToRs(0)
 
 	injectOne := func() {
 		tor := tors[rng.IntN(len(tors))]
-		net.AddBlackhole(tor, netsim.Blackhole{MatchFraction: c.MatchFraction, IncludePorts: rng.IntN(2) == 0})
+		tb.Net.AddBlackhole(tor, netsim.Blackhole{MatchFraction: c.MatchFraction, IncludePorts: rng.IntN(2) == 0})
 	}
 	for i := 0; i < c.InitialBadToRs; i++ {
 		injectOne()
 	}
 
-	clock := simclock.NewSim(time.Date(2026, 6, 1, 0, 0, 0, 0, time.UTC))
-	rs := autopilot.NewRepairService(clock, c.ReloadsPerDay, func(a autopilot.RepairAction) error {
-		for _, sw := range top.Switches() {
-			if sw.Name == a.Device {
-				net.ReloadSwitch(sw.ID)
-				return nil
-			}
-		}
-		return fmt.Errorf("unknown device %s", a.Device)
-	})
-
-	detCfg := blackhole.Config{VictimPairFraction: 0.25}
+	span := 4 * core.DefaultGeneratorConfig().IntraDCInterval
 	res := &Figure6Result{}
 	for day := 0; day < c.Days; day++ {
 		// New black-holes keep appearing in the background.
@@ -105,16 +96,16 @@ func Figure6(opts Options, cfg Figure6Config) (*Figure6Result, error) {
 		for i := 0; i < arrivals; i++ {
 			injectOne()
 		}
-		pairs := probeRelationPairs(net, c.ProbesPerPair, opts.seed()+uint64(day)*101, opts.workers())
-		det := blackhole.Detect(top, pairs, detCfg)
-		reloaded := blackhole.Repair(det, top, rs)
+		if err := probeCycle(tb, span, 24*time.Hour, tb.Pipeline.RunDaily); err != nil {
+			return nil, err
+		}
+		reloaded := blackhole.Repair(det, tb.Top, rs)
 		res.Days = append(res.Days, DayPoint{
 			Day:      day,
 			Detected: len(det.Candidates),
 			Reloaded: reloaded,
-			Faulty:   len(net.FaultySwitches()),
+			Faulty:   len(tb.Net.FaultySwitches()),
 		})
-		clock.Advance(24 * time.Hour)
 	}
 	return res, nil
 }

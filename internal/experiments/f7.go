@@ -2,11 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand/v2"
 	"time"
 
+	"pingmesh"
 	"pingmesh/internal/netsim"
-	"pingmesh/internal/silentdrop"
+	"pingmesh/internal/probe"
+	"pingmesh/internal/scope"
 	"pingmesh/internal/topology"
 )
 
@@ -16,8 +17,7 @@ import (
 // baseline, and the fault — being hardware — survives a reload and needs
 // RMA.
 type Figure7Result struct {
-	// Windows is the drop-rate time series across the incident, one point
-	// per 10-minute window.
+	// Windows is the drop-rate time series across the incident.
 	Windows []WindowPoint
 	// SuspectName is the switch the localizer blamed.
 	SuspectName string
@@ -28,103 +28,85 @@ type Figure7Result struct {
 	ReloadFixed bool
 }
 
-// WindowPoint is one measurement window.
+// WindowPoint is one point of the series: one or more whole windows.
 type WindowPoint struct {
 	Window   int
 	Phase    string // "baseline", "incident", "isolated"
 	DropRate float64
 }
 
-// Figure7 runs the incident end to end.
+// Figure7 runs the incident end to end. Each point is the drop rate of the
+// DC's inter-pod probes over whole windows, enough to hold the point's
+// budget, read with one ad-hoc job over the store keyed by point; the suspect
+// is what the testbed's §5.2 workflow (LocalizeSilentDrops) blames from the
+// incident's stored probes.
 func Figure7(opts Options) (*Figure7Result, error) {
-	top, err := topology.Build(topology.Spec{DCs: []topology.DCSpec{
+	tb, err := pingmesh.NewSimTestbed(topology.Spec{DCs: []topology.DCSpec{
 		{Name: "DC1", Podsets: 3, PodsPerPodset: 4, ServersPerPod: 8, LeavesPerPodset: 4, Spines: 8},
-	}})
+	}}, pingmesh.SimOptions{Profiles: []netsim.Profile{netsim.DC1Profile()}, Seed: opts.seed()})
 	if err != nil {
 		return nil, err
 	}
-	net, err := netsim.New(top, netsim.Config{Profiles: []netsim.Profile{netsim.DC1Profile()}})
-	if err != nil {
-		return nil, err
-	}
-	perWindow := opts.probes(2_700_000) / 18
-	if perWindow < 20000 {
-		perWindow = 20000
-	}
-	pairs := samplePairs(top, 0, pairInterPod, 512, opts.seed())
-	start := time.Unix(1751328000, 0).UTC()
-	spine := top.DCs[0].Spines[3]
-
-	res := &Figure7Result{}
-	window := 0
-	measure := func(phase string, count int) {
-		for i := 0; i < count; i++ {
-			st := measureDist(net, pairs, perWindow, 0, start.Add(time.Duration(window)*10*time.Minute),
-				opts.seed()+uint64(window)*17, opts.workers())
-			res.Windows = append(res.Windows, WindowPoint{Window: window, Phase: phase, DropRate: st.DropRate()})
-			window++
-		}
-	}
+	perPoint := max(opts.probes(2_700_000)/18, 20000)
+	span := time.Duration(spansFor(perPoint, probesPer(tb, probe.Window, 0, probe.IntraDC))) * probe.Window
+	spine := tb.Top.DCs[0].Spines[3]
+	const points = 6 // per phase
+	start := tb.Clock.Now()
 
 	// Baseline, then the Spine starts flipping bits in its fabric module.
-	measure("baseline", 6)
-	net.SetRandomDrop(spine, 0.015, true)
-	measure("incident", 6)
-
-	// Localize: pick the affected pairs (the ones whose drop estimate is
-	// elevated) and traceroute them.
-	affected := affectedPairs(net, pairs, opts.seed())
-	loc := &silentdrop.Localizer{
-		Net:          net,
-		ProbesPerHop: 600,
-		Rand:         rand.New(rand.NewPCG(opts.seed()+991, 7)),
+	res := &Figure7Result{}
+	if err := tb.RunWindow(points * span); err != nil {
+		return nil, err
 	}
-	suspects := loc.Localize(affected)
+	tb.Net.SetRandomDrop(spine, 0.015, true)
+	from := tb.Clock.Now()
+	if err := tb.RunWindow(points * span); err != nil {
+		return nil, err
+	}
+
+	// Localize: the pairs whose stored drop estimate is elevated, traced
+	// hop by hop.
+	suspects, err := tb.LocalizeSilentDrops(from, tb.Clock.Now())
+	if err != nil {
+		return nil, err
+	}
 	if len(suspects) > 0 {
-		res.SuspectName = top.Switch(suspects[0].Switch).Name
+		res.SuspectName = tb.Top.Switch(suspects[0].Switch).Name
 		res.Correct = suspects[0].Switch == spine
 
 		// Mitigate: isolate from live traffic (§5.2).
-		net.IsolateSwitch(suspects[0].Switch)
+		tb.Net.IsolateSwitch(suspects[0].Switch)
 	}
-	measure("isolated", 6)
+	if err := tb.RunWindow(points * span); err != nil {
+		return nil, err
+	}
 
 	// A reload cannot fix hardware: the fault persists until RMA.
-	net.ReloadSwitch(spine)
-	res.ReloadFixed = !net.SwitchFaulty(spine)
-	net.ReplaceSwitch(spine)
+	tb.Net.ReloadSwitch(spine)
+	res.ReloadFixed = !tb.Net.SwitchFaulty(spine)
+	tb.Net.ReplaceSwitch(spine)
 
-	return res, nil
-}
-
-// affectedPairs finds sample pairs whose five-tuples cross lossy fabric by
-// measuring quick per-pair drop estimates, mirroring how the on-call pulled
-// affected source-destination pairs out of Pingmesh data.
-func affectedPairs(net *netsim.Network, pairs [][2]topology.ServerID, seed uint64) []silentdrop.Pair {
-	rng := rand.New(rand.NewPCG(seed+5, 11))
-	var out []silentdrop.Pair
-	for _, p := range pairs {
-		if len(out) >= 8 {
-			break
-		}
-		port := uint16(34000 + rng.IntN(1000))
-		retx := 0
-		const n = 400
-		pr := net.PairProber(p[0], p[1])
-		spec := netsim.ProbeSpec{Src: p[0], Dst: p[1], SrcPort: port, DstPort: 8765}
-		for i := 0; i < n; i++ {
-			res := pr.Probe(&spec, rng)
-			if res.Err == "" && res.Attempts > 1 {
-				retx++
-			}
-		}
-		// 1.5% loss per traversal gives ~3% per round trip through the
-		// lossy spine: an unmistakable per-pair signal.
-		if float64(retx)/n > 0.005 {
-			out = append(out, silentdrop.Pair{Src: p[0], Dst: p[1], SrcPort: port, DstPort: 8765})
+	// The series: a point's sketches never straddle its windows.
+	st, err := scope.Run(scope.Job{
+		Name:   "figure7",
+		Source: scope.Source{Store: tb.Store, StreamPrefix: "pingmesh"},
+		From:   start, To: tb.Clock.Now(),
+		Where: func(r *probe.Record) bool { return r.Class == probe.IntraDC && r.PayloadLen == 0 },
+		KeyBytes: func(dst []byte, r *probe.Record) ([]byte, bool) {
+			return append(dst, byte(r.Start.Sub(start)/span)), true
+		},
+		TalliesOnly: true,
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, phase := range []string{"baseline", "incident", "isolated"} {
+		for j := 0; j < points; j++ {
+			w := i*points + j
+			res.Windows = append(res.Windows, WindowPoint{Window: w, Phase: phase, DropRate: st.Get(string([]byte{byte(w)})).DropRate()})
 		}
 	}
-	return out
+	return res, nil
 }
 
 // Phase returns the mean drop rate of one phase.

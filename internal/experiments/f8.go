@@ -3,9 +3,7 @@ package experiments
 import (
 	"time"
 
-	"pingmesh/internal/analysis"
-	"pingmesh/internal/core"
-	"pingmesh/internal/fleet"
+	"pingmesh"
 	"pingmesh/internal/netsim"
 	"pingmesh/internal/topology"
 	"pingmesh/internal/viz"
@@ -26,8 +24,9 @@ type Figure8Result struct {
 }
 
 // Figure8 reproduces the four visualization patterns: it injects each
-// situation, runs the probing fleet for a simulated half hour, builds the
-// pod-pair P99 heatmap, and classifies the pattern.
+// situation, runs the probing fleet for a simulated half hour, and reads the
+// heatmap and pattern the hourly job publishes for the hour (with the
+// figure's per-cell floor of 3 probes).
 func Figure8(opts Options) (*Figure8Result, error) {
 	cases := []struct {
 		name     string
@@ -48,36 +47,24 @@ func Figure8(opts Options) (*Figure8Result, error) {
 	}
 
 	res := &Figure8Result{}
-	start := time.Unix(1751328000, 0).UTC()
 	for _, c := range cases {
-		top, err := topology.Build(topology.Spec{DCs: []topology.DCSpec{
+		tb, err := pingmesh.NewSimTestbed(topology.Spec{DCs: []topology.DCSpec{
 			{Name: "DC1", Podsets: 3, PodsPerPodset: 4, ServersPerPod: 3, LeavesPerPodset: 3, Spines: 6},
-		}})
+		}}, pingmesh.SimOptions{Profiles: []netsim.Profile{netsim.DC2Profile()}, Seed: opts.seed(), HeatmapMinProbes: 3})
 		if err != nil {
 			return nil, err
 		}
-		net, err := netsim.New(top, netsim.Config{Profiles: []netsim.Profile{netsim.DC2Profile()}})
-		if err != nil {
+		c.inject(tb.Net)
+		if err := probeCycle(tb, 30*time.Minute, time.Hour, tb.Pipeline.RunHourly); err != nil {
 			return nil, err
 		}
-		c.inject(net)
-		lists, err := core.Generate(top, core.DefaultGeneratorConfig(), "v1", start)
-		if err != nil {
-			return nil, err
-		}
-		keyer := &analysis.Keyer{Top: top}
-		col := fleet.NewStatsCollector(keyer.AppendPodPair)
-		runner := &fleet.Runner{Net: net, Lists: lists, Seed: opts.seed(), Workers: opts.workers()}
-		if err := runner.Run(start, start.Add(30*time.Minute), col.Sink); err != nil {
-			return nil, err
-		}
-		h := viz.BuildHeatmap(top, 0, col.Groups(), 3)
+		h := tb.Pipeline.Heatmaps()["DC1"]
 		res.Scenarios = append(res.Scenarios, Figure8Scenario{
 			Name:     c.name,
 			Expected: c.expected,
-			Got:      h.Classify(),
-			ASCII:    h.RenderASCII(),
-			SVG:      h.RenderSVG(),
+			Got:      h.Classification,
+			ASCII:    h.Heatmap.RenderASCII(),
+			SVG:      h.Heatmap.RenderSVG(),
 		})
 	}
 	return res, nil

@@ -11,24 +11,16 @@ import (
 )
 
 // probeRelationPairs simulates the Pingmesh probing relation — the
-// intra-pod complete graph plus the intra-DC rank pairing — with k probes
+// intra-pod complete graph plus the intra-DC rank pairing — among the
+// servers passing participates (as sources and destinations), with k probes
 // per directed pair, and aggregates per-pair stats keyed like the DSA's
-// server-pair job. It is the feed of black-hole detection.
-func probeRelationPairs(net *netsim.Network, k int, seed uint64, workers int) map[string]*analysis.LatencyStats {
-	return probeRelationPairsWithFilter(net, k, seed, workers, nil)
-}
-
-// probeRelationPairsWithFilter restricts participation to servers passing
-// the filter (both as sources and destinations) — the sampled-participation
-// ablation of §6.1. A nil filter means every server participates.
-func probeRelationPairsWithFilter(net *netsim.Network, k int, seed uint64, workers int, participates func(topology.ServerID) bool) map[string]*analysis.LatencyStats {
+// server-pair job: the feed of black-hole detection under the
+// sampled-participation ablation of §6.1.
+func probeRelationPairs(net *netsim.Network, k int, seed uint64, workers int, participates func(topology.ServerID) bool) map[string]*analysis.LatencyStats {
 	top := net.Topology()
 	servers := top.Servers()
 	if workers <= 0 {
 		workers = 1
-	}
-	if participates == nil {
-		participates = func(topology.ServerID) bool { return true }
 	}
 
 	partials := make([]map[string]*analysis.LatencyStats, workers)

@@ -362,20 +362,6 @@ func (tb *SimTestbed) NewPortal() *Portal {
 // Alerts returns the SLA violations fired so far.
 func (tb *SimTestbed) Alerts() []Alert { return tb.Pipeline.Alerts() }
 
-// HeatmapFor builds the pod-pair P99 heatmap of one DC over a window. The
-// probing schedule is densified 10x relative to the agents' cadence so
-// small testbeds accumulate enough per-cell samples for a stable P99 —
-// production pod pairs aggregate far more server pairs than a testbed.
-func (tb *SimTestbed) HeatmapFor(dc int, from, to time.Time) (*Heatmap, error) {
-	keyer := &analysis.Keyer{Top: tb.Top}
-	col := fleet.NewStatsCollector(keyer.AppendPodPair)
-	runner := &fleet.Runner{Net: tb.Net, Lists: tb.lists, Seed: tb.seed ^ 0x77, IntervalScale: 0.1}
-	if err := runner.Run(from, to, col.Sink); err != nil {
-		return nil, err
-	}
-	return viz.BuildHeatmap(tb.Top, dc, col.Groups(), 10), nil
-}
-
 // NewRepairService returns a repair service whose executor acts on the
 // simulated network (reload / isolate / replace by device name), with the
 // paper's default budget of 20 actions per day.
@@ -507,10 +493,4 @@ func (tb *SimTestbed) StandardWatchdogs(interval time.Duration) (*autopilot.Watc
 	// cycle blow the 20-minute budget, so it pages before the cycle does).
 	ws.Register(autopilot.NewStalenessWatchdog(tb.Tracer.Freshness(), trace.DefaultBudget()))
 	return ws, dm
-}
-
-// generateAll runs the pinglist generator for every server (benchmark
-// helper for the controller's generation cost).
-func generateAll(top *topology.Topology, cfg core.GeneratorConfig) (map[topology.ServerID]*pinglist.File, error) {
-	return core.Generate(top, cfg, "bench", time.Unix(1751328000, 0).UTC())
 }

@@ -67,11 +67,13 @@ func TestSimTestbedHeatmapAndFaults(t *testing.T) {
 	}
 	tb.Net.SetPodsetDown(0, 1, true)
 	from := tb.Clock.Now()
-	h, err := tb.HeatmapFor(0, from, from.Add(15*time.Minute))
-	if err != nil {
+	if err := tb.RunWindow(time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	cls := h.Classify()
+	if err := tb.Pipeline.RunHourly(from, tb.Clock.Now()); err != nil {
+		t.Fatal(err)
+	}
+	cls := tb.Pipeline.Heatmaps()["DC1"].Classification
 	if cls.Pattern.String() != "podset-down" || cls.Podset != 1 {
 		t.Fatalf("pattern = %v podset %d", cls.Pattern, cls.Podset)
 	}

@@ -25,7 +25,9 @@
 #       batch, not the extent's length
 #   3b. diagnosis smoke: the root-cause localization CLI at reduced scale,
 #       and examples/isitnetwork, whose two incidents must print the
-#       verdicts not-network and network, in that order
+#       verdicts not-network and network, in that order; then every paper
+#       figure and table at reduced budgets (cmd/experiments -quick), the
+#       pipeline-read ones through SimTestbed's store and DSA cycles
 #   3c. telemetry plane smoke: the real controller and agent binaries on
 #       loopback with no telemetry flag; within 10s the agent's report
 #       must show up as a fleet rollup point on the controller's debug port
@@ -80,13 +82,14 @@ go test ./internal/netsim -run xxx -bench 'PathResolve$' -benchmem
 go test ./internal/diagnosis -run xxx -bench 'ObserveBatch$|RankGreedy$' -benchmem -cpu 1,2,4
 go test ./internal/portal -run xxx -bench 'PortalDiagnose(Hit|Miss)$|PortalSLACached$|PortalNotModified$' -benchmem
 
-echo "== tier 3b: diagnosis smoke (reduced scale) and the is-it-the-network example"
+echo "== tier 3b: diagnosis smoke (reduced scale), the is-it-the-network example, the paper's experiments"
 go run ./cmd/pingmesh-diagnose -minutes 6 -check > /dev/null
 VERDICTS=$(go run ./examples/isitnetwork | grep '^verdict: ' | cut -d' ' -f2 | tr '\n' ' ')
 if [ "$VERDICTS" != "not-network network " ]; then
     echo "examples/isitnetwork: verdicts '$VERDICTS', want incident 1 not-network, incident 2 network" >&2
     exit 1
 fi
+go run ./cmd/experiments -quick > /dev/null
 
 echo "== tier 3c: telemetry plane smoke (loopback, no telemetry flags)"
 SMOKE=$(mktemp -d)
