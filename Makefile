@@ -31,10 +31,11 @@ bench:
 microbench:
 	$(GO) test -run '^$$' -bench . -benchmem -timeout 30m ./internal/...
 
-# Root-cause localization experiment: injects a spine silent drop plus a
-# ToR black-hole and requires the diagnosis subsystem to locate both.
+# Root-cause localization experiment (EXPERIMENTS.md §5): injects a spine
+# silent drop plus a ToR black-hole and reports whether the diagnosis
+# subsystem located both, for seeds 1-5.
 diagnose:
-	$(GO) run ./cmd/pingmesh-diagnose -check
+	$(GO) run ./cmd/experiments -only diagnosis
 
 clean:
 	$(GO) clean -testcache

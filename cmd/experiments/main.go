@@ -23,7 +23,7 @@ import (
 func main() {
 	var (
 		quick = flag.Bool("quick", false, "reduced probe budgets (~10x faster, noisier tails)")
-		only  = flag.String("only", "", "comma-separated subset: figure3,figure4,table1,figure5,figure6,figure7,figure8,fanout,qos,ablations")
+		only  = flag.String("only", "", "comma-separated subset: figure3,figure4,table1,figure5,figure6,figure7,figure8,diagnosis,fanout,qos,limitations,ablations")
 	)
 	flag.Parse()
 
@@ -43,13 +43,7 @@ func main() {
 		name string
 		run  func() ([]experiments.Report, error)
 	}{
-		{"figure3", func() ([]experiments.Report, error) {
-			r, err := experiments.Figure3(opts)
-			if err != nil {
-				return nil, err
-			}
-			return []experiments.Report{r.Report()}, nil
-		}},
+		{"figure3", func() ([]experiments.Report, error) { return one(experiments.Figure3(opts)) }},
 		{"figure4", func() ([]experiments.Report, error) {
 			r, err := experiments.Figure4(opts)
 			if err != nil {
@@ -63,34 +57,12 @@ func main() {
 			fmt.Println()
 			return []experiments.Report{r.ReportA(), r.ReportB(), r.ReportC(), r.ReportD()}, nil
 		}},
-		{"table1", func() ([]experiments.Report, error) {
-			r, err := experiments.Table1(opts)
-			if err != nil {
-				return nil, err
-			}
-			return []experiments.Report{r.Report()}, nil
-		}},
-		{"figure5", func() ([]experiments.Report, error) {
-			r, err := experiments.Figure5(opts)
-			if err != nil {
-				return nil, err
-			}
-			return []experiments.Report{r.Report()}, nil
-		}},
+		{"table1", func() ([]experiments.Report, error) { return one(experiments.Table1(opts)) }},
+		{"figure5", func() ([]experiments.Report, error) { return one(experiments.Figure5(opts)) }},
 		{"figure6", func() ([]experiments.Report, error) {
-			r, err := experiments.Figure6(opts, experiments.Figure6Config{})
-			if err != nil {
-				return nil, err
-			}
-			return []experiments.Report{r.Report()}, nil
+			return one(experiments.Figure6(opts, experiments.Figure6Config{}))
 		}},
-		{"figure7", func() ([]experiments.Report, error) {
-			r, err := experiments.Figure7(opts)
-			if err != nil {
-				return nil, err
-			}
-			return []experiments.Report{r.Report()}, nil
-		}},
+		{"figure7", func() ([]experiments.Report, error) { return one(experiments.Figure7(opts)) }},
 		{"figure8", func() ([]experiments.Report, error) {
 			r, err := experiments.Figure8(opts)
 			if err != nil {
@@ -101,55 +73,21 @@ func main() {
 			}
 			return []experiments.Report{r.Report()}, nil
 		}},
-		{"fanout", func() ([]experiments.Report, error) {
-			r, err := experiments.FanOut(opts)
-			if err != nil {
-				return nil, err
-			}
-			return []experiments.Report{r.Report()}, nil
-		}},
-		{"qos", func() ([]experiments.Report, error) {
-			r, err := experiments.QoSMonitoring(opts)
-			if err != nil {
-				return nil, err
-			}
-			return []experiments.Report{r.Report()}, nil
-		}},
-		{"limitations", func() ([]experiments.Report, error) {
-			icw, err := experiments.LimitationICW(opts)
-			if err != nil {
-				return nil, err
-			}
-			scale, err := experiments.ScaleMath(opts)
-			if err != nil {
-				return nil, err
-			}
-			return []experiments.Report{icw.Report(), scale.Report()}, nil
-		}},
-		{"ablations", func() ([]experiments.Report, error) {
-			var reps []experiments.Report
-			ecmp, err := experiments.AblationECMP(opts)
-			if err != nil {
-				return nil, err
-			}
-			reps = append(reps, ecmp.Report())
-			drop, err := experiments.AblationDropHeuristic(opts)
-			if err != nil {
-				return nil, err
-			}
-			reps = append(reps, drop.Report())
-			sampling, err := experiments.AblationSampling(opts)
-			if err != nil {
-				return nil, err
-			}
-			reps = append(reps, sampling.Report())
-			graph, err := experiments.AblationGraphDesign(opts)
-			if err != nil {
-				return nil, err
-			}
-			reps = append(reps, graph.Report())
-			return reps, nil
-		}},
+		// EXPERIMENTS.md §5's seeds and budget: the episode is cheap, so
+		// -quick runs it whole.
+		{"diagnosis", func() ([]experiments.Report, error) { return one(experiments.Diagnosis(12, 1, 2, 3, 4, 5)) }},
+		{"fanout", func() ([]experiments.Report, error) { return one(experiments.FanOut(opts)) }},
+		{"qos", func() ([]experiments.Report, error) { return one(experiments.QoSMonitoring(opts)) }},
+		{"limitations", all(
+			func() ([]experiments.Report, error) { return one(experiments.LimitationICW(opts)) },
+			func() ([]experiments.Report, error) { return one(experiments.ScaleMath(opts)) },
+		)},
+		{"ablations", all(
+			func() ([]experiments.Report, error) { return one(experiments.AblationECMP(opts)) },
+			func() ([]experiments.Report, error) { return one(experiments.AblationDropHeuristic(opts)) },
+			func() ([]experiments.Report, error) { return one(experiments.AblationSampling(opts)) },
+			func() ([]experiments.Report, error) { return one(experiments.AblationGraphDesign(opts)) },
+		)},
 	}
 
 	ranAny := false
@@ -171,5 +109,28 @@ func main() {
 	if !ranAny {
 		fmt.Fprintf(os.Stderr, "no experiment matched -only=%s\n", *only)
 		os.Exit(2)
+	}
+}
+
+// one returns the single report of an experiment that renders one.
+func one[R interface{ Report() experiments.Report }](r R, err error) ([]experiments.Report, error) {
+	if err != nil {
+		return nil, err
+	}
+	return []experiments.Report{r.Report()}, nil
+}
+
+// all runs experiments in order and concatenates their reports.
+func all(runs ...func() ([]experiments.Report, error)) func() ([]experiments.Report, error) {
+	return func() ([]experiments.Report, error) {
+		var reps []experiments.Report
+		for _, run := range runs {
+			r, err := run()
+			if err != nil {
+				return nil, err
+			}
+			reps = append(reps, r...)
+		}
+		return reps, nil
 	}
 }

@@ -6,9 +6,10 @@
 // paper reads them off Pingmesh: each builds a pingmesh.SimTestbed, probes
 // with RunWindow until its budget is reached, and reads what an operator
 // reads — an ad-hoc scope job over the store, the DSA's rows and heatmaps,
-// its daily black-hole detections. Figure 3, Figure 4(d), QoS, ICW, fan-out
-// and the ablations vary the agent or the pinglist, which the testbed fixes,
-// and sample the fabric directly (measureDist). Absolute values depend on
+// its daily black-hole detections; the §5 localisation run (Diagnosis) reads
+// its vote ranking and evidence chains. Figure 3, Figure 4(d), QoS, ICW,
+// fan-out and the ablations vary the agent or the pinglist, which the
+// testbed fixes, and sample the fabric directly (measureDist). Absolute values depend on
 // the simulator's calibration; the shapes — orderings, ratios, crossovers,
 // detection dynamics — are checked by the experiment tests.
 package experiments

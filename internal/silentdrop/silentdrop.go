@@ -21,29 +21,6 @@ import (
 	"pingmesh/internal/topology"
 )
 
-// SpikeDetector decides whether a drop-rate series left its normal band.
-type SpikeDetector struct {
-	// Baseline is the expected drop rate under normal conditions
-	// (10⁻⁴–10⁻⁵ per §4.2). Default 1e-4.
-	Baseline float64
-	// Factor is how many times above baseline counts as a spike.
-	// Default 5.
-	Factor float64
-}
-
-// Spiked reports whether the latest value is a spike.
-func (d *SpikeDetector) Spiked(rate float64) bool {
-	base := d.Baseline
-	if base <= 0 {
-		base = 1e-4
-	}
-	factor := d.Factor
-	if factor <= 0 {
-		factor = 5
-	}
-	return rate > base*factor
-}
-
 // Pair is one affected source-destination five-tuple, discovered from
 // Pingmesh data (pairs with elevated retransmit signatures).
 type Pair struct {

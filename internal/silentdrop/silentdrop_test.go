@@ -23,24 +23,6 @@ func testNet(t *testing.T) *netsim.Network {
 	return n
 }
 
-func TestSpikeDetector(t *testing.T) {
-	d := &SpikeDetector{Baseline: 1e-4, Factor: 5}
-	if d.Spiked(4e-5) {
-		t.Fatal("normal drop rate flagged")
-	}
-	if d.Spiked(4.9e-4) {
-		t.Fatal("sub-threshold rate flagged")
-	}
-	if !d.Spiked(2e-3) {
-		t.Fatal("incident-level rate not flagged (Figure 7 jumps to ~2e-3)")
-	}
-	// Defaults apply when zero.
-	dz := &SpikeDetector{}
-	if !dz.Spiked(1e-2) || dz.Spiked(1e-5) {
-		t.Fatal("default thresholds wrong")
-	}
-}
-
 // pairsThroughSpine builds cross-podset pairs whose five-tuples route
 // through the given spine (and some that do not).
 func pairsThroughSpine(n *netsim.Network, spine topology.SwitchID, want int) []Pair {

@@ -23,14 +23,18 @@
 #       FoldPass$/open appends one sketched batch to an extent that stays
 #       open and folds it from the extent's byte cursor: ns/op follows the
 #       batch, not the extent's length
-#   3b. diagnosis smoke: the root-cause localization CLI at reduced scale,
-#       and examples/isitnetwork, whose two incidents must print the
-#       verdicts not-network and network, in that order; then every paper
-#       figure and table at reduced budgets (cmd/experiments -quick), the
-#       pipeline-read ones through SimTestbed's store and DSA cycles
+#   3b. examples/isitnetwork, whose two incidents must print the verdicts
+#       not-network and network, in that order; then every paper figure and
+#       table at reduced budgets (cmd/experiments -quick), the pipeline-read
+#       ones through SimTestbed's store and DSA cycles, and the §5
+#       localization run (tier 1's TestDiagnosisLocatesBothFaults pins its
+#       numbers)
 #   3c. telemetry plane smoke: the real controller and agent binaries on
 #       loopback with no telemetry flag; within 10s the agent's report
 #       must show up as a fleet rollup point on the controller's debug port
+#   3d. simulated-fleet portal smoke: pingmesh-sim -addr on loopback; after
+#       two logged cycles its /metrics must read no off-grid DSA rescan and
+#       /heatmap/DC1 must answer 200
 #   4.  short fuzz pass over the wire formats and merge equivalences
 #       (optional, FUZZ=1)
 #
@@ -82,8 +86,7 @@ go test ./internal/netsim -run xxx -bench 'PathResolve$' -benchmem
 go test ./internal/diagnosis -run xxx -bench 'ObserveBatch$|RankGreedy$' -benchmem -cpu 1,2,4
 go test ./internal/portal -run xxx -bench 'PortalDiagnose(Hit|Miss)$|PortalSLACached$|PortalNotModified$' -benchmem
 
-echo "== tier 3b: diagnosis smoke (reduced scale), the is-it-the-network example, the paper's experiments"
-go run ./cmd/pingmesh-diagnose -minutes 6 -check > /dev/null
+echo "== tier 3b: the is-it-the-network example, the paper's experiments"
 VERDICTS=$(go run ./examples/isitnetwork | grep '^verdict: ' | cut -d' ' -f2 | tr '\n' ' ')
 if [ "$VERDICTS" != "not-network network " ]; then
     echo "examples/isitnetwork: verdicts '$VERDICTS', want incident 1 not-network, incident 2 network" >&2
@@ -117,6 +120,30 @@ if [ "$points" -eq 0 ]; then
 fi
 rm -rf "$SMOKE"
 echo "fleet/counter/agent.fetches_ok: $points point(s)"
+
+echo "== tier 3d: simulated-fleet portal smoke (loopback)"
+SMOKE=$(mktemp -d)
+go build -o "$SMOKE/sim" ./cmd/pingmesh-sim
+"$SMOKE/sim" -addr 127.0.0.1:18481 -interval 200ms > "$SMOKE/sim.out" 2>&1 &
+SIM_PID=$!
+cycles=0
+for _ in 1 2 3 4 5 6 7 8 9 10; do
+    sleep 1
+    cycles=$(grep -c '^cycle ' "$SMOKE/sim.out" || true)
+    [ "$cycles" -ge 2 ] && break
+done
+RESCANS=$(curl -s http://127.0.0.1:18481/metrics | grep '^pingmesh_dsa_cycle_offgrid_rescans ' || true)
+HEATMAP=$(curl -s -o /dev/null -w '%{http_code}' http://127.0.0.1:18481/heatmap/DC1 || true)
+kill "$SIM_PID" 2>/dev/null || true
+wait "$SIM_PID" 2>/dev/null || true
+if [ "$cycles" -lt 2 ] || [ "$RESCANS" != "pingmesh_dsa_cycle_offgrid_rescans 0" ] || [ "$HEATMAP" != "200" ]; then
+    echo "pingmesh-sim -addr: $cycles cycles, '$RESCANS', /heatmap/DC1 status $HEATMAP" >&2
+    cat "$SMOKE/sim.out" >&2
+    rm -rf "$SMOKE"
+    exit 1
+fi
+rm -rf "$SMOKE"
+echo "pingmesh-sim -addr: $cycles cycles, $RESCANS, /heatmap/DC1 $HEATMAP"
 
 if [ "${FUZZ:-0}" = "1" ]; then
     echo "== tier 4: fuzz wire formats (30s each)"
