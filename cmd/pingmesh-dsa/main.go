@@ -2,7 +2,8 @@
 // over latency data in files: agents' local CSV logs, or the PMB1 batches
 // they upload (a store's exported extents) — whatever probe.Scanner reads.
 // The files are imported into a cosmos store and the DSA pipeline's
-// 10-minute, hourly and daily jobs run once over the span the data covers;
+// 10-minute jobs run once over the 10-minute windows the data covers, its
+// hourly and daily jobs once over those windows rounded out to whole hours;
 // the report tables they fill are printed, with one DC's hourly heatmap on
 // request. Without a topology only the fleet-wide intra-/inter-DC summary
 // can be computed.
@@ -62,6 +63,9 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if (*diagnose || *heatmap != "") && *topoPath == "" {
 		return fmt.Errorf("-diagnose and -heatmap require -topology")
+	}
+	if *svgPath != "" && *heatmap == "" {
+		return fmt.Errorf("-svg requires -heatmap")
 	}
 	if *debugAddr != "" {
 		dbg, err := debugsrv.Serve(*debugAddr, debugsrv.Config{})
@@ -150,21 +154,29 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 
+	// Every cycle is on the grid of its cadence. The clock stands at the
+	// first hour, so none of the hours the daily jobs keep has aged out
+	// before their one cycle, however many the data spans.
+	hoursFrom, hoursTo := from.Truncate(time.Hour), to.Add(time.Hour-1).Truncate(time.Hour)
 	var escalations []blackhole.PodsetRef
 	pipe, err := dsa.New(dsa.Config{
 		Store:       store,
 		Top:         top,
-		Clock:       simclock.NewSim(to),
+		Clock:       simclock.NewSim(hoursFrom),
 		Thresholds:  th,
 		OnDetection: func(det blackhole.Detection) { escalations = det.Escalations },
 	})
 	if err != nil {
 		return err
 	}
-	for _, cycle := range []func(from, to time.Time) error{pipe.RunTenMinute, pipe.RunHourly, pipe.RunDaily} {
-		if err := cycle(from, to); err != nil {
-			return err
-		}
+	if err := pipe.RunTenMinute(from, to); err != nil {
+		return err
+	}
+	if err := pipe.RunHourly(hoursFrom, hoursTo); err != nil {
+		return err
+	}
+	if err := pipe.RunDaily(hoursFrom, hoursTo); err != nil {
+		return err
 	}
 	if err := printTables(stdout, pipe.DB()); err != nil {
 		return err

@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -22,15 +24,7 @@ import (
 // AnalyzeWindow published, with and without -heatmap.
 func TestOfflineEqualsTestbed(t *testing.T) {
 	const topoPath, seed = "../../examples/topology.json", 1
-	f, err := os.Open(topoPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, err := topology.ReadSpec(f)
-	f.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := loadSpec(t, topoPath)
 	build := func() *pingmesh.SimTestbed {
 		tb, err := pingmesh.NewSimTestbed(spec, pingmesh.SimOptions{Seed: seed})
 		if err != nil {
@@ -58,21 +52,8 @@ func TestOfflineEqualsTestbed(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	var pmb1, csv []string
-	var stored int
-	for _, stream := range tb.Store.Streams("pingmesh") {
-		for i := 0; i < tb.Store.NumExtents(stream); i++ {
-			data, err := tb.Store.ReadExtent(stream, i)
-			if err != nil {
-				t.Fatal(err)
-			}
-			stored += len(data)
-			pmb1 = append(pmb1, filepath.Join(dir, fmt.Sprintf("extent%d.pmb1", len(pmb1))))
-			if err := os.WriteFile(pmb1[len(pmb1)-1], data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
+	pmb1, stored := exportExtents(t, tb, dir)
+	var csv []string
 	// The same probes as an agent's -log holds them: RunWindow's runner (its
 	// seed is the testbed's, mixed with the window start) over an identical
 	// fabric, one CSV file per source server.
@@ -147,4 +128,120 @@ func TestOfflineEqualsTestbed(t *testing.T) {
 		t.Errorf("summary over PMB1:\n%sover CSV:\n%s", got, fromCSV.String())
 	}
 	t.Logf("store: %d extents, %d bytes; csv: %d files", len(pmb1), stored, len(csv))
+}
+
+// exportExtents writes every extent of the testbed's store to its own PMB1
+// file in dir and returns the files and the bytes written.
+func exportExtents(t *testing.T, tb *pingmesh.SimTestbed, dir string) (files []string, stored int) {
+	t.Helper()
+	for _, stream := range tb.Store.Streams("pingmesh") {
+		for i := 0; i < tb.Store.NumExtents(stream); i++ {
+			data, err := tb.Store.ReadExtent(stream, i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stored += len(data)
+			files = append(files, filepath.Join(dir, fmt.Sprintf("extent%d.pmb1", len(files))))
+			if err := os.WriteFile(files[len(files)-1], data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return files, stored
+}
+
+// loadSpec reads a topology spec file.
+func loadSpec(t *testing.T, path string) topology.Spec {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	spec, err := topology.ReadSpec(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spec
+}
+
+// TestExportsOffTheHourGrid runs pingmesh-dsa over exports whose span is not
+// one whole hour: 90 minutes from 00:20, and 30 hours — more than the 25 hour
+// partials the daily jobs keep — of a small fleet. The 10-minute jobs analyse
+// the windows the data covers; the hourly and daily jobs analyse the whole
+// hours around them, which every pod row spans.
+func TestExportsOffTheHourGrid(t *testing.T) {
+	small := topology.Spec{DCs: []topology.DCSpec{
+		{Name: "DC1", Podsets: 1, PodsPerPodset: 2, ServersPerPod: 2, LeavesPerPodset: 1, Spines: 1},
+	}}
+	for _, c := range []struct {
+		spec    topology.Spec
+		start   time.Time
+		d       time.Duration
+		want    []string
+		podSpan string
+	}{
+		{loadSpec(t, "../../examples/topology.json"), time.Date(2026, 7, 1, 0, 20, 0, 0, time.UTC), 90 * time.Minute, []string{
+			"loaded 269280 probes in 9 windows, 2026-07-01T00:20:00Z to 2026-07-01T01:50:00Z\n",
+			"\nscope=dc/DC1 window_start=2026-07-01T00:20:00Z window_end=2026-07-01T01:50:00Z probes=172800 p50=282.901µs p99=700.492µs drop_rate=3.472222222222222e-05 ",
+		}, " window_start=2026-07-01T00:00:00Z window_end=2026-07-01T02:00:00Z "},
+		{small, time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC), 30 * time.Hour, []string{
+			" in 180 windows, 2026-07-01T00:00:00Z to 2026-07-02T06:00:00Z\n",
+			"\n-- drop_rates --\ndc=DC1 ",
+		}, " window_start=2026-07-01T00:00:00Z window_end=2026-07-02T06:00:00Z "},
+	} {
+		tb, err := pingmesh.NewSimTestbed(c.spec, pingmesh.SimOptions{Seed: 1, Start: c.start})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tb.RunWindow(c.d); err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		files, _ := exportExtents(t, tb, dir)
+		topoPath := filepath.Join(dir, "topology.json")
+		data, err := json.Marshal(c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(topoPath, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		if err := run(append([]string{"-topology", topoPath}, files...), &out); err != nil {
+			t.Fatalf("%v from %v: %v", c.d, c.start, err)
+		}
+		got := out.String()
+		for _, want := range c.want {
+			if !strings.Contains(got, want) {
+				t.Fatalf("%v from %v: output lacks %q:\n%s", c.d, c.start, want, got)
+			}
+		}
+		pods := 0
+		for _, line := range strings.Split(got, "\n") {
+			if strings.HasPrefix(line, "scope=pod/") {
+				pods++
+				if !strings.Contains(line, c.podSpan) {
+					t.Errorf("%v from %v: pod row not over%s: %s", c.d, c.start, c.podSpan, line)
+				}
+			}
+		}
+		if pods == 0 {
+			t.Fatalf("%v from %v: no pod rows:\n%s", c.d, c.start, got)
+		}
+	}
+}
+
+// TestFlagDependencies: a flag that only qualifies another is an error
+// without it, not silently ignored.
+func TestFlagDependencies(t *testing.T) {
+	for _, args := range [][]string{
+		{"-heatmap", "DC1", "x.pmb1"},
+		{"-diagnose", "x.pmb1"},
+		{"-topology", "../../examples/topology.json", "-svg", "out.svg", "x.pmb1"},
+	} {
+		if err := run(args, io.Discard); err == nil || !strings.Contains(err.Error(), "require") {
+			t.Errorf("%v: %v", args, err)
+		}
+	}
 }

@@ -2,8 +2,9 @@
 // builds a multi-DC testbed, optionally injects a fault, and replays fleet
 // probing through the storage and analysis pipeline in cycles — a cycle is
 // -hours simulated hours of probing followed by one DSA run over those
-// whole hours, so every cycle lands on the window grid. The fault goes in
-// before cycle -fault-after.
+// whole hours, so every cycle lands on the window grid. -hours is at most 24:
+// the daily jobs keep the hours of one day, and a longer cycle would reach
+// hours they have dropped. The fault goes in before cycle -fault-after.
 //
 // Without -addr it runs cycles up to and including the first faulted one
 // and prints the SLA table, any alerts, the black-hole candidates (which it
@@ -126,7 +127,7 @@ func run(args []string, stdout io.Writer) error {
 // newSim parses the flags every mode shares into fs and builds the testbed.
 func newSim(fs *flag.FlagSet, args []string, stdout io.Writer) (*sim, error) {
 	var (
-		hours      = fs.Int("hours", 1, "simulated hours of probing per cycle")
+		hours      = fs.Int("hours", 1, "simulated hours of probing per cycle, 1 to 24")
 		fault      = fs.String("fault", "none", "fault to inject: none, blackhole, spine-drop, spine-degrade, podset-down, podset-storm")
 		faultAfter = fs.Int("fault-after", 0, "inject the fault before this cycle (0: before the first)")
 		seed       = fs.Uint64("seed", 1, "simulation seed")
@@ -138,8 +139,8 @@ func newSim(fs *flag.FlagSet, args []string, stdout io.Writer) (*sim, error) {
 	if faults[*fault] == nil {
 		return nil, fmt.Errorf("unknown fault %q", *fault)
 	}
-	if *hours < 1 || *faultAfter < 0 {
-		return nil, fmt.Errorf("-hours must be at least 1 and -fault-after at least 0")
+	if *hours < 1 || *hours > 24 || *faultAfter < 0 {
+		return nil, fmt.Errorf("-hours must be from 1 to 24 and -fault-after at least 0")
 	}
 	spec := pingmesh.TopologySpec{DCs: []pingmesh.DCSpec{
 		{Name: "DC1", Podsets: 3, PodsPerPodset: 4, ServersPerPod: 4, LeavesPerPodset: 3, Spines: 6},
@@ -199,9 +200,8 @@ func (s *sim) serve(addr string, interval time.Duration) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(s.out, "cycle %d: simulated %dh to %s, analyzed in %v, offgrid rescans %d, epoch %d published\n",
-			c, s.hours, s.tb.Clock.Now().Format(time.RFC3339), took.Round(10*time.Microsecond),
-			s.tb.Pipeline.JobMetrics()["dsa.cycle.offgrid_rescans"], p.Epoch())
+		fmt.Fprintf(s.out, "cycle %d: simulated %dh to %s, analyzed in %v, epoch %d published\n",
+			c, s.hours, s.tb.Clock.Now().Format(time.RFC3339), took.Round(10*time.Microsecond), p.Epoch())
 		select {
 		case err := <-errc:
 			return err

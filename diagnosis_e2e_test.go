@@ -38,7 +38,7 @@ func TestDiagnosisEndToEnd(t *testing.T) {
 	torName := tb.Top.Switch(tor).Name
 
 	from := tb.Clock.Now()
-	if err := tb.RunWindow(10 * time.Minute); err != nil {
+	if err := tb.RunWindow(time.Hour); err != nil {
 		t.Fatal(err)
 	}
 

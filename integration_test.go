@@ -103,12 +103,13 @@ func TestIntegrationAgentsToAnalysis(t *testing.T) {
 		return len(store.Streams("pingmesh/")) > 0
 	}, "agents uploaded to cosmos")
 
-	// Analysis over the uploaded records.
+	// Analysis over the uploaded records: the whole windows the three
+	// probed minutes fall in.
 	pipe, err := dsa.New(dsa.Config{Store: store, Top: top, Clock: clock})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pipe.RunTenMinute(epoch, clock.Now()); err != nil {
+	if err := pipe.RunTenMinute(epoch.Truncate(probe.Window), clock.Now().Truncate(probe.Window).Add(probe.Window)); err != nil {
 		t.Fatal(err)
 	}
 	rows, err := pipe.DB().Query(dsa.TableSLA)

@@ -43,9 +43,6 @@ func checkDaily(t *testing.T, what string, pipe, ref *Pipeline) {
 			t.Fatalf("%s: %s scanned %d records, one whole fold scans %d", what, jobs[i].spec.Name, res.Scanned, scanned)
 		}
 	}
-	if n := offGridRescans(pipe); n != 0 {
-		t.Fatalf("%s: %d cycles re-scanned", what, n)
-	}
 }
 
 // TestOpenExtentFoldedBehindCursor appends the sketched fixture a batch at
@@ -81,8 +78,8 @@ func TestOpenExtentFoldedBehindCursor(t *testing.T) {
 	if n := store.NumExtents(diffStream); n != 2 || store.SealedFrom(diffStream) != 1 {
 		t.Fatalf("%d extents, %d sealed; want 2 and 1", n, store.SealedFrom(diffStream))
 	}
-	if folded := pipe.ShardLags()[0].Folded; folded != 1 || pipe.JobMetrics()["dsa.fold.extents_folded"] != 1 {
-		t.Fatalf("%d extents counted folded (metric %d), want the sealed one once", folded, pipe.JobMetrics()["dsa.fold.extents_folded"])
+	if folded := pipe.ShardLags()[0].Folded; folded != 1 || pipe.JobRegistry().Snapshot().Counters["dsa.fold.extents_folded"] != 1 {
+		t.Fatalf("%d extents counted folded (metric %d), want the sealed one once", folded, pipe.JobRegistry().Snapshot().Counters["dsa.fold.extents_folded"])
 	}
 }
 
@@ -182,7 +179,7 @@ func TestNoLateRecordsAcrossAnOpenTail(t *testing.T) {
 	if folded := pipe.ShardLags()[0].Folded; folded == 0 {
 		t.Fatal("extent 0 never sealed")
 	}
-	if n := pipe.JobMetrics()["dsa.fold.late_records"]; n != 0 {
+	if n := pipe.JobRegistry().Snapshot().Counters["dsa.fold.late_records"]; n != 0 {
 		t.Fatalf("dsa.fold.late_records = %d with every upload on time", n)
 	}
 	if got, want := renderReports(t, pipe), renderReports(t, ref); got != want {

@@ -12,8 +12,8 @@ import (
 // tracedPipe uploads the diff fixture's CSV batches into a pipeline with a
 // tracer on the sim clock, and samples one raw record of window 1 whose
 // (source, port, start) no other record shares. It returns the record's
-// trace, the pipeline, and how many records the store holds.
-func tracedPipe(t *testing.T) (*Pipeline, *trace.Tracer, trace.TraceID, uint64) {
+// trace and the pipeline.
+func tracedPipe(t *testing.T) (*Pipeline, *trace.Tracer, trace.TraceID) {
 	t.Helper()
 	fx := buildDiffFixture(t)
 	store := fx.newStore(t)
@@ -53,7 +53,7 @@ func tracedPipe(t *testing.T) (*Pipeline, *trace.Tracer, trace.TraceID, uint64) 
 	if len(pipe.jobsOf(Cycle10Min)) < 3 {
 		t.Fatalf("the 10-minute cadence has %d jobs; the test needs several", len(pipe.jobsOf(Cycle10Min)))
 	}
-	return pipe, tracer, tid, uint64(len(recs))
+	return pipe, tracer, tid
 }
 
 // spansOf returns the trace's spans by stage.
@@ -96,43 +96,9 @@ func checkCycleSpans(t *testing.T, pipe *Pipeline, tracer *trace.Tracer, tid tra
 // TestGridCycleTracesScopeJob: a grid-aligned cycle — served from partials —
 // records the scope-job stage of a traced record like any other.
 func TestGridCycleTracesScopeJob(t *testing.T) {
-	pipe, tracer, tid, _ := tracedPipe(t)
+	pipe, tracer, tid := tracedPipe(t)
 	if err := pipe.RunTenMinute(window(1)); err != nil {
 		t.Fatal(err)
 	}
-	if n := offGridRescans(pipe); n != 0 {
-		t.Fatalf("the aligned cycle was counted off the grid (%d)", n)
-	}
 	checkCycleSpans(t, pipe, tracer, tid)
-}
-
-// TestOffGridCycleFoldsEachExtentOnce: a cycle off the grid folds every
-// extent once for all of the cadence's jobs — the traced record is ingested
-// once, not once per job — and each job reports the store's records scanned
-// once.
-func TestOffGridCycleFoldsEachExtentOnce(t *testing.T) {
-	pipe, tracer, tid, stored := tracedPipe(t)
-	if err := pipe.RunTenMinute(t0.Add(5*time.Minute), t0.Add(25*time.Minute)); err != nil {
-		t.Fatal(err)
-	}
-	if n := offGridRescans(pipe); n != 1 {
-		t.Fatalf("%d off-grid cycles counted, want 1", n)
-	}
-	checkCycleSpans(t, pipe, tracer, tid)
-	var scanned []int64
-	for _, ring := range tracer.Dump().Rings {
-		for _, s := range ring.Spans {
-			if s.Trace == "" && s.Stage == "scope-job" {
-				scanned = append(scanned, s.AttrVal)
-			}
-		}
-	}
-	if len(scanned) != len(pipe.jobsOf(Cycle10Min)) {
-		t.Fatalf("%d pipeline-level scope-job spans for %d jobs", len(scanned), len(pipe.jobsOf(Cycle10Min)))
-	}
-	for _, n := range scanned {
-		if uint64(n) != stored {
-			t.Fatalf("a job scanned %d records; the store holds %d", n, stored)
-		}
-	}
 }

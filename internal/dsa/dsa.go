@@ -100,9 +100,8 @@ type Pipeline struct {
 	db    *reportdb.DB
 	keyer *analysis.Keyer
 
-	jobs    []cycleJob   // the job table, built once in New
-	inc     *incremental // the fold tier, serving every cycle
-	offGrid *metrics.Counter
+	jobs []cycleJob   // the job table, built once in New
+	inc  *incremental // the fold tier, serving every cycle
 
 	mu       sync.Mutex
 	alerts   []analysis.Alert
@@ -144,7 +143,6 @@ func New(cfg Config) (*Pipeline, error) {
 	}
 	p.jobs = p.jobTable()
 	p.inc = newIncremental(p)
-	p.offGrid = p.jm.Metrics().Counter("dsa.cycle.offgrid_rescans")
 	for _, t := range []struct {
 		name string
 		cols []string
@@ -164,11 +162,6 @@ func New(cfg Config) (*Pipeline, error) {
 
 // DB exposes the report database for dashboards and tests.
 func (p *Pipeline) DB() *reportdb.DB { return p.db }
-
-// JobMetrics exposes the job manager's watchdog counters.
-func (p *Pipeline) JobMetrics() map[string]int64 {
-	return p.jm.Metrics().Snapshot().Counters
-}
 
 // JobRegistry exposes the job manager's metrics registry, for scrape
 // surfaces like the portal's /metrics exposition.
@@ -304,8 +297,8 @@ func (p *Pipeline) finishCycle(cy *cycleTrace, kind string, from, to time.Time) 
 }
 
 // cycleJob is one entry of the job table: the window-free spec (the fold
-// tier registers it with the folder, a cycle's span folder folds it too), the
-// cadence that publishes it, and what its result becomes.
+// tier registers it with the folder), the cadence that publishes it, and what
+// its result becomes.
 type cycleJob struct {
 	kind    string // Cycle10Min, Cycle1Hour or Cycle1Day
 	spec    scope.FoldSpec
@@ -398,10 +391,9 @@ func (p *Pipeline) RunHourly(from, to time.Time) error { return p.runCycle(Cycle
 func (p *Pipeline) RunDaily(from, to time.Time) error { return p.runCycle(Cycle1Day, from, to) }
 
 // runCycle is the one path of every cadence: incremental.serve folds what
-// the resident partials cannot answer for — the open tails of a span on the
-// grid, every extent of one off it (a manual run, or one whose partials were
-// already dropped, counted in dsa.cycle.offgrid_rescans) — once, for all of
-// the cadence's jobs, and publish turns the results into rows.
+// the resident partials do not yet hold and merges the span's windows — once,
+// for all of the cadence's jobs — and publish turns the results into rows. A
+// span off the grid fails the cycle before anything is folded or published.
 func (p *Pipeline) runCycle(kind string, from, to time.Time) error {
 	cy := p.beginCycle()
 	jobs := p.jobsOf(kind)

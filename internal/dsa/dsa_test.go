@@ -306,8 +306,8 @@ func TestScheduledPipelineRunsOnSimClock(t *testing.T) {
 	if published[Cycle10Min] != 6 || published[Cycle1Hour] != 1 || published[Cycle1Day] != 0 {
 		t.Fatalf("cycles published over an hour: %v", published)
 	}
-	m := r.pipe.JobMetrics()
-	if m["dsa.cycle.offgrid_rescans"] != 0 || r.pipe.MaxFoldBacklog() != 0 || m["dsa.fold.extents_folded"] == 0 {
+	m := r.pipe.JobRegistry().Snapshot().Counters
+	if r.pipe.MaxFoldBacklog() != 0 || m["dsa.fold.extents_folded"] == 0 {
 		t.Fatalf("scheduled cycles not served from folds: backlog %d, %v", r.pipe.MaxFoldBacklog(), m)
 	}
 	// SLA rows accumulated across windows: one dc/ row per 10-minute window

@@ -90,8 +90,7 @@ func newIncremental(p *Pipeline) *incremental {
 // health is the fold tier's stage of the freshness verdict: a backlog whose
 // last fold is older than the DSA cycle budget is lagging — the cycle would
 // degrade next, so the verdict says so first. A folder that has never folded
-// is not lagging: a deployment that only analyses off-grid windows never
-// folds.
+// is not lagging: nothing has run a fold pass or a cycle yet.
 func (inc *incremental) health(b trace.Budget, now time.Time) trace.StageHealth {
 	inc.passMu.Lock()
 	last := inc.folder.LastFold()
@@ -187,13 +186,13 @@ func (inc *incremental) boundHoursLocked(now time.Time) {
 	}
 }
 
-// serve assembles one result per job for [from, to). On the grid — the span
-// is a whole number of every job's windows, none of them dropped — it runs a
-// fold pass, which leaves every stored byte in the partials, and merges each
-// job's windows. Off the grid — a manual run, or one reaching partials
-// already dropped — a span folder of the cycle's own (scope.NewSpanFolder)
-// folds every extent, once, for all of the cycle's jobs, and is thrown away;
-// the cycle is counted in dsa.cycle.offgrid_rescans.
+// serve assembles one result per job for [from, to), which must be on the
+// grid: a whole number of every job's windows, none of them dropped (see the
+// retention rule on incremental). It runs a fold pass, which leaves every
+// stored byte in the partials, and merges each job's windows. A span off the
+// grid is an error, returned before the fold pass: nothing is folded,
+// published or dropped for it beyond the clock's hour bound, which holds
+// whatever runs.
 func (inc *incremental) serve(cy *cycleTrace, kind string, jobs []*cycleJob, from, to time.Time) ([]*scope.Result, error) {
 	inc.passMu.Lock()
 	defer inc.passMu.Unlock()
@@ -201,8 +200,8 @@ func (inc *incremental) serve(cy *cycleTrace, kind string, jobs []*cycleJob, fro
 	inc.boundHoursLocked(now)
 	for _, job := range jobs {
 		if _, _, ok := inc.folder.Span(job.spec.Name, from, to); !ok {
-			inc.p.offGrid.Inc()
-			return inc.spanFoldLocked(cy, kind, jobs, from, to, now)
+			return nil, fmt.Errorf("dsa: %s cycle: [%s, %s) is off the grid of job %s: not whole windows, or windows already dropped",
+				kind, from.Format(time.RFC3339), to.Format(time.RFC3339), job.spec.Name)
 		}
 	}
 	if err := inc.foldPassLocked(now); err != nil {
@@ -232,30 +231,6 @@ func (inc *incremental) serve(cy *cycleTrace, kind string, jobs []*cycleJob, fro
 		}
 		cy.job(name, res)
 		results[i] = res
-	}
-	return results, nil
-}
-
-// spanFoldLocked serves an off-grid cycle: one span folder over every extent
-// of the prefix, read to its current length.
-func (inc *incremental) spanFoldLocked(cy *cycleTrace, kind string, jobs []*cycleJob, from, to, now time.Time) ([]*scope.Result, error) {
-	specs := make([]scope.FoldSpec, len(jobs))
-	for i, job := range jobs {
-		specs[i] = job.spec
-	}
-	exts := scope.Source{Store: inc.p.cfg.Store, StreamPrefix: inc.p.cfg.StreamPrefix}.Extents()
-	span := scope.NewSpanFolder(specs, from, to, inc.p.cfg.Tracer)
-	_, errs := span.FoldExtents(inc.p.cfg.Store, exts, now)
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("dsa: %s cycle: extent %d of %s: %w", kind, exts[i].Index, exts[i].Stream, err)
-		}
-	}
-	cy.observe(span.TakeTraces())
-	results := make([]*scope.Result, len(jobs))
-	for i, job := range jobs {
-		results[i] = span.Result(job.spec.Name)
-		cy.job(job.spec.Name, results[i])
 	}
 	return results, nil
 }

@@ -283,8 +283,6 @@ func hour(h int) (from, to time.Time) {
 	return from, from.Add(time.Hour)
 }
 
-func offGridRescans(p *Pipeline) int64 { return p.JobMetrics()["dsa.cycle.offgrid_rescans"] }
-
 // renderReports renders everything the pipeline has published canonically
 // (sorted; map iteration randomizes insertion order in both pipelines): every
 // row of every report table and every cell of every DC's latest heatmap.
@@ -394,8 +392,8 @@ func (fx *diffFixture) foldedReports(t *testing.T) (reports string, uploaded int
 	if err := pipe.RunDaily(t0, t0.Add(diffHours*time.Hour)); err != nil {
 		t.Fatal(err)
 	}
-	if lag, n := pipe.ShardLags()[0], offGridRescans(pipe); lag.Folded == 0 || n != 0 {
-		t.Fatalf("rows not served from folds: %d extents folded, %d re-scans", lag.Folded, n)
+	if lag := pipe.ShardLags()[0]; lag.Folded == 0 {
+		t.Fatal("rows not served from folds: no extent folded")
 	}
 	for _, b := range fx.batches {
 		uploaded += len(b)
@@ -439,8 +437,8 @@ func testIncrementalMatchesScan(t *testing.T, fx *diffFixture) {
 		daily := pipe.jobsOf(Cycle1Day)
 		cy := pipe.beginCycle()
 		got, err := pipe.inc.serve(&cy, Cycle1Day, daily, t0, day)
-		if n := offGridRescans(pipe); err != nil || n != 0 {
-			t.Fatalf("trial %d: daily jobs not served from partials (%d rescans, err %v)", trial, n, err)
+		if err != nil {
+			t.Fatalf("trial %d: daily jobs not served from partials: %v", trial, err)
 		}
 		want := oracleResults(t, ref, ref.jobsOf(Cycle1Day), t0, day)
 		if got, want := renderResults(daily, got), renderResults(daily, want); got != want {
@@ -465,80 +463,93 @@ func testIncrementalMatchesScan(t *testing.T, fx *diffFixture) {
 		if lag.Folded == 0 || lag.Backlog != 0 {
 			t.Fatalf("trial %d: folded %d extents, backlog %d after cycles", trial, lag.Folded, lag.Backlog)
 		}
-		if n := offGridRescans(pipe); n != 0 {
-			t.Fatalf("trial %d: %d aligned cycles were re-scanned", trial, n)
-		}
-		if n := pipe.JobMetrics()["dsa.fold.late_records"]; n == 0 {
+		if n := pipe.JobRegistry().Snapshot().Counters["dsa.fold.late_records"]; n == 0 {
 			t.Fatalf("trial %d: shuffled uploads folded no late record", trial)
 		}
 	}
 }
 
-// TestIncrementalFallsBackOffGrid pins the fallback contract at every
-// cadence: a span that is not a whole number of the cadence's windows on the
-// grid, or that reaches partials already dropped — a published 10-minute
-// window, a published hour, an hour older than the daily jobs retain — is
-// served by a span fold of every extent, counted in
-// dsa.cycle.offgrid_rescans, and matches the oracle exactly.
-func TestIncrementalFallsBackOffGrid(t *testing.T) {
+// TestOffGridCycleIsRejected pins the one-path contract at every cadence: a
+// span that is not a whole number of the cadence's windows on the grid, or
+// that reaches partials already dropped — a published 10-minute window, a
+// published hour, an hour older than the daily jobs retain — fails the cycle
+// with an error naming the cadence and the span, before anything is folded,
+// published or announced; and every on-grid cycle that follows publishes
+// what the oracle publishes over the same span, byte for byte.
+func TestOffGridCycleIsRejected(t *testing.T) {
 	csv := buildDiffFixture(t)
-	t.Run("csv", func(t *testing.T) { testFallsBackOffGrid(t, csv) })
-	t.Run("pmb1", func(t *testing.T) { testFallsBackOffGrid(t, csv.asSketched()) })
+	t.Run("csv", func(t *testing.T) { testOffGridCycleIsRejected(t, csv) })
+	t.Run("pmb1", func(t *testing.T) { testOffGridCycleIsRejected(t, csv.asSketched()) })
 }
 
-func testFallsBackOffGrid(t *testing.T, fx *diffFixture) {
+func testOffGridCycleIsRejected(t *testing.T, fx *diffFixture) {
 	store := fx.newStore(t)
 	fx.upload(t, store, fx.inOrder())
 	clock := simclock.NewSim(t0)
 	pipe := fx.newPipeOn(t, store, clock)
 	ref := fx.newPipe(t, store)
+	announced := 0
+	pipe.SetOnCycle(func(string, time.Time, time.Time) { announced++ })
 
-	var rescans int64
-	run := func(what, kind string, from, to time.Time, fallsBack bool) {
+	onGrid := func(kind string, from, to time.Time) {
 		t.Helper()
 		if err := pipe.runCycle(kind, from, to); err != nil {
 			t.Fatal(err)
 		}
 		oracleCycle(t, ref, kind, from, to)
-		if fallsBack {
-			rescans++
+		if got, want := renderReports(t, pipe), renderReports(t, ref); got != want {
+			t.Fatalf("%s cycle over [%v, %v) diverged from the oracle\nwant:\n%s\ngot:\n%s", kind, from, to, want, got)
 		}
-		if n := offGridRescans(pipe); n != rescans {
-			t.Fatalf("%s: %d rescans counted, want %d", what, n, rescans)
+	}
+	offGrid := func(what, kind string, from, to time.Time) {
+		t.Helper()
+		rows, lag, cycles := renderReports(t, pipe), pipe.ShardLags()[0], announced
+		err := pipe.runCycle(kind, from, to)
+		if err == nil {
+			t.Fatalf("%s: accepted", what)
+		}
+		for _, want := range []string{kind + " cycle", from.Format(time.RFC3339), to.Format(time.RFC3339)} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s: error %q does not name %q", what, err, want)
+			}
+		}
+		if got := renderReports(t, pipe); got != rows {
+			t.Fatalf("%s: the rejected cycle published rows\nbefore:\n%s\nafter:\n%s", what, rows, got)
+		}
+		if got := pipe.ShardLags()[0]; got != lag || announced != cycles {
+			t.Fatalf("%s: the rejected cycle folded (%+v, was %+v) or fired OnCycle (%d times, was %d)", what, got, lag, announced, cycles)
 		}
 	}
 	w1From, w1To := window(1)
-	w3From, w3To := window(3)
 	h0From, h0To := hour(0)
 	h1From, h1To := hour(1)
 	day := t0.Add(diffHours * time.Hour)
 
-	run("10-minute span off the grid", Cycle10Min, t0.Add(5*time.Minute), t0.Add(15*time.Minute), true)
-	run("a window and a half", Cycle10Min, t0, t0.Add(15*time.Minute), true)
-	if folded := pipe.ShardLags()[0].Folded; folded != 0 {
-		t.Fatalf("cycles that fell back folded %d extents", folded)
+	offGrid("a 10-minute span off the grid", Cycle10Min, t0.Add(5*time.Minute), t0.Add(15*time.Minute))
+	offGrid("a window and a half", Cycle10Min, t0, t0.Add(15*time.Minute))
+	for w := 0; w < diffWindows; w++ {
+		from, to := window(w)
+		onGrid(Cycle10Min, from, to)
+		if w == 3 {
+			// Publishing window 3 dropped the partials of windows 0-2.
+			offGrid("window 1 after window 3", Cycle10Min, w1From, w1To)
+		}
 	}
-	// Publishing window 3 drops the partials of windows 0-2.
-	run("window 3", Cycle10Min, w3From, w3To, false)
-	run("window 1 after window 3", Cycle10Min, w1From, w1To, true)
-
-	run("an hour off the hour grid", Cycle1Hour, t0.Add(10*time.Minute), t0.Add(70*time.Minute), true)
-	run("half an hour", Cycle1Hour, t0, t0.Add(30*time.Minute), true)
-	run("hour 0", Cycle1Hour, h0From, h0To, false)
-	run("hour 0 again, its partials dropped once published", Cycle1Hour, h0From, h0To, true)
-	run("hours 0-1 after hour 0", Cycle1Hour, t0, day, true)
-
-	run("a day off the hour grid", Cycle1Day, t0.Add(10*time.Minute), day, true)
-	run("the two-hour day", Cycle1Day, t0, day, false)
-	run("the same day again: daily partials outlive a cycle", Cycle1Day, t0, day, false)
-	// 25 hours on, hour 0 has aged out of what the daily jobs retain.
+	offGrid("an hour off the hour grid", Cycle1Hour, t0.Add(10*time.Minute), t0.Add(70*time.Minute))
+	offGrid("half an hour", Cycle1Hour, t0, t0.Add(30*time.Minute))
+	onGrid(Cycle1Hour, h0From, h0To)
+	offGrid("hour 0 again, its partials dropped once published", Cycle1Hour, h0From, h0To)
+	offGrid("hours 0-1 after hour 0", Cycle1Hour, t0, day)
+	onGrid(Cycle1Hour, h1From, h1To)
+	offGrid("a day off the hour grid", Cycle1Day, t0.Add(10*time.Minute), day)
+	onGrid(Cycle1Day, t0, day)
+	onGrid(Cycle1Day, t0, day) // daily partials outlive a cycle
+	// 25 hours on, hour 0 has aged out of what the daily jobs retain: a day
+	// of more than 24 hours ending at the clock reaches it; the 24 hours from
+	// hour 1 do not.
 	clock.AdvanceTo(t0.Add(hoursKept * time.Hour))
-	run("a day reaching below the retained hours", Cycle1Day, t0, day, true)
-	run("hour 1 alone, still retained", Cycle1Day, h1From, h1To, false)
-
-	if got, want := renderReports(t, pipe), renderReports(t, ref); got != want {
-		t.Fatalf("off-grid cycles diverged\nwant:\n%s\ngot:\n%s", want, got)
-	}
+	offGrid("a day longer than 24 hours", Cycle1Day, t0, clock.Now())
+	onGrid(Cycle1Day, h1From, clock.Now())
 }
 
 // lateMatters reports whether some job that drops its partials on publish
@@ -548,9 +559,9 @@ func lateMatters(r *probe.Record) bool { return r.PayloadLen == 0 || r.Class == 
 
 // TestLateRecordsAreCounted: a batch uploaded for a window whose 10-minute
 // rows and whose hour are already published is counted in
-// dsa.fold.late_records when it is folded, changes no published row, still
-// reaches the daily jobs (which retain its hour), and is in the rows of a
-// re-run of its window — off the grid, since the partials are gone.
+// dsa.fold.late_records when it is folded, changes no published row, and
+// still reaches the daily jobs, which retain its hour. Its window's partials
+// are gone: a re-run of the window is off the grid and fails.
 func TestLateRecordsAreCounted(t *testing.T) {
 	fx := buildDiffFixture(t)
 	store, err := cosmos.NewStore(3, cosmos.Config{ExtentSize: 1}) // every batch seals its own extent
@@ -597,21 +608,21 @@ func TestLateRecordsAreCounted(t *testing.T) {
 	if err := pipe.RunHourly(h0From, h0To); err != nil {
 		t.Fatal(err)
 	}
-	if n := pipe.JobMetrics()["dsa.fold.late_records"]; n != 0 {
+	if n := pipe.JobRegistry().Snapshot().Counters["dsa.fold.late_records"]; n != 0 {
 		t.Fatalf("dsa.fold.late_records = %d before anything arrived late", n)
 	}
 	published := renderReports(t, pipe)
 
 	fx.upload(t, store, []int{late})
 	pipe.FoldNow()
-	if n := pipe.JobMetrics()["dsa.fold.late_records"]; n != lateRecords {
+	if n := pipe.JobRegistry().Snapshot().Counters["dsa.fold.late_records"]; n != lateRecords {
 		t.Fatalf("dsa.fold.late_records = %d after a late batch of %d records that matter", n, lateRecords)
 	}
 	if got := renderReports(t, pipe); got != published {
 		t.Fatalf("a late batch changed published rows\nbefore:\n%s\nafter:\n%s", published, got)
 	}
 
-	// Not lost: the daily jobs fold it, and a re-run of window 0 scans it.
+	// Not lost: the daily jobs fold it.
 	ref := fx.newPipe(t, store)
 	for _, table := range []string{TableSLA, TableAlerts, TablePatterns} {
 		if err := pipe.DB().Truncate(table); err != nil {
@@ -623,16 +634,9 @@ func TestLateRecordsAreCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	oracleCycle(t, ref, Cycle1Day, t0, day)
-	if n := offGridRescans(pipe); n != 0 {
-		t.Fatalf("the daily cycle was re-scanned (%d)", n)
-	}
 	w0From, _ := window(0)
-	if err := pipe.RunTenMinute(w0From, w0To); err != nil {
-		t.Fatal(err)
-	}
-	oracleCycle(t, ref, Cycle10Min, w0From, w0To)
-	if n := offGridRescans(pipe); n != 1 {
-		t.Fatalf("%d rescans after re-running a dropped window, want 1", n)
+	if err := pipe.RunTenMinute(w0From, w0To); err == nil {
+		t.Fatal("a re-run of a published window was accepted")
 	}
 	// The heatmaps of the hourly cycle are on pipe only.
 	got, want := renderReports(t, pipe), renderReports(t, ref)
@@ -686,12 +690,12 @@ func TestDailyPartialsBoundedWithoutDailyCycle(t *testing.T) {
 			}
 		}
 	}
-	if n := pipe.JobMetrics()["dsa.fold.late_records"]; n != 0 {
+	if n := pipe.JobRegistry().Snapshot().Counters["dsa.fold.late_records"]; n != 0 {
 		t.Fatalf("dsa.fold.late_records = %d with uploads on time", n)
 	}
 	upload(t0.Add(30 * time.Minute))
 	pipe.FoldNow()
-	if n := pipe.JobMetrics()["dsa.fold.late_records"]; n != 1 {
+	if n := pipe.JobRegistry().Snapshot().Counters["dsa.fold.late_records"]; n != 1 {
 		t.Fatalf("dsa.fold.late_records = %d after one record for an aged-out hour", n)
 	}
 }
@@ -789,8 +793,8 @@ func TestZeroValueConfigFolds(t *testing.T) {
 		t.Fatal(err)
 	}
 	oracleCycle(t, ref, Cycle10Min, from, to)
-	if n, folded := offGridRescans(pipe), pipe.ShardLags()[0].Folded; n != 0 || folded == 0 {
-		t.Fatalf("aligned cycle: %d rescans, %d extents folded; want 0 and > 0", n, folded)
+	if folded := pipe.ShardLags()[0].Folded; folded == 0 {
+		t.Fatal("aligned cycle: no extent folded")
 	}
 	got, want := renderReports(t, pipe), renderReports(t, ref)
 	if got != want || !strings.Contains(want, "sla|dc/DC1") {
@@ -856,7 +860,7 @@ func TestFoldExactlyOnceUnderConcurrency(t *testing.T) {
 	if sealed == 0 || lag.Folded != sealed || lag.Backlog != 0 {
 		t.Fatalf("folded %d extents with backlog %d, journal holds %d", lag.Folded, lag.Backlog, sealed)
 	}
-	if n := pipe.JobMetrics()["dsa.fold.extents_folded"]; uint64(n) != sealed {
+	if n := pipe.JobRegistry().Snapshot().Counters["dsa.fold.extents_folded"]; uint64(n) != sealed {
 		t.Fatalf("dsa.fold.extents_folded = %d, journal holds %d", n, sealed)
 	}
 
@@ -874,9 +878,6 @@ func TestFoldExactlyOnceUnderConcurrency(t *testing.T) {
 			t.Fatal(err)
 		}
 		oracleCycle(t, ref, Cycle10Min, from, to)
-	}
-	if n := offGridRescans(pipe); n != 0 {
-		t.Fatalf("%d aligned cycles were re-scanned", n)
 	}
 	if got, want := renderReports(t, pipe), renderReports(t, ref); got != want {
 		t.Fatalf("rows after concurrent folding differ from the oracle\nwant:\n%s\ngot:\n%s", want, got)
@@ -925,12 +926,12 @@ func driveScheduled(t *testing.T, pipe *Pipeline, clock *simclock.Sim, steps int
 				want[kind]--
 				published[kind]++
 			case <-time.After(time.Minute):
-				t.Fatalf("step %d: still waiting for %v; job metrics %v", step, want, pipe.JobMetrics())
+				t.Fatalf("step %d: still waiting for %v; job metrics %v", step, want, pipe.JobRegistry().Snapshot().Counters)
 			}
 		}
 		pipe.jm.Wait()
 	}
-	m := pipe.JobMetrics()
+	m := pipe.JobRegistry().Snapshot().Counters
 	for _, job := range []string{"fold", "10min", "1hour", "1day"} {
 		if m["scope.job."+job+".errors"] != 0 {
 			t.Fatalf("scheduled %s job failed: %v", job, m)
@@ -961,12 +962,9 @@ func TestIncrementalScheduledPipeline(t *testing.T) {
 	if published[Cycle10Min] != 144 || published[Cycle1Hour] != 24 || published[Cycle1Day] != 1 {
 		t.Fatalf("cycles published over a day: %v", published)
 	}
-	counters := pipe.JobMetrics()
+	counters := pipe.JobRegistry().Snapshot().Counters
 	if counters["dsa.fold.extents_folded"] == 0 {
 		t.Fatalf("no extents folded by the scheduled pipeline: %v", counters)
-	}
-	if counters["dsa.cycle.offgrid_rescans"] != 0 {
-		t.Fatalf("scheduled cycles were re-scanned: %v", counters)
 	}
 	if pipe.MaxFoldBacklog() != 0 {
 		t.Fatalf("fold backlog %d after cycles", pipe.MaxFoldBacklog())
@@ -1007,9 +1005,6 @@ func TestScheduledPipelineStartedOffGrid(t *testing.T) {
 		published := driveScheduled(t, pipe, clock, diffWindows)
 		if published[Cycle10Min] != diffWindows || published[Cycle1Hour] != diffHours {
 			t.Fatalf("cycles published over %d hours: %v", diffHours, published)
-		}
-		if n := offGridRescans(pipe); n != 0 {
-			t.Fatalf("%d scheduled cycles were re-scanned", n)
 		}
 		return renderReports(t, pipe)
 	}

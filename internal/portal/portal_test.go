@@ -30,9 +30,26 @@ var t0 = time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC)
 type rig struct {
 	top    *topology.Topology
 	net    *netsim.Network
+	store  *cosmos.Store
+	runner *fleet.Runner
 	clock  *simclock.Sim
 	pipe   *dsa.Pipeline
 	portal *Portal
+}
+
+// probe runs the fleet over [from, to) into the rig's store and moves the
+// clock to the span's end.
+func (r *rig) probe(t testing.TB, from, to time.Time) {
+	t.Helper()
+	err := r.runner.Run(from, to, func(src topology.ServerID, recs []probe.Record) {
+		if err := r.store.Append("pingmesh/2026-07-01", probe.EncodeBatch(recs)); err != nil {
+			t.Error(err)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.clock.AdvanceTo(to)
 }
 
 func buildRig(t testing.TB, mutate func(*netsim.Network)) *rig {
@@ -58,33 +75,25 @@ func buildRig(t testing.TB, mutate func(*netsim.Network)) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner := &fleet.Runner{Net: n, Lists: lists, Seed: 9}
-	err = runner.Run(t0, t0.Add(time.Hour), func(src topology.ServerID, recs []probe.Record) {
-		if err := store.Append("pingmesh/2026-07-01", probe.EncodeBatch(recs)); err != nil {
-			t.Error(err)
-		}
+	r := &rig{top: top, net: n, store: store, runner: &fleet.Runner{Net: n, Lists: lists, Seed: 9}, clock: simclock.NewSim(t0)}
+	r.probe(t, t0, t0.Add(time.Hour))
+	r.pipe, err = dsa.New(dsa.Config{
+		Store: store, Top: top, Clock: r.clock, HeatmapMinProbes: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	clock := simclock.NewSim(t0.Add(time.Hour))
-	pipe, err := dsa.New(dsa.Config{
-		Store: store, Top: top, Clock: clock, HeatmapMinProbes: 3,
-	})
-	if err != nil {
+	if err := r.pipe.RunTenMinute(t0, t0.Add(time.Hour)); err != nil {
 		t.Fatal(err)
 	}
-	if err := pipe.RunTenMinute(t0, t0.Add(time.Hour)); err != nil {
+	if err := r.pipe.RunHourly(t0, t0.Add(time.Hour)); err != nil {
 		t.Fatal(err)
 	}
-	if err := pipe.RunHourly(t0, t0.Add(time.Hour)); err != nil {
+	r.portal = New(Config{Pipeline: r.pipe, Top: top, Clock: r.clock})
+	if err := r.portal.Refresh(); err != nil {
 		t.Fatal(err)
 	}
-	p := New(Config{Pipeline: pipe, Top: top, Clock: clock})
-	if err := p.Refresh(); err != nil {
-		t.Fatal(err)
-	}
-	return &rig{top: top, net: n, clock: clock, pipe: pipe, portal: p}
+	return r
 }
 
 func get(t testing.TB, h http.Handler, path string, hdr map[string]string) *httptest.ResponseRecorder {
@@ -358,7 +367,6 @@ func TestPortalShardHealthAndMetrics(t *testing.T) {
 	for _, want := range []string{
 		"pingmesh_dsa_fold_backlog 0",
 		"pingmesh_dsa_fold_extents_folded",
-		"pingmesh_dsa_cycle_offgrid_rescans 0",
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("scrape missing %q:\n%s", want, body)
@@ -482,9 +490,9 @@ func TestConcurrentRefreshAndReads(t *testing.T) {
 // TestRefreshReusesUnchangedBodies: a Refresh re-renders only what changed.
 // With no new data every body but the index is the previous epoch's, and what
 // the epoch serves is byte for byte what a fresh render of its snapshot
-// serves; after a 10-minute cycle over a later span the rows it republished
-// are new bodies, and the hourly heatmap, which it did not touch, is still
-// the old one.
+// serves; after the fleet probes the next window and a 10-minute cycle
+// publishes it, the rows it republished are new bodies, and the hourly
+// heatmap, which it did not touch, is still the old one.
 func TestRefreshReusesUnchangedBodies(t *testing.T) {
 	r := buildRig(t, nil)
 	before := r.portal.state.Load()
@@ -511,7 +519,8 @@ func TestRefreshReusesUnchangedBodies(t *testing.T) {
 		}
 	}
 
-	if err := r.pipe.RunTenMinute(t0.Add(10*time.Minute), t0.Add(70*time.Minute)); err != nil {
+	r.probe(t, t0.Add(time.Hour), t0.Add(70*time.Minute))
+	if err := r.pipe.RunTenMinute(t0.Add(time.Hour), t0.Add(70*time.Minute)); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.portal.Refresh(); err != nil {

@@ -225,30 +225,26 @@ func NewFolder(anchor time.Time, window time.Duration, specs []FoldSpec, tracer 
 // Start from 1970 on lies in window 0 (and any earlier one in window -1).
 const allTime = time.Duration(math.MaxInt64)
 
-// NewSpanFolder returns a folder for one pass over [from, to) — zero sides
-// unbounded — that is read with Result and thrown away: an ad-hoc job's, or
-// a DSA cycle's over the extents its partials do not cover. Each spec's
-// filter also takes only records starting in the span, its Window is
-// cleared, and the folder's one window covers all time, so a spec folds into
-// one partial per group however many grid windows the span crosses.
-func NewSpanFolder(specs []FoldSpec, from, to time.Time, tracer *trace.Tracer) *Folder {
-	bound := make([]FoldSpec, len(specs))
-	for i, sp := range specs {
-		where := sp.Where
-		sp.Where = func(r *probe.Record) bool {
-			return (from.IsZero() || !r.Start.Before(from)) && (to.IsZero() || r.Start.Before(to)) &&
-				(where == nil || where(r))
-		}
-		sp.Window = 0
-		bound[i] = sp
+// newSpanFolder returns a folder for one pass of an ad-hoc job over
+// [from, to) — zero sides unbounded — that is read with result and thrown
+// away. The spec's filter also takes only records starting in the span, its
+// Window is cleared, and the folder's one window covers all time, so the
+// spec folds into one partial per group however many grid windows the span
+// crosses.
+func newSpanFolder(spec FoldSpec, from, to time.Time) *Folder {
+	where := spec.Where
+	spec.Where = func(r *probe.Record) bool {
+		return (from.IsZero() || !r.Start.Before(from)) && (to.IsZero() || r.Start.Before(to)) &&
+			(where == nil || where(r))
 	}
-	return NewFolder(time.Unix(0, 0).UTC(), allTime, bound, tracer)
+	spec.Window = 0
+	return NewFolder(time.Unix(0, 0).UTC(), allTime, []FoldSpec{spec}, nil)
 }
 
-// Result returns what the folder folded for the spec, every window merged,
+// result returns what the folder folded for the spec, every window merged,
 // with the folder's scan tallies. It takes the partials rather than copying
 // them: the folder must fold nothing more afterwards.
-func (f *Folder) Result(spec string) *Result {
+func (f *Folder) result(spec string) *Result {
 	res := &Result{Partial: *NewPartial(), Scanned: f.scanned, ParseErrors: f.parseErrors}
 	for _, part := range f.state(spec).windows {
 		res.Absorb(part)

@@ -97,7 +97,7 @@ func (r *Result) Get(key string) *analysis.LatencyStats {
 // wholeKey groups every record under "".
 func wholeKey(dst []byte, _ *probe.Record) ([]byte, bool) { return dst, true }
 
-// Run executes an ad-hoc job: one span folder (NewSpanFolder) over every
+// Run executes an ad-hoc job: one span folder (newSpanFolder) over every
 // extent of the source, on every core. An unreadable extent fails the job.
 func Run(job Job) (*Result, error) {
 	if job.Source.Store == nil {
@@ -107,7 +107,7 @@ func Run(job Job) (*Result, error) {
 	if spec.KeyBytes == nil {
 		spec.KeyBytes = wholeKey
 	}
-	f := NewSpanFolder([]FoldSpec{spec}, job.From, job.To, nil)
+	f := newSpanFolder(spec, job.From, job.To)
 	exts := job.Source.Extents()
 	_, errs := f.FoldExtents(job.Source.Store, exts, time.Time{})
 	for i, err := range errs {
@@ -115,5 +115,5 @@ func Run(job Job) (*Result, error) {
 			return nil, fmt.Errorf("scope: job %q: extent %d of %s: %w", job.Name, exts[i].Index, exts[i].Stream, err)
 		}
 	}
-	return f.Result(job.Name), nil
+	return f.result(job.Name), nil
 }

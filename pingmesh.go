@@ -316,7 +316,10 @@ func (tb *SimTestbed) RunTimeline(steps []TimelineStep) ([]TimelinePhase, error)
 }
 
 // AnalyzeWindow runs the 10-minute, hourly and daily analyses over
-// [from, to) and returns the per-DC SLA stats.
+// [from, to), which publish their rows to DB. The span must be whole hours,
+// none starting more than 24 hours before the clock's current hour, and none
+// of them analysed before; otherwise a cycle finds the span off the DSA's
+// window grid and AnalyzeWindow returns its error.
 func (tb *SimTestbed) AnalyzeWindow(from, to time.Time) error {
 	if err := tb.Pipeline.RunTenMinute(from, to); err != nil {
 		return err

@@ -31,10 +31,10 @@ func TestSimTestbedEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	from := tb.Clock.Now()
-	if err := tb.RunWindow(20 * time.Minute); err != nil {
+	if err := tb.RunWindow(time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	if got := tb.Clock.Now().Sub(from); got != 20*time.Minute {
+	if got := tb.Clock.Now().Sub(from); got != time.Hour {
 		t.Fatalf("clock advanced %v", got)
 	}
 	if err := tb.AnalyzeWindow(from, tb.Clock.Now()); err != nil {
@@ -168,7 +168,7 @@ func TestStandardWatchdogs(t *testing.T) {
 	}
 	// After a probing window plus analysis, everything is green.
 	from := tb.Clock.Now()
-	if err := tb.RunWindow(15 * time.Minute); err != nil {
+	if err := tb.RunWindow(10 * time.Minute); err != nil {
 		t.Fatal(err)
 	}
 	if err := tb.Pipeline.RunTenMinute(from, tb.Clock.Now()); err != nil {

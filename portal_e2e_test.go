@@ -66,12 +66,12 @@ func TestPortalEndToEnd(t *testing.T) {
 	defer srv.Close()
 	client := srv.Client()
 
-	// cycle probes one simulated window and runs the full analysis, which
+	// cycle probes one simulated hour and runs the full analysis, which
 	// republishes the portal snapshot through the OnCycle hook.
 	cycle := func() {
 		t.Helper()
 		from := tb.Clock.Now()
-		if err := tb.RunWindow(30 * time.Minute); err != nil {
+		if err := tb.RunWindow(time.Hour); err != nil {
 			t.Fatal(err)
 		}
 		if err := tb.AnalyzeWindow(from, tb.Clock.Now()); err != nil {

@@ -32,9 +32,9 @@
 #   3c. telemetry plane smoke: the real controller and agent binaries on
 #       loopback with no telemetry flag; within 10s the agent's report
 #       must show up as a fleet rollup point on the controller's debug port
-#   3d. simulated-fleet portal smoke: pingmesh-sim -addr on loopback; after
-#       two logged cycles its /metrics must read no off-grid DSA rescan and
-#       /heatmap/DC1 must answer 200
+#   3d. simulated-fleet portal smoke: pingmesh-sim -addr on loopback must log
+#       two cycles and still be running (a DSA cycle off the window grid
+#       fails and exits it), and /heatmap/DC1 must answer 200
 #   4.  short fuzz pass over the wire formats and merge equivalences
 #       (optional, FUZZ=1)
 #
@@ -132,18 +132,19 @@ for _ in 1 2 3 4 5 6 7 8 9 10; do
     cycles=$(grep -c '^cycle ' "$SMOKE/sim.out" || true)
     [ "$cycles" -ge 2 ] && break
 done
-RESCANS=$(curl -s http://127.0.0.1:18481/metrics | grep '^pingmesh_dsa_cycle_offgrid_rescans ' || true)
 HEATMAP=$(curl -s -o /dev/null -w '%{http_code}' http://127.0.0.1:18481/heatmap/DC1 || true)
+RUNNING=no
+kill -0 "$SIM_PID" 2>/dev/null && RUNNING=yes
 kill "$SIM_PID" 2>/dev/null || true
 wait "$SIM_PID" 2>/dev/null || true
-if [ "$cycles" -lt 2 ] || [ "$RESCANS" != "pingmesh_dsa_cycle_offgrid_rescans 0" ] || [ "$HEATMAP" != "200" ]; then
-    echo "pingmesh-sim -addr: $cycles cycles, '$RESCANS', /heatmap/DC1 status $HEATMAP" >&2
+if [ "$cycles" -lt 2 ] || [ "$RUNNING" != "yes" ] || [ "$HEATMAP" != "200" ]; then
+    echo "pingmesh-sim -addr: $cycles cycles, running $RUNNING, /heatmap/DC1 status $HEATMAP" >&2
     cat "$SMOKE/sim.out" >&2
     rm -rf "$SMOKE"
     exit 1
 fi
 rm -rf "$SMOKE"
-echo "pingmesh-sim -addr: $cycles cycles, $RESCANS, /heatmap/DC1 $HEATMAP"
+echo "pingmesh-sim -addr: $cycles cycles, running $RUNNING, /heatmap/DC1 $HEATMAP"
 
 if [ "${FUZZ:-0}" = "1" ]; then
     echo "== tier 4: fuzz wire formats (30s each)"

@@ -105,7 +105,8 @@ func TestE2ETraceAcrossPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	windowFrom := time.Now().Add(-time.Hour)
+	// The cycle's span: two hours of whole 10-minute windows around now.
+	windowFrom := time.Now().Add(-time.Hour).Truncate(10 * time.Minute)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
@@ -133,7 +134,7 @@ func TestE2ETraceAcrossPipeline(t *testing.T) {
 	}
 	p := portal.New(portal.Config{Pipeline: pipe, Top: top, Tracer: tracer})
 	pipe.SetOnCycle(func(kind string, from, to time.Time) { p.Refresh() })
-	if err := pipe.RunTenMinute(windowFrom, time.Now().Add(time.Hour)); err != nil {
+	if err := pipe.RunTenMinute(windowFrom, windowFrom.Add(2*time.Hour)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -218,7 +219,7 @@ func TestE2EStalenessWatchdogFiresAndRecovers(t *testing.T) {
 
 	// Healthy cycle: probe, analyze, publish.
 	from := tb.Clock.Now()
-	if err := tb.RunWindow(30 * time.Minute); err != nil {
+	if err := tb.RunWindow(time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	if err := tb.AnalyzeWindow(from, tb.Clock.Now()); err != nil {
@@ -232,9 +233,10 @@ func TestE2EStalenessWatchdogFiresAndRecovers(t *testing.T) {
 		t.Fatalf("healthy /health = %d %q", code, h.Status)
 	}
 
-	// Freeze the DSA: 30 more minutes of probing advance the clock past
-	// the 20-minute Cosmos/SCOPE budget, but no analysis cycle runs.
-	if err := tb.RunWindow(30 * time.Minute); err != nil {
+	// Freeze the DSA: another hour of probing advances the clock past the
+	// 20-minute Cosmos/SCOPE budget, but no analysis cycle runs.
+	from = tb.Clock.Now()
+	if err := tb.RunWindow(time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	ws.RunOnce()
