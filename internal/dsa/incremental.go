@@ -54,8 +54,10 @@ type incremental struct {
 	// without waiting out a fold pass.
 	cursor atomic.Uint64
 
-	foldedCtr *metrics.Counter
-	lateCtr   *metrics.Counter
+	foldedCtr   *metrics.Counter
+	lateCtr     *metrics.Counter
+	entriesCtr  *metrics.Counter // entries folded: raw records and sketches
+	resolvesCtr *metrics.Counter // of them, those the jobs were evaluated on
 }
 
 // finished is the byte cursor of an extent sealed and folded to its end.
@@ -75,10 +77,12 @@ func newIncremental(p *Pipeline) *incremental {
 		p: p,
 		// Anchored at the Unix epoch: the folder's ten minutes, hours and
 		// days are UTC's, the windows the job manager fires on.
-		folder:    scope.NewFolder(time.Unix(0, 0).UTC(), scope.Every10Min, specs, p.cfg.Tracer),
-		cursors:   make(map[string]map[int]int),
-		foldedCtr: reg.Counter("dsa.fold.extents_folded"),
-		lateCtr:   reg.Counter("dsa.fold.late_records"),
+		folder:      scope.NewFolder(time.Unix(0, 0).UTC(), scope.Every10Min, specs, p.cfg.Tracer),
+		cursors:     make(map[string]map[int]int),
+		foldedCtr:   reg.Counter("dsa.fold.extents_folded"),
+		lateCtr:     reg.Counter("dsa.fold.late_records"),
+		entriesCtr:  reg.Counter("dsa.fold.entries"),
+		resolvesCtr: reg.Counter("dsa.fold.resolves"),
 	}
 	reg.GaugeFunc("dsa.fold.backlog", func() int64 { return int64(inc.backlog()) })
 	if p.cfg.Tracer != nil {
@@ -138,9 +142,11 @@ func (inc *incremental) foldPassLocked(now time.Time) error {
 			}
 		}
 	}
-	late := inc.folder.Late()
+	late, entries, resolves := inc.folder.Late(), inc.folder.Entries(), inc.folder.Resolves()
 	ends, errs := inc.folder.FoldExtents(store, exts, now)
 	inc.lateCtr.Add(int64(inc.folder.Late() - late))
+	inc.entriesCtr.Add(int64(inc.folder.Entries() - entries))
+	inc.resolvesCtr.Add(int64(inc.folder.Resolves() - resolves))
 	// Backwards, so that next and err end on the first unreadable extent.
 	var err error
 	for i := len(exts) - 1; i >= 0; i-- {

@@ -137,6 +137,22 @@ func buildDiffFixture(t testing.TB) *diffFixture {
 	return fx
 }
 
+// entries counts the entries of the fixture's batches and, of them, the
+// sketches.
+func (fx *diffFixture) entries() (n, sketches int64) {
+	var sc probe.Scanner
+	for _, batch := range fx.batches {
+		sc.Reset(batch)
+		for kind := sc.ScanEntry(); kind != probe.EntryEOF; kind = sc.ScanEntry() {
+			n++
+			if kind == probe.EntrySketch {
+				sketches++
+			}
+		}
+	}
+	return n, sketches
+}
+
 const diffStream = "pingmesh/2026-07-01"
 
 // The fixture's span, in hours and in 10-minute cycles: two hours, so that a
@@ -465,6 +481,14 @@ func testIncrementalMatchesScan(t *testing.T, fx *diffFixture) {
 		}
 		if n := pipe.JobRegistry().Snapshot().Counters["dsa.fold.late_records"]; n == 0 {
 			t.Fatalf("trial %d: shuffled uploads folded no late record", trial)
+		}
+		// Each sketch resolves; at least half the raw records reuse the
+		// resolution of the one before them, as the fleet uploads runs.
+		ctrs := pipe.JobRegistry().Snapshot().Counters
+		entries, sketches := fx.entries()
+		if got, resolves := ctrs["dsa.fold.entries"], ctrs["dsa.fold.resolves"]; got != entries || resolves < sketches ||
+			2*(entries-resolves) < entries-sketches {
+			t.Fatalf("trial %d: %d entries (%d sketches) folded as %d, %d resolved", trial, entries, sketches, got, resolves)
 		}
 	}
 }

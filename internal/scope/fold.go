@@ -18,7 +18,10 @@ import (
 type FoldSpec struct {
 	// Name identifies the spec among its folder's.
 	Name string
-	// Where optionally filters records.
+	// Where optionally filters records. Where and KeyBytes answer only from
+	// what a sketch states of every probe in it — identity, success and
+	// 10-minute grid window — or a run folds wrongly: the folder resolves
+	// consecutive raw records that agree on all three once (FoldChunk).
 	Where func(*probe.Record) bool
 	// KeyBytes groups records: it appends the group key for r to dst and
 	// returns the extended slice; records it answers ok=false for are
@@ -87,14 +90,8 @@ func (p *Partial) merge(o *Partial, owned bool) {
 			p.Groups[k] = st.Clone()
 		}
 	}
-	p.Records += o.Records
 	if o.Records > 0 {
-		if p.MinStart.IsZero() || o.MinStart.Before(p.MinStart) {
-			p.MinStart = o.MinStart
-		}
-		if o.MaxStart.After(p.MaxStart) {
-			p.MaxStart = o.MaxStart
-		}
+		p.note(o.Records, o.MinStart, o.MaxStart)
 	}
 }
 
@@ -110,30 +107,14 @@ func (p *Partial) group(kb []byte) *analysis.LatencyStats {
 	return st
 }
 
-// observe folds one record's key into the partial.
-func (p *Partial) observe(kb []byte, r *probe.Record) {
-	p.group(kb).Add(r)
-	p.Records++
-	if p.MinStart.IsZero() || r.Start.Before(p.MinStart) {
-		p.MinStart = r.Start
+// note counts n records starting in [lo, hi] folded into the partial.
+func (p *Partial) note(n uint64, lo, hi time.Time) {
+	p.Records += n
+	if p.MinStart.IsZero() || lo.Before(p.MinStart) {
+		p.MinStart = lo
 	}
-	if r.Start.After(p.MaxStart) {
-		p.MaxStart = r.Start
-	}
-}
-
-// observeSketch folds one per-peer sketch into the partial: summarized
-// probe counts land straight in the group's histogram buckets (no
-// per-record replay), and the freshness marks advance by the sketch's
-// exact time range.
-func (p *Partial) observeSketch(kb []byte, sk *probe.Sketch) {
-	p.group(kb).AddSketch(sk)
-	p.Records += sk.Records()
-	if p.MinStart.IsZero() || sk.MinStart.Before(p.MinStart) {
-		p.MinStart = sk.MinStart
-	}
-	if sk.MaxStart.After(p.MaxStart) {
-		p.MaxStart = sk.MaxStart
+	if hi.After(p.MaxStart) {
+		p.MaxStart = hi
 	}
 }
 
@@ -150,6 +131,18 @@ type specState struct {
 	// folds below it is late — its result is already published — and is
 	// counted instead of aggregated.
 	floor int64
+	runSt *analysis.LatencyStats // cur's group the run lands in, nil if none
+}
+
+// run is the last resolution, valid within one FoldChunk call: a raw record
+// with its identity and success (all FoldSpec.Where may read besides the
+// window) and a Start in [lo, hi), its base and grid window in Unix ns, lands
+// in every spec's runSt, late if the run is.
+type run struct {
+	id     probe.Record // identity fields only
+	ok     bool
+	lo, hi int64
+	late   bool
 }
 
 // noWindow is a window index no record has.
@@ -175,8 +168,10 @@ type Folder struct {
 	// load (TestIngestTraceUnsampledZeroAlloc).
 	Tracer *trace.Tracer
 
-	origin int64 // probe.WindowIndex of Anchor
-	specs  []*specState
+	origin      int64 // probe.WindowIndex of Anchor
+	specs       []*specState
+	first, last int64 // the Starts folded, in Unix ns: [first, last] (newSpanFolder)
+	run         run
 
 	// Extent-level tallies. Scanned/ParseErrors are window-free (records are
 	// counted before any filter), so a cycle's totals are these plus its span
@@ -185,6 +180,8 @@ type Folder struct {
 	parseErrors uint64
 	extents     uint64
 	late        uint64
+	entries     uint64
+	resolves    uint64
 	lastFold    time.Time
 
 	sc     probe.Scanner
@@ -201,7 +198,8 @@ func NewFolder(anchor time.Time, window time.Duration, specs []FoldSpec, tracer 
 	if anchor.UnixNano()%int64(window) != 0 {
 		panic(fmt.Sprintf("scope: anchor %v is off the %v window grid", anchor, window))
 	}
-	f := &Folder{Anchor: anchor, Window: window, Tracer: tracer, origin: probe.WindowIndex(anchor, window)}
+	f := &Folder{Anchor: anchor, Window: window, Tracer: tracer, origin: probe.WindowIndex(anchor, window),
+		first: math.MinInt64, last: math.MaxInt64}
 	for _, sp := range specs {
 		every := int64(1)
 		if sp.Window != 0 {
@@ -227,18 +225,20 @@ const allTime = time.Duration(math.MaxInt64)
 
 // newSpanFolder returns a folder for one pass of an ad-hoc job over
 // [from, to) — zero sides unbounded — that is read with result and thrown
-// away. The spec's filter also takes only records starting in the span, its
+// away. The folder takes only entries starting in the span, the spec's
 // Window is cleared, and the folder's one window covers all time, so the
 // spec folds into one partial per group however many grid windows the span
 // crosses.
 func newSpanFolder(spec FoldSpec, from, to time.Time) *Folder {
-	where := spec.Where
-	spec.Where = func(r *probe.Record) bool {
-		return (from.IsZero() || !r.Start.Before(from)) && (to.IsZero() || r.Start.Before(to)) &&
-			(where == nil || where(r))
-	}
 	spec.Window = 0
-	return NewFolder(time.Unix(0, 0).UTC(), allTime, []FoldSpec{spec}, nil)
+	f := NewFolder(time.Unix(0, 0).UTC(), allTime, []FoldSpec{spec}, nil)
+	if !from.IsZero() {
+		f.first = from.UnixNano()
+	}
+	if !to.IsZero() {
+		f.last = to.UnixNano() - 1
+	}
+	return f
 }
 
 // result returns what the folder folded for the spec, every window merged,
@@ -252,9 +252,9 @@ func (f *Folder) result(spec string) *Result {
 	return res
 }
 
-// Fork returns an empty folder on the same grid, specs, retention floors and
-// tracer: a lane that folds its share of a pass's chunks beside f and is
-// then Absorbed. It reuses a fork f has absorbed, if there is one.
+// Fork returns an empty folder on the same grid, specs, span, retention
+// floors and tracer: a lane that folds its share of a pass's chunks beside f
+// and is then Absorbed. It reuses a fork f has absorbed, if there is one.
 func (f *Folder) Fork() *Folder {
 	var fork *Folder
 	if n := len(f.idle); n > 0 {
@@ -266,6 +266,7 @@ func (f *Folder) Fork() *Folder {
 		}
 		fork = NewFolder(f.Anchor, f.Window, specs, f.Tracer)
 	}
+	fork.first, fork.last = f.first, f.last
 	for i, ss := range f.specs {
 		fork.specs[i].floor = ss.floor
 	}
@@ -294,6 +295,8 @@ func (f *Folder) Absorb(o *Folder) {
 	f.parseErrors += o.parseErrors
 	f.extents += o.extents
 	f.late += o.late
+	f.entries += o.entries
+	f.resolves += o.resolves
 	if o.lastFold.After(f.lastFold) {
 		f.lastFold = o.lastFold
 	}
@@ -302,7 +305,7 @@ func (f *Folder) Absorb(o *Folder) {
 			f.traces = append(f.traces, tid)
 		}
 	}
-	o.scanned, o.parseErrors, o.extents, o.late = 0, 0, 0, 0
+	o.scanned, o.parseErrors, o.extents, o.late, o.entries, o.resolves = 0, 0, 0, 0, 0, 0
 	o.lastFold, o.traces = time.Time{}, o.traces[:0]
 	f.idle = append(f.idle, o)
 }
@@ -366,11 +369,15 @@ func (f *Folder) FoldExtent(data []byte, at time.Time) {
 // the folder retains aliases it. The steady-state loop allocates nothing per
 // record (TestFoldExtentZeroAlloc).
 //
+// A raw record whose identity, success and window equal the entry's before
+// it lands where that one did, unresolved (FoldSpec.Where).
+//
 // Binary extents fold their sketches straight into the partials' histogram
 // buckets: filters and keyers see a representative record (identity fields
 // plus Start = MinStart), and the whole sketch lands in MinStart's window
 // — sound because the agent cuts sketches on the analysis window grid, so
-// a sketch never straddles a window boundary.
+// a sketch never straddles a window boundary. A sketch always resolves: an
+// agent cuts one per (peer, window), so two in a row never share a key.
 func (f *Folder) FoldChunk(data []byte) {
 	f.sc.Reset(data)
 	for {
@@ -384,59 +391,97 @@ func (f *Folder) FoldChunk(data []byte) {
 		}
 		var r *probe.Record
 		var sk *probe.Sketch
+		n, last := uint64(1), time.Time{} // the entry's probes and last Start
 		if kind == probe.EntrySketch {
 			sk = f.sc.Sketch()
 			sk.FillRecord(&f.rep)
-			r = &f.rep
-			f.scanned += sk.Records()
+			r, n, last = &f.rep, sk.Records(), sk.MaxStart
 		} else {
 			r = f.sc.Record()
-			f.scanned++
+			last = r.Start
 			if f.Tracer != nil && f.Tracer.HasActiveProbes() {
 				f.matchTrace(r)
 			}
 		}
-		base := f.windowIndex(r.Start)
-		late := false
+		f.scanned += n
+		ns := r.Start.UnixNano()
+		if ns < f.first || ns > f.last {
+			continue
+		}
+		f.entries++
+		u := &f.run
+		if sk != nil || ns < u.lo || ns >= u.hi || r.Src != u.id.Src || r.Dst != u.id.Dst || r.DstPort != u.id.DstPort ||
+			r.Class != u.id.Class || r.Proto != u.id.Proto || r.QoS != u.id.QoS || r.PayloadLen != u.id.PayloadLen || (r.Err == "") != u.ok {
+			f.resolves++
+			f.startRun(r, ns)
+		}
 		for _, ss := range f.specs {
-			if ss.spec.Where != nil && !ss.spec.Where(r) {
+			if ss.runSt == nil {
 				continue
 			}
-			kb, ok := ss.spec.KeyBytes(f.keyBuf[:0], r)
-			if !ok {
+			if sk != nil {
+				ss.runSt.AddSketch(sk)
+			} else {
+				ss.runSt.Add(r)
+			}
+			ss.cur.note(n, r.Start, last)
+		}
+		if u.late {
+			f.late += n
+		}
+	}
+	// Within a call no window is dropped; past it, the run must not keep a
+	// dropped partial alive.
+	f.run.lo, f.run.hi = 0, 0
+	for _, ss := range f.specs {
+		ss.runSt = nil
+	}
+}
+
+// startRun starts a run at r, whose Start is ns: it evaluates every spec on r
+// and sets where r lands, the window partial ss.cur and its group ss.runSt
+// (nil where the spec skips r or r is late).
+func (f *Folder) startRun(r *probe.Record, ns int64) {
+	w, u := int64(f.Window), &f.run
+	base := floorDiv(ns, w)
+	u.lo, u.hi = base*w, base*w+w
+	if f.Window != probe.Window { // the base window may cross the grid's
+		g := floorDiv(ns, int64(probe.Window)) * int64(probe.Window)
+		u.lo, u.hi = max(u.lo, g), min(u.hi, g+int64(probe.Window))
+	}
+	if ns < u.lo || ns >= u.hi { // a window past int64's nanoseconds: no run
+		u.hi = u.lo
+	}
+	u.id.Src, u.id.Dst, u.id.DstPort, u.id.Class, u.id.Proto, u.id.QoS, u.id.PayloadLen, u.ok =
+		r.Src, r.Dst, r.DstPort, r.Class, r.Proto, r.QoS, r.PayloadLen, r.Err == ""
+	u.late = false
+	for _, ss := range f.specs {
+		if ss.runSt = nil; ss.spec.Where != nil && !ss.spec.Where(r) {
+			continue
+		}
+		kb, ok := ss.spec.KeyBytes(f.keyBuf[:0], r)
+		if !ok {
+			continue
+		}
+		f.keyBuf = kb[:0]
+		idx := base - f.origin
+		if ss.every != 1 {
+			idx = floorDiv(idx, ss.every)
+		}
+		if idx != ss.curIdx {
+			if idx < ss.floor {
+				u.late = true
 				continue
 			}
-			f.keyBuf = kb[:0]
-			idx := base
-			if ss.every != 1 {
-				idx = floorDiv(base, ss.every)
+			p := ss.windows[idx]
+			if p == nil {
+				p = NewPartial()
+				p.talliesOnly = ss.spec.TalliesOnly
+				ss.windows[idx] = p
 			}
-			if idx != ss.curIdx {
-				if idx < ss.floor {
-					late = true
-					continue
-				}
-				p := ss.windows[idx]
-				if p == nil {
-					p = NewPartial()
-					p.talliesOnly = ss.spec.TalliesOnly
-					ss.windows[idx] = p
-				}
-				ss.curIdx, ss.cur = idx, p
-			}
-			if sk != nil {
-				ss.cur.observeSketch(kb, sk)
-			} else {
-				ss.cur.observe(kb, r)
-			}
+			ss.curIdx, ss.cur = idx, p
 		}
-		if late {
-			if sk != nil {
-				f.late += sk.Records()
-			} else {
-				f.late++
-			}
-		}
+		ss.runSt = ss.cur.group(kb)
 	}
 }
 
@@ -483,6 +528,11 @@ func (f *Folder) Scanned() uint64 { return f.scanned }
 
 // ParseErrors returns undecodable rows skipped across all folded extents.
 func (f *Folder) ParseErrors() uint64 { return f.parseErrors }
+
+// Entries returns the entries folded, and Resolves those of them resolved;
+// the rest joined the run of the raw record before them.
+func (f *Folder) Entries() uint64  { return f.entries }
+func (f *Folder) Resolves() uint64 { return f.resolves }
 
 // Late returns how many probes (sketches counted by what they summarize)
 // arrived for a window some spec had already dropped.

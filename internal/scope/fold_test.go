@@ -2,10 +2,13 @@ package scope
 
 import (
 	"math/rand"
+	"net/netip"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
+	"pingmesh/internal/cosmos"
 	"pingmesh/internal/probe"
 )
 
@@ -327,7 +330,7 @@ func TestFolderDropWindowsBefore(t *testing.T) {
 func TestAbsorbMovesGroups(t *testing.T) {
 	const groups, runs = 512, 5
 	spec := FoldSpec{Name: "by-port", KeyBytes: func(dst []byte, r *probe.Record) ([]byte, bool) {
-		return append(dst, byte(r.SrcPort>>8), byte(r.SrcPort)), true
+		return append(dst, byte(r.DstPort>>8), byte(r.DstPort)), true
 	}}
 	f := NewFolder(t0, Every10Min, []FoldSpec{spec}, nil)
 	f.FoldExtent(probe.EncodeBatch([]probe.Record{mkRecord(0, time.Millisecond, "")}), t0)
@@ -336,7 +339,7 @@ func TestAbsorbMovesGroups(t *testing.T) {
 		recs := make([]probe.Record, groups)
 		for i := range recs {
 			recs[i] = mkRecord(0, time.Duration(200+i)*time.Microsecond, "")
-			recs[i].SrcPort = uint16(1 + run*groups + i)
+			recs[i].DstPort = uint16(1 + run*groups + i)
 		}
 		fork := f.Fork()
 		fork.FoldExtent(probe.EncodeBatch(recs), t0)
@@ -392,5 +395,173 @@ func TestFoldExtentZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("FoldExtent allocates %.1f times per extent (%d records), want 0", allocs, len(recs))
+	}
+}
+
+// runSpecs are specs that keep the fold contract (FoldSpec.Where) in every
+// way it allows: by identity, by success, by grid window, on a longer
+// window, tallies-only.
+func runSpecs() []FoldSpec {
+	return append(foldSpecs(),
+		FoldSpec{
+			Name:  "failed-by-pair",
+			Where: func(r *probe.Record) bool { return r.Err != "" },
+			KeyBytes: func(dst []byte, r *probe.Record) ([]byte, bool) {
+				return append(dst, r.Src.As4()[2], r.Dst.As4()[3], byte(r.DstPort)), true
+			},
+		},
+		FoldSpec{
+			Name: "by-grid-window",
+			KeyBytes: func(dst []byte, r *probe.Record) ([]byte, bool) {
+				return append(dst, byte(probe.WindowIndex(r.Start, probe.Window))), r.DstPort != 443
+			},
+		},
+		FoldSpec{
+			Name: "hourly-by-dst", Window: Every1Hour, TalliesOnly: true,
+			KeyBytes: func(dst []byte, r *probe.Record) ([]byte, bool) { return append(dst, r.Dst.As4()[3]), true },
+		})
+}
+
+// peerRuns returns perPeer probes from each of peers peers, step apart from
+// t0+offset; every failEvery-th fails (none if 0). Peer by peer, they are
+// runs as the simulated fleet uploads them; interleaved, the same records
+// with no two of a peer in a row.
+func peerRuns(peers, perPeer int, offset, step time.Duration, failEvery int, interleaved bool) []probe.Record {
+	recs := make([]probe.Record, 0, peers*perPeer)
+	for n := 0; n < peers*perPeer; n++ {
+		p, k := n/perPeer, n%perPeer
+		if interleaved {
+			p, k = n%peers, n/peers
+		}
+		r := probe.Record{
+			Start:   t0.Add(offset + time.Duration(k)*step),
+			Src:     netip.AddrFrom4([4]byte{10, 0, byte(p / 2 % 3), 1}),
+			Dst:     netip.AddrFrom4([4]byte{10, 0, 9, byte(p / 4)}),
+			SrcPort: uint16(40000 + p*perPeer + k),
+			DstPort: []uint16{80, 443}[p%2], // peers 2i and 2i+1 differ in it alone
+			RTT:     time.Duration(200+k*37%500) * time.Microsecond,
+		}
+		if k%13 == 5 {
+			r.RTT = 3 * time.Second
+		}
+		if failEvery > 0 && k%failEvery == 0 {
+			r.Err, r.RTT = "connect: timeout", 21*time.Second
+		}
+		recs = append(recs, r)
+	}
+	return recs
+}
+
+// TestFoldRunsEqualPerRecord pins the fold of runs to the fold it replaces:
+// the same records, in the orders uploads put them in, leave every partial,
+// Late and Scanned what evaluating each record on its own leaves — Where,
+// KeyBytes, then LatencyStats.Add into its spec's window, or late below the
+// window floor — in CSV and PMB1 batches alike. Ad-hoc jobs are held to
+// refRun the same way, over a span off the grid that cuts runs.
+func TestFoldRunsEqualPerRecord(t *testing.T) {
+	specs := runSpecs()
+	for _, tc := range []struct {
+		name  string
+		recs  []probe.Record
+		floor int64 // of "all"
+		reuse bool  // whether some records must reuse a resolution
+	}{
+		{"per-peer runs", peerRuns(6, 40, 3*time.Minute, 19*time.Second, 0, false), 0, true},
+		{"interleaved peers", peerRuns(6, 40, 3*time.Minute, 19*time.Second, 0, true), 0, false},
+		{"runs cut by a 10-minute boundary", peerRuns(6, 30, 9*time.Minute+45*time.Second, time.Second, 0, false), 0, true},
+		{"successes and failures mixed", peerRuns(6, 40, 3*time.Minute, 19*time.Second, 3, false), 0, true},
+		{"a run reaching below the floor", peerRuns(6, 40, 3*time.Minute, 19*time.Second, 7, false), 1, true},
+	} {
+		var data []byte
+		for i := 0; i < len(tc.recs); i += 25 {
+			batch := tc.recs[i:min(i+25, len(tc.recs))]
+			if i/25%2 == 0 {
+				data = probe.AppendBatch(data, batch)
+			} else {
+				data = probe.AppendBinaryBatch(data, batch, nil)
+			}
+		}
+		f := NewFolder(t0, Every10Min, specs, nil)
+		f.DropWindowsBefore("all", tc.floor)
+		f.FoldExtent(data, t0)
+
+		want := map[string]map[int64]*Partial{}
+		var late uint64
+		for i := range tc.recs {
+			r := &tc.recs[i]
+			isLate := false
+			for _, sp := range specs {
+				if sp.Where != nil && !sp.Where(r) {
+					continue
+				}
+				key, ok := sp.KeyBytes(nil, r)
+				if !ok {
+					continue
+				}
+				win := floorDiv(probe.WindowIndex(r.Start, Every10Min)-probe.WindowIndex(t0, Every10Min), int64(max(sp.Window, Every10Min)/Every10Min))
+				if sp.Name == "all" && win < tc.floor {
+					isLate = true
+					continue
+				}
+				if want[sp.Name] == nil {
+					want[sp.Name] = map[int64]*Partial{}
+				}
+				p := want[sp.Name][win]
+				if p == nil {
+					p = NewPartial()
+					want[sp.Name][win] = p
+				}
+				st := p.Groups[string(key)]
+				if st == nil {
+					st = newStats(sp.TalliesOnly)
+					p.Groups[string(key)] = st
+				}
+				st.Add(r)
+				p.Records++
+				if p.MinStart.IsZero() || r.Start.Before(p.MinStart) {
+					p.MinStart = r.Start
+				}
+				if r.Start.After(p.MaxStart) {
+					p.MaxStart = r.Start
+				}
+			}
+			if isLate {
+				late++
+			}
+		}
+		if f.Scanned() != uint64(len(tc.recs)) || f.Late() != late || late == 0 != (tc.floor == 0) {
+			t.Fatalf("%s: scanned %d, late %d; want %d, %d", tc.name, f.Scanned(), f.Late(), len(tc.recs), late)
+		}
+		if f.Entries() != uint64(len(tc.recs)) || (f.Resolves() < f.Entries()) != tc.reuse {
+			t.Fatalf("%s: %d of %d entries resolved", tc.name, f.Resolves(), f.Entries())
+		}
+		for _, sp := range specs {
+			for win := int64(-1); win < 8; win++ {
+				if got, want := mergeAll(f.Partial(sp.Name, win)), mergeAll(want[sp.Name][win]); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: %s window %d differs from the per-record fold (%d records, want %d)", tc.name, sp.Name, win, got.Records, want.Records)
+				}
+			}
+		}
+	}
+
+	// An ad-hoc job: more extents than lanes, and lanes to deal them to.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(3, runtime.GOMAXPROCS(0))))
+	store, err := cosmos.NewStore(3, cosmos.Config{ExtentSize: 4 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := peerRuns(6, 40, 3*time.Minute, 19*time.Second, 4, false)
+	for i := 0; i < len(recs); i += 20 {
+		if err := store.Append("pingmesh/2026-07-01", probe.EncodeBatch(recs[i:i+20])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := store.NumExtents("pingmesh/2026-07-01"); n < 4 {
+		t.Fatalf("the store holds %d extents", n)
+	}
+	for _, sp := range specs {
+		runJob(t, Job{Name: sp.Name, Source: Source{Store: store, StreamPrefix: "pingmesh/"},
+			From: t0.Add(7*time.Minute + 13*time.Second), To: t0.Add(14*time.Minute + 47*time.Second),
+			Where: sp.Where, KeyBytes: sp.KeyBytes, TalliesOnly: sp.TalliesOnly})
 	}
 }

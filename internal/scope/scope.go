@@ -60,7 +60,9 @@ type Job struct {
 	// From/To optionally bound the records by Start time: [From, To).
 	// Zero values leave the corresponding side unbounded.
 	From, To time.Time
-	// Where optionally filters records.
+	// Where optionally filters records. Like FoldSpec.Where and KeyBytes,
+	// Where and KeyBytes answer only from a record's identity, success and
+	// 10-minute grid window, or a run of records folds wrongly.
 	Where func(*probe.Record) bool
 	// KeyBytes groups records, as FoldSpec.KeyBytes does; a nil KeyBytes
 	// groups everything under "".

@@ -22,7 +22,8 @@
 #       ObserveBatch$ prints its random-pair and run-ordered episodes. dsa
 #       FoldPass$/open appends one sketched batch to an extent that stays
 #       open and folds it from the extent's byte cursor: ns/op follows the
-#       batch, not the extent's length
+#       batch, not the extent's length. scope FoldExtent$ folds the same
+#       records peer by peer (runs) and interleaved, 0 allocs/op on both
 #   3b. examples/isitnetwork, whose two incidents must print the verdicts
 #       not-network and network, in that order; then every paper figure and
 #       table at reduced budgets (cmd/experiments -quick), the pipeline-read
@@ -79,6 +80,7 @@ go test ./internal/agent -run xxx -bench 'SketchObserve$' -benchmem -benchtime 2
 go test ./internal/dsa -run xxx -bench 'FoldPass$' -benchtime 20x -cpu 1,2,4
 go test ./internal/dsa -run xxx -bench 'FoldPass$/open' -benchtime 2000x -cpu 1,2
 go test ./internal/scope -run xxx -bench 'ScopeRun$' -benchmem -cpu 1,2
+go test ./internal/scope -run xxx -bench 'FoldExtent$' -benchmem
 go test ./internal/cosmos -run xxx -bench 'Append$' -benchmem -benchtime 2048x
 go test ./internal/telemetry -run xxx -bench 'IngestFleet$' -benchmem -benchtime 1000000x -cpu 1,2,4
 go test ./internal/controller -run xxx -bench 'UpdateTopology$' -benchmem -benchtime 5x
