@@ -39,9 +39,8 @@ func scanUpload(t *testing.T, data []byte) ([]probe.Record, []probe.Sketch) {
 			recs = append(recs, r)
 		case probe.EntrySketch:
 			sk := *sc.Sketch()
+			sk.RTT, sk.Payload = sk.RTT.Clone(), sk.Payload.Clone() // the scanner's scratch
 			sks = append(sks, sk)
-			// The sketch aliases the scan buffer, but data outlives the scan
-			// here, so keeping it is fine.
 		}
 	}
 	return recs, sks

@@ -20,7 +20,9 @@ func decodeOneSketch(t testing.TB, sk probe.PeerSketch) probe.Sketch {
 	if k := sc.ScanEntry(); k != probe.EntrySketch {
 		t.Fatalf("expected a sketch entry, got kind %d (rowErr %v)", k, sc.RowErr())
 	}
-	return *sc.Sketch()
+	got := *sc.Sketch()
+	got.RTT, got.Payload = got.RTT.Clone(), got.Payload.Clone()
+	return got
 }
 
 // FuzzSketchMergeVsExact pins the sketch aggregation path to the exact

@@ -29,6 +29,30 @@ func BenchmarkHistogramObserve(b *testing.B) {
 	}
 }
 
+// BenchmarkDecodeRuns decodes a 32-run wire histogram into reused scratch
+// and merges the packed runs into a histogram holding the same buckets: the
+// work PMT1 ingest and the sketch fold do per histogram, 0 allocs/op.
+func BenchmarkDecodeRuns(b *testing.B) {
+	src := NewLatencyHistogram()
+	for i := 0; i < 32; i++ {
+		lo, _ := LatencyBucketRange(100 + 3*i)
+		src.Observe(lo + 1)
+	}
+	wire := src.AppendRuns(nil)
+	dst := src.Clone()
+	var scratch []uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, ext, _, ok := DecodeRuns(wire, scratch[:0])
+		if !ok {
+			b.Fatal("decode of an encoded histogram failed")
+		}
+		scratch = ext
+		r.AddTo(dst)
+	}
+}
+
 func BenchmarkHistogramPercentile(b *testing.B) {
 	h := NewLatencyHistogram()
 	rng := rand.New(rand.NewSource(1))

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"reflect"
@@ -243,7 +244,7 @@ func FuzzCompactVsDense(f *testing.F) {
 				want[i] = newDenseRef()
 			default: // through the wire: decode accepts it iff the count is within bound
 				buf = got[j].AppendRuns(buf[:0])
-				r, size, ok := DecodeRuns(buf)
+				r, _, size, ok := DecodeRuns(buf, nil)
 				if ok != (want[j].count <= maxRunsCount) || ok && size != len(buf) {
 					t.Fatalf("decode of %d observations: ok=%v, %d of %d bytes", want[j].count, ok, size, len(buf))
 				}
@@ -293,7 +294,7 @@ func TestHistogramForms(t *testing.T) {
 	ba.Merge(a)
 	wire := NewLatencyHistogram()
 	for _, src := range []*Histogram{b, a} {
-		r, _, ok := DecodeRuns(src.AppendRuns(nil))
+		r, _, _, ok := DecodeRuns(src.AppendRuns(nil), nil)
 		if !ok {
 			t.Fatal("decode of an encoded histogram failed")
 		}
@@ -333,11 +334,68 @@ func TestHistogramForms(t *testing.T) {
 	newDenseRef().checkAgainst(t, "reset", big)
 }
 
+// refDecodeRuns is the histogram decoder written plainly over
+// encoding/binary, one bucket at a time: what DecodeRuns must accept, reject
+// and yield.
+func refDecodeRuns(d []byte) (bs []Bucket, sum, min, max int64, size int, ok bool) {
+	var n int
+	uv := func() (v uint64) {
+		if v, n = binary.Uvarint(d[size:]); n > 0 {
+			size += n
+		}
+		return v
+	}
+	sv := func() (v int64) {
+		if v, n = binary.Varint(d[size:]); n > 0 {
+			size += n
+		}
+		return v
+	}
+	layout := uint64(LatencyBucketCount())
+	nb := uv()
+	if n <= 0 || nb > layout {
+		return nil, 0, 0, 0, 0, false
+	}
+	if nb == 0 {
+		return nil, 0, 0, 0, size, true
+	}
+	if sum = sv(); n <= 0 {
+		return nil, 0, 0, 0, 0, false
+	}
+	if min = sv(); n <= 0 {
+		return nil, 0, 0, 0, 0, false
+	}
+	if max = sv(); n <= 0 || max < min {
+		return nil, 0, 0, 0, 0, false
+	}
+	var total uint64
+	for i := uint64(0); i < nb; i++ {
+		gap := uv()
+		if n <= 0 || gap >= layout || i > 0 && gap == 0 {
+			return nil, 0, 0, 0, 0, false
+		}
+		idx := int(gap)
+		if i > 0 {
+			idx += bs[i-1].Index
+		}
+		c := uv()
+		if n <= 0 || idx >= int(layout) || c == 0 || c > maxRunsCount-total {
+			return nil, 0, 0, 0, 0, false
+		}
+		total += c
+		bs = append(bs, Bucket{Index: idx, Count: c})
+	}
+	return bs, sum, min, max, size, true
+}
+
 // FuzzRuns fuzzes the wire codec from both ends. Arbitrary bytes must never
-// panic the decoder, and whatever it accepts must keep the iterator's
-// promises: indexes inside the layout and strictly ascending, counts positive
-// and summing to Count, Count at most 2^48, min <= max, and exactly the
-// reported bytes consumed. Then a histogram grown from the same bytes must
+// panic the decoder, which must accept exactly what the plain reference
+// decoder accepts — every bucket index inside the layout and strictly
+// ascending, every count positive, at most 2^48 in all, min <= max — and
+// yield the same buckets, tallies and size. Whatever it accepts, merged
+// packed into an empty, a sparse and a dense histogram, must leave each
+// reflect.DeepEqual to folding the reference's buckets one by one with
+// AddBucket and AddTallies. Then a histogram grown from the same bytes must
 // survive encode, decode and fold unchanged. Tier-4 target.
 func FuzzRuns(f *testing.F) {
 	wrap := []byte{2, 4, 2, 2, 5, 1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 1}
@@ -345,12 +403,35 @@ func FuzzRuns(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{2, 4, 2, 2, 5, 1, 1, 1})
 	f.Add([]byte{1, 0, 0, 0, 0xfd, 0x02, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40}) // last bucket, 2^48
+	f.Add([]byte{1, 0, 0, 0, 0xfe, 0x02, 1})                                        // past the last bucket
+	f.Add([]byte{2, 4, 2, 2, 5, 1, 0, 1})                                           // a repeated bucket
+	f.Add([]byte{1, 4, 2, 2, 5, 0})                                                 // a zero count
+	f.Add([]byte{2, 4, 2, 2, 5, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40, 1, 1})    // 2^48 + 1 in all
+	f.Add([]byte{1, 4, 4, 2, 5, 1})                                                 // max < min
+	sparse, dense := NewLatencyHistogram(), NewLatencyHistogram()
+	for b := 1; b < 2*maxRuns; b++ {
+		lo, _ := LatencyBucketRange(b)
+		if b%40 == 0 {
+			sparse.Observe(lo + 1)
+		}
+		dense.Observe(lo + 1)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if r, size, ok := DecodeRuns(data); ok {
+		bs, sum, min, max, refSize, refOK := refDecodeRuns(data)
+		scratch := []uint64{7} // decoding appends after what the caller holds
+		r, ext, size, ok := DecodeRuns(data, scratch)
+		if ok != refOK || ok && size != refSize {
+			t.Fatalf("decode: ok=%v with %d bytes, the reference ok=%v with %d", ok, size, refOK, refSize)
+		}
+		if ok {
 			if size <= 0 || size > len(data) || r.Count > maxRunsCount || r.Count > 0 && r.Max < r.Min {
 				t.Fatalf("accepted %d bytes of %d as %+v", size, len(data), r)
 			}
+			if ext[0] != 7 || len(ext) != 1+len(bs) {
+				t.Fatalf("scratch %v after decoding %d runs", ext, len(bs))
+			}
 			var total uint64
+			var got []Bucket
 			prev := -1
 			it := r.Buckets()
 			for b, ok := it.Next(); ok; b, ok = it.Next() {
@@ -358,12 +439,27 @@ func FuzzRuns(f *testing.F) {
 					t.Fatalf("accepted runs yield %+v after bucket %d", b, prev)
 				}
 				prev = b.Index
+				got = append(got, b)
 				total += b.Count
 			}
-			if total != r.Count {
-				t.Fatalf("runs sum to %d, Count says %d", total, r.Count)
+			if !reflect.DeepEqual(got, bs) || total != r.Count || len(bs) > 0 && (r.Sum != sum || r.Min != min || r.Max != max) {
+				t.Fatalf("decoded %+v with buckets %v, the reference %v (sum %d, min %d, max %d)", r, got, bs, sum, min, max)
 			}
-			r.AddTo(NewLatencyHistogram()) // folding validated runs must not panic
+			for _, base := range []*Histogram{NewLatencyHistogram(), sparse, dense} {
+				merged, want := base.Clone(), base.Clone()
+				r.AddTo(merged)
+				for _, b := range bs {
+					want.AddBucket(b.Index, b.Count)
+				}
+				if len(bs) > 0 {
+					want.AddTallies(sum, min, max)
+				}
+				if !reflect.DeepEqual(merged, want) {
+					t.Fatalf("packed merge into a %d-bucket base:\ngot  %+v\nwant %+v", len(base.buckets), merged, want)
+				}
+			}
+		} else if len(ext) != len(scratch) {
+			t.Fatalf("a refused histogram extended the scratch to %v", ext)
 		}
 
 		h := NewLatencyHistogram()
@@ -371,7 +467,7 @@ func FuzzRuns(f *testing.F) {
 			h.Observe(time.Duration(data[i]) << (data[i+1] % 36))
 		}
 		enc := h.AppendRuns(nil)
-		r, size, ok := DecodeRuns(append(enc, data...)) // whatever follows is not its business
+		r, _, size, ok = DecodeRuns(append(enc, data...), nil) // whatever follows is not its business
 		if !ok || size != len(enc) {
 			t.Fatalf("decode of an encoded histogram: ok=%v, %d of %d bytes", ok, size, len(enc))
 		}

@@ -243,7 +243,16 @@ func (h *Histogram) Merge(other *Histogram) {
 	if other.count == 0 {
 		return
 	}
-	h.addBuckets(other.Buckets())
+	if other.dense() {
+		// Dense counts may not fit a run's count field: add them one by one.
+		for i, c := range other.buckets {
+			if c != 0 {
+				h.add(i, c)
+			}
+		}
+	} else {
+		h.addRuns(other.buckets)
+	}
 	h.AddTallies(other.sum, other.min, other.max)
 }
 

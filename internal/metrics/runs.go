@@ -76,82 +76,106 @@ func (h *Histogram) AppendRuns(dst []byte) []byte {
 	return e.End(dst)
 }
 
-// Runs is one decoded wire histogram: the exact tallies plus the validated
-// run bytes, which alias the decoded buffer (zero-copy — valid only while
-// the buffer is). An empty histogram has Count == 0.
+// Runs is one decoded wire histogram: the exact tallies, and the non-empty
+// buckets as runs packed the way a Histogram keeps them (sketch.go), which
+// alias the scratch DecodeRuns appended them to — valid only while that
+// scratch is not overwritten. An empty histogram has Count == 0 and no runs.
 type Runs struct {
 	Count uint64 // total observations across all runs
 	Sum   int64
 	Min   int64
 	Max   int64
-	wire  []byte
-	n     int
+	runs  []uint64
 }
 
-// DecodeRuns decodes and validates the histogram at the head of d, returning
-// it and the number of bytes it occupies. It accepts exactly what the
-// iterator's contract promises: nRuns within the layout, min <= max, every
-// bucket index inside the layout and strictly above the one before it, every
-// count positive, and the counts summing to at most 2^48.
-func DecodeRuns(d []byte) (r Runs, size int, ok bool) {
+// DecodeRuns decodes and validates the histogram at the head of d in one
+// pass, appending its runs to scratch. It returns the histogram, whose runs
+// are the appended tail, the extended scratch and the number of bytes the
+// histogram occupies; on failure scratch comes back as it went in. It
+// accepts exactly what Runs promises: nRuns within the layout, min <= max,
+// every bucket index inside the layout and strictly above the one before it,
+// every count positive, and the counts summing to at most 2^48.
+func DecodeRuns(d []byte, scratch []uint64) (r Runs, ext []uint64, size int, ok bool) {
 	layout := uint64(LatencyBucketCount())
-	nb, off, ok := getUvarint(d, 0)
+	nb, off, ok := Uvarint(d, 0)
 	if !ok || nb > layout {
-		return Runs{}, 0, false
+		return Runs{}, scratch, 0, false
 	}
 	if nb == 0 {
-		return Runs{}, off, true
+		return Runs{}, scratch, off, true
 	}
-	if r.Sum, off, ok = getVarint(d, off); !ok {
-		return Runs{}, 0, false
+	if r.Sum, off, ok = Varint(d, off); !ok {
+		return Runs{}, scratch, 0, false
 	}
-	if r.Min, off, ok = getVarint(d, off); !ok {
-		return Runs{}, 0, false
+	if r.Min, off, ok = Varint(d, off); !ok {
+		return Runs{}, scratch, 0, false
 	}
-	if r.Max, off, ok = getVarint(d, off); !ok || r.Max < r.Min {
-		return Runs{}, 0, false
+	if r.Max, off, ok = Varint(d, off); !ok || r.Max < r.Min {
+		return Runs{}, scratch, 0, false
 	}
-	start := off
+	ext = scratch
 	var idx, total uint64
 	for i := uint64(0); i < nb; i++ {
 		var gap, c uint64
 		// The gap is bounded before it is added: a ten-byte varint past 2^63
-		// would otherwise wrap the index and step the iterator backwards.
-		if gap, off, ok = getUvarint(d, off); !ok || gap >= layout || gap == 0 && i > 0 {
-			return Runs{}, 0, false
+		// would otherwise wrap the index and step the runs backwards.
+		if gap, off, ok = Uvarint(d, off); !ok || gap >= layout || gap == 0 && i > 0 || idx+gap >= layout {
+			return Runs{}, scratch, 0, false
 		}
-		if idx += gap; idx >= layout {
-			return Runs{}, 0, false
-		}
-		// Likewise the count, before it can wrap the total.
-		if c, off, ok = getUvarint(d, off); !ok || c == 0 || c > maxRunsCount-total {
-			return Runs{}, 0, false
+		idx += gap
+		// Likewise the count, before it can wrap the total (2^48 fits a run).
+		if c, off, ok = Uvarint(d, off); !ok || c == 0 || c > maxRunsCount-total {
+			return Runs{}, scratch, 0, false
 		}
 		total += c
+		ext = append(ext, idx<<runCountBits|c)
 	}
-	r.Count, r.wire, r.n = total, d[start:off], int(nb)
-	return r, off, true
+	r.Count, r.runs = total, ext[len(scratch):]
+	return r, ext, off, true
+}
+
+// WithRuns returns r's tallies carrying runs, which must be the runs
+// DecodeRuns appended for r. It is for a caller that keeps decoded
+// histograms by their offset into the scratch: a slice into scratch on its
+// stack, stored, would move that scratch to the heap.
+func (r Runs) WithRuns(runs []uint64) Runs {
+	r.runs = runs
+	return r
+}
+
+// Clone returns a copy of r whose runs no longer alias the decode scratch.
+func (r Runs) Clone() Runs {
+	r.runs = append([]uint64(nil), r.runs...)
+	return r
 }
 
 // Buckets returns an iterator over the histogram's non-empty buckets in
-// ascending index order, decoding the validated wire bytes as it goes.
-func (r *Runs) Buckets() BucketIter {
-	return BucketIter{wire: r.wire, left: r.n}
+// ascending index order.
+func (r Runs) Buckets() BucketIter {
+	return BucketIter{buckets: r.runs}
 }
 
-// AddTo folds the wire histogram into dst: the bucket counts, then the exact
-// tallies. Folding allocates nothing beyond growth of dst's runs and costs
-// one pass over the non-empty buckets — no per-observation replay. An empty
-// histogram folds nothing.
-func (r *Runs) AddTo(dst *Histogram) {
+// AddTo folds the histogram into dst: the runs merge-joined into dst's
+// buckets, then the exact tallies. Folding allocates nothing beyond growth
+// of dst's runs and costs one pass over the non-empty buckets — no
+// per-observation replay. An empty histogram folds nothing.
+func (r Runs) AddTo(dst *Histogram) {
 	if r.Count == 0 {
 		return
 	}
-	dst.addBuckets(r.Buckets())
+	dst.addRuns(r.runs)
 	dst.AddTallies(r.Sum, r.Min, r.Max)
 }
 
-func getUvarint(d []byte, off int) (uint64, int, bool) {
+// Uvarint reads the encoding/binary unsigned varint at d[off:], off <=
+// len(d), returning it and the offset past it; ok is false on truncation or
+// overflow. It is the one varint reader of the histogram, PMB1 and PMT1
+// decoders. Gaps, counts, name lengths and most deltas fit one byte, which
+// it reads before anything else.
+func Uvarint(d []byte, off int) (v uint64, next int, ok bool) {
+	if off < len(d) && d[off] < 0x80 {
+		return uint64(d[off]), off + 1, true
+	}
 	v, n := binary.Uvarint(d[off:])
 	if n <= 0 {
 		return 0, off, false
@@ -159,10 +183,9 @@ func getUvarint(d []byte, off int) (uint64, int, bool) {
 	return v, off + n, true
 }
 
-func getVarint(d []byte, off int) (int64, int, bool) {
-	v, n := binary.Varint(d[off:])
-	if n <= 0 {
-		return 0, off, false
-	}
-	return v, off + n, true
+// Varint reads the encoding/binary signed (zig-zag) varint at d[off:] the
+// way Uvarint reads an unsigned one.
+func Varint(d []byte, off int) (v int64, next int, ok bool) {
+	u, next, ok := Uvarint(d, off)
+	return int64(u>>1) ^ -int64(u&1), next, ok
 }

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"time"
@@ -95,34 +94,24 @@ type Bucket struct {
 // index order. The iterator is a value type and allocates nothing; it
 // reads h's live counts, so h must not be modified during iteration.
 func (h *Histogram) Buckets() BucketIter {
-	return BucketIter{buckets: h.buckets}
+	return BucketIter{buckets: h.buckets, dense: h.dense()}
 }
 
 // BucketIter iterates non-empty buckets in strictly ascending index order:
-// a Histogram's in either form, or a decoded Runs' straight off the wire
-// bytes. The zero value is an exhausted iterator.
+// a Histogram's in either form, or a decoded Runs'. The zero value is an
+// exhausted iterator.
 type BucketIter struct {
-	buckets []uint64 // a Histogram's runs or dense counts, told apart by length
+	buckets []uint64 // packed runs, or dense counts when dense
+	dense   bool
 	i       int
-	wire    []byte // a Runs' validated run bytes
-	left    int    // runs left on the wire
-	index   int    // the last bucket the wire yielded
 }
 
 // Next returns the next non-empty bucket, or ok=false when exhausted.
 func (it *BucketIter) Next() (b Bucket, ok bool) {
-	if it.left > 0 {
-		it.left--
-		gap, n := binary.Uvarint(it.wire)
-		c, m := binary.Uvarint(it.wire[n:])
-		it.wire = it.wire[n+m:]
-		it.index += int(gap)
-		return Bucket{Index: it.index, Count: c}, true
-	}
 	for it.i < len(it.buckets) {
 		i, w := it.i, it.buckets[it.i]
 		it.i++
-		if len(it.buckets) <= maxRuns {
+		if !it.dense {
 			return Bucket{Index: int(w >> runCountBits), Count: w & runCountMask}, true
 		}
 		if w != 0 {
@@ -203,19 +192,20 @@ func (h *Histogram) addRun(at, i int, n uint64) {
 	h.buckets[i] += n
 }
 
-// addBuckets folds the buckets it yields into h — the one fold behind Merge
-// and Runs.AddTo: a merge-join, which is why it must ascend strictly.
-func (h *Histogram) addBuckets(it BucketIter) {
+// addRuns merge-joins packed runs, strictly ascending, into h: the one fold
+// behind Merge and Runs.AddTo.
+func (h *Histogram) addRuns(runs []uint64) {
 	at := 0
-	for b, ok := it.Next(); ok; b, ok = it.Next() {
-		h.count += b.Count
+	for _, run := range runs {
+		i, n := run>>runCountBits, run&runCountMask
+		h.count += n
 		if h.dense() {
-			h.buckets[b.Index] += b.Count
+			h.buckets[i] += n
 			continue
 		}
-		for at < len(h.buckets) && int(h.buckets[at]>>runCountBits) < b.Index {
+		for at < len(h.buckets) && h.buckets[at]>>runCountBits < i {
 			at++
 		}
-		h.addRun(at, b.Index, b.Count)
+		h.addRun(at, int(i), n)
 	}
 }

@@ -171,7 +171,9 @@ func appendBinSketch(dst []byte, sk *PeerSketch) []byte {
 
 // Sketch is one decoded per-peer sketch. Like Scanner's Record, the value
 // returned by Scanner.Sketch is owned by the Scanner and overwritten by
-// the next ScanEntry; its histograms alias the input buffer.
+// the next ScanEntry. Its histograms' runs are unpacked into scratch the
+// Scanner owns, so a copy of the Sketch shares them until then too: to
+// keep a sketch, Clone its RTT and Payload.
 type Sketch struct {
 	Src        netip.Addr
 	Dst        netip.Addr
@@ -208,25 +210,6 @@ func (sk *Sketch) FillRecord(r *Record) {
 	}
 }
 
-// Varint decode helpers: bounds-checked reads within d, returning the new
-// offset and ok=false on truncation/overflow.
-
-func getUvarint(d []byte, off int) (uint64, int, bool) {
-	v, n := binary.Uvarint(d[off:])
-	if n <= 0 {
-		return 0, off, false
-	}
-	return v, off + n, true
-}
-
-func getVarint(d []byte, off int) (int64, int, bool) {
-	v, n := binary.Varint(d[off:])
-	if n <= 0 {
-		return 0, off, false
-	}
-	return v, off + n, true
-}
-
 func getBinAddr(d []byte, off int) (netip.Addr, int, bool) {
 	if off >= len(d) {
 		return netip.Addr{}, off, false
@@ -259,21 +242,21 @@ func (s *Scanner) parseBinRecord() error {
 	var ok bool
 	var v int64
 	var u uint64
-	if v, off, ok = getVarint(d, off); !ok {
+	if v, off, ok = metrics.Varint(d, off); !ok {
 		return errBadBatch
 	}
 	r.Start = time.Unix(0, v).UTC()
 	if r.Src, off, ok = getBinAddr(d, off); !ok {
 		return errBadBatch
 	}
-	if u, off, ok = getUvarint(d, off); !ok || u > 0xffff {
+	if u, off, ok = metrics.Uvarint(d, off); !ok || u > 0xffff {
 		return errBadBatch
 	}
 	r.SrcPort = uint16(u)
 	if r.Dst, off, ok = getBinAddr(d, off); !ok {
 		return errBadBatch
 	}
-	if u, off, ok = getUvarint(d, off); !ok || u > 0xffff {
+	if u, off, ok = metrics.Uvarint(d, off); !ok || u > 0xffff {
 		return errBadBatch
 	}
 	r.DstPort = uint16(u)
@@ -286,19 +269,19 @@ func (s *Scanner) parseBinRecord() error {
 		return errBadBatch
 	}
 	r.Class, r.Proto, r.QoS = Class(class), Proto(proto), QoS(qos)
-	if v, off, ok = getVarint(d, off); !ok {
+	if v, off, ok = metrics.Varint(d, off); !ok {
 		return errBadBatch
 	}
 	r.PayloadLen = int(v)
-	if v, off, ok = getVarint(d, off); !ok {
+	if v, off, ok = metrics.Varint(d, off); !ok {
 		return errBadBatch
 	}
 	r.RTT = time.Duration(v)
-	if v, off, ok = getVarint(d, off); !ok {
+	if v, off, ok = metrics.Varint(d, off); !ok {
 		return errBadBatch
 	}
 	r.PayloadRTT = time.Duration(v)
-	if u, off, ok = getUvarint(d, off); !ok || u > uint64(len(d)-off) {
+	if u, off, ok = metrics.Uvarint(d, off); !ok || u > uint64(len(d)-off) {
 		return errBadBatch
 	}
 	r.Err = s.internErr(d[off : off+int(u)])
@@ -321,7 +304,7 @@ func (s *Scanner) parseBinSketch() error {
 	if sk.Dst, off, ok = getBinAddr(d, off); !ok {
 		return errBadBatch
 	}
-	if u, off, ok = getUvarint(d, off); !ok || u > 0xffff {
+	if u, off, ok = metrics.Uvarint(d, off); !ok || u > 0xffff {
 		return errBadBatch
 	}
 	sk.DstPort = uint16(u)
@@ -334,24 +317,24 @@ func (s *Scanner) parseBinSketch() error {
 		return errBadBatch
 	}
 	sk.Class, sk.Proto, sk.QoS = Class(class), Proto(proto), QoS(qos)
-	if v, off, ok = getVarint(d, off); !ok {
+	if v, off, ok = metrics.Varint(d, off); !ok {
 		return errBadBatch
 	}
 	sk.PayloadLen = int(v)
-	if v, off, ok = getVarint(d, off); !ok {
+	if v, off, ok = metrics.Varint(d, off); !ok {
 		return errBadBatch
 	}
 	sk.MinStart = time.Unix(0, v).UTC()
-	if u, off, ok = getUvarint(d, off); !ok || u > uint64(1<<62) {
+	if u, off, ok = metrics.Uvarint(d, off); !ok || u > uint64(1<<62) {
 		return errBadBatch
 	}
 	sk.MaxStart = time.Unix(0, v+int64(u)).UTC()
 	var n int
-	if sk.RTT, n, ok = metrics.DecodeRuns(d[off:]); !ok {
+	if sk.RTT, s.runs, n, ok = metrics.DecodeRuns(d[off:], s.runs[:0]); !ok {
 		return errBadBatch
 	}
 	off += n
-	if sk.Payload, n, ok = metrics.DecodeRuns(d[off:]); !ok {
+	if sk.Payload, s.runs, n, ok = metrics.DecodeRuns(d[off:], s.runs); !ok {
 		return errBadBatch
 	}
 	// A sketch that summarizes nothing is meaningless on the wire.

@@ -66,7 +66,9 @@ func scanAllEntries(data []byte) (recs []Record, sks []Sketch, errs int) {
 			}
 			recs = append(recs, *sc.Record())
 		case EntrySketch:
-			sks = append(sks, *sc.Sketch())
+			sk := *sc.Sketch()
+			sk.RTT, sk.Payload = sk.RTT.Clone(), sk.Payload.Clone()
+			sks = append(sks, sk)
 		}
 	}
 }
@@ -150,6 +152,28 @@ func TestBinaryBatchRoundTrip(t *testing.T) {
 // An extent interleaving CSV documents and binary batches must yield all
 // entries of both, in order, through one Scanner pass — and Scan (the
 // records-only view) must see the records of both formats.
+// TestKeptSketchOutlivesNextScan: the scanner unpacks every sketch's runs
+// into the same scratch, so a sketch kept past the next ScanEntry keeps
+// cloned runs — and those must still read as the first sketch after the
+// second, with different runs, is scanned.
+func TestKeptSketchOutlivesNextScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	sks := []PeerSketch{randomSketch(rng), randomSketch(rng)}
+	sks[0].Payload, sks[1].Payload = sks[1].RTT, sks[0].RTT
+	var sc Scanner
+	sc.Reset(AppendBinaryBatch(nil, nil, sks))
+	if k := sc.ScanEntry(); k != EntrySketch {
+		t.Fatalf("first entry: kind %d (rowErr %v)", k, sc.RowErr())
+	}
+	kept := *sc.Sketch()
+	kept.RTT, kept.Payload = kept.RTT.Clone(), kept.Payload.Clone()
+	if k := sc.ScanEntry(); k != EntrySketch {
+		t.Fatalf("second entry: kind %d (rowErr %v)", k, sc.RowErr())
+	}
+	compareSketch(t, sc.Sketch(), &sks[1])
+	compareSketch(t, &kept, &sks[0])
+}
+
 func TestScannerMixedFormats(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	csv1 := make([]Record, 10)

@@ -65,6 +65,7 @@ type Scanner struct {
 	binRemain int  // entries left in the current phase
 	binEnd    int  // offset one past the current batch payload
 	sk        Sketch
+	runs      []uint64 // sk's histograms' runs
 
 	errIntern map[string]string
 }
@@ -183,8 +184,9 @@ func (s *Scanner) ScanEntry() EntryKind {
 }
 
 // Sketch returns the sketch parsed by the last ScanEntry that returned
-// EntrySketch. It is owned by the Scanner and overwritten by the next
-// ScanEntry; its histograms alias the input buffer.
+// EntrySketch. It and its histograms' runs are owned by the Scanner and
+// valid only until the next ScanEntry, which overwrites both: a caller
+// that keeps a sketch past that copies it and Clones its RTT and Payload.
 func (s *Scanner) Sketch() *Sketch { return &s.sk }
 
 // Record returns the row parsed by the last Scan. It is only valid when

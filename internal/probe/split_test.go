@@ -24,7 +24,9 @@ func (s *scanned) scan(data []byte) {
 			return
 		case EntrySketch:
 			s.kinds = append(s.kinds, 's')
-			s.sks = append(s.sks, *sc.Sketch())
+			sk := *sc.Sketch()
+			sk.RTT, sk.Payload = sk.RTT.Clone(), sk.Payload.Clone()
+			s.sks = append(s.sks, sk)
 		default:
 			if sc.RowErr() != nil {
 				s.kinds = append(s.kinds, 'e')

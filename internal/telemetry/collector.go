@@ -242,11 +242,14 @@ type IngestResult struct {
 	Duplicate bool
 }
 
-// parsedEntry is one metric of a report drained into Ingest's scratch.
+// parsedEntry is one metric of a report drained into Ingest's scratch. It
+// holds no pointer into the scratch, which would move the scratch to the
+// heap: its key and its histogram's runs are offsets into it.
 type parsedEntry struct {
-	lo, hi int32        // the cell key, kind byte + name, within the scratch's key bytes
-	delta  int64        // counter or gauge
-	runs   metrics.Runs // histogram; aliases the report
+	lo, hi   int32        // the cell key, kind byte + name, within the scratch's key bytes
+	rlo, rhi int32        // a histogram's runs within the scratch's runs
+	delta    int64        // counter or gauge
+	hist     metrics.Runs // a histogram's tallies
 }
 
 // Ingest validates and folds one PMT1 report. The report is parsed once,
@@ -257,7 +260,7 @@ type parsedEntry struct {
 // Collector for the locking and what concurrent readers observe).
 // Steady-state ingest performs no allocations (CI tier 3 guards this); the
 // allocating paths are an agent's, scope's or metric's first appearance and
-// a report with more metrics than the scratch holds.
+// a report with more metrics, or histogram runs, than the scratch holds.
 func (c *Collector) Ingest(data []byte, now time.Time) (IngestResult, error) {
 	// The scratch is per call and on the stack rather than pooled: the race
 	// runtime drops sync.Pool items on purpose, which would make the
@@ -266,8 +269,9 @@ func (c *Collector) Ingest(data []byte, now time.Time) (IngestResult, error) {
 		p      Parser
 		keyBuf [512]byte
 		entBuf [32]parsedEntry
+		runBuf [256]uint64
 	)
-	keys, ents, scope, err := parseReport(&p, data, keyBuf[:0], entBuf[:0])
+	keys, ents, runs, scope, err := parseReport(&p, data, keyBuf[:0], entBuf[:0], runBuf[:0])
 	if err != nil {
 		c.cRejects.Inc()
 		return IngestResult{}, err
@@ -327,7 +331,7 @@ func (c *Collector) Ingest(data []byte, now time.Time) (IngestResult, error) {
 			lf.cells[k] = r
 		}
 		if r.kind == kindHist {
-			e.runs.AddTo(r.hist)
+			e.hist.WithRuns(runs[e.rlo:e.rhi]).AddTo(r.hist)
 		} else {
 			r.val += e.delta
 		}
@@ -348,20 +352,21 @@ var (
 )
 
 // parseReport parses the whole of data, appending each metric's cell key
-// to keys and its entry to ents, and returns both with the scope the report
-// folds under. Any error means the report is refused whole: corrupt bytes,
-// no src, an illegal scope. Histogram entries with no observations are
-// dropped, as absence means a zero delta.
-func parseReport(p *Parser, data []byte, keys []byte, ents []parsedEntry) ([]byte, []parsedEntry, []byte, error) {
+// to keys, its entry to ents and a histogram's runs to runs, and returns
+// all three with the scope the report folds under. Any error means the
+// report is refused whole: corrupt bytes, no src, an illegal scope.
+// Histogram entries with no observations are dropped, as absence means a
+// zero delta.
+func parseReport(p *Parser, data []byte, keys []byte, ents []parsedEntry, runs []uint64) ([]byte, []parsedEntry, []uint64, []byte, error) {
 	if err := p.Reset(data); err != nil {
-		return keys, ents, nil, err
+		return keys, ents, runs, nil, err
 	}
 	if len(p.Src()) == 0 {
-		return keys, ents, nil, errEmptySrc
+		return keys, ents, runs, nil, errEmptySrc
 	}
 	scope, err := leafScope(p.Scope())
 	if err != nil {
-		return keys, ents, nil, err
+		return keys, ents, runs, nil, err
 	}
 	for {
 		name, delta, ok := p.NextCounter()
@@ -382,18 +387,21 @@ func parseReport(p *Parser, data []byte, keys []byte, ents []parsedEntry) ([]byt
 		ents = append(ents, e)
 	}
 	for {
-		name, runs, ok := p.NextHist()
+		rlo := len(runs)
+		name, hd, ext, ok := p.NextHist(runs)
 		if !ok {
 			break
 		}
-		if runs.Count == 0 {
+		if hd.Count == 0 {
 			continue
 		}
-		e := parsedEntry{runs: runs}
+		runs = ext
+		e := parsedEntry{rlo: int32(rlo), rhi: int32(len(runs)),
+			hist: metrics.Runs{Count: hd.Count, Sum: hd.Sum, Min: hd.Min, Max: hd.Max}}
 		keys, e.lo, e.hi = appendKey(keys, kindHist, name)
 		ents = append(ents, e)
 	}
-	return keys, ents, scope, p.Err()
+	return keys, ents, runs, scope, p.Err()
 }
 
 // appendKey appends a metric's cell key and returns where it lies.

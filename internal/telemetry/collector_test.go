@@ -259,6 +259,59 @@ func TestCollectorResyncReasons(t *testing.T) {
 	}
 }
 
+// TestCollectorRefusesForgedSectionCount: every counter, gauge and
+// histogram entry takes at least three bytes, so a section count past a
+// third of the bytes left is a lie, even where the bytes left could hold
+// that many single bytes. Such a report is refused whole: one reject, no
+// cell touched, and the agent's delta base where it was.
+func TestCollectorRefusesForgedSectionCount(t *testing.T) {
+	c := NewCollector(CollectorConfig{})
+	var b ReportBuilder
+	h := metrics.NewLatencyHistogram()
+	h.Observe(time.Millisecond)
+	h.Observe(3 * time.Millisecond)
+	report := func(seq uint64) []byte {
+		b.Begin("srv", "d0.s0.p0", seq, seq-1, 0)
+		b.Counter("c", 7)
+		b.Gauge("g", 3)
+		appendHist(&b, "h", h)
+		return b.Finish()
+	}
+	now := time.Unix(0, 0)
+	if _, err := c.Ingest(report(1), now); err != nil {
+		t.Fatal(err)
+	}
+	forged := append([]byte(nil), report(2)...)
+	at := bytes.Index(forged, []byte("d0.s0.p0")) + len("d0.s0.p0") + 3 // past seq, base and now
+	left := len(forged) - at - 1
+	if forged[at] != 1 || left/3+1 >= 0x80 {
+		t.Fatalf("counter count %d at byte %d, %d bytes left: not the one-byte count of one counter", forged[at], at, left)
+	}
+	forged[at] = byte(left/3 + 1)
+	var p Parser
+	if err := p.Reset(forged); err == nil {
+		t.Errorf("the parser opened a section of %d entries in %d bytes", forged[at], left)
+	}
+	if _, err := c.Ingest(forged, now); err == nil {
+		t.Fatalf("a count of %d entries in %d bytes was accepted", forged[at], left)
+	}
+	if n := c.Metrics().Snapshot().Counters["telemetry.rejects"]; n != 1 {
+		t.Errorf("telemetry.rejects = %d, want 1", n)
+	}
+	cv, _ := c.RollupCounter("fleet", "c")
+	gv, _ := c.RollupGauge("fleet", "g")
+	hv, _ := c.RollupHistogram("fleet", "h")
+	if cv != 7 || gv != 3 || hv.Count() != 2 {
+		t.Errorf("after the refused report: c=%d g=%d h has %d observations, want 7, 3, 2", cv, gv, hv.Count())
+	}
+	if res, err := c.Ingest(report(2), now); err != nil || res.Resync || res.Ack != 2 {
+		t.Fatalf("the genuine report on the same base: %+v err=%v", res, err)
+	}
+	if cv, _ := c.RollupCounter("fleet", "c"); cv != 14 {
+		t.Errorf("c = %d after the genuine report, want 14", cv)
+	}
+}
+
 // TestCollectorRollupGauges: SampleRollups publishes how many cells it
 // sampled; the agent gauge is the registered count.
 func TestCollectorRollupGauges(t *testing.T) {

@@ -76,6 +76,24 @@ func TestEncoderCollectorDeltas(t *testing.T) {
 	want.Observe(8 * time.Millisecond)
 	want.Observe(1 * time.Millisecond)
 	assertHistEqual(t, fh, want)
+
+	// Third interval: two histograms of 299 new buckets each, more runs
+	// than Ingest's stack scratch holds. The scratch grows onto the heap and
+	// every histogram still lands whole.
+	wide := reg.Histogram("agent.wide")
+	wantWide := metrics.NewLatencyHistogram()
+	for b := 1; b < 300; b++ {
+		lo, _ := metrics.LatencyBucketRange(b)
+		h.Observe(lo + 1)
+		want.Observe(lo + 1)
+		wide.Observe(lo + 1)
+		wantWide.Observe(lo + 1)
+	}
+	shipRound(t, e, c, now.Add(10*time.Minute))
+	fh, _ = c.RollupHistogram("fleet", "agent.probe_rtt")
+	assertHistEqual(t, fh, want)
+	fw, _ := c.RollupHistogram("fleet", "agent.wide")
+	assertHistEqual(t, fw, wantWide)
 }
 
 func assertHistEqual(t *testing.T, got, want *metrics.Histogram) {

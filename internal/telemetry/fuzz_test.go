@@ -44,7 +44,7 @@ func FuzzPMT1RoundTrip(f *testing.F) {
 			}
 			hist := metrics.NewLatencyHistogram()
 			for {
-				_, hd, ok := p.NextHist()
+				_, hd, _, ok := p.NextHist(nil)
 				if !ok {
 					break
 				}
@@ -153,7 +153,7 @@ func FuzzPMT1RoundTrip(f *testing.F) {
 			t.Fatal("extra gauge")
 		}
 		for _, want := range hists {
-			name, hd, ok := p.NextHist()
+			name, hd, _, ok := p.NextHist(nil)
 			if !ok || string(name) != want.name {
 				t.Fatalf("hist: got %q %v want %q", name, ok, want.name)
 			}
@@ -172,7 +172,7 @@ func FuzzPMT1RoundTrip(f *testing.F) {
 				t.Fatal("extra bucket")
 			}
 		}
-		if _, _, ok := p.NextHist(); ok {
+		if _, _, _, ok := p.NextHist(nil); ok {
 			t.Fatal("extra hist")
 		}
 		if err := p.Err(); err != nil {

@@ -256,7 +256,7 @@ func (p *Parser) Reset(data []byte) error {
 	if p.base, p.off, ok = p.getUvarint(); !ok {
 		return p.fail(errBadReport)
 	}
-	if p.nowNS, p.off, ok = p.getVarint(); !ok {
+	if p.nowNS, p.off, ok = metrics.Varint(p.d[:p.end], p.off); !ok {
 		return p.fail(errBadReport)
 	}
 	return p.openSection(phaseCounters)
@@ -322,7 +322,7 @@ func (p *Parser) NextGauge() (name []byte, delta int64, ok bool) {
 	if !p.readName() {
 		return nil, 0, false
 	}
-	if delta, p.off, ok = p.getVarint(); !ok {
+	if delta, p.off, ok = metrics.Varint(p.d[:p.end], p.off); !ok {
 		p.fail(errBadReport)
 		return nil, 0, false
 	}
@@ -330,45 +330,46 @@ func (p *Parser) NextGauge() (name []byte, delta int64, ok bool) {
 }
 
 // NextHist returns the next histogram entry: its sum is the sum of the new
-// observations, its min/max the agent's cumulative ones. The runs alias the
-// report buffer. Call only after NextGauge has returned false. After the
-// last histogram, the parser verifies the payload was fully consumed; check
-// Err.
-func (p *Parser) NextHist() (name []byte, hd metrics.Runs, ok bool) {
+// observations, its min/max the agent's cumulative ones. Its runs are
+// appended to scratch, which comes back extended as ext; hd's runs are its
+// tail. Call only after NextGauge has returned false. After the last
+// histogram, the parser verifies the payload was fully consumed; check Err.
+func (p *Parser) NextHist(scratch []uint64) (name []byte, hd metrics.Runs, ext []uint64, ok bool) {
 	if p.err != nil {
-		return nil, metrics.Runs{}, false
+		return nil, metrics.Runs{}, scratch, false
 	}
 	if p.phase != phaseHists {
 		if p.phase != phaseDone {
 			p.fail(errParserPhase)
 		}
-		return nil, metrics.Runs{}, false
+		return nil, metrics.Runs{}, scratch, false
 	}
 	if p.remain == 0 {
 		if p.off != p.end {
 			p.fail(errBadReport)
 		}
 		p.phase = phaseDone
-		return nil, metrics.Runs{}, false
+		return nil, metrics.Runs{}, scratch, false
 	}
 	p.remain--
 	if !p.readName() {
-		return nil, metrics.Runs{}, false
+		return nil, metrics.Runs{}, scratch, false
 	}
-	hd, n, ok := metrics.DecodeRuns(p.d[p.off:p.end])
+	hd, ext, n, ok := metrics.DecodeRuns(p.d[p.off:p.end], scratch)
 	if !ok {
 		p.fail(errBadReport)
-		return nil, metrics.Runs{}, false
+		return nil, metrics.Runs{}, scratch, false
 	}
 	p.off += n
-	return p.name[:p.nameLen], hd, true
+	return p.name[:p.nameLen], hd, ext, true
 }
 
 // openSection reads the next section's entry count and sanity-checks it
-// against the remaining payload (every entry is at least three bytes).
+// against the remaining payload: every entry takes at least three bytes, a
+// name's two lengths and one byte of value.
 func (p *Parser) openSection(phase int8) error {
 	n, off, ok := p.getUvarint()
-	if !ok || n > uint64(p.end-off) {
+	if !ok || n > uint64(p.end-off)/3 {
 		return p.fail(errBadReport)
 	}
 	p.off = off
@@ -385,7 +386,7 @@ func (p *Parser) readName() bool {
 		p.fail(errBadReport)
 		return false
 	}
-	sfx, off2, ok := getUvarintAt(p.d[:p.end], off)
+	sfx, off2, ok := metrics.Uvarint(p.d[:p.end], off)
 	if !ok || prefix+sfx > maxNameLen || sfx > uint64(p.end-off2) {
 		p.fail(errBadReport)
 		return false
@@ -396,23 +397,7 @@ func (p *Parser) readName() bool {
 }
 
 func (p *Parser) getUvarint() (uint64, int, bool) {
-	return getUvarintAt(p.d[:p.end], p.off)
-}
-
-func (p *Parser) getVarint() (int64, int, bool) {
-	v, n := binary.Varint(p.d[p.off:p.end])
-	if n <= 0 {
-		return 0, p.off, false
-	}
-	return v, p.off + n, true
-}
-
-func getUvarintAt(d []byte, off int) (uint64, int, bool) {
-	v, n := binary.Uvarint(d[off:])
-	if n <= 0 {
-		return 0, off, false
-	}
-	return v, off + n, true
+	return metrics.Uvarint(p.d[:p.end], p.off)
 }
 
 func (p *Parser) fail(err error) error {

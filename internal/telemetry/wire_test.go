@@ -45,7 +45,7 @@ func drainReport(t *testing.T, data []byte) drained {
 		d.gauges[string(name)] = delta
 	}
 	for {
-		name, hd, ok := p.NextHist()
+		name, hd, _, ok := p.NextHist(nil)
 		if !ok {
 			break
 		}
@@ -212,7 +212,7 @@ func TestWireCorruptInputs(t *testing.T) {
 				}
 			}
 			for {
-				if _, _, ok := p.NextHist(); !ok {
+				if _, _, _, ok := p.NextHist(nil); !ok {
 					break
 				}
 			}
@@ -279,7 +279,7 @@ func TestWireHistRejectsBadRuns(t *testing.T) {
 				break
 			}
 		}
-		if _, hd, ok := p.NextHist(); ok {
+		if _, hd, _, ok := p.NextHist(nil); ok {
 			it := hd.Buckets()
 			first, _ := it.Next()
 			second, _ := it.Next()

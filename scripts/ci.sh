@@ -23,7 +23,9 @@
 #       FoldPass$/open appends one sketched batch to an extent that stays
 #       open and folds it from the extent's byte cursor: ns/op follows the
 #       batch, not the extent's length. scope FoldExtent$ folds the same
-#       records peer by peer (runs) and interleaved, 0 allocs/op on both
+#       records peer by peer (runs) and interleaved, 0 allocs/op on both.
+#       metrics DecodeRuns$ decodes a 32-run wire histogram and merges its
+#       packed runs into a histogram, 0 allocs/op
 #   3b. examples/isitnetwork, whose two incidents must print the verdicts
 #       not-network and network, in that order; then every paper figure and
 #       table at reduced budgets (cmd/experiments -quick), the pipeline-read
@@ -36,8 +38,8 @@
 #   3d. simulated-fleet portal smoke: pingmesh-sim -addr on loopback must log
 #       two cycles and still be running (a DSA cycle off the window grid
 #       fails and exits it), and /heatmap/DC1 must answer 200
-#   4.  short fuzz pass over the wire formats and merge equivalences
-#       (optional, FUZZ=1)
+#   4.  short fuzz pass over the wire formats (CSV lines included) and merge
+#       equivalences (optional, FUZZ=1)
 #
 # Usage: scripts/ci.sh [package...]   # default: ./...
 set -eu
@@ -82,6 +84,7 @@ go test ./internal/dsa -run xxx -bench 'FoldPass$/open' -benchtime 2000x -cpu 1,
 go test ./internal/scope -run xxx -bench 'ScopeRun$' -benchmem -cpu 1,2
 go test ./internal/scope -run xxx -bench 'FoldExtent$' -benchmem
 go test ./internal/cosmos -run xxx -bench 'Append$' -benchmem -benchtime 2048x
+go test ./internal/metrics -run xxx -bench 'DecodeRuns$' -benchmem
 go test ./internal/telemetry -run xxx -bench 'IngestFleet$' -benchmem -benchtime 1000000x -cpu 1,2,4
 go test ./internal/controller -run xxx -bench 'UpdateTopology$' -benchmem -benchtime 5x
 go test ./internal/netsim -run xxx -bench 'PathResolve$' -benchmem
@@ -154,6 +157,7 @@ if [ "${FUZZ:-0}" = "1" ]; then
     go test ./internal/pinglist -fuzz FuzzMarshalRoundTrip -fuzztime 30s
     go test ./internal/pinglist -fuzz FuzzMarshalMatchesEncodingXML -fuzztime 30s
     go test ./internal/pinglist -fuzz FuzzDeltaPatchVsFull -fuzztime 30s
+    go test ./internal/probe -fuzz FuzzParseCSV -fuzztime 30s
     go test ./internal/probe -fuzz FuzzScannerVsDecodeBatch -fuzztime 30s
     go test ./internal/probe -fuzz FuzzBinaryCodecRoundTrip -fuzztime 30s
     go test ./internal/probe -fuzz FuzzSplitBatches -fuzztime 30s
