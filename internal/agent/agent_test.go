@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"net/netip"
 	"os"
 	"strings"
@@ -546,6 +548,41 @@ func TestUnchangedVersionNotReapplied(t *testing.T) {
 	time.Sleep(10 * time.Millisecond)
 	if a.PeerCount() != 2 || a.Version() != "v1" {
 		t.Fatal("agent state churned on unchanged pinglist")
+	}
+}
+
+// TestFetchCountsDeltaFallback: a patch the client cannot use is counted
+// as agent.fetch_delta_fallbacks, and its bytes in agent.fetch_bytes next
+// to the full download that replaced it.
+func TestFetchCountsDeltaFallback(t *testing.T) {
+	body, err := pinglist.Marshal(testFile("v1", 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const garbage = "<PinglistDelta this is not a delta"
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Header.Get("If-None-Match") != "" {
+			w.WriteHeader(http.StatusIMUsed)
+			w.Write([]byte(garbage))
+			return
+		}
+		w.Header().Set("ETag", `"v1"`)
+		w.Write(body)
+	}))
+	defer srv.Close()
+	a, err := New(testConfig(&controller.Client{BaseURL: srv.URL}, &fakeProber{}, simclock.NewSim(epoch)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.fetchOnce(context.Background())
+	a.fetchOnce(context.Background()) // revalidation → unusable patch → full body
+	c := a.Metrics().Snapshot().Counters
+	if c["agent.fetches_ok"] != 2 || c["agent.fetch_delta_fallbacks"] != 1 || c["agent.fetch_delta"] != 0 {
+		t.Fatalf("fetches_ok %d, fetch_delta_fallbacks %d, fetch_delta %d; want 2, 1, 0",
+			c["agent.fetches_ok"], c["agent.fetch_delta_fallbacks"], c["agent.fetch_delta"])
+	}
+	if want := int64(2*len(body) + len(garbage)); c["agent.fetch_bytes"] != want {
+		t.Fatalf("agent.fetch_bytes = %d, want %d", c["agent.fetch_bytes"], want)
 	}
 }
 

@@ -82,15 +82,11 @@ func (a *Agent) fetchOnce(ctx context.Context) {
 	fetchStart := a.clock.Now()
 	var f *pinglist.File
 	var err error
-	notModified := false
-	delta := false
+	var res controller.FetchResult
 	if df, ok := a.cfg.Controller.(detailFetcher); ok {
-		var res controller.FetchResult
 		res, err = df.FetchDetail(ctx, a.cfg.ServerName)
 		if err == nil {
 			f = res.File
-			notModified = res.NotModified
-			delta = res.Delta
 			a.reg.Counter("agent.fetch_bytes").Add(res.BytesOnWire)
 		}
 	} else {
@@ -117,15 +113,20 @@ func (a *Agent) fetchOnce(ctx context.Context) {
 	}
 	a.reg.Counter("agent.fetches_ok").Inc()
 	a.reg.Histogram("agent.fetch.duration").Observe(a.clock.Since(fetchStart))
-	if notModified {
+	if res.NotModified {
 		// The controller revalidated our cached copy with a 304: the
 		// pinglist is unchanged and the fetch cost no body bytes.
 		a.reg.Counter("agent.fetch_not_modified").Inc()
 	}
-	if delta {
+	if res.Delta {
 		// A changed pinglist arrived as a verified patch instead of a full
 		// download.
 		a.reg.Counter("agent.fetch_delta").Inc()
+	}
+	if res.DeltaFallback {
+		// A patch arrived but was unusable: its bytes were wasted and the
+		// full download above replaced it.
+		a.reg.Counter("agent.fetch_delta_fallbacks").Inc()
 	}
 	a.mu.Lock()
 	a.fetchFailures = 0

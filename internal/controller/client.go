@@ -100,7 +100,12 @@ type FetchResult struct {
 	// Delta is true when the controller answered 226 and File was
 	// reconstructed by patching the cached copy.
 	Delta bool
-	// BytesOnWire is the response body size as transferred.
+	// DeltaFallback is true when the controller answered 226 but the
+	// patch failed to parse, apply or verify, and File came from the
+	// unconditional full download that followed.
+	DeltaFallback bool
+	// BytesOnWire is the response body size as transferred, a wasted
+	// patch's bytes included.
 	BytesOnWire int64
 }
 
@@ -243,28 +248,18 @@ func (c *Client) fetchDetail(ctx context.Context, server string, revalidate bool
 		return FetchResult{}, err
 	}
 
-	counted := &countingReader{r: io.LimitReader(resp.Body, 64<<20)}
-	var body io.Reader = counted
-	if strings.EqualFold(resp.Header.Get("Content-Encoding"), "gzip") {
-		zr, err := gzip.NewReader(counted)
-		if err != nil {
-			return FetchResult{}, fmt.Errorf("controller: gzip body: %w", err)
-		}
-		defer zr.Close()
-		// Bound the decompressed size too, not just the wire size.
-		body = io.LimitReader(zr, 64<<20)
-	}
-	f, err := pinglist.Read(body)
+	data, wire, err := readBody(resp)
 	if err != nil {
 		return FetchResult{}, err
 	}
-	if err := f.Validate(); err != nil {
+	f, err := pinglist.Unmarshal(data)
+	if err != nil {
 		return FetchResult{}, err
 	}
-	res := FetchResult{File: f, BytesOnWire: counted.n}
+	res := FetchResult{File: f, BytesOnWire: wire}
 	c.mu.Lock()
 	c.stats.Fetches++
-	c.stats.BytesOnWire += counted.n
+	c.stats.BytesOnWire += wire
 	if etag := resp.Header.Get("ETag"); etag != "" && !c.DisableCache {
 		if c.cache == nil {
 			c.cache = make(map[string]*cacheEntry)
@@ -281,34 +276,28 @@ func (c *Client) fetchDetail(ctx context.Context, server string, revalidate bool
 // the cached base generation, and verify the result against the target
 // ETag. Any failure — parse, stale base, verification mismatch — falls
 // back to one unconditional full download; a delta can delay convergence
-// but never corrupt it.
+// but never corrupt it. The cached base and the patch's peers were both
+// validated as they were decoded, so the patched file needs no check of
+// its own.
 func (c *Client) applyDelta(ctx context.Context, server string, resp *http.Response) (FetchResult, error) {
-	fallback := func(wire int64) (FetchResult, error) {
+	data, wire, err := readBody(resp)
+	fallback := func() (FetchResult, error) {
 		c.mu.Lock()
 		c.stats.DeltaFallbacks++
 		c.stats.BytesOnWire += wire // the failed patch still crossed the wire
 		c.mu.Unlock()
 		c.dropCache(server)
-		return c.fetchDetail(ctx, server, false)
+		res, err := c.fetchDetail(ctx, server, false)
+		res.DeltaFallback = true
+		res.BytesOnWire += wire
+		return res, err
 	}
-
-	counted := &countingReader{r: io.LimitReader(resp.Body, 64<<20)}
-	var body io.Reader = counted
-	if strings.EqualFold(resp.Header.Get("Content-Encoding"), "gzip") {
-		zr, err := gzip.NewReader(counted)
-		if err != nil {
-			return fallback(counted.n)
-		}
-		defer zr.Close()
-		body = io.LimitReader(zr, 64<<20)
-	}
-	raw, err := io.ReadAll(body)
 	if err != nil {
-		return fallback(counted.n)
+		return fallback()
 	}
-	d, err := pinglist.UnmarshalDelta(raw)
+	d, err := pinglist.UnmarshalDelta(data)
 	if err != nil {
-		return fallback(counted.n)
+		return fallback()
 	}
 
 	c.mu.Lock()
@@ -317,26 +306,23 @@ func (c *Client) applyDelta(ctx context.Context, server string, resp *http.Respo
 	if !ok {
 		// 226 with no cached base (cache cleared mid-flight): only a full
 		// body can help.
-		return fallback(counted.n)
+		return fallback()
 	}
 	// Cache entries are immutable once published and ApplyVerified only
 	// reads the base, so patching outside the lock is safe.
 	f, _, err := pinglist.ApplyVerified(e.file, e.etag, d)
 	if err != nil {
-		return fallback(counted.n)
-	}
-	if err := f.Validate(); err != nil {
-		return fallback(counted.n)
+		return fallback()
 	}
 	etag := resp.Header.Get("ETag")
 	if etag == "" {
 		etag = d.TargetETag
 	}
-	res := FetchResult{Delta: true, BytesOnWire: counted.n}
+	res := FetchResult{Delta: true, BytesOnWire: wire}
 	c.mu.Lock()
 	c.stats.Fetches++
 	c.stats.DeltaApplied++
-	c.stats.BytesOnWire += counted.n
+	c.stats.BytesOnWire += wire
 	ne := &cacheEntry{etag: etag, file: f}
 	if c.cache == nil {
 		c.cache = make(map[string]*cacheEntry)
@@ -351,6 +337,27 @@ func (c *Client) dropCache(server string) {
 	c.mu.Lock()
 	delete(c.cache, server)
 	c.mu.Unlock()
+}
+
+// readBody reads a response body, inflating it if it is gzipped, and
+// returns it with the number of bytes that crossed the wire. Both sizes
+// are bounded.
+func readBody(resp *http.Response) (data []byte, wire int64, err error) {
+	counted := &countingReader{r: io.LimitReader(resp.Body, 64<<20)}
+	var body io.Reader = counted
+	if strings.EqualFold(resp.Header.Get("Content-Encoding"), "gzip") {
+		zr, err := gzip.NewReader(counted)
+		if err != nil {
+			return nil, counted.n, fmt.Errorf("controller: gzip body: %w", err)
+		}
+		defer zr.Close()
+		body = io.LimitReader(zr, 64<<20)
+	}
+	data, err = io.ReadAll(body)
+	if err != nil {
+		return nil, counted.n, fmt.Errorf("controller: read body: %w", err)
+	}
+	return data, counted.n, nil
 }
 
 // countingReader counts bytes as they come off the wire.

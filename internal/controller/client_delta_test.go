@@ -86,15 +86,16 @@ func TestClientAppliesDelta(t *testing.T) {
 
 // TestClientDeltaFallback feeds the client a corrupt 226 and checks the
 // contract: it must recover with an unconditional full download, never
-// surface a wrong pinglist.
+// surface a wrong pinglist, and report the wasted patch and its bytes.
 func TestClientDeltaFallback(t *testing.T) {
 	rig := newDeltaRig(t)
+	const garbage = "<PinglistDelta this is not a delta"
 	sabotage := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Header.Get("If-None-Match") != "" {
 			w.Header().Set("IM", DeltaIM)
 			w.Header().Set("Content-Type", DeltaContentType)
 			w.WriteHeader(http.StatusIMUsed)
-			w.Write([]byte("<PinglistDelta this is not a delta"))
+			w.Write([]byte(garbage))
 			return
 		}
 		rig.h.ServeHTTP(w, r)
@@ -104,7 +105,8 @@ func TestClientDeltaFallback(t *testing.T) {
 
 	ctx := context.Background()
 	cl := &Client{BaseURL: srv.URL}
-	if _, err := cl.FetchDetail(ctx, rig.name); err != nil {
+	first, err := cl.FetchDetail(ctx, rig.name)
+	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := cl.FetchDetail(ctx, rig.name) // conditional → garbage 226
@@ -120,5 +122,12 @@ func TestClientDeltaFallback(t *testing.T) {
 	st := cl.Stats()
 	if st.DeltaFallbacks != 1 {
 		t.Fatalf("DeltaFallbacks = %d, want 1", st.DeltaFallbacks)
+	}
+	// The same full body again, after the patch that was thrown away.
+	if !res.DeltaFallback || res.BytesOnWire != first.BytesOnWire+int64(len(garbage)) {
+		t.Fatalf("fallback result %+v, want DeltaFallback and %d + %d bytes", res, first.BytesOnWire, len(garbage))
+	}
+	if st.BytesOnWire != first.BytesOnWire+res.BytesOnWire {
+		t.Fatalf("BytesOnWire = %d, want the two results' %d + %d", st.BytesOnWire, first.BytesOnWire, res.BytesOnWire)
 	}
 }

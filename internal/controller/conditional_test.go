@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"context"
+	"encoding/xml"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -264,6 +265,34 @@ func TestClientFallsBackWithoutETag(t *testing.T) {
 	}
 	if s := client.Stats(); s.Fetches != 3 || s.NotModified != 0 {
 		t.Fatalf("stats = %+v", s)
+	}
+}
+
+// TestClientRejectsForeignBody: a 200 body that is the same document in
+// another XML spelling than Marshal's fails the fetch like any bad body,
+// and nothing is cached from it.
+func TestClientRejectsForeignBody(t *testing.T) {
+	c, top := newController(t)
+	name := top.Server(0).Name
+	f, err := pinglist.Unmarshal(get(t, c.Handler(), "/pinglist/"+name, nil).Body.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	compact, err := xml.Marshal(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("ETag", `"compact"`)
+		w.Write(compact)
+	}))
+	defer srv.Close()
+	client := &Client{BaseURL: srv.URL}
+	if res, err := client.FetchDetail(context.Background(), name); err == nil {
+		t.Fatalf("foreign body accepted: %+v", res)
+	}
+	if _, ok := client.cachedETag(name); ok || client.Stats().Fetches != 0 {
+		t.Fatalf("rejected body left state behind: stats %+v", client.Stats())
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 )
 
 // oracleGen is one published generation as the test saw it: every
-// server's ETag, full body, and the body parsed the slow way.
+// server's ETag, full body, and the body parsed back with Unmarshal.
 type oracleGen map[string]*oracleFile
 
 type oracleFile struct {

@@ -65,15 +65,6 @@ func MarshalDelta(d *Delta) ([]byte, error) {
 	return appendDelta(make([]byte, 0, deltaSize(d, generated)), d, generated), nil
 }
 
-// UnmarshalDelta parses an XML delta document.
-func UnmarshalDelta(data []byte) (*Delta, error) {
-	var d Delta
-	if err := xml.Unmarshal(data, &d); err != nil {
-		return nil, fmt.Errorf("pinglist: unmarshal delta: %w", err)
-	}
-	return &d, nil
-}
-
 // Diff computes the delta that patches old into new. baseETag and
 // targetETag are the strong ETags of the two files' Marshal outputs (the
 // caller usually has them precomputed; DiffFiles computes them). Insert

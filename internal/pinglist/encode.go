@@ -9,10 +9,13 @@ import (
 
 // The append-based writers behind Marshal and MarshalDelta. Their output
 // is byte-identical to xml.MarshalIndent(v, "", "  ") plus a newline —
-// ETags hash these bytes, so the form may never drift; encoding/xml stays
-// the oracle (FuzzMarshalMatchesEncodingXML) and the parser. What they
-// skip is encoding/xml's reflection and per-token buffering: a controller
-// regenerating a fleet's files writes each one as plain appends.
+// ETags hash these bytes, so the form may never drift. encoding/xml is
+// only the oracle, in the tests: FuzzMarshalMatchesEncodingXML holds these
+// writers to its encoder, and FuzzUnmarshal and FuzzUnmarshalDelta hold
+// the reader in decode.go, which accepts nothing but this form, to its
+// decoder. What the writers skip is encoding/xml's reflection and
+// per-token buffering: a controller regenerating a fleet's files writes
+// each one as plain appends.
 
 // appendFile appends the XML form of f, generated being the file's
 // already-marshaled timestamp.

@@ -1,6 +1,7 @@
 package pinglist
 
 import (
+	"bytes"
 	"encoding/xml"
 	"fmt"
 	"reflect"
@@ -32,28 +33,173 @@ func xmlSafe(s string) bool {
 	return true
 }
 
+// unmarshalSeeds are the bodies FuzzUnmarshal was first seeded with:
+// documents encoding/xml reads that Marshal never writes, and garbage.
+// They stay in its corpus, and Unmarshal must reject every one
+// (TestUnmarshalRejectsNonCanonical).
+var unmarshalSeeds = []string{
+	"<Pinglist/>",
+	"not xml",
+	`<Pinglist server="x"><Peer addr="1.2.3.4" port="1" class="intra-pod" proto="tcp" qos="high" interval="10" payload="0"></Peer></Pinglist>`,
+}
+
+// generatedFile derives a pinglist from fuzz bytes: server and version
+// are cut from them as they are — entities, control bytes and invalid
+// UTF-8 included — and the peers come from fileFromBytes' value space, in
+// which the top byte values stand for a peer that needs escaping or one
+// that fails Validate.
+func generatedFile(data []byte) *File {
+	server, rest, _ := bytes.Cut(data, []byte{0})
+	version, seed, _ := bytes.Cut(rest, []byte{0})
+	f := fileFromBytes(string(server), string(version), seed)
+	for i := range f.Peers {
+		p := &f.Peers[i]
+		switch seed[i] {
+		case 250:
+			p.Addr = "fe80::1%z\"&<>'\t\n\r\u00fc" // a zone may hold anything
+		case 251:
+			p.Port = 0
+		case 252:
+			p.IntervalSec = 0
+		case 253:
+			p.Class = "intra-pod\n"
+		case 254:
+			p.Addr = "10.0.0.256"
+		case 255:
+			p.PayloadLen = -1
+		}
+	}
+	return f
+}
+
+// xmlOracle fails t unless encoding/xml reads data as got. head gives a
+// document's root element name, which only encoding/xml sets, and its
+// timestamp, compared as an instant in a zone of the same name.
+func xmlOracle[T any](t *testing.T, data []byte, got *T, head func(*T) (*xml.Name, *time.Time)) {
+	t.Helper()
+	var want T
+	if err := xml.Unmarshal(data, &want); err != nil {
+		t.Fatalf("decoded a body encoding/xml rejects (%v):\n%q", err, data)
+	}
+	wantName, wantAt := head(&want)
+	gotName, gotAt := head(got)
+	if !wantAt.Equal(*gotAt) || wantAt.Location().String() != gotAt.Location().String() {
+		t.Fatalf("generated %v, encoding/xml %v", *gotAt, *wantAt)
+	}
+	*wantName, *wantAt = *gotName, *gotAt
+	if !reflect.DeepEqual(&want, got) {
+		t.Fatalf("decoded %+v\nencoding/xml %+v", got, &want)
+	}
+}
+
+func fileHead(f *File) (*xml.Name, *time.Time)   { return &f.XMLName, &f.Generated }
+func deltaHead(d *Delta) (*xml.Name, *time.Time) { return &d.XMLName, &d.Generated }
+
+// FuzzUnmarshal holds the decoder to two properties on any input. If
+// Unmarshal accepts it, the file re-marshals to the input byte for byte,
+// validates, and is what encoding/xml reads there. And the Marshal output
+// of the file generatedFile derives from the input decodes exactly when
+// that file validates, to what encoding/xml reads.
 func FuzzUnmarshal(f *testing.F) {
 	data, _ := Marshal(sampleFile())
 	f.Add(data)
-	f.Add([]byte("<Pinglist/>"))
-	f.Add([]byte("not xml"))
-	f.Add([]byte(`<Pinglist server="x"><Peer addr="1.2.3.4" port="1" class="intra-pod" proto="tcp" qos="high" interval="10" payload="0"></Peer></Pinglist>`))
+	for _, s := range unmarshalSeeds {
+		f.Add([]byte(s))
+	}
+	hostile := sampleFile()
+	hostile.Server, hostile.Version = "s\"&<>'\t\n\r\u00fc", "v\ufffd\x7f"
+	data, _ = Marshal(hostile)
+	f.Add(data)
+	f.Add([]byte("srv\"&<>'\t\n\r\u00fc\x00v\xff\x7f\x00\x01\xfa\x02"))
+	f.Add([]byte("s\x00\x00\xfb\xfc\xfd\xfe\xff"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		pl, err := Unmarshal(data)
-		if err != nil {
-			return
-		}
-		// Whatever unmarshals must be marshalable, and if it validates,
-		// the round trip must validate too.
-		out, err := Marshal(pl)
-		if err != nil {
-			t.Fatalf("marshal of parsed file failed: %v", err)
-		}
-		if pl.Validate() == nil {
-			again, err := Unmarshal(out)
-			if err != nil || again.Validate() != nil {
-				t.Fatalf("valid file did not round trip: %v", err)
+		if pl, err := Unmarshal(data); err == nil {
+			out, err := Marshal(pl)
+			if err != nil || !bytes.Equal(out, data) {
+				t.Fatalf("accepted body re-marshals differently (%v):\n got %q\nwant %q", err, out, data)
 			}
+			if err := pl.Validate(); err != nil {
+				t.Fatalf("accepted file does not validate: %v", err)
+			}
+			xmlOracle(t, data, pl, fileHead)
+		}
+		gen := generatedFile(data)
+		body, err := Marshal(gen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pl, err := Unmarshal(body)
+		if (err == nil) != (gen.Validate() == nil) {
+			t.Fatalf("decode error %v, Validate %v:\n%q", err, gen.Validate(), body)
+		}
+		if err == nil {
+			xmlOracle(t, body, pl, fileHead)
+		}
+	})
+}
+
+// validDelta is what UnmarshalDelta promises of a delta it returns: a
+// server, and inserted peers that pass Validate.
+func validDelta(d *Delta) error {
+	f := File{Server: d.Server}
+	for i := range d.Ops {
+		f.Peers = append(f.Peers, d.Ops[i].Peers...)
+	}
+	return f.Validate()
+}
+
+// FuzzUnmarshalDelta is FuzzUnmarshal for deltas. Whatever UnmarshalDelta
+// accepts re-marshals to the input byte for byte, keeps validDelta's
+// promise and is what encoding/xml reads. And the delta between two files
+// generatedFile derives from the input, keyed by their real ETags, decodes
+// from its MarshalDelta output exactly when it keeps that promise.
+func FuzzUnmarshalDelta(f *testing.F) {
+	old, target := deltaFile("gen-1", 5), deltaFile("gen-2", 7)
+	target.Peers[1].QoS = "low"
+	d, _ := DiffFiles(old, target)
+	wire, _ := MarshalDelta(d)
+	f.Add(wire, []byte{})
+	f.Add([]byte("<PinglistDelta/>"), []byte("s\x00v\x00\x01\x02\x03"))
+	f.Add([]byte(strings.ReplaceAll(string(wire), "></Peer>", "/>")), []byte("s\x00v\x00\x01\x02\xfa\x03"))
+	f.Add([]byte("<PinglistDelta v=\"1\" server=\"s\"></PinglistDelta>\n"), []byte("s\"&\x00\xff\x00\x01\xfb\x02"))
+	f.Fuzz(func(t *testing.T, data, gen []byte) {
+		if x, err := UnmarshalDelta(data); err == nil {
+			out, err := MarshalDelta(x)
+			if err != nil || !bytes.Equal(out, data) {
+				t.Fatalf("accepted delta re-marshals differently (%v):\n got %q\nwant %q", err, out, data)
+			}
+			if err := validDelta(x); err != nil {
+				t.Fatalf("accepted delta breaks its promise: %v", err)
+			}
+			xmlOracle(t, data, x, deltaHead)
+		}
+		// The target drops the base's first half of peers, opens with
+		// three new ones and carries another version.
+		base, target := generatedFile(gen), generatedFile(gen)
+		target.Peers = append(generatedFile([]byte{0, 0, 1, 0xfa, 2}).Peers, target.Peers[len(target.Peers)/2:]...)
+		target.Version += "'"
+		baseData, err := Marshal(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		targetData, err := Marshal(target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := Diff(base, target, httpcache.ETagFor(baseData), httpcache.ETagFor(targetData))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wire, err := MarshalDelta(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x, err := UnmarshalDelta(wire)
+		if (err == nil) != (validDelta(d) == nil) {
+			t.Fatalf("decode error %v, promise %v:\n%q", err, validDelta(d), wire)
+		}
+		if err == nil {
+			xmlOracle(t, wire, x, deltaHead)
 		}
 	})
 }
@@ -61,8 +207,8 @@ func FuzzUnmarshal(f *testing.F) {
 // FuzzMarshalRoundTrip fuzzes the write side: files constructed from
 // arbitrary field values — covering the generator's peer variants (payload
 // probes, low-QoS duplicates, HTTP probes, VIP targets) — must survive
-// Marshal→Unmarshal with every field intact, and marshaling must be
-// deterministic. This pins the serialized format the conditional-GET
+// Marshal→Unmarshal with every field intact exactly when they validate,
+// and marshaling must be deterministic. This pins the serialized format the conditional-GET
 // ETags hash: if Marshal output drifted between controller replicas,
 // their ETags would stop agreeing.
 func FuzzMarshalRoundTrip(f *testing.F) {
@@ -101,9 +247,13 @@ func FuzzMarshalRoundTrip(f *testing.F) {
 		if err != nil || string(again) != string(data) {
 			t.Fatalf("Marshal is not deterministic: %v", err)
 		}
+		// A marshaled file decodes exactly when it validates.
 		out, err := Unmarshal(data)
+		if (err == nil) != (in.Validate() == nil) {
+			t.Fatalf("decode error %v, Validate %v:\n%s", err, in.Validate(), data)
+		}
 		if err != nil {
-			t.Fatalf("marshaled file did not parse: %v\n%s", err, data)
+			return
 		}
 		if !xmlSafe(server) || !xmlSafe(version) || !xmlSafe(addr) ||
 			!xmlSafe(class) || !xmlSafe(proto) || !xmlSafe(qos) {
@@ -119,11 +269,6 @@ func FuzzMarshalRoundTrip(f *testing.F) {
 			if out.Peers[i] != in.Peers[i] {
 				t.Fatalf("peer %d mismatch: got %+v want %+v", i, out.Peers[i], in.Peers[i])
 			}
-		}
-		// Validity is preserved exactly: a valid file stays valid through
-		// the round trip, an invalid one stays invalid.
-		if (in.Validate() == nil) != (out.Validate() == nil) {
-			t.Fatalf("validity changed across round trip: in=%v out=%v", in.Validate(), out.Validate())
 		}
 	})
 }

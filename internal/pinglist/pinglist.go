@@ -9,7 +9,6 @@ package pinglist
 import (
 	"encoding/xml"
 	"fmt"
-	"io"
 	"net/netip"
 	"time"
 
@@ -71,26 +70,9 @@ func Marshal(f *File) ([]byte, error) {
 	return appendFile(make([]byte, 0, fileSize(f, generated)), f, generated), nil
 }
 
-// Unmarshal parses an XML pinglist.
-func Unmarshal(data []byte) (*File, error) {
-	var f File
-	if err := xml.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("pinglist: unmarshal: %w", err)
-	}
-	return &f, nil
-}
-
-// Read parses a pinglist from a stream.
-func Read(r io.Reader) (*File, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("pinglist: read: %w", err)
-	}
-	return Unmarshal(data)
-}
-
 // Validate checks that every peer parses: addresses, classes, protocols,
-// QoS names, positive intervals, non-negative payload sizes.
+// QoS names, positive intervals, non-negative payload sizes. Unmarshal
+// checks the same while it decodes.
 func (f *File) Validate() error {
 	if f.Server == "" {
 		return fmt.Errorf("pinglist: missing server attribute")

@@ -1,6 +1,8 @@
 package pinglist
 
 import (
+	"encoding/xml"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -39,18 +41,6 @@ func TestMarshalUnmarshalRoundTrip(t *testing.T) {
 		if got.Peers[i] != f.Peers[i] {
 			t.Fatalf("peer %d mismatch: %+v vs %+v", i, got.Peers[i], f.Peers[i])
 		}
-	}
-}
-
-func TestReadFromStream(t *testing.T) {
-	f := sampleFile()
-	data, _ := Marshal(f)
-	got, err := Read(strings.NewReader(string(data)))
-	if err != nil {
-		t.Fatalf("Read: %v", err)
-	}
-	if got.Server != f.Server {
-		t.Fatalf("Server = %q", got.Server)
 	}
 }
 
@@ -102,6 +92,87 @@ func TestPeerParsedFields(t *testing.T) {
 func TestUnmarshalGarbage(t *testing.T) {
 	if _, err := Unmarshal([]byte("not xml at all")); err == nil {
 		t.Fatal("Unmarshal accepted garbage")
+	}
+}
+
+// TestUnmarshalRejectsNonCanonical: Unmarshal reads a pinglist only in the
+// exact form Marshal writes, and only when it validates. Another spelling
+// of the same document is an error, as a foreign base is for DiffMarshaled
+// (TestDiffMarshaledRejectsForeignBase), and so are the bodies FuzzUnmarshal
+// was first seeded with.
+func TestUnmarshalRejectsNonCanonical(t *testing.T) {
+	good, err := Marshal(sampleFile())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Unmarshal(good); err != nil {
+		t.Fatalf("Marshal output rejected: %v", err)
+	}
+	s := string(good)
+	compact, err := xml.Marshal(sampleFile())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := map[string]string{
+		"compact":       string(compact),
+		"self-closing":  strings.Replace(s, "></Peer>", "/>", 1),
+		"reordered":     strings.Replace(s, `port="8765" class="intra-pod"`, `class="intra-pod" port="8765"`, 1),
+		"single-quotes": strings.Replace(s, `version="v42"`, `version='v42'`, 1),
+		"no-newline":    strings.TrimSuffix(s, "\n"),
+		"trailing":      s + "\n",
+		"port-70000":    strings.Replace(s, `port="8765"`, `port="70000"`, 1),
+		"interval-0":    strings.Replace(s, `interval="10"`, `interval="0"`, 1),
+		"unknown-class": strings.Replace(s, `class="intra-pod"`, `class="intra-pods"`, 1),
+		"raw-tab":       strings.Replace(s, `version="v42"`, "version=\"v\t42\"", 1),
+		"raw-gt":        strings.Replace(s, `version="v42"`, `version="v>42"`, 1),
+		"named-quot":    strings.Replace(s, `version="v42"`, `version="v&quot;42"`, 1),
+		"invalid-utf8":  strings.Replace(s, `version="v42"`, "version=\"v\xff42\"", 1),
+		"zero-padded":   strings.Replace(s, `port="8765"`, `port="08765"`, 1),
+		"port-0":        strings.Replace(s, `port="8765"`, `port="0"`, 1),
+		"payload-neg":   strings.Replace(s, `payload="1024"`, `payload="-1024"`, 1),
+		"bad-addr":      strings.Replace(s, `addr="10.0.0.2"`, `addr="10.0.0.256"`, 1),
+		"no-server":     strings.Replace(s, `server="DC1-ps00-pod00-s00"`, `server=""`, 1),
+		"fraction":      strings.Replace(s, `12:00:00Z`, `12:00:00.0Z`, 1),
+	}
+	for i, seed := range unmarshalSeeds {
+		cases[fmt.Sprintf("seed-%d", i)] = seed
+	}
+	for name, body := range cases {
+		if body == s {
+			t.Fatalf("%s: mutation did not apply", name)
+		}
+		if f, err := Unmarshal([]byte(body)); err == nil {
+			t.Errorf("%s accepted: %+v", name, f)
+		}
+	}
+}
+
+// TestUnmarshalAllocs pins what a decode allocates: a constant number of
+// objects, whatever the number of peers. The peers share one backing
+// array and their addresses one string.
+func TestUnmarshalAllocs(t *testing.T) {
+	for _, n := range []int{1, 54, 600} {
+		old, target := deltaFile("gen-1", n), deltaFile("gen-2", n+n/2)
+		body, err := Marshal(target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := DiffFiles(old, target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wire, err := MarshalDelta(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// File, peers, addresses (buffer, string, ends), server, version.
+		if got := testing.AllocsPerRun(20, func() { Unmarshal(body) }); got > 7 {
+			t.Errorf("%d peers: Unmarshal allocates %.0f objects, want at most 7", n, got)
+		}
+		// The same plus the ops and the two ETags.
+		if got := testing.AllocsPerRun(20, func() { UnmarshalDelta(wire) }); got > 10 {
+			t.Errorf("%d peers: UnmarshalDelta allocates %.0f objects, want at most 10", n, got)
+		}
 	}
 }
 

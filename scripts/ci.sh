@@ -25,7 +25,9 @@
 #       batch, not the extent's length. scope FoldExtent$ folds the same
 #       records peer by peer (runs) and interleaved, 0 allocs/op on both.
 #       metrics DecodeRuns$ decodes a 32-run wire histogram and merges its
-#       packed runs into a histogram, 0 allocs/op
+#       packed runs into a histogram, 0 allocs/op. pinglist Unmarshal$ and
+#       UnmarshalDelta$ decode what a fleet_churn agent fetches: a 54-peer
+#       pinglist and its update round's delta, in a constant few allocs/op
 #   3b. examples/isitnetwork, whose two incidents must print the verdicts
 #       not-network and network, in that order; then every paper figure and
 #       table at reduced budgets (cmd/experiments -quick), the pipeline-read
@@ -38,7 +40,8 @@
 #   3d. simulated-fleet portal smoke: pingmesh-sim -addr on loopback must log
 #       two cycles and still be running (a DSA cycle off the window grid
 #       fails and exits it), and /heatmap/DC1 must answer 200
-#   4.  short fuzz pass over the wire formats (CSV lines included) and merge
+#   4.  short fuzz pass over the wire formats (CSV lines included; the
+#       pinglist and delta decoders against encoding/xml) and merge
 #       equivalences (optional, FUZZ=1)
 #
 # Usage: scripts/ci.sh [package...]   # default: ./...
@@ -85,6 +88,7 @@ go test ./internal/scope -run xxx -bench 'ScopeRun$' -benchmem -cpu 1,2
 go test ./internal/scope -run xxx -bench 'FoldExtent$' -benchmem
 go test ./internal/cosmos -run xxx -bench 'Append$' -benchmem -benchtime 2048x
 go test ./internal/metrics -run xxx -bench 'DecodeRuns$' -benchmem
+go test ./internal/pinglist -run xxx -bench 'Unmarshal$|UnmarshalDelta$' -benchmem
 go test ./internal/telemetry -run xxx -bench 'IngestFleet$' -benchmem -benchtime 1000000x -cpu 1,2,4
 go test ./internal/controller -run xxx -bench 'UpdateTopology$' -benchmem -benchtime 5x
 go test ./internal/netsim -run xxx -bench 'PathResolve$' -benchmem
@@ -153,7 +157,8 @@ echo "pingmesh-sim -addr: $cycles cycles, running $RUNNING, /heatmap/DC1 $HEATMA
 
 if [ "${FUZZ:-0}" = "1" ]; then
     echo "== tier 4: fuzz wire formats (30s each)"
-    go test ./internal/pinglist -fuzz FuzzUnmarshal -fuzztime 30s
+    go test ./internal/pinglist -fuzz 'FuzzUnmarshal$' -fuzztime 30s
+    go test ./internal/pinglist -fuzz FuzzUnmarshalDelta -fuzztime 30s
     go test ./internal/pinglist -fuzz FuzzMarshalRoundTrip -fuzztime 30s
     go test ./internal/pinglist -fuzz FuzzMarshalMatchesEncodingXML -fuzztime 30s
     go test ./internal/pinglist -fuzz FuzzDeltaPatchVsFull -fuzztime 30s
