@@ -100,12 +100,12 @@ func TestOfflineEqualsTestbed(t *testing.T) {
 		}
 	}
 	// Votes need raw records: over the PMB1 export -diagnose must say how many
-	// probes it ranked without, not present 22 records as the fleet.
+	// probes it ranked without, not present 29 records as the fleet.
 	for _, c := range []struct {
 		files []string
 		want  string
 	}{
-		{pmb1, "diagnosis: observed=22 failures=0; 179498 sketched probes not observed"},
+		{pmb1, "diagnosis: observed=29 failures=0; 179491 sketched probes not observed"},
 		{csv, "diagnosis: observed=179520 failures=0; 0 sketched probes not observed"},
 	} {
 		var out bytes.Buffer
@@ -183,7 +183,7 @@ func TestExportsOffTheHourGrid(t *testing.T) {
 	}{
 		{loadSpec(t, "../../examples/topology.json"), time.Date(2026, 7, 1, 0, 20, 0, 0, time.UTC), 90 * time.Minute, []string{
 			"loaded 269280 probes in 9 windows, 2026-07-01T00:20:00Z to 2026-07-01T01:50:00Z\n",
-			"\nscope=dc/DC1 window_start=2026-07-01T00:20:00Z window_end=2026-07-01T01:50:00Z probes=172800 p50=282.901µs p99=700.492µs drop_rate=3.472222222222222e-05 ",
+			"\nscope=dc/DC1 window_start=2026-07-01T00:20:00Z window_end=2026-07-01T01:50:00Z probes=172800 p50=282.795µs p99=684.761µs drop_rate=8.101851851851852e-05 ",
 		}, " window_start=2026-07-01T00:00:00Z window_end=2026-07-01T02:00:00Z "},
 		{small, time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC), 30 * time.Hour, []string{
 			" in 180 windows, 2026-07-01T00:00:00Z to 2026-07-02T06:00:00Z\n",

@@ -23,7 +23,6 @@ import (
 	"pingmesh"
 	"pingmesh/internal/agent"
 	"pingmesh/internal/controller"
-	"pingmesh/internal/core"
 	"pingmesh/internal/pinglist"
 	"pingmesh/internal/probe"
 )
@@ -75,7 +74,7 @@ func main() {
 				Class:       probe.IntraPod.String(),
 				Proto:       probe.TCP.String(),
 				QoS:         probe.QoSHigh.String(),
-				IntervalSec: int(core.MinProbeInterval / time.Second),
+				IntervalSec: int(pinglist.MinProbeInterval / time.Second),
 				PayloadLen:  512,
 			}},
 		}

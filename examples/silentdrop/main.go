@@ -69,7 +69,7 @@ func main() {
 		log.Fatalf("localization missed the injected %s: %v", tb.Top.Switch(spine).Name, suspects)
 	}
 	top := suspects[0]
-	fmt.Printf("suspect: %s (per-hop loss ~%.1f%%, implicated by %d pairs) — injected: %s\n",
+	fmt.Printf("suspect: %s (per-hop loss ~%.1f%%, implicated by %d traced five-tuples) — injected: %s\n",
 		tb.Top.Switch(top.Switch).Name, top.Loss*100, top.Pairs, tb.Top.Switch(spine).Name)
 
 	// Mitigate through the repair service: isolate from live traffic.

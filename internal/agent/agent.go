@@ -7,8 +7,9 @@
 // Safety rails mirrored from the paper, hard-coded here exactly as they
 // are hard-coded in the production agent:
 //
-//   - the probe interval per peer never goes below MinProbeInterval;
-//   - probe payloads never exceed MaxPayload;
+//   - the probe interval per peer never goes below pinglist.MinProbeInterval,
+//     not even across a pinglist update (Schedule);
+//   - probe payloads never exceed netlib.MaxPayload;
 //   - after MaxFetchFailures consecutive controller failures, or when the
 //     controller is up but has no pinglist, the agent removes all peers
 //     and stops probing (it keeps answering probes from others);
@@ -24,9 +25,7 @@ package agent
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net/netip"
-	"sort"
 	"sync"
 	"time"
 
@@ -41,11 +40,6 @@ import (
 // design: they bound the worst-case traffic the fleet can generate even if
 // a controller bug hands out an insane pinglist.
 const (
-	// MinProbeInterval is the minimum interval between two probes of the
-	// same source-destination pair.
-	MinProbeInterval = 10 * time.Second
-	// MaxPayload is the maximum probe payload length.
-	MaxPayload = 64 * 1024
 	// MaxFetchFailures is how many consecutive controller-fetch failures
 	// the agent tolerates before failing closed.
 	MaxFetchFailures = 3
@@ -203,7 +197,7 @@ type Agent struct {
 	hPayloadRTT   [3]*metrics.LockedHistogram
 
 	mu            sync.Mutex
-	peers         []peerState
+	sched         *Schedule // empty before the first pinglist and failed closed
 	version       string
 	fetchFailures int
 	failedClosed  bool
@@ -218,18 +212,10 @@ type Agent struct {
 
 	// encMu serializes flushes; encBuf is the batch encode buffer reused
 	// across uploads so steady-state encoding allocates nothing. flushTIDs
-	// is the per-flush scratch of sampled traces riding in the batch and
-	// pendingSketches that of cut sketches.
-	encMu           sync.Mutex
-	encBuf          []byte
-	flushTIDs       []trace.TraceID
-	pendingSketches []probe.PeerSketch
-}
-
-type peerState struct {
-	target Target
-	every  time.Duration
-	next   time.Time
+	// is the per-flush scratch of sampled traces riding in the batch.
+	encMu     sync.Mutex
+	encBuf    []byte
+	flushTIDs []trace.TraceID
 }
 
 // New validates the configuration and returns an idle agent; call Run to
@@ -242,6 +228,7 @@ func New(cfg Config) (*Agent, error) {
 	a := &Agent{
 		cfg:          c,
 		clock:        c.Clock,
+		sched:        new(Schedule),
 		reg:          metrics.NewRegistry(),
 		tracer:       c.Tracer,
 		peersChanged: make(chan struct{}, 1),
@@ -284,7 +271,7 @@ func (a *Agent) Metrics() *metrics.Registry { return a.reg }
 func (a *Agent) PeerCount() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return len(a.peers)
+	return a.sched.Len()
 }
 
 // FailedClosed reports whether the agent has stopped probing because the
@@ -327,53 +314,21 @@ func (a *Agent) takeBufferLocked() []probe.Record {
 	return batch
 }
 
-// applyPinglist converts a fetched file into peer state, enforcing the
-// hard safety limits.
+// applyPinglist schedules a fetched file (Reset enforces the hard safety
+// limits). Peers the file keeps keep their next probe (Start).
 func (a *Agent) applyPinglist(f *pinglist.File) error {
-	if err := f.Validate(); err != nil {
+	sched := new(Schedule)
+	if err := sched.Reset(a.cfg.SourceAddr, f); err != nil {
 		return err
 	}
-	now := a.clock.Now()
-	peers := make([]peerState, 0, len(f.Peers))
-	for i := range f.Peers {
-		p := &f.Peers[i]
-		addr, err := netip.ParseAddr(p.Addr)
-		if err != nil {
-			return fmt.Errorf("agent: peer %d: %w", i, err)
-		}
-		cls, _ := p.ParsedClass()
-		proto, _ := p.ParsedProto()
-		qos, _ := p.ParsedQoS()
-		every := p.Interval()
-		if every < MinProbeInterval {
-			every = MinProbeInterval // hard floor regardless of controller
-		}
-		payload := p.PayloadLen
-		if payload > MaxPayload {
-			payload = MaxPayload // hard cap regardless of controller
-		}
-		peers = append(peers, peerState{
-			target: Target{
-				Addr:       addr,
-				Port:       p.Port,
-				Class:      cls,
-				Proto:      proto,
-				QoS:        qos,
-				PayloadLen: payload,
-			},
-			every: every,
-			// Spread initial probes across the interval so a fleet-wide
-			// pinglist rollout does not synchronize probe bursts.
-			next: now.Add(time.Duration(i) * every / time.Duration(len(f.Peers))),
-		})
-	}
 	a.mu.Lock()
-	a.peers = peers
+	sched.Start(a.clock.Now(), a.sched)
+	a.sched = sched
 	a.version = f.Version
 	a.failedClosed = false
 	a.fetchFailures = 0
 	a.mu.Unlock()
-	a.reg.Gauge("agent.peers").Set(int64(len(peers)))
+	a.reg.Gauge("agent.peers").Set(int64(sched.Len()))
 	a.kick()
 	return nil
 }
@@ -383,7 +338,7 @@ func (a *Agent) applyPinglist(f *pinglist.File) error {
 func (a *Agent) failClosed(reason string) {
 	a.mu.Lock()
 	already := a.failedClosed
-	a.peers = nil
+	a.sched = new(Schedule)
 	a.failedClosed = true
 	a.mu.Unlock()
 	if !already {
@@ -468,9 +423,4 @@ func (a *Agent) DropRate() float64 {
 		return 0
 	}
 	return float64(snap.Counters["agent.rtt_3s"]+snap.Counters["agent.rtt_9s"]) / float64(ok)
-}
-
-// sortPeersLocked re-sorts peers by next probe time. Called under mu.
-func (a *Agent) sortPeersLocked() {
-	sort.Slice(a.peers, func(i, j int) bool { return a.peers[i].next.Before(a.peers[j].next) })
 }

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"pingmesh/internal/controller"
+	"pingmesh/internal/netlib"
 	"pingmesh/internal/pinglist"
 	"pingmesh/internal/probe"
 	"pingmesh/internal/simclock"
@@ -167,16 +168,17 @@ func TestApplyPinglistClampsSafetyLimits(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := testFile("v1", 1)
-	f.Peers[0].IntervalSec = 1              // below the hard floor
-	f.Peers[0].PayloadLen = 10 * MaxPayload // above the hard cap
+	f.Peers[0].IntervalSec = 1                     // below the hard floor
+	f.Peers[0].PayloadLen = 10 * netlib.MaxPayload // above the hard cap
 	if err := a.applyPinglist(f); err != nil {
 		t.Fatal(err)
 	}
-	if a.peers[0].every != MinProbeInterval {
-		t.Fatalf("interval = %v, want clamped to %v", a.peers[0].every, MinProbeInterval)
+	tg, every := a.sched.Peer(0)
+	if every != pinglist.MinProbeInterval {
+		t.Fatalf("interval = %v, want clamped to %v", every, pinglist.MinProbeInterval)
 	}
-	if a.peers[0].target.PayloadLen != MaxPayload {
-		t.Fatalf("payload = %d, want clamped to %d", a.peers[0].target.PayloadLen, MaxPayload)
+	if tg.PayloadLen != netlib.MaxPayload {
+		t.Fatalf("payload = %d, want clamped to %d", tg.PayloadLen, netlib.MaxPayload)
 	}
 }
 

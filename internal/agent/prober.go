@@ -2,7 +2,6 @@ package agent
 
 import (
 	"context"
-	"fmt"
 	"net"
 	"strconv"
 	"time"
@@ -33,9 +32,6 @@ func NewRealProber(timeout time.Duration) *RealProber {
 
 // Probe implements Prober.
 func (p *RealProber) Probe(ctx context.Context, t Target) (Outcome, error) {
-	if t.PayloadLen > MaxPayload {
-		return Outcome{}, fmt.Errorf("agent: payload %d exceeds hard cap", t.PayloadLen)
-	}
 	addr := net.JoinHostPort(t.Addr.String(), strconv.Itoa(int(t.Port)))
 	var res netlib.Result
 	var err error

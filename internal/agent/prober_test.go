@@ -63,7 +63,7 @@ func TestRealProberRejectsOversizedPayload(t *testing.T) {
 	_, err := p.Probe(context.Background(), Target{
 		Addr:       netip.MustParseAddr("127.0.0.1"),
 		Port:       9,
-		PayloadLen: MaxPayload + 1,
+		PayloadLen: netlib.MaxPayload + 1,
 	})
 	if err == nil {
 		t.Fatal("oversized payload accepted")

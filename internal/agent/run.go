@@ -140,31 +140,17 @@ func (a *Agent) fetchOnce(ctx context.Context) {
 	}
 }
 
-// scheduleLoop runs probes at each peer's cadence, bounded by the
-// concurrency limit. A single goroutine owns the schedule; probe execution
-// fans out to short-lived workers.
+// scheduleLoop dispatches each probe when the schedule has it due, bounded
+// by the concurrency limit. A single goroutine pops the schedule; probe
+// execution fans out to short-lived workers.
 func (a *Agent) scheduleLoop(ctx context.Context) {
 	sem := make(chan struct{}, maxConcurrentProbes)
 	for {
 		a.mu.Lock()
-		a.sortPeersLocked()
-		var wait time.Duration
-		var due *peerState
-		if len(a.peers) == 0 {
-			wait = time.Hour // idle until peersChanged
-		} else {
-			now := a.clock.Now()
-			first := &a.peers[0]
-			if first.next.After(now) {
-				wait = first.next.Sub(now)
-			} else {
-				due = &peerState{target: first.target} // copy for the worker
-				first.next = now.Add(first.every)
-			}
-		}
+		t, wait, due := a.sched.Pop(a.clock.Now())
 		a.mu.Unlock()
 
-		if due != nil {
+		if due {
 			select {
 			case sem <- struct{}{}:
 			case <-ctx.Done():
@@ -173,7 +159,7 @@ func (a *Agent) scheduleLoop(ctx context.Context) {
 			go func(t Target) {
 				defer func() { <-sem }()
 				a.probeOne(ctx, t)
-			}(due.target)
+			}(t)
 			continue
 		}
 
@@ -278,36 +264,23 @@ func (a *Agent) flush(ctx context.Context, final bool) {
 		return
 	}
 	// encMu serializes the upload loop's flush with the final flush in Run
-	// and guards the pooled per-flush state (encBuf, flushTIDs,
-	// pendingSketches), so all of it is reused verbatim on the next flush —
-	// the Uploader contract says the batch is only valid during the call.
+	// and guards the per-flush state (encBuf, flushTIDs) reused by the next
+	// flush — the Uploader contract says the batch is only valid in the call.
 	a.encMu.Lock()
 	defer a.encMu.Unlock()
 	a.mu.Lock()
 	batch := a.takeBufferLocked()
-	cut := a.sketch.WindowIndex(a.clock.Now())
+	flushStart := a.clock.Now()
+	cut := a.sketch.WindowIndex(flushStart)
 	if final {
 		cut = math.MaxInt64
 	}
-	sks := a.sketch.CutBefore(cut, a.pendingSketches[:0])
-	a.pendingSketches = sks
+	data, sketches, skRecords := a.sketch.AppendUpload(a.encBuf[:0], batch, cut)
+	encEnd := a.clock.Now()
 	a.mu.Unlock()
-	if len(batch) == 0 && len(sks) == 0 {
+	a.encBuf = data[:0]
+	if len(batch) == 0 && sketches == 0 {
 		return
-	}
-	if len(sks) > 0 {
-		// The cut sketches own freelisted histograms; hand them back after
-		// the upload settles, win or lose.
-		defer func() {
-			a.mu.Lock()
-			a.sketch.Release(sks)
-			a.mu.Unlock()
-		}()
-	}
-	flushStart := a.clock.Now()
-	var skRecords int64
-	for i := range sks {
-		skRecords += int64(sks[i].RTT.Count())
 	}
 	// Sampled probes riding in this batch get encode/upload spans. Sketched
 	// probes never do: record() routes traced probes to the raw buffer.
@@ -320,12 +293,8 @@ func (a *Agent) flush(ctx context.Context, final bool) {
 			}
 		}
 	}
-	encStart := a.clock.Now()
-	data := probe.AppendBinaryBatch(a.encBuf[:0], batch, sks)
-	a.encBuf = data[:0]
-	encEnd := a.clock.Now()
 	for _, tid := range a.flushTIDs {
-		a.tring.SpanAttr(tid, trace.StageEncode, "batch", encStart, encEnd, true, "records", int64(len(batch)))
+		a.tring.SpanAttr(tid, trace.StageEncode, "batch", flushStart, encEnd, true, "records", int64(len(batch)))
 	}
 	// Every upload error is worth retrying: the store is the one thing an
 	// agent uploads to. The backoff is jittered so a fleet retrying against a
@@ -354,7 +323,7 @@ func (a *Agent) flush(ctx context.Context, final bool) {
 		a.reg.Histogram("agent.flush.duration").Observe(a.clock.Since(flushStart))
 		a.reg.Counter("agent.uploaded_records").Add(int64(len(batch)) + skRecords)
 		a.cUploadRaw.Add(int64(len(batch)))
-		a.cUploadSketch.Add(int64(len(sks)))
+		a.cUploadSketch.Add(int64(sketches))
 		a.cUploadBytes.Add(int64(len(data)))
 		return
 	}

@@ -25,7 +25,8 @@ func ShipsRaw(r *probe.Record) bool {
 // SketchAccumulator aggregates the probes ShipsRaw does not claim into
 // per-peer latency sketches (probe.PeerSketch), the agent half of the upload
 // path. One sketch summarizes every probe to one
-// (dst, dstPort, class, proto, qos, payloadLen) peer within one window.
+// (dst, dstPort, class, proto, qos, payloadLen) peer within one window; it is
+// cut once, by the upload step AppendUpload, when the grid has passed it.
 //
 // Windows are those of probe.WindowIndex, the one grid agents and analysis
 // share: a sketch therefore never straddles an analysis window boundary,
@@ -34,7 +35,7 @@ func ShipsRaw(r *probe.Record) bool {
 //
 // Open sketches live in slots, in the order their first probe arrived. A
 // probe stream visits its peers in runs (the simulated fleet) or in a
-// repeating next-probe order (the agent's scheduler), so a record's slot is
+// repeating grid order (the agent's Schedule), so a record's slot is
 // almost always the one the previous record matched or the one after it:
 // Observe compares against those two and only on a miss builds a key and
 // consults the index map. CutBefore hands sketches out in slot order, so an
@@ -51,6 +52,7 @@ type SketchAccumulator struct {
 	last   int               // the slot the previous record matched
 	index  map[sketchKey]int // slot of every open sketch: the miss path
 	free   []*metrics.Histogram
+	cut    []probe.PeerSketch // AppendUpload's scratch
 }
 
 // sketchSlot is one open sketch, kept small — the slots are what an
@@ -174,6 +176,23 @@ func (s *SketchAccumulator) CutBefore(win int64, dst []probe.PeerSketch) []probe
 	return dst
 }
 
+// AppendUpload is the one upload step, and reads no clock: it cuts the
+// sketches of the windows before cut, appends them and raw to dst as one PMB1
+// batch (dst is untouched if both are empty) and releases their histograms.
+// It returns dst, the sketch count and how many probes they summarize.
+func (s *SketchAccumulator) AppendUpload(dst []byte, raw []probe.Record, cut int64) (batch []byte, sketches int, sketched int64) {
+	s.cut = s.CutBefore(cut, s.cut[:0])
+	if len(raw) == 0 && len(s.cut) == 0 {
+		return dst, 0, 0
+	}
+	for i := range s.cut {
+		sketched += int64(s.cut[i].RTT.Count())
+	}
+	dst = probe.AppendBinaryBatch(dst, raw, s.cut)
+	s.Release(s.cut)
+	return dst, len(s.cut), sketched
+}
+
 // Release returns the histograms of cut sketches to the freelist after
 // their batch has been encoded (or discarded), and zeroes the entries so
 // the backing slice can be reused without retaining Addr/time values. Last
@@ -192,9 +211,6 @@ func (s *SketchAccumulator) Release(sks []probe.PeerSketch) {
 		sks[i] = probe.PeerSketch{}
 	}
 }
-
-// Len returns the number of open (peer, window) sketches.
-func (s *SketchAccumulator) Len() int { return len(s.slots) }
 
 func (s *SketchAccumulator) newHist() *metrics.Histogram {
 	if n := len(s.free); n > 0 {

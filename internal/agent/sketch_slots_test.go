@@ -174,15 +174,15 @@ func TestSketchAccumulatorMatchesReference(t *testing.T) {
 				}
 			}
 			feed(sketchStream(rng, order, boundary.Add(-3*time.Minute), boundary.Add(4*time.Minute), 20*time.Second))
-			if acc.Len() != len(ref) || acc.Len() != 2*len(sketchPeers()) {
-				t.Fatalf("%s/%d: %d open sketches, reference %d, want two windows of %d peers", order, seed, acc.Len(), len(ref), len(sketchPeers()))
+			if len(acc.slots) != len(ref) || len(acc.slots) != 2*len(sketchPeers()) {
+				t.Fatalf("%s/%d: %d open sketches, reference %d, want two windows of %d peers", order, seed, len(acc.slots), len(ref), len(sketchPeers()))
 			}
 			win := acc.WindowIndex(boundary)
 			sks := acc.CutBefore(win, nil)
 			diffCut(t, sks, ref.cutBefore(win))
 			acc.Release(sks)
-			if sks[0].RTT != nil || acc.Len() != len(sketchPeers()) {
-				t.Fatalf("%s/%d: after the cut %d sketches open, released entry %+v", order, seed, acc.Len(), sks[0])
+			if sks[0].RTT != nil || len(acc.slots) != len(sketchPeers()) {
+				t.Fatalf("%s/%d: after the cut %d sketches open, released entry %+v", order, seed, len(acc.slots), sks[0])
 			}
 			// Late probes for the window just cut open fresh sketches of it.
 			feed(sketchStream(rng, order, boundary.Add(-time.Minute), boundary.Add(time.Minute), 15*time.Second))
@@ -190,8 +190,8 @@ func TestSketchAccumulatorMatchesReference(t *testing.T) {
 			sks = acc.CutBefore(math.MaxInt64, sks[:0])
 			diffCut(t, sks, ref.cutBefore(math.MaxInt64))
 			acc.Release(sks)
-			if acc.Len() != 0 || len(acc.index) != 0 {
-				t.Fatalf("%s/%d: %d slots and %d index entries left after the final cut", order, seed, acc.Len(), len(acc.index))
+			if len(acc.slots) != 0 || len(acc.index) != 0 {
+				t.Fatalf("%s/%d: %d slots and %d index entries left after the final cut", order, seed, len(acc.slots), len(acc.index))
 			}
 		}
 	}

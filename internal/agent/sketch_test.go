@@ -137,8 +137,8 @@ func TestSketchWindowCutsOnGrid(t *testing.T) {
 	if fu.batchCount() != 0 {
 		t.Fatalf("mid-window flush shipped %d batches, want 0", fu.batchCount())
 	}
-	if a.sketch.Len() != 1 {
-		t.Fatalf("accumulator holds %d sketches, want 1", a.sketch.Len())
+	if len(a.sketch.slots) != 1 {
+		t.Fatalf("accumulator holds %d sketches, want 1", len(a.sketch.slots))
 	}
 
 	// Cross the 10-minute grid boundary: the window is complete, ship it.
@@ -156,8 +156,8 @@ func TestSketchWindowCutsOnGrid(t *testing.T) {
 		t.Fatalf("sketch summarizes %d probes, want 1", sks[0].Records())
 	}
 	// The second probe's window is still open.
-	if a.sketch.Len() != 1 {
-		t.Fatalf("accumulator holds %d sketches after cut, want 1", a.sketch.Len())
+	if len(a.sketch.slots) != 1 {
+		t.Fatalf("accumulator holds %d sketches after cut, want 1", len(a.sketch.slots))
 	}
 }
 

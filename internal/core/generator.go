@@ -41,7 +41,7 @@ type GeneratorConfig struct {
 	HTTPPort uint16
 
 	// IntraPodInterval, IntraDCInterval and InterDCInterval are the probing
-	// intervals per class. They are clamped to at least MinProbeInterval.
+	// intervals per class, clamped to at least pinglist.MinProbeInterval.
 	IntraPodInterval time.Duration
 	IntraDCInterval  time.Duration
 	InterDCInterval  time.Duration
@@ -76,11 +76,6 @@ type GeneratorConfig struct {
 	Parallelism int
 }
 
-// MinProbeInterval is the minimum interval between two probes of the same
-// source-destination pair. The same constant is hard-coded in the agent as
-// a safety limit; the generator never emits anything faster.
-const MinProbeInterval = 10 * time.Second
-
 // DefaultGeneratorConfig returns the production-like defaults.
 func DefaultGeneratorConfig() GeneratorConfig {
 	return GeneratorConfig{
@@ -107,8 +102,8 @@ func (c *GeneratorConfig) normalize() {
 		c.Parallelism = runtime.GOMAXPROCS(0)
 	}
 	for _, iv := range []*time.Duration{&c.IntraPodInterval, &c.IntraDCInterval, &c.InterDCInterval} {
-		if *iv < MinProbeInterval {
-			*iv = MinProbeInterval
+		if *iv < pinglist.MinProbeInterval {
+			*iv = pinglist.MinProbeInterval
 		}
 	}
 }

@@ -153,7 +153,7 @@ func TestSymmetryServersInEachOthersLists(t *testing.T) {
 	// Intra-pod and intra-DC graphs are symmetric: if A pings B, B pings A.
 	for _, s := range top.Servers() {
 		for _, p := range lists[s.ID].Peers {
-			cls, _ := p.ParsedClass()
+			cls, _ := probe.ParseClass(p.Class)
 			if cls == probe.InterDC {
 				continue
 			}
@@ -182,7 +182,7 @@ func TestIntervalsClampedToMinimum(t *testing.T) {
 	lists := generate(t, top, cfg)
 	for _, f := range lists {
 		for _, p := range f.Peers {
-			if p.Interval() < MinProbeInterval {
+			if p.Interval() < pinglist.MinProbeInterval {
 				t.Fatalf("peer interval %v below MinProbeInterval", p.Interval())
 			}
 		}

@@ -17,8 +17,8 @@ func TestDiagnosisLocatesBothFaults(t *testing.T) {
 		observed uint64
 		failures []uint64
 	}{
-		{12, []uint64{1, 2, 3, 4, 5}, 23040, []uint64{2503, 2502, 2504, 2501, 2498}},
-		{6, []uint64{1}, 11520, []uint64{1253}},
+		{12, []uint64{1, 2, 3, 4, 5}, 23040, []uint64{2499, 2503, 2499, 2499, 2498}},
+		{6, []uint64{1}, 11520, []uint64{1249}},
 	} {
 		res, err := Diagnosis(tc.minutes, tc.seeds...)
 		if err != nil {

@@ -108,7 +108,7 @@ func probesPer(tb *pingmesh.SimTestbed, span time.Duration, dc int, class probe.
 			continue
 		}
 		for i := range list.Peers {
-			if c, err := list.Peers[i].ParsedClass(); err == nil && c == class {
+			if c, err := probe.ParseClass(list.Peers[i].Class); err == nil && c == class {
 				n += int(span / list.Peers[i].Interval())
 			}
 		}

@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
+	"pingmesh/internal/analysis"
 	"pingmesh/internal/core"
 	"pingmesh/internal/fleet"
 	"pingmesh/internal/metrics"
@@ -45,22 +47,24 @@ func QoSMonitoring(opts Options) (*QoSResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	col := fleet.NewStatsCollector(func(dst []byte, r *probe.Record) ([]byte, bool) {
-		return append(dst, r.QoS.String()...), true
-	})
-	runner := &fleet.Runner{Net: net, Lists: lists, Seed: opts.seed(), Workers: opts.workers(), IntervalScale: 0.2}
-	if err := runner.Run(start, start.Add(30*time.Minute), col.Sink); err != nil {
+	// Load is constant, so the tails resolve with time: 150 minutes.
+	var mu sync.Mutex
+	high, low := analysis.NewLatencyStats(), analysis.NewLatencyStats()
+	runner := &fleet.Runner{Net: net, Lists: lists, Seed: opts.seed(), Workers: opts.workers()}
+	if err := runner.Run(start, start.Add(150*time.Minute), func(_ topology.ServerID, recs []probe.Record) {
+		mu.Lock()
+		defer mu.Unlock()
+		for i := range recs {
+			if recs[i].QoS == probe.QoSLow {
+				low.Add(&recs[i])
+			} else {
+				high.Add(&recs[i])
+			}
+		}
+	}); err != nil {
 		return nil, err
 	}
-	groups := col.Groups()
-	res := &QoSResult{}
-	if st, ok := groups["high"]; ok {
-		res.High = st.Summary()
-	}
-	if st, ok := groups["low"]; ok {
-		res.Low = st.Summary()
-	}
-	return res, nil
+	return &QoSResult{High: high.Summary(), Low: low.Summary()}, nil
 }
 
 // Report renders the QoS comparison.

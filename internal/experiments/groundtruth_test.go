@@ -56,7 +56,7 @@ func TestFigure4MatchesGroundTruth(t *testing.T) {
 		var pairs [][2]topology.ServerID
 		for src, list := range tb.Pinglists() {
 			for _, p := range list.Peers {
-				if cls, _ := p.ParsedClass(); cls == c.class && tb.Top.Server(src).DC == c.dc {
+				if cls, _ := probe.ParseClass(p.Class); cls == c.class && tb.Top.Server(src).DC == c.dc {
 					dst, _ := tb.Top.ServerByAddrString(p.Addr)
 					pairs = append(pairs, [2]topology.ServerID{src, dst})
 				}

@@ -1,11 +1,13 @@
 package fleet
 
 import (
+	"net/netip"
 	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"pingmesh/internal/agent"
 	"pingmesh/internal/analysis"
 	"pingmesh/internal/core"
 	"pingmesh/internal/netsim"
@@ -146,21 +148,151 @@ func TestStatsCollectorNilKey(t *testing.T) {
 	}
 }
 
-func TestIntervalScale(t *testing.T) {
-	n, lists := testRig(t)
-	count := func(scale float64) int {
+// probeKey is what a schedule decides about a probe: when, and to which
+// target. The source port and the outcome are the simulation's.
+type probeKey struct {
+	start      time.Time
+	src, dst   netip.Addr
+	dstPort    uint16
+	proto      probe.Proto
+	qos        probe.QoS
+	payloadLen int
+}
+
+func keyOf(r *probe.Record) probeKey {
+	return probeKey{r.Start, r.Src, r.Dst, r.DstPort, r.Proto, r.QoS, r.PayloadLen}
+}
+
+// runKeys runs [from, to) split at the given times and returns the sorted
+// keys of every probe.
+func runKeys(t *testing.T, r *Runner, from time.Time, cuts ...time.Time) []probeKey {
+	t.Helper()
+	var keys []probeKey
+	for _, to := range cuts {
 		recs, sink := NewRecordCollector()
-		r := &Runner{Net: n, Lists: lists, Seed: 5, IntervalScale: scale}
-		if err := r.Run(t0, t0.Add(10*time.Minute), sink); err != nil {
+		if err := r.Run(from, to, sink); err != nil {
 			t.Fatal(err)
 		}
-		return len(*recs)
+		for i := range *recs {
+			keys = append(keys, keyOf(&(*recs)[i]))
+		}
+		from = to
 	}
-	dense := count(0.5)
-	normal := count(1)
-	sparse := count(2)
-	if !(dense > normal && normal > sparse) {
-		t.Fatalf("interval scaling wrong: dense=%d normal=%d sparse=%d", dense, normal, sparse)
+	sortKeys(keys)
+	return keys
+}
+
+func sortKeys(keys []probeKey) {
+	slices.SortFunc(keys, func(a, b probeKey) int {
+		if c := a.start.Compare(b.start); c != 0 {
+			return c
+		}
+		if c := a.src.Compare(b.src); c != 0 {
+			return c
+		}
+		if c := a.dst.Compare(b.dst); c != 0 {
+			return c
+		}
+		return int(a.dstPort) - int(b.dstPort)
+	})
+}
+
+// TestConsecutiveRunsTile: the schedule is a grid, not a per-run draw, so
+// Run(a,b) then Run(b,c) probes exactly what Run(a,c) does, whatever the
+// seeds and wherever b falls.
+func TestConsecutiveRunsTile(t *testing.T) {
+	n, lists := testRig(t)
+	a, b, c := t0.Add(3*time.Minute+7*time.Second), t0.Add(14*time.Minute+500*time.Millisecond), t0.Add(31*time.Minute)
+	whole := runKeys(t, &Runner{Net: n, Lists: lists, Seed: 1}, a, c)
+	split := runKeys(t, &Runner{Net: n, Lists: lists, Seed: 2}, a, b, c)
+	if len(whole) == 0 || !slices.Equal(whole, split) {
+		t.Fatalf("Run(a,c) scheduled %d probes, Run(a,b)+Run(b,c) %d, or they differ", len(whole), len(split))
+	}
+}
+
+// TestRunProbesTheAgentSchedule: draining each server's agent.Schedule over
+// [from, to), dispatching every probe when it falls due, gives exactly the
+// probes the runner simulates for the same pinglists.
+func TestRunProbesTheAgentSchedule(t *testing.T) {
+	n, lists := testRig(t)
+	from, to := t0.Add(5*time.Minute+3*time.Second), t0.Add(37*time.Minute)
+	want := runKeys(t, &Runner{Net: n, Lists: lists, Seed: 3}, from, to)
+	var got []probeKey
+	top := n.Topology()
+	for src, list := range lists {
+		srcAddr := top.Server(src).Addr
+		s := new(agent.Schedule)
+		if err := s.Reset(srcAddr, list); err != nil {
+			t.Fatal(err)
+		}
+		s.Start(from, new(agent.Schedule))
+		for now := from; now.Before(to); {
+			tg, wait, due := s.Pop(now)
+			if !due {
+				now = now.Add(wait)
+				continue
+			}
+			got = append(got, probeKey{now, srcAddr, tg.Addr, tg.Port, tg.Proto, tg.QoS, tg.PayloadLen})
+		}
+	}
+	sortKeys(got)
+	if len(want) == 0 || !slices.Equal(got, want) {
+		t.Fatalf("the agent schedule dispatches %d probes, the runner simulates %d, or they differ", len(got), len(want))
+	}
+}
+
+// TestRunEnforcesTheAgentSafetyRails: the runner schedules with the agent's
+// rule, so a pinglist interval below the floor is probed at the floor and an
+// invalid pinglist fails the run.
+func TestRunEnforcesTheAgentSafetyRails(t *testing.T) {
+	n, lists := testRig(t)
+	for _, list := range lists {
+		for i := range list.Peers {
+			list.Peers[i].IntervalSec = 1
+		}
+	}
+	recs, sink := NewRecordCollector()
+	if err := (&Runner{Net: n, Lists: lists, Seed: 5}).Run(t0, t0.Add(10*time.Minute), sink); err != nil {
+		t.Fatal(err)
+	}
+	last := map[[2]netip.Addr]time.Time{}
+	for i := range *recs {
+		r := &(*recs)[i]
+		pair := [2]netip.Addr{r.Src, r.Dst}
+		if prev, ok := last[pair]; ok && r.Start.Sub(prev) != pinglist.MinProbeInterval {
+			t.Fatalf("%v -> %v probed %v apart, want the %v floor", r.Src, r.Dst, r.Start.Sub(prev), pinglist.MinProbeInterval)
+		}
+		last[pair] = r.Start
+	}
+	lists[0].Peers[0].Class = "bogus"
+	if err := (&Runner{Net: n, Lists: lists}).Run(t0, t0.Add(time.Minute), sink); err == nil {
+		t.Fatal("invalid pinglist accepted")
+	}
+}
+
+// TestRunBatchesStayInOneWindow: the sink contract that lets an uploader cut
+// a server's sketches at the first batch of each new window.
+func TestRunBatchesStayInOneWindow(t *testing.T) {
+	n, lists := testRig(t)
+	var mu sync.Mutex
+	batches := 0
+	sink := func(_ topology.ServerID, recs []probe.Record) {
+		mu.Lock()
+		defer mu.Unlock()
+		batches++
+		w := probe.WindowIndex(recs[0].Start, probe.Window)
+		for i := range recs {
+			if probe.WindowIndex(recs[i].Start, probe.Window) != w {
+				t.Errorf("a batch spans windows %d and %d", w, probe.WindowIndex(recs[i].Start, probe.Window))
+				return
+			}
+		}
+	}
+	if err := (&Runner{Net: n, Lists: lists, Seed: 6}).Run(t0.Add(4*time.Minute), t0.Add(44*time.Minute), sink); err != nil {
+		t.Fatal(err)
+	}
+	if batches < 5*len(lists) {
+		t.Fatalf("%d batches for %d servers over five windows", batches, len(lists))
 	}
 }
 
@@ -349,4 +481,66 @@ func BenchmarkFleetRun(b *testing.B) {
 	probes := float64(col.Groups()[""].Total())
 	b.ReportMetric(probes/b.Elapsed().Seconds(), "probes/sec")
 	b.ReportMetric(probes/float64(b.N), "probes/run")
+}
+
+// NewRecordCollector returns a sink that appends every record to a shared
+// slice (for small runs).
+func NewRecordCollector() (*[]probe.Record, func(topology.ServerID, []probe.Record)) {
+	var mu sync.Mutex
+	out := &[]probe.Record{}
+	return out, func(_ topology.ServerID, recs []probe.Record) {
+		mu.Lock()
+		*out = append(*out, recs...)
+		mu.Unlock()
+	}
+}
+
+// StatsCollector is a sink that aggregates records into LatencyStats
+// groups on the fly, so day-scale runs never materialize raw records.
+type StatsCollector struct {
+	key    func(dst []byte, r *probe.Record) ([]byte, bool)
+	mu     sync.Mutex
+	groups map[string]*analysis.LatencyStats
+	keyBuf []byte
+}
+
+// NewStatsCollector builds a collector grouping by key, which has the
+// scope.Job.KeyBytes form; a nil key groups everything under "".
+func NewStatsCollector(key func(dst []byte, r *probe.Record) ([]byte, bool)) *StatsCollector {
+	return &StatsCollector{key: key, groups: map[string]*analysis.LatencyStats{}}
+}
+
+// Sink is the Runner sink. It does not retain the record slice.
+func (c *StatsCollector) Sink(_ topology.ServerID, recs []probe.Record) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	// Consecutive records usually come from the same peer and land in
+	// the same group; memoize the last lookup.
+	var st *analysis.LatencyStats
+	var last string
+	for i := range recs {
+		k := c.keyBuf[:0]
+		if c.key != nil {
+			var ok bool
+			if k, ok = c.key(k, &recs[i]); !ok {
+				continue
+			}
+			c.keyBuf = k[:0]
+		}
+		if st == nil || string(k) != last {
+			last = string(k)
+			if st = c.groups[last]; st == nil {
+				st = analysis.NewLatencyStats()
+				c.groups[last] = st
+			}
+		}
+		st.Add(&recs[i])
+	}
+}
+
+// Groups returns the aggregates. The collector must not be used after.
+func (c *StatsCollector) Groups() map[string]*analysis.LatencyStats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.groups
 }

@@ -410,14 +410,6 @@ func (p *PairProber) ProbeScheduled(spec *ProbeSpec, rng *rand.Rand, res *Result
 	return true
 }
 
-// SrcUp reports whether the pair's source podset is powered, against the
-// current fault table. Fleet schedulers use it to skip probes a powered-
-// off server would never send (the white rows of Figure 8(b)) without
-// paying for the probe simulation.
-func (p *PairProber) SrcUp() bool {
-	return !p.plan().srcDown
-}
-
 // probeWithPlan is the cached Probe fast path. Every branch and rng draw
 // mirrors probeReference exactly; see the bit-exactness contract above.
 // It overwrites *res completely.

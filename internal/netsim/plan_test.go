@@ -211,7 +211,6 @@ func TestProbePlanConcurrentFaultInjection(t *testing.T) {
 					t.Errorf("non-positive RTT on success: %+v", res)
 					return
 				}
-				pr.SrcUp()
 			}
 		}(w)
 	}

@@ -34,14 +34,9 @@ type Peer struct {
 	PayloadLen int `xml:"payload,attr"`
 }
 
-// ParsedClass returns the probe.Class of the peer.
-func (p *Peer) ParsedClass() (probe.Class, error) { return probe.ParseClass(p.Class) }
-
-// ParsedProto returns the probe.Proto of the peer.
-func (p *Peer) ParsedProto() (probe.Proto, error) { return probe.ParseProto(p.Proto) }
-
-// ParsedQoS returns the probe.QoS of the peer.
-func (p *Peer) ParsedQoS() (probe.QoS, error) { return probe.ParseQoS(p.QoS) }
+// MinProbeInterval is the hard floor on the interval between two probes of
+// one source-destination pair (§3.4.2), in the generator and in the agent.
+const MinProbeInterval = 10 * time.Second
 
 // Interval returns the probing interval as a duration.
 func (p *Peer) Interval() time.Duration { return time.Duration(p.IntervalSec) * time.Second }
@@ -70,36 +65,32 @@ func Marshal(f *File) ([]byte, error) {
 	return appendFile(make([]byte, 0, fileSize(f, generated)), f, generated), nil
 }
 
-// Validate checks that every peer parses: addresses, classes, protocols,
-// QoS names, positive intervals, non-negative payload sizes. Unmarshal
-// checks the same while it decodes.
+// Validate checks that every peer parses (Peer.Parse). Unmarshal checks the
+// same while it decodes.
 func (f *File) Validate() error {
 	if f.Server == "" {
 		return fmt.Errorf("pinglist: missing server attribute")
 	}
 	for i := range f.Peers {
-		p := &f.Peers[i]
-		if _, err := netip.ParseAddr(p.Addr); err != nil {
-			return fmt.Errorf("pinglist: peer %d: bad addr %q", i, p.Addr)
-		}
-		if p.Port == 0 {
-			return fmt.Errorf("pinglist: peer %d: zero port", i)
-		}
-		if _, err := p.ParsedClass(); err != nil {
+		if _, _, _, _, err := f.Peers[i].Parse(); err != nil {
 			return fmt.Errorf("pinglist: peer %d: %w", i, err)
-		}
-		if _, err := p.ParsedProto(); err != nil {
-			return fmt.Errorf("pinglist: peer %d: %w", i, err)
-		}
-		if _, err := p.ParsedQoS(); err != nil {
-			return fmt.Errorf("pinglist: peer %d: %w", i, err)
-		}
-		if p.IntervalSec <= 0 {
-			return fmt.Errorf("pinglist: peer %d: non-positive interval", i)
-		}
-		if p.PayloadLen < 0 {
-			return fmt.Errorf("pinglist: peer %d: negative payload", i)
 		}
 	}
 	return nil
+}
+
+// Parse returns the peer's address, class, protocol and QoS in their probe
+// types, or why the peer is invalid: a field that does not parse, a zero
+// port, a non-positive interval or a negative payload size.
+func (p *Peer) Parse() (addr netip.Addr, cls probe.Class, proto probe.Proto, qos probe.QoS, err error) {
+	if addr, err = netip.ParseAddr(p.Addr); err != nil {
+		err = fmt.Errorf("bad addr %q", p.Addr)
+	} else if p.Port == 0 || p.IntervalSec <= 0 || p.PayloadLen < 0 {
+		err = fmt.Errorf("port %d, interval %d or payload %d out of range", p.Port, p.IntervalSec, p.PayloadLen)
+	} else if cls, err = probe.ParseClass(p.Class); err == nil {
+		if proto, err = probe.ParseProto(p.Proto); err == nil {
+			qos, err = probe.ParseQoS(p.QoS)
+		}
+	}
+	return addr, cls, proto, qos, err
 }

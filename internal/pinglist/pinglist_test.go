@@ -72,17 +72,9 @@ func TestValidateRejects(t *testing.T) {
 
 func TestPeerParsedFields(t *testing.T) {
 	p := sampleFile().Peers[2]
-	cls, err := p.ParsedClass()
-	if err != nil || cls.String() != "inter-dc" {
-		t.Fatalf("ParsedClass: %v %v", cls, err)
-	}
-	proto, err := p.ParsedProto()
-	if err != nil || proto.String() != "http" {
-		t.Fatalf("ParsedProto: %v %v", proto, err)
-	}
-	qos, err := p.ParsedQoS()
-	if err != nil || qos.String() != "low" {
-		t.Fatalf("ParsedQoS: %v %v", qos, err)
+	addr, cls, proto, qos, err := p.Parse()
+	if err != nil || addr.String() != p.Addr || cls.String() != "inter-dc" || proto.String() != "http" || qos.String() != "low" {
+		t.Fatalf("Parse: %v %v %v %v %v", addr, cls, proto, qos, err)
 	}
 	if p.Interval() != 60*time.Second {
 		t.Fatalf("Interval = %v", p.Interval())

@@ -12,6 +12,8 @@ package silentdrop
 
 import (
 	"math/rand/v2"
+	"net/netip"
+	"slices"
 	"sort"
 
 	"pingmesh/internal/analysis"
@@ -21,8 +23,8 @@ import (
 	"pingmesh/internal/topology"
 )
 
-// Pair is one affected source-destination five-tuple, discovered from
-// Pingmesh data (pairs with elevated retransmit signatures).
+// Pair is one affected source-destination five-tuple, discovered from the
+// retransmit signatures Pingmesh stored for a pair where they are elevated.
 type Pair struct {
 	Src, Dst         topology.ServerID
 	SrcPort, DstPort uint16
@@ -33,7 +35,7 @@ type Suspect struct {
 	Switch topology.SwitchID
 	// Loss is the per-traversal loss estimate attributed to the switch.
 	Loss float64
-	// Pairs is how many affected pairs implicated the switch.
+	// Pairs is how many traced five-tuples implicated the switch.
 	Pairs int
 }
 
@@ -127,15 +129,17 @@ func (l *Localizer) Localize(pairs []Pair) []Suspect {
 	return out
 }
 
-// AffectedPairsFromStats extracts the pairs worth tracerouting: server
-// pairs whose drop estimate is elevated. keys are Keyer.AppendServerPair keys;
-// the ports to traceroute with are synthesized deterministically per pair
-// (a traceroute probes one concrete five-tuple).
-func AffectedPairsFromStats(top *topology.Topology, dropRateByPair map[string]float64, minRate float64, limit int) []Pair {
+// AffectedPairsFromStats extracts the five-tuples worth tracerouting: those
+// of the drop-signature records (analysis.DropSignature) among recs of the
+// limit server pairs whose drop estimate is at least minRate, most elevated
+// pair first; keys are Keyer.AppendServerPair keys. A traceroute must probe
+// the five-tuple that dropped: ECMP hashes any other onto a path of its own.
+func AffectedPairsFromStats(top *topology.Topology, dropRateByPair map[string]float64, recs []probe.Record, minRate float64, limit int) []Pair {
 	type kv struct {
-		src, dst topology.ServerID
-		key      string
-		rate     float64
+		src, dst         topology.ServerID
+		srcAddr, dstAddr netip.Addr
+		key              string
+		rate             float64
 	}
 	var elevated []kv
 	for k, r := range dropRateByPair {
@@ -151,7 +155,7 @@ func AffectedPairsFromStats(top *topology.Topology, dropRateByPair map[string]fl
 		if !ok1 || !ok2 {
 			continue // VIPs or stale topology entries
 		}
-		elevated = append(elevated, kv{src, dst, k, r})
+		elevated = append(elevated, kv{src, dst, srcAddr, dstAddr, k, r})
 	}
 	sort.Slice(elevated, func(i, j int) bool {
 		if elevated[i].rate != elevated[j].rate {
@@ -162,12 +166,15 @@ func AffectedPairsFromStats(top *topology.Topology, dropRateByPair map[string]fl
 	if limit > 0 && len(elevated) > limit {
 		elevated = elevated[:limit]
 	}
-	out := make([]Pair, 0, len(elevated))
-	for i, e := range elevated {
-		out = append(out, Pair{
-			Src: e.src, Dst: e.dst,
-			SrcPort: uint16(33000 + i), DstPort: 8765,
-		})
+	var out []Pair
+	for _, e := range elevated {
+		for i := range recs {
+			r := &recs[i]
+			if p := (Pair{e.src, e.dst, r.SrcPort, r.DstPort}); r.Src == e.srcAddr && r.Dst == e.dstAddr &&
+				analysis.DropSignature(r.RTT) != 0 && !slices.Contains(out, p) {
+				out = append(out, p)
+			}
+		}
 	}
 	return out
 }

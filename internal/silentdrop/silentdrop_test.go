@@ -2,9 +2,12 @@ package silentdrop
 
 import (
 	"math/rand/v2"
+	"net/netip"
 	"testing"
+	"time"
 
 	"pingmesh/internal/netsim"
+	"pingmesh/internal/probe"
 	"pingmesh/internal/topology"
 )
 
@@ -126,29 +129,40 @@ func TestIsolationEndsIncident(t *testing.T) {
 func TestAffectedPairsFromStats(t *testing.T) {
 	n := testNet(t)
 	top := n.Topology()
-	a := top.Server(0).Addr.String()
-	b := top.Server(1).Addr.String()
-	c := top.Server(2).Addr.String()
+	a, b, c := top.Server(0).Addr, top.Server(1).Addr, top.Server(2).Addr
 	rates := map[string]float64{
-		a + "|" + b:   2e-3,
-		b + "|" + c:   5e-3,
-		a + "|" + c:   1e-5, // below threshold
-		"bogus|entry": 9e-1, // unparseable: skipped
+		a.String() + "|" + b.String(): 2e-3,
+		b.String() + "|" + c.String(): 5e-3,
+		a.String() + "|" + c.String(): 1e-5, // below threshold
+		"bogus|entry":                 9e-1, // unparseable: skipped
 	}
-	pairs := AffectedPairsFromStats(top, rates, 1e-3, 10)
-	if len(pairs) != 2 {
-		t.Fatalf("pairs = %v", pairs)
+	rec := func(src, dst netip.Addr, srcPort uint16, rtt time.Duration) probe.Record {
+		return probe.Record{Src: src, Dst: dst, SrcPort: srcPort, DstPort: 8765, RTT: rtt}
 	}
-	// Ordered by rate descending.
-	if top.Server(pairs[0].Src).Addr.String() != b {
-		t.Fatalf("first pair = %+v, want the 5e-3 one", pairs[0])
+	recs := []probe.Record{
+		rec(a, b, 40001, 3*time.Second),
+		rec(b, c, 40002, 3*time.Second),
+		rec(b, c, 40003, 300*time.Microsecond), // no drop signature: not traced
+		rec(b, c, 40004, 9*time.Second),
+		rec(b, c, 40002, 3*time.Second), // the same five-tuple again
+		rec(a, c, 40005, 3*time.Second), // its pair is not elevated
 	}
-	// Limit applies.
-	if got := AffectedPairsFromStats(top, rates, 1e-3, 1); len(got) != 1 {
-		t.Fatalf("limit ignored: %v", got)
+	// Most elevated pair first, each with the five-tuples that dropped.
+	want := []struct {
+		src  netip.Addr
+		port uint16
+	}{{b, 40002}, {b, 40004}, {a, 40001}}
+	pairs := AffectedPairsFromStats(top, rates, recs, 1e-3, 10)
+	if len(pairs) != len(want) {
+		t.Fatalf("pairs = %+v", pairs)
 	}
-	// Distinct source ports per pair.
-	if pairs[0].SrcPort == pairs[1].SrcPort {
-		t.Fatal("pairs share a source port")
+	for i, p := range pairs {
+		if top.Server(p.Src).Addr != want[i].src || p.SrcPort != want[i].port || p.DstPort != 8765 {
+			t.Fatalf("pair %d = %+v, want %v's five-tuple with source port %d", i, p, want[i].src, want[i].port)
+		}
+	}
+	// Limit applies to pairs.
+	if got := AffectedPairsFromStats(top, rates, recs, 1e-3, 1); len(got) != 2 || got[0].SrcPort != 40002 {
+		t.Fatalf("limit ignored: %+v", got)
 	}
 }

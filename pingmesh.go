@@ -227,6 +227,10 @@ func (tb *SimTestbed) Pinglists() map[ServerID]*Pinglist { return tb.lists }
 // the clock. Call Analyze* (or Pipeline methods) afterwards to process the
 // window.
 //
+// Each server uploads by the agent's upload step, AppendUpload, with one
+// accumulator for the call: it cuts at each grid window's first batch and
+// after the run, as an agent's flushes do, so a (peer, window) is one sketch.
+//
 // Fault state is sampled per probe but the window executes as one batch:
 // inject faults between windows (or use RunTimeline) rather than
 // concurrently with a running window.
@@ -235,26 +239,38 @@ func (tb *SimTestbed) RunWindow(d time.Duration) error {
 	to := from.Add(d)
 	runner := &fleet.Runner{Net: tb.Net, Lists: tb.lists, Seed: tb.seed ^ uint64(from.UnixNano())}
 	stream := cosmos.DailyStream("pingmesh")
+	// Run calls a server's sink from one goroutine at a time.
+	accs := make([]*agent.SketchAccumulator, tb.Top.NumServers())
+	upload := func(src topology.ServerID, raw []probe.Record, cut int64, at time.Time) {
+		if data, _, _ := accs[src].AppendUpload(nil, raw, cut); len(data) > 0 {
+			if err := tb.Store.Append(stream(at), data); err != nil {
+				panic(fmt.Sprintf("pingmesh: store append: %v", err)) // in-memory store: only programming errors
+			}
+		}
+	}
 	err := runner.Run(from, to, func(src topology.ServerID, recs []probe.Record) {
-		// Every batch is cut whole, as an agent's final flush is: callers
-		// analyze the window as soon as RunWindow returns.
-		acc := agent.NewSketchAccumulator(recs[0].Src, probe.Window)
+		if accs[src] == nil {
+			accs[src] = agent.NewSketchAccumulator(recs[0].Src, probe.Window)
+		}
 		var raw []probe.Record
 		for i := range recs {
 			if r := &recs[i]; agent.ShipsRaw(r) {
 				raw = append(raw, *r)
 			} else {
-				acc.Observe(r)
+				accs[src].Observe(r)
 			}
 		}
-		batch := probe.AppendBinaryBatch(nil, raw, acc.CutBefore(math.MaxInt64, nil))
-		if err := tb.Store.Append(stream(recs[0].Start), batch); err != nil {
-			panic(fmt.Sprintf("pingmesh: store append: %v", err)) // in-memory store: only programming errors
-		}
+		upload(src, raw, accs[src].WindowIndex(recs[0].Start), recs[0].Start)
 		tb.Diag.ObserveBatch(recs)
 	})
 	if err != nil {
 		return err
+	}
+	// Callers analyze the window as soon as RunWindow returns.
+	for src, acc := range accs {
+		if acc != nil {
+			upload(topology.ServerID(src), nil, math.MaxInt64, to)
+		}
 	}
 	tb.Clock.AdvanceTo(to)
 	// The fleet's batch append stands in for the agents' upload path: the
@@ -420,9 +436,9 @@ type SilentDropSuspect = silentdrop.Suspect
 
 // LocalizeSilentDrops runs the §5.2 workflow over the stored records of
 // [from, to): compute per-server-pair drop estimates, pick the most
-// affected pairs, and TCP-traceroute them against the fabric to pinpoint
-// the lossy switch. Returns suspects worst-first (empty when the fabric is
-// clean).
+// affected pairs, and TCP-traceroute the five-tuples of their stored
+// drop-signature probes against the fabric to pinpoint the lossy switch.
+// Returns suspects worst-first (empty when the fabric is clean).
 func (tb *SimTestbed) LocalizeSilentDrops(from, to time.Time) ([]SilentDropSuspect, error) {
 	keyer := &analysis.Keyer{Top: tb.Top}
 	res, err := scope.Run(scope.Job{
@@ -440,7 +456,22 @@ func (tb *SimTestbed) LocalizeSilentDrops(from, to time.Time) ([]SilentDropSuspe
 			rates[k] = st.DropRate()
 		}
 	}
-	pairs := silentdrop.AffectedPairsFromStats(tb.Top, rates, 1e-3, 8)
+	// Trace the five-tuples that dropped: the pairs' stored raw records.
+	var recs []probe.Record
+	var sc probe.Scanner
+	for _, stream := range tb.Store.Streams("pingmesh") {
+		data, err := tb.Store.Read(stream)
+		if err != nil {
+			return nil, err
+		}
+		sc.Reset(data)
+		for kind := sc.ScanEntry(); kind != probe.EntryEOF; kind = sc.ScanEntry() {
+			if r := sc.Record(); kind == probe.EntryRecord && sc.RowErr() == nil && !r.Start.Before(from) && r.Start.Before(to) {
+				recs = append(recs, *r)
+			}
+		}
+	}
+	pairs := silentdrop.AffectedPairsFromStats(tb.Top, rates, recs, 1e-3, 8)
 	if len(pairs) == 0 {
 		return nil, nil
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/http/httptest"
+	"net/netip"
 	"sort"
 	"strings"
 	"testing"
@@ -322,22 +323,80 @@ func TestRunWindowUploadsWhatAgentsUpload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	raw, sketched, sketches := scanUploads(t, data)
+	for k, n := range sketches {
+		if n != 1 {
+			t.Fatalf("%d sketches for %+v", n, k)
+		}
+	}
+	if raw == 0 || sketched < 20*raw || len(data) > ref.Store.TotalBytes(stream)/10 {
+		t.Fatalf("store holds %d raw and %d sketched probes in %d bytes (CSV: %d)", raw, sketched, len(data), ref.Store.TotalBytes(stream))
+	}
+}
+
+// peerWindow is what an agent uploads one sketch for: a peer in a window.
+type peerWindow struct {
+	src, dst   netip.Addr
+	dstPort    uint16
+	class      probe.Class
+	proto      probe.Proto
+	qos        probe.QoS
+	payloadLen int
+	window     int64
+}
+
+// scanUploads reads stored PMB1 batches: how many probes are stored raw and
+// how many sketched, and how many sketches each (peer, window) has. A healthy
+// probe stored raw fails the test.
+func scanUploads(t *testing.T, data []byte) (raw, sketched uint64, sketches map[peerWindow]int) {
+	t.Helper()
+	sketches = map[peerWindow]int{}
 	var sc probe.Scanner
 	sc.Reset(data)
-	var raw, sketched uint64
 	for kind := sc.ScanEntry(); kind != probe.EntryEOF; kind = sc.ScanEntry() {
 		switch {
 		case sc.RowErr() != nil:
 			t.Fatal(sc.RowErr())
 		case kind == probe.EntrySketch:
-			sketched += sc.Sketch().Records()
+			sk := sc.Sketch()
+			sketches[peerWindow{sk.Src, sk.Dst, sk.DstPort, sk.Class, sk.Proto, sk.QoS, sk.PayloadLen,
+				probe.WindowIndex(sk.MinStart, probe.Window)}]++
+			sketched += sk.Records()
 		case !agent.ShipsRaw(sc.Record()):
 			t.Fatalf("healthy probe stored raw: %+v", sc.Record())
 		default:
 			raw++
 		}
 	}
-	if raw == 0 || sketched < 20*raw || len(data) > ref.Store.TotalBytes(stream)/10 {
-		t.Fatalf("store holds %d raw and %d sketched probes in %d bytes (CSV: %d)", raw, sketched, len(data), ref.Store.TotalBytes(stream))
+	return raw, sketched, sketches
+}
+
+// TestRunWindowUploadsOneSketchPerPeerWindow: on pingmesh-sim's 48-server
+// fleet, three hours of RunWindow store exactly one sketch per (src, peer,
+// window), as agents upload them, however the fleet's records are batched.
+func TestRunWindowUploadsOneSketchPerPeerWindow(t *testing.T) {
+	tb, err := NewSimTestbed(TopologySpec{DCs: []DCSpec{
+		{Name: "DC1", Podsets: 3, PodsPerPodset: 4, ServersPerPod: 4, LeavesPerPodset: 3, Spines: 6},
+	}}, SimOptions{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	from := tb.Clock.Now()
+	if err := tb.RunWindow(3 * time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	data, err := tb.Store.Read(cosmos.DailyStream("pingmesh")(from))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, sketches := scanUploads(t, data)
+	split := 0
+	for _, n := range sketches {
+		if n != 1 {
+			split++
+		}
+	}
+	if split != 0 || len(sketches) < 12000 {
+		t.Fatalf("%d of %d (peer, window) pairs stored as more than one sketch", split, len(sketches))
 	}
 }

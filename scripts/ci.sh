@@ -28,6 +28,11 @@
 #       packed runs into a histogram, 0 allocs/op. pinglist Unmarshal$ and
 #       UnmarshalDelta$ decode what a fleet_churn agent fetches: a 54-peer
 #       pinglist and its update round's delta, in a constant few allocs/op
+#       agent ScheduleDispatch$ is one dispatch of the agent's probe loop
+#       (pop the earliest-due peer off the schedule's heap and re-arm it) at
+#       50, 500 and 5,000 peers, 0 allocs/op; fleet FleetRun$ is one
+#       simulated hour of a 24-server DC through the fleet runner, which
+#       probes the same schedule
 #   3b. examples/isitnetwork, whose two incidents must print the verdicts
 #       not-network and network, in that order; then every paper figure and
 #       table at reduced budgets (cmd/experiments -quick), the pipeline-read
@@ -82,6 +87,8 @@ go test ./internal/scope ./internal/probe ./internal/analysis \
     -run 'ZeroAlloc' -count=1 -v | grep -E '^(=== RUN|--- (PASS|FAIL)|ok|FAIL)'
 go test ./internal/agent -run xxx -bench AgentRecordHotPath -benchtime 100000x
 go test ./internal/agent -run xxx -bench 'SketchObserve$' -benchmem -benchtime 2000x
+go test ./internal/agent -run xxx -bench 'ScheduleDispatch$' -benchmem
+go test ./internal/fleet -run xxx -bench 'FleetRun$' -benchmem
 go test ./internal/dsa -run xxx -bench 'FoldPass$' -benchtime 20x -cpu 1,2,4
 go test ./internal/dsa -run xxx -bench 'FoldPass$/open' -benchtime 2000x -cpu 1,2
 go test ./internal/scope -run xxx -bench 'ScopeRun$' -benchmem -cpu 1,2
