@@ -70,7 +70,7 @@ func main() {
 	}
 	top := suspects[0]
 	fmt.Printf("suspect: %s (per-hop loss ~%.1f%%, implicated by %d traced five-tuples) — injected: %s\n",
-		tb.Top.Switch(top.Switch).Name, top.Loss*100, top.Pairs, tb.Top.Switch(spine).Name)
+		tb.Top.Switch(top.Switch).Name, top.Loss*100, top.Tuples, tb.Top.Switch(spine).Name)
 
 	// Mitigate through the repair service: isolate from live traffic.
 	fmt.Println("\n== phase 4: mitigation ==")

@@ -3,7 +3,6 @@ package diagnosis
 import (
 	"fmt"
 	"math/rand/v2"
-	"sort"
 	"sync"
 	"time"
 
@@ -163,11 +162,6 @@ func cellStep(f *CellFacts, crossDC bool) Step {
 }
 
 const (
-	// pinThreshold is the per-hop loss estimate that pins a hop: about 2.5
-	// binomial standard deviations of a per-hop estimate at the default
-	// probe budget, so sampling noise rarely clears it even before the
-	// confirmation sweep.
-	pinThreshold = 0.02
 	// suspectScore is the normalized vote score that makes a path hop a
 	// suspect: an order of magnitude above what the baseline ~1e-4 drop
 	// rate can produce on a 6-hop path.
@@ -360,90 +354,33 @@ func (e *Engine) assertHopVotes(ch *Chain, src, dst topology.ServerID, r *Rankin
 	return best, bestScore, false
 }
 
-// pinTally aggregates one switch's loss estimates across the sweep's
-// tuples, keeping the tuple where it looked worst as the confirmation
-// exemplar.
-type pinTally struct {
-	sum  float64
-	n    int
-	port uint16 // exemplar tuple's source port
-	kHop int    // exemplar tuple's TTL index for this switch
-	peak float64
-}
-
-// assertTracePin sweeps TTL-limited probes over a handful of five-tuples
-// and pins the hop where per-hop loss concentrates. When the vote step
-// produced a suspect, tuples whose modeled path crosses it are tried
-// first — the vote table guides the traceroute, which then confirms or
-// clears the suspicion independently.
-//
-// A single per-tuple estimate at ProbesPerHop samples has binomial noise
-// of the same order as a real silent drop, and taking the max over
-// tuples × hops selects exactly that noise. So estimates are averaged per
-// switch across tuples first, and the leading suspects must then survive
-// a fresh confirmation sweep at 5× the probe budget before pinning —
-// noise does not repeat, real loss does.
+// assertTracePin runs the §5.2 localiser (PinLoss) over a handful of the
+// pair's five-tuples and reports its first pin. When the vote step
+// produced a suspect, tuples whose modeled path crosses it are among them
+// — the vote table guides the traceroute, which then confirms or clears
+// the suspicion independently.
 func (e *Engine) assertTracePin(ch *Chain, src, dst topology.ServerID, suspect topology.SwitchID) (hop topology.SwitchID, loss float64, fail bool) {
 	if e.Tracer == nil {
 		ch.Steps = append(ch.Steps, Step{Assertion: AssertTracePin, Verdict: StepSkip, Detail: "no trace prober wired"})
 		return -1, 0, false
 	}
 	rng := rand.New(rand.NewPCG(e.Seed^0xd1a9, uint64(src)<<32|uint64(uint32(dst))))
-	ports := e.pinPorts(src, dst, suspect)
-
-	tallies := map[topology.SwitchID]*pinTally{}
-	for _, sport := range ports {
+	var tuples []Tuple
+	for _, sport := range e.pinPorts(src, dst, suspect) {
 		spec := netsim.ProbeSpec{Src: src, Dst: dst, SrcPort: sport, DstPort: engineDstPort, Proto: probe.TCP}
-		hops := e.tupleHops(spec, rng)
-		if len(hops) == 0 {
-			continue
-		}
-		est := EstimateHopLoss(e.Tracer, spec, len(hops), e.ProbesPerHop, rng)
-		for k, p := range est {
-			t := tallies[hops[k]]
-			if t == nil {
-				t = &pinTally{port: sport, kHop: k, peak: p}
-				tallies[hops[k]] = t
-			}
-			t.sum += p
-			t.n++
-			if p > t.peak {
-				t.port, t.kHop, t.peak = sport, k, p
-			}
+		if hops := e.tupleHops(spec, rng); len(hops) > 0 {
+			tuples = append(tuples, Tuple{ProbeSpec: spec, Hops: hops})
 		}
 	}
-
-	// Leading suspects by mean estimate, deterministically ordered.
-	suspects := make([]topology.SwitchID, 0, len(tallies))
-	for sw, t := range tallies {
-		if t.sum/float64(t.n) >= pinThreshold {
-			suspects = append(suspects, sw)
-		}
-	}
-	sort.Slice(suspects, func(i, j int) bool {
-		a, b := tallies[suspects[i]], tallies[suspects[j]]
-		ma, mb := a.sum/float64(a.n), b.sum/float64(b.n)
-		if ma != mb {
-			return ma > mb
-		}
-		return suspects[i] < suspects[j]
-	})
-	if len(suspects) > 3 {
-		suspects = suspects[:3]
-	}
-	for _, sw := range suspects {
-		t := tallies[sw]
-		spec := netsim.ProbeSpec{Src: src, Dst: dst, SrcPort: t.port, DstPort: engineDstPort, Proto: probe.TCP}
-		est := EstimateHopLoss(e.Tracer, spec, t.kHop+1, 5*e.ProbesPerHop, rng)
-		if got := est[t.kHop]; got >= pinThreshold {
-			ch.Steps = append(ch.Steps, Step{Assertion: AssertTracePin, Verdict: StepFail, Hop: e.Top.Switch(sw).Name, Score: got,
-				Detail: fmt.Sprintf("TTL sweep pins %s: per-traversal loss %.4f confirmed at 5x probes (threshold %.4f)",
-					e.Top.Switch(sw).Name, got, pinThreshold)})
-			return sw, got, true
-		}
+	if pins := PinLoss(e.Tracer, tuples, e.ProbesPerHop, rng); len(pins) > 0 {
+		p, name := pins[0], e.Top.Switch(pins[0].Switch).Name
+		ch.Steps = append(ch.Steps, Step{Assertion: AssertTracePin, Verdict: StepFail, Hop: name, Score: p.Loss,
+			Detail: fmt.Sprintf("TTL sweep pins %s: per-traversal loss %.4f confirmed at 5x probes (threshold %.4f)",
+				name, p.Loss, pinThreshold)})
+		return p.Switch, p.Loss, true
 	}
 	ch.Steps = append(ch.Steps, Step{Assertion: AssertTracePin, Verdict: StepPass,
-		Detail: fmt.Sprintf("TTL sweep over %d tuples found no hop sustaining %.4f loss", len(ports), pinThreshold)})
+		Detail: fmt.Sprintf("TTL sweep over %d tuples found no hop sustaining %.4f loss", len(tuples), pinThreshold)})
 	return -1, 0, false
 }
 

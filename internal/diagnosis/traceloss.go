@@ -13,25 +13,6 @@ type TraceProber interface {
 	TraceProbe(spec netsim.ProbeSpec, ttl int, rng *rand.Rand) netsim.TraceResult
 }
 
-// SweepTraceLoss walks TTL 1..hops, sending probesPerHop trace probes per
-// TTL, and calls visit with each TTL's observed round-trip loss fraction.
-// visit returning false stops the sweep early — the silent-drop localizer
-// stops at the first blamed hop, and stopping inside the sweep keeps its
-// rng draw sequence identical to the pre-refactor loop.
-func SweepTraceLoss(tr TraceProber, spec netsim.ProbeSpec, hops, probesPerHop int, rng *rand.Rand, visit func(ttl int, loss float64) bool) {
-	for ttl := 1; ttl <= hops; ttl++ {
-		lost := 0
-		for i := 0; i < probesPerHop; i++ {
-			if !tr.TraceProbe(spec, ttl, rng).OK {
-				lost++
-			}
-		}
-		if !visit(ttl, float64(lost)/float64(probesPerHop)) {
-			return
-		}
-	}
-}
-
 // EstimateHopLoss converts a full TTL sweep into per-hop per-traversal
 // loss estimates (est[k-1] is hop k's estimate).
 //
@@ -56,25 +37,25 @@ func EstimateHopLoss(tr TraceProber, spec netsim.ProbeSpec, hops, probesPerHop i
 	est := make([]float64, hops)
 	prevRate := 1.0 // R(k-1); R(0) ≡ 1 folds the host term into hop 1
 	prevEst := 0.0  // p̂_{k-1}
-	SweepTraceLoss(tr, spec, hops, probesPerHop, rng, func(ttl int, loss float64) bool {
-		rate := 1 - loss
+	for k := range est {
+		lost := 0
+		for i := 0; i < probesPerHop; i++ {
+			if !tr.TraceProbe(spec, k+1, rng).OK {
+				lost++
+			}
+		}
+		rate := 1 - float64(lost)/float64(probesPerHop)
 		if rate <= 0 {
 			// Nothing answered: everything from here on is dark. Attribute
 			// total loss to this hop and stop — downstream hops stay 0.
-			est[ttl-1] = 1
-			return false
+			est[k] = 1
+			break
 		}
-		p := 1 - rate/(prevRate*(1-prevEst))
-		if p < 0 {
-			p = 0 // sampling noise: a TTL answering better than its parent
-		}
-		if p > 1 {
-			p = 1
-		}
-		est[ttl-1] = p
+		// Clamp: a TTL answering better than its parent is sampling noise.
+		p := min(max(1-rate/(prevRate*(1-prevEst)), 0), 1)
+		est[k] = p
 		prevRate, prevEst = rate, p
-		return true
-	})
+	}
 	return est
 }
 

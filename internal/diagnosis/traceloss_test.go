@@ -62,11 +62,16 @@ func TestEstimateHopLossReturnPathBias(t *testing.T) {
 	naive := make([]float64, len(f.loss))
 	prev := 0.0
 	rng2 := rand.New(rand.NewPCG(7, 9))
-	SweepTraceLoss(f, netsim.ProbeSpec{}, len(f.loss), probes, rng2, func(ttl int, loss float64) bool {
-		naive[ttl-1] = loss - prev
-		prev = loss
-		return true
-	})
+	for k := range naive {
+		lost := 0
+		for i := 0; i < probes; i++ {
+			if !f.TraceProbe(netsim.ProbeSpec{}, k+1, rng2).OK {
+				lost++
+			}
+		}
+		loss := float64(lost) / probes
+		naive[k], prev = loss-prev, loss
+	}
 
 	if naive[3] < 0.03 {
 		t.Fatalf("naive[3] = %.4f; expected the bias this test guards against (~%.2f)", naive[3], p)
@@ -92,19 +97,6 @@ func TestEstimateHopLossTotalBlackout(t *testing.T) {
 	}
 	if est[2] != 0 {
 		t.Fatalf("est[2] = %v, want 0 (unobservable)", est[2])
-	}
-}
-
-func TestSweepTraceLossEarlyStop(t *testing.T) {
-	f := &fakeProber{loss: []float64{0, 0, 0, 0}}
-	rng := rand.New(rand.NewPCG(2, 2))
-	visited := 0
-	SweepTraceLoss(f, netsim.ProbeSpec{}, 4, 10, rng, func(ttl int, loss float64) bool {
-		visited = ttl
-		return ttl < 2
-	})
-	if visited != 2 {
-		t.Fatalf("sweep visited through TTL %d, want stop at 2", visited)
 	}
 }
 

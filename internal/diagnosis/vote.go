@@ -463,12 +463,3 @@ func SortByScore(cands []Candidate) {
 		return cmp.Or(cmp.Compare(b.Score, a.Score), cmp.Compare(a.Switch, b.Switch))
 	})
 }
-
-// SortByVotes orders candidates by votes desc, then score desc, then
-// switch asc — the §5.2 silent-drop suspect order (implicating pairs
-// first, loss estimate second).
-func SortByVotes(cands []Candidate) {
-	slices.SortFunc(cands, func(a, b Candidate) int {
-		return cmp.Or(cmp.Compare(b.Votes, a.Votes), cmp.Compare(b.Score, a.Score), cmp.Compare(a.Switch, b.Switch))
-	})
-}

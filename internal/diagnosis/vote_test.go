@@ -136,15 +136,6 @@ func TestSortByScoreAndVotes(t *testing.T) {
 	if cands[0].Switch != 2 || cands[1].Switch != 1 || cands[2].Switch != 3 {
 		t.Fatalf("SortByScore order = %v", cands)
 	}
-	cands = []Candidate{
-		{Switch: 3, Votes: 4, Score: 0.1},
-		{Switch: 1, Votes: 4, Score: 0.7},
-		{Switch: 2, Votes: 8, Score: 0.2},
-	}
-	SortByVotes(cands)
-	if cands[0].Switch != 2 || cands[1].Switch != 1 || cands[2].Switch != 3 {
-		t.Fatalf("SortByVotes order = %v", cands)
-	}
 }
 
 func TestResetKeepsCapacityClearsLog(t *testing.T) {

@@ -43,7 +43,6 @@ import (
 	"pingmesh/internal/probe"
 	"pingmesh/internal/reportdb"
 	"pingmesh/internal/scope"
-	"pingmesh/internal/silentdrop"
 	"pingmesh/internal/simclock"
 	"pingmesh/internal/topology"
 	"pingmesh/internal/trace"
@@ -432,13 +431,14 @@ func (tb *SimTestbed) NewDiagnosisEngine() *diagnosis.Engine {
 }
 
 // SilentDropSuspect is one switch accused of silent random packet drops.
-type SilentDropSuspect = silentdrop.Suspect
+type SilentDropSuspect = diagnosis.Pin
 
 // LocalizeSilentDrops runs the §5.2 workflow over the stored records of
 // [from, to): compute per-server-pair drop estimates, pick the most
 // affected pairs, and TCP-traceroute the five-tuples of their stored
-// drop-signature probes against the fabric to pinpoint the lossy switch.
-// Returns suspects worst-first (empty when the fabric is clean).
+// drop-signature probes against the fabric to pinpoint the lossy switch
+// (diagnosis.PinLoss at 600 probes per hop). Returns the confirmed
+// suspects, most loss mass first (none when the fabric is clean).
 func (tb *SimTestbed) LocalizeSilentDrops(from, to time.Time) ([]SilentDropSuspect, error) {
 	keyer := &analysis.Keyer{Top: tb.Top}
 	res, err := scope.Run(scope.Job{
@@ -471,16 +471,8 @@ func (tb *SimTestbed) LocalizeSilentDrops(from, to time.Time) ([]SilentDropSuspe
 			}
 		}
 	}
-	pairs := silentdrop.AffectedPairsFromStats(tb.Top, rates, recs, 1e-3, 8)
-	if len(pairs) == 0 {
-		return nil, nil
-	}
-	loc := &silentdrop.Localizer{
-		Net:          tb.Net,
-		ProbesPerHop: 600,
-		Rand:         rand.New(rand.NewPCG(tb.seed^0x51d, 13)),
-	}
-	return loc.Localize(pairs), nil
+	tuples := diagnosis.AffectedPairsFromStats(tb.Top, tb.Net, rates, recs, 1e-3, 8)
+	return diagnosis.PinLoss(tb.Net, tuples, 600, rand.New(rand.NewPCG(tb.seed^0x51d, 13))), nil
 }
 
 // StandardWatchdogs returns a watchdog service wired with the checks §3.5

@@ -38,7 +38,8 @@
 #       table at reduced budgets (cmd/experiments -quick), the pipeline-read
 #       ones through SimTestbed's store and DSA cycles, and the §5
 #       localization run (tier 1's TestDiagnosisLocatesBothFaults pins its
-#       numbers)
+#       numbers); then examples/silentdrop, which exits non-zero unless the
+#       §5.2 localiser blames the spine it injected
 #   3c. telemetry plane smoke: the real controller and agent binaries on
 #       loopback with no telemetry flag; within 10s the agent's report
 #       must show up as a fleet rollup point on the controller's debug port
@@ -102,13 +103,14 @@ go test ./internal/netsim -run xxx -bench 'PathResolve$' -benchmem
 go test ./internal/diagnosis -run xxx -bench 'ObserveBatch$|RankGreedy$' -benchmem -cpu 1,2,4
 go test ./internal/portal -run xxx -bench 'PortalDiagnose(Hit|Miss)$|PortalSLACached$|PortalNotModified$' -benchmem
 
-echo "== tier 3b: the is-it-the-network example, the paper's experiments"
+echo "== tier 3b: the is-it-the-network example, the paper's experiments, the silent-drop example"
 VERDICTS=$(go run ./examples/isitnetwork | grep '^verdict: ' | cut -d' ' -f2 | tr '\n' ' ')
 if [ "$VERDICTS" != "not-network network " ]; then
     echo "examples/isitnetwork: verdicts '$VERDICTS', want incident 1 not-network, incident 2 network" >&2
     exit 1
 fi
 go run ./cmd/experiments -quick > /dev/null
+go run ./examples/silentdrop > /dev/null
 
 echo "== tier 3c: telemetry plane smoke (loopback, no telemetry flags)"
 SMOKE=$(mktemp -d)
