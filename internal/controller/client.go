@@ -339,6 +339,10 @@ func (c *Client) dropCache(server string) {
 	c.mu.Unlock()
 }
 
+// gzipReaders holds inflaters for readBody, reused through Reset: a new
+// one costs tens of kilobytes, a body a few hundred bytes.
+var gzipReaders sync.Pool // *gzip.Reader
+
 // readBody reads a response body, inflating it if it is gzipped, and
 // returns it with the number of bytes that crossed the wire. Both sizes
 // are bounded.
@@ -346,11 +350,14 @@ func readBody(resp *http.Response) (data []byte, wire int64, err error) {
 	counted := &countingReader{r: io.LimitReader(resp.Body, 64<<20)}
 	var body io.Reader = counted
 	if strings.EqualFold(resp.Header.Get("Content-Encoding"), "gzip") {
-		zr, err := gzip.NewReader(counted)
-		if err != nil {
+		zr, _ := gzipReaders.Get().(*gzip.Reader)
+		if zr == nil {
+			zr = new(gzip.Reader)
+		}
+		defer gzipReaders.Put(zr)
+		if err := zr.Reset(counted); err != nil {
 			return nil, counted.n, fmt.Errorf("controller: gzip body: %w", err)
 		}
-		defer zr.Close()
 		body = io.LimitReader(zr, 64<<20)
 	}
 	data, err = io.ReadAll(body)

@@ -102,7 +102,8 @@ func etagFor(data []byte) string { return httpcache.ETagFor(data) }
 func (c *Controller) UpdateTopology(top *topology.Topology) error {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
-	ring := demote(c.state.Load())
+	prev := c.state.Load()
+	ring := demote(prev)
 	c.gen++
 	version := fmt.Sprintf("gen-%d", c.gen)
 	start := c.clock.Now()
@@ -140,7 +141,7 @@ func (c *Controller) UpdateTopology(top *topology.Topology) error {
 				if i >= len(ids) {
 					return
 				}
-				entries[i] = b.build(lists[ids[i]], top.Server(ids[i]).Name, ring)
+				entries[i] = b.build(lists[ids[i]], top.Server(ids[i]).Name, prev, ring)
 			}
 		}(&builders[w])
 	}

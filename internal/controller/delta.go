@@ -202,7 +202,10 @@ type patch struct {
 
 // build marshals, compresses and hashes one server's file, then builds
 // the patch to it from that server's file in every ringed generation.
-func (b *builder) build(f *pinglist.File, name string, ring []ringGen) *httpcache.Body {
+// ring[0] is prev demoted, and prev's raw bodies stay live until its
+// successor is stored, so that generation's base is read raw from prev;
+// only the older ones are inflated.
+func (b *builder) build(f *pinglist.File, name string, prev *state, ring []ringGen) *httpcache.Body {
 	data, err := pinglist.Marshal(f)
 	if err != nil {
 		b.err = fmt.Errorf("marshal pinglist for %s: %w", name, err)
@@ -223,7 +226,11 @@ func (b *builder) build(f *pinglist.File, name string, ring []ringGen) *httpcach
 		if target == "" {
 			target = string(data)
 		}
-		db, err := b.buildDelta(base, cur, target, f)
+		var live []byte
+		if gi == 0 {
+			live = prev.files[name].Data()
+		}
+		db, err := b.buildDelta(base, live, cur, target, f)
 		switch {
 		case err != nil:
 			b.buildErrors++
@@ -237,14 +244,18 @@ func (b *builder) build(f *pinglist.File, name string, ring []ringGen) *httpcach
 }
 
 // buildDelta computes the patch from a ringed base to the current body
-// without parsing either: the base is inflated and diffed line by line
-// against the body just marshaled from f. A patch that would not beat the
-// full body on the wire is noDelta, and so is any failure — the agent
-// simply downloads the full file — but a failure is returned too, so the
-// two are counted apart.
-func (b *builder) buildDelta(base ringEntry, cur *httpcache.Body, target string, f *pinglist.File) (*deltaBody, error) {
+// without parsing either: the base's raw body — live when the caller holds
+// it, else the ring's copy, inflated — is diffed line by line against the
+// body just marshaled from f. A patch that would not beat the full body on
+// the wire is noDelta, and so is any failure — the agent simply downloads
+// the full file — but a failure is returned too, so the two are counted
+// apart.
+func (b *builder) buildDelta(base ringEntry, live []byte, cur *httpcache.Body, target string, f *pinglist.File) (*deltaBody, error) {
 	old := base.comp
-	if base.gzipped {
+	switch {
+	case live != nil:
+		old = live
+	case base.gzipped:
 		var err error
 		if b.base, err = b.comp.Gunzip(b.base[:0], base.comp); err != nil {
 			return noDelta, err

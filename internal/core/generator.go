@@ -170,8 +170,9 @@ func GenerateSubsetWithStats(top *topology.Topology, cfg GeneratorConfig, versio
 	files := make([]*pinglist.File, len(servers))
 
 	if workers <= 1 {
+		var scratch []pinglist.Peer
 		for i, id := range servers {
-			files[i] = g.generateOne(id, interDC)
+			files[i] = g.generateOne(id, interDC, &scratch)
 		}
 	} else {
 		var next atomic.Int64
@@ -180,6 +181,7 @@ func GenerateSubsetWithStats(top *topology.Topology, cfg GeneratorConfig, versio
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				var scratch []pinglist.Peer
 				for {
 					lo := int(next.Add(shardSize)) - shardSize
 					if lo >= len(servers) {
@@ -190,7 +192,7 @@ func GenerateSubsetWithStats(top *topology.Topology, cfg GeneratorConfig, versio
 						hi = len(servers)
 					}
 					for i := lo; i < hi; i++ {
-						files[i] = g.generateOne(servers[i], interDC)
+						files[i] = g.generateOne(servers[i], interDC, &scratch)
 					}
 				}
 			}()
@@ -215,14 +217,22 @@ type generator struct {
 
 // generateOne computes a single server's pinglist. It reads only the
 // immutable topology, configuration, and inter-DC selection, so any number
-// of workers may call it concurrently for disjoint servers.
-func (g *generator) generateOne(id topology.ServerID, interDC map[topology.ServerID]bool) *pinglist.File {
+// of workers may call it concurrently for disjoint servers, each with its
+// own scratch: the peers are gathered there, where the slice has grown to
+// fit once, and the file keeps an exact-size copy.
+func (g *generator) generateOne(id topology.ServerID, interDC map[topology.ServerID]bool, scratch *[]pinglist.Peer) *pinglist.File {
 	s := *g.top.Server(id)
-	f := &pinglist.File{Server: s.Name, Version: g.version, Generated: g.now}
+	f := &pinglist.File{Server: s.Name, Version: g.version, Generated: g.now, Peers: (*scratch)[:0]}
 	g.intraPodPeers(f, &s)
 	g.intraDCPeers(f, &s)
 	g.interDCPeers(f, &s, interDC)
 	g.vipPeers(f, &s)
+	*scratch = f.Peers
+	f.Peers = nil
+	if len(*scratch) > 0 {
+		f.Peers = make([]pinglist.Peer, len(*scratch))
+		copy(f.Peers, *scratch)
+	}
 	return f
 }
 

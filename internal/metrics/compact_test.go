@@ -408,14 +408,27 @@ func FuzzRuns(f *testing.F) {
 	f.Add([]byte{1, 4, 2, 2, 5, 0})                                                 // a zero count
 	f.Add([]byte{2, 4, 2, 2, 5, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40, 1, 1})    // 2^48 + 1 in all
 	f.Add([]byte{1, 4, 4, 2, 5, 1})                                                 // max < min
-	sparse, dense := NewLatencyHistogram(), NewLatencyHistogram()
+	// The edges of the one-byte run read in line.
+	f.Add([]byte{1, 4, 2, 2, 5, 0x80, 0x01})                                        // a one-byte gap, a two-byte count
+	f.Add([]byte{2, 4, 2, 2, 5, 0x7f, 1, 0x80, 0x01})                               // counts 0x7f, then 0x80
+	f.Add([]byte{1, 4, 2, 2, 5})                                                    // truncated before the first run
+	f.Add([]byte{2, 4, 2, 2, 5, 1, 1})                                              // truncated after a gap byte
+	f.Add([]byte{2, 4, 2, 2, 5, 0x80, 0x01, 0, 1})                                  // gap 0 after a two-byte count
+	f.Add([]byte{2, 4, 2, 2, 0xac, 0x02, 1, 0x51, 1})                               // a one-byte run onto the last bucket
+	f.Add([]byte{2, 4, 2, 2, 0xac, 0x02, 1, 0x52, 1})                               // and one past it
+	f.Add([]byte{2, 4, 2, 2, 5, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40, 1, 0x7f}) // 2^48 + 127 in all
+	sparse, dense, wide := NewLatencyHistogram(), NewLatencyHistogram(), NewLatencyHistogram()
 	for b := 1; b < 2*maxRuns; b++ {
 		lo, _ := LatencyBucketRange(b)
 		if b%40 == 0 {
 			sparse.Observe(lo + 1)
 		}
+		if b <= maxRuns-2 {
+			wide.Observe(lo + 1)
+		}
 		dense.Observe(lo + 1)
 	}
+	f.Add(wide.AppendRuns(nil)) // merged into sparse, it switches form part way through
 	f.Fuzz(func(t *testing.T, data []byte) {
 		bs, sum, min, max, refSize, refOK := refDecodeRuns(data)
 		scratch := []uint64{7} // decoding appends after what the caller holds

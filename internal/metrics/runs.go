@@ -117,16 +117,26 @@ func DecodeRuns(d []byte, scratch []uint64) (r Runs, ext []uint64, size int, ok 
 	var idx, total uint64
 	for i := uint64(0); i < nb; i++ {
 		var gap, c uint64
+		if off+1 < len(d) && d[off]|d[off+1] < 0x80 {
+			// Most runs are a one-byte gap and a one-byte count: read both
+			// here rather than through two calls.
+			gap, c, off = uint64(d[off]), uint64(d[off+1]), off+2
+		} else {
+			if gap, off, ok = Uvarint(d, off); !ok {
+				return Runs{}, scratch, 0, false
+			}
+			if c, off, ok = Uvarint(d, off); !ok {
+				return Runs{}, scratch, 0, false
+			}
+		}
 		// The gap is bounded before it is added: a ten-byte varint past 2^63
 		// would otherwise wrap the index and step the runs backwards.
-		if gap, off, ok = Uvarint(d, off); !ok || gap >= layout || gap == 0 && i > 0 || idx+gap >= layout {
+		// Likewise the count, before it can wrap the total (2^48 fits a run).
+		if gap >= layout || gap == 0 && i > 0 || idx+gap >= layout ||
+			c == 0 || c > maxRunsCount-total {
 			return Runs{}, scratch, 0, false
 		}
 		idx += gap
-		// Likewise the count, before it can wrap the total (2^48 fits a run).
-		if c, off, ok = Uvarint(d, off); !ok || c == 0 || c > maxRunsCount-total {
-			return Runs{}, scratch, 0, false
-		}
 		total += c
 		ext = append(ext, idx<<runCountBits|c)
 	}

@@ -193,19 +193,38 @@ func (h *Histogram) addRun(at, i int, n uint64) {
 }
 
 // addRuns merge-joins packed runs, strictly ascending, into h: the one fold
-// behind Merge and Runs.AddTo.
+// behind Merge and Runs.AddTo. A run whose bucket h already holds is added
+// in place; only a new bucket goes through addRun, the one step that can
+// switch h to the dense form.
 func (h *Histogram) addRuns(runs []uint64) {
+	if h.dense() {
+		h.addDense(runs)
+		return
+	}
 	at := 0
-	for _, run := range runs {
+	for k, run := range runs {
 		i, n := run>>runCountBits, run&runCountMask
-		h.count += n
-		if h.dense() {
-			h.buckets[i] += n
-			continue
-		}
 		for at < len(h.buckets) && h.buckets[at]>>runCountBits < i {
 			at++
 		}
+		h.count += n
+		if at < len(h.buckets) && h.buckets[at]>>runCountBits == i && n <= runCountMask-h.buckets[at]&runCountMask {
+			h.buckets[at] += n
+			continue
+		}
 		h.addRun(at, int(i), n)
+		if h.dense() {
+			h.addDense(runs[k+1:])
+			return
+		}
+	}
+}
+
+// addDense adds packed runs to h's dense counts.
+func (h *Histogram) addDense(runs []uint64) {
+	for _, run := range runs {
+		n := run & runCountMask
+		h.buckets[run>>runCountBits] += n
+		h.count += n
 	}
 }

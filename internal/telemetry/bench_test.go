@@ -81,9 +81,11 @@ const (
 type fleetReport struct{ off, end int }
 
 // fleetReports holds every report of the benchmark fleet, [round][agent],
-// built once per process: 6 counters, 2 gauges and 3 histograms of 32 fresh
-// observations each, round r shipped as seq r+1 on base r — so the five
-// rounds can be replayed in a loop, round 0 being self-contained.
+// built once per process: up to 6 counters and 2 gauges and 3 histograms of
+// 32 fresh observations each, round r shipped as seq r+1 on base r — so the
+// five rounds can be replayed in a loop, round 0 being self-contained. A
+// counter or gauge whose delta is zero is left out, as the Encoder leaves
+// it out, so reports of one pod differ in which metrics they carry.
 var fleetReports struct {
 	once sync.Once
 	buf  []byte
@@ -105,10 +107,14 @@ func buildFleetReports() {
 			scope := fmt.Sprintf("d%d.s%d.p%d", pod/50, pod/5%10, pod%5)
 			b.Begin(fmt.Sprintf("srv-%05d", a), scope, uint64(round+1), uint64(round), int64(round))
 			for i, name := range counters {
-				b.Counter(name, 1+next()%uint64(100*(i+1)))
+				if v := next() % uint64(2<<i); v != 0 {
+					b.Counter(name, v)
+				}
 			}
 			for _, name := range gauges {
-				b.Gauge(name, int64(next()%201)-100)
+				if v := int64(next()%21) - 10; v != 0 {
+					b.Gauge(name, v)
+				}
 			}
 			for i, base := range [3]uint64{150_000, 250_000, 30_000_000} {
 				h.Reset()

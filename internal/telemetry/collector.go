@@ -27,14 +27,16 @@ import (
 // of megabytes, not gigabytes.
 //
 // A report folds once, into the cells of its own scope (its leaf): one
-// scope lookup, one short-key lookup per metric, each histogram's runs
-// walked once. The levels above a pod are derived — integer sums of the
-// leaves under them, recomputed by SampleRollups into a table it keeps and
-// summed on demand by the Rollup readers — so a derived level is
-// bit-identical to one folded report by report. Only leaves shallower than
-// a pod (a process reporting at "d0", or at no scope) also appear in the
-// derived table, because such a scope may be other agents' ancestor; a
-// pod's cells, the bulk, exist once.
+// scope lookup, then per metric the leaf's cell after the one the previous
+// metric matched — agents of a pod emit the same names in the same order,
+// so a map lookup is needed only where a report skips a zero delta — and
+// each histogram's runs walked once. The levels above a pod are derived —
+// integer sums of the leaves under them, recomputed by SampleRollups into a
+// table it keeps and summed on demand by the Rollup readers — so a derived
+// level is bit-identical to one folded report by report. Only leaves
+// shallower than a pod (a process reporting at "d0", or at no scope) also
+// appear in the derived table, because such a scope may be other agents'
+// ancestor; a pod's cells, the bulk, exist once.
 //
 // Nothing is collector-wide on the ingest path. Leaves live in
 // collectorStripes stripes chosen by a hash of the (cut) scope, so a pod's
@@ -124,8 +126,12 @@ type leaf struct {
 	// pod (three segments, nobody's ancestor, so its cells are its level's
 	// values), "" for a shallower leaf, whose level is derived.
 	series string
-	cells  map[string]*rollup // by kind byte + metric name
-	ups    []*level           // the derived levels the cells sum into; nil until first sampled
+	// order holds the cells in first-seen order, which is the order the
+	// pod's agents emit them in. cells indexes it by key and is the
+	// authority when the next cell in order is not the one wanted.
+	order []*rollup
+	cells map[string]int32 // position in order, by kind byte + metric name
+	ups   []*level         // the derived levels the cells sum into; nil until first sampled
 }
 
 // level is one derived scope level: "fleet", a DC or a podset.
@@ -148,6 +154,7 @@ const fleetLevel = "fleet"
 // precomputed at creation so sampling allocates nothing; a cell that is
 // never sampled (a leaf's above the pod level) has none.
 type rollup struct {
+	key  string // kind byte + metric name
 	kind byte
 	val  int64
 	hist *metrics.Histogram
@@ -158,7 +165,7 @@ type rollup struct {
 // newRollup returns an empty cell for the metric key (kind byte + name);
 // series names the level it is sampled as, "" for an unsampled one.
 func newRollup(series, key string) *rollup {
-	r := &rollup{kind: key[0]}
+	r := &rollup{key: key, kind: key[0]}
 	if r.kind == kindHist {
 		r.hist = metrics.NewLatencyHistogram()
 	}
@@ -315,21 +322,20 @@ func (c *Collector) Ingest(data []byte, now time.Time) (IngestResult, error) {
 	ss.mu.Lock()
 	lf, ok := ss.leaves[string(scope)]
 	if !ok {
-		lf = &leaf{scope: string(scope), cells: map[string]*rollup{}}
+		lf = &leaf{scope: string(scope), cells: map[string]int32{}}
 		if strings.Count(lf.scope, ".") == 2 {
 			lf.series = lf.scope
 		}
 		ss.leaves[lf.scope] = lf
 	}
+	at := -1 // the position the previous metric's cell holds in lf.order
 	for i := range ents {
 		e := &ents[i]
 		key := keys[e.lo:e.hi]
-		r, ok := lf.cells[string(key)]
-		if !ok {
-			k := string(key)
-			r = newRollup(lf.series, k)
-			lf.cells[k] = r
+		if at++; at >= len(lf.order) || lf.order[at].key != string(key) {
+			at = lf.cellAt(key)
 		}
+		r := lf.order[at]
 		if r.kind == kindHist {
 			e.hist.WithRuns(runs[e.rlo:e.rhi]).AddTo(r.hist)
 		} else {
@@ -343,6 +349,18 @@ func (c *Collector) Ingest(data []byte, now time.Time) (IngestResult, error) {
 	c.cReports.Inc()
 	c.cBytes.Add(int64(len(data)))
 	return IngestResult{Ack: seq, LastApplied: seq}, nil
+}
+
+// cellAt is Ingest's miss path: the position in order of the cell for key,
+// appended if the leaf has none yet.
+func (lf *leaf) cellAt(key []byte) int {
+	if at, ok := lf.cells[string(key)]; ok {
+		return int(at)
+	}
+	r := newRollup(lf.series, string(key))
+	lf.cells[r.key] = int32(len(lf.order))
+	lf.order = append(lf.order, r)
+	return len(lf.order) - 1
 }
 
 var (
@@ -474,12 +492,12 @@ func (c *Collector) SampleRollups(now time.Time) {
 			if lf.ups == nil {
 				lf.ups = c.levelsAbove(lf.scope)
 			}
-			for key, r := range lf.cells {
+			for _, r := range lf.order {
 				for _, lv := range lf.ups {
-					u, ok := lv.cells[key]
+					u, ok := lv.cells[r.key]
 					if !ok {
-						u = newRollup(lv.name, key)
-						lv.cells[key] = u
+						u = newRollup(lv.name, r.key)
+						lv.cells[r.key] = u
 					}
 					if r.kind == kindHist {
 						u.hist.Merge(r.hist)
@@ -629,8 +647,8 @@ func (c *Collector) cellsUnder(scope, key string, fn func(*rollup)) {
 			if !scopeUnder(lf.scope, scope) {
 				continue
 			}
-			if r, ok := lf.cells[key]; ok {
-				fn(r)
+			if at, ok := lf.cells[key]; ok {
+				fn(lf.order[at])
 			}
 		}
 		ss.mu.Unlock()

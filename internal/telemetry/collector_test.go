@@ -502,3 +502,122 @@ func TestConcurrentIngestMatchesSerial(t *testing.T) {
 		t.Errorf("%d series, serial %d", g, w)
 	}
 }
+
+// TestIngestMixedOrdersMatchOracle: the agents of two pods ship the same
+// metrics in two different orders, and each report omits some of them, as
+// the Encoder omits a zero delta. Every level's rollups must equal an oracle
+// that adds each report's values and observations on their own, and once
+// every metric has been seen, ingest — misses of the next-cell guess
+// included — allocates nothing.
+func TestIngestMixedOrdersMatchOracle(t *testing.T) {
+	const agents, rounds, warm = 6, 12, 6
+	counters := []string{"agent.probes_sent", "agent.probes_failed", "agent.uploads_ok", "agent.fetches_ok"}
+	gauges := []string{"agent.peers", "agent.buffered_records"}
+	hists := []string{"agent.rtt.intra-pod", "agent.rtt.intra-dc"}
+	scopes := []string{"d0.s1.p2", "d0.s1.p3"}
+	levels := []string{"fleet", "d0", "d0.s1", scopes[0], scopes[1]}
+
+	type tally struct {
+		c, g map[string]int64
+		h    map[string]*metrics.Histogram
+	}
+	oracle := map[string]*tally{}
+	for _, lv := range levels {
+		oracle[lv] = &tally{c: map[string]int64{}, g: map[string]int64{}, h: map[string]*metrics.Histogram{}}
+	}
+	under := func(scope string) []string { return []string{"fleet", "d0", "d0.s1", scope} }
+	// each visits names forwards for even agents and backwards for odd ones.
+	each := func(a int, names []string, fn func(string)) {
+		for i := range names {
+			if a%2 == 1 {
+				i = len(names) - 1 - i
+			}
+			fn(names[i])
+		}
+	}
+
+	next := xorshift(0x5EED)
+	var b ReportBuilder
+	var reports [][]byte // round by round, agent by agent
+	for r := 1; r <= rounds; r++ {
+		for a := 0; a < agents; a++ {
+			scope := scopes[a%2]
+			b.Begin(fmt.Sprintf("srv-%d", a), scope, uint64(r), uint64(r-1), 0)
+			ships := func() bool { return r == 1 || next()%3 != 0 } // round 1 registers every metric
+			each(a, counters, func(name string) {
+				if v := 1 + next()%50; ships() {
+					b.Counter(name, v)
+					for _, lv := range under(scope) {
+						oracle[lv].c[name] += int64(v)
+					}
+				}
+			})
+			each(a, gauges, func(name string) {
+				if v := int64(next()%21) + 1; ships() {
+					b.Gauge(name, v)
+					for _, lv := range under(scope) {
+						oracle[lv].g[name] += v
+					}
+				}
+			})
+			each(a, hists, func(name string) {
+				if !ships() {
+					return
+				}
+				h := metrics.NewLatencyHistogram()
+				for o := 0; o < 1+int(next()%8); o++ {
+					d := time.Duration(100_000 + next()%3_000_000)
+					h.Observe(d)
+					for _, lv := range under(scope) {
+						if oracle[lv].h[name] == nil {
+							oracle[lv].h[name] = metrics.NewLatencyHistogram()
+						}
+						oracle[lv].h[name].Observe(d)
+					}
+				}
+				appendHist(&b, name, h)
+			})
+			reports = append(reports, bytes.Clone(b.Finish()))
+		}
+	}
+
+	c := NewCollector(CollectorConfig{})
+	now := time.Unix(1000, 0)
+	ingest := func(data []byte) {
+		if res, err := c.Ingest(data, now); err != nil || res.Resync || res.Duplicate {
+			t.Fatalf("ingest: %+v err=%v", res, err)
+		}
+	}
+	for _, data := range reports[:warm*agents] {
+		ingest(data)
+	}
+	rest := reports[warm*agents:]
+	allocs := testing.AllocsPerRun(len(rest)-1, func() {
+		ingest(rest[0])
+		rest = rest[1:]
+	})
+	if allocs != 0 {
+		t.Errorf("ingest of reports in mixed orders, with gaps, allocates %v times per report", allocs)
+	}
+
+	for _, lv := range levels {
+		want := oracle[lv]
+		for _, name := range counters {
+			if got, ok := c.RollupCounter(lv, name); !ok || got != want.c[name] {
+				t.Errorf("%s counter %s = %d ok=%v, oracle %d", lv, name, got, ok, want.c[name])
+			}
+		}
+		for _, name := range gauges {
+			if got, ok := c.RollupGauge(lv, name); !ok || got != want.g[name] {
+				t.Errorf("%s gauge %s = %d ok=%v, oracle %d", lv, name, got, ok, want.g[name])
+			}
+		}
+		for _, name := range hists {
+			got, ok := c.RollupHistogram(lv, name)
+			if !ok {
+				t.Fatalf("%s histogram %s missing", lv, name)
+			}
+			assertHistEqual(t, got, want.h[name])
+		}
+	}
+}
