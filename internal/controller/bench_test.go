@@ -3,6 +3,7 @@ package controller
 import (
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 	"time"
 
@@ -85,29 +86,114 @@ func BenchmarkServeNotModified(b *testing.B) {
 	}
 }
 
-// BenchmarkUpdateTopology measures a full regeneration with the ring full
-// — parallel generation, then marshal/gzip/hash of every file and the
-// patch to it from each of its DefaultDeltaRing ringed predecessors.
-// scripts/ci.sh tier 3 prints it: with -benchmem it is where a compressor
-// per body (≈1.3 MB/pinglist) or an XML parse per patch would show.
+// churnSpec is fleet_churn's topology at a given podset count: two DCs of
+// ten pods of six servers a podset, so 5 podsets are 600 servers and 6 are
+// 720.
+func churnSpec(podsets int) topology.Spec {
+	dc := func(name string) topology.DCSpec {
+		return topology.DCSpec{Name: name, Podsets: podsets, PodsPerPodset: 10, ServersPerPod: 6, LeavesPerPodset: 2, Spines: 4}
+	}
+	return topology.Spec{DCs: []topology.DCSpec{dc("DC1"), dc("DC2")}}
+}
+
+// BenchmarkUpdateTopology measures UpdateTopology in two shapes; scripts/ci.sh
+// tier 3 prints both with -benchmem.
+//
+// churn is fleet_churn's update on two workers: a controller fresh from
+// New (outside the timer) grows from 5 to 6 podsets a DC, so its ring
+// holds one generation and most files gain peers. It is what
+// controller.update_ms measures, and TestUpdateTopologyAllocs bounds its
+// allocation.
+//
+// ring re-applies one unchanged 1,000-server topology with the ring full:
+// every file is patched from DefaultDeltaRing predecessors that differ
+// from it only in the version header.
 func BenchmarkUpdateTopology(b *testing.B) {
-	c, _ := benchController(b)
-	top, err := topology.Build(topology.Spec{DCs: []topology.DCSpec{
-		{Name: "DC1", Podsets: 5, PodsPerPodset: 10, ServersPerPod: 20, LeavesPerPodset: 4, Spines: 8},
-	}})
+	b.Run("churn", func(b *testing.B) {
+		base, updated := buildSpec(b, churnSpec(5)), buildSpec(b, churnSpec(6))
+		var c *Controller
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			c = newChurnController(b, base)
+			b.StartTimer()
+			if err := c.UpdateTopology(updated); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(c.Metrics().Gauge("controller.patches").Value()), "patches")
+	})
+	b.Run("ring", func(b *testing.B) {
+		c, _ := benchController(b)
+		top := buildSpec(b, topology.Spec{DCs: []topology.DCSpec{
+			{Name: "DC1", Podsets: 5, PodsPerPodset: 10, ServersPerPod: 20, LeavesPerPodset: 4, Spines: 8},
+		}})
+		b.ReportAllocs()
+		for i := 0; i < DefaultDeltaRing+b.N; i++ {
+			if i == DefaultDeltaRing {
+				b.ResetTimer()
+			}
+			if err := c.UpdateTopology(top); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(c.PinglistCount()), "pinglists")
+		b.ReportMetric(float64(c.Metrics().Gauge("controller.patches").Value()), "patches")
+	})
+}
+
+func buildSpec(tb testing.TB, spec topology.Spec) *topology.Topology {
+	tb.Helper()
+	top, err := topology.Build(spec)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	for i := 0; i < DefaultDeltaRing+b.N; i++ {
-		if i == DefaultDeltaRing {
-			b.ResetTimer()
-		}
-		if err := c.UpdateTopology(top); err != nil {
-			b.Fatal(err)
-		}
+	return top
+}
+
+// newChurnController is a fresh controller over base with two update
+// workers on any machine: each worker keeps its own gzip compressor
+// (≈1.2 MB of flate state), so with GOMAXPROCS workers what
+// TestUpdateTopologyAllocs bounds would grow with the core count.
+func newChurnController(tb testing.TB, base *topology.Topology) *Controller {
+	tb.Helper()
+	cfg := core.DefaultGeneratorConfig()
+	cfg.Parallelism = 2
+	c, err := New(base, cfg, simclock.NewSim(time.Unix(1750000000, 0)))
+	if err != nil {
+		tb.Fatal(err)
 	}
-	b.ReportMetric(float64(c.PinglistCount()), "pinglists")
-	b.ReportMetric(float64(c.Metrics().Gauge("controller.patches").Value()), "patches")
+	return c
+}
+
+// TestUpdateTopologyAllocs bounds what BenchmarkUpdateTopology/churn
+// allocates per update. Generation runs in the workers that marshal, and
+// no body is copied to be diffed, so an update keeps little more than what
+// it publishes; a fleet-wide map of generated files, an address string per
+// (file, peer) or a string copy of each patch's base would break either
+// bound.
+func TestUpdateTopologyAllocs(t *testing.T) {
+	const maxBytes, maxAllocs = 16 << 20, 32_000
+	base, updated := buildSpec(t, churnSpec(5)), buildSpec(t, churnSpec(6))
+	const runs = 3
+	var bytes, allocs uint64
+	for i := 0; i < runs; i++ {
+		c := newChurnController(t, base)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		if err := c.UpdateTopology(updated); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&m1)
+		bytes += m1.TotalAlloc - m0.TotalAlloc
+		allocs += m1.Mallocs - m0.Mallocs
+	}
+	bytes, allocs = bytes/runs, allocs/runs
+	t.Logf("churn update: %.1f MB, %d allocs", float64(bytes)/(1<<20), allocs)
+	if bytes > maxBytes || allocs > maxAllocs {
+		t.Errorf("churn update allocates %.1f MB in %d allocs, want at most %d MB and %d",
+			float64(bytes)/(1<<20), allocs, maxBytes>>20, maxAllocs)
+	}
 }
 
 // nopResponseWriter is a reusable ResponseWriter with a persistent header

@@ -19,7 +19,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -95,10 +94,8 @@ func etagFor(data []byte) string { return httpcache.ETagFor(data) }
 // UpdateTopology regenerates every pinglist from a new network graph and
 // atomically publishes the new generation (§6.2: the controller updates
 // pinglists whenever topology or configuration changes), together with the
-// patch to it from every file in the generation ring. Generation shards
-// across core's worker pool; marshaling, compression and patch building
-// fan out here. All of it is deterministic, so replicas still publish
-// byte-identical generations.
+// patch to it from every file in the generation ring. All of it is
+// deterministic, so replicas still publish byte-identical generations.
 func (c *Controller) UpdateTopology(top *topology.Topology) error {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
@@ -107,54 +104,34 @@ func (c *Controller) UpdateTopology(top *topology.Topology) error {
 	c.gen++
 	version := fmt.Sprintf("gen-%d", c.gen)
 	start := c.clock.Now()
-	lists, gstats, err := core.GenerateWithStats(top, c.cfg, version, start)
+	gen, err := core.NewGenerator(top, c.cfg, version, start)
 	if err != nil {
 		return fmt.Errorf("controller: %w", err)
 	}
 
 	// Each worker claims servers one at a time and does everything for a
-	// server while its file is in hand: marshal, compress, hash, and the
-	// patch from each ringed generation. Output is keyed by server name,
-	// so worker order is irrelevant.
-	ids := make([]topology.ServerID, 0, len(lists))
-	for id := range lists {
-		ids = append(ids, id)
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if c.cfg.Parallelism > 0 {
-		workers = c.cfg.Parallelism
-	}
-	if workers > len(ids) {
-		workers = len(ids)
-	}
-	entries := make([]*httpcache.Body, len(ids))
-	builders := make([]builder, workers)
+	// server in one step: generate its file into the worker's scratch,
+	// marshal, compress and hash it, and build the patch from each ringed
+	// generation. What is published is all that outlives the step.
+	n := top.NumServers()
+	entries := make([]*httpcache.Body, n)
+	builders := make([]builder, gen.Workers(n))
 	marshalStart := time.Now()
-	var claim atomic.Int64
-	var wg sync.WaitGroup
-	for w := range builders {
-		wg.Add(1)
-		go func(b *builder) {
-			defer wg.Done()
-			for b.err == nil {
-				i := int(claim.Add(1)) - 1
-				if i >= len(ids) {
-					return
-				}
-				entries[i] = b.build(lists[ids[i]], top.Server(ids[i]).Name, prev, ring)
-			}
-		}(&builders[w])
-	}
-	wg.Wait()
+	gen.Each(n, func(w, i int) {
+		if b := &builders[w]; b.err == nil {
+			id := topology.ServerID(i)
+			entries[i] = b.build(gen.File(id, &b.scratch), top.Server(id).Name, prev, ring)
+		}
+	})
 	marshalWall := time.Since(marshalStart)
 
 	next := &state{
 		version: version, versionH: []string{version}, ring: ring,
-		files:  make(map[string]*httpcache.Body, len(ids)),
-		deltas: make(map[deltaKey]*deltaBody, len(ring)*len(ids)),
+		files:  make(map[string]*httpcache.Body, n),
+		deltas: make(map[deltaKey]*deltaBody, len(ring)*n),
 	}
-	for i, id := range ids {
-		next.files[top.Server(id).Name] = entries[i]
+	for i, e := range entries {
+		next.files[top.Server(topology.ServerID(i)).Name] = e
 	}
 	var served, notSmaller, buildErrors int64
 	var patchWall time.Duration
@@ -180,12 +157,11 @@ func (c *Controller) UpdateTopology(top *topology.Topology) error {
 	c.reg.Gauge("controller.pinglists").Set(int64(len(next.files)))
 	c.reg.Gauge("controller.patches").Set(served)
 	c.reg.Gauge("controller.last_generation_ms").Set(int64(c.clock.Since(start) / time.Millisecond))
-	c.reg.Gauge("controller.generate_wall_us").Set(int64(gstats.Wall / time.Microsecond))
-	// marshal_wall_us is the whole fan-out above; patch_wall_us is the part
-	// of it the busiest worker spent building patches.
+	// marshal_wall_us is the whole fan-out above, generation included;
+	// patch_wall_us is the part of it the busiest worker spent building
+	// patches.
 	c.reg.Gauge("controller.marshal_wall_us").Set(int64(marshalWall / time.Microsecond))
 	c.reg.Gauge("controller.patch_wall_us").Set(int64(patchWall / time.Microsecond))
-	c.reg.Gauge("controller.generate_workers").Set(int64(gstats.Workers))
 	return nil
 }
 

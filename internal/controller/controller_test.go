@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net/http"
@@ -12,6 +13,8 @@ import (
 	"time"
 
 	"pingmesh/internal/core"
+	"pingmesh/internal/httpcache"
+	"pingmesh/internal/pinglist"
 	"pingmesh/internal/simclock"
 	"pingmesh/internal/slb"
 	"pingmesh/internal/topology"
@@ -222,6 +225,55 @@ func TestReplicasBehindSLB(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		if _, err := client.Fetch(context.Background(), name); err != nil {
 			t.Fatalf("Fetch after replica death: %v", err)
+		}
+	}
+}
+
+// TestPublishedBodiesEqualGenerate pins the controller to core's one
+// generator path: across two topologies and two generations, every body
+// it publishes is pinglist.Marshal of core.Generate's file for the same
+// version and time, under its content hash.
+func TestPublishedBodiesEqualGenerate(t *testing.T) {
+	cfg := core.DefaultGeneratorConfig()
+	cfg.PayloadBytes = 1024
+	cfg.WithLowQoS = true
+	cfg.LowQoSPort = 8766
+	cfg.HTTPPort = 8080
+	cfg.VIPs = []pinglist.Peer{{Addr: "10.255.0.1", Port: 80, Class: "intra-dc", Proto: "tcp", QoS: "high", IntervalSec: 60}}
+	cfg.VIPProbersPerPodset = 2
+	cfg.Parallelism = 3
+	clock := simclock.NewSim(time.Unix(1750000000, 0))
+	tops := []*topology.Topology{topology.SmallTestbed(), buildTop(t, 9)}
+	var c *Controller
+	for gen, top := range tops {
+		var err error
+		if gen == 0 {
+			c, err = New(top, cfg, clock)
+		} else {
+			clock.Advance(time.Hour)
+			err = c.UpdateTopology(top)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		version := c.Version()
+		lists, err := core.Generate(top, cfg, version, clock.Now())
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := c.state.Load()
+		if len(st.files) != len(lists) {
+			t.Fatalf("%s: %d files published, Generate made %d", version, len(st.files), len(lists))
+		}
+		for id, f := range lists {
+			want, err := pinglist.Marshal(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, ok := st.files[top.Server(id).Name]
+			if !ok || !bytes.Equal(got.Data(), want) || got.ETag() != httpcache.ETagFor(want) {
+				t.Fatalf("%s: %s's published body is not Marshal(Generate)", version, f.Server)
+			}
 		}
 	}
 }

@@ -7,11 +7,11 @@ package controller
 // answers a conditional GET whose If-None-Match names a ringed generation
 // with a small patch (226 IM Used) instead of the whole file. The patch
 // body for every (server, base-generation) pair is built with the
-// generation, in the worker that marshals the server's file, and published
-// immutably with it — at most ring depth × servers bodies — so a fleet
-// converging through a topology update costs a zero-allocation map lookup
-// per request from its first request on, exactly like the 304 and full
-// cached paths.
+// generation, in the worker that generates and marshals the server's
+// file, and published immutably with it — at most ring depth × servers
+// bodies — so a fleet converging through a topology update costs a
+// zero-allocation map lookup per request from its first request on,
+// exactly like the 304 and full cached paths.
 //
 // Protocol:
 //
@@ -32,6 +32,7 @@ import (
 	"strings"
 	"time"
 
+	"pingmesh/internal/core"
 	"pingmesh/internal/httpcache"
 	"pingmesh/internal/pinglist"
 )
@@ -185,8 +186,9 @@ func demote(prev *state) []ringGen {
 // builder is one UpdateTopology worker: the compressor and scratch space
 // it reuses from server to server, and what it has built.
 type builder struct {
-	comp httpcache.Compressor
-	base []byte // gunzip scratch
+	scratch core.Scratch // the file being built
+	comp    httpcache.Compressor
+	base    []byte // gunzip scratch
 
 	patches                 []patch
 	notSmaller, buildErrors int64 // how many of patches are noDelta, by reason
@@ -200,8 +202,9 @@ type patch struct {
 	body *deltaBody
 }
 
-// build marshals, compresses and hashes one server's file, then builds
-// the patch to it from that server's file in every ringed generation.
+// build marshals, compresses and hashes one server's file, just generated
+// into b.scratch, then builds the patch to it from that server's file in
+// every ringed generation.
 // ring[0] is prev demoted, and prev's raw bodies stay live until its
 // successor is stored, so that generation's base is read raw from prev;
 // only the older ones are inflated.
@@ -217,20 +220,16 @@ func (b *builder) build(f *pinglist.File, name string, prev *state, ring []ringG
 		return nil
 	}
 	t0 := time.Now()
-	target := "" // data as a string, converted once for all of its patches
 	for gi := range ring {
 		base, ok := ring[gi].entries[name]
 		if !ok || base.etag == cur.ETag() {
 			continue
 		}
-		if target == "" {
-			target = string(data)
-		}
 		var live []byte
 		if gi == 0 {
 			live = prev.files[name].Data()
 		}
-		db, err := b.buildDelta(base, live, cur, target, f)
+		db, err := b.buildDelta(base, live, cur, f)
 		switch {
 		case err != nil:
 			b.buildErrors++
@@ -245,12 +244,12 @@ func (b *builder) build(f *pinglist.File, name string, prev *state, ring []ringG
 
 // buildDelta computes the patch from a ringed base to the current body
 // without parsing either: the base's raw body — live when the caller holds
-// it, else the ring's copy, inflated — is diffed line by line against the
-// body just marshaled from f. A patch that would not beat the full body on
-// the wire is noDelta, and so is any failure — the agent simply downloads
-// the full file — but a failure is returned too, so the two are counted
-// apart.
-func (b *builder) buildDelta(base ringEntry, live []byte, cur *httpcache.Body, target string, f *pinglist.File) (*deltaBody, error) {
+// it, else the ring's copy, inflated — is diffed line by line against
+// cur, the body just marshaled from f. A patch that would not beat the
+// full body on the wire is noDelta, and so is any failure — the agent
+// simply downloads the full file — but a failure is returned too, so the
+// two are counted apart.
+func (b *builder) buildDelta(base ringEntry, live []byte, cur *httpcache.Body, f *pinglist.File) (*deltaBody, error) {
 	old := base.comp
 	switch {
 	case live != nil:
@@ -262,7 +261,7 @@ func (b *builder) buildDelta(base ringEntry, live []byte, cur *httpcache.Body, t
 		}
 		old = b.base
 	}
-	d, err := pinglist.DiffMarshaled(string(old), target, f, base.etag, cur.ETag())
+	d, err := pinglist.DiffMarshaled(old, cur.Data(), f, base.etag, cur.ETag())
 	if err != nil {
 		return noDelta, err
 	}

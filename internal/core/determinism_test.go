@@ -79,12 +79,16 @@ func TestParallelGenerationByteIdentical(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			serialCfg := cfg
 			serialCfg.Parallelism = 1
-			lists, stats, err := GenerateWithStats(top, serialCfg, "golden", now)
+			lists, err := Generate(top, serialCfg, "golden", now)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if stats.Workers != 1 {
-				t.Fatalf("parallelism 1 ran %d workers", stats.Workers)
+			g, err := NewGenerator(top, serialCfg, "golden", now)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w := g.Workers(top.NumServers()); w != 1 {
+				t.Fatalf("parallelism 1 runs %d workers", w)
 			}
 			golden := marshalAll(t, lists)
 
@@ -130,26 +134,5 @@ func TestGenerateSubsetMatchesFullRun(t *testing.T) {
 		if !bytes.Equal(a, b) {
 			t.Fatalf("server %d: subset file differs from full-run file", id)
 		}
-	}
-}
-
-// TestGenerateStats sanity-checks the execution statistics the controller
-// exports as perf counters.
-func TestGenerateStats(t *testing.T) {
-	top := topology.SmallTestbed()
-	cfg := DefaultGeneratorConfig()
-	cfg.Parallelism = 4
-	_, stats, err := GenerateWithStats(top, cfg, "v", time.Unix(0, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Servers != top.NumServers() {
-		t.Fatalf("Servers = %d, want %d", stats.Servers, top.NumServers())
-	}
-	if stats.Workers < 1 || stats.Workers > 4 {
-		t.Fatalf("Workers = %d", stats.Workers)
-	}
-	if stats.Wall < 0 {
-		t.Fatalf("negative wall: %+v", stats)
 	}
 }

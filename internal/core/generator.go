@@ -69,7 +69,8 @@ type GeneratorConfig struct {
 	// VIPProbersPerPodset is how many servers per podset probe the VIPs.
 	VIPProbersPerPodset int
 
-	// Parallelism is how many worker goroutines shard pinglist generation.
+	// Parallelism is how many worker goroutines shard pinglist generation
+	// (and, in the controller, the marshaling and patching done with it).
 	// 0 means GOMAXPROCS. The algorithm is per-server deterministic, so the
 	// output is byte-identical at every parallelism level — the property
 	// that keeps controller replicas stateless (§3.3.2).
@@ -108,135 +109,121 @@ func (c *GeneratorConfig) normalize() {
 	}
 }
 
-// Stats reports how one generation run was executed: how many servers it
-// covered, how many workers sharded the loop, and the wall-clock duration.
-type Stats struct {
-	Servers int
-	Workers int
-	Wall    time.Duration
-}
-
 // Generate computes the pinglist for every server in the topology. The
 // version string must change whenever topology or configuration changes so
 // agents pick up the new lists; now is stamped into each file.
 func Generate(top *topology.Topology, cfg GeneratorConfig, version string, now time.Time) (map[topology.ServerID]*pinglist.File, error) {
-	out, _, err := GenerateWithStats(top, cfg, version, now)
-	return out, err
-}
-
-// GenerateWithStats is Generate plus execution statistics, so callers (the
-// controller's perf counters) can observe the generation's wall time and
-// worker count.
-func GenerateWithStats(top *topology.Topology, cfg GeneratorConfig, version string, now time.Time) (map[topology.ServerID]*pinglist.File, Stats, error) {
 	all := make([]topology.ServerID, top.NumServers())
 	for i := range all {
 		all[i] = topology.ServerID(i)
 	}
-	return GenerateSubsetWithStats(top, cfg, version, now, all)
+	return GenerateSubset(top, cfg, version, now, all)
 }
 
 // GenerateSubset computes pinglists for the given servers only. The files
 // are identical to the ones Generate would produce — the algorithm is
 // per-server deterministic — so the controller can regenerate single files
 // and large-scale analyses can sample fan-out without materializing the
-// whole fleet's lists.
+// whole fleet's lists. Each file gets a copy of the peers its worker
+// generated into scratch.
 func GenerateSubset(top *topology.Topology, cfg GeneratorConfig, version string, now time.Time, servers []topology.ServerID) (map[topology.ServerID]*pinglist.File, error) {
-	out, _, err := GenerateSubsetWithStats(top, cfg, version, now, servers)
-	return out, err
-}
-
-// shardSize is how many servers one worker claims at a time. Small enough
-// to balance uneven pods, large enough that the atomic claim is noise.
-const shardSize = 32
-
-// GenerateSubsetWithStats is GenerateSubset plus execution statistics.
-// Generation shards the server list across cfg.Parallelism workers; each
-// server's file depends only on the immutable topology and configuration,
-// so the merged result is byte-identical to a serial run.
-func GenerateSubsetWithStats(top *topology.Topology, cfg GeneratorConfig, version string, now time.Time, servers []topology.ServerID) (map[topology.ServerID]*pinglist.File, Stats, error) {
-	cfg.normalize()
-	if err := top.Validate(); err != nil {
-		return nil, Stats{}, fmt.Errorf("core: %w", err)
+	g, err := NewGenerator(top, cfg, version, now)
+	if err != nil {
+		return nil, err
 	}
-	g := &generator{top: top, cfg: cfg, version: version, now: now}
-	interDC := interDCSelection(top, cfg.InterDCServersPerPodset)
-
-	workers := cfg.Parallelism
-	if max := (len(servers) + shardSize - 1) / shardSize; workers > max {
-		workers = max // no point spinning workers with nothing to claim
-	}
-	stats := Stats{Servers: len(servers), Workers: workers}
-	wallStart := time.Now()
 	files := make([]*pinglist.File, len(servers))
-
-	if workers <= 1 {
-		var scratch []pinglist.Peer
-		for i, id := range servers {
-			files[i] = g.generateOne(id, interDC, &scratch)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				var scratch []pinglist.Peer
-				for {
-					lo := int(next.Add(shardSize)) - shardSize
-					if lo >= len(servers) {
-						break
-					}
-					hi := lo + shardSize
-					if hi > len(servers) {
-						hi = len(servers)
-					}
-					for i := lo; i < hi; i++ {
-						files[i] = g.generateOne(servers[i], interDC, &scratch)
-					}
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	stats.Wall = time.Since(wallStart)
-
+	scratch := make([]Scratch, g.Workers(len(servers)))
+	g.Each(len(servers), func(w, i int) {
+		f := *g.File(servers[i], &scratch[w])
+		f.Peers = append([]pinglist.Peer(nil), f.Peers...)
+		files[i] = &f
+	})
 	out := make(map[topology.ServerID]*pinglist.File, len(servers))
 	for i, id := range servers {
 		out[id] = files[i]
 	}
-	return out, stats, nil
+	return out, nil
 }
 
-type generator struct {
+// Generator is one generation run: the topology, the normalized
+// configuration, and what every server's file reads — the inter-DC
+// selection and each server's address string — computed once. It is
+// immutable, so any number of workers may call File concurrently for
+// disjoint servers, each with its own Scratch; each file depends only on
+// these inputs, so the files are byte-identical at every parallelism level.
+type Generator struct {
 	top     *topology.Topology
 	cfg     GeneratorConfig
 	version string
 	now     time.Time
+	interDC []bool   // by ServerID: joins the inter-DC complete graph
+	addrs   []string // by ServerID: the address peers carry
 }
 
-// generateOne computes a single server's pinglist. It reads only the
-// immutable topology, configuration, and inter-DC selection, so any number
-// of workers may call it concurrently for disjoint servers, each with its
-// own scratch: the peers are gathered there, where the slice has grown to
-// fit once, and the file keeps an exact-size copy.
-func (g *generator) generateOne(id topology.ServerID, interDC map[topology.ServerID]bool, scratch *[]pinglist.Peer) *pinglist.File {
-	s := *g.top.Server(id)
-	f := &pinglist.File{Server: s.Name, Version: g.version, Generated: g.now, Peers: (*scratch)[:0]}
-	g.intraPodPeers(f, &s)
-	g.intraDCPeers(f, &s)
-	g.interDCPeers(f, &s, interDC)
-	g.vipPeers(f, &s)
-	*scratch = f.Peers
-	f.Peers = nil
-	if len(*scratch) > 0 {
-		f.Peers = make([]pinglist.Peer, len(*scratch))
-		copy(f.Peers, *scratch)
+// Scratch is one worker's reusable space: the file File returns, whose
+// peer slice grows to fit once, and the intra-DC target list.
+type Scratch struct {
+	file    pinglist.File
+	targets []topology.ServerID
+}
+
+// NewGenerator prepares a generation run over top; version and now are
+// stamped into every file.
+func NewGenerator(top *topology.Topology, cfg GeneratorConfig, version string, now time.Time) (*Generator, error) {
+	cfg.normalize()
+	if err := top.Validate(); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
+	g := &Generator{top: top, cfg: cfg, version: version, now: now,
+		interDC: interDCSelection(top, cfg.InterDCServersPerPodset),
+		addrs:   make([]string, top.NumServers()),
+	}
+	for i := range g.addrs {
+		g.addrs[i] = top.Server(topology.ServerID(i)).Addr.String()
+	}
+	return g, nil
+}
+
+// Workers is how many workers Each runs for n servers: the configured
+// parallelism, but no more than there are servers to claim.
+func (g *Generator) Workers(n int) int {
+	return max(1, min(g.cfg.Parallelism, n))
+}
+
+// Each calls fn(w, i) once for every i in [0, n) on Workers(n) goroutines,
+// w being the calling worker's index, so fn can keep per-worker state such
+// as a Scratch. Workers claim one index at a time: a server's file takes
+// microseconds, the claim nanoseconds, and uneven pods stay balanced.
+func (g *Generator) Each(n int, fn func(w, i int)) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := range g.Workers(n) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				fn(w, i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// File computes server id's pinglist into s. The file and its peers are
+// s's: they stay valid until the next call with s, and a caller that keeps
+// the file past that copies it.
+func (g *Generator) File(id topology.ServerID, s *Scratch) *pinglist.File {
+	srv := g.top.Server(id)
+	f := &s.file
+	*f = pinglist.File{Server: srv.Name, Version: g.version, Generated: g.now, Peers: f.Peers[:0]}
+	g.intraPodPeers(f, srv)
+	g.intraDCPeers(f, srv, s)
+	g.interDCPeers(f, srv)
+	g.vipPeers(f, srv)
 	return f
 }
 
-func (g *generator) addPeer(f *pinglist.File, addr string, port uint16, class probe.Class, proto probe.Proto, qos probe.QoS, interval time.Duration, payload int) {
+func (g *Generator) addPeer(f *pinglist.File, addr string, port uint16, class probe.Class, proto probe.Proto, qos probe.QoS, interval time.Duration, payload int) {
 	f.Peers = append(f.Peers, pinglist.Peer{
 		Addr:        addr,
 		Port:        port,
@@ -251,7 +238,7 @@ func (g *generator) addPeer(f *pinglist.File, addr string, port uint16, class pr
 // expand emits the configured variants of one target: the base TCP probe,
 // the optional payload probe, the optional low-QoS probe, and the optional
 // HTTP probe (intra-pod only, to bound fan-out).
-func (g *generator) expand(f *pinglist.File, addr string, class probe.Class, interval time.Duration) {
+func (g *Generator) expand(f *pinglist.File, addr string, class probe.Class, interval time.Duration) {
 	g.addPeer(f, addr, g.cfg.ProbePort, class, probe.TCP, probe.QoSHigh, interval, 0)
 	if g.cfg.PayloadBytes > 0 && class != probe.InterDC {
 		g.addPeer(f, addr, g.cfg.ProbePort, class, probe.TCP, probe.QoSHigh, interval, g.cfg.PayloadBytes)
@@ -265,13 +252,13 @@ func (g *generator) expand(f *pinglist.File, addr string, class probe.Class, int
 }
 
 // intraPodPeers: complete graph among the servers under the same ToR.
-func (g *generator) intraPodPeers(f *pinglist.File, s *topology.Server) {
+func (g *Generator) intraPodPeers(f *pinglist.File, s *topology.Server) {
 	pod := g.top.PodOf(s.ID)
 	for _, peer := range pod.Servers {
 		if peer == s.ID {
 			continue
 		}
-		g.expand(f, g.top.Server(peer).Addr.String(), probe.IntraPod, g.cfg.IntraPodInterval)
+		g.expand(f, g.addrs[peer], probe.IntraPod, g.cfg.IntraPodInterval)
 	}
 }
 
@@ -279,9 +266,9 @@ func (g *generator) intraPodPeers(f *pinglist.File, s *topology.Server) {
 // DC, server i under this ToR pings server i under that ToR (if that rack
 // has a server with the same rank). The peer set is stride-sampled if it
 // would blow the per-server cap.
-func (g *generator) intraDCPeers(f *pinglist.File, s *topology.Server) {
+func (g *Generator) intraDCPeers(f *pinglist.File, s *topology.Server, scratch *Scratch) {
 	dc := &g.top.DCs[s.DC]
-	var targets []topology.ServerID
+	targets := scratch.targets[:0]
 	for psi := range dc.Podsets {
 		for qi := range dc.Podsets[psi].Pods {
 			if psi == s.Podset && qi == s.Pod {
@@ -307,29 +294,27 @@ func (g *generator) intraDCPeers(f *pinglist.File, s *topology.Server) {
 		variants++
 	}
 	budget /= variants
-	if len(targets) > budget {
-		targets = strideSample(targets, budget)
-	}
-	for _, id := range targets {
-		g.expand(f, g.top.Server(id).Addr.String(), probe.IntraDC, g.cfg.IntraDCInterval)
+	scratch.targets = targets
+	for _, id := range strideSample(targets, budget) {
+		g.expand(f, g.addrs[id], probe.IntraDC, g.cfg.IntraDCInterval)
 	}
 }
 
 // interDCPeers: the DC-level complete graph among selected servers.
-func (g *generator) interDCPeers(f *pinglist.File, s *topology.Server, sel map[topology.ServerID]bool) {
-	if !sel[s.ID] {
+func (g *Generator) interDCPeers(f *pinglist.File, s *topology.Server) {
+	if !g.interDC[s.ID] {
 		return
 	}
 	for _, peer := range g.top.Servers() {
-		if peer.DC == s.DC || !sel[peer.ID] {
+		if peer.DC == s.DC || !g.interDC[peer.ID] {
 			continue
 		}
-		g.expand(f, peer.Addr.String(), probe.InterDC, g.cfg.InterDCInterval)
+		g.expand(f, g.addrs[peer.ID], probe.InterDC, g.cfg.InterDCInterval)
 	}
 }
 
 // vipPeers appends VIP monitoring targets to the designated probers.
-func (g *generator) vipPeers(f *pinglist.File, s *topology.Server) {
+func (g *Generator) vipPeers(f *pinglist.File, s *topology.Server) {
 	if len(g.cfg.VIPs) == 0 || g.cfg.VIPProbersPerPodset <= 0 {
 		return
 	}
@@ -342,8 +327,8 @@ func (g *generator) vipPeers(f *pinglist.File, s *topology.Server) {
 
 // interDCSelection picks the servers that join the inter-DC complete
 // graph: the first perPodset servers of each podset, spread across pods.
-func interDCSelection(top *topology.Topology, perPodset int) map[topology.ServerID]bool {
-	sel := make(map[topology.ServerID]bool)
+func interDCSelection(top *topology.Topology, perPodset int) []bool {
+	sel := make([]bool, top.NumServers())
 	for di := range top.DCs {
 		for psi := range top.DCs[di].Podsets {
 			ps := &top.DCs[di].Podsets[psi]
@@ -360,15 +345,15 @@ func interDCSelection(top *topology.Topology, perPodset int) map[topology.Server
 	return sel
 }
 
-// strideSample keeps n elements of s at a uniform stride, deterministically.
+// strideSample keeps n elements of s at a uniform stride, deterministically,
+// in place: element i moves down from index i·len(s)/n ≥ i.
 func strideSample(s []topology.ServerID, n int) []topology.ServerID {
 	if n >= len(s) {
 		return s
 	}
-	out := make([]topology.ServerID, 0, n)
 	step := float64(len(s)) / float64(n)
 	for i := 0; i < n; i++ {
-		out = append(out, s[int(float64(i)*step)])
+		s[i] = s[int(float64(i)*step)]
 	}
-	return out
+	return s[:n]
 }

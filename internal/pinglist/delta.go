@@ -19,9 +19,10 @@
 package pinglist
 
 import (
+	"bytes"
 	"encoding/xml"
 	"fmt"
-	"strings"
+	"hash/maphash"
 	"time"
 
 	"pingmesh/internal/httpcache"
@@ -73,7 +74,7 @@ func Diff(old, new *File, baseETag, targetETag string) (*Delta, error) {
 	if old.Server != new.Server {
 		return nil, fmt.Errorf("pinglist: diff across servers %q and %q", old.Server, new.Server)
 	}
-	return newDelta(new, baseETag, targetETag, editScript(old.Peers, new.Peers, new.Peers)), nil
+	return newDelta(new, baseETag, targetETag, editScript(old.Peers, new.Peers, nil, new.Peers)), nil
 }
 
 // DiffMarshaled is Diff for a base held only in marshaled form — the
@@ -82,23 +83,24 @@ func Diff(old, new *File, baseETag, targetETag string) (*Delta, error) {
 // edit script is keyed on their peer lines. Marshal writes one line per
 // peer and equal peers marshal to equal lines, so this is the script Diff
 // computes from the parsed files. A base that is not Marshal output is an
-// error.
-func DiffMarshaled(base, target string, new *File, baseETag, targetETag string) (*Delta, error) {
-	baseServer, baseLines, err := peerLines(base)
+// error. Neither body is copied or retained.
+func DiffMarshaled(base, target []byte, new *File, baseETag, targetETag string) (*Delta, error) {
+	baseServer, baseLines, baseHashes, err := peerLines(base)
 	if err != nil {
 		return nil, fmt.Errorf("pinglist: diff base: %w", err)
 	}
-	server, lines, err := peerLines(target)
+	server, lines, hashes, err := peerLines(target)
 	if err != nil {
 		return nil, fmt.Errorf("pinglist: diff target: %w", err)
 	}
 	if len(lines) != len(new.Peers) {
 		return nil, fmt.Errorf("pinglist: diff target: %d peer lines for %d peers", len(lines), len(new.Peers))
 	}
-	if baseServer != server {
+	if !bytes.Equal(baseServer, server) {
 		return nil, fmt.Errorf("pinglist: diff across servers %q and %q", baseServer, server)
 	}
-	return newDelta(new, baseETag, targetETag, editScript(baseLines, lines, new.Peers)), nil
+	same := func(i, j int) bool { return bytes.Equal(baseLines[i], lines[j]) }
+	return newDelta(new, baseETag, targetETag, editScript(baseHashes, hashes, same, new.Peers)), nil
 }
 
 func newDelta(target *File, baseETag, targetETag string, ops []Op) *Delta {
@@ -113,45 +115,54 @@ func newDelta(target *File, baseETag, targetETag string, ops []Op) *Delta {
 	}
 }
 
+// lineSeed seeds the line hashes. The edit script compares lines whose
+// hashes match, so the script does not depend on it.
+var lineSeed = maphash.MakeSeed()
+
 // peerLines splits a marshaled pinglist into its server attribute (still
-// escaped) and its peer lines. Attribute values never hold a raw newline
+// escaped) and its peer lines, sub-slices of body, with a hash of each
+// that the edit script keys on. Attribute values never hold a raw newline
 // or quote — Marshal escapes both — so lines and the first quote are
 // reliable separators.
-func peerLines(body string) (server string, lines []string, err error) {
+func peerLines(body []byte) (server []byte, lines [][]byte, hashes []uint64, err error) {
 	const open, closing = `<Pinglist server="`, "</Pinglist>\n"
-	head, rest, _ := strings.Cut(body, "\n")
-	attrs, opened := strings.CutPrefix(head, open)
-	server, _, quoted := strings.Cut(attrs, `"`)
+	head, rest, _ := bytes.Cut(body, []byte("\n"))
+	attrs, opened := bytes.CutPrefix(head, []byte(open))
+	server, _, quoted := bytes.Cut(attrs, []byte(`"`))
 	if !opened || !quoted {
-		return "", nil, fmt.Errorf("not a marshaled pinglist")
+		return nil, nil, nil, fmt.Errorf("not a marshaled pinglist")
 	}
-	if rest == "" && strings.HasSuffix(body, ">"+closing) {
-		return server, nil, nil // no peers: the element closes on its header line
+	if len(rest) == 0 && bytes.HasSuffix(body, []byte(">"+closing)) {
+		return server, nil, nil, nil // no peers: the element closes on its header line
 	}
-	if !strings.HasSuffix(rest, "\n"+closing) {
-		return "", nil, fmt.Errorf("not a marshaled pinglist")
+	if !bytes.HasSuffix(rest, []byte("\n"+closing)) {
+		return nil, nil, nil, fmt.Errorf("not a marshaled pinglist")
 	}
 	rest = rest[:len(rest)-len(closing)]
-	lines = make([]string, 0, strings.Count(rest, "\n"))
-	for rest != "" {
-		var line string
-		line, rest, _ = strings.Cut(rest, "\n")
-		if !strings.HasPrefix(line, "  <Peer ") || !strings.HasSuffix(line, "></Peer>") {
-			return "", nil, fmt.Errorf("peer line %d is not marshaled form", len(lines))
+	n := bytes.Count(rest, []byte("\n"))
+	lines, hashes = make([][]byte, 0, n), make([]uint64, 0, n)
+	for len(rest) > 0 {
+		var line []byte
+		line, rest, _ = bytes.Cut(rest, []byte("\n"))
+		if !bytes.HasPrefix(line, []byte("  <Peer ")) || !bytes.HasSuffix(line, []byte("></Peer>")) {
+			return nil, nil, nil, fmt.Errorf("peer line %d is not marshaled form", len(lines))
 		}
 		lines = append(lines, line)
+		hashes = append(hashes, maphash.Bytes(lineSeed, line))
 	}
-	return server, lines, nil
+	return server, lines, hashes, nil
 }
 
 // editScript is the edit script turning the sequence old into new, over
 // whatever comparable key stands for a peer; peers[j] is the peer new[j]
-// stands for, and insert ops are sub-slices of peers. The script is greedy
-// and monotone: it walks both sequences forward, emitting maximal copy
-// runs for shared stretches and literal inserts for everything else, which
-// is near-minimal for the localized add / remove / modify churn that
-// topology updates produce.
-func editScript[K comparable](old, new []K, peers []Peer) []Op {
+// stands for, and insert ops are sub-slices of peers. Keys may collide —
+// a hash of the peer's line — when same(i, j) tells whether old[i] and
+// new[j], keys equal, are the same peer; nil same means equal keys are.
+// The script is greedy and monotone: it walks both sequences forward,
+// emitting maximal copy runs for shared stretches and literal inserts for
+// everything else, which is near-minimal for the localized add / remove /
+// modify churn that topology updates produce.
+func editScript[K comparable](old, new []K, same func(i, j int) bool, peers []Peer) []Op {
 	// first[k] is the lowest base position holding k, next[p] the next
 	// position after p holding the same key (-1: none).
 	first := make(map[K]int, len(old))
@@ -163,13 +174,14 @@ func editScript[K comparable](old, new []K, peers []Peer) []Op {
 		}
 		first[old[p]] = p
 	}
+	eq := func(i, j int) bool { return old[i] == new[j] && (same == nil || same(i, j)) }
 	var ops []Op
 	i := 0   // next base index a copy run may start at (monotone)
 	ins := 0 // start of the pending insert run in new
 	for j := 0; j < len(new); {
 		// Lowest base position >= i holding this exact peer.
 		k, ok := first[new[j]]
-		for ok && k < i {
+		for ok && (k < i || !eq(k, j)) {
 			k = next[k]
 			ok = k >= 0
 		}
@@ -181,7 +193,7 @@ func editScript[K comparable](old, new []K, peers []Peer) []Op {
 			ops = append(ops, Op{Peers: peers[ins:j:j]})
 		}
 		i = k
-		for j < len(new) && i < len(old) && old[i] == new[j] {
+		for j < len(new) && i < len(old) && eq(i, j) {
 			i++
 			j++
 		}

@@ -58,7 +58,7 @@ func roundTrip(t *testing.T, old, target *File) *Delta {
 	}
 	// The controller never parses a base: keyed on the marshaled peer
 	// lines, the script must be the one the parsed files give.
-	dm, err := DiffMarshaled(string(oldData), string(wantData), target, d.BaseETag, d.TargetETag)
+	dm, err := DiffMarshaled(oldData, wantData, target, d.BaseETag, d.TargetETag)
 	if err != nil || !reflect.DeepEqual(dm, d) {
 		t.Fatalf("line-keyed delta %+v (%v), struct-keyed %+v", dm, err, d)
 	}
@@ -254,15 +254,35 @@ func TestDiffMarshaledRejectsForeignBase(t *testing.T) {
 		"other-root":   strings.ReplaceAll(string(good), "Pinglist", "Pinglisp"),
 		"other-server": string(otherData),
 	} {
-		if d, err := DiffMarshaled(base, string(targetData), target, `"a"`, `"b"`); err == nil {
+		if d, err := DiffMarshaled([]byte(base), targetData, target, `"a"`, `"b"`); err == nil {
 			t.Errorf("%s base accepted: %+v", name, d)
 		}
 	}
-	if _, err := DiffMarshaled(string(good), string(good), target, `"a"`, `"b"`); err != nil {
+	if _, err := DiffMarshaled(good, good, target, `"a"`, `"b"`); err != nil {
 		t.Errorf("marshaled base rejected: %v", err)
 	}
-	if _, err := DiffMarshaled(string(good), string(targetData), deltaFile("gen-2", 4), `"a"`, `"b"`); err == nil {
+	if _, err := DiffMarshaled(good, targetData, deltaFile("gen-2", 4), `"a"`, `"b"`); err == nil {
 		t.Error("target bytes that are not Marshal(new) accepted")
+	}
+}
+
+// TestEditScriptKeysMayCollide: DiffMarshaled keys peer lines by a hash
+// and leaves equality to same(i, j), so a key shared by different peers
+// must not change the script. Every key colliding is the extreme case.
+func TestEditScriptKeysMayCollide(t *testing.T) {
+	base := deltaFile("gen-1", 12)
+	base.Peers = append(base.Peers, base.Peers[1], base.Peers[1], base.Peers[4])
+	target := deltaFile("gen-2", 12)
+	target.Peers[7].IntervalSec = 60
+	target.Peers = append(target.Peers[:3:3], append([]Peer{target.Peers[1], target.Peers[9]}, target.Peers[5:]...)...)
+	exact := editScript(base.Peers, target.Peers, nil, target.Peers)
+	same := func(i, j int) bool { return base.Peers[i] == target.Peers[j] }
+	collided := editScript(make([]int8, len(base.Peers)), make([]int8, len(target.Peers)), same, target.Peers)
+	if !reflect.DeepEqual(collided, exact) {
+		t.Fatalf("colliding keys give %+v, exact keys %+v", collided, exact)
+	}
+	if len(exact) < 3 {
+		t.Fatalf("script %+v does not mix copies and inserts", exact)
 	}
 }
 

@@ -326,7 +326,7 @@ func FuzzDeltaPatchVsFull(f *testing.F) {
 		}
 		// Keyed on the marshaled peer lines — how the controller diffs a
 		// ringed base — the edit script is the same one.
-		dm, err := DiffMarshaled(string(oldData), string(newData), target, d.BaseETag, d.TargetETag)
+		dm, err := DiffMarshaled(oldData, newData, target, d.BaseETag, d.TargetETag)
 		if err != nil || !reflect.DeepEqual(dm, d) {
 			t.Fatalf("line-keyed delta %+v (%v), struct-keyed %+v", dm, err, d)
 		}

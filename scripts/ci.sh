@@ -35,7 +35,11 @@
 #       (pop the earliest-due peer off the schedule's heap and re-arm it) at
 #       50, 500 and 5,000 peers, 0 allocs/op; fleet FleetRun$ is one
 #       simulated hour of a 24-server DC through the fleet runner, which
-#       probes the same schedule
+#       probes the same schedule. controller UpdateTopology$ prints churn,
+#       fleet_churn's update (600 -> 720 servers, one ringed generation;
+#       TestUpdateTopologyAllocs, run with the alloc guards, fails above
+#       16 MB or 32k allocs per update), and ring, an unchanged
+#       1,000-server topology re-applied with the ring full
 #   3b. examples/isitnetwork, whose two incidents must print the verdicts
 #       not-network and network, in that order; then every paper figure and
 #       table at reduced budgets (cmd/experiments -quick), the pipeline-read
@@ -89,7 +93,7 @@ go test ./internal/scope ./internal/probe ./internal/analysis \
     ./internal/trace ./internal/agent ./internal/controller \
     ./internal/dsa ./internal/diagnosis \
     ./internal/telemetry \
-    -run 'ZeroAlloc' -count=1 -v | grep -E '^(=== RUN|--- (PASS|FAIL)|ok|FAIL)'
+    -run 'ZeroAlloc|UpdateTopologyAllocs' -count=1 -v | grep -E '^(=== RUN|--- (PASS|FAIL)|ok|FAIL)'
 go test ./internal/agent -run xxx -bench AgentRecordHotPath -benchtime 100000x
 go test ./internal/agent -run xxx -bench 'SketchObserve$' -benchmem -benchtime 2000x
 go test ./internal/agent -run xxx -bench 'ScheduleDispatch$' -benchmem
