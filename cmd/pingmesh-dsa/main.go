@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"pingmesh/internal/analysis"
-	"pingmesh/internal/blackhole"
 	"pingmesh/internal/cosmos"
 	"pingmesh/internal/debugsrv"
 	"pingmesh/internal/diagnosis"
@@ -158,13 +157,13 @@ func run(args []string, stdout io.Writer) error {
 	// first hour, so none of the hours the daily jobs keep has aged out
 	// before their one cycle, however many the data spans.
 	hoursFrom, hoursTo := from.Truncate(time.Hour), to.Add(time.Hour-1).Truncate(time.Hour)
-	var escalations []blackhole.PodsetRef
+	var escalations []diagnosis.PodsetRef
 	pipe, err := dsa.New(dsa.Config{
 		Store:       store,
 		Top:         top,
 		Clock:       simclock.NewSim(hoursFrom),
 		Thresholds:  th,
-		OnDetection: func(det blackhole.Detection) { escalations = det.Escalations },
+		OnDetection: func(det diagnosis.BlackholeDetection) { escalations = det.Escalations },
 	})
 	if err != nil {
 		return err

@@ -20,7 +20,7 @@ import (
 	"time"
 
 	"pingmesh"
-	"pingmesh/internal/blackhole"
+	"pingmesh/internal/diagnosis"
 	"pingmesh/internal/netsim"
 )
 
@@ -62,12 +62,12 @@ func main() {
 	fmt.Printf("detector flagged %d ToRs:\n", len(det.Candidates))
 	for _, c := range det.Candidates {
 		fmt.Printf("  %s score=%.2f (fraction of its servers showing the symptom)\n",
-			tb.Top.Switch(c.ToR).Name, c.Score)
+			tb.Top.Switch(c.Switch).Name, c.Score)
 	}
 
 	// Auto-repair: reload the candidates, at most 20 per day.
 	rs := tb.NewRepairService(20)
-	reloaded := blackhole.Repair(det, tb.Top, rs)
+	reloaded := diagnosis.RepairBlackholes(det, tb.Top, rs)
 	fmt.Printf("auto-repair reloaded %d switches (budget %d/day)\n", reloaded, 20)
 	for _, h := range rs.History() {
 		fmt.Printf("  %s %s: %s\n", h.Action.Kind, h.Action.Device, h.Action.Reason)

@@ -21,6 +21,7 @@ import (
 	"pingmesh/internal/core"
 	"pingmesh/internal/cosmos"
 	"pingmesh/internal/dsa"
+	"pingmesh/internal/fleet"
 	"pingmesh/internal/netlib"
 	"pingmesh/internal/netsim"
 	"pingmesh/internal/pinglist"
@@ -71,7 +72,7 @@ func TestIntegrationAgentsToAnalysis(t *testing.T) {
 			ServerName: s.Name,
 			SourceAddr: s.Addr,
 			Controller: &controller.Client{BaseURL: srv.URL},
-			Prober:     &agent.SimProber{Net: net, Src: s.ID, Clock: clock, Seed: uint64(s.ID) + 1},
+			Prober:     &fleet.SimProber{Net: net, Src: s.ID, Clock: clock, Seed: uint64(s.ID) + 1},
 			Uploader:   &cosmos.Client{Store: store, Stream: cosmos.DailyStream("pingmesh"), Clock: clock},
 			Clock:      clock,
 			// Short cadences so the test window exercises uploads.

@@ -9,9 +9,10 @@ import (
 )
 
 // PathResolver recovers exact hop sequences, one run of a (src, dst)
-// pair's probes at a time. netsim.Network implements it from the pair's
-// cached probe plan; deployments without a fabric model leave it nil and
-// the collector falls back to topology candidate stage sets.
+// pair's probes at a time. A simulator can implement it from its fabric
+// model, or a real deployment from TCP traceroutes of the pair's
+// five-tuples; without either it stays nil and the collector falls back
+// to topology candidate stage sets.
 type PathResolver interface {
 	// AppendPaths appends the hops of each {sport, dport} in ports for a
 	// probe from src to dstID, in order, and returns the extended slice

@@ -8,8 +8,6 @@ import (
 
 	"pingmesh/internal/analysis"
 	"pingmesh/internal/metrics"
-	"pingmesh/internal/netsim"
-	"pingmesh/internal/probe"
 	"pingmesh/internal/simclock"
 	"pingmesh/internal/topology"
 )
@@ -367,9 +365,9 @@ func (e *Engine) assertTracePin(ch *Chain, src, dst topology.ServerID, suspect t
 	rng := rand.New(rand.NewPCG(e.Seed^0xd1a9, uint64(src)<<32|uint64(uint32(dst))))
 	var tuples []Tuple
 	for _, sport := range e.pinPorts(src, dst, suspect) {
-		spec := netsim.ProbeSpec{Src: src, Dst: dst, SrcPort: sport, DstPort: engineDstPort, Proto: probe.TCP}
-		if hops := e.tupleHops(spec, rng); len(hops) > 0 {
-			tuples = append(tuples, Tuple{ProbeSpec: spec, Hops: hops})
+		ft := FiveTuple{Src: src, Dst: dst, SrcPort: sport, DstPort: engineDstPort}
+		if hops := e.tupleHops(ft, rng); len(hops) > 0 {
+			tuples = append(tuples, Tuple{FiveTuple: ft, Hops: hops})
 		}
 	}
 	if pins := PinLoss(e.Tracer, tuples, e.ProbesPerHop, rng); len(pins) > 0 {
@@ -434,13 +432,13 @@ func (e *Engine) pinPorts(src, dst topology.ServerID, suspect topology.SwitchID)
 
 // tupleHops resolves one five-tuple's hop sequence: the fabric model when
 // wired, a TTL-sweep path recovery otherwise.
-func (e *Engine) tupleHops(spec netsim.ProbeSpec, rng *rand.Rand) []topology.SwitchID {
+func (e *Engine) tupleHops(ft FiveTuple, rng *rand.Rand) []topology.SwitchID {
 	if e.Paths != nil {
-		if h, _, ok := e.Paths.AppendPaths(nil, spec.Src, spec.Dst, [][2]uint16{{spec.SrcPort, spec.DstPort}}); ok {
+		if h, _, ok := e.Paths.AppendPaths(nil, ft.Src, ft.Dst, [][2]uint16{{ft.SrcPort, ft.DstPort}}); ok {
 			return h
 		}
 	}
-	return TracePath(e.Tracer, spec, 8, 3, rng)
+	return TracePath(e.Tracer, ft, rng)
 }
 
 func (e *Engine) assertRepairBudget(ch *Chain) {

@@ -7,7 +7,6 @@ import (
 	"slices"
 
 	"pingmesh/internal/analysis"
-	"pingmesh/internal/netsim"
 	"pingmesh/internal/probe"
 	"pingmesh/internal/topology"
 )
@@ -20,7 +19,7 @@ const pinThreshold = 0.01
 
 // Tuple is one five-tuple to trace and the hops it crosses, in order.
 type Tuple struct {
-	netsim.ProbeSpec
+	FiveTuple
 	Hops []topology.SwitchID
 }
 
@@ -61,7 +60,7 @@ func PinLoss(tr TraceProber, tuples []Tuple, probesPerHop int, rng *rand.Rand) [
 	}
 	tallies := map[topology.SwitchID]*tally{}
 	for i, tu := range tuples {
-		for k, p := range EstimateHopLoss(tr, tu.ProbeSpec, len(tu.Hops), probesPerHop, rng) {
+		for k, p := range EstimateHopLoss(tr, tu.FiveTuple, len(tu.Hops), probesPerHop, rng) {
 			t := tallies[tu.Hops[k]]
 			if t == nil {
 				t = &tally{peak: -1}
@@ -90,7 +89,7 @@ func PinLoss(tr TraceProber, tuples []Tuple, probesPerHop int, rng *rand.Rand) [
 	var pins []Pin
 	for _, sw := range suspects[:min(len(suspects), 3)] {
 		t := tallies[sw]
-		est := EstimateHopLoss(tr, tuples[t.tuple].ProbeSpec, t.at+1, 5*probesPerHop, rng)
+		est := EstimateHopLoss(tr, tuples[t.tuple].FiveTuple, t.at+1, 5*probesPerHop, rng)
 		if est[t.at] < pinThreshold || slices.ContainsFunc(est[:t.at], func(p float64) bool { return p >= pinThreshold/8 }) {
 			continue
 		}
@@ -155,7 +154,7 @@ func AffectedPairsFromStats(top *topology.Topology, paths PathResolver, dropRate
 		}
 		for i, p := range ports {
 			out = append(out, Tuple{
-				ProbeSpec: netsim.ProbeSpec{Src: e.src, Dst: e.dst, SrcPort: p[0], DstPort: p[1], Proto: probe.TCP},
+				FiveTuple: FiveTuple{Src: e.src, Dst: e.dst, SrcPort: p[0], DstPort: p[1]},
 				Hops:      hops[i*h : (i+1)*h : (i+1)*h],
 			})
 		}

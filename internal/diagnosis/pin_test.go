@@ -108,7 +108,7 @@ func TestLocalizeFindsLossySpine(t *testing.T) {
 	for port := uint16(34000); len(tuples) < 6 && port < 40000; port++ {
 		hops, _ := n.Path(src, dst, port, 8765)
 		if slices.Contains(hops, spine) {
-			tuples = append(tuples, Tuple{ProbeSpec: netsim.ProbeSpec{Src: src, Dst: dst, SrcPort: port, DstPort: 8765, Proto: probe.TCP}, Hops: hops})
+			tuples = append(tuples, Tuple{FiveTuple: FiveTuple{Src: src, Dst: dst, SrcPort: port, DstPort: 8765}, Hops: hops})
 		}
 	}
 	if len(tuples) < 3 {
@@ -158,7 +158,7 @@ func TestAffectedPairsFromStats(t *testing.T) {
 		t.Fatalf("tuples = %+v", tuples)
 	}
 	for i, tu := range tuples {
-		if top.Server(tu.Src).Addr != want[i].src || tu.SrcPort != want[i].port || tu.DstPort != 8765 || tu.Proto != probe.TCP {
+		if top.Server(tu.Src).Addr != want[i].src || tu.SrcPort != want[i].port || tu.DstPort != 8765 {
 			t.Fatalf("tuple %d = %+v, want %v's five-tuple with source port %d", i, tu, want[i].src, want[i].port)
 		}
 		if hops, _ := n.Path(tu.Src, tu.Dst, tu.SrcPort, tu.DstPort); !slices.Equal(tu.Hops, hops) {

@@ -3,14 +3,31 @@ package diagnosis
 import (
 	"math/rand/v2"
 
-	"pingmesh/internal/netsim"
 	"pingmesh/internal/topology"
 )
 
-// TraceProber issues TTL-limited trace probes (§5.2). netsim.Network
-// implements it; a real deployment would wrap a TCP traceroute prober.
+// TracePath's sweep limits: no modeled route is longer than 6 switch hops,
+// and a TTL that stays silent for 3 probes is taken as dark.
+const (
+	traceMaxHops  = 8
+	traceAttempts = 3
+)
+
+// FiveTuple is the flow a trace probe rides. Traces are TCP (§5.2), so the
+// protocol is implied; ECMP hashes the ports onto one path.
+type FiveTuple struct {
+	Src, Dst         topology.ServerID
+	SrcPort, DstPort uint16
+}
+
+// TraceProber sends TTL-limited trace probes (§5.2): one probe of the
+// five-tuple (src, dst, sport, dport) that expires after ttl switch hops.
+// hop is the switch that answered, or -1 when the destination host did;
+// ok is false when the probe or its answer was lost. A simulator or a real
+// TCP traceroute can implement it; rng drives a simulator's loss draws,
+// and a real prober ignores it.
 type TraceProber interface {
-	TraceProbe(spec netsim.ProbeSpec, ttl int, rng *rand.Rand) netsim.TraceResult
+	TraceProbe(src, dst topology.ServerID, sport, dport uint16, ttl int, rng *rand.Rand) (hop topology.SwitchID, ok bool)
 }
 
 // EstimateHopLoss converts a full TTL sweep into per-hop per-traversal
@@ -33,14 +50,14 @@ type TraceProber interface {
 // source host's own drop term, so est[0] absorbs it (it is ~1e-5 under
 // the paper's profiles). Estimates are clamped to [0, 1]; once a TTL gets
 // no answers at all the remaining hops are unobservable and report 0.
-func EstimateHopLoss(tr TraceProber, spec netsim.ProbeSpec, hops, probesPerHop int, rng *rand.Rand) []float64 {
+func EstimateHopLoss(tr TraceProber, ft FiveTuple, hops, probesPerHop int, rng *rand.Rand) []float64 {
 	est := make([]float64, hops)
 	prevRate := 1.0 // R(k-1); R(0) ≡ 1 folds the host term into hop 1
 	prevEst := 0.0  // p̂_{k-1}
 	for k := range est {
 		lost := 0
 		for i := 0; i < probesPerHop; i++ {
-			if !tr.TraceProbe(spec, k+1, rng).OK {
+			if _, ok := tr.TraceProbe(ft.Src, ft.Dst, ft.SrcPort, ft.DstPort, k+1, rng); !ok {
 				lost++
 			}
 		}
@@ -60,26 +77,23 @@ func EstimateHopLoss(tr TraceProber, spec netsim.ProbeSpec, hops, probesPerHop i
 }
 
 // TracePath recovers a five-tuple's hop sequence by TTL sweep: each TTL is
-// probed until a hop answers (up to attempts tries), mirroring how a real
-// deployment reconstructs paths without a fabric model. The sweep stops at
-// the first TTL where the destination host answers or nothing answers at
-// all (a black-holed tuple yields the hops before the hole).
-func TracePath(tr TraceProber, spec netsim.ProbeSpec, maxHops, attempts int, rng *rand.Rand) []topology.SwitchID {
-	if attempts <= 0 {
-		attempts = 3
-	}
+// probed until a hop answers (up to traceAttempts tries), mirroring how a
+// real deployment reconstructs paths without a fabric model. The sweep
+// stops at the first TTL where the destination host answers or nothing
+// answers at all (a black-holed tuple yields the hops before the hole).
+func TracePath(tr TraceProber, ft FiveTuple, rng *rand.Rand) []topology.SwitchID {
 	var hops []topology.SwitchID
-	for ttl := 1; ttl <= maxHops; ttl++ {
+	for ttl := 1; ttl <= traceMaxHops; ttl++ {
 		answered := false
-		for i := 0; i < attempts; i++ {
-			res := tr.TraceProbe(spec, ttl, rng)
-			if !res.OK {
+		for i := 0; i < traceAttempts; i++ {
+			hop, ok := tr.TraceProbe(ft.Src, ft.Dst, ft.SrcPort, ft.DstPort, ttl, rng)
+			if !ok {
 				continue
 			}
-			if res.Hop < 0 {
+			if hop < 0 {
 				return hops // destination host answered: path complete
 			}
-			hops = append(hops, res.Hop)
+			hops = append(hops, hop)
 			answered = true
 			break
 		}

@@ -4,7 +4,6 @@ import (
 	"math/rand/v2"
 	"testing"
 
-	"pingmesh/internal/netsim"
 	"pingmesh/internal/topology"
 )
 
@@ -17,9 +16,9 @@ type fakeProber struct {
 	host float64   // source host loss, both directions
 }
 
-func (f *fakeProber) TraceProbe(spec netsim.ProbeSpec, ttl int, rng *rand.Rand) netsim.TraceResult {
+func (f *fakeProber) TraceProbe(src, dst topology.ServerID, sport, dport uint16, ttl int, rng *rand.Rand) (topology.SwitchID, bool) {
 	if ttl < 1 {
-		return netsim.TraceResult{Hop: -1}
+		return -1, false
 	}
 	reach := ttl
 	if reach > len(f.loss) {
@@ -37,12 +36,12 @@ func (f *fakeProber) TraceProbe(spec netsim.ProbeSpec, ttl int, rng *rand.Rand) 
 		p = 1
 	}
 	if rng.Float64() < p {
-		return netsim.TraceResult{Hop: -1}
+		return -1, false
 	}
 	if ttl > len(f.loss) {
-		return netsim.TraceResult{Hop: -1, OK: true}
+		return -1, true
 	}
-	return netsim.TraceResult{Hop: topology.SwitchID(ttl - 1), OK: true}
+	return topology.SwitchID(ttl - 1), true
 }
 
 // TestEstimateHopLossReturnPathBias is the regression test for the
@@ -56,7 +55,7 @@ func TestEstimateHopLossReturnPathBias(t *testing.T) {
 	f := &fakeProber{loss: []float64{0, 0, p, 0, 0}, host: 1e-5}
 	rng := rand.New(rand.NewPCG(7, 9))
 	const probes = 60000
-	est := EstimateHopLoss(f, netsim.ProbeSpec{}, len(f.loss), probes, rng)
+	est := EstimateHopLoss(f, FiveTuple{}, len(f.loss), probes, rng)
 
 	// Reconstruct the naive estimator from a fresh sweep for comparison.
 	naive := make([]float64, len(f.loss))
@@ -65,7 +64,7 @@ func TestEstimateHopLossReturnPathBias(t *testing.T) {
 	for k := range naive {
 		lost := 0
 		for i := 0; i < probes; i++ {
-			if !f.TraceProbe(netsim.ProbeSpec{}, k+1, rng2).OK {
+			if _, ok := f.TraceProbe(0, 0, 0, 0, k+1, rng2); !ok {
 				lost++
 			}
 		}
@@ -88,7 +87,7 @@ func TestEstimateHopLossTotalBlackout(t *testing.T) {
 	// Hop 2 answers nothing at all: est[1] = 1, later hops unobservable (0).
 	f := &fakeProber{loss: []float64{0, 1, 0}}
 	rng := rand.New(rand.NewPCG(1, 1))
-	est := EstimateHopLoss(f, netsim.ProbeSpec{}, 3, 200, rng)
+	est := EstimateHopLoss(f, FiveTuple{}, 3, 200, rng)
 	if est[0] > 0.05 {
 		t.Fatalf("est[0] = %v, want ~0", est[0])
 	}
@@ -103,7 +102,7 @@ func TestEstimateHopLossTotalBlackout(t *testing.T) {
 func TestTracePathRecovery(t *testing.T) {
 	f := &fakeProber{loss: []float64{0, 0, 0}}
 	rng := rand.New(rand.NewPCG(3, 3))
-	hops := TracePath(f, netsim.ProbeSpec{}, 8, 3, rng)
+	hops := TracePath(f, FiveTuple{}, rng)
 	if len(hops) != 3 || hops[0] != 0 || hops[1] != 1 || hops[2] != 2 {
 		t.Fatalf("recovered path = %v, want [0 1 2]", hops)
 	}
@@ -112,7 +111,7 @@ func TestTracePathRecovery(t *testing.T) {
 func TestTracePathStopsAtBlackout(t *testing.T) {
 	f := &fakeProber{loss: []float64{0, 0, 1, 0}}
 	rng := rand.New(rand.NewPCG(4, 4))
-	hops := TracePath(f, netsim.ProbeSpec{}, 8, 3, rng)
+	hops := TracePath(f, FiveTuple{}, rng)
 	if len(hops) != 2 {
 		t.Fatalf("recovered path = %v, want the 2 hops before the hole", hops)
 	}
@@ -124,6 +123,6 @@ func BenchmarkDiagnoseSweep(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		EstimateHopLoss(f, netsim.ProbeSpec{}, 6, 200, rng)
+		EstimateHopLoss(f, FiveTuple{}, 6, 200, rng)
 	}
 }

@@ -7,7 +7,7 @@
 // spine carrying 100× the traffic of a ToR needs 100× the implicating
 // failures to rank equally, and two simultaneously lossy switches both
 // surface because each accumulates vote mass from its own victim flows.
-// Paths come from the netsim ECMP resolver when the deployment has one, or
+// Paths come from an exact PathResolver when the deployment has one, or
 // from the topology's candidate stage sets when only the fabric shape is
 // known (real CSV uploads).
 //
@@ -17,6 +17,11 @@
 // score, traceroute pin, repair budget — emitting a Chain of steps with
 // verdict + evidence rather than a bare color (§4.3 extended into "which
 // hop?").
+//
+// The package also holds §5's two silent-drop detectors: the daily ToR
+// black-hole detector of §5.1 (DetectBlackholes, RepairBlackholes), which
+// scores ToRs on the same vote table, and the traceroute localiser of §5.2
+// (PinLoss), which the Engine's pin step runs.
 package diagnosis
 
 import (
@@ -209,8 +214,8 @@ func (vt *VoteTable) Votes(sw topology.SwitchID) float64 {
 	return vt.votes[sw]
 }
 
-// ObservePath ingests one probe whose exact hop sequence is known (netsim
-// plans, or a recovered traceroute). A failed probe splits its vote 1/h
+// ObservePath ingests one probe whose exact hop sequence is known (a
+// fabric model's plan, or a recovered traceroute). A failed probe splits its vote 1/h
 // across the h hops and 1/(h-1) across the h-1 links; every probe credits
 // each hop and link with one traversal. Allocation-free once the link set
 // has been seen.

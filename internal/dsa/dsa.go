@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"pingmesh/internal/analysis"
-	"pingmesh/internal/blackhole"
 	"pingmesh/internal/cosmos"
 	"pingmesh/internal/diagnosis"
 	"pingmesh/internal/metrics"
@@ -47,10 +46,10 @@ type Config struct {
 	// Services whose SLA is tracked individually.
 	Services []*analysis.Service
 	// BlackholeConfig tunes daily black-hole detection.
-	BlackholeConfig blackhole.Config
+	BlackholeConfig diagnosis.BlackholeConfig
 	// OnDetection, if set, receives the daily black-hole detection result
 	// (the hook the auto-repair loop attaches to).
-	OnDetection func(blackhole.Detection)
+	OnDetection func(diagnosis.BlackholeDetection)
 	// HeatmapMinProbes is the per-cell probe floor for heatmaps. Default 5.
 	HeatmapMinProbes uint64
 	// Retention is how long daily record streams are kept before the daily
@@ -504,16 +503,17 @@ func (p *Pipeline) publishDropRates(res *scope.Result, from, to time.Time) error
 }
 
 // publishBlackholes runs black-hole detection over the server-pair tallies,
-// rendering each binary group key to the text form blackhole.Detect parses.
+// rendering each binary group key to the text form that
+// diagnosis.DetectBlackholes parses.
 func (p *Pipeline) publishBlackholes(res *scope.Result, from, to time.Time) error {
 	pairs := make(map[string]*analysis.LatencyStats, len(res.Groups))
 	for k, st := range res.Groups {
 		pairs[analysis.ServerPairKey(k)] = st
 	}
-	det := blackhole.Detect(p.cfg.Top, pairs, p.cfg.BlackholeConfig)
+	det := diagnosis.DetectBlackholes(p.cfg.Top, pairs, p.cfg.BlackholeConfig)
 	for _, cand := range det.Candidates {
 		if err := p.db.Insert(TableBlackholes, reportdb.Row{
-			"tor":          p.cfg.Top.Switch(cand.ToR).Name,
+			"tor":          p.cfg.Top.Switch(cand.Switch).Name,
 			"score":        cand.Score,
 			"window_start": from,
 		}); err != nil {

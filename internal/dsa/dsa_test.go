@@ -6,9 +6,9 @@ import (
 	"time"
 
 	"pingmesh/internal/analysis"
-	"pingmesh/internal/blackhole"
 	"pingmesh/internal/core"
 	"pingmesh/internal/cosmos"
+	"pingmesh/internal/diagnosis"
 	"pingmesh/internal/fleet"
 	"pingmesh/internal/netsim"
 	"pingmesh/internal/probe"
@@ -269,12 +269,12 @@ func TestHourlyJobClassifiesPatterns(t *testing.T) {
 }
 
 func TestDailyJobDropRatesAndBlackholes(t *testing.T) {
-	var detected []blackhole.Detection
+	var detected []diagnosis.BlackholeDetection
 	r := buildRig(t, func(n *netsim.Network) {
 		n.AddBlackhole(n.Topology().ToRs(0)[1], netsim.Blackhole{MatchFraction: 0.4})
 	}, func(cfg *Config) {
-		cfg.BlackholeConfig = blackhole.Config{VictimPairFraction: 0.3}
-		cfg.OnDetection = func(d blackhole.Detection) { detected = append(detected, d) }
+		cfg.BlackholeConfig = diagnosis.BlackholeConfig{VictimPairFraction: 0.3}
+		cfg.OnDetection = func(d diagnosis.BlackholeDetection) { detected = append(detected, d) }
 	})
 	if err := r.pipe.RunDaily(t0, t0.Add(time.Hour)); err != nil {
 		t.Fatal(err)

@@ -13,9 +13,9 @@ import (
 
 	"pingmesh/internal/agent"
 	"pingmesh/internal/analysis"
-	"pingmesh/internal/blackhole"
 	"pingmesh/internal/core"
 	"pingmesh/internal/cosmos"
+	"pingmesh/internal/diagnosis"
 	"pingmesh/internal/fleet"
 	"pingmesh/internal/netsim"
 	"pingmesh/internal/probe"
@@ -203,7 +203,7 @@ func (fx *diffFixture) newPipeOn(t testing.TB, store *cosmos.Store, clock simclo
 		Top:             fx.top,
 		Clock:           clock,
 		Services:        fx.services,
-		BlackholeConfig: blackhole.Config{PairFailureRate: 0.3, VictimPairFraction: 0.05},
+		BlackholeConfig: diagnosis.BlackholeConfig{PairFailureRate: 0.3, VictimPairFraction: 0.05},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -6,8 +6,8 @@ import (
 	"time"
 
 	"pingmesh/internal/analysis"
-	"pingmesh/internal/blackhole"
 	"pingmesh/internal/core"
+	"pingmesh/internal/diagnosis"
 	"pingmesh/internal/netsim"
 	"pingmesh/internal/topology"
 )
@@ -266,10 +266,10 @@ func AblationSampling(opts Options) (*AblationSamplingResult, error) {
 		pairs := probeRelationPairs(net, 6, opts.seed()+uint64(participate)*13, opts.workers(), func(id topology.ServerID) bool {
 			return top.Server(id).Rank < participate
 		})
-		det := blackhole.Detect(top, pairs, blackhole.Config{VictimPairFraction: 0.25})
+		det := diagnosis.DetectBlackholes(top, pairs, diagnosis.BlackholeConfig{VictimPairFraction: 0.25})
 		detected := 0
 		for _, c := range det.Candidates {
-			if seeded[c.ToR] {
+			if seeded[c.Switch] {
 				detected++
 			}
 		}

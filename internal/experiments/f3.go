@@ -10,6 +10,7 @@ import (
 
 	"pingmesh/internal/agent"
 	"pingmesh/internal/core"
+	"pingmesh/internal/fleet"
 	"pingmesh/internal/netsim"
 	"pingmesh/internal/pinglist"
 	"pingmesh/internal/simclock"
@@ -61,7 +62,7 @@ func Figure3(opts Options) (*Figure3Result, error) {
 		ServerName: top.Server(self).Name,
 		SourceAddr: top.Server(self).Addr,
 		Controller: staticFetcher{list},
-		Prober:     &agent.SimProber{Net: net, Src: self, Clock: clock, Seed: opts.seed()},
+		Prober:     &fleet.SimProber{Net: net, Src: self, Clock: clock, Seed: opts.seed()},
 		Clock:      clock,
 		// Keep the buffer bounded as in production; no uploader needed.
 		MaxBufferedRecords: 8192,

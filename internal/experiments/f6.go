@@ -7,8 +7,8 @@ import (
 	"time"
 
 	"pingmesh"
-	"pingmesh/internal/blackhole"
 	"pingmesh/internal/core"
+	"pingmesh/internal/diagnosis"
 	"pingmesh/internal/netsim"
 	"pingmesh/internal/topology"
 )
@@ -60,18 +60,19 @@ func (c *Figure6Config) withDefaults() Figure6Config {
 
 // Figure6 runs the detection + auto-repair loop day by day: each day's
 // arrivals are injected at midnight, the fleet probes until every pair the
-// detector judges holds its 4 probes (blackhole.Config.MinPairProbes; an
-// inter-pod pair is probed every 30 s), the clock moves on to the day's end,
-// and the daily job's detection is handed to the testbed's repair service.
+// detector judges holds its 4 probes
+// (diagnosis.BlackholeConfig.MinPairProbes; an inter-pod pair is probed
+// every 30 s), the clock moves on to the day's end, and the daily job's
+// detection is handed to the testbed's repair service.
 func Figure6(opts Options, cfg Figure6Config) (*Figure6Result, error) {
 	c := cfg.withDefaults()
-	var det blackhole.Detection
+	var det diagnosis.BlackholeDetection
 	tb, err := pingmesh.NewSimTestbed(topology.Spec{DCs: []topology.DCSpec{
 		{Name: "DC1", Podsets: 10, PodsPerPodset: 10, ServersPerPod: 4, LeavesPerPodset: 4, Spines: 16},
 	}}, pingmesh.SimOptions{
 		Profiles:    []netsim.Profile{netsim.DC3Profile()},
 		Seed:        opts.seed(),
-		OnDetection: func(d blackhole.Detection) { det = d },
+		OnDetection: func(d diagnosis.BlackholeDetection) { det = d },
 	})
 	if err != nil {
 		return nil, err
@@ -99,7 +100,7 @@ func Figure6(opts Options, cfg Figure6Config) (*Figure6Result, error) {
 		if err := probeCycle(tb, span, 24*time.Hour, tb.Pipeline.RunDaily); err != nil {
 			return nil, err
 		}
-		reloaded := blackhole.Repair(det, tb.Top, rs)
+		reloaded := diagnosis.RepairBlackholes(det, tb.Top, rs)
 		res.Days = append(res.Days, DayPoint{
 			Day:      day,
 			Detected: len(det.Candidates),

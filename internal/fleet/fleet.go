@@ -4,8 +4,9 @@
 // against the network simulator, without paying for per-agent goroutines
 // and virtual-clock scheduling. It probes what and when an agent would, by
 // the agent's own agent.Schedule, so consecutive runs tile. The rest of the
-// agent stack is exercised by the agent package and the integration tests;
-// the fleet runner is how day- and week-long experiments finish in seconds.
+// agent stack runs over SimProber, the agent.Prober this package puts on
+// the simulator, in the integration tests; the fleet runner is how day-
+// and week-long experiments finish in seconds.
 package fleet
 
 import (

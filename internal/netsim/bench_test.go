@@ -148,6 +148,6 @@ func BenchmarkTraceProbe(b *testing.B) {
 	rng := rand.New(rand.NewPCG(3, 4))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n.TraceProbe(ProbeSpec{Src: src, Dst: dst, SrcPort: 40000, DstPort: 8765}, 3, rng)
+		n.TraceProbe(src, dst, 40000, 8765, 3, rng)
 	}
 }

@@ -113,7 +113,7 @@ func TestTraceProbeUnreachable(t *testing.T) {
 	top := n.Topology()
 	n.SetPodsetDown(0, 1, true)
 	src, dst := pairOfKind(top, "cross-podset")
-	if got := n.TraceProbe(ProbeSpec{Src: src, Dst: dst, SrcPort: 1, DstPort: 2}, 1, rng(66)); got.OK {
+	if _, ok := n.TraceProbe(src, dst, 1, 2, 1, rng(66)); ok {
 		t.Fatal("trace into downed podset answered")
 	}
 }

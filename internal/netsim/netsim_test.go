@@ -546,24 +546,24 @@ func TestTraceProbeWalksPath(t *testing.T) {
 	r := rng(22)
 	for ttl := 1; ttl <= len(hops); ttl++ {
 		// Retry a few times in case the probe randomly drops.
-		var got TraceResult
+		var hop topology.SwitchID
+		var ok bool
 		for try := 0; try < 10; try++ {
-			got = n.TraceProbe(ProbeSpec{Src: src, Dst: dst, SrcPort: 50123, DstPort: 9000}, ttl, r)
-			if got.OK {
+			hop, ok = n.TraceProbe(src, dst, 50123, 9000, ttl, r)
+			if ok {
 				break
 			}
 		}
-		if !got.OK {
+		if !ok {
 			t.Fatalf("ttl %d: no answer after retries", ttl)
 		}
-		if got.Hop != hops[ttl-1] {
-			t.Fatalf("ttl %d answered by %v, want %v", ttl, got.Hop, hops[ttl-1])
+		if hop != hops[ttl-1] {
+			t.Fatalf("ttl %d answered by %v, want %v", ttl, hop, hops[ttl-1])
 		}
 	}
 	// Beyond the path: destination host answers.
-	got := n.TraceProbe(ProbeSpec{Src: src, Dst: dst, SrcPort: 50123, DstPort: 9000}, len(hops)+1, r)
-	if !got.OK || got.Hop != -1 {
-		t.Fatalf("ttl beyond path: %+v", got)
+	if hop, ok := n.TraceProbe(src, dst, 50123, 9000, len(hops)+1, r); !ok || hop != -1 {
+		t.Fatalf("ttl beyond path: hop %v ok %v", hop, ok)
 	}
 }
 
@@ -580,7 +580,7 @@ func TestTraceProbeLocalizesLossySpine(t *testing.T) {
 	for ttl := 1; ttl <= len(hops); ttl++ {
 		lost := 0
 		for i := 0; i < count; i++ {
-			if !n.TraceProbe(ProbeSpec{Src: src, Dst: dst, SrcPort: 50200, DstPort: 9000}, ttl, r).OK {
+			if _, ok := n.TraceProbe(src, dst, 50200, 9000, ttl, r); !ok {
 				lost++
 			}
 		}
@@ -598,7 +598,7 @@ func TestTraceProbeLocalizesLossySpine(t *testing.T) {
 func TestTraceProbeInvalidTTL(t *testing.T) {
 	n := testNetwork(t)
 	src, dst := pairOfKind(n.Topology(), "intra-pod")
-	if got := n.TraceProbe(ProbeSpec{Src: src, Dst: dst}, 0, rng(24)); got.OK {
+	if _, ok := n.TraceProbe(src, dst, 0, 0, 0, rng(24)); ok {
 		t.Fatal("ttl 0 answered")
 	}
 }

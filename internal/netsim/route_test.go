@@ -95,12 +95,11 @@ func TestPlanRoutesMatchResolve(t *testing.T) {
 						t.Fatalf("%s: %s->%s ports %v: AppendPath %v, Path %v, AppendPaths %v (len %d), resolve %v",
 							st.name, a.Name, b.Name, p, got, path, run, h, hops)
 					}
-					spec := ProbeSpec{Src: src, Dst: dst, SrcPort: p[0], DstPort: p[1]}
 					down := ft.podsetDown[psKey{a.DC, a.Podset}] || ft.podsetDown[psKey{b.DC, b.Podset}]
 					for ttl := 1; ttl <= len(hops)+1; ttl++ {
-						wantTR := TraceResult{Hop: -1, OK: true}
+						wantHop, wantOK := topology.SwitchID(-1), true
 						if ttl <= len(hops) {
-							wantTR.Hop = hops[ttl-1]
+							wantHop = hops[ttl-1]
 						}
 						reach := min(ttl, len(hops))
 						prefix := route{ok: true}
@@ -108,15 +107,15 @@ func TestPlanRoutesMatchResolve(t *testing.T) {
 							prefix.add(sw)
 						}
 						if n.blackholed(ft, &prefix, a.Addr, b.Addr, p[0], p[1]) {
-							wantTR = TraceResult{Hop: -1}
+							wantHop, wantOK = -1, false
 							holed++
 						}
 						if down {
-							wantTR = TraceResult{Hop: -1}
+							wantHop, wantOK = -1, false
 						}
-						if tr := n.TraceProbe(spec, ttl, rng); tr != wantTR {
-							t.Fatalf("%s: %s->%s ports %v ttl %d: TraceProbe %+v, want %+v (route %v)",
-								st.name, a.Name, b.Name, p, ttl, tr, wantTR, hops)
+						if hop, ok := n.TraceProbe(src, dst, p[0], p[1], ttl, rng); hop != wantHop || ok != wantOK {
+							t.Fatalf("%s: %s->%s ports %v ttl %d: TraceProbe (%v, %v), want (%v, %v) (route %v)",
+								st.name, a.Name, b.Name, p, ttl, hop, ok, wantHop, wantOK, hops)
 						}
 					}
 				}

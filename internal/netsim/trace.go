@@ -6,35 +6,25 @@ import (
 	"pingmesh/internal/topology"
 )
 
-// TraceResult is the outcome of one TTL-limited trace probe.
-type TraceResult struct {
-	// Hop is the switch that answered (the TTL'th hop of the path), or -1
-	// if the destination host answered because TTL exceeded the path
-	// length.
-	Hop topology.SwitchID
-	// OK reports whether an answer came back at all; false means the probe
-	// or its reply was dropped along the way.
-	OK bool
-}
-
 // TraceProbe simulates a TCP-traceroute probe: a packet with the given
 // five-tuple and TTL travels up to ttl hops; the hop at which TTL expires
 // answers, and the answer travels back through the same hops. Silent random
 // drops affect trace probes exactly like data packets, which is what lets
 // repeated traces localize a lossy switch (§5.2).
 //
-// ttl counts switch hops starting at 1. A ttl beyond the path length
-// reaches the destination host.
-func (n *Network) TraceProbe(spec ProbeSpec, ttl int, rng *rand.Rand) TraceResult {
+// ttl counts switch hops starting at 1. hop is the switch that answered,
+// or -1 when a ttl beyond the path length reached the destination host;
+// ok is false when the probe or its answer was dropped along the way.
+func (n *Network) TraceProbe(src, dst topology.ServerID, sport, dport uint16, ttl int, rng *rand.Rand) (hop topology.SwitchID, ok bool) {
 	ft := n.faults.Load()
-	pl := n.planFor(ft, spec.Src, spec.Dst)
+	pl := n.planFor(ft, src, dst)
 	if pl.srcDown || pl.dstDown || !pl.ok || ttl < 1 {
-		return TraceResult{Hop: -1}
+		return -1, false
 	}
 	var buf [6]topology.SwitchID
 	hops := buf[:pl.nHops]
-	pl.hops(hops, spec.SrcPort, spec.DstPort)
-	ss, ds := n.top.Server(spec.Src), n.top.Server(spec.Dst)
+	pl.hops(hops, sport, dport)
+	ss, ds := n.top.Server(src), n.top.Server(dst)
 	reach := ttl
 	if reach > len(hops) {
 		reach = len(hops)
@@ -61,25 +51,25 @@ func (n *Network) TraceProbe(spec ProbeSpec, ttl int, rng *rand.Rand) TraceResul
 			tier = prof.SpineDrop
 		}
 		f := &ft.perSwitch[sw]
-		hop := tier + f.fcsPerByte*synPacketSize
+		drop := tier + f.fcsPerByte*synPacketSize
 		if d, ok := ft.tierDeg[tierKey{s.DC, s.Tier}]; ok {
-			hop += d.DropProb
+			drop += d.DropProb
 		}
 		// A switch's silent random drop hits packets it forwards. The
 		// answering switch itself only forwards the probe into its CPU, so
 		// its fabric loss applies once rather than twice.
 		if i == reach-1 && ttl <= len(hops) {
-			hop += f.randomDrop
-			p += hop
+			drop += f.randomDrop
+			p += drop
 		} else {
-			hop += f.randomDrop
-			p += 2 * hop
+			drop += f.randomDrop
+			p += 2 * drop
 		}
 		for bi := range f.blackholes {
 			b := &f.blackholes[bi]
-			if b.matches(ss.Addr, ds.Addr, spec.SrcPort, spec.DstPort) ||
-				b.matches(ds.Addr, ss.Addr, spec.DstPort, spec.SrcPort) {
-				return TraceResult{Hop: -1}
+			if b.matches(ss.Addr, ds.Addr, sport, dport) ||
+				b.matches(ds.Addr, ss.Addr, dport, sport) {
+				return -1, false
 			}
 		}
 	}
@@ -87,10 +77,10 @@ func (n *Network) TraceProbe(spec ProbeSpec, ttl int, rng *rand.Rand) TraceResul
 		p = 1
 	}
 	if rng.Float64() < p {
-		return TraceResult{Hop: -1}
+		return -1, false
 	}
 	if ttl > len(hops) {
-		return TraceResult{Hop: -1, OK: true} // destination host answered
+		return -1, true // destination host answered
 	}
-	return TraceResult{Hop: hops[ttl-1], OK: true}
+	return hops[ttl-1], true
 }

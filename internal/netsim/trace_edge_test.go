@@ -27,21 +27,19 @@ func edgeTestNet(t *testing.T) (*Network, *topology.Topology) {
 }
 
 // TestTraceProbeTTLBeyondPath: a TTL larger than the path length reaches
-// the destination host, which answers with Hop == -1 and OK.
+// the destination host, which answers with hop -1 and ok.
 func TestTraceProbeTTLBeyondPath(t *testing.T) {
 	n, top := edgeTestNet(t)
 	src := top.DCs[0].Podsets[0].Pods[0].Servers[0]
 	dst := top.DCs[0].Podsets[1].Pods[0].Servers[0]
-	spec := ProbeSpec{Src: src, Dst: dst, SrcPort: 40000, DstPort: 80}
 	hops, ok := n.Path(src, dst, 40000, 80)
 	if !ok {
 		t.Fatal("no path")
 	}
 	rng := rand.New(rand.NewPCG(1, 1))
 	for _, ttl := range []int{len(hops) + 1, len(hops) + 5, 64} {
-		res := n.TraceProbe(spec, ttl, rng)
-		if !res.OK || res.Hop != -1 {
-			t.Fatalf("ttl=%d: got %+v, want host answer {Hop:-1 OK:true}", ttl, res)
+		if hop, ok := n.TraceProbe(src, dst, 40000, 80, ttl, rng); !ok || hop != -1 {
+			t.Fatalf("ttl=%d: got hop %v ok %v, want the host's answer (hop -1, ok)", ttl, hop, ok)
 		}
 	}
 }
@@ -52,17 +50,16 @@ func TestTraceProbeTTLOnePinsFirstHop(t *testing.T) {
 	n, top := edgeTestNet(t)
 	src := top.DCs[0].Podsets[0].Pods[0].Servers[0]
 	dst := top.DCs[0].Podsets[1].Pods[0].Servers[0]
-	spec := ProbeSpec{Src: src, Dst: dst, SrcPort: 41000, DstPort: 80}
 	rng := rand.New(rand.NewPCG(2, 2))
-	res := n.TraceProbe(spec, 1, rng)
-	if !res.OK {
-		t.Fatalf("lossless fabric dropped a TTL=1 trace: %+v", res)
+	hop, ok := n.TraceProbe(src, dst, 41000, 80, 1, rng)
+	if !ok {
+		t.Fatalf("lossless fabric dropped a TTL=1 trace: hop %v", hop)
 	}
-	if want := top.ToROf(src); res.Hop != want {
-		t.Fatalf("TTL=1 answered by %v, want source ToR %v", res.Hop, want)
+	if want := top.ToROf(src); hop != want {
+		t.Fatalf("TTL=1 answered by %v, want source ToR %v", hop, want)
 	}
-	if res := n.TraceProbe(spec, 0, rng); res.OK || res.Hop != -1 {
-		t.Fatalf("TTL=0 answered: %+v", res)
+	if hop, ok := n.TraceProbe(src, dst, 41000, 80, 0, rng); ok || hop != -1 {
+		t.Fatalf("TTL=0 answered: hop %v ok %v", hop, ok)
 	}
 }
 
@@ -73,18 +70,17 @@ func TestTraceProbeBlackholeKillsTrace(t *testing.T) {
 	n, top := edgeTestNet(t)
 	src := top.DCs[0].Podsets[0].Pods[0].Servers[0]
 	dst := top.DCs[0].Podsets[0].Pods[1].Servers[0] // same podset: 3 hops
-	spec := ProbeSpec{Src: src, Dst: dst, SrcPort: 42000, DstPort: 80}
-	hole := top.ToROf(dst) // hop 3
+	hole := top.ToROf(dst)                          // hop 3
 	n.AddBlackhole(hole, Blackhole{MatchFraction: 1})
 	rng := rand.New(rand.NewPCG(3, 3))
 	for ttl := 1; ttl <= 2; ttl++ {
-		if res := n.TraceProbe(spec, ttl, rng); !res.OK {
-			t.Fatalf("ttl=%d before the hole dropped: %+v", ttl, res)
+		if hop, ok := n.TraceProbe(src, dst, 42000, 80, ttl, rng); !ok {
+			t.Fatalf("ttl=%d before the hole dropped: hop %v", ttl, hop)
 		}
 	}
 	for _, ttl := range []int{3, 4, 10} {
-		if res := n.TraceProbe(spec, ttl, rng); res.OK {
-			t.Fatalf("ttl=%d crossed a full black-hole: %+v", ttl, res)
+		if hop, ok := n.TraceProbe(src, dst, 42000, 80, ttl, rng); ok {
+			t.Fatalf("ttl=%d crossed a full black-hole: hop %v", ttl, hop)
 		}
 	}
 }
@@ -96,7 +92,6 @@ func TestTraceProbeConcurrentFaultInjection(t *testing.T) {
 	n, top := edgeTestNet(t)
 	src := top.DCs[0].Podsets[0].Pods[0].Servers[0]
 	dst := top.DCs[0].Podsets[1].Pods[0].Servers[0]
-	spec := ProbeSpec{Src: src, Dst: dst, SrcPort: 43000, DstPort: 80}
 	leaf := top.DCs[0].Podsets[0].Leaves[0]
 	spine := top.DCs[0].Spines[0]
 
@@ -113,7 +108,7 @@ func TestTraceProbeConcurrentFaultInjection(t *testing.T) {
 					return
 				default:
 				}
-				n.TraceProbe(spec, 1+i%8, rng)
+				n.TraceProbe(src, dst, 43000, 80, 1+i%8, rng)
 			}
 		}(uint64(g))
 	}

@@ -29,7 +29,6 @@ import (
 	"pingmesh/internal/agent"
 	"pingmesh/internal/analysis"
 	"pingmesh/internal/autopilot"
-	"pingmesh/internal/blackhole"
 	"pingmesh/internal/controller"
 	"pingmesh/internal/core"
 	"pingmesh/internal/cosmos"
@@ -82,7 +81,7 @@ type (
 	// Pinglist is one server's probing assignment.
 	Pinglist = pinglist.File
 	// Detection is a black-hole detection result.
-	Detection = blackhole.Detection
+	Detection = diagnosis.BlackholeDetection
 	// ReportDB is the report database dashboards read.
 	ReportDB = reportdb.DB
 	// Portal is the read-side web service over the DSA outputs.
@@ -126,7 +125,7 @@ type SimOptions struct {
 	// Start is the simulated start time; defaults to 2026-07-01 UTC.
 	Start time.Time
 	// OnDetection receives daily black-hole detection results.
-	OnDetection func(blackhole.Detection)
+	OnDetection func(diagnosis.BlackholeDetection)
 	// HeatmapMinProbes overrides the pipeline's per-cell probe floor for
 	// heatmaps (small testbeds need a lower floor than production).
 	HeatmapMinProbes uint64
