@@ -116,14 +116,12 @@ func main() {
 	for _, a := range []*pingmesh.Agent{a1, a2} {
 		snap := a.Metrics().Snapshot()
 		rtt := snap.Histograms["agent.rtt.intra-pod"]
-		fmt.Printf("agent probes=%d ok=%d rtt{p50=%v p99=%v} drop_rate=%.1e\n",
+		payload := snap.Histograms["agent.rtt_payload.intra-pod"]
+		fmt.Printf("agent probes=%d ok=%d failed=%d rtt{p50=%v p99=%v} payload_rtt{p50=%v} drop_rate=%.1e\n",
 			snap.Counters["agent.probes_total"],
 			snap.Counters["agent.probes_ok"],
-			rtt.P50, rtt.P99, a.DropRate())
-		for _, r := range a.BufferedRecords() {
-			fmt.Printf("  record: %s -> %s:%d rtt=%v payload_rtt=%v err=%q\n",
-				r.Src, r.Dst, r.DstPort, r.RTT, r.PayloadRTT, r.Err)
-		}
+			snap.Counters["agent.probes_failed"],
+			rtt.P50, rtt.P99, payload.P50, a.DropRate())
 	}
 }
 

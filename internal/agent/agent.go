@@ -121,8 +121,9 @@ type Config struct {
 	// UploadRetries bounds upload retry attempts before data is discarded.
 	// Default 3.
 	UploadRetries int
-	// MaxBufferedRecords bounds agent memory; oldest records are dropped
-	// beyond it. Default 65536.
+	// MaxBufferedRecords bounds the raw records awaiting upload; the oldest
+	// are dropped beyond it. Default 65536. Without an Uploader the agent
+	// buffers nothing.
 	MaxBufferedRecords int
 	// LocalLog, if non-nil, additionally receives every record (§3.4.2:
 	// the agent writes latency data to size-capped local log files).
@@ -250,8 +251,7 @@ func New(cfg Config) (*Agent, error) {
 	a.cUploadRaw = a.reg.Counter("agent.upload_raw_records")
 	a.cUploadSketch = a.reg.Counter("agent.upload_sketches")
 	a.cUploadBytes = a.reg.Counter("agent.upload_bytes")
-	// Sketches only leave in an upload: without an uploader every record
-	// stays in the bounded raw buffer for in-process consumers.
+	// Sketches only leave in an upload, so only an uploading agent keeps one.
 	if c.Uploader != nil {
 		a.sketch = NewSketchAccumulator(c.SourceAddr, probe.Window)
 	}
@@ -289,9 +289,9 @@ func (a *Agent) Version() string {
 	return a.version
 }
 
-// BufferedRecords returns a copy of the not-yet-uploaded raw records, oldest
-// first. Intended for tests and for in-process pipelines that bypass the
-// uploader.
+// BufferedRecords returns a copy of the raw records the next upload carries,
+// oldest first: the ones ShipsRaw claims and the probes of sampled traces.
+// It is empty without an Uploader.
 func (a *Agent) BufferedRecords() []probe.Record {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -356,40 +356,16 @@ func (a *Agent) kick() {
 	}
 }
 
-// record stores one result, enforcing the memory bound, mirroring to the
-// local log, and updating perf counters. With an uploader the anomaly policy
-// routes here: what ShipsRaw claims, and the probes of a sampled trace, keep
-// per-record identity and go through the raw buffer; the rest folds into the
-// per-peer sketch accumulator.
+// record takes one result: it stages it for the next upload, mirrors it to
+// the local log and updates the perf counters. Without an Uploader nothing
+// is staged: the counters, the histograms and the local log are the agent's
+// only outputs, and nothing is held for a flush that never drains it.
 func (a *Agent) record(r probe.Record) {
-	sketchable := a.sketch != nil && !ShipsRaw(&r)
-	if sketchable && a.tracer != nil && a.tracer.HasActiveProbes() &&
-		a.tracer.MatchProbe(r.Src, r.SrcPort, r.Start.UnixNano()) != 0 {
-		sketchable = false // a sampled trace needs its record on the wire
+	if a.cfg.Uploader != nil {
+		a.stage(&r)
 	}
-	a.mu.Lock()
-	switch {
-	case sketchable:
-		a.sketch.Observe(&r)
-	case len(a.buffer) < a.cfg.MaxBufferedRecords:
-		a.buffer = append(a.buffer, r)
-	default:
-		// Drop oldest: bounded memory beats complete data (§3.4.2).
-		a.buffer[a.head] = r
-		a.head = (a.head + 1) % len(a.buffer)
-		a.cDropped.Inc()
-	}
-	n := len(a.buffer)
-	a.mu.Unlock()
-
 	if a.cfg.LocalLog != nil {
 		a.cfg.LocalLog.Write(&r)
-	}
-
-	// Ahead of the failed-probe return below: in an incident it is failed
-	// probes that fill the raw buffer.
-	if n >= a.cfg.UploadThreshold && a.cfg.Uploader != nil {
-		a.kickUpload()
 	}
 
 	a.cProbesTotal.Inc()
@@ -411,6 +387,36 @@ func (a *Agent) record(r probe.Record) {
 		a.cRTT3s.Inc()
 	case r.RTT >= 6*time.Second && r.RTT < 15*time.Second:
 		a.cRTT9s.Inc()
+	}
+}
+
+// stage holds one result for the next upload, enforcing the memory bound.
+// The anomaly policy routes here: what ShipsRaw claims, and the probes of a
+// sampled trace, keep per-record identity and go through the raw buffer;
+// the rest folds into the per-peer sketch accumulator.
+func (a *Agent) stage(r *probe.Record) {
+	sketchable := !ShipsRaw(r)
+	if sketchable && a.tracer != nil && a.tracer.HasActiveProbes() &&
+		a.tracer.MatchProbe(r.Src, r.SrcPort, r.Start.UnixNano()) != 0 {
+		sketchable = false // a sampled trace needs its record on the wire
+	}
+	a.mu.Lock()
+	switch {
+	case sketchable:
+		a.sketch.Observe(r)
+	case len(a.buffer) < a.cfg.MaxBufferedRecords:
+		a.buffer = append(a.buffer, *r)
+	default:
+		// Drop oldest: bounded memory beats complete data (§3.4.2).
+		a.buffer[a.head] = *r
+		a.head = (a.head + 1) % len(a.buffer)
+		a.cDropped.Inc()
+	}
+	n := len(a.buffer)
+	a.mu.Unlock()
+	// In an incident it is failed probes that fill the raw buffer.
+	if n >= a.cfg.UploadThreshold {
+		a.kickUpload()
 	}
 }
 

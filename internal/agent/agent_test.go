@@ -195,10 +195,16 @@ func TestRunFetchesAndProbes(t *testing.T) {
 	clock := simclock.NewSim(epoch)
 	ff := &fakeFetcher{results: []fetchResult{{f: testFile("v1", 3)}}}
 	fp := &fakeProber{rtt: 300 * time.Microsecond}
-	a, _ := New(testConfig(ff, fp, clock))
+	fu := &fakeUploader{}
+	cfg := testConfig(ff, fp, clock)
+	cfg.Uploader = fu
+	a, _ := New(cfg)
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go a.Run(ctx)
+	done := make(chan struct{})
+	go func() {
+		a.Run(ctx)
+		close(done)
+	}()
 
 	waitUntil(t, func() bool { return a.PeerCount() == 3 }, "pinglist applied")
 	if a.Version() != "v1" {
@@ -210,18 +216,32 @@ func TestRunFetchesAndProbes(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	waitUntil(t, func() bool { return fp.count() >= 3 }, "probes executed")
-	waitUntil(t, func() bool { return len(a.BufferedRecords()) >= 3 }, "records buffered")
-	recs := a.BufferedRecords()
-	r := recs[0]
-	if r.Src != agentAddr || r.RTT != 300*time.Microsecond || !r.Success() {
-		t.Fatalf("unexpected record: %+v", r)
-	}
+	probed := func() int64 { return a.Metrics().Snapshot().Counters["agent.probes_total"] }
+	waitUntil(t, func() bool { return probed() >= 3 }, "probes recorded")
 	snap := a.Metrics().Snapshot()
-	if snap.Counters["agent.probes_total"] < 3 {
-		t.Fatalf("probes_total = %d", snap.Counters["agent.probes_total"])
-	}
 	if snap.Gauges["agent.peers"] != 3 {
 		t.Fatalf("peers gauge = %d", snap.Gauges["agent.peers"])
+	}
+	cancel()
+	<-done // the final flush ships the open window's sketches
+
+	dsts := map[netip.Addr]bool{}
+	var summarized uint64
+	for _, b := range fu.batches {
+		recs, sks := scanUpload(t, b)
+		if len(recs) != 0 {
+			t.Fatalf("healthy probes shipped %d raw records", len(recs))
+		}
+		for _, sk := range sks {
+			if sk.Src != agentAddr || time.Duration(sk.RTT.Min) != 300*time.Microsecond || time.Duration(sk.RTT.Max) != 300*time.Microsecond {
+				t.Fatalf("unexpected sketch: src %v rtt [%d, %d]", sk.Src, sk.RTT.Min, sk.RTT.Max)
+			}
+			dsts[sk.Dst] = true
+			summarized += sk.Records()
+		}
+	}
+	if len(dsts) != 3 || int64(summarized) != probed() {
+		t.Fatalf("uploaded sketches of %d peers and %d probes, want 3 peers and all %d", len(dsts), summarized, probed())
 	}
 }
 
@@ -470,10 +490,11 @@ func TestMemoryBoundDropsOldest(t *testing.T) {
 		Controller:         &fakeFetcher{results: []fetchResult{{f: testFile("v1", 1)}}},
 		Prober:             &fakeProber{},
 		Clock:              clock,
+		Uploader:           &fakeUploader{}, // never called: nothing flushes
 		MaxBufferedRecords: 10,
 	})
-	for i := 0; i < 25; i++ {
-		a.record(probe.Record{Start: epoch.Add(time.Duration(i) * time.Second), Src: agentAddr, Dst: peerAddr, RTT: time.Millisecond})
+	for i := 0; i < 25; i++ { // failed probes: they ship raw, through the buffer
+		a.record(probe.Record{Start: epoch.Add(time.Duration(i) * time.Second), Src: agentAddr, Dst: peerAddr, Err: "timeout"})
 	}
 	recs := a.BufferedRecords()
 	if len(recs) != 10 {
@@ -520,7 +541,10 @@ func TestFailedProbeRecorded(t *testing.T) {
 	clock := simclock.NewSim(epoch)
 	ff := &fakeFetcher{results: []fetchResult{{f: testFile("v1", 1)}}}
 	fp := &fakeProber{err: errors.New("timeout")}
-	a, _ := New(testConfig(ff, fp, clock))
+	cfg := testConfig(ff, fp, clock)
+	cfg.Uploader = &fakeUploader{}
+	cfg.UploadInterval = 24 * time.Hour // the failure stays in the raw buffer
+	a, _ := New(cfg)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go a.Run(ctx)
@@ -651,8 +675,13 @@ func TestFailClosedStopsProbing(t *testing.T) {
 		{f: testFile("v1", 2)},
 		{err: &controller.ErrNoPinglist{Server: "srv1"}},
 	}}
-	fp := &fakeProber{rtt: time.Millisecond}
-	a, _ := New(testConfig(ff, fp, clock))
+	// Failed probes ship raw, so every probe stays in the raw buffer: the
+	// upload loop never fires within the test's simulated hours.
+	fp := &fakeProber{err: errors.New("timeout")}
+	cfg := testConfig(ff, fp, clock)
+	cfg.Uploader = &fakeUploader{}
+	cfg.UploadInterval = 24 * time.Hour
+	a, _ := New(cfg)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go a.Run(ctx)
@@ -757,14 +786,16 @@ func BenchmarkAgentRecordHotPath(b *testing.B) {
 		Controller: &fakeFetcher{results: []fetchResult{{f: testFile("v1", 1)}}},
 		Prober:     &fakeProber{},
 		Clock:      simclock.NewSim(epoch),
+		Uploader:   &fakeUploader{}, // never called: nothing flushes
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	rec := probe.Record{Start: epoch, Src: agentAddr, Dst: peerAddr, RTT: 300 * time.Microsecond}
-	// With no uploader nothing drains the buffer. Fill it first, so that
-	// every timed record lands on the full ring: the drop-oldest path, which
-	// cost a copy of the whole buffer when it was not a ring.
+	// A failed probe ships raw. Without a flush nothing drains the buffer:
+	// fill it first, so that every timed record lands on the full ring, the
+	// drop-oldest path, which cost a copy of the whole buffer when it was
+	// not a ring.
+	rec := probe.Record{Start: epoch, Src: agentAddr, Dst: peerAddr, Err: "timeout"}
 	for i := 0; i < a.cfg.MaxBufferedRecords; i++ {
 		a.record(rec)
 	}

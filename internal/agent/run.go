@@ -259,9 +259,7 @@ func (a *Agent) uploadLoop(ctx context.Context) {
 // sketch windows — the shutdown path must not strand partial windows.
 func (a *Agent) flush(ctx context.Context, final bool) {
 	if a.cfg.Uploader == nil {
-		// No uploader configured: records stay buffered for in-process
-		// consumers; record() already enforces the memory bound.
-		return
+		return // record() stages nothing without an uploader
 	}
 	// encMu serializes the upload loop's flush with the final flush in Run
 	// and guards the per-flush state (encBuf, flushTIDs) reused by the next

@@ -236,21 +236,33 @@ func TestUploadPolicy(t *testing.T) {
 	}
 }
 
-// TestNoUploaderKeepsRecords: without an uploader nothing is sketched and
-// nothing is flushed — every record stays in the ring for in-process readers.
-func TestNoUploaderKeepsRecords(t *testing.T) {
+// TestNoUploaderKeepsNoRecords: without an uploader nothing is sketched,
+// buffered or dropped, however many probes past the buffer's bound arrive;
+// the counters still see every probe.
+func TestNoUploaderKeepsNoRecords(t *testing.T) {
 	clock := simclock.NewSim(epoch)
-	a, err := New(sketchConfig(clock, nil))
+	cfg := sketchConfig(clock, nil)
+	cfg.MaxBufferedRecords = 4
+	a, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 5; i++ {
-		a.record(probe.Record{Start: epoch.Add(time.Duration(i) * time.Second), Src: agentAddr, Dst: peerAddr, RTT: time.Millisecond})
+	for i := 0; i < 10; i++ {
+		r := probe.Record{Start: epoch.Add(time.Duration(i) * time.Second), Src: agentAddr, Dst: peerAddr, RTT: time.Millisecond}
+		if i%2 == 1 {
+			r.Err = "timeout" // would ship raw
+		}
+		a.record(r)
 	}
 	clock.Advance(time.Hour)
 	a.flush(context.Background(), true)
-	if recs := a.BufferedRecords(); len(recs) != 5 || !recs[0].Start.Equal(epoch) {
-		t.Fatalf("ring holds %d records after a flush with no uploader, want all 5 oldest first", len(recs))
+	c := a.Metrics().Snapshot().Counters
+	if n := len(a.BufferedRecords()); n != 0 || a.sketch != nil {
+		t.Fatalf("agent without an uploader holds %d raw records (sketch accumulator %v)", n, a.sketch != nil)
+	}
+	if c["agent.records_dropped"] != 0 || c["agent.probes_total"] != 10 || c["agent.probes_failed"] != 5 {
+		t.Fatalf("counters: dropped %d, total %d, failed %d; want 0, 10, 5",
+			c["agent.records_dropped"], c["agent.probes_total"], c["agent.probes_failed"])
 	}
 }
 

@@ -3,9 +3,11 @@
 // Manager holding device health state, a Watchdog Service that monitors
 // components and reports failures, a Repair Service that executes repair
 // actions under a rate budget (the ≤20 switch reloads per day of §5.1), and
-// a Deployment Service that rolls shared services out across servers. The
-// Perfcounter Aggregator — the five-minute reporting path that complements
-// Cosmos/SCOPE (§3.5) — is internal/telemetry.
+// the two watchdogs that watch Pingmesh itself: pipeline staleness and silent
+// telemetry agents. Autopilot's Deployment Service has no counterpart here:
+// binaries are started by hand or by tests. The Perfcounter Aggregator —
+// the five-minute reporting path that complements Cosmos/SCOPE (§3.5) — is
+// internal/telemetry.
 package autopilot
 
 import (

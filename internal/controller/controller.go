@@ -230,36 +230,17 @@ func (c *Controller) SaveToDir(dir string) error {
 func (c *Controller) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /pinglist/{server}", func(w http.ResponseWriter, r *http.Request) {
-		server := r.PathValue("server")
-		st := c.state.Load()
-		e, ok := st.files[server]
-		if !ok {
-			c.cMisses.Inc()
+		f := c.fetch(r.PathValue("server"), r.Header.Get("If-None-Match"), wantsDelta(r), httpcache.AcceptsGzip(r))
+		if f.kind == FetchNotFound {
 			http.NotFound(w, r)
 			return
 		}
-		// Stale validator from a delta-capable agent: try to serve a patch
-		// from the generation ring before falling back to the full body.
-		// (A matching validator falls through to Serve's 304 path.)
-		if inm := r.Header.Get("If-None-Match"); inm != "" &&
-			!httpcache.ETagMatches(inm, e.ETag()) && wantsDelta(r) {
-			if db := st.deltaFor(server, inm); db != nil {
-				w.Header()["X-Pingmesh-Version"] = st.versionH
-				n := db.serve(w, r)
-				c.cDeltaServes.Inc()
-				c.cDeltaBytes.Add(int64(n))
-				return
-			}
-			c.cDeltaFallbacks.Inc()
-		}
-		w.Header()["X-Pingmesh-Version"] = st.versionH
-		res := e.Serve(w, r)
-		if res.Status == http.StatusNotModified {
-			c.cNotModified.Inc()
+		w.Header()["X-Pingmesh-Version"] = f.st.versionH
+		if f.kind == FetchDelta {
+			f.delta.serve(w, r)
 			return
 		}
-		c.cServes.Inc()
-		c.cBytes.Add(int64(res.Bytes))
+		f.file.Serve(w, r) // 304 or 200: the same If-None-Match test fetch made
 	})
 	mux.HandleFunc("GET /version", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, c.Version())

@@ -95,7 +95,7 @@ var noDelta = &deltaBody{}
 
 // serve writes the delta response. The steady-state path allocates
 // nothing: every header value is a precomputed shared slice.
-func (b *deltaBody) serve(w http.ResponseWriter, r *http.Request) int {
+func (b *deltaBody) serve(w http.ResponseWriter, r *http.Request) {
 	h := w.Header()
 	h["Etag"] = b.etagH
 	h["Vary"] = deltaVaryH
@@ -109,15 +109,6 @@ func (b *deltaBody) serve(w http.ResponseWriter, r *http.Request) int {
 	h["Content-Length"] = clen
 	w.WriteHeader(http.StatusIMUsed)
 	w.Write(body)
-	return len(body)
-}
-
-// wire returns the negotiated body size: the gzip form when one exists.
-func (b *deltaBody) wire() int64 {
-	if b.gz != nil {
-		return int64(len(b.gz))
-	}
-	return int64(len(b.data))
 }
 
 // aimValues returns the request's A-IM header values without allocating.
@@ -277,11 +268,7 @@ func (b *builder) buildDelta(base ringEntry, live []byte, cur *httpcache.Body, f
 	if gz != nil {
 		db.clenGzH = []string{strconv.Itoa(len(gz))}
 	}
-	fullWire := len(cur.Data())
-	if gz := cur.Gzip(); gz != nil {
-		fullWire = len(gz)
-	}
-	if int(db.wire()) >= fullWire {
+	if wireLen(data, gz, true) >= wireLen(cur.Data(), cur.Gzip(), true) {
 		return noDelta, nil // the full body is already the cheaper answer
 	}
 	return db, nil
@@ -310,42 +297,72 @@ type FetchOutcome struct {
 	BytesIdentity int64
 }
 
-// ServeFetch answers one pinglist fetch without HTTP: the same decision
-// procedure as Handler — If-None-Match → 304, known base in the ring →
-// delta, otherwise full body — sharing the same patches and counters.
-// The pipeline benchmark's fleet_churn workload drives its simulated
-// agents through it; it is safe for concurrent use.
-func (c *Controller) ServeFetch(server, ifNoneMatch string, wantDelta bool) FetchOutcome {
+// fetch is one pinglist fetch, decided and counted: the body that answers
+// it and what that body costs on the wire. Handler renders it over HTTP and
+// ServeFetch returns it as a FetchOutcome, so the two cannot disagree.
+type fetch struct {
+	kind  FetchKind
+	st    *state
+	file  *httpcache.Body // the server's pinglist; nil on FetchNotFound
+	delta *deltaBody      // the patch on FetchDelta
+	wire  int64           // body bytes sent: the gzip form when accepted and present
+}
+
+// fetch decides one fetch — unknown server → 404, If-None-Match current →
+// 304, base in the ring and delta wanted → 226, otherwise the full body —
+// and updates the controller's counters for it. It allocates nothing.
+func (c *Controller) fetch(server, ifNoneMatch string, wantDelta, gzipOK bool) fetch {
 	st := c.state.Load()
-	b, ok := st.files[server]
-	if !ok {
+	f := fetch{st: st, file: st.files[server]}
+	switch {
+	case f.file == nil:
+		f.kind = FetchNotFound
 		c.cMisses.Inc()
-		return FetchOutcome{Kind: FetchNotFound, Version: st.version}
-	}
-	if ifNoneMatch != "" && httpcache.ETagMatches(ifNoneMatch, b.ETag()) {
+		return f
+	case ifNoneMatch == "": // unconditional: the full body
+	case httpcache.ETagMatches(ifNoneMatch, f.file.ETag()):
+		f.kind = FetchNotModified
 		c.cNotModified.Inc()
-		return FetchOutcome{Kind: FetchNotModified, ETag: b.ETag(), Version: st.version}
-	}
-	if wantDelta && ifNoneMatch != "" {
-		if db := st.deltaFor(server, ifNoneMatch); db != nil {
-			wire := db.wire()
+		return f
+	case wantDelta:
+		if f.delta = st.deltaFor(server, ifNoneMatch); f.delta != nil {
+			f.kind, f.wire = FetchDelta, wireLen(f.delta.data, f.delta.gz, gzipOK)
 			c.cDeltaServes.Inc()
-			c.cDeltaBytes.Add(wire)
-			return FetchOutcome{
-				Kind: FetchDelta, ETag: b.ETag(), Version: st.version,
-				BytesOnWire: wire, BytesIdentity: int64(len(db.data)),
-			}
+			c.cDeltaBytes.Add(f.wire)
+			return f
 		}
 		c.cDeltaFallbacks.Inc()
 	}
-	wire := int64(len(b.Data()))
-	if gz := b.Gzip(); gz != nil {
-		wire = int64(len(gz))
-	}
+	f.kind, f.wire = FetchFull, wireLen(f.file.Data(), f.file.Gzip(), gzipOK)
 	c.cServes.Inc()
-	c.cBytes.Add(wire)
-	return FetchOutcome{
-		Kind: FetchFull, ETag: b.ETag(), Version: st.version,
-		BytesOnWire: wire, BytesIdentity: int64(len(b.Data())),
+	c.cBytes.Add(f.wire)
+	return f
+}
+
+// wireLen is the length of the body a response sends: gz when the client
+// accepts gzip and a gzip form exists, data otherwise.
+func wireLen(data, gz []byte, gzipOK bool) int64 {
+	if gzipOK && gz != nil {
+		return int64(len(gz))
 	}
+	return int64(len(data))
+}
+
+// ServeFetch answers one pinglist fetch without HTTP, as Handler answers a
+// gzip-accepting agent: the same decision, patches and counters. The
+// pipeline benchmark's fleet_churn workload drives its simulated agents
+// through it; it is safe for concurrent use.
+func (c *Controller) ServeFetch(server, ifNoneMatch string, wantDelta bool) FetchOutcome {
+	f := c.fetch(server, ifNoneMatch, wantDelta, true)
+	out := FetchOutcome{Kind: f.kind, Version: f.st.version, BytesOnWire: f.wire}
+	if f.file != nil {
+		out.ETag = f.file.ETag()
+	}
+	switch f.kind {
+	case FetchDelta:
+		out.BytesIdentity = int64(len(f.delta.data))
+	case FetchFull:
+		out.BytesIdentity = int64(len(f.file.Data()))
+	}
+	return out
 }

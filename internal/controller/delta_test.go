@@ -260,10 +260,10 @@ func TestServeFetchMatchesHandler(t *testing.T) {
 
 // TestDeltaServeCachedZeroAlloc is the tier-3 guard from the acceptance
 // criteria: serving a patch — built with its generation — must allocate
-// nothing, same discipline as the 304 and cached full-body paths.
+// nothing, same discipline as the 304 and cached full-body paths. It runs
+// the handler's steps: decide and count the fetch, then render the patch.
 func TestDeltaServeCachedZeroAlloc(t *testing.T) {
 	rig := newDeltaRig(t)
-	st := rig.c.state.Load()
 
 	req := httptest.NewRequest(http.MethodGet, "/pinglist/"+rig.name, nil)
 	req.Header.Set("If-None-Match", rig.oldETag)
@@ -271,18 +271,15 @@ func TestDeltaServeCachedZeroAlloc(t *testing.T) {
 	req.Header.Set("Accept-Encoding", "gzip")
 	w := &nopResponseWriter{}
 
-	db := st.deltaFor(rig.name, rig.oldETag)
-	if db == nil {
-		t.Fatal("no delta for ringed base")
+	f := rig.c.fetch(rig.name, rig.oldETag, wantsDelta(req), httpcache.AcceptsGzip(req))
+	if f.kind != FetchDelta {
+		t.Fatalf("ringed base answered with kind %d, want a delta", f.kind)
 	}
-	db.serve(w, req)
+	f.delta.serve(w, req)
 
 	if n := testing.AllocsPerRun(200, func() {
-		if !wantsDelta(req) {
-			t.Fatal("A-IM not detected")
-		}
-		db := st.deltaFor(rig.name, rig.oldETag)
-		db.serve(w, req)
+		f := rig.c.fetch(rig.name, req.Header.Get("If-None-Match"), wantsDelta(req), httpcache.AcceptsGzip(req))
+		f.delta.serve(w, req)
 	}); n != 0 {
 		t.Errorf("cached delta serve allocates %v allocs/op, want 0", n)
 	}

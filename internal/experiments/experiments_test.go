@@ -82,6 +82,26 @@ func TestTable1Shapes(t *testing.T) {
 	}
 }
 
+// TestFigure3RunsItsWholeSchedule: Figure3 waits for every probe the
+// agent's schedule has due before it advances the clock, so two runs at one
+// seed record the same probes, and as many as were due.
+func TestFigure3RunsItsWholeSchedule(t *testing.T) {
+	var probes [2]int64
+	for i := range probes {
+		r, err := Figure3(Options{Probes: 5_000, Seed: 13})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Probes != r.Due || r.Due == 0 {
+			t.Fatalf("run %d recorded %d probes, %d due", i, r.Probes, r.Due)
+		}
+		probes[i] = r.Probes
+	}
+	if probes[0] != probes[1] {
+		t.Fatalf("two runs at one seed recorded %d and %d probes", probes[0], probes[1])
+	}
+}
+
 func TestFigure3AgentOverhead(t *testing.T) {
 	r, err := Figure3(Options{Probes: 10_000, Seed: 13})
 	if err != nil {

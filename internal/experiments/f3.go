@@ -22,7 +22,10 @@ import (
 type Figure3Result struct {
 	Peers     int
 	Simulated time.Duration
-	Probes    int64
+	// Probes is what the agent recorded; Due is what its schedule had due
+	// over Simulated. Figure3 fails unless they are equal.
+	Probes int64
+	Due    int64
 	// CPUPercent is CPU seconds consumed per simulated second, times 100:
 	// the sim-time analog of the paper's 0.26% on a 16-core server.
 	CPUPercent float64
@@ -64,8 +67,6 @@ func Figure3(opts Options) (*Figure3Result, error) {
 		Controller: staticFetcher{list},
 		Prober:     &fleet.SimProber{Net: net, Src: self, Clock: clock, Seed: opts.seed()},
 		Clock:      clock,
-		// Keep the buffer bounded as in production; no uploader needed.
-		MaxBufferedRecords: 8192,
 	})
 	if err != nil {
 		return nil, err
@@ -94,6 +95,8 @@ func Figure3(opts Options) (*Figure3Result, error) {
 			simulated = 30 * time.Second
 		}
 	}
+	step := 10 * time.Second
+	simulated = (simulated + step - 1).Truncate(step) // the span the clock moves, in whole steps
 
 	// HeapAlloc counts unswept garbage too: collect what earlier work in
 	// this process left behind, or it is billed to the agent.
@@ -109,17 +112,34 @@ func Figure3(opts Options) (*Figure3Result, error) {
 			}
 		}
 	}
-	step := 10 * time.Second
-	var probes int64
-	for elapsed := time.Duration(0); elapsed < simulated; elapsed += step {
-		clock.Advance(step)
-		// Let the scheduler drain the due probes before advancing again.
-		target := int64(a.PeerCount()) * int64(elapsed+step) / int64(30*time.Second)
-		waitCond(func() bool {
-			probes = a.Metrics().Snapshot().Counters["agent.probes_total"]
-			return probes >= target*8/10
-		})
+	// A twin of the agent's schedule, popped at each time the agent's is,
+	// says how many probes are due. Before each advance Figure3 waits
+	// for all of them and for the agent's three loops to re-arm their
+	// timers (schedule, fetch, upload), so the agent runs its whole
+	// schedule and every run at one seed probes the same times.
+	var twin agent.Schedule
+	if err := twin.Reset(top.Server(self).Addr, list); err != nil {
+		return nil, err
+	}
+	twin.Start(clock.Now(), new(agent.Schedule))
+	var due int64
+	popDue := func() {
+		for _, _, ok := twin.Pop(clock.Now()); ok; _, _, ok = twin.Pop(clock.Now()) {
+			due++
+		}
+	}
+	recorded := a.Metrics().Counter("agent.probes_total")
+	settled := func() bool { return recorded.Value() == due && clock.PendingTimers() >= 3 }
+	for elapsed := time.Duration(0); ; elapsed += step {
+		popDue()
+		if !waitCond(settled) {
+			return nil, fmt.Errorf("experiments: figure 3: the agent recorded %d of the %d probes due by %v", recorded.Value(), due, elapsed)
+		}
 		sampleHeap()
+		if elapsed >= simulated {
+			break
+		}
+		clock.Advance(step)
 	}
 
 	var after syscall.Rusage
@@ -133,7 +153,8 @@ func Figure3(opts Options) (*Figure3Result, error) {
 	return &Figure3Result{
 		Peers:      a.PeerCount(),
 		Simulated:  simulated,
-		Probes:     probes,
+		Probes:     recorded.Value(),
+		Due:        due,
 		CPUPercent: cpu / simulated.Seconds() * 100,
 		PeakHeapMB: float64(peakHeap.Load()) / (1 << 20),
 	}, nil
@@ -144,14 +165,17 @@ func rusageSeconds(r syscall.Rusage) float64 {
 		float64(r.Stime.Sec) + float64(r.Stime.Usec)/1e6
 }
 
-func waitCond(cond func() bool) {
+// waitCond polls cond for up to 30 s of wall time and reports whether it
+// came true.
+func waitCond(cond func() bool) bool {
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
 		if cond() {
-			return
+			return true
 		}
 		time.Sleep(time.Millisecond)
 	}
+	return false
 }
 
 // staticFetcher hands the agent a fixed pinglist, standing in for the

@@ -197,7 +197,10 @@ func TestBlackholePairsAndFractionCombine(t *testing.T) {
 
 func TestProfileValidation(t *testing.T) {
 	top := testTopology(t)
-	// Every built-in profile passes.
+	// Every built-in profile passes: Table 1's five DCs.
+	if n := len(DefaultProfiles()); n != 5 {
+		t.Fatalf("%d built-in profiles, want Table 1's 5", n)
+	}
 	for _, p := range DefaultProfiles() {
 		if _, err := New(top, Config{Profiles: []Profile{p, p}}); err != nil {
 			t.Fatalf("built-in profile %s rejected: %v", p.Name, err)

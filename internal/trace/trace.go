@@ -19,13 +19,13 @@
 //     verdict that the Autopilot "pingmesh-stale" watchdog and the portal
 //     /health endpoint consume.
 //
-// Because probe records cross process boundaries as CSV (agent → Cosmos →
-// SCOPE), a trace cannot ride the record itself without changing the wire
-// format. Instead the tracer keeps a small table of in-flight sampled
-// probes keyed by the record's identity (source address, source port,
-// start nanosecond — exactly the fields that round-trip the codec); the
-// ingest scanner re-attaches the trace when it encounters the matching
-// record. The table is an immutable slice behind an atomic pointer, so the
+// Probe records cross process boundaries in PMB1 upload batches (agent →
+// Cosmos → SCOPE), and a trace does not ride the record: the wire format
+// carries no tracing field. Instead the tracer keeps a small table of
+// in-flight sampled probes keyed by the record's identity (source address,
+// source port, start nanosecond — fields a raw PMB1 record carries, and the
+// agent ships a sampled probe raw, never in a sketch); the ingest scanner
+// re-attaches the trace when it encounters the matching record. The table is an immutable slice behind an atomic pointer, so the
 // ingest hot path pays one atomic load when no trace is in flight.
 package trace
 

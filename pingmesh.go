@@ -35,7 +35,6 @@ import (
 	"pingmesh/internal/diagnosis"
 	"pingmesh/internal/dsa"
 	"pingmesh/internal/fleet"
-	"pingmesh/internal/metrics"
 	"pingmesh/internal/netsim"
 	"pingmesh/internal/pinglist"
 	"pingmesh/internal/portal"
@@ -64,14 +63,10 @@ type (
 	Record = probe.Record
 	// LatencyStats aggregates probe records.
 	LatencyStats = analysis.LatencyStats
-	// Summary is a percentile summary of a latency distribution.
-	Summary = metrics.Summary
 	// Alert is one SLA violation.
 	Alert = analysis.Alert
 	// Service is a named set of servers whose SLA is tracked individually.
 	Service = analysis.Service
-	// Heatmap is the pod-pair P99 latency matrix of the visualization.
-	Heatmap = viz.Heatmap
 	// Pattern classifies a heatmap (normal, podset-down, ...).
 	Pattern = viz.Pattern
 	// NetworkProfile is the behavioural model of one DC's fabric.
@@ -86,24 +81,10 @@ type (
 	ReportDB = reportdb.DB
 	// Portal is the read-side web service over the DSA outputs.
 	Portal = portal.Portal
-	// PortalSnapshot is one published epoch of portal data.
-	PortalSnapshot = portal.Snapshot
 	// TriageResult is the §4.3 "is it a network issue?" decision.
 	TriageResult = portal.TriageResult
-	// Tier identifies a switch layer (ToR, Leaf, Spine).
-	Tier = topology.Tier
-	// Tracer is the in-process tracing and pipeline self-monitoring layer.
-	Tracer = trace.Tracer
-	// FreshnessBudget is the §3.5 data-freshness budget /health evaluates.
-	FreshnessBudget = trace.Budget
-	// DiagnosisCandidate is one switch ranked by the vote-based localizer.
-	DiagnosisCandidate = diagnosis.Candidate
-	// DiagnosisRanking is a published snapshot of the fleet-wide ranking.
-	DiagnosisRanking = diagnosis.Ranking
 	// DiagnosisChain is the ordered evidence chain /diagnose returns.
 	DiagnosisChain = diagnosis.Chain
-	// DiagnosisEngine runs the per-pair assertion chain.
-	DiagnosisEngine = diagnosis.Engine
 )
 
 // Switch tiers, bottom up.

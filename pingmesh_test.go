@@ -137,12 +137,6 @@ func TestRealComponentsLoopback(t *testing.T) {
 	t.Fatal("agent never fetched its pinglist")
 }
 
-func TestDefaultProfilesExposed(t *testing.T) {
-	if got := len(DefaultProfiles()); got != 5 {
-		t.Fatalf("DefaultProfiles = %d, want the paper's 5 DCs", got)
-	}
-}
-
 func TestBuildTopologyExposed(t *testing.T) {
 	top, err := BuildTopology(smallSpec())
 	if err != nil {

@@ -1,7 +1,6 @@
 package pingmesh
 
 import (
-	"net/http"
 	"net/netip"
 	"time"
 
@@ -9,7 +8,6 @@ import (
 	"pingmesh/internal/controller"
 	"pingmesh/internal/core"
 	"pingmesh/internal/netlib"
-	"pingmesh/internal/netsim"
 	"pingmesh/internal/topology"
 )
 
@@ -23,16 +21,10 @@ func NewController(top *Topology, cfg GeneratorConfig) (*controller.Controller, 
 	return controller.New(top, cfg, nil)
 }
 
-// Controller re-exports for real deployments.
+// Re-exports for real deployments.
 type (
-	// Controller generates and serves pinglists.
-	Controller = controller.Controller
-	// ControllerClient fetches pinglists from a controller URL.
-	ControllerClient = controller.Client
 	// Agent is one server's Pingmesh Agent.
 	Agent = agent.Agent
-	// AgentConfig configures an Agent.
-	AgentConfig = agent.Config
 	// ProbeServer answers TCP probes (every Pingmesh server runs one).
 	ProbeServer = netlib.TCPServer
 )
@@ -43,10 +35,6 @@ type (
 func NewProbeServer(addr string) (*ProbeServer, error) {
 	return netlib.NewTCPServer(addr)
 }
-
-// ProbeHTTPHandler returns the HTTP side of the probe protocol (GET
-// /ping?size=N), for serving alongside application HTTP endpoints.
-func ProbeHTTPHandler() http.Handler { return netlib.HTTPHandler() }
 
 // NewRealAgent builds an agent that probes over the real network and polls
 // the controller at controllerURL for its pinglist.
@@ -71,6 +59,3 @@ func SmallTestbed() *Topology { return topology.SmallTestbed() }
 // DefaultGeneratorConfig returns the production-like pinglist generation
 // defaults.
 func DefaultGeneratorConfig() GeneratorConfig { return core.DefaultGeneratorConfig() }
-
-// DefaultProfiles returns the five Table 1 DC network profiles.
-func DefaultProfiles() []NetworkProfile { return netsim.DefaultProfiles() }

@@ -5,8 +5,9 @@
 # Tiers:
 #   1.  vet + build + full test suite at GOMAXPROCS 1, 2 and 4 (a verdict
 #       that depends on the core count is a bug in the test), the line
-#       ratchet: scripts/loc.sh must not print more than scripts/loc.max —
-#       a PR that must grow raises the file in its own diff — and the
+#       ratchets: scripts/loc.sh must not print more than scripts/loc.max,
+#       and DESIGN.md must not have more lines than scripts/design.max — a
+#       PR that must grow either raises its file in its own diff — and the
 #       format gate: gofmt -l must list no tracked .go file
 #   2.  the same suite under -race
 #   2b. the benchmark module (bench/ is a nested module ./... does not
@@ -69,6 +70,10 @@ go vet $PKGS
 go build $PKGS
 if [ "$(sh scripts/loc.sh)" -gt "$(cat scripts/loc.max)" ]; then
     echo "non-test Go lines outside bench/: $(sh scripts/loc.sh) > scripts/loc.max $(cat scripts/loc.max)" >&2
+    exit 1
+fi
+if [ "$(wc -l < DESIGN.md)" -gt "$(cat scripts/design.max)" ]; then
+    echo "DESIGN.md lines: $(wc -l < DESIGN.md) > scripts/design.max $(cat scripts/design.max)" >&2
     exit 1
 fi
 unformatted="$(git ls-files -z '*.go' | xargs -0 gofmt -l)"
