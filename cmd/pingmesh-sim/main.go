@@ -243,7 +243,7 @@ func (s *sim) report(svg string) error {
 	if len(bh) > 0 {
 		// Auto-repair: reload the candidates under the daily budget, then
 		// verify the fabric is clean.
-		rs := tb.NewRepairService(20)
+		rs := tb.NewRepairService()
 		for _, r := range bh {
 			if err := rs.Execute(autopilot.RepairAction{
 				Kind:   autopilot.RepairReload,

@@ -19,6 +19,7 @@ import (
 	"pingmesh/internal/agent"
 	"pingmesh/internal/controller"
 	"pingmesh/internal/core"
+	"pingmesh/internal/simclock"
 	"pingmesh/internal/topology"
 )
 
@@ -39,12 +40,13 @@ func TestAgentRevalidatesPinglistEndToEnd(t *testing.T) {
 	defer srv.Close()
 
 	name := top.Server(0).Name
+	clock := simclock.NewSim(time.Unix(1751328000, 0))
 	a, err := agent.New(agent.Config{
-		ServerName:    name,
-		SourceAddr:    netip.MustParseAddr("127.0.0.1"),
-		Controller:    &controller.Client{BaseURL: srv.URL},
-		Prober:        idleProber{},
-		FetchInterval: 20 * time.Millisecond,
+		ServerName: name,
+		SourceAddr: netip.MustParseAddr("127.0.0.1"),
+		Controller: &controller.Client{BaseURL: srv.URL},
+		Prober:     idleProber{},
+		Clock:      clock,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -53,16 +55,20 @@ func TestAgentRevalidatesPinglistEndToEnd(t *testing.T) {
 	defer cancel()
 	go a.Run(ctx)
 
-	// Wait until the agent has applied a pinglist and then revalidated it
-	// at least twice.
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		snap := a.Metrics().Snapshot()
-		if snap.Counters["agent.fetch_not_modified"] >= 2 {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
+	// The first poll runs at start; each later one waits the agent's 5-minute
+	// fetch interval, on a timer armed before the poll it follows. Apply a
+	// pinglist, then revalidate it twice.
+	poll := func(msg string, done func() bool) {
+		t.Helper()
+		clock.Advance(5 * time.Minute)
+		waitUntil(t, done, msg)
 	}
+	revalidated := func(n int64) func() bool {
+		return func() bool { return a.Metrics().Snapshot().Counters["agent.fetch_not_modified"] >= n }
+	}
+	waitUntil(t, func() bool { return a.Version() != "" }, "first poll applied")
+	poll("first revalidation", revalidated(1))
+	poll("second revalidation", revalidated(2))
 
 	snap := a.Metrics().Snapshot()
 	if snap.Counters["agent.fetch_not_modified"] < 2 {
@@ -94,16 +100,7 @@ func TestAgentRevalidatesPinglistEndToEnd(t *testing.T) {
 	if err := ctrl.UpdateTopology(top); err != nil {
 		t.Fatal(err)
 	}
-	deadline = time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if a.Version() != version {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if a.Version() == version {
-		t.Fatalf("agent stuck on version %q after topology update", version)
-	}
+	poll("poll after the update", func() bool { return a.Version() != version })
 	ctrlSnap = ctrl.Metrics().Snapshot()
 	if n := ctrlSnap.Counters["controller.pinglist_serves"]; n != 1 {
 		t.Fatalf("controller served %d full bodies after update, want still 1 (delta path)", n)

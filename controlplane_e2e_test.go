@@ -88,12 +88,7 @@ func TestControlPlaneReplicaFailover(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			cl := &controller.Client{
-				BaseURL: baseURL,
-				// Keep retry waits shorter than the storm's cadence.
-				BackoffBase: 10 * time.Millisecond,
-				BackoffMax:  50 * time.Millisecond,
-			}
+			cl := &controller.Client{BaseURL: baseURL}
 			name := names[i%len(names)].Name
 			ticker := time.NewTicker(refreshInterval)
 			defer ticker.Stop()

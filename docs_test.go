@@ -20,6 +20,9 @@ var (
 	docInternalPath = regexp.MustCompile(`internal/[A-Za-z0-9_./*-]*[A-Za-z0-9_*]`)
 	// docQualified is pkg.Exported, not itself the tail of a selector.
 	docQualified = regexp.MustCompile(`(?:^|[^\w.])([a-z][a-z0-9]*)\.([A-Z]\w*)`)
+	// docPRNumber is a pull request cited by number: history, which lives in
+	// CHANGES.md.
+	docPRNumber = regexp.MustCompile(`\bPRs? #?[0-9]+`)
 	// docTestName is a test, benchmark or fuzz target named in prose.
 	docTestName = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*`)
 	// testFuncDecl is the declaration of a test, benchmark, fuzz target or
@@ -34,6 +37,8 @@ var (
 // Benchmark… or Fuzz… name must be declared in some _test.go file; and in
 // a go test command, each alternative of a -run, -bench or -fuzz pattern
 // must match a function of its kind in the packages the command names.
+// Outside PAPER.md no line cites a PR by number: the docs describe the tree
+// as it is, and CHANGES.md keeps its history.
 func TestDocsResolve(t *testing.T) {
 	tests := testFuncs(t)
 	anyTest := map[string]bool{}
@@ -88,6 +93,9 @@ func TestDocsResolve(t *testing.T) {
 		}
 		fenced := false
 		for i, line := range strings.Split(string(data), "\n") {
+			if pr := docPRNumber.FindString(line); pr != "" && doc != "PAPER.md" {
+				t.Errorf("%s:%d: cites %s; history belongs in CHANGES.md", doc, i+1, pr)
+			}
 			if strings.HasPrefix(strings.TrimSpace(line), "```") {
 				fenced = !fenced
 				continue

@@ -66,7 +66,7 @@ func main() {
 	}
 
 	// Auto-repair: reload the candidates, at most 20 per day.
-	rs := tb.NewRepairService(20)
+	rs := tb.NewRepairService()
 	reloaded := diagnosis.RepairBlackholes(det, tb.Top, rs)
 	fmt.Printf("auto-repair reloaded %d switches (budget %d/day)\n", reloaded, 20)
 	for _, h := range rs.History() {

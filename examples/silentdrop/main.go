@@ -74,7 +74,7 @@ func main() {
 
 	// Mitigate through the repair service: isolate from live traffic.
 	fmt.Println("\n== phase 4: mitigation ==")
-	rs := tb.NewRepairService(20)
+	rs := tb.NewRepairService()
 	if err := rs.Execute(autopilot.RepairAction{
 		Kind: autopilot.RepairIsolate, Device: tb.Top.Switch(top.Switch).Name,
 		Reason: "silent random packet drops (pingmesh+traceroute)",

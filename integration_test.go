@@ -75,8 +75,6 @@ func TestIntegrationAgentsToAnalysis(t *testing.T) {
 			Prober:     &fleet.SimProber{Net: net, Src: s.ID, Clock: clock, Seed: uint64(s.ID) + 1},
 			Uploader:   &cosmos.Client{Store: store, Stream: cosmos.DailyStream("pingmesh"), Clock: clock},
 			Clock:      clock,
-			// Short cadences so the test window exercises uploads.
-			UploadInterval: 30 * time.Second,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -36,15 +36,29 @@ import (
 	"pingmesh/internal/trace"
 )
 
-// Hard safety limits (§3.4.2). These are constants, not configuration, by
-// design: they bound the worst-case traffic the fleet can generate even if
-// a controller bug hands out an insane pinglist.
+// Hard safety limits and cadences (§3.4.2). These are constants, not
+// configuration, by design: they bound the worst-case traffic and memory the
+// fleet can spend even if a controller bug hands out an insane pinglist.
 const (
 	// MaxFetchFailures is how many consecutive controller-fetch failures
 	// the agent tolerates before failing closed.
 	MaxFetchFailures = 3
 	// maxConcurrentProbes bounds in-flight probes.
 	maxConcurrentProbes = 8
+	// fetchInterval is how often the agent polls the controller for a new
+	// pinglist (§3.3.2: agents pull, the controller never pushes).
+	fetchInterval = 5 * time.Minute
+	// uploadInterval is how often staged results are uploaded.
+	uploadInterval = time.Minute
+	// uploadThreshold uploads early once this many raw records are staged:
+	// in an incident it is failed probes that fill the raw buffer.
+	uploadThreshold = 4096
+	// uploadRetries bounds the attempts at one upload before its data is
+	// discarded (§3.4.2: bounded memory beats complete data).
+	uploadRetries = 3
+	// maxBufferedRecords bounds the raw records awaiting upload; beyond it
+	// the oldest are dropped.
+	maxBufferedRecords = 65536
 )
 
 // Target is one probing destination resolved from a pinglist peer.
@@ -94,37 +108,13 @@ type Config struct {
 	Controller Fetcher
 	// Prober executes probes.
 	Prober Prober
-	// Uploader receives result batches. May be nil: every record then stays
-	// in the bounded in-memory buffer (and the local log), nothing is
-	// sketched.
+	// Uploader receives result batches. May be nil: the local log and the
+	// perf counters are then the agent's only outputs; nothing is buffered
+	// or sketched.
 	Uploader Uploader
 	// Clock defaults to wall time.
 	Clock simclock.Clock
 
-	// FetchInterval is how often the agent polls the controller for a new
-	// pinglist. Default 5m.
-	FetchInterval time.Duration
-	// FetchJitter desynchronizes the fleet's polls: when positive, each
-	// wait between fetches is drawn uniformly from
-	// [FetchInterval*(1-FetchJitter), FetchInterval] instead of being
-	// exactly FetchInterval, so a million agents started by the same
-	// rollout don't hit the controllers in lockstep. The jitter only ever
-	// shortens the wait, so "converges within one refresh interval" stays
-	// true. 0 (the default) keeps the exact cadence; values are clamped to
-	// [0, 1].
-	FetchJitter float64
-	// UploadInterval is how often buffered records are uploaded. Default 1m.
-	UploadInterval time.Duration
-	// UploadThreshold uploads early once this many raw records are
-	// buffered. Default 4096.
-	UploadThreshold int
-	// UploadRetries bounds upload retry attempts before data is discarded.
-	// Default 3.
-	UploadRetries int
-	// MaxBufferedRecords bounds the raw records awaiting upload; the oldest
-	// are dropped beyond it. Default 65536. Without an Uploader the agent
-	// buffers nothing.
-	MaxBufferedRecords int
 	// LocalLog, if non-nil, additionally receives every record (§3.4.2:
 	// the agent writes latency data to size-capped local log files).
 	LocalLog *LocalLog
@@ -149,27 +139,6 @@ func (c *Config) withDefaults() (Config, error) {
 	}
 	if out.Clock == nil {
 		out.Clock = simclock.NewReal()
-	}
-	if out.FetchInterval <= 0 {
-		out.FetchInterval = 5 * time.Minute
-	}
-	if out.FetchJitter < 0 {
-		out.FetchJitter = 0
-	}
-	if out.FetchJitter > 1 {
-		out.FetchJitter = 1
-	}
-	if out.UploadInterval <= 0 {
-		out.UploadInterval = time.Minute
-	}
-	if out.UploadThreshold <= 0 {
-		out.UploadThreshold = 4096
-	}
-	if out.UploadRetries <= 0 {
-		out.UploadRetries = 3
-	}
-	if out.MaxBufferedRecords <= 0 {
-		out.MaxBufferedRecords = 65536
 	}
 	return out, nil
 }
@@ -202,7 +171,7 @@ type Agent struct {
 	version       string
 	fetchFailures int
 	failedClosed  bool
-	// buffer holds the raw records awaiting upload. At MaxBufferedRecords it
+	// buffer holds the raw records awaiting upload. At maxBufferedRecords it
 	// is a ring: head is the oldest record, the one the next overwrites.
 	buffer []probe.Record
 	head   int
@@ -404,7 +373,7 @@ func (a *Agent) stage(r *probe.Record) {
 	switch {
 	case sketchable:
 		a.sketch.Observe(r)
-	case len(a.buffer) < a.cfg.MaxBufferedRecords:
+	case len(a.buffer) < maxBufferedRecords:
 		a.buffer = append(a.buffer, *r)
 	default:
 		// Drop oldest: bounded memory beats complete data (§3.4.2).
@@ -415,7 +384,7 @@ func (a *Agent) stage(r *probe.Record) {
 	n := len(a.buffer)
 	a.mu.Unlock()
 	// In an incident it is failed probes that fill the raw buffer.
-	if n >= a.cfg.UploadThreshold {
+	if n >= uploadThreshold {
 		a.kickUpload()
 	}
 }

@@ -356,8 +356,6 @@ func TestUploadRetryThenDiscard(t *testing.T) {
 	fu := &fakeUploader{failures: 1 << 30}        // always fail
 	cfg := testConfig(ff, fp, clock)
 	cfg.Uploader = fu
-	cfg.UploadRetries = 2
-	cfg.MaxBufferedRecords = 100
 	a, _ := New(cfg)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -371,7 +369,7 @@ func TestUploadRetryThenDiscard(t *testing.T) {
 		return a.Metrics().Snapshot().Counters["agent.uploads_discarded"] > 0
 	}, "batch discarded after retries")
 	// The buffer must not grow without bound.
-	if n := len(a.BufferedRecords()); n > cfg.MaxBufferedRecords {
+	if n := len(a.BufferedRecords()); n > maxBufferedRecords {
 		t.Fatalf("buffer grew to %d", n)
 	}
 }
@@ -397,12 +395,11 @@ func (u *timedUploader) Upload(ctx context.Context, batch []byte) error {
 // nominal 1s<<attempt, so agents retrying against a recovering store
 // spread out instead of marching in lockstep.
 func TestUploadBackoff(t *testing.T) {
-	start := func(t *testing.T, retries int) (*Agent, *simclock.Sim, *timedUploader) {
+	start := func(t *testing.T) (*Agent, *simclock.Sim, *timedUploader) {
 		clock := simclock.NewSim(epoch)
 		fu := &timedUploader{clock: clock}
 		cfg := testConfig(&fakeFetcher{}, &fakeProber{}, clock)
 		cfg.Uploader = fu
-		cfg.UploadRetries = retries
 		a, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -412,7 +409,7 @@ func TestUploadBackoff(t *testing.T) {
 	}
 
 	t.Run("cancel", func(t *testing.T) {
-		a, clock, _ := start(t, 3)
+		a, clock, _ := start(t)
 		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan struct{})
 		go func() {
@@ -438,7 +435,7 @@ func TestUploadBackoff(t *testing.T) {
 		const quantum = 10 * time.Millisecond
 		jittered := 0
 		for trial := 0; trial < 8; trial++ {
-			a, clock, fu := start(t, 4)
+			a, clock, fu := start(t)
 			done := make(chan struct{})
 			go func() {
 				a.flush(context.Background(), false)
@@ -456,8 +453,8 @@ func TestUploadBackoff(t *testing.T) {
 					}
 				}
 			}
-			if len(fu.at) != 4 {
-				t.Fatalf("%d upload attempts, want 4", len(fu.at))
+			if len(fu.at) != uploadRetries {
+				t.Fatalf("%d upload attempts, want %d", len(fu.at), uploadRetries)
 			}
 			// Delay k runs from attempt k to attempt k+1 (the last one to
 			// flush's return), rounded up to the advance quantum.
@@ -477,7 +474,7 @@ func TestUploadBackoff(t *testing.T) {
 			}
 		}
 		if jittered == 0 {
-			t.Fatal("32 delays all at their nominal value: backoff is not jittered")
+			t.Fatal("every delay at its nominal value: backoff is not jittered")
 		}
 	})
 }
@@ -485,20 +482,19 @@ func TestUploadBackoff(t *testing.T) {
 func TestMemoryBoundDropsOldest(t *testing.T) {
 	clock := simclock.NewSim(epoch)
 	a, _ := New(Config{
-		ServerName:         "srv1",
-		SourceAddr:         agentAddr,
-		Controller:         &fakeFetcher{results: []fetchResult{{f: testFile("v1", 1)}}},
-		Prober:             &fakeProber{},
-		Clock:              clock,
-		Uploader:           &fakeUploader{}, // never called: nothing flushes
-		MaxBufferedRecords: 10,
+		ServerName: "srv1",
+		SourceAddr: agentAddr,
+		Controller: &fakeFetcher{results: []fetchResult{{f: testFile("v1", 1)}}},
+		Prober:     &fakeProber{},
+		Clock:      clock,
+		Uploader:   &fakeUploader{}, // never called: nothing flushes
 	})
-	for i := 0; i < 25; i++ { // failed probes: they ship raw, through the buffer
+	for i := 0; i < maxBufferedRecords+15; i++ { // failed probes: they ship raw, through the buffer
 		a.record(probe.Record{Start: epoch.Add(time.Duration(i) * time.Second), Src: agentAddr, Dst: peerAddr, Err: "timeout"})
 	}
 	recs := a.BufferedRecords()
-	if len(recs) != 10 {
-		t.Fatalf("buffer = %d records, want 10", len(recs))
+	if len(recs) != maxBufferedRecords {
+		t.Fatalf("buffer = %d records, want %d", len(recs), maxBufferedRecords)
 	}
 	// Oldest dropped: first record should be from i=15.
 	if recs[0].Start != epoch.Add(15*time.Second) {
@@ -542,8 +538,7 @@ func TestFailedProbeRecorded(t *testing.T) {
 	ff := &fakeFetcher{results: []fetchResult{{f: testFile("v1", 1)}}}
 	fp := &fakeProber{err: errors.New("timeout")}
 	cfg := testConfig(ff, fp, clock)
-	cfg.Uploader = &fakeUploader{}
-	cfg.UploadInterval = 24 * time.Hour // the failure stays in the raw buffer
+	cfg.Uploader = &fakeUploader{} // 20 s is short of the upload interval: the failure stays buffered
 	a, _ := New(cfg)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -675,12 +670,12 @@ func TestFailClosedStopsProbing(t *testing.T) {
 		{f: testFile("v1", 2)},
 		{err: &controller.ErrNoPinglist{Server: "srv1"}},
 	}}
-	// Failed probes ship raw, so every probe stays in the raw buffer: the
-	// upload loop never fires within the test's simulated hours.
+	// Failed probes ship raw, so every probe is a record, in the raw buffer
+	// or in an upload.
 	fp := &fakeProber{err: errors.New("timeout")}
+	fu := &fakeUploader{}
 	cfg := testConfig(ff, fp, clock)
-	cfg.Uploader = &fakeUploader{}
-	cfg.UploadInterval = 24 * time.Hour
+	cfg.Uploader = fu
 	a, _ := New(cfg)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -706,7 +701,14 @@ func TestFailClosedStopsProbing(t *testing.T) {
 		clock.Advance(5 * time.Minute)
 		waitUntil(t, func() bool { return ff.callCount() > fetched }, "fetch after fail-closed")
 	}
-	for _, r := range a.BufferedRecords() {
+	recs := a.BufferedRecords()
+	fu.mu.Lock()
+	for _, b := range fu.batches {
+		uploaded, _ := scanUpload(t, b)
+		recs = append(recs, uploaded...)
+	}
+	fu.mu.Unlock()
+	for _, r := range recs {
 		if r.Start.After(stopped) {
 			t.Fatalf("probe at %v, after the agent failed closed at %v", r.Start, stopped)
 		}
@@ -716,25 +718,22 @@ func TestFailClosedStopsProbing(t *testing.T) {
 func TestUploadThresholdTriggersEarlyShip(t *testing.T) {
 	clock := simclock.NewSim(epoch)
 	ff := &fakeFetcher{results: []fetchResult{{f: testFile("v1", 1)}}}
-	fp := &fakeProber{err: errors.New("timeout")} // the threshold counts raw records
 	fu := &fakeUploader{}
-	cfg := testConfig(ff, fp, clock)
+	cfg := testConfig(ff, &fakeProber{}, clock)
 	cfg.Uploader = fu
-	cfg.UploadThreshold = 3
-	cfg.UploadInterval = 24 * time.Hour // only the threshold can trigger
 	a, _ := New(cfg)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go a.Run(ctx)
-	waitUntil(t, func() bool { return a.PeerCount() == 1 }, "applied")
-	for i := 0; i < 60; i++ {
-		clock.Advance(10 * time.Second)
-		time.Sleep(2 * time.Millisecond)
-		if fu.batchCount() > 0 {
-			break
-		}
+	// The clock never moves, so no upload tick is due: only the threshold
+	// can ship. It counts raw records, so the records are failed probes.
+	for i := 0; i < uploadThreshold; i++ {
+		a.record(probe.Record{Start: epoch, Src: agentAddr, Dst: peerAddr, Err: "timeout"})
 	}
 	waitUntil(t, func() bool { return fu.batchCount() > 0 }, "threshold-triggered upload")
+	if now := clock.Now(); !now.Equal(epoch) {
+		t.Fatalf("clock moved to %v", now)
+	}
 }
 
 func TestRunFinalFlushOnShutdown(t *testing.T) {
@@ -745,8 +744,7 @@ func TestRunFinalFlushOnShutdown(t *testing.T) {
 	fp := &fakeProber{rtt: time.Millisecond}
 	fu := &fakeUploader{}
 	cfg := testConfig(ff, fp, clock)
-	cfg.Uploader = fu
-	cfg.UploadInterval = 24 * time.Hour // periodic path never fires
+	cfg.Uploader = fu // 20 s is short of the upload interval: the periodic path never fires
 	a, _ := New(cfg)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
@@ -796,7 +794,7 @@ func BenchmarkAgentRecordHotPath(b *testing.B) {
 	// drop-oldest path, which cost a copy of the whole buffer when it was
 	// not a ring.
 	rec := probe.Record{Start: epoch, Src: agentAddr, Dst: peerAddr, Err: "timeout"}
-	for i := 0; i < a.cfg.MaxBufferedRecords; i++ {
+	for i := 0; i < maxBufferedRecords; i++ {
 		a.record(rec)
 	}
 	b.ReportAllocs()

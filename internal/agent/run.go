@@ -3,9 +3,7 @@ package agent
 import (
 	"context"
 	"errors"
-	"hash/fnv"
 	"math"
-	"math/rand"
 	"time"
 
 	"pingmesh/internal/controller"
@@ -36,14 +34,10 @@ func (a *Agent) Run(ctx context.Context) error {
 
 // fetchLoop polls the controller. The agent pulls; the controller never
 // pushes (§3.3.2). Each wait is armed before its fetch, so polls are spaced
-// start to start whatever a fetch takes, as a ticker spaces them; with
-// FetchJitter set, each wait is independently shortened by up to that
-// fraction, seeded per server so the fleet's schedules decorrelate
-// deterministically.
+// start to start whatever a fetch takes, as a ticker spaces them.
 func (a *Agent) fetchLoop(ctx context.Context) {
-	rng := rand.New(rand.NewSource(seedFor(a.cfg.ServerName)))
 	for {
-		timer := a.clock.NewTimer(a.fetchWait(rng))
+		timer := a.clock.NewTimer(fetchInterval)
 		a.fetchOnce(ctx)
 		select {
 		case <-ctx.Done():
@@ -52,23 +46,6 @@ func (a *Agent) fetchLoop(ctx context.Context) {
 		case <-timer.C:
 		}
 	}
-}
-
-// fetchWait draws the next poll delay: FetchInterval shortened by up to
-// the jitter fraction, never lengthened.
-func (a *Agent) fetchWait(rng *rand.Rand) time.Duration {
-	j := a.cfg.FetchJitter
-	if j <= 0 {
-		return a.cfg.FetchInterval
-	}
-	return time.Duration(float64(a.cfg.FetchInterval) * (1 - j*rng.Float64()))
-}
-
-// seedFor hashes a server name into a deterministic per-agent RNG seed.
-func seedFor(name string) int64 {
-	h := fnv.New64a()
-	h.Write([]byte(name))
-	return int64(h.Sum64())
 }
 
 // detailFetcher is optionally implemented by fetchers that report how a
@@ -239,7 +216,7 @@ func (a *Agent) kickUpload() {
 // uploadLoop periodically ships the buffer to the uploader; a full buffer
 // triggers an early ship.
 func (a *Agent) uploadLoop(ctx context.Context) {
-	ticker := a.clock.NewTicker(a.cfg.UploadInterval)
+	ticker := a.clock.NewTicker(uploadInterval)
 	defer ticker.Stop()
 	for {
 		select {
@@ -298,7 +275,7 @@ func (a *Agent) flush(ctx context.Context, final bool) {
 	// agent uploads to. The backoff is jittered so a fleet retrying against a
 	// recovering store does not do so in lockstep, and ctx-aware so shutdown
 	// is not held mid-backoff.
-	policy := simclock.RetryPolicy{Attempts: a.cfg.UploadRetries, Base: time.Second, Max: uploadBackoffMax}
+	policy := simclock.RetryPolicy{Attempts: uploadRetries, Base: time.Second, Max: uploadBackoffMax}
 	st, err := simclock.Retry(ctx, a.clock, policy, func() error {
 		upStart := a.clock.Now()
 		err := a.cfg.Uploader.Upload(ctx, data)
@@ -328,7 +305,7 @@ func (a *Agent) flush(ctx context.Context, final bool) {
 	// The upload loop's next tick may already be due, so one more backoff
 	// stands between this batch's last attempt and the next batch's first.
 	if ctx.Err() == nil {
-		simclock.Sleep(ctx, a.clock, simclock.Backoff(policy.Base, policy.Max, st.Attempts-1))
+		simclock.Sleep(ctx, a.clock, policy.Backoff(st.Attempts-1))
 	}
 	a.reg.Counter("agent.uploads_discarded").Inc()
 	a.reg.Counter("agent.discarded_records").Add(int64(len(batch)) + skRecords)

@@ -241,13 +241,12 @@ func TestUploadPolicy(t *testing.T) {
 // the counters still see every probe.
 func TestNoUploaderKeepsNoRecords(t *testing.T) {
 	clock := simclock.NewSim(epoch)
-	cfg := sketchConfig(clock, nil)
-	cfg.MaxBufferedRecords = 4
-	a, err := New(cfg)
+	a, err := New(sketchConfig(clock, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 10; i++ {
+	const n = maxBufferedRecords + 10
+	for i := 0; i < n; i++ {
 		r := probe.Record{Start: epoch.Add(time.Duration(i) * time.Second), Src: agentAddr, Dst: peerAddr, RTT: time.Millisecond}
 		if i%2 == 1 {
 			r.Err = "timeout" // would ship raw
@@ -260,9 +259,9 @@ func TestNoUploaderKeepsNoRecords(t *testing.T) {
 	if n := len(a.BufferedRecords()); n != 0 || a.sketch != nil {
 		t.Fatalf("agent without an uploader holds %d raw records (sketch accumulator %v)", n, a.sketch != nil)
 	}
-	if c["agent.records_dropped"] != 0 || c["agent.probes_total"] != 10 || c["agent.probes_failed"] != 5 {
-		t.Fatalf("counters: dropped %d, total %d, failed %d; want 0, 10, 5",
-			c["agent.records_dropped"], c["agent.probes_total"], c["agent.probes_failed"])
+	if c["agent.records_dropped"] != 0 || c["agent.probes_total"] != n || c["agent.probes_failed"] != n/2 {
+		t.Fatalf("counters: dropped %d, total %d, failed %d; want 0, %d, %d",
+			c["agent.records_dropped"], c["agent.probes_total"], c["agent.probes_failed"], n, n/2)
 	}
 }
 
@@ -271,19 +270,17 @@ func TestNoUploaderKeepsNoRecords(t *testing.T) {
 func TestWrappedRingUploadsOldestFirst(t *testing.T) {
 	clock := simclock.NewSim(epoch)
 	fu := &fakeUploader{}
-	cfg := sketchConfig(clock, fu)
-	cfg.MaxBufferedRecords = 8
-	a, err := New(cfg)
+	a, err := New(sketchConfig(clock, fu))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 21; i++ {
+	for i := 0; i < maxBufferedRecords+13; i++ {
 		a.record(probe.Record{Start: epoch.Add(time.Duration(i) * time.Second), Src: agentAddr, Dst: peerAddr, Err: "timeout"})
 	}
 	a.flush(context.Background(), false)
 	recs, _ := scanUpload(t, fu.batches[0])
-	if len(recs) != 8 {
-		t.Fatalf("uploaded %d records, want the 8 kept", len(recs))
+	if len(recs) != maxBufferedRecords {
+		t.Fatalf("uploaded %d records, want the %d kept", len(recs), maxBufferedRecords)
 	}
 	for i := range recs {
 		if want := epoch.Add(time.Duration(13+i) * time.Second); !recs[i].Start.Equal(want) {

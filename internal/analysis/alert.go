@@ -11,15 +11,16 @@ import (
 type Thresholds struct {
 	MaxDropRate float64
 	MaxP99      time.Duration
-	// MinProbes suppresses alerts from scopes with too few probes to
-	// estimate a rate (a single 3s RTT among ten probes is not a 10%
-	// drop rate).
-	MinProbes uint64
 }
+
+// MinProbes is the probe floor below which a scope is not judged: too few
+// probes to estimate a rate (a single 3s RTT among ten probes is not a 10%
+// drop rate).
+const MinProbes = 100
 
 // DefaultThresholds returns the paper's production thresholds.
 func DefaultThresholds() Thresholds {
-	return Thresholds{MaxDropRate: 1e-3, MaxP99: 5 * time.Millisecond, MinProbes: 100}
+	return Thresholds{MaxDropRate: 1e-3, MaxP99: 5 * time.Millisecond}
 }
 
 // Alert is one SLA violation.
@@ -51,8 +52,8 @@ const (
 // and anything else is not. reason names the deciding test and its numbers.
 func (th Thresholds) Judge(successes uint64, dropRate float64, p99 time.Duration) (verdict, reason string) {
 	switch {
-	case successes < th.MinProbes:
-		return VerdictInconclusive, fmt.Sprintf("%d successful probes, below the %d-probe floor", successes, th.MinProbes)
+	case successes < MinProbes:
+		return VerdictInconclusive, fmt.Sprintf("%d successful probes, below the %d-probe floor", successes, MinProbes)
 	case th.MaxDropRate > 0 && dropRate > th.MaxDropRate:
 		return VerdictNetwork, fmt.Sprintf("packet drop rate %.2g exceeds %.2g", dropRate, th.MaxDropRate)
 	case th.MaxP99 > 0 && p99 > th.MaxP99:

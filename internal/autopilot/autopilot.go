@@ -122,11 +122,11 @@ const StalenessDevice = "pingmesh-pipeline"
 // perfcounter path, 20-minute Cosmos/SCOPE path) and fails when any stage
 // that has run before is now over budget. A pipeline that has not booted
 // yet ("waiting") is healthy — watchdogs run from process start.
-func NewStalenessWatchdog(f *trace.Freshness, b trace.Budget) Watchdog {
+func NewStalenessWatchdog(f *trace.Freshness) Watchdog {
 	return Watchdog{
 		Name:   StalenessWatchdogName,
 		Device: StalenessDevice,
-		Check:  func() error { return f.Check(b).Err() },
+		Check:  func() error { return f.Check().Err() },
 	}
 }
 

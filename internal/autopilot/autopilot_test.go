@@ -106,11 +106,11 @@ func TestWatchdogServicePeriodic(t *testing.T) {
 func TestRepairServiceBudget(t *testing.T) {
 	clock := simclock.NewSim(t0)
 	var executed []RepairAction
-	rs := NewRepairService(clock, 3, func(a RepairAction) error {
+	rs := NewRepairService(clock, func(a RepairAction) error {
 		executed = append(executed, a)
 		return nil
 	})
-	for i := 0; i < 3; i++ {
+	for i := 0; i < RepairsPerDay; i++ {
 		if err := rs.Execute(RepairAction{Kind: RepairReload, Device: fmt.Sprintf("tor%d", i)}); err != nil {
 			t.Fatalf("repair %d: %v", i, err)
 		}
@@ -122,24 +122,24 @@ func TestRepairServiceBudget(t *testing.T) {
 	if !errors.Is(err, ErrBudgetExhausted) {
 		t.Fatalf("over-budget repair: %v", err)
 	}
-	if len(executed) != 3 {
+	if len(executed) != RepairsPerDay {
 		t.Fatalf("executed %d repairs", len(executed))
 	}
 	// Next day the budget resets.
 	clock.Advance(24 * time.Hour)
-	if rs.BudgetRemaining() != 3 {
+	if rs.BudgetRemaining() != RepairsPerDay {
 		t.Fatalf("budget after day roll = %d", rs.BudgetRemaining())
 	}
 	if err := rs.Execute(RepairAction{Kind: RepairReload, Device: "tor9"}); err != nil {
 		t.Fatalf("repair after reset: %v", err)
 	}
-	if h := rs.History(); len(h) != 4 || h[3].Action.Device != "tor9" {
+	if h := rs.History(); len(h) != RepairsPerDay+1 || h[RepairsPerDay].Action.Device != "tor9" {
 		t.Fatalf("history = %v", h)
 	}
 }
 
 func TestRepairServiceExecutorError(t *testing.T) {
-	rs := NewRepairService(simclock.NewSim(t0), 5, func(a RepairAction) error {
+	rs := NewRepairService(simclock.NewSim(t0), func(a RepairAction) error {
 		return errors.New("switch did not come back")
 	})
 	if err := rs.Execute(RepairAction{Kind: RepairReload, Device: "tor0"}); err == nil {
@@ -149,15 +149,15 @@ func TestRepairServiceExecutorError(t *testing.T) {
 		t.Fatal("failed repair not in history")
 	}
 	// Failures still consume budget (the reboot happened).
-	if rs.BudgetRemaining() != 4 {
+	if rs.BudgetRemaining() != RepairsPerDay-1 {
 		t.Fatalf("BudgetRemaining = %d", rs.BudgetRemaining())
 	}
 }
 
 func TestRepairServiceDefaultBudgetIs20(t *testing.T) {
-	rs := NewRepairService(simclock.NewSim(t0), 0, nil)
+	rs := NewRepairService(simclock.NewSim(t0), nil)
 	if rs.BudgetRemaining() != 20 {
-		t.Fatalf("default budget = %d, want 20 (the paper's cap)", rs.BudgetRemaining())
+		t.Fatalf("budget = %d, want 20 (the paper's cap)", rs.BudgetRemaining())
 	}
 }
 

@@ -34,10 +34,13 @@ type RepairAction struct {
 // tomorrow (§5.1 caps reloads at 20 switches per day).
 var ErrBudgetExhausted = errors.New("autopilot: daily repair budget exhausted")
 
+// RepairsPerDay is the daily repair budget: §5.1 caps reloads at 20
+// switches per day.
+const RepairsPerDay = 20
+
 // RepairService executes repair actions under a per-day budget.
 type RepairService struct {
 	clock    simclock.Clock
-	budget   int
 	executor func(RepairAction) error
 
 	mu       sync.Mutex
@@ -53,20 +56,17 @@ type ExecutedRepair struct {
 	Err    error
 }
 
-// NewRepairService creates a service with the given daily budget.
+// NewRepairService creates a service with a budget of RepairsPerDay.
 // executor performs the actual action (reloading a simulated switch,
-// isolating it, ...). Budget <= 0 defaults to 20, the paper's cap.
-func NewRepairService(clock simclock.Clock, budget int, executor func(RepairAction) error) *RepairService {
+// isolating it, ...).
+func NewRepairService(clock simclock.Clock, executor func(RepairAction) error) *RepairService {
 	if clock == nil {
 		clock = simclock.NewReal()
-	}
-	if budget <= 0 {
-		budget = 20
 	}
 	if executor == nil {
 		executor = func(RepairAction) error { return nil }
 	}
-	return &RepairService{clock: clock, budget: budget, executor: executor}
+	return &RepairService{clock: clock, executor: executor}
 }
 
 // Execute performs the action if budget remains today.
@@ -78,9 +78,9 @@ func (rs *RepairService) Execute(a RepairAction) error {
 		rs.day = today
 		rs.usedWndw = 0
 	}
-	if rs.usedWndw >= rs.budget {
+	if rs.usedWndw >= RepairsPerDay {
 		rs.mu.Unlock()
-		return fmt.Errorf("%w (%d used)", ErrBudgetExhausted, rs.budget)
+		return fmt.Errorf("%w (%d used)", ErrBudgetExhausted, RepairsPerDay)
 	}
 	rs.usedWndw++
 	rs.mu.Unlock()
@@ -98,9 +98,9 @@ func (rs *RepairService) BudgetRemaining() int {
 	defer rs.mu.Unlock()
 	today := rs.clock.Now().UTC().Truncate(24 * time.Hour)
 	if !today.Equal(rs.day) {
-		return rs.budget
+		return RepairsPerDay
 	}
-	return rs.budget - rs.usedWndw
+	return RepairsPerDay - rs.usedWndw
 }
 
 // History returns the executed repairs, oldest first.

@@ -26,10 +26,8 @@ import (
 // a full download if verification fails. It advertises Accept-Encoding:
 // gzip and decompresses the precompressed bodies the controller serves.
 // All of it degrades cleanly against a controller that sends none of
-// these. Transient failures (transport errors, 5xx) are retried with
-// capped exponential backoff and jitter so one replica blip behind the
-// VIP doesn't strand an agent on a stale pinglist until the next refresh
-// interval.
+// these. Transient failures (transport errors, 5xx) are retried under
+// simclock.ServiceRetry, capped exponential backoff with jitter.
 type Client struct {
 	// BaseURL is the controller endpoint, e.g. "http://10.255.0.1:8080".
 	BaseURL string
@@ -40,17 +38,6 @@ type Client struct {
 	// full body. Useful for tests and for memory-constrained callers that
 	// fetch many servers' lists through one client.
 	DisableCache bool
-
-	// MaxRetries bounds how many times a failed fetch is retried on
-	// transient errors (transport failures and 5xx responses). 0 means the
-	// default of 2 (three attempts total); negative disables retries.
-	MaxRetries int
-	// BackoffBase is the first retry's nominal delay (default 100ms); each
-	// further retry doubles it, capped at BackoffMax (default 2s). The
-	// actual sleep is equal-jittered: uniform in [d/2, d].
-	BackoffBase time.Duration
-	// BackoffMax caps the nominal backoff delay.
-	BackoffMax time.Duration
 	// Clock drives the backoff sleeps. nil means wall time.
 	Clock simclock.Clock
 
@@ -167,7 +154,7 @@ func (c *Client) Fetch(ctx context.Context, server string) (*pinglist.File, erro
 // the wire. The agent's refresh loop uses it to count cheap refreshes.
 // Transient failures are retried per the Backoff fields.
 func (c *Client) FetchDetail(ctx context.Context, server string) (res FetchResult, err error) {
-	st, err := simclock.Retry(ctx, c.clock(), simclock.MaxRetries(c.MaxRetries, c.BackoffBase, c.BackoffMax), func() (err error) {
+	st, err := simclock.Retry(ctx, c.clock(), simclock.ServiceRetry(), func() (err error) {
 		res, err = c.fetchDetail(ctx, server, !c.DisableCache)
 		return err
 	})

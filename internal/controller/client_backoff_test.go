@@ -13,9 +13,9 @@ import (
 )
 
 // TestBackoffSchedule pins the retry delay computation the client shares
-// with the telemetry shipper and the agent's uploader (simclock.Backoff):
-// nominal delays double from BackoffBase up to BackoffMax, and every
-// actual delay is equal-jittered into [nominal/2, nominal].
+// with the telemetry shipper and the agent's uploader
+// (simclock.RetryPolicy.Backoff): nominal delays double from Base up to
+// Max, and every actual delay is equal-jittered into [nominal/2, nominal].
 func TestBackoffSchedule(t *testing.T) {
 	nominal := []time.Duration{
 		100 * time.Millisecond, // attempt 0
@@ -23,21 +23,22 @@ func TestBackoffSchedule(t *testing.T) {
 		300 * time.Millisecond, // attempt 2: capped
 		300 * time.Millisecond, // attempt 3: stays capped
 	}
+	p := simclock.RetryPolicy{Base: 100 * time.Millisecond, Max: 300 * time.Millisecond}
 	for attempt, want := range nominal {
 		for trial := 0; trial < 200; trial++ {
-			d := simclock.Backoff(100*time.Millisecond, 300*time.Millisecond, attempt)
+			d := p.Backoff(attempt)
 			if d < want/2 || d > want {
 				t.Fatalf("attempt %d: delay %v outside [%v, %v]", attempt, d, want/2, want)
 			}
 		}
 	}
 
-	// Defaults: base 100ms, cap 2s.
-	if d := simclock.Backoff(0, 0, 0); d < 50*time.Millisecond || d > 100*time.Millisecond {
-		t.Fatalf("default first delay %v", d)
+	// The client's policy: base 100ms, cap 2s.
+	if d := simclock.ServiceRetry().Backoff(0); d < 50*time.Millisecond || d > 100*time.Millisecond {
+		t.Fatalf("first delay %v", d)
 	}
-	if d := simclock.Backoff(0, 0, 20); d < time.Second || d > 2*time.Second {
-		t.Fatalf("default capped delay %v", d)
+	if d := simclock.ServiceRetry().Backoff(20); d < time.Second || d > 2*time.Second {
+		t.Fatalf("capped delay %v", d)
 	}
 }
 
@@ -152,7 +153,7 @@ func TestFetchRetriesExhausted(t *testing.T) {
 	if !simclock.IsTransient(err) {
 		t.Fatalf("exhausted error not marked transient: %v", err)
 	}
-	if got := len(fh.times()); got != 3 { // 1 try + MaxRetries(default 2)
+	if got := len(fh.times()); got != 3 { // 1 try + ServiceRetry's 2 retries
 		t.Fatalf("%d requests, want 3", got)
 	}
 }
@@ -183,16 +184,4 @@ func TestFetchNoRetryOnPermanent(t *testing.T) {
 			t.Fatalf("%d requests, want 1 (no retry on 4xx)", got)
 		}
 	})
-}
-
-func TestFetchRetryDisabled(t *testing.T) {
-	fh, cl, sim, name, closeSrv := newRetryRig(t, 100, http.StatusServiceUnavailable)
-	defer closeSrv()
-	cl.MaxRetries = -1
-	if _, err := fetchOnSim(t, cl, sim, name); err == nil {
-		t.Fatal("no error with retries disabled")
-	}
-	if got := len(fh.times()); got != 1 {
-		t.Fatalf("%d requests, want 1", got)
-	}
 }

@@ -25,9 +25,6 @@ type Config struct {
 	// Tracer backs /debug/trace and /health. Nil disables both with an
 	// explanatory JSON body rather than a blank 404.
 	Tracer *trace.Tracer
-	// Budget is the freshness budget /health checks marks against. Zero
-	// means trace.DefaultBudget().
-	Budget trace.Budget
 	// Metrics backs /metrics. Nil disables the endpoint.
 	Metrics *metrics.Exposition
 	// Series backs /telemetry: the fleet telemetry collector's rollup time
@@ -51,7 +48,7 @@ func Handler(cfg Config) http.Handler {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, r *http.Request) { ServeTrace(cfg.Tracer, w, r) })
-	mux.HandleFunc("/health", func(w http.ResponseWriter, r *http.Request) { ServeHealth(cfg.Tracer, cfg.Budget, w, r) })
+	mux.HandleFunc("/health", func(w http.ResponseWriter, r *http.Request) { ServeHealth(cfg.Tracer, w, r) })
 	if cfg.Metrics != nil {
 		mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -109,12 +106,12 @@ func ServeTrace(tr *trace.Tracer, w http.ResponseWriter, r *http.Request) {
 // the §3.5 budget: 200 for "ok"/"waiting", 503 for "degraded". The stage list
 // is the tracer's — its marks plus whatever the pipeline has it watch — so
 // two ports of one process cannot disagree.
-func ServeHealth(tr *trace.Tracer, b trace.Budget, w http.ResponseWriter, r *http.Request) {
+func ServeHealth(tr *trace.Tracer, w http.ResponseWriter, r *http.Request) {
 	if tr == nil {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok", "note": "tracing disabled"})
 		return
 	}
-	h := tr.Freshness().Check(b)
+	h := tr.Freshness().Check()
 	code := http.StatusOK
 	if h.Status == "degraded" {
 		code = http.StatusServiceUnavailable

@@ -210,7 +210,7 @@ func TestServeBindsAndCloses(t *testing.T) {
 }
 
 func TestTelemetryEndpoint(t *testing.T) {
-	st := telemetry.NewStore(8, 4)
+	st := telemetry.NewStore()
 	at := time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC)
 	for i := 0; i < 30; i++ {
 		st.Append("agent/counter/probes", at.Add(time.Duration(i)*5*time.Minute), float64(i))
@@ -238,11 +238,11 @@ func TestTelemetryEndpoint(t *testing.T) {
 	if err := json.Unmarshal(body, &series); err != nil {
 		t.Fatalf("bad JSON: %v", err)
 	}
-	if len(series.Points) != 8 {
-		t.Fatalf("%d raw points, want ring cap 8", len(series.Points))
+	if len(series.Points) != 30 {
+		t.Fatalf("%d raw points, want 30", len(series.Points))
 	}
-	if series.Points[7].Value != 29 {
-		t.Fatalf("newest point = %v", series.Points[7])
+	if series.Points[29].Value != 29 {
+		t.Fatalf("newest point = %v", series.Points[29])
 	}
 
 	res, body = get(t, h, "/telemetry?key=agent/counter/probes&tier=hourly")

@@ -21,41 +21,25 @@ import (
 	"pingmesh/internal/topology"
 )
 
-// blackholeScoreThreshold is the fraction of a ToR's servers that must
-// show the symptom to make the ToR a candidate.
-const blackholeScoreThreshold = 0.5
-
-// BlackholeConfig tunes the black-hole detector.
-type BlackholeConfig struct {
+// The detector's thresholds (§5.1).
+const (
+	// blackholeScoreThreshold is the fraction of a ToR's servers that must
+	// show the symptom to make the ToR a candidate.
+	blackholeScoreThreshold = 0.5
 	// MinPairProbes is the minimum number of probes a server pair needs
-	// before it can be judged (default 4).
-	MinPairProbes uint64
-	// PairFailureRate is the failure-rate threshold above which a pair
-	// shows the black-hole symptom (default 0.5; type-1 black-holes fail
-	// 100%, type-2 fail the fraction of port space the corrupt entry
-	// covers).
-	PairFailureRate float64
-	// VictimPairFraction is the fraction of a server's judged pairs that
+	// before it can be judged.
+	MinPairProbes = 4
+	// pairFailureRate is the failure rate at or above which a pair shows
+	// the black-hole symptom: type-1 black-holes fail 100%, type-2 fail the
+	// fraction of port space the corrupt entry covers.
+	pairFailureRate = 0.5
+	// victimPairFraction is the fraction of a server's judged pairs that
 	// must fail before the server counts as a black-hole victim. This is
 	// what localizes the fault: servers under a black-holed ToR see a
 	// large fraction of their pairs die, while a remote server typically
-	// has only one pair crossing the bad ToR (default 0.25).
-	VictimPairFraction float64
-}
-
-func (c *BlackholeConfig) withDefaults() BlackholeConfig {
-	out := *c
-	if out.MinPairProbes == 0 {
-		out.MinPairProbes = 4
-	}
-	if out.PairFailureRate <= 0 {
-		out.PairFailureRate = 0.5
-	}
-	if out.VictimPairFraction <= 0 {
-		out.VictimPairFraction = 0.25
-	}
-	return out
-}
+	// has only one pair crossing the bad ToR.
+	victimPairFraction = 0.25
+)
 
 // PodsetRef identifies a podset escalated to engineers.
 type PodsetRef struct {
@@ -75,9 +59,7 @@ type BlackholeDetection struct {
 
 // DetectBlackholes runs the algorithm over server-pair grouped stats (the
 // output of a SCOPE job keyed by Keyer.AppendServerPair).
-func DetectBlackholes(top *topology.Topology, pairs map[string]*analysis.LatencyStats, cfg BlackholeConfig) BlackholeDetection {
-	c := cfg.withDefaults()
-
+func DetectBlackholes(top *topology.Topology, pairs map[string]*analysis.LatencyStats) BlackholeDetection {
 	// Server liveness: a server that answered at least one probe from
 	// anyone is alive; pairs towards dead servers are not black-hole
 	// evidence (the host may simply be down).
@@ -97,7 +79,7 @@ func DetectBlackholes(top *topology.Topology, pairs map[string]*analysis.Latency
 	judged := map[topology.ServerID]int{}
 	symptomatic := map[topology.ServerID]int{}
 	for key, st := range pairs {
-		if st.Total() < c.MinPairProbes {
+		if st.Total() < MinPairProbes {
 			continue
 		}
 		src, dst, ok := analysis.SplitServerPair(key)
@@ -112,7 +94,7 @@ func DetectBlackholes(top *topology.Topology, pairs map[string]*analysis.Latency
 		}
 		srcID, okS := top.ServerByAddr(src)
 		dstID, okD := top.ServerByAddr(dst)
-		sym := st.FailureRate() >= c.PairFailureRate
+		sym := st.FailureRate() >= pairFailureRate
 		if okS {
 			judged[srcID]++
 			if sym {
@@ -129,7 +111,7 @@ func DetectBlackholes(top *topology.Topology, pairs map[string]*analysis.Latency
 	// A server is a victim when a noticeable fraction of its pairs fail.
 	victims := map[topology.ServerID]bool{}
 	for id, n := range judged {
-		if n > 0 && float64(symptomatic[id])/float64(n) >= c.VictimPairFraction {
+		if n > 0 && float64(symptomatic[id])/float64(n) >= victimPairFraction {
 			victims[id] = true
 		}
 	}

@@ -22,9 +22,7 @@ import (
 // (With uniform pod size the vote mass is score*size, so the shared
 // scorer's votes tiebreak coincides with the original ToR-ascending order
 // whenever scores tie.)
-func detectReference(top *topology.Topology, pairs map[string]*analysis.LatencyStats, cfg BlackholeConfig) BlackholeDetection {
-	c := cfg.withDefaults()
-
+func detectReference(top *topology.Topology, pairs map[string]*analysis.LatencyStats) BlackholeDetection {
 	aliveDst := map[netip.Addr]bool{}
 	aliveSrc := map[netip.Addr]bool{}
 	for key, st := range pairs {
@@ -39,7 +37,7 @@ func detectReference(top *topology.Topology, pairs map[string]*analysis.LatencyS
 	judged := map[topology.ServerID]int{}
 	symptomatic := map[topology.ServerID]int{}
 	for key, st := range pairs {
-		if st.Total() < c.MinPairProbes {
+		if st.Total() < MinPairProbes {
 			continue
 		}
 		src, dst, ok := analysis.SplitServerPair(key)
@@ -54,7 +52,7 @@ func detectReference(top *topology.Topology, pairs map[string]*analysis.LatencyS
 		}
 		srcID, okS := top.ServerByAddr(src)
 		dstID, okD := top.ServerByAddr(dst)
-		sym := st.FailureRate() >= c.PairFailureRate
+		sym := st.FailureRate() >= pairFailureRate
 		if okS {
 			judged[srcID]++
 			if sym {
@@ -70,7 +68,7 @@ func detectReference(top *topology.Topology, pairs map[string]*analysis.LatencyS
 	}
 	victims := map[topology.ServerID]bool{}
 	for id, n := range judged {
-		if n > 0 && float64(symptomatic[id])/float64(n) >= c.VictimPairFraction {
+		if n > 0 && float64(symptomatic[id])/float64(n) >= victimPairFraction {
 			victims[id] = true
 		}
 	}
@@ -200,9 +198,8 @@ func TestDetectMatchesReference(t *testing.T) {
 			pairs["garbage-key"] = analysis.NewLatencyStats()
 			pairs["10.255.0.1|10.255.0.2"] = analysis.NewLatencyStats()
 
-			cfg := BlackholeConfig{VictimPairFraction: 0.2 + 0.3*rng.Float64()}
-			got := DetectBlackholes(top, pairs, cfg)
-			want := detectReference(top, pairs, cfg)
+			got := DetectBlackholes(top, pairs)
+			want := detectReference(top, pairs)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("DetectBlackholes diverged from pre-refactor reference:\n got: %+v\nwant: %+v", got, want)
 			}

@@ -65,7 +65,7 @@ func probePairs(n *netsim.Network, k int, seed uint64) map[string]*analysis.Late
 
 func TestDetectHealthyFleet(t *testing.T) {
 	n := testNet(t)
-	det := DetectBlackholes(n.Topology(), probePairs(n, 5, 1), BlackholeConfig{})
+	det := DetectBlackholes(n.Topology(), probePairs(n, 5, 1))
 	if len(det.Candidates) != 0 || len(det.Escalations) != 0 {
 		t.Fatalf("healthy fleet: candidates=%v escalations=%v", det.Candidates, det.Escalations)
 	}
@@ -81,7 +81,7 @@ func TestDetectSingleBlackholedToR(t *testing.T) {
 	// covered by the dsa package's larger-fleet test).
 	n.AddBlackhole(bad, netsim.Blackhole{MatchFraction: 0.35, IncludePorts: true})
 
-	det := DetectBlackholes(top, probePairs(n, 5, 2), BlackholeConfig{})
+	det := DetectBlackholes(top, probePairs(n, 5, 2))
 	if len(det.Candidates) == 0 {
 		t.Fatalf("black-holed ToR not detected; scores=%v", det.Scores)
 	}
@@ -103,7 +103,7 @@ func TestDetectType2BlackholePortBased(t *testing.T) {
 	bad := top.ToRs(0)[0]
 	n.AddBlackhole(bad, netsim.Blackhole{MatchFraction: 0.5, IncludePorts: true})
 
-	det := DetectBlackholes(top, probePairs(n, 8, 3), BlackholeConfig{})
+	det := DetectBlackholes(top, probePairs(n, 8, 3))
 	if len(det.Candidates) == 0 || det.Candidates[0].Switch != bad {
 		t.Fatalf("type-2 black-hole not detected: %v", det.Candidates)
 	}
@@ -117,7 +117,7 @@ func TestDetectLeafLayerEscalatesPodset(t *testing.T) {
 	for _, leaf := range top.DCs[0].Podsets[1].Leaves {
 		n.AddBlackhole(leaf, netsim.Blackhole{MatchFraction: 0.9})
 	}
-	det := DetectBlackholes(top, probePairs(n, 5, 4), BlackholeConfig{})
+	det := DetectBlackholes(top, probePairs(n, 5, 4))
 	found := false
 	for _, e := range det.Escalations {
 		if e.DC == 0 && e.Podset == 1 {
@@ -139,7 +139,7 @@ func TestDetectIgnoresDeadPodset(t *testing.T) {
 	n := testNet(t)
 	top := n.Topology()
 	n.SetPodsetDown(0, 1, true)
-	det := DetectBlackholes(top, probePairs(n, 5, 5), BlackholeConfig{})
+	det := DetectBlackholes(top, probePairs(n, 5, 5))
 	if len(det.Candidates) != 0 || len(det.Escalations) != 0 {
 		t.Fatalf("dead podset produced detections: %v %v", det.Candidates, det.Escalations)
 	}
@@ -150,7 +150,7 @@ func TestDetectMinPairProbes(t *testing.T) {
 	top := n.Topology()
 	n.AddBlackhole(top.ToRs(0)[0], netsim.Blackhole{MatchFraction: 0.9})
 	// Only 2 probes per pair with a floor of 4: nothing is judged.
-	det := DetectBlackholes(top, probePairs(n, 2, 6), BlackholeConfig{MinPairProbes: 4})
+	det := DetectBlackholes(top, probePairs(n, 2, 6))
 	if len(det.Candidates) != 0 {
 		t.Fatalf("under-sampled pairs produced candidates: %v", det.Candidates)
 	}
@@ -165,7 +165,7 @@ func TestRepairReloadsAndRespectsBudget(t *testing.T) {
 	// of depending on per-address hash luck.
 	n.AddBlackhole(bad1, netsim.Blackhole{MatchFraction: 0.35, IncludePorts: true})
 	n.AddBlackhole(bad2, netsim.Blackhole{MatchFraction: 0.35, IncludePorts: true})
-	det := DetectBlackholes(top, probePairs(n, 5, 7), BlackholeConfig{})
+	det := DetectBlackholes(top, probePairs(n, 5, 7))
 	// Both injected ToRs must rank at the top; borderline neighbors may
 	// trail them (extra reloads are harmless, just budget-consuming).
 	if len(det.Candidates) < 2 {
@@ -177,8 +177,7 @@ func TestRepairReloadsAndRespectsBudget(t *testing.T) {
 	}
 
 	clock := simclock.NewSim(time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC))
-	// Budget of 1: only one reload today.
-	rs := autopilot.NewRepairService(clock, 1, func(a autopilot.RepairAction) error {
+	rs := autopilot.NewRepairService(clock, func(a autopilot.RepairAction) error {
 		for _, sw := range top.Switches() {
 			if sw.Name == a.Device {
 				n.ReloadSwitch(sw.ID)
@@ -187,6 +186,10 @@ func TestRepairReloadsAndRespectsBudget(t *testing.T) {
 		}
 		return fmt.Errorf("unknown device %s", a.Device)
 	})
+	// Spend all but one of the day's reloads: only one is left today.
+	for i := 0; i < autopilot.RepairsPerDay-1; i++ {
+		rs.Execute(autopilot.RepairAction{Kind: autopilot.RepairReload, Device: "elsewhere"})
+	}
 	if got := RepairBlackholes(det, top, rs); got != 1 {
 		t.Fatalf("Repair reloaded %d, want 1 (budget)", got)
 	}
@@ -204,7 +207,7 @@ func TestRepairReloadsAndRespectsBudget(t *testing.T) {
 
 	// Next day: the survivor is re-detected and repaired (Figure 6's decay).
 	clock.Advance(24 * time.Hour)
-	det2 := DetectBlackholes(top, probePairs(n, 5, 8), BlackholeConfig{})
+	det2 := DetectBlackholes(top, probePairs(n, 5, 8))
 	if len(det2.Candidates) < 1 {
 		t.Fatalf("day-2 candidates = %v", det2.Candidates)
 	}

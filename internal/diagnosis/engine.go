@@ -75,7 +75,7 @@ type CellFacts struct {
 	// Color is the cell classification ("green"/"yellow"/"red").
 	Color string
 	// Floor is the probe floor the cell must clear to be judged: the SLA
-	// thresholds' MinProbes, applied at pair granularity.
+	// floor, analysis.MinProbes, applied at pair granularity.
 	Floor uint64
 }
 

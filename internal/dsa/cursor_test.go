@@ -13,7 +13,7 @@ import (
 // scans, counted by a span fold of its own.
 func wholeScan(t *testing.T, p *Pipeline) uint64 {
 	t.Helper()
-	res, err := scope.Run(scope.Job{Name: "whole", Source: scope.Source{Store: p.cfg.Store, StreamPrefix: p.cfg.StreamPrefix}})
+	res, err := scope.Run(scope.Job{Name: "whole", Source: scope.Source{Store: p.cfg.Store, StreamPrefix: streamPrefix}})
 	if err != nil {
 		t.Fatal(err)
 	}

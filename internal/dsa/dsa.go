@@ -36,8 +36,6 @@ import (
 type Config struct {
 	Store *cosmos.Store
 	Top   *topology.Topology
-	// StreamPrefix selects the agent upload streams. Default "pingmesh".
-	StreamPrefix string
 	// Clock defaults to wall time.
 	Clock simclock.Clock
 	// Thresholds judge every SLA row (analysis.Thresholds.Judge); zero value
@@ -45,17 +43,11 @@ type Config struct {
 	Thresholds analysis.Thresholds
 	// Services whose SLA is tracked individually.
 	Services []*analysis.Service
-	// BlackholeConfig tunes daily black-hole detection.
-	BlackholeConfig diagnosis.BlackholeConfig
 	// OnDetection, if set, receives the daily black-hole detection result
 	// (the hook the auto-repair loop attaches to).
 	OnDetection func(diagnosis.BlackholeDetection)
 	// HeatmapMinProbes is the per-cell probe floor for heatmaps. Default 5.
 	HeatmapMinProbes uint64
-	// Retention is how long daily record streams are kept before the daily
-	// job ages them out. The paper keeps two months of Pingmesh data
-	// (§4.3). Default 60 days.
-	Retention time.Duration
 	// Tracer, if non-nil, threads sampled end-to-end traces through the
 	// analysis cycles, marks dsa-cycle freshness, and exposes the
 	// dsa.last_cycle_age gauge on the job registry.
@@ -66,6 +58,14 @@ type Config struct {
 	// uploaded — it only exposes it to snapshot builders.
 	Diagnosis *diagnosis.Collector
 }
+
+const (
+	// streamPrefix selects the agent upload streams.
+	streamPrefix = "pingmesh"
+	// retention is how long daily record streams are kept before the daily
+	// job ages them out: the paper keeps two months of Pingmesh data (§4.3).
+	retention = 60 * 24 * time.Hour
+)
 
 // Report database tables the pipeline writes.
 const (
@@ -113,9 +113,6 @@ func New(cfg Config) (*Pipeline, error) {
 	if cfg.Store == nil || cfg.Top == nil {
 		return nil, fmt.Errorf("dsa: store and topology required")
 	}
-	if cfg.StreamPrefix == "" {
-		cfg.StreamPrefix = "pingmesh"
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = simclock.NewReal()
 	}
@@ -124,9 +121,6 @@ func New(cfg Config) (*Pipeline, error) {
 	}
 	if cfg.HeatmapMinProbes == 0 {
 		cfg.HeatmapMinProbes = 5
-	}
-	if cfg.Retention <= 0 {
-		cfg.Retention = 60 * 24 * time.Hour
 	}
 	p := &Pipeline{
 		cfg:      cfg,
@@ -510,7 +504,7 @@ func (p *Pipeline) publishBlackholes(res *scope.Result, from, to time.Time) erro
 	for k, st := range res.Groups {
 		pairs[analysis.ServerPairKey(k)] = st
 	}
-	det := diagnosis.DetectBlackholes(p.cfg.Top, pairs, p.cfg.BlackholeConfig)
+	det := diagnosis.DetectBlackholes(p.cfg.Top, pairs)
 	for _, cand := range det.Candidates {
 		if err := p.db.Insert(TableBlackholes, reportdb.Row{
 			"tor":          p.cfg.Top.Switch(cand.Switch).Name,
@@ -530,8 +524,8 @@ func (p *Pipeline) publishBlackholes(res *scope.Result, from, to time.Time) erro
 // names end in a YYYY-MM-DD day (cosmos.DailyStream); undated streams are
 // left alone.
 func (p *Pipeline) ageOut(now time.Time) {
-	cutoff := now.Add(-p.cfg.Retention)
-	for _, name := range p.cfg.Store.Streams(p.cfg.StreamPrefix) {
+	cutoff := now.Add(-retention)
+	for _, name := range p.cfg.Store.Streams(streamPrefix) {
 		if len(name) < len("2006-01-02") {
 			continue
 		}

@@ -273,7 +273,6 @@ func TestDailyJobDropRatesAndBlackholes(t *testing.T) {
 	r := buildRig(t, func(n *netsim.Network) {
 		n.AddBlackhole(n.Topology().ToRs(0)[1], netsim.Blackhole{MatchFraction: 0.4})
 	}, func(cfg *Config) {
-		cfg.BlackholeConfig = diagnosis.BlackholeConfig{VictimPairFraction: 0.3}
 		cfg.OnDetection = func(d diagnosis.BlackholeDetection) { detected = append(detected, d) }
 	})
 	if err := r.pipe.RunDaily(t0, t0.Add(time.Hour)); err != nil {
@@ -379,9 +378,13 @@ func TestInterDCPipeline(t *testing.T) {
 }
 
 func TestRetentionAgesOutOldStreams(t *testing.T) {
-	r := buildRig(t, nil, func(cfg *Config) { cfg.Retention = 10 * 24 * time.Hour })
-	// Plant an old stream and an undated one next to the fresh data.
-	if err := r.store.Append("pingmesh/2026-06-01", []byte("old data")); err != nil {
+	r := buildRig(t, nil, nil)
+	// Plant a stream past the two-month retention, one inside it and an
+	// undated one next to the fresh data.
+	if err := r.store.Append("pingmesh/2026-04-01", []byte("old data")); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.store.Append("pingmesh/2026-06-01", []byte("month-old data")); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.store.Append("pingmesh/manual-notes", []byte("keep me")); err != nil {
@@ -390,8 +393,11 @@ func TestRetentionAgesOutOldStreams(t *testing.T) {
 	if err := r.pipe.RunDaily(t0, t0.Add(time.Hour)); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.store.Streams("pingmesh/2026-06-01"); len(got) != 0 {
+	if got := r.store.Streams("pingmesh/2026-04-01"); len(got) != 0 {
 		t.Fatalf("expired stream survived: %v", got)
+	}
+	if got := r.store.Streams("pingmesh/2026-06-01"); len(got) != 1 {
+		t.Fatalf("stream inside the retention deleted: %v", got)
 	}
 	if got := r.store.Streams("pingmesh/2026-07-01"); len(got) != 1 {
 		t.Fatalf("in-retention stream deleted: %v", got)

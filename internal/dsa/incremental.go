@@ -95,7 +95,7 @@ func newIncremental(p *Pipeline) *incremental {
 // last fold is older than the DSA cycle budget is lagging — the cycle would
 // degrade next, so the verdict says so first. A folder that has never folded
 // is not lagging: nothing has run a fold pass or a cycle yet.
-func (inc *incremental) health(b trace.Budget, now time.Time) trace.StageHealth {
+func (inc *incremental) health(now time.Time) trace.StageHealth {
 	inc.passMu.Lock()
 	last := inc.folder.LastFold()
 	inc.passMu.Unlock()
@@ -103,7 +103,7 @@ func (inc *incremental) health(b trace.Budget, now time.Time) trace.StageHealth 
 		Stage:    "dsa-fold",
 		Marked:   !last.IsZero(),
 		AgeMs:    -1,
-		BudgetMs: b.DSACycle.Milliseconds(),
+		BudgetMs: trace.DSACycleBudget.Milliseconds(),
 	}
 	if sh.Marked {
 		sh.AgeMs = now.Sub(last).Milliseconds()
@@ -121,7 +121,7 @@ func (inc *incremental) health(b trace.Budget, now time.Time) trace.StageHealth 
 // pass retries it — a deleted stream's events are compacted out of the
 // journal by then — and skips what this one finished past it.
 func (inc *incremental) foldPassLocked(now time.Time) error {
-	store, prefix := inc.p.cfg.Store, inc.p.cfg.StreamPrefix
+	store, prefix := inc.p.cfg.Store, streamPrefix
 	// The journal's extents first, then every other extent not finished: it
 	// may still grow, and its new bytes are folded without finishing it.
 	var seqs []uint64
@@ -284,7 +284,7 @@ func (p *Pipeline) MaxFoldBacklog() int { return p.inc.backlog() }
 func (inc *incremental) backlog() int {
 	n := 0
 	inc.p.cfg.Store.VisitSealed(inc.cursor.Load(), func(ev cosmos.SealEvent) {
-		if strings.HasPrefix(ev.Stream, inc.p.cfg.StreamPrefix) {
+		if strings.HasPrefix(ev.Stream, streamPrefix) {
 			n++
 		}
 	})

@@ -15,7 +15,6 @@ import (
 	"pingmesh/internal/analysis"
 	"pingmesh/internal/core"
 	"pingmesh/internal/cosmos"
-	"pingmesh/internal/diagnosis"
 	"pingmesh/internal/fleet"
 	"pingmesh/internal/netsim"
 	"pingmesh/internal/probe"
@@ -199,11 +198,10 @@ func (fx *diffFixture) newPipe(t testing.TB, store *cosmos.Store) *Pipeline {
 func (fx *diffFixture) newPipeOn(t testing.TB, store *cosmos.Store, clock simclock.Clock) *Pipeline {
 	t.Helper()
 	pipe, err := New(Config{
-		Store:           store,
-		Top:             fx.top,
-		Clock:           clock,
-		Services:        fx.services,
-		BlackholeConfig: diagnosis.BlackholeConfig{PairFailureRate: 0.3, VictimPairFraction: 0.05},
+		Store:    store,
+		Top:      fx.top,
+		Clock:    clock,
+		Services: fx.services,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -225,7 +223,7 @@ func oracleResults(t *testing.T, p *Pipeline, jobs []*cycleJob, from, to time.Ti
 	store := p.cfg.Store
 	var sc probe.Scanner
 	var rep probe.Record
-	for _, stream := range store.Streams(p.cfg.StreamPrefix) {
+	for _, stream := range store.Streams(streamPrefix) {
 		for e := 0; e < store.NumExtents(stream); e++ {
 			data, err := store.ReadExtent(stream, e)
 			if err != nil {
@@ -1150,7 +1148,7 @@ func TestFoldLagInFreshnessVerdict(t *testing.T) {
 	}
 	fold := func() trace.StageHealth {
 		t.Helper()
-		h := tracer.Freshness().Check(trace.Budget{})
+		h := tracer.Freshness().Check()
 		last := h.Stages[len(h.Stages)-1]
 		if last.Stage != "dsa-fold" || last.Stale != (h.Status == "degraded") {
 			t.Fatalf("verdict %+v", h)

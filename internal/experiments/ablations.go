@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand/v2"
+	"runtime"
 	"time"
 
 	"pingmesh/internal/analysis"
@@ -263,10 +264,10 @@ func AblationSampling(opts Options) (*AblationSamplingResult, error) {
 			}
 		}
 		// Rank-sampled participation: the first participate servers of each pod.
-		pairs := probeRelationPairs(net, 6, opts.seed()+uint64(participate)*13, opts.workers(), func(id topology.ServerID) bool {
+		pairs := probeRelationPairs(net, 6, opts.seed()+uint64(participate)*13, runtime.NumCPU(), func(id topology.ServerID) bool {
 			return top.Server(id).Rank < participate
 		})
-		det := diagnosis.DetectBlackholes(top, pairs, diagnosis.BlackholeConfig{VictimPairFraction: 0.25})
+		det := diagnosis.DetectBlackholes(top, pairs)
 		detected := 0
 		for _, c := range det.Candidates {
 			if seeded[c.Switch] {

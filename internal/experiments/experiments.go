@@ -17,7 +17,6 @@ package experiments
 import (
 	"fmt"
 	"math/rand/v2"
-	"runtime"
 	"strings"
 	"sync"
 	"time"
@@ -72,8 +71,6 @@ type Options struct {
 	Probes int
 	// Seed makes runs reproducible.
 	Seed uint64
-	// Workers bounds parallelism (default NumCPU).
-	Workers int
 }
 
 func (o Options) probes(def int) int {
@@ -81,13 +78,6 @@ func (o Options) probes(def int) int {
 		return o.Probes
 	}
 	return def
-}
-
-func (o Options) workers() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.NumCPU()
 }
 
 func (o Options) seed() uint64 {
@@ -174,42 +164,36 @@ func samplePairs(top *topology.Topology, dc int, kind pairKind, want int, seed u
 	return out
 }
 
-// measureDist probes the pairs round-robin for a total of n probes and
-// aggregates stats, in parallel. Each probe uses a fresh source port so
-// ECMP paths vary; start stamps drive load profiles.
+// measureDist probes the pairs round-robin for exactly n probes and
+// aggregates stats, spreading the pairs over workers goroutines. Each pair
+// draws from its own rng, seeded by its index, so the stats do not depend
+// on workers. Each probe uses a fresh source port so ECMP paths vary; start
+// stamps drive load profiles.
 func measureDist(net *netsim.Network, pairs [][2]topology.ServerID, n, payload int, start time.Time, seed uint64, workers int) *analysis.LatencyStats {
+	workers = min(workers, len(pairs))
 	results := make([]*analysis.LatencyStats, workers)
 	var wg sync.WaitGroup
-	per := n / workers
 	top := net.Topology()
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewPCG(seed+uint64(w)*7919, uint64(w)+13))
 			st := analysis.NewLatencyStats()
-			// Per-worker probers: a PairProber, like the rng, must not be
-			// shared across goroutines.
-			probers := make([]*netsim.PairProber, len(pairs))
-			specs := make([]netsim.ProbeSpec, len(pairs))
-			recs := make([]probe.Record, len(pairs))
-			for pi, p := range pairs {
-				probers[pi] = net.PairProber(p[0], p[1])
-				specs[pi] = netsim.ProbeSpec{
-					Src: p[0], Dst: p[1],
-					DstPort:    8765,
-					PayloadLen: payload,
-					Start:      start,
+			for pi := w; pi < len(pairs); pi += workers {
+				p := pairs[pi]
+				rng := rand.New(rand.NewPCG(seed, uint64(pi)))
+				// A PairProber, like the rng, must not be shared across
+				// goroutines.
+				pr := net.PairProber(p[0], p[1])
+				spec := netsim.ProbeSpec{Src: p[0], Dst: p[1], DstPort: 8765, PayloadLen: payload, Start: start}
+				rec := probe.Record{Src: top.Server(p[0]).Addr, Dst: top.Server(p[1]).Addr}
+				// Round-robin: pair pi takes probes pi, pi+len(pairs), ...
+				for i := pi; i < n; i += len(pairs) {
+					spec.SrcPort = uint16(32768 + rng.IntN(28000))
+					res := pr.Probe(&spec, rng)
+					rec.RTT, rec.PayloadRTT, rec.Err = res.RTT, res.PayloadRTT, res.Err
+					st.Add(&rec)
 				}
-				recs[pi] = probe.Record{Src: top.Server(p[0]).Addr, Dst: top.Server(p[1]).Addr}
-			}
-			for i := 0; i < per; i++ {
-				pi := (i*workers + w) % len(pairs)
-				specs[pi].SrcPort = uint16(32768 + rng.IntN(28000))
-				res := probers[pi].Probe(&specs[pi], rng)
-				rec := &recs[pi]
-				rec.RTT, rec.PayloadRTT, rec.Err = res.RTT, res.PayloadRTT, res.Err
-				st.Add(rec)
 			}
 			results[w] = st
 		}(w)

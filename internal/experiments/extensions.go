@@ -50,7 +50,7 @@ func QoSMonitoring(opts Options) (*QoSResult, error) {
 	// Load is constant, so the tails resolve with time: 150 minutes.
 	var mu sync.Mutex
 	high, low := analysis.NewLatencyStats(), analysis.NewLatencyStats()
-	runner := &fleet.Runner{Net: net, Lists: lists, Seed: opts.seed(), Workers: opts.workers()}
+	runner := &fleet.Runner{Net: net, Lists: lists, Seed: opts.seed()}
 	if err := runner.Run(start, start.Add(150*time.Minute), func(_ topology.ServerID, recs []probe.Record) {
 		mu.Lock()
 		defer mu.Unlock()

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"pingmesh"
@@ -47,7 +48,7 @@ func Figure4(opts Options) (*Figure4Result, error) {
 	// the SYN RTT and the payload echo RTT, exactly like the production
 	// agent's payload pings.
 	pairs := samplePairs(tb.Top, 0, pairInterPod, 512, opts.seed())
-	pay := measureDist(tb.Net, pairs, n/2, 1000, tb.Clock.Now(), opts.seed()+4, opts.workers())
+	pay := measureDist(tb.Net, pairs, n/2, 1000, tb.Clock.Now(), opts.seed()+4, runtime.NumCPU())
 	return &Figure4Result{
 		DC1Inter: dc1.Summary(), DC1InterCDF: dc1.CDF(),
 		DC2Inter: dc2.Summary(), DC2InterCDF: dc2.CDF(),

@@ -34,7 +34,6 @@ type Figure6Config struct {
 	Days           int     // default 25
 	InitialBadToRs int     // backlog when detection turns on; default 24
 	DailyArrivals  float64 // expected new black-holes per day; default 1.5
-	ReloadsPerDay  int     // default 20, the paper's cap
 	MatchFraction  float64 // corrupt TCAM coverage per black-hole; default 0.35
 }
 
@@ -49,9 +48,6 @@ func (c *Figure6Config) withDefaults() Figure6Config {
 	if out.DailyArrivals <= 0 {
 		out.DailyArrivals = 1.5
 	}
-	if out.ReloadsPerDay <= 0 {
-		out.ReloadsPerDay = 20
-	}
 	if out.MatchFraction <= 0 {
 		out.MatchFraction = 0.35
 	}
@@ -61,7 +57,7 @@ func (c *Figure6Config) withDefaults() Figure6Config {
 // Figure6 runs the detection + auto-repair loop day by day: each day's
 // arrivals are injected at midnight, the fleet probes until every pair the
 // detector judges holds its 4 probes
-// (diagnosis.BlackholeConfig.MinPairProbes; an inter-pod pair is probed
+// (diagnosis.MinPairProbes; an inter-pod pair is probed
 // every 30 s), the clock moves on to the day's end, and the daily job's
 // detection is handed to the testbed's repair service.
 func Figure6(opts Options, cfg Figure6Config) (*Figure6Result, error) {
@@ -77,7 +73,7 @@ func Figure6(opts Options, cfg Figure6Config) (*Figure6Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	rs := tb.NewRepairService(c.ReloadsPerDay)
+	rs := tb.NewRepairService()
 	rng := rand.New(rand.NewPCG(opts.seed(), 0xb1ac))
 	tors := tb.Top.ToRs(0)
 
@@ -89,7 +85,7 @@ func Figure6(opts Options, cfg Figure6Config) (*Figure6Result, error) {
 		injectOne()
 	}
 
-	span := 4 * core.DefaultGeneratorConfig().IntraDCInterval
+	span := diagnosis.MinPairProbes * core.DefaultGeneratorConfig().IntraDCInterval
 	res := &Figure6Result{}
 	for day := 0; day < c.Days; day++ {
 		// New black-holes keep appearing in the background.

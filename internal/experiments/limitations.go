@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"pingmesh/internal/netsim"
@@ -62,8 +63,8 @@ func LimitationICW(opts Options) (*ICWResult, error) {
 	pairs := [][2]topology.ServerID{{src, dst}}
 	start := time.Unix(1751328000, 0).UTC()
 	n := opts.probes(20_000)
-	before := measureDist(net, pairs, n, 0, start, opts.seed()+61, opts.workers())
-	after := measureDist(net, pairs, n, 0, start, opts.seed()+62, opts.workers())
+	before := measureDist(net, pairs, n, 0, start, opts.seed()+61, runtime.NumCPU())
+	after := measureDist(net, pairs, n, 0, start, opts.seed()+62, runtime.NumCPU())
 
 	rtt := before.Percentile(0.5)
 	const transfer = 256 << 10

@@ -15,13 +15,11 @@ import (
 // servers passing participates (as sources and destinations), with k probes
 // per directed pair, and aggregates per-pair stats keyed like the DSA's
 // server-pair job: the feed of black-hole detection under the
-// sampled-participation ablation of §6.1.
+// sampled-participation ablation of §6.1. Each source draws from its own
+// rng, seeded by its server ID, so the stats do not depend on workers.
 func probeRelationPairs(net *netsim.Network, k int, seed uint64, workers int, participates func(topology.ServerID) bool) map[string]*analysis.LatencyStats {
 	top := net.Topology()
 	servers := top.Servers()
-	if workers <= 0 {
-		workers = 1
-	}
 
 	partials := make([]map[string]*analysis.LatencyStats, workers)
 	var wg sync.WaitGroup
@@ -29,7 +27,7 @@ func probeRelationPairs(net *netsim.Network, k int, seed uint64, workers int, pa
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewPCG(seed+uint64(w)*104729, uint64(w)^0xfeed))
+			var rng *rand.Rand // the current source's stream
 			out := map[string]*analysis.LatencyStats{}
 			addPair := func(src, dst topology.ServerID) {
 				key := top.Server(src).Addr.String() + "|" + top.Server(dst).Addr.String()
@@ -55,6 +53,7 @@ func probeRelationPairs(net *netsim.Network, k int, seed uint64, workers int, pa
 				if !participates(s.ID) {
 					continue
 				}
+				rng = rand.New(rand.NewPCG(seed, uint64(s.ID)))
 				for _, peer := range top.PodOf(s.ID).Servers {
 					if peer != s.ID && participates(peer) {
 						addPair(s.ID, peer)

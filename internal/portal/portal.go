@@ -57,9 +57,6 @@ type Config struct {
 	// Tracer, if non-nil, records publish spans, marks snapshot freshness,
 	// and enables /health and /debug/trace.
 	Tracer *trace.Tracer
-	// Budget is the freshness budget /health evaluates; zero value means
-	// trace.DefaultBudget().
-	Budget trace.Budget
 	// Diagnosis, if non-nil, enables GET /diagnose: the cached root-cause
 	// ranking at the bare path and the per-pair evidence chain with
 	// ?src=&dst=. /triage then also names the pair's vote suspect and links
@@ -448,7 +445,7 @@ func (p *Portal) ServeHealth(w http.ResponseWriter, r *http.Request) {
 		p.serveHealthz(w, r)
 		return
 	}
-	debugsrv.ServeHealth(p.cfg.Tracer, p.cfg.Budget, w, r)
+	debugsrv.ServeHealth(p.cfg.Tracer, w, r)
 }
 
 // Precomputed header values for the dynamic endpoints, mirroring the

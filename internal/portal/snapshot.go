@@ -275,7 +275,7 @@ func (s *Snapshot) cellFacts(top *topology.Topology, src, dst analysis.PodRef) *
 		return nil
 	}
 	return &diagnosis.CellFacts{Probes: cell.Probes, P99: cell.P99, Color: cell.Color().String(),
-		Floor: s.Thresholds.MinProbes}
+		Floor: analysis.MinProbes}
 }
 
 // Evidence adapts the snapshot into the diagnosis engine's evidence

@@ -7,28 +7,6 @@ import (
 	"time"
 )
 
-// Backoff returns the delay before retry number attempt (0-based): nominal
-// base<<attempt capped at max, equal-jittered to uniform [d/2, d] so a
-// fleet retrying against a recovering service doesn't synchronize into a
-// thundering herd. base <= 0 means 100ms; max <= 0 means 2s.
-func Backoff(base, max time.Duration, attempt int) time.Duration {
-	if base <= 0 {
-		base = 100 * time.Millisecond
-	}
-	if max <= 0 {
-		max = 2 * time.Second
-	}
-	d := base
-	for i := 0; i < attempt && d < max; i++ {
-		d *= 2
-	}
-	if d > max {
-		d = max
-	}
-	half := d / 2
-	return half + time.Duration(rand.Int63n(int64(half)+1))
-}
-
 // Sleep blocks for d on clk, or until ctx is done.
 func Sleep(ctx context.Context, clk Clock, d time.Duration) error {
 	t := clk.NewTimer(d)
@@ -42,23 +20,34 @@ func Sleep(ctx context.Context, clk Clock, d time.Duration) error {
 }
 
 // RetryPolicy bounds a Retry: Attempts tries in all (fewer than two is one
-// try), with Backoff(Base, Max, k) slept between try k and the next.
+// try), with Backoff(k) slept between try k and the next.
 type RetryPolicy struct {
 	Attempts  int
 	Base, Max time.Duration
 }
 
-// MaxRetries is the policy of a MaxRetries / BackoffBase / BackoffMax
-// configuration: n retries after the first try, where 0 means the default of
-// 2 (three attempts in all) and a negative n disables retries.
-func MaxRetries(n int, base, max time.Duration) RetryPolicy {
-	switch {
-	case n < 0:
-		n = 0
-	case n == 0:
-		n = 2
+// ServiceRetry is the policy of the agent's calls to the control plane, a
+// pinglist fetch and a telemetry report: three tries, 100ms apart doubling
+// to a 2s cap, so one replica blip behind the VIP does not strand an agent
+// until its next interval.
+func ServiceRetry() RetryPolicy {
+	return RetryPolicy{Attempts: 3, Base: 100 * time.Millisecond, Max: 2 * time.Second}
+}
+
+// Backoff returns the delay before retry number attempt (0-based): nominal
+// Base<<attempt capped at Max, equal-jittered to uniform [d/2, d] so a
+// fleet retrying against a recovering service doesn't synchronize into a
+// thundering herd.
+func (p RetryPolicy) Backoff(attempt int) time.Duration {
+	d := p.Base
+	for i := 0; i < attempt && d < p.Max; i++ {
+		d *= 2
 	}
-	return RetryPolicy{Attempts: n + 1, Base: base, Max: max}
+	if d > p.Max {
+		d = p.Max
+	}
+	half := d / 2
+	return half + time.Duration(rand.Int63n(int64(half)+1))
 }
 
 // transientError marks a failure worth retrying.
@@ -100,7 +89,7 @@ func Retry(ctx context.Context, clk Clock, p RetryPolicy, fn func() error) (Retr
 			return st, err
 		}
 		if st.Attempts >= p.Attempts || ctx.Err() != nil ||
-			Sleep(ctx, clk, Backoff(p.Base, p.Max, st.Attempts-1)) != nil {
+			Sleep(ctx, clk, p.Backoff(st.Attempts-1)) != nil {
 			st.GaveUp = true
 			return st, err
 		}

@@ -42,7 +42,7 @@ func retryOnSim(t *testing.T, ctx context.Context, p RetryPolicy, errs ...error)
 func TestRetry(t *testing.T) {
 	down := Transient(errors.New("503"))
 	bad := errors.New("400")
-	policy := RetryPolicy{Attempts: 3, Base: 100 * time.Millisecond, Max: time.Second}
+	policy := ServiceRetry()
 	ctx := context.Background()
 
 	if st, err, _ := retryOnSim(t, ctx, policy, nil); err != nil || st != (RetryStats{Attempts: 1}) {
@@ -83,13 +83,5 @@ func TestRetry(t *testing.T) {
 	st, err = Retry(cctx, sim, policy, func() error { return down })
 	if err != down || st != (RetryStats{Attempts: 1, GaveUp: true}) || !sim.Now().Equal(epoch) {
 		t.Fatalf("cancelled mid-backoff: %+v, %v at %v", st, err, sim.Now())
-	}
-}
-
-func TestMaxRetries(t *testing.T) {
-	for n, want := range map[int]int{-1: 1, 0: 3, 1: 2, 5: 6} {
-		if got := MaxRetries(n, time.Second, time.Minute); got != (RetryPolicy{Attempts: want, Base: time.Second, Max: time.Minute}) {
-			t.Errorf("MaxRetries(%d) = %+v, want %d attempts", n, got, want)
-		}
 	}
 }

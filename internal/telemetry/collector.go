@@ -204,7 +204,7 @@ func NewCollector(cfg CollectorConfig) *Collector {
 	}
 	c := &Collector{
 		clock:    cfg.Clock,
-		store:    NewStore(0, 0),
+		store:    NewStore(),
 		interval: cfg.SampleInterval,
 		reg:      metrics.NewRegistry(),
 		seed:     maphash.MakeSeed(),

@@ -131,9 +131,9 @@ func (s *Shipper) ReportOnce(ctx context.Context) error {
 	}
 	body := s.zbuf.Bytes()
 
-	// The pinglist client's default policy: two retries, a nominal 100ms
-	// first delay doubling up to 2s, equal-jittered.
-	st, err := simclock.Retry(ctx, s.clock(), simclock.MaxRetries(0, 0, 0), func() error {
+	// The pinglist client's policy: two retries, a nominal 100ms first
+	// delay doubling up to 2s, equal-jittered.
+	st, err := simclock.Retry(ctx, s.clock(), simclock.ServiceRetry(), func() error {
 		return s.post(ctx, body, seq)
 	})
 	s.stats.Retries += int64(st.Attempts - 1)

@@ -17,18 +17,16 @@ type Point struct {
 // unbounded point slices: a series grows by appending until it reaches its
 // raw capacity, then wraps in place — memory is bounded by construction
 // and no trim ever strands an evicted backing-array head. Raw points age
-// out after rawCap samples (≈28 days at the 5-minute cadence with the
-// 8192 default); the hourly tier keeps per-hour averages for hourlyCap
-// more hours of history at 1/12 the footprint.
+// out after rawCap samples (≈28 days at the 5-minute cadence); the hourly
+// tier keeps per-hour averages for hourlyCap more hours of history at 1/12
+// the footprint.
 //
 // Points must be appended in non-decreasing time order per key (collectors
 // sample on a clock, so this is the natural order).
 type Store struct {
-	mu        sync.Mutex
-	rawCap    int
-	hourlyCap int
-	m         map[string]*series
-	keys      []string // sorted, maintained at insert
+	mu   sync.Mutex
+	m    map[string]*series
+	keys []string // sorted, maintained at insert
 }
 
 type series struct {
@@ -42,23 +40,16 @@ type series struct {
 	hour  int64 // unix seconds of the hour being accumulated
 }
 
-// Default ring capacities: 8192 raw points (the PA's historical cap) and
-// 720 hourly averages (30 days).
+// Ring capacities: 8192 raw points (the PA's historical cap) and 720
+// hourly averages (30 days).
 const (
-	DefaultRawCap    = 8192
-	DefaultHourlyCap = 720
+	rawCap    = 8192
+	hourlyCap = 720
 )
 
-// NewStore returns an empty store. Non-positive capacities take the
-// defaults.
-func NewStore(rawCap, hourlyCap int) *Store {
-	if rawCap <= 0 {
-		rawCap = DefaultRawCap
-	}
-	if hourlyCap <= 0 {
-		hourlyCap = DefaultHourlyCap
-	}
-	return &Store{rawCap: rawCap, hourlyCap: hourlyCap, m: map[string]*series{}}
+// NewStore returns an empty store.
+func NewStore() *Store {
+	return &Store{m: map[string]*series{}}
 }
 
 // Append records one sample for key.
@@ -79,16 +70,16 @@ func (s *Store) Append(key string, at time.Time, v float64) {
 
 // appendLocked pushes p into the raw ring and feeds the hourly tier.
 // Growth is doubled-and-clamped to rawCap so the backing array never
-// exceeds the configured bound (plain append could overshoot it).
+// exceeds the bound (plain append could overshoot it).
 func (s *Store) appendLocked(sr *series, p Point) {
-	if len(sr.pts) < s.rawCap {
+	if len(sr.pts) < rawCap {
 		if len(sr.pts) == cap(sr.pts) {
 			newCap := 2 * cap(sr.pts)
 			if newCap == 0 {
 				newCap = 16
 			}
-			if newCap > s.rawCap {
-				newCap = s.rawCap
+			if newCap > rawCap {
+				newCap = rawCap
 			}
 			grown := make([]Point, len(sr.pts), newCap)
 			copy(grown, sr.pts)
@@ -116,14 +107,14 @@ func (s *Store) appendLocked(sr *series, p Point) {
 
 func (s *Store) flushHourLocked(sr *series) {
 	p := Point{At: time.Unix(sr.hour, 0).UTC(), Value: sr.hsum / float64(sr.hn)}
-	if len(sr.hpts) < s.hourlyCap {
+	if len(sr.hpts) < hourlyCap {
 		if len(sr.hpts) == cap(sr.hpts) {
 			newCap := 2 * cap(sr.hpts)
 			if newCap == 0 {
 				newCap = 8
 			}
-			if newCap > s.hourlyCap {
-				newCap = s.hourlyCap
+			if newCap > hourlyCap {
+				newCap = hourlyCap
 			}
 			grown := make([]Point, len(sr.hpts), newCap)
 			copy(grown, sr.hpts)

@@ -8,7 +8,7 @@ import (
 )
 
 func TestStoreAppendAndSeries(t *testing.T) {
-	s := NewStore(4, 0)
+	s := NewStore()
 	t0 := time.Unix(1000, 0)
 	for i := 0; i < 3; i++ {
 		s.Append("k", t0.Add(time.Duration(i)*time.Minute), float64(i))
@@ -34,51 +34,54 @@ func TestStoreAppendAndSeries(t *testing.T) {
 }
 
 func TestStoreRingWraps(t *testing.T) {
-	s := NewStore(4, 0)
+	s := NewStore()
 	t0 := time.Unix(1000, 0)
-	for i := 0; i < 10; i++ {
+	for i := 0; i < rawCap+6; i++ {
 		s.Append("k", t0.Add(time.Duration(i)*time.Minute), float64(i))
 	}
 	pts := s.Series("k")
-	if len(pts) != 4 {
-		t.Fatalf("len=%d want 4", len(pts))
+	if len(pts) != rawCap {
+		t.Fatalf("len=%d want %d", len(pts), rawCap)
 	}
 	for i, p := range pts {
 		if p.Value != float64(6+i) {
 			t.Fatalf("pts[%d]=%v want %d (oldest-first after wrap)", i, p, 6+i)
 		}
 	}
-	if p, _ := s.Latest("k"); p.Value != 9 {
+	if p, _ := s.Latest("k"); p.Value != rawCap+5 {
 		t.Fatalf("Latest=%v", p)
 	}
 }
 
 // TestStoreBoundedBacking is the regression for the PA retention bug: after
 // 10x the capacity in appends, the backing array must still be exactly the
-// configured capacity — no stranded array head, no append overshoot.
+// capacity — no stranded array head, no append overshoot. A minute apart,
+// the appends also wrap the hourly tier.
 func TestStoreBoundedBacking(t *testing.T) {
-	const rawCap = 64
-	s := NewStore(rawCap, 8)
+	s := NewStore()
 	t0 := time.Unix(0, 0)
 	for i := 0; i < 10*rawCap; i++ {
-		s.Append("k", t0.Add(time.Duration(i)*time.Second), float64(i))
+		s.Append("k", t0.Add(time.Duration(i)*time.Minute), float64(i))
 	}
 	s.mu.Lock()
 	sr := s.m["k"]
 	if cap(sr.pts) > rawCap {
-		t.Errorf("raw backing array cap=%d exceeds configured %d", cap(sr.pts), rawCap)
+		t.Errorf("raw backing array cap=%d exceeds %d", cap(sr.pts), rawCap)
 	}
-	if cap(sr.hpts) > 8 {
-		t.Errorf("hourly backing array cap=%d exceeds configured 8", cap(sr.hpts))
+	if cap(sr.hpts) > hourlyCap {
+		t.Errorf("hourly backing array cap=%d exceeds %d", cap(sr.hpts), hourlyCap)
 	}
 	s.mu.Unlock()
 	if n := s.Len("k"); n != rawCap {
 		t.Fatalf("Len=%d want %d", n, rawCap)
 	}
+	if n := len(s.Hourly("k")); n != hourlyCap {
+		t.Fatalf("hourly len=%d want %d", n, hourlyCap)
+	}
 }
 
 func TestStoreHourlyTier(t *testing.T) {
-	s := NewStore(0, 0)
+	s := NewStore()
 	t0 := time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC)
 	// Hour 0: values 1..12 (mean 6.5). Hour 1: values 100 (x12, mean 100).
 	for i := 0; i < 12; i++ {
@@ -102,7 +105,7 @@ func TestStoreHourlyTier(t *testing.T) {
 }
 
 func TestStoreKeysSorted(t *testing.T) {
-	s := NewStore(4, 0)
+	s := NewStore()
 	now := time.Unix(0, 0)
 	for _, k := range []string{"zeta", "alpha", "mid"} {
 		s.Append(k, now, 1)
@@ -117,7 +120,7 @@ func TestStoreKeysSorted(t *testing.T) {
 			t.Fatalf("keys=%v want %v", keys, want)
 		}
 	}
-	if NewStore(0, 0).Keys() != nil {
+	if NewStore().Keys() != nil {
 		t.Fatal("empty store Keys should be nil")
 	}
 }
@@ -125,8 +128,10 @@ func TestStoreKeysSorted(t *testing.T) {
 // TestStoreConcurrentAppend races writers of their own and of a shared key
 // against readers — what the deleted autopilot.PA's churn test exercised on
 // the store through its collectors (run under -race in CI tiers 2 and 2c).
+// Each writer wraps its own ring; the readers copy a whole ring, so they run
+// on every 64th append.
 func TestStoreConcurrentAppend(t *testing.T) {
-	s := NewStore(8, 0)
+	s := NewStore()
 	t0 := time.Unix(1000, 0)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -134,24 +139,26 @@ func TestStoreConcurrentAppend(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			own := fmt.Sprintf("src%d/counter/c", g)
-			for i := 0; i < 100; i++ {
+			for i := 0; i < rawCap+100; i++ {
 				at := t0.Add(time.Duration(i) * time.Minute)
 				s.Append(own, at, float64(i))
 				s.Append("shared", at, float64(g))
-				s.Series(own)
-				s.Latest("shared")
-				s.Keys()
+				if i%64 == 0 {
+					s.Series(own)
+					s.Latest("shared")
+					s.Keys()
+				}
 			}
 		}(g)
 	}
 	wg.Wait()
 	for g := 0; g < 4; g++ {
 		pts := s.Series(fmt.Sprintf("src%d/counter/c", g))
-		if len(pts) != 8 || pts[7].Value != 99 {
+		if len(pts) != rawCap || pts[rawCap-1].Value != rawCap+99 {
 			t.Fatalf("writer %d: %d points, newest %v", g, len(pts), pts[len(pts)-1])
 		}
 	}
-	if n := s.Len("shared"); n != 8 {
-		t.Fatalf("shared key kept %d points, want 8", n)
+	if n := s.Len("shared"); n != rawCap {
+		t.Fatalf("shared key kept %d points, want %d", n, rawCap)
 	}
 }

@@ -19,7 +19,7 @@ type Freshness struct {
 	marks [numStages]atomic.Int64
 
 	mu      sync.Mutex
-	watches []func(b Budget, now time.Time) StageHealth
+	watches []func(now time.Time) StageHealth
 }
 
 // NewFreshness returns a Freshness on the given clock with no stage marked.
@@ -65,34 +65,25 @@ func (f *Freshness) AgeMillis(s Stage) int64 {
 	return (f.clock.Now().UnixNano() - ns) / int64(time.Millisecond)
 }
 
-// Budget is the §3.5 data-freshness budget: how stale each monitored stage
-// may be before the pipeline is considered degraded. The perfcounter path
-// (agent upload) is expected within 5 minutes; the Cosmos/SCOPE path (DSA
-// cycle, and the portal snapshot derived from it) within 20 minutes.
-type Budget struct {
-	AgentUpload time.Duration
-	DSACycle    time.Duration
-	Snapshot    time.Duration
-}
-
-// DefaultBudget is the paper's §3.5 budget.
-func DefaultBudget() Budget {
-	return Budget{
-		AgentUpload: 5 * time.Minute,
-		DSACycle:    20 * time.Minute,
-		Snapshot:    20 * time.Minute,
-	}
-}
+// The §3.5 data-freshness budget: how stale each monitored stage may be
+// before the pipeline is considered degraded. The perfcounter path (agent
+// upload) is expected within 5 minutes; the Cosmos/SCOPE path (DSA cycle,
+// and the portal snapshot derived from it) within 20 minutes.
+const (
+	UploadBudget   = 5 * time.Minute
+	DSACycleBudget = 20 * time.Minute
+	SnapshotBudget = 20 * time.Minute
+)
 
 // stageBudget returns the budget for a monitored stage, 0 for unmonitored.
-func (b Budget) stageBudget(s Stage) time.Duration {
+func stageBudget(s Stage) time.Duration {
 	switch s {
 	case StageUpload:
-		return b.AgentUpload
+		return UploadBudget
 	case StageDSACycle:
-		return b.DSACycle
+		return DSACycleBudget
 	case StagePublish:
-		return b.Snapshot
+		return SnapshotBudget
 	}
 	return 0
 }
@@ -121,21 +112,18 @@ type Health struct {
 // watchdog) sees the same stage list. A watched stage that never ran is not
 // "waiting". The stage, and what it closes over, lives as long as f does:
 // one pipeline per tracer.
-func (f *Freshness) Watch(stage func(b Budget, now time.Time) StageHealth) {
+func (f *Freshness) Watch(stage func(now time.Time) StageHealth) {
 	f.mu.Lock()
 	f.watches = append(f.watches, stage)
 	f.mu.Unlock()
 }
 
-// Check evaluates the marks, then the watched stages, against a budget; the
-// zero Budget means DefaultBudget.
-func (f *Freshness) Check(b Budget) Health {
-	if b == (Budget{}) {
-		b = DefaultBudget()
-	}
+// Check evaluates the marks, then the watched stages, against the §3.5
+// budget.
+func (f *Freshness) Check() Health {
 	h := Health{Status: "ok"}
 	for s := Stage(0); s < numStages; s++ {
-		limit := b.stageBudget(s)
+		limit := stageBudget(s)
 		if limit <= 0 {
 			continue
 		}
@@ -160,7 +148,7 @@ func (f *Freshness) Check(b Budget) Health {
 	watches := f.watches
 	f.mu.Unlock()
 	for _, stage := range watches {
-		sh := stage(b, f.clock.Now())
+		sh := stage(f.clock.Now())
 		if sh.Stale {
 			h.Status = "degraded"
 		}

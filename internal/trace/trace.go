@@ -14,8 +14,8 @@
 //   - Fixed-size per-component span ring buffers, dumpable as JSON from
 //     /debug/trace without stopping the world.
 //   - Freshness marks: each pipeline stage records when it last completed,
-//     and a Budget (the §3.5 data-freshness budget: 5-minute perfcounter
-//     path, 20-minute Cosmos/SCOPE path) turns the marks into a Health
+//     and the §3.5 data-freshness budget (5-minute perfcounter path,
+//     20-minute Cosmos/SCOPE path) turns the marks into a Health
 //     verdict that the Autopilot "pingmesh-stale" watchdog and the portal
 //     /health endpoint consume.
 //

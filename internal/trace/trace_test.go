@@ -205,10 +205,9 @@ func TestFreshnessAges(t *testing.T) {
 func TestHealthTransitions(t *testing.T) {
 	clock := simclock.NewSim(time.Unix(1000, 0))
 	f := NewFreshness(clock)
-	b := DefaultBudget()
 
 	// Nothing marked: waiting, no error.
-	h := f.Check(b)
+	h := f.Check()
 	if h.Status != "waiting" {
 		t.Fatalf("boot status = %q, want waiting", h.Status)
 	}
@@ -223,17 +222,17 @@ func TestHealthTransitions(t *testing.T) {
 	f.Mark(StageUpload)
 	f.Mark(StageDSACycle)
 	f.Mark(StagePublish)
-	if h := f.Check(b); h.Status != "ok" {
+	if h := f.Check(); h.Status != "ok" {
 		t.Fatalf("fresh status = %q, want ok", h.Status)
 	}
 
 	// Upload within budget at 4m, stale at 6m.
 	clock.Advance(4 * time.Minute)
-	if h := f.Check(b); h.Status != "ok" {
+	if h := f.Check(); h.Status != "ok" {
 		t.Fatalf("4m status = %q, want ok", h.Status)
 	}
 	clock.Advance(2 * time.Minute)
-	h = f.Check(b)
+	h = f.Check()
 	if h.Status != "degraded" {
 		t.Fatalf("6m status = %q, want degraded", h.Status)
 	}
@@ -256,7 +255,7 @@ func TestHealthTransitions(t *testing.T) {
 
 	// Mark again: recovers.
 	f.Mark(StageUpload)
-	if h := f.Check(b); h.Status != "ok" {
+	if h := f.Check(); h.Status != "ok" {
 		t.Fatalf("recovered status = %q, want ok", h.Status)
 	}
 }
@@ -349,7 +348,7 @@ func TestConcurrentTracerUse(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			tr.Dump()
 			tr.Freshness().Mark(StageUpload)
-			tr.Freshness().Check(DefaultBudget())
+			tr.Freshness().Check()
 		}
 	}()
 	wg.Wait()

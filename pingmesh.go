@@ -132,7 +132,6 @@ type SimTestbed struct {
 	seed   uint64
 	lists  map[topology.ServerID]*pinglist.File
 	repair *autopilot.RepairService
-	budget int
 }
 
 // NewSimTestbed builds a simulated deployment from a topology spec.
@@ -362,9 +361,9 @@ func (tb *SimTestbed) Alerts() []Alert { return tb.Pipeline.Alerts() }
 
 // NewRepairService returns a repair service whose executor acts on the
 // simulated network (reload / isolate / replace by device name), with the
-// paper's default budget of 20 actions per day.
-func (tb *SimTestbed) NewRepairService(budgetPerDay int) *autopilot.RepairService {
-	rs := autopilot.NewRepairService(tb.Clock, budgetPerDay, func(a autopilot.RepairAction) error {
+// paper's budget of 20 actions per day (autopilot.RepairsPerDay).
+func (tb *SimTestbed) NewRepairService() *autopilot.RepairService {
+	rs := autopilot.NewRepairService(tb.Clock, func(a autopilot.RepairAction) error {
 		for _, sw := range tb.Top.Switches() {
 			if sw.Name != a.Device {
 				continue
@@ -386,7 +385,6 @@ func (tb *SimTestbed) NewRepairService(budgetPerDay int) *autopilot.RepairServic
 	// The diagnosis engine's repair-budget assertion reads the most
 	// recently created service, whichever order the caller wires things in.
 	tb.repair = rs
-	tb.budget = budgetPerDay
 	return rs
 }
 
@@ -405,7 +403,7 @@ func (tb *SimTestbed) NewDiagnosisEngine() *diagnosis.Engine {
 			if tb.repair == nil {
 				return 0, 0
 			}
-			return tb.repair.BudgetRemaining(), tb.budget
+			return tb.repair.BudgetRemaining(), autopilot.RepairsPerDay
 		},
 	}
 }
@@ -497,6 +495,6 @@ func (tb *SimTestbed) StandardWatchdogs(interval time.Duration) (*autopilot.Watc
 	// against the §3.5 budget — the stage marks and the fold tier's lag (a
 	// folder sitting on a backlog without folding is what makes the next
 	// cycle blow the 20-minute budget, so it pages before the cycle does).
-	ws.Register(autopilot.NewStalenessWatchdog(tb.Tracer.Freshness(), trace.DefaultBudget()))
+	ws.Register(autopilot.NewStalenessWatchdog(tb.Tracer.Freshness()))
 	return ws, dm
 }

@@ -87,7 +87,7 @@ func TestSimTestbedRepairService(t *testing.T) {
 	}
 	bad := tb.Top.ToRs(0)[0]
 	tb.Net.AddBlackhole(bad, netsim.Blackhole{MatchFraction: 0.4})
-	rs := tb.NewRepairService(5)
+	rs := tb.NewRepairService()
 	action := autopilot.RepairAction{Kind: autopilot.RepairReload, Device: tb.Top.Switch(bad).Name, Reason: "test"}
 	if err := rs.Execute(action); err != nil {
 		t.Fatal(err)
