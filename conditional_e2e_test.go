@@ -6,8 +6,8 @@ package pingmesh
 // unchanged pinglist costs zero body bytes. A topology update invalidates
 // the ETag and the next poll applies the new generation — served as a
 // delta against the agent's cached base, since the client advertises
-// A-IM: pingmesh-delta and a same-topology regeneration diffs only in
-// metadata.
+// A-IM: pingmesh-copy-deflate and a same-topology regeneration differs
+// only in metadata.
 
 import (
 	"context"

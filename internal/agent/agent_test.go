@@ -1,19 +1,24 @@
 package agent
 
 import (
+	"bytes"
+	"compress/flate"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/netip"
 	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"pingmesh/internal/controller"
+	"pingmesh/internal/httpcache"
 	"pingmesh/internal/netlib"
 	"pingmesh/internal/pinglist"
 	"pingmesh/internal/probe"
@@ -572,39 +577,119 @@ func TestUnchangedVersionNotReapplied(t *testing.T) {
 	}
 }
 
-// TestFetchCountsDeltaFallback: a patch the client cannot use is counted
-// as agent.fetch_delta_fallbacks, and its bytes in agent.fetch_bytes next
-// to the full download that replaced it.
+// TestFetchCountsDeltaFallback: a delta the client cannot use — garbage, a
+// flipped byte, a truncated body, one that inflates past
+// pinglist.MaxPatched, one that rebuilds a valid pinglist other than the
+// one its ETag names, or a 226 to a client holding no base — is replaced
+// by exactly one full download, counted in the client's DeltaFallbacks and
+// as agent.fetch_delta_fallbacks, with its bytes in agent.fetch_bytes next
+// to the full download's. The intact delta applies.
 func TestFetchCountsDeltaFallback(t *testing.T) {
-	body, err := pinglist.Marshal(testFile("v1", 2))
+	v1, err := pinglist.Marshal(testFile("v1", 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	const garbage = "<PinglistDelta this is not a delta"
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Header.Get("If-None-Match") != "" {
-			w.WriteHeader(http.StatusIMUsed)
-			w.Write([]byte(garbage))
-			return
-		}
-		w.Header().Set("ETag", `"v1"`)
-		w.Write(body)
-	}))
-	defer srv.Close()
-	a, err := New(testConfig(&controller.Client{BaseURL: srv.URL}, &fakeProber{}, simclock.NewSim(epoch)))
+	v2, err := pinglist.Marshal(testFile("v2", 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.fetchOnce(context.Background())
-	a.fetchOnce(context.Background()) // revalidation → unusable patch → full body
-	c := a.Metrics().Snapshot().Counters
-	if c["agent.fetches_ok"] != 2 || c["agent.fetch_delta_fallbacks"] != 1 || c["agent.fetch_delta"] != 0 {
-		t.Fatalf("fetches_ok %d, fetch_delta_fallbacks %d, fetch_delta %d; want 2, 1, 0",
-			c["agent.fetches_ok"], c["agent.fetch_delta_fallbacks"], c["agent.fetch_delta"])
+	good := new(pinglist.DeltaWriter).Append(nil, v1, v2)
+	// wrong patches cleanly and decodes, so only the ETag check stops it.
+	v3, err := pinglist.Marshal(testFile("v3", 4))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if want := int64(2*len(body) + len(garbage)); c["agent.fetch_bytes"] != want {
-		t.Fatalf("agent.fetch_bytes = %d, want %d", c["agent.fetch_bytes"], want)
+	wrong := new(pinglist.DeltaWriter).Append(nil, v1, v3)
+	if body, err := pinglist.Patch(v1, wrong); err != nil || !bytes.Equal(body, v3) {
+		t.Fatalf("the v1 → v3 delta does not rebuild v3: %v", err)
 	}
+	flipped := bytes.Clone(good)
+	flipped[len(flipped)/2] ^= 0x10
+	var bomb bytes.Buffer
+	zw, _ := flate.NewWriter(&bomb, flate.BestSpeed)
+	if _, err := io.CopyN(zw, zeros{}, pinglist.MaxPatched+1); err != nil {
+		t.Fatal(err)
+	}
+	zw.Close()
+
+	for _, tc := range []struct {
+		name   string
+		delta  []byte
+		noBase bool // the 226 answers the first, unconditional fetch
+	}{
+		{"intact", good, false},
+		{"garbage", []byte("this is not a DEFLATE stream"), false},
+		{"flipped-byte", flipped, false},
+		{"truncated", good[:len(good)-2], false},
+		{"past-the-cap", bomb.Bytes(), false},
+		{"wrong-target", wrong, false},
+		{"no-cached-base", good, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var requests atomic.Int32
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				n := requests.Add(1)
+				if r.Header.Get("If-None-Match") != "" || tc.noBase && n == 1 {
+					w.Header().Set("ETag", httpcache.ETagFor(v2))
+					w.Header().Set("IM", controller.DeltaIM)
+					w.WriteHeader(http.StatusIMUsed)
+					w.Write(tc.delta)
+					return
+				}
+				body := v2
+				if n == 1 {
+					body = v1
+				}
+				w.Header().Set("ETag", httpcache.ETagFor(body))
+				w.Write(body)
+			}))
+			defer srv.Close()
+			cl := &controller.Client{BaseURL: srv.URL}
+			a, err := New(testConfig(cl, &fakeProber{}, simclock.NewSim(epoch)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fetches := int64(2)
+			wantRequests, wantBytes := int32(2), int64(len(v1)+len(tc.delta))
+			wantDelta, wantFallbacks := int64(1), int64(0)
+			switch {
+			case tc.noBase:
+				fetches, wantBytes = 1, int64(len(tc.delta)+len(v2))
+				wantDelta, wantFallbacks = 0, 1
+			case tc.name != "intact":
+				wantRequests, wantBytes = 3, wantBytes+int64(len(v2))
+				wantDelta, wantFallbacks = 0, 1
+			}
+			for range fetches {
+				a.fetchOnce(context.Background())
+			}
+			c := a.Metrics().Snapshot().Counters
+			if c["agent.fetches_ok"] != fetches || c["agent.fetch_delta"] != wantDelta || c["agent.fetch_delta_fallbacks"] != wantFallbacks {
+				t.Fatalf("fetches_ok %d, fetch_delta %d, fetch_delta_fallbacks %d; want %d, %d, %d",
+					c["agent.fetches_ok"], c["agent.fetch_delta"], c["agent.fetch_delta_fallbacks"], fetches, wantDelta, wantFallbacks)
+			}
+			if st := cl.Stats(); st.DeltaApplied != wantDelta || st.DeltaFallbacks != wantFallbacks {
+				t.Fatalf("client DeltaApplied %d, DeltaFallbacks %d; want %d, %d", st.DeltaApplied, st.DeltaFallbacks, wantDelta, wantFallbacks)
+			}
+			if got := requests.Load(); got != wantRequests {
+				t.Fatalf("%d requests, want %d", got, wantRequests)
+			}
+			if c["agent.fetch_bytes"] != wantBytes {
+				t.Fatalf("agent.fetch_bytes = %d, want %d", c["agent.fetch_bytes"], wantBytes)
+			}
+			if a.Version() != "v2" {
+				t.Fatalf("agent holds %q, want v2", a.Version())
+			}
+		})
+	}
+}
+
+// zeros reads as an endless run of zero bytes.
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) {
+	clear(p)
+	return len(p), nil
 }
 
 func TestLocalLogWritesAndRotates(t *testing.T) {

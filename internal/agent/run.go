@@ -96,12 +96,12 @@ func (a *Agent) fetchOnce(ctx context.Context) {
 		a.reg.Counter("agent.fetch_not_modified").Inc()
 	}
 	if res.Delta {
-		// A changed pinglist arrived as a verified patch instead of a full
+		// A changed pinglist arrived as a verified delta instead of a full
 		// download.
 		a.reg.Counter("agent.fetch_delta").Inc()
 	}
 	if res.DeltaFallback {
-		// A patch arrived but was unusable: its bytes were wasted and the
+		// A delta arrived but was unusable: its bytes were wasted and the
 		// full download above replaced it.
 		a.reg.Counter("agent.fetch_delta_fallbacks").Inc()
 	}

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"pingmesh/internal/httpcache"
 	"pingmesh/internal/pinglist"
 	"pingmesh/internal/simclock"
 )
@@ -21,7 +22,7 @@ import (
 // The client remembers the ETag and parsed body of the last pinglist per
 // server and revalidates with If-None-Match, so an unchanged pinglist
 // costs a 304 Not Modified instead of a full download; a changed pinglist
-// costs a small patch (226 IM Used) applied to the cached copy and
+// costs a small delta (226 IM Used) applied to the cached copy and
 // verified against the new generation's ETag, with automatic fallback to
 // a full download if verification fails. It advertises Accept-Encoding:
 // gzip and decompresses the precompressed bodies the controller serves.
@@ -68,11 +69,11 @@ type ClientStats struct {
 	// BytesOnWire is the total body bytes read off the network (the gzip
 	// form when the controller compressed).
 	BytesOnWire int64
-	// DeltaApplied is how many fetches were answered by a 226 patch that
-	// verified cleanly against the cached copy.
+	// DeltaApplied is how many fetches were answered by a 226 delta that
+	// rebuilt the target body against the cached copy.
 	DeltaApplied int64
-	// DeltaFallbacks is how many 226 responses failed to parse, apply, or
-	// verify and were recovered by an unconditional full download.
+	// DeltaFallbacks is how many 226 responses failed to patch, verify
+	// or decode and were recovered by an unconditional full download.
 	DeltaFallbacks int64
 	// Retries is how many transient-failure retries were attempted.
 	Retries int64
@@ -85,14 +86,14 @@ type FetchResult struct {
 	// from the client's cache.
 	NotModified bool
 	// Delta is true when the controller answered 226 and File was
-	// reconstructed by patching the cached copy.
+	// rebuilt from the delta and the cached copy.
 	Delta bool
 	// DeltaFallback is true when the controller answered 226 but the
-	// patch failed to parse, apply or verify, and File came from the
+	// delta failed to patch, verify or decode, and File came from the
 	// unconditional full download that followed.
 	DeltaFallback bool
 	// BytesOnWire is the response body size as transferred, a wasted
-	// patch's bytes included.
+	// delta's bytes included.
 	BytesOnWire int64
 }
 
@@ -152,7 +153,7 @@ func (c *Client) Fetch(ctx context.Context, server string) (*pinglist.File, erro
 // FetchDetail is Fetch plus transport detail: whether the pinglist was
 // revalidated with a 304 or patched from a 226 and how many bytes crossed
 // the wire. The agent's refresh loop uses it to count cheap refreshes.
-// Transient failures are retried per the Backoff fields.
+// Transient failures are retried under simclock.ServiceRetry.
 func (c *Client) FetchDetail(ctx context.Context, server string) (res FetchResult, err error) {
 	st, err := simclock.Retry(ctx, c.clock(), simclock.ServiceRetry(), func() (err error) {
 		res, err = c.fetchDetail(ctx, server, !c.DisableCache)
@@ -187,7 +188,7 @@ func (c *Client) fetchDetail(ctx context.Context, server string, revalidate bool
 	if revalidate {
 		if etag, ok := c.cachedETag(server); ok {
 			req.Header.Set("If-None-Match", etag)
-			// With a validator on file, advertise that a patch from
+			// With a validator on file, advertise that a delta from
 			// that exact generation is acceptable.
 			req.Header.Set("A-IM", DeltaIM)
 		}
@@ -259,19 +260,18 @@ func (c *Client) fetchDetail(ctx context.Context, server string, revalidate bool
 	return res, nil
 }
 
-// applyDelta handles a 226 IM Used response: parse the patch, apply it to
-// the cached base generation, and verify the result against the target
-// ETag. Any failure — parse, stale base, verification mismatch — falls
+// applyDelta handles a 226 IM Used response: apply the delta to the cached
+// base generation's body and check the result against the target ETag.
+// Any failure — no cached base, a delta that does not patch, a body that
+// hashes to another ETag or does not decode — falls
 // back to one unconditional full download; a delta can delay convergence
-// but never corrupt it. The cached base and the patch's peers were both
-// validated as they were decoded, so the patched file needs no check of
-// its own.
+// but never corrupt it.
 func (c *Client) applyDelta(ctx context.Context, server string, resp *http.Response) (FetchResult, error) {
 	data, wire, err := readBody(resp)
 	fallback := func() (FetchResult, error) {
 		c.mu.Lock()
 		c.stats.DeltaFallbacks++
-		c.stats.BytesOnWire += wire // the failed patch still crossed the wire
+		c.stats.BytesOnWire += wire // the failed delta still crossed the wire
 		c.mu.Unlock()
 		c.dropCache(server)
 		res, err := c.fetchDetail(ctx, server, false)
@@ -282,11 +282,6 @@ func (c *Client) applyDelta(ctx context.Context, server string, resp *http.Respo
 	if err != nil {
 		return fallback()
 	}
-	d, err := pinglist.UnmarshalDelta(data)
-	if err != nil {
-		return fallback()
-	}
-
 	c.mu.Lock()
 	e, ok := c.cache[server]
 	c.mu.Unlock()
@@ -295,15 +290,21 @@ func (c *Client) applyDelta(ctx context.Context, server string, resp *http.Respo
 		// body can help.
 		return fallback()
 	}
-	// Cache entries are immutable once published and ApplyVerified only
-	// reads the base, so patching outside the lock is safe.
-	f, _, err := pinglist.ApplyVerified(e.file, e.etag, d)
-	if err != nil {
+	// The base is the cached file marshaled again: the decoder accepts only
+	// Marshal's bytes, so that is the body the file was decoded from. Cache
+	// entries are immutable once published, so this runs outside the lock.
+	etag := resp.Header.Get("ETag")
+	base, err := pinglist.Marshal(e.file)
+	var body []byte
+	if err == nil {
+		body, err = pinglist.Patch(base, data)
+	}
+	if err != nil || httpcache.ETagFor(body) != etag {
 		return fallback()
 	}
-	etag := resp.Header.Get("ETag")
-	if etag == "" {
-		etag = d.TargetETag
+	f, err := pinglist.Unmarshal(body)
+	if err != nil {
+		return fallback()
 	}
 	res := FetchResult{Delta: true, BytesOnWire: wire}
 	c.mu.Lock()
@@ -311,9 +312,6 @@ func (c *Client) applyDelta(ctx context.Context, server string, resp *http.Respo
 	c.stats.DeltaApplied++
 	c.stats.BytesOnWire += wire
 	ne := &cacheEntry{etag: etag, file: f}
-	if c.cache == nil {
-		c.cache = make(map[string]*cacheEntry)
-	}
 	c.cache[server] = ne
 	res.File = ne.copyFile()
 	c.mu.Unlock()

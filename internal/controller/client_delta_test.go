@@ -89,11 +89,11 @@ func TestClientAppliesDelta(t *testing.T) {
 // surface a wrong pinglist, and report the wasted patch and its bytes.
 func TestClientDeltaFallback(t *testing.T) {
 	rig := newDeltaRig(t)
-	const garbage = "<PinglistDelta this is not a delta"
+	const garbage = "this is not a DEFLATE stream"
 	sabotage := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Header.Get("If-None-Match") != "" {
 			w.Header().Set("IM", DeltaIM)
-			w.Header().Set("Content-Type", DeltaContentType)
+			w.Header().Set("Content-Type", "application/xml")
 			w.WriteHeader(http.StatusIMUsed)
 			w.Write([]byte(garbage))
 			return

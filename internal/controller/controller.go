@@ -19,6 +19,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -86,10 +87,6 @@ func New(top *topology.Topology, cfg core.GeneratorConfig, clock simclock.Clock)
 	}
 	return c, nil
 }
-
-// etagFor computes the strong ETag for a marshaled pinglist. Content-hash
-// based, so identical files get identical ETags on every replica.
-func etagFor(data []byte) string { return httpcache.ETagFor(data) }
 
 // UpdateTopology regenerates every pinglist from a new network graph and
 // atomically publishes the new generation (§6.2: the controller updates
@@ -218,35 +215,49 @@ func (c *Controller) SaveToDir(dir string) error {
 //
 //	GET /pinglist/{server}  the server's pinglist XML (404 if unknown);
 //	                        supports If-None-Match → 304, gzip bodies, and
-//	                        A-IM: pingmesh-delta → 226 patch responses
+//	                        A-IM: pingmesh-copy-deflate → 226 delta responses
 //	GET /version            current generation id
 //	GET /healthz            liveness for the SLB health prober
 //
-// Every route is read-only: the mux answers HEAD like GET and any other
-// method 405 with "Allow: GET, HEAD". Conditional-GET, gzip negotiation
-// and cached delta serving all follow the shared httpcache discipline: the
-// steady-state paths (304, cached full body, cached patch) allocate
-// nothing.
+// Every route is read-only: HEAD is answered like GET and any other method
+// with 405 and "Allow: GET, HEAD". The pinglist route is cut off the path
+// before the mux, whose wildcard match allocates, so conditional-GET, gzip
+// negotiation and cached delta serving all follow the shared httpcache
+// discipline: the steady-state paths (304, cached full body, cached delta)
+// allocate nothing.
 func (c *Controller) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /pinglist/{server}", func(w http.ResponseWriter, r *http.Request) {
-		f := c.fetch(r.PathValue("server"), r.Header.Get("If-None-Match"), wantsDelta(r), httpcache.AcceptsGzip(r))
-		if f.kind == FetchNotFound {
-			http.NotFound(w, r)
-			return
-		}
-		w.Header()["X-Pingmesh-Version"] = f.st.versionH
-		if f.kind == FetchDelta {
-			f.delta.serve(w, r)
-			return
-		}
-		f.file.Serve(w, r) // 304 or 200: the same If-None-Match test fetch made
-	})
 	mux.HandleFunc("GET /version", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, c.Version())
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
-	return mux
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		server, ok := strings.CutPrefix(r.URL.Path, "/pinglist/")
+		if !ok {
+			mux.ServeHTTP(w, r)
+			return
+		}
+		if r.Method != http.MethodGet && r.Method != http.MethodHead {
+			w.Header()["Allow"] = allowH
+			http.Error(w, http.StatusText(http.StatusMethodNotAllowed), http.StatusMethodNotAllowed)
+			return
+		}
+		// An empty name, or one holding a slash, is an unknown server.
+		f := c.fetch(server, r.Header.Get("If-None-Match"), wantsDelta(r), httpcache.AcceptsGzip(r))
+		if f.kind == FetchNotFound {
+			http.NotFound(w, r)
+			return
+		}
+		w.Header()["X-Pingmesh-Version"] = f.st.versionH
+		if f.kind == FetchDelta {
+			f.delta.serve(w)
+			return
+		}
+		f.file.Serve(w, r) // 304 or 200: the same If-None-Match test fetch made
+	})
 }
+
+// allowH is the pinglist route's 405 Allow header (the mux writes others').
+var allowH = []string{"GET, HEAD"}

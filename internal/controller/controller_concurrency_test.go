@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"pingmesh/internal/core"
+	"pingmesh/internal/httpcache"
 	"pingmesh/internal/probe"
 	"pingmesh/internal/simclock"
 	"pingmesh/internal/topology"
@@ -150,7 +151,7 @@ func TestStressHandlerVsUpdateAndClear(t *testing.T) {
 					errs <- fmt.Errorf("status %d", resp.StatusCode)
 					return
 				}
-				if got, want := etagFor(body), resp.Header.Get("ETag"); got != want {
+				if got, want := httpcache.ETagFor(body), resp.Header.Get("ETag"); got != want {
 					errs <- fmt.Errorf("ETag %s does not hash body (want %s): generations mixed", want, got)
 					return
 				}

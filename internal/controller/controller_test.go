@@ -56,16 +56,18 @@ func TestUnknownServer404(t *testing.T) {
 	c, _ := newController(t)
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/pinglist/not-a-server")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("status = %d, want 404", resp.StatusCode)
+	for _, path := range []string{"/pinglist/not-a-server", "/pinglist/", "/pinglist", "/pinglist/DC1/x"} {
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("GET %s: status = %d, want 404", path, resp.StatusCode)
+		}
 	}
 	client := &Client{BaseURL: srv.URL}
-	_, err = client.Fetch(context.Background(), "not-a-server")
+	_, err := client.Fetch(context.Background(), "not-a-server")
 	var noPL *ErrNoPinglist
 	if !errors.As(err, &noPL) {
 		t.Fatalf("Fetch error = %v, want ErrNoPinglist", err)

@@ -5,27 +5,30 @@ package controller
 // generations — per server just the strong ETag and the compressed body,
 // so the ring costs gzip-sized memory, not parsed-peer memory — and
 // answers a conditional GET whose If-None-Match names a ringed generation
-// with a small patch (226 IM Used) instead of the whole file. The patch
-// body for every (server, base-generation) pair is built with the
-// generation, in the worker that generates and marshals the server's
-// file, and published immutably with it — at most ring depth × servers
-// bodies — so a fleet converging through a topology update costs a
-// zero-allocation map lookup per request from its first request on,
-// exactly like the 304 and full cached paths.
+// with a delta (226 IM Used) instead of the whole file: ranges of the
+// agent's body to copy and the bytes between them, compressed by DEFLATE
+// (pinglist.DeltaWriter). The delta for every (server, base-generation)
+// pair is built with the generation, in the worker that generates and
+// marshals the server's file, and published immutably with it — at most
+// ring depth × servers bodies — so a fleet converging through a topology
+// update costs a zero-allocation map lookup per request from its first
+// request on, exactly like the 304 and full cached paths.
 //
 // Protocol:
 //
-//	request:  If-None-Match: <agent's etag>   A-IM: pingmesh-delta
+//	request:  If-None-Match: <agent's etag>   A-IM: pingmesh-copy-deflate
 //	response: 304                             etag current: nothing to send
-//	          226 IM Used, IM: pingmesh-delta etag in ring: delta body,
-//	                                          ETag header = TARGET etag
+//	          226 IM Used,                    etag in ring: delta body,
+//	          IM: pingmesh-copy-deflate       ETag header = TARGET etag
 //	          200 OK                          etag unknown/evicted: full body
 //
-// The ETag on a 226 is the target generation's full-body validator, so the
-// agent's next revalidation works unchanged, and a 304 from any replica
-// stays valid for a body (full or patched) obtained from any other.
+// The ETag on a 226 is the target generation's full-body validator: the
+// agent checks the body it rebuilds against it, its next revalidation
+// works unchanged, and a 304 from any replica stays valid for a body (full
+// or patched) obtained from any other.
 
 import (
+	"bytes"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -38,23 +41,21 @@ import (
 )
 
 // DeltaIM is the instance-manipulation token agents advertise in A-IM and
-// the controller echoes in IM.
-const DeltaIM = "pingmesh-delta"
-
-// DeltaContentType is the media type of a delta body.
-const DeltaContentType = "application/vnd.pingmesh.delta+xml"
+// the controller echoes in IM: the body is pinglist.DeltaWriter's, copies
+// from the base pinglist and literals, compressed by DEFLATE (RFC 1951).
+const DeltaIM = "pingmesh-copy-deflate"
 
 // DefaultDeltaRing is how many previous generations a controller retains
 // for delta serving.
 const DefaultDeltaRing = 3
 
 // Precomputed immutable header values (canonical MIME keys, shared slices
-// — same zero-allocation discipline as httpcache).
+// — same zero-allocation discipline as httpcache). A 226's Content-Type is
+// that of the instance the delta rebuilds.
 var (
-	deltaCtypeH = []string{DeltaContentType}
+	deltaCtypeH = []string{"application/xml"}
 	deltaIMH    = []string{DeltaIM}
 	deltaVaryH  = []string{"Accept-Encoding, A-IM"}
-	deltaGzH    = []string{"gzip"}
 )
 
 // ringGen is one retained previous generation: per server, the strong
@@ -79,36 +80,29 @@ type deltaKey struct {
 	base   string
 }
 
-// deltaBody is one precomputed patch response: raw and gzip forms plus
-// the TARGET generation's ETag as validator, served as 226 IM Used.
+// deltaBody is one precomputed delta response plus the TARGET
+// generation's ETag as validator, served as 226 IM Used.
 type deltaBody struct {
-	data    []byte
-	gz      []byte
-	etagH   []string
-	clenH   []string
-	clenGzH []string
+	data  []byte
+	etagH []string
+	clenH []string
 }
 
-// noDelta marks (server, base) pairs where a patch is impossible or not
+// noDelta marks (server, base) pairs where a delta is impossible or not
 // smaller than the full body.
 var noDelta = &deltaBody{}
 
 // serve writes the delta response. The steady-state path allocates
 // nothing: every header value is a precomputed shared slice.
-func (b *deltaBody) serve(w http.ResponseWriter, r *http.Request) {
+func (b *deltaBody) serve(w http.ResponseWriter) {
 	h := w.Header()
 	h["Etag"] = b.etagH
 	h["Vary"] = deltaVaryH
 	h["Im"] = deltaIMH
 	h["Content-Type"] = deltaCtypeH
-	body, clen := b.data, b.clenH
-	if b.gz != nil && httpcache.AcceptsGzip(r) {
-		h["Content-Encoding"] = deltaGzH
-		body, clen = b.gz, b.clenGzH
-	}
-	h["Content-Length"] = clen
+	h["Content-Length"] = b.clenH
 	w.WriteHeader(http.StatusIMUsed)
-	w.Write(body)
+	w.Write(b.data)
 }
 
 // aimValues returns the request's A-IM header values without allocating.
@@ -124,8 +118,8 @@ func aimValues(r *http.Request) []string {
 	return r.Header["A-Im"]
 }
 
-// wantsDelta reports whether the request advertises the pingmesh-delta
-// instance manipulation. Allocation-free A-IM list walk.
+// wantsDelta reports whether the request advertises the DeltaIM instance
+// manipulation. Allocation-free A-IM list walk.
 func wantsDelta(r *http.Request) bool {
 	for _, v := range aimValues(r) {
 		for rest := v; rest != ""; {
@@ -139,9 +133,9 @@ func wantsDelta(r *http.Request) bool {
 	return false
 }
 
-// deltaFor returns the patch from the agent's base generation (named by
+// deltaFor returns the delta from the agent's base generation (named by
 // inm) to this one. nil means "serve the full body instead": the base is
-// unknown or evicted, or the patch would not be smaller. One map lookup,
+// unknown or evicted, or the delta would not be smaller. One map lookup,
 // zero allocations; bogus ETags cost nothing and are remembered nowhere.
 func (st *state) deltaFor(server, inm string) *deltaBody {
 	if db := st.deltas[deltaKey{server, inm}]; db != noDelta {
@@ -174,12 +168,14 @@ func demote(prev *state) []ringGen {
 	return append(ring, prev.ring[:min(len(prev.ring), DefaultDeltaRing-1)]...)
 }
 
-// builder is one UpdateTopology worker: the compressor and scratch space
+// builder is one UpdateTopology worker: the compressors and scratch space
 // it reuses from server to server, and what it has built.
 type builder struct {
 	scratch core.Scratch // the file being built
 	comp    httpcache.Compressor
-	base    []byte // gunzip scratch
+	deltas  pinglist.DeltaWriter // allocates its compressor on the first delta
+	base    []byte               // gunzip scratch
+	out     []byte               // delta scratch
 
 	patches                 []patch
 	notSmaller, buildErrors int64 // how many of patches are noDelta, by reason
@@ -194,7 +190,7 @@ type patch struct {
 }
 
 // build marshals, compresses and hashes one server's file, just generated
-// into b.scratch, then builds the patch to it from that server's file in
+// into b.scratch, then builds the delta to it from that server's file in
 // every ringed generation.
 // ring[0] is prev demoted, and prev's raw bodies stay live until its
 // successor is stored, so that generation's base is read raw from prev;
@@ -220,7 +216,7 @@ func (b *builder) build(f *pinglist.File, name string, prev *state, ring []ringG
 		if gi == 0 {
 			live = prev.files[name].Data()
 		}
-		db, err := b.buildDelta(base, live, cur, f)
+		db, err := b.buildDelta(base, live, cur)
 		switch {
 		case err != nil:
 			b.buildErrors++
@@ -233,14 +229,12 @@ func (b *builder) build(f *pinglist.File, name string, prev *state, ring []ringG
 	return cur
 }
 
-// buildDelta computes the patch from a ringed base to the current body
-// without parsing either: the base's raw body — live when the caller holds
-// it, else the ring's copy, inflated — is diffed line by line against
-// cur, the body just marshaled from f. A patch that would not beat the
-// full body on the wire is noDelta, and so is any failure — the agent
-// simply downloads the full file — but a failure is returned too, so the
-// two are counted apart.
-func (b *builder) buildDelta(base ringEntry, live []byte, cur *httpcache.Body, f *pinglist.File) (*deltaBody, error) {
+// buildDelta builds the delta to cur's body from a ringed base's — live
+// when the caller holds it, else the ring's copy, inflated. A delta that
+// would not beat the full body on the wire is noDelta, and so is a base
+// that cannot be inflated — the agent simply downloads the full file — but
+// that failure is returned too, so the two are counted apart.
+func (b *builder) buildDelta(base ringEntry, live []byte, cur *httpcache.Body) (*deltaBody, error) {
 	old := base.comp
 	switch {
 	case live != nil:
@@ -252,26 +246,12 @@ func (b *builder) buildDelta(base ringEntry, live []byte, cur *httpcache.Body, f
 		}
 		old = b.base
 	}
-	d, err := pinglist.DiffMarshaled(old, cur.Data(), f, base.etag, cur.ETag())
-	if err != nil {
-		return noDelta, err
-	}
-	data, err := pinglist.MarshalDelta(d)
-	if err != nil {
-		return noDelta, err
-	}
-	gz, err := b.comp.Gzip(data)
-	if err != nil {
-		return noDelta, err
-	}
-	db := &deltaBody{data: data, gz: gz, etagH: []string{cur.ETag()}, clenH: []string{strconv.Itoa(len(data))}}
-	if gz != nil {
-		db.clenGzH = []string{strconv.Itoa(len(gz))}
-	}
-	if wireLen(data, gz, true) >= wireLen(cur.Data(), cur.Gzip(), true) {
+	b.out = b.deltas.Append(b.out[:0], old, cur.Data())
+	if int64(len(b.out)) >= wireLen(cur.Data(), cur.Gzip(), true) {
 		return noDelta, nil // the full body is already the cheaper answer
 	}
-	return db, nil
+	data := bytes.Clone(b.out)
+	return &deltaBody{data: data, etagH: []string{cur.ETag()}, clenH: []string{strconv.Itoa(len(data))}}, nil
 }
 
 // FetchKind classifies how an in-process fetch was answered.
@@ -281,20 +261,17 @@ type FetchKind uint8
 const (
 	FetchNotFound    FetchKind = iota // 404: no pinglist (fail-closed signal)
 	FetchNotModified                  // 304: agent's copy is current
-	FetchDelta                        // 226: patch from a ringed generation
+	FetchDelta                        // 226: delta from a ringed generation
 	FetchFull                         // 200: full body
 )
 
 // FetchOutcome reports one in-process fetch: what kind of answer was
-// served, the validator the agent must remember, and the body cost both as
-// negotiated on the wire (gzip-preferred, like real agents) and in
-// identity encoding.
+// served, the validator the agent must remember, and the body bytes sent,
+// as negotiated with a gzip-accepting agent.
 type FetchOutcome struct {
-	Kind          FetchKind
-	ETag          string
-	Version       string
-	BytesOnWire   int64
-	BytesIdentity int64
+	Kind        FetchKind
+	ETag        string
+	BytesOnWire int64
 }
 
 // fetch is one pinglist fetch, decided and counted: the body that answers
@@ -304,7 +281,7 @@ type fetch struct {
 	kind  FetchKind
 	st    *state
 	file  *httpcache.Body // the server's pinglist; nil on FetchNotFound
-	delta *deltaBody      // the patch on FetchDelta
+	delta *deltaBody      // the delta on FetchDelta
 	wire  int64           // body bytes sent: the gzip form when accepted and present
 }
 
@@ -326,7 +303,7 @@ func (c *Controller) fetch(server, ifNoneMatch string, wantDelta, gzipOK bool) f
 		return f
 	case wantDelta:
 		if f.delta = st.deltaFor(server, ifNoneMatch); f.delta != nil {
-			f.kind, f.wire = FetchDelta, wireLen(f.delta.data, f.delta.gz, gzipOK)
+			f.kind, f.wire = FetchDelta, int64(len(f.delta.data))
 			c.cDeltaServes.Inc()
 			c.cDeltaBytes.Add(f.wire)
 			return f
@@ -349,20 +326,14 @@ func wireLen(data, gz []byte, gzipOK bool) int64 {
 }
 
 // ServeFetch answers one pinglist fetch without HTTP, as Handler answers a
-// gzip-accepting agent: the same decision, patches and counters. The
+// gzip-accepting agent: the same decision, deltas and counters. The
 // pipeline benchmark's fleet_churn workload drives its simulated agents
 // through it; it is safe for concurrent use.
 func (c *Controller) ServeFetch(server, ifNoneMatch string, wantDelta bool) FetchOutcome {
 	f := c.fetch(server, ifNoneMatch, wantDelta, true)
-	out := FetchOutcome{Kind: f.kind, Version: f.st.version, BytesOnWire: f.wire}
+	out := FetchOutcome{Kind: f.kind, BytesOnWire: f.wire}
 	if f.file != nil {
 		out.ETag = f.file.ETag()
-	}
-	switch f.kind {
-	case FetchDelta:
-		out.BytesIdentity = int64(len(f.delta.data))
-	case FetchFull:
-		out.BytesIdentity = int64(len(f.file.Data()))
 	}
 	return out
 }

@@ -2,9 +2,10 @@ package controller
 
 import (
 	"bytes"
-	"encoding/xml"
 	"maps"
+	"math/rand"
 	"net/http"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -17,13 +18,12 @@ import (
 )
 
 // oracleGen is one published generation as the test saw it: every
-// server's ETag, full body, and the body parsed back with Unmarshal.
+// server's ETag and full body.
 type oracleGen map[string]*oracleFile
 
 type oracleFile struct {
 	etag string
 	body []byte
-	file *pinglist.File
 	wire int // gzip-preferred size of the full body
 }
 
@@ -36,15 +36,11 @@ func snapshotGen(t *testing.T, c *Controller, top *topology.Topology, comp *http
 		if w.Code != http.StatusOK {
 			t.Fatalf("%s: status %d", s.Name, w.Code)
 		}
-		f, err := pinglist.Unmarshal(w.Body.Bytes())
-		if err != nil {
-			t.Fatal(err)
-		}
 		b, err := comp.New("application/xml", w.Body.Bytes())
 		if err != nil {
 			t.Fatal(err)
 		}
-		of := &oracleFile{etag: w.Header().Get("ETag"), body: w.Body.Bytes(), file: f, wire: len(b.Data())}
+		of := &oracleFile{etag: w.Header().Get("ETag"), body: w.Body.Bytes(), wire: len(b.Data())}
 		if gz := b.Gzip(); gz != nil {
 			of.wire = len(gz)
 		}
@@ -53,18 +49,19 @@ func snapshotGen(t *testing.T, c *Controller, top *topology.Topology, comp *http
 	return g
 }
 
-// TestEagerPatchesEqualSerialOracle holds the patches UpdateTopology
-// builds — on every core, from marshaled lines, with shared compressors —
-// to the obvious serial construction: parse both files, Diff, MarshalDelta.
-// Across five generations (grow, shrink, a regeneration that changes only
-// the version header, grow again so the first generation leaves the ring)
-// every (server, ringed base) pair must be served, by Handler and by
-// ServeFetch alike, exactly the oracle's bytes — or the full body where
-// the oracle's patch would not be smaller — and applying it must rebuild
-// the current body exactly.
+// TestEagerPatchesEqualSerialOracle holds the deltas UpdateTopology
+// builds — on every core, each worker reusing one compressor — to the
+// serial construction: one pinglist.DeltaWriter over each base and current
+// body in turn. Across five generations (grow, shrink, a regeneration
+// that changes only the version header, grow again so the first generation
+// leaves the ring) every (server, ringed base) pair must be served, by
+// Handler and by ServeFetch alike, exactly the oracle's bytes — or the
+// full body where the oracle's delta would not be smaller — the delta must
+// rebuild the current body from its base and hash to its ETag, and
+// controllers with 1, 2 and 4 workers must serve the same bytes, as
+// replicas on different machines do.
 func TestEagerPatchesEqualSerialOracle(t *testing.T) {
-	// deltaSpec's DC1 beside a DC2 of four servers: their files are so
-	// small that no patch beats the gzipped body.
+	// deltaSpec's DC1 beside a DC2 of four servers.
 	buildTop := func(t *testing.T, dc1Podsets int) *topology.Topology {
 		spec := deltaSpec(dc1Podsets)
 		spec.DCs[1] = topology.DCSpec{Name: "DC2", Podsets: 1, PodsPerPodset: 2, ServersPerPod: 2, LeavesPerPodset: 2, Spines: 4}
@@ -75,19 +72,28 @@ func TestEagerPatchesEqualSerialOracle(t *testing.T) {
 		return top
 	}
 	var comp httpcache.Compressor
+	var oracle pinglist.DeltaWriter // its deltas do not depend on its history (FuzzDeltaRoundTrip)
 	podsets := []int{8, 9, 8, 8, 10}
 	top := buildTop(t, podsets[0])
-	c, err := New(top, core.DefaultGeneratorConfig(), simclock.NewSim(time.Unix(1750000000, 0)))
-	if err != nil {
-		t.Fatal(err)
+	var replicas []*Controller
+	for _, workers := range []int{1, 2, 4} {
+		cfg := core.DefaultGeneratorConfig()
+		cfg.Parallelism = workers
+		c, err := New(top, cfg, simclock.NewSim(time.Unix(1750000000, 0)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		replicas = append(replicas, c)
 	}
-	h := c.Handler()
+	c, h := replicas[0], replicas[0].Handler()
 	gens := []oracleGen{snapshotGen(t, c, top, &comp)}
 	var patches, fulls, evicted int
 	for _, n := range podsets[1:] {
 		top = buildTop(t, n)
-		if err := c.UpdateTopology(top); err != nil {
-			t.Fatal(err)
+		for _, r := range replicas {
+			if err := r.UpdateTopology(top); err != nil {
+				t.Fatal(err)
+			}
 		}
 		cur := snapshotGen(t, c, top, &comp)
 		for back := 1; back <= len(gens); back++ {
@@ -106,61 +112,49 @@ func TestEagerPatchesEqualSerialOracle(t *testing.T) {
 					}
 					continue
 				}
-				d, err := pinglist.Diff(base.file, now.file, base.etag, now.etag)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := pinglist.MarshalDelta(d)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantGz, err := comp.Gzip(want)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wire := len(want)
-				if wantGz != nil {
-					wire = len(wantGz)
-				}
-				if wire >= now.wire {
+				want := oracle.Append(nil, base.body, now.body)
+				if len(want) >= now.wire {
 					fulls++
 					if w.Code != http.StatusOK || !bytes.Equal(w.Body.Bytes(), now.body) || out.Kind != FetchFull {
-						t.Fatalf("%s back %d: patch %dB is not smaller than full %dB, yet status %d kind %d",
-							name, back, wire, now.wire, w.Code, out.Kind)
+						t.Fatalf("%s back %d: delta %dB is not smaller than full %dB, yet status %d kind %d",
+							name, back, len(want), now.wire, w.Code, out.Kind)
 					}
 					continue
 				}
 				patches++
 				if w.Code != http.StatusIMUsed || !bytes.Equal(w.Body.Bytes(), want) {
-					t.Fatalf("%s back %d: status %d, patch differs from the serial oracle:\n got %s\nwant %s",
+					t.Fatalf("%s back %d: status %d, delta differs from the serial oracle:\n got %x\nwant %x",
 						name, back, w.Code, w.Body.Bytes(), want)
 				}
 				if out.Kind != FetchDelta || out.ETag != now.etag ||
-					out.BytesIdentity != int64(len(want)) || out.BytesOnWire != int64(wire) {
-					t.Fatalf("%s back %d: ServeFetch %+v, oracle %d identity / %d wire bytes", name, back, out, len(want), wire)
+					out.BytesOnWire != int64(len(want)) {
+					t.Fatalf("%s back %d: ServeFetch %+v, oracle %d bytes", name, back, out, len(want))
 				}
-				hdr["Accept-Encoding"] = "gzip"
-				if wz := serveOnce(h, "/pinglist/"+name, hdr); !bytes.Equal(wz.Body.Bytes(), wantGz) {
-					t.Fatalf("%s back %d: gzip patch differs from the oracle's", name, back)
-				}
-				served, err := pinglist.UnmarshalDelta(w.Body.Bytes())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, rebuilt, err := pinglist.ApplyVerified(base.file, base.etag, served); err != nil || !bytes.Equal(rebuilt, now.body) {
-					t.Fatalf("%s back %d: applying the served patch: %v", name, back, err)
+				rebuilt, err := pinglist.Patch(base.body, w.Body.Bytes())
+				if err != nil || !bytes.Equal(rebuilt, now.body) || httpcache.ETagFor(rebuilt) != w.Header().Get("ETag") {
+					t.Fatalf("%s back %d: patching with the served delta: %v", name, back, err)
 				}
 			}
 		}
 		gens = append(gens, cur)
+		for _, r := range replicas[1:] {
+			if got, want := r.state.Load().deltas, c.state.Load().deltas; !maps.EqualFunc(got, want, func(a, b *deltaBody) bool {
+				return bytes.Equal(a.data, b.data) && slices.Equal(a.etagH, b.etagH)
+			}) {
+				t.Fatalf("generation %s: replicas with different worker counts publish different deltas", c.Version())
+			}
+		}
 	}
-	// The scenario must have exercised all three answers.
-	if patches == 0 || fulls == 0 || evicted == 0 {
-		t.Fatalf("scenario served %d patches, %d not-smaller fulls, %d evicted fulls; want all three", patches, fulls, evicted)
+	// A pinglist's delta from its predecessor is smaller than its gzipped
+	// body, so the oracle refuses none here as not smaller
+	// (TestDeltaNotSmallerIsNotKept has the rule); evictions and deltas
+	// must both occur.
+	if patches == 0 || evicted == 0 {
+		t.Fatalf("scenario served %d deltas, %d evicted fulls; want both", patches, evicted)
 	}
 	m := c.Metrics()
-	if got := m.Counter("controller.delta_not_smaller").Value(); got == 0 {
-		t.Error("controller.delta_not_smaller stayed 0 although patches were refused as not smaller")
+	if got := m.Counter("controller.delta_not_smaller").Value(); got != int64(fulls) {
+		t.Errorf("controller.delta_not_smaller = %d, the oracle refused %d", got, fulls)
 	}
 	if got := m.Counter("controller.delta_build_errors").Value(); got != 0 {
 		t.Errorf("controller.delta_build_errors = %d on well-formed generations", got)
@@ -171,46 +165,59 @@ func TestEagerPatchesEqualSerialOracle(t *testing.T) {
 	}
 }
 
-// TestDeltaBuildErrorCounted: a ringed base that is not in Marshal's form
-// cannot be diffed by lines. That is counted as a build error — apart from
-// "not smaller" — and the base's holders get the full body.
+// TestDeltaNotSmallerIsNotKept: a delta that does not beat the full body
+// on the wire is not published. An incompressible body is one: it has no
+// gzip form, and its delta is the body as one literal plus DEFLATE's
+// framing.
+func TestDeltaNotSmallerIsNotKept(t *testing.T) {
+	body := make([]byte, 4096)
+	rand.New(rand.NewSource(1)).Read(body)
+	cur, err := httpcache.New("application/xml", body)
+	if err != nil || cur.Gzip() != nil {
+		t.Fatalf("random body: gzip form %v (%v)", cur.Gzip() != nil, err)
+	}
+	var b builder
+	if db, err := b.buildDelta(ringEntry{etag: `"base"`, comp: []byte("<Pinglist/>")}, nil, cur); db != noDelta || err != nil {
+		t.Fatalf("delta of an incompressible body kept (%v)", err)
+	}
+}
+
+// TestDeltaBuildErrorCounted: a ringed base whose gzip body is corrupt
+// cannot be inflated to build a delta from. That is counted as a build error
+// — apart from "not smaller" — and the base's holders get the full body.
 func TestDeltaBuildErrorCounted(t *testing.T) {
-	rig := newDeltaRig(t)
-	// Replace one current file with the same document in another layout,
-	// as if an older release had published it; the next update rings it.
+	rig := newDeltaRig(t) // gen-2, with gen-1 in the ring
+	// Corrupt gen-1's ringed copy of the rig's file; the next update rings
+	// gen-2 from its live bodies in front of it, and must inflate gen-1.
 	st := *rig.c.state.Load()
-	f, err := pinglist.Unmarshal(st.files[rig.name].Data())
-	if err != nil {
-		t.Fatal(err)
+	gen1 := ringGen{version: st.ring[0].version, entries: maps.Clone(st.ring[0].entries)}
+	e := gen1.entries[rig.name]
+	if !e.gzipped {
+		t.Fatal("the rig's file has no gzip form to corrupt")
 	}
-	compact, err := xml.Marshal(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	foreign, err := httpcache.New("application/xml", compact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.files = maps.Clone(st.files)
-	st.files[rig.name] = foreign
+	e.comp = bytes.Clone(e.comp)
+	e.comp[len(e.comp)/2] ^= 0xff
+	gen1.entries[rig.name] = e
+	st.ring = []ringGen{gen1}
 	rig.c.state.Store(&st)
-	if err := rig.c.UpdateTopology(buildTop(t, 9)); err != nil {
+	gen2ETag := rig.c.ETag(rig.name)
+	if err := rig.c.UpdateTopology(buildTop(t, 10)); err != nil {
 		t.Fatal(err)
 	}
 	m := rig.c.Metrics()
 	if got := m.Counter("controller.delta_build_errors").Value(); got != 1 {
 		t.Fatalf("controller.delta_build_errors = %d, want 1", got)
 	}
-	w := serveOnce(rig.h, "/pinglist/"+rig.name, map[string]string{"If-None-Match": foreign.ETag(), "A-IM": DeltaIM})
+	w := serveOnce(rig.h, "/pinglist/"+rig.name, map[string]string{"If-None-Match": rig.oldETag, "A-IM": DeltaIM})
 	if w.Code != http.StatusOK || w.Header().Get("ETag") != rig.c.ETag(rig.name) {
-		t.Fatalf("holder of an undiffable base: status %d, want the current full body", w.Code)
+		t.Fatalf("holder of an uninflatable base: status %d, want the current full body", w.Code)
 	}
 	if got := m.Counter("controller.delta_fallback_full").Value(); got != 1 {
 		t.Fatalf("controller.delta_fallback_full = %d, want 1", got)
 	}
-	// The older, well-formed generation of the same server still patches.
-	if w := serveOnce(rig.h, "/pinglist/"+rig.name, map[string]string{"If-None-Match": rig.oldETag, "A-IM": DeltaIM}); w.Code != http.StatusIMUsed {
-		t.Fatalf("well-formed base beside it: status %d, want 226", w.Code)
+	// The newer, intact generation of the same server still gets a delta.
+	if w := serveOnce(rig.h, "/pinglist/"+rig.name, map[string]string{"If-None-Match": gen2ETag, "A-IM": DeltaIM}); w.Code != http.StatusIMUsed {
+		t.Fatalf("intact base beside it: status %d, want 226", w.Code)
 	}
 }
 

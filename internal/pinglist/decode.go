@@ -11,14 +11,14 @@ import (
 	"pingmesh/internal/probe"
 )
 
-// The reader behind Unmarshal and UnmarshalDelta. It accepts exactly the
-// bytes appendFile and appendDelta write — their attribute order, their
-// indentation and final newline, and only the entities xml.EscapeText
-// emits — and validates while it reads, in one pass. A document it accepts
-// re-marshals to its own bytes and passes Validate. Any other spelling of
-// the same XML is rejected: ETags hash these bytes and DiffMarshaled
-// trusts no other form, so no correct controller sends one. encoding/xml
-// is the oracle the tests hold it to (FuzzUnmarshal, FuzzUnmarshalDelta).
+// The reader behind Unmarshal. It accepts exactly the bytes appendFile
+// writes — its attribute order, its indentation and final newline, and
+// only the entities xml.EscapeText emits — and validates while it reads,
+// in one pass. A document it accepts re-marshals to its own bytes and
+// passes Validate. Any other spelling of the same XML is rejected: ETags
+// hash these bytes and a delta's base is the Marshal body of the decoded
+// file, so no correct controller sends one. encoding/xml is the oracle
+// the tests hold it to (FuzzUnmarshal).
 //
 // Nothing decoded aliases the input, so a caller may cache the result and
 // reuse the body's buffer. Class, Proto and QoS are the probe vocabulary's
@@ -26,17 +26,26 @@ import (
 
 // The words a Peer's class, proto and qos attributes may carry.
 var (
-	classWords = [...]string{probe.IntraPod.String(), probe.IntraDC.String(), probe.InterDC.String()}
-	protoWords = [...]string{probe.TCP.String(), probe.HTTP.String()}
-	qosWords   = [...]string{probe.QoSHigh.String(), probe.QoSLow.String()}
+	classWords = vocab("class", probe.IntraPod, probe.IntraDC, probe.InterDC)
+	protoWords = vocab("proto", probe.TCP, probe.HTTP)
+	qosWords   = vocab("qos", probe.QoSHigh, probe.QoSLow)
 )
 
-// The shortest elements a canonical document can hold: they bound how many
-// elements a body of a given length may claim.
-const (
-	emptyPeer = `<Peer addr="" port="" class="" proto="" qos="" interval="" payload=""></Peer>`
-	emptyOp   = `<Op from="" count=""></Op>`
-)
+// word is one vocabulary word and the attribute it spells, as Marshal
+// writes it: the words need no escaping.
+type word struct{ value, attr string }
+
+func vocab(name string, words ...fmt.Stringer) []word {
+	v := make([]word, len(words))
+	for i, w := range words {
+		v[i] = word{w.String(), " " + name + `="` + w.String() + `"`}
+	}
+	return v
+}
+
+// emptyPeer is the shortest peer element a canonical document can hold: it
+// bounds how many peers a body of a given length may claim.
+const emptyPeer = `<Peer addr="" port="" class="" proto="" qos="" interval="" payload=""></Peer>`
 
 // entities are the escapes xml.EscapeText writes and the bytes they stand
 // for.
@@ -73,7 +82,11 @@ func Unmarshal(data []byte) (*File, error) {
 		d.fail("missing server attribute")
 	}
 	d.allocPeers()
-	if f.Peers = d.peerList("\n  <Peer"); f.Peers != nil {
+	for d.lit("\n  <Peer") {
+		d.peers = append(d.peers, d.peer())
+	}
+	if len(d.peers) > 0 {
+		f.Peers = d.peers
 		d.want("\n")
 	}
 	d.want("</Pinglist>\n")
@@ -81,47 +94,6 @@ func Unmarshal(data []byte) (*File, error) {
 		return nil, fmt.Errorf("pinglist: unmarshal: %w", err)
 	}
 	return f, nil
-}
-
-// UnmarshalDelta decodes a delta written by MarshalDelta. The peers it
-// inserts pass Validate, and its server is not empty; whether its script
-// fits a base is ApplyVerified's to check. A body in any other form is an
-// error.
-func UnmarshalDelta(data []byte) (*Delta, error) {
-	d := decoder{data: data}
-	d.want("<PinglistDelta")
-	x := &Delta{V: int(d.number(` v="`, 0, math.MaxInt))}
-	x.Server = d.text(` server="`)
-	x.Version = d.text(` version="`)
-	x.Generated = d.stamp(` generated="`)
-	x.BaseETag = d.text(` base="`)
-	x.TargetETag = d.text(` target="`)
-	d.want(">")
-	if x.Server == "" {
-		d.fail("missing server attribute")
-	}
-	d.allocPeers()
-	if n := d.count("<Op ", len(emptyOp)); n > 0 {
-		x.Ops = make([]Op, 0, n)
-	}
-	for d.lit("\n  <Op") {
-		op := Op{From: int(d.number(` from="`, 0, math.MaxInt))}
-		op.Count = int(d.number(` count="`, 0, math.MaxInt))
-		d.want(">")
-		if op.Peers = d.peerList("\n    <Peer"); op.Peers != nil {
-			d.want("\n  ")
-		}
-		d.want("</Op>")
-		x.Ops = append(x.Ops, op)
-	}
-	if len(x.Ops) > 0 {
-		d.want("\n")
-	}
-	d.want("</PinglistDelta>\n")
-	if err := d.finish(); err != nil {
-		return nil, fmt.Errorf("pinglist: unmarshal delta: %w", err)
-	}
-	return x, nil
 }
 
 func (d *decoder) fail(what string) {
@@ -146,24 +118,18 @@ func (d *decoder) want(s string) {
 	}
 }
 
-// count returns how many times tag occurs in the document, refusing a
-// count no canonical body of its length could hold elements of at least
-// size bytes for, so a hostile body cannot make the decoder allocate far
-// more than its own length.
-func (d *decoder) count(tag string, size int) int {
-	n := bytes.Count(d.data, []byte(tag))
-	if n > len(d.data)/size {
-		d.fail(fmt.Sprintf("%d %q tags in %d bytes", n, tag, len(d.data)))
-		return 0
-	}
-	return n
-}
-
 // allocPeers sizes peers, ends and addrs for every peer the document
 // holds. Each peer parsed opens with "<Peer ", so peers never outgrows
-// this and every list peerList returns stays a window of it.
+// this. A count no canonical body of the document's length could hold is
+// refused, so a hostile body cannot make the decoder allocate far more
+// than its own length.
 func (d *decoder) allocPeers() {
-	if n := d.count("<Peer ", len(emptyPeer)); n > 0 {
+	n := bytes.Count(d.data, []byte("<Peer "))
+	if n > len(d.data)/len(emptyPeer) {
+		d.fail(fmt.Sprintf("%d peers in %d bytes", n, len(d.data)))
+		return
+	}
+	if n > 0 {
 		d.peers = make([]Peer, 0, n)
 		d.ends = make([]int, 0, n)
 		d.addrs = make([]byte, 0, n*len("255.255.255.255"))
@@ -236,28 +202,15 @@ func (d *decoder) number(prefix string, lo, hi uint64) uint64 {
 
 // word reads an attribute that must be one of vocab's words, and returns
 // that word.
-func (d *decoder) word(prefix string, vocab []string) string {
+func (d *decoder) word(prefix string, vocab []word) string {
 	v := d.value(prefix)
-	for _, w := range vocab {
-		if string(v) == w {
-			return w
+	for i := range vocab {
+		if string(v) == vocab[i].value {
+			return vocab[i].value
 		}
 	}
 	d.fail(fmt.Sprintf("%s%s\" is not in the vocabulary", prefix, v))
 	return ""
-}
-
-// peerList reads the peers that each open with open, and returns them as
-// a window of d.peers, nil when there are none.
-func (d *decoder) peerList(open string) []Peer {
-	start := len(d.peers)
-	for d.lit(open) {
-		d.peers = append(d.peers, d.peer())
-	}
-	if len(d.peers) == start {
-		return nil
-	}
-	return d.peers[start:len(d.peers):len(d.peers)]
 }
 
 // peer reads one Peer element after its opening "<Peer". Its address goes
@@ -270,9 +223,9 @@ func (d *decoder) peer() Peer {
 	d.ends = append(d.ends, len(d.addrs))
 	p := Peer{
 		Port:        uint16(d.number(` port="`, 1, math.MaxUint16)),
-		Class:       d.word(` class="`, classWords[:]),
-		Proto:       d.word(` proto="`, protoWords[:]),
-		QoS:         d.word(` qos="`, qosWords[:]),
+		Class:       d.word(` class="`, classWords),
+		Proto:       d.word(` proto="`, protoWords),
+		QoS:         d.word(` qos="`, qosWords),
 		IntervalSec: int(d.number(` interval="`, 1, math.MaxInt)),
 		PayloadLen:  int(d.number(` payload="`, 0, math.MaxInt)),
 	}

@@ -1,13 +1,13 @@
 package pinglist
 
 import (
-	"encoding/xml"
-	"reflect"
+	"bytes"
+	"compress/flate"
+	"encoding/binary"
+	"io"
 	"strings"
 	"testing"
 	"time"
-
-	"pingmesh/internal/httpcache"
 )
 
 // deltaFile builds a pinglist with n synthetic peers, version v.
@@ -40,9 +40,14 @@ func itoa(n int) string {
 	return string(b[i:])
 }
 
-// roundTrip diffs old→new through the wire format and asserts the patched
-// bytes equal the freshly marshaled target exactly.
-func roundTrip(t *testing.T, old, target *File) *Delta {
+// sharedWriter is reused by every roundTrip, as an UpdateTopology worker
+// reuses one for all its deltas.
+var sharedWriter DeltaWriter
+
+// roundTrip builds the delta from old to target with the shared writer and
+// asserts that a fresh writer builds the same bytes and that patching the
+// old body rebuilds the target's exactly.
+func roundTrip(t *testing.T, old, target *File) []byte {
 	t.Helper()
 	oldData, err := Marshal(old)
 	if err != nil {
@@ -52,58 +57,34 @@ func roundTrip(t *testing.T, old, target *File) *Delta {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := Diff(old, target, httpcache.ETagFor(oldData), httpcache.ETagFor(wantData))
+	d := sharedWriter.Append(nil, oldData, wantData)
+	if fresh := new(DeltaWriter).Append(nil, oldData, wantData); !bytes.Equal(d, fresh) {
+		t.Fatalf("a reused writer built %d bytes, a fresh one %d different ones", len(d), len(fresh))
+	}
+	got, err := Patch(oldData, d)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("Patch: %v", err)
 	}
-	// The controller never parses a base: keyed on the marshaled peer
-	// lines, the script must be the one the parsed files give.
-	dm, err := DiffMarshaled(oldData, wantData, target, d.BaseETag, d.TargetETag)
-	if err != nil || !reflect.DeepEqual(dm, d) {
-		t.Fatalf("line-keyed delta %+v (%v), struct-keyed %+v", dm, err, d)
-	}
-	wire, err := MarshalDelta(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2, err := UnmarshalDelta(wire)
-	if err != nil {
-		t.Fatalf("delta did not round trip: %v\n%s", err, wire)
-	}
-	_, got, err := ApplyVerified(old, httpcache.ETagFor(oldData), d2)
-	if err != nil {
-		t.Fatalf("ApplyVerified: %v", err)
-	}
-	if string(got) != string(wantData) {
+	if !bytes.Equal(got, wantData) {
 		t.Fatalf("patched bytes differ from target:\n got %q\nwant %q", got, wantData)
 	}
-	return d2
+	return d
 }
 
 func TestDeltaAddRemoveModify(t *testing.T) {
 	old := deltaFile("gen-1", 40)
 
 	t.Run("header-only", func(t *testing.T) {
-		target := deltaFile("gen-2", 40)
-		d := roundTrip(t, old, target)
-		// Unchanged peers: the whole script is one copy run.
-		if len(d.Ops) != 1 || d.Ops[0].Count != 40 {
-			t.Fatalf("header-only delta ops = %+v, want one full copy", d.Ops)
+		// Every peer line is a back-reference into the base.
+		if d := roundTrip(t, old, deltaFile("gen-2", 40)); len(d) > 128 {
+			t.Fatalf("header-only delta is %d bytes, want at most 128", len(d))
 		}
 	})
 	t.Run("append", func(t *testing.T) {
-		target := deltaFile("gen-2", 44)
-		d := roundTrip(t, old, target)
-		if len(d.Ops) != 2 || d.Ops[0].Count != 40 || len(d.Ops[1].Peers) != 4 {
-			t.Fatalf("append delta ops = %+v", d.Ops)
-		}
+		roundTrip(t, old, deltaFile("gen-2", 44))
 	})
 	t.Run("remove-tail", func(t *testing.T) {
-		target := deltaFile("gen-2", 30)
-		d := roundTrip(t, old, target)
-		if len(d.Ops) != 1 || d.Ops[0].Count != 30 {
-			t.Fatalf("remove delta ops = %+v", d.Ops)
-		}
+		roundTrip(t, old, deltaFile("gen-2", 30))
 	})
 	t.Run("remove-middle", func(t *testing.T) {
 		target := deltaFile("gen-2", 40)
@@ -114,11 +95,7 @@ func TestDeltaAddRemoveModify(t *testing.T) {
 		target := deltaFile("gen-2", 40)
 		target.Peers[7].IntervalSec = 60
 		target.Peers[23].Port = 9999
-		d := roundTrip(t, old, target)
-		// Two modifications: copy, insert, copy, insert, copy.
-		if len(d.Ops) != 5 {
-			t.Fatalf("modify delta has %d ops, want 5: %+v", len(d.Ops), d.Ops)
-		}
+		roundTrip(t, old, target)
 	})
 	t.Run("insert-middle", func(t *testing.T) {
 		target := deltaFile("gen-2", 40)
@@ -134,8 +111,6 @@ func TestDeltaAddRemoveModify(t *testing.T) {
 		roundTrip(t, old, target)
 	})
 	t.Run("duplicates", func(t *testing.T) {
-		// Repeated peers: a copy run must start at the lowest base
-		// position not yet passed, never behind it.
 		base := deltaFile("gen-1", 6)
 		base.Peers = append(base.Peers, base.Peers[1], base.Peers[1], base.Peers[4])
 		target := deltaFile("gen-2", 6)
@@ -143,8 +118,7 @@ func TestDeltaAddRemoveModify(t *testing.T) {
 		roundTrip(t, base, target)
 	})
 	t.Run("empty-target", func(t *testing.T) {
-		target := deltaFile("gen-2", 0)
-		roundTrip(t, old, target)
+		roundTrip(t, old, deltaFile("gen-2", 0))
 	})
 	t.Run("empty-base", func(t *testing.T) {
 		roundTrip(t, deltaFile("gen-1", 0), deltaFile("gen-2", 12))
@@ -152,173 +126,132 @@ func TestDeltaAddRemoveModify(t *testing.T) {
 }
 
 // TestDeltaSmallerThanFull pins the point of the protocol: for localized
-// churn the delta wire form is a small fraction of the full file.
+// churn the delta is a small fraction of the deflated full body, which is
+// what the controller weighs it against (as gzip), and the bigger the file
+// the smaller the fraction — at the benchmark's 54 peers (6.5 KB), at 500
+// (56 KB) and at a deployment's 2,000 (220 KB), far past DEFLATE's 32 KB
+// window.
 func TestDeltaSmallerThanFull(t *testing.T) {
-	old := deltaFile("gen-1", 500)
-	target := deltaFile("gen-2", 504) // rolling update appends four peers
-	fullData, _ := Marshal(target)
-	d := roundTrip(t, old, target)
-	wire, _ := MarshalDelta(d)
-	if len(wire)*10 > len(fullData) {
-		t.Fatalf("delta %d bytes vs full %d: not >=10x smaller", len(wire), len(fullData))
+	for _, c := range []struct{ peers, times int }{{54, 5}, {500, 20}, {2000, 50}} {
+		old := deltaFile("gen-1", c.peers)
+		target := deltaFile("gen-2", c.peers+4) // a rolling update appends four peers
+		fullData, _ := Marshal(target)
+		var deflated bytes.Buffer
+		zw, _ := flate.NewWriter(&deflated, flate.BestSpeed)
+		zw.Write(fullData)
+		zw.Close()
+		if d := roundTrip(t, old, target); len(d)*c.times > deflated.Len() {
+			t.Errorf("%d peers: delta %d bytes vs deflated full body %d: not ≥ %dx smaller", c.peers, len(d), deflated.Len(), c.times)
+		}
 	}
 }
 
-func TestApplyVerifiedRejects(t *testing.T) {
-	old := deltaFile("gen-1", 20)
-	target := deltaFile("gen-2", 22)
-	oldData, _ := Marshal(old)
-	oldETag := httpcache.ETagFor(oldData)
-	good, err := DiffFiles(old, target)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	t.Run("wrong-version", func(t *testing.T) {
-		d := *good
-		d.V = DeltaVersion + 1
-		if _, _, err := ApplyVerified(old, oldETag, &d); err == nil {
-			t.Fatal("future wire version accepted")
-		}
-	})
-	t.Run("stale-base", func(t *testing.T) {
-		if _, _, err := ApplyVerified(old, `"someotheretag"`, good); err == nil {
-			t.Fatal("stale base accepted")
-		}
-	})
-	t.Run("corrupted-ops", func(t *testing.T) {
-		d := *good
-		d.Ops = append([]Op(nil), good.Ops...)
-		d.Ops[0] = Op{From: 0, Count: 19} // drop a peer the target has
-		if _, _, err := ApplyVerified(old, oldETag, &d); err == nil {
-			t.Fatal("corrupted script passed target-ETag verification")
-		}
-	})
-	t.Run("out-of-range-copy", func(t *testing.T) {
-		d := *good
-		d.Ops = []Op{{From: 10, Count: 1000}}
-		if _, _, err := ApplyVerified(old, oldETag, &d); err == nil {
-			t.Fatal("out-of-range copy accepted")
-		}
-	})
-	t.Run("wrong-header", func(t *testing.T) {
-		d := *good
-		d.Version = "gen-9999" // header is hashed, so the ETag check catches it
-		if _, _, err := ApplyVerified(old, oldETag, &d); err == nil {
-			t.Fatal("tampered header passed verification")
-		}
-	})
-}
-
-// TestDeltaWireShape sanity-checks the document format so protocol drift
-// is visible in review, not just in hashes.
+// TestDeltaWireShape: a copy names any offset of the base, so a 2,000-peer
+// file (220 KB) that changes its header, loses the middle peer and gains
+// four at the end is a handful of ops, its unchanged runs one copy each,
+// not a copy per 32 KB.
 func TestDeltaWireShape(t *testing.T) {
-	old := deltaFile("gen-1", 3)
-	target := deltaFile("gen-2", 4)
-	d, err := DiffFiles(old, target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wire, err := MarshalDelta(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := string(wire)
-	for _, want := range []string{"<PinglistDelta", `v="1"`, `server="srv-1"`, `version="gen-2"`, `base="`, `target="`, "<Op", "<Peer"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("delta wire form missing %q:\n%s", want, s)
+	old := deltaFile("gen-1", 2000)
+	target := deltaFile("gen-2", 2004)
+	target.Peers = append(target.Peers[:1000:1000], target.Peers[1001:]...)
+	base, _ := Marshal(old)
+	ops := decodeOps(t, base, roundTrip(t, old, target))
+	var long int
+	for _, o := range ops {
+		if o.lit == nil && o.n > 100_000 {
+			long++
 		}
 	}
-}
-
-// TestDiffMarshaledRejectsForeignBase: the line-keyed diff trusts a base
-// only in the exact form Marshal writes; anything else is an error (the
-// controller counts it and serves the full body), never a guessed patch.
-func TestDiffMarshaledRejectsForeignBase(t *testing.T) {
-	target := deltaFile("gen-2", 3)
-	targetData, _ := Marshal(target)
-	compact, err := xml.Marshal(deltaFile("gen-1", 3)) // same document, no indentation
-	if err != nil {
-		t.Fatal(err)
-	}
-	good, _ := Marshal(deltaFile("gen-1", 3))
-	other := deltaFile("gen-1", 3)
-	other.Server = "srv-2"
-	otherData, _ := Marshal(other)
-	for name, base := range map[string]string{
-		"empty":        "",
-		"compact":      string(compact),
-		"no-newline":   strings.TrimSuffix(string(good), "\n"),
-		"truncated":    string(good[:len(good)/2]),
-		"self-closing": strings.ReplaceAll(string(good), "></Peer>", "/>"),
-		"other-root":   strings.ReplaceAll(string(good), "Pinglist", "Pinglisp"),
-		"other-server": string(otherData),
-	} {
-		if d, err := DiffMarshaled([]byte(base), targetData, target, `"a"`, `"b"`); err == nil {
-			t.Errorf("%s base accepted: %+v", name, d)
-		}
-	}
-	if _, err := DiffMarshaled(good, good, target, `"a"`, `"b"`); err != nil {
-		t.Errorf("marshaled base rejected: %v", err)
-	}
-	if _, err := DiffMarshaled(good, targetData, deltaFile("gen-2", 4), `"a"`, `"b"`); err == nil {
-		t.Error("target bytes that are not Marshal(new) accepted")
+	if long != 2 || len(ops) > 20 {
+		t.Fatalf("%d ops, %d copies over 100 KB; want at most 20 ops and the two unchanged runs whole", len(ops), long)
 	}
 }
 
-// TestEditScriptKeysMayCollide: DiffMarshaled keys peer lines by a hash
-// and leaves equality to same(i, j), so a key shared by different peers
-// must not change the script. Every key colliding is the extreme case.
-func TestEditScriptKeysMayCollide(t *testing.T) {
-	base := deltaFile("gen-1", 12)
-	base.Peers = append(base.Peers, base.Peers[1], base.Peers[1], base.Peers[4])
-	target := deltaFile("gen-2", 12)
-	target.Peers[7].IntervalSec = 60
-	target.Peers = append(target.Peers[:3:3], append([]Peer{target.Peers[1], target.Peers[9]}, target.Peers[5:]...)...)
-	exact := editScript(base.Peers, target.Peers, nil, target.Peers)
-	same := func(i, j int) bool { return base.Peers[i] == target.Peers[j] }
-	collided := editScript(make([]int8, len(base.Peers)), make([]int8, len(target.Peers)), same, target.Peers)
-	if !reflect.DeepEqual(collided, exact) {
-		t.Fatalf("colliding keys give %+v, exact keys %+v", collided, exact)
-	}
-	if len(exact) < 3 {
-		t.Fatalf("script %+v does not mix copies and inserts", exact)
-	}
-}
-
-// TestGoldenDeltaWireFormat pins the exact bytes of a delta document, as
-// TestGoldenWireFormat does for the pinglist itself.
+// TestGoldenDeltaWireFormat pins a delta's ops byte for byte, as
+// TestGoldenWireFormat does the pinglist itself: what the writer chooses
+// and how Patch reads it. From three peers at gen-1 to four at gen-2:
+//
+//	8f 01 00     copy 71 from 0+0: the header up to version="gen-
+//	08 "2\">\n"  literal 4
+//	95 05 08     copy 330 from 71+4: the three peers
+//	2b db 01     copy 21 from 401-110: the third peer's prefix, "  <Peer addr=\"10.0.0."
+//	02 "5"       literal 1
+//	c9 01 02     copy 100 from 316+1: its suffix and </Pinglist>
 func TestGoldenDeltaWireFormat(t *testing.T) {
-	d := &Delta{
-		V:          DeltaVersion,
-		Server:     "DC1-ps00-pod00-s00",
-		Version:    "gen-8",
-		Generated:  time.Date(2026, 7, 1, 12, 5, 0, 0, time.UTC),
-		BaseETag:   `"00112233445566778899aabbccddeeff"`,
-		TargetETag: `"ffeeddccbbaa99887766554433221100"`,
-		Ops: []Op{
-			{From: 0, Count: 53},
-			{Peers: []Peer{
-				{Addr: "10.0.9.2", Port: 8765, Class: "intra-dc", Proto: "tcp", QoS: "high", IntervalSec: 30},
-				{Addr: "10.0.9.6", Port: 8766, Class: "intra-dc", Proto: "tcp", QoS: "low", IntervalSec: 30, PayloadLen: 1000},
-			}},
-			{From: 54, Count: 1},
-		},
-	}
-	golden := `<PinglistDelta v="1" server="DC1-ps00-pod00-s00" version="gen-8" generated="2026-07-01T12:05:00Z" base="&#34;00112233445566778899aabbccddeeff&#34;" target="&#34;ffeeddccbbaa99887766554433221100&#34;">
-  <Op from="0" count="53"></Op>
-  <Op from="0" count="0">
-    <Peer addr="10.0.9.2" port="8765" class="intra-dc" proto="tcp" qos="high" interval="30" payload="0"></Peer>
-    <Peer addr="10.0.9.6" port="8766" class="intra-dc" proto="tcp" qos="low" interval="30" payload="1000"></Peer>
-  </Op>
-  <Op from="54" count="1"></Op>
-</PinglistDelta>
-`
-	got, err := MarshalDelta(d)
+	const golden = "\x8f\x01\x00\b2\">\n\x95\x05\b+\xdb\x01\x025\xc9\x01\x02"
+	base, _ := Marshal(deltaFile("gen-1", 3))
+	target, _ := Marshal(deltaFile("gen-2", 4))
+	ops, err := io.ReadAll(flate.NewReader(bytes.NewReader(new(DeltaWriter).Append(nil, base, target))))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(got) != golden {
-		t.Fatalf("delta wire format drifted:\n--- got ---\n%s\n--- want ---\n%s", got, golden)
+	if string(ops) != golden {
+		t.Fatalf("delta ops drifted:\n got %q\nwant %q", ops, golden)
 	}
+	if got, err := Patch(base, deflateOps(golden)); err != nil || !bytes.Equal(got, target) {
+		t.Fatalf("the golden ops rebuild %q, %v", got, err)
+	}
+}
+
+// TestPatchRejects: a delta that is not one whole DEFLATE stream of whole
+// ops, that copies from outside its base, or that inflates past
+// MaxPatched, is an error — the agent's signal to download the full body.
+func TestPatchRejects(t *testing.T) {
+	old, _ := Marshal(deltaFile("gen-1", 20))
+	target, _ := Marshal(deltaFile("gen-2", 22))
+	good := new(DeltaWriter).Append(nil, old, target)
+
+	var bomb bytes.Buffer
+	zw, _ := flate.NewWriter(&bomb, flate.BestSpeed)
+	if _, err := io.CopyN(zw, zeros{}, MaxPatched+1); err != nil {
+		t.Fatal(err)
+	}
+	zw.Close()
+	for name, delta := range map[string][]byte{
+		"empty":             nil,
+		"truncated":         good[:len(good)/2],
+		"trailing-bytes":    append(bytes.Clone(good), 0),
+		"not-deflate":       []byte(strings.Repeat("<Pinglist>", 8)),
+		"past-the-cap":      bomb.Bytes(),
+		"stored-overflow":   {0x01, 0xff, 0xff, 0x00, 0x00},
+		"zero-length-op":    deflateOps("\x00"),
+		"corrupted-ops":     deflateOps("\x08ab"), // a 4-byte literal with 2 left
+		"unended-varint":    deflateOps("\x8f"),
+		"out-of-range-copy": deflateOps("\x03" + string(binary.AppendVarint(nil, int64(len(old))))),
+		"copy-before-base":  deflateOps("\x03\x01"),
+		"copy-past-the-cap": deflateOps(string(binary.AppendUvarint(nil, (MaxPatched+1)<<1|1)) + "\x00"),
+	} {
+		t.Run(name, func(t *testing.T) {
+			if body, err := Patch(old, delta); err == nil {
+				t.Errorf("patched to %d bytes, want an error", len(body))
+			}
+		})
+	}
+}
+
+// deflateOps is a delta holding ops as they are.
+func deflateOps(ops string) []byte {
+	var b bytes.Buffer
+	zw, _ := flate.NewWriter(&b, flate.BestSpeed)
+	zw.Write([]byte(ops))
+	zw.Close()
+	return b.Bytes()
+}
+
+// decodeOps returns the ops of delta, a delta from base.
+func decodeOps(t *testing.T, base, delta []byte) []op {
+	t.Helper()
+	ops, _, err := parseOps(base, delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ops
+}
+
+// zeros reads as an endless run of zero bytes.
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) {
+	clear(p)
+	return len(p), nil
 }

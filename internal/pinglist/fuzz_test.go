@@ -5,12 +5,9 @@ import (
 	"encoding/xml"
 	"fmt"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 	"unicode/utf8"
-
-	"pingmesh/internal/httpcache"
 )
 
 // xmlSafe reports whether s round-trips losslessly through XML: valid
@@ -92,8 +89,7 @@ func xmlOracle[T any](t *testing.T, data []byte, got *T, head func(*T) (*xml.Nam
 	}
 }
 
-func fileHead(f *File) (*xml.Name, *time.Time)   { return &f.XMLName, &f.Generated }
-func deltaHead(d *Delta) (*xml.Name, *time.Time) { return &d.XMLName, &d.Generated }
+func fileHead(f *File) (*xml.Name, *time.Time) { return &f.XMLName, &f.Generated }
 
 // FuzzUnmarshal holds the decoder to two properties on any input. If
 // Unmarshal accepts it, the file re-marshals to the input byte for byte,
@@ -134,72 +130,6 @@ func FuzzUnmarshal(f *testing.F) {
 		}
 		if err == nil {
 			xmlOracle(t, body, pl, fileHead)
-		}
-	})
-}
-
-// validDelta is what UnmarshalDelta promises of a delta it returns: a
-// server, and inserted peers that pass Validate.
-func validDelta(d *Delta) error {
-	f := File{Server: d.Server}
-	for i := range d.Ops {
-		f.Peers = append(f.Peers, d.Ops[i].Peers...)
-	}
-	return f.Validate()
-}
-
-// FuzzUnmarshalDelta is FuzzUnmarshal for deltas. Whatever UnmarshalDelta
-// accepts re-marshals to the input byte for byte, keeps validDelta's
-// promise and is what encoding/xml reads. And the delta between two files
-// generatedFile derives from the input, keyed by their real ETags, decodes
-// from its MarshalDelta output exactly when it keeps that promise.
-func FuzzUnmarshalDelta(f *testing.F) {
-	old, target := deltaFile("gen-1", 5), deltaFile("gen-2", 7)
-	target.Peers[1].QoS = "low"
-	d, _ := DiffFiles(old, target)
-	wire, _ := MarshalDelta(d)
-	f.Add(wire, []byte{})
-	f.Add([]byte("<PinglistDelta/>"), []byte("s\x00v\x00\x01\x02\x03"))
-	f.Add([]byte(strings.ReplaceAll(string(wire), "></Peer>", "/>")), []byte("s\x00v\x00\x01\x02\xfa\x03"))
-	f.Add([]byte("<PinglistDelta v=\"1\" server=\"s\"></PinglistDelta>\n"), []byte("s\"&\x00\xff\x00\x01\xfb\x02"))
-	f.Fuzz(func(t *testing.T, data, gen []byte) {
-		if x, err := UnmarshalDelta(data); err == nil {
-			out, err := MarshalDelta(x)
-			if err != nil || !bytes.Equal(out, data) {
-				t.Fatalf("accepted delta re-marshals differently (%v):\n got %q\nwant %q", err, out, data)
-			}
-			if err := validDelta(x); err != nil {
-				t.Fatalf("accepted delta breaks its promise: %v", err)
-			}
-			xmlOracle(t, data, x, deltaHead)
-		}
-		// The target drops the base's first half of peers, opens with
-		// three new ones and carries another version.
-		base, target := generatedFile(gen), generatedFile(gen)
-		target.Peers = append(generatedFile([]byte{0, 0, 1, 0xfa, 2}).Peers, target.Peers[len(target.Peers)/2:]...)
-		target.Version += "'"
-		baseData, err := Marshal(base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		targetData, err := Marshal(target)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d, err := Diff(base, target, httpcache.ETagFor(baseData), httpcache.ETagFor(targetData))
-		if err != nil {
-			t.Fatal(err)
-		}
-		wire, err := MarshalDelta(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		x, err := UnmarshalDelta(wire)
-		if (err == nil) != (validDelta(d) == nil) {
-			t.Fatalf("decode error %v, promise %v:\n%q", err, validDelta(d), wire)
-		}
-		if err == nil {
-			xmlOracle(t, wire, x, deltaHead)
 		}
 	})
 }
@@ -274,9 +204,8 @@ func FuzzMarshalRoundTrip(f *testing.F) {
 }
 
 // fileFromBytes derives a pinglist deterministically from fuzz bytes. Each
-// byte picks one peer out of a small value space, so arbitrary byte pairs
-// produce peer sequences with repeats, shared runs, and disjoint stretches
-// — the shapes the delta edit script must handle.
+// byte picks one peer out of a small value space, so arbitrary bytes
+// produce peer sequences with repeats, shared runs, and disjoint stretches.
 func fileFromBytes(server, version string, seed []byte) *File {
 	f := &File{Server: server, Version: version, Generated: time.Unix(1751328000, 0).UTC()}
 	if len(seed) > 512 {
@@ -297,113 +226,60 @@ func fileFromBytes(server, version string, seed []byte) *File {
 	return f
 }
 
-// FuzzDeltaPatchVsFull is the differential safety net for the delta
-// protocol: for arbitrary pinglist pairs, patching the base with the diff
-// must reproduce the freshly marshaled target byte-identically — and a
-// corrupted or stale delta must never pass ApplyVerified with wrong bytes;
-// it must error out, which is the signal agents use to fall back to a full
-// fetch.
-func FuzzDeltaPatchVsFull(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 4, 5}, []byte{1, 2, 9, 4, 5, 6}, "gen-2", []byte{0xff}, uint16(10))
-	f.Add([]byte{}, []byte{7, 7, 7}, "gen-3", []byte{}, uint16(0))
-	f.Add([]byte{9, 9, 9, 9}, []byte{}, "gen-4", []byte{1, 2, 3}, uint16(2))
-	f.Add([]byte{0, 1, 0, 1, 0, 1}, []byte{1, 0, 1, 0}, "v", []byte{0x3c}, uint16(100))
-	f.Fuzz(func(t *testing.T, seedOld, seedNew []byte, version string, corrupt []byte, corruptPos uint16) {
-		old := fileFromBytes("srv-f", "gen-1", seedOld)
-		target := fileFromBytes("srv-f", version, seedNew)
-		oldData, err := Marshal(old)
+// FuzzDeltaRoundTrip holds the delta codec to its contract on any pair of
+// bodies: Patch(a, Append(a, b)) is b, byte for byte, and the delta does
+// not depend on what the writer built before — one writer serves every
+// (base, target) pair of a worker, and replicas must build the same bytes.
+// The seeds cover an empty base, bases under 16 and under 128 bytes
+// (DEFLATE's small-block paths at BestSpeed, which short op lists take)
+// and a base past DEFLATE's 32 KB window, which copies reach across.
+func FuzzDeltaRoundTrip(f *testing.F) {
+	small, _ := Marshal(deltaFile("gen-2", 3))
+	f.Add([]byte{}, small)
+	f.Add([]byte("<Pinglist/>"), small)
+	head, _, _ := bytes.Cut(small, []byte("\n  <Peer"))
+	f.Add(head, small)
+	large, _ := Marshal(deltaFile("gen-1", 400))
+	larger, _ := Marshal(deltaFile("gen-2", 404))
+	f.Add(large, larger)
+	var shared DeltaWriter
+	f.Fuzz(func(t *testing.T, base, target []byte) {
+		d := shared.Append(nil, base, target)
+		if fresh := new(DeltaWriter).Append(nil, base, target); !bytes.Equal(d, fresh) {
+			t.Fatalf("a reused writer built %q, a fresh one %q", d, fresh)
+		}
+		got, err := Patch(base, d)
 		if err != nil {
-			t.Skip() // invalid XML runes in version
+			t.Fatalf("Patch: %v", err)
 		}
-		newData, err := Marshal(target)
-		if err != nil {
-			t.Skip()
-		}
-		oldETag := httpcache.ETagFor(oldData)
-		d, err := Diff(old, target, oldETag, httpcache.ETagFor(newData))
-		if err != nil {
-			t.Fatalf("Diff failed for same-server pair: %v", err)
-		}
-		// Keyed on the marshaled peer lines — how the controller diffs a
-		// ringed base — the edit script is the same one.
-		dm, err := DiffMarshaled(oldData, newData, target, d.BaseETag, d.TargetETag)
-		if err != nil || !reflect.DeepEqual(dm, d) {
-			t.Fatalf("line-keyed delta %+v (%v), struct-keyed %+v", dm, err, d)
-		}
-		wire, err := MarshalDelta(d)
-		if err != nil {
-			t.Fatalf("delta of marshalable files not marshalable: %v", err)
-		}
-
-		// The honest path: patched bytes == freshly marshaled full file.
-		d2, err := UnmarshalDelta(wire)
-		if err != nil {
-			t.Fatalf("delta wire form did not parse: %v\n%s", err, wire)
-		}
-		_, got, err := ApplyVerified(old, oldETag, d2)
-		if err != nil {
-			if xmlSafe(version) {
-				t.Fatalf("ApplyVerified rejected an honest delta: %v", err)
-			}
-			return // lossy escaping; the fallback-to-full contract still held
-		}
-		if string(got) != string(newData) {
-			t.Fatalf("patched bytes != full marshal\n got %q\nwant %q", got, newData)
-		}
-
-		// A stale base must be rejected outright.
-		if _, _, err := ApplyVerified(target, httpcache.ETagFor(newData), d2); err == nil && string(oldData) != string(newData) {
-			t.Fatal("delta applied over the wrong base generation")
-		}
-
-		// The hostile path: corrupt the wire form; whatever still parses
-		// and verifies must STILL produce the exact target bytes (the
-		// target ETag binds the content); anything else must error — the
-		// fall-back-to-full signal.
-		if len(corrupt) == 0 {
-			return
-		}
-		mutated := append([]byte(nil), wire...)
-		for i, b := range corrupt {
-			mutated[(int(corruptPos)+i*31)%len(mutated)] ^= b
-		}
-		dc, err := UnmarshalDelta(mutated)
-		if err != nil {
-			return // corruption detected at parse time
-		}
-		_, got2, err := ApplyVerified(old, oldETag, dc)
-		if err != nil {
-			return // corruption detected at verify time: fall back to full
-		}
-		if string(got2) != string(newData) {
-			t.Fatalf("corrupted delta verified but produced wrong bytes\n got %q\nwant %q", got2, newData)
+		if !bytes.Equal(got, target) {
+			t.Fatalf("patched %q, want %q", got, target)
 		}
 	})
 }
 
-// FuzzMarshalMatchesEncodingXML holds the append-based writers to the
-// encoder they replaced: for any File and any Delta, Marshal and
-// MarshalDelta produce xml.MarshalIndent's bytes plus a newline, and fail
-// exactly when it fails. Every ETag in the system hashes these bytes, so
+// FuzzMarshalMatchesEncodingXML holds the append-based writer to the
+// encoder it replaced: for any File, Marshal produces xml.MarshalIndent's
+// bytes plus a newline, and fails exactly when it fails. Every ETag in the
+// system hashes these bytes, and a delta's base is this output, so
 // "equivalent XML" is not enough.
 func FuzzMarshalMatchesEncodingXML(f *testing.F) {
 	f.Add("srv-0", "gen-1", int64(1751328000), int64(0), int32(0), "10.0.0.2", "intra-pod", "tcp", "high",
-		uint16(8765), 10, 0, `"0123"`, `"4567"`, uint8(2), []byte{2, 1, 4})
-	// Empty peer list, empty op list.
-	f.Add("", "", int64(0), int64(0), int32(0), "", "", "", "", uint16(0), 0, 0, "", "", uint8(0), []byte{})
+		uint16(8765), 10, 0, uint8(2))
+	// Empty peer list.
+	f.Add("", "", int64(0), int64(0), int32(0), "", "", "", "", uint16(0), 0, 0, uint8(0))
 	// XML metacharacters and whitespace in every string attribute.
 	f.Add(`s"&<>'`, "v\t\r\n", int64(1), int64(1), int32(60), `a"&<>'`, "c\t\r\n", `p"&<>'`, "q\t\r\n",
-		uint16(1), -1, -1024, "b\"&<>'\t", "t\r\n", uint8(3), []byte{0, 1, 3, 5, 255})
+		uint16(1), -1, -1024, uint8(3))
 	// Non-ASCII, invalid UTF-8, control bytes and non-characters.
 	f.Add("über-\xff", "v\x00\x7f", int64(1751328000), int64(123456789), int32(-3600*7-1800), "\xc3\x28", "pod-é",
-		"\ufffe", "\U0001F600", uint16(65535), 1<<31, 1<<40, "\xed\xa0\x80", "\x1f", uint8(1), []byte{1, 1, 7})
+		"\ufffe", "\U0001F600", uint16(65535), 1<<31, 1<<40, uint8(1))
 	// Non-UTC zones, and timestamps MarshalText refuses.
-	f.Add("s", "v", int64(253402300800), int64(999999999), int32(14*3600), "a", "c", "p", "q", uint16(1), 1, 1, "b", "t", uint8(1), []byte{6})
-	f.Add("s", "v", int64(-62135596801), int64(5), int32(-25*3600), "a", "c", "p", "q", uint16(1), 1, 1, "b", "t", uint8(1), []byte{9})
+	f.Add("s", "v", int64(253402300800), int64(999999999), int32(14*3600), "a", "c", "p", "q", uint16(1), 1, 1, uint8(1))
+	f.Add("s", "v", int64(-62135596801), int64(5), int32(-25*3600), "a", "c", "p", "q", uint16(1), 1, 1, uint8(1))
 
 	f.Fuzz(func(t *testing.T, server, version string, sec, nsec int64, zone int32,
-		addr, class, proto, qos string, port uint16, interval, payload int,
-		base, target string, nPeers uint8, ops []byte) {
+		addr, class, proto, qos string, port uint16, interval, payload int, nPeers uint8) {
 		file := &File{
 			Server:    server,
 			Version:   version,
@@ -418,45 +294,18 @@ func FuzzMarshalMatchesEncodingXML(f *testing.F) {
 				Port: port + uint16(i), IntervalSec: interval - i, PayloadLen: payload * (1 - i),
 			})
 		}
-		delta := &Delta{
-			V: DeltaVersion + int(nPeers/4), Server: server, Version: version,
-			Generated: file.Generated, BaseETag: base, TargetETag: target,
+		got, err := Marshal(file)
+		want, wantErr := xml.MarshalIndent(file, "", "  ")
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("error %v, encoding/xml %v", err, wantErr)
 		}
-		if len(ops) > 16 {
-			ops = ops[:16]
-		}
-		for _, b := range ops {
-			// Copy runs, inserts of 0..3 peers, and ops that are (invalidly)
-			// both: the writer is not the validator.
-			op := Op{From: int(b) - 3, Count: int(b%3) * int(b)}
-			if b%2 == 1 {
-				op.Peers = file.Peers[:min(int(b/2%4), len(file.Peers))]
-			}
-			delta.Ops = append(delta.Ops, op)
-		}
-
-		check := func(v any, got []byte, err error) {
-			t.Helper()
-			want, wantErr := xml.MarshalIndent(v, "", "  ")
-			if (err != nil) != (wantErr != nil) {
-				t.Fatalf("%T: error %v, encoding/xml %v", v, err, wantErr)
-			}
-			if err == nil && string(got) != string(want)+"\n" {
-				t.Fatalf("%T differs from encoding/xml:\n got %q\nwant %q", v, got, string(want)+"\n")
-			}
+		if err == nil && string(got) != string(want)+"\n" {
+			t.Fatalf("differs from encoding/xml:\n got %q\nwant %q", got, string(want)+"\n")
 		}
 		// Bodies are retained for a generation: what the generator can
-		// produce (plain ASCII; ETags are quoted) is sized exactly.
-		plain := plainASCII(server + version + addr + class + proto + qos)
-		got, err := Marshal(file)
-		check(file, got, err)
-		if err == nil && plain && cap(got) != len(got) {
+		// produce (plain ASCII) is sized exactly.
+		if err == nil && plainASCII(server+version+addr+class+proto+qos) && cap(got) != len(got) {
 			t.Fatalf("Marshal left %d bytes of slack on a %d-byte body", cap(got)-len(got), len(got))
-		}
-		got, err = MarshalDelta(delta)
-		check(delta, got, err)
-		if err == nil && plain && plainASCII(strings.ReplaceAll(base+target, `"`, "")) && cap(got) != len(got) {
-			t.Fatalf("MarshalDelta left %d bytes of slack on a %d-byte body", cap(got)-len(got), len(got))
 		}
 	})
 }

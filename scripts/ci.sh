@@ -30,9 +30,13 @@
 #       batch, not the extent's length. scope FoldExtent$ folds the same
 #       records peer by peer (runs) and interleaved, 0 allocs/op on both.
 #       metrics DecodeRuns$ decodes a 32-run wire histogram and merges its
-#       packed runs into a histogram, 0 allocs/op. pinglist Unmarshal$ and
-#       UnmarshalDelta$ decode what a fleet_churn agent fetches: a 54-peer
-#       pinglist and its update round's delta, in a constant few allocs/op
+#       packed runs into a histogram, 0 allocs/op. pinglist Unmarshal$
+#       decodes what a fleet_churn agent fetches, a 54-peer pinglist, in a
+#       constant few allocs/op; Marshal$ and DeltaAppend$ are what an update
+#       worker writes per server, the body and its update round's delta
+#       (0 allocs/op with the worker's reused writer); Patch$ is the stale
+#       agent rebuilding the body from that delta and its base. The two
+#       delta benchmarks run on that file and on a 2,000-peer one (220 KB)
 #       agent ScheduleDispatch$ is one dispatch of the agent's probe loop
 #       (pop the earliest-due peer off the schedule's heap and re-arm it) at
 #       50, 500 and 5,000 peers, 0 allocs/op; fleet FleetRun$ is one
@@ -56,8 +60,8 @@
 #       two cycles and still be running (a DSA cycle off the window grid
 #       fails and exits it), and /heatmap/DC1 must answer 200
 #   4.  short fuzz pass over the wire formats (CSV lines included; the
-#       pinglist and delta decoders against encoding/xml) and merge
-#       equivalences (optional, FUZZ=1)
+#       pinglist decoder against encoding/xml, and the delta codec's round
+#       trip) and merge equivalences (optional, FUZZ=1)
 #
 # Usage: scripts/ci.sh [package...]   # default: ./...
 set -eu
@@ -115,7 +119,7 @@ go test ./internal/scope -run xxx -bench 'ScopeRun$' -benchmem -cpu 1,2
 go test ./internal/scope -run xxx -bench 'FoldExtent$' -benchmem
 go test ./internal/cosmos -run xxx -bench 'Append$' -benchmem -benchtime 2048x
 go test ./internal/metrics -run xxx -bench 'DecodeRuns$' -benchmem
-go test ./internal/pinglist -run xxx -bench 'Unmarshal$|UnmarshalDelta$' -benchmem
+go test ./internal/pinglist -run xxx -bench 'Unmarshal$|Marshal$|DeltaAppend$|Patch$' -benchmem
 go test ./internal/telemetry -run xxx -bench 'IngestFleet$' -benchmem -benchtime 1000000x -cpu 1,2,4
 go test ./internal/controller -run xxx -bench 'UpdateTopology$' -benchmem -benchtime 5x
 go test ./internal/netsim -run xxx -bench 'PathResolve$' -benchmem
@@ -186,10 +190,9 @@ echo "pingmesh-sim -addr: $cycles cycles, running $RUNNING, /heatmap/DC1 $HEATMA
 if [ "${FUZZ:-0}" = "1" ]; then
     echo "== tier 4: fuzz wire formats (30s each)"
     go test ./internal/pinglist -fuzz 'FuzzUnmarshal$' -fuzztime 30s
-    go test ./internal/pinglist -fuzz FuzzUnmarshalDelta -fuzztime 30s
     go test ./internal/pinglist -fuzz FuzzMarshalRoundTrip -fuzztime 30s
     go test ./internal/pinglist -fuzz FuzzMarshalMatchesEncodingXML -fuzztime 30s
-    go test ./internal/pinglist -fuzz FuzzDeltaPatchVsFull -fuzztime 30s
+    go test ./internal/pinglist -fuzz FuzzDeltaRoundTrip -fuzztime 30s
     go test ./internal/probe -fuzz FuzzParseCSV -fuzztime 30s
     go test ./internal/probe -fuzz FuzzScannerVsDecodeBatch -fuzztime 30s
     go test ./internal/probe -fuzz FuzzBinaryCodecRoundTrip -fuzztime 30s
